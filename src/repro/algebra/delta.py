@@ -24,6 +24,21 @@ Def 3.5 pre-state-correctness assumption) has ``V ≠ ∅  iff  Δ⁺V ≠ ∅``
 difference-correction terms an exact derivative would need keeps the
 rewritten plans free of full-relation subtractions.
 
+**Transition constraints.**  A pre-state leaf ``R@old`` is a *transaction
+constant*: nothing the transaction does changes it, so ``Δ⁺(R@old) =
+Δ⁻(R@old) = ∅`` and ``old(R@old) = R@old``, and the rules below apply to
+an expression over ``R`` and ``R@old`` unchanged.  The premise reads the
+same way: ``old(V) = ∅`` with every ``R`` read as ``R@old`` — the
+violation expression is empty when post-state and pre-state are both the
+pre-transaction state, i.e. *the identity transition is legal*.  That is
+what a between-transactions audit evaluates
+(:class:`~repro.engine.session.DatabaseView` resolves ``R@old`` to the
+current state), so it is the same Def 3.5 premise, not a new one.  Under
+it ``salaries never decrease`` (``emp ⋉θ emp@old``) checks as
+``emp@plus ⋉θ emp@old``; a transition rule whose identity transition is
+illegal ("every salary strictly rises") violates the premise, exactly as
+a state rule the pre-state already violates does.
+
 Rules (⊳ = antijoin, ⋉ = semijoin; ``old(e)`` rewrites every base ``R`` to
 ``R@old`` but is the identity on subtrees the transaction did not touch)::
 
@@ -52,11 +67,17 @@ the algebra instead of being enumerated — including for triggers on
 relations the expression never mentions.
 
 **Honest failure.**  Aggregates (``SUM``/``CNT``/``MLT`` and friends) over a
-*changed* input, and expressions over auxiliary relations (transition
-constraints), are not incrementalizable by these rules;
-:func:`delta_expression` raises :class:`NotIncrementalizable` and the caller
-keeps the full-state program.  Aggregates over untouched inputs simplify to
-empty like any other unaffected subtree.
+*changed* input have no delta rule here, and an expression that itself
+reads a differential (``R@plus``/``R@minus`` written as a plain relation
+name) is already a statement about the transaction, not a state to
+difference; :func:`delta_expression` raises :class:`NotIncrementalizable`
+for both and the caller keeps the full-state program.  Aggregates over
+untouched inputs simplify to empty like any other unaffected subtree.  The
+full-state aggregate program is nevertheless cheap to *run*: the physical
+layer answers ``SUM``/``AVG``/``MIN``/``MAX`` from a value the relation
+maintains under its own mutations, corrected by the transaction's delta
+(:meth:`repro.engine.relation.Relation.aggregate`) — cheap physically, not
+algebraically.
 """
 
 from __future__ import annotations
@@ -90,12 +111,16 @@ def delta_expression(
     the triggers cannot change the expression's value at all.
 
     Raises :class:`NotIncrementalizable` when ``expr`` contains an
-    aggregate/counting operator over an affected input, a cartesian-style
-    node the rules cannot bound, or a reference to an auxiliary relation
-    (transition constraints are outside the pre-state/delta algebra).
+    aggregate/counting operator over an affected input, or reads a
+    differential (``R@plus``/``R@minus``) as a plain relation.  Pre-state
+    leaves ``R@old`` are transaction constants (see the module docs).
     """
-    active = frozenset(triggers)
-    _check_auxiliary_free(expr)
+    # Generated trigger sets may name ``R@old`` (its membership atoms look
+    # like any other); no update ever reaches a transaction constant.
+    active = frozenset(
+        trigger for trigger in triggers if not naming.is_auxiliary(trigger[1])
+    )
+    _check_differential_free(expr)
     return _delta(expr, kind, active)
 
 
@@ -131,12 +156,12 @@ def _is_affected(expr: E.Expression, active: FrozenSet[tuple]) -> bool:
     return bool(expr.relations() & _affected_relations(active))
 
 
-def _check_auxiliary_free(expr: E.Expression) -> None:
+def _check_differential_free(expr: E.Expression) -> None:
     for name in expr.relations():
-        if naming.is_auxiliary(name):
+        if naming.split_auxiliary(name)[1] not in (None, naming.OLD_SUFFIX):
             raise NotIncrementalizable(
-                f"expression references auxiliary relation {name!r}; "
-                f"transition state is outside the delta algebra"
+                f"expression reads the differential {name!r} as a relation; "
+                f"only states (R, R@old) can be differenced"
             )
 
 

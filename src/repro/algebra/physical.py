@@ -884,17 +884,10 @@ class AggregateOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         position = source.schema.position_of(self.attr) - 1
-        values = [row[position] for row in source if row[position] is not NULL]
-        if self.func == "SUM":
-            value = sum(values) if values else 0
-        elif not values:
-            value = NULL
-        elif self.func == "AVG":
-            value = sum(values) / len(values)
-        elif self.func == "MIN":
-            value = min(values)
-        else:
-            value = max(values)
+        # The relation answers: from a state it maintains under its own
+        # mutations (and an overlay from its base's state ⊕ Δ) when it
+        # can, from its rows otherwise.
+        value = source.aggregate(self.func, position)
         name = f"{self.func.lower()}_{source.schema.attributes[position].name}"
         schema = RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)])
         result = Relation(schema, [(value,)], _validated=True)

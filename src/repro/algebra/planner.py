@@ -47,6 +47,7 @@ from repro.algebra import physical as X
 from repro.algebra import predicates as P
 from repro.algebra.expressions import _split_equi_predicate
 from repro.algebra.optimizer import optimize_expression
+from repro.engine import naming
 from repro.engine.relation import Relation
 from repro.errors import EvaluationError
 
@@ -308,8 +309,6 @@ def _visible_columns(expr: E.Expression, schema) -> Optional[tuple]:
     """The output attribute names of ``expr``, or None when not statically
     derivable (temporaries, computed projections, ambiguous concatenations).
     """
-    from repro.engine import naming
-
     if isinstance(expr, E.RelationRef):
         try:
             base, _suffix = naming.split_auxiliary(expr.name)
@@ -765,11 +764,18 @@ def index_hints(expression: E.Expression) -> set:
     build side of hash joins, and equality selections — whenever that side
     is a direct scan of a named relation and the keys are plain columns.
     Auxiliary differentials (``R@plus``/``R@minus``) are skipped: they are
-    rebuilt per transaction, so a persistent index can never exist.
+    rebuilt per transaction, so a persistent index can never exist.  A hint
+    on the pre-state ``R@old`` is a hint on ``R``: inside a transaction
+    ``R@old`` *is* the base relation, index and all.
     """
-    hints: set = set()
-    _collect_hints(get_plan(expression), hints)
-    return {(name, attrs) for name, attrs in hints if "@" not in name}
+    collected: set = set()
+    _collect_hints(get_plan(expression), collected)
+    hints = set()
+    for name, attrs in collected:
+        base, suffix = naming.split_auxiliary(name)
+        if suffix in (None, naming.OLD_SUFFIX):
+            hints.add((base, attrs))
+    return hints
 
 
 def _collect_hints(op: X.PhysicalOperator, hints: set) -> None:

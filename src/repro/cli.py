@@ -277,6 +277,11 @@ class Shell:
             f"-- {stats.rounds} round(s), rules: "
             f"{', '.join(stats.selected_rule_names) or '(none)'}"
         )
+        if stats.full_state_rule_names:
+            self.write(
+                f"-- checked on the full state, not the delta: "
+                f"{', '.join(stats.full_state_rule_names)}"
+            )
 
     def cmd_query(self, rest: str) -> None:
         rows = self.session.rows(rest)

@@ -20,8 +20,9 @@ Two selector back-ends implement ``TrigP``:
 * :class:`StaticSelector` — Alg 6.2: rules were compiled to integrity
   programs at definition time; ``SelPS``/``ConcatP`` just look them up.
 
-Both selectors return the appended pieces individually so the recursion can
-honour per-piece non-triggering flags (Def 6.2) even after concatenation.
+Both selectors return the appended pieces individually — ``(rule name,
+program, is it the rule's full-state program)`` — so the recursion can honour
+per-piece non-triggering flags (Def 6.2) even after concatenation.
 
 Termination: on an acyclic triggering graph the recursion reaches a
 fixpoint; a cyclic rule set would recurse forever, so ``mod_p`` enforces a
@@ -59,6 +60,11 @@ class ModificationStats:
     fallback_statements: int = 0
     naive_fallback_statements: int = 0
     fallback_rule_names: List[str] = field(default_factory=list)
+    # Rules whose stored full-state program was appended as is, there being
+    # no differential variant of it (compensating actions, aggregates,
+    # everything under ``differential=False``): the enforcement work that
+    # can scale with |R| instead of |Δ|.
+    full_state_rule_names: List[str] = field(default_factory=list)
 
 
 class DynamicSelector:
@@ -80,11 +86,11 @@ class DynamicSelector:
         self.optimize = optimize
         self.allow_fallback = allow_fallback
 
-    def select(self, performed: TriggerSet) -> List[Tuple[str, Program]]:
+    def select(self, performed: TriggerSet) -> List[Tuple[str, Program, bool]]:
         from repro.core.optimization import opt_r
         from repro.core.translation import trans_r
 
-        pieces: List[Tuple[str, Program]] = []
+        pieces: List[Tuple[str, Program, bool]] = []
         for rule in self.rules:
             if rule.triggers & performed:
                 candidate = opt_r(rule) if self.optimize else rule
@@ -95,7 +101,7 @@ class DynamicSelector:
                     from repro.algebra.optimizer import optimize_program
 
                     program = optimize_program(program)
-                pieces.append((rule.name, program))
+                pieces.append((rule.name, program, True))
         return pieces
 
 
@@ -105,14 +111,20 @@ class StaticSelector:
     def __init__(self, store):
         self.store = store
 
-    def select(self, performed: TriggerSet) -> List[Tuple[str, Program]]:
-        pieces: List[Tuple[str, Program]] = []
+    def select(self, performed: TriggerSet) -> List[Tuple[str, Program, bool]]:
+        pieces: List[Tuple[str, Program, bool]] = []
         for integrity_program in self.store:
             matched = integrity_program.triggers & performed
             if matched:
                 piece = integrity_program.action_for(matched)
                 if not piece.is_empty:
-                    pieces.append((integrity_program.name, piece))
+                    pieces.append(
+                        (
+                            integrity_program.name,
+                            piece,
+                            piece is integrity_program.program,
+                        )
+                    )
         return pieces
 
 
@@ -132,13 +144,13 @@ def mod_p(
             break
         rounds += 1
         if rounds > max_rounds:
-            names = sorted({name for name, _ in pieces})
+            names = sorted({name for name, _, _ in pieces})
             raise IntegrityError(
                 f"transaction modification did not reach a fixpoint after "
                 f"{max_rounds} rounds; rules still triggering: {names} "
                 f"(cyclic triggering graph? see TriggeringGraph.validate)"
             )
-        appended = concat(*[piece for _, piece in pieces])
+        appended = concat(*[piece for _, piece, _ in pieces])
         result = result.concat(appended)
         if stats is not None:
             from repro.core.translation import CheckConstraint
@@ -146,8 +158,10 @@ def mod_p(
             stats.rounds = rounds
             stats.rules_selected += len(pieces)
             stats.statements_appended += len(appended)
-            stats.selected_rule_names.extend(name for name, _ in pieces)
-            for name, piece in pieces:
+            stats.selected_rule_names.extend(name for name, _, _ in pieces)
+            for name, piece, full_state in pieces:
+                if full_state and name not in stats.full_state_rule_names:
+                    stats.full_state_rule_names.append(name)
                 fallbacks = [
                     statement
                     for statement in piece
@@ -163,7 +177,7 @@ def mod_p(
         # The next round reacts to the updates of the appended pieces only,
         # respecting each piece's own non-triggering flag.
         performed = frozenset().union(
-            *[get_trig_px(piece) for _, piece in pieces]
+            *[get_trig_px(piece) for _, piece, _ in pieces]
         )
     return result
 

@@ -14,15 +14,37 @@ leaves OptC's internals open, listing the applicable technique families:
 * semantic manipulation (Qian & Wiederhold [16]) — out of scope, as in the
   paper.
 
-The differential specialization used to be a hand-written pattern table
-over eight alarm shapes; it is now one call into the *general* delta-rewrite
+The differential specialization is one call into the *general* delta-rewrite
 transform of :mod:`repro.algebra.delta`, which incrementalizes any
 translated check built from selections, projections, joins, semi/antijoins
 and set operators — with vacuity ("deleting referers is safe", "adding
 targets is safe", triggers on unmentioned relations) falling out of the
-transform's emptiness propagation instead of being enumerated.  All of it is
-sound under the paper's Def 3.5 assumption that the pre-transaction state is
-correct, which is precisely the premise of ``differential=True``.
+transform's emptiness propagation instead of being enumerated.
+
+**The premise** is the paper's Def 3.5, which is precisely what
+``differential=True`` asserts: the pre-transaction state is correct.  For a
+translated violation expression ``V`` that reads ``old(V) = ∅`` — and for a
+*transition* constraint, whose ``V`` also reads pre-state leaves ``R@old``,
+it reads the same with every ``R`` taken as ``R@old``: the identity
+transition is legal.  That is what
+:meth:`~repro.core.subsystem.IntegrityController.violated_constraints`
+evaluates between transactions, so transition constraints are *in*: ``R@old``
+is a constant of the transaction to the delta algebra, ``salaries never
+decrease`` (``emp ⋉θ emp@old``) specializes to ``alarm(emp@plus ⋉θ
+emp@old)`` for ``INS(emp)``, and triggers that can only shrink the violation
+set come out vacuous.  A transition rule the identity transition violates
+("every salary strictly rises") is outside the premise, like a state rule
+the pre-state already breaks; ``differential=False`` keeps the full-state
+programs for those.
+
+What stays on the full-state program: aggregates over a changed input (the
+algebra has no rule for them — the *physical* layer makes them cheap
+instead, by answering from a sum/extremum the relation maintains, see
+:meth:`repro.engine.relation.Relation.aggregate`) and compensating actions
+(guarding an action by a delta check of its condition changes behaviour for
+actions that are not self-selecting, so it is not done).
+:attr:`~repro.core.modification.ModificationStats.full_state_rule_names`
+names them per modified transaction.
 
 A vacuous trigger yields an *empty* program: the store simply has nothing to
 append for that update type, which is itself a measurable saving (bench E6).
@@ -175,8 +197,9 @@ def differential_programs(
     the schema — single-:class:`~repro.core.translation.CheckConstraint`
     fallbacks whose compiled form is a pure conjunction of planned
     subformulas (see the module docs for why conjunctions are the sound
-    boundary).  Compensating actions are left untouched, as the paper leaves
-    their analysis out of scope.
+    boundary).  Violation expressions may read pre-state leaves ``R@old``
+    (transition constraints).  Compensating actions are left untouched, as
+    the paper leaves their analysis out of scope.
     """
     checks = _alarm_checks(translated, db)
     if checks is None:

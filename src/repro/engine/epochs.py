@@ -54,7 +54,11 @@ import weakref
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.engine.overlay import OverlayIndex, OverlayRelation, _DeltaBuckets
-from repro.engine.relation import Relation
+from repro.engine.relation import (
+    Relation,
+    scan_aggregate_state,
+    shifted_aggregate_state,
+)
 from repro.errors import EpochUnavailableError, UnknownRelationError
 
 #: Mutation batches retained for late pins when nothing is pinned; mirrors
@@ -896,22 +900,7 @@ class SnapshotRelation(OverlayRelation):
                 return rows, None
             ref = self._manager._register_share(self._name, self)
             return self.base._rows, ref
-        # C-speed copy of the live dict corrected by the O(Δ) undo — never
-        # a Python-level per-row merge of the whole relation.
-        rows = dict(self.base._rows)
-        minus = self.minus._rows
-        if minus:
-            for row, count in minus.items():
-                remaining = rows.get(row, 0) - count
-                if remaining > 0:
-                    rows[row] = remaining
-                else:
-                    rows.pop(row, None)
-        plus = self.plus._rows
-        if plus:
-            for row, count in plus.items():
-                rows[row] = rows.get(row, 0) + count
-        return rows, None
+        return self._merged_rows(), None
 
     def _detach(self) -> None:
         """Materialize at the pinned state and stop reading the live base."""
@@ -954,6 +943,25 @@ class SnapshotRelation(OverlayRelation):
         if self._materialized is not None:
             return Relation.rows_and_counts(self)
         return self._read(lambda: OverlayRelation.rows_and_counts(self))
+
+    def aggregate_state(self, kind: str, position: int) -> tuple:
+        if self._materialized is None and not self._detached:
+            # Carry the live base's memoised state back over the undo
+            # delta.  Only an existing memo is read, never built: a scan of
+            # the live rows from a reader thread would race the writer.
+            def carried():
+                memo = self.base._aggregates
+                state = memo.get((kind, position)) if memo else None
+                if state is None:
+                    return None
+                return shifted_aggregate_state(
+                    kind, position, state, self.plus._rows, self.minus._rows
+                )
+
+            state = self._read(carried)
+            if state is not None:
+                return state
+        return scan_aggregate_state(kind, self, position)  # the frozen rows
 
     def column_batch(self):
         if self._materialized is None and not self._detached:

@@ -50,7 +50,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.engine.relation import Relation
+from repro.engine.relation import (
+    Relation,
+    scan_aggregate_state,
+    shifted_aggregate_state,
+)
 
 
 class OverlayRelation(Relation):
@@ -67,6 +71,7 @@ class OverlayRelation(Relation):
         self._indexes = None
         self._batch = None
         self._observer = None
+        self._aggregates = None  # never filled: see aggregate_state()
         self.base = base
         self.plus = plus
         self.minus = minus
@@ -78,10 +83,8 @@ class OverlayRelation(Relation):
     def _merged_items(self):
         """Lazy ``(row, count)`` view over ``base ∪ plus − minus``.
 
-        Feeds the cached materialization and the few early-exit consumers
-        (:meth:`__bool__`); everything whole-relation goes through
-        :attr:`_rows` instead, so repeated O(|R|) scans iterate one plain
-        dict at C speed rather than re-merging per row.
+        Only for the early exit of :meth:`__bool__`; everything
+        whole-relation goes through :attr:`_rows`.
         """
         base_rows = self.base._rows
         plus_rows = self.plus._rows
@@ -114,8 +117,25 @@ class OverlayRelation(Relation):
         """
         rows = self._materialized
         if rows is None:
-            rows = dict(self._merged_items())
-            self._materialized = rows
+            rows = self._materialized = self._merged_rows()
+        return rows
+
+    def _merged_rows(self) -> dict:
+        """A fresh ``{row: count}`` dict of ``base ∪ plus − minus``.
+
+        One C-speed copy of the base dict corrected by the O(|Δ|) delta —
+        never a Python-level per-row merge of the whole relation.  Row
+        order is the base's, then the rows ``plus`` adds.
+        """
+        rows = dict(self.base._rows)
+        for row, count in self.minus._rows.items():
+            remaining = rows.get(row, 0) - count
+            if remaining > 0:
+                rows[row] = remaining
+            else:
+                rows.pop(row, None)
+        for row, count in self.plus._rows.items():
+            rows[row] = rows.get(row, 0) + count
         return rows
 
     # -- container protocol (sub-linear: no materialization) -------------------
@@ -187,6 +207,24 @@ class OverlayRelation(Relation):
         if not self.plus._rows and not self.minus._rows:
             return self.base.column_batch()
         return Relation.column_batch(self)
+
+    def aggregate_state(self, kind: str, position: int) -> tuple:
+        """The base relation's maintained state carried over the delta.
+
+        O(|Δ|) whenever that is exact; otherwise one scan of the merged
+        rows.  The overlay keeps no memo of its own: its writes go to the
+        differentials, which would not maintain it.
+        """
+        state = shifted_aggregate_state(
+            kind,
+            position,
+            self.base.aggregate_state(kind, position),
+            self.plus._rows,
+            self.minus._rows,
+        )
+        if state is None:
+            state = scan_aggregate_state(kind, self, position)
+        return state
 
     # -- mutation (differential-only) ------------------------------------------
 

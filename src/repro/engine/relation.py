@@ -44,10 +44,73 @@ def row_sort_key(row: tuple) -> tuple:
     return tuple(_value_sort_key(value) for value in row)
 
 
+# -- aggregate state ----------------------------------------------------------
+#
+# The state of an aggregate over one column is ``(value, count)``: the sum
+# (kind "SUM", shared by SUM and AVG) or the extremum (kinds "MIN"/"MAX") of
+# the non-NULL values, and how many there are (bag occurrences counted).  A
+# state can be carried across a row change exactly only in integer
+# arithmetic: floats would drift from what a fresh scan sums, in the last
+# digits.  Everything else is recomputed from the rows.
+
+
+def scan_aggregate_state(kind: str, relation, position: int) -> tuple:
+    """The ``(value, count)`` state of ``kind`` over a column, from the rows."""
+    values = [row[position] for row in relation if row[position] is not NULL]
+    if kind == "SUM":
+        return sum(values), len(values)
+    if not values:
+        return None, 0
+    return (min(values) if kind == "MIN" else max(values)), len(values)
+
+
+def shift_aggregate_state(kind: str, state: tuple, item, occurrences: int):
+    """``state`` after ``occurrences`` (negative: removed) of a non-NULL
+    ``item``, or None when the rows have to be scanned again: a non-integer
+    is involved, or the value removed is the extremum (another row may or
+    may not still carry it)."""
+    value, count = state
+    if type(item) is not int or (count and type(value) is not int):
+        return None
+    if kind == "SUM":
+        return value + item * occurrences, count + occurrences
+    if occurrences > 0:
+        if not count or (item < value if kind == "MIN" else item > value):
+            value = item
+    elif item == value:
+        return None
+    return value, count + occurrences
+
+
+def shifted_aggregate_state(kind: str, position: int, state, plus: dict, minus: dict):
+    """``state`` of a base relation carried over a net delta, in O(|Δ|).
+
+    ``plus``/``minus`` are ``{row: count}`` dicts; None as soon as one step
+    is not exact (see :func:`shift_aggregate_state`).
+    """
+    for rows, sign in ((minus, -1), (plus, 1)):
+        for row, count in rows.items():
+            if state is None:
+                return None
+            if row[position] is not NULL:
+                state = shift_aggregate_state(
+                    kind, state, row[position], sign * count
+                )
+    return state
+
+
 class Relation:
     """A relation state: a (multi)set of typed tuples over a schema."""
 
-    __slots__ = ("schema", "bag", "_rows", "_indexes", "_batch", "_observer")
+    __slots__ = (
+        "schema",
+        "bag",
+        "_rows",
+        "_indexes",
+        "_batch",
+        "_observer",
+        "_aggregates",
+    )
 
     def __init__(
         self,
@@ -66,6 +129,9 @@ class Relation:
         # change so out-of-band mutations — ones bypassing the commit
         # delta path — cannot silently invalidate pinned epoch snapshots.
         self._observer = None
+        # Memoised aggregate states, {(kind, position): (value, count)}, or
+        # None; see aggregate_state().
+        self._aggregates = None
         for row in rows:
             self.insert(row, _validated=_validated)
 
@@ -156,6 +222,8 @@ class Relation:
             count = self._rows.get(row, 0)
             self._rows[row] = count + 1
             self._batch = None
+            if self._aggregates is not None:
+                self._shift_aggregates(row, 1)
             if count == 0 and self._indexes is not None:
                 self._indexes.row_added(row)
             return True
@@ -163,6 +231,8 @@ class Relation:
             return False
         self._rows[row] = 1
         self._batch = None
+        if self._aggregates is not None:
+            self._shift_aggregates(row, 1)
         if self._indexes is not None:
             self._indexes.row_added(row)
         return True
@@ -185,6 +255,8 @@ class Relation:
             if self._indexes is not None:
                 self._indexes.row_removed(row)
         self._batch = None
+        if self._aggregates is not None:
+            self._shift_aggregates(row, -1)
         return True
 
     def insert_count(self, row: tuple, count: int, _validated: bool = False) -> bool:
@@ -209,6 +281,7 @@ class Relation:
             count = 1
         self._rows[row] = existing + count
         self._batch = None
+        self._aggregates = None
         if existing == 0 and self._indexes is not None:
             self._indexes.row_added(row)
         return True
@@ -237,6 +310,7 @@ class Relation:
             if self._indexes is not None:
                 self._indexes.row_removed(row)
         self._batch = None
+        self._aggregates = None
         return removed
 
     def insert_many(self, rows: Iterable[tuple]) -> int:
@@ -252,6 +326,7 @@ class Relation:
             self._observer.note_mutation(self)
         self._rows.clear()
         self._batch = None
+        self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -261,6 +336,7 @@ class Relation:
             self._observer.note_mutation(self)
         self._rows = dict(other._rows)
         self._batch = None
+        self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -272,6 +348,54 @@ class Relation:
         the (now frozen) old dict, this relation mutates the copy.
         """
         self._rows = dict(self._rows)
+
+    # -- aggregates ------------------------------------------------------------
+
+    def aggregate(self, func: str, position: int):
+        """SUM/AVG/MIN/MAX over the column at 0-based ``position``.
+
+        NULLs are skipped and bag occurrences counted; an empty column sums
+        to 0 and has NULL for the other three.
+        """
+        value, count = self.aggregate_state(
+            "SUM" if func == "AVG" else func, position
+        )
+        if func == "SUM":
+            return value
+        if not count:
+            return NULL
+        return value / count if func == "AVG" else value
+
+    def aggregate_state(self, kind: str, position: int) -> tuple:
+        """The ``(value, count)`` state of ``kind`` ("SUM"/"MIN"/"MAX").
+
+        Scanned once, then memoised and kept current by :meth:`insert` and
+        :meth:`delete` for as long as that is exact (integer values, and no
+        deleted value equal to the extremum); any other mutation drops the
+        memo.  A repeated aggregate check over a relation that changes by
+        a few rows per commit therefore costs O(1), not O(|R|).
+        """
+        memo = self._aggregates
+        state = memo.get((kind, position)) if memo is not None else None
+        if state is None:
+            state = scan_aggregate_state(kind, self, position)
+            if type(state[0]) is int or not state[1]:
+                if memo is None:
+                    memo = self._aggregates = {}
+                memo[kind, position] = state
+        return state
+
+    def _shift_aggregates(self, row: tuple, occurrences: int) -> None:
+        memo = self._aggregates
+        for key in tuple(memo):
+            item = row[key[1]]
+            if item is NULL:
+                continue
+            state = shift_aggregate_state(key[0], memo[key], item, occurrences)
+            if state is None:
+                del memo[key]
+            else:
+                memo[key] = state
 
     # -- hash indexes ---------------------------------------------------------
 
@@ -427,6 +551,7 @@ class Relation:
         state = object.__getstate__(self)
         state[1].pop("_batch", None)
         state[1].pop("_observer", None)
+        state[1].pop("_aggregates", None)
         return state
 
     def __setstate__(self, state):
@@ -434,6 +559,7 @@ class Relation:
             setattr(self, key, value)
         self._batch = None
         self._observer = None
+        self._aggregates = None
 
 
 class ColumnarRelation(Relation):
@@ -457,6 +583,7 @@ class ColumnarRelation(Relation):
         self._materialized = None
         self._batch = None
         self._observer = None
+        self._aggregates = None
         for positions in batch.index_specs:
             self.declare_index(positions)
         # Set last: declare_index invalidates the cached batch.
@@ -512,6 +639,7 @@ class ColumnarRelation(Relation):
             self._observer.note_mutation(self)
         self._materialized = {}
         self._batch = None
+        self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
 
@@ -520,6 +648,7 @@ class ColumnarRelation(Relation):
             self._observer.note_mutation(self)
         self._materialized = dict(other._rows)
         self._batch = None
+        self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
 

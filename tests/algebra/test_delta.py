@@ -209,10 +209,63 @@ class TestHonestFailure:
         with pytest.raises(NotIncrementalizable):
             delta_expression(expr, [INS_S])
 
-    def test_auxiliary_reference_rejected(self):
-        expr = E.Difference(R, E.RelationRef("r@old"))
+    @pytest.mark.parametrize("name", ["r@plus", "r@minus"])
+    def test_differential_read_as_relation_rejected(self, name):
+        expr = E.Difference(R, E.RelationRef(name))
         with pytest.raises(NotIncrementalizable):
             delta_expression(expr, [INS_R])
+
+
+class TestTransitionConstraints:
+    """``R@old`` is a transaction constant: Δ⁺ = Δ⁻ = ∅, old(R@old) = R@old."""
+
+    OLD = E.RelationRef("r@old")
+
+    def test_difference_against_pre_state(self):
+        # "Nothing may be added": R − R@old  ⇒  r@plus − r@old.
+        expr = E.Difference(R, self.OLD)
+        assert delta_expression(expr, [INS_R]) == E.Difference(
+            E.Delta("r", "plus"), self.OLD
+        )
+
+    def test_delete_only_trigger_vacuous(self):
+        # Deleting can only shrink R − R@old.
+        assert delta_expression(E.Difference(R, self.OLD), [DEL_R]) is None
+
+    def test_semijoin_against_pre_state(self):
+        # The salary-monotone shape: only the new rows are compared.
+        lower = P.And(
+            LINK, P.Comparison("<", P.ColRef("b", "left"), P.ColRef("b", "right"))
+        )
+        expr = E.SemiJoin(R, self.OLD, lower)
+        assert delta_expression(expr, [INS_R]) == E.SemiJoin(
+            E.Delta("r", "plus"), self.OLD, lower
+        )
+        assert delta_expression(expr, [DEL_R]) is None
+
+    def test_antijoin_against_pre_state(self):
+        # "Every row descends from a pre-state row": deletes cannot unblock,
+        # because the blocker side never changes.
+        expr = E.AntiJoin(R, self.OLD, LINK)
+        assert delta_expression(expr, [INS_R]) == E.AntiJoin(
+            E.Delta("r", "plus"), self.OLD, LINK
+        )
+        assert delta_expression(expr, [DEL_R]) is None
+
+    def test_pre_state_on_the_left(self):
+        # "Nothing may disappear": R@old − R grows only by deletes.
+        expr = E.Difference(self.OLD, R)
+        assert delta_expression(expr, [INS_R]) is None
+        assert delta_expression(expr, [DEL_R]) == E.Intersection(
+            self.OLD, E.Delta("r", "minus")
+        )
+
+    def test_pre_state_alone_is_untouched(self):
+        assert delta_expression(E.Select(self.OLD, P.TRUE), [INS_R, DEL_R]) is None
+
+    def test_old_expression_keeps_pre_state_leaves(self):
+        expr = E.SemiJoin(R, self.OLD, LINK)
+        assert old_expression(expr, [INS_R]) == E.SemiJoin(self.OLD, self.OLD, LINK)
 
 
 class TestOldExpression:

@@ -246,3 +246,14 @@ class TestEstimates:
         )
         hints = planner.index_hints(expr)
         assert hints == {("pk", ("key",))}
+
+    def test_index_hint_on_pre_state_names_the_base(self):
+        # A delta plan's build side is pk@old, which inside a transaction is
+        # the base relation itself: the hint must not be dropped with the
+        # differentials'.
+        expr = E.SemiJoin(
+            E.Delta("fk", "plus"),
+            E.RelationRef("pk@old"),
+            P.Comparison("=", P.ColRef("ref", "left"), P.ColRef("key", "right")),
+        )
+        assert planner.index_hints(expr) == {("pk", ("key",))}

@@ -203,6 +203,36 @@ class TestPlannedEnforcement:
         # Audits keep working (and now run off the indexes).
         assert controller.violated_constraints(db) == []
 
+    def test_install_indexes_maps_pre_state_hints_to_the_base(self):
+        from repro.engine import Database, DatabaseSchema, RelationSchema
+        from repro.engine.types import INT
+
+        schema = DatabaseSchema(
+            [RelationSchema("emp", [("id", INT), ("mgr", INT), ("salary", INT)])]
+        )
+        database = Database(schema)
+        database.load("emp", [(1, 1, 90), (2, 1, 50), (3, 2, 40)])
+        controller = IntegrityController(schema)
+        # Nobody is paid more than their manager was before the transaction:
+        # emp ⋉ emp@old on e.mgr = o.id — the join keys differ per side, so
+        # the build side's index (emp@old on id, i.e. emp on id) is not the
+        # one the probe side's hint (emp on mgr) installs anyway.
+        controller.add_rule(
+            """
+            RULE pay_below_manager
+            WHEN INS(emp)
+            IF NOT (forall e in emp)(forall o in emp@old)
+                   (e.mgr != o.id or e.salary <= o.salary)
+            THEN abort
+            """
+        )
+        installed = controller.install_indexes(database)
+        assert ("emp", ("id",)) in installed
+        assert database.relation("emp").built_index((0,)) is not None
+        session = Session(database, controller)
+        assert session.execute("begin insert(emp, (4, 2, 45)); end").committed
+        assert session.execute("begin insert(emp, (5, 2, 51)); end").aborted
+
     def test_naive_engine_controller_enforces_identically(self, db, schema):
         from repro.engine import Session
 

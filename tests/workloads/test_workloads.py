@@ -49,6 +49,44 @@ class TestEmployeesWorkload:
         assert names == ["emp_dept_fk", "emp_salary_domain"]
 
 
+    #: The paper's R2 shape: a missing department is created, not rejected.
+    REPAIR = """
+    RULE emp_dept_repair
+    IF NOT (forall e)(e in emp => (exists d)(d in dept and e.dept_id = d.id))
+    THEN missing := diff(project(emp, [dept_id]), project(dept, [id]));
+         insert(dept, project(missing, [dept_id as id, "x" as name, null as city]))
+    """
+
+    def test_stats_name_the_rules_checked_on_the_full_state(self):
+        db = employees_database()
+        controller = employees_controller()
+        controller.add_rule(self.REPAIR)
+        session = Session(db, controller)
+        raise_ = "begin update(emp, id = 7, salary := salary + 1); end"
+        assert session.execute(raise_).committed
+        stats = controller.last_stats
+        assert set(stats.selected_rule_names) == {
+            "emp_dept_fk",
+            "emp_salary_domain",
+            "emp_salary_monotone",
+            "emp_payroll_cap",
+            "emp_dept_repair",
+        }
+        # The transition rule runs on emp@plus; what is left is the
+        # compensating action (never specialised) and the aggregate (no
+        # delta rule: the relation's maintained sum makes it cheap instead).
+        assert stats.full_state_rule_names == ["emp_payroll_cap", "emp_dept_repair"]
+
+        full = employees_controller(differential=False)
+        Session(employees_database(), full).execute(raise_)
+        assert full.last_stats.full_state_rule_names == [
+            "emp_dept_fk",
+            "emp_salary_domain",
+            "emp_salary_monotone",
+            "emp_payroll_cap",
+        ]
+
+
 class TestSection7Workload:
     def test_sizes_match_paper(self):
         db = section7_database(pk_size=100, fk_size=1000)
