@@ -9,8 +9,9 @@ pytest-benchmark's own timing table).
 The gated benchmarks additionally emit ``bench_*.json`` artifacts (the
 files CI uploads); ``python -m benchmarks.report`` folds every artifact
 present on disk — incremental audit, transaction write path, the async
-pipeline with its executor ladder, and the columnar batch/wire numbers —
-into one gate-status summary table.
+pipeline with its executor ladder, the columnar batch/wire numbers, and the
+per-transaction front end (lexer, memoised ModT) — into one gate-status
+summary table.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ _ARTIFACTS = (
     "bench_columnar.json",
     "bench_durability.json",
     "bench_mvcc.json",
+    "bench_frontend.json",
 )
 
 
@@ -123,7 +125,12 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
     gated_suffix = f"@{max(sizes)}" if sizes else None
     for variant, stats in data.get("variants", {}).items():
         gated = gated_suffix is None or variant.endswith(gated_suffix)
-        rows.append([name, variant, stats.get("speedup"), floor if gated else None])
+        # A variant may carry its own floor (the front-end bench gates two
+        # unrelated ratios); otherwise the artifact's floor applies.
+        variant_floor = stats.get("floor", floor)
+        rows.append(
+            [name, variant, stats.get("speedup"), variant_floor if gated else None]
+        )
     if "pipeline_seconds" in data:  # async pipeline drain
         rows.append([name, "pipeline vs sequential", data.get("speedup"), floor])
     ladder = data.get("executor_ladder")

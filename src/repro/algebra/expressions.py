@@ -29,6 +29,7 @@ from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, FLOAT, INT, NULL, Domain
 from repro.errors import EvaluationError, TypeMismatchError
+from repro.hashing import hash_once
 
 
 class Expression:
@@ -74,6 +75,7 @@ def _check_compatible(left: Relation, right: Relation, op: str) -> None:
         )
 
 
+@hash_once
 @dataclass(frozen=True)
 class RelationRef(Expression):
     """A reference to a named (base, auxiliary, or temporary) relation."""
@@ -89,6 +91,7 @@ DELTA_MINUS = "minus"
 DELTA_KINDS = (DELTA_PLUS, DELTA_MINUS)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Delta(Expression):
     """First-class differential reference ``ΔR``: the *net* tuples inserted
@@ -128,6 +131,7 @@ class Delta(Expression):
         return context.resolve(self.name)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Literal(Expression):
     """A constant relation given as a tuple of rows.
@@ -140,9 +144,10 @@ class Literal(Expression):
     rows: Tuple[tuple, ...]
 
     def __post_init__(self):
-        if self.rows:
-            arity = len(self.rows[0])
-            if any(len(row) != arity for row in self.rows):
+        rows = self.rows
+        if len(rows) > 1:
+            arity = len(rows[0])
+            if any(len(row) != arity for row in rows):
                 raise TypeMismatchError("literal relation rows differ in arity")
 
     @property
@@ -158,6 +163,7 @@ class Literal(Expression):
         return Relation(schema, self.rows, _validated=True)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Select(Expression):
     """Selection ``sigma_pred(input)``."""
@@ -173,6 +179,7 @@ class Select(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class ProjectItem:
     """One output column of a generalized projection."""
@@ -181,6 +188,7 @@ class ProjectItem:
     name: Optional[str] = None
 
 
+@hash_once
 @dataclass(frozen=True)
 class Project(Expression):
     """Generalized projection ``pi_items(input)``.
@@ -240,6 +248,7 @@ def _domain_of_value(value) -> Domain:
     return ANY
 
 
+@hash_once
 @dataclass(frozen=True)
 class Union(Expression):
     """Set (or bag) union of two union-compatible inputs."""
@@ -257,6 +266,7 @@ class Union(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class Difference(Expression):
     """Set (or bag) difference ``left - right``."""
@@ -280,6 +290,7 @@ class Difference(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class Intersection(Expression):
     """Set (or bag) intersection."""
@@ -383,6 +394,7 @@ class _HashedSide:
         return tuple(fn(row) for fn in self.compiled)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Join(Expression):
     """Theta-join: all concatenated pairs satisfying the predicate."""
@@ -452,6 +464,7 @@ def _semi_anti_filter(self, context, keep_matching: bool, op_name: str) -> Relat
     return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class SemiJoin(Expression):
     """Semijoin ``left ⋉_pred right``: left tuples with at least one match."""
@@ -464,6 +477,7 @@ class SemiJoin(Expression):
         return _semi_anti_filter(self, context, True, "semijoin")
 
 
+@hash_once
 @dataclass(frozen=True)
 class AntiJoin(Expression):
     """Antijoin ``left ⊳ right``: left tuples with no match in right.
@@ -480,6 +494,7 @@ class AntiJoin(Expression):
         return _semi_anti_filter(self, context, False, "antijoin")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Product(Expression):
     """Cartesian product."""
@@ -501,6 +516,7 @@ class Product(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class Rename(Expression):
     """Rename the relation (and optionally its attributes)."""
@@ -534,6 +550,7 @@ class Rename(Expression):
 _AGG_FUNCS = ("SUM", "AVG", "MIN", "MAX")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Aggregate(Expression):
     """Scalar aggregate ``FUNC(R, attr)`` -> a single-tuple relation.
@@ -573,6 +590,7 @@ class Aggregate(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class Count(Expression):
     """``CNT(R)``: tuple count as a single-tuple relation (bag-aware)."""
@@ -587,6 +605,7 @@ class Count(Expression):
         return result
 
 
+@hash_once
 @dataclass(frozen=True)
 class Multiplicity(Expression):
     """``MLT(R)``: distinct-tuple count (the multiset extension's counter)."""

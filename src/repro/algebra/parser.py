@@ -61,6 +61,7 @@ _JOIN_OPS = {
     "antijoin": E.AntiJoin,
 }
 _AGG_NAMES = ("sum", "avg", "min", "max")
+_LITERAL_KINDS = ("INT", "FLOAT", "STRING")
 
 _RESERVED = frozenset(
     [
@@ -220,20 +221,37 @@ class _Parser:
         return E.Literal(tuple(rows))
 
     def tuple_literal(self) -> tuple:
+        # The bulk of a small transaction's tokens are literal rows: the
+        # cursor is read through locals here and written back once.
         stream = self.stream
         stream.expect("OP", "(")
-        values = [self.constant()]
-        while stream.accept("OP", ","):
-            if stream.at("OP", ")"):
+        tokens = stream.tokens
+        index = stream.index
+        values = []
+        kind, value, _, _ = tokens[index]
+        while True:
+            if kind in _LITERAL_KINDS:
+                index += 1
+            else:
+                stream.index = index
+                value = self.constant()
+                index = stream.index
+            values.append(value)
+            kind, value, _, _ = tokens[index]
+            if kind != "OP" or value != ",":
+                break
+            index += 1
+            kind, value, _, _ = tokens[index]
+            if kind == "OP" and value == ")":
                 break  # Python-style trailing comma: (1,)
-            values.append(self.constant())
+        stream.index = index
         stream.expect("OP", ")")
         return tuple(values)
 
     def constant(self):
         stream = self.stream
         token = stream.current
-        if token.kind in ("INT", "FLOAT", "STRING"):
+        if token.kind in _LITERAL_KINDS:
             stream.advance()
             return token.value
         if stream.accept_name("null"):
@@ -360,7 +378,7 @@ class _Parser:
     def scalar_factor(self) -> P.ScalarExpr:
         stream = self.stream
         token = stream.current
-        if token.kind in ("INT", "FLOAT", "STRING"):
+        if token.kind in _LITERAL_KINDS:
             stream.advance()
             return P.Const(token.value)
         if stream.accept("OP", "-"):
@@ -401,7 +419,7 @@ class _Parser:
 
     def statement(self) -> S.Statement:
         stream = self.stream
-        token = stream.current
+        token = stream.tokens[stream.index]
         if token.kind != "NAME":
             raise ParseError(
                 f"expected a statement at position {token.position}, "
@@ -482,14 +500,18 @@ class _Parser:
     def program(self, stop_keyword: Optional[str] = None) -> Program:
         statements = []
         stream = self.stream
+        tokens = stream.tokens
         while True:
-            if stream.current.kind == "EOF":
+            kind, value, _, _ = tokens[stream.index]
+            if kind == "EOF":
                 break
-            if stop_keyword and stream.at_name(stop_keyword):
+            if stop_keyword and kind == "NAME" and value.lower() == stop_keyword:
                 break
             statements.append(self.statement())
-            if not stream.accept("OP", ";"):
+            kind, value, _, _ = tokens[stream.index]
+            if kind != "OP" or value != ";":
                 break
+            stream.index += 1
         return Program(statements)
 
     def transaction(self) -> Transaction:
@@ -499,42 +521,46 @@ class _Parser:
         return bracket(body)
 
 
+def _parse(text: str, production):
+    """Run one production of the grammar over the whole of ``text``."""
+    parser = _Parser(text)
+    try:
+        result = production(parser)
+    except RecursionError:
+        raise ParseError(
+            "nesting too deep: the text nests further than the parser can "
+            f"recurse (near position {parser.stream.current.position})"
+        ) from None
+    parser.stream.expect_eof()
+    return result
+
+
+def _single_statement(parser: _Parser) -> S.Statement:
+    statement = parser.statement()
+    parser.stream.accept("OP", ";")
+    return statement
+
+
 def parse_expression(text: str) -> E.Expression:
     """Parse a relation-valued expression."""
-    parser = _Parser(text)
-    expression = parser.expression()
-    parser.stream.expect_eof()
-    return expression
+    return _parse(text, _Parser.expression)
 
 
 def parse_predicate(text: str) -> P.Predicate:
     """Parse a selection/join predicate."""
-    parser = _Parser(text)
-    predicate = parser.predicate()
-    parser.stream.expect_eof()
-    return predicate
+    return _parse(text, _Parser.predicate)
 
 
 def parse_statement(text: str) -> S.Statement:
     """Parse a single statement."""
-    parser = _Parser(text)
-    statement = parser.statement()
-    parser.stream.accept("OP", ";")
-    parser.stream.expect_eof()
-    return statement
+    return _parse(text, _single_statement)
 
 
 def parse_program(text: str) -> Program:
     """Parse a semicolon-separated statement sequence."""
-    parser = _Parser(text)
-    program = parser.program()
-    parser.stream.expect_eof()
-    return program
+    return _parse(text, _Parser.program)
 
 
 def parse_transaction(text: str) -> Transaction:
     """Parse a ``begin ... end`` transaction."""
-    parser = _Parser(text)
-    transaction = parser.transaction()
-    parser.stream.expect_eof()
-    return transaction
+    return _parse(text, _Parser.transaction)

@@ -26,7 +26,7 @@ produced by parsing or by the calculus-to-algebra translation of Section
 * :func:`index_hints` reports which base-relation hash indexes would
   accelerate a plan (the integrity controller turns these into real indexes
   via :meth:`~repro.core.subsystem.IntegrityController.install_indexes`);
-* :func:`reorder_chains` / :func:`reordered_expression` implement greedy
+* :func:`reorder_chains` / :func:`database_plan` implement greedy
   cost-based reordering of semijoin/antijoin and equi-join chains under
   observed statistics — the planned backend applies it automatically when
   the evaluation context exposes a database.
@@ -248,7 +248,7 @@ def clear_plan_cache() -> None:
     global _plan_cache_hits, _plan_cache_misses
     _PLAN_CACHE.clear()
     _ESTIMATE_CACHE.clear()
-    _REORDER_CACHE.clear()
+    _DATABASE_PLANS.clear()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
 
@@ -635,38 +635,47 @@ def reorder_chains(
     return _reorder(expression, statistics, schema)
 
 
-# Reorder cache, held weakly per Database: Database -> {Expression:
-# (RuntimeStatistics snapshot | None, Expression)}.  A ``None`` snapshot
-# marks a chain-free expression — its entry never drifts.
-_REORDER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_REORDER_CACHE_LIMIT = 1024
+# Per-database plans, held weakly: Database -> {Expression: (RuntimeStatistics
+# snapshot | None, PhysicalOperator)} — the plan of the expression with its
+# chains reordered under the snapshot.  A ``None`` snapshot marks a
+# chain-free expression: its entry never drifts, and it is the whole cost of
+# evaluating a stored check — one probe, on an expression that hashes once.
+_DATABASE_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_DATABASE_PLANS_LIMIT = 1024
 
 
-def reordered_expression(
+def database_plan(
     expression: E.Expression, database, drift_threshold: Optional[float] = None
-) -> E.Expression:
-    """``expression`` with chains reordered under the database's observed
-    statistics, cached per (database, expression) with drift invalidation
-    (the same pattern as :func:`plan_estimate`)."""
-    from repro.algebra.statistics import DRIFT_THRESHOLD, RuntimeStatistics
+) -> X.PhysicalOperator:
+    """The plan of ``expression`` with chains reordered under the database's
+    observed statistics, cached per (database, expression) with drift
+    invalidation (the same pattern as :func:`plan_estimate`).
 
-    per_database = _REORDER_CACHE.get(database)
+    Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
+    call it stands for.
+    """
+    global _plan_cache_hits
+    per_database = _DATABASE_PLANS.get(database)
     if per_database is None:
-        per_database = {}
-        _REORDER_CACHE[database] = per_database
+        per_database = _DATABASE_PLANS[database] = {}
     cached = per_database.get(expression)
     if cached is not None and cached[0] is None:
+        _plan_cache_hits += 1
         return cached[1]
+    from repro.algebra.statistics import DRIFT_THRESHOLD, RuntimeStatistics
+
     if drift_threshold is None:
         drift_threshold = DRIFT_THRESHOLD
     stats = RuntimeStatistics.capture(database)
     if cached is not None and not cached[0].drifted(stats, drift_threshold):
+        _plan_cache_hits += 1
         return cached[1]
     if _has_chain(expression):
-        result = (stats, reorder_chains(expression, stats, database.schema))
+        reordered = reorder_chains(expression, stats, database.schema)
+        result = (stats, get_plan(reordered))
     else:
-        result = (None, expression)
-    if len(per_database) >= _REORDER_CACHE_LIMIT:
+        result = (None, get_plan(expression))
+    if len(per_database) >= _DATABASE_PLANS_LIMIT:
         per_database.pop(next(iter(per_database)))
     per_database[expression] = result
     return result[1]
@@ -689,11 +698,12 @@ def evaluate(
     """
     if resolve_engine(context, engine) == "naive":
         return expression.evaluate(context)
-    if not _is_cache_exempt(expression):
-        database = getattr(context, "database", None)
-        if database is not None:
-            expression = reordered_expression(expression, database)
-    return get_plan(expression).execute(context)
+    if _is_cache_exempt(expression):
+        return _lower(expression).execute(context)
+    database = getattr(context, "database", None)
+    if database is None:
+        return get_plan(expression).execute(context)
+    return database_plan(expression, database).execute(context)
 
 
 def explain(expression: E.Expression) -> str:

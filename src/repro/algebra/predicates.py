@@ -30,6 +30,7 @@ from typing import Callable, Optional, Union
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
 from repro.errors import EvaluationError
+from repro.hashing import hash_once
 
 
 class ScalarExpr:
@@ -44,6 +45,7 @@ class Predicate:
     __slots__ = ()
 
 
+@hash_once
 @dataclass(frozen=True)
 class Const(ScalarExpr):
     """A constant value (including the NULL marker)."""
@@ -54,6 +56,7 @@ class Const(ScalarExpr):
         return f"Const({self.value!r})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class ColRef(ScalarExpr):
     """An attribute selection ``x.i`` / ``x.name`` (paper Def 4.2).
@@ -70,6 +73,7 @@ class ColRef(ScalarExpr):
         return f"ColRef({prefix}{self.attr})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Arith(ScalarExpr):
     """An arithmetic function application (paper's FV = {+, -, *, /})."""
@@ -79,6 +83,7 @@ class Arith(ScalarExpr):
     right: ScalarExpr
 
 
+@hash_once
 @dataclass(frozen=True)
 class Comparison(Predicate):
     """An arithmetic comparison (paper's PV = {<, <=, =, !=, >=, >})."""
@@ -88,33 +93,39 @@ class Comparison(Predicate):
     right: ScalarExpr
 
 
+@hash_once
 @dataclass(frozen=True)
 class And(Predicate):
     left: Predicate
     right: Predicate
 
 
+@hash_once
 @dataclass(frozen=True)
 class Or(Predicate):
     left: Predicate
     right: Predicate
 
 
+@hash_once
 @dataclass(frozen=True)
 class Not(Predicate):
     operand: Predicate
 
 
+@hash_once
 @dataclass(frozen=True)
 class TruePred(Predicate):
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class FalsePred(Predicate):
     pass
 
 
+@hash_once
 @dataclass(frozen=True)
 class IsNull(Predicate):
     """NULL test (needed because NULL never compares equal to anything)."""

@@ -290,6 +290,12 @@ def _devar(term: C.Term) -> C.Term:
 def parse_constraint(text: str) -> C.Formula:
     """Parse a CL well-formed formula from text."""
     parser = _Parser(text)
-    formula = parser.wff()
+    try:
+        formula = parser.wff()
+    except RecursionError:
+        raise ParseError(
+            "nesting too deep: the formula nests further than the parser can "
+            f"recurse (near position {parser.stream.current.position})"
+        ) from None
     parser.stream.expect_eof()
     return formula

@@ -20,6 +20,21 @@ Two selector back-ends implement ``TrigP``:
 * :class:`StaticSelector` — Alg 6.2: rules were compiled to integrity
   programs at definition time; ``SelPS``/``ConcatP`` just look them up.
 
+Memoised static mode.  ``ModP(P, J) = P ⊕ rounds(GetTrigPX(P), J)``: the
+recursion reads ``P`` only through the update types it performs
+(:func:`mod_rounds`), and with precompiled programs (Alg 6.2) each round is
+a function of a trigger set and the rule store alone.  So in static mode
+everything a modification appends is derived once per *trigger set* and
+kept by the store (:meth:`~repro.core.programs.IntegrityProgramStore.
+modification`; key = ``GetTrigPX(T↓)``, dropped when a program is added or
+removed), and :func:`mod_t_memoised` is one ``GetTrigPX``, one dictionary
+probe and one tuple concatenation — §6.2's "modification is just look-ups"
+taken to its end.  A cyclic store stores nothing and raises on every call.
+:func:`mod_t` / :func:`mod_p` with a selector stay the unmemoised
+algorithm (the reference the memo is tested against), and the dynamic
+selector — the paper's per-modification scheme, kept for comparison —
+never goes through the memo.
+
 Both selectors return the appended pieces individually — ``(rule name,
 program, is it the rule's full-state program)`` — so the recursion can honour
 per-piece non-triggering flags (Def 6.2) even after concatenation.
@@ -36,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.algebra.programs import EMPTY_PROGRAM, Program, bracket, concat, debracket
+from repro.algebra.programs import Program, bracket, concat, debracket
 from repro.core.triggers import TriggerSet, get_trig_px
 from repro.engine.schema import DatabaseSchema
 from repro.engine.transaction import Transaction
@@ -65,6 +80,15 @@ class ModificationStats:
     # everything under ``differential=False``): the enforcement work that
     # can scale with |R| instead of |Δ|.
     full_state_rule_names: List[str] = field(default_factory=list)
+
+    def copy(self) -> "ModificationStats":
+        """An equal, independent object (the list fields are copied)."""
+        return ModificationStats(
+            **{
+                name: list(value) if isinstance(value, list) else value
+                for name, value in vars(self).items()
+            }
+        )
 
 
 class DynamicSelector:
@@ -128,15 +152,18 @@ class StaticSelector:
         return pieces
 
 
-def mod_p(
-    program: Program,
+def mod_rounds(
+    performed: TriggerSet,
     selector,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     stats: Optional[ModificationStats] = None,
-) -> Program:
-    """ModP (Alg 5.1): extend ``program`` until no further rules trigger."""
-    result = program
-    performed = get_trig_px(program)
+) -> Optional[Program]:
+    """The rounds of ModP (Alg 5.1) for a program performing ``performed``.
+
+    Returns the concatenation of everything the rounds append, or None
+    when no rule triggers (the fixpoint is the program itself).
+    """
+    result: Optional[Program] = None
     rounds = 0
     while performed:
         pieces = selector.select(performed)
@@ -151,7 +178,7 @@ def mod_p(
                 f"(cyclic triggering graph? see TriggeringGraph.validate)"
             )
         appended = concat(*[piece for _, piece, _ in pieces])
-        result = result.concat(appended)
+        result = appended if result is None else result.concat(appended)
         if stats is not None:
             from repro.core.translation import CheckConstraint
 
@@ -182,6 +209,19 @@ def mod_p(
     return result
 
 
+def mod_p(
+    program: Program,
+    selector,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    stats: Optional[ModificationStats] = None,
+) -> Program:
+    """ModP (Alg 5.1): extend ``program`` until no further rules trigger."""
+    appended = mod_rounds(get_trig_px(program), selector, max_rounds, stats)
+    if appended is None:
+        return program
+    return program.concat(appended)
+
+
 def mod_t(
     transaction: Transaction,
     selector,
@@ -194,3 +234,20 @@ def mod_t(
     if modified is body:
         return transaction
     return bracket(modified, name=f"{transaction.name}+ic")
+
+
+def mod_t_memoised(
+    transaction: Transaction, store
+) -> Tuple[Transaction, ModificationStats]:
+    """ModT over a program store (Alg 6.2) through the store's memo.
+
+    The same transaction and statistics as ``mod_t(transaction,
+    StaticSelector(store), stats=...)``; the statistics are the caller's
+    own copy.
+    """
+    body = debracket(transaction)
+    appended, stats = store.modification(get_trig_px(body))
+    if appended is not None:
+        modified = Program(body.statements + appended)
+        transaction = bracket(modified, name=f"{transaction.name}+ic")
+    return transaction, stats.copy()

@@ -12,13 +12,23 @@ type.
 ``SelPS`` selects the programs triggered by a user program and ``ConcatP``
 concatenates their actions (Alg 6.2).  The store keeps insertion order, so
 modification output is deterministic.
+
+Because Alg 6.2 selects by trigger set only, the whole ModP recursion over
+a store is a function of the starting trigger set ``GetTrigPX(T↓)`` and the
+stored programs.  The store memoises it
+(:meth:`IntegrityProgramStore.modification`): one entry per trigger set,
+all entries dropped by :meth:`~IntegrityProgramStore.add` and
+:meth:`~IntegrityProgramStore.remove` — the only ways the stored programs
+change.  See :mod:`repro.core.modification` for the premise and for what
+stays unmemoised.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algebra.programs import EMPTY_PROGRAM, Program, concat
+from repro.core.modification import ModificationStats, StaticSelector, mod_rounds
 from repro.core.triggers import TriggerSet, get_trig_px
 from repro.engine.schema import DatabaseSchema
 
@@ -99,23 +109,32 @@ def get_int_p(
     return IntegrityProgram(rule.name, rule.triggers, program, differentials)
 
 
+#: Trigger sets the modification memo keeps (FIFO): a schema of ``n``
+#: relations has ``4**n`` of them, a workload performs a handful.
+MODIFICATION_MEMO_LIMIT = 1024
+
+
 class IntegrityProgramStore:
     """The stored set of compiled integrity programs (Section 6.2)."""
 
     def __init__(self):
         self._programs: List[IntegrityProgram] = []
         self._by_name: Dict[str, IntegrityProgram] = {}
+        # GetTrigPX(T↓) -> (appended statements | None, ModificationStats).
+        self._modifications: Dict[TriggerSet, Tuple[Optional[tuple], ModificationStats]] = {}
 
     def add(self, program: IntegrityProgram) -> IntegrityProgram:
         if program.name in self._by_name:
             raise KeyError(f"integrity program {program.name!r} already stored")
         self._programs.append(program)
         self._by_name[program.name] = program
+        self._modifications.clear()
         return program
 
     def remove(self, name: str) -> None:
         program = self._by_name.pop(name)
         self._programs.remove(program)
+        self._modifications.clear()
 
     def get(self, name: str) -> IntegrityProgram:
         return self._by_name[name]
@@ -157,3 +176,24 @@ class IntegrityProgramStore:
         if not pieces:
             return EMPTY_PROGRAM
         return concat(*pieces)
+
+    def modification(
+        self, performed: TriggerSet
+    ) -> Tuple[Optional[tuple], ModificationStats]:
+        """Everything ModP appends to a program performing ``performed``.
+
+        ``(statements, stats)`` of :func:`~repro.core.modification.
+        mod_rounds` over this store, memoised per trigger set; statements
+        is None when nothing triggers.  Both belong to the memo: callers
+        copy the statistics before handing them out.  A store whose rounds
+        do not terminate raises and memoises nothing.
+        """
+        entry = self._modifications.get(performed)
+        if entry is None:
+            stats = ModificationStats()
+            appended = mod_rounds(performed, StaticSelector(self), stats=stats)
+            entry = (None if appended is None else appended.statements, stats)
+            if len(self._modifications) >= MODIFICATION_MEMO_LIMIT:
+                self._modifications.pop(next(iter(self._modifications)))
+            self._modifications[performed] = entry
+        return entry

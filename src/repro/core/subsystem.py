@@ -44,6 +44,7 @@ from repro.core.modification import (
     ModificationStats,
     StaticSelector,
     mod_t,
+    mod_t_memoised,
 )
 from repro.core.programs import IntegrityProgramStore, get_int_p
 from repro.core.rule_language import parse_rule
@@ -287,9 +288,16 @@ class IntegrityController:
         )
 
     def modify_transaction(self, transaction: Transaction) -> Transaction:
-        """ModT (Alg 5.1) with the configured selector back-end."""
-        stats = ModificationStats()
-        modified = mod_t(transaction, self._selector(), stats=stats)
+        """ModT (Alg 5.1) with the configured selector back-end.
+
+        Static mode goes through the store's per-trigger-set memo; dynamic
+        mode selects, optimizes and translates on every call.
+        """
+        if self.mode == "static":
+            modified, stats = mod_t_memoised(transaction, self.store)
+        else:
+            stats = ModificationStats()
+            modified = mod_t(transaction, self._selector(), stats=stats)
         self.last_stats = stats
         self.modifications += 1
         return modified

@@ -21,6 +21,7 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownRelationError,
 )
+from repro.hashing import hash_once
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -63,8 +64,13 @@ class Attribute:
         return Attribute(self.name, self.domain, nullable=True)
 
 
+@hash_once
 class RelationSchema:
-    """A relation schema ``R(A_1, ..., A_n)`` (paper Def 2.1)."""
+    """A relation schema ``R(A_1, ..., A_n)`` (paper Def 2.1).
+
+    Immutable after construction; operators key per-schema compiled state
+    on it, so the structural hash is computed once per object.
+    """
 
     def __init__(self, name: str, attributes: Sequence[Attribute | tuple]):
         self.name = _check_identifier(name, "relation")

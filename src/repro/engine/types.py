@@ -69,6 +69,14 @@ class Domain:
     def __str__(self) -> str:
         return self.name
 
+    def __reduce_ex__(self, protocol):
+        # Domains are compared by identity (``is BOOL``, ``Attribute.__eq__``),
+        # so a pickle of a shared singleton — schemas travel in checkpoints
+        # and worker payloads — names it instead of copying it.
+        if _SINGLETONS.get(self.name) is self:
+            return (_singleton, (self.name,))
+        return super().__reduce_ex__(protocol)
+
     def contains(self, value: Any) -> bool:
         """Return True when ``value`` is a member of this domain."""
         if self is ANY:
@@ -102,6 +110,12 @@ BOOL = Domain("bool", (bool,))
 # inferred.  Base relations always carry precise domains; inserting a derived
 # relation into a base relation re-validates every tuple against the target.
 ANY = Domain("any", (object,))
+
+_SINGLETONS = {domain.name: domain for domain in (INT, FLOAT, STRING, BOOL, ANY)}
+
+
+def _singleton(name: str) -> Domain:
+    return _SINGLETONS[name]
 
 _DOMAINS_BY_NAME = {
     "int": INT,

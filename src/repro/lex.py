@@ -1,27 +1,52 @@
-"""A small shared tokenizer for the library's text languages.
+r"""A small shared tokenizer for the library's text languages.
 
 Three text languages share this lexer: the constraint language CL
 (:mod:`repro.calculus.parser`), the integrity rule language RL
 (:mod:`repro.core.rule_language`), and the extended-algebra program/
 transaction language (:mod:`repro.algebra.parser`).
 
-Token kinds:
+The token grammar is one compiled regular expression (``_MASTER``).  Every
+match first skips blanks (space, tab, CR, LF only) and ``#`` comments to
+end of line, then takes the first of these alternatives that matches, in
+this priority order:
 
-``NAME``
-    identifiers, including auxiliary relation names ``rel@old`` /
-    ``rel@plus`` / ``rel@minus`` (the ``@suffix`` is part of one token);
-``INT`` / ``FLOAT``
-    numeric literals;
-``STRING``
-    single- or double-quoted, with backslash escapes;
 ``OP``
-    operators and punctuation (longest match first), including the Unicode
-    aliases used by the paper's notation (``∀ ∃ ∧ ∨ ¬ ⇒ ∈ ≠ ≤ ≥``).
+    ``:= => <= >= != <>`` before the single characters
+    ``( ) [ ] { } , ; . < > = + - * /`` (longest match first);
+``FLOAT``
+    ``[0-9]+`` followed by a fraction ``.[0-9]+``, an exponent
+    ``[eE][+-]?[0-9]+``, or both — tried before ``INT`` so ``1.5`` is one
+    token while ``1.`` and ``1e`` are ``INT`` plus what follows;
+``INT``
+    ``[0-9]+`` — ASCII digits only: ``²`` or ``٣`` are unexpected
+    characters, not numbers;
+``NAME``
+    ``[A-Za-z_][A-Za-z0-9_]*``, optionally with one auxiliary suffix
+    ``@old`` / ``@plus`` / ``@minus`` as part of the same token
+    (``rel@old``);
+*bad auxiliary*
+    a name directly followed by ``@`` and anything else: a ``LexError``
+    naming the unknown suffix, at the ``@``;
+``STRING``
+    single- or double-quoted, backslash escapes ``\n`` ``\t`` and
+    ``\<any character>`` for that character, newlines allowed;
+*alias*
+    the paper's notation ``∀ ∃ ∧ ∨ ¬ ⇒ → ∈ ≠ ≤ ≥ −``, normalized to the
+    ``NAME`` or ``OP`` of its ASCII spelling (the token text stays the
+    symbol);
+``EOF``
+    the end of the text, after trailing blanks and comments — always the
+    last token, positioned at ``len(text)``;
+*anything else*
+    a ``LexError`` with position and text: an opening quote that no
+    ``STRING`` matched is an unterminated string literal, any other
+    character is unexpected.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+import re
+from typing import NamedTuple, Optional
 
 from repro.errors import LexError, ParseError
 
@@ -32,32 +57,6 @@ class Token(NamedTuple):
     text: str
     position: int
 
-
-# Longest operators first so the scanner can use greedy matching.
-_OPERATORS = [
-    ":=",
-    "=>",
-    "<=",
-    ">=",
-    "!=",
-    "<>",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    ";",
-    ".",
-    "<",
-    ">",
-    "=",
-    "+",
-    "-",
-    "*",
-    "/",
-]
 
 # Unicode aliases normalize to their ASCII spelling.
 _UNICODE_ALIASES = {
@@ -75,106 +74,80 @@ _UNICODE_ALIASES = {
     "−": "-",
 }
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CONT = _NAME_START | set("0123456789")
-_AUX_SUFFIXES = ("old", "plus", "minus")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# The ``EOF`` and ``BAD`` alternatives make the pattern match at every
+# position, so ``finditer`` never skips a character and never backtracks
+# into the blanks-and-comments prefix.
+_MASTER = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
+    r"(?P<OP>:=|=>|<=|>=|!=|<>|[()\[\]{},;.<>=+\-*/])"
+    r"|(?P<FLOAT>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<INT>[0-9]+)"
+    rf"|(?P<NAME>{_NAME}(?:@(?:old|plus|minus)(?![A-Za-z0-9_])|(?![A-Za-z0-9_@])))"
+    rf"|(?P<BADAUX>{_NAME}@[A-Za-z0-9_]*)"
+    r"""|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')"""
+    rf"|(?P<ALIAS>[{''.join(_UNICODE_ALIASES)}])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.))",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"n": "\n", "t": "\t"}
+
+
+def _unescape(match) -> str:
+    escape = match.group(1)
+    return _ESCAPED.get(escape, escape)
 
 
 def tokenize(text: str) -> list:
     """Tokenize ``text``; raises LexError on invalid input."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[ch]
-            kind = "NAME" if alias[0].isalpha() else "OP"
-            tokens.append(Token(kind, alias, ch, i))
-            i += 1
-            continue
-        if ch in _NAME_START:
-            start = i
-            while i < n and text[i] in _NAME_CONT:
-                i += 1
-            name = text[start:i]
-            # Auxiliary relation names: name@old / name@plus / name@minus.
-            if i < n and text[i] == "@":
-                j = i + 1
-                while j < n and text[j] in _NAME_CONT:
-                    j += 1
-                suffix = text[i + 1 : j]
-                if suffix not in _AUX_SUFFIXES:
-                    raise LexError(
-                        f"unknown auxiliary suffix {suffix!r}", i, text
-                    )
-                name = f"{name}@{suffix}"
-                i = j
-            tokens.append(Token("NAME", name, name, start))
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            is_float = False
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            literal = text[start:i]
-            if is_float:
-                tokens.append(Token("FLOAT", float(literal), literal, start))
-            else:
-                tokens.append(Token("INT", int(literal), literal, start))
-            continue
-        if ch in "'\"":
-            quote = ch
-            start = i
-            i += 1
-            parts = []
-            while i < n and text[i] != quote:
-                if text[i] == "\\" and i + 1 < n:
-                    escape = text[i + 1]
-                    parts.append({"n": "\n", "t": "\t"}.get(escape, escape))
-                    i += 2
-                else:
-                    parts.append(text[i])
-                    i += 1
-            if i >= n:
-                raise LexError("unterminated string literal", start, text)
-            i += 1
-            tokens.append(Token("STRING", "".join(parts), text[start:i], start))
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, op, i))
-                i += len(op)
-                break
+    append = tokens.append
+    # NamedTuple's generated __new__ is a Python-level call around this one;
+    # at ~60 tokens per small transaction the direct form is worth having.
+    new = tuple.__new__
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        group = match.lastindex
+        lexeme = match[group]
+        position = match.start(group)
+        if kind == "OP" or kind == "NAME":
+            value = lexeme
+        elif kind == "INT":
+            value = int(lexeme)
+        elif kind == "FLOAT":
+            value = float(lexeme)
+        elif kind == "STRING":
+            value = lexeme[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+        elif kind == "EOF":
+            break
+        elif kind == "ALIAS":
+            value = _UNICODE_ALIASES[lexeme]
+            kind = "NAME" if value[0].isalpha() else "OP"
+        elif kind == "BADAUX":
+            name, _, suffix = lexeme.partition("@")
+            raise LexError(
+                f"unknown auxiliary suffix {suffix!r}", position + len(name), text
+            )
+        elif lexeme in "'\"":
+            raise LexError("unterminated string literal", position, text)
         else:
-            raise LexError(f"unexpected character {ch!r}", i, text)
-    tokens.append(Token("EOF", None, "", n))
+            raise LexError(f"unexpected character {lexeme!r}", position, text)
+        append(new(Token, (kind, value, lexeme, position)))
+    append(Token("EOF", None, "", len(text)))
     return tokens
 
 
 class TokenStream:
-    """A cursor over a token list with the usual parser conveniences."""
+    """A cursor over a token list with the usual parser conveniences.
+
+    ``tokens`` always ends with the ``EOF`` token and ``index`` never moves
+    past it, so ``tokens[index]`` is always valid; parsers' hot loops read
+    the two attributes directly and write ``index`` back.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -190,13 +163,13 @@ class TokenStream:
         return self.tokens[index]
 
     def advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.index]
         if token.kind != "EOF":
             self.index += 1
         return token
 
     def at(self, kind: str, value: Optional[object] = None) -> bool:
-        token = self.current
+        token = self.tokens[self.index]
         if token.kind != kind:
             return False
         return value is None or token.value == value
@@ -207,24 +180,32 @@ class TokenStream:
         Keyword matching is case-insensitive, so ``FORALL`` and ``forall``
         are the same token (the paper mixes fonts, not spellings).
         """
-        token = self.current
+        token = self.tokens[self.index]
         if token.kind != "NAME":
             return False
         return token.value.lower() in names
 
     def accept(self, kind: str, value: Optional[object] = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.advance()
-        return None
+        token = self.tokens[self.index]
+        if token.kind != kind or (value is not None and token.value != value):
+            return None
+        if kind != "EOF":
+            self.index += 1
+        return token
 
     def accept_name(self, *names: str) -> Optional[Token]:
-        if self.at_name(*names):
-            return self.advance()
-        return None
+        token = self.tokens[self.index]
+        if token.kind != "NAME" or token.value.lower() not in names:
+            return None
+        self.index += 1
+        return token
 
     def expect(self, kind: str, value: Optional[object] = None) -> Token:
-        if self.at(kind, value):
-            return self.advance()
+        token = self.tokens[self.index]
+        if token.kind == kind and (value is None or token.value == value):
+            if kind != "EOF":
+                self.index += 1
+            return token
         want = value if value is not None else kind
         raise ParseError(
             f"expected {want!r} but found {self.current.text or 'end of input'!r} "
@@ -232,8 +213,10 @@ class TokenStream:
         )
 
     def expect_name(self, *names: str) -> Token:
-        if self.at_name(*names):
-            return self.advance()
+        token = self.tokens[self.index]
+        if token.kind == "NAME" and token.value.lower() in names:
+            self.index += 1
+            return token
         raise ParseError(
             f"expected one of {names} but found "
             f"{self.current.text or 'end of input'!r} "

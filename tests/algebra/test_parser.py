@@ -230,3 +230,34 @@ class TestProgramAndTransaction:
     def test_trailing_semicolon_optional(self):
         assert len(parse_transaction("begin abort end")) == 1
         assert len(parse_transaction("begin abort; end")) == 1
+
+
+class TestNestingTooDeep:
+    """Deep nesting is a typed error, never a stray RecursionError."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "union(" * 3000 + "r" + ", r)" * 3000,
+            "select(r, " + "not " * 5000 + "a = 1)",
+            "select(r, a = " + "(" * 3000 + "1" + ")" * 3000 + ")",
+        ],
+    )
+    def test_expressions(self, text):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_expression(text)
+
+    def test_every_entry_point(self):
+        deep = "union(" * 3000 + "r" + ", r)" * 3000
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_predicate("not " * 5000 + "a = 1")
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_statement(f"t := {deep}")
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_program(f"t := {deep}; insert(r, t)")
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_transaction(f"begin alarm({deep}); end")
+
+    def test_moderate_nesting_still_parses(self):
+        expression = parse_expression("union(" * 50 + "r" + ", r)" * 50)
+        assert isinstance(expression, E.Union)

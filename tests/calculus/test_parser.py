@@ -155,3 +155,24 @@ class TestErrors:
 
         with pytest.raises(LexError):
             parse_constraint("(forall x in r@bogus)(x.1 > 0)")
+
+
+class TestNestingTooDeep:
+    """Deep nesting is a typed error, never a stray RecursionError."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not " * 5000 + "x in r",
+            "(" * 3000 + "CNT(r) > 0" + ")" * 3000,
+            "(forall x in r)" * 3000 + "(x.a > 0)",
+            "CNT(r) > " + "(" * 3000 + "1" + ")" * 3000,
+        ],
+    )
+    def test_formulas(self, text):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_constraint(text)
+
+    def test_moderate_nesting_still_parses(self):
+        formula = parse_constraint("not " * 40 + "CNT(r) > 0")
+        assert isinstance(formula, C.Not)

@@ -1,6 +1,7 @@
 """Domains, NULL, and value validation."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.engine.types import (
     INT,
     NULL,
     STRING,
+    Domain,
     domain_by_name,
     is_null,
     value_in_domain,
@@ -65,6 +67,15 @@ class TestDomains:
     def test_str_and_repr(self):
         assert str(INT) == "int"
         assert "int" in repr(INT)
+
+    def test_pickle_preserves_singleton_identity(self):
+        # Domains compare by identity; an unpickled BOOL that is not BOOL
+        # would reject booleans, and an unpickled schema would equal nothing.
+        for domain in (INT, FLOAT, STRING, BOOL, ANY):
+            assert pickle.loads(pickle.dumps(domain)) is domain
+        assert pickle.loads(pickle.dumps(BOOL)).contains(True)
+        custom = pickle.loads(pickle.dumps(Domain("int", (int,))))
+        assert custom is not INT and custom.name == "int"
 
 
 class TestNull:

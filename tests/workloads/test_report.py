@@ -1,5 +1,7 @@
 """The benchmark report collector (part of the reproduction harness)."""
 
+import json
+
 import pytest
 
 from benchmarks import report
@@ -61,3 +63,24 @@ class TestReport:
         for row in rows:
             # The second column starts at the same offset in every row.
             assert row[position - 2 : position] == "  "
+
+
+class TestGateSummary:
+    def test_variant_floor_overrides_the_artifact_floor(self, tmp_path, capsys):
+        artifact = {
+            "speedup_floor": 10.0,
+            "variants": {
+                "lexer": {"speedup": 2.0, "floor": 1.4},
+                "modt": {"speedup": 1.5, "floor": 2.0},
+                "other": {"speedup": 12.0},
+            },
+        }
+        (tmp_path / "bench_frontend.json").write_text(json.dumps(artifact))
+        rows = report._gate_table(tmp_path)
+        assert [(row[1], row[3], row[4]) for row in rows] == [
+            ("lexer", ">=1.4x", "pass"),
+            ("modt", ">=2x", "FAIL"),
+            ("other", ">=10x", "pass"),
+        ]
+        assert report.main(["--strict", "--directory", str(tmp_path)]) == 1
+        assert "1 gate(s) below floor" in capsys.readouterr().out
