@@ -18,10 +18,19 @@ Gated on a >= 10x floor for the full-transaction ratio at n=100k in both
 the un-indexed and hash-indexed configurations (measured ~50-80x); the
 numbers are emitted as ``benchmarks/bench_transaction.json`` for the CI
 build artifact.
+
+A second gated variant prices the set-at-a-time kernels against the
+tuple-at-a-time write path they replaced (kept verbatim in
+``tests/engine/reference_write_path.py``): begin → write 500 rows → commit
+against 100k rows under three built hash indexes, inserts and deletes
+alternating so the state stays put.  Both sides share one database and are
+timed in interleaved rounds, the ratio taken between the two minima (floor
+1.5x; what is left on the kernel side is the index bucket work itself).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -39,7 +48,9 @@ from repro.engine import (
     RelationSchema,
     TransactionManager,
 )
+from repro.engine.transaction import TransactionContext
 from repro.engine.types import INT
+from tests.engine.reference_write_path import ReferenceContext
 
 EXPERIMENT = "E9 / transaction write path"
 SIZES = (1_000, 10_000, 100_000)
@@ -48,6 +59,13 @@ DELTA_SIZE = 10
 OVERLAY_ROUNDS = 200
 EAGER_ROUNDS = 20
 SPEEDUP_FLOOR = 10.0
+BULK_ROWS = 500
+BULK_ROUNDS = 5
+BULK_TRANSACTIONS = 20  # per round and side: 10 inserts, 10 deletes
+BULK_SPEEDUP_FLOOR = 1.5
+BULK_VARIANT = (
+    f"bulk kernel vs per-row replay, {BULK_ROWS} rows, 3 indexes@{GATED_SIZE}"
+)
 JSON_PATH = Path(__file__).resolve().parent / "bench_transaction.json"
 
 _FRESH = iter(range(10_000_000, 1 << 60, DELTA_SIZE))
@@ -81,6 +99,45 @@ def _eager_transaction(database: Database) -> None:
         if working.insert(row, _validated=True):
             plus.insert(row, _validated=True)
     database.install({"fk": working}, differentials={"fk": (plus, None)})
+
+
+def _bulk_write_path() -> tuple:
+    """Seconds per 500-row transaction: (per-row reference, bulk kernels)."""
+
+    def rows(start: int, count: int) -> list:
+        return [
+            (i, i * 7 % 10_000, i * 13 % 10_000, i % 1_000)
+            for i in range(start, start + count)
+        ]
+
+    schema = DatabaseSchema(
+        [RelationSchema("fact", [("id", INT), ("a", INT), ("b", INT), ("c", INT)])]
+    )
+    database = Database(schema)
+    database.load("fact", rows(0, GATED_SIZE))
+    for attribute in ("a", "b", "c"):
+        database.create_index("fact", [attribute])
+    fresh = itertools.count(GATED_SIZE, BULK_ROWS)
+
+    def round_of(context_type) -> float:
+        batches = [
+            rows(next(fresh), BULK_ROWS) for _ in range(BULK_TRANSACTIONS // 2)
+        ]
+        started = time.perf_counter()
+        for write in ("insert_rows", "delete_rows"):
+            for batch in batches:
+                context = context_type(database)
+                changed = getattr(context, write)("fact", batch)
+                context.commit()
+                assert changed == BULK_ROWS
+        return (time.perf_counter() - started) / BULK_TRANSACTIONS
+
+    best = [float("inf"), float("inf")]
+    for _ in range(BULK_ROUNDS):
+        for side, context_type in enumerate((ReferenceContext, TransactionContext)):
+            best[side] = min(best[side], round_of(context_type))
+    assert len(database.relation("fact")) == GATED_SIZE
+    return tuple(best)
 
 
 def _per_txn(fn, rounds: int) -> float:
@@ -126,8 +183,6 @@ def test_transaction_write_path_speedup(benchmark):
                 )
 
                 def write_path():
-                    from repro.engine.transaction import TransactionContext
-
                     context = TransactionContext(database)
                     context.insert_rows("fk", next(batches))
                     context.commit()
@@ -153,10 +208,12 @@ def test_transaction_write_path_speedup(benchmark):
         results["abort"] = _per_txn(
             lambda: manager.execute(aborting), OVERLAY_ROUNDS
         )
+        results["bulk"] = _bulk_write_path()
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     abort_seconds = results.pop("abort")
+    per_row, bulk = results.pop("bulk")
     payload = {
         "experiment": EXPERIMENT,
         "delta_size": DELTA_SIZE,
@@ -195,8 +252,27 @@ def test_transaction_write_path_speedup(benchmark):
         "path dict-copies the whole touched relation before any work — "
         f"abort costs {abort_seconds * 1e6:.0f} µs (drop the overlay)",
     )
+    payload["variants"][BULK_VARIANT] = {
+        "per_row_seconds": per_row,
+        "bulk_seconds": bulk,
+        "speedup": per_row / bulk,
+        "floor": BULK_SPEEDUP_FLOOR,
+    }
+    report.record(
+        EXPERIMENT,
+        f"{BULK_ROWS}-row writes, 3 indexes: per-row vs bulk",
+        f"{GATED_SIZE:,}",
+        f"{per_row * 1000:.3f}",
+        f"{bulk * 1000:.4f}",
+        f"{per_row / bulk:.2f}x",
+        f"{1.0 / bulk:,.0f}",
+    )
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     assert min(gated) >= SPEEDUP_FLOOR, (
         f"transaction write-path speedup {min(gated):.1f}x at n={GATED_SIZE} "
         f"below the {SPEEDUP_FLOOR}x floor"
+    )
+    assert per_row / bulk >= BULK_SPEEDUP_FLOOR, (
+        f"bulk write kernels only {per_row / bulk:.2f}x the per-row replay "
+        f"at n={GATED_SIZE}, below the {BULK_SPEEDUP_FLOOR}x floor"
     )

@@ -33,8 +33,8 @@ two sides:
   fragment shipment through them.
 
 Batch execution is governed by a module-level policy (``"auto"`` /
-``"always"`` / ``"never"``): ``auto`` follows the planner's per-operator
-eligibility flags plus a runtime row-count guard, while the other two
+``"always"`` / ``"never"``): under ``auto`` an operator batches when its
+actual input has at least :data:`BATCH_MIN_ROWS` rows, while the other two
 exist so tests and benchmarks can force either path and assert parity.
 A second, independent policy (:func:`fusion_policy`) governs whether the
 planner's *fused pipeline regions* execute as one kernel; keeping the
@@ -86,15 +86,18 @@ __all__ = [
     "WIRE_MIN_ROWS",
 ]
 
-#: Planner-side eligibility: an operator whose input's *estimated*
-#: cardinality clears this floor gets a batch path.  Sits above the
-#: default Δ-scan estimate (16 rows) so delta plans stay row-at-a-time,
-#: and well below the default base-relation estimate (1000 rows).
+#: Planner-side eligibility of *fused pipeline regions*: a region whose
+#: source's *estimated* cardinality clears this floor runs as one kernel.
+#: Sits above the default Δ-scan estimate (16 rows) so Δ-sourced regions
+#: stay operator-at-a-time, and well below the default base-relation
+#: estimate (1000 rows).
 BATCH_ESTIMATE_ROWS = 32.0
 
-#: Runtime guard: even an eligible operator falls back to the row path
-#: when the actual input is smaller than this — batch setup (column
-#: extraction, mask allocation) only pays for itself on real batches.
+#: The one guard of the per-operator batch paths: an operator takes its
+#: whole-column path when its *actual* input has at least this many rows —
+#: batch setup (column extraction, mask allocation) only pays for itself
+#: on real batches, and the 1–5-row deltas of small transactions stay on
+#: the row path.
 BATCH_MIN_ROWS = 64
 
 #: Wire-format switch: relations with at least this many distinct rows
@@ -128,7 +131,7 @@ def fusion_policy() -> str:
     """The current pipeline-fusion policy (``auto``/``always``/``never``).
 
     ``auto`` runs a fused region as one kernel whenever the region's
-    source operator is batch-eligible; ``never`` makes every
+    source operator clears :data:`BATCH_ESTIMATE_ROWS`; ``never`` makes every
     :class:`~repro.algebra.physical.FusedPipelineOp` fall back to
     operator-at-a-time execution (which still honours the batch policy),
     so tests can compare fused vs unfused execution of one plan.

@@ -156,14 +156,9 @@ class PhysicalOperator:
 
     op_name = "?"
 
-    #: Set by :func:`annotate_batch_eligibility` after lowering: operators
-    #: whose estimated input cardinality clears
-    #: :data:`repro.algebra.columnar.BATCH_ESTIMATE_ROWS` run their
-    #: whole-column batch path (subject to the runtime row-count guard).
-    batch_eligible = False
-
     #: Set by :func:`annotate_batch_eligibility` on :class:`FusedPipelineOp`
-    #: regions whose source estimate clears the same floor.
+    #: regions whose source's estimated output clears
+    #: :data:`repro.algebra.columnar.BATCH_ESTIMATE_ROWS`.
     fuse_eligible = False
 
     def execute(self, context) -> Relation:
@@ -382,22 +377,19 @@ class _PredicateCache:
         return kernel
 
 
-def _batch_mode(op: "PhysicalOperator", input_rows: int) -> bool:
-    """Should ``op`` take its whole-column path for this execution?
+def _batch_mode(input_rows: int) -> bool:
+    """Should an operator take its whole-column path for this execution?
 
-    ``auto`` (the default) requires both the planner's eligibility flag
-    (estimated input ≥ :data:`~repro.algebra.columnar.BATCH_ESTIMATE_ROWS`,
-    so Δ-scans stay row-at-a-time) and an actual input large enough to
-    amortize batch setup.  ``always``/``never`` let tests and benchmarks
-    pin either path and assert parity.
+    ``auto`` (the default) decides on the actual input alone: at least
+    :data:`~repro.algebra.columnar.BATCH_MIN_ROWS` rows amortize batch
+    set-up, whatever the planner estimated — a 500-row Δ⁺ batches, a
+    3-row one stays row-at-a-time.  ``always``/``never`` let tests and
+    benchmarks pin either path and assert parity.
     """
     policy = columnar.batch_policy()
     if policy == "auto":
-        return op.batch_eligible and input_rows >= columnar.BATCH_MIN_ROWS
+        return input_rows >= columnar.BATCH_MIN_ROWS
     return policy == "always"
-
-
-_BATCH_OPERATORS: tuple = ()  # filled after the operator classes are defined
 
 
 def _fuse_mode(op: "PhysicalOperator") -> bool:
@@ -416,33 +408,20 @@ def _fuse_mode(op: "PhysicalOperator") -> bool:
 
 
 def annotate_batch_eligibility(plan: "PhysicalOperator", cards=None) -> None:
-    """Flag batch-capable operators whose estimated input is large enough.
+    """Flag fused pipeline regions whose estimated source is large enough.
 
     Called once per lowering (plans are cached and shared, so the flag is
-    set before a plan becomes visible to concurrent executors and never
-    mutated afterwards).  The per-operator decision reads the *input*
-    estimate — a filter over a default base scan (1000 rows) batches, a
-    filter over a Δ-scan (default |Δ| = 16) stays row-at-a-time.  Fused
-    pipeline regions are flagged from their source operator's estimate
-    under the same floor.
+    set before a plan becomes visible to concurrent executors) and again
+    when observed cardinalities drift.  A region over a default base scan
+    (1000 rows) fuses, one over a Δ-scan (default |Δ| = 16) stays
+    operator-at-a-time.  The per-operator batch paths need no flag: they
+    go by their actual input (:func:`_batch_mode`).
     """
     for op in _walk_plan(plan):
         if isinstance(op, FusedPipelineOp):
             op.fuse_eligible = (
                 op.source.estimate(cards).rows >= columnar.BATCH_ESTIMATE_ROWS
             )
-            continue
-        if not isinstance(op, _BATCH_OPERATORS):
-            continue
-        if isinstance(op, (FilterOp, ProjectOp)):
-            feeder = op.child
-        elif isinstance(op, (UnionOp, DifferenceOp)):
-            feeder = op.right  # the side the row path loops over in Python
-        else:  # joins and semi/antijoins batch their probe (left) loop
-            feeder = op.left
-        op.batch_eligible = (
-            feeder.estimate(cards).rows >= columnar.BATCH_ESTIMATE_ROWS
-        )
 
 
 def _walk_plan(plan):
@@ -550,7 +529,9 @@ class LiteralOp(PhysicalOperator):
         self._schema = _literal_schema(len(rows[0]) if rows else 1)
 
     def execute(self, context) -> Relation:
-        return Relation(self._schema, self.rows, _validated=True)
+        result = Relation(self._schema)
+        result._rows = dict.fromkeys(self.rows, 1)
+        return result
 
     def estimate(self, cards=None) -> PlanEstimate:
         return PlanEstimate(rows=float(len(self.rows)))
@@ -579,7 +560,7 @@ class FilterOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         src_rows = source._rows
-        if _batch_mode(self, len(src_rows)):
+        if _batch_mode(len(src_rows)):
             mask = self._pred.bind_kernel(source.schema)(list(src_rows))
             result = Relation(source.schema, bag=source.bag)
             # compress keeps truthy mask entries — exactly the ``is True``
@@ -764,7 +745,7 @@ class ProjectOp(PhysicalOperator):
         compiled, out_schema, row_maker = self._bind(source.schema)
         result = Relation(out_schema, bag=source.bag)
         src_rows = source._rows
-        if _batch_mode(self, len(src_rows)):
+        if _batch_mode(len(src_rows)):
             rows, counts = source.rows_and_counts()
             out_rows = row_maker(rows)
             if counts is None:
@@ -986,7 +967,7 @@ class UnionOp(_BinaryOp):
                     merged[row] = merged.get(row, 0) + (
                         count if right.bag else 1
                     )
-            elif _batch_mode(self, len(right._rows)):
+            elif _batch_mode(len(right._rows)):
                 # Set mode: every multiplicity is 1, so the whole union is
                 # one C-level pass (first occurrence wins, like setdefault).
                 merged = dict.fromkeys(chain(left._rows, right._rows), 1)
@@ -1038,7 +1019,7 @@ class DifferenceOp(_BinaryOp):
             not left.bag
             and not right.bag
             and len(right._rows) > len(left._rows)
-            and _batch_mode(self, len(right._rows))
+            and _batch_mode(len(right._rows))
         ):
             # Subtracting a big set from a small one: scan the small side
             # with membership tests instead of popping per right row.
@@ -1298,7 +1279,7 @@ class HashJoinOp(_BinaryOp):
             self._schemas.get(left.schema, right.schema),
             bag=left.bag or right.bag,
         )
-        if _batch_mode(self, left.distinct_count()):
+        if _batch_mode(left.distinct_count()):
             pairs, pair_counts = self._probe_pairs(left, right)
             if pair_counts is None:
                 result._rows = dict.fromkeys(pairs, 1)
@@ -1566,7 +1547,7 @@ class HashSemiJoinOp(_BinaryOp):
     def execute(self, context) -> Relation:
         left = self.left.execute(context)
         right = self.right.execute(context)
-        batch = _batch_mode(self, left.distinct_count())
+        batch = _batch_mode(left.distinct_count())
         result = Relation(left.schema, bag=left.bag)
         result._rows = self._probe_dict(left, right, batch)
         _trace(context, self.op_name, len(left) + len(right), len(result))
@@ -1655,18 +1636,6 @@ class NestedLoopSemiOp(_BinaryOp):
 class NestedLoopAntiOp(NestedLoopSemiOp):
     op_name = "antijoin"
     keep_matching = False
-
-
-#: Operators carrying a whole-column batch path (HashAntiJoinOp is covered
-#: through its HashSemiJoinOp base).
-_BATCH_OPERATORS = (
-    FilterOp,
-    ProjectOp,
-    HashJoinOp,
-    HashSemiJoinOp,
-    UnionOp,
-    DifferenceOp,
-)
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,14 @@ def compile_expression(
 
     Lowering also forms fused pipeline regions (:func:`~repro.algebra.
     physical.fuse_pipelines` — maximal select/project chains over a
-    scan/join/semijoin source execute as one batch kernel) and decides,
-    per operator, whether the whole-column batch path is worth taking
-    (:func:`~repro.algebra.physical.annotate_batch_eligibility`):
-    operators whose estimated input cardinality clears the batch floor
-    get flagged before the plan is published to the (shared, concurrently
-    executed) plan cache; Δ-scans price at |Δ| and stay row-at-a-time,
-    and Δ-sourced regions likewise stay unfused.
+    scan/join/semijoin source execute as one batch kernel) and flags the
+    regions worth running fused
+    (:func:`~repro.algebra.physical.annotate_batch_eligibility`): those
+    whose source's estimated cardinality clears the batch floor, before
+    the plan is published to the (shared, concurrently executed) plan
+    cache; Δ-scans price at |Δ|, so Δ-sourced regions stay unfused.
+    Whether a single operator takes its whole-column path is decided at
+    execution time, from its actual input.
     """
     if optimize:
         expression = optimize_expression(expression)
@@ -856,10 +857,11 @@ def plan_estimate(
         return cached[1]
     plan = get_plan(expression)
     estimate = plan.estimate(stats)
-    # The same drift event refreshes the plan's batch-vs-row choices from
-    # the observed cardinalities (a "big" base relation that is actually
-    # tiny stops batching; a fat observed |Δ| EWMA starts).  Safe on shared
-    # plans: both paths are verdict-identical, the flags only steer cost.
+    # The same drift event refreshes the plan's fused-vs-unfused choices
+    # from the observed cardinalities (a region over a "big" base relation
+    # that is actually tiny stops fusing; a fat observed |Δ| EWMA starts).
+    # Safe on shared plans: both paths are verdict-identical, the flags
+    # only steer cost.
     X.annotate_batch_eligibility(plan, stats)
     if len(per_database) >= _ESTIMATE_CACHE_LIMIT:
         per_database.pop(next(iter(per_database)))

@@ -74,8 +74,7 @@ class Insert(Statement):
     expr: Expression
 
     def execute(self, context) -> None:
-        rows = list(evaluate_expression(self.expr, context))
-        context.insert_rows(self.relation, rows)
+        context.insert_rows(self.relation, evaluate_expression(self.expr, context))
 
     def update_triggers(self) -> frozenset:
         return frozenset({(INS, self.relation)})
@@ -92,8 +91,7 @@ class Delete(Statement):
     expr: Expression
 
     def execute(self, context) -> None:
-        rows = list(evaluate_expression(self.expr, context))
-        context.delete_rows(self.relation, rows)
+        context.delete_rows(self.relation, evaluate_expression(self.expr, context))
 
     def update_triggers(self) -> frozenset:
         return frozenset({(DEL, self.relation)})

@@ -235,6 +235,15 @@ class CommitLog:
             )
 
 
+def delta_side(schema, bag: bool, counts: dict) -> Optional[Relation]:
+    """One side of a net delta holding ``{row: count}``; None when empty."""
+    if not counts:
+        return None
+    side = Relation(schema, bag=bag)
+    side.insert_counts(counts)
+    return side
+
+
 def coalesce_differentials(records, database) -> Dict[str, tuple]:
     """Compose consecutive committed deltas into one net delta.
 
@@ -261,13 +270,10 @@ def coalesce_differentials(records, database) -> Dict[str, tuple]:
     out: Dict[str, tuple] = {}
     for base, counter in counters.items():
         schema = database.relation_schema(base)
-        plus_rel = Relation(schema, bag=database.bag)
-        minus_rel = Relation(schema, bag=database.bag)
-        for row, count in counter.items():
-            target = plus_rel if count > 0 else minus_rel
-            target.insert_count(row, abs(count), _validated=True)
-        plus_side = plus_rel if len(plus_rel) else None
-        minus_side = minus_rel if len(minus_rel) else None
+        added = {row: count for row, count in counter.items() if count > 0}
+        removed = {row: -count for row, count in counter.items() if count < 0}
+        plus_side = delta_side(schema, database.bag, added)
+        minus_side = delta_side(schema, database.bag, removed)
         if plus_side is not None or minus_side is not None:
             out[base] = (plus_side, minus_side)
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional
 
-from repro.engine.commitlog import CommitLog
+from repro.engine.commitlog import CommitLog, delta_side
 from repro.engine.epochs import EpochManager, PinnedRelations
 from repro.engine.relation import Relation
 from repro.engine.schema import DatabaseSchema, RelationSchema
@@ -160,6 +160,10 @@ class Database:
         Intended for test fixtures and benchmarks; returns the number of rows
         actually inserted.  Loading does not advance logical time.
 
+        The rows go in as one set through the relation's bulk kernel
+        (:meth:`~repro.engine.relation.Relation.insert_many`): all of them
+        are validated before the first one lands.
+
         Loading bypasses the delta path, so pinned epochs cannot see
         *through* it algebraically: outstanding snapshots are materialized
         at their pinned state and detached first (:meth:`EpochManager.
@@ -237,19 +241,21 @@ class Database:
             frozen_rows = dict(frozen.items())
             if current_rows == frozen_rows:
                 continue
-            plus = Relation(current.schema, bag=self.bag)
-            minus = Relation(current.schema, bag=self.bag)
-            for row, count in frozen_rows.items():
-                missing = count - current_rows.get(row, 0)
-                for _ in range(missing if self.bag else min(missing, 1)):
-                    plus.insert(row, _validated=True)
-            for row, count in current_rows.items():
-                surplus = count - frozen_rows.get(row, 0)
-                for _ in range(surplus if self.bag else min(surplus, 1)):
-                    minus.insert(row, _validated=True)
+            # Occurrences to add and to take away (set-mode sides store one
+            # occurrence per row whatever the count).
+            missing = {
+                row: count - current_rows.get(row, 0)
+                for row, count in frozen_rows.items()
+                if count > current_rows.get(row, 0)
+            }
+            surplus = {
+                row: count - frozen_rows.get(row, 0)
+                for row, count in current_rows.items()
+                if count > frozen_rows.get(row, 0)
+            }
             differentials[name] = (
-                plus if len(plus) else None,
-                minus if len(minus) else None,
+                delta_side(current.schema, self.bag, missing),
+                delta_side(current.schema, self.bag, surplus),
             )
         if differentials:
             self.apply_deltas(differentials, advance_time=False, record=False)
@@ -305,11 +311,12 @@ class Database:
 
         ``differentials`` maps relation names to ``(plus, minus)`` net-delta
         relations (either side may be None).  Each touched relation is
-        mutated in place — deletes replayed before inserts — so the work is
-        O(|Δ|), never O(|R|), and built hash indexes follow along through
-        the relation's own incremental-maintenance hooks.  This replaces
-        the PR 1–3 replace-and-migrate commit path (:meth:`install`), which
-        installed whole working-copy relations.
+        mutated in place, set-at-a-time — one
+        :meth:`~repro.engine.relation.Relation.delete_counts` call with Δ⁻,
+        then one ``insert_counts`` call with Δ⁺ — so the work is O(|Δ|),
+        never O(|R|), and built hash indexes follow along one pass per
+        index.  Recovery replay (:meth:`replay_record`), audit replicas and
+        snapshot restore apply their deltas through this same method.
 
         Observed delta sizes are recorded into :attr:`delta_stats`, feeding
         the planner's delta-scan pricing, and the committed differentials
@@ -323,18 +330,10 @@ class Database:
         try:
             for name, (plus, minus) in differentials.items():
                 relation = self.relation(name)
-                if minus is not None:
-                    delete = relation.delete
-                    for row, count in minus.items():
-                        delete(row)
-                        for _ in range(count - 1):  # bag-mode extra occurrences
-                            delete(row)
-                if plus is not None:
-                    insert = relation.insert
-                    for row, count in plus.items():
-                        insert(row, _validated=True)
-                        for _ in range(count - 1):
-                            insert(row, _validated=True)
+                if minus:  # neither None nor empty
+                    relation.delete_counts(minus._rows)
+                if plus:
+                    relation.insert_counts(plus._rows)
                 if record:
                     self.delta_stats.observe(name, plus, minus)
             if advance_time:

@@ -86,16 +86,27 @@ def fold_inverse(plus: Relation, minus: Relation, delta: tuple) -> None:
     sides, ``minus ⊆ base``) intact.
     """
     dplus, dminus = delta
-    if dminus is not None:
-        for row, count in dminus.items():
-            remaining = count - minus.delete_count(row, count)
-            if remaining:
-                plus.insert_count(row, remaining, _validated=True)
-    if dplus is not None:
-        for row, count in dplus.items():
-            remaining = count - plus.delete_count(row, count)
-            if remaining:
-                minus.insert_count(row, remaining, _validated=True)
+    if dminus:
+        _fold(dminus._rows, grow=plus, shrink=minus)
+    if dplus:
+        _fold(dplus._rows, grow=minus, shrink=plus)
+
+
+def _fold(counts: dict, grow: Relation, shrink: Relation) -> None:
+    """``grow += counts``, first cancelling against what ``shrink`` holds."""
+    held = shrink._rows
+    if held and not held.keys().isdisjoint(counts):
+        cancelled = {
+            row: min(count, held[row]) for row, count in counts.items() if row in held
+        }
+        shrink.delete_counts(cancelled)
+        counts = {
+            row: count - cancelled.get(row, 0)
+            for row, count in counts.items()
+            if count > cancelled.get(row, 0)
+        }
+    if counts:
+        grow.insert_counts(counts)
 
 
 class EpochEntry:
@@ -988,10 +999,10 @@ class SnapshotRelation(OverlayRelation):
 
     insert = _readonly
     delete = _readonly
-    insert_count = _readonly
-    delete_count = _readonly
     insert_many = _readonly
     delete_many = _readonly
+    insert_counts = _readonly
+    delete_counts = _readonly
     clear = _readonly
     replace_contents = _readonly
 

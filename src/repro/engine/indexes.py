@@ -31,13 +31,17 @@ Design points:
   decision, and a base index built mid-transaction keeps paying off after
   commit.
 
-* **Incremental maintenance across commits.**  A transaction commit applies
+* **Incremental, set-at-a-time maintenance.**  A transaction commit applies
   its net differential (``R@plus`` / ``R@minus``) to the base relation *in
-  place* (:meth:`Database.apply_deltas`), so built indexes are maintained
-  tuple-by-tuple through :meth:`IndexSet.row_added` /
-  :meth:`IndexSet.row_removed` — O(|delta|), not O(|R|).
-  :func:`migrate_indexes` survives for the wholesale-replacement path
-  (:meth:`Database.install`), which bulk state changes still use.
+  place* (:meth:`Database.apply_deltas`), and the relation's bulk kernels
+  tell the index set once per batch which rows became present or left
+  (:meth:`IndexSet.rows_added` / :meth:`IndexSet.rows_removed`); each built
+  index then files them in one tight loop (:meth:`HashIndex.add_many` /
+  :meth:`HashIndex.remove_many`) — O(|delta|), not O(|R|).  Building an
+  index is ``add_many`` over all rows, a single-row insert is ``add_many``
+  over one, and :func:`migrate_indexes` — the wholesale-replacement path
+  (:meth:`Database.install`) bulk state changes still use — replays its
+  differential through the same two calls.
 
 Single-attribute keys (by far the common case: foreign keys, key lookups)
 are stored unwrapped (``row[i]`` instead of ``(row[i],)``), which roughly
@@ -46,7 +50,8 @@ halves probe cost under CPython.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from operator import itemgetter
+from typing import Collection, Dict, Iterable, Iterator, Optional, Tuple
 
 # A declared index is built once the forgone row-wise work accumulated in
 # ``deferred_cost`` reaches this multiple of a build pass over the relation.
@@ -99,13 +104,20 @@ class IndexUsage:
         return f"IndexUsage(uses={self.uses}, keys={self.keys}, {self.by_kind})"
 
 
+def _empty_key(row: tuple) -> tuple:
+    return ()
+
+
 class HashIndex:
     """A hash index over one relation, keyed by a tuple of 0-based positions."""
 
-    __slots__ = ("positions", "buckets", "built", "deferred_cost", "usage")
+    __slots__ = ("positions", "key_of", "buckets", "built", "deferred_cost", "usage")
 
     def __init__(self, positions: Tuple[int, ...]):
         self.positions = tuple(positions)
+        # row -> index key, as a C-level callable built once: the bare value
+        # for a single-attribute key, the tuple of values for several.
+        self.key_of = itemgetter(*self.positions) if self.positions else _empty_key
         # key -> {row: None} (an ordered set of distinct rows)
         self.buckets: Dict[object, dict] = {}
         self.built = False
@@ -119,42 +131,46 @@ class HashIndex:
         """Use events since the last ledger reset (advisor evidence)."""
         return self.usage.uses
 
-    # -- key extraction -------------------------------------------------------
-
-    def key_of(self, row: tuple):
-        """The index key of ``row`` (unwrapped for single-attribute keys)."""
-        positions = self.positions
-        if len(positions) == 1:
-            return row[positions[0]]
-        return tuple(row[position] for position in positions)
-
     # -- construction and maintenance ----------------------------------------
 
     def build(self, rows: Iterable[tuple]) -> "HashIndex":
         """(Re)build the index from scratch over ``rows`` (distinct rows)."""
         self.buckets = {}
-        add = self.add
-        for row in rows:
-            add(row)
+        self.add_many(rows)
         self.built = True
         return self
 
     def add(self, row: tuple) -> None:
-        key = self.key_of(row)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = {row: None}
-        else:
-            bucket[row] = None
+        self.add_many((row,))
 
     def remove(self, row: tuple) -> None:
-        key = self.key_of(row)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            return
-        bucket.pop(row, None)
-        if not bucket:
-            del self.buckets[key]
+        self.remove_many((row,))
+
+    def add_many(self, rows: Iterable[tuple]) -> None:
+        """File distinct ``rows`` under their keys."""
+        buckets = self.buckets
+        get = buckets.get
+        key_of = self.key_of
+        for row in rows:
+            key = key_of(row)
+            bucket = get(key)
+            if bucket is None:
+                buckets[key] = {row: None}
+            else:
+                bucket[row] = None
+
+    def remove_many(self, rows: Iterable[tuple]) -> None:
+        """Unfile ``rows``; rows the index does not hold are skipped."""
+        buckets = self.buckets
+        get = buckets.get
+        key_of = self.key_of
+        for row in rows:
+            key = key_of(row)
+            bucket = get(key)
+            if bucket is not None:
+                bucket.pop(row, None)
+                if not bucket:
+                    del buckets[key]
 
     # -- probing --------------------------------------------------------------
 
@@ -238,15 +254,23 @@ class IndexSet:
 
     def row_added(self, row: tuple) -> None:
         """A row became present (newly distinct) in the relation."""
-        for index in self._indexes.values():
-            if index.built:
-                index.add(row)
+        self.rows_added((row,))
 
     def row_removed(self, row: tuple) -> None:
         """A row fully left the relation (last occurrence deleted)."""
+        self.rows_removed((row,))
+
+    def rows_added(self, rows: Collection[tuple]) -> None:
+        """Distinct rows became present: one pass per built index."""
         for index in self._indexes.values():
             if index.built:
-                index.remove(row)
+                index.add_many(rows)
+
+    def rows_removed(self, rows: Collection[tuple]) -> None:
+        """Rows fully left the relation: one pass per built index."""
+        for index in self._indexes.values():
+            if index.built:
+                index.remove_many(rows)
 
     def invalidate(self) -> None:
         """Drop built contents but keep declarations (wholesale row change)."""
@@ -303,13 +327,9 @@ def migrate_indexes(
     if plus is None and minus is None:
         old_indexes.invalidate()
         return
-    for index in old_indexes:
-        if not index.built:
-            continue
-        if minus is not None:
-            for row in minus.rows():
-                if row not in new_relation:
-                    index.remove(row)
-        if plus is not None:
-            for row in plus.rows():
-                index.add(row)
+    if minus is not None:
+        old_indexes.rows_removed(
+            [row for row in minus.rows() if row not in new_relation]
+        )
+    if plus is not None:
+        old_indexes.rows_added(plus._rows)

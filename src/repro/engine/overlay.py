@@ -12,8 +12,17 @@ An :class:`OverlayRelation` carries a running transaction's view of one base
 relation **without materializing it**: reads answer from the triple
 ``(base, plus, minus)`` where ``plus``/``minus`` are the transaction's live
 differential relations (the same objects ``R@plus`` / ``R@minus`` resolve
-to), and writes mutate only the differentials.  The invariants maintained by
-:meth:`OverlayRelation.insert` / :meth:`OverlayRelation.delete` are
+to), and writes mutate only the differentials.
+
+Writes are **set-at-a-time**, like the paper's ``insert(R, E)``: a statement
+hands its whole row set to :meth:`OverlayRelation.insert_many` /
+``delete_many`` (inherited: validate every row first, fold the batch into a
+``{row: count}`` mapping), and the kernels
+:meth:`OverlayRelation.insert_counts` / :meth:`OverlayRelation.delete_counts`
+work out the net-new and net-gone rows by membership in ``(base, plus,
+minus)`` and change each differential in one call.  ``insert(row)`` /
+``delete(row)`` are the one-element case of the same code.  The invariants
+the kernels maintain are
 
 * ``multiplicity(row) = base(row) + plus(row) − minus(row)`` for every row;
 * no row has both a plus and a minus count (net differentials);
@@ -24,8 +33,10 @@ Consequences:
 * beginning a transaction and updating ``k`` tuples is O(k), independent of
   the base relation's size;
 * commit *applies* the net delta to the base relation in place
-  (:meth:`repro.engine.database.Database.apply_deltas`) — O(|Δ|), with built
-  hash indexes maintained by the relation's own incremental hooks;
+  (:meth:`repro.engine.database.Database.apply_deltas`) — O(|Δ|): one
+  :meth:`~repro.engine.relation.Relation.delete_counts` and one
+  ``insert_counts`` per touched relation, each ending in one pass per built
+  hash index;
 * rollback is O(1): the overlay and its differentials are simply dropped,
   the base was never touched;
 * the pre-transaction auxiliary ``R@old`` is the untouched base relation.
@@ -34,7 +45,7 @@ Index probes against an overlay keep the physical plan layer's index wins
 without the old copy-and-reheat dance: :class:`OverlayIndex` answers from
 the base relation's built index corrected by the delta — base bucket minus
 the Δ⁻ hits, plus the Δ⁺ hits from small delta-side indexes that the
-differential relations maintain incrementally themselves.
+differential relations maintain themselves, batch by batch.
 
 ``OverlayRelation`` subclasses :class:`~repro.engine.relation.Relation` so
 that every consumer of the read protocol (both evaluation backends, the
@@ -48,10 +59,12 @@ checks inside one transaction at plain-relation speed; the sub-linear paths
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Mapping, Optional, Tuple
 
 from repro.engine.relation import (
     Relation,
+    absent_rows,
+    present_rows,
     scan_aggregate_state,
     shifted_aggregate_state,
 )
@@ -229,30 +242,89 @@ class OverlayRelation(Relation):
     # -- mutation (differential-only) ------------------------------------------
 
     def insert(self, row: tuple, _validated: bool = False) -> bool:
-        row = tuple(row) if _validated else self.schema.validate_tuple(tuple(row))
-        if not self.bag:
-            # Inline membership: present iff in plus, or in base and not
-            # net-deleted (this is the transaction write hot path).
-            if row in self.plus._rows:
-                return False
-            count = self.base._rows.get(row)
-            if count is not None and self.minus._rows.get(row, 0) < count:
-                return False
-        self._materialized = None
-        self._batch = None
-        if not self.minus.delete(row):
-            self.plus.insert(row, _validated=True)
-        return True
+        return bool(self.insert_many((row,), _validated=_validated))
 
     def delete(self, row: tuple) -> bool:
-        row = tuple(row)
-        if row not in self:
-            return False
+        return bool(self.delete_many((row,)))
+
+    # insert_many / delete_many are inherited: they validate, fold the
+    # batch into a {row: count} mapping and hand it to the kernels below.
+
+    def insert_counts(self, counts: Mapping) -> int:
+        """Grow the net differentials by a ``{row: count}`` batch.
+
+        An insert first cancels pending deletes of the row (``minus``) and
+        only what is left over grows ``plus``; set mode absorbs rows the
+        overlay already holds.  Each differential is changed in one call.
+        """
+        plus_rows = self.plus._rows
+        minus_rows = self.minus._rows
+        if self.bag:
+            revived = {
+                row: min(count, minus_rows[row])
+                for row, count in counts.items()
+                if row in minus_rows
+            }
+            added = {
+                row: count - revived.get(row, 0)
+                for row, count in counts.items()
+                if count > revived.get(row, 0)
+            }
+        else:
+            # A set-mode row is present iff it is in plus, or in the base
+            # and not net-deleted; rows in minus are base rows.
+            added = absent_rows(self.base._rows, counts)
+            if plus_rows:
+                added = absent_rows(plus_rows, added)
+            revived = present_rows(minus_rows, counts) if minus_rows else None
+        if not added and not revived:
+            return 0
         self._materialized = None
         self._batch = None
-        if not self.plus.delete(row):
-            self.minus.insert(row, _validated=True)
-        return True
+        changed = 0
+        if revived:
+            changed += self.minus.delete_counts(revived)
+        if added:
+            changed += self.plus.insert_counts(added)
+        return changed
+
+    def delete_counts(self, counts: Mapping) -> int:
+        """Shrink the overlay by a ``{row: count}`` batch of present rows.
+
+        A delete first takes back the transaction's own inserts (``plus``)
+        and only then grows ``minus``, by at most what the base still
+        holds.
+        """
+        plus_rows = self.plus._rows
+        minus_rows = self.minus._rows
+        base_rows = self.base._rows
+        if self.bag:
+            unmade = {}
+            removed = {}
+            for row, count in counts.items():
+                taken = min(count, plus_rows.get(row, 0))
+                if taken:
+                    unmade[row] = taken
+                    count -= taken
+                left = base_rows.get(row, 0) - minus_rows.get(row, 0)
+                if count and left > 0:
+                    removed[row] = min(count, left)
+        else:
+            unmade = present_rows(plus_rows, counts) if plus_rows else None
+            removed = absent_rows(unmade, counts) if unmade else counts
+            removed = present_rows(base_rows, removed)
+            if minus_rows:
+                removed = absent_rows(minus_rows, removed)
+        if not unmade and not removed:
+            return 0
+        self._materialized = None
+        self._batch = None
+        changed = 0
+        if unmade:
+            changed += self.plus.delete_counts(unmade)
+        if removed:
+            changed += self.minus.insert_counts(removed)
+        return changed
 
     def clear(self) -> None:
         self._materialized = None

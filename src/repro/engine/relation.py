@@ -14,7 +14,8 @@ update statements and for data loading.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
@@ -99,6 +100,27 @@ def shifted_aggregate_state(kind: str, position: int, state, plus: dict, minus: 
     return state
 
 
+def absent_rows(rows: dict, candidates: Mapping) -> Mapping:
+    """The part of a ``{row: count}`` mapping whose rows are not in ``rows``.
+
+    The whole mapping comes back as it is when none of its rows is (what a
+    commit's net Δ⁺ looks like to its base relation), so that callers copy
+    it with the hashes it already holds.  Walks the candidates and probes
+    ``rows``, never the other way round: ``rows`` may be a base relation.
+    """
+    if not rows or rows.keys().isdisjoint(candidates):
+        return candidates
+    return {row: count for row, count in candidates.items() if row not in rows}
+
+
+def present_rows(rows: dict, candidates: Mapping) -> Mapping:
+    """The part of a ``{row: count}`` mapping whose rows are in ``rows``
+    (the whole mapping, as it is, when all are)."""
+    if candidates.keys() <= rows.keys():
+        return candidates
+    return {row: count for row, count in candidates.items() if row in rows}
+
+
 class Relation:
     """A relation state: a (multi)set of typed tuples over a schema."""
 
@@ -132,8 +154,8 @@ class Relation:
         # Memoised aggregate states, {(kind, position): (value, count)}, or
         # None; see aggregate_state().
         self._aggregates = None
-        for row in rows:
-            self.insert(row, _validated=_validated)
+        if rows:
+            self.insert_many(rows, _validated=_validated)
 
     # -- basic container protocol -------------------------------------------
 
@@ -218,23 +240,16 @@ class Relation:
         if self._observer is not None:
             self._observer.note_mutation(self)
         row = tuple(row) if _validated else self.schema.validate_tuple(tuple(row))
-        if self.bag:
-            count = self._rows.get(row, 0)
-            self._rows[row] = count + 1
-            self._batch = None
-            if self._aggregates is not None:
-                self._shift_aggregates(row, 1)
-            if count == 0 and self._indexes is not None:
-                self._indexes.row_added(row)
-            return True
-        if row in self._rows:
+        rows = self._rows
+        count = rows.get(row, 0)
+        if count and not self.bag:
             return False
-        self._rows[row] = 1
+        rows[row] = count + 1
         self._batch = None
-        if self._aggregates is not None:
-            self._shift_aggregates(row, 1)
-        if self._indexes is not None:
-            self._indexes.row_added(row)
+        if self._aggregates:
+            self._carry_aggregates({row: 1}, {})
+        if not count and self._indexes is not None:
+            self._indexes.rows_added((row,))
         return True
 
     def delete(self, row: tuple) -> bool:
@@ -245,81 +260,119 @@ class Relation:
         if self._observer is not None:
             self._observer.note_mutation(self)
         row = tuple(row)
-        count = self._rows.get(row)
+        rows = self._rows
+        count = rows.get(row)
         if count is None:
             return False
-        if self.bag and count > 1:
-            self._rows[row] = count - 1
+        if count > 1:
+            rows[row] = count - 1
         else:
-            del self._rows[row]
+            del rows[row]
             if self._indexes is not None:
-                self._indexes.row_removed(row)
+                self._indexes.rows_removed((row,))
         self._batch = None
-        if self._aggregates is not None:
-            self._shift_aggregates(row, -1)
+        if self._aggregates:
+            self._carry_aggregates({}, {row: 1})
         return True
 
-    def insert_count(self, row: tuple, count: int, _validated: bool = False) -> bool:
-        """Insert ``count`` occurrences of ``row`` in O(1).
+    def insert_many(self, rows: Iterable[tuple], _validated: bool = False) -> int:
+        """Insert many tuples, one occurrence per element, as one step.
 
-        The bag-mode counter is bumped once instead of ``count`` times (set
-        mode absorbs to a single occurrence), so coalescing duplicate-heavy
-        bag deltas and replaying recovered commit records stay O(distinct
-        rows).  Index maintenance fires exactly as ``count`` single inserts
-        would: the per-distinct-row hook runs only on the 0 → non-zero
-        transition.  Returns True when the relation changed.
+        Every row is validated before the first one lands, so a bad row
+        leaves the relation as it was.  Returns the number of actual
+        changes (set mode absorbs duplicates, in the batch as in the
+        relation).
         """
-        if count <= 0:
-            return False
-        if self._observer is not None:
-            self._observer.note_mutation(self)
-        row = tuple(row) if _validated else self.schema.validate_tuple(tuple(row))
-        existing = self._rows.get(row, 0)
-        if not self.bag:
-            if existing:
-                return False
-            count = 1
-        self._rows[row] = existing + count
-        self._batch = None
-        self._aggregates = None
-        if existing == 0 and self._indexes is not None:
-            self._indexes.row_added(row)
-        return True
-
-    def delete_count(self, row: tuple, count: int) -> int:
-        """Delete up to ``count`` occurrences of ``row`` in O(1).
-
-        Returns the number of occurrences actually removed (0 when the row
-        is absent).  The index hook fires only on the non-zero → 0
-        transition, mirroring ``count`` single deletes.
-        """
-        if count <= 0:
+        rows = list(map(tuple, rows)) if _validated else self.schema.validate_rows(rows)
+        if not rows:
             return 0
-        if self._observer is not None:
-            self._observer.note_mutation(self)
-        row = tuple(row)
-        existing = self._rows.get(row)
-        if existing is None:
-            return 0
-        removed = min(existing, count) if self.bag else existing
-        remaining = existing - removed
-        if remaining:
-            self._rows[row] = remaining
-        else:
-            del self._rows[row]
-            if self._indexes is not None:
-                self._indexes.row_removed(row)
-        self._batch = None
-        self._aggregates = None
-        return removed
-
-    def insert_many(self, rows: Iterable[tuple]) -> int:
-        """Insert many tuples; return the number of actual changes."""
-        return sum(1 for row in rows if self.insert(row))
+        if self.bag:
+            return self.insert_counts(Counter(rows))
+        return self.insert_counts(dict.fromkeys(rows, 1))
 
     def delete_many(self, rows: Iterable[tuple]) -> int:
-        """Delete many tuples; return the number of actual changes."""
-        return sum(1 for row in rows if self.delete(row))
+        """Delete many tuples, one occurrence per element, as one step.
+
+        Returns the number of actual changes.
+        """
+        rows = list(map(tuple, rows))
+        if not rows:
+            return 0
+        if self.bag:
+            return self.delete_counts(Counter(rows))
+        return self.delete_counts(dict.fromkeys(rows, 1))
+
+    def insert_counts(self, counts: Mapping) -> int:
+        """The bulk insert kernel: add ``counts[row]`` occurrences of every
+        ``row`` of a ``{row: count}`` mapping of validated tuples.
+
+        One observer notification, one pass over the row dict, the
+        aggregate memos carried over the whole batch, and one
+        :meth:`~repro.engine.indexes.IndexSet.rows_added` call with the
+        rows that became present.  Set mode stores one occurrence of the
+        absent rows and ignores the counts.  Returns the number of
+        occurrences added.
+        """
+        if self._observer is not None:
+            self._observer.note_mutation(self)
+        # Only now: the observer may have moved this relation onto a private
+        # copy of the row dict (a snapshot shares the old one).
+        rows = self._rows
+        fresh = absent_rows(rows, counts)
+        if self.bag:
+            added = counts
+            for row, count in counts.items():
+                rows[row] = rows.get(row, 0) + count
+        elif fresh:
+            added = dict.fromkeys(fresh, 1)
+            rows.update(added)
+        else:
+            return 0
+        self._batch = None
+        if self._aggregates:
+            self._carry_aggregates(added, {})
+        if fresh and self._indexes is not None:
+            self._indexes.rows_added(fresh)
+        return sum(added.values()) if self.bag else len(added)
+
+    def delete_counts(self, counts: Mapping) -> int:
+        """The bulk delete kernel: remove up to ``counts[row]`` occurrences
+        of every ``row`` of a ``{row: count}`` mapping.
+
+        The mirror image of :meth:`insert_counts`; the index hook sees the
+        rows whose last occurrence went.  Set mode removes the present rows
+        and ignores the counts.  Returns the number of occurrences removed.
+        """
+        if self._observer is not None:
+            self._observer.note_mutation(self)
+        rows = self._rows  # after the notification, as in insert_counts
+        if self.bag:
+            removed = {}
+            gone = []
+            for row, count in counts.items():
+                existing = rows.get(row)
+                if existing is None:
+                    continue
+                if existing > count:
+                    rows[row] = existing - count
+                    removed[row] = count
+                else:
+                    del rows[row]
+                    removed[row] = existing
+                    gone.append(row)
+            total = sum(removed.values())
+        else:
+            pop = rows.pop
+            gone = [row for row in counts if pop(row, None) is not None]
+            total = len(gone)
+        if not total:
+            return 0
+        self._batch = None
+        if self._aggregates:
+            self._carry_aggregates({}, removed if self.bag else dict.fromkeys(gone, 1))
+        if gone and self._indexes is not None:
+            self._indexes.rows_removed(gone)
+        return total
 
     def clear(self) -> None:
         if self._observer is not None:
@@ -369,11 +422,12 @@ class Relation:
     def aggregate_state(self, kind: str, position: int) -> tuple:
         """The ``(value, count)`` state of ``kind`` ("SUM"/"MIN"/"MAX").
 
-        Scanned once, then memoised and kept current by :meth:`insert` and
-        :meth:`delete` for as long as that is exact (integer values, and no
-        deleted value equal to the extremum); any other mutation drops the
-        memo.  A repeated aggregate check over a relation that changes by
-        a few rows per commit therefore costs O(1), not O(|R|).
+        Scanned once, then memoised and kept current by the insert and
+        delete methods (single-row and bulk) for as long as that is exact
+        (integer values, and no deleted value equal to the extremum);
+        :meth:`clear` and :meth:`replace_contents` drop the memo.  A
+        repeated aggregate check over a relation that changes by a few rows
+        per commit therefore costs O(1), not O(|R|).
         """
         memo = self._aggregates
         state = memo.get((kind, position)) if memo is not None else None
@@ -385,13 +439,12 @@ class Relation:
                 memo[kind, position] = state
         return state
 
-    def _shift_aggregates(self, row: tuple, occurrences: int) -> None:
+    def _carry_aggregates(self, plus: dict, minus: dict) -> None:
+        """Carry every memoised state over a ``{row: count}`` change, or
+        drop it when that is not exact."""
         memo = self._aggregates
         for key in tuple(memo):
-            item = row[key[1]]
-            if item is NULL:
-                continue
-            state = shift_aggregate_state(key[0], memo[key], item, occurrences)
+            state = shifted_aggregate_state(key[0], key[1], memo[key], plus, minus)
             if state is None:
                 del memo[key]
             else:

@@ -11,9 +11,10 @@ be addressed by name (``x.alcohol`` in the paper's examples).
 
 from __future__ import annotations
 
+from operator import contains
 from typing import Iterable, Iterator, Sequence
 
-from repro.engine.types import Domain, domain_by_name, value_in_domain
+from repro.engine.types import NULL, Domain, domain_by_name, value_in_domain
 from repro.errors import (
     DuplicateRelationError,
     SchemaError,
@@ -64,6 +65,13 @@ class Attribute:
         return Attribute(self.name, self.domain, nullable=True)
 
 
+_NULL_TYPE = frozenset({type(NULL)})
+
+
+def _types_of(column: tuple) -> set:
+    return set(map(type, column))
+
+
 @hash_once
 class RelationSchema:
     """A relation schema ``R(A_1, ..., A_n)`` (paper Def 2.1).
@@ -90,6 +98,14 @@ class RelationSchema:
             attribute.name: position
             for position, attribute in enumerate(self.attributes, start=1)
         }
+        # Per attribute, the value types validate_tuple() accepts and stores
+        # unchanged; NULL fits exactly the nullable attributes.
+        self._exact_types = tuple(
+            attribute.domain.exact_types | _NULL_TYPE
+            if attribute.nullable
+            else attribute.domain.exact_types
+            for attribute in self.attributes
+        )
 
     # -- structure ----------------------------------------------------------
 
@@ -146,6 +162,31 @@ class RelationSchema:
                 )
         return tuple(coerced)
 
+    def validate_rows(self, rows: Iterable[Sequence]) -> list:
+        """:meth:`validate_tuple` over a batch; returns the list of tuples.
+
+        Rows whose values all have exactly the types their attributes store
+        unchanged are accepted column by column, without a Python-level
+        call per value.  Anything else in the batch — an int for a FLOAT
+        attribute, a subclass of a value type, a wrong arity, a bad value —
+        sends every row through :meth:`validate_tuple` in order, which
+        coerces or raises exactly as single-row validation does.  Either
+        way nothing is returned unless every row fits.
+        """
+        rows = list(map(tuple, rows))
+        exact = self._exact_types
+        arity = len(exact)
+        if len(rows) == 1:
+            row = rows[0]
+            if len(row) == arity and all(map(contains, exact, map(type, row))):
+                return rows
+        elif set(map(len, rows)) <= {arity} and all(
+            map(frozenset.issuperset, exact, map(_types_of, zip(*rows)))
+        ):
+            return rows
+        validate = self.validate_tuple
+        return [validate(row) for row in rows]
+
     def is_union_compatible(self, other: "RelationSchema") -> bool:
         """True when both schemas have the same domain sequence."""
         if self.arity != other.arity:
@@ -176,6 +217,11 @@ class RelationSchema:
 
     def __hash__(self) -> int:
         return hash((self.name, self.attributes))
+
+    def __reduce__(self):
+        # Everything else is derived from these two; schemas travel in
+        # every write-ahead-log record and worker payload.
+        return (RelationSchema, (self.name, self.attributes))
 
 
 class DatabaseSchema:

@@ -21,8 +21,8 @@ mutate only the differentials.  This gives four things for free:
   O(k), independent of the touched relations' sizes (the pre-overlay
   engine dict-copied every touched relation on first write);
 * O(|Δ|) commit — the net delta is applied to the base relations in place
-  (:meth:`~repro.engine.database.Database.apply_deltas`), with built hash
-  indexes maintained by the ordinary incremental hooks.
+  (:meth:`~repro.engine.database.Database.apply_deltas`), one bulk call per
+  touched relation and side, built hash indexes following batch by batch.
 
 The differential auxiliary relations ``R@plus`` (net inserted) and
 ``R@minus`` (net deleted), which the integrity-rule optimizer of Section
@@ -222,24 +222,17 @@ class TransactionContext:
     def insert_rows(self, base: str, rows: Iterable[tuple]) -> int:
         """Insert rows into a base relation; returns effective insert count.
 
-        The overlay's insert maintains the net differentials itself: an
-        insert cancels a pending delete before it grows ``R@plus``.
+        The rows go to the overlay as one set: it validates them all before
+        the first one lands and maintains the net differentials itself (an
+        insert cancels a pending delete before it grows ``R@plus``).
         """
-        target = self._working_copy(base)
-        changed = 0
-        for row in rows:
-            if target.insert(row):
-                changed += 1
+        changed = self._working_copy(base).insert_many(rows)
         self.tuples_inserted += changed
         return changed
 
     def delete_rows(self, base: str, rows: Iterable[tuple]) -> int:
         """Delete rows from a base relation; returns effective delete count."""
-        target = self._working_copy(base)
-        changed = 0
-        for row in list(rows):
-            if target.delete(row):
-                changed += 1
+        changed = self._working_copy(base).delete_many(rows)
         self.tuples_deleted += changed
         return changed
 
@@ -259,10 +252,9 @@ class TransactionContext:
         """Apply the net delta in place as ``D^{t+1}`` (temporaries dropped).
 
         O(|Δ|): each touched relation's net ``(plus, minus)`` differential
-        is replayed onto the base relation, whose built hash indexes follow
-        along through the ordinary incremental-maintenance hooks.  Nothing
-        is copied or replaced — the pre-PR install path rebuilt a whole
-        relation object per touched relation.
+        is applied to the base relation as two sets (deletes, then
+        inserts), its built hash indexes following along.  Nothing is
+        copied or replaced.
         """
         differentials = {
             base: (self._plus.get(base), self._minus.get(base))

@@ -62,6 +62,16 @@ class Domain:
         self.name = name
         self.pytypes = pytypes
         self._coerce = coerce
+        # The types whose values are members *and* are stored as they are,
+        # by exact type: what batch validation accepts without looking at
+        # the values (RelationSchema.validate_rows).  A coercing domain
+        # stores only its coercion's own type unchanged (FLOAT turns an int
+        # into a float); matching by exact type keeps ``bool`` out of INT
+        # and FLOAT, and no value but a bare ``object()`` has the type ANY
+        # lists — every other value goes through :meth:`contains`.
+        self.exact_types = frozenset(
+            pytypes if coerce is None else (t for t in pytypes if t is coerce)
+        )
 
     def __repr__(self) -> str:
         return f"Domain({self.name})"

@@ -197,8 +197,8 @@ class TestCoalesce:
         assert minus is None
 
     def test_bag_coalesce_is_linear_in_distinct_rows(self, schema, monkeypatch):
-        # One mutation call per distinct row, regardless of multiplicity —
-        # not one insert per occurrence.
+        # One kernel call per side, regardless of multiplicity — not one
+        # insert per occurrence.
         database = Database(schema, bag=True)
         plus = _relation(schema, [(5, 5)], bag=True)
         for _ in range(999):
@@ -207,13 +207,13 @@ class TestCoalesce:
         for _ in range(499):
             minus.insert((6, 6))
         calls = {"count": 0}
-        original = Relation.insert_count
+        original = Relation.insert_counts
 
-        def counting_insert_count(self, row, count, _validated=False):
+        def counting_insert_counts(self, counts):
             calls["count"] += 1
-            return original(self, row, count, _validated=_validated)
+            return original(self, counts)
 
-        monkeypatch.setattr(Relation, "insert_count", counting_insert_count)
+        monkeypatch.setattr(Relation, "insert_counts", counting_insert_counts)
         monkeypatch.setattr(
             Relation,
             "insert",

@@ -2,6 +2,7 @@
 
 import pickle
 import threading
+from collections import Counter
 
 import pytest
 
@@ -60,6 +61,32 @@ class TestFoldInverse:
         fold_inverse(plus, minus, (None, Relation(schema, [(5, 5)], bag=True)))
         fold_inverse(plus, minus, (Relation(schema, [(5, 5)], bag=True), None))
         assert (5, 5) not in plus or (5, 5) not in minus
+
+
+    @pytest.mark.parametrize("bag", [False, True])
+    def test_a_whole_delta_folds_like_its_rows_one_by_one(self, rs_schema, bag):
+        schema = rs_schema.relation("r")
+
+        def relation(rows):
+            return Relation(schema, rows, bag=bag)
+
+        deltas = [
+            (relation([(1, 1), (2, 2), (2, 2), (3, 3)]), relation([(7, 7), (8, 8)])),
+            (relation([(7, 7), (9, 9)]), relation([(1, 1), (2, 2), (6, 6)])),
+            (None, relation([(2, 2), (3, 3), (9, 9), (9, 9)])),
+            (relation([(6, 6), (6, 6), (8, 8)]), None),
+        ]
+        plus, minus = relation([]), relation([])
+        plus.index_on((0,))
+        expected = Counter()  # signed net undo, one row at a time
+        for dplus, dminus in deltas:
+            fold_inverse(plus, minus, (dplus, dminus))
+            for side, sign in ((dminus, 1), (dplus, -1)):
+                for row, count in side.items() if side is not None else ():
+                    expected[row] += sign * count
+            assert dict(plus.items()) == {r: n for r, n in expected.items() if n > 0}
+            assert dict(minus.items()) == {r: -n for r, n in expected.items() if n < 0}
+            assert set(plus.built_index((0,)).buckets) == {row[0] for row in plus}
 
 
 class TestEpochPinning:
