@@ -25,8 +25,10 @@ import time
 import pytest
 
 from benchmarks import report
+from repro.calculus.evaluation import violated_rules
 from repro.core.subsystem import IntegrityController
 from repro.engine import Session
+from repro.engine.session import DatabaseView
 from repro.workloads.section7 import (
     SECTION7_DOMAIN,
     SECTION7_REFERENTIAL,
@@ -76,9 +78,9 @@ def naive_audit_path(fk_size: int) -> float:
     result = session.execute(transaction)
     assert result.committed
     # Direct declarative re-evaluation — the naive model checker, no
-    # algebraic translation (the strawman this experiment is about; the
-    # planned engine would itself be a translated check).
-    violated = controller.violated_constraints(db, engine="naive")
+    # algebraic translation (the strawman this experiment is about;
+    # controller.violated_constraints would itself be a translated check).
+    violated = violated_rules(controller.rules, DatabaseView(db))
     if violated:  # pragma: no cover - the batch is valid
         db.restore(snapshot)
     return time.perf_counter() - started

@@ -37,12 +37,13 @@ from pathlib import Path
 import pytest
 
 from benchmarks import report
-from repro.algebra import columnar, planner
+from repro.algebra import planner
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
+from tests.support.modes import MODES, execution_mode
 
 EXPERIMENT = "E10 / columnar batch execution"
 ROWS_R = 100_000
@@ -84,9 +85,7 @@ def database(seed: int = 1993) -> Database:
 
 
 def _context(db: Database) -> StandaloneContext:
-    return StandaloneContext(
-        {"r": db.relation("r"), "s": db.relation("s")}, engine="planned"
-    )
+    return StandaloneContext({"r": db.relation("r"), "s": db.relation("s")})
 
 
 def _join_on_b_eq_c():
@@ -152,17 +151,6 @@ def _timed(plan, context) -> tuple:
     return best, result
 
 
-#: (batch policy, fusion policy) per execution mode.  "row" is the
-#: differential oracle; "batch" runs whole-column kernels but still
-#: materializes a relation at every operator boundary; "fused" compiles
-#: eligible scan/join→select→project chains into one kernel.
-MODES = {
-    "row": ("never", "never"),
-    "batch": ("always", "never"),
-    "fused": ("always", "always"),
-}
-
-
 @pytest.mark.benchmark(group="columnar")
 def test_batch_operator_ladder(benchmark):
     report.experiment(
@@ -180,16 +168,9 @@ def test_batch_operator_ladder(benchmark):
             plan = planner.get_plan(expression)
             timings = {}
             results = {}
-            prev_batch = columnar.batch_policy()
-            prev_fusion = columnar.fusion_policy()
-            try:
-                for mode, (batch, fusion) in MODES.items():
-                    columnar.set_batch_policy(batch)
-                    columnar.set_fusion_policy(fusion)
+            for mode in MODES:
+                with execution_mode(mode):
                     timings[mode], results[mode] = _timed(plan, context)
-            finally:
-                columnar.set_batch_policy(prev_batch)
-                columnar.set_fusion_policy(prev_fusion)
             assert results["batch"] == results["row"], (
                 f"batch parity broken on {name!r}"
             )

@@ -28,19 +28,16 @@ from repro.workloads.section7 import (
 )
 
 EXPERIMENT = "E6 / differential"
-EXPERIMENT_PLANNED = "E6b / planned vs naive"
 BASE_SIZES = (1000, 10_000, 100_000)
 BATCH = 500
 
 
-def run_once(fk_size: int, differential: bool, engine: str = "planned") -> float:
+def run_once(fk_size: int, differential: bool) -> float:
     db = section7_database(pk_size=1000, fk_size=fk_size)
-    controller = IntegrityController(
-        db.schema, differential=differential, engine=engine
-    )
+    controller = IntegrityController(db.schema, differential=differential)
     controller.add_rule(SECTION7_REFERENTIAL)
     controller.add_rule(SECTION7_DOMAIN)
-    session = Session(db, controller, engine=engine)
+    session = Session(db, controller)
     batch = section7_insert_batch(
         batch_size=BATCH, pk_size=1000, start_id=fk_size + 10
     )
@@ -88,48 +85,6 @@ def test_differential_vs_full_sweep(benchmark):
     small_ratio = rows[0][1] / rows[0][2]
     large_ratio = rows[-1][1] / rows[-1][2]
     assert large_ratio > small_ratio
-
-
-@pytest.mark.benchmark(group="differential")
-def test_planned_vs_naive_transaction_sweep(benchmark):
-    """The engine toggle on the full transaction path (copy-on-write,
-    inserts, enforcement, commit) — full-state checking, where the
-    evaluation backend dominates."""
-    report.experiment(
-        EXPERIMENT_PLANNED,
-        f"Execute a {BATCH}-row insert transaction with full-state checks, "
-        "naive interpreter vs compiled physical plans",
-        ["fk base size", "naive (ms)", "planned (ms)", "naive/planned"],
-    )
-
-    def sweep():
-        rows = []
-        for size in BASE_SIZES:
-            # Best-of-3: the CI smoke run executes this body exactly once,
-            # and the ~2.4x margin at the top of the sweep is too small to
-            # gate on a single noisy sample per backend.
-            naive = min(
-                run_once(size, differential=False, engine="naive")
-                for _ in range(3)
-            )
-            planned = min(
-                run_once(size, differential=False, engine="planned")
-                for _ in range(3)
-            )
-            rows.append((size, naive, planned))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for size, naive, planned in rows:
-        report.record(
-            EXPERIMENT_PLANNED,
-            size,
-            f"{naive * 1000:.1f}",
-            f"{planned * 1000:.1f}",
-            f"{naive / planned:.1f}x",
-        )
-    # The planned backend must win at the top of the sweep.
-    assert rows[-1][1] > rows[-1][2]
 
 
 @pytest.mark.benchmark(group="differential")

@@ -73,9 +73,7 @@ from repro.algebra.evaluation import evaluate_expression, StandaloneContext
 from repro.algebra.planner import (
     compile_expression,
     explain,
-    get_default_engine,
     get_plan,
-    set_default_engine,
 )
 from repro.algebra.parser import (
     parse_expression,
@@ -128,9 +126,7 @@ __all__ = [
     "debracket",
     "evaluate_expression",
     "explain",
-    "get_default_engine",
     "get_plan",
-    "set_default_engine",
     "parse_expression",
     "parse_predicate",
     "parse_program",

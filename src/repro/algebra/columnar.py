@@ -32,14 +32,12 @@ two sides:
   :mod:`repro.parallel.procpool`) route every replica, Δ blob, and
   fragment shipment through them.
 
-Batch execution is governed by a module-level policy (``"auto"`` /
-``"always"`` / ``"never"``): under ``auto`` an operator batches when its
-actual input has at least :data:`BATCH_MIN_ROWS` rows, while the other two
-exist so tests and benchmarks can force either path and assert parity.
-A second, independent policy (:func:`fusion_policy`) governs whether the
-planner's *fused pipeline regions* execute as one kernel; keeping the
-two separate lets tests pin three-way equivalence (row vs unfused batch
-vs fused) over the same compiled plan.
+Which path runs is decided from the input alone: an operator batches when
+its actual input has at least :data:`BATCH_MIN_ROWS` rows, and a planner
+*fused pipeline region* executes as one kernel when its source's estimated
+cardinality clears :data:`BATCH_ESTIMATE_ROWS`.  The parity suites force
+each path over one compiled plan from the test side
+(``tests/support/modes.py``) to pin row ≡ unfused batch ≡ fused.
 """
 
 from __future__ import annotations
@@ -77,10 +75,6 @@ __all__ = [
     "decode_relation",
     "encode_differentials",
     "decode_differentials",
-    "batch_policy",
-    "set_batch_policy",
-    "fusion_policy",
-    "set_fusion_policy",
     "BATCH_ESTIMATE_ROWS",
     "BATCH_MIN_ROWS",
     "WIRE_MIN_ROWS",
@@ -104,50 +98,6 @@ BATCH_MIN_ROWS = 64
 #: ship as a :class:`ColumnBatch`; smaller ones pickle directly (the
 #: packing overhead would dominate).
 WIRE_MIN_ROWS = 512
-
-_POLICIES = ("auto", "always", "never")
-_policy = "auto"
-
-
-def batch_policy() -> str:
-    """The current module-wide batch execution policy."""
-    return _policy
-
-
-def set_batch_policy(policy: str) -> str:
-    """Set the policy; returns the previous value (for try/finally)."""
-    global _policy
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown batch policy {policy!r}")
-    previous = _policy
-    _policy = policy
-    return previous
-
-
-_fusion = "auto"
-
-
-def fusion_policy() -> str:
-    """The current pipeline-fusion policy (``auto``/``always``/``never``).
-
-    ``auto`` runs a fused region as one kernel whenever the region's
-    source operator clears :data:`BATCH_ESTIMATE_ROWS`; ``never`` makes every
-    :class:`~repro.algebra.physical.FusedPipelineOp` fall back to
-    operator-at-a-time execution (which still honours the batch policy),
-    so tests can compare fused vs unfused execution of one plan.
-    """
-    return _fusion
-
-
-def set_fusion_policy(policy: str) -> str:
-    """Set the fusion policy; returns the previous value."""
-    global _fusion
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown fusion policy {policy!r}")
-    previous = _fusion
-    _fusion = policy
-    return previous
-
 
 # ---------------------------------------------------------------------------
 # ColumnBatch: the decomposed-storage form of a Relation

@@ -7,14 +7,14 @@ dictionary of relations (unit tests, the rule optimizer's what-if analyses),
 and :class:`TracingContext` wraps another context to collect per-operator
 tuple counts for the parallel cost model.
 
-Evaluation itself is dispatched through :mod:`repro.algebra.planner`: by
-default expressions compile to cached physical plans; a context (or caller)
-may select the reference tree-walk interpreter with ``engine="naive"``.
+Evaluation itself goes through :mod:`repro.algebra.planner`: expressions
+compile to cached physical plans.  The reference tree-walk interpreter is
+``Expression.evaluate(context)``, which the test suite calls directly.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.algebra import planner
 from repro.algebra.expressions import Expression
@@ -25,9 +25,8 @@ from repro.errors import UnknownRelationError
 class StandaloneContext:
     """Resolve names against a plain mapping of relations."""
 
-    def __init__(self, relations: Mapping, engine: Optional[str] = None):
+    def __init__(self, relations: Mapping):
         self._relations = dict(relations)
-        self.engine = engine
 
     def resolve(self, name: str) -> Relation:
         try:
@@ -74,21 +73,10 @@ class TracingContext:
         self.inner = inner
         self.tracer = OperatorTrace()
 
-    @property
-    def engine(self) -> Optional[str]:
-        return getattr(self.inner, "engine", None)
-
     def resolve(self, name: str) -> Relation:
         return self.inner.resolve(name)
 
 
-def evaluate_expression(
-    expression: Expression, context, engine: Optional[str] = None
-) -> Relation:
-    """Evaluate a relation-valued expression in the given context.
-
-    The backend is picked by :func:`repro.algebra.planner.resolve_engine`:
-    the ``engine`` argument wins, then the context's ``engine`` attribute,
-    then the planner's process-wide default ("planned").
-    """
-    return planner.evaluate(expression, context, engine=engine)
+def evaluate_expression(expression: Expression, context) -> Relation:
+    """Evaluate a relation-valued expression in the given context."""
+    return planner.evaluate(expression, context)

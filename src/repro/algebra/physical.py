@@ -50,7 +50,7 @@ from repro.engine.overlay import OverlayRelation
 from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, INT, NULL
-from repro.errors import EvaluationError, TypeMismatchError
+from repro.errors import EvaluationError, TypeMismatchError, UnknownAttributeError
 
 # Default cardinality assumed for relations absent from a statistics mapping.
 DEFAULT_CARDINALITY = 1000.0
@@ -380,31 +380,22 @@ class _PredicateCache:
 def _batch_mode(input_rows: int) -> bool:
     """Should an operator take its whole-column path for this execution?
 
-    ``auto`` (the default) decides on the actual input alone: at least
+    Decided on the actual input alone: at least
     :data:`~repro.algebra.columnar.BATCH_MIN_ROWS` rows amortize batch
     set-up, whatever the planner estimated — a 500-row Δ⁺ batches, a
-    3-row one stays row-at-a-time.  ``always``/``never`` let tests and
-    benchmarks pin either path and assert parity.
+    3-row one stays row-at-a-time.
     """
-    policy = columnar.batch_policy()
-    if policy == "auto":
-        return input_rows >= columnar.BATCH_MIN_ROWS
-    return policy == "always"
+    return input_rows >= columnar.BATCH_MIN_ROWS
 
 
 def _fuse_mode(op: "PhysicalOperator") -> bool:
     """Should this fused region execute as one batch kernel?
 
-    ``auto`` requires the planner's region eligibility (the source
+    Yes when the planner flagged the region eligible: its source
     operator's estimated output clears the batch floor, so Δ-shaped
-    regions stay row-at-a-time) and defers to a ``never`` batch policy;
-    ``always``/``never`` let tests pin fused vs unfused execution of the
-    same plan.
+    regions stay row-at-a-time (:func:`annotate_batch_eligibility`).
     """
-    policy = columnar.fusion_policy()
-    if policy == "auto":
-        return op.fuse_eligible and columnar.batch_policy() != "never"
-    return policy == "always"
+    return op.fuse_eligible
 
 
 def annotate_batch_eligibility(plan: "PhysicalOperator", cards=None) -> None:
@@ -1661,7 +1652,7 @@ def _pushdown_columns(node, schema: RelationSchema, columns: list) -> bool:
     if isinstance(node, P.ColRef):
         try:
             which, position = P._resolve_position(node, schema, None)
-        except Exception:
+        except (UnknownAttributeError, EvaluationError):
             return False
         if which != 0:
             return False

@@ -13,9 +13,9 @@ produced by parsing or by the calculus-to-algebra translation of Section
   same expression (a static-mode integrity rule appended to thousands of
   transactions, the selection an ``update`` statement re-creates on every
   execution) shares one compiled plan;
-* :func:`evaluate` is the engine switch: ``engine="planned"`` (the default)
-  executes the compiled plan, ``engine="naive"`` runs the reference
-  tree-walk interpreter — keeping the two differentially testable;
+* :func:`evaluate` executes the compiled plan — the only evaluation path;
+  the reference tree-walk interpreter (``Expression.evaluate``) is what
+  the test suite compares it against;
 * :func:`estimate_expression` exposes the planner's static cardinality/work
   estimates, which the parallel cost model consumes;
 * :func:`plan_estimate` upgrades those estimates with *runtime statistics*
@@ -28,12 +28,8 @@ produced by parsing or by the calculus-to-algebra translation of Section
   via :meth:`~repro.core.subsystem.IntegrityController.install_indexes`);
 * :func:`reorder_chains` / :func:`database_plan` implement greedy
   cost-based reordering of semijoin/antijoin and equi-join chains under
-  observed statistics — the planned backend applies it automatically when
+  observed statistics — :func:`evaluate` applies it automatically when
   the evaluation context exposes a database.
-
-Engine resolution order for :func:`evaluate`: the explicit ``engine``
-argument, then the evaluation context's ``engine`` attribute, then the
-module default (:func:`set_default_engine`).
 """
 
 from __future__ import annotations
@@ -51,10 +47,6 @@ from repro.engine import naming
 from repro.engine.relation import Relation
 from repro.errors import EvaluationError
 
-ENGINES = ("naive", "planned")
-
-_default_engine = "planned"
-
 # Structural plan cache: Expression -> PhysicalOperator.  Bounded FIFO —
 # integrity programs and statement shapes are few; unbounded literal-heavy
 # workloads must not grow it without limit.
@@ -62,29 +54,6 @@ _PLAN_CACHE: dict = {}
 _PLAN_CACHE_LIMIT = 1024
 _plan_cache_hits = 0
 _plan_cache_misses = 0
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default evaluation backend."""
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    _default_engine = engine
-
-
-def get_default_engine() -> str:
-    return _default_engine
-
-
-def resolve_engine(context=None, engine: Optional[str] = None) -> str:
-    """The backend to use: explicit arg, context attribute, then default."""
-    if engine is None:
-        engine = getattr(context, "engine", None)
-    if engine is None:
-        return _default_engine
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}")
-    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -683,22 +652,16 @@ def database_plan(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation entry point (the engine switch)
+# Evaluation entry point
 # ---------------------------------------------------------------------------
 
 
-def evaluate(
-    expression: E.Expression, context, engine: Optional[str] = None
-) -> Relation:
-    """Evaluate ``expression`` with the selected backend.
+def evaluate(expression: E.Expression, context) -> Relation:
+    """Evaluate ``expression`` by executing its compiled plan.
 
-    The planned backend additionally reorders join/semijoin chains under
-    the context database's observed statistics (cached, drift-invalidated)
-    before fetching the compiled plan; the naive backend evaluates the
-    expression exactly as written.
+    When the context exposes a database, join/semijoin chains are first
+    reordered under its observed statistics (cached, drift-invalidated).
     """
-    if resolve_engine(context, engine) == "naive":
-        return expression.evaluate(context)
     if _is_cache_exempt(expression):
         return _lower(expression).execute(context)
     database = getattr(context, "database", None)

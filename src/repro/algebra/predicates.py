@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, UnknownAttributeError
 from repro.hashing import hash_once
 
 
@@ -226,7 +226,7 @@ def _resolve_position(
     # left first, then right (names are disambiguated by the parser already).
     try:
         return 0, schema.position_of(ref.attr) - 1
-    except Exception:
+    except UnknownAttributeError:
         if right_schema is not None:
             return 1, right_schema.position_of(ref.attr) - 1
         raise

@@ -75,6 +75,20 @@ def evaluate_constraint(formula: C.Formula, resolver, validate: bool = True) -> 
     return evaluate_three_valued(formula, resolver, validate=validate) is not False
 
 
+def violated_rules(rules, resolver) -> list:
+    """Names of the rules whose condition the model checker finds violated.
+
+    The reference audit: what the suite and the benchmark gates compare
+    :meth:`~repro.core.subsystem.IntegrityController.violated_constraints`
+    against.
+    """
+    return [
+        rule.name
+        for rule in rules
+        if not evaluate_constraint(rule.condition, resolver, validate=False)
+    ]
+
+
 def evaluate_three_valued(formula: C.Formula, resolver, validate: bool = True):
     """Kleene evaluation: returns True, False, or None (unknown)."""
     if validate:

@@ -78,7 +78,7 @@ class _PlanLeaf(_Node):
     def satisfied(self, resolver) -> bool:
         from repro.algebra import planner
 
-        return len(planner.evaluate(self.expr, resolver, engine="planned")) == 0
+        return len(planner.evaluate(self.expr, resolver)) == 0
 
 
 class _NaiveLeaf(_Node):

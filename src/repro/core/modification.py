@@ -70,8 +70,8 @@ class ModificationStats:
     selected_rule_names: List[str] = field(default_factory=list)
     # Translation-fallback visibility: appended CheckConstraint statements,
     # and the subset whose formula has genuinely untranslatable residue —
-    # i.e. will partially evaluate through the naive model checker even
-    # under the planned engine (see repro.calculus.planned).
+    # i.e. will partially evaluate through the naive model checker
+    # (see repro.calculus.planned).
     fallback_statements: int = 0
     naive_fallback_statements: int = 0
     fallback_rule_names: List[str] = field(default_factory=list)

@@ -80,7 +80,6 @@ class ControllerSpec:
         "optimize",
         "differential",
         "allow_fallback",
-        "engine",
     )
 
     def __init__(self, controller):
@@ -90,7 +89,6 @@ class ControllerSpec:
         self.optimize = controller.optimize
         self.differential = controller.differential
         self.allow_fallback = controller.allow_fallback
-        self.engine = controller.engine
 
     def build(self):
         from repro.core.subsystem import IntegrityController
@@ -101,7 +99,6 @@ class ControllerSpec:
             optimize=self.optimize,
             differential=self.differential,
             allow_fallback=self.allow_fallback,
-            engine=self.engine,
         )
         for rule in self.rules:
             controller.add_rule(rule)
@@ -111,7 +108,7 @@ class ControllerSpec:
         return f"ControllerSpec({len(self.rules)} rules, mode={self.mode})"
 
 
-def run_rule_audit(controller, database, rule_name, differentials, engine):
+def run_rule_audit(controller, database, rule_name, differentials):
     """Audit one rule against one delta on a (replica) database.
 
     The worker-side twin of
@@ -131,9 +128,7 @@ def run_rule_audit(controller, database, rule_name, differentials, engine):
     if disposition is None:
         return False, ()
     program = None if disposition is FULL_CHECK else disposition
-    task = RuleAuditTask(
-        controller, rule, program, database, differentials, engine
-    )
+    task = RuleAuditTask(controller, rule, program, database, differentials)
     return task.run()
 
 
@@ -178,7 +173,7 @@ def _audit_worker(inbox, outbox, payload: bytes) -> None:
             database = pickle.loads(_load_blob(outbox, message[1]))
             replica_seq = database.commit_log.next_sequence
         elif kind == "task":
-            task_id, rule_name, engine, descriptor = message[1:]
+            task_id, rule_name, descriptor = message[1:]
             started = time.perf_counter()
             try:
                 # Task deltas decode lazily: the audit's delta plans scan
@@ -188,7 +183,7 @@ def _audit_worker(inbox, outbox, payload: bytes) -> None:
                     pickle.loads(_load_blob(outbox, descriptor)), lazy=True
                 )
                 violated, violations = run_rule_audit(
-                    controller, database, rule_name, differentials, engine
+                    controller, database, rule_name, differentials
                 )
                 outbox.put(
                     (
@@ -422,10 +417,8 @@ class ProcessAuditExecutor:
             )
             descriptor = self._transport.ship(blob, readers=1)
             self._delta_cache = (task.differentials, blob, descriptor)
-        self._pending[task_id] = (task.rule_name, task.engine, blob)
-        self._inboxes[worker].put(
-            ("task", task_id, task.rule_name, task.engine, descriptor)
-        )
+        self._pending[task_id] = (task.rule_name, blob)
+        self._inboxes[worker].put(("task", task_id, task.rule_name, descriptor))
         return _ProcessFuture(
             self, task_id, task.rule_name, sequences, mode, predicted
         )
@@ -495,9 +488,9 @@ class ProcessAuditExecutor:
                 )
                 continue
             self._retried.add(tid)
-            rule_name, engine, blob = self._pending[tid]
+            rule_name, blob = self._pending[tid]
             descriptor = self._transport.ship(blob, readers=1)
-            self._inboxes[owner].put(("task", tid, rule_name, engine, descriptor))
+            self._inboxes[owner].put(("task", tid, rule_name, descriptor))
 
     def reap_acks(self) -> None:
         """Drain pending shared-memory acks without blocking on results."""

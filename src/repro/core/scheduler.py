@@ -96,17 +96,15 @@ class RuleAuditTask:
         "program",
         "database",
         "differentials",
-        "engine",
         "span",
     )
 
-    def __init__(self, controller, rule, program, database, differentials, engine):
+    def __init__(self, controller, rule, program, database, differentials):
         self.controller = controller
         self.rule = rule
         self.program = program
         self.database = database
         self.differentials = differentials
-        self.engine = engine
         # Optional pinned pre/post epoch pair (EpochSpan, retained for this
         # task) making the audit strict under a racing writer; assigned by
         # the scheduler after construction — process-pool workers rebuild
@@ -137,15 +135,10 @@ class RuleAuditTask:
         from repro.errors import EpochUnavailableError
 
         try:
-            view = DeltaView(
-                self.database,
-                self.differentials,
-                engine=self.engine,
-                span=self.span,
-            )
+            view = DeltaView(self.database, self.differentials, span=self.span)
             if self.program is not None:
                 return self.controller._program_outcome(self.program, view)
-            return self.controller._is_violated(self.rule, view, self.engine), ()
+            return self.controller._is_violated(self.rule, view), ()
         except EpochUnavailableError:
             # The pinned window was quiesced away (an out-of-band bulk
             # mutation mid-audit); fall back to the live-state audit the

@@ -36,7 +36,6 @@ from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Assign
 from repro.calculus import ast as C
 from repro.calculus.analysis import relation_names, variable_ranges
-from repro.calculus.evaluation import evaluate_constraint
 from repro.calculus.parser import parse_constraint
 from repro.calculus.planned import compile_constraint
 from repro.core.modification import (
@@ -60,6 +59,7 @@ from repro.errors import (
     AnalysisError,
     RuleError,
     TransactionAborted,
+    UnknownAttributeError,
     UnknownRelationError,
 )
 
@@ -85,18 +85,16 @@ class _AuditContext:
     """Execution context for auditing a stored integrity program.
 
     Resolves names against a read-only database view, gives ``Assign``
-    statements a scratch temporary namespace, and pins the planned engine —
-    so executing an auditable program is exactly the constraint check its
-    rule translation encodes, at physical-plan speed, with zero effect on
-    the database.
+    statements a scratch temporary namespace — so executing an auditable
+    program is exactly the constraint check its rule translation encodes,
+    at physical-plan speed, with zero effect on the database.
     """
 
-    __slots__ = ("view", "database", "engine", "temps")
+    __slots__ = ("view", "database", "temps")
 
     def __init__(self, view: DatabaseView):
         self.view = view
         self.database = view.database
-        self.engine = "planned"
         self.temps: Dict[str, object] = {}
 
     def resolve(self, name: str):
@@ -118,7 +116,6 @@ class IntegrityController:
         optimize: bool = True,
         differential: bool = True,
         allow_fallback: bool = True,
-        engine: Optional[str] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -127,10 +124,6 @@ class IntegrityController:
         self.optimize = optimize
         self.differential = differential
         self.allow_fallback = allow_fallback
-        # Evaluation backend for enforcement/audits: "planned" (compiled
-        # physical plans, the default), "naive" (reference interpreter), or
-        # None to follow the planner's process-wide default.
-        self.engine = engine
         self.rules: List[IntegrityRule] = []
         self.store = IntegrityProgramStore()
         self.last_stats: Optional[ModificationStats] = None
@@ -138,9 +131,6 @@ class IntegrityController:
         # One AuditScheduler per audited database (weakly held): the
         # concurrent-enforcement counterpart of the program store.
         self._schedulers: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    def _engine(self) -> str:
-        return planner.resolve_engine(engine=self.engine)
 
     # -- rule management ---------------------------------------------------------
 
@@ -164,14 +154,13 @@ class IntegrityController:
                 allow_fallback=self.allow_fallback,
             )
         )
-        if self._engine() == "planned":
-            # Section 6.2 taken one layer further: static-mode rules compile
-            # not just to algebra programs but to physical plans, once, at
-            # definition time.  The structural plan cache makes this shared
-            # with every later enforcement of the same expressions.
-            planner.precompile_program(integrity_program.program)
-            for piece in (integrity_program.differentials or {}).values():
-                planner.precompile_program(piece)
+        # Section 6.2 taken one layer further: static-mode rules compile
+        # not just to algebra programs but to physical plans, once, at
+        # definition time.  The structural plan cache makes this shared
+        # with every later enforcement of the same expressions.
+        planner.precompile_program(integrity_program.program)
+        for piece in (integrity_program.differentials or {}).values():
+            planner.precompile_program(piece)
         return rule
 
     def add_constraint(
@@ -313,31 +302,26 @@ class IntegrityController:
 
     # -- direct checking (the audit/baseline path) ---------------------------------------
 
-    def violated_constraints(
-        self, database: Database, engine: Optional[str] = None
-    ) -> List[str]:
+    def violated_constraints(self, database: Database) -> List[str]:
         """Names of rules whose conditions fail on the current state.
 
         This bypasses transaction modification entirely — it is the direct
         audit path used for post-hoc checks, tests, and the
         check-after-write baseline in the benchmarks.
 
-        With the planned engine (the default), *every* rule is audited
-        through compiled physical plans — which exploit any hash indexes on
-        the database.  Aborting rules whose stored integrity program is
-        side-effect-free (pure alarms, ``Assign``+``Alarm`` shapes,
-        translation fallbacks) execute that program directly against an
-        audit context; everything else (compensating-action rules above
-        all) compiles its *condition* through the plan-backed calculus
-        evaluator.  Only genuinely untranslatable residue reaches the naive
-        model checker, which otherwise survives purely as the test oracle
-        (``engine="naive"``).
+        *Every* rule is audited through compiled physical plans — which
+        exploit any hash indexes on the database.  Aborting rules whose
+        stored integrity program is side-effect-free (pure alarms,
+        ``Assign``+``Alarm`` shapes, translation fallbacks) execute that
+        program directly against an audit context; everything else
+        (compensating-action rules above all) compiles its *condition*
+        through the plan-backed calculus evaluator.  Only genuinely
+        untranslatable residue reaches the naive model checker, which
+        otherwise survives purely as the test oracle
+        (:func:`repro.calculus.evaluation.violated_rules`).
         """
-        engine = planner.resolve_engine(engine=engine or self.engine)
-        view = DatabaseView(database, engine=engine)
-        return [
-            rule.name for rule in self.rules if self._is_violated(rule, view, engine)
-        ]
+        view = DatabaseView(database)
+        return [rule.name for rule in self.rules if self._is_violated(rule, view)]
 
     def _audit_program(self, rule: IntegrityRule) -> Optional[Program]:
         """The stored program of ``rule`` if executing it *is* an audit.
@@ -388,9 +372,7 @@ class IntegrityController:
         """Boolean form of :meth:`_program_outcome`."""
         return cls._program_outcome(program, view)[0]
 
-    def _is_violated(self, rule: IntegrityRule, view: DatabaseView, engine: str) -> bool:
-        if engine != "planned":
-            return not evaluate_constraint(rule.condition, view, validate=False)
+    def _is_violated(self, rule: IntegrityRule, view: DatabaseView) -> bool:
         program = self._audit_program(rule)
         if program is not None:
             return self._program_violated(program, view)
@@ -398,10 +380,7 @@ class IntegrityController:
         return compiled.violated(view)
 
     def violated_constraints_incremental(
-        self,
-        database: Database,
-        differentials,
-        engine: Optional[str] = None,
+        self, database: Database, differentials
     ) -> List[str]:
         """Incremental audit: check only what a committed delta can have
         violated, through per-trigger delta plans.
@@ -427,11 +406,7 @@ class IntegrityController:
         """
         if hasattr(differentials, "differentials"):
             differentials = differentials.differentials
-        view = DeltaView(
-            database,
-            differentials,
-            engine=planner.resolve_engine(engine=engine or self.engine),
-        )
+        view = DeltaView(database, differentials)
         performed = view.performed_triggers()
         if not performed:
             return []
@@ -441,7 +416,7 @@ class IntegrityController:
             if disposition is None:
                 continue  # unmatched or vacuous: the old verdict stands
             if disposition is FULL_CHECK:
-                if self._is_violated(rule, view, view.engine):
+                if self._is_violated(rule, view):
                     violated.append(rule.name)
             elif self._program_violated(disposition, view):
                 violated.append(rule.name)
@@ -475,12 +450,7 @@ class IntegrityController:
             return program
         return FULL_CHECK
 
-    def audit_tasks(
-        self,
-        database: Database,
-        differentials,
-        engine: Optional[str] = None,
-    ) -> List:
+    def audit_tasks(self, database: Database, differentials) -> List:
         """Independent per-rule audit units for a committed delta.
 
         The fan-out form of :meth:`violated_constraints_incremental`: one
@@ -494,7 +464,6 @@ class IntegrityController:
 
         if hasattr(differentials, "differentials"):
             differentials = differentials.differentials
-        engine = planner.resolve_engine(engine=engine or self.engine)
         performed = DeltaView(database, differentials).performed_triggers()
         if not performed:
             return []
@@ -504,9 +473,7 @@ class IntegrityController:
             if disposition is None:
                 continue
             program = None if disposition is FULL_CHECK else disposition
-            tasks.append(
-                RuleAuditTask(self, rule, program, database, differentials, engine)
-            )
+            tasks.append(RuleAuditTask(self, rule, program, database, differentials))
         return tasks
 
     def audit_scheduler(self, database: Database, **options):
@@ -660,5 +627,5 @@ def _resolves(schema, attr) -> bool:
     try:
         schema.position_of(attr)
         return True
-    except Exception:
+    except UnknownAttributeError:
         return False

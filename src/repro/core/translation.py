@@ -23,11 +23,10 @@ existential subformulas — producing selections, semijoins, antijoins, set
 differences and intersections — and aggregate comparisons (producing
 semijoins against single-row aggregate relations).  Formulas outside the
 fragment fall back to a :class:`CheckConstraint` statement (an honest
-engineering fallback, flagged so callers can forbid it); under the planned
-engine even that fallback decomposes the formula via
-:mod:`repro.calculus.planned` and evaluates the translatable subformulas
-through compiled plans, so the direct evaluator only ever sees the
-genuinely untranslatable residue.
+engineering fallback, flagged so callers can forbid it); even that
+fallback decomposes the formula via :mod:`repro.calculus.planned` and
+evaluates the translatable subformulas through compiled plans, so the
+direct evaluator only ever sees the genuinely untranslatable residue.
 
 The produced forms coincide with the paper's Table 1 on all seven construct
 families; ``table1_form`` additionally emits the *verbatim* table shapes
@@ -45,10 +44,9 @@ from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Statement
 from repro.calculus import ast as C
 from repro.calculus.analysis import free_variables
-from repro.calculus.evaluation import evaluate_constraint
 from repro.engine import naming
 from repro.engine.schema import DatabaseSchema, RelationSchema
-from repro.errors import TranslationError
+from repro.errors import TranslationError, UnknownAttributeError
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def _branch_well_typed(branch: C.Formula, db: DatabaseSchema) -> bool:
             for schema in schemas.get(term.var, []):
                 try:
                     schema.position_of(term.attr)
-                except Exception:
+                except UnknownAttributeError:
                     return False
     return True
 
@@ -620,12 +618,12 @@ class CheckConstraint(Statement):
     translation algorithm is not presented here").  Aborts like ``alarm`` on
     violation.
 
-    Execution is not necessarily naive, though: under the planned engine the
-    formula is handed to :mod:`repro.calculus.planned`, which decomposes the
-    boolean structure and runs every translatable subformula through its
-    compiled physical plan — the model checker evaluates only the genuinely
-    untranslatable residue.  ``naive_residue`` records (at translation time)
-    whether such residue exists; transaction modification surfaces it in
+    Execution is not naive, though: the formula is handed to
+    :mod:`repro.calculus.planned`, which decomposes the boolean structure
+    and runs every translatable subformula through its compiled physical
+    plan — the model checker evaluates only the genuinely untranslatable
+    residue.  ``naive_residue`` records (at translation time) whether such
+    residue exists; transaction modification surfaces it in
     :class:`~repro.core.modification.ModificationStats`.
     """
 
@@ -640,15 +638,14 @@ class CheckConstraint(Statement):
             raise TransactionAborted(self.message or "constraint check failed")
 
     def holds(self, context) -> bool:
-        """Evaluate the formula with the fastest applicable backend."""
-        from repro.algebra.planner import resolve_engine
+        """Evaluate the formula through its compiled plans.
 
-        schema = getattr(getattr(context, "database", None), "schema", None)
-        if schema is not None and resolve_engine(context) == "planned":
-            from repro.calculus.planned import evaluate_constraint_planned
+        A context with no database schema in reach (nothing to compile
+        against) gets the model checker.
+        """
+        from repro.calculus.planned import evaluate_constraint_planned
 
-            return evaluate_constraint_planned(self.formula, context, schema)
-        return evaluate_constraint(self.formula, context, validate=False)
+        return evaluate_constraint_planned(self.formula, context)
 
     def relations_read(self) -> set:
         from repro.calculus.analysis import relation_names

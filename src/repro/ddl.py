@@ -19,7 +19,7 @@ from typing import List
 
 from repro.engine.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.engine.types import domain_by_name
-from repro.errors import ParseError
+from repro.errors import ParseError, TypeMismatchError
 from repro.lex import TokenStream
 
 
@@ -59,7 +59,7 @@ def _attribute(stream: TokenStream) -> Attribute:
     domain_token = stream.expect("NAME")
     try:
         domain = domain_by_name(domain_token.value)
-    except Exception:
+    except TypeMismatchError:
         raise ParseError(
             f"unknown domain {domain_token.value!r} at position "
             f"{domain_token.position}"

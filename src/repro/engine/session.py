@@ -25,17 +25,11 @@ from repro.engine.transaction import (
 class Session:
     """Execute textual or pre-built transactions against a database."""
 
-    def __init__(
-        self,
-        database: Database,
-        controller=None,
-        engine: Optional[str] = None,
-    ):
+    def __init__(self, database: Database, controller=None):
         self.database = database
         self.controller = controller
-        self.engine = engine
         modifier = controller.modify_transaction if controller is not None else None
-        self.manager = TransactionManager(database, modifier=modifier, engine=engine)
+        self.manager = TransactionManager(database, modifier=modifier)
 
     # -- transactions -----------------------------------------------------------
 
@@ -172,9 +166,7 @@ class Session:
         if pinned is None:
             pinned = isinstance(expression, E.RelationRef)
         pin = self.database.epochs.pin() if pinned else None
-        return evaluate_expression(
-            expression, DatabaseView(self.database, engine=self.engine, pin=pin)
-        )
+        return evaluate_expression(expression, DatabaseView(self.database, pin=pin))
 
     def rows(self, expression_text: str) -> list:
         """Evaluate a query and return deterministically sorted rows."""
@@ -206,9 +198,8 @@ class DatabaseView:
     instances, so the whole evaluation observes one consistent state.
     """
 
-    def __init__(self, database: Database, engine: Optional[str] = None, pin=None):
+    def __init__(self, database: Database, pin=None):
         self.database = database
-        self.engine = engine
         self.pin = pin
 
     def resolve(self, name: str) -> Relation:
@@ -245,10 +236,8 @@ class DeltaView(DatabaseView):
     asynchronous audit verdicts per-commit exact under a racing writer.
     """
 
-    def __init__(
-        self, database, differentials, engine: Optional[str] = None, span=None
-    ):
-        super().__init__(database, engine=engine)
+    def __init__(self, database, differentials, span=None):
+        super().__init__(database)
         self.differentials = dict(differentials or {})
         self.span = span
         self._old_cache: dict = {}

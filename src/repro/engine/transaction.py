@@ -154,9 +154,8 @@ class TransactionContext:
     O(|R|).
     """
 
-    def __init__(self, database: Database, engine: Optional[str] = None):
+    def __init__(self, database: Database):
         self.database = database
-        self.engine = engine  # evaluation backend ("naive"/"planned"/None)
         self.working: dict = {}
         self.temps: dict = {}
         self._plus: dict = {}
@@ -326,11 +325,9 @@ class TransactionManager:
         self,
         database: Database,
         modifier: Optional[Callable[[Transaction], Transaction]] = None,
-        engine: Optional[str] = None,
     ):
         self.database = database
         self.modifier = modifier
-        self.engine = engine  # evaluation backend for statement expressions
         self._active: Optional[TransactionContext] = None
         self.executed = 0
         self.committed = 0
@@ -348,7 +345,7 @@ class TransactionManager:
         """
         if self.modifier is not None and modify:
             transaction = self.modifier(transaction)
-        context = TransactionContext(self.database, engine=self.engine)
+        context = TransactionContext(self.database)
         self._active = context
         pre_time = self.database.logical_time
         self.executed += 1

@@ -94,7 +94,6 @@ class _NodeContext:
     """Name resolution for one node: every operand bound to local state."""
 
     __slots__ = ("relations",)
-    engine = "planned"
 
     def __init__(self, relations: Dict[str, Relation]):
         self.relations = relations

@@ -114,11 +114,10 @@ class ViewManager:
         return view
 
     def drop_view(self, name: str) -> None:
-        view = self.views.pop(name)
+        del self.views[name]
         self.controller.store.remove(f"view::{name}")
         # The stored relation stays in the schema (DDL removal is out of
         # scope for the engine); its maintenance stops here.
-        del view
 
     # -- maintenance program construction ----------------------------------------
 

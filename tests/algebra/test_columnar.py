@@ -1,4 +1,4 @@
-"""ColumnBatch conversion/packing, kernel semantics, batch policy, LRU caches."""
+"""ColumnBatch conversion/packing, kernel semantics, batch guard, LRU caches."""
 
 import pickle
 
@@ -146,27 +146,14 @@ class TestWireHelpers:
         assert decoded["t"] == (plus, None)
 
 
-class TestBatchPolicy:
-    def test_set_returns_previous(self):
-        previous = columnar.set_batch_policy("always")
-        try:
-            assert previous == "auto"
-            assert columnar.batch_policy() == "always"
-        finally:
-            columnar.set_batch_policy(previous)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            columnar.set_batch_policy("sometimes")
-
-    def test_auto_goes_by_the_actual_input_alone(self, monkeypatch):
+class TestBatchMode:
+    def test_goes_by_the_actual_input_alone(self, monkeypatch):
         """One guard: a delta plan (|Δ| estimated at 16 rows) batches a
         500-row ``R@plus`` and keeps a 5-row one on the row path."""
         from repro.algebra import expressions as E
         from repro.algebra import physical as X
         from repro.algebra import planner
 
-        assert columnar.batch_policy() == "auto"
         assert X._batch_mode(columnar.BATCH_MIN_ROWS)
         assert not X._batch_mode(columnar.BATCH_MIN_ROWS - 1)
         plan = planner.compile_expression(

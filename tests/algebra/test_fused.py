@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import columnar
 from repro.algebra import expressions as E
 from repro.algebra import physical as X
 from repro.algebra import planner
@@ -12,6 +11,7 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
+from tests.support.modes import MODES, execution_mode
 
 
 @pytest.fixture
@@ -30,9 +30,7 @@ def db() -> Database:
 
 @pytest.fixture
 def ctx(db) -> StandaloneContext:
-    return StandaloneContext(
-        {"r": db.relation("r"), "s": db.relation("s")}, engine="planned"
-    )
+    return StandaloneContext({"r": db.relation("r"), "s": db.relation("s")})
 
 
 def _join() -> E.Expression:
@@ -228,18 +226,10 @@ class TestJoinPushdown:
             (E.ProjectItem(P.ColRef(1)), E.ProjectItem(P.ColRef(4))),
         )
         plan = planner.get_plan(expression)
-        previous_batch = columnar.batch_policy()
-        previous_fusion = columnar.fusion_policy()
-        try:
-            columnar.set_batch_policy("never")
-            columnar.set_fusion_policy("never")
+        with execution_mode("row"):
             row = plan.execute(ctx)
-            columnar.set_batch_policy("always")
-            columnar.set_fusion_policy("always")
+        with execution_mode("fused"):
             fused = plan.execute(ctx)
-        finally:
-            columnar.set_batch_policy(previous_batch)
-            columnar.set_fusion_policy(previous_fusion)
         assert fused == row
 
 
@@ -247,20 +237,9 @@ class TestRegionExecution:
     def test_fused_matches_row_and_batch(self, ctx):
         plan = planner.get_plan(_select_project_join())
         results = {}
-        previous_batch = columnar.batch_policy()
-        previous_fusion = columnar.fusion_policy()
-        try:
-            for mode, batch, fusion in (
-                ("row", "never", "never"),
-                ("batch", "always", "never"),
-                ("fused", "always", "always"),
-            ):
-                columnar.set_batch_policy(batch)
-                columnar.set_fusion_policy(fusion)
+        for mode in MODES:
+            with execution_mode(mode):
                 results[mode] = plan.execute(ctx)
-        finally:
-            columnar.set_batch_policy(previous_batch)
-            columnar.set_fusion_policy(previous_fusion)
         assert results["fused"] == results["row"]
         assert results["batch"] == results["row"]
         assert len(results["fused"]) == len(results["row"])
@@ -270,10 +249,10 @@ class TestRegionExecution:
         assert plan.children() == (plan.root,)
         assert plan.estimate().rows == plan.root.estimate().rows
 
-    def test_delta_sourced_regions_stay_unfused_under_auto(self, db):
+    def test_delta_sourced_regions_stay_unfused(self, db):
         # Differentials are estimated tiny (a handful of rows), far below
-        # the batch eligibility floor: under "auto" the region falls back
-        # to the row path even though the shape fused at compile time.
+        # the batch eligibility floor: the region falls back to the row
+        # path even though the shape fused at compile time.
         expression = E.Project(
             E.Select(
                 E.Delta("r", "plus"), P.Comparison("<", P.ColRef(2), P.ColRef(1))
@@ -291,16 +270,9 @@ class TestRegionExecution:
         # its own trace from the batch path), so observability of the
         # audit pipeline does not regress when fusion is on.
         context = TracingContext(
-            StandaloneContext(
-                {"r": db.relation("r"), "s": db.relation("s")}, engine="planned"
-            )
+            StandaloneContext({"r": db.relation("r"), "s": db.relation("s")})
         )
-        previous = columnar.set_fusion_policy("always")
-        previous_batch = columnar.set_batch_policy("always")
-        try:
+        with execution_mode("fused"):
             planner.get_plan(_select_project_join()).execute(context)
-        finally:
-            columnar.set_fusion_policy(previous)
-            columnar.set_batch_policy(previous_batch)
         traced = [op for op, _, _ in context.tracer.records]
         assert "join" in traced

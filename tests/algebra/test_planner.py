@@ -1,4 +1,4 @@
-"""The physical planner: lowering, caching, engine switch, estimates."""
+"""The physical planner: lowering, caching, reference parity, estimates."""
 
 from __future__ import annotations
 
@@ -140,35 +140,16 @@ class TestExecution:
 
     def test_planned_ops_trace_like_naive(self, ctx):
         tracing = TracingContext(ctx)
-        evaluate_expression(REFERENTIAL, tracing, engine="planned")
+        evaluate_expression(REFERENTIAL, tracing)
         summary = tracing.tracer.by_operator()
         assert "antijoin" in summary
         calls, tuples_in, tuples_out = summary["antijoin"]
         assert calls == 1 and tuples_in == 40 and tuples_out == 4
 
 
-class TestEngineSwitch:
-    def test_default_engine_is_planned(self):
-        assert planner.get_default_engine() == "planned"
-
-    def test_context_engine_wins_over_default(self, db):
-        ctx = StandaloneContext({"fk": db.relation("fk")}, engine="naive")
-        assert planner.resolve_engine(ctx) == "naive"
-
-    def test_explicit_engine_wins_over_context(self, db):
-        ctx = StandaloneContext({"fk": db.relation("fk")}, engine="naive")
-        assert planner.resolve_engine(ctx, "planned") == "planned"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            planner.resolve_engine(None, "quantum")
-        with pytest.raises(ValueError):
-            planner.set_default_engine("quantum")
-
-    def test_both_engines_produce_equal_results(self, ctx):
-        naive = evaluate_expression(REFERENTIAL, ctx, engine="naive")
-        planned = evaluate_expression(REFERENTIAL, ctx, engine="planned")
-        assert naive == planned
+class TestReferenceParity:
+    def test_plan_and_reference_interpreter_produce_equal_results(self, ctx):
+        assert evaluate_expression(REFERENTIAL, ctx) == REFERENTIAL.evaluate(ctx)
 
 
 class TestPlanCache:

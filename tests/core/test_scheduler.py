@@ -137,7 +137,6 @@ class TestScheduler:
             task.program,
             task.database,
             task.differentials,
-            task.engine,
         )
         from repro.core.scheduler import _execute
 
@@ -278,7 +277,6 @@ class TestExecutors:
 
         class Poison:
             rule_name = "no_such_rule"
-            engine = None
             differentials = result.differentials
 
         pool = ProcessAuditExecutor(controller, db, workers=1)

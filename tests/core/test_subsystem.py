@@ -162,7 +162,7 @@ class TestDirectChecking:
 
 
 class TestPlannedEnforcement:
-    """The physical-plan backend of the controller (engine switch)."""
+    """The physical-plan backend of the controller."""
 
     def test_rules_precompile_plans_at_definition_time(self, schema):
         from repro.algebra import planner
@@ -173,14 +173,17 @@ class TestPlannedEnforcement:
         controller.add_rule(BEER_RULE_REFERENTIAL)
         assert planner.plan_cache_info()["size"] > 0
 
-    def test_planned_and_naive_audits_agree(self, db, schema):
+    def test_planned_and_model_checker_audits_agree(self, db, schema):
+        from repro.calculus.evaluation import violated_rules
+        from repro.engine.session import DatabaseView
+
         controller = IntegrityController(schema)
         controller.add_rule(BEER_RULE_DOMAIN)
         controller.add_rule(BEER_RULE_REFERENTIAL)
         db.load("beer", [("rogue", "ale", "nowhere", -2.0)])
-        planned = controller.violated_constraints(db, engine="planned")
-        naive = controller.violated_constraints(db, engine="naive")
-        assert planned == naive == ["R1", "R2"]
+        planned = controller.violated_constraints(db)
+        reference = violated_rules(controller.rules, DatabaseView(db))
+        assert planned == reference == ["R1", "R2"]
 
     def test_install_indexes_creates_referential_indexes(self, db, schema):
         controller = IntegrityController(schema)
@@ -232,14 +235,3 @@ class TestPlannedEnforcement:
         session = Session(database, controller)
         assert session.execute("begin insert(emp, (4, 2, 45)); end").committed
         assert session.execute("begin insert(emp, (5, 2, 51)); end").aborted
-
-    def test_naive_engine_controller_enforces_identically(self, db, schema):
-        from repro.engine import Session
-
-        naive = IntegrityController(schema, engine="naive")
-        naive.add_rule(BEER_RULE_DOMAIN)
-        session = Session(db, naive, engine="naive")
-        result = session.execute(
-            'begin insert(beer, ("bad", "ale", "heineken", -1.0)); end'
-        )
-        assert result.aborted

@@ -17,7 +17,7 @@ from repro.algebra import expressions as E
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Assign
 from repro.calculus import ast as C
-from repro.calculus.evaluation import evaluate_constraint
+from repro.calculus.evaluation import evaluate_constraint, violated_rules
 from repro.calculus.planned import compile_constraint
 from repro.core.programs import IntegrityProgram
 from repro.core.subsystem import IntegrityController
@@ -92,7 +92,7 @@ def test_planned_constraint_verdict_matches_oracle(
     compensating=st.booleans(),
 )
 @_SETTINGS
-def test_audit_verdicts_match_between_engines(
+def test_audit_verdicts_match_the_model_checker(
     condition, rows_r, rows_s, bag, indexed, compensating
 ):
     """violated_constraints: planned == naive for aborting *and*
@@ -107,8 +107,8 @@ def test_audit_verdicts_match_between_engines(
         # Conditions whose trigger generation or schema checks reject them
         # are outside this property's scope.
         return
-    planned = controller.violated_constraints(database, engine="planned")
-    naive = controller.violated_constraints(database, engine="naive")
+    planned = controller.violated_constraints(database)
+    naive = violated_rules(controller.rules, DatabaseView(database))
     assert planned == naive, (
         f"audit divergence on {condition!r}: planned={planned} naive={naive}"
     )
@@ -144,8 +144,8 @@ def test_assign_alarm_program_shape_audits_through_plans(
     )
     controller.store.remove("prop")
     controller.store.add(IntegrityProgram("prop", rule.triggers, rewritten))
-    planned = controller.violated_constraints(database, engine="planned")
-    naive = controller.violated_constraints(database, engine="naive")
+    planned = controller.violated_constraints(database)
+    naive = violated_rules(controller.rules, DatabaseView(database))
     assert planned == naive, (
         f"assign+alarm divergence on {condition!r}: "
         f"planned={planned} naive={naive}"

@@ -25,11 +25,12 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import columnar, planner
+from repro.algebra import planner
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Relation
+from tests.support.modes import MODES, execution_mode
 
 from . import strategies as S
 
@@ -94,30 +95,19 @@ def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
     context = StandaloneContext({"r": r, "s": s})
     naive = expression.evaluate(context)
     plan = planner.get_plan(expression)
-    previous_batch = columnar.batch_policy()
-    previous_fusion = columnar.fusion_policy()
-    try:
-        for mode, batch, fusion in (
-            ("row", "never", "never"),
-            ("batch", "always", "never"),
-            ("fused", "always", "always"),
-        ):
-            columnar.set_batch_policy(batch)
-            columnar.set_fusion_policy(fusion)
+    for mode in MODES:
+        with execution_mode(mode):
             planned = plan.execute(context)
-            assert naive == planned, (
-                f"bag convention divergence on {op} "
-                f"(residual={residual}, mode={mode}):\n"
-                f"  naive:   {naive.sorted_rows()}\n"
-                f"  planned: {planned.sorted_rows()}"
-            )
-            # The convention itself: every distinct matching pair appears
-            # exactly probe-side-multiplicity times, independent of right
-            # multiplicities.
-            if op == "join":
-                for row in planned.rows():
-                    left_part = row[: schema.relation("r").arity]
-                    assert planned.multiplicity(row) == r.multiplicity(left_part)
-    finally:
-        columnar.set_batch_policy(previous_batch)
-        columnar.set_fusion_policy(previous_fusion)
+        assert naive == planned, (
+            f"bag convention divergence on {op} "
+            f"(residual={residual}, mode={mode}):\n"
+            f"  naive:   {naive.sorted_rows()}\n"
+            f"  planned: {planned.sorted_rows()}"
+        )
+        # The convention itself: every distinct matching pair appears
+        # exactly probe-side-multiplicity times, independent of right
+        # multiplicities.
+        if op == "join":
+            for row in planned.rows():
+                left_part = row[: schema.relation("r").arity]
+                assert planned.multiplicity(row) == r.multiplicity(left_part)

@@ -36,6 +36,8 @@ from repro.engine.schema import Attribute
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import ReproError
 
+from tests.support.modes import MODES, execution_mode
+
 from . import strategies as S
 
 _SETTINGS = settings(
@@ -77,14 +79,6 @@ def _run(fn):
         return None, error
 
 
-#: (mode, batch policy, fusion policy) — row is the differential oracle.
-_MODES = (
-    ("row", "never", "never"),
-    ("batch", "always", "never"),
-    ("fused", "always", "always"),
-)
-
-
 def _usage_snapshot(relations) -> dict:
     """Every index's full usage ledger, keyed by (relation, positions)."""
     snapshot = {}
@@ -102,8 +96,8 @@ def _usage_snapshot(relations) -> dict:
     return snapshot
 
 
-def _assert_policies_agree(expression, make_relations):
-    """Execute the planned backend in every mode over fresh inputs.
+def _assert_modes_agree(expression, make_relations):
+    """Execute the compiled plan in every mode over fresh inputs.
 
     ``make_relations`` builds an identical relation dict per call, so
     each mode starts from the same state (index builds during one run
@@ -111,19 +105,12 @@ def _assert_policies_agree(expression, make_relations):
     """
     plan = planner.get_plan(expression)
     outcomes = {}
-    previous_batch = columnar.batch_policy()
-    previous_fusion = columnar.fusion_policy()
-    try:
-        for mode, batch, fusion in _MODES:
-            columnar.set_batch_policy(batch)
-            columnar.set_fusion_policy(fusion)
-            relations = make_relations()
-            context = StandaloneContext(relations, engine="planned")
+    for mode in MODES:  # row is the differential oracle
+        relations = make_relations()
+        context = StandaloneContext(relations)
+        with execution_mode(mode):
             result, error = _run(lambda: plan.execute(context))
-            outcomes[mode] = (result, error, _usage_snapshot(relations))
-    finally:
-        columnar.set_batch_policy(previous_batch)
-        columnar.set_fusion_policy(previous_fusion)
+        outcomes[mode] = (result, error, _usage_snapshot(relations))
     row_result, row_error, row_usage = outcomes["row"]
     for mode in ("batch", "fused"):
         result, error, usage = outcomes[mode]
@@ -158,7 +145,7 @@ def test_batch_equals_row(expression, rows_r, rows_s, bag):
         database = _database(rows_r, rows_s, bag)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 @given(
@@ -172,8 +159,8 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
     """Same property with hash indexes installed on every column.
 
     Indexed regimes (bucket-lookup selection, distinct-key semijoin
-    probing) must stay byte-identical regardless of the batch and fusion
-    policies — including the usage ledgers the index advisor reads.
+    probing) must stay byte-identical across the row, batch and fused
+    paths — including the usage ledgers the index advisor reads.
     """
 
     def make_relations():
@@ -182,7 +169,7 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
         database.create_index("s", ["d"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 @given(
@@ -213,7 +200,7 @@ def test_batch_equals_row_over_overlays(
         overlay = OverlayRelation(base, plus, minus)
         return {"r": overlay, "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 @given(
@@ -237,7 +224,7 @@ def test_batch_equals_row_with_nulls(expression, rows_r, rows_s, bag):
         database.load("s", rows_s)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 # -- fusion-shaped chains --------------------------------------------------------
@@ -304,7 +291,7 @@ def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
             database.create_index("s", ["c"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 @given(
@@ -330,7 +317,7 @@ def test_fused_equals_row_over_columnar_relations(expression, rows_r, rows_s, ba
             for name in ("r", "s")
         }
 
-    _assert_policies_agree(expression, make_relations)
+    _assert_modes_agree(expression, make_relations)
 
 
 # -- wire-format round-trips ---------------------------------------------------

@@ -14,11 +14,11 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import planner
 from repro.algebra.statements import Alarm
 from repro.core.subsystem import IntegrityController
 from repro.engine import Database, Session
 from repro.engine.session import DatabaseView, DeltaView
+from tests.support.reference import EVALUATORS
 
 from . import strategies as S
 
@@ -91,23 +91,24 @@ def test_incremental_audit_agrees_with_full_audit(
     txn=S.transactions(),
     bag=st.booleans(),
     indexed=st.booleans(),
-    engine=st.sampled_from(["planned", "naive"]),
+    evaluator=st.sampled_from(EVALUATORS),
 )
 @_SETTINGS
 def test_delta_violating_tuples_match_full_plan(
-    rows_r, rows_s, txn, bag, indexed, engine
+    rows_r, rows_s, txn, bag, indexed, evaluator
 ):
     """For single-alarm rules with a correct pre-state, the union of the
     matched triggers' delta programs computes exactly the full violation
-    set — on both evaluation backends."""
+    set — through compiled plans and through the reference interpreter."""
+    backend, evaluate = evaluator
     database = _database(rows_r, rows_s, bag, indexed)
     controller = _controller()
     pre_violated = set(controller.violated_constraints(database))
     result = Session(database).execute(txn)
     if not result.committed:
         return
-    view = DeltaView(database, result.differentials, engine=engine)
-    full_view = DatabaseView(database, engine=engine)
+    view = DeltaView(database, result.differentials)
+    full_view = DatabaseView(database)
     performed = view.performed_triggers()
     for stored in controller.store:
         if stored.name in pre_violated or stored.differentials is None:
@@ -115,16 +116,12 @@ def test_delta_violating_tuples_match_full_plan(
         statements = stored.program.statements
         if len(statements) != 1 or not isinstance(statements[0], Alarm):
             continue
-        full_rows = planner.evaluate(
-            statements[0].expr, full_view, engine=engine
-        ).to_set()
+        full_rows = evaluate(statements[0].expr, full_view).to_set()
         matched = stored.triggers & performed
         delta_rows: set = set()
         for statement in stored.action_for(matched):
-            delta_rows |= set(
-                planner.evaluate(statement.expr, view, engine=engine).to_set()
-            )
+            delta_rows |= set(evaluate(statement.expr, view).to_set())
         assert delta_rows == full_rows, (
-            f"violating-tuple divergence on {stored.name} ({engine}): "
+            f"violating-tuple divergence on {stored.name} ({backend}): "
             f"delta={sorted(delta_rows)} full={sorted(full_rows)}"
         )

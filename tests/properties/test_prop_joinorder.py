@@ -113,7 +113,7 @@ def _assert_reorder_preserves(expression, database):
     baseline = expression.evaluate(view)
     for candidate in (
         reordered.evaluate(view),  # naive backend on the rewritten tree
-        planner.evaluate(expression, view, engine="planned"),  # integrated
+        planner.evaluate(expression, view),  # integrated
         planner.get_plan(reordered).execute(view),
     ):
         assert candidate == baseline, (

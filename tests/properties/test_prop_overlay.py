@@ -9,7 +9,7 @@ verbatim (full ``Relation.copy`` on first write, differential maintenance
 beside the copy, wholesale ``Database.install`` on commit) and random
 transactions are executed against both, comparing every observable at every
 step — mid-transaction reads of base and auxiliary relations, expression
-evaluations under both backends, index-probe answers, committed database
+evaluations by plan and by reference interpreter, index-probe answers, committed database
 states, integrity verdicts, and abort/rollback — in set and bag mode, with
 and without hash indexes.
 """
@@ -20,10 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import expressions as E
-from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.engine import Database, OverlayRelation
 from repro.engine.transaction import TransactionContext
+from tests.support.reference import EVALUATORS
 
 from . import strategies as S
 
@@ -129,7 +129,7 @@ _PROBES = (
 )
 
 
-def _assert_observationally_equal(overlay_ctx, eager_ctx, engine: str) -> None:
+def _assert_observationally_equal(overlay_ctx, eager_ctx, evaluate) -> None:
     for name in ("r", "s", "r@plus", "r@minus", "r@old", "s@plus"):
         _assert_same_relation(
             overlay_ctx.resolve(name), eager_ctx.resolve(name), f"resolve({name})"
@@ -140,10 +140,10 @@ def _assert_observationally_equal(overlay_ctx, eager_ctx, engine: str) -> None:
         reference = eager_ctx.resolve("r")
         assert (row in mine) == (row in reference), f"membership {row}"
         assert mine.multiplicity(row) == reference.multiplicity(row), row
-    # Expression evaluation over both contexts, selected backend.
+    # Expression evaluation over both contexts, selected evaluator.
     for probe in _PROBES:
-        mine = planner.evaluate(probe, overlay_ctx, engine=engine)
-        reference = planner.evaluate(probe, eager_ctx, engine=engine)
+        mine = evaluate(probe, overlay_ctx)
+        reference = evaluate(probe, eager_ctx)
         assert mine == reference, f"probe {probe}"
         assert mine.sorted_rows() == reference.sorted_rows(), f"probe {probe}"
     assert (
@@ -186,20 +186,21 @@ def _assert_index_probes_agree(overlay_ctx, indexed: bool) -> None:
     txn=S.transactions(),
     bag=st.booleans(),
     indexed=st.booleans(),
-    engine=st.sampled_from(["naive", "planned"]),
+    evaluator=st.sampled_from(EVALUATORS),
 )
 @_SETTINGS
 def test_overlay_transactions_match_eager_copy_semantics(
-    rows_r, rows_s, txn, bag, indexed, engine
+    rows_r, rows_s, txn, bag, indexed, evaluator
 ):
+    _, evaluate = evaluator
     overlay_db = _database(rows_r, rows_s, bag, indexed)
     eager_db = _database(rows_r, rows_s, bag, indexed)
-    overlay_ctx = TransactionContext(overlay_db, engine=engine)
-    eager_ctx = EagerContext(eager_db, engine=engine)
+    overlay_ctx = TransactionContext(overlay_db)
+    eager_ctx = EagerContext(eager_db)
     for statement in txn.statements:
         statement.execute(overlay_ctx)
         statement.execute(eager_ctx)
-        _assert_observationally_equal(overlay_ctx, eager_ctx, engine)
+        _assert_observationally_equal(overlay_ctx, eager_ctx, evaluate)
     _assert_index_probes_agree(overlay_ctx, indexed)
     overlay_ctx.commit()
     eager_ctx.commit()

@@ -45,11 +45,10 @@ def _assert_backends_agree(expression, database):
         "r": database.relation("r"),
         "s": database.relation("s"),
     }
-    naive_ctx = StandaloneContext(relations, engine="naive")
-    planned_ctx = StandaloneContext(relations, engine="planned")
-    naive_result, naive_error = _run(lambda: expression.evaluate(naive_ctx))
+    context = StandaloneContext(relations)
+    naive_result, naive_error = _run(lambda: expression.evaluate(context))
     planned_result, planned_error = _run(
-        lambda: planner.get_plan(expression).execute(planned_ctx)
+        lambda: planner.get_plan(expression).execute(context)
     )
     if naive_error is not None or planned_error is not None:
         # Ill-typed expressions must fail on both backends, but not

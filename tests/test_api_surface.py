@@ -1,0 +1,160 @@
+"""The evaluation API has one backend and no process-global switches.
+
+Pins the deletion of ``engine=`` / ``set_default_engine`` /
+``set_batch_policy`` / ``set_fusion_policy``: no public signature takes an
+``engine``, no module exports a setter, and — the divergence the deletion
+closes — a process audit worker, whether forked or spawned, returns the
+verdict the coordinator computes inline, because there is no longer any
+process-local configuration for the two to disagree on.
+"""
+
+from __future__ import annotations
+
+import inspect
+import multiprocessing
+
+import pytest
+
+import repro.algebra
+from repro.algebra import columnar, planner
+from repro.algebra.evaluation import StandaloneContext, evaluate_expression
+from repro.algebra.expressions import RelationRef
+from repro.core.procpool import ControllerSpec, run_rule_audit
+from repro.core.scheduler import AuditScheduler, RuleAuditTask
+from repro.core.subsystem import IntegrityController
+from repro.engine import Database, DatabaseSchema, RelationSchema, Session
+from repro.engine.session import DatabaseView, DeltaView
+from repro.engine.transaction import TransactionContext, TransactionManager
+from repro.engine.types import INT
+
+_CALLABLES = [
+    Session,
+    IntegrityController,
+    TransactionManager,
+    TransactionContext,
+    DatabaseView,
+    DeltaView,
+    StandaloneContext,
+    planner.evaluate,
+    evaluate_expression,
+    IntegrityController.violated_constraints,
+    IntegrityController.violated_constraints_incremental,
+    IntegrityController.audit_tasks,
+    RuleAuditTask,
+    run_rule_audit,
+]
+
+
+@pytest.mark.parametrize(
+    "target", _CALLABLES, ids=[target.__qualname__ for target in _CALLABLES]
+)
+def test_no_engine_parameter(target):
+    assert "engine" not in inspect.signature(target).parameters
+
+
+def test_controller_spec_ships_no_engine():
+    assert "engine" not in ControllerSpec.__slots__
+
+
+@pytest.mark.parametrize(
+    "module", [repro.algebra, planner, columnar], ids=lambda m: m.__name__
+)
+def test_no_switch_is_exported(module):
+    leaked = [
+        name
+        for name in dir(module)
+        if name.startswith("set_")
+        or name.endswith("_policy")
+        or name in ("get_default_engine", "resolve_engine", "ENGINES")
+    ]
+    assert leaked == []
+
+
+def _schema() -> DatabaseSchema:
+    return DatabaseSchema(
+        [
+            RelationSchema("fk", [("id", INT), ("ref", INT)]),
+            RelationSchema("pk", [("key", INT)]),
+        ]
+    )
+
+
+def _database() -> Database:
+    database = Database(_schema())
+    database.load("pk", [(k,) for k in range(10)])
+    database.load("fk", [(i, i % 10) for i in range(20)])
+    return database
+
+
+def _controller() -> IntegrityController:
+    controller = IntegrityController(_schema())
+    controller.add_constraint(
+        "fk_ref", "(forall x)(x in fk => (exists y)(y in pk and x.ref = y.key))"
+    )
+    controller.add_constraint("fk_id", "(forall x)(x in fk => x.id >= 0)")
+    return controller
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda db: Session(db, engine="naive"),
+        lambda db: IntegrityController(db.schema, engine="naive"),
+        lambda db: TransactionManager(db, engine="naive"),
+        lambda db: TransactionContext(db, engine="naive"),
+        lambda db: DatabaseView(db, engine="naive"),
+        lambda db: DeltaView(db, {}, engine="naive"),
+        lambda db: StandaloneContext({}, engine="naive"),
+        lambda db: planner.evaluate(
+            RelationRef("pk"), DatabaseView(db), engine="naive"
+        ),
+        lambda db: evaluate_expression(
+            RelationRef("pk"), DatabaseView(db), engine="naive"
+        ),
+        lambda db: _controller().violated_constraints(db, engine="naive"),
+        lambda db: _controller().violated_constraints_incremental(
+            db, {}, engine="naive"
+        ),
+        lambda db: _controller().audit_tasks(db, {}, engine="naive"),
+    ],
+)
+def test_passing_engine_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call(_database())
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_process_worker_verdicts_equal_inline_verdicts(start_method):
+    """A delta large enough for the batch kernels (>= BATCH_MIN_ROWS), with
+    dangling references in it, audited by a worker process and inline."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} start method unavailable")
+    database = _database()
+    controller = _controller()
+    rows = [
+        (100 + i, 10 + i if i % 9 == 0 else i % 10)
+        for i in range(2 * columnar.BATCH_MIN_ROWS)
+    ]
+    with AuditScheduler(
+        controller,
+        database,
+        workers=1,
+        dispatch_overhead=0.0,
+        executor="process",
+        start_method=start_method,
+    ) as scheduler:
+        scheduler.start()
+        transaction = "begin " + " ".join(
+            f"insert(fk, {row});" for row in rows
+        ) + " end"
+        result = Session(database).execute(transaction)
+        assert result.committed
+        scheduler.drain(asynchronous=True, coalesce=False)
+        outcomes = scheduler.wait()
+    inline = {
+        task.rule_name: task.run()
+        for task in controller.audit_tasks(database, result)
+    }
+    assert {o.rule: (o.violated, tuple(o.violations)) for o in outcomes} == inline
+    assert all(o.executor == "process" and not o.failed for o in outcomes)
+    assert inline["fk_ref"][0] is True and inline["fk_id"][0] is False

@@ -1,0 +1,105 @@
+"""Attribute/domain lookups treat only *not found* as "not found".
+
+Five sites ask a schema "does this attribute (or domain) resolve?" and
+turn the lookup's failure into an answer.  Each catches the lookup's own
+typed error only: the not-found case answers as it always did, while any
+other exception — a genuine bug, simulated here by a stub schema — is no
+longer read as "attribute not found" and propagates.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import ddl
+from repro.algebra import physical as X
+from repro.algebra import predicates as P
+from repro.calculus.parser import parse_constraint
+from repro.core import translation
+from repro.core.subsystem import _resolves
+from repro.engine import RelationSchema
+from repro.engine.types import INT
+from repro.errors import ParseError, UnknownAttributeError
+
+R = RelationSchema("r", [("a", INT), ("b", INT)])
+S = RelationSchema("s", [("c", INT), ("d", INT)])
+
+
+class _BrokenSchema:
+    """A schema whose lookup fails for a reason other than *not found*."""
+
+    name = "broken"
+    arity = 2
+
+    def position_of(self, attribute):
+        raise RuntimeError("lookup bug")
+
+
+class _BrokenDatabaseSchema:
+    def relation(self, name):
+        return _BrokenSchema()
+
+
+class TestSubsystemResolves:
+    def test_unknown_attribute_does_not_resolve(self):
+        assert _resolves(R, "a") is True
+        assert _resolves(R, "nope") is False
+
+    def test_other_failures_propagate(self):
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            _resolves(_BrokenSchema(), "a")
+
+
+class TestBranchWellTyped:
+    FORMULA = parse_constraint("(forall x)(x in r => x.nope > 0)")
+
+    def test_unknown_attribute_is_ill_typed(self):
+        class _Db:
+            def relation(self, name):
+                return R
+
+        assert translation._branch_well_typed(self.FORMULA, _Db()) is False
+
+    def test_other_failures_propagate(self):
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            translation._branch_well_typed(self.FORMULA, _BrokenDatabaseSchema())
+
+
+class TestPushdownColumns:
+    def test_unresolvable_references_are_not_pushable(self):
+        columns: list = []
+        assert X._pushdown_columns(P.ColRef("b"), R, columns) is True
+        assert columns == [1]
+        assert X._pushdown_columns(P.ColRef("nope"), R, []) is False
+        # A right-side reference has no meaning in the unary (combined
+        # schema) context pushdown resolves against.
+        assert X._pushdown_columns(P.ColRef("c", "right"), R, []) is False
+
+    def test_other_failures_propagate(self):
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            X._pushdown_columns(P.ColRef("a"), _BrokenSchema(), [])
+
+
+class TestResolvePosition:
+    def test_unqualified_reference_falls_through_to_the_right_schema(self):
+        assert P._resolve_position(P.ColRef("d"), R, S) == (1, 1)
+        with pytest.raises(UnknownAttributeError):
+            P._resolve_position(P.ColRef("nope"), R, None)
+
+    def test_other_failures_do_not_fall_through(self):
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            P._resolve_position(P.ColRef("d"), _BrokenSchema(), S)
+
+
+class TestDdlDomainLookup:
+    def test_unknown_domain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown domain 'nonsense'"):
+            ddl.parse_relation_schema("relation r(a nonsense)")
+
+    def test_other_failures_propagate(self, monkeypatch):
+        def broken(name):
+            raise RuntimeError("lookup bug")
+
+        monkeypatch.setattr(ddl, "domain_by_name", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            ddl.parse_relation_schema("relation r(a int)")
