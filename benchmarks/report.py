@@ -152,7 +152,7 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
         rows.append(
             [
                 name,
-                f"batch vs row: {plan}",
+                f"unfused vs reference: {plan}",
                 stats.get("speedup"),
                 data.get("composite_speedup_floor") if gated else None,
             ]
@@ -162,14 +162,19 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
             rows.append(
                 [
                     name,
-                    f"fused vs row: {plan}",
+                    f"fused vs reference: {plan}",
                     stats.get("fused_speedup"),
                     data.get("chain_speedup_floor") if chain_gated else None,
                 ]
             )
-        if "fused_over_batch" in stats:
+        if "fused_over_unfused" in stats:
             rows.append(
-                [name, f"fused vs batch: {plan}", stats.get("fused_over_batch"), None]
+                [
+                    name,
+                    f"fused vs unfused: {plan}",
+                    stats.get("fused_over_unfused"),
+                    None,
+                ]
             )
     for policy, ratio in data.get("retained", {}).items():  # durable log
         gated = policy == "interval"  # group commit carries the floor

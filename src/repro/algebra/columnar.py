@@ -17,8 +17,9 @@ two sides:
   ``And``/``Or`` evaluate their second operand only on the row subset
   the row path would have evaluated it on (so data-dependent errors such
   as division by zero surface from the same rows), and NULL propagates
-  identically.  The physical operators use them batch-at-a-time while
-  the row path remains the differential oracle.
+  identically.  They are the physical operators' only selection and
+  projection path, for every input size; the row closures remain for
+  join residuals and as the reference interpreter's evaluator.
 
 * **A columnar wire format.**  :class:`ColumnBatch` stores a relation as
   one Python object per attribute plus a multiplicity vector and a null
@@ -32,12 +33,10 @@ two sides:
   :mod:`repro.parallel.procpool`) route every replica, Δ blob, and
   fragment shipment through them.
 
-Which path runs is decided from the input alone: an operator batches when
-its actual input has at least :data:`BATCH_MIN_ROWS` rows, and a planner
-*fused pipeline region* executes as one kernel when its source's estimated
-cardinality clears :data:`BATCH_ESTIMATE_ROWS`.  The parity suites force
-each path over one compiled plan from the test side
-(``tests/support/modes.py``) to pin row ≡ unfused batch ≡ fused.
+There is no path selection: every operator runs its kernel and every
+planner *fused pipeline region* executes as one kernel, whatever the input
+size.  The parity suites pin plan ≡ plan lowered without the fusion pass
+(``tests/support/modes.py``) ≡ ``Expression.evaluate``.
 """
 
 from __future__ import annotations
@@ -75,24 +74,8 @@ __all__ = [
     "decode_relation",
     "encode_differentials",
     "decode_differentials",
-    "BATCH_ESTIMATE_ROWS",
-    "BATCH_MIN_ROWS",
     "WIRE_MIN_ROWS",
 ]
-
-#: Planner-side eligibility of *fused pipeline regions*: a region whose
-#: source's *estimated* cardinality clears this floor runs as one kernel.
-#: Sits above the default Δ-scan estimate (16 rows) so Δ-sourced regions
-#: stay operator-at-a-time, and well below the default base-relation
-#: estimate (1000 rows).
-BATCH_ESTIMATE_ROWS = 32.0
-
-#: The one guard of the per-operator batch paths: an operator takes its
-#: whole-column path when its *actual* input has at least this many rows —
-#: batch setup (column extraction, mask allocation) only pays for itself
-#: on real batches, and the 1–5-row deltas of small transactions stay on
-#: the row path.
-BATCH_MIN_ROWS = 64
 
 #: Wire-format switch: relations with at least this many distinct rows
 #: ship as a :class:`ColumnBatch`; smaller ones pickle directly (the

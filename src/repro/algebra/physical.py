@@ -17,11 +17,15 @@ operators
   **distinct key** rather than per row (the referential-integrity fast path);
 * execute set operations directly on the underlying row-count dictionaries.
 
-Result equivalence with the naive backend is a hard contract — the property
-tests in ``tests/properties/test_prop_planner.py`` compare both backends on
-random expressions and database states, in set and bag mode.  Where the
-naive interpreter has quirky corners (e.g. the hash-join build side hashes
-*distinct* right rows), the physical operators mirror them faithfully.
+Every operator has exactly one implementation: its whole-column kernel
+(:mod:`repro.algebra.columnar`) runs for every input size, and every fused
+pipeline region executes fused.  Result equivalence with the reference
+interpreter is a hard contract — the property tests in
+``tests/properties/test_prop_planner.py`` compare a plan with
+``Expression.evaluate`` on random expressions and database states, in set
+and bag mode.  Where the reference interpreter has quirky corners (e.g. the
+hash-join build side hashes *distinct* right rows), the physical operators
+mirror them faithfully.
 
 Every operator also carries a static cardinality/work estimate
 (:class:`PlanEstimate`) which the parallel cost model consumes in place of
@@ -156,11 +160,6 @@ class PhysicalOperator:
 
     op_name = "?"
 
-    #: Set by :func:`annotate_batch_eligibility` on :class:`FusedPipelineOp`
-    #: regions whose source's estimated output clears
-    #: :data:`repro.algebra.columnar.BATCH_ESTIMATE_ROWS`.
-    fuse_eligible = False
-
     def execute(self, context) -> Relation:
         raise NotImplementedError
 
@@ -227,18 +226,9 @@ class _KeySide:
             positions = tuple(
                 schema.position_of(expr.attr) - 1 for expr in self.exprs
             )
-            if len(positions) == 1:
-                position = positions[0]
-
-                def key_fn(row, _p=position):
-                    return row[_p]
-
-            else:
-
-                def key_fn(row, _ps=positions):
-                    return tuple(row[p] for p in _ps)
-
-            bound = (key_fn, positions)
+            # itemgetter extracts at C speed with the key convention
+            # above: a bare value for one position, a tuple for several.
+            bound = (_itemgetter(*positions), positions)
         else:
             fns = [P.compile_scalar(expr, schema) for expr in self.exprs]
             if len(fns) == 1:
@@ -323,7 +313,7 @@ def _restricted_buckets(relation: Relation, key_side: "_KeySide", rows):
 
     The fused-region pushdown path knows (from a right-side filter) which
     build rows can contribute pairs at all.  Index-usage accounting must
-    not depend on the execution mode, so a persistent index on the key
+    not depend on whether a region formed, so a persistent index on the key
     columns is touched exactly as :func:`_hash_buckets` would and its full
     buckets are returned with the restriction as a membership set
     (``allowed``); without an index, only the surviving rows are hashed —
@@ -347,7 +337,12 @@ def _restricted_buckets(relation: Relation, key_side: "_KeySide", rows):
 
 
 class _PredicateCache:
-    """Compiled-closure cache for a predicate, keyed by input schema(s)."""
+    """Compiled forms of a predicate, cached per input schema(s).
+
+    Unary contexts (selections) run the whole-column mask kernel of
+    :meth:`bind_kernel`; :meth:`bind` is the per-pair closure of join
+    residuals and of residuals over an index bucket.
+    """
 
     __slots__ = ("predicate", "_compiled", "_kernels")
 
@@ -369,7 +364,7 @@ class _PredicateCache:
         return fn
 
     def bind_kernel(self, schema):
-        """The whole-column twin of :meth:`bind` (unary contexts only)."""
+        """The whole-column mask kernel (unary contexts only)."""
         kernel = self._kernels.get(schema)
         if kernel is None:
             kernel = columnar.compile_predicate_kernel(self.predicate, schema)
@@ -377,50 +372,15 @@ class _PredicateCache:
         return kernel
 
 
-def _batch_mode(input_rows: int) -> bool:
-    """Should an operator take its whole-column path for this execution?
-
-    Decided on the actual input alone: at least
-    :data:`~repro.algebra.columnar.BATCH_MIN_ROWS` rows amortize batch
-    set-up, whatever the planner estimated — a 500-row Δ⁺ batches, a
-    3-row one stays row-at-a-time.
-    """
-    return input_rows >= columnar.BATCH_MIN_ROWS
-
-
-def _fuse_mode(op: "PhysicalOperator") -> bool:
-    """Should this fused region execute as one batch kernel?
-
-    Yes when the planner flagged the region eligible: its source
-    operator's estimated output clears the batch floor, so Δ-shaped
-    regions stay row-at-a-time (:func:`annotate_batch_eligibility`).
-    """
-    return op.fuse_eligible
-
-
-def annotate_batch_eligibility(plan: "PhysicalOperator", cards=None) -> None:
-    """Flag fused pipeline regions whose estimated source is large enough.
-
-    Called once per lowering (plans are cached and shared, so the flag is
-    set before a plan becomes visible to concurrent executors) and again
-    when observed cardinalities drift.  A region over a default base scan
-    (1000 rows) fuses, one over a Δ-scan (default |Δ| = 16) stays
-    operator-at-a-time.  The per-operator batch paths need no flag: they
-    go by their actual input (:func:`_batch_mode`).
-    """
-    for op in _walk_plan(plan):
-        if isinstance(op, FusedPipelineOp):
-            op.fuse_eligible = (
-                op.source.estimate(cards).rows >= columnar.BATCH_ESTIMATE_ROWS
-            )
-
-
-def _walk_plan(plan):
-    stack = [plan]
-    while stack:
-        op = stack.pop()
-        yield op
-        stack.extend(op.children())
+def _mask_select(source: Relation, pred: _PredicateCache) -> Relation:
+    """``σ[pred](source)`` through the predicate's mask kernel."""
+    src_rows = source._rows
+    mask = pred.bind_kernel(source.schema)(list(src_rows))
+    result = Relation(source.schema, bag=source.bag)
+    # compress keeps truthy mask entries — exactly the ``is True`` rule of
+    # three-valued logic (False and None both drop).
+    result._rows = dict(compress(src_rows.items(), mask))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +510,7 @@ class FilterOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        src_rows = source._rows
-        if _batch_mode(len(src_rows)):
-            mask = self._pred.bind_kernel(source.schema)(list(src_rows))
-            result = Relation(source.schema, bag=source.bag)
-            # compress keeps truthy mask entries — exactly the ``is True``
-            # rule of three-valued logic (False and None both drop).
-            result._rows = dict(compress(src_rows.items(), mask))
-        else:
-            test = self._pred.bind(source.schema)
-            result = source.filtered(lambda row: test(row) is True)
+        result = _mask_select(source, self._pred)
         _trace(context, "select", len(source), len(result))
         return result
 
@@ -649,8 +600,7 @@ class IndexSelectOp(PhysicalOperator):
             positions, forgone_work=source.distinct_count()
         )
         if index is None:
-            test = self._full.bind(source.schema)
-            result = source.filtered(lambda row: test(row) is True)
+            result = _mask_select(source, self._full)
             _trace(context, "select", len(source), len(result))
             return result
         count_of = _count_getter(source)
@@ -701,7 +651,6 @@ class ProjectOp(PhysicalOperator):
     def _bind(self, schema: RelationSchema) -> tuple:
         bound = self._bound.get(schema)
         if bound is None:
-            compiled = [P.compile_scalar(item.expr, schema) for item in self.items]
             attributes = [
                 Project._output_attribute(item, schema) for item in self.items
             ]
@@ -727,33 +676,27 @@ class ProjectOp(PhysicalOperator):
                 row_maker = lambda rows: list(
                     zip(*(kernel(rows) for kernel in kernels))
                 )
-            bound = (compiled, out_schema, row_maker)
+            bound = (out_schema, row_maker)
             self._bound[schema] = bound
         return bound
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        compiled, out_schema, row_maker = self._bind(source.schema)
+        out_schema, row_maker = self._bind(source.schema)
         result = Relation(out_schema, bag=source.bag)
-        src_rows = source._rows
-        if _batch_mode(len(src_rows)):
-            rows, counts = source.rows_and_counts()
-            out_rows = row_maker(rows)
-            if counts is None:
-                if source.bag:
-                    result._rows = dict(_Counter(out_rows))
-                else:
-                    result._rows = dict.fromkeys(out_rows, 1)
+        rows, counts = source.rows_and_counts()
+        out_rows = row_maker(rows)
+        if counts is None:
+            if source.bag:
+                result._rows = dict(_Counter(out_rows))
             else:
-                merged: dict = {}
-                get = merged.get
-                for row, count in zip(out_rows, counts):
-                    merged[row] = get(row, 0) + count
-                result._rows = merged
+                result._rows = dict.fromkeys(out_rows, 1)
         else:
-            insert = result.insert
-            for row in source:
-                insert(tuple(fn(row) for fn in compiled), _validated=True)
+            merged: dict = {}
+            get = merged.get
+            for row, count in zip(out_rows, counts):
+                merged[row] = get(row, 0) + count
+            result._rows = merged
         _trace(context, "project", len(source), len(result))
         return result
 
@@ -762,7 +705,7 @@ class ProjectOp(PhysicalOperator):
 
     def apply_batch(self, batch, context):
         """Apply the stage to an already-produced batch (see FilterOp)."""
-        _, out_schema, row_maker = self._bind(batch.schema)
+        out_schema, row_maker = self._bind(batch.schema)
         out_rows = row_maker(batch.rows_list())
         # Projection can collapse rows; the merge (bag count summation,
         # set first-occurrence-wins) is deferred to the region boundary.
@@ -958,18 +901,14 @@ class UnionOp(_BinaryOp):
                     merged[row] = merged.get(row, 0) + (
                         count if right.bag else 1
                     )
-            elif _batch_mode(len(right._rows)):
+            else:
                 # Set mode: every multiplicity is 1, so the whole union is
                 # one C-level pass (first occurrence wins, like setdefault).
                 merged = dict.fromkeys(chain(left._rows, right._rows), 1)
-            else:
-                merged = dict(left._rows)
-                for row in right._rows:
-                    merged.setdefault(row, 1)
             result._rows = merged
         else:
             # Differing domains: go through validating inserts exactly like
-            # the naive backend, so type errors surface identically.
+            # the reference interpreter, so type errors surface identically.
             result = left.copy()
             result.insert_many(iter(right))
         _trace(context, "union", len(left) + len(right), len(result))
@@ -1010,7 +949,6 @@ class DifferenceOp(_BinaryOp):
             not left.bag
             and not right.bag
             and len(right._rows) > len(left._rows)
-            and _batch_mode(len(right._rows))
         ):
             # Subtracting a big set from a small one: scan the small side
             # with membership tests instead of popping per right row.
@@ -1051,7 +989,7 @@ class DifferenceOp(_BinaryOp):
 
 
 class IntersectOp(_BinaryOp):
-    """Set/bag intersection (keeps left multiplicities, like the naive op)."""
+    """Set/bag intersection (keeps left multiplicities, like the reference)."""
 
     op_name = "intersection"
 
@@ -1120,9 +1058,9 @@ class ProductOp(_BinaryOp):
 class HashJoinOp(_BinaryOp):
     """Equi-join executed as build(right) + probe(left).
 
-    The build side hashes *distinct* right rows (the naive backend's
-    convention); a pre-built persistent index on the right relation is
-    reused when its key columns match.
+    The build side hashes *distinct* right rows (the reference
+    interpreter's convention); a pre-built persistent index on the right
+    relation is reused when its key columns match.
     """
 
     op_name = "join"
@@ -1157,7 +1095,8 @@ class HashJoinOp(_BinaryOp):
         inputs need no counts at all; a bag-mode left input gets the
         counts-aware variant, where every pair inherits its left row's
         multiplicity (build sides hash *distinct* right rows, so right
-        multiplicities never contribute — the row path's convention).
+        multiplicities never contribute — the reference interpreter's
+        convention).
 
         ``probe`` and ``right_restrict`` serve fused-region predicate
         pushdown: ``probe`` replaces the probe side's ``(rows, counts)``
@@ -1180,9 +1119,6 @@ class HashJoinOp(_BinaryOp):
             lrows, lcounts = left.rows_and_counts()
         else:
             lrows, lcounts = probe
-        extract = (
-            _itemgetter(*positions) if positions is not None else left_key
-        )
         if lcounts is not None:
             pairs: list = []
             pair_counts: list = []
@@ -1191,7 +1127,7 @@ class HashJoinOp(_BinaryOp):
             if self._residual.is_true:
                 if allowed is None:
                     for lrow, key, count in zip(
-                        lrows, map(extract, lrows), lcounts
+                        lrows, map(left_key, lrows), lcounts
                     ):
                         bucket = get_bucket(key)
                         if bucket:
@@ -1199,7 +1135,7 @@ class HashJoinOp(_BinaryOp):
                             extend_counts([count] * len(bucket))
                 else:
                     for lrow, key, count in zip(
-                        lrows, map(extract, lrows), lcounts
+                        lrows, map(left_key, lrows), lcounts
                     ):
                         matched = [
                             lrow + rrow
@@ -1212,7 +1148,7 @@ class HashJoinOp(_BinaryOp):
             else:
                 residual = self._residual.bind(left.schema, right.schema)
                 for lrow, key, count in zip(
-                    lrows, map(extract, lrows), lcounts
+                    lrows, map(left_key, lrows), lcounts
                 ):
                     matched = [
                         lrow + rrow
@@ -1236,7 +1172,7 @@ class HashJoinOp(_BinaryOp):
                 else:
                     pairs = [
                         lrow + rrow
-                        for lrow, key in zip(lrows, map(extract, lrows))
+                        for lrow, key in zip(lrows, map(left_key, lrows))
                         for rrow in get_bucket(key) or ()
                         if rrow in allowed
                     ]
@@ -1250,14 +1186,14 @@ class HashJoinOp(_BinaryOp):
             else:
                 pairs = [
                     lrow + rrow
-                    for lrow, key in zip(lrows, map(extract, lrows))
+                    for lrow, key in zip(lrows, map(left_key, lrows))
                     for rrow in get_bucket(key) or ()
                 ]
         else:
             residual = self._residual.bind(left.schema, right.schema)
             pairs = [
                 lrow + rrow
-                for lrow, key in zip(lrows, map(extract, lrows))
+                for lrow, key in zip(lrows, map(left_key, lrows))
                 for rrow in get_bucket(key) or ()
                 if residual(lrow, rrow) is True
             ]
@@ -1270,32 +1206,11 @@ class HashJoinOp(_BinaryOp):
             self._schemas.get(left.schema, right.schema),
             bag=left.bag or right.bag,
         )
-        if _batch_mode(left.distinct_count()):
-            pairs, pair_counts = self._probe_pairs(left, right)
-            if pair_counts is None:
-                result._rows = dict.fromkeys(pairs, 1)
-            else:
-                result._rows = dict(zip(pairs, pair_counts))
-            _trace(context, "join", len(left) + len(right), len(result))
-            return result
-        buckets = _hash_buckets(right, self.right_keys, need_rows=True)
-        left_key, _ = self.left_keys.bind(left.schema)
-        get_bucket = buckets.get
-        insert = result.insert
-        if self._residual.is_true:
-            for lrow in left:
-                bucket = get_bucket(left_key(lrow))
-                if bucket:
-                    for rrow in bucket:
-                        insert(lrow + rrow, _validated=True)
+        pairs, pair_counts = self._probe_pairs(left, right)
+        if pair_counts is None:
+            result._rows = dict.fromkeys(pairs, 1)
         else:
-            residual = self._residual.bind(left.schema, right.schema)
-            for lrow in left:
-                bucket = get_bucket(left_key(lrow))
-                if bucket:
-                    for rrow in bucket:
-                        if residual(lrow, rrow) is True:
-                            insert(lrow + rrow, _validated=True)
+            result._rows = dict(zip(pairs, pair_counts))
         _trace(context, "join", len(left) + len(right), len(result))
         return result
 
@@ -1415,11 +1330,11 @@ class HashSemiJoinOp(_BinaryOp):
     2. no residual — probe per distinct left row against the right key set
        (pre-built index or one ephemeral hash pass);
     3. residual predicate — hash-partition by the equality keys and test
-       the residual only within the matching bucket (the naive backend
-       degrades to a full nested loop here).  Probe keys containing NULL
-       never match, mirroring the predicate path where ``NULL = NULL`` is
-       *unknown* — while regime 2 mirrors the naive hash path, which
-       matches NULL keys by identity.
+       the residual only within the matching bucket (the reference
+       interpreter degrades to a full nested loop here).  Probe keys
+       containing NULL never match, mirroring the predicate path where
+       ``NULL = NULL`` is *unknown* — while regime 2 mirrors the reference
+       interpreter's hash path, which matches NULL keys by identity.
     """
 
     op_name = "semijoin"
@@ -1438,14 +1353,13 @@ class HashSemiJoinOp(_BinaryOp):
         self.right_keys = _KeySide(right_keys, "right")
         self._residual = _PredicateCache(residual)
 
-    def _probe_dict(self, left: Relation, right: Relation, batch: bool) -> dict:
+    def _probe_dict(self, left: Relation, right: Relation) -> dict:
         """The selected ``{row: count}`` dict, shared by both result forms.
 
-        ``batch`` picks the whole-column inner loops; regime selection and
-        every index interaction (build touches, amortization accounting,
-        probe touches) are identical either way, which is what keeps
-        ``IndexUsage`` ledgers byte-identical across row, batch, and fused
-        execution.
+        Regime selection and every index interaction (build touches,
+        amortization accounting, probe touches) happen here, once, so
+        ``IndexUsage`` ledgers are identical whether the operator stands
+        alone or sources a fused region.
         """
         keep = self.keep_matching
         left_key, positions = self.left_keys.bind(left.schema)
@@ -1453,40 +1367,20 @@ class HashSemiJoinOp(_BinaryOp):
             buckets = _hash_buckets(right, self.right_keys, need_rows=True)
             residual = self._residual.bind(left.schema, right.schema)
             get_bucket = buckets.get
-            if batch:
-                src_rows = left._rows
-                # itemgetter extracts plain-column keys at C speed with the
-                # same convention as key_fn (bare value / tuple).
-                extract = (
-                    _itemgetter(*positions) if positions is not None else left_key
-                )
-                keys = map(extract, src_rows)
-                return {
-                    lrow: count
-                    for (lrow, count), key in zip(src_rows.items(), keys)
-                    if (
-                        not _key_has_null(key)
-                        and any(
-                            residual(lrow, rrow) is True
-                            for rrow in get_bucket(key) or ()
-                        )
-                    )
-                    is keep
-                }
-
-            def has_match(lrow: tuple) -> bool:
-                key = left_key(lrow)
-                if _key_has_null(key):
-                    return False
-                bucket = get_bucket(key)
-                if not bucket:
-                    return False
-                return any(residual(lrow, rrow) is True for rrow in bucket)
-
+            src_rows = left._rows
             return {
-                row: count
-                for row, count in left._rows.items()
-                if has_match(row) is keep
+                lrow: count
+                for (lrow, count), key in zip(
+                    src_rows.items(), map(left_key, src_rows)
+                )
+                if (
+                    not _key_has_null(key)
+                    and any(
+                        residual(lrow, rrow) is True
+                        for rrow in get_bucket(key) or ()
+                    )
+                )
+                is keep
             }
         right_keys = _hash_buckets(right, self.right_keys, need_rows=False)
         # Row-wise probing forgoes one key computation + membership test per
@@ -1510,44 +1404,27 @@ class HashSemiJoinOp(_BinaryOp):
                     for row in bucket:
                         selected[row] = count_of(row)
             return selected
-        if batch:
-            src_rows = left._rows
-            # Key extraction, membership, and the dict fill all run as
-            # chained C iterators (map/compress); only a NULL-matching
-            # quirk would differ, and regime 2 matches NULL by identity
-            # exactly like the row path's hash membership.
-            extract = (
-                _itemgetter(*positions) if positions is not None else left_key
-            )
-            mask = map(right_keys.__contains__, map(extract, src_rows))
-            if not keep:
-                mask = map(_not, mask)
-            return dict(compress(src_rows.items(), mask))
-        if keep:
-            return {
-                row: count
-                for row, count in left._rows.items()
-                if left_key(row) in right_keys
-            }
-        return {
-            row: count
-            for row, count in left._rows.items()
-            if left_key(row) not in right_keys
-        }
+        src_rows = left._rows
+        # Key extraction, membership, and the dict fill all run as chained
+        # C iterators (map/compress); NULL keys match by identity, like the
+        # reference interpreter's hash membership.
+        mask = map(right_keys.__contains__, map(left_key, src_rows))
+        if not keep:
+            mask = map(_not, mask)
+        return dict(compress(src_rows.items(), mask))
 
     def execute(self, context) -> Relation:
         left = self.left.execute(context)
         right = self.right.execute(context)
-        batch = _batch_mode(left.distinct_count())
         result = Relation(left.schema, bag=left.bag)
-        result._rows = self._probe_dict(left, right, batch)
+        result._rows = self._probe_dict(left, right)
         _trace(context, self.op_name, len(left) + len(right), len(result))
         return result
 
     def produce_batch(self, context):
         left = self.left.execute(context)
         right = self.right.execute(context)
-        selected = self._probe_dict(left, right, batch=True)
+        selected = self._probe_dict(left, right)
         counts = None
         if left.bag and any(count != 1 for count in selected.values()):
             counts = list(selected.values())
@@ -1642,7 +1519,7 @@ def _pushdown_columns(node, schema: RelationSchema, columns: list) -> bool:
     the combined schema and no subexpression can raise.  Division
     disqualifies: pushed predicates are evaluated on probe/build rows the
     join would never have matched, so a divide-by-zero there would raise
-    where the row path raises nothing.  Everything else in the paper's
+    where the unpushed filter raises nothing.  Everything else in the paper's
     expression language (comparisons, +,-,*, boolean connectives, IS
     NULL) is total under three-valued logic, so pre- and post-join
     evaluation agree row for row.
@@ -1735,8 +1612,7 @@ class FusedPipelineOp(PhysicalOperator):
     tuples and the result dict are built exactly once, at the region
     boundary, instead of per operator.  The stage chain stays intact
     underneath (``children()`` exposes it), so plan walks (explain,
-    hints, eligibility annotation) and the unfused fallback see the
-    original operators.
+    hints, estimates) see the original operators.
 
     Over an equi hash-join source the region goes one step further:
     filter stages adjacent to the join whose predicate reads only one
@@ -1747,7 +1623,7 @@ class FusedPipelineOp(PhysicalOperator):
     a persistent index serves the build, becomes a survivor set consulted
     during bucket expansion) — so pairs that a stage would immediately
     discard are never concatenated at all, and index usage accounting
-    stays identical to the row path's.
+    stays identical to the unfused operator chain's.
     """
 
     op_name = "fused"
@@ -1777,8 +1653,6 @@ class FusedPipelineOp(PhysicalOperator):
         return (self.root,)
 
     def execute(self, context) -> Relation:
-        if not _fuse_mode(self):
-            return self.root.execute(context)
         source = self.source
         if (
             self._tail_filters

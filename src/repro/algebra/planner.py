@@ -106,20 +106,14 @@ def compile_expression(
 
     Lowering also forms fused pipeline regions (:func:`~repro.algebra.
     physical.fuse_pipelines` — maximal select/project chains over a
-    scan/join/semijoin source execute as one batch kernel) and flags the
-    regions worth running fused
-    (:func:`~repro.algebra.physical.annotate_batch_eligibility`): those
-    whose source's estimated cardinality clears the batch floor, before
-    the plan is published to the (shared, concurrently executed) plan
-    cache; Δ-scans price at |Δ|, so Δ-sourced regions stay unfused.
-    Whether a single operator takes its whole-column path is decided at
-    execution time, from its actual input.
+    scan/join/semijoin source execute as one batch kernel).  The result is
+    immutable from then on: nothing about how a plan executes depends on
+    estimates or input sizes, so plans are shared through the plan cache
+    and executed concurrently as they are.
     """
     if optimize:
         expression = optimize_expression(expression)
-    plan = X.fuse_pipelines(_lower(expression))
-    X.annotate_batch_eligibility(plan)
-    return plan
+    return X.fuse_pipelines(_lower(expression))
 
 
 def _lower(expr: E.Expression) -> X.PhysicalOperator:
@@ -818,14 +812,7 @@ def plan_estimate(
     cached = per_database.get(expression)
     if cached is not None and not cached[0].drifted(stats, drift_threshold):
         return cached[1]
-    plan = get_plan(expression)
-    estimate = plan.estimate(stats)
-    # The same drift event refreshes the plan's fused-vs-unfused choices
-    # from the observed cardinalities (a region over a "big" base relation
-    # that is actually tiny stops fusing; a fat observed |Δ| EWMA starts).
-    # Safe on shared plans: both paths are verdict-identical, the flags
-    # only steer cost.
-    X.annotate_batch_eligibility(plan, stats)
+    estimate = get_plan(expression).estimate(stats)
     if len(per_database) >= _ESTIMATE_CACHE_LIMIT:
         per_database.pop(next(iter(per_database)))
     per_database[expression] = (stats, estimate)

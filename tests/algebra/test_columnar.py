@@ -146,42 +146,6 @@ class TestWireHelpers:
         assert decoded["t"] == (plus, None)
 
 
-class TestBatchMode:
-    def test_goes_by_the_actual_input_alone(self, monkeypatch):
-        """One guard: a delta plan (|Δ| estimated at 16 rows) batches a
-        500-row ``R@plus`` and keeps a 5-row one on the row path."""
-        from repro.algebra import expressions as E
-        from repro.algebra import physical as X
-        from repro.algebra import planner
-
-        assert X._batch_mode(columnar.BATCH_MIN_ROWS)
-        assert not X._batch_mode(columnar.BATCH_MIN_ROWS - 1)
-        plan = planner.compile_expression(
-            E.Select(E.Delta("t", "plus"), P.Comparison("<", P.ColRef("a"), P.Const(3)))
-        )
-        assert not hasattr(plan, "batch_eligible")
-        kernels = []
-        bind_kernel = X._PredicateCache.bind_kernel
-        monkeypatch.setattr(
-            X._PredicateCache,
-            "bind_kernel",
-            lambda self, schema: kernels.append(schema) or bind_kernel(self, schema),
-        )
-
-        class Bound:
-            def __init__(self, delta):
-                self.delta = delta
-
-            def resolve(self, name):
-                assert name == "t@plus"
-                return self.delta
-
-        small = relation([(i, i) for i in range(5)])
-        assert len(plan.execute(Bound(small))) == 3 and not kernels
-        large = relation([(i, i) for i in range(500)])
-        assert len(plan.execute(Bound(large))) == 3 and len(kernels) == 1
-
-
 class TestKernels:
     def rows(self):
         return [(1, 10), (2, 20), (3, 30)]

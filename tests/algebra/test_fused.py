@@ -11,7 +11,7 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
-from tests.support.modes import MODES, execution_mode
+from tests.support.modes import evaluations
 
 
 @pytest.fixture
@@ -217,7 +217,7 @@ class TestJoinPushdown:
         assert pushed == ()
         assert [stage.op_name for stage in remaining] == ["project", "select"]
 
-    def test_pushed_execution_matches_row(self, ctx):
+    def test_pushed_execution_matches_unfused_and_reference(self, ctx):
         expression = E.Project(
             E.Select(
                 E.Select(_join(), P.Comparison("<", P.ColRef(4), P.Const(30))),
@@ -225,34 +225,29 @@ class TestJoinPushdown:
             ),
             (E.ProjectItem(P.ColRef(1)), E.ProjectItem(P.ColRef(4))),
         )
-        plan = planner.get_plan(expression)
-        with execution_mode("row"):
-            row = plan.execute(ctx)
-        with execution_mode("fused"):
-            fused = plan.execute(ctx)
-        assert fused == row
+        results = {label: run(ctx) for label, run in evaluations(expression)}
+        assert results["fused"] == results["unfused"] == results["reference"]
 
 
 class TestRegionExecution:
-    def test_fused_matches_row_and_batch(self, ctx):
-        plan = planner.get_plan(_select_project_join())
-        results = {}
-        for mode in MODES:
-            with execution_mode(mode):
-                results[mode] = plan.execute(ctx)
-        assert results["fused"] == results["row"]
-        assert results["batch"] == results["row"]
-        assert len(results["fused"]) == len(results["row"])
+    def test_fused_matches_unfused_and_reference(self, ctx):
+        results = {
+            label: run(ctx) for label, run in evaluations(_select_project_join())
+        }
+        assert results["fused"] == results["reference"]
+        assert results["unfused"] == results["reference"]
+        assert len(results["fused"]) == len(results["reference"])
 
     def test_estimate_and_children_delegate_to_the_chain(self):
         plan = planner.compile_expression(_select_project_join())
         assert plan.children() == (plan.root,)
         assert plan.estimate().rows == plan.root.estimate().rows
 
-    def test_delta_sourced_regions_stay_unfused(self, db):
-        # Differentials are estimated tiny (a handful of rows), far below
-        # the batch eligibility floor: the region falls back to the row
-        # path even though the shape fused at compile time.
+    def test_delta_sourced_regions_execute_fused(self, db, monkeypatch):
+        # A 3-row differential is far below anything an estimate would call
+        # a batch; the region over it still runs as one kernel (the stage
+        # operators' own ``execute`` is never entered) and agrees with the
+        # reference interpreter.
         expression = E.Project(
             E.Select(
                 E.Delta("r", "plus"), P.Comparison("<", P.ColRef(2), P.ColRef(1))
@@ -262,17 +257,26 @@ class TestRegionExecution:
         plan = planner.compile_expression(expression)
         assert isinstance(plan, X.FusedPipelineOp)
         assert isinstance(plan.source, X.DeltaScanOp)
-        assert plan.fuse_eligible is False
-        assert X._fuse_mode(plan) is False
+        delta = db.relation("r").copy()
+        delta.clear()
+        delta.insert_many([(5, 1), (2, 6), (9, 3)])
+        context = StandaloneContext({"r@plus": delta})
+        expected = expression.evaluate(context)
+        for stage in (X.FilterOp, X.ProjectOp):
+            monkeypatch.setattr(
+                stage, "execute", lambda self, context: pytest.fail("unfused")
+            )
+        result = plan.execute(context)
+        assert result == expected
+        assert result.sorted_rows() == [(5,), (9,)]
 
     def test_traced_execution_reports_the_source_operators(self, db):
         # A fused region still traces its source operator (the join emits
         # its own trace from the batch path), so observability of the
-        # audit pipeline does not regress when fusion is on.
+        # audit pipeline does not regress inside a region.
         context = TracingContext(
             StandaloneContext({"r": db.relation("r"), "s": db.relation("s")})
         )
-        with execution_mode("fused"):
-            planner.get_plan(_select_project_join()).execute(context)
+        planner.get_plan(_select_project_join()).execute(context)
         traced = [op for op, _, _ in context.tracer.records]
         assert "join" in traced

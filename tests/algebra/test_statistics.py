@@ -9,7 +9,9 @@ from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.algebra.statistics import RuntimeStatistics
 from repro.engine import Database, DatabaseSchema, RelationSchema
+from repro.engine.session import DatabaseView
 from repro.engine.types import INT
+from tests.support.modes import plan_operators
 
 
 @pytest.fixture(autouse=True)
@@ -120,6 +122,45 @@ def test_plan_estimate_cached_until_drift():
     third = planner.plan_estimate(expression, database)
     assert third is not first
     assert third.rows > first.rows
+
+
+def _operator_state(plan) -> dict:
+    """``{id(op): its attribute dict}`` for every operator under ``plan``."""
+    return {id(op): dict(vars(op)) for op in plan_operators(plan)}
+
+
+def test_plan_estimate_never_writes_to_the_shared_plan():
+    """Estimating is read-only on plans shared through the plan cache.
+
+    ``plan_estimate`` runs on whichever thread asks (audit scheduler
+    workers included) against the one plan object every executor shares.
+    Statistics drifting between two calls — a 3-row relation growing
+    400-fold under a region-shaped plan — must leave that object, every
+    operator's attributes, its ``explain()`` and its results as compiled.
+    """
+    database = _database(n_r=3)
+    expression = E.Project(
+        E.Select(E.RelationRef("r"), P.Comparison(">", P.ColRef("b"), P.Const(0))),
+        (E.ProjectItem(P.ColRef("b")),),
+    )
+    plan = planner.get_plan(expression)
+    explained = planner.explain(expression)
+    compiled_state = _operator_state(plan)
+    assert explained.startswith("fused[")
+    view = DatabaseView(database)
+
+    first = planner.plan_estimate(expression, database)
+    assert _operator_state(plan) == compiled_state
+    assert plan.execute(view) == expression.evaluate(view)
+
+    database.load("r", [(0, i) for i in range(10, 1210)])
+    second = planner.plan_estimate(expression, database)
+    assert second is not first and second.rows > first.rows  # it did drift
+    assert planner.get_plan(expression) is plan
+    assert planner.explain(expression) == explained
+    assert _operator_state(plan) == compiled_state
+    result = plan.execute(view)
+    assert result == expression.evaluate(view) and len(result) == 1202
 
 
 def test_predict_enforcement_time_accepts_a_database():

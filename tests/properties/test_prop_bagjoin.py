@@ -14,10 +14,10 @@ distinct rows (so the distinct-level convention lets plans reuse them), and
 the convention makes set mode a special case of bag mode.  What matters is
 that *every* backend implements the same convention — asserted here on
 duplicate-heavy inputs, which maximize the observable difference between
-the conventions.  The planned backend is additionally pinned in all
-three execution modes (row, per-operator batch, fused), because the
-counts-aware batch pair kernel is exactly where a multiplicity-correct
-implementation would silently diverge from the convention.
+the conventions.  The plan is pinned both as compiled and lowered
+without the fusion pass, because the counts-aware pair kernel is exactly
+where a multiplicity-correct implementation would silently diverge from
+the convention.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Relation
-from tests.support.modes import MODES, execution_mode
+from tests.support.modes import unfused_plan
 
 from . import strategies as S
 
@@ -63,10 +63,11 @@ def _bag_relation(schema, weighted_rows) -> Relation:
     op=st.sampled_from(["join", "semijoin", "antijoin", "intersection"]),
     residual=st.booleans(),
     indexed=st.booleans(),
+    staged=st.booleans(),
 )
 @_SETTINGS
 def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
-    weighted_r, weighted_s, op, residual, indexed
+    weighted_r, weighted_s, op, residual, indexed, staged
 ):
     schema = S.rs_schema()
     r = _bag_relation(schema.relation("r"), weighted_r)
@@ -92,12 +93,22 @@ def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
         expression = E.AntiJoin(E.RelationRef("r"), E.RelationRef("s"), predicate)
     else:
         expression = E.Intersection(E.RelationRef("r"), E.RelationRef("s"))
+    if staged:
+        # An all-columns projection changes no tuple and no multiplicity,
+        # but makes the join/semijoin the source of a fused region.
+        arity = 4 if op == "join" else 2
+        expression = E.Project(
+            expression,
+            tuple(E.ProjectItem(P.ColRef(i)) for i in range(1, arity + 1)),
+        )
     context = StandaloneContext({"r": r, "s": s})
     naive = expression.evaluate(context)
-    plan = planner.get_plan(expression)
-    for mode in MODES:
-        with execution_mode(mode):
-            planned = plan.execute(context)
+    plans = (
+        ("fused", planner.get_plan(expression)),
+        ("unfused", unfused_plan(expression)),
+    )
+    for mode, plan in plans:
+        planned = plan.execute(context)
         assert naive == planned, (
             f"bag convention divergence on {op} "
             f"(residual={residual}, mode={mode}):\n"

@@ -1,16 +1,17 @@
-"""Property: batch and fused execution are result-equivalent to row execution.
+"""Property: fused plan ≡ unfused plan ≡ ``Expression.evaluate``.
 
-For random algebra expressions and random database states, running the
-*same* physical plan in all three execution modes — row-at-a-time (the
-differential oracle), per-operator whole-column kernels, and fused
-pipeline regions — must produce the exact same relation — tuples *and*
-multiplicities — in set mode and bag mode, with and without hash
-indexes, over plain and overlay inputs, and over NULL-bearing columns.
-When one mode raises, every mode must raise.  Each mode starts from a
-freshly loaded database, and the index usage ledgers
-(:class:`~repro.engine.indexes.IndexUsage`) must end identical: the
-batch and fused paths may not silently change which regimes touch which
-indexes how often.
+For random algebra expressions and random database states, the compiled
+plan (whole-column kernels, fused pipeline regions), the same lowering
+without the fusion pass (every operator standalone) and the reference
+tree-walk interpreter (the row-semantics oracle) must produce the exact
+same relation — tuples *and* multiplicities — in set mode and bag mode,
+with and without hash indexes, over plain and overlay inputs, and over
+NULL-bearing columns.  When one raises, all must raise.  Each evaluation
+starts from a freshly loaded database, and the two plans' index usage
+ledgers (:class:`~repro.engine.indexes.IndexUsage`) must end identical:
+forming a region may not silently change which regimes touch which
+indexes how often.  (The reference interpreter never touches a
+persistent index, so it has no ledger to compare.)
 
 Also: :class:`~repro.algebra.columnar.ColumnBatch` and columnar-backed
 relations (:class:`~repro.engine.relation.ColumnarRelation`) must
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import columnar, planner
+from repro.algebra import columnar
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.overlay import OverlayRelation
@@ -36,7 +37,7 @@ from repro.engine.schema import Attribute
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import ReproError
 
-from tests.support.modes import MODES, execution_mode
+from tests.support.modes import evaluations, index_usage
 
 from . import strategies as S
 
@@ -79,58 +80,41 @@ def _run(fn):
         return None, error
 
 
-def _usage_snapshot(relations) -> dict:
-    """Every index's full usage ledger, keyed by (relation, positions)."""
-    snapshot = {}
-    for name, relation in relations.items():
-        indexes = getattr(relation, "indexes", None)
-        if indexes is None:
-            continue
-        for index in indexes:
-            snapshot[(name, index.positions)] = (
-                index.usage.uses,
-                index.usage.keys,
-                index.usage.by_kind,
-                index.built,
-            )
-    return snapshot
-
-
-def _assert_modes_agree(expression, make_relations):
-    """Execute the compiled plan in every mode over fresh inputs.
+def _assert_evaluations_agree(expression, make_relations):
+    """Evaluate the expression all three ways over fresh inputs.
 
     ``make_relations`` builds an identical relation dict per call, so
-    each mode starts from the same state (index builds during one run
-    cannot leak into the next) and the usage ledgers are comparable.
+    each evaluation starts from the same state (index builds during one
+    run cannot leak into the next) and the usage ledgers are comparable.
     """
-    plan = planner.get_plan(expression)
     outcomes = {}
-    for mode in MODES:  # row is the differential oracle
+    for label, evaluate in evaluations(expression):
         relations = make_relations()
         context = StandaloneContext(relations)
-        with execution_mode(mode):
-            result, error = _run(lambda: plan.execute(context))
-        outcomes[mode] = (result, error, _usage_snapshot(relations))
-    row_result, row_error, row_usage = outcomes["row"]
-    for mode in ("batch", "fused"):
-        result, error, usage = outcomes[mode]
-        if row_error is not None or error is not None:
-            assert row_error is not None and error is not None, (
+        result, error = _run(lambda: evaluate(context))
+        outcomes[label] = (result, error, index_usage(relations))
+    ref_result, ref_error, _ = outcomes["reference"]
+    for label in ("fused", "unfused"):
+        result, error, _ = outcomes[label]
+        if ref_error is not None or error is not None:
+            assert ref_error is not None and error is not None, (
                 f"error divergence on {expression!r}: "
-                f"row={row_error!r} {mode}={error!r}"
+                f"reference={ref_error!r} {label}={error!r}"
             )
             continue
-        assert result == row_result, (
+        assert result == ref_result, (
             f"result divergence on {expression!r}:\n"
-            f"  row:   {row_result.sorted_rows()}\n"
-            f"  {mode}: {result.sorted_rows()}"
+            f"  reference: {ref_result.sorted_rows()}\n"
+            f"  {label}: {result.sorted_rows()}"
         )
-        assert len(result) == len(row_result)
-        assert usage == row_usage, (
-            f"index usage divergence on {expression!r}:\n"
-            f"  row:   {row_usage}\n"
-            f"  {mode}: {usage}"
-        )
+        assert len(result) == len(ref_result)
+    if ref_error is not None:
+        return  # where in a failing plan the error surfaces is not pinned
+    assert outcomes["fused"][2] == outcomes["unfused"][2], (
+        f"index usage divergence on {expression!r}:\n"
+        f"  unfused: {outcomes['unfused'][2]}\n"
+        f"  fused:   {outcomes['fused'][2]}"
+    )
 
 
 @given(
@@ -140,12 +124,12 @@ def _assert_modes_agree(expression, make_relations):
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_batch_equals_row(expression, rows_r, rows_s, bag):
+def test_plans_equal_reference(expression, rows_r, rows_s, bag):
     def make_relations():
         database = _database(rows_r, rows_s, bag)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 @given(
@@ -155,12 +139,12 @@ def test_batch_equals_row(expression, rows_r, rows_s, bag):
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
+def test_plans_equal_reference_with_indexes(expression, rows_r, rows_s, bag):
     """Same property with hash indexes installed on every column.
 
     Indexed regimes (bucket-lookup selection, distinct-key semijoin
-    probing) must stay byte-identical across the row, batch and fused
-    paths — including the usage ledgers the index advisor reads.
+    probing) must agree with the reference, and the usage ledgers the
+    index advisor reads must not depend on region formation.
     """
 
     def make_relations():
@@ -169,7 +153,7 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
         database.create_index("s", ["d"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 @given(
@@ -181,7 +165,7 @@ def test_batch_equals_row_with_indexes(expression, rows_r, rows_s, bag):
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_batch_equals_row_over_overlays(
+def test_plans_equal_reference_over_overlays(
     expression, rows_r, extra_r, gone_r, rows_s, bag
 ):
     """Same property when ``r`` is an uncommitted transaction overlay."""
@@ -200,7 +184,7 @@ def test_batch_equals_row_over_overlays(
         overlay = OverlayRelation(base, plus, minus)
         return {"r": overlay, "s": database.relation("s")}
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 @given(
@@ -210,7 +194,7 @@ def test_batch_equals_row_over_overlays(
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_batch_equals_row_with_nulls(expression, rows_r, rows_s, bag):
+def test_plans_equal_reference_with_nulls(expression, rows_r, rows_s, bag):
     """Same property over nullable columns with NULL-bearing rows.
 
     Exercises the kernels' three-valued-logic branches: NULL propagation
@@ -224,7 +208,7 @@ def test_batch_equals_row_with_nulls(expression, rows_r, rows_s, bag):
         database.load("s", rows_s)
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 # -- fusion-shaped chains --------------------------------------------------------
@@ -281,8 +265,8 @@ def chain_queries(draw):
     indexed=st.booleans(),
 )
 @_SETTINGS
-def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
-    """Fused regions agree with both unfused paths on fusion-shaped plans."""
+def test_fused_equals_unfused_on_chains(expression, rows_r, rows_s, bag, indexed):
+    """Fused regions agree with the unfused lowering on fusion-shaped plans."""
 
     def make_relations():
         database = _database(rows_r, rows_s, bag)
@@ -291,7 +275,7 @@ def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
             database.create_index("s", ["c"])
         return {"r": database.relation("r"), "s": database.relation("s")}
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 @given(
@@ -301,7 +285,7 @@ def test_fused_equals_row_on_chains(expression, rows_r, rows_s, bag, indexed):
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_fused_equals_row_over_columnar_relations(expression, rows_r, rows_s, bag):
+def test_fused_equals_unfused_over_columnar_relations(expression, rows_r, rows_s, bag):
     """Same property when the inputs are columnar-backed relations.
 
     This is the state process workers see after a lazy wire decode: the
@@ -317,7 +301,7 @@ def test_fused_equals_row_over_columnar_relations(expression, rows_r, rows_s, ba
             for name in ("r", "s")
         }
 
-    _assert_modes_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_relations)
 
 
 # -- wire-format round-trips ---------------------------------------------------

@@ -1,35 +1,56 @@
-"""Force one operator path over a compiled plan, from the test side.
+"""The unfused lowering of an expression, for the parity suites.
 
-Production picks row / batch / fused execution from the input alone
-(``physical._batch_mode`` / ``physical._fuse_mode``).  The parity suites
-need every path over the *same* plan and inputs, so they patch those two
-functions for the duration of a block.
+Production has one execution path: every operator runs its whole-column
+kernel and every ``fuse_pipelines`` region executes fused.  The one
+plan-shape decision left is whether a select/project chain formed a
+region, so the parity suites compare three evaluations of one expression
+over the same inputs: the normal plan, this module's plan lowered without
+the fusion pass, and ``Expression.evaluate``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from unittest import mock
-
-from repro.algebra import physical
-
-# mode -> (answer of _batch_mode, answer of _fuse_mode).  "row" is the
-# differential oracle; "batch" runs whole-column kernels but still
-# materializes a relation at every operator boundary; "fused" runs eligible
-# scan/join→select→project chains as one kernel.
-_FORCED = {
-    "row": (False, False),
-    "batch": (True, False),
-    "fused": (True, True),
-}
-MODES = tuple(_FORCED)
+from repro.algebra import planner
+from repro.algebra.optimizer import optimize_expression
 
 
-@contextmanager
-def execution_mode(mode: str):
-    """Run the block with every operator on its ``mode`` path."""
-    batch, fuse = _FORCED[mode]
-    with mock.patch.object(
-        physical, "_batch_mode", lambda input_rows: batch
-    ), mock.patch.object(physical, "_fuse_mode", lambda op: fuse):
-        yield
+def unfused_plan(expression):
+    """``planner.compile_expression`` minus ``fuse_pipelines`` (uncached)."""
+    return planner._lower(optimize_expression(expression))
+
+
+def plan_operators(plan):
+    """Every operator under ``plan`` (regions expose their stage chain)."""
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        yield op
+        stack.extend(op.children())
+
+
+def index_usage(relations) -> dict:
+    """Every index's full usage ledger, keyed by (relation, positions)."""
+    return {
+        (name, index.positions): (
+            index.usage.uses,
+            index.usage.keys,
+            index.usage.by_kind,
+            index.built,
+        )
+        for name, relation in relations.items()
+        for index in getattr(relation, "indexes", None) or ()
+    }
+
+
+def evaluations(expression):
+    """The three ``(label, context -> Relation)`` pairs the suites compare.
+
+    ``fused`` is the production plan (regions form wherever the planner
+    forms them), ``unfused`` runs every operator standalone, ``reference``
+    is the row-semantics oracle.
+    """
+    return (
+        ("fused", planner.get_plan(expression).execute),
+        ("unfused", unfused_plan(expression).execute),
+        ("reference", expression.evaluate),
+    )

@@ -6,6 +6,11 @@ Pins the deletion of ``engine=`` / ``set_default_engine`` /
 closes — a process audit worker, whether forked or spawned, returns the
 verdict the coordinator computes inline, because there is no longer any
 process-local configuration for the two to disagree on.
+
+Also pins the deletion of the row/batch/fused path selectors: no
+``_batch_mode`` / ``_fuse_mode`` / ``annotate_batch_eligibility``, no
+``fuse_eligible`` flag on any operator, no ``BATCH_*`` threshold, and no
+parameter grown on the planner entry points to bring a choice back.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import multiprocessing
 import pytest
 
 import repro.algebra
-from repro.algebra import columnar, planner
+from repro.algebra import columnar, physical, planner
 from repro.algebra.evaluation import StandaloneContext, evaluate_expression
-from repro.algebra.expressions import RelationRef
+from repro.algebra.expressions import Project, ProjectItem, RelationRef, Select
+from repro.algebra.predicates import ColRef, Comparison
 from repro.core.procpool import ControllerSpec, run_rule_audit
 from repro.core.scheduler import AuditScheduler, RuleAuditTask
 from repro.core.subsystem import IntegrityController
@@ -68,6 +74,46 @@ def test_no_switch_is_exported(module):
         or name in ("get_default_engine", "resolve_engine", "ENGINES")
     ]
     assert leaked == []
+
+
+def test_no_path_selector_is_left():
+    for name in ("_batch_mode", "_fuse_mode", "annotate_batch_eligibility"):
+        assert not hasattr(physical, name), name
+    assert [name for name in columnar.__all__ if name.startswith("BATCH_")] == []
+    assert [name for name in dir(columnar) if name.startswith("BATCH_")] == []
+
+
+def _operator_classes(cls=physical.PhysicalOperator):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _operator_classes(sub)
+
+
+def test_no_operator_carries_a_fuse_flag():
+    classes = list(_operator_classes())
+    assert physical.FusedPipelineOp in classes
+    assert [cls.__name__ for cls in classes if hasattr(cls, "fuse_eligible")] == []
+    plan = planner.compile_expression(
+        Project(
+            Select(RelationRef("fk"), Comparison("<", ColRef(1), ColRef(2))),
+            (ProjectItem(ColRef(1)),),
+        )
+    )
+    assert isinstance(plan, physical.FusedPipelineOp)
+    assert "fuse_eligible" not in vars(plan)
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (planner.compile_expression, ["expression", "optimize"]),
+        (planner.get_plan, ["expression"]),
+        (planner.evaluate, ["expression", "context"]),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_planner_entry_points_grew_no_parameter(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
 
 
 def _schema() -> DatabaseSchema:
@@ -125,15 +171,15 @@ def test_passing_engine_is_a_type_error(call):
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_process_worker_verdicts_equal_inline_verdicts(start_method):
-    """A delta large enough for the batch kernels (>= BATCH_MIN_ROWS), with
-    dangling references in it, audited by a worker process and inline."""
+    """A 128-row delta with dangling references in it, audited by a worker
+    process and inline."""
     if start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
     database = _database()
     controller = _controller()
     rows = [
         (100 + i, 10 + i if i % 9 == 0 else i % 10)
-        for i in range(2 * columnar.BATCH_MIN_ROWS)
+        for i in range(128)
     ]
     with AuditScheduler(
         controller,
