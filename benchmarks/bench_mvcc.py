@@ -17,6 +17,12 @@ single writer keeps committing.  Three dimensions:
 * **Epoch reclamation overhead** — commit throughput with a rolling
   pin/release cycle per commit vs bare commits; informational (the
   retained-entry bookkeeping must stay in the noise).
+* **Indexed point read under a long-lived pin** — a freshly pinned
+  ``select(big, b = k)`` (~100 rows through the hash index) while an old
+  pin keeps 1,000 commits' entries retained, vs the same query unpinned;
+  informational.  The scan gate above cannot see this cost: 50k rows of
+  filtering hide anything a read pays per retained entry or per result
+  row, a 100-row index probe does not.
 
 Numbers are emitted as ``benchmarks/bench_mvcc.json`` for the CI gate
 (``python -m benchmarks.report --strict``) and build artifact.
@@ -40,6 +46,8 @@ N = 100_000
 SNAPSHOT_ROUNDS = 200
 READER_ROUNDS = 30
 COMMIT_ROUNDS = 300
+POINT_ROUNDS = 300
+POINT_RETAINED = 1_000  # beyond the unpinned window: the old pin retains them
 WINDOWS = 3  # best-of windows: one noisy stall must not fail the gate
 WRITER_PACING_SECONDS = 0.001  # ~1k commits/s: hot, not GIL-saturating
 SNAPSHOT_SPEEDUP_FLOOR = 10.0
@@ -141,6 +149,24 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
             pin.release()
 
         pin_seconds = _best(commit_with_pin, COMMIT_ROUNDS)
+
+        # -- indexed point read, fresh pin, under a long-lived pin -----------
+        point_db = _database()
+        point_db.create_index("big", ["b"])
+        point_session = Session(point_db)
+        point = "select(big, b = 5)"
+        long_lived = point_db.epochs.pin()
+        for key in range(POINT_RETAINED):
+            _commit_one(point_db, 40_000_000 + key)
+        live_point_seconds = _best(
+            lambda: point_session.query(point, pinned=False), POINT_ROUNDS
+        )
+        pinned_point_seconds = _best(
+            lambda: point_session.query(point, pinned=True), POINT_ROUNDS
+        )
+        point_retained = point_db.epochs.retained()
+        point_rows = len(point_session.query(point, pinned=True))
+        long_lived.release()
         return {
             "eager_seconds": eager_seconds,
             "pinned_seconds": pinned_seconds,
@@ -152,6 +178,10 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
             "bare_commit_seconds": bare_seconds,
             "pinned_commit_seconds": pin_seconds,
             "reclaimed": pinned_db.epochs.reclaimed,
+            "live_point_seconds": live_point_seconds,
+            "pinned_point_seconds": pinned_point_seconds,
+            "point_retained": point_retained,
+            "point_rows": point_rows,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -178,6 +208,13 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
             / results["bare_commit_seconds"],
             "reclaimed_entries": results["reclaimed"],
         },
+        "point_read": {
+            "rows": results["point_rows"],
+            "retained_entries": results["point_retained"],
+            "live_seconds": results["live_point_seconds"],
+            "pinned_seconds": results["pinned_point_seconds"],
+            "ratio": results["live_point_seconds"] / results["pinned_point_seconds"],
+        },
     }
     report.record(
         EXPERIMENT,
@@ -195,6 +232,15 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
         EXPERIMENT,
         "commit with rolling pin vs bare commit",
         f"{payload['reclamation']['overhead']:.2f}x",
+        "informational",
+    )
+    report.record(
+        EXPERIMENT,
+        f"pinned indexed point read ({results['point_rows']} rows, "
+        f"{results['point_retained']} entries retained) vs live",
+        f"{payload['point_read']['ratio']:.2f}x "
+        f"({results['pinned_point_seconds'] * 1e6:.0f} vs "
+        f"{results['live_point_seconds'] * 1e6:.0f} µs)",
         "informational",
     )
     report.note(

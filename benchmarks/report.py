@@ -218,6 +218,16 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
         rows.append(
             [name, "commit with rolling pin vs bare", reclamation.get("overhead"), None]
         )
+        point = data.get("point_read", {})
+        rows.append(
+            [
+                name,
+                f"pinned indexed point read vs live "
+                f"({point.get('retained_entries')} entries retained)",
+                point.get("ratio"),
+                None,
+            ]
+        )
     return rows
 
 

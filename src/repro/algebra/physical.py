@@ -50,7 +50,7 @@ from repro.algebra.expressions import (
     _strip_side,
     _trace,
 )
-from repro.engine.overlay import OverlayRelation
+from repro.engine.overlay import _DeltaBuckets
 from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, INT, NULL
@@ -267,17 +267,30 @@ class _CombinedSchemaCache:
         return out
 
 
-def _count_getter(relation: Relation):
-    """row -> multiplicity, without materializing overlay views.
+def _trace_sizes(context, op: str, inputs: tuple, output) -> None:
+    """:func:`_trace` with the sizes taken only when the context traces.
 
-    Plain relations answer straight from their row dict; overlay relations
-    (transaction working state) answer from the (base, Δ⁺, Δ⁻) triple — the
-    sub-linear operator paths must not trigger an O(|R|) materialization
-    just to re-attach multiplicities.
+    For the operators that read their inputs through an index: ``len`` of
+    a pinned snapshot is a seqlock bracket and of a transaction overlay
+    three more ``len`` calls, which an index probe must not pay just to
+    discard.
     """
-    if isinstance(relation, OverlayRelation):
-        return relation.multiplicity
-    return relation._rows.__getitem__
+    tracer = getattr(context, "tracer", None)
+    if tracer is not None:
+        tracer.record(op, sum(map(len, inputs)), len(output))
+
+
+def _present_counts(relation: Relation, rows) -> dict:
+    """``{row: multiplicity}`` for distinct rows an index of ``relation``
+    returned, without materializing overlay views.
+
+    An index only returns present rows, so in set mode every count is 1
+    and nothing is looked up; a bag asks the relation once for the whole
+    batch (one seqlock bracket on a pinned snapshot).
+    """
+    if not relation.bag:
+        return dict.fromkeys(rows, 1)
+    return relation.multiplicities(rows)
 
 
 def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
@@ -288,6 +301,12 @@ def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
     pass this function would otherwise do ephemerally, and it persists);
     otherwise one hashing pass over the distinct rows.  With
     ``need_rows=False`` a bare key set is enough (semijoin membership).
+
+    The index of a transaction overlay or a pinned snapshot hands out a
+    ``_DeltaBuckets`` view that corrects each bucket as it is asked for —
+    on a snapshot inside a seqlock bracket of its own.  Probe loops narrow
+    such a view to their keys with one ``probe(keys)`` call first and then
+    run against the plain dict it returns; plain buckets are used as is.
     """
     key_fn, positions = key_side.bind(relation.schema)
     if positions is not None:
@@ -594,28 +613,25 @@ class IndexSelectOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = context.resolve(self.name)
         positions = self._bind_positions(source.schema)
-        # The no-index fallback pays a full scan; account that as forgone
-        # work so a declared index gets built once repetition amortizes it.
-        index = source.amortized_index(
-            positions, forgone_work=source.distinct_count()
-        )
+        index = source.built_index(positions)
+        if index is None:
+            # The no-index fallback pays a full scan: forgone work, so that
+            # a declared index gets built once repetition amortizes it.
+            # (Asked only now: the count walks Δ⁺/Δ⁻ on an overlay.)
+            index = source.amortized_index(
+                positions, forgone_work=source.distinct_count()
+            )
         if index is None:
             result = _mask_select(source, self._full)
-            _trace(context, "select", len(source), len(result))
+            _trace_sizes(context, "select", (source,), result)
             return result
-        count_of = _count_getter(source)
-        selected: dict = {}
-        if self._residual.is_true:
-            for row in index.lookup(self.key):
-                selected[row] = count_of(row)
-        else:
+        rows = index.lookup(self.key)
+        if not self._residual.is_true:
             residual = self._residual.bind(source.schema)
-            for row in index.lookup(self.key):
-                if residual(row) is True:
-                    selected[row] = count_of(row)
+            rows = [row for row in rows if residual(row) is True]
         result = Relation(source.schema, bag=source.bag)
-        result._rows = selected
-        _trace(context, "select", len(source), len(result))
+        result._rows = _present_counts(source, rows)
+        _trace_sizes(context, "select", (source,), result)
         return result
 
     def estimate(self, cards=None) -> PlanEstimate:
@@ -1114,11 +1130,13 @@ class HashJoinOp(_BinaryOp):
                 right, self.right_keys, right_restrict
             )
         left_key, positions = self.left_keys.bind(left.schema)
-        get_bucket = buckets.get
         if probe is None:
             lrows, lcounts = left.rows_and_counts()
         else:
             lrows, lcounts = probe
+        if isinstance(buckets, _DeltaBuckets):
+            buckets = buckets.probe(set(map(left_key, lrows)))
+        get_bucket = buckets.get
         if lcounts is not None:
             pairs: list = []
             pair_counts: list = []
@@ -1211,7 +1229,7 @@ class HashJoinOp(_BinaryOp):
             result._rows = dict.fromkeys(pairs, 1)
         else:
             result._rows = dict(zip(pairs, pair_counts))
-        _trace(context, "join", len(left) + len(right), len(result))
+        _trace_sizes(context, "join", (left, right), result)
         return result
 
     def produce_batch(self, context):
@@ -1236,7 +1254,7 @@ class HashJoinOp(_BinaryOp):
             pairs,
             pair_counts,
         )
-        _trace(context, "join", len(left) + len(right), len(out))
+        _trace_sizes(context, "join", (left, right), out)
         return out
 
     def estimate(self, cards=None) -> PlanEstimate:
@@ -1366,8 +1384,10 @@ class HashSemiJoinOp(_BinaryOp):
         if not self._residual.is_true:
             buckets = _hash_buckets(right, self.right_keys, need_rows=True)
             residual = self._residual.bind(left.schema, right.schema)
-            get_bucket = buckets.get
             src_rows = left._rows
+            if isinstance(buckets, _DeltaBuckets):
+                buckets = buckets.probe(set(map(left_key, src_rows)))
+            get_bucket = buckets.get
             return {
                 lrow: count
                 for (lrow, count), key in zip(
@@ -1387,24 +1407,33 @@ class HashSemiJoinOp(_BinaryOp):
         # distinct left row; charge that against a declared left index so a
         # hot probe side (e.g. a big working copy inside a write
         # transaction) gets its index built instead of probing row-wise.
-        left_index = (
-            left.amortized_index(positions, forgone_work=left.distinct_count())
-            if positions is not None
-            else None
-        )
+        left_index = None
+        if positions is not None:
+            left_index = left.built_index(positions)
+            if left_index is None:
+                left_index = left.amortized_index(
+                    positions, forgone_work=left.distinct_count()
+                )
         if left_index is not None:
             # Distinct-key probing: one membership test per key, whole
             # buckets emitted.  This is what makes repeated referential
             # checks over a large indexed relation near-instant.
             left_index.touch("probe")
-            count_of = _count_getter(left)
-            selected: dict = {}
-            for key, bucket in left_index.buckets.items():
-                if (key in right_keys) == keep:
-                    for row in bucket:
-                        selected[row] = count_of(row)
-            return selected
+            left_buckets = left_index.buckets
+            if isinstance(right_keys, _DeltaBuckets):
+                right_keys = right_keys.probe(set(left_buckets))
+            return _present_counts(
+                left,
+                [
+                    row
+                    for key, bucket in left_buckets.items()
+                    if (key in right_keys) == keep
+                    for row in bucket
+                ],
+            )
         src_rows = left._rows
+        if isinstance(right_keys, _DeltaBuckets):
+            right_keys = right_keys.probe(set(map(left_key, src_rows)))
         # Key extraction, membership, and the dict fill all run as chained
         # C iterators (map/compress); NULL keys match by identity, like the
         # reference interpreter's hash membership.
@@ -1418,7 +1447,7 @@ class HashSemiJoinOp(_BinaryOp):
         right = self.right.execute(context)
         result = Relation(left.schema, bag=left.bag)
         result._rows = self._probe_dict(left, right)
-        _trace(context, self.op_name, len(left) + len(right), len(result))
+        _trace_sizes(context, self.op_name, (left, right), result)
         return result
 
     def produce_batch(self, context):
@@ -1431,7 +1460,7 @@ class HashSemiJoinOp(_BinaryOp):
         out = columnar.ColumnBatch.from_rows(
             left.schema, left.bag, list(selected), counts
         )
-        _trace(context, self.op_name, len(left) + len(right), len(out))
+        _trace_sizes(context, self.op_name, (left, right), out)
         return out
 
     def estimate(self, cards=None) -> PlanEstimate:

@@ -45,14 +45,51 @@ reads stop consulting the live base entirely and answer from the frozen
 dict.  :meth:`EpochManager.quiesce` forces that detachment for every
 outstanding pin, which is how out-of-band bulk mutations
 (``Database.load`` / ``install``) keep old pins correct.
+
+Invariants the read path leans on (each is asserted by
+``tests/properties/test_prop_epoch_offsets.py`` or
+``tests/engine/test_read_cost.py``):
+
+* **Entry versions are contiguous.**  ``end_write`` appends version
+  ``n + 1`` after version ``n``, the list is trimmed only from the front,
+  and ``quiesce`` — the one version bump without an entry — empties it.
+  So ``entries[i].version == entries[0].version + i``, the entries newer
+  than version ``v`` are the slice :func:`_entries_after`, and a snapshot
+  that is already current learns so from the last entry alone.  Commit
+  *sequences* are not contiguous (unrecorded batches carry none, delta-free
+  commits leave no entry), so :meth:`EpochManager.pin_span` walks back from
+  the newest entry instead.
+* **Who reads ``_entries``.**  The writer appends in place and swaps the
+  reference on trim, both under ``_lock``; readers take the reference once
+  and slice it (a stale reference is a superset; an entry appended after
+  the reader's stamp fails the stamp validation).  ``pin_span``,
+  ``undo_differentials`` and ``_adopt_cached`` read it under ``_lock``;
+  ``SnapshotRelation._sync_locked`` reads it inside a seqlock bracket under
+  the snapshot's own ``_sync_lock``.
+* **One bracket per operator.**  A physical operator enters the seqlock a
+  constant number of times per execution, never once per row or per probe
+  key: ``SnapshotIndex.lookup`` serves an equality selection,
+  ``_SnapshotBuckets.probe`` a join's or semijoin's whole key set and
+  ``SnapshotRelation.multiplicities`` a bag-mode batch of counts, each in
+  one :meth:`SnapshotRelation._read`.
+* **Ownership runs one way.**  Query result → (nothing); index view
+  (:class:`SnapshotIndex`, and the ``_SnapshotBuckets`` minted from it) →
+  :class:`SnapshotRelation` → :class:`EpochPin` → :class:`EpochManager`.
+  Nothing a snapshot owns points back at it — index views are handles made
+  per request, the pin's relation cache and the manager's registries are
+  weak — so dropping the last reference releases the pin, and with it the
+  retained entries, at once.  The only cycle is the deliberate one of a
+  quiesce-fenced pin (``EpochPin._fenced``).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.engine.indexes import HashIndex, IndexSet
 from repro.engine.overlay import OverlayIndex, OverlayRelation, _DeltaBuckets
 from repro.engine.relation import (
     Relation,
@@ -128,6 +165,19 @@ class EpochEntry:
     def __repr__(self) -> str:
         seq = f"#{self.sequence}" if self.sequence is not None else "unrecorded"
         return f"EpochEntry(v{self.version}, {seq}, {len(self.differentials)} rel)"
+
+
+def _entries_after(entries: List[EpochEntry], version: int) -> List[EpochEntry]:
+    """The entries newer than ``version``, by offset instead of by scan.
+
+    Entry versions are contiguous (see the module docs), so the first
+    newer entry sits at a computable index and a caller that is already
+    current pays for one comparison.  The caller has established that
+    the list reaches back far enough: ``entries[0].version <= version + 1``.
+    """
+    if not entries or entries[-1].version <= version:
+        return []
+    return entries[version + 1 - entries[0].version :]
 
 
 class EpochManager:
@@ -326,13 +376,19 @@ class EpochManager:
         """
         with self._lock:
             pre_version = post_version = None
-            for entry in self._entries:
-                if entry.sequence is None:
+            # Newest first, stopping at the first commit older than the
+            # span: audits bracket the commits that just landed, so this
+            # visits the span and whatever came after it, not the window.
+            for entry in reversed(self._entries):
+                sequence = entry.sequence
+                if sequence is None:
                     continue
-                if entry.sequence == first_sequence:
-                    pre_version = entry.version - 1
-                if entry.sequence == last_sequence:
+                if sequence == last_sequence:
                     post_version = entry.version
+                if sequence <= first_sequence:
+                    if sequence == first_sequence:
+                        pre_version = entry.version - 1
+                    break
             if pre_version is None or post_version is None:
                 return None
             if not self._available_locked(pre_version):
@@ -386,7 +442,7 @@ class EpochManager:
         with self._lock:
             if not self._available_locked(version):
                 return None
-            entries = [e for e in self._entries if e.version > version]
+            entries = _entries_after(self._entries, version)
         undo: Dict[str, tuple] = {}
         database = self._database
         for entry in entries:
@@ -484,9 +540,7 @@ class EpochManager:
             ):
                 return None  # gap: the chain is broken for good
         if version < upto:
-            for entry in entries:
-                if entry.version <= version or entry.version > upto:
-                    continue
+            for entry in _entries_after(entries, version)[: upto - version]:
                 delta = entry.differentials.get(name)
                 if delta is None:
                     continue
@@ -557,9 +611,15 @@ class EpochManager:
         detached = 0
         for ref in list(self._issued.values()):
             relation = ref()
-            if relation is not None:
+            if relation is None:
+                continue
+            try:
                 relation._detach()
-                detached += 1
+            except EpochUnavailableError:
+                # A snapshot of a released pin whose entries were already
+                # reclaimed: unreadable before the fence, unreadable after.
+                continue
+            detached += 1
         with self._lock:
             self._issued = {}
             self._mat_cache = {}  # cached states predate the fence
@@ -637,11 +697,15 @@ class EpochPin:
             self._released = True
             self._manager._release(self.version)
 
-    def __del__(self):  # safety net: GC'd pins must not retain entries
+    def __del__(self):  # safety net: a dropped pin must not retain entries
         try:
             self.release()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
+        except (AttributeError, TypeError):
+            # What a half-torn-down interpreter raises (attributes already
+            # cleared, globals set to None).  Anywhere else this is a bug
+            # like any other failure here, and goes to sys.unraisablehook.
+            if not sys.is_finalizing():
+                raise
 
     def __enter__(self) -> "EpochPin":
         return self
@@ -796,16 +860,16 @@ class SnapshotRelation(OverlayRelation):
             if self._manager._version > synced:
                 raise EpochUnavailableError(self._pin.epoch)
             return
+        newer = _entries_after(entries, synced)
+        if not newer:
+            return  # already current: the common case, and O(1)
         name = self._name
-        for entry in entries:
-            if entry.version <= synced:
-                continue
+        for entry in newer:
             delta = entry.differentials.get(name)
             if delta is not None:
                 fold_inverse(self.plus, self.minus, delta)
                 self._materialized = None
-            synced = entry.version
-        self._synced = synced
+        self._synced = newer[-1].version
 
     def _read(self, compute: Callable):
         """Run ``compute`` against a consistent pinned view (seqlock retry).
@@ -945,6 +1009,12 @@ class SnapshotRelation(OverlayRelation):
             return Relation.multiplicity(self, row)
         return self._read(lambda: OverlayRelation.multiplicity(self, row))
 
+    def multiplicities(self, rows) -> dict:
+        if self._materialized is not None:
+            return Relation.multiplicities(self, rows)
+        rows = tuple(rows)  # a lost validation race walks them again
+        return self._read(lambda: OverlayRelation.multiplicities(self, rows))
+
     def distinct_count(self) -> int:
         if self._materialized is not None:
             return Relation.distinct_count(self)
@@ -1016,16 +1086,12 @@ class SnapshotRelation(OverlayRelation):
     # post-materialization probing use a local index over the frozen rows.
 
     def declare_index(self, positions) -> None:
-        from repro.engine.indexes import IndexSet
-
         with self._sync_lock:
             if self._indexes is None:
                 self._indexes = IndexSet()
             self._indexes.declare(tuple(positions))
 
     def _local_index(self, positions):
-        from repro.engine.indexes import IndexSet
-
         with self._sync_lock:
             if self._indexes is None:
                 self._indexes = IndexSet()
@@ -1062,12 +1128,10 @@ class SnapshotRelation(OverlayRelation):
         return self.built_index(tuple(positions))
 
     def _index_view(self, index) -> "SnapshotIndex":
-        with self._sync_lock:
-            view = self._index_views.get(index.positions)
-            if view is None:
-                view = SnapshotIndex(index, self)
-                self._index_views[index.positions] = view
-            return view
+        # A handle per request, never cached on the snapshot: the view
+        # holds the snapshot (and so its pin), and a snapshot holding its
+        # views back would leave the pin to the cyclic collector.
+        return SnapshotIndex(index, self)
 
     def __repr__(self) -> str:
         state = (
@@ -1076,6 +1140,13 @@ class SnapshotRelation(OverlayRelation):
             else f"+{len(self.plus._rows)}/-{len(self.minus._rows)} undo"
         )
         return f"SnapshotRelation({self._name}@#{self._pin.epoch}, {state})"
+
+
+#: Stands in for a :class:`SnapshotIndex`'s delta-side indexes while the
+#: snapshot's undo is empty.  It has no buckets, so the inherited
+#: correction arithmetic reads "the delta does not touch this key" for
+#: every key.  Never attached to a relation, hence never written to.
+_NO_UNDO = HashIndex(())
 
 
 class SnapshotIndex(OverlayIndex):
@@ -1087,13 +1158,37 @@ class SnapshotIndex(OverlayIndex):
     snapshot's seqlock retry and every returned bucket detached from the
     live index's storage.  Once the snapshot materializes, probes switch
     to a local index over the frozen rows.
+
+    The delta-side indexes are attached by the first probe that finds the
+    undo non-empty (:meth:`_attach_undo`): a fresh pin's undo is empty, and
+    its probes are the base index's own answers.
     """
 
     __slots__ = ()
 
     def __init__(self, base_index, overlay: SnapshotRelation):
-        OverlayIndex.__init__(self, base_index, overlay)
-        self.buckets = _SnapshotBuckets(self)
+        self.base_index = base_index
+        self.overlay = overlay
+        self.plus_index = self.minus_index = _NO_UNDO
+
+    @property
+    def buckets(self) -> "_SnapshotBuckets":
+        return _SnapshotBuckets(self)
+
+    def _attach_undo(self) -> None:
+        """Index the undo relations once they hold rows.
+
+        Runs inside a read bracket, after the catch-up and under the
+        snapshot's ``_sync_lock`` — the only place the undo relations are
+        written — so the build sees a stable undo, and the undo relations
+        keep the indexes current from then on.
+        """
+        if self.plus_index is _NO_UNDO:
+            rel = self.overlay
+            if rel.plus._rows or rel.minus._rows:
+                positions = self.positions
+                self.plus_index = rel.plus.index_on(positions)
+                self.minus_index = rel.minus.index_on(positions)
 
     def _local(self):
         return self.overlay._local_index(self.positions)
@@ -1102,7 +1197,12 @@ class SnapshotIndex(OverlayIndex):
         rel = self.overlay
         if rel._materialized is not None or rel._detached:
             return self._local().lookup(key)
-        return rel._read(lambda: OverlayIndex.lookup(self, key))
+
+        def corrected():
+            self._attach_undo()
+            return OverlayIndex.lookup(self, key)
+
+        return rel._read(corrected)
 
     def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
         # Usage evidence still flows to the base ledger (plain counter
@@ -1119,33 +1219,35 @@ class SnapshotIndex(OverlayIndex):
 class _SnapshotBuckets(_DeltaBuckets):
     """Corrected buckets of a :class:`SnapshotIndex`.
 
-    Per-key probes run the inherited correction under the seqlock retry
-    and always return buckets detached from the live index (a handed-out
-    dict must stay stable while later commits land).  Wholesale iteration
-    (join build sides) materializes the snapshot and serves the local
-    index's buckets — the consumer was about to pay O(|R|) anyway.
+    Probes run the inherited correction under the seqlock retry — one
+    bracket per :meth:`probe`, however many keys it carries — and always
+    return buckets detached from the live index (a handed-out dict must
+    stay stable while later commits land).  Wholesale iteration (join
+    build sides) materializes the snapshot and serves the local index's
+    buckets — the consumer was about to pay O(|R|) anyway.
     """
 
     __slots__ = ()
 
-    def get(self, key, default=None):
-        rel = self._index.overlay
+    def probe(self, keys) -> dict:
+        """``keys`` must be a collection: a lost validation race walks it
+        again."""
+        index = self._index
+        rel = index.overlay
         if rel._materialized is not None or rel._detached:
-            bucket = self._index._local().buckets.get(key)
-            return bucket if bucket else default
+            local = index._local().buckets
+            return {key: local[key] for key in keys if key in local}
 
-        def probe():
-            bucket = _DeltaBuckets.get(self, key)
-            if bucket is None:
-                return None
-            # Detach: untouched keys alias the live index's bucket dict.
-            return dict(bucket)
+        def corrected():
+            index._attach_undo()
+            found = _DeltaBuckets.probe(self, keys)
+            # Detach: untouched keys alias the live index's bucket dicts.
+            return {key: dict(bucket) for key, bucket in found.items()}
 
-        bucket = rel._read(probe)
-        return bucket if bucket else default
+        return rel._read(corrected)
 
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
+    def get(self, key, default=None):
+        return self.probe((key,)).get(key, default)
 
     def items(self):
         local = self._index._local()  # materializes the snapshot

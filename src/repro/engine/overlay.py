@@ -204,6 +204,13 @@ class OverlayRelation(Relation):
             - self.minus._rows.get(row, 0)
         )
 
+    def multiplicities(self, rows) -> dict:
+        """One pass over the batch against the (base, Δ⁺, Δ⁻) triple."""
+        base = self.base._rows.get
+        plus = self.plus._rows.get
+        minus = self.minus._rows.get
+        return {row: base(row, 0) + plus(row, 0) - minus(row, 0) for row in rows}
+
     def rows_and_counts(self):
         """Batch iteration without materializing untouched overlays.
 
@@ -393,6 +400,12 @@ class OverlayRelation(Relation):
         return clone
 
 
+#: Membership by the (base, Δ⁺, Δ⁻) arithmetic itself, for the index
+#: corrections below.  A pinned snapshot's own ``in`` is a read bracket of
+#: its own; its index probes already run inside one.
+_present = OverlayRelation.__contains__
+
+
 class OverlayIndex:
     """A built base-relation index corrected by the transaction's delta.
 
@@ -410,7 +423,7 @@ class OverlayIndex:
     against the overlay is evidence for keeping the base index.
     """
 
-    __slots__ = ("base_index", "overlay", "plus_index", "minus_index", "buckets")
+    __slots__ = ("base_index", "overlay", "plus_index", "minus_index")
 
     built = True
 
@@ -419,7 +432,12 @@ class OverlayIndex:
         self.overlay = overlay
         self.plus_index = overlay.plus.index_on(base_index.positions)
         self.minus_index = overlay.minus.index_on(base_index.positions)
-        self.buckets = _DeltaBuckets(self)
+
+    @property
+    def buckets(self) -> "_DeltaBuckets":
+        """The corrected buckets, as a mapping view minted per request: the
+        view points at the index, the index does not hold its views."""
+        return _DeltaBuckets(self)
 
     @property
     def positions(self) -> Tuple[int, ...]:
@@ -444,7 +462,7 @@ class OverlayIndex:
         rows = self.base_index.lookup(key)
         if self.minus_index.buckets.get(key):
             overlay = self.overlay
-            rows = tuple(row for row in rows if row in overlay)
+            rows = tuple(row for row in rows if _present(overlay, row))
         plus_bucket = self.plus_index.buckets.get(key)
         if plus_bucket:
             base_rows = self.overlay.base._rows
@@ -485,26 +503,50 @@ class _DeltaBuckets:
     def __init__(self, index: OverlayIndex):
         self._index = index
 
-    def get(self, key, default=None):
+    def _corrected(self, key) -> Optional[dict]:
+        """The bucket of ``key`` by the correction arithmetic, or None."""
         index = self._index
         base_bucket = index.base_index.buckets.get(key)
         plus_bucket = index.plus_index.buckets.get(key)
         minus_bucket = index.minus_index.buckets.get(key)
         if plus_bucket is None and minus_bucket is None:
-            return base_bucket if base_bucket else default
+            return base_bucket if base_bucket else None
         corrected: dict = {}
         if base_bucket:
             if minus_bucket:
                 overlay = index.overlay
                 for row in base_bucket:
-                    if row in overlay:
+                    if _present(overlay, row):
                         corrected[row] = None
             else:
                 corrected.update(base_bucket)
         if plus_bucket:
             for row in plus_bucket:
                 corrected.setdefault(row, None)
-        return corrected if corrected else default
+        return corrected if corrected else None
+
+    def get(self, key, default=None):
+        bucket = self._corrected(key)
+        return default if bucket is None else bucket
+
+    def probe(self, keys) -> dict:
+        """The buckets of ``keys`` as a plain ``{key: bucket}`` dict.
+
+        The bulk form of :meth:`get` for hash-join and semijoin probing:
+        one call per operator execution, after which the probe loop runs
+        against a plain dict.  Keys without rows are left out.
+        """
+        index = self._index
+        if index.plus_index.buckets or index.minus_index.buckets:
+            get = self._corrected
+        else:
+            get = index.base_index.buckets.get
+        found = {}
+        for key in keys:
+            bucket = get(key)
+            if bucket:
+                found[key] = bucket
+        return found
 
     def __contains__(self, key) -> bool:
         return self.get(key) is not None
@@ -524,14 +566,14 @@ class _DeltaBuckets:
         touched = set(plus_buckets) | set(minus_buckets)
         for key, bucket in base_buckets.items():
             if key in touched:
-                corrected = self.get(key)
+                corrected = self._corrected(key)
                 if corrected:
                     yield key, corrected
             else:
                 yield key, bucket
         for key in plus_buckets:
             if key not in base_buckets:
-                corrected = self.get(key)
+                corrected = self._corrected(key)
                 if corrected:
                     yield key, corrected
 
@@ -544,6 +586,6 @@ class _DeltaBuckets:
                 count += 1
         for key in index.minus_index.buckets:
             bucket = base_buckets.get(key)
-            if bucket is not None and self.get(key) is None:
+            if bucket is not None and self._corrected(key) is None:
                 count -= 1
         return count

@@ -212,6 +212,13 @@ class Relation:
         """The MLT function of the multiset extension: count of ``row``."""
         return self._rows.get(tuple(row), 0)
 
+    def multiplicities(self, rows) -> dict:
+        """``{row: multiplicity}`` for a batch of rows: the set-at-a-time
+        form of :meth:`multiplicity`, for operators that re-attach counts to
+        the distinct rows an index returned."""
+        count = self._rows.get
+        return {row: count(row, 0) for row in rows}
+
     def rows(self) -> Iterator[tuple]:
         """Iterate distinct tuples (ignores multiplicities)."""
         return iter(self._rows)

@@ -5,9 +5,15 @@ turn the lookup's failure into an answer.  Each catches the lookup's own
 typed error only: the not-found case answers as it always did, while any
 other exception — a genuine bug, simulated here by a stub schema — is no
 longer read as "attribute not found" and propagates.
+
+Likewise ``EpochPin.__del__`` excuses only what a half-torn-down interpreter
+raises: a release that fails while the interpreter is running reaches
+``sys.unraisablehook`` (the loudest a finalizer can be).
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -17,7 +23,7 @@ from repro.algebra import predicates as P
 from repro.calculus.parser import parse_constraint
 from repro.core import translation
 from repro.core.subsystem import _resolves
-from repro.engine import RelationSchema
+from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT
 from repro.errors import ParseError, UnknownAttributeError
 
@@ -103,3 +109,31 @@ class TestDdlDomainLookup:
         monkeypatch.setattr(ddl, "domain_by_name", broken)
         with pytest.raises(RuntimeError, match="lookup bug"):
             ddl.parse_relation_schema("relation r(a int)")
+
+
+class TestEpochPinFinalizer:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError, TypeError, AttributeError])
+    def test_a_failing_release_reaches_the_unraisable_hook(self, monkeypatch, error):
+        database = Database(DatabaseSchema([R]))
+        pin = database.epochs.pin()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        def broken(version):
+            raise error("release bug")
+
+        monkeypatch.setattr(database.epochs, "_release", broken)
+        del pin  # the last reference: __del__ runs here, by reference count
+        assert [(report.exc_type, str(report.exc_value).strip("'")) for report in unraisable] == [
+            (error, "release bug")
+        ]
+        assert "EpochPin.__del__" in repr(unraisable[0].object)
+
+    def test_a_clean_release_reports_nothing(self, monkeypatch):
+        database = Database(DatabaseSchema([R]))
+        pin = database.epochs.pin()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        del pin
+        assert unraisable == []
+        assert database.epochs.pinned_versions() == ()
