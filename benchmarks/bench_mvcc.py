@@ -23,6 +23,11 @@ single writer keeps committing.  Three dimensions:
   informational.  The scan gate above cannot see this cost: 50k rows of
   filtering hide anything a read pays per retained entry or per result
   row, a 100-row index probe does not.
+* **Pinned projection onto the indexed column** — ``project(big, [b])``
+  (997 keys of 101k rows) through a fresh pin under the same long-lived
+  pin, vs unpinned; informational.  Both read the index's distinct keys;
+  the pinned one corrects them by the undo delta in one seqlock bracket
+  instead of materializing the snapshot.
 
 Numbers are emitted as ``benchmarks/bench_mvcc.json`` for the CI gate
 (``python -m benchmarks.report --strict``) and build artifact.
@@ -166,6 +171,14 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
         )
         point_retained = point_db.epochs.retained()
         point_rows = len(point_session.query(point, pinned=True))
+        projection = "project(big, [b])"
+        live_projection_seconds = _best(
+            lambda: point_session.query(projection, pinned=False), POINT_ROUNDS
+        )
+        pinned_projection_seconds = _best(
+            lambda: point_session.query(projection, pinned=True), POINT_ROUNDS
+        )
+        projection_rows = len(point_session.query(projection, pinned=True))
         long_lived.release()
         return {
             "eager_seconds": eager_seconds,
@@ -182,6 +195,9 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
             "pinned_point_seconds": pinned_point_seconds,
             "point_retained": point_retained,
             "point_rows": point_rows,
+            "live_projection_seconds": live_projection_seconds,
+            "pinned_projection_seconds": pinned_projection_seconds,
+            "projection_rows": projection_rows,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -215,6 +231,14 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
             "pinned_seconds": results["pinned_point_seconds"],
             "ratio": results["live_point_seconds"] / results["pinned_point_seconds"],
         },
+        "projection_read": {
+            "rows": results["projection_rows"],
+            "retained_entries": results["point_retained"],
+            "live_seconds": results["live_projection_seconds"],
+            "pinned_seconds": results["pinned_projection_seconds"],
+            "ratio": results["live_projection_seconds"]
+            / results["pinned_projection_seconds"],
+        },
     }
     report.record(
         EXPERIMENT,
@@ -241,6 +265,15 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
         f"{payload['point_read']['ratio']:.2f}x "
         f"({results['pinned_point_seconds'] * 1e6:.0f} vs "
         f"{results['live_point_seconds'] * 1e6:.0f} µs)",
+        "informational",
+    )
+    report.record(
+        EXPERIMENT,
+        f"pinned index-only projection ({results['projection_rows']} keys, "
+        f"{results['point_retained']} entries retained) vs live",
+        f"{payload['projection_read']['ratio']:.2f}x "
+        f"({results['pinned_projection_seconds'] * 1e6:.0f} vs "
+        f"{results['live_projection_seconds'] * 1e6:.0f} µs)",
         "informational",
     )
     report.note(

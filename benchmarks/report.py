@@ -228,6 +228,16 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
                 None,
             ]
         )
+        projection = data.get("projection_read", {})
+        rows.append(
+            [
+                name,
+                f"pinned index-only projection vs live "
+                f"({projection.get('rows')} keys)",
+                projection.get("ratio"),
+                None,
+            ]
+        )
     return rows
 
 

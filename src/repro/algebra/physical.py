@@ -14,7 +14,12 @@ operators
   equality selections become bucket lookups, the build side of hash
   join/semijoin/antijoin reuses a pre-built index instead of re-hashing, and
   a semijoin/antijoin whose *probe* side is indexed is evaluated per
-  **distinct key** rather than per row (the referential-integrity fast path);
+  **distinct key** rather than per row (the referential-integrity fast
+  path), and a set-mode projection onto exactly the columns of a built
+  index reads that index's **distinct keys** and never the rows
+  (:func:`_projected_keys` — on base relations, transaction overlays and
+  pinned snapshots alike, decided when the plan runs, from what its source
+  resolved to);
 * execute set operations directly on the underlying row-count dictionaries.
 
 Every operator has exactly one implementation: its whole-column kernel
@@ -291,6 +296,57 @@ def _present_counts(relation: Relation, rows) -> dict:
     if not relation.bag:
         return dict.fromkeys(rows, 1)
     return relation.multiplicities(rows)
+
+
+def _key_index(source: Relation, positions: tuple):
+    """The built index of ``source`` on exactly the columns ``positions``,
+    in any column order, or None."""
+    index = source.built_index(positions)
+    if index is None and len(positions) > 1:
+        indexes = source.indexes
+        if indexes is not None:
+            wanted = sorted(positions)
+            for spec in indexes.specs():
+                if sorted(spec) == wanted:
+                    index = source.built_index(spec)
+                    if index is not None:
+                        break
+    return index
+
+
+def _projected_keys(source: Relation, positions: Optional[tuple]):
+    """The rows of ``π[positions](source)`` as a list, read off an index's
+    distinct keys — or None when the scan kernel has to run.
+
+    ``positions`` are the distinct 0-based columns of a plain-column
+    projection (None for any other item list).  In set mode the projection
+    *is* the key collection of an index on those columns: O(distinct keys),
+    and on an overlay or a pinned snapshot O(keys + |Δ|) without
+    materializing it.  A bag needs the multiplicities, which only the rows
+    carry.  Shared by :meth:`ProjectOp.execute` and the first stage of a
+    fused region, so the two read the same keys and leave the same
+    :class:`~repro.engine.indexes.IndexUsage` entry: one ``"project"`` use
+    of exactly the keys read.
+
+    The rows are the caller's own (a fresh list of fresh or immutable
+    tuples); nothing in them aliases the index.  Keys that compare equal
+    (``1``/``1.0``/``True``, ``0.0``/``-0.0``) are one key, here as in the
+    scan kernel's ``dict.fromkeys`` — which spelling stands for the class
+    is the bucket's first row's here and the relation's first row's there.
+    """
+    if positions is None or source.bag:
+        return None
+    index = _key_index(source, positions)
+    if index is None:
+        return None
+    keys = index.keys()
+    index.touch("project", len(keys))
+    if len(positions) == 1:
+        # zip with a single iterable wraps each bare key in a 1-tuple.
+        return list(zip(keys))
+    if index.positions == positions:
+        return list(keys)
+    return list(map(_itemgetter(*map(index.positions.index, positions)), keys))
 
 
 def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
@@ -652,7 +708,15 @@ class IndexSelectOp(PhysicalOperator):
 
 
 class ProjectOp(PhysicalOperator):
-    """Generalized projection with per-schema compiled output columns."""
+    """Generalized projection with per-schema compiled output columns.
+
+    One kernel over the source's rows — except that a set-mode projection
+    whose items are distinct plain columns carrying a built index (in any
+    column order) reads that index's distinct keys instead
+    (:func:`_projected_keys`).  Which of the two runs is decided per
+    execution from the relation the child produced, exactly like
+    :class:`IndexSelectOp`'s bucket lookup: nothing is written on the plan.
+    """
 
     op_name = "project"
 
@@ -664,18 +728,35 @@ class ProjectOp(PhysicalOperator):
     def children(self) -> tuple:
         return (self.child,)
 
+    @property
+    def plain_attrs(self) -> Optional[tuple]:
+        """The attribute identifiers when every item is a plain column and
+        no column is named twice (the index-only shape), else None."""
+        attrs = tuple(
+            item.expr.attr
+            for item in self.items
+            if isinstance(item.expr, P.ColRef) and item.expr.side in (None, "left")
+        )
+        if len(attrs) != len(self.items) or len(set(attrs)) != len(attrs):
+            return None
+        return attrs
+
     def _bind(self, schema: RelationSchema) -> tuple:
+        """``(output schema, row kernel, index-only columns or None)``."""
         bound = self._bound.get(schema)
         if bound is None:
             attributes = [
                 Project._output_attribute(item, schema) for item in self.items
             ]
             out_schema = _fresh_schema(f"{schema.name}_proj", attributes)
+            key_columns = None
             if all(isinstance(item.expr, P.ColRef) for item in self.items):
                 positions = tuple(
                     P._resolve_position(item.expr, schema, None)[1]
                     for item in self.items
                 )
+                if len(set(positions)) == len(positions):
+                    key_columns = positions
                 if len(positions) == 1:
                     getter = _itemgetter(positions[0])
                     # zip with a single iterable wraps each value in a
@@ -692,14 +773,20 @@ class ProjectOp(PhysicalOperator):
                 row_maker = lambda rows: list(
                     zip(*(kernel(rows) for kernel in kernels))
                 )
-            bound = (out_schema, row_maker)
+            bound = (out_schema, row_maker, key_columns)
             self._bound[schema] = bound
         return bound
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        out_schema, row_maker = self._bind(source.schema)
+        out_schema, row_maker, key_columns = self._bind(source.schema)
         result = Relation(out_schema, bag=source.bag)
+        out_rows = _projected_keys(source, key_columns)
+        if out_rows is not None:
+            result._rows = dict.fromkeys(out_rows, 1)
+            # What was read is the keys: that is the traced input size.
+            _trace(context, "project", len(out_rows), len(out_rows))
+            return result
         rows, counts = source.rows_and_counts()
         out_rows = row_maker(rows)
         if counts is None:
@@ -717,11 +804,23 @@ class ProjectOp(PhysicalOperator):
         return result
 
     def produce_batch(self, context):
-        return self.apply_batch(self.child.produce_batch(context), context)
+        child = self.child
+        if isinstance(child, (ScanOp, DeltaScanOp)):
+            # First stage of a region over a scan: the same index-only
+            # start as execute(), so fused and unfused plans read the same
+            # keys and leave the same usage ledger.
+            source = child.execute(context)
+            out_schema, _row_maker, key_columns = self._bind(source.schema)
+            out_rows = _projected_keys(source, key_columns)
+            if out_rows is None:
+                return self.apply_batch(source.column_batch(), context)
+            _trace(context, "project", len(out_rows), len(out_rows))
+            return columnar.ColumnBatch.from_rows(out_schema, False, out_rows)
+        return self.apply_batch(child.produce_batch(context), context)
 
     def apply_batch(self, batch, context):
         """Apply the stage to an already-produced batch (see FilterOp)."""
-        out_schema, row_maker = self._bind(batch.schema)
+        out_schema, row_maker, _key_columns = self._bind(batch.schema)
         out_rows = row_maker(batch.rows_list())
         # Projection can collapse rows; the merge (bag count summation,
         # set first-occurrence-wins) is deferred to the region boundary.
@@ -737,9 +836,16 @@ class ProjectOp(PhysicalOperator):
 
     def estimate(self, cards=None) -> PlanEstimate:
         child = self.child.estimate(cards)
-        est = PlanEstimate(rows=child.rows)
+        rows = child.rows
+        if isinstance(self.child, ScanOp):
+            # A snapshot carries V(R, attrs) exactly when the index on those
+            # columns is built — when the projection reads its keys.
+            distinct = _distinct_keys(cards, self.child.name, self.plain_attrs)
+            if distinct is not None:
+                rows = distinct
+        est = PlanEstimate(rows=rows)
         est.absorb(child)
-        est.scanned += child.rows
+        est.scanned += rows
         return est
 
     def describe(self) -> str:

@@ -729,8 +729,10 @@ def index_hints(expression: E.Expression) -> set:
     """(relation, attrs) pairs whose hash indexes would speed this plan up.
 
     Reported for the probe and build sides of hash semi/antijoins, the
-    build side of hash joins, and equality selections — whenever that side
-    is a direct scan of a named relation and the keys are plain columns.
+    build side of hash joins, equality selections, and projections onto
+    distinct plain columns (answered from the index's distinct keys) —
+    whenever that side is a direct scan of a named relation and the keys
+    are plain columns.
     Auxiliary differentials (``R@plus``/``R@minus``) are skipped: they are
     rebuilt per transaction, so a persistent index can never exist.  A hint
     on the pre-state ``R@old`` is a hint on ``R``: inside a transaction
@@ -760,6 +762,10 @@ def _collect_hints(op: X.PhysicalOperator, hints: set) -> None:
             hints.add((op.right.name, right_attrs))
     elif isinstance(op, X.IndexSelectOp):
         hints.add((op.name, tuple(op.attrs)))
+    elif isinstance(op, X.ProjectOp):
+        attrs = op.plain_attrs
+        if isinstance(op.child, X.ScanOp) and attrs:
+            hints.add((op.child.name, attrs))
     for child in op.children():
         _collect_hints(child, hints)
 

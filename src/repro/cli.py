@@ -48,6 +48,7 @@ import sys
 from typing import Callable, List, Optional, TextIO
 
 from repro import __version__
+from repro.algebra import planner
 from repro.algebra.pretty import render_transaction
 from repro.calculus.evaluation import evaluate_constraint
 from repro.calculus.parser import parse_constraint
@@ -282,6 +283,34 @@ class Shell:
                 f"-- checked on the full state, not the delta: "
                 f"{', '.join(stats.full_state_rule_names)}"
             )
+            for name in stats.full_state_rule_names:
+                self._explain_indexes(name)
+
+    def _explain_indexes(self, rule_name: str) -> None:
+        """Which indexes a full-state rule's plans would read, and which of
+        them the database has built — what the rule costs beyond |Δ|.
+
+        Static: the planner's hints for the stored program against
+        ``Relation.built_index``; nothing is executed.
+        """
+        hints: set = set()
+        for statement in self.controller.store.get(rule_name).program:
+            for expression in planner.statement_expressions(statement):
+                hints |= planner.index_hints(expression)
+        states, scanned = [], []
+        for relation, attrs in sorted(hints, key=repr):
+            if relation not in self.database:
+                continue  # a temporary of the program
+            target = self.database.relation(relation)
+            positions = [target.schema.position_of(attr) - 1 for attr in attrs]
+            built = target.built_index(positions) is not None
+            label = f"{relation}({', '.join(map(str, attrs))})"
+            states.append(f"{label} {'built' if built else 'missing'}")
+            if not built and relation not in scanned:
+                scanned.append(relation)
+        if states:
+            scans = f" -> scans {', '.join(scanned)}" if scanned else ""
+            self.write(f"--   {rule_name}: {', '.join(states)}{scans}")
 
     def cmd_query(self, rest: str) -> None:
         rows = self.session.rows(rest)

@@ -59,10 +59,12 @@ Invariants the read path leans on (each is asserted by
   *sequences* are not contiguous (unrecorded batches carry none, delta-free
   commits leave no entry), so :meth:`EpochManager.pin_span` walks back from
   the newest entry instead.
-* **Who reads ``_entries``.**  The writer appends in place and swaps the
-  reference on trim, both under ``_lock``; readers take the reference once
-  and slice it (a stale reference is a superset; an entry appended after
-  the reader's stamp fails the stamp validation).  ``pin_span``,
+* **Who reads ``_entries``.**  The writer appends in place (the entry
+  first, then the version bump) and swaps the reference on trim, all under
+  ``_lock`` — a reader thread releasing a pin trims too, and must not swap
+  out a list an entry is being appended to.  Readers take the reference
+  once and slice it (a stale reference is a superset; an entry appended
+  after the reader's stamp fails the stamp validation).  ``pin_span``,
   ``undo_differentials`` and ``_adopt_cached`` read it under ``_lock``;
   ``SnapshotRelation._sync_locked`` reads it inside a seqlock bracket under
   the snapshot's own ``_sync_lock``.
@@ -72,6 +74,11 @@ Invariants the read path leans on (each is asserted by
   ``_SnapshotBuckets.probe`` a join's or semijoin's whole key set and
   ``SnapshotRelation.multiplicities`` a bag-mode batch of counts, each in
   one :meth:`SnapshotRelation._read`.
+* **Key views: one bracket, detached result.**  ``_SnapshotBuckets.keys``
+  — the distinct keys an index-only projection reads — corrects the live
+  index's keys by the undo delta inside one bracket and hands out a fresh
+  collection: O(keys + undo), no materialization, no local index, and
+  nothing a later commit can change under the consumer.
 * **Ownership runs one way.**  Query result → (nothing); index view
   (:class:`SnapshotIndex`, and the ``_SnapshotBuckets`` minted from it) →
   :class:`SnapshotRelation` → :class:`EpochPin` → :class:`EpochManager`.
@@ -280,12 +287,21 @@ class EpochManager:
                 if plus is not None or minus is not None:
                     normalized[base] = (plus, minus)
             if normalized:
-                self._version += 1
-                self._entries.append(
-                    EpochEntry(self._version, sequence, normalized)
-                )
                 self._quiescent = False  # later direct mutations must fence
+                # Append, version bump and trim under one lock.  A reader
+                # thread releasing its pin trims too (copy-on-trim): an
+                # entry appended to the list it is about to swap out would
+                # be lost, and with it the contiguity every catch-up offset
+                # relies on; and whoever holds the lock to ask whether a
+                # version is still reconstructible sees a version and its
+                # entry together.  The entry goes in first for the reader
+                # that takes no lock (``_sync_locked`` reads the version,
+                # then the list): a version it has seen has its entry.
                 with self._lock:
+                    self._entries.append(
+                        EpochEntry(self._version + 1, sequence, normalized)
+                    )
+                    self._version += 1
                     self._trim_locked()
         finally:
             self._stamp += 1
@@ -850,6 +866,10 @@ class SnapshotRelation(OverlayRelation):
 
     def _sync_locked(self) -> None:
         """Catch the undo delta up to the newest retained entry."""
+        # The version before the list: the writer files an entry before it
+        # bumps the version, so an empty list under a newer version means
+        # the entries are gone (a fence), never that one is on its way.
+        version = self._manager._version
         entries = self._manager._entries
         synced = self._synced
         if entries and entries[0].version > synced + 1:
@@ -857,7 +877,7 @@ class SnapshotRelation(OverlayRelation):
             # reclaimed — only possible once the pin is released.
             raise EpochUnavailableError(self._pin.epoch)
         if not entries:
-            if self._manager._version > synced:
+            if version > synced:
                 raise EpochUnavailableError(self._pin.epoch)
             return
         newer = _entries_after(entries, synced)
@@ -892,9 +912,14 @@ class SnapshotRelation(OverlayRelation):
                 self._sync_locked()
                 try:
                     value = compute()
-                except RuntimeError:
-                    # The live base mutated mid-iteration; retry on the
-                    # next stable stamp.
+                except RuntimeError as error:
+                    # The live base mutated mid-iteration ("dictionary
+                    # changed size during iteration"): retry on the next
+                    # stable stamp.  Exactly that class — RecursionError
+                    # and NotImplementedError are subclasses, and a bug in
+                    # ``compute`` is raised, not re-run.
+                    if type(error) is not RuntimeError:
+                        raise
                     continue
             if manager.read_validate(stamp):
                 return value
@@ -1209,8 +1234,9 @@ class SnapshotIndex(OverlayIndex):
         # bumps; a lost racing increment is harmless).
         try:
             self.base_index.touch(kind, keys)
-        except RuntimeError:  # pragma: no cover - ledger resize race
-            pass
+        except RuntimeError as error:  # pragma: no cover - ledger resize race
+            if type(error) is not RuntimeError:
+                raise
 
     def __repr__(self) -> str:
         return f"SnapshotIndex(positions={self.positions})"
@@ -1222,9 +1248,11 @@ class _SnapshotBuckets(_DeltaBuckets):
     Probes run the inherited correction under the seqlock retry — one
     bracket per :meth:`probe`, however many keys it carries — and always
     return buckets detached from the live index (a handed-out dict must
-    stay stable while later commits land).  Wholesale iteration (join
-    build sides) materializes the snapshot and serves the local index's
-    buckets — the consumer was about to pay O(|R|) anyway.
+    stay stable while later commits land).  The distinct keys alone
+    (:meth:`keys`, and so ``iter`` and ``len``) are one bracket too.
+    Wholesale iteration with the rows (``items``: join build sides)
+    materializes the snapshot and serves the local index's buckets — the
+    consumer was about to pay O(|R|) anyway.
     """
 
     __slots__ = ()
@@ -1249,12 +1277,23 @@ class _SnapshotBuckets(_DeltaBuckets):
     def get(self, key, default=None):
         return self.probe((key,)).get(key, default)
 
+    def keys(self):
+        """The distinct keys at the pinned epoch: one bracket, and a
+        collection of the caller's own (never a view of the live index)."""
+        index = self._index
+        rel = index.overlay
+        if rel._materialized is not None or rel._detached:
+            return index._local().buckets.keys()  # frozen with the rows
+
+        def corrected():
+            index._attach_undo()
+            return self._corrected_keys().keys()
+
+        return rel._read(corrected)
+
     def items(self):
         local = self._index._local()  # materializes the snapshot
         return iter(local.buckets.items())
 
-    def __iter__(self):
-        return iter(self._index._local().buckets)
-
     def __len__(self) -> int:
-        return len(self._index._local().buckets)
+        return len(self.keys())

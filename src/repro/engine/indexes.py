@@ -43,6 +43,19 @@ Design points:
   (:meth:`Database.install`) bulk state changes still use — replays its
   differential through the same two calls.
 
+* **The probe surface.**  What a physical operator may ask of an index —
+  of a :class:`HashIndex` and of the :class:`~repro.engine.overlay.
+  OverlayIndex` / :class:`~repro.engine.epochs.SnapshotIndex` views that
+  stand in for it inside a transaction or under a pin — is: one bucket
+  (``lookup``), the buckets of a key set or all of them (``buckets``:
+  ``get`` / ``probe`` / ``items``), and **the distinct keys as a
+  collection** (:meth:`HashIndex.keys`).  The key collection *is* the
+  answer to a set-mode projection onto the indexed columns, so
+  ``project(emp, [dept_id])`` reads ~100 keys instead of 5,000 rows.  Every
+  use lands in the :class:`IndexUsage` ledger of the *base* index,
+  whichever view served it (``lookup`` records itself; an operator that
+  consumes buckets or keys in bulk says so with ``touch``).
+
 Single-attribute keys (by far the common case: foreign keys, key lookups)
 are stored unwrapped (``row[i]`` instead of ``(row[i],)``), which roughly
 halves probe cost under CPython.
@@ -51,7 +64,7 @@ halves probe cost under CPython.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Collection, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, KeysView, Optional, Tuple
 
 # A declared index is built once the forgone row-wise work accumulated in
 # ``deferred_cost`` reaches this multiple of a build pass over the relation.
@@ -65,9 +78,11 @@ class IndexUsage:
     exact number of keys it probed or served, broken down by kind
     (``"lookup"`` — an equality-selection bucket probe; ``"probe"`` — a
     semijoin/antijoin probing per distinct key; ``"build"`` — a join build
-    side consuming the buckets wholesale).  This replaces the old single
-    ``probes`` counter, which recorded bulk consumptions as one unit and so
-    systematically under-weighted exactly the uses that save the most work.
+    side consuming the buckets wholesale; ``"project"`` — a projection onto
+    the indexed columns reading the distinct keys).  This replaces the old
+    single ``probes`` counter, which recorded bulk consumptions as one unit
+    and so systematically under-weighted exactly the uses that save the most
+    work.
     """
 
     __slots__ = ("uses", "keys", "lookups", "_bulk")
@@ -195,8 +210,15 @@ class HashIndex:
         """
         self.usage.record(kind, len(self.buckets) if keys is None else keys)
 
-    def keys(self) -> Iterator:
-        return iter(self.buckets)
+    def keys(self) -> KeysView:
+        """The distinct keys, as a sized, set-like collection in bucket order.
+
+        A live view: a consumer that keeps the keys copies them
+        (``dict.fromkeys``) before the relation changes again.  Keys that
+        compare equal are one key, spelled the way the row that created
+        the bucket spelled it (``1``, ``1.0`` and ``True`` share a bucket).
+        """
+        return self.buckets.keys()
 
     @property
     def distinct_keys(self) -> int:

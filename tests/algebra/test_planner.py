@@ -238,3 +238,88 @@ class TestEstimates:
             P.Comparison("=", P.ColRef("ref", "left"), P.ColRef("key", "right")),
         )
         assert planner.index_hints(expr) == {("pk", ("key",))}
+
+
+def _project(source: E.Expression, *items) -> E.Project:
+    return E.Project(
+        source,
+        tuple(
+            item if isinstance(item, E.ProjectItem) else E.ProjectItem(P.ColRef(item))
+            for item in items
+        ),
+    )
+
+
+class TestProjectionHints:
+    """A plain-column projection over a scan is answered from an index on
+    those columns, so it hints one."""
+
+    def test_plain_columns_are_hinted(self):
+        assert planner.index_hints(_project(E.RelationRef("fk"), "ref")) == {
+            ("fk", ("ref",))
+        }
+        assert planner.index_hints(_project(E.RelationRef("fk"), "ref", "id")) == {
+            ("fk", ("ref", "id"))
+        }
+
+    def test_a_renamed_plain_column_is_still_plain(self):
+        renamed = E.ProjectItem(P.ColRef("ref"), "key")
+        assert planner.index_hints(_project(E.RelationRef("fk"), renamed)) == {
+            ("fk", ("ref",))
+        }
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            E.ProjectItem(P.Arith("+", P.ColRef("ref"), P.Const(1))),
+            E.ProjectItem(P.Arith("*", P.ColRef("ref"), P.Const(2)), "twice"),
+            E.ProjectItem(P.Const(7), "seven"),
+        ],
+        ids=["scalar", "renamed-expression", "constant"],
+    )
+    def test_computed_items_are_not(self, item):
+        assert planner.index_hints(_project(E.RelationRef("fk"), item)) == set()
+        assert planner.index_hints(_project(E.RelationRef("fk"), "ref", item)) == set()
+
+    def test_a_column_named_twice_is_not(self):
+        assert planner.index_hints(_project(E.RelationRef("fk"), "ref", "ref")) == set()
+
+    def test_differentials_are_not(self):
+        for source in (
+            E.Delta("fk", "plus"),
+            E.Delta("fk", "minus"),
+            E.RelationRef("fk@plus"),
+            E.RelationRef("fk@minus"),
+        ):
+            assert planner.index_hints(_project(source, "ref")) == set()
+
+    def test_the_pre_state_names_the_base(self):
+        assert planner.index_hints(_project(E.RelationRef("fk@old"), "ref")) == {
+            ("fk", ("ref",))
+        }
+
+    def test_only_directly_over_a_scan(self):
+        filtered = E.Select(
+            E.RelationRef("fk"), P.Comparison("<", P.ColRef("id"), P.ColRef("ref"))
+        )
+        assert planner.index_hints(_project(filtered, "ref")) == set()
+
+    def test_the_delta_minus_of_a_projection_hints_the_post_state_rescan(self):
+        from repro.algebra.delta import delta_expression
+
+        # Δ⁻π(fk) = π(fk@minus) − π(fk): the subtracted term rescans fk
+        # whenever the candidate side is non-empty.
+        shrunk = delta_expression(
+            _project(E.RelationRef("fk"), "ref"), [("DEL", "fk")], E.DELTA_MINUS
+        )
+        assert planner.index_hints(shrunk) == {("fk", ("ref",))}
+
+    def test_estimate_is_the_distinct_count_when_the_snapshot_has_one(self, db):
+        from repro.algebra.statistics import RuntimeStatistics
+
+        expr = _project(E.RelationRef("fk"), "ref")
+        before = planner.get_plan(expr).estimate(RuntimeStatistics.capture(db))
+        assert before.rows == 30 and before.scanned == 30
+        db.create_index("fk", ["ref"])
+        after = planner.get_plan(expr).estimate(RuntimeStatistics.capture(db))
+        assert after.rows == 12 and after.scanned == 12

@@ -188,3 +188,96 @@ def test_the_cases_reach_the_operators_they_name():
     }
     for case, operator in expected.items():
         assert operator in operators(CASES[case]), case
+
+
+# ---------------------------------------------------------------------------
+# Projections over none / built / declared-but-unbuilt indexes: a set-mode
+# projection onto exactly the columns of a *built* index reads its distinct
+# keys (one "project" use of exactly that many keys); every other
+# configuration, and every bag, runs the scan kernel and leaves no use.
+# ---------------------------------------------------------------------------
+
+#: ``r`` carries single-column, composite and permuted-order index specs.
+PROJECT_SPECS = ((0,), (1, 0))
+INDEX_STATES = ("none", "built", "declared")
+
+PROJECT_CASES = {
+    # name: (expression, spec of the index that answers it or None)
+    "single": (E.Project(R, _items(P.ColRef("a"))), (0,)),
+    "renamed": (E.Project(R, (E.ProjectItem(P.ColRef("a"), "key"),)), (0,)),
+    "composite": (E.Project(R, _items(P.ColRef("b"), P.ColRef("a"))), (1, 0)),
+    "permuted": (E.Project(R, _items(P.ColRef("a"), P.ColRef("b"))), (1, 0)),
+    "duplicate": (E.Project(R, _items(P.ColRef("a"), P.ColRef("a"))), None),
+    "scalar": (E.Project(R, _items(P.Arith("+", P.ColRef("a"), P.Const(0)))), None),
+    "unindexed": (E.Project(R, _items(P.ColRef("b"))), None),
+    # Regions over a scan whose first stage is the projection.
+    "region_select": (
+        E.Select(
+            E.Project(R, _items(P.ColRef("a"))),
+            P.Or(_cmp("<", P.ColRef("a"), P.Const(3)), _cmp(">", P.ColRef("a"), P.Const(5))),
+        ),
+        (0,),
+    ),
+    "region_project": (
+        E.Project(E.Project(R, _items(P.ColRef("a"), P.ColRef("b"))), _items(P.ColRef("a"))),
+        (1, 0),
+    ),
+    "count": (E.Count(E.Project(R, _items(P.ColRef("a")))), (0,)),
+    "difference": (
+        E.Difference(E.Project(R, _items(P.ColRef("a"))), E.Project(S_, _items(P.ColRef("c")))),
+        (0,),
+    ),
+}
+
+
+def _project_relations(size: int, bag: bool, state: str) -> dict:
+    relations = _relations(size, bag, ())
+    for spec in PROJECT_SPECS:
+        if state == "built":
+            relations["r"].index_on(spec)
+        elif state == "declared":
+            relations["r"].declare_index(spec)
+    return relations
+
+
+@pytest.mark.parametrize("bag", [False, True], ids=["set", "bag"])
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("case", PROJECT_CASES)
+def test_projection_equals_reference_over_every_index_state(case, size, bag):
+    expression, spec = PROJECT_CASES[case]
+    for state in INDEX_STATES:
+        outcomes, ledgers, inputs = {}, {}, {}
+        for label, evaluate in evaluations(expression):
+            relations = inputs[label] = _project_relations(size, bag, state)
+            outcomes[label] = evaluate(StandaloneContext(relations))
+            ledgers[label] = index_usage(relations)
+        reference = outcomes["reference"]
+        answered = state == "built" and spec is not None and not bag
+        for label in ("fused", "unfused"):
+            result, r = outcomes[label], inputs[label]["r"]
+            assert result == reference, (label, state)
+            assert len(result) == len(reference), (label, state)
+            assert result.bag == reference.bag
+            used = {
+                key: kinds
+                for key, (_uses, _keys, kinds, _built) in ledgers[label].items()
+                if kinds
+            }
+            if not answered:
+                assert used == {}, (label, state)
+                continue
+            distinct = len({tuple(row[p] for p in spec) for row in r.rows()})
+            assert used == {("r", spec): {"project": distinct}}, (label, state)
+            # A result is the caller's own: emptying it empties no index.
+            result._rows.clear()
+            assert r.built_index(spec).distinct_keys == distinct
+        assert ledgers["fused"] == ledgers["unfused"], state
+        assert all(uses == 0 for uses, *_rest in ledgers["reference"].values())
+
+
+def test_the_projection_cases_form_the_regions_they_name():
+    for case in ("region_select", "region_project"):
+        plan = planner.compile_expression(PROJECT_CASES[case][0])
+        assert isinstance(plan, X.FusedPipelineOp), case
+        assert isinstance(plan.stages[-1], X.ProjectOp), case
+        assert isinstance(plan.source, X.ScanOp), case

@@ -188,9 +188,7 @@ class TestPlannedEnforcement:
     def test_install_indexes_creates_referential_indexes(self, db, schema):
         controller = IntegrityController(schema)
         # An aborting referential rule translates to an antijoin, whose
-        # probe/build sides both produce index hints.  (The compensating
-        # BEER_RULE_REFERENTIAL uses a diff of projections — no joins, so
-        # legitimately no hints.)
+        # probe/build sides both produce index hints.
         controller.add_rule(
             """
             RULE fk_abort
@@ -205,6 +203,47 @@ class TestPlannedEnforcement:
         assert db.relation("beer").built_index((2,)) is not None
         # Audits keep working (and now run off the indexes).
         assert controller.violated_constraints(db) == []
+
+    def test_install_indexes_covers_a_repair_that_projects_foreign_keys(self):
+        """The paper's R2 repair is a difference of two projections: both
+        read an index's distinct keys, so both are hinted — and priced by
+        the relation they would otherwise scan."""
+        from repro.workloads.employees import employees_database, employees_schema
+
+        def controller_and_database():
+            controller = IntegrityController(employees_schema())
+            controller.add_rule(
+                """
+                RULE emp_dept_repair
+                IF NOT (forall e)(e in emp => (exists d)(d in dept and e.dept_id = d.id))
+                THEN missing := diff(project(emp, [dept_id]), project(dept, [id]));
+                     insert(dept, project(missing,
+                         [dept_id as id, "unassigned" as name, null as city]))
+                """
+            )
+            return controller, employees_database(employees=50, departments=5)
+
+        controller, database = controller_and_database()
+        assert controller.install_indexes(database, min_benefit=0) == [
+            ("dept", ("id",)),
+            ("emp", ("dept_id",)),
+        ]
+        assert database.relation("emp").built_index((2,)) is not None
+        assert database.relation("dept").built_index((0,)) is not None
+        session = Session(database, controller)
+        hired = session.execute('begin insert(emp, (900, "new", 42, 3000, 2)); end')
+        assert hired.committed
+        assert (42, "unassigned") in {row[:2] for row in database.relation("dept")}
+        # The hire's own department is a key of the overlay the repair read.
+        assert database.relation("emp").built_index((2,)).usage.by_kind == {"project": 6}
+        assert database.relation("dept").built_index((0,)).usage.by_kind == {"project": 5}
+        # One use each: 50 employees clear a threshold 5 departments do not.
+        controller, database = controller_and_database()
+        assert controller.install_indexes(database, min_benefit=10) == [
+            ("emp", ("dept_id",))
+        ]
+        controller, database = controller_and_database()
+        assert controller.install_indexes(database, min_benefit=51) == []
 
     def test_install_indexes_maps_pre_state_hints_to_the_base(self):
         from repro.engine import Database, DatabaseSchema, RelationSchema

@@ -309,6 +309,23 @@ class TestSnapshotIndexes:
         assert sorted(index.lookup(2)) == [(2, 2)]  # deletion undone
         pin.release()
 
+    def test_keys_at_the_pin_are_detached_and_build_nothing(self, rdb):
+        live = rdb.relation("r")
+        live.index_on((0,))
+        pin = rdb.epochs.pin()
+        snap = pin.relation("r")
+        index = snap.built_index((0,))
+        fresh = index.keys()  # empty undo: still a copy, never the live view
+        commit(rdb, "r", plus=[(9, 9)], minus=[(2, 2)])
+        assert list(fresh) == [1, 2, 3]
+        assert sorted(index.keys()) == [1, 2, 3]  # 9 hidden, 2 re-added
+        assert len(index.buckets) == 3 and sorted(index.buckets) == [1, 2, 3]
+        assert sorted(live.built_index((0,)).keys()) == [1, 3, 9]
+        assert snap._materialized is None and snap._indexes is None
+        snap._detach()  # frozen rows: the local index's keys from here on
+        assert sorted(snap.built_index((0,)).keys()) == [1, 2, 3]
+        pin.release()
+
     def test_deleted_row_still_probed_at_pin(self, rdb):
         live = rdb.relation("r")
         live.declare_index((0,))
@@ -400,6 +417,103 @@ class TestConcurrentReaders:
             for thread in threads:
                 thread.join()
         assert not failures, failures[0]
+
+    def test_pinned_key_views_under_a_committing_writer(self, rs_schema):
+        """The writer moves keys 0..199 to 1000..1199 one commit at a time
+        (emptying one bucket, creating another) and then back, over and
+        over: a pinned projection onto the indexed column sees exactly the
+        commits before its pin, however many land while it reads — never a
+        later state, never a torn index."""
+        import sys
+        import time
+
+        from repro.algebra.parser import parse_expression
+        from repro.algebra.planner import evaluate
+        from repro.engine.session import DatabaseView
+
+        keys_moved = 200
+        database = Database(rs_schema)
+        database.load("r", [(i, i) for i in range(keys_moved)])
+        database.create_index("r", ["a"])
+        projection = parse_expression("project(r, [a])")
+        stop = threading.Event()
+        failures, reads = [], []
+
+        def keys_at(epoch: int) -> set:
+            sweep, moved = divmod(epoch, keys_moved)
+            low, high = set(range(keys_moved)), set(range(1000, 1000 + keys_moved))
+            if sweep % 2:  # moving back
+                return set(range(moved)) | (high - set(range(1000, 1000 + moved)))
+            return set(range(1000, 1000 + moved)) | (low - set(range(moved)))
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    with database.epochs.pin() as pin:
+                        view = DatabaseView(database, pin=pin)
+                        expected = keys_at(pin.epoch)  # recorded commits so far
+                        for _ in range(2):
+                            keys = {row[0] for row in evaluate(projection, view)}
+                            assert keys == expected, (pin.epoch, sorted(keys ^ expected))
+                    reads.append(pin.epoch)
+            except Exception as exc:  # pragma: no cover - failure capture
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 0.5
+            epoch = 0
+            while time.monotonic() < deadline and not failures:
+                sweep, i = divmod(epoch, keys_moved)
+                here, there = ((1000 + i, i), (i, i)) if sweep % 2 else ((i, i), (1000 + i, i))
+                commit(database, "r", plus=[there], minus=[here])
+                epoch += 1
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        assert reads and epoch > keys_moved
+        # The readers' releases trimmed the entry list while the writer
+        # appended to it: no entry was lost between the two.
+        versions = [entry.version for entry in database.epochs._entries]
+        assert versions == list(range(versions[0], versions[0] + len(versions)))
+        assert versions[-1] == database.epochs.version
+
+    def test_an_entry_appended_while_a_reader_trims_is_not_lost(self, rdb):
+        """A reader thread releasing its pin trims the entry list by
+        swapping it; the writer's append must not land in the list being
+        swapped out.  The interleaving is forced: the release runs from
+        inside the writer's append (and has to wait for it)."""
+        manager = rdb.epochs
+        manager.retain = 1
+        pin = manager.pin()
+        for i in range(3):  # retained only because of the pin
+            commit(rdb, "r", plus=[(10 + i, i)])
+        assert manager.retained() == 3
+
+        class RacingEntries(list):
+            racer = None
+
+            def append(self, entry):
+                self.racer = threading.Thread(target=pin.release)
+                self.racer.start()
+                self.racer.join(timeout=0.2)  # returns early only if it got in
+                super().append(entry)
+
+        racing = manager._entries = RacingEntries(manager._entries)
+        commit(rdb, "r", plus=[(50, 50)])
+        racing.racer.join(timeout=30)
+        assert not racing.racer.is_alive() and manager.pinned_versions() == ()
+        versions = [entry.version for entry in manager._entries]
+        assert versions and versions[-1] == manager.version
+        assert versions == list(range(versions[0], versions[0] + len(versions)))
 
     def test_bare_name_query_is_pinned_by_default(self, rs_schema):
         database = Database(rs_schema)

@@ -102,3 +102,62 @@ class TestAdvisorEvidence:
         index.lookup(1)  # one use, one key
         dropped = controller.drop_unused(db, min_probes=1, min_keys=5)
         assert dropped == [("pk", (0,))]
+
+
+class TestProjectionEvidence:
+    """An index that only projections read is in use: reading its distinct
+    keys is one ``"project"`` use of exactly that many keys, recorded on the
+    *base* index whichever view served it."""
+
+    EXPR = E.Project(E.RelationRef("fk"), (E.ProjectItem(P.ColRef("ref")),))
+
+    def test_base_relation(self, db):
+        db.create_index("fk", ["ref"])
+        result = get_plan(self.EXPR).execute(DatabaseView(db))
+        usage = db.relation("fk").built_index((1,)).usage
+        assert sorted(result.rows()) == [(k,) for k in range(10)]
+        assert (usage.uses, usage.keys, usage.by_kind) == (1, 10, {"project": 10})
+        assert "'project': 10" in repr(usage)
+
+    def test_transaction_overlay_forwards_to_the_base_ledger(self, db):
+        from repro.engine.transaction import TransactionContext
+
+        db.create_index("fk", ["ref"])
+        context = TransactionContext(db)
+        context.insert_rows("fk", [(100, 77)])
+        context.delete_rows("fk", [(i, 3) for i in range(3, 50, 10)])  # empties key 3
+        result = get_plan(self.EXPR).execute(context)
+        assert sorted(result.rows()) == [(k,) for k in range(10) if k != 3] + [(77,)]
+        usage = db.relation("fk").built_index((1,)).usage
+        assert (usage.uses, usage.keys, usage.by_kind) == (1, 10, {"project": 10})
+        context.rollback()
+
+    def test_pinned_snapshot_forwards_to_the_base_ledger(self, db):
+        from repro.engine import Relation
+
+        db.create_index("fk", ["ref"])
+        pin = db.epochs.pin()
+        schema = db.relation_schema("fk")
+        db.apply_deltas({"fk": (Relation(schema, [(100, 77)]), None)})
+        result = get_plan(self.EXPR).execute(DatabaseView(db, pin=pin))
+        assert sorted(result.rows()) == [(k,) for k in range(10)]  # 77 came later
+        usage = db.relation("fk").built_index((1,)).usage
+        assert (usage.uses, usage.keys, usage.by_kind) == (1, 10, {"project": 10})
+        pin.release()
+
+    def test_a_traced_run_shows_the_keys_read_as_the_input_size(self, db):
+        from repro.algebra.evaluation import TracingContext
+
+        traced = TracingContext(DatabaseView(db))
+        get_plan(self.EXPR).execute(traced)  # no index yet: 50 rows in
+        db.create_index("fk", ["ref"])
+        get_plan(self.EXPR).execute(traced)
+        assert traced.tracer.records == [("project", 50, 10), ("project", 10, 10)]
+
+    def test_drop_unused_keeps_an_index_only_projections_read(self, db):
+        controller = IntegrityController(db.schema)
+        db.create_index("fk", ["ref"])
+        db.create_index("fk", ["id"])  # never read
+        get_plan(self.EXPR).execute(DatabaseView(db))
+        assert controller.drop_unused(db, min_probes=1, min_keys=10) == [("fk", (0,))]
+        assert db.relation("fk").built_index((1,)) is not None

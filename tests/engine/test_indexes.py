@@ -49,6 +49,15 @@ class TestHashIndex:
         assert 1 not in index
         assert index.distinct_keys == 0
 
+    def test_keys_is_the_live_sized_collection_of_distinct_keys(self):
+        index = HashIndex((1,))
+        index.build([(1, 10), (2, 10), (3, 20)])
+        keys = index.keys()
+        assert len(keys) == 2 and 10 in keys and list(keys) == [10, 20]
+        index.add((4, 30))
+        assert list(keys) == [10, 20, 30]  # a view: copy it to keep it
+        assert index.usage.uses == 0  # reading the keys records nothing by itself
+
 
 class TestRelationIndexes:
     def test_index_on_builds_once_and_maintains(self, db):

@@ -94,6 +94,39 @@ class TestTransactions:
         assert "alarm(select(beer@plus, alcohol < 0)" in output
         assert "rules: R1" in output
 
+    def test_explain_names_the_indexes_a_full_state_rule_has_and_lacks(self):
+        stdout = io.StringIO()
+        shell = Shell(stdin=io.StringIO(), stdout=stdout, interactive=False)
+        explain = 'explain begin insert(beer, ("new", "ale", "ghost", 5.0)); end'
+        for line in BEER_SETUP.splitlines() + [
+            "rule RULE R2 IF NOT (forall x in beer)(exists y in brewery)"
+            "(x.brewery = y.name) THEN temp := diff(project(beer, [brewery]), "
+            "project(brewery, [name])); insert(brewery, project(temp, "
+            "[brewery as name, null, null]))",
+            explain,
+        ]:
+            shell.dispatch(line)
+        assert "-- checked on the full state, not the delta: R2" in stdout.getvalue()
+        assert (
+            "--   R2: beer(brewery) missing, brewery(name) missing "
+            "-> scans beer, brewery"
+        ) in stdout.getvalue()
+        shell.database.create_index("beer", ["brewery"])
+        uses = shell.database.relation("beer").built_index((2,)).usage.uses
+        shell.dispatch(explain)
+        assert (
+            "--   R2: beer(brewery) built, brewery(name) missing -> scans brewery"
+        ) in stdout.getvalue()
+        shell.controller.install_indexes(shell.database)
+        shell.dispatch(explain)
+        assert stdout.getvalue().endswith(
+            "--   R2: beer(brewery) built, brewery(name) built\n"
+        )
+        # Static: explaining executed nothing.
+        assert shell.database.relation("beer").built_index((2,)).usage.uses == uses
+        assert len(shell.database.relation("beer")) == 0
+        shell.controller.close_schedulers()
+
     def test_compensating_rule_via_shell(self):
         script = BEER_SETUP + (
             "rule RULE R2 IF NOT (forall x in beer)(exists y in brewery)"

@@ -9,6 +9,12 @@ longer read as "attribute not found" and propagates.
 Likewise ``EpochPin.__del__`` excuses only what a half-torn-down interpreter
 raises: a release that fails while the interpreter is running reaches
 ``sys.unraisablehook`` (the loudest a finalizer can be).
+
+And a pinned read's seqlock retry re-runs its computation only for the
+``RuntimeError`` a dict mutated mid-iteration raises — exactly that class.
+``RecursionError`` and ``NotImplementedError`` are subclasses; a bug that
+raises one is raised at its first occurrence, not re-executed
+``READ_RETRY_LIMIT`` times first.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from repro.algebra import predicates as P
 from repro.calculus.parser import parse_constraint
 from repro.core import translation
 from repro.core.subsystem import _resolves
-from repro.engine import Database, DatabaseSchema, RelationSchema
+from repro.engine import Database, DatabaseSchema, RelationSchema, epochs
 from repro.engine.types import INT
 from repro.errors import ParseError, UnknownAttributeError
 
@@ -137,3 +143,52 @@ class TestEpochPinFinalizer:
         del pin
         assert unraisable == []
         assert database.epochs.pinned_versions() == ()
+
+
+class TestSnapshotReadRetry:
+    @staticmethod
+    def _snapshot():
+        database = Database(DatabaseSchema([R]))
+        database.load("r", [(1, 1), (2, 2)])
+        pin = database.epochs.pin()
+        return pin, pin.relation("r")
+
+    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+    def test_a_subclass_is_raised_at_its_first_occurrence(self, error):
+        _pin, snapshot = self._snapshot()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            raise error("compute bug")
+
+        with pytest.raises(error, match="compute bug"):
+            snapshot._read(compute)
+        assert len(calls) == 1
+
+    def test_a_dict_mutated_mid_iteration_still_retries(self):
+        _pin, snapshot = self._snapshot()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            if len(calls) == 1:
+                live = {1: None, 2: None}
+                for key in live:  # the error the live base raises under a writer
+                    live[key + 10] = None
+            return "value"
+
+        assert snapshot._read(compute) == "value"
+        assert len(calls) == 2
+
+    def test_the_gated_pass_still_raises_what_keeps_failing(self):
+        _pin, snapshot = self._snapshot()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            raise RuntimeError("dictionary changed size during iteration")
+
+        with pytest.raises(RuntimeError):
+            snapshot._read(compute)
+        assert len(calls) == epochs.READ_RETRY_LIMIT + 1
