@@ -15,9 +15,15 @@ single-row deletes as ``begin ... end`` texts):
   unmemoised algorithm, ``mod_t`` with a fresh ``StaticSelector``, on the
   star rule set.  Floor 2x.
 
-Both are A/B measurements on a shared machine, so each side is timed in
-``ROUNDS`` interleaved rounds (A, B, A, B, ...) and the ratio is taken
-between the two minima: a stall hits one round of one side, not the gate.
+Two more rows are informational and carry no floor.  They time, against
+the same character scanner, what a textual commit pays since the token
+stream became columns: the column scan alone (``TokenStream(text)``:
+``kinds`` and ``values``, no ``Token``, no positions) and the whole
+``parse_transaction``.
+
+All are A/B measurements on a shared machine, so every side is timed in
+``ROUNDS`` interleaved rounds (A, B, C, A, B, C, ...) and a ratio is taken
+between two minima: a stall hits one round of one side, not the gate.
 Numbers are emitted as ``benchmarks/bench_frontend.json`` for the CI gate
 (``python -m benchmarks.report --strict``) and build artifact.
 """
@@ -34,7 +40,7 @@ from benchmarks import report
 from benchmarks.e2e import workloads
 from repro.algebra.parser import parse_transaction
 from repro.core.modification import ModificationStats, StaticSelector, mod_t
-from repro.lex import tokenize
+from repro.lex import TokenStream, tokenize
 from tests.engine.reference_lexer import tokenize as reference_tokenize
 
 EXPERIMENT = "E12 / per-transaction front end"
@@ -46,11 +52,11 @@ MODT_SPEEDUP_FLOOR = 2.0
 JSON_PATH = Path(__file__).resolve().parent / "bench_frontend.json"
 
 
-def _interleaved(baseline, candidate, rounds: int = ROUNDS):
+def _interleaved(*bodies, rounds: int = ROUNDS):
     """Seconds per call of each side: minimum over interleaved rounds."""
-    best = [float("inf"), float("inf")]
+    best = [float("inf")] * len(bodies)
     for _ in range(rounds):
-        for side, body in enumerate((baseline, candidate)):
+        for side, body in enumerate(bodies):
             started = time.perf_counter()
             body()
             best[side] = min(best[side], time.perf_counter() - started)
@@ -75,8 +81,11 @@ def test_frontend_speedups(benchmark, tmp_path):
                 for text in texts:
                     lexer(text)
 
-            lexer = _interleaved(
-                lambda: scan_all(reference_tokenize), lambda: scan_all(tokenize)
+            scanner, lexer, columns, parser = _interleaved(
+                lambda: scan_all(reference_tokenize),
+                lambda: scan_all(tokenize),
+                lambda: scan_all(TokenStream),
+                lambda: scan_all(parse_transaction),
             )
             controller = env.controller
             transactions = [parse_transaction(text) for text in texts]
@@ -96,13 +105,25 @@ def test_frontend_speedups(benchmark, tmp_path):
             modt = _interleaved(unmemoised, memoised)
         finally:
             env.close()
-        return {"lexer": lexer, "modt": modt}
+        return {
+            "lexer": [scanner, lexer],
+            "modt": modt,
+            "columns": [scanner, columns],
+            "parser": [scanner, parser],
+        }
 
     seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-    floors = {"lexer": LEXER_SPEEDUP_FLOOR, "modt": MODT_SPEEDUP_FLOOR}
+    floors = {
+        "lexer": LEXER_SPEEDUP_FLOOR,
+        "modt": MODT_SPEEDUP_FLOOR,
+        "columns": None,
+        "parser": None,
+    }
     labels = {
         "lexer": "master-regex lexer vs character scanner",
         "modt": "memoised ModT vs mod_t with a fresh StaticSelector",
+        "columns": "token column scan (no Token, no positions) vs character scanner",
+        "parser": "whole parse_transaction vs character scanner",
     }
     payload = {
         "experiment": EXPERIMENT,
@@ -123,11 +144,11 @@ def test_frontend_speedups(benchmark, tmp_path):
             f"{before / TRANSACTIONS * 1e6:.1f}",
             f"{after / TRANSACTIONS * 1e6:.1f}",
             f"{before / after:.2f}x",
-            f">={floors[stage]:g}x",
+            f">={floors[stage]:g}x" if floors[stage] is not None else "—",
         )
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     for stage, (before, after) in seconds.items():
-        assert before / after >= floors[stage], (
+        assert floors[stage] is None or before / after >= floors[stage], (
             f"{labels[stage]}: {before / after:.2f}x below the "
             f"{floors[stage]:g}x floor"
         )

@@ -10,8 +10,9 @@ The gated benchmarks additionally emit ``bench_*.json`` artifacts (the
 files CI uploads); ``python -m benchmarks.report`` folds every artifact
 present on disk — incremental audit, transaction write path, the async
 pipeline with its executor ladder, the columnar batch/wire numbers, and the
-per-transaction front end (lexer, memoised ModT) — into one gate-status
-summary table.
+per-transaction front end (lexer and memoised ModT, gated; the token column
+scan and the whole ``parse_transaction`` against the same character
+scanner, informational) — into one gate-status summary table.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
     for variant, stats in data.get("variants", {}).items():
         gated = gated_suffix is None or variant.endswith(gated_suffix)
         # A variant may carry its own floor (the front-end bench gates two
-        # unrelated ratios); otherwise the artifact's floor applies.
+        # unrelated ratios and reports two more with a null floor);
+        # otherwise the artifact's floor applies.
         variant_floor = stats.get("floor", floor)
         rows.append(
             [name, variant, stats.get("speedup"), variant_floor if gated else None]

@@ -62,6 +62,7 @@ _JOIN_OPS = {
 }
 _AGG_NAMES = ("sum", "avg", "min", "max")
 _LITERAL_KINDS = ("INT", "FLOAT", "STRING")
+_CONSTANT_WORDS = {"null": NULL, "true": True, "false": False}
 
 _RESERVED = frozenset(
     [
@@ -103,313 +104,360 @@ _RESERVED = frozenset(
 )
 
 
+_COMPARISON_OPS = ("<", "<=", "=", "!=", "<>", ">=", ">")
+
+
 class _Parser:
+    """Recursive descent over the token columns.
+
+    The productions read ``kinds[index]`` / ``values[index]`` and step the
+    stream's ``index``; no :class:`~repro.lex.Token` is built while the
+    text conforms.  A mismatch is handed to the stream (``expect``,
+    ``current``), which words the error and only then asks for positions.
+    """
+
     def __init__(self, text: str):
-        self.stream = TokenStream(text)
+        self.stream = stream = TokenStream(text)
+        self.kinds = stream.kinds
+        self.values = stream.values
+
+    # -- the cursor -------------------------------------------------------------
+
+    def _accept_op(self, op: str) -> bool:
+        stream = self.stream
+        index = stream.index
+        if self.values[index] == op and self.kinds[index] == "OP":
+            stream.index = index + 1
+            return True
+        return False
+
+    def _op(self, op: str) -> None:
+        stream = self.stream
+        index = stream.index
+        if self.values[index] == op and self.kinds[index] == "OP":
+            stream.index = index + 1
+        else:
+            stream.expect("OP", op)
+
+    def _accept_keyword(self, keyword: str) -> bool:
+        stream = self.stream
+        index = stream.index
+        if self.kinds[index] == "NAME" and self.values[index].lower() == keyword:
+            stream.index = index + 1
+            return True
+        return False
+
+    def _keyword(self, keyword: str) -> None:
+        if not self._accept_keyword(keyword):
+            self.stream.expect_name(keyword)
+
+    def _value(self, kind: str):
+        """Step over a token of ``kind`` and return its value."""
+        stream = self.stream
+        index = stream.index
+        if self.kinds[index] != kind:
+            stream.expect(kind)
+        stream.index = index + 1
+        return self.values[index]
 
     # -- expressions ------------------------------------------------------------
 
     def expression(self) -> E.Expression:
         stream = self.stream
-        if stream.at("OP", "{"):
+        index = stream.index
+        kind = self.kinds[index]
+        name = self.values[index]
+        if kind == "OP" and name == "{":
             return self.set_literal()
-        token = stream.current
-        if token.kind != "NAME":
+        if kind != "NAME":
+            token = stream.current
             raise ParseError(
                 f"expected an expression at position {token.position}, "
                 f"found {token.text!r}"
             )
-        keyword = token.value.lower()
+        keyword = name.lower()
+        if keyword not in _RESERVED:
+            stream.index = index + 1
+            return E.RelationRef(name)
         if keyword == "select":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ",")
+            self._op(",")
             predicate = self.predicate()
-            stream.expect("OP", ")")
+            self._op(")")
             return E.Select(source, predicate)
         if keyword == "project":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ",")
-            stream.expect("OP", "[")
+            self._op(",")
+            self._op("[")
             items = [self.project_item()]
-            while stream.accept("OP", ","):
+            while self._accept_op(","):
                 items.append(self.project_item())
-            stream.expect("OP", "]")
-            stream.expect("OP", ")")
+            self._op("]")
+            self._op(")")
             return E.Project(source, tuple(items))
         if keyword in _BINARY_OPS:
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             left = self.expression()
-            stream.expect("OP", ",")
+            self._op(",")
             right = self.expression()
-            stream.expect("OP", ")")
+            self._op(")")
             return _BINARY_OPS[keyword](left, right)
         if keyword in _JOIN_OPS:
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             left = self.expression()
-            stream.expect("OP", ",")
+            self._op(",")
             right = self.expression()
-            stream.expect("OP", ",")
+            self._op(",")
             predicate = self.predicate()
-            stream.expect("OP", ")")
+            self._op(")")
             return _JOIN_OPS[keyword](left, right, predicate)
         if keyword in _AGG_NAMES:
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ",")
+            self._op(",")
             attr = self.attribute_ref()
-            stream.expect("OP", ")")
+            self._op(")")
             return E.Aggregate(source, keyword.upper(), attr)
         if keyword == "cnt":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ")")
+            self._op(")")
             return E.Count(source)
         if keyword == "mlt":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ")")
+            self._op(")")
             return E.Multiplicity(source)
         if keyword == "rename":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             source = self.expression()
-            stream.expect("OP", ",")
-            new_name = stream.expect("NAME").value
+            self._op(",")
+            new_name = self._value("NAME")
             attrs = None
-            if stream.accept("OP", ","):
-                stream.expect("OP", "[")
-                names = [stream.expect("NAME").value]
-                while stream.accept("OP", ","):
-                    names.append(stream.expect("NAME").value)
-                stream.expect("OP", "]")
+            if self._accept_op(","):
+                self._op("[")
+                names = [self._value("NAME")]
+                while self._accept_op(","):
+                    names.append(self._value("NAME"))
+                self._op("]")
                 attrs = tuple(names)
-            stream.expect("OP", ")")
+            self._op(")")
             return E.Rename(source, new_name, attrs)
-        if keyword in _RESERVED:
-            raise ParseError(
-                f"reserved word {token.value!r} cannot be a relation name "
-                f"(position {token.position})"
-            )
-        stream.advance()
-        return E.RelationRef(token.value)
+        raise ParseError(
+            f"reserved word {name!r} cannot be a relation name "
+            f"(position {stream.current.position})"
+        )
 
     def project_item(self) -> E.ProjectItem:
         expr = self.scalar()
         name = None
-        if self.stream.accept_name("as"):
-            name = self.stream.expect("NAME").value
+        if self._accept_keyword("as"):
+            name = self._value("NAME")
         return E.ProjectItem(expr, name)
 
     def set_literal(self) -> E.Literal:
-        stream = self.stream
-        stream.expect("OP", "{")
+        self._op("{")
         rows = []
-        if not stream.at("OP", "}"):
+        if not self._accept_op("}"):
             rows.append(self.tuple_literal())
-            while stream.accept("OP", ","):
+            while self._accept_op(","):
                 rows.append(self.tuple_literal())
-        stream.expect("OP", "}")
+            self._op("}")
         return E.Literal(tuple(rows))
 
     def tuple_literal(self) -> tuple:
         # The bulk of a small transaction's tokens are literal rows: the
         # cursor is read through locals here and written back once.
+        self._op("(")
         stream = self.stream
-        stream.expect("OP", "(")
-        tokens = stream.tokens
+        kinds = self.kinds
+        values = self.values
         index = stream.index
-        values = []
-        kind, value, _, _ = tokens[index]
+        row = []
         while True:
-            if kind in _LITERAL_KINDS:
+            if kinds[index] in _LITERAL_KINDS:
+                row.append(values[index])
                 index += 1
             else:
                 stream.index = index
-                value = self.constant()
+                row.append(self.constant())
                 index = stream.index
-            values.append(value)
-            kind, value, _, _ = tokens[index]
-            if kind != "OP" or value != ",":
+            if values[index] != "," or kinds[index] != "OP":
                 break
             index += 1
-            kind, value, _, _ = tokens[index]
-            if kind == "OP" and value == ")":
+            if values[index] == ")" and kinds[index] == "OP":
                 break  # Python-style trailing comma: (1,)
         stream.index = index
-        stream.expect("OP", ")")
-        return tuple(values)
+        self._op(")")
+        return tuple(row)
 
     def constant(self):
         stream = self.stream
-        token = stream.current
-        if token.kind in _LITERAL_KINDS:
-            stream.advance()
-            return token.value
-        if stream.accept_name("null"):
-            return NULL
-        if stream.accept_name("true"):
-            return True
-        if stream.accept_name("false"):
-            return False
-        if stream.accept("OP", "-"):
+        index = stream.index
+        kind = self.kinds[index]
+        value = self.values[index]
+        if kind in _LITERAL_KINDS:
+            stream.index = index + 1
+            return value
+        if kind == "NAME":
+            keyword = value.lower()
+            if keyword in _CONSTANT_WORDS:
+                stream.index = index + 1
+                return _CONSTANT_WORDS[keyword]
+        elif kind == "OP" and value == "-":
+            stream.index = index + 1
             value = self.constant()
-            if isinstance(value, (int, float)):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
                 return -value
             raise ParseError("'-' must precede a numeric constant")
+        token = stream.current
         raise ParseError(
             f"expected a constant at position {token.position}, "
             f"found {token.text!r}"
         )
 
     def attribute_ref(self):
-        token = self.stream.current
-        if token.kind == "NAME":
-            self.stream.advance()
-            return token.value
-        if token.kind == "INT":
-            self.stream.advance()
-            return token.value
+        stream = self.stream
+        index = stream.index
+        if self.kinds[index] in ("NAME", "INT"):
+            stream.index = index + 1
+            return self.values[index]
         raise ParseError(
-            f"expected an attribute name or position at {token.position}"
+            f"expected an attribute name or position at {stream.current.position}"
         )
 
     # -- predicates ----------------------------------------------------------------
 
     def predicate(self) -> P.Predicate:
         left = self.and_predicate()
-        while self.stream.accept_name("or"):
+        while self._accept_keyword("or"):
             right = self.and_predicate()
             left = P.Or(left, right)
         return left
 
     def and_predicate(self) -> P.Predicate:
         left = self.unary_predicate()
-        while self.stream.accept_name("and"):
+        while self._accept_keyword("and"):
             right = self.unary_predicate()
             left = P.And(left, right)
         return left
 
     def unary_predicate(self) -> P.Predicate:
         stream = self.stream
-        if stream.accept_name("not"):
-            return P.Not(self.unary_predicate())
-        if stream.accept_name("isnull"):
-            stream.expect("OP", "(")
-            operand = self.scalar()
-            stream.expect("OP", ")")
-            return P.IsNull(operand)
-        if stream.at_name("true") and not self._starts_comparison_after_const():
-            stream.advance()
-            return P.TruePred()
-        if stream.at_name("false") and not self._starts_comparison_after_const():
-            stream.advance()
-            return P.FalsePred()
-        if stream.at("OP", "("):
+        index = stream.index
+        kind = self.kinds[index]
+        if kind == "NAME":
+            keyword = self.values[index].lower()
+            if keyword == "not":
+                stream.index = index + 1
+                return P.Not(self.unary_predicate())
+            if keyword == "isnull":
+                stream.index = index + 1
+                self._op("(")
+                operand = self.scalar()
+                self._op(")")
+                return P.IsNull(operand)
+            if keyword in ("true", "false") and not self._at_comparison_op(index + 1):
+                stream.index = index + 1
+                return P.TruePred() if keyword == "true" else P.FalsePred()
+        elif kind == "OP" and self.values[index] == "(":
             # Could be a parenthesized predicate or a parenthesized scalar
             # beginning a comparison; backtrack on failure.
-            mark = stream.index
-            stream.advance()
+            stream.index = index + 1
             try:
                 inner = self.predicate()
-                stream.expect("OP", ")")
-                if self._at_comparison_op():
+                self._op(")")
+                if self._at_comparison_op(stream.index):
                     raise ParseError("scalar context")
                 return inner
             except ParseError:
-                stream.index = mark
+                stream.index = index
         return self.comparison()
 
-    def _starts_comparison_after_const(self) -> bool:
-        ahead = self.stream.peek()
-        return ahead.kind == "OP" and ahead.value in ("<", "<=", "=", "!=", "<>", ">=", ">")
-
-    def _at_comparison_op(self) -> bool:
-        token = self.stream.current
-        return token.kind == "OP" and token.value in (
-            "<",
-            "<=",
-            "=",
-            "!=",
-            "<>",
-            ">=",
-            ">",
-        )
+    def _at_comparison_op(self, index: int) -> bool:
+        return self.kinds[index] == "OP" and self.values[index] in _COMPARISON_OPS
 
     def comparison(self) -> P.Comparison:
         left = self.scalar()
-        token = self.stream.current
-        if not self._at_comparison_op():
+        stream = self.stream
+        index = stream.index
+        if not self._at_comparison_op(index):
+            token = stream.current
             raise ParseError(
                 f"expected a comparison operator at position {token.position}, "
                 f"found {token.text!r}"
             )
-        op = "!=" if token.value == "<>" else token.value
-        self.stream.advance()
+        op = self.values[index]
+        stream.index = index + 1
         right = self.scalar()
-        return P.Comparison(op, left, right)
+        return P.Comparison("!=" if op == "<>" else op, left, right)
 
     # -- scalar expressions --------------------------------------------------------
 
     def scalar(self) -> P.ScalarExpr:
         left = self.scalar_term()
-        while self.stream.at("OP", "+") or self.stream.at("OP", "-"):
-            op = self.stream.advance().value
-            right = self.scalar_term()
-            left = P.Arith(op, left, right)
-        return left
+        stream = self.stream
+        while True:
+            index = stream.index
+            op = self.values[index]
+            if (op != "+" and op != "-") or self.kinds[index] != "OP":
+                return left
+            stream.index = index + 1
+            left = P.Arith(op, left, self.scalar_term())
 
     def scalar_term(self) -> P.ScalarExpr:
         left = self.scalar_factor()
-        while self.stream.at("OP", "*") or self.stream.at("OP", "/"):
-            op = self.stream.advance().value
-            right = self.scalar_factor()
-            left = P.Arith(op, left, right)
-        return left
+        stream = self.stream
+        while True:
+            index = stream.index
+            op = self.values[index]
+            if (op != "*" and op != "/") or self.kinds[index] != "OP":
+                return left
+            stream.index = index + 1
+            left = P.Arith(op, left, self.scalar_factor())
 
     def scalar_factor(self) -> P.ScalarExpr:
         stream = self.stream
-        token = stream.current
-        if token.kind in _LITERAL_KINDS:
-            stream.advance()
-            return P.Const(token.value)
-        if stream.accept("OP", "-"):
+        index = stream.index
+        kind = self.kinds[index]
+        value = self.values[index]
+        if kind in _LITERAL_KINDS:
+            stream.index = index + 1
+            return P.Const(value)
+        if kind == "NAME":
+            stream.index = index + 1
+            keyword = value.lower()
+            if keyword in _CONSTANT_WORDS:
+                return P.Const(_CONSTANT_WORDS[keyword])
+            if keyword == "left" or keyword == "right":
+                self._op(".")
+                return P.ColRef(self.attribute_ref(), keyword)
+            return P.ColRef(value, None)
+        if kind == "OP" and value == "-":
+            stream.index = index + 1
             operand = self.scalar_factor()
-            if isinstance(operand, P.Const) and isinstance(
-                operand.value, (int, float)
-            ):
-                return P.Const(-operand.value)
+            if isinstance(operand, P.Const):
+                if isinstance(operand.value, bool):
+                    raise ParseError("'-' must precede a numeric constant")
+                if isinstance(operand.value, (int, float)):
+                    return P.Const(-operand.value)
             return P.Arith("-", P.Const(0), operand)
-        if stream.accept("OP", "("):
+        if kind == "OP" and value == "(":
+            stream.index = index + 1
             inner = self.scalar()
-            stream.expect("OP", ")")
+            self._op(")")
             return inner
-        if token.kind == "NAME":
-            lowered = token.value.lower()
-            if lowered == "null":
-                stream.advance()
-                return P.Const(NULL)
-            if lowered == "true":
-                stream.advance()
-                return P.Const(True)
-            if lowered == "false":
-                stream.advance()
-                return P.Const(False)
-            if lowered in ("left", "right"):
-                stream.advance()
-                stream.expect("OP", ".")
-                attr = self.attribute_ref()
-                return P.ColRef(attr, lowered)
-            stream.advance()
-            return P.ColRef(token.value, None)
+        token = stream.current
         raise ParseError(
             f"expected a scalar expression at position {token.position}, "
             f"found {token.text!r}"
@@ -419,79 +467,80 @@ class _Parser:
 
     def statement(self) -> S.Statement:
         stream = self.stream
-        token = stream.tokens[stream.index]
-        if token.kind != "NAME":
+        index = stream.index
+        if self.kinds[index] != "NAME":
+            token = stream.current
             raise ParseError(
                 f"expected a statement at position {token.position}, "
                 f"found {token.text!r}"
             )
-        keyword = token.value.lower()
+        name = self.values[index]
+        keyword = name.lower()
         if keyword == "insert":
-            stream.advance()
-            stream.expect("OP", "(")
-            relation = stream.expect("NAME").value
-            stream.expect("OP", ",")
+            stream.index = index + 1
+            self._op("(")
+            relation = self._value("NAME")
+            self._op(",")
             source = self.insert_source()
-            stream.expect("OP", ")")
+            self._op(")")
             return S.Insert(relation, source)
         if keyword == "delete":
-            stream.advance()
-            stream.expect("OP", "(")
-            relation = stream.expect("NAME").value
-            stream.expect("OP", ",")
-            if stream.accept_name("where"):
+            stream.index = index + 1
+            self._op("(")
+            relation = self._value("NAME")
+            self._op(",")
+            if self._accept_keyword("where"):
                 predicate = self.predicate()
                 source: E.Expression = E.Select(E.RelationRef(relation), predicate)
             else:
                 source = self.insert_source()
-            stream.expect("OP", ")")
+            self._op(")")
             return S.Delete(relation, source)
         if keyword == "update":
-            stream.advance()
-            stream.expect("OP", "(")
-            relation = stream.expect("NAME").value
-            stream.expect("OP", ",")
+            stream.index = index + 1
+            self._op("(")
+            relation = self._value("NAME")
+            self._op(",")
             predicate = self.predicate()
             assignments = []
-            while stream.accept("OP", ","):
+            while self._accept_op(","):
                 attr = self.attribute_ref()
-                stream.expect("OP", ":=")
+                self._op(":=")
                 assignments.append((attr, self.scalar()))
-            stream.expect("OP", ")")
+            self._op(")")
             if not assignments:
                 raise ParseError("update needs at least one 'attr := expr'")
             return S.Update(relation, predicate, tuple(assignments))
         if keyword == "alarm":
-            stream.advance()
-            stream.expect("OP", "(")
+            stream.index = index + 1
+            self._op("(")
             expr = self.expression()
             message: Optional[str] = None
-            if stream.accept("OP", ","):
-                message = stream.expect("STRING").value
-            stream.expect("OP", ")")
+            if self._accept_op(","):
+                message = self._value("STRING")
+            self._op(")")
             return S.Alarm(expr, message)
         if keyword == "abort":
-            stream.advance()
+            stream.index = index + 1
             message = None
-            if stream.at("STRING"):
-                message = stream.advance().value
+            if self.kinds[index + 1] == "STRING":
+                message = self._value("STRING")
             return S.Abort(message)
         # assignment: NAME := expr
-        if stream.peek().kind == "OP" and stream.peek().value == ":=":
+        if self.kinds[index + 1] == "OP" and self.values[index + 1] == ":=":
             if keyword in _RESERVED:
                 raise ParseError(
-                    f"reserved word {token.value!r} cannot be a temporary name"
+                    f"reserved word {name!r} cannot be a temporary name"
                 )
-            stream.advance()
-            stream.expect("OP", ":=")
-            return S.Assign(token.value, self.expression())
+            stream.index = index + 2
+            return S.Assign(name, self.expression())
         raise ParseError(
-            f"unknown statement {token.value!r} at position {token.position}"
+            f"unknown statement {name!r} at position {stream.current.position}"
         )
 
     def insert_source(self) -> E.Expression:
-        stream = self.stream
-        if stream.at("OP", "("):
+        index = self.stream.index
+        if self.values[index] == "(" and self.kinds[index] == "OP":
             return E.Literal((self.tuple_literal(),))
         return self.expression()
 
@@ -500,24 +549,24 @@ class _Parser:
     def program(self, stop_keyword: Optional[str] = None) -> Program:
         statements = []
         stream = self.stream
-        tokens = stream.tokens
+        kinds = self.kinds
+        values = self.values
         while True:
-            kind, value, _, _ = tokens[stream.index]
+            index = stream.index
+            kind = kinds[index]
             if kind == "EOF":
                 break
-            if stop_keyword and kind == "NAME" and value.lower() == stop_keyword:
+            if stop_keyword and kind == "NAME" and values[index].lower() == stop_keyword:
                 break
             statements.append(self.statement())
-            kind, value, _, _ = tokens[stream.index]
-            if kind != "OP" or value != ";":
+            if not self._accept_op(";"):
                 break
-            stream.index += 1
         return Program(statements)
 
     def transaction(self) -> Transaction:
-        self.stream.expect_name("begin")
+        self._keyword("begin")
         body = self.program(stop_keyword="end")
-        self.stream.expect_name("end")
+        self._keyword("end")
         return bracket(body)
 
 
@@ -537,7 +586,7 @@ def _parse(text: str, production):
 
 def _single_statement(parser: _Parser) -> S.Statement:
     statement = parser.statement()
-    parser.stream.accept("OP", ";")
+    parser._accept_op(";")
     return statement
 
 

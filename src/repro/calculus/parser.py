@@ -202,10 +202,11 @@ class _Parser:
             return C.Const(token.value)
         if stream.accept("OP", "-"):
             operand = self.term_factor()
-            if isinstance(operand, C.Const) and isinstance(
-                operand.value, (int, float)
-            ):
-                return C.Const(-operand.value)
+            if isinstance(operand, C.Const):
+                if isinstance(operand.value, bool):
+                    raise ParseError("'-' must precede a numeric constant")
+                if isinstance(operand.value, (int, float)):
+                    return C.Const(-operand.value)
             return C.ArithTerm("-", C.Const(0), _devar(operand))
         if stream.accept("OP", "("):
             inner = self.term()

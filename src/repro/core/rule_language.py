@@ -38,6 +38,9 @@ from repro.core.triggers import make_trigger_set
 from repro.errors import ParseError
 from repro.lex import Token, tokenize
 
+_OPENING = ("(", "[", "{")
+_CLOSING = (")", "]", "}")
+
 
 def parse_rule(text: str, name: Optional[str] = None) -> IntegrityRule:
     """Parse one RL rule."""
@@ -107,9 +110,9 @@ def parse_rule(text: str, name: Optional[str] = None) -> IntegrityRule:
     scan = index
     while tokens[scan].kind != "EOF":
         token = tokens[scan]
-        if token.kind == "OP" and token.value in ("(", "[", "{"):
+        if token.kind == "OP" and token.value in _OPENING:
             depth += 1
-        elif token.kind == "OP" and token.value in (")", "]", "}"):
+        elif token.kind == "OP" and token.value in _CLOSING:
             depth -= 1
         elif (
             token.kind == "NAME"
@@ -163,21 +166,30 @@ def parse_rule(text: str, name: Optional[str] = None) -> IntegrityRule:
 
 
 def parse_rules(text: str) -> List[IntegrityRule]:
-    """Parse several rules separated by blank lines with 'RULE' headers.
+    """Parse several rules, each after the first under its own header.
 
-    Every rule after the first must start with its own ``RULE name`` header;
-    the text is split on those headers.
+    The text is split where a rule header starts: the keyword ``RULE``
+    outside all brackets, followed by a name and ``WHEN`` or ``IF``.  Any
+    other ``rule`` — a relation, an attribute, a variable, a temporary —
+    is part of the rule it stands in.  Only the first rule may go without
+    a header.
     """
     tokens = tokenize(text)
-    starts = [
-        token.position
-        for token in tokens
-        if token.kind == "NAME" and token.value.lower() == "rule"
-    ]
-    if not starts:
-        return [parse_rule(text)]
-    pieces = []
-    for ordinal, start in enumerate(starts):
-        end = starts[ordinal + 1] if ordinal + 1 < len(starts) else len(text)
-        pieces.append(text[start:end])
-    return [parse_rule(piece) for piece in pieces]
+    starts = []
+    depth = 0
+    for index, token in enumerate(tokens):
+        if token.kind == "OP":
+            depth += (token.value in _OPENING) - (token.value in _CLOSING)
+        elif (
+            depth == 0
+            and token.kind == "NAME"
+            and token.value.lower() == "rule"
+            and tokens[index + 1].kind == "NAME"
+            and tokens[index + 2].kind == "NAME"
+            and tokens[index + 2].value.lower() in ("when", "if")
+        ):
+            starts.append(token.position)
+    if not starts or starts[0] != tokens[0].position:
+        starts.insert(0, 0)
+    ends = starts[1:] + [len(text)]
+    return [parse_rule(text[start:end]) for start, end in zip(starts, ends)]

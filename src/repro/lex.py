@@ -41,11 +41,44 @@ this priority order:
     a ``LexError`` with position and text: an opening quote that no
     ``STRING`` matched is an unterminated string literal, any other
     character is unexpected.
+
+A text is scanned once, by one ``findall`` of that expression, into
+parallel columns with one entry per token, ``EOF`` included:
+
+``kinds``
+    the names above (``"OP"``, ``"INT"``, ...), decided from the lexeme's
+    first character in one loop (``_scan``) — the only place tokens are
+    classified;
+``values``
+    what a parser compares and keeps: the operator or name itself, the
+    ``int`` / ``float``, the unescaped string, an alias's ASCII spelling,
+    ``None`` for ``EOF``;
+*pairs*
+    ``(blanks, lexeme)`` as matched: the blanks and comments in front of
+    the token and its characters as written.  No parser reads these; they
+    are what a ``Token``'s text and every position are derived from.
+
+There is no per-token object and no position in that.  The matches tile
+the text, so a token starts where all earlier blanks and lexemes end:
+``TokenStream.positions`` is a running sum over lengths the scan already
+holds — no second pass over the text — computed the first time somebody
+asks and kept on the stream.  Who asks: an error message (every
+``ParseError`` and ``LexError`` names a position), the stream's methods
+that hand out a :class:`Token` (``current``, ``peek``, ``advance``,
+``accept``, ``expect``; the CL and DDL parsers use them, once per rule or
+schema), and :func:`tokenize`, the positional token-list form of the same
+columns, which the RL parser slices the text by.  What it costs: the sum,
+about a third of the scan, and a ``Token`` per request; a conforming
+transaction or query pays neither.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
+from itertools import accumulate, chain, islice
+from operator import itemgetter
+from string import ascii_letters, digits
 from typing import NamedTuple, Optional
 
 from repro.errors import LexError, ParseError
@@ -75,22 +108,33 @@ _UNICODE_ALIASES = {
 }
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# The ``EOF`` and ``BAD`` alternatives make the pattern match at every
-# position, so ``finditer`` never skips a character and never backtracks
-# into the blanks-and-comments prefix.
+# Group 1 is the blanks and comments before a lexeme, group 2 the lexeme.
+# The last two alternatives (the end of the text, any character) make the
+# pattern match at every position, so the matches tile the text: no
+# character is skipped, nothing backtracks into group 1, and a lexeme
+# starts where everything before it ends.
 _MASTER = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
-    r"(?P<OP>:=|=>|<=|>=|!=|<>|[()\[\]{},;.<>=+\-*/])"
-    r"|(?P<FLOAT>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
-    r"|(?P<INT>[0-9]+)"
-    rf"|(?P<NAME>{_NAME}(?:@(?:old|plus|minus)(?![A-Za-z0-9_])|(?![A-Za-z0-9_@])))"
-    rf"|(?P<BADAUX>{_NAME}@[A-Za-z0-9_]*)"
-    r"""|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')"""
-    rf"|(?P<ALIAS>[{''.join(_UNICODE_ALIASES)}])"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<BAD>.))",
+    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)("
+    r":=|=>|<=|>=|!=|<>|[()\[\]{},;.<>=+\-*/]"
+    r"|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"
+    r"|[0-9]+"
+    rf"|{_NAME}(?:@(?:old|plus|minus)(?![A-Za-z0-9_])|(?![A-Za-z0-9_@]))"
+    rf"|{_NAME}@[A-Za-z0-9_]*"
+    r"""|"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'"""
+    rf"|[{''.join(_UNICODE_ALIASES)}]"
+    r"|\Z"
+    r"|.)",
     re.DOTALL,
 )
+# What a lexeme's first character says about it.  ``!`` and ``:`` are left
+# out (an operator only as ``!=`` and ``:=``), as are quotes and aliases:
+# ``_uncommon`` reads those.
+_KIND_BY_FIRST = {
+    **dict.fromkeys("()[]{},;.<>=+-*/", "OP"),
+    **dict.fromkeys(ascii_letters + "_", "NAME"),
+    **dict.fromkeys(digits, "NUMBER"),
+}
+_AUXILIARY_SUFFIXES = ("@old", "@plus", "@minus")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPED = {"n": "\n", "t": "\t"}
 
@@ -100,79 +144,128 @@ def _unescape(match) -> str:
     return _ESCAPED.get(escape, escape)
 
 
+def _uncommon(lexeme: str):
+    """``(kind, value)`` of a string, an alias, an auxiliary name, ``!=`` or
+    ``:=``; ``None`` for a lexeme that is no token."""
+    if lexeme[0] in "'\"":
+        if len(lexeme) == 1:
+            return None
+        value = lexeme[1:-1]
+        if "\\" in value:
+            value = _ESCAPE.sub(_unescape, value)
+        return "STRING", value
+    value = _UNICODE_ALIASES.get(lexeme)
+    if value is not None:
+        return ("NAME" if value[0].isalpha() else "OP"), value
+    if lexeme in ("!=", ":="):
+        return "OP", lexeme
+    if lexeme.endswith(_AUXILIARY_SUFFIXES):
+        return "NAME", lexeme
+    return None
+
+
+def _lex_error(lexeme: str, position: int, text: str) -> LexError:
+    if len(lexeme) > 1:  # only a name with a bad suffix is that long
+        name, _, suffix = lexeme.partition("@")
+        return LexError(
+            f"unknown auxiliary suffix {suffix!r}", position + len(name), text
+        )
+    if lexeme in "'\"":
+        return LexError("unterminated string literal", position, text)
+    return LexError(f"unexpected character {lexeme!r}", position, text)
+
+
+def _positions(pairs) -> list:
+    """Where each lexeme starts: the length of everything before it."""
+    ends = accumulate(map(len, chain.from_iterable(pairs)))
+    return list(islice(ends, 0, None, 2))
+
+
+def _scan(text: str):
+    """``(kinds, values, pairs)``: the two columns parsers read, and the
+    ``(blanks, lexeme)`` pair of every token as the expression matched it."""
+    pairs = _MASTER.findall(text)
+    if len(pairs) > 1 and not pairs[-2][1]:
+        # After trailing blanks the end of the text matches twice: once
+        # behind them and once more, empty, where that match stopped.
+        del pairs[-1]
+    kinds = []
+    values = []
+    kind_by_first = _KIND_BY_FIRST.get
+    for _, lexeme in pairs[:-1]:
+        kind = kind_by_first(lexeme[0])
+        if kind == "OP" or (kind == "NAME" and "@" not in lexeme):
+            value = lexeme
+        elif kind == "NUMBER":
+            if lexeme.isdigit():
+                kind = "INT"
+                value = int(lexeme)
+            else:
+                kind = "FLOAT"
+                value = float(lexeme)
+        else:
+            token = _uncommon(lexeme)
+            if token is None:
+                raise _lex_error(lexeme, _positions(pairs)[len(kinds)], text)
+            kind, value = token
+        kinds.append(kind)
+        values.append(value)
+    kinds.append("EOF")
+    values.append(None)
+    return kinds, values, pairs
+
+
 def tokenize(text: str) -> list:
     """Tokenize ``text``; raises LexError on invalid input."""
-    tokens = []
-    append = tokens.append
-    # NamedTuple's generated __new__ is a Python-level call around this one;
-    # at ~60 tokens per small transaction the direct form is worth having.
-    new = tuple.__new__
-    for match in _MASTER.finditer(text):
-        kind = match.lastgroup
-        group = match.lastindex
-        lexeme = match[group]
-        position = match.start(group)
-        if kind == "OP" or kind == "NAME":
-            value = lexeme
-        elif kind == "INT":
-            value = int(lexeme)
-        elif kind == "FLOAT":
-            value = float(lexeme)
-        elif kind == "STRING":
-            value = lexeme[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(_unescape, value)
-        elif kind == "EOF":
-            break
-        elif kind == "ALIAS":
-            value = _UNICODE_ALIASES[lexeme]
-            kind = "NAME" if value[0].isalpha() else "OP"
-        elif kind == "BADAUX":
-            name, _, suffix = lexeme.partition("@")
-            raise LexError(
-                f"unknown auxiliary suffix {suffix!r}", position + len(name), text
-            )
-        elif lexeme in "'\"":
-            raise LexError("unterminated string literal", position, text)
-        else:
-            raise LexError(f"unexpected character {lexeme!r}", position, text)
-        append(new(Token, (kind, value, lexeme, position)))
-    append(Token("EOF", None, "", len(text)))
-    return tokens
+    kinds, values, pairs = _scan(text)
+    lexemes = map(itemgetter(1), pairs)
+    return list(map(Token._make, zip(kinds, values, lexemes, _positions(pairs))))
 
 
 class TokenStream:
-    """A cursor over a token list with the usual parser conveniences.
+    """A cursor over the token columns with the usual parser conveniences.
 
-    ``tokens`` always ends with the ``EOF`` token and ``index`` never moves
-    past it, so ``tokens[index]`` is always valid; parsers' hot loops read
-    the two attributes directly and write ``index`` back.
+    ``kinds`` and ``values`` are parallel, always end with the ``EOF``
+    token, and ``index`` never moves past it, so ``kinds[index]`` is always
+    valid; parsers' hot loops read the two columns directly and write
+    ``index`` back.  The methods that hand out a :class:`Token` build it
+    (and, once, ``positions``) when called.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.kinds, self.values, self._pairs = _scan(text)
         self.index = 0
+
+    @cached_property
+    def positions(self) -> list:
+        return _positions(self._pairs)
+
+    def token(self, index: int) -> Token:
+        return Token(
+            self.kinds[index],
+            self.values[index],
+            self._pairs[index][1],
+            self.positions[index],
+        )
 
     @property
     def current(self) -> Token:
-        return self.tokens[self.index]
+        return self.token(self.index)
 
     def peek(self, ahead: int = 1) -> Token:
-        index = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.token(min(self.index + ahead, len(self.kinds) - 1))
 
     def advance(self) -> Token:
-        token = self.tokens[self.index]
+        token = self.token(self.index)
         if token.kind != "EOF":
             self.index += 1
         return token
 
     def at(self, kind: str, value: Optional[object] = None) -> bool:
-        token = self.tokens[self.index]
-        if token.kind != kind:
+        if self.kinds[self.index] != kind:
             return False
-        return value is None or token.value == value
+        return value is None or self.values[self.index] == value
 
     def at_name(self, *names: str) -> bool:
         """True when the current token is one of the given keywords.
@@ -180,32 +273,23 @@ class TokenStream:
         Keyword matching is case-insensitive, so ``FORALL`` and ``forall``
         are the same token (the paper mixes fonts, not spellings).
         """
-        token = self.tokens[self.index]
-        if token.kind != "NAME":
+        if self.kinds[self.index] != "NAME":
             return False
-        return token.value.lower() in names
+        return self.values[self.index].lower() in names
 
     def accept(self, kind: str, value: Optional[object] = None) -> Optional[Token]:
-        token = self.tokens[self.index]
-        if token.kind != kind or (value is not None and token.value != value):
+        if not self.at(kind, value):
             return None
-        if kind != "EOF":
-            self.index += 1
-        return token
+        return self.advance()
 
     def accept_name(self, *names: str) -> Optional[Token]:
-        token = self.tokens[self.index]
-        if token.kind != "NAME" or token.value.lower() not in names:
+        if not self.at_name(*names):
             return None
-        self.index += 1
-        return token
+        return self.advance()
 
     def expect(self, kind: str, value: Optional[object] = None) -> Token:
-        token = self.tokens[self.index]
-        if token.kind == kind and (value is None or token.value == value):
-            if kind != "EOF":
-                self.index += 1
-            return token
+        if self.at(kind, value):
+            return self.advance()
         want = value if value is not None else kind
         raise ParseError(
             f"expected {want!r} but found {self.current.text or 'end of input'!r} "
@@ -213,10 +297,8 @@ class TokenStream:
         )
 
     def expect_name(self, *names: str) -> Token:
-        token = self.tokens[self.index]
-        if token.kind == "NAME" and token.value.lower() in names:
-            self.index += 1
-            return token
+        if self.at_name(*names):
+            return self.advance()
         raise ParseError(
             f"expected one of {names} but found "
             f"{self.current.text or 'end of input'!r} "
@@ -224,7 +306,7 @@ class TokenStream:
         )
 
     def expect_eof(self) -> None:
-        if self.current.kind != "EOF":
+        if self.kinds[self.index] != "EOF":
             raise ParseError(
                 f"unexpected trailing input {self.current.text!r} "
                 f"at position {self.current.position}"

@@ -14,6 +14,7 @@ from repro.algebra.parser import (
 )
 from repro.engine.types import NULL
 from repro.errors import ParseError
+from repro.lex import Token, TokenStream, tokenize
 
 
 class TestExpressionParsing:
@@ -261,3 +262,64 @@ class TestNestingTooDeep:
     def test_moderate_nesting_still_parses(self):
         expression = parse_expression("union(" * 50 + "r" + ", r)" * 50)
         assert isinstance(expression, E.Union)
+
+    def test_the_error_names_where_the_parser_stood(self):
+        text = "union(" * 3000 + "r" + ", r)" * 3000
+        with pytest.raises(ParseError, match=r"near position (\d+)\)$") as raised:
+            parse_expression(text)
+        position = int(str(raised.value).rpartition(" ")[2].rstrip(")"))
+        # Some "union" on the way down: a token start, counted from the text.
+        assert position % len("union(") == 0
+        assert text.startswith("union(", position)
+
+
+class TestNoPerTokenObjects:
+    """A conforming text is parsed off the token columns: a ``Token`` (and
+    with it the position column) exists only once somebody asks for one —
+    an error message, ``tokenize()``, the stream's Token-returning methods."""
+
+    TRANSACTION = "begin\n" + "".join(
+        f"    insert(orders, ({row}, 17, 4242, 999, -{row}));\n" for row in range(5)
+    ) + "end"
+    JOIN_QUERY = (
+        "join(select(orders, customer = 399), customers, "
+        "left.customer = right.cid)"
+    )
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``Token`` constructed while the test runs."""
+        built = []
+        new, make = Token.__new__, Token._make.__func__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(new(cls, *args, **kwargs))
+            return built[-1]
+
+        def counting_make(cls, iterable):
+            built.append(make(cls, iterable))
+            return built[-1]
+
+        monkeypatch.setattr(Token, "__new__", counting_new)
+        monkeypatch.setattr(Token, "_make", classmethod(counting_make))
+        return built
+
+    def test_the_count_sees_every_way_of_building_one(self, built):
+        assert tokenize("a b") == built and len(built) == 3
+        stream = TokenStream("a b")
+        assert [stream.current, stream.peek(), stream.advance()] == built[3:]
+        assert stream.accept("NAME") is built[-1] and len(built) == 7
+
+    def test_valid_texts_build_none(self, built):
+        assert len(parse_transaction(self.TRANSACTION)) == 5
+        assert isinstance(parse_expression(self.JOIN_QUERY), E.Join)
+        assert parse_statement("update(emp, id = 7, salary := salary + 100)")
+        assert built == []
+
+    def test_an_error_builds_only_the_token_it_names(self, built):
+        text = self.TRANSACTION.replace("-4)", "-4 5)")
+        with pytest.raises(ParseError, match="expected '\\)' but found '5'") as raised:
+            parse_transaction(text)
+        named = set(built)
+        assert named == {Token("INT", 5, "5", text.index("-4 5") + 3)}
+        assert f"at position {built[0].position}" in str(raised.value)

@@ -170,8 +170,10 @@ class TestNestingTooDeep:
         ],
     )
     def test_formulas(self, text):
-        with pytest.raises(ParseError, match="nesting too deep"):
+        with pytest.raises(ParseError, match=r"nesting too deep.*near position (\d+)\)$") as raised:
             parse_constraint(text)
+        position = int(str(raised.value).rpartition(" ")[2].rstrip(")"))
+        assert 0 < position < len(text) and not text[position].isspace()
 
     def test_moderate_nesting_still_parses(self):
         formula = parse_constraint("not " * 40 + "CNT(r) > 0")

@@ -104,3 +104,56 @@ class TestParseRules:
     def test_single_headerless_rule(self):
         rules = parse_rules("IF NOT CNT(beer) <= 10 THEN abort")
         assert len(rules) == 1
+
+    def test_first_rule_may_go_without_a_header(self):
+        rules = parse_rules(
+            "IF NOT CNT(beer) <= 10 THEN abort\n" + BEER_RULE_DOMAIN
+        )
+        assert len(rules) == 2
+        assert rules[0].triggers == {(INS, "beer"), (DEL, "beer")}
+        assert rules[1].name == "R1"
+
+
+class TestNamesSpelledRule:
+    """Only a header splits the text: ``RULE`` outside all brackets, then a
+    name, then ``WHEN`` or ``IF``.  The word is otherwise an ordinary name."""
+
+    RELATION = (
+        "RULE r1 WHEN INS(rule) IF NOT (forall x)(x in rule => x.a >= 0)"
+    )
+    ATTRIBUTE = "RULE r2 IF NOT (forall x)(x in r => x.rule >= 0)"
+    VARIABLE = "RULE r3 IF NOT (forall rule)(rule in r => rule.a >= 0)"
+    TEMPORARY = (
+        "RULE r4 IF NOT (forall x in r)(x.a >= 0)\n"
+        "THEN rule := select(r, a < 0); delete(r, rule)"
+    )
+    RULE_NAME = "RULE rule IF NOT CNT(rule) <= 10"
+    ALL = [RELATION, ATTRIBUTE, VARIABLE, TEMPORARY, RULE_NAME]
+
+    @staticmethod
+    def parts(rule):
+        return (
+            rule.name,
+            rule.condition,
+            rule.triggers,
+            rule.triggers_generated,
+            rule.action_program().statements,
+        )
+
+    @pytest.mark.parametrize("text", ALL)
+    def test_single_rule(self, text):
+        (rule,) = parse_rules(text)
+        assert self.parts(rule) == self.parts(parse_rule(text))
+
+    def test_several_rules(self):
+        rules = parse_rules("\n\n".join(self.ALL))
+        assert [self.parts(rule) for rule in rules] == [
+            self.parts(parse_rule(text)) for text in self.ALL
+        ]
+        assert [rule.name for rule in rules] == ["r1", "r2", "r3", "r4", "rule"]
+        assert rules[0].triggers == {(INS, "rule")}
+
+    def test_pieces_are_cut_at_the_headers_offsets(self):
+        # Comments and blank lines between rules shift every later offset.
+        text = "# one\n  " + self.VARIABLE + "  # two\n\n\t" + self.RELATION + "\n# end"
+        assert [rule.name for rule in parse_rules(text)] == ["r3", "r1"]

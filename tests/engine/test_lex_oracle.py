@@ -2,7 +2,10 @@
 
 ``tests/engine/reference_lexer.py`` is the old scanner, verbatim.  On every
 text the two must produce the same token list, or both raise ``LexError``
-at the same position with the same message.  The listed exceptions are the
+at the same position with the same message — and "the lexer" is both of
+its faces: ``tokenize()``, and the columns a ``TokenStream`` hands the
+parsers (``kinds``, ``values``) with the token texts and positions it
+derives only when asked.  The listed exceptions are the
 two bugs the new lexer fixes, both about digits outside ``[0-9]``: the
 scanner let ``int()`` raise a stray ``ValueError`` on ``²`` and lexed ``٣``
 as ``INT 3``; now such a character is an unexpected character.
@@ -23,7 +26,7 @@ from repro.algebra.pretty import render_transaction
 from repro.algebra.programs import Program, bracket
 from repro.engine.types import NULL
 from repro.errors import LexError
-from repro.lex import Token, tokenize
+from repro.lex import Token, TokenStream, tokenize
 from tests.engine.reference_lexer import tokenize as reference_tokenize
 from tests.properties import strategies as strat
 
@@ -37,18 +40,32 @@ def outcome(tokenizer, text):
         return ("LexError", error.position, str(error))
 
 
+def columns(text):
+    """The token list read off a stream's columns, positions asked for last."""
+    stream = TokenStream(text)
+    assert len(stream.kinds) == len(stream.values)
+    assert "positions" not in vars(stream)
+    tokens = [stream.token(index) for index in range(len(stream.kinds))]
+    assert [(token.kind, token.value) for token in tokens] == list(
+        zip(stream.kinds, stream.values)
+    )
+    assert [token.position for token in tokens] == stream.positions
+    return tokens
+
+
 def assert_same_as_reference(text):
-    actual = outcome(tokenize, text)
     try:
         expected = outcome(reference_tokenize, text)
     except ValueError:  # the scanner's int() on a digit like "²"
         expected = None
-    if actual == expected:
-        return
-    # The only listed difference: a digit outside [0-9] is not a number.
-    assert actual[0] == "LexError", (text, actual, expected)
-    culprit = text[actual[1]]
-    assert culprit.isdigit() and not culprit.isascii(), (text, actual, expected)
+    for lexer in (tokenize, columns):
+        actual = outcome(lexer, text)
+        if actual == expected:
+            continue
+        # The only listed difference: a digit outside [0-9] is not a number.
+        assert actual[0] == "LexError", (text, actual, expected)
+        culprit = text[actual[1]]
+        assert culprit.isdigit() and not culprit.isascii(), (text, actual, expected)
 
 
 # -- hostile digits (ROADMAP item 5) --------------------------------------------

@@ -179,7 +179,8 @@ def test_plans_equal_reference_over_overlays(
             if row not in base:
                 plus.insert(row)
         for row in gone_r:
-            if row in base and row not in plus:
+            # An overlay never removes more copies of a row than its base has.
+            if row not in plus and minus.multiplicity(row) < base.multiplicity(row):
                 minus.insert(row)
         overlay = OverlayRelation(base, plus, minus)
         return {"r": overlay, "s": database.relation("s")}

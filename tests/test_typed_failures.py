@@ -15,6 +15,11 @@ And a pinned read's seqlock retry re-runs its computation only for the
 ``RecursionError`` and ``NotImplementedError`` are subclasses; a bug that
 raises one is raised at its first occurrence, not re-executed
 ``READ_RETRY_LIMIT`` times first.
+
+And a unary minus folds into *numeric* constants only: ``bool`` is an
+``int`` to ``isinstance``, so ``-true`` used to become the integer ``-1``
+(and ``-false`` ``0``) in a literal row, a predicate and a constraint; it is
+a ``ParseError`` in all three.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import pytest
 from repro import ddl
 from repro.algebra import physical as X
 from repro.algebra import predicates as P
+from repro.algebra.parser import parse_expression, parse_statement
+from repro.calculus import ast as C
 from repro.calculus.parser import parse_constraint
 from repro.core import translation
 from repro.core.subsystem import _resolves
@@ -192,3 +199,31 @@ class TestSnapshotReadRetry:
         with pytest.raises(RuntimeError):
             snapshot._read(compute)
         assert len(calls) == epochs.READ_RETRY_LIMIT + 1
+
+
+class TestNegatedBoolean:
+    @pytest.mark.parametrize("word", ["true", "false", "TRUE", "-false"])
+    def test_literal_row(self, word):
+        with pytest.raises(ParseError, match="'-' must precede a numeric constant"):
+            parse_statement(f"insert(r, (-{word}, 1))")
+
+    @pytest.mark.parametrize("word", ["true", "false", "(true)"])
+    def test_predicate(self, word):
+        with pytest.raises(ParseError, match="'-' must precede a numeric constant"):
+            parse_expression(f"select(r, a = -{word})")
+
+    @pytest.mark.parametrize("word", ["true", "false"])
+    def test_constraint(self, word):
+        with pytest.raises(ParseError, match="'-' must precede a numeric constant"):
+            parse_constraint(f"CNT(r) > -{word}")
+
+    def test_numbers_still_fold(self):
+        assert parse_statement("insert(r, (-1, - -2.5))").expr.rows == ((-1, 2.5),)
+        select = parse_expression("select(r, a = -1 and b = - -2.5)")
+        assert select.predicate.left.right == P.Const(-1)
+        assert select.predicate.right.right == P.Const(2.5)
+        assert parse_constraint("CNT(r) > -1").right == C.Const(-1)
+
+    def test_booleans_are_still_constants(self):
+        assert parse_statement("insert(r, (true, false))").expr.rows == ((True, False),)
+        assert parse_expression("select(r, a = true)").predicate.right == P.Const(True)
