@@ -2,23 +2,23 @@
 
 PRs 1-6 removed the asymptotic waste from enforcement; what remained was
 the constant factor of per-tuple Python interpretation.  This benchmark
-evaluates the *same expressions* three ways over identical data — the
-reference tree-walk interpreter (``Expression.evaluate``, row at a time),
-the plan lowered without the fusion pass (whole-column kernels, one
-relation per operator boundary) and the normal plan (fused pipeline
-regions) — and asserts both the verdict parity and the speedups the
+evaluates the *same expressions* two ways over identical data — the
+reference tree-walk interpreter (``Expression.evaluate``, row at a time)
+and the production path (``planner.evaluate`` under a database-bearing
+context: the schema-aware rewrites, then one whole-column kernel per
+operator) — and asserts both the verdict parity and the speedups the
 issue gates on:
 
 * an operator ladder (large-scan selection, computed projection, hash
   join, select-project-join composite) at 100k rows, reported reference
-  vs unfused vs fused, so fusion's own win over per-operator kernels is
-  visible in the artifact;
-* the **select-project-join chain** gated at >= 2x fused-over-reference
-  (the boundary materialization cost fusion exists to remove);
+  vs plan;
+* the **select-project-join chain** gated at >= 2x plan-over-reference:
+  the planner pushes the selection below the join, so the pairs it would
+  discard are never built;
 * the **audit-shaped violation query** ``π[a](r ⊳ σ[d<1000](s))`` — the
   antijoin against qualified targets that referential integrity rules
   compile to (violators = rows with no valid target) — gated at >= 2x
-  on the unfused lowering (the PR 7 gate, unchanged);
+  (the PR 7 gate, unchanged);
 * the wire format: a 100k-row broadcast through the real
   :class:`~repro.parallel.procpool.ProcessFragmentPool` must ship at
   least 1.5x fewer bytes with columnar pickling than the per-row form.
@@ -42,23 +42,19 @@ from benchmarks import report
 from repro.algebra import planner
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
-from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, RelationSchema
+from repro.engine.session import DatabaseView
 from repro.engine.types import INT
-from tests.support.modes import unfused_plan
-from tests.support.reference import evaluate_reference
 
 EXPERIMENT = "E10 / columnar batch execution"
 ROWS_R = 100_000
 ROWS_S = 50_000
 ROUNDS = 4
-#: The audit-shaped plan must run >= this much faster lowered to
-#: per-operator kernels than interpreted; the single-operator ladder rows
-#: are informational.
+#: The audit-shaped plan must run >= this much faster planned than
+#: interpreted; the single-operator ladder rows are informational.
 COMPOSITE_SPEEDUP_FLOOR = 2.0
-#: The select-project-join chain must run >= this much faster fused
-#: (one kernel per region, tuples built only at the boundary) than
-#: interpreted.
+#: The select-project-join chain must run >= this much faster planned
+#: (selection pushed below the join) than interpreted.
 CHAIN_SPEEDUP_FLOOR = 2.0
 CHAIN_PLAN = "select-project-join"
 #: The 100k-row broadcast must pickle >= this much smaller column-wise.
@@ -85,10 +81,6 @@ def database(seed: int = 1993) -> Database:
     db.load("r", [(i, rng.randrange(ROWS_S * 6 // 5)) for i in range(ROWS_R)])
     db.load("s", [(j, rng.randrange(4000)) for j in range(ROWS_S)])
     return db
-
-
-def _context(db: Database) -> StandaloneContext:
-    return StandaloneContext({"r": db.relation("r"), "s": db.relation("s")})
 
 
 def _join_on_b_eq_c():
@@ -159,74 +151,51 @@ def test_batch_operator_ladder(benchmark):
     report.experiment(
         EXPERIMENT,
         f"the same expressions over r({ROWS_R:,}) / s({ROWS_S:,}), "
-        "reference interpreter vs unfused lowering vs fused pipelines",
-        [
-            "plan",
-            "reference (ms)",
-            "unfused (ms)",
-            "fused (ms)",
-            "unfused",
-            "fused",
-        ],
+        "reference interpreter vs planner.evaluate",
+        ["plan", "reference (ms)", "plan (ms)", "speedup"],
     )
 
     def run():
-        db = database()
-        context = _context(db)
+        # A database-bearing context: the planner's schema-aware rewrites
+        # (selection pushdown on the SPJ row) are part of what is measured.
+        context = DatabaseView(database())
         measured = {}
         for name, expression in PLANS.items():
-            evaluators = {
-                "reference": lambda ctx: evaluate_reference(expression, ctx),
-                "unfused": unfused_plan(expression).execute,
-                "fused": planner.get_plan(expression).execute,
-            }
-            timings = {}
-            results = {}
-            for mode, evaluate in evaluators.items():
-                timings[mode], results[mode] = _timed(evaluate, context)
-            assert results["unfused"] == results["reference"], (
-                f"unfused parity broken on {name!r}"
+            reference_seconds, reference = _timed(expression.evaluate, context)
+            plan_seconds, planned = _timed(
+                lambda ctx: planner.evaluate(expression, ctx), context
             )
-            assert results["fused"] == results["reference"], (
-                f"fused parity broken on {name!r}"
-            )
-            measured[name] = (timings, len(results["reference"]))
+            assert planned == reference, f"plan parity broken on {name!r}"
+            measured[name] = (reference_seconds, plan_seconds, len(reference))
         return measured
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     ladder = {}
-    for name, (timings, cardinality) in measured.items():
-        speedup = timings["reference"] / timings["unfused"]
-        fused_speedup = timings["reference"] / timings["fused"]
+    for name, (reference_seconds, plan_seconds, cardinality) in measured.items():
+        speedup = reference_seconds / plan_seconds
         ladder[name] = {
-            "reference_seconds": timings["reference"],
-            "unfused_seconds": timings["unfused"],
-            "fused_seconds": timings["fused"],
+            "reference_seconds": reference_seconds,
+            "plan_seconds": plan_seconds,
             "output_rows": cardinality,
             "speedup": speedup,
-            "fused_speedup": fused_speedup,
-            "fused_over_unfused": timings["unfused"] / timings["fused"],
         }
         report.record(
             EXPERIMENT,
             name,
-            f"{timings['reference'] * 1000:.2f}",
-            f"{timings['unfused'] * 1000:.2f}",
-            f"{timings['fused'] * 1000:.2f}",
+            f"{reference_seconds * 1000:.2f}",
+            f"{plan_seconds * 1000:.2f}",
             f"{speedup:.2f}x",
-            f"{fused_speedup:.2f}x",
         )
     report.note(
         EXPERIMENT,
-        "identical expressions; the unfused lowering runs every operator's "
-        "whole-column kernel with a relation at each boundary and the "
-        "normal plan additionally skips that materialization inside "
-        "regions, so three-way verdict parity with the reference "
-        "interpreter is asserted on every plan before any timing is "
-        "reported",
+        "identical expressions; the plan runs every operator's whole-column "
+        "kernel with a relation at each operator boundary, over the "
+        "expression as the planner rewrote it, and verdict parity with the "
+        "reference interpreter is asserted on every plan before any timing "
+        "is reported",
     )
     composite = ladder["audit plan (gated)"]["speedup"]
-    chain = ladder[CHAIN_PLAN]["fused_speedup"]
+    chain = ladder[CHAIN_PLAN]["speedup"]
     _merge_json(
         {
             "experiment": EXPERIMENT,
@@ -240,11 +209,11 @@ def test_batch_operator_ladder(benchmark):
         }
     )
     assert composite >= COMPOSITE_SPEEDUP_FLOOR, (
-        f"audit-shaped plan lowered at {composite:.2f}x, below the "
+        f"audit-shaped plan ran at {composite:.2f}x over reference, below the "
         f"{COMPOSITE_SPEEDUP_FLOOR}x floor"
     )
     assert chain >= CHAIN_SPEEDUP_FLOOR, (
-        f"select-project-join fused at {chain:.2f}x over reference, below the "
+        f"select-project-join ran at {chain:.2f}x over reference, below the "
         f"{CHAIN_SPEEDUP_FLOOR}x floor"
     )
 

@@ -149,35 +149,19 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
                 ladder.get("process_speedup_floor") if ladder.get("gated") else None,
             ]
         )
-    for plan, stats in data.get("ladder", {}).items():  # columnar operators
-        gated = plan == "audit plan (gated)"
+    ladder_floors = {  # columnar operators: two rows carry a floor
+        "audit plan (gated)": data.get("composite_speedup_floor"),
+        "select-project-join": data.get("chain_speedup_floor"),
+    }
+    for plan, stats in data.get("ladder", {}).items():
         rows.append(
             [
                 name,
-                f"unfused vs reference: {plan}",
+                f"plan vs reference: {plan}",
                 stats.get("speedup"),
-                data.get("composite_speedup_floor") if gated else None,
+                ladder_floors.get(plan),
             ]
         )
-        if "fused_speedup" in stats:
-            chain_gated = plan == "select-project-join"
-            rows.append(
-                [
-                    name,
-                    f"fused vs reference: {plan}",
-                    stats.get("fused_speedup"),
-                    data.get("chain_speedup_floor") if chain_gated else None,
-                ]
-            )
-        if "fused_over_unfused" in stats:
-            rows.append(
-                [
-                    name,
-                    f"fused vs unfused: {plan}",
-                    stats.get("fused_over_unfused"),
-                    None,
-                ]
-            )
     for policy, ratio in data.get("retained", {}).items():  # durable log
         gated = policy == "interval"  # group commit carries the floor
         rows.append(

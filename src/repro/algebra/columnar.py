@@ -33,16 +33,15 @@ two sides:
   :mod:`repro.parallel.procpool`) route every replica, Δ blob, and
   fragment shipment through them.
 
-There is no path selection: every operator runs its kernel and every
-planner *fused pipeline region* executes as one kernel, whatever the input
-size.  The parity suites pin plan ≡ plan lowered without the fusion pass
-(``tests/support/modes.py``) ≡ ``Expression.evaluate``.
+There is no path selection: every operator runs its kernel whatever the
+input size, and operators hand each other plain relations — a
+:class:`ColumnBatch` is what crosses a process boundary, not what crosses
+an operator boundary.  The parity suites pin plan ≡ ``Expression.evaluate``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -157,18 +156,15 @@ class ColumnBatch:
     """A relation decomposed into per-attribute columns.
 
     The batch holds the data in whichever form it was built from — a row
-    list (fused pipelines hand rows between stages) or a column tuple
-    (the wire format unpickles columns) — and converts lazily on first
-    access of the other view, so a batch that only ever flows along a
-    fused pipeline never pays for column extraction and a batch that
-    only ships over a pipe never pays for row reassembly.
+    list (decomposing a relation) or a column tuple (the wire format
+    unpickles columns) — and converts lazily on first access of the other
+    view, so a batch that is only ever read back as rows never pays for
+    column extraction and a batch that only ships over a pipe never pays
+    for row reassembly.
 
     ``columns[j][i]`` is attribute ``j`` of row ``i``; ``counts`` is the
     parallel multiplicity vector, or ``None`` when every multiplicity is
-    1.  A *normalized* batch has distinct rows with merged counts (the
-    shape a Relation stores); interior pipeline batches may carry
-    duplicate rows and per-occurrence counts (``normalized=False``) and
-    defer the merge to :meth:`to_relation` at the region boundary.
+    1.  Rows are distinct, with merged counts (the shape a Relation stores).
     ``index_specs`` carries the relation's *declared* index positions so
     a decoded relation rebuilds its indexes lazily, exactly like a
     freshly copied one.
@@ -182,7 +178,6 @@ class ColumnBatch:
         "counts",
         "index_specs",
         "row_count",
-        "normalized",
     )
 
     def __init__(
@@ -203,7 +198,6 @@ class ColumnBatch:
         if row_count is None:
             row_count = len(self._columns[0]) if self._columns else 0
         self.row_count = row_count
-        self.normalized = True
 
     # -- conversion --------------------------------------------------------
 
@@ -215,7 +209,6 @@ class ColumnBatch:
         rows: list,
         counts: Optional[list] = None,
         index_specs: Tuple[tuple, ...] = (),
-        normalized: bool = True,
     ) -> "ColumnBatch":
         """Wrap an existing row list without extracting columns."""
         batch = cls.__new__(cls)
@@ -226,7 +219,6 @@ class ColumnBatch:
         batch.counts = counts
         batch.index_specs = tuple(index_specs)
         batch.row_count = len(rows)
-        batch.normalized = normalized
         return batch
 
     @classmethod
@@ -261,12 +253,7 @@ class ColumnBatch:
         return self._rows
 
     def to_relation(self):
-        """Reassemble a plain :class:`~repro.engine.relation.Relation`.
-
-        Non-normalized batches merge here: set mode keeps the first
-        occurrence of each row (matching the row path's ``setdefault``),
-        bag mode sums multiplicities.
-        """
+        """Reassemble a plain :class:`~repro.engine.relation.Relation`."""
         from repro.engine.relation import Relation
 
         relation = Relation(self.schema, bag=self.bag)
@@ -281,30 +268,8 @@ class ColumnBatch:
         rows = self.rows_list()
         counts = self.counts
         if not self.bag or counts is None:
-            if self.normalized or not self.bag:
-                return dict.fromkeys(rows, 1)
-            return dict(Counter(rows))
-        if self.normalized:
-            return dict(zip(rows, counts))
-        merged: dict = {}
-        get = merged.get
-        for row, count in zip(rows, counts):
-            merged[row] = get(row, 0) + count
-        return merged
-
-    def _normalized(self) -> "ColumnBatch":
-        """An equivalent batch with distinct rows and merged counts."""
-        if self.normalized:
-            return self
-        merged = self._merged_rows()
-        all_ones = not self.bag or all(c == 1 for c in merged.values())
-        return ColumnBatch.from_rows(
-            self.schema,
-            self.bag,
-            list(merged),
-            None if all_ones else list(merged.values()),
-            self.index_specs,
-        )
+            return dict.fromkeys(rows, 1)
+        return dict(zip(rows, counts))
 
     def column(self, position: int) -> list:
         """The column at 0-based ``position``."""
@@ -330,18 +295,17 @@ class ColumnBatch:
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
-        batch = self._normalized()
-        counts = batch.counts
+        counts = self.counts
         packed_counts = None
         if counts is not None:
             packed_counts = _pack_column(counts)
         return (
-            batch.schema,
-            batch.bag,
-            tuple(_pack_column(column) for column in batch.columns),
+            self.schema,
+            self.bag,
+            tuple(_pack_column(column) for column in self.columns),
             packed_counts,
-            batch.index_specs,
-            batch.row_count,
+            self.index_specs,
+            self.row_count,
         )
 
     def __setstate__(self, state):
@@ -355,7 +319,6 @@ class ColumnBatch:
         )
         self.index_specs = specs
         self.row_count = row_count
-        self.normalized = True
 
 
 # ---------------------------------------------------------------------------

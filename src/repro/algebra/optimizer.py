@@ -7,12 +7,21 @@ integrity rule actions".  This module implements the standard, always-safe
 rewrites used by ``TrOptRS``:
 
 * boolean simplification of predicates (constant folding, double negation);
-* cascade fusion of selections: ``σ_p(σ_q(E)) -> σ_{p∧q}(E)``;
+* cascade fusion of selections: ``σ_p(σ_q(E)) -> σ_{q∧p}(E)``;
 * elimination of ``σ_true`` and identity projections;
 * pushing selections through union / difference / intersection.
 
-All rewrites preserve set semantics; a property test checks rewritten
-expressions evaluate identically to their originals.
+These need nothing but the expression.  The rewrites that need a database
+schema or its statistics — reordering join/semijoin chains, pushing
+selections below equi-joins — live beside each other in
+:mod:`repro.algebra.planner` (``reorder_chains``, ``push_selections``).
+
+All rewrites preserve set semantics *and errors*: a rewrite that would
+change which rows a predicate is evaluated on (fusing a cascade, moving a
+selection below a difference or intersection) is skipped when that
+predicate can raise (:func:`~repro.algebra.predicates.can_raise`).  A
+property test checks rewritten expressions evaluate identically to their
+originals.
 """
 
 from __future__ import annotations
@@ -79,13 +88,17 @@ def optimize_expression(expr: E.Expression) -> E.Expression:
         predicate = simplify_predicate(expr.predicate)
         if isinstance(predicate, P.TruePred):
             return source
+        # The rewrites below run the predicate on rows it would not have
+        # seen (the inner selection's unknowns; the subtracted side).
+        if P.can_raise(predicate) and not isinstance(source, E.Union):
+            return E.Select(source, predicate)
         # Cascade fusion.
         if isinstance(source, E.Select):
             return E.Select(
                 source.input,
                 simplify_predicate(P.And(source.predicate, predicate)),
             )
-        # Push selection through the set operators (always valid).
+        # Push selection through the set operators.
         if isinstance(source, (E.Union, E.Difference, E.Intersection)):
             ctor = type(source)
             return ctor(

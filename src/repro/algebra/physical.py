@@ -22,10 +22,14 @@ operators
   resolved to);
 * execute set operations directly on the underlying row-count dictionaries.
 
-Every operator has exactly one implementation: its whole-column kernel
-(:mod:`repro.algebra.columnar`) runs for every input size, and every fused
-pipeline region executes fused.  Result equivalence with the reference
-interpreter is a hard contract — the property tests in
+Every operator speaks one protocol, ``execute(context) -> Relation``, and
+has exactly one implementation: its whole-column kernel
+(:mod:`repro.algebra.columnar`) runs for every input size, and a plan runs
+by its root's ``execute`` calling its children's.  Nothing here rewrites a
+plan: what is worth restructuring (selections moved below a join, chains
+reordered) is restructured on the *expression*, in
+:mod:`repro.algebra.planner`, before it is lowered.  Result equivalence
+with the reference interpreter is a hard contract — the property tests in
 ``tests/properties/test_prop_planner.py`` compare a plan with
 ``Expression.evaluate`` on random expressions and database states, in set
 and bag mode.  Where the reference interpreter has quirky corners (e.g. the
@@ -59,7 +63,7 @@ from repro.engine.overlay import _DeltaBuckets
 from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, INT, NULL
-from repro.errors import EvaluationError, TypeMismatchError, UnknownAttributeError
+from repro.errors import TypeMismatchError
 
 # Default cardinality assumed for relations absent from a statistics mapping.
 DEFAULT_CARDINALITY = 1000.0
@@ -167,16 +171,6 @@ class PhysicalOperator:
 
     def execute(self, context) -> Relation:
         raise NotImplementedError
-
-    def produce_batch(self, context) -> "columnar.ColumnBatch":
-        """Execute and hand the result upward as a :class:`ColumnBatch`.
-
-        Operators inside a fused pipeline region override this so a
-        batch flows from child to parent directly — no ``to_relation`` /
-        ``from_relation`` round-trip per operator boundary.  The default
-        wraps :meth:`execute`, so any operator can source a region.
-        """
-        return columnar.ColumnBatch.from_relation(self.execute(context))
 
     def estimate(self, cards=None) -> PlanEstimate:
         raise NotImplementedError
@@ -323,10 +317,8 @@ def _projected_keys(source: Relation, positions: Optional[tuple]):
     *is* the key collection of an index on those columns: O(distinct keys),
     and on an overlay or a pinned snapshot O(keys + |Δ|) without
     materializing it.  A bag needs the multiplicities, which only the rows
-    carry.  Shared by :meth:`ProjectOp.execute` and the first stage of a
-    fused region, so the two read the same keys and leave the same
-    :class:`~repro.engine.indexes.IndexUsage` entry: one ``"project"`` use
-    of exactly the keys read.
+    carry.  The read leaves one :class:`~repro.engine.indexes.IndexUsage`
+    entry: a ``"project"`` use of exactly the keys read.
 
     The rows are the caller's own (a fresh list of fresh or immutable
     tuples); nothing in them aliases the index.  Keys that compare equal
@@ -381,34 +373,6 @@ def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
         else:
             bucket.append(row)
     return buckets
-
-
-def _restricted_buckets(relation: Relation, key_side: "_KeySide", rows):
-    """Build-side buckets restricted to a survivor subset: ``(buckets, allowed)``.
-
-    The fused-region pushdown path knows (from a right-side filter) which
-    build rows can contribute pairs at all.  Index-usage accounting must
-    not depend on whether a region formed, so a persistent index on the key
-    columns is touched exactly as :func:`_hash_buckets` would and its full
-    buckets are returned with the restriction as a membership set
-    (``allowed``); without an index, only the surviving rows are hashed —
-    the ephemeral build pass shrinks with the filter's selectivity.
-    """
-    key_fn, positions = key_side.bind(relation.schema)
-    if positions is not None:
-        index = relation.amortized_index(positions)
-        if index is not None:
-            index.touch("build")
-            return index.buckets, frozenset(rows)
-    buckets: dict = {}
-    for row in rows:
-        key = key_fn(row)
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [row]
-        else:
-            bucket.append(row)
-    return buckets, None
 
 
 class _PredicateCache:
@@ -474,11 +438,6 @@ class ScanOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         return context.resolve(self.name)
 
-    def produce_batch(self, context):
-        # The relation's cached columnar form: scans inside a fused
-        # region start from columns without a per-execution decompose.
-        return context.resolve(self.name).column_batch()
-
     def estimate(self, cards=None) -> PlanEstimate:
         return PlanEstimate(rows=_card(cards, self.name))
 
@@ -512,9 +471,6 @@ class DeltaScanOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         return context.resolve(self.name)
-
-    def produce_batch(self, context):
-        return context.resolve(self.name).column_batch()
 
     def estimate(self, cards=None) -> PlanEstimate:
         if cards is not None and self.name in cards:
@@ -588,33 +544,6 @@ class FilterOp(PhysicalOperator):
         result = _mask_select(source, self._pred)
         _trace(context, "select", len(source), len(result))
         return result
-
-    def produce_batch(self, context):
-        return self.apply_batch(self.child.produce_batch(context), context)
-
-    def apply_batch(self, batch, context):
-        """Apply the stage to an already-produced batch.
-
-        Fused regions that restructure the chain (join-side predicate
-        pushdown) drive the surviving stages directly instead of pulling
-        through ``produce_batch``.
-        """
-        rows = batch.rows_list()
-        mask = self._pred.bind_kernel(batch.schema)(rows)
-        out_rows = list(compress(rows, mask))
-        counts = batch.counts
-        out_counts = (
-            list(compress(counts, mask)) if counts is not None else None
-        )
-        out = columnar.ColumnBatch.from_rows(
-            batch.schema,
-            batch.bag,
-            out_rows,
-            out_counts,
-            normalized=batch.normalized,
-        )
-        _trace(context, "select", len(batch), len(out))
-        return out
 
     def estimate(self, cards=None) -> PlanEstimate:
         child = self.child.estimate(cards)
@@ -802,37 +731,6 @@ class ProjectOp(PhysicalOperator):
             result._rows = merged
         _trace(context, "project", len(source), len(result))
         return result
-
-    def produce_batch(self, context):
-        child = self.child
-        if isinstance(child, (ScanOp, DeltaScanOp)):
-            # First stage of a region over a scan: the same index-only
-            # start as execute(), so fused and unfused plans read the same
-            # keys and leave the same usage ledger.
-            source = child.execute(context)
-            out_schema, _row_maker, key_columns = self._bind(source.schema)
-            out_rows = _projected_keys(source, key_columns)
-            if out_rows is None:
-                return self.apply_batch(source.column_batch(), context)
-            _trace(context, "project", len(out_rows), len(out_rows))
-            return columnar.ColumnBatch.from_rows(out_schema, False, out_rows)
-        return self.apply_batch(child.produce_batch(context), context)
-
-    def apply_batch(self, batch, context):
-        """Apply the stage to an already-produced batch (see FilterOp)."""
-        out_schema, row_maker, _key_columns = self._bind(batch.schema)
-        out_rows = row_maker(batch.rows_list())
-        # Projection can collapse rows; the merge (bag count summation,
-        # set first-occurrence-wins) is deferred to the region boundary.
-        out = columnar.ColumnBatch.from_rows(
-            out_schema,
-            batch.bag,
-            out_rows,
-            batch.counts,
-            normalized=False,
-        )
-        _trace(context, "project", len(batch), len(out))
-        return out
 
     def estimate(self, cards=None) -> PlanEstimate:
         child = self.child.estimate(cards)
@@ -1201,13 +1099,7 @@ class HashJoinOp(_BinaryOp):
         self._residual = _PredicateCache(residual)
         self._schemas = _CombinedSchemaCache("_join")
 
-    def _probe_pairs(
-        self,
-        left: Relation,
-        right: Relation,
-        probe: Optional[tuple] = None,
-        right_restrict=None,
-    ):
+    def _probe_pairs(self, left: Relation, right: Relation):
         """Whole-column probe kernel: ``(pairs, pair_counts_or_None)``.
 
         The key column is extracted in one map pass and the output pairs
@@ -1219,27 +1111,10 @@ class HashJoinOp(_BinaryOp):
         multiplicity (build sides hash *distinct* right rows, so right
         multiplicities never contribute — the reference interpreter's
         convention).
-
-        ``probe`` and ``right_restrict`` serve fused-region predicate
-        pushdown: ``probe`` replaces the probe side's ``(rows, counts)``
-        with a pre-filtered pair, and ``right_restrict`` lists the build
-        rows a pushed right-side filter kept, so filtered-out pairs are
-        never concatenated (see :func:`_restricted_buckets`).
-        ``right_restrict`` is only honoured on the residual-free paths
-        (the fused caller gates on a true residual).
         """
-        if right_restrict is None:
-            buckets = _hash_buckets(right, self.right_keys, need_rows=True)
-            allowed = None
-        else:
-            buckets, allowed = _restricted_buckets(
-                right, self.right_keys, right_restrict
-            )
+        buckets = _hash_buckets(right, self.right_keys, need_rows=True)
         left_key, positions = self.left_keys.bind(left.schema)
-        if probe is None:
-            lrows, lcounts = left.rows_and_counts()
-        else:
-            lrows, lcounts = probe
+        lrows, lcounts = left.rows_and_counts()
         if isinstance(buckets, _DeltaBuckets):
             buckets = buckets.probe(set(map(left_key, lrows)))
         get_bucket = buckets.get
@@ -1249,26 +1124,13 @@ class HashJoinOp(_BinaryOp):
             extend_pairs = pairs.extend
             extend_counts = pair_counts.extend
             if self._residual.is_true:
-                if allowed is None:
-                    for lrow, key, count in zip(
-                        lrows, map(left_key, lrows), lcounts
-                    ):
-                        bucket = get_bucket(key)
-                        if bucket:
-                            extend_pairs(lrow + rrow for rrow in bucket)
-                            extend_counts([count] * len(bucket))
-                else:
-                    for lrow, key, count in zip(
-                        lrows, map(left_key, lrows), lcounts
-                    ):
-                        matched = [
-                            lrow + rrow
-                            for rrow in get_bucket(key) or ()
-                            if rrow in allowed
-                        ]
-                        if matched:
-                            extend_pairs(matched)
-                            extend_counts([count] * len(matched))
+                for lrow, key, count in zip(
+                    lrows, map(left_key, lrows), lcounts
+                ):
+                    bucket = get_bucket(key)
+                    if bucket:
+                        extend_pairs(lrow + rrow for rrow in bucket)
+                        extend_counts([count] * len(bucket))
             else:
                 residual = self._residual.bind(left.schema, right.schema)
                 for lrow, key, count in zip(
@@ -1284,23 +1146,7 @@ class HashJoinOp(_BinaryOp):
                         extend_counts([count] * len(matched))
             return pairs, pair_counts
         if self._residual.is_true:
-            if allowed is not None:
-                if positions is not None and len(positions) == 1:
-                    p = positions[0]
-                    pairs = [
-                        lrow + rrow
-                        for lrow in lrows
-                        for rrow in get_bucket(lrow[p]) or ()
-                        if rrow in allowed
-                    ]
-                else:
-                    pairs = [
-                        lrow + rrow
-                        for lrow, key in zip(lrows, map(left_key, lrows))
-                        for rrow in get_bucket(key) or ()
-                        if rrow in allowed
-                    ]
-            elif positions is not None and len(positions) == 1:
+            if positions is not None and len(positions) == 1:
                 p = positions[0]
                 pairs = [
                     lrow + rrow
@@ -1337,31 +1183,6 @@ class HashJoinOp(_BinaryOp):
             result._rows = dict(zip(pairs, pair_counts))
         _trace_sizes(context, "join", (left, right), result)
         return result
-
-    def produce_batch(self, context):
-        left = self.left.execute(context)
-        right = self.right.execute(context)
-        return self.produce_batch_from(context, left, right)
-
-    def produce_batch_from(
-        self, context, left, right, probe=None, right_restrict=None
-    ):
-        """Batch production over already-executed inputs.
-
-        Fused regions execute the join's children themselves so they can
-        compute side-pushdown masks between child execution and the
-        probe; ``probe``/``right_restrict`` carry those masks down into
-        :meth:`_probe_pairs`.
-        """
-        pairs, pair_counts = self._probe_pairs(left, right, probe, right_restrict)
-        out = columnar.ColumnBatch.from_rows(
-            self._schemas.get(left.schema, right.schema),
-            left.bag or right.bag,
-            pairs,
-            pair_counts,
-        )
-        _trace_sizes(context, "join", (left, right), out)
-        return out
 
     def estimate(self, cards=None) -> PlanEstimate:
         left = self.left.estimate(cards)
@@ -1478,13 +1299,9 @@ class HashSemiJoinOp(_BinaryOp):
         self._residual = _PredicateCache(residual)
 
     def _probe_dict(self, left: Relation, right: Relation) -> dict:
-        """The selected ``{row: count}`` dict, shared by both result forms.
-
-        Regime selection and every index interaction (build touches,
-        amortization accounting, probe touches) happen here, once, so
-        ``IndexUsage`` ledgers are identical whether the operator stands
-        alone or sources a fused region.
-        """
+        """The selected ``{row: count}`` dict: regime selection and every
+        index interaction (build touches, amortization accounting, probe
+        touches) happen here."""
         keep = self.keep_matching
         left_key, positions = self.left_keys.bind(left.schema)
         if not self._residual.is_true:
@@ -1556,19 +1373,6 @@ class HashSemiJoinOp(_BinaryOp):
         _trace_sizes(context, self.op_name, (left, right), result)
         return result
 
-    def produce_batch(self, context):
-        left = self.left.execute(context)
-        right = self.right.execute(context)
-        selected = self._probe_dict(left, right)
-        counts = None
-        if left.bag and any(count != 1 for count in selected.values()):
-            counts = list(selected.values())
-        out = columnar.ColumnBatch.from_rows(
-            left.schema, left.bag, list(selected), counts
-        )
-        _trace_sizes(context, self.op_name, (left, right), out)
-        return out
-
     def estimate(self, cards=None) -> PlanEstimate:
         left = self.left.estimate(cards)
         right = self.right.estimate(cards)
@@ -1639,310 +1443,3 @@ class NestedLoopSemiOp(_BinaryOp):
 class NestedLoopAntiOp(NestedLoopSemiOp):
     op_name = "antijoin"
     keep_matching = False
-
-
-# ---------------------------------------------------------------------------
-# Fused pipeline regions
-# ---------------------------------------------------------------------------
-
-
-def _pushdown_columns(node, schema: RelationSchema, columns: list) -> bool:
-    """Collect the 0-based columns a predicate reads; False = not pushable.
-
-    A filter directly above an equi hash join can run *before* pair
-    construction when every column it reads resolves positionally against
-    the combined schema and no subexpression can raise.  Division
-    disqualifies: pushed predicates are evaluated on probe/build rows the
-    join would never have matched, so a divide-by-zero there would raise
-    where the unpushed filter raises nothing.  Everything else in the paper's
-    expression language (comparisons, +,-,*, boolean connectives, IS
-    NULL) is total under three-valued logic, so pre- and post-join
-    evaluation agree row for row.
-    """
-    if isinstance(node, (P.TruePred, P.FalsePred, P.Const)):
-        return True
-    if isinstance(node, P.ColRef):
-        try:
-            which, position = P._resolve_position(node, schema, None)
-        except (UnknownAttributeError, EvaluationError):
-            return False
-        if which != 0:
-            return False
-        columns.append(position)
-        return True
-    if isinstance(node, (P.Comparison, P.Arith, P.And, P.Or)):
-        if isinstance(node, P.Arith) and node.op == "/":
-            return False
-        return _pushdown_columns(
-            node.left, schema, columns
-        ) and _pushdown_columns(node.right, schema, columns)
-    if isinstance(node, (P.Not, P.IsNull)):
-        return _pushdown_columns(node.operand, schema, columns)
-    return False
-
-
-def _conjuncts(node) -> list:
-    """Flatten a predicate's top-level conjunction (planner-merged selects)."""
-    if isinstance(node, P.And):
-        return _conjuncts(node.left) + _conjuncts(node.right)
-    return [node]
-
-
-def _conjoin(conjuncts):
-    predicate = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        predicate = P.And(predicate, conjunct)
-    return predicate
-
-
-def _shift_predicate(node, schema: RelationSchema, shift: int):
-    """Rebind a single-side predicate onto that side's own schema.
-
-    Every column reference becomes a positional (1-based) reference
-    shifted down by the left arity, so the compiled kernel runs directly
-    on bare probe/build rows instead of concatenated pairs.
-    """
-    if isinstance(node, (P.TruePred, P.FalsePred, P.Const)):
-        return node
-    if isinstance(node, P.ColRef):
-        _, position = P._resolve_position(node, schema, None)
-        return P.ColRef(position - shift + 1)
-    if isinstance(node, P.Comparison):
-        return P.Comparison(
-            node.op,
-            _shift_predicate(node.left, schema, shift),
-            _shift_predicate(node.right, schema, shift),
-        )
-    if isinstance(node, P.Arith):
-        return P.Arith(
-            node.op,
-            _shift_predicate(node.left, schema, shift),
-            _shift_predicate(node.right, schema, shift),
-        )
-    if isinstance(node, P.And):
-        return P.And(
-            _shift_predicate(node.left, schema, shift),
-            _shift_predicate(node.right, schema, shift),
-        )
-    if isinstance(node, P.Or):
-        return P.Or(
-            _shift_predicate(node.left, schema, shift),
-            _shift_predicate(node.right, schema, shift),
-        )
-    if isinstance(node, P.Not):
-        return P.Not(_shift_predicate(node.operand, schema, shift))
-    if isinstance(node, P.IsNull):
-        return P.IsNull(_shift_predicate(node.operand, schema, shift))
-    raise EvaluationError(f"cannot rebind {node!r} for pushdown")
-
-
-class FusedPipelineOp(PhysicalOperator):
-    """A maximal select/project chain executed as one batch kernel.
-
-    ``root`` is the chain's topmost stage operator; ``source`` is the
-    operator feeding the chain (scan, Δ-scan, hash join, or hash
-    semi/antijoin).  The region executes by asking the root for a
-    :class:`ColumnBatch` — each stage pulls its child's batch, applies
-    its kernel to the row list, and hands the batch upward — so output
-    tuples and the result dict are built exactly once, at the region
-    boundary, instead of per operator.  The stage chain stays intact
-    underneath (``children()`` exposes it), so plan walks (explain,
-    hints, estimates) see the original operators.
-
-    Over an equi hash-join source the region goes one step further:
-    filter stages adjacent to the join whose predicate reads only one
-    side (and cannot raise — see :func:`_pushdown_columns`) are compiled
-    against that side's own schema and applied *before* pair
-    construction.  A left-side predicate shrinks the probe rows; a
-    right-side predicate shrinks the build side to its survivors (or, if
-    a persistent index serves the build, becomes a survivor set consulted
-    during bucket expansion) — so pairs that a stage would immediately
-    discard are never concatenated at all, and index usage accounting
-    stays identical to the unfused operator chain's.
-    """
-
-    op_name = "fused"
-
-    def __init__(
-        self,
-        root: PhysicalOperator,
-        source: PhysicalOperator,
-        stages: Tuple[PhysicalOperator, ...],
-    ):
-        self.root = root
-        self.source = source
-        self.stages = stages
-        # The run of filter stages adjacent to the source, nearest first —
-        # pushdown candidates when the source is a residual-free hash
-        # join.  Filters commute (total mask intersection), so any subset
-        # of the run may move below the pair construction.
-        tail = []
-        for stage in reversed(stages):
-            if not isinstance(stage, FilterOp):
-                break
-            tail.append(stage)
-        self._tail_filters = tuple(tail)
-        self._pushdown: dict = _SchemaLRU()
-
-    def children(self) -> tuple:
-        return (self.root,)
-
-    def execute(self, context) -> Relation:
-        source = self.source
-        if (
-            self._tail_filters
-            and isinstance(source, HashJoinOp)
-            and source._residual.is_true
-        ):
-            left = source.left.execute(context)
-            right = source.right.execute(context)
-            pushed, remaining = self._join_pushdown(left.schema, right.schema)
-            batch = self._pushed_join_batch(context, source, left, right, pushed)
-            for stage in reversed(remaining):
-                batch = stage.apply_batch(batch, context)
-            return batch.to_relation()
-        return self.root.produce_batch(context).to_relation()
-
-    def _join_pushdown(self, left_schema, right_schema):
-        """``(pushed, remaining)`` for this schema pair, cached.
-
-        ``pushed`` is a tuple of ``(side, kernel)`` mask kernels bound to
-        the side schemas; ``remaining`` is the stage chain (top-down)
-        minus the pushed filters.
-        """
-        key = (left_schema, right_schema)
-        plan = self._pushdown.get(key)
-        if plan is None:
-            plan = self._analyze_pushdown(left_schema, right_schema)
-            self._pushdown[key] = plan
-        return plan
-
-    def _analyze_pushdown(self, left_schema, right_schema):
-        combined = self.source._schemas.get(left_schema, right_schema)
-        larity = left_schema.arity
-        pushed = []
-        # id(stage) -> residual FilterOp over the unpushed conjuncts, or
-        # None when the whole predicate moved below the join.  In Kleene
-        # logic A∧B is True iff both conjuncts are, so splitting a
-        # planner-merged conjunction into sequential keep-if-True masks
-        # is exact.
-        replacements: dict = {}
-        for stage in self._tail_filters:
-            sides = {"left": [], "right": []}
-            rest = []
-            for conjunct in _conjuncts(stage._pred.predicate):
-                columns: list = []
-                if not _pushdown_columns(conjunct, combined, columns):
-                    rest.append(conjunct)
-                elif not columns:
-                    rest.append(conjunct)  # constant: nothing to gain
-                elif all(position < larity for position in columns):
-                    sides["left"].append(conjunct)
-                elif all(position >= larity for position in columns):
-                    sides["right"].append(conjunct)
-                else:
-                    rest.append(conjunct)  # reads both sides
-            if not sides["left"] and not sides["right"]:
-                continue
-            for side, shift, schema in (
-                ("left", 0, left_schema),
-                ("right", larity, right_schema),
-            ):
-                if sides[side]:
-                    remapped = _shift_predicate(
-                        _conjoin(sides[side]), combined, shift
-                    )
-                    pushed.append(
-                        (side, columnar.compile_predicate_kernel(remapped, schema))
-                    )
-            replacements[id(stage)] = (
-                FilterOp(stage.child, _conjoin(rest)) if rest else None
-            )
-        remaining = []
-        for stage in self.stages:
-            if id(stage) in replacements:
-                residual = replacements[id(stage)]
-                if residual is not None:
-                    remaining.append(residual)
-            else:
-                remaining.append(stage)
-        return tuple(pushed), tuple(remaining)
-
-    @staticmethod
-    def _pushed_join_batch(context, source, left, right, pushed):
-        lrows = lcounts = None
-        survivors = None
-        for side, kernel in pushed:
-            if side == "left":
-                if lrows is None:
-                    lrows, lcounts = left.rows_and_counts()
-                mask = kernel(lrows)
-                lrows = list(compress(lrows, mask))
-                if lcounts is not None:
-                    lcounts = list(compress(lcounts, mask))
-            else:
-                if survivors is None:
-                    survivors = list(right.rows())
-                mask = kernel(survivors)
-                survivors = list(compress(survivors, mask))
-        probe = None if lrows is None else (lrows, lcounts)
-        return source.produce_batch_from(context, left, right, probe, survivors)
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        return self.root.estimate(cards)
-
-    def describe(self) -> str:
-        names = [op.op_name for op in self.stages]
-        names.append(self.source.op_name)
-        return f"fused[{'<-'.join(names)}]"
-
-
-#: Stage operators a fused region may chain above its source.
-_FUSE_STAGES = (FilterOp, ProjectOp)
-
-#: Operators that may source a region.  Everything else — index selects
-#: (bucket lookups are already sub-linear), renames (schema-only), set
-#: operators, nested-loop fallbacks — declines fusion and bounds a region.
-_FUSE_SOURCES = (ScanOp, DeltaScanOp, HashJoinOp, HashSemiJoinOp)
-
-
-def fuse_pipelines(plan: PhysicalOperator) -> PhysicalOperator:
-    """Wrap maximal select/project pipeline chains in fused regions.
-
-    A chain of :data:`_FUSE_STAGES` operators over a :data:`_FUSE_SOURCES`
-    operator forms a region when fusion can actually skip an operator
-    boundary: join/semi sources pay the dominant cost in output-tuple
-    construction, so one stage suffices; scan sources only win once two
-    stages collapse (a single stage over a scan already runs its whole
-    batch kernel without an intermediate).  Runs at compile time, before
-    the plan enters the cache.
-    """
-    return _fuse(plan)
-
-
-def _fuse(op: PhysicalOperator) -> PhysicalOperator:
-    if isinstance(op, _FUSE_STAGES):
-        stages = [op]
-        cursor = op.child
-        while isinstance(cursor, _FUSE_STAGES):
-            stages.append(cursor)
-            cursor = cursor.child
-        if isinstance(cursor, _FUSE_SOURCES):
-            needed = 1 if isinstance(cursor, _BinaryOp) else 2
-            if len(stages) >= needed:
-                _fuse_children(cursor)
-                return FusedPipelineOp(op, cursor, tuple(stages))
-        # No region at this chain; regions may still form below it.
-        stages[-1].child = _fuse(cursor)
-        return op
-    _fuse_children(op)
-    return op
-
-
-def _fuse_children(op: PhysicalOperator) -> None:
-    child = getattr(op, "child", None)
-    if child is not None:
-        op.child = _fuse(child)
-    elif isinstance(op, _BinaryOp):
-        op.left = _fuse(op.left)
-        op.right = _fuse(op.right)

@@ -26,10 +26,12 @@ produced by parsing or by the calculus-to-algebra translation of Section
 * :func:`index_hints` reports which base-relation hash indexes would
   accelerate a plan (the integrity controller turns these into real indexes
   via :meth:`~repro.core.subsystem.IntegrityController.install_indexes`);
-* :func:`reorder_chains` / :func:`database_plan` implement greedy
+* :func:`reorder_chains` / :func:`push_selections` /
+  :func:`database_plan` are the schema-aware logical rewrites — greedy
   cost-based reordering of semijoin/antijoin and equi-join chains under
-  observed statistics — :func:`evaluate` applies it automatically when
-  the evaluation context exposes a database.
+  observed statistics, and selections moved below an equi-join onto the
+  input whose columns they read — which :func:`evaluate` applies
+  automatically when the evaluation context exposes a database.
 """
 
 from __future__ import annotations
@@ -104,16 +106,15 @@ def compile_expression(
 ) -> X.PhysicalOperator:
     """Lower an expression tree into a physical operator DAG.
 
-    Lowering also forms fused pipeline regions (:func:`~repro.algebra.
-    physical.fuse_pipelines` — maximal select/project chains over a
-    scan/join/semijoin source execute as one batch kernel).  The result is
-    immutable from then on: nothing about how a plan executes depends on
-    estimates or input sizes, so plans are shared through the plan cache
-    and executed concurrently as they are.
+    One operator per expression node, in the expression's own shape: a
+    plan is never restructured after lowering (what is worth moving is
+    moved on the expression, see :func:`database_plan`), and nothing about
+    how it executes depends on estimates or input sizes, so plans are
+    shared through the plan cache and executed concurrently as they are.
     """
     if optimize:
         expression = optimize_expression(expression)
-    return X.fuse_pipelines(_lower(expression))
+    return _lower(expression)
 
 
 def _lower(expr: E.Expression) -> X.PhysicalOperator:
@@ -228,11 +229,13 @@ def plan_cache_info() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Cost-based chain reordering
+# Schema-aware logical rewrites: chain reordering, selection pushdown
 # ---------------------------------------------------------------------------
 #
-# The planner lowers expression trees as written; these rewrites reorder the
-# two chain shapes where order is a pure cost choice:
+# The planner lowers expression trees as written; these rewrites need the
+# database schema (which input owns which column) and so run where a
+# database is in reach (:func:`database_plan`).  Reordering covers the two
+# chain shapes where order is a pure cost choice:
 #
 # * **semijoin/antijoin chains** ``(A ⋉ B₁) ⊳ B₂ ⋉ …`` — every op filters A,
 #   so any permutation is equivalent (set and bag mode, any predicates);
@@ -246,6 +249,9 @@ def plan_cache_info() -> dict:
 #   new join order cannot capture the wrong column), only *connected*
 #   inputs are joined (never introduces products), and a final projection
 #   restores the original column order.
+#
+# Selection pushdown (:func:`push_selections`) then moves the conjuncts of a
+# selection over an equi-join below it, onto the one input they read.
 #
 # Anything that fails a precondition is left exactly as written.
 
@@ -338,68 +344,41 @@ def _conjuncts(predicate: P.Predicate) -> list:
 def _named_refs(node) -> Optional[list]:
     """All ColRefs in a predicate/scalar tree, or None when any is
     positional or the tree contains an unrecognized node kind."""
-    refs: list = []
-
-    def visit(item) -> bool:
-        if isinstance(item, P.ColRef):
-            if not isinstance(item.attr, str):
-                return False
-            refs.append(item)
-            return True
-        if isinstance(item, P.Const) or isinstance(
-            item, (P.TruePred, P.FalsePred)
-        ):
-            return True
-        if isinstance(item, P.Arith):
-            return visit(item.left) and visit(item.right)
-        if isinstance(item, P.Comparison):
-            return visit(item.left) and visit(item.right)
-        if isinstance(item, (P.And, P.Or)):
-            return visit(item.left) and visit(item.right)
-        if isinstance(item, P.Not):
-            return visit(item.operand)
-        if isinstance(item, P.IsNull):
-            return visit(item.operand)
-        return False
-
-    if not visit(node):
+    nodes = P.nodes(node)
+    if nodes is None:
+        return None
+    refs = [item for item in nodes if isinstance(item, P.ColRef)]
+    if not all(isinstance(ref.attr, str) for ref in refs):
         return None
     return refs
+
+
+def _map_refs(node, rewrite):
+    """``node`` with every ColRef replaced by ``rewrite(ref)``."""
+    if isinstance(node, P.ColRef):
+        return rewrite(node)
+    if isinstance(node, (P.Arith, P.Comparison)):
+        return type(node)(
+            node.op, _map_refs(node.left, rewrite), _map_refs(node.right, rewrite)
+        )
+    if isinstance(node, (P.And, P.Or)):
+        return type(node)(
+            _map_refs(node.left, rewrite), _map_refs(node.right, rewrite)
+        )
+    if isinstance(node, (P.Not, P.IsNull)):
+        return type(node)(_map_refs(node.operand, rewrite))
+    return node
 
 
 def _retag_sides(node, owner_of: dict, right_input: int):
     """Rewrite every ColRef's side for a new join position: references to
     ``right_input``'s columns become ``right``, everything else ``left``."""
-    if isinstance(node, P.ColRef):
-        side = "right" if owner_of[node.attr] == right_input else "left"
-        return P.ColRef(node.attr, side)
-    if isinstance(node, P.Arith):
-        return P.Arith(
-            node.op,
-            _retag_sides(node.left, owner_of, right_input),
-            _retag_sides(node.right, owner_of, right_input),
-        )
-    if isinstance(node, P.Comparison):
-        return P.Comparison(
-            node.op,
-            _retag_sides(node.left, owner_of, right_input),
-            _retag_sides(node.right, owner_of, right_input),
-        )
-    if isinstance(node, P.And):
-        return P.And(
-            _retag_sides(node.left, owner_of, right_input),
-            _retag_sides(node.right, owner_of, right_input),
-        )
-    if isinstance(node, P.Or):
-        return P.Or(
-            _retag_sides(node.left, owner_of, right_input),
-            _retag_sides(node.right, owner_of, right_input),
-        )
-    if isinstance(node, P.Not):
-        return P.Not(_retag_sides(node.operand, owner_of, right_input))
-    if isinstance(node, P.IsNull):
-        return P.IsNull(_retag_sides(node.operand, owner_of, right_input))
-    return node
+    return _map_refs(
+        node,
+        lambda ref: P.ColRef(
+            ref.attr, "right" if owner_of[ref.attr] == right_input else "left"
+        ),
+    )
 
 
 def _reorder_semi_chain(
@@ -563,6 +542,21 @@ def _reorder_join_chain(
     return E.Project(node, items)
 
 
+def _rewrite_children(expr: E.Expression, rewrite) -> E.Expression:
+    """``expr`` over ``rewrite(child)`` for each child expression — ``expr``
+    itself when no child changed."""
+    changes = {}
+    for field in dataclasses.fields(expr):
+        value = getattr(expr, field.name)
+        if isinstance(value, E.Expression):
+            replacement = rewrite(value)
+            if replacement is not value:
+                changes[field.name] = replacement
+    if changes:
+        return dataclasses.replace(expr, **changes)
+    return expr
+
+
 def _reorder(expr: E.Expression, statistics, schema) -> E.Expression:
     if isinstance(expr, (E.SemiJoin, E.AntiJoin)):
         return _reorder_semi_chain(expr, statistics, schema)
@@ -570,16 +564,9 @@ def _reorder(expr: E.Expression, statistics, schema) -> E.Expression:
         out = _reorder_join_chain(expr, statistics, schema)
         if out is not None:
             return out
-    changes = {}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, E.Expression):
-            replacement = _reorder(value, statistics, schema)
-            if replacement is not value:
-                changes[field.name] = replacement
-    if changes:
-        return dataclasses.replace(expr, **changes)
-    return expr
+    return _rewrite_children(
+        expr, lambda child: _reorder(child, statistics, schema)
+    )
 
 
 def reorder_chains(
@@ -599,11 +586,114 @@ def reorder_chains(
     return _reorder(expression, statistics, schema)
 
 
+def _column_position(ref: P.ColRef, columns: tuple) -> Optional[int]:
+    """The 0-based position among ``columns`` a reference in a selection
+    over them reads; None when it does not resolve there."""
+    if ref.side == "right":  # raises in a unary context
+        return None
+    if isinstance(ref.attr, str):
+        return columns.index(ref.attr) if ref.attr in columns else None
+    return ref.attr - 1 if 1 <= ref.attr <= len(columns) else None
+
+
+def _push_below_join(select: E.Select, schema) -> E.Expression:
+    """One ``σ[p_l ∧ p_r ∧ p](L ⋈ R) → σ[p](σ[p_l](L) ⋈ σ[p_r](R))`` step;
+    ``select`` itself when nothing moves."""
+    join = select.input
+    left_keys, _right_keys, residual = _split_equi_predicate(join.predicate)
+    if not left_keys or not isinstance(residual, P.TruePred):
+        return select
+    # A moved conjunct runs on rows the join would never have paired, and
+    # shrinks the set of pairs the conjuncts left above (and the join's own
+    # key expressions) run on: either changes *whether an error is raised*
+    # unless nothing in reach can raise at all.
+    if P.can_raise(select.predicate) or P.can_raise(join.predicate):
+        return select
+    columns = _visible_columns(join, schema)
+    if columns is None:
+        return select
+    left_arity = len(_visible_columns(join.left, schema))
+
+    def below_right(ref: P.ColRef) -> P.ColRef:
+        # Names are unique across both inputs; positions count from the
+        # right input's first column once below the join.
+        if isinstance(ref.attr, str):
+            return ref
+        return P.ColRef(ref.attr - left_arity, ref.side)
+
+    to_left, to_right, kept = [], [], []
+    for conjunct in _conjuncts(select.predicate):
+        positions = {
+            _column_position(item, columns)
+            for item in P.nodes(conjunct)
+            if isinstance(item, P.ColRef)
+        }
+        if not positions or None in positions:
+            kept.append(conjunct)  # constant, or a reference that resolves nowhere
+        elif max(positions) < left_arity:
+            to_left.append(conjunct)
+        elif min(positions) >= left_arity:
+            to_right.append(_map_refs(conjunct, below_right))
+        else:
+            kept.append(conjunct)  # reads both inputs
+    if not to_left and not to_right:
+        return select
+
+    def selected(source, conjuncts):
+        return E.Select(source, P.conjoin(*conjuncts)) if conjuncts else source
+
+    pushed = E.Join(
+        selected(join.left, to_left),
+        selected(join.right, to_right),
+        join.predicate,
+    )
+    return selected(pushed, kept)
+
+
+def _push(expr: E.Expression, schema) -> E.Expression:
+    if isinstance(expr, E.Select) and isinstance(expr.input, E.Join):
+        expr = _push_below_join(expr, schema)
+    # Top-down: a selection just placed on a join input is pushed on from
+    # there when that input is itself a join.
+    return _rewrite_children(expr, lambda child: _push(child, schema))
+
+
+def push_selections(expression: E.Expression, schema) -> E.Expression:
+    """Move selections over equi-joins onto the join inputs they read.
+
+    ``σ[p_l ∧ p_r ∧ p](L ⋈ R) → σ[p](σ[p_l](L) ⋈ σ[p_r](R))``: pairs a
+    selection would discard are never built, a build side shrinks to its
+    survivors, and a moved ``column = constant`` over a bare relation
+    lowers to an index lookup.  The rewrite looks at the expression the
+    lowering will see (after :func:`~repro.algebra.optimizer.
+    optimize_expression` has merged selection cascades and pushed
+    selections through the set operators) and fires only where it is exact
+    — same rows, same multiplicities, same errors — in set and bag mode:
+
+    * the join is a pure equi-join (hash keys, no residual);
+    * no division anywhere in the selection or the join predicate (see
+      :func:`_push_below_join`);
+    * both inputs' column names are statically derivable under ``schema``
+      (:func:`_visible_columns`) and no name occurs twice among them, so
+      a reference — by name, or by position, right-side positions shifted
+      down by the left arity — denotes the same column above and below;
+    * a conjunct moves only when every column it reads belongs to one
+      input; constant and mixed-side conjuncts stay above the join.
+
+    Returns ``expression`` itself when nothing moves, so an unrewritten
+    expression keeps sharing its :func:`get_plan` entry.
+    """
+    optimized = optimize_expression(expression)
+    pushed = _push(optimized, schema)
+    return expression if pushed is optimized else pushed
+
+
 # Per-database plans, held weakly: Database -> {Expression: (RuntimeStatistics
 # snapshot | None, PhysicalOperator)} — the plan of the expression with its
-# chains reordered under the snapshot.  A ``None`` snapshot marks a
-# chain-free expression: its entry never drifts, and it is the whole cost of
-# evaluating a stored check — one probe, on an expression that hashes once.
+# chains reordered under the snapshot and its selections pushed under the
+# database's schema.  A ``None`` snapshot marks a chain-free expression: its
+# entry never drifts, and it is the whole cost of evaluating a stored check —
+# one probe, on an expression that hashes once.
 _DATABASE_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _DATABASE_PLANS_LIMIT = 1024
 
@@ -612,8 +702,10 @@ def database_plan(
     expression: E.Expression, database, drift_threshold: Optional[float] = None
 ) -> X.PhysicalOperator:
     """The plan of ``expression`` with chains reordered under the database's
-    observed statistics, cached per (database, expression) with drift
-    invalidation (the same pattern as :func:`plan_estimate`).
+    observed statistics and selections pushed below equi-joins under its
+    schema (:func:`push_selections`), cached per (database, expression) with
+    drift invalidation (the same pattern as :func:`plan_estimate`).  Both
+    rewrites run only when an entry is (re)computed.
 
     Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
     call it stands for.
@@ -634,11 +726,11 @@ def database_plan(
     if cached is not None and not cached[0].drifted(stats, drift_threshold):
         _plan_cache_hits += 1
         return cached[1]
+    rewritten, snapshot = expression, None
     if _has_chain(expression):
-        reordered = reorder_chains(expression, stats, database.schema)
-        result = (stats, get_plan(reordered))
-    else:
-        result = (None, get_plan(expression))
+        rewritten = reorder_chains(expression, stats, database.schema)
+        snapshot = stats
+    result = (snapshot, get_plan(push_selections(rewritten, database.schema)))
     if len(per_database) >= _DATABASE_PLANS_LIMIT:
         per_database.pop(next(iter(per_database)))
     per_database[expression] = result
@@ -653,8 +745,10 @@ def database_plan(
 def evaluate(expression: E.Expression, context) -> Relation:
     """Evaluate ``expression`` by executing its compiled plan.
 
-    When the context exposes a database, join/semijoin chains are first
-    reordered under its observed statistics (cached, drift-invalidated).
+    When the context exposes a database, the plan is :func:`database_plan`'s
+    — chains reordered under its observed statistics, selections pushed
+    below equi-joins under its schema (cached, drift-invalidated); without
+    one the expression runs as written.
     """
     if _is_cache_exempt(expression):
         return _lower(expression).execute(context)

@@ -345,21 +345,38 @@ def compile_predicate(
     raise EvaluationError(f"cannot compile predicate {predicate!r}")
 
 
-def predicate_columns(predicate: Predicate) -> set:
-    """All ColRefs mentioned by a predicate (for optimizer analyses)."""
-    found: set = set()
-    _collect_columns(predicate, found)
+def nodes(node) -> Optional[list]:
+    """Every node of a predicate/scalar tree, leaves left to right, or None
+    when the tree contains an unrecognized node kind."""
+    found: list = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        found.append(item)
+        if isinstance(item, (Arith, Comparison, And, Or)):
+            stack += (item.right, item.left)
+        elif isinstance(item, (Not, IsNull)):
+            stack.append(item.operand)
+        elif not isinstance(item, (ColRef, Const, TruePred, FalsePred)):
+            return None
     return found
 
 
-def _collect_columns(node, found: set) -> None:
-    if isinstance(node, ColRef):
-        found.add(node)
-    elif isinstance(node, (Arith, Comparison)):
-        _collect_columns(node.left, found)
-        _collect_columns(node.right, found)
-    elif isinstance(node, (And, Or)):
-        _collect_columns(node.left, found)
-        _collect_columns(node.right, found)
-    elif isinstance(node, (Not, IsNull)):
-        _collect_columns(node.operand, found)
+def can_raise(predicate) -> bool:
+    """Can evaluating ``predicate`` on well-typed rows raise?
+
+    Division is the one partial operation of the expression language
+    (comparisons, ``+ - *``, the Kleene connectives and ``IS NULL`` are
+    total under three-valued logic); an unrecognized node kind counts as
+    one.  A rewrite that changes *which rows* a predicate is evaluated on
+    changes whether it raises, so such rewrites ask first.
+    """
+    found = nodes(predicate)
+    return found is None or any(
+        isinstance(item, Arith) and item.op == "/" for item in found
+    )
+
+
+def predicate_columns(predicate: Predicate) -> set:
+    """All ColRefs mentioned by a predicate (for optimizer analyses)."""
+    return {item for item in nodes(predicate) or () if isinstance(item, ColRef)}

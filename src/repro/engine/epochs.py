@@ -1069,21 +1069,6 @@ class SnapshotRelation(OverlayRelation):
                 return state
         return scan_aggregate_state(kind, self, position)  # the frozen rows
 
-    def column_batch(self):
-        if self._materialized is None and not self._detached:
-            # Quiet snapshots share the live base's *already cached* batch
-            # (immutable once built); never build one on the base from a
-            # reader thread — that would race the writer's invalidation.
-            def borrow():
-                if not self.plus._rows and not self.minus._rows:
-                    return self.base._batch
-                return None
-
-            batch = self._read(borrow)
-            if batch is not None:
-                return batch
-        return Relation.column_batch(self)  # builds over the frozen rows
-
     # -- mutation: forbidden ----------------------------------------------------
 
     def _readonly(self, *_args, **_kwargs):

@@ -226,12 +226,6 @@ class OverlayRelation(Relation):
             return self.base.rows_and_counts()
         return Relation.rows_and_counts(self)
 
-    def column_batch(self):
-        """Columnar view; untouched overlays share the base's cached batch."""
-        if not self.plus._rows and not self.minus._rows:
-            return self.base.column_batch()
-        return Relation.column_batch(self)
-
     def aggregate_state(self, kind: str, position: int) -> tuple:
         """The base relation's maintained state carried over the delta.
 

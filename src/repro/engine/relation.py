@@ -647,7 +647,7 @@ class ColumnarRelation(Relation):
         for positions in batch.index_specs:
             self.declare_index(positions)
         # Set last: declare_index invalidates the cached batch.
-        self._batch = batch._normalized()
+        self._batch = batch
 
     @property
     def _rows(self) -> dict:

@@ -21,6 +21,7 @@ from repro.engine.transaction import (
     Transaction,
     TransactionManager,
     TransactionResult,
+    performed_triggers,
 )
 
 
@@ -250,13 +251,7 @@ class DeltaView(DatabaseView):
 
     def performed_triggers(self) -> frozenset:
         """``(INS, R)`` / ``(DEL, R)`` specs for the bound differentials."""
-        performed = set()
-        for base, (plus, minus) in self.differentials.items():
-            if plus is not None and len(plus):
-                performed.add(("INS", base))
-            if minus is not None and len(minus):
-                performed.add(("DEL", base))
-        return frozenset(performed)
+        return performed_triggers(self.differentials)
 
     def resolve(self, name: str) -> Relation:
         base, suffix = naming.split_auxiliary(name)

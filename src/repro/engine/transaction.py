@@ -144,6 +144,20 @@ class TransactionResult:
         return f"TransactionResult({self.transaction.name}, {outcome})"
 
 
+def performed_triggers(differentials: dict) -> frozenset:
+    """``(INS, R)`` / ``(DEL, R)`` for every non-empty side of a
+    ``{base: (plus, minus)}`` differential map (an empty side is None or an
+    empty relation) — the key the per-trigger differential programs are
+    selected by."""
+    performed = set()
+    for base, (plus, minus) in differentials.items():
+        if plus is not None and len(plus):
+            performed.add(("INS", base))
+        if minus is not None and len(minus):
+            performed.add(("DEL", base))
+    return frozenset(performed)
+
+
 class TransactionContext:
     """The mutable execution state of one running transaction.
 
@@ -304,13 +318,7 @@ class TransactionContext:
         net minus — the key the per-trigger differential programs are
         selected by.
         """
-        performed = set()
-        for base, (plus, minus) in self.net_differentials().items():
-            if plus is not None:
-                performed.add(("INS", base))
-            if minus is not None:
-                performed.add(("DEL", base))
-        return frozenset(performed)
+        return performed_triggers(self.net_differentials())
 
 
 class TransactionManager:

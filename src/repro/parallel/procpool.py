@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import queue as queue_module
 from typing import Dict, List, Optional, Sequence
 
 from repro.algebra.columnar import decode_relation, encode_relation
@@ -174,8 +175,13 @@ class ProcessFragmentPool:
         """Run the compiled expression on every node; rows per node index.
 
         The execute message fans out to all workers before any reply is
-        collected, so the per-node plans genuinely run concurrently.
+        collected, so the per-node plans genuinely run concurrently.  A
+        worker that died (OOM kill, ``terminate()``) never replies: the wait
+        polls for liveness and raises :class:`FragmentationError` naming the
+        dead node(s) instead of blocking forever.
         """
+        from repro.core.procpool import RESULT_POLL_SECONDS
+
         request_id = self._next_request
         self._next_request += 1
         blob = pickle.dumps(expression, protocol=PICKLE_PROTOCOL)
@@ -185,7 +191,22 @@ class ProcessFragmentPool:
         errors: List[str] = []
         collected = 0
         while collected < self.nodes:
-            reply_id, node, node_rows, error = self._outbox.get()
+            try:
+                reply_id, node, node_rows, error = self._outbox.get(
+                    timeout=RESULT_POLL_SECONDS
+                )
+            except queue_module.Empty:
+                dead = [
+                    node
+                    for node, worker in enumerate(self._workers)
+                    if rows[node] is None and not worker.is_alive()
+                ]
+                if dead:
+                    raise FragmentationError(
+                        "parallel enforcement failed: worker process died "
+                        "on node(s) " + ", ".join(map(str, dead))
+                    ) from None
+                continue
             if reply_id != request_id:  # stale reply from an abandoned run
                 continue
             rows[node] = node_rows

@@ -103,6 +103,62 @@ class TestOptimizeExpression:
         assert original.to_set() == optimized.to_set()
 
 
+class TestRewritesPreserveErrors:
+    """A predicate that can raise is never moved onto rows it would not
+    have been evaluated on."""
+
+    GUARDED = [
+        # The inner selection is *unknown* on (NULL, 0): the row never
+        # reaches the division; fused into ``a > 0 and 10 / b > 1`` it would.
+        "select(select(u, a > 0), 10 / b > 1)",
+        # (5, 0) is subtracted / not shared before the division sees it.
+        "select(diff(r, s), 10 / b > 1)",
+        "select(intersect(r, t), 10 / b > 1)",
+    ]
+
+    @pytest.fixture
+    def ctx(self):
+        from repro.engine.schema import Attribute
+        from repro.engine.types import NULL
+
+        def relation(name, rows):
+            schema = RelationSchema(
+                name, [Attribute("a", INT, nullable=True), Attribute("b", INT)]
+            )
+            return Relation(schema, rows)
+
+        return StandaloneContext(
+            {
+                "u": relation("u", [(NULL, 0), (1, 2)]),
+                "r": relation("r", [(5, 0), (1, 2)]),
+                "s": relation("s", [(5, 0)]),
+                "t": relation("t", [(1, 2)]),
+            }
+        )
+
+    @pytest.mark.parametrize("text", GUARDED)
+    def test_a_dividing_selection_stays_where_it_was_written(self, ctx, text):
+        from repro.algebra import planner
+
+        expr = parse_expression(text)
+        assert optimize_expression(expr) == expr
+        expected = expr.evaluate(ctx)
+        assert expected.sorted_rows() == [(1, 2)]
+        assert optimize_expression(expr).evaluate(ctx) == expected
+        assert planner.evaluate(expr, ctx) == expected
+
+    def test_a_dividing_selection_still_moves_through_a_union(self, ctx):
+        from repro.errors import EvaluationError
+
+        expr = parse_expression("select(union(t, t), 10 / b > 1)")
+        assert isinstance(optimize_expression(expr), E.Union)
+        assert optimize_expression(expr).evaluate(ctx) == expr.evaluate(ctx)
+        raising = parse_expression("select(union(t, s), 10 / b > 1)")
+        for evaluate in (raising.evaluate, optimize_expression(raising).evaluate):
+            with pytest.raises(EvaluationError):
+                evaluate(ctx)
+
+
 class TestOptimizeProgram:
     def test_statements_rewritten(self, ctx):
         program = parse_program(

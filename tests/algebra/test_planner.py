@@ -147,9 +147,66 @@ class TestExecution:
         assert calls == 1 and tuples_in == 40 and tuples_out == 4
 
 
+def _fk_pk(ctor=E.Join, op="="):
+    return ctor(
+        E.RelationRef("fk"),
+        E.RelationRef("pk"),
+        P.Comparison(op, P.ColRef(2, "left"), P.ColRef(1, "right")),
+    )
+
+
+def _columns(source, *positions):
+    return E.Project(source, tuple(E.ProjectItem(P.ColRef(p)) for p in positions))
+
+
+_SELECT_PROJECT_JOIN = _columns(
+    E.Select(_fk_pk(), P.Comparison("<", P.ColRef(4), P.Const(30))), 1, 4
+)
+_PROJECT_SELECT_SCAN = _columns(
+    E.Select(E.RelationRef("fk"), P.Comparison("<", P.ColRef(2), P.ColRef(1))), 2, 1
+)
+
+#: Select/project chains over every kind of source, and around the operators
+#: that sit between two chains.
+CHAINS = {
+    "select_project_join": _SELECT_PROJECT_JOIN,
+    "project_join": _columns(_fk_pk(), 1),
+    "project_select_scan": _PROJECT_SELECT_SCAN,
+    "select_scan": _PROJECT_SELECT_SCAN.input,
+    "project_semijoin": _columns(_fk_pk(E.SemiJoin), 1),
+    "project_antijoin": _columns(_fk_pk(E.AntiJoin), 1),
+    "project_rename": _columns(E.Rename(E.RelationRef("fk"), "t"), 1, 2),
+    "union_of_chains": E.Union(_SELECT_PROJECT_JOIN, _PROJECT_SELECT_SCAN),
+    "project_nested_loop_join": _columns(_fk_pk(op="<"), 1),
+    "project_select_delta": _columns(
+        E.Select(E.Delta("fk", "plus"), P.Comparison("<", P.ColRef(2), P.ColRef(1))), 1
+    ),
+}
+
+
 class TestReferenceParity:
     def test_plan_and_reference_interpreter_produce_equal_results(self, ctx):
         assert evaluate_expression(REFERENTIAL, ctx) == REFERENTIAL.evaluate(ctx)
+
+    @pytest.mark.parametrize("shape", CHAINS)
+    def test_select_project_chains_match_the_reference(self, shape, db, ctx):
+        delta = Relation(db.relation_schema("fk"), [(5, 1), (2, 6), (9, 3)])
+        ctx.bind("fk@plus", delta)
+        expected = CHAINS[shape].evaluate(ctx)
+        result = planner.evaluate(CHAINS[shape], ctx)
+        assert result == expected and len(result) == len(expected)
+        assert result.schema.attribute_names == expected.schema.attribute_names
+        if shape == "project_select_delta":
+            assert result.sorted_rows() == [(5,), (9,)]
+
+    def test_a_chain_traces_every_operator_in_it(self, ctx):
+        tracing = TracingContext(ctx)
+        planner.get_plan(_SELECT_PROJECT_JOIN).execute(tracing)
+        assert [op for op, _in, _out in tracing.tracer.records] == [
+            "join",
+            "select",
+            "project",
+        ]
 
 
 class TestPlanCache:

@@ -5,10 +5,11 @@ so there is no input size at which behaviour may change.  This suite
 pins that across the sizes where a size-gated implementation would have
 switched code (0-3 rows, and either side of 64) and well past it: for
 each operator shape, in set and bag mode, with and without built hash
-indexes, the compiled plan, the plan lowered without the fusion pass and
-``Expression.evaluate`` return the same tuples and multiplicities, and
-data-dependent errors (division by zero behind a short-circuiting
-``And``/``Or``) are raised from exactly the same inputs.
+indexes, the plan as written (a context without a database), the plan
+after the schema-aware rewrites (a context with one: selections pushed
+below equi-joins) and ``Expression.evaluate`` return the same tuples and
+multiplicities, and data-dependent errors (division by zero behind a
+short-circuiting ``And``/``Or``) are raised from exactly the same inputs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.schema import Attribute
+from repro.engine.session import DatabaseView
 from repro.engine.types import INT, NULL
 from repro.errors import ReproError
-from tests.support.modes import evaluations, index_usage, plan_operators
+from tests.support.modes import index_usage, plan_operators
 
 SIZES = (0, 1, 2, 3, 63, 64, 65, 500)
 S_ROWS = 20  # so r - s is small-big below 20 rows and big-small above
@@ -49,7 +51,7 @@ def _schema() -> DatabaseSchema:
 INDEXED = ((), ("r",), ("r", "s"))
 
 
-def _relations(size: int, bag: bool, indexed: tuple) -> dict:
+def _database(size: int, bag: bool, indexed: tuple) -> Database:
     """``r`` with ``size`` distinct rows, ``s`` with ``S_ROWS``.
 
     ``r.a`` cycles through 0..6 with a NULL every 11th row and ``r.b`` is
@@ -64,7 +66,23 @@ def _relations(size: int, bag: bool, indexed: tuple) -> dict:
     database.load("s", rows_s + (rows_s[::3] if bag else []))
     for name in indexed:
         database.create_index(name, [1])
+    return database
+
+
+def _relations(database: Database) -> dict:
     return {"r": database.relation("r"), "s": database.relation("s")}
+
+
+#: label -> (context over a fresh database, evaluation of an expression in it)
+EVALUATIONS = {
+    "as written": (
+        lambda database: StandaloneContext(_relations(database)),
+        planner.evaluate,
+    ),
+    "rewritten": (DatabaseView, planner.evaluate),
+    "reference": (DatabaseView, lambda expression, context: expression.evaluate(context)),
+}
+PLANS = ("as written", "rewritten")
 
 
 def _cmp(op, left, right):
@@ -107,15 +125,23 @@ CASES = {
         R,
         P.And(_cmp("=", P.ColRef("a"), P.Const(3)), _cmp("<", P.ColRef("b"), P.Const(40))),
     ),
-    # Regions: a chain over a scan, and over a join with a pushable filter.
-    "region_scan": E.Project(
+    # Select/project chains: over a scan, over a join with a pushable
+    # selection (one side, both sides with a mixed rest), over an antijoin.
+    "chain_scan": E.Project(
         E.Select(R, _cmp("<", P.ColRef("a"), P.ColRef("b"))), _items(P.ColRef("b"))
     ),
-    "region_join": E.Project(
+    "chain_join": E.Project(
         E.Select(E.Join(R, S_, _KEY), _cmp("<", P.ColRef(4), P.Const(12))),
         _items(P.ColRef(2), P.ColRef(4)),
     ),
-    "region_antijoin": E.Project(E.AntiJoin(R, S_, _KEY), _items(P.ColRef("a"))),
+    "chain_join_both_sides": E.Select(
+        E.Join(R, S_, _KEY),
+        P.And(
+            P.And(_cmp(">", P.ColRef("b"), P.Const(1)), _cmp("<", P.ColRef(4), P.Const(12))),
+            _cmp("<=", P.ColRef(2), P.ColRef("d")),
+        ),
+    ),
+    "chain_antijoin": E.Project(E.AntiJoin(R, S_, _KEY), _items(P.ColRef("a"))),
     # b = 0 is row 0: And/Or must skip the division exactly there ...
     "guarded_and": E.Select(
         R, P.And(_cmp("!=", P.ColRef("b"), P.Const(0)), _cmp(">", _TEN_OVER_B, P.Const(1)))
@@ -142,26 +168,24 @@ _RAISES_ON_NONEMPTY = {"unguarded_and", "unguarded_or", "project_division"}
 def test_plan_equals_reference_at_every_size(case, size, bag):
     expression = CASES[case]
     for indexed in INDEXED:
-        outcomes, ledgers = {}, {}
-        for label, evaluate in evaluations(expression):
-            relations = _relations(size, bag, indexed)
+        outcomes = {}
+        for label, (make_context, evaluate) in EVALUATIONS.items():
+            context = make_context(_database(size, bag, indexed))
             try:
-                outcomes[label] = evaluate(StandaloneContext(relations))
+                outcomes[label] = evaluate(expression, context)
             except ReproError as error:
                 outcomes[label] = type(error)
-            ledgers[label] = index_usage(relations)
         reference = outcomes["reference"]
         if case in _RAISES_ON_NONEMPTY and size:
             assert isinstance(reference, type), reference
         else:
             assert not isinstance(reference, type), reference
-        for label in ("fused", "unfused"):
+        for label in PLANS:
             result = outcomes[label]
             assert result == reference, (label, indexed)
             if not isinstance(reference, type):
                 assert len(result) == len(reference), (label, indexed)
                 assert result.bag == reference.bag
-        assert ledgers["fused"] == ledgers["unfused"], indexed
 
 
 def test_the_cases_reach_the_operators_they_name():
@@ -181,13 +205,18 @@ def test_the_cases_reach_the_operators_they_name():
         "antijoin_residual": X.HashAntiJoinOp,
         "index_select": X.IndexSelectOp,
         "index_select_residual": X.IndexSelectOp,
-        "region_scan": X.FusedPipelineOp,
-        "region_join": X.FusedPipelineOp,
-        "region_antijoin": X.FusedPipelineOp,
+        "chain_scan": X.FilterOp,
+        "chain_join": X.HashJoinOp,
+        "chain_join_both_sides": X.HashJoinOp,
+        "chain_antijoin": X.HashAntiJoinOp,
         "guarded_and": X.FilterOp,
     }
     for case, operator in expected.items():
         assert operator in operators(CASES[case]), case
+    # ... and the join chains are the shapes the pushdown rewrites.
+    schema = _schema()
+    for case in ("chain_join", "chain_join_both_sides"):
+        assert planner.push_selections(CASES[case], schema) is not CASES[case], case
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +239,15 @@ PROJECT_CASES = {
     "duplicate": (E.Project(R, _items(P.ColRef("a"), P.ColRef("a"))), None),
     "scalar": (E.Project(R, _items(P.Arith("+", P.ColRef("a"), P.Const(0)))), None),
     "unindexed": (E.Project(R, _items(P.ColRef("b"))), None),
-    # Regions over a scan whose first stage is the projection.
-    "region_select": (
+    # Chains over a scan whose first stage is the projection.
+    "then_select": (
         E.Select(
             E.Project(R, _items(P.ColRef("a"))),
             P.Or(_cmp("<", P.ColRef("a"), P.Const(3)), _cmp(">", P.ColRef("a"), P.Const(5))),
         ),
         (0,),
     ),
-    "region_project": (
+    "then_project": (
         E.Project(E.Project(R, _items(P.ColRef("a"), P.ColRef("b"))), _items(P.ColRef("a"))),
         (1, 0),
     ),
@@ -230,14 +259,14 @@ PROJECT_CASES = {
 }
 
 
-def _project_relations(size: int, bag: bool, state: str) -> dict:
-    relations = _relations(size, bag, ())
+def _project_database(size: int, bag: bool, state: str) -> Database:
+    database = _database(size, bag, ())
     for spec in PROJECT_SPECS:
         if state == "built":
-            relations["r"].index_on(spec)
+            database.relation("r").index_on(spec)
         elif state == "declared":
-            relations["r"].declare_index(spec)
-    return relations
+            database.relation("r").declare_index(spec)
+    return database
 
 
 @pytest.mark.parametrize("bag", [False, True], ids=["set", "bag"])
@@ -247,13 +276,14 @@ def test_projection_equals_reference_over_every_index_state(case, size, bag):
     expression, spec = PROJECT_CASES[case]
     for state in INDEX_STATES:
         outcomes, ledgers, inputs = {}, {}, {}
-        for label, evaluate in evaluations(expression):
-            relations = inputs[label] = _project_relations(size, bag, state)
-            outcomes[label] = evaluate(StandaloneContext(relations))
+        for label, (make_context, evaluate) in EVALUATIONS.items():
+            database = _project_database(size, bag, state)
+            relations = inputs[label] = _relations(database)
+            outcomes[label] = evaluate(expression, make_context(database))
             ledgers[label] = index_usage(relations)
         reference = outcomes["reference"]
         answered = state == "built" and spec is not None and not bag
-        for label in ("fused", "unfused"):
+        for label in PLANS:
             result, r = outcomes[label], inputs[label]["r"]
             assert result == reference, (label, state)
             assert len(result) == len(reference), (label, state)
@@ -271,13 +301,12 @@ def test_projection_equals_reference_over_every_index_state(case, size, bag):
             # A result is the caller's own: emptying it empties no index.
             result._rows.clear()
             assert r.built_index(spec).distinct_keys == distinct
-        assert ledgers["fused"] == ledgers["unfused"], state
         assert all(uses == 0 for uses, *_rest in ledgers["reference"].values())
 
 
-def test_the_projection_cases_form_the_regions_they_name():
-    for case in ("region_select", "region_project"):
+def test_the_projection_cases_put_a_stage_above_the_projection():
+    for case in ("then_select", "then_project"):
         plan = planner.compile_expression(PROJECT_CASES[case][0])
-        assert isinstance(plan, X.FusedPipelineOp), case
-        assert isinstance(plan.stages[-1], X.ProjectOp), case
-        assert isinstance(plan.source, X.ScanOp), case
+        assert isinstance(plan, (X.FilterOp, X.ProjectOp)), case
+        assert isinstance(plan.child, X.ProjectOp), case
+        assert isinstance(plan.child.child, X.ScanOp), case

@@ -135,7 +135,7 @@ def test_plan_estimate_never_writes_to_the_shared_plan():
     ``plan_estimate`` runs on whichever thread asks (audit scheduler
     workers included) against the one plan object every executor shares.
     Statistics drifting between two calls — a 3-row relation growing
-    400-fold under a region-shaped plan — must leave that object, every
+    400-fold under a select/project chain — must leave that object, every
     operator's attributes, its ``explain()`` and its results as compiled.
     """
     database = _database(n_r=3)
@@ -146,7 +146,7 @@ def test_plan_estimate_never_writes_to_the_shared_plan():
     plan = planner.get_plan(expression)
     explained = planner.explain(expression)
     compiled_state = _operator_state(plan)
-    assert explained.startswith("fused[")
+    assert explained.startswith("project[")
     view = DatabaseView(database)
 
     first = planner.plan_estimate(expression, database)

@@ -217,3 +217,57 @@ class TestSpawnStartMethod:
             assert report.violations == 1
             assert report.sample == [(100, 77)]
             assert report.executor == "process"
+
+
+class TestDeadWorker:
+    """A worker that dies never replies; ``execute`` must notice, not wait."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_execute_names_the_dead_node_instead_of_hanging(
+        self, schema, start_method
+    ):
+        import multiprocessing
+        import threading
+
+        from repro.algebra import expressions as E
+        from repro.engine.relation import Relation
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        fragments = [Relation(schema.relation("pk")) for _ in range(2)]
+        for key in range(10):
+            fragments[key % 2].insert((key, f"k{key}"))
+        pool = ProcessFragmentPool(nodes=2, start_method=start_method)
+        try:
+            pool.install("pk", fragments)
+            # Killed before it ever replies: a worker terminated while its
+            # feeder thread holds the shared reply queue's lock would take
+            # the other workers' replies down with it.
+            victim = pool._workers[1]
+            victim.terminate()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+
+            outcome = []
+
+            def run():
+                try:
+                    outcome.append(pool.execute(E.RelationRef("pk")))
+                except FragmentationError as error:
+                    outcome.append(error)
+
+            # The call used to block forever: wait for it on a thread the
+            # interpreter can abandon.
+            caller = threading.Thread(target=run, daemon=True)
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "execute hung on a dead worker"
+            (error,) = outcome
+            assert isinstance(error, FragmentationError)
+            assert "died on node(s) 1" in str(error)
+        finally:
+            closer = threading.Thread(target=pool.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30.0)
+            assert not closer.is_alive(), "close hung after a worker died"
+        assert not any(worker.is_alive() for worker in pool._workers)

@@ -14,10 +14,9 @@ distinct rows (so the distinct-level convention lets plans reuse them), and
 the convention makes set mode a special case of bag mode.  What matters is
 that *every* backend implements the same convention — asserted here on
 duplicate-heavy inputs, which maximize the observable difference between
-the conventions.  The plan is pinned both as compiled and lowered
-without the fusion pass, because the counts-aware pair kernel is exactly
-where a multiplicity-correct implementation would silently diverge from
-the convention.
+the conventions: the counts-aware pair kernel is exactly where a
+multiplicity-correct implementation would silently diverge from the
+convention.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Relation
-from tests.support.modes import unfused_plan
 
 from . import strategies as S
 
@@ -95,7 +93,7 @@ def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
         expression = E.Intersection(E.RelationRef("r"), E.RelationRef("s"))
     if staged:
         # An all-columns projection changes no tuple and no multiplicity,
-        # but makes the join/semijoin the source of a fused region.
+        # but puts the join/semijoin's output through a second operator.
         arity = 4 if op == "join" else 2
         expression = E.Project(
             expression,
@@ -103,22 +101,15 @@ def test_bag_join_convention_agrees_on_duplicate_heavy_inputs(
         )
     context = StandaloneContext({"r": r, "s": s})
     naive = expression.evaluate(context)
-    plans = (
-        ("fused", planner.get_plan(expression)),
-        ("unfused", unfused_plan(expression)),
+    planned = planner.evaluate(expression, context)
+    assert naive == planned, (
+        f"bag convention divergence on {op} (residual={residual}):\n"
+        f"  naive:   {naive.sorted_rows()}\n"
+        f"  planned: {planned.sorted_rows()}"
     )
-    for mode, plan in plans:
-        planned = plan.execute(context)
-        assert naive == planned, (
-            f"bag convention divergence on {op} "
-            f"(residual={residual}, mode={mode}):\n"
-            f"  naive:   {naive.sorted_rows()}\n"
-            f"  planned: {planned.sorted_rows()}"
-        )
-        # The convention itself: every distinct matching pair appears
-        # exactly probe-side-multiplicity times, independent of right
-        # multiplicities.
-        if op == "join":
-            for row in planned.rows():
-                left_part = row[: schema.relation("r").arity]
-                assert planned.multiplicity(row) == r.multiplicity(left_part)
+    # The convention itself: every distinct matching pair appears exactly
+    # probe-side-multiplicity times, independent of right multiplicities.
+    if op == "join":
+        for row in planned.rows():
+            left_part = row[: schema.relation("r").arity]
+            assert planned.multiplicity(row) == r.multiplicity(left_part)

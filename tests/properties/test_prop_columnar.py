@@ -1,17 +1,14 @@
-"""Property: fused plan ≡ unfused plan ≡ ``Expression.evaluate``.
+"""Property: plan ≡ ``Expression.evaluate``.
 
 For random algebra expressions and random database states, the compiled
-plan (whole-column kernels, fused pipeline regions), the same lowering
-without the fusion pass (every operator standalone) and the reference
-tree-walk interpreter (the row-semantics oracle) must produce the exact
-same relation — tuples *and* multiplicities — in set mode and bag mode,
-with and without hash indexes, over plain and overlay inputs, and over
-NULL-bearing columns.  When one raises, all must raise.  Each evaluation
-starts from a freshly loaded database, and the two plans' index usage
-ledgers (:class:`~repro.engine.indexes.IndexUsage`) must end identical:
-forming a region may not silently change which regimes touch which
-indexes how often.  (The reference interpreter never touches a
-persistent index, so it has no ledger to compare.)
+plan (whole-column kernels) — as written, under a context without a
+database, and after the schema-aware rewrites, under one that exposes the
+database — and the reference tree-walk interpreter (the row-semantics
+oracle) must produce the exact same relation — tuples *and*
+multiplicities — in set mode and bag mode, with and without hash indexes,
+over plain and overlay inputs, and over NULL-bearing columns.  When one
+raises, both must raise.  Each evaluation starts from a freshly loaded
+database.
 
 Also: :class:`~repro.algebra.columnar.ColumnBatch` and columnar-backed
 relations (:class:`~repro.engine.relation.ColumnarRelation`) must
@@ -34,10 +31,11 @@ from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.overlay import OverlayRelation
 from repro.engine.relation import ColumnarRelation
 from repro.engine.schema import Attribute
+from repro.engine.session import DatabaseView
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import ReproError
 
-from tests.support.modes import evaluations, index_usage
+from tests.support.modes import evaluations
 
 from . import strategies as S
 
@@ -80,41 +78,44 @@ def _run(fn):
         return None, error
 
 
-def _assert_evaluations_agree(expression, make_relations):
-    """Evaluate the expression all three ways over fresh inputs.
+def _assert_evaluations_agree(expression, make_context):
+    """Evaluate the expression both ways over fresh inputs.
 
-    ``make_relations`` builds an identical relation dict per call, so
-    each evaluation starts from the same state (index builds during one
-    run cannot leak into the next) and the usage ledgers are comparable.
+    ``make_context`` builds identical inputs per call, so each evaluation
+    starts from the same state (index builds during one run cannot leak
+    into the next).
     """
-    outcomes = {}
-    for label, evaluate in evaluations(expression):
-        relations = make_relations()
-        context = StandaloneContext(relations)
-        result, error = _run(lambda: evaluate(context))
-        outcomes[label] = (result, error, index_usage(relations))
-    ref_result, ref_error, _ = outcomes["reference"]
-    for label in ("fused", "unfused"):
-        result, error, _ = outcomes[label]
-        if ref_error is not None or error is not None:
-            assert ref_error is not None and error is not None, (
-                f"error divergence on {expression!r}: "
-                f"reference={ref_error!r} {label}={error!r}"
-            )
-            continue
-        assert result == ref_result, (
-            f"result divergence on {expression!r}:\n"
-            f"  reference: {ref_result.sorted_rows()}\n"
-            f"  {label}: {result.sorted_rows()}"
+    outcomes = {
+        label: _run(lambda: evaluate(make_context()))
+        for label, evaluate in evaluations(expression)
+    }
+    ref_result, ref_error = outcomes["reference"]
+    result, error = outcomes["plan"]
+    if ref_error is not None or error is not None:
+        assert ref_error is not None and error is not None, (
+            f"error divergence on {expression!r}: "
+            f"reference={ref_error!r} plan={error!r}"
         )
-        assert len(result) == len(ref_result)
-    if ref_error is not None:
-        return  # where in a failing plan the error surfaces is not pinned
-    assert outcomes["fused"][2] == outcomes["unfused"][2], (
-        f"index usage divergence on {expression!r}:\n"
-        f"  unfused: {outcomes['unfused'][2]}\n"
-        f"  fused:   {outcomes['fused'][2]}"
+        return
+    assert result == ref_result, (
+        f"result divergence on {expression!r}:\n"
+        f"  reference: {ref_result.sorted_rows()}\n"
+        f"  plan: {result.sorted_rows()}"
     )
+    assert len(result) == len(ref_result)
+
+
+def _assert_agree_with_and_without_a_database(expression, make_database):
+    """The plan as written and the plan after the database's rewrites."""
+
+    def standalone():
+        database = make_database()
+        return StandaloneContext(
+            {name: database.relation(name) for name in ("r", "s")}
+        )
+
+    _assert_evaluations_agree(expression, standalone)
+    _assert_evaluations_agree(expression, lambda: DatabaseView(make_database()))
 
 
 @given(
@@ -125,11 +126,9 @@ def _assert_evaluations_agree(expression, make_relations):
 )
 @_SETTINGS
 def test_plans_equal_reference(expression, rows_r, rows_s, bag):
-    def make_relations():
-        database = _database(rows_r, rows_s, bag)
-        return {"r": database.relation("r"), "s": database.relation("s")}
-
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_agree_with_and_without_a_database(
+        expression, lambda: _database(rows_r, rows_s, bag)
+    )
 
 
 @given(
@@ -143,17 +142,16 @@ def test_plans_equal_reference_with_indexes(expression, rows_r, rows_s, bag):
     """Same property with hash indexes installed on every column.
 
     Indexed regimes (bucket-lookup selection, distinct-key semijoin
-    probing) must agree with the reference, and the usage ledgers the
-    index advisor reads must not depend on region formation.
+    probing) must agree with the reference.
     """
 
-    def make_relations():
+    def make_database():
         database = _database(rows_r, rows_s, bag)
         database.create_index("r", ["a"])
         database.create_index("s", ["d"])
-        return {"r": database.relation("r"), "s": database.relation("s")}
+        return database
 
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_agree_with_and_without_a_database(expression, make_database)
 
 
 @given(
@@ -170,7 +168,7 @@ def test_plans_equal_reference_over_overlays(
 ):
     """Same property when ``r`` is an uncommitted transaction overlay."""
 
-    def make_relations():
+    def make_context():
         database = _database(rows_r, rows_s, bag)
         base = database.relation("r")
         plus = Relation(base.schema, bag=bag)
@@ -183,9 +181,9 @@ def test_plans_equal_reference_over_overlays(
             if row not in plus and minus.multiplicity(row) < base.multiplicity(row):
                 minus.insert(row)
         overlay = OverlayRelation(base, plus, minus)
-        return {"r": overlay, "s": database.relation("s")}
+        return StandaloneContext({"r": overlay, "s": database.relation("s")})
 
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_context)
 
 
 @given(
@@ -203,27 +201,28 @@ def test_plans_equal_reference_with_nulls(expression, rows_r, rows_s, bag):
     connectives' short-circuit row subsets.
     """
 
-    def make_relations():
+    def make_database():
         database = Database(_nullable_rs_schema(), bag=bag)
         database.load("r", rows_r)
         database.load("s", rows_s)
-        return {"r": database.relation("r"), "s": database.relation("s")}
+        return database
 
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_agree_with_and_without_a_database(expression, make_database)
 
 
-# -- fusion-shaped chains --------------------------------------------------------
+# -- select/project chains -------------------------------------------------------
 
 
 @st.composite
 def chain_queries(draw):
-    """Region-shaped expressions: select/project stages over scan or join.
+    """Chain-shaped expressions: select/project stages over scan or join.
 
-    These are exactly the shapes the planner's ``fuse_pipelines`` pass
-    targets, so drawing them directly (instead of waiting for
-    ``algebra_queries`` to stumble onto one) keeps the fused kernel under
-    constant pressure — including bag-mode joins through the counts-aware
-    pair kernel, indexed semijoin regimes, and multi-stage stacks.
+    A selection directly over an equi-join is what the planner's pushdown
+    rewrites, so drawing these shapes directly (instead of waiting for
+    ``algebra_queries`` to stumble onto one) keeps the rewrite and the
+    operators under it under constant pressure — including bag-mode joins
+    through the counts-aware pair kernel, indexed semijoin regimes, and
+    multi-stage stacks.
     """
     from repro.algebra import expressions as E
     from repro.algebra import predicates as P
@@ -266,17 +265,17 @@ def chain_queries(draw):
     indexed=st.booleans(),
 )
 @_SETTINGS
-def test_fused_equals_unfused_on_chains(expression, rows_r, rows_s, bag, indexed):
-    """Fused regions agree with the unfused lowering on fusion-shaped plans."""
+def test_plans_equal_reference_on_chains(expression, rows_r, rows_s, bag, indexed):
+    """Chains agree with the reference, as written and with selections pushed."""
 
-    def make_relations():
+    def make_database():
         database = _database(rows_r, rows_s, bag)
         if indexed:
             database.create_index("r", ["b"])
             database.create_index("s", ["c"])
-        return {"r": database.relation("r"), "s": database.relation("s")}
+        return database
 
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_agree_with_and_without_a_database(expression, make_database)
 
 
 @given(
@@ -286,23 +285,25 @@ def test_fused_equals_unfused_on_chains(expression, rows_r, rows_s, bag, indexed
     bag=st.booleans(),
 )
 @_SETTINGS
-def test_fused_equals_unfused_over_columnar_relations(expression, rows_r, rows_s, bag):
+def test_plans_equal_reference_over_columnar_relations(expression, rows_r, rows_s, bag):
     """Same property when the inputs are columnar-backed relations.
 
     This is the state process workers see after a lazy wire decode: the
-    scan's ``column_batch()`` starts straight from the shipped columns.
+    rows materialize from the shipped columns on first use.
     """
 
-    def make_relations():
+    def make_context():
         database = _database(rows_r, rows_s, bag)
-        return {
-            name: ColumnarRelation(
-                columnar.ColumnBatch.from_relation(database.relation(name))
-            )
-            for name in ("r", "s")
-        }
+        return StandaloneContext(
+            {
+                name: ColumnarRelation(
+                    columnar.ColumnBatch.from_relation(database.relation(name))
+                )
+                for name in ("r", "s")
+            }
+        )
 
-    _assert_evaluations_agree(expression, make_relations)
+    _assert_evaluations_agree(expression, make_context)
 
 
 # -- wire-format round-trips ---------------------------------------------------

@@ -1,26 +1,19 @@
-"""The unfused lowering of an expression, for the parity suites.
+"""The two evaluations of one expression the parity suites compare.
 
-Production has one execution path: every operator runs its whole-column
-kernel and every ``fuse_pipelines`` region executes fused.  The one
-plan-shape decision left is whether a select/project chain formed a
-region, so the parity suites compare three evaluations of one expression
-over the same inputs: the normal plan, this module's plan lowered without
-the fusion pass, and ``Expression.evaluate``.
+Production has one execution path: ``planner.evaluate`` runs the cached
+plan — under a context that exposes a database, the plan of the expression
+after the schema-aware rewrites (chain reordering, selection pushdown) —
+and every operator runs its one whole-column kernel.  The oracle is
+``Expression.evaluate``, the row-at-a-time tree walk.
 """
 
 from __future__ import annotations
 
 from repro.algebra import planner
-from repro.algebra.optimizer import optimize_expression
-
-
-def unfused_plan(expression):
-    """``planner.compile_expression`` minus ``fuse_pipelines`` (uncached)."""
-    return planner._lower(optimize_expression(expression))
 
 
 def plan_operators(plan):
-    """Every operator under ``plan`` (regions expose their stage chain)."""
+    """Every operator under ``plan``."""
     stack = [plan]
     while stack:
         op = stack.pop()
@@ -43,14 +36,9 @@ def index_usage(relations) -> dict:
 
 
 def evaluations(expression):
-    """The three ``(label, context -> Relation)`` pairs the suites compare.
-
-    ``fused`` is the production plan (regions form wherever the planner
-    forms them), ``unfused`` runs every operator standalone, ``reference``
-    is the row-semantics oracle.
-    """
+    """The ``(label, context -> Relation)`` pairs the suites compare:
+    ``plan`` is production, ``reference`` the row-semantics oracle."""
     return (
-        ("fused", planner.get_plan(expression).execute),
-        ("unfused", unfused_plan(expression).execute),
+        ("plan", lambda context: planner.evaluate(expression, context)),
         ("reference", expression.evaluate),
     )

@@ -10,7 +10,10 @@ process-local configuration for the two to disagree on.
 Also pins the deletion of the row/batch/fused path selectors: no
 ``_batch_mode`` / ``_fuse_mode`` / ``annotate_batch_eligibility``, no
 ``fuse_eligible`` flag on any operator, no ``BATCH_*`` threshold, and no
-parameter grown on the planner entry points to bring a choice back.
+parameter grown on the planner entry points to bring a choice back — and
+of the second operator protocol: ``execute`` is the only way an operator
+runs, a plan has the shape of its expression, and a ``ColumnBatch`` is
+always in the shape a relation stores.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 import repro.algebra
 from repro.algebra import columnar, physical, planner
 from repro.algebra.evaluation import StandaloneContext, evaluate_expression
-from repro.algebra.expressions import Project, ProjectItem, RelationRef, Select
+from repro.algebra.expressions import Join, Project, ProjectItem, RelationRef, Select
 from repro.algebra.predicates import ColRef, Comparison
 from repro.core.procpool import ControllerSpec, run_rule_audit
 from repro.core.scheduler import AuditScheduler, RuleAuditTask
@@ -91,16 +94,54 @@ def _operator_classes(cls=physical.PhysicalOperator):
 
 def test_no_operator_carries_a_fuse_flag():
     classes = list(_operator_classes())
-    assert physical.FusedPipelineOp in classes
+    assert physical.HashJoinOp in classes
     assert [cls.__name__ for cls in classes if hasattr(cls, "fuse_eligible")] == []
+
+
+def test_execute_is_the_only_operator_protocol():
+    second_protocol = ("produce_batch", "apply_batch", "produce_batch_from")
+    assert [
+        (cls.__name__, name)
+        for cls in _operator_classes()
+        for name in second_protocol
+        if hasattr(cls, name)
+    ] == []
+    assert not hasattr(physical, "FusedPipelineOp")
+    assert not hasattr(physical, "fuse_pipelines")
+    assert list(inspect.signature(physical.HashJoinOp._probe_pairs).parameters) == [
+        "self",
+        "left",
+        "right",
+    ]
+
+
+def test_a_plan_has_the_shape_of_its_expression():
+    """``π(σ(r ⋈ s))`` lowers to one operator per node, nothing wrapped
+    around them and nothing moved."""
     plan = planner.compile_expression(
         Project(
-            Select(RelationRef("fk"), Comparison("<", ColRef(1), ColRef(2))),
+            Select(
+                Join(
+                    RelationRef("fk"),
+                    RelationRef("pk"),
+                    Comparison("=", ColRef(2, "left"), ColRef(1, "right")),
+                ),
+                Comparison("<", ColRef(3), ColRef(1)),
+            ),
             (ProjectItem(ColRef(1)),),
         )
     )
-    assert isinstance(plan, physical.FusedPipelineOp)
-    assert "fuse_eligible" not in vars(plan)
+    assert type(plan) is physical.ProjectOp
+    assert type(plan.child) is physical.FilterOp
+    join = plan.child.child
+    assert type(join) is physical.HashJoinOp
+    assert [type(side) for side in join.children()] == [physical.ScanOp] * 2
+
+
+def test_a_column_batch_carries_no_deferred_merge_state():
+    assert "normalized" not in columnar.ColumnBatch.__slots__
+    assert not hasattr(columnar.ColumnBatch, "_normalized")
+    assert "normalized" not in inspect.signature(columnar.ColumnBatch.from_rows).parameters
 
 
 @pytest.mark.parametrize(
@@ -109,6 +150,7 @@ def test_no_operator_carries_a_fuse_flag():
         (planner.compile_expression, ["expression", "optimize"]),
         (planner.get_plan, ["expression"]),
         (planner.evaluate, ["expression", "context"]),
+        (planner.database_plan, ["expression", "database", "drift_threshold"]),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

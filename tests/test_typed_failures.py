@@ -1,6 +1,6 @@
 """Attribute/domain lookups treat only *not found* as "not found".
 
-Five sites ask a schema "does this attribute (or domain) resolve?" and
+Four sites ask a schema "does this attribute (or domain) resolve?" and
 turn the lookup's failure into an answer.  Each catches the lookup's own
 typed error only: the not-found case answers as it always did, while any
 other exception — a genuine bug, simulated here by a stub schema — is no
@@ -29,7 +29,6 @@ import sys
 import pytest
 
 from repro import ddl
-from repro.algebra import physical as X
 from repro.algebra import predicates as P
 from repro.algebra.parser import parse_expression, parse_statement
 from repro.calculus import ast as C
@@ -82,21 +81,6 @@ class TestBranchWellTyped:
     def test_other_failures_propagate(self):
         with pytest.raises(RuntimeError, match="lookup bug"):
             translation._branch_well_typed(self.FORMULA, _BrokenDatabaseSchema())
-
-
-class TestPushdownColumns:
-    def test_unresolvable_references_are_not_pushable(self):
-        columns: list = []
-        assert X._pushdown_columns(P.ColRef("b"), R, columns) is True
-        assert columns == [1]
-        assert X._pushdown_columns(P.ColRef("nope"), R, []) is False
-        # A right-side reference has no meaning in the unary (combined
-        # schema) context pushdown resolves against.
-        assert X._pushdown_columns(P.ColRef("c", "right"), R, []) is False
-
-    def test_other_failures_propagate(self):
-        with pytest.raises(RuntimeError, match="lookup bug"):
-            X._pushdown_columns(P.ColRef("a"), _BrokenSchema(), [])
 
 
 class TestResolvePosition:
