@@ -214,6 +214,15 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
                 None,
             ]
         )
+        one_shot = data.get("one_shot_point_read", {})
+        rows.append(
+            [
+                name,
+                f"one-shot point read vs live ({one_shot.get('pins_taken')} pins taken)",
+                one_shot.get("ratio"),
+                None,
+            ]
+        )
         projection = data.get("projection_read", {})
         rows.append(
             [

@@ -169,6 +169,13 @@ class PhysicalOperator:
 
     op_name = "?"
 
+    #: On the root of a compiled plan that is *probe-only* — keyed probes of
+    #: these ``(relation name, attrs)`` indexes are its only access to any
+    #: named relation (``planner._collect_hints``) — the frozenset of them;
+    #: None on every other operator.  While each is built the plan touches
+    #: O(keys probed) of the live state and builds nothing.
+    probes = None
+
     def execute(self, context) -> Relation:
         raise NotImplementedError
 

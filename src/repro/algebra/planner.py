@@ -111,10 +111,19 @@ def compile_expression(
     moved on the expression, see :func:`database_plan`), and nothing about
     how it executes depends on estimates or input sizes, so plans are
     shared through the plan cache and executed concurrently as they are.
+
+    The root carries :attr:`~repro.algebra.physical.PhysicalOperator.probes`
+    — what :meth:`Session.query <repro.engine.session.Session.query>` needs
+    to know to read the head state without a pin — worked out here, once,
+    by the walk that collects :func:`index_hints`.
     """
     if optimize:
         expression = optimize_expression(expression)
-    return _lower(expression)
+    plan = _lower(expression)
+    probes: set = set()
+    if _collect_hints(plan, probes):
+        plan.probes = frozenset(probes)
+    return plan
 
 
 def _lower(expr: E.Expression) -> X.PhysicalOperator:
@@ -708,9 +717,11 @@ def database_plan(
     rewrites run only when an entry is (re)computed.
 
     Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
-    call it stands for.
+    call it stands for; a cache-exempt shape is lowered afresh, as there.
     """
     global _plan_cache_hits
+    if _is_cache_exempt(expression):
+        return _lower(expression)
     per_database = _DATABASE_PLANS.get(database)
     if per_database is None:
         per_database = _DATABASE_PLANS[database] = {}
@@ -750,8 +761,6 @@ def evaluate(expression: E.Expression, context) -> Relation:
     below equi-joins under its schema (cached, drift-invalidated); without
     one the expression runs as written.
     """
-    if _is_cache_exempt(expression):
-        return _lower(expression).execute(context)
     database = getattr(context, "database", None)
     if database is None:
         return get_plan(expression).execute(context)
@@ -842,7 +851,20 @@ def index_hints(expression: E.Expression) -> set:
     return hints
 
 
-def _collect_hints(op: X.PhysicalOperator, hints: set) -> None:
+def _collect_hints(op: X.PhysicalOperator, hints: set) -> bool:
+    """Add the ``(name, attrs)`` indexes that would serve ``op``'s subtree to
+    ``hints``; true when the subtree is *probe-only*.
+
+    Probe-only: every named relation is reached solely by a keyed probe of
+    a hinted index — an equality selection's lookup, or the build side of a
+    hash join/semijoin/antijoin, whose buckets are only ever asked for the
+    probe side's keys.  A scan reached any other way reads the whole
+    relation (a semijoin's probe side and an index-only projection the
+    whole index), so it makes the subtree, hints and all, not probe-only.
+    """
+    if isinstance(op, X.ScanOp):
+        return False
+    children = op.children()
     if isinstance(op, X.HashSemiJoinOp):  # covers HashAntiJoinOp too
         left_attrs = op.left_keys.attrs
         right_attrs = op.right_keys.attrs
@@ -850,18 +872,20 @@ def _collect_hints(op: X.PhysicalOperator, hints: set) -> None:
             hints.add((op.left.name, left_attrs))
         if isinstance(op.right, X.ScanOp) and right_attrs:
             hints.add((op.right.name, right_attrs))
+            children = (op.left,)  # a build side is probed, not read
     elif isinstance(op, X.HashJoinOp):
         right_attrs = op.right_keys.attrs
         if isinstance(op.right, X.ScanOp) and right_attrs:
             hints.add((op.right.name, right_attrs))
+            children = (op.left,)
     elif isinstance(op, X.IndexSelectOp):
         hints.add((op.name, tuple(op.attrs)))
     elif isinstance(op, X.ProjectOp):
         attrs = op.plain_attrs
         if isinstance(op.child, X.ScanOp) and attrs:
             hints.add((op.child.name, attrs))
-    for child in op.children():
-        _collect_hints(child, hints)
+    # Every child is walked, for its hints, whatever the others answered.
+    return all([_collect_hints(child, hints) for child in children])
 
 
 def estimate_expression(

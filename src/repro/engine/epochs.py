@@ -47,8 +47,9 @@ outstanding pin, which is how out-of-band bulk mutations
 (``Database.load`` / ``install``) keep old pins correct.
 
 Invariants the read path leans on (each is asserted by
-``tests/properties/test_prop_epoch_offsets.py`` or
-``tests/engine/test_read_cost.py``):
+``tests/properties/test_prop_epoch_offsets.py``,
+``tests/engine/test_read_cost.py`` or, the last,
+``tests/properties/test_prop_head_read.py``):
 
 * **Entry versions are contiguous.**  ``end_write`` appends version
   ``n + 1`` after version ``n``, the list is trimmed only from the front,
@@ -87,6 +88,32 @@ Invariants the read path leans on (each is asserted by
   weak — so dropping the last reference releases the pin, and with it the
   retained entries, at once.  The only cycle is the deliberate one of a
   quiesce-fenced pin (``EpochPin._fenced``).
+* **One-shot reads take no pin.**  A pin taken at the head and dropped
+  when the call returns reconstructs a state that *is* the live state, so
+  ``Session.query(text, pinned=True)`` runs a *probe-only* plan (every
+  named relation reached solely by keyed probes of indexes that are built
+  when the attempt looks — ``PhysicalOperator.probes``) on the live
+  relations inside one bracket, :meth:`EpochManager.read_head`.  *What
+  validates:* the stamp, which every mutation batch moves (commits,
+  ``load``, ``install``), and the version, which :meth:`~EpochManager.
+  quiesce` moves — and an out-of-band mutation does fence, because the
+  attempt clears ``_quiescent`` exactly as :meth:`~EpochManager.pin` does.
+  *What a lost attempt is:* nothing.  A bucket torn by the writer can make
+  an operator return or raise anything, so the outcome is looked at only
+  after validation: a lost attempt's value or exception is dropped, an
+  exception under a held stamp is the query's own and is raised at once,
+  never re-run.  *What a lost attempt may leave behind:* ``IndexUsage``
+  counts (one lookup or build-side touch per attempt, the plain counter
+  bumps a lost ``SnapshotIndex`` round leaves too) and nothing else — every
+  index it wants was built when it looked, so it builds none and charges
+  no forgone work, and it registers nothing with the manager.  *Why never
+  the write gate:* the gate is for a compute that is O(n) and would starve;
+  a probe-only compute is O(keys probed), and one that still loses
+  :data:`READ_RETRY_LIMIT` times takes a pin and is the pinned read above,
+  bounded fallback included.  *Why only probe-only plans:* a 9 ms scan
+  loses every race to a 1k commits/s writer and then runs pinned anyway
+  (``bench_mvcc``'s gated row reads 0.32-0.35x with every plan bracketed,
+  0.93-0.98x as it is).
 """
 
 from __future__ import annotations
@@ -316,7 +343,10 @@ class EpochManager:
         """
         floor = self._version - self.retain
         if self._pins:
-            floor = min(floor, min(self._pins))
+            # ``default``: a pin's finalizer (run by the collector at any
+            # allocation, re-entering under the RLock) may have emptied the
+            # dict since the line above looked.
+            floor = min(floor, min(self._pins, default=floor))
         entries = self._entries
         drop = 0
         for entry in entries:
@@ -347,6 +377,35 @@ class EpochManager:
 
     def read_validate(self, stamp: int) -> bool:
         return self._stamp == stamp
+
+    def read_head(self, compute: Callable):
+        """``compute()`` over the *live* relations in one validated bracket
+        (the module docs' *one-shot reads*).
+
+        The value counts iff neither the stamp (a commit) nor the version
+        (a :meth:`quiesce` fence) moved while it was computed.  Returns it,
+        or None after :data:`READ_RETRY_LIMIT` lost attempts — the caller
+        then takes a pin; the write gate is never taken here.
+        """
+        for _attempt in range(READ_RETRY_LIMIT):
+            stamp = self.read_begin()
+            # Like a pin, this read needs out-of-band mutations to fence;
+            # under the lock, so a quiesce() either moves the version read
+            # here or has already set the flag this clears.
+            with self._lock:
+                version = self._version
+                self._quiescent = False
+            try:
+                value = compute()
+            except Exception:
+                # Validate first, then decide: a torn state can raise
+                # anything, a stable one raised the caller's own error.
+                if self.read_validate(stamp) and self._version == version:
+                    raise
+                continue
+            if self.read_validate(stamp) and self._version == version:
+                return value
+        return None
 
     # -- pinning ----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.engine.transaction import (
     TransactionResult,
     performed_triggers,
 )
+from repro.errors import ReproError
 
 
 class Session:
@@ -31,9 +32,9 @@ class Session:
     def __init__(self, database: Database, controller=None):
         # Once per session, not per call: the import statements measured
         # ~3 us on every query, a fifth of parsing it.
-        from repro.algebra.evaluation import evaluate_expression
         from repro.algebra.expressions import RelationRef
         from repro.algebra.parser import parse_expression, parse_transaction
+        from repro.algebra.planner import database_plan
 
         self.database = database
         self.controller = controller
@@ -41,7 +42,7 @@ class Session:
         self.manager = TransactionManager(database, modifier=modifier)
         self._parse_transaction = parse_transaction
         self._parse_expression = parse_expression
-        self._evaluate_expression = evaluate_expression
+        self._database_plan = database_plan
         self._relation_ref = RelationRef
 
     # -- transactions -----------------------------------------------------------
@@ -165,17 +166,34 @@ class Session:
         land (the old behaviour — a live relation instance that mutated
         under a held iterator — was a race).  Pass ``pinned=False`` to get
         the live instance back (a held result then keeps tracking the
-        database state), or ``pinned=True`` to evaluate a composite
-        expression against a pinned epoch instead of the live relations.
-        Composite expressions materialize a fresh relation either way.
+        database state), or ``pinned=True`` to have the whole evaluation
+        of a composite expression observe one committed state, whatever
+        commits meanwhile.  Composite expressions materialize a fresh
+        relation either way.
+
+        What ``pinned=True`` costs depends on the plan.  A *probe-only*
+        plan — every relation reached by a keyed probe of an index that is
+        built right now: an indexed equality selection, joins of one
+        against indexed relations — takes no pin: the call begins and ends
+        at the head, so it runs on the live relations inside one validated
+        seqlock bracket (:meth:`~repro.engine.epochs.EpochManager.
+        read_head`), a few microseconds over ``pinned=False``.  Any other
+        plan (a scan, a projection, an index only declared, a bare name),
+        and a probe-only one that lost every race to the writer, runs
+        against a freshly pinned epoch.
         """
         expression = self._parse_expression(expression_text)
         if pinned is None:
             pinned = isinstance(expression, self._relation_ref)
-        pin = self.database.epochs.pin() if pinned else None
-        return self._evaluate_expression(
-            expression, DatabaseView(self.database, pin=pin)
-        )
+        database = self.database
+        plan = self._database_plan(expression, database)
+        if not pinned:
+            return plan.execute(DatabaseView(database))
+        if plan.probes is not None:
+            result = database.epochs.read_head(lambda: _probe_head(plan, database))
+            if result is not None:
+                return result
+        return plan.execute(DatabaseView(database, pin=database.epochs.pin()))
 
     def rows(self, expression_text: str) -> list:
         """Evaluate a query and return deterministically sorted rows."""
@@ -192,6 +210,23 @@ class Session:
         if self.controller is None:
             return []
         return self.controller.violated_constraints(self.database)
+
+
+def _probe_head(plan, database) -> Optional[Relation]:
+    """A probe-only ``plan`` run on the live relations — or None, nothing
+    run, unless every index it probes is built at this moment (without one
+    an operator would scan, or build, the live relation instead)."""
+    view = DatabaseView(database)
+    try:
+        for name, attrs in plan.probes:
+            relation = view.resolve(name)
+            position_of = relation.schema.position_of
+            positions = tuple(position_of(attr) - 1 for attr in attrs)
+            if relation.built_index(positions) is None:
+                return None
+    except ReproError:
+        return None  # the pinned run raises it, from the operator that meets it
+    return plan.execute(view)
 
 
 class DatabaseView:

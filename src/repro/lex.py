@@ -19,7 +19,9 @@ this priority order:
     token while ``1.`` and ``1e`` are ``INT`` plus what follows;
 ``INT``
     ``[0-9]+`` — ASCII digits only: ``²`` or ``٣`` are unexpected
-    characters, not numbers;
+    characters, not numbers; more digits than the interpreter converts
+    (CPython: 4,300) are a ``LexError`` at the literal, not ``int``'s
+    ``ValueError``;
 ``NAME``
     ``[A-Za-z_][A-Za-z0-9_]*``, optionally with one auxiliary suffix
     ``@old`` / ``@plus`` / ``@minus`` as part of the same token
@@ -199,7 +201,14 @@ def _scan(text: str):
         elif kind == "NUMBER":
             if lexeme.isdigit():
                 kind = "INT"
-                value = int(lexeme)
+                try:
+                    value = int(lexeme)
+                except ValueError:  # CPython's limit on int <-> str digits
+                    raise LexError(
+                        f"integer literal of {len(lexeme)} digits is too long",
+                        _positions(pairs)[len(kinds)],
+                        text,
+                    ) from None
             else:
                 kind = "FLOAT"
                 value = float(lexeme)

@@ -515,6 +515,24 @@ class TestConcurrentReaders:
         assert versions and versions[-1] == manager.version
         assert versions == list(range(versions[0], versions[0] + len(versions)))
 
+    def test_a_pin_finalized_in_the_middle_of_a_trim_does_not_break_it(self, rdb):
+        """The collector runs a dropped pin's finalizer at any allocation,
+        on this thread and under the manager's re-entrant lock — so the
+        last pin can go while a trim is reading the pins.  Forced here: the
+        release happens as the trim starts to read them."""
+        manager = rdb.epochs
+        pin = manager.pin()
+
+        class FinalizedWhenRead(dict):
+            def __iter__(self):
+                pin.release()
+                return super().__iter__()
+
+        manager._pins = FinalizedWhenRead(manager._pins)
+        commit(rdb, "r", plus=[(9, 9)])  # its end_write trims
+        assert manager.pinned_versions() == ()
+        assert (9, 9) in rdb.relation("r")
+
     def test_bare_name_query_is_pinned_by_default(self, rs_schema):
         database = Database(rs_schema)
         database.load("r", [(1, 1), (2, 2)])

@@ -14,9 +14,18 @@ slow machine cannot move:
 * a dropped query result releases its pin by reference count, with the
   cyclic collector switched off.
 
+And what a read that needs no pin costs: ``Session.query(text,
+pinned=True)`` on a *probe-only* plan (an indexed point selection, a join
+of one against an indexed relation) takes no pin, makes no ``EpochPin`` and
+no ``SnapshotRelation``, enters the seqlock once, and leaves the cyclic
+collector nothing — while every other plan, a probe-only one whose index
+is only declared, and one that keeps losing the validation race still read
+through exactly one pin, building no live index on the way.  The pin-path
+tests above therefore pin explicitly (:func:`read_through_a_pin`).
+
 Everything is counted from the outside (a list subclass for the entry
 list, wrappers around ``read_begin`` and ``fold_inverse``); ``src/``
-carries no counter for this.
+carries no counter for this beyond ``EpochManager.pins_taken``.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from repro.engine import epochs as epochs_module
 from repro.engine.epochs import EpochPin, SnapshotRelation
 from repro.engine.session import DatabaseView
 from repro.engine.types import INT, STRING
+from repro.errors import EvaluationError
 
 POINT = "select(orders, customer = {})"
 JOIN = "join(select(orders, customer = {}), customers, left.customer = right.cid)"
@@ -58,6 +68,12 @@ def star_database() -> Database:
     database.create_index("customers", ["cid"])
     database.epochs.retain = 4096
     return database
+
+
+def read_through_a_pin(database: Database, text: str) -> Relation:
+    """``Session.query(text, pinned=True)`` as it runs when it does pin."""
+    view = DatabaseView(database, pin=database.epochs.pin())
+    return evaluate_expression(parse_expression(text), view)
 
 
 def commit_orders(database: Database, count: int, first_id: int = 10_000) -> None:
@@ -126,25 +142,23 @@ def cost_of(tally: dict, read) -> dict:
     return {name: tally[name] - before[name] for name in tally}
 
 
-def fresh_read_costs(counted, retained: int) -> dict:
-    """Costs of fresh pinned reads under a long-lived pin ``retained``
+def read_costs(counted, retained: int, read) -> dict:
+    """Costs of ``read(database, text)`` under a long-lived pin ``retained``
     commits old: ``{(query, rows): cost}``."""
     database = star_database()
-    session = Session(database)
     long_lived = database.epochs.pin()
     commit_orders(database, retained)
     assert database.epochs.retained() == retained
     for text in (POINT, JOIN):  # compile the plans outside the count
         for customer in (ONE_ORDER, MANY_ORDERS):
-            session.query(text.format(customer), pinned=True)
+            read(database, text.format(customer))
     tally = counted(database)
     costs = {}
     for text in (POINT, JOIN):
         for customer, rows in ((ONE_ORDER, 1), (MANY_ORDERS, MANY)):
             result = []
             costs[text, rows] = cost_of(
-                tally,
-                lambda: result.append(session.query(text.format(customer), pinned=True)),
+                tally, lambda: result.append(read(database, text.format(customer)))
             )
             assert len(result[0]) == rows
     long_lived.release()
@@ -152,7 +166,7 @@ def fresh_read_costs(counted, retained: int) -> dict:
 
 
 def test_a_fresh_pinned_read_folds_nothing_and_visits_o1_entries(counted):
-    costs = fresh_read_costs(counted, retained=2_000)
+    costs = read_costs(counted, 2_000, read_through_a_pin)
     for (text, rows), cost in costs.items():
         assert cost["folds"] == 0, (text, rows, cost)
         # A couple of end-of-list looks per bracket — not the 2,000 entries.
@@ -160,8 +174,8 @@ def test_a_fresh_pinned_read_folds_nothing_and_visits_o1_entries(counted):
 
 
 def test_brackets_do_not_depend_on_result_size_or_retained_entries(counted):
-    few = fresh_read_costs(counted, retained=20)
-    many = fresh_read_costs(counted, retained=2_000)
+    few = read_costs(counted, 20, read_through_a_pin)
+    many = read_costs(counted, 2_000, read_through_a_pin)
     assert few == many  # brackets and entries visited, query by query
     for text, limit in ((POINT, 2), (JOIN, 4)):  # the pin's own bracket included
         assert many[text, 1]["brackets"] == many[text, MANY]["brackets"] <= limit
@@ -241,8 +255,9 @@ def test_dropped_results_release_their_pins_by_reference_count():
     try:
         for i in range(500):
             commit_orders(database, 1, first_id=30_000 + i)
-            session.query(POINT.format(MANY_ORDERS), pinned=True)
-            session.query(JOIN.format(ONE_ORDER), pinned=True)
+            read_through_a_pin(database, POINT.format(MANY_ORDERS))
+            read_through_a_pin(database, JOIN.format(ONE_ORDER))
+        assert manager.pins_taken == 1_000
         assert manager.pinned_versions() == ()
         assert manager.retained() <= manager.retain
 
@@ -267,3 +282,157 @@ def test_dropped_results_release_their_pins_by_reference_count():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+# -- one-shot reads: a probe-only plan takes no pin -----------------------------
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """How many ``EpochPin`` / ``SnapshotRelation`` objects get made."""
+    made = {EpochPin: 0, SnapshotRelation: 0}
+    for cls in made:
+
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return made
+
+
+def one_shot(database: Database, text: str) -> Relation:
+    return Session(database).query(text, pinned=True)
+
+
+def test_a_one_shot_probe_read_is_one_bracket_whatever_it_returns_or_is_retained(counted):
+    for retained in (20, 2_000):
+        costs = read_costs(counted, retained, one_shot)
+        assert len(costs) == 4
+        for cost in costs.values():
+            assert cost == {"brackets": 1, "visited": 0, "folds": 0}
+
+
+def test_one_shot_reads_construct_no_pin_and_no_snapshot(constructed):
+    database = star_database()
+    session = Session(database)
+    long_lived = database.epochs.pin()
+    commit_orders(database, 300)
+    before, pins = dict(constructed), database.epochs.pins_taken
+    for _ in range(50):
+        assert len(session.query(POINT.format(MANY_ORDERS), pinned=True)) == MANY
+        assert len(session.query(JOIN.format(ONE_ORDER), pinned=True)) == 1
+    assert constructed == before and database.epochs.pins_taken == pins
+    long_lived.release()
+
+
+def index_states(database: Database) -> dict:
+    return {
+        (relation.schema.name, index.positions): index.built
+        for relation in database
+        for index in relation.indexes or ()
+    }
+
+
+SCAN = "select(orders, amount > 100)"
+BARE = "orders"
+DECLARED_JOIN = "join(select(orders, customer = 1), customers, left.customer = right.name)"
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [(SCAN, 99), (PROJECTION, 2), (BARE, 1 + MANY), (DECLARED_JOIN, 0), (POINT.format(1), 1)],
+    ids=["scan", "index-only projection", "bare name", "declared join index", "declared select index"],
+)
+def test_every_other_plan_still_takes_exactly_one_pin_and_builds_nothing(
+    text, rows, constructed
+):
+    database = star_database()
+    if text.startswith("select(orders, customer"):
+        # The same point read, its index now only declared.
+        database.relation("orders").indexes.invalidate()
+    database.relation("customers").declare_index((1,))  # name: never built
+    session = Session(database)
+    session.query(text, pinned=True)  # compile, and let anything that builds build
+    found = index_states(database)
+    assert False in found.values()
+    pins, pin_objects = database.epochs.pins_taken, constructed[EpochPin]
+    for _ in range(3):  # past any forgone-work hurdle a live relation would count
+        result = session.query(text, pinned=True)
+        assert len(result) == rows
+    assert database.epochs.pins_taken - pins == 3
+    assert constructed[EpochPin] - pin_objects == 3
+    assert index_states(database) == found
+
+
+@pytest.mark.parametrize("text", [POINT, JOIN], ids=["point", "join"])
+@pytest.mark.parametrize("lost", range(epochs_module.READ_RETRY_LIMIT + 2))
+def test_a_lost_race_reruns_and_a_lost_budget_falls_back_to_one_pin(
+    text, lost, counted, monkeypatch
+):
+    database = star_database()
+    session = Session(database)
+    manager = database.epochs
+    text = text.format(MANY_ORDERS)
+    expected = session.query(text, pinned=True)
+    validate = manager.read_validate
+    failures = []
+
+    def losing_validate(stamp):
+        if len(failures) < lost:
+            failures.append(stamp)
+            return False
+        return validate(stamp)
+
+    monkeypatch.setattr(manager, "read_validate", losing_validate)
+    tally = counted(database)
+    pins = manager.pins_taken
+    result = session.query(text, pinned=True)
+    assert result == expected and type(result) is Relation
+    assert len(failures) == lost
+    if lost < epochs_module.READ_RETRY_LIMIT:
+        assert manager.pins_taken == pins  # re-run in a second bracket
+        assert tally["brackets"] == lost + 1
+    else:
+        assert manager.pins_taken == pins + 1  # today's pinned read, once
+    assert manager.pinned_versions() == ()
+
+
+def test_an_error_under_a_held_stamp_is_raised_once_not_rerun(counted):
+    database = star_database()
+    session = Session(database)
+    text = "select(orders, customer = 2 and amount / (amount - 7) > 0)"
+    tally = counted(database)
+    pins = database.epochs.pins_taken
+    with pytest.raises(EvaluationError, match="division by zero"):
+        session.query(text, pinned=True)
+    assert tally["brackets"] == 1 and database.epochs.pins_taken == pins
+
+
+def test_a_one_shot_read_leaves_nothing_for_the_cyclic_collector():
+    database = star_database()
+    session = Session(database)
+    long_lived = database.epochs.pin()
+    commit_orders(database, 50)
+    failing = "select(orders, customer = 2 and 1 / (amount - 7) > 0)"
+
+    def reads():
+        session.query(POINT.format(MANY_ORDERS), pinned=True)
+        session.query(JOIN.format(ONE_ORDER), pinned=True)
+        with pytest.raises(EvaluationError):
+            session.query(failing, pinned=True)
+
+    reads()  # compiling a plan does make cycles; running one must not
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for _ in range(200):
+            reads()
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    long_lived.release()

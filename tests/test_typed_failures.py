@@ -20,6 +20,10 @@ And a unary minus folds into *numeric* constants only: ``bool`` is an
 ``int`` to ``isinstance``, so ``-true`` used to become the integer ``-1``
 (and ``-false`` ``0``) in a literal row, a predicate and a constraint; it is
 a ``ParseError`` in all three.
+
+And an integer literal with more digits than ``int()`` converts (CPython:
+4,300) is a ``LexError`` at the literal in every text front end, not the
+bare ``ValueError`` the conversion raises.
 """
 
 from __future__ import annotations
@@ -30,14 +34,15 @@ import pytest
 
 from repro import ddl
 from repro.algebra import predicates as P
-from repro.algebra.parser import parse_expression, parse_statement
+from repro.algebra.parser import parse_expression, parse_statement, parse_transaction
 from repro.calculus import ast as C
 from repro.calculus.parser import parse_constraint
 from repro.core import translation
+from repro.core.rule_language import parse_rule
 from repro.core.subsystem import _resolves
 from repro.engine import Database, DatabaseSchema, RelationSchema, epochs
 from repro.engine.types import INT
-from repro.errors import ParseError, UnknownAttributeError
+from repro.errors import LexError, ParseError, UnknownAttributeError
 
 R = RelationSchema("r", [("a", INT), ("b", INT)])
 S = RelationSchema("s", [("c", INT), ("d", INT)])
@@ -211,3 +216,37 @@ class TestNegatedBoolean:
     def test_booleans_are_still_constants(self):
         assert parse_statement("insert(r, (true, false))").expr.rows == ((True, False),)
         assert parse_expression("select(r, a = true)").predicate.right == P.Const(True)
+
+
+class TestOverlongIntegerLiteral:
+    DIGITS = "1" * 5000
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_expression, "select(orders, customer = {})"),
+            (parse_expression, "select(orders, customer = -{})"),
+            (parse_expression, "project(orders, [amount + {} as more])"),
+            (parse_transaction, "begin insert(orders, (1, {}, 3)); end"),
+            (parse_transaction, "begin update(orders, id = 1, amount := {}); end"),
+            (parse_constraint, "(forall x)(x in orders => x.amount < {})"),
+            (parse_constraint, "CNT(orders) <= {}"),
+            (parse_rule, "RULE big IF NOT (CNT(orders) <= {}) THEN abort"),
+            (ddl.parse_schema, "relation orders(id int); # {} is no declaration\n{}"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_is_a_lex_error_at_the_literal(self, parse, text):
+        source = text.format(self.DIGITS, self.DIGITS)
+        with pytest.raises(LexError, match="integer literal of 5000 digits") as raised:
+            parse(source)
+        assert source[raised.value.position :].startswith(self.DIGITS)
+        assert source[raised.value.position - 1] != "1"  # its first digit
+
+    def test_the_longest_convertible_literal_still_parses(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+        digits = "7" * limit
+        select = parse_expression(f"select(orders, customer = {digits})")
+        assert select.predicate.right == P.Const(int(digits))
+        with pytest.raises(LexError):
+            parse_expression(f"select(orders, customer = 7{digits})")
