@@ -47,7 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, TypeMismatchError
 
 from repro.algebra.predicates import (
     And,
@@ -543,12 +543,27 @@ def _predicate_kernel(predicate, schema) -> Callable:
     raise EvaluationError(f"cannot compile predicate {predicate!r}")
 
 
+def _typed(kernel: Callable) -> Callable:
+    """``kernel``, with Python's ``TypeError`` — arithmetic on, or an
+    ordering of, a string and a number — raised as the engine's own
+    :class:`~repro.errors.TypeMismatchError`, with the same text the row
+    closures of :mod:`repro.algebra.predicates` raise it with."""
+
+    def typed_kernel(rows):
+        try:
+            return kernel(rows)
+        except TypeError as error:
+            raise TypeMismatchError(str(error)) from None
+
+    return typed_kernel
+
+
 def compile_scalar_kernel(expr, schema: RelationSchema) -> Callable:
     """Compile a unary scalar expression to ``f(rows) -> list``."""
     kernel, _ = _scalar_kernel(expr, schema)
-    return kernel
+    return _typed(kernel)
 
 
 def compile_predicate_kernel(predicate, schema: RelationSchema) -> Callable:
     """Compile a unary predicate to ``f(rows) -> [True|False|None]``."""
-    return _predicate_kernel(predicate, schema)
+    return _typed(_predicate_kernel(predicate, schema))

@@ -9,7 +9,7 @@ rewrites used by ``TrOptRS``:
 * boolean simplification of predicates (constant folding, double negation);
 * cascade fusion of selections: ``σ_p(σ_q(E)) -> σ_{q∧p}(E)``;
 * elimination of ``σ_true`` and identity projections;
-* pushing selections through union / difference / intersection.
+* pushing selections through union / intersection.
 
 These need nothing but the expression.  The rewrites that need a database
 schema or its statistics — reordering join/semijoin chains, pushing
@@ -18,10 +18,10 @@ selections below equi-joins — live beside each other in
 
 All rewrites preserve set semantics *and errors*: a rewrite that would
 change which rows a predicate is evaluated on (fusing a cascade, moving a
-selection below a difference or intersection) is skipped when that
-predicate can raise (:func:`~repro.algebra.predicates.can_raise`).  A
-property test checks rewritten expressions evaluate identically to their
-originals.
+selection below an intersection) is skipped when that predicate can raise
+(:func:`~repro.algebra.predicates.can_raise`), and no selection moves below
+a difference at all (see :func:`optimize_expression`).  A property test
+checks rewritten expressions evaluate identically to their originals.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def optimize_expression(expr: E.Expression) -> E.Expression:
         if isinstance(predicate, P.TruePred):
             return source
         # The rewrites below run the predicate on rows it would not have
-        # seen (the inner selection's unknowns; the subtracted side).
+        # seen (the inner selection's unknowns; the intersected-away side).
         if P.can_raise(predicate) and not isinstance(source, E.Union):
             return E.Select(source, predicate)
         # Cascade fusion.
@@ -98,8 +98,11 @@ def optimize_expression(expr: E.Expression) -> E.Expression:
                 source.input,
                 simplify_predicate(P.And(source.predicate, predicate)),
             )
-        # Push selection through the set operators.
-        if isinstance(source, (E.Union, E.Difference, E.Intersection)):
+        # Push selection through union and intersection, which evaluate
+        # and compare both sides whatever they hold.  Not through a
+        # difference: σ[p](A) can be empty where A is not, and ∅ − e never
+        # evaluates e — the arity check of a malformed A − B would go with it.
+        if isinstance(source, (E.Union, E.Intersection)):
             ctor = type(source)
             return ctor(
                 optimize_expression(E.Select(source.left, predicate)),

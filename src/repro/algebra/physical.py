@@ -201,21 +201,21 @@ class PhysicalOperator:
 
 
 class _KeySide:
-    """Key extraction for one side of an equi-join, bound lazily per schema.
+    """Key extraction for one side of an equi-join.
 
     ``bind(schema)`` returns ``(key_fn, positions)`` where ``key_fn`` maps a
     row to its hash key (a bare value for single keys, a tuple otherwise —
     the same convention :class:`repro.engine.indexes.HashIndex` uses, so the
     two interoperate) and ``positions`` is the 0-based position tuple when
-    every key is a plain column reference, else None.
+    every key is a plain column reference, else None.  The operator keeps
+    the answer (:meth:`_HashKeyedOp._bind`).
     """
 
-    __slots__ = ("exprs", "plain", "_bound")
+    __slots__ = ("exprs", "plain")
 
     def __init__(self, exprs, side: str):
         self.exprs = tuple(_strip_side(expr, side) for expr in exprs)
         self.plain = all(isinstance(expr, P.ColRef) for expr in self.exprs)
-        self._bound: Dict[RelationSchema, tuple] = _SchemaLRU()
 
     @property
     def attrs(self) -> Optional[tuple]:
@@ -225,32 +225,17 @@ class _KeySide:
         return tuple(expr.attr for expr in self.exprs)
 
     def bind(self, schema: RelationSchema) -> tuple:
-        bound = self._bound.get(schema)
-        if bound is not None:
-            return bound
         if self.plain:
             positions = tuple(
                 schema.position_of(expr.attr) - 1 for expr in self.exprs
             )
             # itemgetter extracts at C speed with the key convention
             # above: a bare value for one position, a tuple for several.
-            bound = (_itemgetter(*positions), positions)
-        else:
-            fns = [P.compile_scalar(expr, schema) for expr in self.exprs]
-            if len(fns) == 1:
-                fn = fns[0]
-
-                def key_fn(row, _f=fn):
-                    return _f(row)
-
-            else:
-
-                def key_fn(row, _fs=fns):
-                    return tuple(f(row) for f in _fs)
-
-            bound = (key_fn, None)
-        self._bound[schema] = bound
-        return bound
+            return _itemgetter(*positions), positions
+        fns = [P.compile_scalar(expr, schema) for expr in self.exprs]
+        if len(fns) == 1:
+            return fns[0], None
+        return (lambda row, _fs=fns: tuple(f(row) for f in _fs)), None
 
 
 class _CombinedSchemaCache:
@@ -348,7 +333,7 @@ def _projected_keys(source: Relation, positions: Optional[tuple]):
     return list(map(_itemgetter(*map(index.positions.index, positions)), keys))
 
 
-def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
+def _hash_buckets(relation: Relation, bound_keys: tuple, need_rows: bool):
     """The build side of a hash join/semijoin: key -> distinct rows.
 
     Reuses a pre-built persistent index when the key columns carry one; a
@@ -363,7 +348,7 @@ def _hash_buckets(relation: Relation, key_side: "_KeySide", need_rows: bool):
     such a view to their keys with one ``probe(keys)`` call first and then
     run against the plain dict it returns; plain buckets are used as is.
     """
-    key_fn, positions = key_side.bind(relation.schema)
+    key_fn, positions = bound_keys  # the build side's _KeySide.bind
     if positions is not None:
         index = relation.amortized_index(positions)
         if index is not None:
@@ -390,16 +375,13 @@ class _PredicateCache:
     residuals and of residuals over an index bucket.
     """
 
-    __slots__ = ("predicate", "_compiled", "_kernels")
+    __slots__ = ("predicate", "is_true", "_compiled", "_kernels")
 
     def __init__(self, predicate: P.Predicate):
         self.predicate = predicate
+        self.is_true = isinstance(predicate, P.TruePred)
         self._compiled: dict = _SchemaLRU()
         self._kernels: dict = _SchemaLRU()
-
-    @property
-    def is_true(self) -> bool:
-        return isinstance(self.predicate, P.TruePred)
 
     def bind(self, schema, right_schema=None):
         key = (schema, right_schema)
@@ -549,7 +531,7 @@ class FilterOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         result = _mask_select(source, self._pred)
-        _trace(context, "select", len(source), len(result))
+        _trace_sizes(context, "select", (source,), result)
         return result
 
     def estimate(self, cards=None) -> PlanEstimate:
@@ -1082,7 +1064,43 @@ class ProductOp(_BinaryOp):
 # ---------------------------------------------------------------------------
 
 
-class HashJoinOp(_BinaryOp):
+class _HashKeyedOp(_BinaryOp):
+    """What hash join and hash semi/antijoin share: equality keys per side,
+    a residual, and — once per pair of input schemas, not per execution —
+    everything about running them that the schemas alone decide."""
+
+    def __init__(
+        self,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        left_keys,
+        right_keys,
+        residual: P.Predicate = P.TRUE,
+    ):
+        super().__init__(left, right)
+        self.left_keys = _KeySide(left_keys, "left")
+        self.right_keys = _KeySide(right_keys, "right")
+        self._residual = _PredicateCache(residual)
+        self._bound: dict = _SchemaLRU()
+
+    def _bind(self, left_schema: RelationSchema, right_schema: RelationSchema):
+        """``(left key fn, left key positions, right side as _hash_buckets
+        takes it, residual closure or None when there is none)``."""
+        key = (left_schema, right_schema)
+        bound = self._bound.get(key)
+        if bound is None:
+            residual = None
+            if not self._residual.is_true:
+                residual = self._residual.bind(left_schema, right_schema)
+            bound = self._bound[key] = (
+                *self.left_keys.bind(left_schema),
+                self.right_keys.bind(right_schema),
+                residual,
+            )
+        return bound
+
+
+class HashJoinOp(_HashKeyedOp):
     """Equi-join executed as build(right) + probe(left).
 
     The build side hashes *distinct* right rows (the reference
@@ -1100,10 +1118,7 @@ class HashJoinOp(_BinaryOp):
         right_keys,
         residual: P.Predicate,
     ):
-        super().__init__(left, right)
-        self.left_keys = _KeySide(left_keys, "left")
-        self.right_keys = _KeySide(right_keys, "right")
-        self._residual = _PredicateCache(residual)
+        super().__init__(left, right, left_keys, right_keys, residual)
         self._schemas = _CombinedSchemaCache("_join")
 
     def _probe_pairs(self, left: Relation, right: Relation):
@@ -1119,8 +1134,10 @@ class HashJoinOp(_BinaryOp):
         multiplicities never contribute — the reference interpreter's
         convention).
         """
-        buckets = _hash_buckets(right, self.right_keys, need_rows=True)
-        left_key, positions = self.left_keys.bind(left.schema)
+        left_key, positions, right_bound, residual = self._bind(
+            left.schema, right.schema
+        )
+        buckets = _hash_buckets(right, right_bound, need_rows=True)
         lrows, lcounts = left.rows_and_counts()
         if isinstance(buckets, _DeltaBuckets):
             buckets = buckets.probe(set(map(left_key, lrows)))
@@ -1130,7 +1147,7 @@ class HashJoinOp(_BinaryOp):
             pair_counts: list = []
             extend_pairs = pairs.extend
             extend_counts = pair_counts.extend
-            if self._residual.is_true:
+            if residual is None:
                 for lrow, key, count in zip(
                     lrows, map(left_key, lrows), lcounts
                 ):
@@ -1139,7 +1156,6 @@ class HashJoinOp(_BinaryOp):
                         extend_pairs(lrow + rrow for rrow in bucket)
                         extend_counts([count] * len(bucket))
             else:
-                residual = self._residual.bind(left.schema, right.schema)
                 for lrow, key, count in zip(
                     lrows, map(left_key, lrows), lcounts
                 ):
@@ -1152,7 +1168,7 @@ class HashJoinOp(_BinaryOp):
                         extend_pairs(matched)
                         extend_counts([count] * len(matched))
             return pairs, pair_counts
-        if self._residual.is_true:
+        if residual is None:
             if positions is not None and len(positions) == 1:
                 p = positions[0]
                 pairs = [
@@ -1167,7 +1183,6 @@ class HashJoinOp(_BinaryOp):
                     for rrow in get_bucket(key) or ()
                 ]
         else:
-            residual = self._residual.bind(left.schema, right.schema)
             pairs = [
                 lrow + rrow
                 for lrow, key in zip(lrows, map(left_key, lrows))
@@ -1272,7 +1287,7 @@ def _key_has_null(key) -> bool:
     return False
 
 
-class HashSemiJoinOp(_BinaryOp):
+class HashSemiJoinOp(_HashKeyedOp):
     """Semijoin/antijoin on equality keys, hash- and index-accelerated.
 
     Execution regimes, fastest applicable wins:
@@ -1292,28 +1307,16 @@ class HashSemiJoinOp(_BinaryOp):
     op_name = "semijoin"
     keep_matching = True
 
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_keys,
-        right_keys,
-        residual: P.Predicate = P.TRUE,
-    ):
-        super().__init__(left, right)
-        self.left_keys = _KeySide(left_keys, "left")
-        self.right_keys = _KeySide(right_keys, "right")
-        self._residual = _PredicateCache(residual)
-
     def _probe_dict(self, left: Relation, right: Relation) -> dict:
         """The selected ``{row: count}`` dict: regime selection and every
         index interaction (build touches, amortization accounting, probe
         touches) happen here."""
         keep = self.keep_matching
-        left_key, positions = self.left_keys.bind(left.schema)
-        if not self._residual.is_true:
-            buckets = _hash_buckets(right, self.right_keys, need_rows=True)
-            residual = self._residual.bind(left.schema, right.schema)
+        left_key, positions, right_bound, residual = self._bind(
+            left.schema, right.schema
+        )
+        if residual is not None:
+            buckets = _hash_buckets(right, right_bound, need_rows=True)
             src_rows = left._rows
             if isinstance(buckets, _DeltaBuckets):
                 buckets = buckets.probe(set(map(left_key, src_rows)))
@@ -1332,7 +1335,7 @@ class HashSemiJoinOp(_BinaryOp):
                 )
                 is keep
             }
-        right_keys = _hash_buckets(right, self.right_keys, need_rows=False)
+        right_keys = _hash_buckets(right, right_bound, need_rows=False)
         # Row-wise probing forgoes one key computation + membership test per
         # distinct left row; charge that against a declared left index so a
         # hot probe side (e.g. a big working copy inside a write

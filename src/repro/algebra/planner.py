@@ -219,10 +219,11 @@ def get_plan(expression: E.Expression) -> X.PhysicalOperator:
 
 
 def clear_plan_cache() -> None:
+    """Empty the process-wide caches and zero the counters.  A database's
+    own table (:func:`database_plan`) is the database's: it goes with it."""
     global _plan_cache_hits, _plan_cache_misses
     _PLAN_CACHE.clear()
     _ESTIMATE_CACHE.clear()
-    _DATABASE_PLANS.clear()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
 
@@ -676,8 +677,8 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
     lowers to an index lookup.  The rewrite looks at the expression the
     lowering will see (after :func:`~repro.algebra.optimizer.
     optimize_expression` has merged selection cascades and pushed
-    selections through the set operators) and fires only where it is exact
-    — same rows, same multiplicities, same errors — in set and bag mode:
+    selections through union and intersection) and fires only where it is
+    exact — same rows, same multiplicities, same errors — in set and bag mode:
 
     * the join is a pure equi-join (hash keys, no residual);
     * no division anywhere in the selection or the join predicate (see
@@ -697,13 +698,14 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
     return expression if pushed is optimized else pushed
 
 
-# Per-database plans, held weakly: Database -> {Expression: (RuntimeStatistics
-# snapshot | None, PhysicalOperator)} — the plan of the expression with its
-# chains reordered under the snapshot and its selections pushed under the
-# database's schema.  A ``None`` snapshot marks a chain-free expression: its
-# entry never drifts, and it is the whole cost of evaluating a stored check —
-# one probe, on an expression that hashes once.
-_DATABASE_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# Per-database plans live on the database (``Database.plans``, which the
+# engine never interprets): {Expression: (RuntimeStatistics snapshot | None,
+# PhysicalOperator)} — the plan of the expression with its chains reordered
+# under the snapshot and its selections pushed under the database's schema.
+# A ``None`` snapshot marks a chain-free expression: its entry never drifts,
+# and it is the whole cost of evaluating a stored check — one probe, on an
+# expression that hashes once.  A table is as old as its database: a fork or
+# an unpickled copy starts empty, and nothing outlives the database.
 _DATABASE_PLANS_LIMIT = 1024
 
 
@@ -717,16 +719,16 @@ def database_plan(
     rewrites run only when an entry is (re)computed.
 
     Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
-    call it stands for; a cache-exempt shape is lowered afresh, as there.
+    call it stands for; a cache-exempt shape is never filed, and is lowered
+    afresh, as there.
     """
     global _plan_cache_hits
-    if _is_cache_exempt(expression):
-        return _lower(expression)
-    per_database = _DATABASE_PLANS.get(database)
-    if per_database is None:
-        per_database = _DATABASE_PLANS[database] = {}
-    cached = per_database.get(expression)
-    if cached is not None and cached[0] is None:
+    plans = database.plans
+    cached = plans.get(expression)
+    if cached is None:
+        if _is_cache_exempt(expression):
+            return _lower(expression)
+    elif cached[0] is None:
         _plan_cache_hits += 1
         return cached[1]
     from repro.algebra.statistics import DRIFT_THRESHOLD, RuntimeStatistics
@@ -742,9 +744,9 @@ def database_plan(
         rewritten = reorder_chains(expression, stats, database.schema)
         snapshot = stats
     result = (snapshot, get_plan(push_selections(rewritten, database.schema)))
-    if len(per_database) >= _DATABASE_PLANS_LIMIT:
-        per_database.pop(next(iter(per_database)))
-    per_database[expression] = result
+    if len(plans) >= _DATABASE_PLANS_LIMIT:
+        plans.pop(next(iter(plans)))
+    plans[expression] = result
     return result[1]
 
 

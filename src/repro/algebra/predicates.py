@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
-from repro.errors import EvaluationError, UnknownAttributeError
+from repro.errors import EvaluationError, TypeMismatchError, UnknownAttributeError
 from repro.hashing import hash_once
 
 
@@ -260,7 +260,10 @@ def compile_scalar(
                     raise EvaluationError("division by zero")
                 if isinstance(a, int) and isinstance(b, int) and a % b == 0:
                     return a // b
-                return a / b
+                try:
+                    return a / b
+                except TypeError as error:
+                    raise TypeMismatchError(str(error)) from None
 
             return divide
         op = _ARITH_OPS[expr.op]
@@ -270,7 +273,10 @@ def compile_scalar(
             b = right_fn(left, right)
             if a is NULL or b is NULL:
                 return NULL
-            return op(a, b)
+            try:
+                return op(a, b)
+            except TypeError as error:  # a string and a number
+                raise TypeMismatchError(str(error)) from None
 
         return arith
     raise EvaluationError(f"cannot compile scalar expression {expr!r}")
@@ -296,7 +302,10 @@ def compile_predicate(
             b = right_fn(left, right)
             if a is NULL or b is NULL:
                 return None
-            return op(a, b)
+            try:
+                return op(a, b)
+            except TypeError as error:  # an ordering of a string and a number
+                raise TypeMismatchError(str(error)) from None
 
         return compare
     if isinstance(predicate, IsNull):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union as TypingUnion
 
 from repro.algebra import predicates as P
-from repro.algebra.evaluation import evaluate_expression
-from repro.algebra.expressions import Expression, Select, RelationRef
+from repro.algebra.expressions import Expression, Literal, Select, RelationRef
+from repro.algebra.planner import evaluate
 from repro.errors import TransactionAborted
 
 INS = "INS"
@@ -59,11 +59,20 @@ class Assign(Statement):
     def execute(self, context) -> None:
         from repro.algebra.expressions import Rename
 
-        value = evaluate_expression(Rename(self.expr, self.name), context)
+        value = evaluate(Rename(self.expr, self.name), context)
         context.set_temp(self.name, value)
 
     def relations_read(self) -> set:
         return self.expr.relations()
+
+
+def _source_rows(expr: Expression, context):
+    """The rows an ``insert`` / ``delete`` names.  A literal is data, and a
+    set: its distinct rows as written, with no plan and no relation built
+    around them (the target validates them, as it does any source's)."""
+    if type(expr) is Literal:
+        return dict.fromkeys(expr.rows)
+    return evaluate(expr, context)
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ class Insert(Statement):
     expr: Expression
 
     def execute(self, context) -> None:
-        context.insert_rows(self.relation, evaluate_expression(self.expr, context))
+        context.insert_rows(self.relation, _source_rows(self.expr, context))
 
     def update_triggers(self) -> frozenset:
         return frozenset({(INS, self.relation)})
@@ -91,7 +100,7 @@ class Delete(Statement):
     expr: Expression
 
     def execute(self, context) -> None:
-        context.delete_rows(self.relation, evaluate_expression(self.expr, context))
+        context.delete_rows(self.relation, _source_rows(self.expr, context))
 
     def update_triggers(self) -> frozenset:
         return frozenset({(DEL, self.relation)})
@@ -117,7 +126,7 @@ class Update(Statement):
         source = context.resolve(self.relation)
         schema = source.schema
         matching = list(
-            evaluate_expression(
+            evaluate(
                 Select(RelationRef(self.relation), self.predicate), context
             )
         )
@@ -155,7 +164,7 @@ class Alarm(Statement):
     message: Optional[str] = None
 
     def execute(self, context) -> None:
-        result = evaluate_expression(self.expr, context)
+        result = evaluate(self.expr, context)
         if len(result) > 0:
             reason = self.message or "integrity alarm"
             sample = result.sorted_rows()[:3]

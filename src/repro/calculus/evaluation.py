@@ -39,7 +39,7 @@ from typing import Dict
 from repro.calculus import ast as C
 from repro.calculus.analysis import check_constraint
 from repro.engine.types import NULL
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, TypeMismatchError
 
 
 class _Env:
@@ -209,17 +209,20 @@ def _eval_term(term: C.Term, resolver, env: _Env):
         right = _eval_term(term.right, resolver, env)
         if left is NULL or right is NULL:
             return NULL
-        if term.op == "+":
-            return left + right
-        if term.op == "-":
-            return left - right
-        if term.op == "*":
-            return left * right
-        if right == 0:
-            raise EvaluationError("division by zero")
-        if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-            return left // right
-        return left / right
+        try:
+            if term.op == "+":
+                return left + right
+            if term.op == "-":
+                return left - right
+            if term.op == "*":
+                return left * right
+            if right == 0:
+                raise EvaluationError("division by zero")
+            if isinstance(left, int) and isinstance(right, int) and left % right == 0:
+                return left // right
+            return left / right
+        except TypeError as error:  # a string and a number
+            raise TypeMismatchError(str(error)) from None
     if isinstance(term, C.AggTerm):
         relation = resolver.resolve(term.relation)
         position = relation.schema.position_of(term.attr) - 1
@@ -244,16 +247,19 @@ def _compare(op: str, left, right):
     """NULL-aware comparison: any comparison involving NULL is unknown."""
     if left is NULL or right is NULL:
         return None
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == ">=":
-        return left >= right
-    if op == ">":
-        return left > right
+    try:
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == "=":
+            return left == right
+        if op == "!=":
+            return left != right
+        if op == ">=":
+            return left >= right
+        if op == ">":
+            return left > right
+    except TypeError as error:  # an ordering of a string and a number
+        raise TypeMismatchError(str(error)) from None
     raise EvaluationError(f"unknown comparison operator {op!r}")

@@ -115,10 +115,15 @@ class Database:
         self.epochs = EpochManager(self)
         for relation in self._relations.values():
             relation._observer = self.epochs
+        # Compiled plans of the expressions evaluated against this database,
+        # filed and read by :mod:`repro.algebra.planner` — opaque here.  They
+        # live and die with this object: never pickled, never forked.
+        self.plans: dict = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["wal"] = None
+        state["plans"] = {}
         # Pins and seqlock state are process-local; a deserialized copy
         # starts with a fresh, empty epoch window.
         state["epochs"] = None

@@ -174,6 +174,8 @@ class TransactionContext:
         self.temps: dict = {}
         self._plus: dict = {}
         self._minus: dict = {}
+        # name -> the relation it denotes, behind ``working``'s overlays.
+        self._resolved: dict = {}
         self.tuples_inserted = 0
         self.tuples_deleted = 0
         self.statements_executed = 0
@@ -186,14 +188,24 @@ class TransactionContext:
         Resolution order: temporaries shadow nothing (they live in a
         separate namespace but are checked first so assignments can be
         re-read), then auxiliary names, then working copies, then the
-        underlying database state.
+        underlying database state.  A name is worked out once, and the
+        answer stands while the binding does: the first write to a base
+        relation puts its overlay in front (``working`` is asked first), an
+        assignment rebinds a temporary, a rollback drops everything.
         """
+        relation = self.working.get(name)
+        if relation is None:
+            relation = self._resolved.get(name)
+            if relation is None:
+                relation = self._resolved[name] = self._lookup(name)
+        return relation
+
+    def _lookup(self, name: str) -> Relation:
+        """What a name other than a written base relation's denotes."""
         if name in self.temps:
             return self.temps[name]
         base, suffix = naming.split_auxiliary(name)
         if suffix is None:
-            if base in self.working:
-                return self.working[base]
             return self.database.relation(base)
         if base not in self.database:
             raise UnknownRelationError(base)
@@ -258,6 +270,7 @@ class TransactionContext:
                 name, "assignment target (shadows a base relation)"
             )
         self.temps[name] = relation
+        self._resolved.pop(name, None)
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -285,6 +298,7 @@ class TransactionContext:
         self.temps.clear()
         self._plus.clear()
         self._minus.clear()
+        self._resolved.clear()
 
     def modified_relations(self) -> tuple:
         """Names of base relations with a non-empty net differential."""

@@ -26,18 +26,22 @@ def hash_once(cls):
     structural = cls.__hash__
 
     def __hash__(self) -> int:
-        try:
-            return self._structural_hash
-        except AttributeError:
+        # A fresh object reads the class-level None: a first hash raises
+        # and catches nothing.  (Written with ``object.__setattr__``, past a
+        # frozen dataclass's own; touching ``__dict__`` instead would
+        # materialize it and slow every later attribute read of the node.)
+        value = self._structural_hash
+        if value is None:
             value = structural(self)
             object.__setattr__(self, "_structural_hash", value)
-            return value
+        return value
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_structural_hash", None)
         return state
 
+    cls._structural_hash = None
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls

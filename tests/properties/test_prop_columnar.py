@@ -22,10 +22,12 @@ import multiprocessing
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import columnar
+from repro.algebra import expressions as E
+from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.overlay import OverlayRelation
@@ -186,12 +188,29 @@ def test_plans_equal_reference_over_overlays(
     _assert_evaluations_agree(expression, make_context)
 
 
+def _selected_malformed(ctor) -> E.Expression:
+    """``cnt(σ[#1 < 0](σ[#1 = 0](s) <ctor> ()))``: the set operator's sides
+    have arities 2 and 1, and the outer selection, pushed onto the left
+    side, would empty it."""
+    inner = E.Select(E.RelationRef("s"), P.Comparison("=", P.ColRef(1), P.Const(0)))
+    outer = P.Comparison("<", P.ColRef(1), P.Const(0))
+    return E.Count(E.Select(ctor(inner, E.Literal(())), outer))
+
+
 @given(
     expression=S.algebra_queries(),
     rows_r=NULL_ROWS,
     rows_s=NULL_ROWS,
     bag=st.booleans(),
 )
+# The reference raises "difference: incompatible arities 2 vs 1"; pushing the
+# selection through the difference emptied its left side, and ∅ − e skips e
+# and the check (the plan answered [(0,)]).  Union and intersection evaluate
+# both sides whatever they hold: pinned to show they do not share the hole.
+@example(_selected_malformed(E.Difference), [], [(0, NULL)], False)
+@example(_selected_malformed(E.Difference), [], [(0, NULL)], True)
+@example(_selected_malformed(E.Intersection), [], [(0, NULL)], False)
+@example(_selected_malformed(E.Union), [], [(0, NULL)], False)
 @_SETTINGS
 def test_plans_equal_reference_with_nulls(expression, rows_r, rows_s, bag):
     """Same property over nullable columns with NULL-bearing rows.

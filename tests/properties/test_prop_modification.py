@@ -8,12 +8,15 @@ the check-after-execute baseline and the soundness of the differential
 optimization.
 """
 
+import pickle
+
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.modification import ModificationStats, StaticSelector, mod_t
 from repro.core.programs import IntegrityProgramStore, get_int_p
 from repro.core.rules import IntegrityRule
-from repro.engine import Session
+from repro.engine import Database, Session
 from repro.engine.session import DatabaseView
 
 from tests.properties import strategies as strat
@@ -150,3 +153,70 @@ def test_modification_statistics_consistent(db, constraint, txn):
     modified = mod_t(txn, StaticSelector(store), stats=stats)
     assert len(modified.statements) == len(txn.statements) + stats.statements_appended
     assert stats.rules_selected == len(stats.selected_rule_names)
+
+
+@given(
+    db=strat.databases(),
+    other_r=strat.ROWS_R,
+    other_s=strat.ROWS_S,
+    constraints=st.lists(strat.abortable_constraints(), min_size=1, max_size=3),
+    txns=st.lists(strat.transactions(), min_size=1, max_size=4),
+    differential=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_controller_serves_a_database_its_fork_and_its_pickle(
+    db, other_r, other_s, constraints, txns, differential
+):
+    """One controller's stored programs, run alternately against a database,
+    its ``fork()`` and an unpickled copy — each holding different rows —
+    give each database's own answer: a database's plan table is its own,
+    starts empty in a fork and in a copy, and never answers for another.
+
+    The expected answers come from twins: databases of the same rows built
+    from scratch, each behind a controller of its own.
+    """
+    fork = db.fork()
+    fork.load("r", other_r)
+    copied = pickle.loads(pickle.dumps(db))
+    copied.load("s", other_s)
+    controller = build_controller(db, constraints, differential)
+    shared = [Session(database, controller) for database in (db, fork, copied)]
+    twins = []
+    for database in (db, fork, copied):
+        twin = Database(database.schema, bag=database.bag)
+        for name in database.relation_names:
+            twin.load(name, database.relation(name).rows())
+        twins.append(Session(twin, build_controller(twin, constraints, differential)))
+    for txn in txns:
+        for mine, twin in zip(shared, twins):
+            result, expected = mine.execute(txn), twin.execute(txn)
+            assert result.status == expected.status
+            assert result.reason == expected.reason
+            assert result.statements_executed == expected.statements_executed
+            assert (result.tuples_inserted, result.tuples_deleted) == (
+                expected.tuples_inserted,
+                expected.tuples_deleted,
+            )
+            for name in mine.database.relation_names:
+                assert (
+                    mine.database.relation(name).sorted_rows()
+                    == twin.database.relation(name).sorted_rows()
+                ), name
+            assert mine.verify_integrity() == twin.verify_integrity()
+
+
+def test_a_plan_table_starts_empty_in_a_fork_and_in_an_unpickled_copy():
+    from repro.algebra import planner
+    from repro.algebra.parser import parse_expression
+
+    db = Database(strat.rs_schema())
+    db.load("r", [(1, 2), (3, 4)])
+    expression = parse_expression("semijoin(r, s, left.a = right.c)")
+    plan = planner.database_plan(expression, db)
+    assert list(db.plans) == [expression]
+    for other in (db.fork(), pickle.loads(pickle.dumps(db))):
+        assert other.plans == {}
+        assert planner.database_plan(expression, other) is plan  # chain-free
+        assert list(other.plans) == [expression]
+        other.plans.clear()
+    assert list(db.plans) == [expression]

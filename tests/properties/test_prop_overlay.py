@@ -21,8 +21,12 @@ from hypothesis import strategies as st
 
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
-from repro.engine import Database, OverlayRelation
+from repro.algebra.physical import LiteralOp
+from repro.algebra.statements import Assign, Delete, Insert
+from repro.engine import Database, OverlayRelation, naming
 from repro.engine.transaction import TransactionContext
+from repro.engine.types import NULL
+from repro.errors import ReproError, UnknownRelationError
 from tests.support.reference import EVALUATORS
 
 from . import strategies as S
@@ -321,3 +325,207 @@ def test_pinned_epoch_reads_equal_eager_copy_oracle(
             check_all()
     for pin, _ in oracle:
         pin.release()
+
+
+# -- a name resolved once ≡ a name resolved every time --------------------------
+
+
+class RecomputingContext(TransactionContext):
+    """``resolve`` as it was before it kept its answers: worked out, name
+    split and all, on every call — the oracle for the memoised one."""
+
+    def resolve(self, name):
+        if name in self.temps:
+            return self.temps[name]
+        base, suffix = naming.split_auxiliary(name)
+        if suffix is None:
+            if base in self.working:
+                return self.working[base]
+            return self.database.relation(base)
+        if base not in self.database:
+            raise UnknownRelationError(base)
+        if suffix == naming.OLD_SUFFIX:
+            return self.database.relation(base)
+        if suffix == naming.PLUS_SUFFIX:
+            return self._differential(self._plus, base)
+        return self._differential(self._minus, base)
+
+
+_NAMES = st.sampled_from(
+    [
+        "r", "s", "r@plus", "r@minus", "r@old", "s@plus", "s@minus", "s@old",
+        "t", "u", "nope", "nope@plus", "t@old",
+    ]
+)
+_ROWS = st.lists(st.tuples(S.VALUES, S.VALUES), min_size=1, max_size=3)
+_TEMP_VALUES = st.one_of(
+    _NAMES.map(E.RelationRef),
+    _ROWS.map(lambda rows: E.Literal(tuple(rows))),
+    st.sampled_from(_PROBES),
+)
+
+
+@st.composite
+def _name_programs(draw):
+    """Steps that read names around whatever can change what they denote:
+    first writes, rebinding assignments, aborts."""
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.integers(min_value=0, max_value=6))
+        if kind <= 1:
+            steps.append(("read", draw(_NAMES)))
+        elif kind == 2:
+            steps.append(("evaluate", draw(st.sampled_from(_PROBES))))
+        elif kind == 3:
+            relation = draw(st.sampled_from(["r", "s"]))
+            steps.append(("run", Insert(relation, E.Literal(tuple(draw(_ROWS))))))
+        elif kind == 4:
+            relation = draw(st.sampled_from(["r", "s"]))
+            steps.append(("run", Delete(relation, E.Literal(tuple(draw(_ROWS))))))
+        elif kind == 5:
+            target = draw(st.sampled_from(["t", "u", "r", "t@plus"]))
+            steps.append(("run", Assign(target, draw(_TEMP_VALUES))))
+        else:
+            steps.append(("rollback", None))
+    return steps
+
+
+def _observe(step, context, evaluate):
+    """What one step shows of the context: a relation's contents, or the
+    error it raised."""
+    kind, payload = step
+    try:
+        if kind == "read":
+            relation = context.resolve(payload)
+        elif kind == "evaluate":
+            relation = evaluate(payload, context)
+        elif kind == "run":
+            payload.execute(context)
+            return ("ran", context.tuples_inserted, context.tuples_deleted)
+        else:
+            context.rollback()
+            return ("rolled back",)
+    except ReproError as error:
+        return ("raised", type(error), str(error))
+    return ("rows", _contents(relation), len(relation), relation.schema.arity)
+
+
+@given(
+    rows_r=S.ROWS_R,
+    rows_s=S.ROWS_S,
+    steps=_name_programs(),
+    bag=st.booleans(),
+    indexed=st.booleans(),
+    evaluator=st.sampled_from(EVALUATORS),
+)
+@_SETTINGS
+def test_names_resolved_once_match_names_resolved_every_time(
+    rows_r, rows_s, steps, bag, indexed, evaluator
+):
+    _, evaluate = evaluator
+    memo_db = _database(rows_r, rows_s, bag, indexed)
+    oracle_db = _database(rows_r, rows_s, bag, indexed)
+    memo_ctx = TransactionContext(memo_db)
+    oracle_ctx = RecomputingContext(oracle_db)
+    for position, step in enumerate(steps):
+        mine = _observe(step, memo_ctx, evaluate)
+        reference = _observe(step, oracle_ctx, evaluate)
+        assert mine == reference, f"step {position}: {step}"
+        # Every name, after every step: what changed must show, what did
+        # not must still be there.
+        for name in ("r", "s", "r@plus", "r@minus", "r@old", "s@plus", "t", "u"):
+            assert _observe(("read", name), memo_ctx, evaluate) == _observe(
+                ("read", name), oracle_ctx, evaluate
+            ), f"after step {position} ({step}): {name}"
+    assert memo_ctx.performed_triggers() == oracle_ctx.performed_triggers()
+    memo_ctx.commit()
+    oracle_ctx.commit()
+    for name in ("r", "s"):
+        _assert_same_relation(
+            memo_db.relation(name), oracle_db.relation(name), f"committed {name}"
+        )
+
+
+# -- a literal handed over as data ≡ a literal evaluated into a relation --------
+
+
+def _through_a_literal_plan(statement, context) -> None:
+    """``Insert`` / ``Delete`` of a literal as they ran before the rows went
+    straight to the relation: lowered to a ``LiteralOp``, executed into an
+    intermediate ``Relation``, and that handed over."""
+    source = LiteralOp(statement.expr.rows).execute(context)
+    if isinstance(statement, Insert):
+        context.insert_rows(statement.relation, source)
+    else:
+        context.delete_rows(statement.relation, source)
+
+
+#: Values that collide as dict keys across types (1 == 1.0 == True), fit or
+#: miss an INT column, and rows of the wrong arity.
+_LOOSE_VALUES = st.one_of(
+    S.VALUES, st.sampled_from([1.0, 2.5, True, False, "1", NULL, -1])
+)
+_LOOSE_ROWS = st.one_of(  # one arity per literal: a literal checks that much
+    st.lists(st.tuples(S.VALUES, S.VALUES), max_size=5),
+    st.lists(
+        st.one_of(
+            st.tuples(S.VALUES, S.VALUES), st.tuples(_LOOSE_VALUES, _LOOSE_VALUES)
+        ),
+        max_size=5,
+    ),
+    st.lists(st.tuples(_LOOSE_VALUES), max_size=3),
+    st.lists(st.tuples(_LOOSE_VALUES, _LOOSE_VALUES, _LOOSE_VALUES), max_size=3),
+)
+
+
+@given(
+    rows_r=S.ROWS_R,
+    batches=st.lists(
+        st.tuples(st.sampled_from([Insert, Delete]), _LOOSE_ROWS),
+        min_size=1,
+        max_size=5,
+    ),
+    bag=st.booleans(),
+    duplicate_base_rows=st.booleans(),
+)
+@_SETTINGS
+def test_literal_rows_as_data_match_the_literal_plan_route(
+    rows_r, batches, bag, duplicate_base_rows
+):
+    if bag and duplicate_base_rows:
+        rows_r = rows_r + rows_r
+    direct_db = _database(rows_r, [], bag, indexed=False)
+    planned_db = _database(rows_r, [], bag, indexed=False)
+    direct_ctx = TransactionContext(direct_db)
+    planned_ctx = TransactionContext(planned_db)
+    for ctor, rows in batches:
+        rows = tuple(rows)
+        rows = rows + rows[:1]  # a duplicate in the literal itself
+        statement = ctor("r", E.Literal(rows))
+        outcomes = []
+        for run, context in (
+            (statement.execute, direct_ctx),
+            (lambda ctx: _through_a_literal_plan(statement, ctx), planned_ctx),
+        ):
+            try:
+                run(context)
+                outcomes.append(None)
+            except ReproError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1], f"{statement}"
+        assert (direct_ctx.tuples_inserted, direct_ctx.tuples_deleted) == (
+            planned_ctx.tuples_inserted,
+            planned_ctx.tuples_deleted,
+        ), f"{statement}"
+        for name in ("r", "r@plus", "r@minus"):
+            mine, reference = direct_ctx.resolve(name), planned_ctx.resolve(name)
+            _assert_same_relation(mine, reference, f"{name} after {statement}")
+            # Same spelling of equal values (1 / 1.0 / True), same order.
+            assert list(map(repr, mine.items())) == list(
+                map(repr, reference.items())
+            ), f"{name} after {statement}"
+    direct_ctx.commit()
+    planned_ctx.commit()
+    _assert_same_relation(
+        direct_db.relation("r"), planned_db.relation("r"), "committed r"
+    )

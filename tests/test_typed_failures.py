@@ -24,6 +24,12 @@ a ``ParseError`` in all three.
 And an integer literal with more digits than ``int()`` converts (CPython:
 4,300) is a ``LexError`` at the literal in every text front end, not the
 bare ``ValueError`` the conversion raises.
+
+And arithmetic on, or an ordering of, a string and a number is a
+``TypeMismatchError`` wherever a predicate or scalar runs — the whole-column
+kernels, the row closures, the reference interpreter, the calculus
+evaluator — not the bare ``TypeError`` Python raises: a transaction meeting
+one aborts with ``runtime error: …`` like any other, its base untouched.
 """
 
 from __future__ import annotations
@@ -40,9 +46,16 @@ from repro.calculus.parser import parse_constraint
 from repro.core import translation
 from repro.core.rule_language import parse_rule
 from repro.core.subsystem import _resolves
-from repro.engine import Database, DatabaseSchema, RelationSchema, epochs
-from repro.engine.types import INT
-from repro.errors import LexError, ParseError, UnknownAttributeError
+from repro.calculus.evaluation import evaluate_constraint
+from repro.engine import Database, DatabaseSchema, RelationSchema, Session, epochs
+from repro.engine.session import DatabaseView
+from repro.engine.types import INT, STRING
+from repro.errors import (
+    LexError,
+    ParseError,
+    TypeMismatchError,
+    UnknownAttributeError,
+)
 
 R = RelationSchema("r", [("a", INT), ("b", INT)])
 S = RelationSchema("s", [("c", INT), ("d", INT)])
@@ -250,3 +263,82 @@ class TestOverlongIntegerLiteral:
         assert select.predicate.right == P.Const(int(digits))
         with pytest.raises(LexError):
             parse_expression(f"select(orders, customer = 7{digits})")
+
+
+class TestStringAgainstNumber:
+    ROWS = [(1, "x"), (2, "y")]
+
+    @pytest.fixture
+    def session(self):
+        schema = DatabaseSchema(
+            [
+                RelationSchema("t", [("a", INT), ("s", STRING)]),
+                RelationSchema("u", [("b", INT)]),
+            ]
+        )
+        database = Database(schema)
+        database.load("t", self.ROWS)
+        database.load("u", [(1,), (2,)])
+        return Session(database)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "begin delete(t, select(t, s < 3)); end",
+            "begin update(t, a = 1, s := s + 1); end",
+            "begin update(t, s >= 3, a := 0); end",
+            "begin x := project(t, [s - 1 as less]); end",
+            "begin x := project(t, [s / 2 as half]); end",
+            "begin insert(u, project(join(t, u, left.a = right.b and left.s < right.b), [a])); end",
+            "begin delete(u, semijoin(u, t, left.b = right.a and right.s > left.b)); end",
+            "begin insert(u, (9)); delete(t, select(t, s < 3)); end",
+        ],
+    )
+    def test_a_transaction_aborts_with_a_runtime_error(self, session, text):
+        manager = session.manager
+        result = session.execute(text)
+        assert result.aborted and not result.committed
+        assert result.reason.startswith("runtime error: ")
+        assert "str" in result.reason and "int" in result.reason
+        assert (manager.executed, manager.committed, manager.aborted) == (1, 0, 1)
+        assert session.rows("t") == self.ROWS
+        assert session.rows("u") == [(1,), (2,)]
+        assert session.database.logical_time == 0
+        # The session is as good as new: the next transaction commits.
+        assert session.execute("begin insert(u, (3)); end").committed
+        assert (manager.executed, manager.committed, manager.aborted) == (2, 1, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "select(t, s < 3)",
+            "select(t, a = 1 and s <= 3)",
+            "project(t, [s + 1 as more])",
+            "project(t, [a - s as less])",
+            "join(t, u, left.a = right.b and left.s > right.b)",
+            "antijoin(t, u, left.a = right.b and left.s < 1)",
+            "join(t, u, left.s < right.b)",
+        ],
+    )
+    def test_a_query_raises_it_as_the_reference_does(self, session, text):
+        for pinned in (False, True):
+            with pytest.raises(TypeMismatchError) as raised:
+                session.query(text, pinned=pinned)
+            with pytest.raises(TypeMismatchError) as reference:
+                parse_expression(text).evaluate(DatabaseView(session.database))
+            assert str(raised.value) == str(reference.value)
+
+    def test_equality_and_null_never_raise(self, session):
+        assert session.rows("select(t, s = 3)") == []
+        assert session.rows("select(t, s != 3)") == self.ROWS
+        assert session.rows("select(t, s < null)") == []
+
+    def test_the_calculus_evaluator_raises_it_too(self, session):
+        view = DatabaseView(session.database)
+        for text in (
+            "(forall x)(x in t => x.s < 3)",
+            "(forall x)(x in t => x.s + 1 = 3)",
+            "(forall x)(x in t => x.s / 2 = 3)",
+        ):
+            with pytest.raises(TypeMismatchError):
+                evaluate_constraint(parse_constraint(text), view, validate=False)
