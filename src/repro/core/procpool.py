@@ -1,86 +1,57 @@
 """The process-pool audit executor: true multi-core rule audits.
 
-The thread-based pool in :mod:`repro.core.scheduler` overlaps audit I/O
-and amortizes hash builds, but CPU-bound Python audits serialize on the
-GIL — on an N-core machine the pool still burns one core.  This module
-ships the same ``(rule, Δ)`` task shape across *process* boundaries, the
-way PRISMA/DB shipped simplified checks to the nodes that owned the data:
+CPU-bound audits serialize on the GIL in the thread pool of
+:mod:`repro.core.scheduler`; this module ships the same ``(rule, Δ)`` tasks
+to worker *processes*, the way PRISMA/DB shipped simplified checks to the
+nodes that owned the data.  It is a client of the one
+:class:`~repro.core.workers.WorkerPool` (processes, inboxes, per-worker
+replies, sentinel waits, the wire) and adds replication and retry:
 
-* **Replicated read-only plans** — each worker process rebuilds the
-  :class:`~repro.core.subsystem.IntegrityController` (rule catalog,
-  integrity-program store, precompiled physical plans) exactly once, from
-  a pickled :class:`ControllerSpec`, at startup.  Per task, only
-  ``(rule name, frozen Δ)`` crosses the pipe.
-* **Shared-nothing database replicas** — each worker owns a full replica
-  of the database, shipped once at pool creation and kept current by
-  replaying the same :class:`~repro.engine.commitlog.CommitRecord` stream
-  the coordinator commits (``apply_deltas`` on the replica, O(|Δ|) per
-  commit).  Because each worker's inbox is FIFO, every audit task runs
-  against exactly the replica state of the drain that produced it — the
-  process arm therefore gives *strict batched* verdicts even under
-  concurrent commits, where the thread arm's verdicts may observe later
-  states.
-* **Nothing silently dropped** — worker exceptions travel back as error
-  strings (the scheduler surfaces them as poisoned
-  :class:`~repro.core.scheduler.AuditOutcome`\\ s); an unexpectedly dead
-  worker is respawned from a fresh snapshot and its in-flight tasks are
-  re-shipped exactly once (a task whose retry also dies surfaces as an
-  audit error); a commit-log truncation gap resyncs the replicas from the
-  durable write-ahead log when one is attached, falling back to a full
-  replica ship.
+* **Replicated read-only plans** — each worker rebuilds the
+  :class:`~repro.core.subsystem.IntegrityController` (rules, integrity
+  programs, precompiled plans) once, from a pickled :class:`ControllerSpec`;
+  per task only ``(rule name, frozen Δ)`` crosses the pipe.
+* **Shared-nothing database replicas** — each worker owns a full replica,
+  shipped at pool creation and kept current by replaying the coordinator's
+  :class:`~repro.engine.commitlog.CommitRecord` stream (O(|Δ|) per commit).
+  Inboxes are FIFO, so every task audits exactly the replica state of the
+  drain that produced it: *strict batched* verdicts even under concurrent
+  commits.
+* **Nothing silently dropped** — worker exceptions come back as error
+  strings (poisoned :class:`~repro.core.scheduler.AuditOutcome`\\ s); a
+  worker the pool reports dead — after every verdict it did send — is
+  respawned from a fresh snapshot and its in-flight tasks re-shipped once
+  (a retry that dies too is an audit error); a commit-log truncation gap
+  resyncs the replicas from the write-ahead log when one is attached, else
+  by a full replica ship.
 
-Both ``fork`` and ``spawn`` start methods are supported: the worker
-payload is always explicitly pickled and shipped (never inherited), so the
-serialization path is identical — and property-tested — under either.
+Under ``fork`` and ``spawn`` alike the worker payload is pickled and
+shipped, never inherited: one serialization path for both.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import queue as queue_module
+import functools
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core import shm as shm_transport
-from repro.algebra.columnar import (
-    decode_differentials,
-    encode_differentials,
-)
-
-#: Seconds between liveness checks while waiting on a worker result.
-RESULT_POLL_SECONDS = 0.25
-
-#: Protocol used for every cross-process payload.
-PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-
-def default_start_method() -> str:
-    """``fork`` where the platform offers it (cheap), else ``spawn``."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+from repro.algebra.columnar import decode_differentials, encode_differentials
+from repro.core.workers import WorkerPool, decode, encode
+from repro.errors import WalError
 
 
 class ControllerSpec:
     """A picklable recipe for rebuilding an IntegrityController.
 
-    The controller itself is not picklable (it weakly caches per-database
-    schedulers); the spec carries what :meth:`build` needs — the schema,
-    the registered rules, and the constructor options — so a worker
-    process reconstructs the full plan cache deterministically: re-adding
-    the same rules in the same order re-derives the same integrity
-    programs, differential variants, and precompiled physical plans.
+    The controller is not picklable (it weakly caches per-database
+    schedulers); the spec carries the schema, the rules and the options,
+    and re-adding the same rules in the same order re-derives the same
+    integrity programs and precompiled plans in a worker.
     """
 
-    __slots__ = (
-        "schema",
-        "rules",
-        "mode",
-        "optimize",
-        "differential",
-        "allow_fallback",
-    )
+    __slots__ = ("schema", "rules", "mode", "optimize", "differential",
+                 "allow_fallback")
 
     def __init__(self, controller):
         self.schema = controller.schema
@@ -94,11 +65,8 @@ class ControllerSpec:
         from repro.core.subsystem import IntegrityController
 
         controller = IntegrityController(
-            self.schema,
-            mode=self.mode,
-            optimize=self.optimize,
-            differential=self.differential,
-            allow_fallback=self.allow_fallback,
+            self.schema, mode=self.mode, optimize=self.optimize,
+            differential=self.differential, allow_fallback=self.allow_fallback,
         )
         for rule in self.rules:
             controller.add_rule(rule)
@@ -113,10 +81,9 @@ def run_rule_audit(controller, database, rule_name, differentials):
 
     The worker-side twin of
     :meth:`~repro.core.subsystem.IntegrityController.audit_tasks`: the
-    per-rule disposition (skip / delta program / full check) is re-derived
-    locally — it is a pure function of the rule store and the delta's
-    performed triggers, so coordinator and worker always agree.  Returns
-    ``(violated, violating_sample)``.
+    disposition (skip / delta program / full check) is a pure function of
+    the rule store and the delta's performed triggers, so coordinator and
+    worker agree.  Returns ``(violated, violating_sample)``.
     """
     from repro.core.scheduler import RuleAuditTask
     from repro.core.subsystem import FULL_CHECK
@@ -132,45 +99,25 @@ def run_rule_audit(controller, database, rule_name, differentials):
     return task.run()
 
 
-def _load_blob(outbox, descriptor) -> bytes:
-    """Materialize a pipe/shm shipment, acking shm segments immediately.
-
-    The ack travels on the shared outbox (``("shm", name)``): the
-    coordinator decrements the segment's reader count as it collects
-    results, so a drained batch leaves no segment behind.
-    """
-    blob, ack = shm_transport.load(descriptor)
-    if ack is not None:
-        outbox.put(("shm", ack))
-    return blob
-
-
-def _audit_worker(inbox, outbox, payload: bytes) -> None:
+def _audit_worker(endpoint, payload: bytes) -> None:
     """Worker main loop: replicate, then audit what the coordinator sends."""
-    spec, database = pickle.loads(payload)
+    spec, database = decode(payload)
     controller = spec.build()
     # The replica's position in the commit stream.  Applies below it are
     # skipped, which makes replication idempotent by sequence — a worker
     # respawned from a *newer* snapshot can safely receive the same
     # broadcast stream as its older siblings.
     replica_seq = database.commit_log.next_sequence
-    while True:
-        message = inbox.get()
+    for message in endpoint:
         kind = message[0]
-        if kind == "stop":
-            break
         if kind == "apply":
-            for sequence, encoded in pickle.loads(
-                _load_blob(outbox, message[1])
-            ):
+            for sequence, encoded in endpoint.load(message[1]):
                 if sequence < replica_seq:
                     continue  # already covered by this replica's snapshot
-                database.apply_deltas(
-                    decode_differentials(encoded), record=False
-                )
+                database.apply_deltas(decode_differentials(encoded), record=False)
                 replica_seq = sequence + 1
         elif kind == "resync":
-            database = pickle.loads(_load_blob(outbox, message[1]))
+            database = endpoint.load(message[1])
             replica_seq = database.commit_log.next_sequence
         elif kind == "task":
             task_id, rule_name, descriptor = message[1:]
@@ -180,62 +127,29 @@ def _audit_worker(inbox, outbox, payload: bytes) -> None:
                 # the differentials column-wise, so the row dicts only
                 # materialize if a row-at-a-time path actually needs them.
                 differentials = decode_differentials(
-                    pickle.loads(_load_blob(outbox, descriptor)), lazy=True
+                    endpoint.load(descriptor), lazy=True
                 )
                 violated, violations = run_rule_audit(
                     controller, database, rule_name, differentials
                 )
-                outbox.put(
-                    (
-                        task_id,
-                        violated,
-                        tuple(violations),
-                        None,
-                        time.perf_counter() - started,
-                    )
-                )
-            except BaseException as error:  # poison task: ship the failure
-                outbox.put(
-                    (
-                        task_id,
-                        None,
-                        (),
-                        f"{type(error).__name__}: {error}",
-                        time.perf_counter() - started,
-                    )
-                )
+                verdict = (task_id, violated, tuple(violations), None)
+            except Exception as error:  # poison task: ship the failure
+                verdict = (task_id, None, (), f"{type(error).__name__}: {error}")
+            endpoint.reply(verdict + (time.perf_counter() - started,))
 
 
 class _ProcessFuture:
-    """A future resolving to an :class:`~repro.core.scheduler.AuditOutcome`."""
+    """Resolves to an AuditOutcome: ``outcome`` builds it from the verdict."""
 
-    __slots__ = ("executor", "task_id", "rule", "sequences", "mode", "predicted")
+    __slots__ = ("executor", "task_id", "outcome")
 
-    def __init__(self, executor, task_id, rule, sequences, mode, predicted):
-        self.executor = executor
-        self.task_id = task_id
-        self.rule = rule
-        self.sequences = sequences
-        self.mode = mode
-        self.predicted = predicted
+    def __init__(self, executor, task_id, outcome):
+        self.executor, self.task_id, self.outcome = executor, task_id, outcome
 
     def result(self):
-        from repro.core.scheduler import AuditOutcome
-
-        violated, violations, error, seconds = self.executor._collect(
-            self.task_id
-        )
-        return AuditOutcome(
-            self.rule,
-            self.sequences,
-            violated,
-            violations=violations,
-            error=error,
-            mode=self.mode,
-            executor="process",
-            seconds=seconds,
-            predicted=self.predicted,
-        )
+        violated, violations, error, seconds = self.executor._collect(self.task_id)
+        return self.outcome(violated, violations=violations, error=error,
+                            seconds=seconds)
 
 
 class ProcessAuditExecutor:
@@ -248,45 +162,24 @@ class ProcessAuditExecutor:
     task observes exactly the replica state of its drain.
     """
 
-    def __init__(
-        self,
-        controller,
-        database,
-        workers: int = 4,
-        start_method: Optional[str] = None,
-        shm_min_bytes: Optional[int] = None,
-    ):
-        self.start_method = start_method or default_start_method()
-        self._context = multiprocessing.get_context(self.start_method)
+    def __init__(self, controller, database, workers: int = 4,
+                 start_method: Optional[str] = None):
         self.database = database
         self.workers = max(int(workers), 1)
-        self._transport = shm_transport.ShmTransport(
-            min_bytes=(
-                shm_transport.SHM_MIN_BYTES
-                if shm_min_bytes is None
-                else shm_min_bytes
-            )
-        )
         self._spec = ControllerSpec(controller)
-        payload = pickle.dumps(
-            (self._spec, database), protocol=PICKLE_PROTOCOL
-        )
         # Records with sequence >= this watermark have not yet been shipped
         # to the replicas (the initial snapshot covers everything before).
         self._replicated_through = database.commit_log.next_sequence
-        self._outbox = self._context.Queue()
-        self._inboxes = []
-        self._processes = []
-        for index in range(self.workers):
-            self._inboxes.append(None)
-            self._processes.append(None)
-            self._spawn(index, payload)
+        self._pool = WorkerPool(
+            _audit_worker, self.workers, start_method,
+            name="repro-audit-proc", args=(encode((self._spec, database)),),
+        )
+        self.start_method = self._pool.start_method
         self._next_task_id = 0
         self._next_worker = 0
-        self._owners: Dict[int, int] = {}
         self._done: Dict[int, tuple] = {}
-        # Shipped-but-uncollected task messages, kept so a dead worker's
-        # in-flight tasks can be re-shipped to its replacement exactly once.
+        # Shipped-but-uncollected tasks (worker, rule name, blob), kept so a
+        # dead worker's in-flight tasks can be re-shipped exactly once.
         self._pending: Dict[int, tuple] = {}
         self._retried: set = set()
         #: Workers respawned after an unexpected death.
@@ -298,26 +191,9 @@ class ProcessAuditExecutor:
         self._closed = False
         self._hold_wal()
 
-    def _spawn(self, index: int, payload: bytes) -> None:
-        """(Re)start worker ``index`` with a fresh inbox and payload."""
-        inbox = self._context.Queue()
-        process = self._context.Process(
-            target=_audit_worker,
-            args=(inbox, self._outbox, payload),
-            name=f"repro-audit-proc-{index}",
-            daemon=True,
-        )
-        process.start()
-        self._inboxes[index] = inbox
-        self._processes[index] = process
-
     def _hold_wal(self) -> None:
-        """Retention hold on the durable log for replica catch-up.
-
-        Records at/after ``_replicated_through`` have not reached every
-        replica yet; holding them in the WAL is what lets :meth:`resync`
-        catch replicas up from the log instead of re-shipping the whole
-        database."""
+        """Hold the durable log from ``_replicated_through`` on — records no
+        replica has yet — so :meth:`resync` can replay instead of re-ship."""
         wal = getattr(self.database, "wal", None)
         if wal is not None:
             wal.register_consumer("process-replicas", self._replicated_through)
@@ -326,23 +202,11 @@ class ProcessAuditExecutor:
 
     def replicate(self, records) -> int:
         """Ship not-yet-shipped commit records to every worker replica."""
-        fresh = [
-            record
-            for record in records
-            if record.sequence >= self._replicated_through
-        ]
+        fresh = [r for r in records if r.sequence >= self._replicated_through]
         if not fresh:
             return 0
-        blob = pickle.dumps(
-            [
-                (record.sequence, encode_differentials(record.differentials))
-                for record in fresh
-            ],
-            protocol=PICKLE_PROTOCOL,
-        )
-        descriptor = self._transport.ship(blob, readers=self.workers)
-        for inbox in self._inboxes:
-            inbox.put(("apply", descriptor))
+        encoded = [(r.sequence, encode_differentials(r.differentials)) for r in fresh]
+        self._pool.broadcast(("apply",), encoded)
         self._replicated_through = fresh[-1].sequence + 1
         self._hold_wal()
         return len(fresh)
@@ -353,14 +217,12 @@ class ProcessAuditExecutor:
         With a write-ahead log attached the missed records are still on
         disk (the ``process-replicas`` retention hold keeps them there):
         resync replays them from the log — O(|missed Δ|) per worker — and
-        only falls back to shipping a full fresh replica when the log
-        cannot serve the range (no WAL, or the hold was released).
+        only ships a full fresh replica when the log cannot serve the range:
+        no WAL, the hold was released, or the log failed with a
+        :class:`~repro.errors.WalError` or ``OSError``.
         """
         if not self._resync_from_log(database):
-            blob = pickle.dumps(database, protocol=PICKLE_PROTOCOL)
-            descriptor = self._transport.ship(blob, readers=self.workers)
-            for inbox in self._inboxes:
-                inbox.put(("resync", descriptor))
+            self._pool.broadcast(("resync",), database)
             self._replicated_through = database.commit_log.next_sequence
         self._hold_wal()
 
@@ -373,13 +235,9 @@ class ProcessAuditExecutor:
         end = database.commit_log.next_sequence
         try:
             wal.sync()  # make buffered appends visible to the scan below
-            missed = [
-                (record.sequence, record.differentials)
-                for record in wal.scan(
-                    start_sequence=start, upto=end - 1, decode=False
-                )
-            ]
-        except Exception:
+            records = wal.scan(start_sequence=start, upto=end - 1, decode=False)
+            missed = [(record.sequence, record.differentials) for record in records]
+        except (WalError, OSError):
             return False
         # The log must cover the gap exactly: every sequence in [start, end).
         if len(missed) != end - start or (
@@ -387,10 +245,7 @@ class ProcessAuditExecutor:
         ):
             return False
         if missed:
-            blob = pickle.dumps(missed, protocol=PICKLE_PROTOCOL)
-            descriptor = self._transport.ship(blob, readers=self.workers)
-            for inbox in self._inboxes:
-                inbox.put(("apply", descriptor))
+            self._pool.broadcast(("apply",), missed)
         self._replicated_through = end
         return True
 
@@ -398,112 +253,80 @@ class ProcessAuditExecutor:
 
     def submit(self, task, sequences, mode="async", predicted=None):
         """Dispatch one audit task to a worker; returns a future."""
+        from repro.core.scheduler import AuditOutcome
+
         task_id = self._next_task_id
         self._next_task_id += 1
         worker = self._next_worker
         self._next_worker = (self._next_worker + 1) % self.workers
-        self._owners[task_id] = worker
+        transport = self._pool.transport
+        differentials = task.differentials
         cache = self._delta_cache
-        if cache is not None and cache[0] is task.differentials:
-            blob = cache[1]
-            descriptor = self._transport.reship(cache[2], readers=1)
-            if descriptor is None:  # segment already drained: ship again
-                descriptor = self._transport.ship(blob, readers=1)
-                self._delta_cache = (task.differentials, blob, descriptor)
+        if cache is not None and cache[0] is differentials:
+            blob, descriptor = cache[1], transport.reship(cache[2])
         else:
-            blob = pickle.dumps(
-                encode_differentials(task.differentials),
-                protocol=PICKLE_PROTOCOL,
-            )
-            descriptor = self._transport.ship(blob, readers=1)
-            self._delta_cache = (task.differentials, blob, descriptor)
-        self._pending[task_id] = (task.rule_name, blob)
-        self._inboxes[worker].put(("task", task_id, task.rule_name, descriptor))
-        return _ProcessFuture(
-            self, task_id, task.rule_name, sequences, mode, predicted
+            blob = encode(encode_differentials(differentials))
+            descriptor = None
+        if descriptor is None:  # a new blob, or its segment already drained
+            descriptor = transport.ship(blob, readers=1)
+        self._delta_cache = (differentials, blob, descriptor)
+        self._pending[task_id] = (worker, task.rule_name, blob)
+        self._pool.put(worker, ("task", task_id, task.rule_name, descriptor))
+        outcome = functools.partial(
+            AuditOutcome, task.rule_name, sequences, mode=mode,
+            executor="process", predicted=predicted,
         )
+        return _ProcessFuture(self, task_id, outcome)
 
     def _collect(self, task_id: int) -> tuple:
         """Block until ``task_id``'s result arrives; store others en route."""
         while True:
             with self._reader_lock:
                 if task_id in self._done:
-                    self._owners.pop(task_id, None)
                     self._pending.pop(task_id, None)
                     self._retried.discard(task_id)
                     return self._done.pop(task_id)
-                try:
-                    message = self._outbox.get(timeout=RESULT_POLL_SECONDS)
-                except queue_module.Empty:
-                    owner = self._owners.get(task_id)
-                    if owner is not None and not self._processes[owner].is_alive():
-                        self._worker_died(owner)
-                    continue
-                if message[0] == "shm":
-                    self._transport.ack(message[1])
-                    continue
-                self._done[message[0]] = message[1:]
+                self._receive()
+
+    def _receive(self, timeout: Optional[float] = None) -> None:
+        """Store delivered verdicts, then mend deaths (reader lock held)."""
+        replies, died = self._pool.wait(timeout)
+        for _, (task_id, *verdict) in replies:
+            self._done[task_id] = tuple(verdict)
+        for index in died:
+            self._worker_died(index)
 
     def _worker_died(self, owner: int) -> None:
-        """Restart-and-resync after an unexpected worker death.
+        """Respawn a dead worker and re-ship its in-flight tasks once.
 
-        Called with the reader lock held.  The dead worker is respawned
-        from a fresh database snapshot (sequence-idempotent applies let it
-        rejoin the broadcast stream mid-flight, see :func:`_audit_worker`)
-        and each of its in-flight tasks is re-shipped exactly once; a task
-        whose retry also dies surfaces as an audit error.  Retried verdicts
-        may observe a post-drain replica state — the thread arm's
-        semantics — rather than the drain-time state.
+        The replacement starts from a fresh database snapshot —
+        sequence-idempotent applies let it rejoin the broadcast stream
+        mid-flight (see :func:`_audit_worker`) — so a retried verdict may
+        observe a post-drain replica state (the thread arm's semantics).
+        A task whose retry dies too surfaces as an audit error.
         """
-        # Collect results that did arrive before the crash: those tasks
-        # need no retry.
-        while True:
-            try:
-                message = self._outbox.get_nowait()
-            except queue_module.Empty:
-                break
-            if message[0] == "shm":
-                self._transport.ack(message[1])
-            else:
-                self._done[message[0]] = message[1:]
         stranded = sorted(
             tid
-            for tid, worker in self._owners.items()
-            if worker == owner and tid not in self._done and tid in self._pending
+            for tid, (worker, _, _) in self._pending.items()
+            if worker == owner and tid not in self._done
         )
-        self._processes[owner].join(timeout=1.0)
-        payload = pickle.dumps(
-            (self._spec, self.database), protocol=PICKLE_PROTOCOL
-        )
-        self._spawn(owner, payload)
+        self._pool.spawn(owner, encode((self._spec, self.database)))
         self.restarts += 1
         for tid in stranded:
             if tid in self._retried:
-                self._done[tid] = (
-                    None,
-                    (),
-                    f"audit worker process {owner} died before returning "
-                    f"a verdict (task already retried once)",
-                    0.0,
-                )
+                error = (f"audit worker process {owner} died before returning "
+                         f"a verdict (task already retried once)")
+                self._done[tid] = (None, (), error, 0.0)
                 continue
             self._retried.add(tid)
-            rule_name, blob = self._pending[tid]
-            descriptor = self._transport.ship(blob, readers=1)
-            self._inboxes[owner].put(("task", tid, rule_name, descriptor))
+            _, rule_name, blob = self._pending[tid]
+            descriptor = self._pool.transport.ship(blob, readers=1)
+            self._pool.put(owner, ("task", tid, rule_name, descriptor))
 
     def reap_acks(self) -> None:
-        """Drain pending shared-memory acks without blocking on results."""
-        while True:
-            with self._reader_lock:
-                try:
-                    message = self._outbox.get_nowait()
-                except queue_module.Empty:
-                    return
-                if message[0] == "shm":
-                    self._transport.ack(message[1])
-                else:
-                    self._done[message[0]] = message[1:]
+        """Settle pending shared-memory acks without blocking on results."""
+        with self._reader_lock:
+            self._receive(timeout=0)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -512,32 +335,12 @@ class ProcessAuditExecutor:
         if self._closed:
             return
         self._closed = True
-        for inbox, process in zip(self._inboxes, self._processes):
-            if process.is_alive():
-                try:
-                    inbox.put(("stop",))
-                except (ValueError, OSError):  # pragma: no cover - race
-                    pass
-        if wait:
-            for process in self._processes:
-                process.join(timeout=10.0)
-        for process in self._processes:
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=1.0)
-        try:
-            self.reap_acks()
-        except (ValueError, OSError):  # pragma: no cover - closed queue race
-            pass
-        self._transport.release_all()
+        self._pool.close(wait)
         wal = getattr(self.database, "wal", None)
         if wal is not None:
             wal.release_consumer("process-replicas")
 
     def __repr__(self) -> str:
-        alive = sum(1 for p in self._processes if p.is_alive())
-        return (
-            f"ProcessAuditExecutor({alive}/{self.workers} workers alive, "
-            f"{self.start_method}, replicated_through="
-            f"#{self._replicated_through})"
-        )
+        alive = sum(1 for p in self._pool.processes if p.is_alive())
+        return (f"ProcessAuditExecutor({alive}/{self.workers} workers alive, "
+                f"{self.start_method}, replicated_through=#{self._replicated_through})")

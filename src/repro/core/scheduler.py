@@ -243,7 +243,6 @@ class AuditScheduler:
         start_sequence: Optional[int] = None,
         executor: str = "thread",
         start_method: Optional[str] = None,
-        shm_min_bytes: Optional[int] = None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -257,7 +256,6 @@ class AuditScheduler:
         self.dispatch_overhead = dispatch_overhead
         self.executor = executor
         self.start_method = start_method
-        self.shm_min_bytes = shm_min_bytes
         log = database.commit_log
         if start_sequence is None:
             first = log.first_sequence
@@ -510,7 +508,6 @@ class AuditScheduler:
                 self.database,
                 workers=self.workers,
                 start_method=self.start_method,
-                shm_min_bytes=self.shm_min_bytes,
             )
         return self._process_pool
 

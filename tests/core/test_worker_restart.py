@@ -48,7 +48,7 @@ def _commit(db, text):
 
 
 def _kill(pool, worker):
-    process = pool._processes[worker]
+    process = pool._pool.processes[worker]
     process.terminate()
     process.join(timeout=5.0)
     assert not process.is_alive()
@@ -78,21 +78,19 @@ class TestWorkerRestart:
     def test_second_death_surfaces_as_error(self, db, controller, monkeypatch):
         pool = ProcessAuditExecutor(controller, db, workers=2)
         try:
-            original_spawn = ProcessAuditExecutor._spawn
+            original_spawn = pool._pool.spawn
 
-            def spawn_dead_on_arrival(self, index, payload):
-                original_spawn(self, index, payload)
-                self._processes[index].terminate()
-                self._processes[index].join(timeout=5.0)
+            def spawn_dead_on_arrival(index, *args):
+                original_spawn(index, *args)
+                pool._pool.processes[index].terminate()
+                pool._pool.processes[index].join(timeout=5.0)
 
             result = _commit(db, "begin insert(fk, (100, 3)); end")
             pool.replicate(db.commit_log.since(0)[0])
             _kill(pool, 0)
             # Every respawn dies immediately: the single retry is spent,
             # then the task must fail loudly instead of looping forever.
-            monkeypatch.setattr(
-                ProcessAuditExecutor, "_spawn", spawn_dead_on_arrival
-            )
+            monkeypatch.setattr(pool._pool, "spawn", spawn_dead_on_arrival)
             [task] = [
                 t
                 for t in controller.audit_tasks(db, result)
@@ -123,6 +121,54 @@ class TestWorkerRestart:
             assert scheduler._process_pool.restarts == 1
         finally:
             scheduler.close()
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sibling_killed_mid_reply_does_not_stall_the_survivor(
+        self, db, controller, start_method
+    ):
+        import multiprocessing
+        import os
+        import signal
+        import threading
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        result = _commit(db, "begin insert(fk, (100, 55)); end")
+
+        class Poison:  # its error names a 4 MB rule: a reply no pipe holds
+            rule_name = "r" * (4 << 20)
+            differentials = result.differentials
+
+        pool = ProcessAuditExecutor(
+            controller, db, workers=2, start_method=start_method
+        )
+        try:
+            pool.replicate(db.commit_log.since(0)[0])
+            poisoned = pool.submit(Poison(), (0,))  # round-robin: worker 0
+            assert pool._pool._replies[0].poll(60), "worker 0 never replied"
+            os.kill(pool._pool.processes[0].pid, signal.SIGKILL)
+            [task] = [
+                t
+                for t in controller.audit_tasks(db, result)
+                if t.rule_name == "fk_ref"
+            ]
+            survivor = pool.submit(task, (0,))  # worker 1
+            outcome = []
+            caller = threading.Thread(
+                target=lambda: outcome.append(survivor.result()), daemon=True
+            )
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "the survivor's verdict never came"
+            (verdict,) = outcome
+            assert (verdict.error, verdict.violated) == (None, True)
+            assert verdict.violations == ((100, 55),)
+            # The killed worker's task was re-shipped once, to its respawn.
+            retried = poisoned.result()
+            assert retried.error.startswith("RuleError: no rule named 'rrr")
+            assert pool.restarts == 1
+        finally:
+            pool.shutdown()
 
     def test_restarted_worker_rejoins_replication_stream(self, db, controller):
         pool = ProcessAuditExecutor(controller, db, workers=1)
@@ -199,4 +245,49 @@ class TestDurableLogIntegration:
             assert db.wal.consumers["process-replicas"] == 5
         finally:
             scheduler.close()
+            db.detach_wal()
+
+    def test_only_log_failures_degrade_to_a_full_replica_ship(
+        self, db, controller, tmp_path, monkeypatch
+    ):
+        from repro.errors import WalCorruptionError
+
+        db.attach_wal(WriteAheadLog(tmp_path))
+        pool = ProcessAuditExecutor(controller, db, workers=1)
+        shipped = []
+        real_broadcast = pool._pool.broadcast
+
+        def recording_broadcast(message, payload=None):
+            shipped.append(message[0])
+            return real_broadcast(message, payload)
+
+        monkeypatch.setattr(pool._pool, "broadcast", recording_broadcast)
+        try:
+            _commit(db, "begin insert(fk, (100, 3)); end")
+
+            def buggy_scan(*args, **kwargs):
+                raise TypeError("a bug in the scan, not a log failure")
+
+            monkeypatch.setattr(db.wal, "scan", buggy_scan)
+            with pytest.raises(TypeError, match="a bug in the scan"):
+                pool.resync(db)
+            assert shipped == []  # surfaced, not read as "ship everything"
+
+            def corrupt_scan(*args, **kwargs):
+                raise WalCorruptionError("segment", 0, "short segment header")
+
+            monkeypatch.setattr(db.wal, "scan", corrupt_scan)
+            pool.resync(db)
+            assert shipped == ["resync"]
+            second = _commit(db, "begin insert(fk, (101, 55)); end")
+            pool.replicate(db.commit_log.since(0)[0])
+            [task] = [
+                t
+                for t in controller.audit_tasks(db, second)
+                if t.rule_name == "fk_ref"
+            ]
+            outcome = pool.submit(task, (1,)).result()
+            assert (outcome.error, outcome.violated) == (None, True)
+        finally:
+            pool.shutdown()
             db.detach_wal()

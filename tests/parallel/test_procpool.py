@@ -243,7 +243,7 @@ class TestDeadWorker:
             # Killed before it ever replies: a worker terminated while its
             # feeder thread holds the shared reply queue's lock would take
             # the other workers' replies down with it.
-            victim = pool._workers[1]
+            victim = pool._pool.processes[1]
             victim.terminate()
             victim.join(timeout=10.0)
             assert not victim.is_alive()
@@ -270,4 +270,55 @@ class TestDeadWorker:
             closer.start()
             closer.join(timeout=30.0)
             assert not closer.is_alive(), "close hung after a worker died"
-        assert not any(worker.is_alive() for worker in pool._workers)
+        assert not any(worker.is_alive() for worker in pool._pool.processes)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_node_killed_mid_reply_is_named_not_waited_for(
+        self, schema, start_method
+    ):
+        import multiprocessing
+        import os
+        import signal
+        import threading
+
+        from repro.algebra import expressions as E
+        from repro.engine.relation import Relation
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        # 50k rows per node: each reply is ~1 MB, far beyond a pipe buffer,
+        # so an uncollected reply blocks half-written.
+        fragments = [Relation(schema.relation("pk")) for _ in range(2)]
+        for key in range(100_000):
+            fragments[key % 2].insert((key, f"k{key}"))
+        pool = ProcessFragmentPool(nodes=2, start_method=start_method)
+        try:
+            pool.install("pk", fragments)
+            # One collected run settles the install's shared-memory acks,
+            # so the next bytes on node 0's connection are its reply.
+            assert sum(map(len, pool.execute(E.RelationRef("pk")))) == 100_000
+            pool._pool.broadcast(("execute", -1), E.RelationRef("pk"))
+            assert pool._pool._replies[0].poll(60), "node 0 never replied"
+            os.kill(pool._pool.processes[0].pid, signal.SIGKILL)
+
+            outcome = []
+
+            def run():
+                try:
+                    outcome.append(pool.execute(E.RelationRef("pk")))
+                except FragmentationError as error:
+                    outcome.append(error)
+
+            caller = threading.Thread(target=run, daemon=True)
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "execute hung on a half-sent reply"
+            (error,) = outcome
+            assert isinstance(error, FragmentationError)
+            assert "died on node(s) 0" in str(error)
+        finally:
+            closer = threading.Thread(target=pool.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30.0)
+            assert not closer.is_alive(), "close hung after a worker died"
+        assert not any(worker.is_alive() for worker in pool._pool.processes)
