@@ -83,20 +83,14 @@ class PlanEstimate:
     """Static cardinality and work estimate of a (sub)plan.
 
     ``scanned``/``built``/``probed`` are cumulative tuple counts over the
-    whole subtree, in the same units the parallel cost model's per-tuple
-    weights use (:meth:`repro.parallel.cost_model.CostModel.plan_time`).
+    whole subtree.  The parallel layer prices them per node with
+    :meth:`repro.parallel.cost_model.CostModel.weighted_node_time`.
     """
 
     rows: float
     scanned: float = 0.0
     built: float = 0.0
     probed: float = 0.0
-    # Wire work: tuples moved between nodes and messages exchanged.  The
-    # single-node planner never fills these; the fragment-aware parallel
-    # layer adds the movement cost of its operand placements so
-    # CostModel.plan_time prices shipping Δ against shipping fragments.
-    transferred: float = 0.0
-    messages: float = 0.0
 
     @property
     def work(self) -> float:
@@ -108,8 +102,6 @@ class PlanEstimate:
         self.scanned += child.scanned
         self.built += child.built
         self.probed += child.probed
-        self.transferred += child.transferred
-        self.messages += child.messages
 
 
 def _card(cards, name: str) -> float:

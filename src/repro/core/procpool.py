@@ -251,7 +251,7 @@ class ProcessAuditExecutor:
 
     # -- task dispatch ---------------------------------------------------------
 
-    def submit(self, task, sequences, mode="async", predicted=None):
+    def submit(self, task, sequences, mode="async", rows=0):
         """Dispatch one audit task to a worker; returns a future."""
         from repro.core.scheduler import AuditOutcome
 
@@ -274,7 +274,7 @@ class ProcessAuditExecutor:
         self._pool.put(worker, ("task", task_id, task.rule_name, descriptor))
         outcome = functools.partial(
             AuditOutcome, task.rule_name, sequences, mode=mode,
-            executor="process", predicted=predicted,
+            executor="process", rows=rows,
         )
         return _ProcessFuture(self, task_id, outcome)
 

@@ -10,11 +10,11 @@ identifies — and executes them on one of three executors:
     Every task runs on the draining thread.  Zero dispatch cost; no
     overlap.
 ``thread``
-    Predicted-expensive tasks fan out to a thread pool.  Overlaps audit
+    Expensive tasks fan out to a thread pool.  Overlaps audit
     work with the committing session, but CPU-bound Python audits still
     serialize on the GIL.
 ``process``
-    Predicted-expensive tasks ship to a pool of worker *processes*
+    Expensive tasks ship to a pool of worker *processes*
     (:class:`~repro.core.procpool.ProcessAuditExecutor`), each owning a
     shared-nothing replica of the database kept current by replaying the
     commit-record stream.  True multi-core audits, at the price of
@@ -34,17 +34,16 @@ their FIFO-replayed replicas).  Batched ``deferred``/``async`` drains may
 still *coalesce* consecutive commits into one audited delta; the audited
 states remain the pinned batch boundaries.
 
-Scheduling policy: per rule, the scheduler prices the audit with the cost
-model (:func:`repro.parallel.cost_model.predict_audit_time` under the
-observed |Δ|) and runs predicted-cheap audits *inline* on the draining
-thread — a pool handoff costs more than a vacuous or tiny delta check —
-while predicted-expensive audits fan out.  Measured per-task seconds feed
-back into the decision as a per-rule EWMA correction factor on the
-prediction, the same way observed cardinalities already correct plan
-estimates.  Worker exceptions are never dropped: a poisoned task surfaces
-as an :class:`AuditOutcome` with ``error`` set, and commit records evicted
-from the bounded log before being drained surface as an explicit gap
-outcome.
+Scheduling policy: a simplified check costs in proportion to its |Δ|, so
+the scheduler prices a rule's audit by what that rule's audits have cost:
+an EWMA of measured seconds per Δ-row (Σ|Δ⁺|+|Δ⁻| of the audited batch),
+settled from every successful outcome, sync drains included.  Audits
+priced under one dispatch run *inline* on the draining thread — a pool
+handoff costs more than a vacuous or tiny delta check — while the rest
+fan out, as does a rule with no history yet.  Worker exceptions are never
+dropped: a poisoned task surfaces as an :class:`AuditOutcome` with
+``error`` set, and commit records evicted from the bounded log before
+being drained surface as an explicit gap outcome.
 
 Verdict merging is deterministic: outcomes are ordered by (first covered
 commit sequence, rule registration order), regardless of worker completion
@@ -63,10 +62,9 @@ from repro.engine.commitlog import (
     coalesce_differentials,
     take_batches,
 )
-from repro.parallel.cost_model import MODERN_2026, predict_audit_time
 
 #: Estimated cost of handing one task to a pool worker (queue + wakeup).
-#: Audits predicted cheaper than this run inline on the draining thread.
+#: Audits priced cheaper than this run inline on the draining thread.
 DISPATCH_OVERHEAD_SECONDS = 1.5e-4
 
 #: Default worker count for the audit pool.
@@ -75,8 +73,8 @@ DEFAULT_WORKERS = 4
 #: The dispatch arms a scheduler can run audit tasks on.
 EXECUTORS = ("inline", "thread", "process")
 
-#: Smoothing for the measured-vs-predicted audit-seconds correction,
-#: mirroring DELTA_EWMA_ALPHA on delta-size observations.
+#: Smoothing for each rule's settled audit seconds per Δ-row, mirroring
+#: DELTA_EWMA_ALPHA on delta-size observations.
 AUDIT_EWMA_ALPHA = 0.5
 
 
@@ -120,15 +118,6 @@ class RuleAuditTask:
         """``"delta"`` (runs a differential program) or ``"full"``."""
         return "delta" if self.program is not None else "full"
 
-    def pricing_program(self):
-        """The program whose plans bound this task's work, for cost pricing."""
-        if self.program is not None:
-            return self.program
-        store = self.controller.store
-        if self.rule.name in store:
-            return store.get(self.rule.name).program
-        return None
-
     def run(self) -> Tuple[bool, tuple]:
         """Execute the audit; returns ``(violated, violating_sample)``."""
         from repro.engine.session import DeltaView
@@ -165,7 +154,9 @@ class AuditOutcome:
     strict per-commit, ``"async"`` batched/deferred, ``"gap"`` for a
     commit-log truncation); ``executor`` records the dispatch arm that
     physically ran it (``"inline"``, ``"thread"``, ``"process"``, or None
-    for synthetic outcomes like gaps).
+    for synthetic outcomes like gaps).  ``rows`` is Σ|Δ⁺|+|Δ⁻| of the
+    audited batch: ``seconds`` over it is what the outcome settles into its
+    rule's price.
     """
 
     __slots__ = (
@@ -177,7 +168,7 @@ class AuditOutcome:
         "mode",
         "executor",
         "seconds",
-        "predicted",
+        "rows",
     )
 
     def __init__(
@@ -190,7 +181,7 @@ class AuditOutcome:
         mode: str = "sync",
         executor: Optional[str] = "inline",
         seconds: float = 0.0,
-        predicted: Optional[float] = None,
+        rows: int = 0,
     ):
         self.rule = rule
         self.sequences = sequences
@@ -200,7 +191,7 @@ class AuditOutcome:
         self.mode = mode
         self.executor = executor
         self.seconds = seconds
-        self.predicted = predicted
+        self.rows = rows
 
     @property
     def failed(self) -> bool:
@@ -238,7 +229,6 @@ class AuditScheduler:
         database,
         workers: int = DEFAULT_WORKERS,
         coalesce: bool = True,
-        cost_model=MODERN_2026,
         dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS,
         start_sequence: Optional[int] = None,
         executor: str = "thread",
@@ -252,7 +242,6 @@ class AuditScheduler:
         self.database = database
         self.workers = max(int(workers), 1)
         self.coalesce = coalesce
-        self.cost_model = cost_model
         self.dispatch_overhead = dispatch_overhead
         self.executor = executor
         self.start_method = start_method
@@ -264,9 +253,9 @@ class AuditScheduler:
         self._lock = threading.Lock()
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool = None
-        # Per-rule EWMA of measured/predicted audit seconds; multiplies the
-        # next prediction before it meets the dispatch threshold.
-        self._corrections: Dict[str, float] = {}
+        # Per-rule EWMA of measured audit seconds per Δ-row, settled by
+        # _record; times a batch's rows it is the task's price.
+        self._rates: Dict[str, float] = {}
         # Submission-ordered (future | outcome) slots not yet collected by
         # wait(); preserving submission order is what makes async verdict
         # merging deterministic.
@@ -294,10 +283,10 @@ class AuditScheduler:
         return len(records) + lost
 
     @property
-    def audit_time_corrections(self) -> Dict[str, float]:
-        """Per-rule EWMA of measured/predicted audit seconds (read-only)."""
+    def audit_rates(self) -> Dict[str, float]:
+        """Per-rule settled audit seconds per Δ-row (read-only)."""
         with self._lock:
-            return dict(self._corrections)
+            return dict(self._rates)
 
     # -- draining ----------------------------------------------------------------
 
@@ -310,9 +299,10 @@ class AuditScheduler:
 
         Synchronous drains (the default) run every task on the calling
         thread and return the completed outcomes.  Asynchronous drains
-        submit predicted-expensive tasks to the configured executor's
-        pool, run predicted-cheap ones inline, and return immediately with
-        the already-completed outcomes; :meth:`wait` collects the rest.
+        submit tasks priced at one dispatch or more (or not yet priced) to
+        the configured executor's pool, run the cheaper ones inline, and
+        return immediately with the already-completed outcomes;
+        :meth:`wait` collects the rest.
         Either way every outcome also lands in :attr:`history`, in
         deterministic order.
         """
@@ -373,6 +363,7 @@ class AuditScheduler:
         tasks = self.controller.audit_tasks(self.database, differentials)
         completed: List[AuditOutcome] = []
         delta_sizes = _delta_sizes(differentials)
+        rows = sum(delta_sizes.values())
         # Pin the batch's pre/post epochs so every in-process task audits
         # exactly the states its commits transitioned between, even while
         # the owning session keeps committing under the worker threads.
@@ -385,15 +376,10 @@ class AuditScheduler:
             span = epochs.pin_span(sequences[0], sequences[-1])
         try:
             for task in tasks:
-                predicted = (
-                    self.predicted_audit_seconds(task, delta_sizes)
-                    if asynchronous
-                    else None
-                )
                 if (
                     asynchronous
                     and self.executor != "inline"
-                    and self._prefer_fanout(task, predicted)
+                    and self._prefer_fanout(task, delta_sizes)
                 ):
                     self.fanned_out += 1
                     if self.executor == "process":
@@ -401,13 +387,13 @@ class AuditScheduler:
                         # FIFO-replayed replica (already strictly at the
                         # drain-time state); no span crosses the pipe.
                         future = self._processes().submit(
-                            task, sequences, mode="async", predicted=predicted
+                            task, sequences, mode="async", rows=rows
                         )
                     else:
                         if span is not None:
                             task.span = span.retain()
                         future = self._pool().submit(
-                            _execute, task, sequences, "async", "thread", predicted
+                            _execute, task, sequences, "async", "thread", rows
                         )
                     with self._lock:
                         self._outstanding.append(future)
@@ -416,7 +402,7 @@ class AuditScheduler:
                     if span is not None:
                         task.span = span.retain()
                     mode = "async" if asynchronous else "sync"
-                    outcome = _execute(task, sequences, mode, "inline", predicted)
+                    outcome = _execute(task, sequences, mode, "inline", rows)
                     completed.append(outcome)
                     if asynchronous:
                         with self._lock:
@@ -514,51 +500,32 @@ class AuditScheduler:
     def predicted_audit_seconds(
         self, task: RuleAuditTask, delta_sizes
     ) -> Optional[float]:
-        """Predicted net task seconds (model prediction minus startup),
-        *before* the EWMA correction; None when the task is unpriceable."""
-        program = task.pricing_program()
-        if program is None:
-            return None
-        try:
-            predicted = predict_audit_time(
-                program,
-                model=self.cost_model,
-                database=self.database,
-                deltas=delta_sizes,
-            )
-        except Exception:
-            return None
-        return max(predicted - self.cost_model.startup, 0.0)
-
-    def _prefer_fanout(
-        self, task: RuleAuditTask, predicted: Optional[float]
-    ) -> bool:
-        """Fan out iff the corrected predicted cost amortizes the dispatch."""
-        if predicted is None:
-            return True  # unpriceable: assume expensive
+        """The task's price: its rule's settled seconds per Δ-row times the
+        batch's rows (``delta_sizes`` maps ``R@plus``/``R@minus`` to
+        |Δ⁺|/|Δ⁻|); None while the rule has no settled history."""
         with self._lock:
-            correction = self._corrections.get(task.rule_name, 1.0)
-        return predicted * correction >= self.dispatch_overhead
+            rate = self._rates.get(task.rule_name)
+        if rate is None:
+            return None
+        return rate * max(sum(delta_sizes.values()), 1)
+
+    def _prefer_fanout(self, task: RuleAuditTask, delta_sizes) -> bool:
+        """Fan out iff the task's price amortizes one dispatch; a rule with
+        no history yet fans out."""
+        price = self.predicted_audit_seconds(task, delta_sizes)
+        return price is None or price >= self.dispatch_overhead
 
     def _record(self, outcome: AuditOutcome) -> None:
+        """Keep the verdict; a successful rule audit settles its rate."""
         with self._lock:
             self.history.append(outcome)
-            if (
-                outcome.rule is not None
-                and not outcome.failed
-                and outcome.predicted is not None
-                and outcome.predicted > 0.0
-                and outcome.seconds > 0.0
-            ):
-                ratio = outcome.seconds / outcome.predicted
-                previous = self._corrections.get(outcome.rule)
-                if previous is None:
-                    self._corrections[outcome.rule] = ratio
-                else:
-                    self._corrections[outcome.rule] = (
-                        AUDIT_EWMA_ALPHA * ratio
-                        + (1.0 - AUDIT_EWMA_ALPHA) * previous
-                    )
+            if outcome.failed:
+                return
+            rate = outcome.seconds / max(outcome.rows, 1)
+            previous = self._rates.get(outcome.rule)
+            if previous is not None:
+                rate = AUDIT_EWMA_ALPHA * rate + (1.0 - AUDIT_EWMA_ALPHA) * previous
+            self._rates[outcome.rule] = rate
 
     def __repr__(self) -> str:
         return (
@@ -574,9 +541,13 @@ def _execute(
     sequences: tuple,
     mode: str,
     executor: str = "inline",
-    predicted: Optional[float] = None,
+    rows: int = 0,
 ) -> AuditOutcome:
-    """Run one task, converting any exception into an audit failure."""
+    """Run one task, converting an exception into an audit failure.
+
+    Only :class:`Exception` becomes a verdict: an interrupt or exit raised
+    while an inline audit runs on the caller's thread propagates.
+    """
     started = time.perf_counter()
     try:
         violated, violations = task.run()
@@ -588,9 +559,9 @@ def _execute(
             mode=mode,
             executor=executor,
             seconds=time.perf_counter() - started,
-            predicted=predicted,
+            rows=rows,
         )
-    except BaseException as error:  # poison task: surface, never drop
+    except Exception as error:  # poison task: surface, never drop
         return AuditOutcome(
             task.rule_name,
             sequences,
@@ -599,7 +570,7 @@ def _execute(
             mode=mode,
             executor=executor,
             seconds=time.perf_counter() - started,
-            predicted=predicted,
+            rows=rows,
         )
     finally:
         # Unpin the task's epoch window as soon as the verdict exists so
@@ -608,11 +579,11 @@ def _execute(
 
 
 def _delta_sizes(differentials) -> dict:
-    """``{"R@plus": |Δ⁺|, "R@minus": |Δ⁻|}`` for cost-model pricing."""
+    """``{"R@plus": |Δ⁺|, "R@minus": |Δ⁻|}``: the rows a batch's audits price in."""
     sizes: dict = {}
     for base, (plus, minus) in differentials.items():
         if plus is not None:
-            sizes[f"{base}@plus"] = float(len(plus))
+            sizes[f"{base}@plus"] = len(plus)
         if minus is not None:
-            sizes[f"{base}@minus"] = float(len(minus))
+            sizes[f"{base}@minus"] = len(minus)
     return sizes

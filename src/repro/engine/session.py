@@ -91,8 +91,9 @@ class Session:
         * ``"deferred"`` — nothing is audited now; a later
           :meth:`drain_audits` call audits all accumulated commits (batched
           and, by default, coalesced) on the calling thread.
-        * ``"async"`` — the scheduler drains immediately but fans
-          predicted-expensive rule audits out to its worker pool and
+        * ``"async"`` — the scheduler drains immediately but fans rule
+          audits out to its worker pool (all but those whose rule's
+          settled seconds per Δ-row price them under one dispatch) and
           returns without waiting; :meth:`wait_for_audits` collects the
           verdicts.  Strict: each audit pins its commit's pre/post epochs
           (:class:`~repro.engine.epochs.EpochSpan`), so verdicts describe

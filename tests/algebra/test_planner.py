@@ -11,7 +11,6 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext, evaluate_expression
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.types import INT
-from repro.parallel.cost_model import MODERN_2026, predict_enforcement_time
 
 
 @pytest.fixture
@@ -237,30 +236,18 @@ class TestEstimates:
         assert est.built == 1000
         assert est.probed == 100_000
 
-    def test_cost_model_prices_plan(self):
-        seconds = predict_enforcement_time(
-            REFERENTIAL, {"fk": 100_000, "pk": 1000}, model=MODERN_2026, nodes=8
-        )
-        assert seconds > 0
-        # 8 nodes must beat 1 node.
-        assert seconds < predict_enforcement_time(
-            REFERENTIAL, {"fk": 100_000, "pk": 1000}, model=MODERN_2026, nodes=1
-        )
-
     def test_cost_model_prefers_delta_plan(self):
         from repro.algebra.delta import delta_expression
 
         cards = {"fk": 100_000, "pk": 1000}
         delta = delta_expression(REFERENTIAL, [("INS", "fk")])
-        full_seconds = predict_enforcement_time(
-            REFERENTIAL, cards, model=MODERN_2026
-        )
-        delta_seconds = predict_enforcement_time(
-            delta, cards, model=MODERN_2026, deltas={"fk@plus": 100}
+        full = planner.estimate_expression(REFERENTIAL, cards)
+        delta_estimate = planner.estimate_expression(
+            delta, {**cards, "fk@plus": 100}
         )
         # 100 probes against the same 1000-row build side vs 100k probes:
-        # the scheduler's choice is not close.
-        assert delta_seconds < full_seconds / 10
+        # the choice is not close.
+        assert delta_estimate.work < full.work / 10
 
     def test_delta_estimate_defaults_without_statistics(self):
         from repro.algebra.delta import delta_expression

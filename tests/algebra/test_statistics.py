@@ -163,50 +163,20 @@ def test_plan_estimate_never_writes_to_the_shared_plan():
     assert result == expression.evaluate(view) and len(result) == 1202
 
 
-def test_predict_enforcement_time_accepts_a_database():
-    from repro.parallel.cost_model import MODERN_2026, predict_enforcement_time
-
+def test_plan_estimate_prices_a_database_under_runtime_statistics():
     database = _database()
     expression = E.SemiJoin(
         E.RelationRef("r"),
         E.RelationRef("s"),
         P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
     )
-    seconds = predict_enforcement_time(
-        expression, model=MODERN_2026, database=database
+    estimate = planner.plan_estimate(expression, database)
+    assert estimate.work > 0
+    # The observed statistics price it, not the default cardinalities.
+    assert estimate == planner.estimate_expression(
+        expression, RuntimeStatistics.capture(database)
     )
-    assert seconds > 0
-
-
-def test_predict_audit_time_prices_program_statements():
-    from repro.algebra.parser import parse_program
-    from repro.parallel.cost_model import MODERN_2026, predict_audit_time
-
-    database = _database()
-    program = parse_program(
-        "t := select(r, a > 0); alarm(semijoin(t, s, left.a = right.c))"
-    )
-    seconds = predict_audit_time(program, model=MODERN_2026, database=database)
-    assert seconds > MODERN_2026.startup
-
-
-def test_predict_audit_time_prices_fallback_sub_plans():
-    from repro.calculus.parser import parse_constraint
-    from repro.core.translation import CheckConstraint
-    from repro.algebra.programs import Program
-    from repro.parallel.cost_model import MODERN_2026, predict_audit_time
-
-    database = _database()
-    # A conjunction of universals: stored as a CheckConstraint fallback,
-    # evaluated through two compiled sub-plans — which must be priced,
-    # not treated as free.
-    formula = parse_constraint(
-        "(forall x)(x in r => x.b >= 0) and "
-        "(forall x)(x in r => (exists y)(y in s and x.a = y.c))"
-    )
-    program = Program([CheckConstraint(formula)])
-    seconds = predict_audit_time(program, model=MODERN_2026, database=database)
-    assert seconds > MODERN_2026.startup
+    assert estimate != planner.estimate_expression(expression, None)
 
 
 def test_committed_deltas_feed_delta_scan_pricing():
@@ -240,22 +210,3 @@ def test_delta_sizes_participate_in_drift():
     assert old.drifted(shifted)
     close = RuntimeStatistics({"r": 100.0}, delta_sizes={"r@plus": 3.0})
     assert not old.drifted(close)
-
-
-def test_explicit_deltas_override_observed_sizes():
-    from repro.engine import Session
-    from repro.parallel.cost_model import MODERN_2026, predict_enforcement_time
-
-    database = _database()
-    session = Session(database)
-    session.execute("begin insert(r, (100, 1)); end")  # observed |Δ| = 1
-    expr = E.SemiJoin(
-        E.Delta("r", "plus"),
-        E.RelationRef("s"),
-        P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
-    )
-    observed = predict_enforcement_time(expr, model=MODERN_2026, database=database)
-    explicit = predict_enforcement_time(
-        expr, model=MODERN_2026, database=database, deltas={"r@plus": 50_000}
-    )
-    assert explicit > observed

@@ -114,6 +114,10 @@ class TestScheduler:
         scheduler = AuditScheduler(
             controller, db, workers=4, dispatch_overhead=1e9
         )
+        # A rule with no history fans out; one sync drain settles a rate
+        # for every rule, pricing the next audits under the dispatch.
+        _commit(db, "begin insert(fk, (99, 2)); end")
+        scheduler.drain()
         _commit(db, "begin insert(fk, (100, 3)); end")
         scheduler.drain(asynchronous=True)
         outcomes = scheduler.wait()
@@ -145,6 +149,38 @@ class TestScheduler:
         assert outcome.violated is None
         assert outcome.mode == "async" and outcome.executor == "thread"
         assert "RuntimeError: worker exploded" in outcome.error
+
+    def test_interrupt_during_inline_audit_propagates(
+        self, db, controller, monkeypatch
+    ):
+        scheduler = controller.audit_scheduler(db)
+        _commit(db, "begin insert(fk, (100, 3)); end")
+
+        pinned_during = []
+
+        class _Interrupted(RuleAuditTask):
+            def run(self):
+                pinned_during.append(db.epochs.pinned_versions())
+                raise KeyboardInterrupt
+
+        audit_tasks = controller.audit_tasks
+
+        def interrupted_tasks(database, differentials):
+            return [
+                _Interrupted(t.controller, t.rule, t.program, t.database,
+                             t.differentials)
+                for t in audit_tasks(database, differentials)
+            ]
+
+        monkeypatch.setattr(controller, "audit_tasks", interrupted_tasks)
+        # An interrupt is not a poisoned verdict: the sync drain stops...
+        with pytest.raises(KeyboardInterrupt):
+            scheduler.drain()
+        # ...after the first task, and neither it nor the batch leaves its
+        # epoch span pinned.
+        assert len(pinned_during) == 1 and pinned_during[0] != ()
+        assert db.epochs.pinned_versions() == ()
+        assert scheduler.history == []
 
     def test_truncation_gap_reaches_async_wait(self, controller):
         database = Database(schema())
@@ -321,58 +357,61 @@ class TestExecutors:
         assert not scheduler._outstanding
 
 
-class TestEwmaCorrection:
-    def test_measured_seconds_update_corrections(self, db, controller):
-        with AuditScheduler(
-            controller, db, workers=2, dispatch_overhead=0.0
-        ) as scheduler:
-            _commit(db, "begin insert(fk, (100, 3)); end")
-            scheduler.drain(asynchronous=True, coalesce=False)
-            scheduler.wait()
-            corrections = scheduler.audit_time_corrections
-            # Every priced, executed rule now has an observed/predicted
-            # ratio on file.
-            assert set(corrections) == set(RULES)
-            assert all(ratio > 0.0 for ratio in corrections.values())
+class TestSettledRates:
+    def test_a_drain_settles_every_rule(self, db, controller):
+        scheduler = AuditScheduler(controller, db)
+        assert scheduler.audit_rates == {}
+        _commit(db, "begin insert(fk, (100, 3)); end")
+        scheduler.drain()  # a sync drain settles too
+        rates = scheduler.audit_rates
+        assert set(rates) == set(RULES)
+        assert all(rate > 0.0 for rate in rates.values())
 
-    def test_correction_steers_dispatch(self, db, controller):
+    def test_rates_steer_dispatch(self, db, controller):
         scheduler = AuditScheduler(
             controller, db, workers=2, dispatch_overhead=1e-3
         )
         _commit(db, "begin insert(fk, (100, 3)); end")
-        # A history claiming audits run vastly slower than predicted flips
-        # the cheap tasks over the dispatch threshold...
-        scheduler._corrections = {name: 1e12 for name in RULES}
+        # A history of audits vastly slower per Δ-row than one dispatch
+        # fans the tasks out...
+        scheduler._rates = {name: 1e12 for name in RULES}
         scheduler.drain(asynchronous=True, coalesce=False)
         scheduler.wait()
         assert scheduler.fanned_out == len(RULES)
-        # ...and a vastly-faster-than-predicted history keeps them inline.
+        # ...and a vastly faster one keeps them inline.
         _commit(db, "begin insert(fk, (101, 3)); end")
-        scheduler._corrections = {name: 1e-12 for name in RULES}
+        scheduler._rates = {name: 1e-12 for name in RULES}
         scheduler.drain(asynchronous=True, coalesce=False)
         scheduler.wait()
         assert scheduler.fanned_out == len(RULES)  # unchanged
         scheduler.close()
 
-    def test_ewma_smooths_successive_ratios(self, db, controller):
+    def test_ewma_folds_seconds_per_row(self, db, controller):
         from repro.core.scheduler import AuditOutcome
 
         scheduler = AuditScheduler(controller, db)
-        for seconds in (4.0, 2.0):
+        for seconds, rows in ((4.0, 2), (3.0, 6)):
             scheduler._record(
                 AuditOutcome(
-                    "fk_ref",
-                    (0,),
-                    False,
-                    mode="async",
-                    executor="thread",
-                    seconds=seconds,
-                    predicted=1.0,
+                    "fk_ref", (0,), False, mode="async", executor="thread",
+                    seconds=seconds, rows=rows,
                 )
             )
-        # First observation seeds the EWMA (4.0); the second folds in at
-        # alpha=0.5: 0.5*2.0 + 0.5*4.0.
-        assert scheduler.audit_time_corrections["fk_ref"] == pytest.approx(3.0)
+        # First outcome seeds the EWMA (4.0 / 2 rows); the second folds in
+        # at alpha=0.5: 0.5 * 3.0/6 + 0.5 * 2.0.
+        assert scheduler.audit_rates["fk_ref"] == pytest.approx(1.25)
+        # A failed audit settles nothing.
+        scheduler._record(
+            AuditOutcome("fk_ref", (1,), None, error="boom", seconds=9.0, rows=1)
+        )
+        assert scheduler.audit_rates["fk_ref"] == pytest.approx(1.25)
+        # The price is the rate times the batch's rows, at least one row.
+        result = _commit(db, "begin insert(fk, (100, 3)); end")
+        tasks = {t.rule_name: t for t in controller.audit_tasks(db, result)}
+        price = scheduler.predicted_audit_seconds
+        assert price(tasks["fk_ref"], {"fk@plus": 4, "fk@minus": 0}) == pytest.approx(5.0)
+        assert price(tasks["fk_ref"], {}) == pytest.approx(1.25)
+        assert price(tasks["fk_id"], {"fk@plus": 4}) is None  # no history yet
 
 
 class TestSessionCommit:

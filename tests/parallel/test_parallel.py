@@ -250,27 +250,3 @@ class TestEnforcer:
         clean = enforcer.domain_check("fk", P.Comparison("<", P.ColRef("ref"), P.Const(0)))
         assert clean.ok and clean.violations == 0
 
-
-class TestCommitPricing:
-    def test_commit_time_prices_by_delta_not_relation_size(self, database):
-        from repro.parallel.cost_model import predict_commit_time
-
-        small = predict_commit_time({"fk": 10}, model=MODERN_2026)
-        # A delta of the same size against an arbitrarily larger relation
-        # prices identically: write cost depends only on |Δ|.
-        assert small == predict_commit_time(
-            {"fk": 10}, model=MODERN_2026, database=database
-        )
-        assert predict_commit_time({"fk": 1000}, model=MODERN_2026) > small
-
-    def test_commit_time_charges_built_index_maintenance(self, database):
-        from repro.parallel.cost_model import predict_commit_time
-
-        bare = predict_commit_time(
-            {"fk": 100}, model=MODERN_2026, database=database
-        )
-        database.create_index("fk", ["ref"])
-        indexed = predict_commit_time(
-            {"fk": 100}, model=MODERN_2026, database=database
-        )
-        assert indexed > bare
