@@ -236,6 +236,38 @@ class TestEstimates:
         assert est.built == 1000
         assert est.probed == 100_000
 
+    def test_cost_model_prices_plan(self):
+        from repro.parallel.cost_model import MODERN_2026
+        from repro.parallel.nodes import NodeStats
+
+        def seconds(cards, stats=NodeStats()):
+            # What the parallel enforcer charges one node: the plan's
+            # estimate over that node's fragments, at the model's rates.
+            est = planner.estimate_expression(REFERENTIAL, cards)
+            return MODERN_2026.weighted_node_time(
+                stats, scanned=est.scanned, built=est.built, probed=est.probed
+            )
+
+        cards = {"fk": 100_000, "pk": 1000}
+        est = planner.estimate_expression(REFERENTIAL, cards)
+        whole = seconds(cards)
+        assert whole == pytest.approx(
+            est.scanned * MODERN_2026.scan_per_tuple
+            + est.built * MODERN_2026.build_per_tuple
+            + est.probed * MODERN_2026.probe_per_tuple
+        )
+        assert whole > 0
+        # One of 8 fragments must beat the whole on 1 node...
+        eighth = {"fk": 12_500, "pk": 125}
+        assert seconds(eighth) < whole
+        # ...and the tuples a node ships are charged on top of its work.
+        shipped = NodeStats(tuples_sent=125, messages_sent=1)
+        assert seconds(eighth, shipped) == pytest.approx(
+            seconds(eighth)
+            + 125 * MODERN_2026.transfer_per_tuple
+            + MODERN_2026.message_latency
+        )
+
     def test_cost_model_prefers_delta_plan(self):
         from repro.algebra.delta import delta_expression
 

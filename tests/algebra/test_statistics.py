@@ -204,6 +204,32 @@ def test_committed_deltas_feed_delta_scan_pricing():
     assert 1.0 < ewma < 2.0
 
 
+def test_explicit_deltas_override_observed_sizes():
+    from repro.engine import Session
+
+    database = _database()
+    session = Session(database)
+    session.execute("begin insert(r, (100, 1)); end")  # observed |Δ| = 1
+    expr = E.SemiJoin(
+        E.Delta("r", "plus"),
+        E.RelationRef("s"),
+        P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
+    )
+    captured = RuntimeStatistics.capture(database)
+    observed = planner.plan_estimate(expr, database)
+    assert observed == planner.estimate_expression(expr, captured)
+    explicit = planner.estimate_expression(
+        expr,
+        RuntimeStatistics(
+            captured.cardinalities,
+            captured.distinct,
+            delta_sizes={**captured.delta_sizes, "r@plus": 50_000.0},
+        ),
+    )
+    assert explicit.probed > observed.probed
+    assert explicit.work > observed.work
+
+
 def test_delta_sizes_participate_in_drift():
     old = RuntimeStatistics({"r": 100.0}, delta_sizes={"r@plus": 2.0})
     shifted = RuntimeStatistics({"r": 100.0}, delta_sizes={"r@plus": 1000.0})

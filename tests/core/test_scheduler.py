@@ -303,6 +303,27 @@ class TestExecutors:
                 ("fk_id", False),
             ]
 
+    def test_process_outcomes_settle_rates(self, db, controller):
+        # A worker's verdict comes back with the batch's rows, so a process
+        # audit settles its rule's rate like an inline one.
+        with AuditScheduler(
+            controller,
+            db,
+            workers=1,
+            dispatch_overhead=0.0,
+            executor="process",
+        ) as scheduler:
+            _commit(db, "begin insert(fk, (100, 3)); insert(fk, (101, 4)); end")
+            scheduler.drain(asynchronous=True)
+            outcomes = scheduler.wait()
+            assert [(o.rule, o.executor, o.rows) for o in outcomes] == [
+                ("fk_ref", "process", 2),
+                ("fk_id", "process", 2),
+            ]
+            rates = scheduler.audit_rates
+            for outcome in outcomes:
+                assert rates[outcome.rule] == pytest.approx(outcome.seconds / 2)
+
     def test_poison_task_surfaces_from_process_worker(self, db, controller):
         # A rule name the worker's rebuilt controller doesn't know poisons
         # the task remotely; the failure must come back as an outcome, not
@@ -412,6 +433,69 @@ class TestSettledRates:
         assert price(tasks["fk_ref"], {"fk@plus": 4, "fk@minus": 0}) == pytest.approx(5.0)
         assert price(tasks["fk_ref"], {}) == pytest.approx(1.25)
         assert price(tasks["fk_id"], {"fk@plus": 4}) is None  # no history yet
+
+    def test_outcome_rows_count_the_audited_delta(self, db, controller):
+        scheduler = AuditScheduler(controller, db)
+        _commit(
+            db,
+            "begin insert(fk, (100, 3)); insert(fk, (101, 4)); "
+            "insert(fk, (102, 5)); end",
+        )
+        _commit(db, "begin delete(fk, (0, 0)); end")
+        # Two commits coalesced into one batch of 3 inserts and 1 delete:
+        # every outcome carries Σ|Δ⁺|+|Δ⁻| and settles its seconds over it.
+        outcomes = scheduler.drain(coalesce=True)
+        assert [(o.rule, o.sequences, o.rows) for o in outcomes] == [
+            ("fk_ref", (0, 1), 4),
+            ("fk_id", (0, 1), 4),
+        ]
+        rates = scheduler.audit_rates
+        for outcome in outcomes:
+            assert rates[outcome.rule] == pytest.approx(outcome.seconds / 4)
+
+    def test_delta_rows_steer_dispatch(self, db, controller):
+        scheduler = AuditScheduler(
+            controller, db, workers=2, dispatch_overhead=1e-3
+        )
+        # At 1e-5 s per Δ-row, a one-row batch prices under one dispatch
+        # and runs inline...
+        scheduler._rates = {name: 1e-5 for name in RULES}
+        _commit(db, "begin insert(fk, (100, 3)); end")
+        scheduler.drain(asynchronous=True)
+        scheduler.wait()
+        assert (scheduler.ran_inline, scheduler.fanned_out) == (len(RULES), 0)
+        # ...while 200 rows at the same rate price over it and fan out,
+        # against the same relations.
+        scheduler._rates = {name: 1e-5 for name in RULES}
+        inserts = " ".join(f"insert(fk, ({200 + i}, 3));" for i in range(200))
+        _commit(db, f"begin {inserts} end")
+        scheduler.drain(asynchronous=True)
+        outcomes = scheduler.wait()
+        assert {(o.executor, o.rows) for o in outcomes} == {("thread", 200)}
+        assert (scheduler.ran_inline, scheduler.fanned_out) == (
+            len(RULES), len(RULES)
+        )
+        scheduler.close()
+
+    def test_full_check_audits_settle_a_rate(self, db):
+        # A compensating rule audits by the full-state check, not by a
+        # differential program; its cost is measured all the same.
+        controller = IntegrityController(schema())
+        controller.add_constraint(
+            "fk_id", RULES["fk_id"], response="delete(fk, select(fk, id < 0))"
+        )
+        scheduler = AuditScheduler(controller, db)
+        result = _commit(
+            db, "begin insert(fk, (100, 3)); insert(fk, (101, 4)); end"
+        )
+        (task,) = controller.audit_tasks(db, result)
+        assert task.kind == "full"
+        (outcome,) = scheduler.drain()
+        assert outcome.ok and outcome.rows == 2
+        rate = scheduler.audit_rates["fk_id"]
+        assert rate > 0.0 and rate == pytest.approx(outcome.seconds / 2)
+        price = scheduler.predicted_audit_seconds(task, {"fk@plus": 2})
+        assert price == pytest.approx(outcome.seconds)
 
 
 class TestSessionCommit:
