@@ -22,6 +22,9 @@ two ways:
 
 Audit *throughput* is commits audited per second; the gate is the >= 4x
 floor from the pipeline issue.  Verdicts must agree (everything clean).
+An informational row drains the same rounds with one scheduler kept
+across them, so its later rounds are priced by settled rates; E9c times
+the inline-vs-fan-out choice itself on a warm stream of one-row commits.
 The measured numbers are additionally emitted as
 ``benchmarks/bench_async_audit.json`` for the CI build artifact.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -131,9 +135,9 @@ def _order(order_id: int, rng: random.Random) -> tuple:
     )
 
 
-def _controller() -> IntegrityController:
+def _controller(rules=RULES) -> IntegrityController:
     controller = IntegrityController(star_schema())
-    for name, condition in RULES.items():
+    for name, condition in rules.items():
         controller.add_constraint(name, condition)
     return controller
 
@@ -173,7 +177,13 @@ def test_async_audit_throughput(benchmark):
         controller = _controller()
         sequential_times = []
         pipeline_times = []
+        warm_times = []
         fanned_out = ran_inline = 0
+        # Informational: one scheduler kept across the rounds, so from the
+        # second round on it prices every rule by its settled rate.
+        warm = AuditScheduler(
+            controller, db, workers=8, start_sequence=db.commit_log.next_sequence
+        )
         for round_index in range(ROUNDS):
             start_sequence = db.commit_log.next_sequence
             results = _commit_stream(
@@ -201,11 +211,21 @@ def test_async_audit_throughput(benchmark):
             assert {o.rule for o in outcomes} == set(RULES)
             fanned_out += scheduler.fanned_out
             ran_inline += scheduler.ran_inline
+
+            started = time.perf_counter()
+            warm.drain(asynchronous=True, coalesce=True)
+            warm_outcomes = warm.wait()
+            warm_times.append(time.perf_counter() - started)
+            assert _verdicts(warm_outcomes) == _verdicts(outcomes)
+        warm.close()
         return {
             "sequential_seconds": min(sequential_times),
             "pipeline_seconds": min(pipeline_times),
             "fanned_out": fanned_out,
             "ran_inline": ran_inline,
+            "warm_seconds": min(warm_times[1:]),
+            "warm_fanned_out": warm.fanned_out,
+            "warm_ran_inline": warm.ran_inline,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -226,6 +246,14 @@ def test_async_audit_throughput(benchmark):
         f"{COMMITS / pipeline:,.0f}",
         f"{speedup:.1f}x",
     )
+    warm = results["warm_seconds"]
+    report.record(
+        EXPERIMENT,
+        "warm scheduler drain (informational)",
+        f"{warm * 1000:.2f}",
+        f"{COMMITS / warm:,.0f}",
+        f"{sequential / warm:.1f}x",
+    )
     report.note(
         EXPERIMENT,
         "the drain coalesces the commit stream into one net delta and "
@@ -233,7 +261,11 @@ def test_async_audit_throughput(benchmark):
         "is built once per drain instead of once per commit; "
         f"{results['fanned_out']} audits fanned out and "
         f"{results['ran_inline']} ran inline over {ROUNDS} rounds (a fresh "
-        "scheduler per round has no settled rates, so every rule fans out)",
+        "scheduler per round has no settled rates, so every rule fans out); "
+        f"one scheduler kept across the rounds fanned out "
+        f"{results['warm_fanned_out']} and ran {results['warm_ran_inline']} "
+        "inline, and its row is its best settled round (rounds 2 on, drained "
+        "after the fresh scheduler's drain of the same commits)",
     )
     payload = {
         "experiment": EXPERIMENT,
@@ -249,6 +281,9 @@ def test_async_audit_throughput(benchmark):
         "speedup": speedup,
         "fanned_out": results["fanned_out"],
         "ran_inline": results["ran_inline"],
+        "warm_seconds": warm,
+        "warm_fanned_out": results["warm_fanned_out"],
+        "warm_ran_inline": results["warm_ran_inline"],
     }
     _merge_json(payload)
     assert speedup >= SPEEDUP_FLOOR, (
@@ -331,10 +366,7 @@ def test_executor_ladder_multicore_speedup(benchmark):
                 outcomes = scheduler.wait()
                 best = min(best, time.perf_counter() - started)
                 assert not any(o.failed for o in outcomes)
-                verdicts[executor] = sorted(
-                    (o.rule, o.violated, tuple(sorted(map(repr, o.violations))))
-                    for o in outcomes
-                )
+                verdicts[executor] = _verdicts(outcomes)
             scheduler.close()
             seconds[executor] = best
         # Verdict parity across the ladder (clean data: every rule holds
@@ -377,6 +409,96 @@ def test_executor_ladder_multicore_speedup(benchmark):
             f"thread pool on {cores} cores; floor is "
             f"{PROCESS_SPEEDUP_FLOOR}x"
         )
+
+
+#: E9c sizing: one-row commits, each drained on its own, as session
+#: ``"async"`` mode drains after every commit.
+WARM_COMMITS = 100
+
+#: E9c's second rule mix: the three domain checks alone, so every audit of
+#: a commit is cheap and none holds the drain on the pool.
+DOMAIN_RULES = {
+    name: RULES[name]
+    for name in ("orders_amount", "orders_id", "orders_region_domain")
+}
+
+
+@pytest.mark.benchmark(group="async-audit")
+def test_warm_per_commit_dispatch(benchmark):
+    """E9c — one long-lived scheduler audits a stream of one-row commits.
+
+    Every commit is drained asynchronously and waited for by the same
+    scheduler, which keeps its settled rates across the stream.  The
+    ``priced`` arm runs the default dispatch overhead, so audits priced
+    under one dispatch run inline; the ``fan out`` arm sets
+    ``dispatch_overhead=0``.  Both arms run under all 8 rules and under the
+    3 domain checks alone.  Informational: no gate.  Every audit must come
+    back clean.
+    """
+    title = "E9c / warm per-commit dispatch"
+    report.experiment(
+        title,
+        f"{WARM_COMMITS} one-row commits per arm against a {ORDERS:,}-row "
+        f"steady state, one async drain + wait per commit on one long-lived "
+        f"scheduler",
+        ["rules / arm", "per commit p50 (us)", "fanned out", "inline"],
+    )
+
+    def run():
+        db = star_database()
+        session = Session(db)
+        rng = random.Random(83)
+        next_id = ORDERS
+        arms = {}
+        for mix, rules in (("8 rules", RULES), ("3 domain", DOMAIN_RULES)):
+            controller = _controller(rules)
+            for arm, options in (
+                ("priced", {}),
+                ("fan out", {"dispatch_overhead": 0.0}),
+            ):
+                scheduler = AuditScheduler(
+                    controller, db, workers=8,
+                    start_sequence=db.commit_log.next_sequence, **options,
+                ).start()
+                times = []
+                for _ in range(WARM_COMMITS):
+                    row = ", ".join(map(str, _order(next_id, rng)))
+                    next_id += 1
+                    assert session.execute(
+                        f"begin insert(orders, ({row})); end"
+                    ).committed
+                    started = time.perf_counter()
+                    scheduler.drain(asynchronous=True)
+                    outcomes = scheduler.wait()
+                    times.append(time.perf_counter() - started)
+                    assert len(outcomes) == len(rules)
+                    assert all(o.ok for o in outcomes)
+                scheduler.close()
+                arms[f"{mix} / {arm}"] = {
+                    "per_commit_p50_seconds": statistics.median(times),
+                    "fanned_out": scheduler.fanned_out,
+                    "ran_inline": scheduler.ran_inline,
+                }
+        return arms
+
+    arms = benchmark.pedantic(run, rounds=1, iterations=1)
+    for arm, measured in arms.items():
+        report.record(
+            title,
+            arm,
+            f"{measured['per_commit_p50_seconds'] * 1e6:.0f}",
+            str(measured["fanned_out"]),
+            str(measured["ran_inline"]),
+        )
+    _merge_json({"warm_per_commit": {"commits": WARM_COMMITS, "arms": arms}})
+
+
+def _verdicts(outcomes) -> list:
+    """Order-free verdicts of a drain, for parity checks."""
+    return sorted(
+        (o.rule, o.violated, tuple(sorted(map(repr, o.violations))))
+        for o in outcomes
+    )
 
 
 def _merge_json(payload: dict) -> None:

@@ -36,14 +36,17 @@ states remain the pinned batch boundaries.
 
 Scheduling policy: a simplified check costs in proportion to its |Δ|, so
 the scheduler prices a rule's audit by what that rule's audits have cost:
-an EWMA of measured seconds per Δ-row (Σ|Δ⁺|+|Δ⁻| of the audited batch),
+an EWMA of measured seconds per Δ-row (the Δ sides the rule is triggered
+by; a full check, whose cost follows |R|, counts one row per audit),
 settled from every successful outcome, sync drains included.  Audits
 priced under one dispatch run *inline* on the draining thread — a pool
 handoff costs more than a vacuous or tiny delta check — while the rest
 fan out, as does a rule with no history yet.  Worker exceptions are never
 dropped: a poisoned task surfaces as an :class:`AuditOutcome` with
-``error`` set, and commit records evicted from the bounded log before
-being drained surface as an explicit gap outcome.
+``error`` set, commit records evicted from the bounded log before
+being drained surface as an explicit gap outcome, and an interrupt raised
+during an inline audit propagates after handing its batch, and the
+drain's later ones, back to the next drain.
 
 Verdict merging is deterministic: outcomes are ordered by (first covered
 commit sequence, rule registration order), regardless of worker completion
@@ -57,6 +60,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
+from repro.algebra.statements import INS
 from repro.engine.commitlog import (
     batch_sequences,
     coalesce_differentials,
@@ -118,6 +122,25 @@ class RuleAuditTask:
         """``"delta"`` (runs a differential program) or ``"full"``."""
         return "delta" if self.program is not None else "full"
 
+    @property
+    def rows(self) -> int:
+        """What the audit's cost scales with, the unit its rule is priced in.
+
+        A differential program reads only the Δ sides its rule is triggered
+        by, so a delta task counts |Δ⁺| of each ``INS`` trigger and |Δ⁻| of
+        each ``DEL`` trigger.  A full check costs in |R|, not |Δ|: it counts
+        as one row, so its rule's rate is seconds per audit.
+        """
+        if self.program is None:
+            return 1
+        rows = 0
+        for kind, base in self.rule.triggers:
+            plus, minus = self.differentials.get(base, (None, None))
+            side = plus if kind == INS else minus
+            if side is not None:
+                rows += len(side)
+        return rows
+
     def run(self) -> Tuple[bool, tuple]:
         """Execute the audit; returns ``(violated, violating_sample)``."""
         from repro.engine.session import DeltaView
@@ -154,9 +177,9 @@ class AuditOutcome:
     strict per-commit, ``"async"`` batched/deferred, ``"gap"`` for a
     commit-log truncation); ``executor`` records the dispatch arm that
     physically ran it (``"inline"``, ``"thread"``, ``"process"``, or None
-    for synthetic outcomes like gaps).  ``rows`` is Σ|Δ⁺|+|Δ⁻| of the
-    audited batch: ``seconds`` over it is what the outcome settles into its
-    rule's price.
+    for synthetic outcomes like gaps).  ``rows`` is the task's
+    :attr:`RuleAuditTask.rows`: ``seconds`` over it is what the outcome
+    settles into its rule's price.
     """
 
     __slots__ = (
@@ -254,7 +277,7 @@ class AuditScheduler:
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool = None
         # Per-rule EWMA of measured audit seconds per Δ-row, settled by
-        # _record; times a batch's rows it is the task's price.
+        # _record; times a task's rows it is the task's price.
         self._rates: Dict[str, float] = {}
         # Submission-ordered (future | outcome) slots not yet collected by
         # wait(); preserving submission order is what makes async verdict
@@ -315,11 +338,6 @@ class AuditScheduler:
             else:
                 self._cursor += lost
             self.drains += 1
-        wal = getattr(self.database, "wal", None)
-        if wal is not None:
-            # Retention hold on the durable log: segments below the audit
-            # cursor are replayable without us, so the WAL may purge them.
-            wal.advance_consumer(self._consumer_name, self._cursor)
         if self._process_pool is not None:
             # Keep worker replicas current *before* this drain's tasks are
             # submitted: FIFO inboxes then guarantee each task observes
@@ -351,7 +369,20 @@ class AuditScheduler:
             else:
                 self._record(gap)
         for batch in take_batches(records, coalesce):
-            completed.extend(self._drain_batch(batch, asynchronous))
+            try:
+                completed.extend(self._drain_batch(batch, asynchronous))
+            except BaseException:
+                # Interrupted mid-batch: the batch kept no verdict, so hand
+                # it and the rest back; audits have no side effects, and
+                # the next drain re-audits them.
+                with self._lock:
+                    self._cursor = min(self._cursor, batch[0].sequence)
+                raise
+        wal = getattr(self.database, "wal", None)
+        if wal is not None:
+            # Retention hold on the durable log: segments below the audit
+            # cursor are replayable without us, so the WAL may purge them.
+            wal.advance_consumer(self._consumer_name, self._cursor)
         return completed
 
     def _drain_batch(self, batch, asynchronous: bool) -> List[AuditOutcome]:
@@ -362,8 +393,7 @@ class AuditScheduler:
         sequences = batch_sequences(batch)
         tasks = self.controller.audit_tasks(self.database, differentials)
         completed: List[AuditOutcome] = []
-        delta_sizes = _delta_sizes(differentials)
-        rows = sum(delta_sizes.values())
+        slots: List[object] = []  # submission-ordered, for wait()
         # Pin the batch's pre/post epochs so every in-process task audits
         # exactly the states its commits transitioned between, even while
         # the owning session keeps committing under the worker threads.
@@ -376,10 +406,11 @@ class AuditScheduler:
             span = epochs.pin_span(sequences[0], sequences[-1])
         try:
             for task in tasks:
+                rows = task.rows
                 if (
                     asynchronous
                     and self.executor != "inline"
-                    and self._prefer_fanout(task, delta_sizes)
+                    and self._prefer_fanout(task.rule_name, rows)
                 ):
                     self.fanned_out += 1
                     if self.executor == "process":
@@ -395,8 +426,7 @@ class AuditScheduler:
                         future = self._pool().submit(
                             _execute, task, sequences, "async", "thread", rows
                         )
-                    with self._lock:
-                        self._outstanding.append(future)
+                    slots.append(future)
                 else:
                     self.ran_inline += 1
                     if span is not None:
@@ -404,14 +434,18 @@ class AuditScheduler:
                     mode = "async" if asynchronous else "sync"
                     outcome = _execute(task, sequences, mode, "inline", rows)
                     completed.append(outcome)
-                    if asynchronous:
-                        with self._lock:
-                            self._outstanding.append(outcome)
-                    else:
-                        self._record(outcome)
+                    slots.append(outcome)
         finally:
             if span is not None:
                 span.release()  # the creator's reference; tasks hold their own
+        # The batch's verdicts land together, after its last task: a batch
+        # an interrupt cut short keeps none, so its re-audit duplicates none.
+        if asynchronous:
+            with self._lock:
+                self._outstanding.extend(slots)
+        else:
+            for outcome in completed:
+                self._record(outcome)
         return completed
 
     def wait(self) -> List[AuditOutcome]:
@@ -426,10 +460,16 @@ class AuditScheduler:
         with self._lock:
             slots = self._outstanding
             self._outstanding = []
-        outcomes = [
-            slot.result() if hasattr(slot, "result") else slot
-            for slot in slots
-        ]
+        outcomes: List[AuditOutcome] = []
+        try:
+            for slot in slots:
+                outcomes.append(slot.result() if hasattr(slot, "result") else slot)
+        except BaseException:
+            # Interrupted while blocked on a worker: hand back what was
+            # collected and what was not, in order, for the next wait().
+            with self._lock:
+                self._outstanding[:0] = outcomes + slots[len(outcomes):]
+            raise
         for outcome in outcomes:
             self._record(outcome)
         return outcomes
@@ -498,22 +538,22 @@ class AuditScheduler:
         return self._process_pool
 
     def predicted_audit_seconds(
-        self, task: RuleAuditTask, delta_sizes
+        self, task: RuleAuditTask, delta_sizes=None
     ) -> Optional[float]:
         """The task's price: its rule's settled seconds per Δ-row times the
-        batch's rows (``delta_sizes`` maps ``R@plus``/``R@minus`` to
-        |Δ⁺|/|Δ⁻|); None while the rule has no settled history."""
+        task's :attr:`~RuleAuditTask.rows`; None while the rule has no
+        settled history.  ``delta_sizes`` is ignored, since the task carries
+        its own Δ; the parameter stays for callers that pass one."""
         with self._lock:
             rate = self._rates.get(task.rule_name)
-        if rate is None:
-            return None
-        return rate * max(sum(delta_sizes.values()), 1)
+        return None if rate is None else rate * task.rows
 
-    def _prefer_fanout(self, task: RuleAuditTask, delta_sizes) -> bool:
-        """Fan out iff the task's price amortizes one dispatch; a rule with
+    def _prefer_fanout(self, rule: str, rows: int) -> bool:
+        """Fan out iff the audit's price amortizes one dispatch; a rule with
         no history yet fans out."""
-        price = self.predicted_audit_seconds(task, delta_sizes)
-        return price is None or price >= self.dispatch_overhead
+        with self._lock:
+            rate = self._rates.get(rule)
+        return rate is None or rate * rows >= self.dispatch_overhead
 
     def _record(self, outcome: AuditOutcome) -> None:
         """Keep the verdict; a successful rule audit settles its rate."""
@@ -543,47 +583,35 @@ def _execute(
     executor: str = "inline",
     rows: int = 0,
 ) -> AuditOutcome:
-    """Run one task, converting an exception into an audit failure.
+    """Run one task, converting what it raises into an audit failure.
 
-    Only :class:`Exception` becomes a verdict: an interrupt or exit raised
-    while an inline audit runs on the caller's thread propagates.
+    On the caller's thread only an :class:`Exception` becomes a verdict: an
+    interrupt or exit raised during an inline audit propagates.  On a pool
+    thread anything the task raises is its verdict, as a process worker's
+    death is.
     """
     started = time.perf_counter()
+    error = None
     try:
         violated, violations = task.run()
-        return AuditOutcome(
-            task.rule_name,
-            sequences,
-            violated,
-            violations=violations,
-            mode=mode,
-            executor=executor,
-            seconds=time.perf_counter() - started,
-            rows=rows,
-        )
-    except Exception as error:  # poison task: surface, never drop
-        return AuditOutcome(
-            task.rule_name,
-            sequences,
-            None,
-            error=f"{type(error).__name__}: {error}",
-            mode=mode,
-            executor=executor,
-            seconds=time.perf_counter() - started,
-            rows=rows,
-        )
+    except BaseException as raised:  # poison task: surface, never drop
+        if executor == "inline" and not isinstance(raised, Exception):
+            raise
+        violated, violations = None, ()
+        error = f"{type(raised).__name__}: {raised}"
     finally:
+        seconds = time.perf_counter() - started
         # Unpin the task's epoch window as soon as the verdict exists so
         # reclamation never waits on verdict *collection*.
         task.release_span()
-
-
-def _delta_sizes(differentials) -> dict:
-    """``{"R@plus": |Δ⁺|, "R@minus": |Δ⁻|}``: the rows a batch's audits price in."""
-    sizes: dict = {}
-    for base, (plus, minus) in differentials.items():
-        if plus is not None:
-            sizes[f"{base}@plus"] = len(plus)
-        if minus is not None:
-            sizes[f"{base}@minus"] = len(minus)
-    return sizes
+    return AuditOutcome(
+        task.rule_name,
+        sequences,
+        violated,
+        violations=violations,
+        error=error,
+        mode=mode,
+        executor=executor,
+        seconds=seconds,
+        rows=rows,
+    )

@@ -155,13 +155,17 @@ class TestScheduler:
     ):
         scheduler = controller.audit_scheduler(db)
         _commit(db, "begin insert(fk, (100, 3)); end")
+        _commit(db, "begin insert(fk, (101, 55)); end")
 
         pinned_during = []
+        interrupts = [KeyboardInterrupt]  # the first batch's second task, once
 
         class _Interrupted(RuleAuditTask):
             def run(self):
                 pinned_during.append(db.epochs.pinned_versions())
-                raise KeyboardInterrupt
+                if self.rule_name == "fk_id" and interrupts:
+                    raise interrupts.pop()
+                return super().run()
 
         audit_tasks = controller.audit_tasks
 
@@ -173,14 +177,76 @@ class TestScheduler:
             ]
 
         monkeypatch.setattr(controller, "audit_tasks", interrupted_tasks)
-        # An interrupt is not a poisoned verdict: the sync drain stops...
+        # An interrupt is not a poisoned verdict: the sync drain stops at
+        # the first batch's second task...
         with pytest.raises(KeyboardInterrupt):
-            scheduler.drain()
-        # ...after the first task, and neither it nor the batch leaves its
-        # epoch span pinned.
-        assert len(pinned_during) == 1 and pinned_during[0] != ()
+            scheduler.drain(coalesce=False)
+        # ...no task or batch leaves its epoch span pinned, and the cut
+        # batch keeps no verdict: both commits go back to the next drain.
+        assert len(pinned_during) == 2 and () not in pinned_during
         assert db.epochs.pinned_versions() == ()
         assert scheduler.history == []
+        assert scheduler.cursor == 0 and scheduler.pending() == 2
+        # The next drain audits both commits, each verdict once.
+        outcomes = scheduler.drain(coalesce=False)
+        assert [(o.rule, o.sequences, o.violated) for o in outcomes] == [
+            ("fk_ref", (0,), False),
+            ("fk_id", (0,), False),
+            ("fk_ref", (1,), True),
+            ("fk_id", (1,), False),
+        ]
+        assert scheduler.history == outcomes
+        assert scheduler.pending() == 0
+
+    def test_interrupted_wait_keeps_every_outcome(self, db, controller):
+        scheduler = AuditScheduler(
+            controller, db, workers=2, dispatch_overhead=0.0
+        )
+        _commit(db, "begin insert(fk, (100, 3)); end")
+        scheduler.drain(asynchronous=True)
+
+        class _InterruptedOnce:
+            """A slot whose first collection is cut by an interrupt."""
+
+            def __init__(self, future):
+                self.future, self.interrupted = future, False
+
+            def result(self):
+                if not self.interrupted:
+                    self.interrupted = True
+                    raise KeyboardInterrupt
+                return self.future.result()
+
+        first, second = scheduler._outstanding
+        scheduler._outstanding[1] = _InterruptedOnce(second)
+        with pytest.raises(KeyboardInterrupt):
+            scheduler.wait()
+        assert scheduler.history == []
+        # The interrupted wait handed both slots back, in order.
+        outcomes = scheduler.wait()
+        assert [o.rule for o in outcomes] == ["fk_ref", "fk_id"]
+        assert scheduler.history == outcomes
+        scheduler.close()
+
+    def test_exit_on_a_pool_thread_is_a_verdict(self, db, controller):
+        # A task raising SystemExit on a pool thread fails its own audit,
+        # as a process worker's death does; on the caller's thread the
+        # exit propagates.
+        result = _commit(db, "begin insert(fk, (100, 3)); end")
+        task = controller.audit_tasks(db, result)[0]
+
+        class _Exits(RuleAuditTask):
+            def run(self):
+                raise SystemExit(3)
+
+        from repro.core.scheduler import _execute
+
+        exits = _Exits(task.controller, task.rule, task.program,
+                       task.database, task.differentials)
+        outcome = _execute(exits, (0,), "async", "thread")
+        assert outcome.failed and outcome.error == "SystemExit: 3"
+        with pytest.raises(SystemExit):
+            _execute(exits, (0,), "sync", "inline")
 
     def test_truncation_gap_reaches_async_wait(self, controller):
         database = Database(schema())
@@ -304,7 +370,7 @@ class TestExecutors:
             ]
 
     def test_process_outcomes_settle_rates(self, db, controller):
-        # A worker's verdict comes back with the batch's rows, so a process
+        # A worker's verdict comes back with the task's rows, so a process
         # audit settles its rule's rate like an inline one.
         with AuditScheduler(
             controller,
@@ -426,13 +492,16 @@ class TestSettledRates:
             AuditOutcome("fk_ref", (1,), None, error="boom", seconds=9.0, rows=1)
         )
         assert scheduler.audit_rates["fk_ref"] == pytest.approx(1.25)
-        # The price is the rate times the batch's rows, at least one row.
-        result = _commit(db, "begin insert(fk, (100, 3)); end")
+        # The price is the rate times the task's rows; the delta sizes a
+        # caller passes are not consulted.
+        inserts = " ".join(f"insert(fk, ({100 + i}, 3));" for i in range(4))
+        result = _commit(db, f"begin {inserts} end")
         tasks = {t.rule_name: t for t in controller.audit_tasks(db, result)}
         price = scheduler.predicted_audit_seconds
-        assert price(tasks["fk_ref"], {"fk@plus": 4, "fk@minus": 0}) == pytest.approx(5.0)
-        assert price(tasks["fk_ref"], {}) == pytest.approx(1.25)
-        assert price(tasks["fk_id"], {"fk@plus": 4}) is None  # no history yet
+        assert tasks["fk_ref"].rows == 4
+        assert price(tasks["fk_ref"]) == pytest.approx(5.0)
+        assert price(tasks["fk_ref"], {"fk@plus": 9}) == pytest.approx(5.0)
+        assert price(tasks["fk_id"]) is None  # no history yet
 
     def test_outcome_rows_count_the_audited_delta(self, db, controller):
         scheduler = AuditScheduler(controller, db)
@@ -442,16 +511,43 @@ class TestSettledRates:
             "insert(fk, (102, 5)); end",
         )
         _commit(db, "begin delete(fk, (0, 0)); end")
-        # Two commits coalesced into one batch of 3 inserts and 1 delete:
-        # every outcome carries Σ|Δ⁺|+|Δ⁻| and settles its seconds over it.
+        # Two commits coalesced into one batch of 3 inserts and 1 delete.
+        # Neither rule is triggered by DEL(fk), so each outcome counts the
+        # 3 inserts only and settles its seconds over them.
         outcomes = scheduler.drain(coalesce=True)
         assert [(o.rule, o.sequences, o.rows) for o in outcomes] == [
-            ("fk_ref", (0, 1), 4),
-            ("fk_id", (0, 1), 4),
+            ("fk_ref", (0, 1), 3),
+            ("fk_id", (0, 1), 3),
         ]
         rates = scheduler.audit_rates
         for outcome in outcomes:
-            assert rates[outcome.rule] == pytest.approx(outcome.seconds / 4)
+            assert rates[outcome.rule] == pytest.approx(outcome.seconds / 3)
+
+    def test_an_unrelated_delta_leaves_the_price_alone(self, db, controller):
+        # One fk insert beside 200 pk inserts: neither rule is triggered by
+        # INS(pk), so the pk rows neither settle into nor price its audits.
+        scheduler = AuditScheduler(
+            controller, db, workers=2, dispatch_overhead=1e-3
+        )
+        keys = " ".join(f"insert(pk, ({1000 + i},));" for i in range(200))
+        _commit(db, f"begin insert(fk, (100, 3)); {keys} end")
+        outcomes = scheduler.drain()
+        assert [(o.rule, o.rows) for o in outcomes] == [
+            ("fk_ref", 1), ("fk_id", 1),
+        ]
+        rates = scheduler.audit_rates
+        for outcome in outcomes:
+            assert rates[outcome.rule] == pytest.approx(outcome.seconds)
+        # At 1e-5 s per row the audit stays under one dispatch however
+        # large the unrelated delta is (201 rows would price over it).
+        scheduler._rates = {name: 1e-5 for name in RULES}
+        keys = " ".join(f"insert(pk, ({2000 + i},));" for i in range(200))
+        _commit(db, f"begin insert(fk, (101, 3)); {keys} end")
+        scheduler.drain(asynchronous=True)
+        outcomes = scheduler.wait()
+        assert {(o.executor, o.rows) for o in outcomes} == {("inline", 1)}
+        assert scheduler.fanned_out == 0
+        scheduler.close()
 
     def test_delta_rows_steer_dispatch(self, db, controller):
         scheduler = AuditScheduler(
@@ -479,7 +575,8 @@ class TestSettledRates:
 
     def test_full_check_audits_settle_a_rate(self, db):
         # A compensating rule audits by the full-state check, not by a
-        # differential program; its cost is measured all the same.
+        # differential program.  Its cost follows |R|, not |Δ|, so it is
+        # measured and priced per audit: one row, whatever the delta.
         controller = IntegrityController(schema())
         controller.add_constraint(
             "fk_id", RULES["fk_id"], response="delete(fk, select(fk, id < 0))"
@@ -489,13 +586,12 @@ class TestSettledRates:
             db, "begin insert(fk, (100, 3)); insert(fk, (101, 4)); end"
         )
         (task,) = controller.audit_tasks(db, result)
-        assert task.kind == "full"
+        assert task.kind == "full" and task.rows == 1
         (outcome,) = scheduler.drain()
-        assert outcome.ok and outcome.rows == 2
+        assert outcome.ok and outcome.rows == 1
         rate = scheduler.audit_rates["fk_id"]
-        assert rate > 0.0 and rate == pytest.approx(outcome.seconds / 2)
-        price = scheduler.predicted_audit_seconds(task, {"fk@plus": 2})
-        assert price == pytest.approx(outcome.seconds)
+        assert rate > 0.0 and rate == pytest.approx(outcome.seconds)
+        assert scheduler.predicted_audit_seconds(task) == pytest.approx(rate)
 
 
 class TestSessionCommit:
