@@ -43,7 +43,7 @@ priced under one dispatch run *inline* on the draining thread — a pool
 handoff costs more than a vacuous or tiny delta check — while the rest
 fan out, as does a rule with no history yet.  Worker exceptions are never
 dropped: a poisoned task surfaces as an :class:`AuditOutcome` with
-``error`` set, commit records evicted from the bounded log before
+``error`` set, commit records trimmed from the commit stream before
 being drained surface as an explicit gap outcome, and an interrupt raised
 during an inline audit propagates after handing its batch, and the
 drain's later ones, back to the next drain.
@@ -353,9 +353,8 @@ class AuditScheduler:
                 (),
                 None,
                 error=(
-                    f"{lost} commit(s) evicted from the bounded log before "
-                    f"being audited; raise CommitLog capacity or drain more "
-                    f"often"
+                    f"{lost} commit(s) evicted from the commit stream before "
+                    f"being audited; raise epochs.retain or drain more often"
                 ),
                 mode="gap",
                 executor=None,

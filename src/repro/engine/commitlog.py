@@ -1,20 +1,32 @@
-"""The bounded commit log: committed net differentials, in order.
+"""The commit stream: every applied net differential, in order.
 
 PRISMA/DB's whole point (Grefen & Apers) was that enforcement need not run
 inline with the transaction: the simplified check — not the full constraint
 — is the unit of distributable work, and a committed transaction *is* its
-net differential.  The commit log makes that unit durable inside the
-engine: every :meth:`~repro.engine.database.Database.apply_deltas` appends
-one :class:`CommitRecord` carrying the sequence number, the logical-time
-transition, and the per-relation net ``(Δ⁺, Δ⁻)`` relations — by reference,
-O(touched relations), since the differentials are frozen once the owning
-transaction commits.
+net differential.  The commit log makes that unit the engine's one record
+of change: every :meth:`~repro.engine.database.Database.apply_deltas`
+appends one :class:`CommitRecord` — version, sequence number, logical-time
+transition, and the per-relation net ``(Δ⁺, Δ⁻)`` relations by reference,
+frozen once the owning transaction commits.
 
-The log is bounded: past ``capacity`` records the oldest are evicted
-(retention), and :meth:`CommitLog.since` reports how many records a reader
-lost to truncation so a consumer (the
-:class:`~repro.core.scheduler.AuditScheduler`) can surface the gap instead
-of silently skipping it.
+Invariants (:mod:`repro.engine.epochs` says how its readers lean on them):
+
+* **Versions** go up by one per record; a quiesce fence moves the version
+  and :attr:`CommitLog.fence` without one.  So the records above the fence
+  are versions ``fence + 1 … version`` at the end of the list; below it the
+  list keeps what a drain may still ask for.
+* **Sequences** number the recorded commits and increase along the list;
+  unrecorded batches (restore undos, checkpoint-chain composition, replica
+  applies) carry None.  A replay or a chain may jump them, never rewind.
+* **One window**: the epoch manager trims a prefix (swapping the list, so
+  an old reference is a superset) once no pin needs it and it is older
+  than the newest ``epochs.retain`` versions; :meth:`CommitLog.since`
+  reports the commits a drain lost to it.
+* **Who reads it**: audit drains read the recorded commits
+  (:meth:`CommitLog.since`); pinned reads and ``pin_span`` read every
+  record.  One re-entrant lock, shared with the epoch manager, covers
+  appends and trims; the record goes in before the version moves, so a
+  reader that takes no lock and reads the version first finds its record.
 
 :func:`coalesce_differentials` composes consecutive committed deltas into
 one net delta (signed multiplicity counters, so an insert-then-delete
@@ -24,28 +36,30 @@ O(|ΣΔ|) unit of work.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.relation import Relation
 
-#: Default number of commit records retained before the oldest are evicted.
-DEFAULT_CAPACITY = 256
-
 
 class CommitRecord:
-    """One committed transaction as the database saw it: a net delta."""
+    """One applied batch as the database saw it: a net delta.
 
-    __slots__ = ("sequence", "pre_time", "post_time", "differentials")
+    ``version`` is its place in the stream; ``sequence`` is its commit
+    number, or None for an unrecorded batch.
+    """
+
+    __slots__ = ("version", "sequence", "pre_time", "post_time", "differentials")
 
     def __init__(
         self,
-        sequence: int,
+        version: int,
+        sequence: Optional[int],
         pre_time: int,
         post_time: int,
         differentials: Dict[str, Tuple[Optional[Relation], Optional[Relation]]],
     ):
+        self.version = version
         self.sequence = sequence
         self.pre_time = pre_time
         self.post_time = post_time
@@ -54,11 +68,6 @@ class CommitRecord:
     @property
     def is_empty(self) -> bool:
         return not self.differentials
-
-    @property
-    def touched(self) -> tuple:
-        """Names of base relations with a non-empty net differential."""
-        return tuple(self.differentials)
 
     def sizes(self) -> Dict[str, Tuple[int, int]]:
         """``{base: (|Δ⁺|, |Δ⁻|)}`` for display and pricing."""
@@ -75,42 +84,39 @@ class CommitRecord:
             f"{base}[+{sizes[0]}/-{sizes[1]}]"
             for base, sizes in self.sizes().items()
         )
+        seq = f"#{self.sequence}" if self.sequence is not None else "unrecorded"
         return (
-            f"CommitRecord(#{self.sequence}, t={self.pre_time}->"
+            f"CommitRecord(v{self.version}, {seq}, t={self.pre_time}->"
             f"{self.post_time}, {parts or 'empty'})"
         )
 
 
 class CommitLog:
-    """Bounded, thread-safe sequence of :class:`CommitRecord` entries.
+    """The commit stream (see the module docs).  Its reads answer for the
+    recorded commits; records are never mutated after append."""
 
-    Appends happen on the owning session's thread (inside
-    ``apply_deltas``); reads happen from audit-scheduler drains, possibly
-    on other threads — a lock keeps the record list consistent.  Record
-    payloads are never mutated after append.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("commit log capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self):
         self._records: List[CommitRecord] = []
         self._next_sequence = 0
-        self._lock = threading.Lock()
+        #: Version of the newest record or fence (0: nothing applied yet).
+        self.version = 0
+        #: Version of the newest quiesce fence: no state older than it can
+        #: be reconstructed from the records.
+        self.fence = 0
+        self._lock = threading.RLock()
 
-    # The lock is an implementation detail: copies (tests deep-copy whole
-    # databases) serialize the records and get a fresh lock.
+    # The lock is an implementation detail: copies (pickled checkpoints,
+    # deep-copied databases) carry the records, versions and fence, and get
+    # a fresh lock — so every record they carry can still be bracketed.
     def __getstate__(self) -> dict:
         with self._lock:
-            return {
-                "capacity": self.capacity,
-                "_records": list(self._records),
-                "_next_sequence": self._next_sequence,
-            }
+            state = dict(self.__dict__, _records=list(self._records))
+        del state["_lock"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     # -- writing ---------------------------------------------------------------
 
@@ -119,13 +125,14 @@ class CommitLog:
         differentials,
         pre_time: int,
         post_time: int,
-    ) -> CommitRecord:
-        """Record one committed transaction's net differentials.
+        recorded: bool = True,
+    ) -> Optional[CommitRecord]:
+        """File one applied batch (the writer, inside its seqlock window).
 
-        Empty sides are normalized to None and untouched relations are
-        dropped; the (possibly empty) record is appended either way so the
-        sequence mirrors the commit order.  Evicts the oldest record past
-        capacity.
+        Empty sides become None and untouched relations are dropped.  A
+        commit takes the next sequence number and is filed even when empty,
+        so the sequence mirrors the commit order; an unrecorded batch is
+        filed only if it changed something (else None is returned).
         """
         normalized: Dict[str, tuple] = {}
         for base, (plus, minus) in dict(differentials or {}).items():
@@ -135,72 +142,51 @@ class CommitLog:
                 minus = None
             if plus is not None or minus is not None:
                 normalized[base] = (plus, minus)
+        if not (recorded or normalized):
+            return None
         with self._lock:
+            sequence = None
+            if recorded:
+                sequence = self._next_sequence
+                self._next_sequence += 1
             record = CommitRecord(
-                self._next_sequence, pre_time, post_time, normalized
+                self.version + 1, sequence, pre_time, post_time, normalized
             )
-            self._next_sequence += 1
             self._records.append(record)
-            if len(self._records) > self.capacity:
-                del self._records[: len(self._records) - self.capacity]
+            self.version = record.version  # after the record: see the docs
             return record
 
-    def append_at(
-        self,
-        sequence: int,
-        differentials,
-        pre_time: int,
-        post_time: int,
-    ) -> CommitRecord:
-        """Append a record carrying an explicit sequence number (replay).
-
-        Recovery replays durable commit records through the same delta
-        path commits use, and the replayed records must keep their
-        *original* sequence numbers (audit cursors, retention watermarks,
-        and the hash chain are all keyed on them).  The sequence must not
-        move backwards; gaps are allowed (older segments may have been
-        purged) and simply advance ``next_sequence``.
-        """
-        with self._lock:
-            if sequence < self._next_sequence:
-                raise ValueError(
-                    f"cannot replay sequence #{sequence} behind "
-                    f"next=#{self._next_sequence}"
-                )
-            self._next_sequence = sequence
-        return self.append(differentials, pre_time, post_time)
-
     def advance_to(self, sequence: int) -> None:
-        """Move ``next_sequence`` forward to ``sequence`` (never backward).
-
-        Used when a database is forked from a pinned epoch: the fork keeps
-        only the records below the pin, but its next commit must continue
-        the original numbering so audit cursors and the WAL stay aligned.
-        """
+        """Move ``next_sequence`` forward to ``sequence`` (never backward),
+        past commits applied without their records (a composed checkpoint
+        chain, a replay past purged segments), so the numbering continues."""
         with self._lock:
             if sequence > self._next_sequence:
                 self._next_sequence = sequence
 
-    def truncate_through(self, sequence: int) -> int:
-        """Drop records with ``record.sequence <= sequence``; return count."""
+    def cut(self, version: int, epoch: int) -> "CommitLog":
+        """The stream as it stood at ``version``, whose next commit is
+        ``epoch``: a forked database's log, every record still versioned
+        as it is here."""
+        log = CommitLog()
         with self._lock:
-            kept = [r for r in self._records if r.sequence > sequence]
-            dropped = len(self._records) - len(kept)
-            self._records = kept
-            return dropped
+            log._records = [r for r in self._records if r.version <= version]
+            log.fence = min(self.fence, version)
+        log.version = version
+        log._next_sequence = epoch
+        return log
 
     # -- reading ---------------------------------------------------------------
 
-    def __len__(self) -> int:
+    def _recorded(self) -> List[CommitRecord]:
         with self._lock:
-            return len(self._records)
+            return [r for r in self._records if r.sequence is not None]
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
+    def __len__(self) -> int:
+        return len(self._recorded())
 
     def __iter__(self) -> Iterator[CommitRecord]:
-        with self._lock:
-            return iter(list(self._records))
+        return iter(self._recorded())
 
     @property
     def next_sequence(self) -> int:
@@ -210,27 +196,39 @@ class CommitLog:
 
     @property
     def first_sequence(self) -> Optional[int]:
-        """Sequence of the oldest retained record (None when empty)."""
+        """Sequence of the oldest retained commit (None when there is none)."""
         with self._lock:
-            return self._records[0].sequence if self._records else None
+            return next(
+                (r.sequence for r in self._records if r.sequence is not None), None
+            )
 
     def since(self, sequence: int) -> Tuple[List[CommitRecord], int]:
-        """``(records, lost)``: retained records with sequence >= the given
-        cursor, plus how many such records were already evicted."""
+        """``(records, lost)``: retained commits with sequence >= the given
+        cursor, plus how many such commits were already trimmed.
+
+        The cursor is found from the newest end, so a drain costs what it
+        returns however long a held pin keeps the list.
+        """
         with self._lock:
-            records = [r for r in self._records if r.sequence >= sequence]
+            records = self._records
+            start = len(records)
+            while start and (
+                records[start - 1].sequence is None
+                or records[start - 1].sequence >= sequence
+            ):
+                start -= 1
+            found = [r for r in records[start:] if r.sequence is not None]
             expected = max(self._next_sequence - max(sequence, 0), 0)
-            return records, expected - len(records)
+        return found, expected - len(found)
 
     def tail(self, limit: int = 10) -> List[CommitRecord]:
-        """The most recent ``limit`` records, oldest first."""
-        with self._lock:
-            return list(self._records[-limit:])
+        """The most recent ``limit`` commits, oldest first."""
+        return self._recorded()[-limit:]
 
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"CommitLog({len(self._records)}/{self.capacity} records, "
+                f"CommitLog({len(self._records)} records to v{self.version}, "
                 f"next=#{self._next_sequence})"
             )
 
@@ -302,8 +300,3 @@ def batch_sequences(batch) -> tuple:
         for record in batch
         if isinstance(record, CommitRecord)
     )
-
-
-# Convenience for tests: flatten an iterable of batches back to records.
-def flatten(batches) -> Iterator[CommitRecord]:
-    return itertools.chain.from_iterable(batches)

@@ -100,18 +100,17 @@ class Database:
         }
         self.logical_time = 0
         self.delta_stats = DeltaObservations()
-        # The enforcement pipeline's source of truth: committed net deltas
-        # in order, bounded.  Audit schedulers drain it; `apply_deltas`
-        # populates it.
+        # The commit stream: every applied net delta in order, filed by
+        # `apply_deltas`, drained by audit schedulers, read by pins.
         self.commit_log = CommitLog()
-        # Optional durable layer under the bounded in-memory log; attached
-        # via `attach_wal`, never pickled (file handles).
+        # Optional durable layer under the in-memory stream; attached via
+        # `attach_wal`, never pickled (file handles).
         self.wal = None
-        # Epoch-based MVCC: commits retain their net delta so pinned
-        # readers (snapshots, audit spans, bare-name query results) see a
-        # stable state reconstructed in O(Δ).  Base relations notify the
-        # manager before every mutation so writes that bypass the delta
-        # path cannot silently invalidate pinned state.
+        # Epoch-based MVCC over the stream: pinned readers (snapshots,
+        # audit spans, bare-name query results) see a stable state
+        # reconstructed in O(Δ).  Base relations notify the manager before
+        # every mutation so writes that bypass the delta path cannot
+        # silently invalidate pinned state.
         self.epochs = EpochManager(self)
         for relation in self._relations.values():
             relation._observer = self.epochs
@@ -125,7 +124,7 @@ class Database:
         state["wal"] = None
         state["plans"] = {}
         # Pins and seqlock state are process-local; a deserialized copy
-        # starts with a fresh, empty epoch window.
+        # starts with none, over the commit stream it carries.
         state["epochs"] = None
         return state
 
@@ -180,7 +179,7 @@ class Database:
         try:
             return self.relation(name).insert_many(rows)
         finally:
-            self.epochs.end_write(None)
+            self.epochs.end_write()
 
     def add_relation(self, schema: RelationSchema, rows: Iterable[tuple] = ()) -> Relation:
         """Add a new base relation to a live database (DDL helper)."""
@@ -272,18 +271,21 @@ class Database:
 
         Copies each relation *at the pinned state* (the live database may
         keep committing while the copy proceeds — the pin guarantees a
-        consistent cut), and carries over the commit-log records **below**
-        the pin so the fork's log is exactly consistent with its relation
-        states; ``next_sequence`` continues the original numbering.  This
-        is what epoch-forked WAL checkpoints pickle: a checkpointer can
-        fork and serialize without ever stopping the writer.
+        consistent cut), and carries over the commit stream **up to** the
+        pin, versions and fence included, so every commit the fork carries
+        can still be bracketed; ``next_sequence`` continues the original
+        numbering.  This is what epoch-forked WAL checkpoints pickle: a
+        checkpointer can fork and serialize without stopping the writer.
         """
         own = snapshot is None
         if own:
             snapshot = self.snapshot()
         try:
-            epoch = snapshot.epoch
+            pin = snapshot.pin
             clone = Database(self.schema, bag=self.bag)
+            if pin is not None:
+                clone.commit_log = self.commit_log.cut(pin.version, pin.epoch)
+                clone.epochs = EpochManager(clone)
             for name in self.relation_names:
                 copied = snapshot[name].copy()
                 copied._observer = clone.epochs
@@ -291,16 +293,6 @@ class Database:
             clone.logical_time = snapshot.logical_time
             clone.delta_stats.sizes = dict(self.delta_stats.sizes)
             clone.delta_stats.commits = self.delta_stats.commits
-            if epoch is not None:
-                for record in self.commit_log:
-                    if record.sequence < epoch:
-                        clone.commit_log.append_at(
-                            record.sequence,
-                            record.differentials,
-                            record.pre_time,
-                            record.post_time,
-                        )
-                clone.commit_log.advance_to(epoch)
             return clone
         finally:
             if own:
@@ -323,11 +315,11 @@ class Database:
         index.  Recovery replay (:meth:`replay_record`), audit replicas and
         snapshot restore apply their deltas through this same method.
 
-        Observed delta sizes are recorded into :attr:`delta_stats`, feeding
-        the planner's delta-scan pricing, and the committed differentials
-        are appended to :attr:`commit_log` for the audit pipeline — unless
-        ``record`` is false (snapshot restore replaying inverse deltas must
-        not pollute either).
+        The batch is filed once in :attr:`commit_log`.  A recorded batch is
+        a commit: it takes the next sequence number, its delta sizes feed
+        :attr:`delta_stats` (the planner's delta-scan pricing) and it goes
+        to the write-ahead log.  An unrecorded one (snapshot restore,
+        checkpoint composition, a replica's apply) is none of these.
         """
         pre_time = self.logical_time
         committed = None
@@ -343,22 +335,16 @@ class Database:
                     self.delta_stats.observe(name, plus, minus)
             if advance_time:
                 self.logical_time += 1
-            if record:
-                committed = self.commit_log.append(
-                    differentials, pre_time, self.logical_time
-                )
-        finally:
-            # Retain the batch for pinned readers and release the seqlock;
-            # recorded commits carry their sequence (the public epoch).
-            self.epochs.end_write(
-                differentials,
-                committed.sequence if committed is not None else None,
+            committed = self.commit_log.append(
+                differentials, pre_time, self.logical_time, record
             )
+        finally:
+            self.epochs.end_write(committed)
         # Durable append (and its fsync) stays *outside* the seqlock
         # window so concurrent pinned readers never spin on disk I/O;
         # the durability ordering is unchanged (in-memory commit first,
         # WAL append after, exactly as before).
-        if committed is not None and self.wal is not None:
+        if record and self.wal is not None:
             self.wal.append(committed)
 
     # -- durability (write-ahead log) ---------------------------------------------
@@ -411,16 +397,22 @@ class Database:
     ) -> None:
         """Apply one recovered commit record through the live delta path.
 
-        Identical to a commit's :meth:`apply_deltas` — deletes before
-        inserts, incremental index maintenance, delta-size observations —
-        except that the record keeps its *original* sequence number and
-        logical times and is never re-appended to the durable log.
+        One commit's :meth:`apply_deltas` that keeps the *original* sequence
+        number and logical times (audit cursors, retention watermarks and
+        the hash chain are keyed on them).  The sequence must not move
+        backwards; a gap (purged segments) is skipped.  Recovery replays
+        before it re-attaches the durable log, so nothing is logged twice.
         """
-        self.apply_deltas(differentials, advance_time=False, record=False)
-        for name, (plus, minus) in differentials.items():
-            self.delta_stats.observe(name, plus, minus)
+        log = self.commit_log
+        if sequence < log.next_sequence:
+            raise ValueError(
+                f"cannot replay sequence #{sequence} behind "
+                f"next=#{log.next_sequence}"
+            )
+        log.advance_to(sequence)
+        self.logical_time = pre_time
+        self.apply_deltas(differentials)
         self.logical_time = post_time
-        self.commit_log.append_at(sequence, differentials, pre_time, post_time)
 
     @classmethod
     def recover(cls, directory, upto: Optional[int] = None, **wal_options):
@@ -481,7 +473,7 @@ class Database:
             if advance_time:
                 self.logical_time += 1
         finally:
-            self.epochs.end_write(None)
+            self.epochs.end_write()
 
     # -- hash indexes ----------------------------------------------------------
 

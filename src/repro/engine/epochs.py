@@ -5,25 +5,27 @@ Every committed transaction already *is* its net differential
 differential to base relations in place.  This module turns that stream
 into multi-version concurrency control without ever copying a relation:
 
-* The database carries one :class:`EpochManager`.  Each mutation batch
-  (``apply_deltas`` — recorded commits and unrecorded restores alike)
-  advances an internal *version* and retains the batch's net differentials
-  in an entry list.  For recorded commits the entry also carries the commit
-  sequence number — the ``CommitLog`` sequence *is* the public epoch
-  counter.
+* The database carries one :class:`~repro.engine.commitlog.CommitLog`, the
+  commit stream, and one :class:`EpochManager` over it.  Each mutation
+  batch (``apply_deltas`` — recorded commits and unrecorded restores alike)
+  files one record there, and the record's *version* is the state it
+  produced.  Recorded commits also carry their sequence number — the
+  commit sequence *is* the public epoch counter.  The manager keeps no
+  list of its own: it owns the seqlock, the pins and the trim floor.
 * A reader :meth:`~EpochManager.pin`\\ s the current epoch.  Relations
   read through the pin (:class:`SnapshotRelation`) present the state *as of
   the pin*, reconstructed algebraically as ``live − suffixΔ⁺ + suffixΔ⁻``:
   an :class:`~repro.engine.overlay.OverlayRelation` whose base is the live
   relation and whose delta is the *inverse* of every commit after the pin.
   Keeping a snapshot is O(Δ-since-pin), never O(|R|).
-* Entries are reclaimed once no pin needs them (refcounted), with a small
-  bounded window retained for late pins; :attr:`EpochManager.reclaimed`
-  counts reclamations for observability.
+* One retention rule trims the stream: a record stays while a pin needs it
+  (refcounted) or while it is among the newest :attr:`EpochManager.retain`
+  versions, which serves late pins and audit drains alike;
+  :attr:`EpochManager.reclaimed` counts reclamations for observability.
 
 Writer/reader coordination is a *seqlock*, not a mutex: the single writer
 (the owning session's commit thread) bumps a stamp to odd before mutating
-and back to even after retaining the entry; readers snapshot the stamp,
+and back to even after filing the record; readers snapshot the stamp,
 compute, and retry iff the stamp moved.  Commits therefore never wait on
 readers in the common path, and readers never block commits — the
 "lock-free" in lock-free async audits.  The one bounded exception: a
@@ -44,31 +46,37 @@ at a pinned epoch is immutable — after which the snapshot is *detached*:
 reads stop consulting the live base entirely and answer from the frozen
 dict.  :meth:`EpochManager.quiesce` forces that detachment for every
 outstanding pin, which is how out-of-band bulk mutations
-(``Database.load`` / ``install``) keep old pins correct.
+(``Database.load`` / ``install``) keep old pins correct.  The fence moves
+the version and the stream's ``fence`` past every existing state, and
+drops no record: a commit the scheduler has not drained is still returned
+by ``CommitLog.since`` (it is audited against the live state, since no
+pin can bracket it any more).
 
 Invariants the read path leans on (each is asserted by
 ``tests/properties/test_prop_epoch_offsets.py``,
 ``tests/engine/test_read_cost.py`` or, the last,
 ``tests/properties/test_prop_head_read.py``):
 
-* **Entry versions are contiguous.**  ``end_write`` appends version
-  ``n + 1`` after version ``n``, the list is trimmed only from the front,
-  and ``quiesce`` — the one version bump without an entry — empties it.
-  So ``entries[i].version == entries[0].version + i``, the entries newer
-  than version ``v`` are the slice :func:`_entries_after`, and a snapshot
-  that is already current learns so from the last entry alone.  Commit
-  *sequences* are not contiguous (unrecorded batches carry none, delta-free
-  commits leave no entry), so :meth:`EpochManager.pin_span` walks back from
-  the newest entry instead.
-* **Who reads ``_entries``.**  The writer appends in place (the entry
-  first, then the version bump) and swaps the reference on trim, all under
-  ``_lock`` — a reader thread releasing a pin trims too, and must not swap
-  out a list an entry is being appended to.  Readers take the reference
-  once and slice it (a stale reference is a superset; an entry appended
-  after the reader's stamp fails the stamp validation).  ``pin_span``,
-  ``undo_differentials`` and ``_adopt_cached`` read it under ``_lock``;
-  ``SnapshotRelation._sync_locked`` reads it inside a seqlock bracket under
-  the snapshot's own ``_sync_lock``.
+* **Record versions are contiguous above the fence.**  A batch files
+  version ``n + 1`` after version ``n``, the list is trimmed only from the
+  front, and ``quiesce`` — the one version bump without a record — sets the
+  fence to its version.  Every state a pin may still reach is at or above
+  the fence, so the records newer than such a version ``v`` are the last
+  ``newest.version - v`` of the list (:func:`_entries_after`, an offset
+  from the end), and a snapshot that is already current learns so from the
+  last record alone.  Commit *sequences* are not contiguous (unrecorded
+  batches carry none), so :meth:`EpochManager.pin_span` walks back from
+  the newest record instead.
+* **Who reads the list.**  The writer appends in place (the record first,
+  then the version bump) and the trim swaps the reference, both under the
+  stream's one lock — a reader thread releasing a pin trims too, and must
+  not swap out a list a record is being appended to.  Readers take the
+  reference once, and its length before its last record, and slice it (a
+  stale reference is a superset; a record appended after the reader's
+  stamp fails the stamp validation).  ``CommitLog.since`` (the drains),
+  ``pin_span``, ``undo_differentials`` and ``_adopt_cached`` read it under
+  the lock; ``SnapshotRelation._sync_locked`` reads it inside a seqlock
+  bracket under the snapshot's own ``_sync_lock``.
 * **One bracket per operator.**  A physical operator enters the seqlock a
   constant number of times per execution, never once per row or per probe
   key: ``SnapshotIndex.lookup`` serves an equality selection,
@@ -86,7 +94,7 @@ Invariants the read path leans on (each is asserted by
   Nothing a snapshot owns points back at it — index views are handles made
   per request, the pin's relation cache and the manager's registries are
   weak — so dropping the last reference releases the pin, and with it the
-  retained entries, at once.  The only cycle is the deliberate one of a
+  retained records, at once.  The only cycle is the deliberate one of a
   quiesce-fenced pin (``EpochPin._fenced``).
 * **One-shot reads take no pin.**  A pin taken at the head and dropped
   when the call returns reconstructs a state that *is* the live state, so
@@ -123,6 +131,7 @@ import threading
 import weakref
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.engine.commitlog import CommitRecord
 from repro.engine.indexes import HashIndex, IndexSet
 from repro.engine.overlay import OverlayIndex, OverlayRelation, _DeltaBuckets
 from repro.engine.relation import (
@@ -132,9 +141,8 @@ from repro.engine.relation import (
 )
 from repro.errors import EpochUnavailableError, UnknownRelationError
 
-#: Mutation batches retained for late pins when nothing is pinned; mirrors
-#: the commit log's default capacity so "still in the commit log" implies
-#: "still pinnable" in the common configuration.
+#: Versions of the commit stream kept when no pin needs older ones: the
+#: window for late pins and for audit drains that fall behind.
 DEFAULT_RETAIN = 256
 
 #: Optimistic seqlock attempts before a starving reader falls back to the
@@ -180,45 +188,38 @@ def _fold(counts: dict, grow: Relation, shrink: Relation) -> None:
         grow.insert_counts(counts)
 
 
-class EpochEntry:
-    """One applied mutation batch: the version it produced and its delta.
+def _entries_after(records: List[CommitRecord], version: int) -> List[CommitRecord]:
+    """The records newer than ``version``, by offset instead of by scan.
 
-    ``sequence`` is the commit-log sequence for recorded commits, or None
-    for unrecorded mutations (snapshot restore, recovery replay), which
-    advance the version — pinned readers must see through them too — but
-    have no public epoch number.
+    Versions are contiguous above the fence (see the module docs), so the
+    first newer record sits a computable distance from the end and a
+    caller that is already current pays for one comparison.  The caller
+    has established that ``version`` is at or above the fence and that the
+    list reaches back far enough: ``records[0].version <= version + 1``.
+    The length is read before the last record, so an append racing a
+    reader that holds no lock cannot shift the slice.
     """
-
-    __slots__ = ("version", "sequence", "differentials")
-
-    def __init__(self, version: int, sequence: Optional[int], differentials: dict):
-        self.version = version
-        self.sequence = sequence
-        self.differentials = differentials
-
-    def __repr__(self) -> str:
-        seq = f"#{self.sequence}" if self.sequence is not None else "unrecorded"
-        return f"EpochEntry(v{self.version}, {seq}, {len(self.differentials)} rel)"
-
-
-def _entries_after(entries: List[EpochEntry], version: int) -> List[EpochEntry]:
-    """The entries newer than ``version``, by offset instead of by scan.
-
-    Entry versions are contiguous (see the module docs), so the first
-    newer entry sits at a computable index and a caller that is already
-    current pays for one comparison.  The caller has established that
-    the list reaches back far enough: ``entries[0].version <= version + 1``.
-    """
-    if not entries or entries[-1].version <= version:
+    count = len(records)
+    if not count:
         return []
-    return entries[version + 1 - entries[0].version :]
+    newer = records[count - 1].version - version
+    if newer <= 0:
+        return []
+    return records[count - newer : count]
 
 
 class EpochManager:
-    """Per-database epoch bookkeeping: seqlock, retained deltas, pins."""
+    """Per-database epoch bookkeeping over the commit stream: the seqlock,
+    the pins and the trim floor."""
 
     def __init__(self, database, retain: int = DEFAULT_RETAIN):
         self._database = database
+        # The commit stream: its records, its version (+1 per record) and
+        # its fence (versions below it cannot mint new snapshot relations:
+        # an out-of-band bulk mutation happened since).  The version is
+        # distinct from the public epoch (the commit sequence) because
+        # unrecorded batches move state without consuming a sequence.
+        self._log = database.commit_log
         self.retain = max(int(retain), 1)
         # Seqlock stamp: even = stable, odd = a mutation batch is in
         # flight.  Written only by the single commit thread.
@@ -230,28 +231,20 @@ class EpochManager:
         # path — commits only ever wait for a reader that has already
         # retried ``READ_RETRY_LIMIT`` times.
         self._write_gate = threading.Lock()
-        # Internal version: +1 per non-empty mutation batch.  Distinct
-        # from the public epoch (the commit sequence) because unrecorded
-        # mutations move state without consuming a sequence number.
-        self._version = 0
-        # Versions below this cannot mint new snapshot relations (the
-        # quiesce fence: an out-of-band bulk mutation happened since).
-        self._floor = 0
-        self._entries: List[EpochEntry] = []
         self._pins: Dict[int, int] = {}
-        # RLock: EpochPin.__del__ may run from the GC at any point,
-        # including while this thread already holds the lock.
-        self._lock = threading.RLock()
+        # The stream's one lock, re-entrant: EpochPin.__del__ may run from
+        # the GC at any point, including while this thread already holds it.
+        self._lock = self._log._lock
         # Live snapshot relations and pins, detached/fenced by quiesce().
         # Relations are tracked by identity (Relation is unhashable by
         # design, and value-equal snapshots must not collapse), pins in a
         # plain WeakSet.
         self._issued: Dict[int, "weakref.ref"] = {}
         self._issued_pins: "weakref.WeakSet" = weakref.WeakSet()
-        # True while no pin, snapshot view, or retained entry could be
+        # True while no pin, snapshot view, or retained record could be
         # invalidated by an out-of-band mutation: note_mutation() is then
         # O(1).  Cleared whenever one appears; restored by quiesce().
-        self._quiescent = True
+        self._quiescent = not self._log._records
         # Zero-copy materializations: name -> weakrefs of snapshots whose
         # ``_materialized`` IS the live row dict (undo was empty at merge
         # time).  The writer's next mutation of that relation swaps the
@@ -261,7 +254,7 @@ class EpochManager:
         # Materialization recycling: name -> (version, rows, owner refs).
         # Once every owner of a *private* merged dict is unreachable, the
         # next materialization adopts the dict and rolls it forward O(Δ)
-        # through the retained entries instead of copying O(n) — in the
+        # through the retained records instead of copying O(n) — in the
         # steady state (a reader re-pinning under a live writer) neither
         # side ever copies.  Guarded by ``_lock``.
         self._mat_cache: Dict[str, tuple] = {}
@@ -273,16 +266,16 @@ class EpochManager:
     @property
     def version(self) -> int:
         """The current internal version (mutation batches applied)."""
-        return self._version
+        return self._log.version
 
     @property
     def current_epoch(self) -> int:
         """The public epoch counter: the next commit-log sequence number."""
-        return self._database.commit_log.next_sequence
+        return self._log.next_sequence
 
     def retained(self) -> int:
-        """Mutation-batch entries currently held for pinned/late readers."""
-        return len(self._entries)
+        """Records of the commit stream currently held."""
+        return len(self._log._records)
 
     def pinned_versions(self) -> tuple:
         with self._lock:
@@ -295,67 +288,48 @@ class EpochManager:
         self._write_gate.acquire()
         self._stamp += 1
 
-    def end_write(self, differentials, sequence: Optional[int] = None) -> None:
-        """Leave the critical section, retaining the batch's net delta.
+    def end_write(self, record: Optional[CommitRecord] = None) -> None:
+        """Leave the critical section; ``record`` is what the batch filed
+        in the commit stream (None: nothing).
 
-        ``differentials`` is the applied ``{base: (Δ⁺, Δ⁻)}`` map (sides
-        may be None or empty; the map itself may be None for delta-free
-        mutations); ``sequence`` is the commit-log sequence for recorded
-        commits.  Retained by reference — differentials are frozen once
-        applied, the same contract the commit log relies on.
+        The stream appended the record under its lock, before the version
+        moved; here the window is trimmed under that lock too, since a
+        reader thread releasing its pin trims as well (copy-on-trim), and
+        a record appended to a list it is about to swap out would be lost.
         """
         try:
-            normalized: dict = {}
-            for base, (plus, minus) in dict(differentials or {}).items():
-                if plus is not None and not len(plus):
-                    plus = None
-                if minus is not None and not len(minus):
-                    minus = None
-                if plus is not None or minus is not None:
-                    normalized[base] = (plus, minus)
-            if normalized:
-                self._quiescent = False  # later direct mutations must fence
-                # Append, version bump and trim under one lock.  A reader
-                # thread releasing its pin trims too (copy-on-trim): an
-                # entry appended to the list it is about to swap out would
-                # be lost, and with it the contiguity every catch-up offset
-                # relies on; and whoever holds the lock to ask whether a
-                # version is still reconstructible sees a version and its
-                # entry together.  The entry goes in first for the reader
-                # that takes no lock (``_sync_locked`` reads the version,
-                # then the list): a version it has seen has its entry.
+            if record is not None:
                 with self._lock:
-                    self._entries.append(
-                        EpochEntry(self._version + 1, sequence, normalized)
-                    )
-                    self._version += 1
+                    if record.differentials:
+                        self._quiescent = False  # later direct mutations fence
                     self._trim_locked()
         finally:
             self._stamp += 1
             self._write_gate.release()
 
     def _trim_locked(self) -> None:
-        """Drop entries below every pin and the unpinned retention window.
+        """Drop records below every pin and the unpinned retention window.
 
-        Readers may be iterating the entry list concurrently, so the list
-        reference is swapped (copy-on-trim) rather than mutated in place;
-        a reader holding the old reference simply sees a superset.
+        Readers may be iterating the list concurrently, so its reference
+        is swapped (copy-on-trim) rather than mutated in place; a reader
+        holding the old reference simply sees a superset.
         """
-        floor = self._version - self.retain
+        log = self._log
+        floor = log.version - self.retain
         if self._pins:
             # ``default``: a pin's finalizer (run by the collector at any
             # allocation, re-entering under the RLock) may have emptied the
             # dict since the line above looked.
             floor = min(floor, min(self._pins, default=floor))
-        entries = self._entries
+        records = log._records
         drop = 0
-        for entry in entries:
-            if entry.version <= floor:
+        for record in records:
+            if record.version <= floor:
                 drop += 1
             else:
                 break
         if drop:
-            self._entries = entries[drop:]
+            log._records = records[drop:]
             self.reclaimed += drop
 
     # -- reader protocol --------------------------------------------------------
@@ -392,42 +366,46 @@ class EpochManager:
             # Like a pin, this read needs out-of-band mutations to fence;
             # under the lock, so a quiesce() either moves the version read
             # here or has already set the flag this clears.
+            log = self._log
             with self._lock:
-                version = self._version
+                version = log.version
                 self._quiescent = False
             try:
                 value = compute()
             except Exception:
                 # Validate first, then decide: a torn state can raise
                 # anything, a stable one raised the caller's own error.
-                if self.read_validate(stamp) and self._version == version:
+                if self.read_validate(stamp) and log.version == version:
                     raise
                 continue
-            if self.read_validate(stamp) and self._version == version:
+            if self.read_validate(stamp) and log.version == version:
                 return value
         return None
 
     # -- pinning ----------------------------------------------------------------
 
     def _available_locked(self, version: int) -> bool:
-        if version < self._floor:
+        log = self._log
+        if version < log.fence:
             return False
-        if version >= self._version:
-            return version == self._version
-        entries = self._entries
-        # Entry versions are contiguous (trimmed only from the front), so
-        # one front check proves every suffix entry > ``version`` survives.
-        return bool(entries) and entries[0].version <= version + 1
+        if version >= log.version:
+            return version == log.version
+        records = log._records
+        # Versions above the fence are contiguous and trimmed only from the
+        # front, so one front check proves every record > ``version``
+        # survives.
+        return bool(records) and records[0].version <= version + 1
 
     def pin(self) -> "EpochPin":
         """Pin the current epoch; reads through the pin see it forever."""
+        log = self._log
         while True:
             # (version, epoch) must come from one stable interval — the
             # seqlock brackets both the relation mutations and the commit
-            # log append, so an even-stamp double read is atomic.
+            # stream append, so an even-stamp double read is atomic.
             stamp = self.read_begin()
-            version = self._version
-            epoch = self._database.commit_log.next_sequence
+            version = log.version
+            epoch = log._next_sequence
             if not self.read_validate(stamp):
                 continue
             with self._lock:
@@ -445,24 +423,25 @@ class EpochManager:
         """Pins bracketing commits ``[first, last]``: an EpochSpan or None.
 
         ``pre`` is the state the first commit applied to; ``post`` is the
-        state the last commit produced.  Returns None when the entries are
-        no longer retained (e.g. commits older than the manager), letting
-        callers fall back to live-state audits.
+        state the last commit produced.  Returns None when that cannot be
+        reconstructed any more — a record was trimmed, or a quiesce fence
+        came after the first commit — letting callers fall back to
+        live-state audits.
         """
         with self._lock:
             pre_version = post_version = None
             # Newest first, stopping at the first commit older than the
             # span: audits bracket the commits that just landed, so this
             # visits the span and whatever came after it, not the window.
-            for entry in reversed(self._entries):
-                sequence = entry.sequence
+            for record in reversed(self._log._records):
+                sequence = record.sequence
                 if sequence is None:
                     continue
                 if sequence == last_sequence:
-                    post_version = entry.version
+                    post_version = record.version
                 if sequence <= first_sequence:
                     if sequence == first_sequence:
-                        pre_version = entry.version - 1
+                        pre_version = record.version - 1
                     break
             if pre_version is None or post_version is None:
                 return None
@@ -508,20 +487,20 @@ class EpochManager:
     def undo_differentials(self, version: int) -> Optional[dict]:
         """Net ``{base: (Δ⁺, Δ⁻)}`` reverting the live state to ``version``.
 
-        The inverse of every retained entry after ``version``, composed
+        The inverse of every retained record after ``version``, composed
         with signed cancellation — applying it through ``apply_deltas``
         restores the pinned state in O(Δ-since-pin).  Returns None when the
-        entries are no longer retained (fall back to a state diff), ``{}``
+        records are no longer retained (fall back to a state diff), ``{}``
         when nothing changed.  Writer-thread only.
         """
         with self._lock:
             if not self._available_locked(version):
                 return None
-            entries = _entries_after(self._entries, version)
+            records = _entries_after(self._log._records, version)
         undo: Dict[str, tuple] = {}
         database = self._database
-        for entry in entries:
-            for name, delta in entry.differentials.items():
+        for record in records:
+            for name, delta in record.differentials.items():
                 pair = undo.get(name)
                 if pair is None:
                     schema = database.relation_schema(name)
@@ -594,8 +573,8 @@ class EpochManager:
         Returns the adopted (now exclusively owned) row dict, or None
         when no cached dict exists, an owner is still reachable, the
         cached state is newer than ``upto`` (states cannot be rewound),
-        or the connecting entries were reclaimed.  The roll-forward is
-        pure private-dict + frozen-entry arithmetic, so it needs no
+        or the connecting records were reclaimed.  The roll-forward is
+        pure private-dict + frozen-record arithmetic, so it needs no
         seqlock bracket — concurrent commits cannot perturb it.
         """
         with self._lock:
@@ -609,27 +588,27 @@ class EpochManager:
             if version > upto:
                 self._mat_cache[name] = cached  # a newer reader may chain
                 return None
-            entries = self._entries
-            if version < upto and (
-                not entries or entries[0].version > version + 1
-            ):
-                return None  # gap: the chain is broken for good
-        if version < upto:
-            for entry in _entries_after(entries, version)[: upto - version]:
-                delta = entry.differentials.get(name)
-                if delta is None:
-                    continue
-                plus, minus = delta
-                if minus is not None:
-                    for row, count in minus._rows.items():
-                        remaining = rows.get(row, 0) - count
-                        if remaining > 0:
-                            rows[row] = remaining
-                        else:
-                            rows.pop(row, None)
-                if plus is not None:
-                    for row, count in plus._rows.items():
-                        rows[row] = rows.get(row, 0) + count
+            newer = ()
+            if version < upto:
+                records = self._log._records
+                if not records or records[0].version > version + 1:
+                    return None  # gap: the chain is broken for good
+                newer = _entries_after(records, version)[: upto - version]
+        for record in newer:
+            delta = record.differentials.get(name)
+            if delta is None:
+                continue
+            plus, minus = delta
+            if minus is not None:
+                for row, count in minus._rows.items():
+                    remaining = rows.get(row, 0) - count
+                    if remaining > 0:
+                        rows[row] = remaining
+                    else:
+                        rows.pop(row, None)
+            if plus is not None:
+                for row, count in plus._rows.items():
+                    rows[row] = rows.get(row, 0) + count
         with self._lock:
             self._mat_cache[name] = (upto, rows, [weakref.ref(snapshot)])
         return rows
@@ -659,7 +638,7 @@ class EpochManager:
             # O(Δ) instead of copying.  Out-of-band mutations don't bump
             # the version, so their abandoned dicts are not chainable.
             with self._lock:
-                self._mat_cache[name] = (self._version, old_rows, live)
+                self._mat_cache[name] = (self._log.version, old_rows, live)
 
     def quiesce(self) -> int:
         """Detach every outstanding pin before an unobserved bulk mutation.
@@ -668,9 +647,10 @@ class EpochManager:
         going through the delta path, so the algebraic reconstruction
         breaks for any snapshot still reading through the live base.  Every
         live pin's relations are materialized *now* (at their pinned state,
-        pre-mutation) and permanently detached; the entry list is fenced so
-        stale pins cannot mint new snapshot relations.  Returns the number
-        of snapshot relations detached.
+        pre-mutation) and permanently detached; the stream is fenced so
+        stale pins cannot mint new snapshot relations.  The fence drops no
+        record: a drain still finds every commit it has not audited.
+        Returns the number of snapshot relations detached.
         """
         for pin in list(self._issued_pins):
             if pin._released:
@@ -678,7 +658,7 @@ class EpochManager:
             for name in self._database.relation_names:
                 try:
                     # The fence dict holds the snapshot strongly: once
-                    # detached it cannot be reconstructed from entries, so
+                    # detached it cannot be reconstructed from records, so
                     # the pin itself must keep it alive.
                     pin._fenced[name] = pin.relation(name)
                 except (EpochUnavailableError, UnknownRelationError):
@@ -691,24 +671,23 @@ class EpochManager:
             try:
                 relation._detach()
             except EpochUnavailableError:
-                # A snapshot of a released pin whose entries were already
+                # A snapshot of a released pin whose records were already
                 # reclaimed: unreadable before the fence, unreadable after.
                 continue
             detached += 1
+        log = self._log
         with self._lock:
             self._issued = {}
             self._mat_cache = {}  # cached states predate the fence
-            self.reclaimed += len(self._entries)
-            self._entries = []
-            self._version += 1
-            self._floor = self._version
+            log.version += 1
+            log.fence = log.version
             self._quiescent = True
         return detached
 
     def __repr__(self) -> str:
         return (
-            f"EpochManager(v{self._version}, epoch=#{self.current_epoch}, "
-            f"{len(self._entries)} retained, {len(self._pins)} pinned, "
+            f"EpochManager(v{self.version}, epoch=#{self.current_epoch}, "
+            f"{self.retained()} retained, {len(self._pins)} pinned, "
             f"{self.reclaimed} reclaimed)"
         )
 
@@ -745,7 +724,7 @@ class EpochPin:
         )
         # Exception: snapshots materialized by the quiesce fence are held
         # strongly — once detached they cannot be reconstructed from the
-        # entry list, so the pin is their only anchor.  Fencing is the
+        # commit stream, so the pin is their only anchor.  Fencing is the
         # rare out-of-band path; the steady-state commit path never fills
         # this dict, so the cycle it forms stays off the hot path.
         self._fenced: Dict[str, "SnapshotRelation"] = {}
@@ -761,18 +740,18 @@ class EpochPin:
         return relation
 
     def release(self) -> None:
-        """Idempotent; reclamation may drop this epoch's entries after.
+        """Idempotent; reclamation may drop this epoch's records after.
 
         Already-materialized snapshot relations stay readable forever; a
         *fresh* whole-relation read after release may raise
-        :class:`~repro.errors.EpochUnavailableError` once the entries are
+        :class:`~repro.errors.EpochUnavailableError` once the records are
         reclaimed.
         """
         if not self._released:
             self._released = True
             self._manager._release(self.version)
 
-    def __del__(self):  # safety net: a dropped pin must not retain entries
+    def __del__(self):  # safety net: a dropped pin must not retain records
         try:
             self.release()
         except (AttributeError, TypeError):
@@ -924,27 +903,32 @@ class SnapshotRelation(OverlayRelation):
     # -- reconstruction ---------------------------------------------------------
 
     def _sync_locked(self) -> None:
-        """Catch the undo delta up to the newest retained entry."""
-        # The version before the list: the writer files an entry before it
+        """Catch the undo delta up to the newest retained record."""
+        log = self._manager._log
+        if self._pin.version < log.fence:
+            # A fence the detach missed (this snapshot was minted while it
+            # ran): the live base has moved out of band since the pin.
+            raise EpochUnavailableError(self._pin.epoch)
+        # The version before the list: the writer files a record before it
         # bumps the version, so an empty list under a newer version means
-        # the entries are gone (a fence), never that one is on its way.
-        version = self._manager._version
-        entries = self._manager._entries
+        # the records are gone, never that one is on its way.
+        version = log.version
+        records = log._records
         synced = self._synced
-        if entries and entries[0].version > synced + 1:
-            # The entries between our pin and the retained window were
+        if records and records[0].version > synced + 1:
+            # The records between our pin and the retained window were
             # reclaimed — only possible once the pin is released.
             raise EpochUnavailableError(self._pin.epoch)
-        if not entries:
+        if not records:
             if version > synced:
                 raise EpochUnavailableError(self._pin.epoch)
             return
-        newer = _entries_after(entries, synced)
+        newer = _entries_after(records, synced)
         if not newer:
             return  # already current: the common case, and O(1)
         name = self._name
-        for entry in newer:
-            delta = entry.differentials.get(name)
+        for record in newer:
+            delta = record.differentials.get(name)
             if delta is not None:
                 fold_inverse(self.plus, self.minus, delta)
                 self._materialized = None

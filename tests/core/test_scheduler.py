@@ -5,7 +5,6 @@ import pytest
 from repro.core.scheduler import AuditScheduler, RuleAuditTask
 from repro.core.subsystem import IntegrityController
 from repro.engine import Database, DatabaseSchema, RelationSchema, Session
-from repro.engine.commitlog import CommitLog
 from repro.engine.types import INT
 
 
@@ -251,7 +250,7 @@ class TestScheduler:
     def test_truncation_gap_reaches_async_wait(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
-        database.commit_log = CommitLog(capacity=1)
+        database.epochs.retain = 1
         scheduler = controller.audit_scheduler(database)
         _commit(database, "begin insert(fk, (1, 1)); end")
         _commit(database, "begin insert(fk, (2, 2)); end")
@@ -267,7 +266,7 @@ class TestScheduler:
     def test_truncation_gap_reported(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
-        database.commit_log = CommitLog(capacity=1)
+        database.epochs.retain = 1
         scheduler = controller.audit_scheduler(database)
         _commit(database, "begin insert(fk, (1, 1)); end")
         _commit(database, "begin insert(fk, (2, 2)); end")
@@ -347,7 +346,7 @@ class TestExecutors:
     def test_process_gap_triggers_replica_resync(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
-        database.commit_log = CommitLog(capacity=1)
+        database.epochs.retain = 1
         with AuditScheduler(
             controller,
             database,

@@ -5,7 +5,6 @@ import pytest
 from repro.core.procpool import ProcessAuditExecutor
 from repro.core.subsystem import IntegrityController
 from repro.engine import Database, DatabaseSchema, RelationSchema, Session
-from repro.engine.commitlog import CommitLog
 from repro.engine.types import INT
 from repro.engine.wal import WriteAheadLog
 
@@ -211,7 +210,7 @@ class TestDurableLogIntegration:
 
     def test_gap_resyncs_replicas_from_log(self, db, controller, tmp_path, monkeypatch):
         db.attach_wal(WriteAheadLog(tmp_path))
-        db.commit_log = CommitLog(capacity=2)
+        db.epochs.retain = 2
         used_log = {}
         original = ProcessAuditExecutor._resync_from_log
 

@@ -222,16 +222,12 @@ def apply_deltas(database, differentials, advance_time=True, record=True):
                 database.delta_stats.observe(name, plus, minus)
         if advance_time:
             database.logical_time += 1
-        if record:
-            committed = database.commit_log.append(
-                differentials, pre_time, database.logical_time
-            )
-    finally:
-        database.epochs.end_write(
-            differentials,
-            committed.sequence if committed is not None else None,
+        committed = database.commit_log.append(
+            differentials, pre_time, database.logical_time, record
         )
-    if committed is not None and database.wal is not None:
+    finally:
+        database.epochs.end_write(committed)
+    if record and database.wal is not None:
         database.wal.append(committed)
 
 

@@ -1,15 +1,11 @@
-"""The bounded commit log, delta coalescing, and delta-based restore."""
+"""The commit stream, delta coalescing, and delta-based restore."""
 
 import copy
 
 import pytest
 
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Session
-from repro.engine.commitlog import (
-    CommitLog,
-    coalesce_differentials,
-    take_batches,
-)
+from repro.engine.commitlog import coalesce_differentials, take_batches
 from repro.engine.database import DatabaseSnapshot
 from repro.engine.types import INT
 
@@ -75,7 +71,7 @@ class TestCommitLog:
 
     def test_capacity_eviction_and_lost_count(self, schema):
         database = Database(schema)
-        database.commit_log = CommitLog(capacity=2)
+        database.epochs.retain = 2
         session = Session(database)
         for value in range(4):
             _commit(session, f"begin insert(r, ({value}, {value})); end")
@@ -107,7 +103,7 @@ class TestCommitLog:
 
     def test_since_cursor_exactly_on_evicted_boundary(self, schema):
         database = Database(schema)
-        database.commit_log = CommitLog(capacity=2)
+        database.epochs.retain = 2
         session = Session(database)
         for value in range(4):  # sequences 0..3; 0 and 1 evicted
             _commit(session, f"begin insert(r, ({value}, {value})); end")
@@ -121,23 +117,16 @@ class TestCommitLog:
         assert [r.sequence for r in records] == [2, 3]
         assert lost == 1
 
-    def test_append_at_replays_original_sequence(self, db, schema):
-        log = db.commit_log
+    def test_replay_keeps_the_original_sequence(self, db, schema):
         plus = _relation(schema, [(9, 9)])
-        record = log.append_at(7, {"r": (plus, None)}, 7, 8)
-        assert record.sequence == 7
-        assert log.next_sequence == 8
+        db.replay_record(7, 7, 8, {"r": (plus, None)})
+        [record] = list(db.commit_log)
+        assert (record.sequence, record.pre_time, record.post_time) == (7, 7, 8)
+        assert db.commit_log.next_sequence == 8 and db.logical_time == 8
         # Replay cannot rewind below what the log has already assigned.
         with pytest.raises(ValueError):
-            log.append_at(3, {"r": (plus, None)}, 3, 4)
-
-    def test_truncate_through(self, db):
-        session = Session(db)
-        for value in range(3):
-            _commit(session, f"begin insert(r, ({value + 10}, 0)); end")
-        dropped = db.commit_log.truncate_through(1)
-        assert dropped == 2
-        assert db.commit_log.first_sequence == 2
+            db.replay_record(3, 3, 4, {"r": (_relation(schema, [(5, 5)]), None)})
+        assert (5, 5) not in db.relation("r")
 
     def test_deepcopy_survives_lock(self, db):
         session = Session(db)

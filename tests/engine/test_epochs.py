@@ -482,7 +482,7 @@ class TestConcurrentReaders:
         assert reads and epoch > keys_moved
         # The readers' releases trimmed the entry list while the writer
         # appended to it: no entry was lost between the two.
-        versions = [entry.version for entry in database.epochs._entries]
+        versions = [record.version for record in database.commit_log._records]
         assert versions == list(range(versions[0], versions[0] + len(versions)))
         assert versions[-1] == database.epochs.version
 
@@ -507,11 +507,11 @@ class TestConcurrentReaders:
                 self.racer.join(timeout=0.2)  # returns early only if it got in
                 super().append(entry)
 
-        racing = manager._entries = RacingEntries(manager._entries)
+        racing = rdb.commit_log._records = RacingEntries(rdb.commit_log._records)
         commit(rdb, "r", plus=[(50, 50)])
         racing.racer.join(timeout=30)
         assert not racing.racer.is_alive() and manager.pinned_versions() == ()
-        versions = [entry.version for entry in manager._entries]
+        versions = [record.version for record in rdb.commit_log._records]
         assert versions and versions[-1] == manager.version
         assert versions == list(range(versions[0], versions[0] + len(versions)))
 

@@ -85,7 +85,7 @@ def commit_orders(database: Database, count: int, first_id: int = 10_000) -> Non
 
 
 class CountedEntries(list):
-    """The manager's entry list, counting every entry a reader touches."""
+    """The commit stream's record list, counting every record a reader touches."""
 
     def __init__(self, entries, tally):
         super().__init__(entries)
@@ -117,7 +117,8 @@ def counted(monkeypatch):
     def start(database: Database) -> dict:
         tally = {"brackets": 0, "visited": 0, "folds": 0}
         manager = database.epochs
-        manager._entries = CountedEntries(manager._entries, tally)
+        log = database.commit_log
+        log._records = CountedEntries(log._records, tally)
         read_begin = manager.read_begin
         fold_inverse = epochs_module.fold_inverse
 

@@ -1,15 +1,17 @@
 """Property: reads through epoch pins equal eager copies under any
-interleaving — driven at the offset arithmetic of the entry list.
+interleaving — driven at the offset arithmetic of the commit stream.
 
-``engine/epochs.py`` finds "the entries newer than version v" by offset
-(entry versions are contiguous) instead of by scanning.  This suite runs
-random interleavings of recorded and unrecorded commits (empty ones
-included), pins taken at random points and read late, releases, ``quiesce``
-fences and ``pin_span`` brackets against a small retention window, so the
-entry list is trimmed, emptied and refilled constantly, and checks after
-every step that
+``engine/epochs.py`` finds "the records newer than version v" by offset
+(record versions are contiguous above the fence) instead of by scanning.
+This suite runs random interleavings of recorded and unrecorded commits
+(empty ones included), pins taken at random points and read late,
+releases, ``quiesce`` fences, ``pin_span`` brackets, audit drains and forks
+against a small retention window, so the stream is trimmed, fenced and
+refilled constantly, and checks after every step that
 
-* entry versions are contiguous and the offset slice equals the full scan;
+* the stream holds exactly the versions the retention rule keeps, those
+  above the fence are contiguous, and the offset slice equals the full
+  scan;
 * every readable pin reads exactly the eager copies taken when it was
   pinned — ``len``, membership, multiplicities one by one and in bulk,
   index point probes and bulk bucket probes, planned point/join/semijoin
@@ -19,8 +21,14 @@ every step that
   past, or released before a fence — for freshly minted snapshots and for
   snapshots held since before the trim alike;
 * ``pin_span`` brackets exactly the states its two commits transitioned
-  between, with unrecorded entries in between, and is ``None`` exactly
-  when an endpoint left no retained entry.
+  between, with unrecorded records in between, and is ``None`` exactly
+  when an endpoint left no retained record or a fence came after it;
+* a drain from a scheduler's cursor gets every commit since, returned by
+  ``CommitLog.since`` or counted in its ``lost`` exactly once, and can
+  bracket every non-empty one it gets that no fence came after — a fence
+  drops none it has not drained;
+* a fork, at the head or at a held pin, and an unpickled copy pin and
+  bracket the same states as the original.
 
 The model knows the retention *rules* (what a trim may drop, what a fence
 cuts), not the implementation's list handling.
@@ -28,6 +36,7 @@ cuts), not the implementation's list handling.
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -38,8 +47,8 @@ from repro.algebra import expressions as E
 from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
-from repro.engine import Database, Relation
-from repro.engine.epochs import _entries_after
+from repro.engine import Database, DatabaseSnapshot, Relation
+from repro.engine.epochs import PinnedRelations, _entries_after
 from repro.engine.overlay import _DeltaBuckets
 from repro.engine.session import DatabaseView
 from repro.errors import EpochUnavailableError
@@ -61,6 +70,7 @@ _ROWS = st.lists(st.tuples(S.VALUES, S.VALUES), max_size=3)
 # and its reads.  (Drawn as one die roll: ``one_of`` cannot weight.)
 _KINDS = (
     ["commit"] * 7 + ["pin"] * 3 + ["read"] * 6 + ["release"] * 4 + ["span"] * 2 + ["quiesce"]
+    + ["drain"] * 2 + ["fork"]
 )
 _STEPS = st.lists(
     st.tuples(
@@ -110,10 +120,14 @@ class Model:
         self.manager = database.epochs
         self.manager.retain = retain
         self.pins: list = []
-        # Entries at or below this version are gone (trimmed, or fenced off).
+        # Records at or below this version are gone (trimmed).
         self.dropped_through = self.manager.version
+        # No state below the newest fence can be reconstructed; a fence
+        # version has no record.
         self.fence = self.manager.version
-        self.commits: list = []  # recorded: (sequence, version or None, pre, post)
+        self.fences: set = set()
+        self.commits: list = []  # recorded, by sequence: (sequence, version, pre, post)
+        self.cursor = 0  # a scheduler's: the next commit it will audit
 
     def copies(self) -> dict:
         return {name: self.database.relation(name).copy() for name in NAMES}
@@ -138,15 +152,18 @@ class Model:
 
     def check_invariants(self) -> None:
         manager = self.manager
-        entries = manager._entries
-        versions = [entry.version for entry in entries]
-        if versions:
-            assert versions == list(range(versions[0], versions[0] + len(versions)))
-            assert versions[-1] == manager.version
-        assert manager.retained() == manager.version - self.dropped_through
-        for version in range(self.dropped_through, manager.version + 1):
-            assert _entries_after(entries, version) == [
-                entry for entry in entries if entry.version > version
+        records = self.database.commit_log._records
+        versions = [record.version for record in records]
+        kept = range(self.dropped_through + 1, manager.version + 1)
+        assert versions == [version for version in kept if version not in self.fences]
+        assert manager.retained() == len(versions)
+        reachable = max(self.fence, self.dropped_through)
+        assert [v for v in versions if v > self.fence] == list(
+            range(reachable + 1, manager.version + 1)
+        )
+        for version in range(reachable, manager.version + 1):
+            assert _entries_after(records, version) == [
+                record for record in records if record.version > version
             ]
         active = {entry.pin.version for entry in self.pins if not entry.released}
         assert manager.pinned_versions() == tuple(sorted(active))
@@ -222,6 +239,73 @@ def _assert_undo_restores(database: Database, entry: Pinned, available: bool) ->
         if plus is not None:
             rolled_back.insert_counts(dict(plus.items()))
         assert rolled_back == entry.copies[name], name
+
+
+def _assert_brackets(span, commit) -> None:
+    _sequence, _version, pre, post = commit
+    for name in NAMES:
+        assert span.pre_relation(name) == pre[name], name
+        assert span.post_relation(name) == post[name], name
+    span.release()
+
+
+def _drain(database: Database, model: Model) -> None:
+    """What a scheduler's drain gets from its cursor, and can bracket."""
+    log, manager = database.commit_log, database.epochs
+    records, lost = log.since(model.cursor)
+    # Every commit since the cursor, exactly once: the oldest ``lost`` were
+    # trimmed, the rest are returned in order.
+    assert [record.sequence for record in records] == list(
+        range(model.cursor + lost, log.next_sequence)
+    )
+    for sequence in range(model.cursor, model.cursor + lost):
+        assert model.commits[sequence][1] <= model.dropped_through
+    for record in records:
+        commit = model.commits[record.sequence]
+        assert record.version == commit[1] > model.dropped_through
+        if record.is_empty:
+            continue  # take_batches audits nothing for it
+        span = manager.pin_span(record.sequence, record.sequence)
+        assert (span is not None) == (record.version > model.fence)
+        if span is not None:
+            _assert_brackets(span, commit)
+            model.trim()
+    model.cursor = log.next_sequence
+
+
+def _fork(database: Database, model: Model, pickled: bool, i: int, j: int) -> None:
+    """A fork (at the head or at a held pin) or an unpickled copy pins and
+    brackets what the original does, for every commit it carries."""
+    held = [entry for entry in model.pins if not entry.released]
+    at = None
+    if pickled:
+        clone = pickle.loads(pickle.dumps(database))
+    elif held and j % 2:
+        at = held[i % len(held)]
+        cut = DatabaseSnapshot(PinnedRelations(at.pin, NAMES), pin=at.pin)
+        clone = database.fork(cut)
+    else:
+        clone = database.fork()
+        model.trim()  # it pinned the head, and trimmed on the release
+    state = at.copies if at is not None else model.copies()
+    epoch = at.pin.epoch if at is not None else database.commit_log.next_sequence
+    with clone.epochs.pin() as pin:
+        for name in NAMES:
+            assert pin.relation(name) == state[name], name
+    carried = clone.commit_log.since(0)[0]
+    assert [record.sequence for record in carried] == [
+        record.sequence for record in database.commit_log.since(0)[0]
+        if record.sequence < epoch
+    ]
+    for commit in model.commits[:epoch]:
+        mine = database.epochs.pin_span(commit[0], commit[0])
+        theirs = clone.epochs.pin_span(commit[0], commit[0])
+        assert (theirs is None) == (mine is None)
+        if mine is not None:
+            _assert_brackets(mine, commit)
+            model.trim()
+        if theirs is not None:
+            _assert_brackets(theirs, commit)
 
 
 def _step(kind, plus_r=(), minus_r=(), flag=False, i=0, j=0) -> tuple:
@@ -318,10 +402,10 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
             sequence = database.commit_log.next_sequence
             database.apply_deltas(differentials, record=record)
             advanced = manager.version > before
-            assert advanced == any(side is not None for pair in differentials.values() for side in pair)
+            # Every commit is a record; an unrecorded batch only if it changes something.
+            assert advanced == (record or any(side is not None for pair in differentials.values() for side in pair))
             if record:
-                version = manager.version if advanced else None
-                model.commits.append((sequence, version, pre, model.copies()))
+                model.commits.append((sequence, manager.version, pre, model.copies()))
             if advanced:
                 model.trim()
         elif kind == "pin":
@@ -355,12 +439,14 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
             entry = model.pins[i % len(model.pins)]
             if flag:  # the oldest pin still held: what lets the window move
                 entry = next((e for e in model.pins if not e.released), entry)
+            again = entry.released
             entry.pin.release()
             entry.released = True
             if j % 2 and not entry.fenced:
                 # ... and its snapshots dropped, as a finished audit batch does.
                 entry.held, entry.synced = {}, {}
-            model.trim()
+            if not again:  # a second release trims nothing
+                model.trim()
         elif kind == "span" and model.commits:
             first = model.commits[i % len(model.commits)]
             last = model.commits[j % len(model.commits)]
@@ -368,7 +454,7 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
                 first, last = last, first
             span = manager.pin_span(first[0], last[0])
             retained = all(
-                version is not None and version > model.dropped_through
+                version > max(model.fence, model.dropped_through)
                 for version in (first[1], last[1])
             )
             assert (span is not None) == retained
@@ -382,13 +468,20 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
         elif kind == "quiesce":
             # Held snapshots that are still readable freeze at their state;
             # live pins are fenced with frozen snapshots of every relation.
+            undrained = database.commit_log.since(model.cursor)
             manager.quiesce()
-            model.fence = model.dropped_through = manager.version
+            model.fence = manager.version
+            model.fences.add(manager.version)
+            assert database.commit_log.since(model.cursor) == undrained
             for entry in model.pins:
                 if not entry.released:
                     entry.fenced = True  # the pin itself anchors these from now on
                     entry.held = {name: entry.pin.relation(name) for name in NAMES}
                     entry.synced = dict.fromkeys(NAMES, entry.pin.version)
+        elif kind == "drain":
+            _drain(database, model)
+        elif kind == "fork":
+            _fork(database, model, flag, i, j)
         model.check_invariants()
 
     for entry in model.pins:  # every pin still held reads its epoch at the end
