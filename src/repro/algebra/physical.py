@@ -277,16 +277,17 @@ def _present_counts(relation: Relation, rows) -> dict:
 
 
 def _key_index(source: Relation, positions: tuple):
-    """The built index of ``source`` on exactly the columns ``positions``,
-    in any column order, or None."""
-    index = source.built_index(positions)
+    """The index of ``source`` on exactly the columns ``positions``, in any
+    column order, or None — built on the spot if it is only declared: the
+    build is the pass over ``source`` the scan would make instead."""
+    index = source.amortized_index(positions)
     if index is None and len(positions) > 1:
         indexes = source.indexes
         if indexes is not None:
             wanted = sorted(positions)
             for spec in indexes.specs():
                 if sorted(spec) == wanted:
-                    index = source.built_index(spec)
+                    index = source.amortized_index(spec)
                     if index is not None:
                         break
     return index
@@ -298,7 +299,8 @@ def _projected_keys(source: Relation, positions: Optional[tuple]):
 
     ``positions`` are the distinct 0-based columns of a plain-column
     projection (None for any other item list).  In set mode the projection
-    *is* the key collection of an index on those columns: O(distinct keys),
+    *is* the key collection of an index on those columns (built here if it
+    is only declared, see :func:`_key_index`): O(distinct keys),
     and on an overlay or a pinned snapshot O(keys + |Δ|) without
     materializing it.  A bag needs the multiplicities, which only the rows
     carry.  The read leaves one :class:`~repro.engine.indexes.IndexUsage`
@@ -541,11 +543,12 @@ class IndexSelectOp(PhysicalOperator):
     """Equality selection over a base relation, index-accelerated.
 
     Compiled from ``σ[col = const ∧ residual](R)``.  When ``R`` resolves to
-    a relation carrying a built hash index on exactly the equality columns,
-    the matching rows come from one bucket lookup; otherwise the operator
-    degrades to the plain filter path.  NULL constants never reach this
-    operator (the planner keeps them in the residual: NULL compares unknown,
-    but an index bucket would match it by identity).
+    a relation carrying a hash index on exactly the equality columns (built,
+    or declared and built now), the matching rows come from one bucket
+    lookup; otherwise the operator degrades to the plain filter path.  NULL
+    constants never reach this operator (the planner keeps them in the
+    residual: NULL compares unknown, but an index bucket would match it by
+    identity).
     """
 
     op_name = "select"
@@ -579,14 +582,8 @@ class IndexSelectOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = context.resolve(self.name)
         positions = self._bind_positions(source.schema)
-        index = source.built_index(positions)
-        if index is None:
-            # The no-index fallback pays a full scan: forgone work, so that
-            # a declared index gets built once repetition amortizes it.
-            # (Asked only now: the count walks Δ⁺/Δ⁻ on an overlay.)
-            index = source.amortized_index(
-                positions, forgone_work=source.distinct_count()
-            )
+        # A declared index is built here: the fallback is a full scan.
+        index = source.amortized_index(positions)
         if index is None:
             result = _mask_select(source, self._full)
             _trace_sizes(context, "select", (source,), result)
@@ -621,8 +618,8 @@ class ProjectOp(PhysicalOperator):
     """Generalized projection with per-schema compiled output columns.
 
     One kernel over the source's rows — except that a set-mode projection
-    whose items are distinct plain columns carrying a built index (in any
-    column order) reads that index's distinct keys instead
+    whose items are distinct plain columns carrying a built or declared
+    index (in any column order) reads that index's distinct keys instead
     (:func:`_projected_keys`).  Which of the two runs is decided per
     execution from the relation the child produced, exactly like
     :class:`IndexSelectOp`'s bucket lookup: nothing is written on the plan.
@@ -1301,8 +1298,8 @@ class HashSemiJoinOp(_HashKeyedOp):
 
     def _probe_dict(self, left: Relation, right: Relation) -> dict:
         """The selected ``{row: count}`` dict: regime selection and every
-        index interaction (build touches, amortization accounting, probe
-        touches) happen here."""
+        index interaction (builds, build touches, probe touches) happens
+        here."""
         keep = self.keep_matching
         left_key, positions, right_bound, residual = self._bind(
             left.schema, right.schema
@@ -1328,17 +1325,9 @@ class HashSemiJoinOp(_HashKeyedOp):
                 is keep
             }
         right_keys = _hash_buckets(right, right_bound, need_rows=False)
-        # Row-wise probing forgoes one key computation + membership test per
-        # distinct left row; charge that against a declared left index so a
-        # hot probe side (e.g. a big working copy inside a write
-        # transaction) gets its index built instead of probing row-wise.
-        left_index = None
-        if positions is not None:
-            left_index = left.built_index(positions)
-            if left_index is None:
-                left_index = left.amortized_index(
-                    positions, forgone_work=left.distinct_count()
-                )
+        # A declared left index is built here: without it the probe is one
+        # key computation + membership test per distinct left row.
+        left_index = None if positions is None else left.amortized_index(positions)
         if left_index is not None:
             # Distinct-key probing: one membership test per key, whole
             # buckets emitted.  This is what makes repeated referential

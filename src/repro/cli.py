@@ -288,10 +288,12 @@ class Shell:
 
     def _explain_indexes(self, rule_name: str) -> None:
         """Which indexes a full-state rule's plans would read, and which of
-        them the database has built — what the rule costs beyond |Δ|.
+        them the database has built or declared — what the rule costs
+        beyond |Δ|.  A declared index is built by the first plan that
+        probes it; only a missing one leaves the plan to scan.
 
         Static: the planner's hints for the stored program against
-        ``Relation.built_index``; nothing is executed.
+        ``Relation.indexes``; nothing is executed.
         """
         hints: set = set()
         for statement in self.controller.store.get(rule_name).program:
@@ -303,11 +305,14 @@ class Shell:
                 continue  # a temporary of the program
             target = self.database.relation(relation)
             positions = [target.schema.position_of(attr) - 1 for attr in attrs]
-            built = target.built_index(positions) is not None
-            label = f"{relation}({', '.join(map(str, attrs))})"
-            states.append(f"{label} {'built' if built else 'missing'}")
-            if not built and relation not in scanned:
-                scanned.append(relation)
+            index = target.indexes.get(positions) if target.indexes else None
+            if index is None:
+                state = "missing"
+                if relation not in scanned:
+                    scanned.append(relation)
+            else:
+                state = "built" if index.built else "declared"
+            states.append(f"{relation}({', '.join(map(str, attrs))}) {state}")
         if states:
             scans = f" -> scans {', '.join(scanned)}" if scanned else ""
             self.write(f"--   {rule_name}: {', '.join(states)}{scans}")

@@ -504,29 +504,23 @@ class IntegrityController:
         for scheduler in list(self._schedulers.values()):
             scheduler.close()
 
-    def install_indexes(
-        self, database: Database, min_benefit: float = 0.0
-    ) -> List[tuple]:
-        """Create the hash indexes the compiled plans would benefit from.
+    def install_indexes(self, database: Database) -> List[tuple]:
+        """Declare the hash indexes the compiled plans would probe.
 
         Walks every stored integrity program (full and differential
-        variants), collects the planner's index hints, and creates the
-        corresponding persistent hash indexes on ``database``.  Returns the
-        ``(relation, attrs)`` pairs actually installed.  Indexes are
-        maintained incrementally from then on, so repeated enforcement and
-        audits of equality-keyed constraints (referential integrity above
-        all) probe per distinct key instead of re-hashing per evaluation.
-
-        ``min_benefit`` is the advisor's cost threshold, in tuples of
-        estimated per-enforcement work saved: each plan that would otherwise
-        re-hash relation ``R`` forgoes ``|R|`` tuple-hashes, so a hint's
-        benefit is ``uses × |R|`` under the database's current
-        cardinalities.  Hints below the threshold are skipped — building and
-        incrementally maintaining an index on a tiny or rarely-referenced
-        relation costs more than it saves.  The default of 0 installs every
-        hint (the PR 1 behaviour).
+        variants), collects the planner's index hints, and *declares* the
+        corresponding hash indexes on ``database``.  Returns the
+        ``(relation, attrs)`` pairs declared.  Nothing is built here: a
+        declared index costs a commit nothing, and the first plan that
+        would otherwise pass over the whole relation builds it (see
+        :mod:`repro.engine.indexes`).  From then on it is maintained
+        incrementally, so repeated enforcement and audits of equality-keyed
+        constraints (referential integrity above all) probe per distinct key
+        instead of re-hashing per evaluation — while a hint only a rare
+        update type's program reads (a foreign key's check on deleting the
+        referenced key) costs nothing until that update comes.
         """
-        hints: Dict[tuple, int] = {}
+        hints: set = set()
         for integrity_program in self.store:
             pieces = [integrity_program.program]
             pieces.extend((integrity_program.differentials or {}).values())
@@ -543,17 +537,14 @@ class IntegrityController:
                             ).plan_expressions()
                         )
                     for expression in expressions:
-                        for hint in planner.index_hints(expression):
-                            hints[hint] = hints.get(hint, 0) + 1
-        cardinalities = database.cardinalities()
+                        hints.update(planner.index_hints(expression))
         installed = []
-        for (name, attrs), uses in sorted(hints.items(), key=repr):
+        for name, attrs in sorted(hints, key=repr):
             if name not in database:
                 continue
-            benefit = uses * cardinalities.get(name, 0)
-            if benefit < min_benefit:
-                continue
-            database.create_index(name, attrs)
+            relation = database.relation(name)
+            position_of = relation.schema.position_of
+            relation.declare_index(position_of(attr) - 1 for attr in attrs)
             installed.append((name, attrs))
         return installed
 

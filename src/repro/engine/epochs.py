@@ -113,12 +113,15 @@ Invariants the read path leans on (each is asserted by
   never re-run.  *What a lost attempt may leave behind:* ``IndexUsage``
   counts (one lookup or build-side touch per attempt, the plain counter
   bumps a lost ``SnapshotIndex`` round leaves too) and nothing else — every
-  index it wants was built when it looked, so it builds none and charges
-  no forgone work, and it registers nothing with the manager.  *Why never
-  the write gate:* the gate is for a compute that is O(n) and would starve;
-  a probe-only compute is O(keys probed), and one that still loses
+  index it wants was built when it looked, so it builds none, and it
+  registers nothing with the manager.  *Why never the write gate:* the
+  gate is for a compute that is O(n) and would starve; a probe-only
+  compute is O(keys probed), and one that still loses
   :data:`READ_RETRY_LIMIT` times takes a pin and is the pinned read above,
-  bounded fallback included.  *Why only probe-only plans:* a 9 ms scan
+  bounded fallback included.  *An index only declared:* no attempt is
+  made; the read runs pinned and builds the live index under the gate
+  (``SnapshotRelation.amortized_index``), so the plan's next read runs
+  here.  *Why only probe-only plans:* a 9 ms scan
   loses every race to a 1k commits/s writer and then runs pinned anyway
   (``bench_mvcc``'s gated row reads 0.32-0.35x with every plan bracketed,
   0.93-0.98x as it is).
@@ -1133,10 +1136,14 @@ class SnapshotRelation(OverlayRelation):
     #
     # Probes are served through SnapshotIndex views over the live base's
     # *built* indexes, corrected by the undo delta under the same seqlock
-    # retry — the snapshot never builds or charges indexes on the live
-    # base (an index build from a reader thread would scan a mutating dict
-    # and install a torn index).  Whole-index consumption and
-    # post-materialization probing use a local index over the frozen rows.
+    # retry.  An index the live base only declares is built by the first
+    # request for it (amortized_index), as on any relation: on the live
+    # base, holding the write gate, so the rows it scans cannot change
+    # under it, and published whole (HashIndex.build), so no other reader
+    # finds it half filled.  A plan that goes without would scan, and pin
+    # again on every later read instead of running at the head.
+    # Whole-index consumption and post-materialization probing use a local
+    # index over the frozen rows.
 
     def declare_index(self, positions) -> None:
         with self._sync_lock:
@@ -1173,12 +1180,20 @@ class SnapshotRelation(OverlayRelation):
             return None
         return self._local_index(positions)
 
-    def amortized_index(self, positions, forgone_work=None):
-        # Never delegate the build decision to the live base: snapshots do
-        # not charge forgone work or trigger builds from reader threads.
-        # A base index that is already built is served through the
-        # corrected view; otherwise report no index.
-        return self.built_index(tuple(positions))
+    def amortized_index(self, positions):
+        positions = tuple(positions)
+        index = self.built_index(positions)
+        if index is not None or self._materialized is not None or self._detached:
+            return index
+        indexes = self.base.indexes
+        if indexes is None or indexes.get(positions) is None:
+            return None  # nothing declared: no gate taken
+        with self._manager._write_gate:
+            # Re-checked under the gate: another reader may have built it,
+            # a fence may have detached this snapshot from the live base.
+            if self._materialized is None and not self._detached:
+                self.base.amortized_index(positions)
+        return self.built_index(positions)
 
     def _index_view(self, index) -> "SnapshotIndex":
         # A handle per request, never cached on the snapshot: the view

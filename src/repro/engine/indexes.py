@@ -14,22 +14,23 @@ Design points:
   operators (semijoin, antijoin, equality selection) only ever need the
   distinct level.
 
-* **Declared vs built.**  An index can be *declared* (its key positions are
-  registered, e.g. carried over from a committed predecessor relation)
-  without being *built*.  Building is lazy — the first operator that wants
-  the index pays one pass over the current rows — and from then on the
-  relation maintains it incrementally on every insert and delete.
-
-* **Amortized on-demand building.**  A declared-but-unbuilt index tracks the
-  scan/hash work operators *forgo* by probing row-wise without it
-  (:attr:`HashIndex.deferred_cost`).  Once the accumulated forgone work
-  amortizes a build pass (:data:`BUILD_AMORTIZE_HURDLE` times the relation
-  size), the next request builds the index.  Write transactions probe
-  through :class:`~repro.engine.overlay.OverlayIndex` views, which forward
-  their forgone-work accounting (and usage evidence) to the base relation's
-  index — so probe volume inside transactions counts toward the same build
-  decision, and a base index built mid-transaction keeps paying off after
-  commit.
+* **Declared vs built.**  An index can be *declared* — its key positions
+  registered, by the index advisor
+  (:meth:`~repro.core.subsystem.IntegrityController.install_indexes`) or
+  carried over from a predecessor relation — without being *built*.  A
+  declared index costs a commit nothing: only built indexes are filed
+  into.  The first plan that asks for it (``Relation.amortized_index``)
+  builds it — an equality selection, either side of a semijoin, the build
+  side of a hash join, an index-only projection: each would otherwise pay
+  a pass over the relation, and the build *is* that pass — and from then
+  on the relation maintains it incrementally on every insert and delete.
+  Write transactions ask through :class:`~repro.engine.overlay.
+  OverlayIndex` views and pinned reads through :class:`~repro.engine.
+  epochs.SnapshotIndex` views; both build the *base* index, so it keeps
+  paying off after the commit or the pin.  A pinned reader builds it under
+  the epoch manager's write gate, and :meth:`HashIndex.build` publishes the
+  buckets whole, so no other thread ever finds an index built but half
+  filled.
 
 * **Incremental, set-at-a-time maintenance.**  A transaction commit applies
   its net differential (``R@plus`` / ``R@minus``) to the base relation *in
@@ -65,10 +66,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import Collection, Dict, Iterable, Iterator, KeysView, Optional, Tuple
-
-# A declared index is built once the forgone row-wise work accumulated in
-# ``deferred_cost`` reaches this multiple of a build pass over the relation.
-BUILD_AMORTIZE_HURDLE = 2.0
 
 
 class IndexUsage:
@@ -123,10 +120,22 @@ def _empty_key(row: tuple) -> tuple:
     return ()
 
 
+def _file(buckets: dict, key_of, rows: Iterable[tuple]) -> None:
+    """File distinct ``rows`` into ``buckets`` under ``key_of(row)``."""
+    get = buckets.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = {row: None}
+        else:
+            bucket[row] = None
+
+
 class HashIndex:
     """A hash index over one relation, keyed by a tuple of 0-based positions."""
 
-    __slots__ = ("positions", "key_of", "buckets", "built", "deferred_cost", "usage")
+    __slots__ = ("positions", "key_of", "buckets", "built", "usage")
 
     def __init__(self, positions: Tuple[int, ...]):
         self.positions = tuple(positions)
@@ -136,8 +145,6 @@ class HashIndex:
         # key -> {row: None} (an ordered set of distinct rows)
         self.buckets: Dict[object, dict] = {}
         self.built = False
-        # Row-wise work forgone while declared-but-unbuilt (see module docs).
-        self.deferred_cost = 0.0
         # Usage evidence for the advisor's drop-unused maintenance.
         self.usage = IndexUsage()
 
@@ -149,9 +156,15 @@ class HashIndex:
     # -- construction and maintenance ----------------------------------------
 
     def build(self, rows: Iterable[tuple]) -> "HashIndex":
-        """(Re)build the index from scratch over ``rows`` (distinct rows)."""
-        self.buckets = {}
-        self.add_many(rows)
+        """(Re)build the index from scratch over ``rows`` (distinct rows).
+
+        Published whole: the buckets fill a fresh dict, which replaces
+        ``buckets`` before ``built`` is set, so a reader on another thread
+        that finds the index built never sees it half filled.
+        """
+        buckets: Dict[object, dict] = {}
+        _file(buckets, self.key_of, rows)
+        self.buckets = buckets
         self.built = True
         return self
 
@@ -163,16 +176,7 @@ class HashIndex:
 
     def add_many(self, rows: Iterable[tuple]) -> None:
         """File distinct ``rows`` under their keys."""
-        buckets = self.buckets
-        get = buckets.get
-        key_of = self.key_of
-        for row in rows:
-            key = key_of(row)
-            bucket = get(key)
-            if bucket is None:
-                buckets[key] = {row: None}
-            else:
-                bucket[row] = None
+        _file(self.buckets, self.key_of, rows)
 
     def remove_many(self, rows: Iterable[tuple]) -> None:
         """Unfile ``rows``; rows the index does not hold are skipped."""
@@ -297,8 +301,8 @@ class IndexSet:
     def invalidate(self) -> None:
         """Drop built contents but keep declarations (wholesale row change)."""
         for index in self._indexes.values():
+            index.built = False  # first, so nothing trusts the emptied buckets
             index.buckets = {}
-            index.built = False
 
     def specs(self) -> tuple:
         """The declared position tuples."""

@@ -367,14 +367,13 @@ class OverlayRelation(Relation):
             return None
         return self._index_view(index)
 
-    def amortized_index(self, positions, forgone_work=None):
-        """Delegate the build decision (and its forgone-work accounting) to
-        the base relation — probe volume against the overlay is probe volume
-        against the base, and a base index built mid-transaction keeps
-        paying off after commit.  A built base index is served through an
-        :class:`OverlayIndex` so probe answers reflect the delta.
+    def amortized_index(self, positions):
+        """Build the base relation's declared index — a base index built
+        mid-transaction keeps paying off after commit — and serve it
+        through an :class:`OverlayIndex`, so probe answers reflect the
+        delta.
         """
-        index = self.base.amortized_index(tuple(positions), forgone_work)
+        index = self.base.amortized_index(tuple(positions))
         if index is None:
             return None
         return self._index_view(index)

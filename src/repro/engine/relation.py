@@ -498,35 +498,22 @@ class Relation:
             return None
         return self._indexes.get_built(tuple(positions))
 
-    def amortized_index(self, positions, forgone_work=None):
-        """The built index on ``positions``, building a *declared* one once
-        the work forgone by probing row-wise amortizes a build pass.
+    def amortized_index(self, positions):
+        """The index on ``positions``, building it if it is only declared.
 
-        ``forgone_work`` is the row-wise work (in tuples touched) the caller
-        is about to perform for lack of the index; it accumulates on the
-        declared index until it reaches ``BUILD_AMORTIZE_HURDLE`` build
-        passes, at which point the index is built and returned.
-        ``forgone_work=None`` means the caller would pay a full hashing pass
-        over this relation anyway (the build side of a hash join), so a
-        declared index is built immediately — the build *is* that pass.
-
-        Returns None when no index is declared on ``positions`` or the
-        hurdle is not yet met; never declares new indexes.
+        What a plan asks for in place of a pass over this relation — a
+        scan, a row-wise probe, a hashing pass — so a declared index is
+        built by the first plan that asks: the build *is* that pass, and
+        every later plan probes.  Returns None when no index is declared on
+        ``positions``; never declares one.
         """
         if self._indexes is None:
             return None
         index = self._indexes.get(tuple(positions))
         if index is None:
             return None
-        if index.built:
-            return index
-        if forgone_work is not None:
-            from repro.engine.indexes import BUILD_AMORTIZE_HURDLE
-
-            index.deferred_cost += forgone_work
-            if index.deferred_cost < BUILD_AMORTIZE_HURDLE * len(self._rows):
-                return None
-        index.build(self._rows)
+        if not index.built:
+            index.build(self._rows)
         return index
 
     # -- value-like derivation ------------------------------------------------

@@ -179,9 +179,11 @@ class Session:
         at the head, so it runs on the live relations inside one validated
         seqlock bracket (:meth:`~repro.engine.epochs.EpochManager.
         read_head`), a few microseconds over ``pinned=False``.  Any other
-        plan (a scan, a projection, an index only declared, a bare name),
-        and a probe-only one that lost every race to the writer, runs
-        against a freshly pinned epoch.
+        plan (a scan, a projection, a bare name), and a probe-only one that
+        lost every race to the writer, runs against a freshly pinned epoch.
+        So does a probe-only plan whose index is only declared — once: that
+        pinned read builds the live index (under the writer's gate), and
+        the plan's later reads run at the head.
         """
         expression = self._parse_expression(expression_text)
         if pinned is None:

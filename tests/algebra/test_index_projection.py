@@ -66,12 +66,23 @@ def forbid_scans(monkeypatch):
     return forbid
 
 
-def test_the_r2_repair_never_reads_the_rows_of_emp_inside_a_transaction(forbid_scans):
+def test_the_r2_repair_reads_no_row_of_emp_once_its_first_run_built_the_index(
+    forbid_scans,
+):
     controller = IntegrityController(employees_schema())
     controller.add_rule(R2_REPAIR)
     database = employees_database(employees=2_000, departments=40)
     controller.install_indexes(database)
     database.create_index("emp", ["id"])
+    repair = controller.store.get("emp_dept_repair").program
+    # emp(dept_id) is only declared: the first repair's projection builds it,
+    # in the one pass over emp its scan would have made.
+    assert database.relation("emp").built_index((2,)) is None
+    first = TransactionContext(database)
+    first.insert_rows("emp", [(8_000, "first", 76, 3_000, 2)])
+    for statement in repair:
+        statement.execute(first)
+    assert database.relation("emp").built_index((2,)) is not None
     context = TransactionContext(database)
     # A hire into a missing department and a raise (delete + insert).
     context.insert_rows("emp", [(9_000, "new", 77, 3_000, 2)])
@@ -79,7 +90,7 @@ def test_the_r2_repair_never_reads_the_rows_of_emp_inside_a_transaction(forbid_s
     context.delete_rows("emp", [old])
     context.insert_rows("emp", [old[:3] + (old[3] + 100,) + old[4:]])
     forbid_scans(database.relation("emp"))
-    for statement in controller.store.get("emp_dept_repair").program:
+    for statement in repair:
         statement.execute(context)
     assert context.working["emp"]._materialized is None
     assert dict(context.resolve("dept@plus").items()) == {(77, "unassigned", NULL): 1}

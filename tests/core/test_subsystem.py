@@ -185,7 +185,9 @@ class TestPlannedEnforcement:
         reference = violated_rules(controller.rules, DatabaseView(db))
         assert planned == reference == ["R1", "R2"]
 
-    def test_install_indexes_creates_referential_indexes(self, db, schema):
+    def test_install_indexes_declares_referential_indexes_the_audits_build(
+        self, db, schema
+    ):
         controller = IntegrityController(schema)
         # An aborting referential rule translates to an antijoin, whose
         # probe/build sides both produce index hints.
@@ -200,9 +202,14 @@ class TestPlannedEnforcement:
         installed = controller.install_indexes(db)
         assert ("beer", ("brewery",)) in installed
         assert ("brewery", ("name",)) in installed
-        assert db.relation("beer").built_index((2,)) is not None
-        # Audits keep working (and now run off the indexes).
+        beer, brewery = db.relation("beer"), db.relation("brewery")
+        assert None not in (beer.indexes.get((2,)), brewery.indexes.get((0,)))
+        assert beer.built_index((2,)) is None and brewery.built_index((0,)) is None
+        # Audits keep working, and the first builds both: each side would
+        # otherwise pay a pass over its relation (hashing, row-wise probing).
         assert controller.violated_constraints(db) == []
+        assert brewery.built_index((0,)) is not None
+        assert beer.built_index((2,)) is not None
 
     def test_install_indexes_covers_a_repair_that_projects_foreign_keys(self):
         """The paper's R2 repair is a difference of two projections: both
@@ -224,26 +231,25 @@ class TestPlannedEnforcement:
             return controller, employees_database(employees=50, departments=5)
 
         controller, database = controller_and_database()
-        assert controller.install_indexes(database, min_benefit=0) == [
+        assert controller.install_indexes(database) == [
             ("dept", ("id",)),
             ("emp", ("dept_id",)),
         ]
-        assert database.relation("emp").built_index((2,)) is not None
-        assert database.relation("dept").built_index((0,)) is not None
+        emp, dept = database.relation("emp"), database.relation("dept")
+        assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
         session = Session(database, controller)
+        # A commit the repair does not check (an insert into dept) files
+        # into no index: both are only declared.
+        assert session.execute('begin insert(dept, (41, "d", "c")); end').committed
+        assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
+        assert emp.indexes.get((2,)).buckets == {} == dept.indexes.get((0,)).buckets
         hired = session.execute('begin insert(emp, (900, "new", 42, 3000, 2)); end')
         assert hired.committed
-        assert (42, "unassigned") in {row[:2] for row in database.relation("dept")}
-        # The hire's own department is a key of the overlay the repair read.
-        assert database.relation("emp").built_index((2,)).usage.by_kind == {"project": 6}
-        assert database.relation("dept").built_index((0,)).usage.by_kind == {"project": 5}
-        # One use each: 50 employees clear a threshold 5 departments do not.
-        controller, database = controller_and_database()
-        assert controller.install_indexes(database, min_benefit=10) == [
-            ("emp", ("dept_id",))
-        ]
-        controller, database = controller_and_database()
-        assert controller.install_indexes(database, min_benefit=51) == []
+        assert (42, "unassigned") in {row[:2] for row in dept}
+        # The repair's two projections built both indexes, then read their
+        # keys; the hire's own department is a key of the overlay it read.
+        assert emp.built_index((2,)).usage.by_kind == {"project": 6}
+        assert dept.built_index((0,)).usage.by_kind == {"project": 6}
 
     def test_install_indexes_maps_pre_state_hints_to_the_base(self):
         from repro.engine import Database, DatabaseSchema, RelationSchema
@@ -270,7 +276,9 @@ class TestPlannedEnforcement:
         )
         installed = controller.install_indexes(database)
         assert ("emp", ("id",)) in installed
-        assert database.relation("emp").built_index((0,)) is not None
+        assert database.relation("emp").built_index((0,)) is None  # declared
         session = Session(database, controller)
         assert session.execute("begin insert(emp, (4, 2, 45)); end").committed
+        # The pre-state build side was the base's index, built by that check.
+        assert database.relation("emp").built_index((0,)) is not None
         assert session.execute("begin insert(emp, (5, 2, 51)); end").aborted

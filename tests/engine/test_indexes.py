@@ -49,6 +49,24 @@ class TestHashIndex:
         assert 1 not in index
         assert index.distinct_keys == 0
 
+    def test_build_publishes_the_buckets_whole(self):
+        # A pinned reader may build a live index while other readers probe
+        # it: until the last row is filed, the index must read as unbuilt,
+        # its old buckets untouched.
+        index = HashIndex((1,))
+        old = index.buckets
+        seen = []
+
+        def rows():
+            for row in [(1, 10), (2, 10), (3, 20)]:
+                seen.append((index.built, index.buckets is old, dict(old)))
+                yield row
+
+        index.build(rows())
+        assert seen == [(False, True, {})] * 3
+        assert index.built and index.buckets is not old and old == {}
+        assert sorted(index.lookup(10)) == [(1, 10), (2, 10)]
+
     def test_keys_is_the_live_sized_collection_of_distinct_keys(self):
         index = HashIndex((1,))
         index.build([(1, 10), (2, 10), (3, 20)])

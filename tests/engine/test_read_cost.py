@@ -18,10 +18,12 @@ And what a read that needs no pin costs: ``Session.query(text,
 pinned=True)`` on a *probe-only* plan (an indexed point selection, a join
 of one against an indexed relation) takes no pin, makes no ``EpochPin`` and
 no ``SnapshotRelation``, enters the seqlock once, and leaves the cyclic
-collector nothing — while every other plan, a probe-only one whose index
-is only declared, and one that keeps losing the validation race still read
-through exactly one pin, building no live index on the way.  The pin-path
-tests above therefore pin explicitly (:func:`read_through_a_pin`).
+collector nothing — while every other plan, and one that keeps losing the
+validation race, still read through exactly one pin, building no live index
+on the way.  A probe-only plan whose index is only declared reads through
+one pin once: that read builds the live index, and the plan's later reads
+take no pin.  The pin-path tests above therefore pin explicitly
+(:func:`read_through_a_pin`).
 
 Everything is counted from the outside (a list subclass for the entry
 list, wrappers around ``read_begin`` and ``fold_inverse``); ``src/``
@@ -36,6 +38,7 @@ import pytest
 
 from repro.algebra.evaluation import evaluate_expression
 from repro.algebra.parser import parse_expression
+from repro.algebra.planner import database_plan
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Session
 from repro.engine import epochs as epochs_module
 from repro.engine.epochs import EpochPin, SnapshotRelation
@@ -342,28 +345,81 @@ DECLARED_JOIN = "join(select(orders, customer = 1), customers, left.customer = r
 
 @pytest.mark.parametrize(
     "text, rows",
-    [(SCAN, 99), (PROJECTION, 2), (BARE, 1 + MANY), (DECLARED_JOIN, 0), (POINT.format(1), 1)],
-    ids=["scan", "index-only projection", "bare name", "declared join index", "declared select index"],
+    [(SCAN, 99), (PROJECTION, 2), (BARE, 1 + MANY)],
+    ids=["scan", "index-only projection", "bare name"],
 )
 def test_every_other_plan_still_takes_exactly_one_pin_and_builds_nothing(
     text, rows, constructed
 ):
     database = star_database()
-    if text.startswith("select(orders, customer"):
-        # The same point read, its index now only declared.
-        database.relation("orders").indexes.invalidate()
     database.relation("customers").declare_index((1,))  # name: never built
     session = Session(database)
     session.query(text, pinned=True)  # compile, and let anything that builds build
     found = index_states(database)
     assert False in found.values()
     pins, pin_objects = database.epochs.pins_taken, constructed[EpochPin]
-    for _ in range(3):  # past any forgone-work hurdle a live relation would count
+    for _ in range(3):
         result = session.query(text, pinned=True)
         assert len(result) == rows
     assert database.epochs.pins_taken - pins == 3
     assert constructed[EpochPin] - pin_objects == 3
     assert index_states(database) == found
+
+
+@pytest.mark.parametrize(
+    "text, rows, declared",
+    [(DECLARED_JOIN, 0, ("customers", (1,))), (POINT.format(1), 1, ("orders", (1,)))],
+    ids=["declared join index", "declared select index"],
+)
+def test_a_declared_index_is_built_by_the_first_pinned_read_and_later_reads_take_no_pin(
+    text, rows, declared, constructed
+):
+    database = star_database()
+    if text.startswith("select(orders, customer"):
+        # The same point read, its index now only declared.
+        database.relation("orders").indexes.invalidate()
+    database.relation("customers").declare_index((1,))  # name
+    session = Session(database)
+    plan = database_plan(parse_expression(text), database)
+    assert declared in {
+        (name, tuple(database.relation_schema(name).position_of(a) - 1 for a in attrs))
+        for name, attrs in plan.probes
+    }  # probe-only: the head path needs nothing more than this index built
+    before = index_states(database)
+    assert before[declared] is False
+    pins, pin_objects = database.epochs.pins_taken, constructed[EpochPin]
+    assert len(session.query(text, pinned=True)) == rows
+    assert database.epochs.pins_taken - pins == 1  # the one pinned read ...
+    assert index_states(database) == {**before, declared: True}  # ... built it, live
+    for _ in range(3):
+        assert len(session.query(text, pinned=True)) == rows
+    assert database.epochs.pins_taken - pins == 1  # the head path from then on
+    assert constructed[EpochPin] - pin_objects == 1
+
+
+@pytest.mark.parametrize("wholesale", ["clear", "replace_contents"])
+def test_a_point_read_rebuilds_the_index_a_wholesale_change_unbuilt(wholesale):
+    """``clear`` and ``replace_contents`` leave the relation's indexes only
+    declared.  The next pinned point read rebuilds the one it probes — not
+    every later read pinning and scanning, with nothing ever rebuilding it."""
+    database = star_database()
+    orders = database.relation("orders")
+    if wholesale == "clear":
+        orders.clear()
+        rows = 0
+    else:
+        orders.replace_contents(orders.copy())
+        rows = 1
+    assert orders.built_index((1,)) is None
+    session = Session(database)
+    text = POINT.format(ONE_ORDER)
+    pins = database.epochs.pins_taken
+    assert len(session.query(text, pinned=True)) == rows
+    assert database.epochs.pins_taken == pins + 1
+    assert orders.built_index((1,)) is not None
+    for _ in range(3):
+        assert len(session.query(text, pinned=True)) == rows
+    assert database.epochs.pins_taken == pins + 1
 
 
 @pytest.mark.parametrize("text", [POINT, JOIN], ids=["point", "join"])

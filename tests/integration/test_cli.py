@@ -94,7 +94,7 @@ class TestTransactions:
         assert "alarm(select(beer@plus, alcohol < 0)" in output
         assert "rules: R1" in output
 
-    def test_explain_names_the_indexes_a_full_state_rule_has_and_lacks(self):
+    def test_explain_names_the_indexes_a_full_state_rule_has_declares_and_lacks(self):
         stdout = io.StringIO()
         shell = Shell(stdin=io.StringIO(), stdout=stdout, interactive=False)
         explain = 'explain begin insert(beer, ("new", "ale", "ghost", 5.0)); end'
@@ -120,11 +120,17 @@ class TestTransactions:
         shell.controller.install_indexes(shell.database)
         shell.dispatch(explain)
         assert stdout.getvalue().endswith(
-            "--   R2: beer(brewery) built, brewery(name) built\n"
+            "--   R2: beer(brewery) built, brewery(name) declared\n"
         )
         # Static: explaining executed nothing.
         assert shell.database.relation("beer").built_index((2,)).usage.uses == uses
         assert len(shell.database.relation("beer")) == 0
+        # The first transaction the rule checks builds what it probes.
+        shell.dispatch(explain.removeprefix("explain "))
+        shell.dispatch(explain)
+        assert stdout.getvalue().endswith(
+            "--   R2: beer(brewery) built, brewery(name) built\n"
+        )
         shell.controller.close_schedulers()
 
     def test_compensating_rule_via_shell(self):

@@ -9,8 +9,9 @@ the two ran must never show in the answer:
   each index built, only declared, or absent) and expressions on both sides
   of the choice, one-shot ≡ explicit pin ≡ ``Expression.evaluate`` on rows
   and multiplicities, raising exactly when the reference raises; the
-  ``IndexUsage`` ledgers equal the pinned path's, no live index changes
-  state, and the result shares nothing with the database;
+  ``IndexUsage`` ledgers equal the pinned path's, no built index is
+  unbuilt, a declared index a probe-only plan probes is built by its pinned
+  read, and the result shares nothing with the database;
 * **deterministic interleavings** — a commit, and separately a
   ``quiesce()``-fencing out-of-band mutation, injected *from inside the
   attempt* (behind the view's ``resolve`` or the index's ``lookup``): the
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.evaluation import evaluate_expression
 from repro.algebra.parser import parse_expression
+from repro.algebra.planner import database_plan
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Session
 from repro.engine.epochs import READ_RETRY_LIMIT
 from repro.engine.indexes import HashIndex
@@ -146,7 +148,6 @@ def ledgers(database: Database) -> dict:
             index.usage.uses,
             index.usage.keys,
             index.usage.by_kind,
-            index.deferred_cost,
         )
         for relation in database
         for index in relation.indexes or ()
@@ -155,22 +156,31 @@ def ledgers(database: Database) -> dict:
 
 @_SETTINGS
 @given(ROWS, ROWS, st.booleans(), STATES, SHAPES, KEYS, SMALL)
-def test_one_shot_equals_explicit_pin_equals_reference(
+def test_one_shot_equals_explicit_pin_equals_reference_and_builds_the_declared_probes(
     rows_r, rows_s, bag, states, shape, k, c
 ):
     text = shape.format(k=literal(k), c=c)
     one_shot, pinned, untouched = (build(rows_r, rows_s, bag, states) for _ in range(3))
     expected = reference(untouched, text)
-    before = ledgers(one_shot)
+    before = {key: state[0] for key, state in ledgers(one_shot).items()}
 
     result = []
     got = outcome(lambda: Session(one_shot).query(text, pinned=True), keep=result)
     assert got == expected
     assert through_a_pin(pinned, text) == expected
     assert ledgers(one_shot) == ledgers(pinned)
-    assert {key: state[0] for key, state in ledgers(one_shot).items()} == {
-        key: state[0] for key, state in before.items()
+    after = {key: state[0] for key, state in ledgers(one_shot).items()}
+    probes = database_plan(parse_expression(text), one_shot).probes or ()
+    probed = {
+        (name, tuple(one_shot.relation_schema(name).position_of(a) - 1 for a in attrs))
+        for name, attrs in probes
     }
+    for key, built in before.items():
+        if built:
+            assert after[key], key  # nothing is unbuilt
+        elif key in probed and got[0] != "raised":
+            assert after[key], key  # the pinned read built what it probes
+    assert after.keys() == before.keys()
 
     pins = one_shot.epochs.pins_taken
     assert pins in (0, 1)
@@ -178,6 +188,10 @@ def test_one_shot_equals_explicit_pin_equals_reference(
         assert pins == 1
     elif set(states) == {"built"} and k is not NULL:
         assert pins == 0
+    if probed and all(after.get(key) for key in probed):
+        # Every index the plan probes is built now: the next read is one-shot.
+        assert outcome(lambda: Session(one_shot).query(text, pinned=True)) == expected
+        assert one_shot.epochs.pins_taken == pins
 
     # The result is the caller's own: emptying it changes no later answer.
     if result and type(result[0]) is Relation:
@@ -391,3 +405,71 @@ def test_a_concurrent_reader_only_sees_whole_commits():
         sys.setswitchinterval(interval)
     assert failures == []
     assert len(database.relation("r")) == 2 * (commits - len(range(0, commits, 3)))
+
+
+def test_readers_racing_to_build_a_declared_index_lose_no_commit():
+    """Three reader threads' first pinned reads of a declared index race to
+    build it while a writer commits: the build holds the write gate, so the
+    built index holds every committed row — a build beside a commit would
+    miss the rows the commit filed into no built index — and no read sees
+    half a commit."""
+    keys, readers, loaded = 4, 3, 20_000
+    point = [f"select(r, a = {key})" for key in range(keys)]
+    # Loaded in pairs too; big enough that a build spans several commits.
+    rows = [(i % keys, -c) for i in range(loaded // 2) for c in (2 * i + 1, 2 * i + 2)]
+    failures: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _round in range(5):
+            database = build(rows, [], False, ("declared", "none", "none"))
+            session = Session(database)
+            for text in point:
+                database_plan(parse_expression(text), database)  # compile first
+            schema = database.relation_schema("r")
+            started = threading.Barrier(readers + 1)
+            done = threading.Event()
+            committed = []
+
+            def writer():
+                try:
+                    started.wait(timeout=10)
+                    i = 0
+                    while not done.is_set() and i < 5_000:
+                        pair = Relation(schema, [(i % keys, 2 * i), (i % keys, 2 * i + 1)])
+                        database.apply_deltas({"r": (pair, None)})
+                        i += 1
+                    committed.append(i)
+                except Exception as error:  # noqa: BLE001 - reported below
+                    failures.append(error)
+
+            def reader():
+                try:
+                    started.wait(timeout=10)
+                    for n in range(2 * keys):
+                        count = len(session.query(point[n % keys], pinned=True))
+                        if count % 2:
+                            failures.append(f"saw {count} rows")
+                except Exception as error:  # noqa: BLE001
+                    failures.append(error)
+
+            threads = [threading.Thread(target=reader) for _ in range(readers)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads[:readers]:
+                thread.join(timeout=60)
+            done.set()
+            threads[-1].join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            relation = database.relation("r")
+            assert len(relation) == loaded + 2 * committed[0]
+            index = relation.built_index((0,))
+            assert index is not None
+            fresh = HashIndex((0,)).build(relation.rows())
+            assert {key: set(rows) for key, rows in index.buckets.items()} == {
+                key: set(rows) for key, rows in fresh.buckets.items()
+            }
+    finally:
+        sys.setswitchinterval(interval)
