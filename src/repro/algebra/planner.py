@@ -37,6 +37,7 @@ produced by parsing or by the calculus-to-algebra translation of Section
 from __future__ import annotations
 
 import dataclasses
+import threading
 import weakref
 from typing import Iterator, Optional
 
@@ -56,6 +57,8 @@ _PLAN_CACHE: dict = {}
 _PLAN_CACHE_LIMIT = 1024
 _plan_cache_hits = 0
 _plan_cache_misses = 0
+# Serializes every filing into a bounded plan table (:func:`file_bounded`).
+_FILING = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +215,24 @@ def get_plan(expression: E.Expression) -> X.PhysicalOperator:
         return plan
     _plan_cache_misses += 1
     plan = compile_expression(expression)
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[expression] = plan
+    file_bounded(_PLAN_CACHE, expression, plan, _PLAN_CACHE_LIMIT)
     return plan
+
+
+def file_bounded(table: dict, key, value, limit: int) -> None:
+    """File ``key`` in a plan table of at most ``limit`` entries, evicting
+    the oldest (FIFO) when it is full.
+
+    Audit threads file plans beside the session thread.  Finding the oldest
+    key, evicting it and filing the new one is one step under
+    :data:`_FILING`, so two filers never pop the same key, iterate a table
+    the other is changing, or both take the last slot.  Readers take no
+    lock: a dictionary probe is atomic.
+    """
+    with _FILING:
+        if len(table) >= limit:
+            del table[next(iter(table))]
+        table[key] = value
 
 
 def clear_plan_cache() -> None:
@@ -705,7 +722,9 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
 # A ``None`` snapshot marks a chain-free expression: its entry never drifts,
 # and it is the whole cost of evaluating a stored check — one probe, on an
 # expression that hashes once.  A table is as old as its database: a fork or
-# an unpickled copy starts empty, and nothing outlives the database.
+# an unpickled copy starts empty, and nothing outlives the database.  The
+# database's query-text table (``Database.query_texts``, filed by
+# ``Session.query``) keeps the same limit and eviction.
 _DATABASE_PLANS_LIMIT = 1024
 
 
@@ -743,11 +762,9 @@ def database_plan(
     if _has_chain(expression):
         rewritten = reorder_chains(expression, stats, database.schema)
         snapshot = stats
-    result = (snapshot, get_plan(push_selections(rewritten, database.schema)))
-    if len(plans) >= _DATABASE_PLANS_LIMIT:
-        plans.pop(next(iter(plans)))
-    plans[expression] = result
-    return result[1]
+    plan = get_plan(push_selections(rewritten, database.schema))
+    file_bounded(plans, expression, (snapshot, plan), _DATABASE_PLANS_LIMIT)
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,16 @@ class Database:
         # filed and read by :mod:`repro.algebra.planner` — opaque here.  They
         # live and die with this object: never pickled, never forked.
         self.plans: dict = {}
+        # The same for the step before a plan: query text -> its parsed
+        # expression, filed by `Session.query`.  Syntax only (parsing reads
+        # no schema), so no change of this database invalidates an entry.
+        self.query_texts: dict = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["wal"] = None
         state["plans"] = {}
+        state["query_texts"] = {}
         # Pins and seqlock state are process-local; a deserialized copy
         # starts with none, over the commit stream it carries.
         state["epochs"] = None
@@ -274,7 +279,11 @@ class Database:
         consistent cut), and carries over the commit stream **up to** the
         pin, versions and fence included, so every commit the fork carries
         can still be bracketed; ``next_sequence`` continues the original
-        numbering.  This is what epoch-forked WAL checkpoints pickle: a
+        numbering.  It carries the records the original held at the cut and
+        keeps them under its own window (the default ``retain``): a trim of
+        the original after the cut — such as the one that releasing a fork's
+        own head pin makes after a fence — does not reach the fork.  This
+        is what epoch-forked WAL checkpoints pickle: a
         checkpointer can fork and serialize without stopping the writer.
         """
         own = snapshot is None

@@ -32,9 +32,9 @@ class Session:
     def __init__(self, database: Database, controller=None):
         # Once per session, not per call: the import statements measured
         # ~3 us on every query, a fifth of parsing it.
+        from repro.algebra import planner
         from repro.algebra.expressions import RelationRef
         from repro.algebra.parser import parse_expression, parse_transaction
-        from repro.algebra.planner import database_plan
 
         self.database = database
         self.controller = controller
@@ -42,7 +42,8 @@ class Session:
         self.manager = TransactionManager(database, modifier=modifier)
         self._parse_transaction = parse_transaction
         self._parse_expression = parse_expression
-        self._database_plan = database_plan
+        self._planner = planner
+        self._database_plan = planner.database_plan
         self._relation_ref = RelationRef
 
     # -- transactions -----------------------------------------------------------
@@ -184,11 +185,27 @@ class Session:
         So does a probe-only plan whose index is only declared — once: that
         pinned read builds the live index (under the writer's gate), and
         the plan's later reads run at the head.
+
+        A text is parsed once per database.  Its expression is filed in
+        ``database.query_texts`` (bounded and FIFO-evicted like
+        ``database.plans``, and like it never pickled or forked), and a
+        repeated text hands that same object to the plan table, which then
+        finds its plan by identity instead of comparing a fresh tree.  The
+        table holds syntax only, so a text read before its relation exists
+        is served once ``add_relation`` creates it; a text that fails to
+        parse is never filed and raises the same error every time.
         """
-        expression = self._parse_expression(expression_text)
+        database = self.database
+        texts = database.query_texts
+        expression = texts.get(expression_text)
+        if expression is None:
+            expression = self._parse_expression(expression_text)
+            planner = self._planner
+            planner.file_bounded(
+                texts, expression_text, expression, planner._DATABASE_PLANS_LIMIT
+            )
         if pinned is None:
             pinned = isinstance(expression, self._relation_ref)
-        database = self.database
         plan = self._database_plan(expression, database)
         if not pinned:
             return plan.execute(DatabaseView(database))

@@ -12,6 +12,9 @@ the two ran must never show in the answer:
   ``IndexUsage`` ledgers equal the pinned path's, no built index is
   unbuilt, a declared index a probe-only plan probes is built by its pinned
   read, and the result shares nothing with the database;
+* each drawn text is read twice, so the second read is served from the
+  database's query-text table (``Database.query_texts``) instead of
+  parsed, and must give what the fresh parse gave;
 * **deterministic interleavings** — a commit, and separately a
   ``quiesce()``-fencing out-of-band mutation, injected *from inside the
   attempt* (behind the view's ``resolve`` or the index's ``lookup``): the
@@ -188,9 +191,13 @@ def test_one_shot_equals_explicit_pin_equals_reference_and_builds_the_declared_p
         assert pins == 1
     elif set(states) == {"built"} and k is not NULL:
         assert pins == 0
+    # The text again: served from the database's table, not parsed, the
+    # read equals the fresh parse's, the explicit pin's and the reference.
+    parsed = one_shot.query_texts[text]
+    assert outcome(lambda: Session(one_shot).query(text, pinned=True)) == expected
+    assert one_shot.query_texts[text] is parsed
     if probed and all(after.get(key) for key in probed):
-        # Every index the plan probes is built now: the next read is one-shot.
-        assert outcome(lambda: Session(one_shot).query(text, pinned=True)) == expected
+        # Every index the plan probes is built now: the served read was one-shot.
         assert one_shot.epochs.pins_taken == pins
 
     # The result is the caller's own: emptying it changes no later answer.
@@ -279,6 +286,8 @@ def test_a_write_landing_inside_the_attempt_never_shows_as_a_mixture(
         assert got == boundary_states[0]
         write(database, ops)
     assert reference(database, text) == boundary_states[1]
+    # The text again, served from the table: the state after the write.
+    assert outcome(lambda: session.query(text, pinned=True)) == boundary_states[1]
 
     # A result handed out stays what it was, whatever commits next.
     if result:
