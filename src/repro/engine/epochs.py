@@ -112,16 +112,20 @@ Invariants the read path leans on (each is asserted by
   exception under a held stamp is the query's own and is raised at once,
   never re-run.  *What a lost attempt may leave behind:* ``IndexUsage``
   counts (one lookup or build-side touch per attempt, the plain counter
-  bumps a lost ``SnapshotIndex`` round leaves too) and nothing else — every
-  index it wants was built when it looked, so it builds none, and it
-  registers nothing with the manager.  *Why never the write gate:* the
-  gate is for a compute that is O(n) and would starve; a probe-only
+  bumps a lost ``SnapshotIndex`` round leaves too), and an index built —
+  every index it wants was built when it looked, but a commit landing
+  mid-attempt may have sent one back to declared (``HashIndex.charge``);
+  the operator that then asks for it builds it under the write gate
+  (:meth:`EpochManager.build_index`), so the build is whole and current
+  whatever the attempt's fate.  It registers nothing with the manager.
+  *Why never the write gate:* the gate is for a compute that is O(n) and
+  would starve (a build holds it only while it files); a probe-only
   compute is O(keys probed), and one that still loses
   :data:`READ_RETRY_LIMIT` times takes a pin and is the pinned read above,
   bounded fallback included.  *An index only declared:* no attempt is
   made; the read runs pinned and builds the live index under the gate
-  (``SnapshotRelation.amortized_index``), so the plan's next read runs
-  here.  *Why only probe-only plans:* a 9 ms scan
+  (``SnapshotRelation.amortized_index`` asks the live relation), so the
+  plan's next read runs here.  *Why only probe-only plans:* a 9 ms scan
   loses every race to a 1k commits/s writer and then runs pinned anyway
   (``bench_mvcc``'s gated row reads 0.32-0.35x with every plan bracketed,
   0.93-0.98x as it is).
@@ -384,6 +388,15 @@ class EpochManager:
             if self.read_validate(stamp) and log.version == version:
                 return value
         return None
+
+    def build_index(self, index: HashIndex, relation: Relation) -> None:
+        """Build a declared ``index`` of the live base ``relation`` under
+        the write gate, so no commit moves the rows while they are filed
+        (``Relation.amortized_index``, from any thread; never from inside
+        the writer's critical section, which runs no plan)."""
+        with self._write_gate:
+            if not index.built:  # another thread may have built it meanwhile
+                index.build(relation._rows)
 
     # -- pinning ----------------------------------------------------------------
 
@@ -1182,18 +1195,20 @@ class SnapshotRelation(OverlayRelation):
 
     def amortized_index(self, positions):
         positions = tuple(positions)
-        index = self.built_index(positions)
-        if index is not None or self._materialized is not None or self._detached:
-            return index
-        indexes = self.base.indexes
-        if indexes is None or indexes.get(positions) is None:
-            return None  # nothing declared: no gate taken
-        with self._manager._write_gate:
-            # Re-checked under the gate: another reader may have built it,
-            # a fence may have detached this snapshot from the live base.
-            if self._materialized is None and not self._detached:
-                self.base.amortized_index(positions)
-        return self.built_index(positions)
+        if self._materialized is not None or self._detached:
+            # Frozen rows: a local index, on what the live base declares
+            # (built there or not) or this snapshot does.
+            declared = self.base.indexes
+            if (declared is None or declared.get(positions) is None) and (
+                self._indexes is None or self._indexes.get(positions) is None
+            ):
+                return None
+            return self._local_index(positions)
+        # The live base's request: it builds a declared index under the
+        # write gate.  A fence detaching this snapshot meanwhile is read by
+        # the view, which then answers from the frozen rows.
+        index = self.base.amortized_index(positions)
+        return None if index is None else self._index_view(index)
 
     def _index_view(self, index) -> "SnapshotIndex":
         # A handle per request, never cached on the snapshot: the view
@@ -1215,6 +1230,10 @@ class SnapshotRelation(OverlayRelation):
 #: correction arithmetic reads "the delta does not touch this key" for
 #: every key.  Never attached to a relation, hence never written to.
 _NO_UNDO = HashIndex(())
+
+#: What a :class:`SnapshotIndex` bracket returns when it finds the live
+#: index unbuilt: the answer then comes from the snapshot's frozen rows.
+_UNBUILT = object()
 
 
 class SnapshotIndex(OverlayIndex):
@@ -1261,16 +1280,30 @@ class SnapshotIndex(OverlayIndex):
     def _local(self):
         return self.overlay._local_index(self.positions)
 
-    def lookup(self, key) -> tuple:
+    def _read(self, corrected: Callable, frozen: Callable):
+        """``corrected()`` — the live index, corrected by the undo delta —
+        in one read bracket of the snapshot; ``frozen(local index)`` once
+        the snapshot is materialized, or when a commit has unbuilt the
+        live index (:meth:`HashIndex.charge`) since this view was made."""
         rel = self.overlay
-        if rel._materialized is not None or rel._detached:
-            return self._local().lookup(key)
+        if rel._materialized is None and not rel._detached:
+            base_index = self.base_index
 
-        def corrected():
-            self._attach_undo()
-            return OverlayIndex.lookup(self, key)
+            def bracketed():
+                if not base_index.built:
+                    return _UNBUILT
+                self._attach_undo()
+                return corrected()
 
-        return rel._read(corrected)
+            value = rel._read(bracketed)
+            if value is not _UNBUILT:
+                return value
+        return frozen(self._local())
+
+    def lookup(self, key) -> tuple:
+        return self._read(
+            lambda: OverlayIndex.lookup(self, key), lambda local: local.lookup(key)
+        )
 
     def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
         # Usage evidence still flows to the base ledger (plain counter
@@ -1303,19 +1336,17 @@ class _SnapshotBuckets(_DeltaBuckets):
     def probe(self, keys) -> dict:
         """``keys`` must be a collection: a lost validation race walks it
         again."""
-        index = self._index
-        rel = index.overlay
-        if rel._materialized is not None or rel._detached:
-            local = index._local().buckets
-            return {key: local[key] for key in keys if key in local}
 
         def corrected():
-            index._attach_undo()
             found = _DeltaBuckets.probe(self, keys)
             # Detach: untouched keys alias the live index's bucket dicts.
             return {key: dict(bucket) for key, bucket in found.items()}
 
-        return rel._read(corrected)
+        def frozen(local):
+            buckets = local.buckets
+            return {key: buckets[key] for key in keys if key in buckets}
+
+        return self._index._read(corrected, frozen)
 
     def get(self, key, default=None):
         return self.probe((key,)).get(key, default)
@@ -1323,16 +1354,10 @@ class _SnapshotBuckets(_DeltaBuckets):
     def keys(self):
         """The distinct keys at the pinned epoch: one bracket, and a
         collection of the caller's own (never a view of the live index)."""
-        index = self._index
-        rel = index.overlay
-        if rel._materialized is not None or rel._detached:
-            return index._local().buckets.keys()  # frozen with the rows
-
-        def corrected():
-            index._attach_undo()
-            return self._corrected_keys().keys()
-
-        return rel._read(corrected)
+        return self._index._read(
+            lambda: self._corrected_keys().keys(),
+            lambda local: local.buckets.keys(),  # frozen with the rows
+        )
 
     def items(self):
         local = self._index._local()  # materializes the snapshot

@@ -27,10 +27,23 @@ Design points:
   Write transactions ask through :class:`~repro.engine.overlay.
   OverlayIndex` views and pinned reads through :class:`~repro.engine.
   epochs.SnapshotIndex` views; both build the *base* index, so it keeps
-  paying off after the commit or the pin.  A pinned reader builds it under
-  the epoch manager's write gate, and :meth:`HashIndex.build` publishes the
-  buckets whole, so no other thread ever finds an index built but half
-  filled.
+  paying off after the commit or the pin.  A database's base relation builds
+  under the epoch manager's write gate, whichever thread asks, and
+  :meth:`HashIndex.build` publishes the buckets whole, so no other thread
+  ever finds an index built but half filled.
+
+* **Unread goes back to declared.**  A built index on a database's base
+  relation counts the rows it files and unfiles since a plan last asked for
+  it (:attr:`HashIndex.unread`; ``amortized_index`` zeroes it).  Once they
+  outnumber the rows the relation holds — the rows a rebuild would file —
+  maintaining it has cost more than the next plan's build would, and it is
+  unbuilt in place (:meth:`HashIndex.unbuild`): declared again, filed into
+  by nothing, until a plan asks for it.  That is ski rental, priced by the
+  relation's own size, so no constant decides it.  An insert-only stream
+  never trips it (it grows the relation as fast as the count); turnover —
+  deletes beside inserts — does.  Indexes of relations outside a database
+  (a transaction's Δ sides, a snapshot's undo) are held by the views that
+  built them and are never unbuilt.
 
 * **Incremental, set-at-a-time maintenance.**  A transaction commit applies
   its net differential (``R@plus`` / ``R@minus``) to the base relation *in
@@ -135,7 +148,7 @@ def _file(buckets: dict, key_of, rows: Iterable[tuple]) -> None:
 class HashIndex:
     """A hash index over one relation, keyed by a tuple of 0-based positions."""
 
-    __slots__ = ("positions", "key_of", "buckets", "built", "usage")
+    __slots__ = ("positions", "key_of", "buckets", "built", "usage", "unread")
 
     def __init__(self, positions: Tuple[int, ...]):
         self.positions = tuple(positions)
@@ -147,6 +160,8 @@ class HashIndex:
         self.built = False
         # Usage evidence for the advisor's drop-unused maintenance.
         self.usage = IndexUsage()
+        # Rows filed and unfiled since the last build or plan request.
+        self.unread = 0
 
     @property
     def probes(self) -> int:
@@ -165,8 +180,27 @@ class HashIndex:
         buckets: Dict[object, dict] = {}
         _file(buckets, self.key_of, rows)
         self.buckets = buckets
+        self.unread = 0
         self.built = True
         return self
+
+    def unbuild(self) -> None:
+        """Back to declared.  ``built`` goes first, so nothing trusts the
+        emptied buckets, and the old dict is swapped out, not cleared: a
+        reader still walking it sees a stale state, which its seqlock
+        bracket rejects, never one mutated under it."""
+        self.built = False
+        self.buckets = {}
+
+    def charge(self, filed: int, held: int) -> None:
+        """``filed`` rows were just filed or unfiled, leaving the relation
+        ``held`` distinct rows: unbuild once the rows filed unread
+        outnumber the rows a rebuild would file."""
+        unread = self.unread + filed
+        if unread > held:
+            self.unbuild()
+        else:
+            self.unread = unread
 
     def add(self, row: tuple) -> None:
         self.add_many((row,))
@@ -286,23 +320,32 @@ class IndexSet:
         """A row fully left the relation (last occurrence deleted)."""
         self.rows_removed((row,))
 
-    def rows_added(self, rows: Collection[tuple]) -> None:
-        """Distinct rows became present: one pass per built index."""
+    def rows_added(self, rows: Collection[tuple], held: Optional[int] = None) -> None:
+        """Distinct rows became present: one pass per built index.
+
+        ``held`` is the relation's distinct row count after the change, on
+        a database's base relation (None elsewhere): each index filing the
+        rows is charged for them (:meth:`HashIndex.charge`).
+        """
         for index in self._indexes.values():
             if index.built:
                 index.add_many(rows)
+                if held is not None:
+                    index.charge(len(rows), held)
 
-    def rows_removed(self, rows: Collection[tuple]) -> None:
-        """Rows fully left the relation: one pass per built index."""
+    def rows_removed(self, rows: Collection[tuple], held: Optional[int] = None) -> None:
+        """Rows fully left the relation: one pass per built index, charged
+        as in :meth:`rows_added`."""
         for index in self._indexes.values():
             if index.built:
                 index.remove_many(rows)
+                if held is not None:
+                    index.charge(len(rows), held)
 
     def invalidate(self) -> None:
         """Drop built contents but keep declarations (wholesale row change)."""
         for index in self._indexes.values():
-            index.built = False  # first, so nothing trusts the emptied buckets
-            index.buckets = {}
+            index.unbuild()
 
     def specs(self) -> tuple:
         """The declared position tuples."""

@@ -256,7 +256,7 @@ class Relation:
         if self._aggregates:
             self._carry_aggregates({row: 1}, {})
         if not count and self._indexes is not None:
-            self._indexes.rows_added((row,))
+            self._indexes.rows_added((row,), self._held())
         return True
 
     def delete(self, row: tuple) -> bool:
@@ -276,7 +276,7 @@ class Relation:
         else:
             del rows[row]
             if self._indexes is not None:
-                self._indexes.rows_removed((row,))
+                self._indexes.rows_removed((row,), self._held())
         self._batch = None
         if self._aggregates:
             self._carry_aggregates({}, {row: 1})
@@ -339,7 +339,7 @@ class Relation:
         if self._aggregates:
             self._carry_aggregates(added, {})
         if fresh and self._indexes is not None:
-            self._indexes.rows_added(fresh)
+            self._indexes.rows_added(fresh, self._held())
         return sum(added.values()) if self.bag else len(added)
 
     def delete_counts(self, counts: Mapping) -> int:
@@ -378,7 +378,7 @@ class Relation:
         if self._aggregates:
             self._carry_aggregates({}, removed if self.bag else dict.fromkeys(gone, 1))
         if gone and self._indexes is not None:
-            self._indexes.rows_removed(gone)
+            self._indexes.rows_removed(gone, self._held())
         return total
 
     def clear(self) -> None:
@@ -478,19 +478,14 @@ class Relation:
         self._indexes.declare(positions)
 
     def index_on(self, positions):
-        """The built hash index on 0-based ``positions`` (building lazily).
+        """The built hash index on 0-based ``positions``, declared and built
+        if need be: :meth:`declare_index`, then :meth:`amortized_index`.
 
         Once built, the index is maintained incrementally by
         :meth:`insert` / :meth:`delete`.
         """
-        from repro.engine.indexes import IndexSet
-
-        if self._indexes is None:
-            self._indexes = IndexSet()
-        positions = tuple(positions)
-        if self._indexes.get(positions) is None:
-            self._invalidate_batch()
-        return self._indexes.ensure_built(positions, self._rows)
+        self.declare_index(positions)
+        return self.amortized_index(positions)
 
     def built_index(self, positions):
         """The built index on ``positions`` if one exists, else None."""
@@ -506,6 +501,13 @@ class Relation:
         built by the first plan that asks: the build *is* that pass, and
         every later plan probes.  Returns None when no index is declared on
         ``positions``; never declares one.
+
+        A request is a read: it zeroes the index's unread count (see
+        :meth:`~repro.engine.indexes.HashIndex.charge`).  A database's base
+        relation builds through its epoch manager, under the write gate, so
+        a reader thread's build — a pinned read's, or a one-shot read's
+        whose index went back to declared under it — files rows no commit
+        is moving.
         """
         if self._indexes is None:
             return None
@@ -513,8 +515,18 @@ class Relation:
         if index is None:
             return None
         if not index.built:
-            index.build(self._rows)
+            if self._observer is None:
+                index.build(self._rows)
+            else:
+                self._observer.build_index(index, self)
+        index.unread = 0
         return index
+
+    def _held(self):
+        """What a filing index is charged against: the distinct row count of
+        a database's base relation, None for any other relation (whose
+        indexes are held by views and never unbuilt)."""
+        return len(self._rows) if self._observer is not None else None
 
     # -- value-like derivation ------------------------------------------------
 

@@ -184,7 +184,10 @@ class Session:
         lost every race to the writer, runs against a freshly pinned epoch.
         So does a probe-only plan whose index is only declared — once: that
         pinned read builds the live index (under the writer's gate), and
-        the plan's later reads run at the head.
+        the plan's later reads run at the head.  An index is declared again
+        after commits have filed more rows into it than its relation holds
+        with no plan asking for it (:meth:`~repro.engine.indexes.HashIndex.
+        charge`); the next read is then that one pinned read.
 
         A text is parsed once per database.  Its expression is filed in
         ``database.query_texts`` (bounded and FIFO-evicted like

@@ -117,6 +117,37 @@ def test_a_bulk_insert_files_into_exactly_the_indexes_a_plan_has_built(eager, fi
             assert orders.indexes.get(positions).buckets == {}
 
 
+def test_a_bulk_stream_nobody_reads_stops_filing_into_the_index_a_read_built(filed):
+    """The benchmark's ``bulk_prebuilt`` shape: the warm reads build
+    ``orders(customer)``, then only insert and delete batches run, and no
+    check probes it.  Once it has filed more rows than ``orders`` holds it
+    goes back to declared, and later batches file into no index of
+    ``orders``; the next read builds it again, once."""
+    database, session = star(eager=False)
+    orders = database.relation("orders")
+    assert len(session.query("select(orders, customer = 3)", pinned=True)) == 20
+    index = orders.built_index((1,))
+    tally = filed(database)
+
+    def cycle(first: int) -> None:
+        batch = [order(i) for i in range(first, first + BATCH)]
+        assert session.execute(prebuilt(S.Insert, "orders", batch)).committed
+        assert session.execute(prebuilt(S.Delete, "orders", batch)).committed
+
+    cycle(ORDERS)  # 1,000 filed against 1,000 held: kept
+    assert orders.built_index((1,)) is index and tally == {("orders", (1,)): 2 * BATCH}
+    cycle(ORDERS + BATCH)  # the delete: 2,000 filed against 1,000 held
+    assert orders.built_index((1,)) is None and index.buckets == {}
+    tally.clear()
+    cycle(ORDERS + 2 * BATCH)
+    assert tally == {}  # no index of orders is built: nothing filed
+    pins = database.epochs.pins_taken
+    assert len(session.query("select(orders, customer = 3)", pinned=True)) == 20
+    assert orders.built_index((1,)) is index and database.epochs.pins_taken == pins + 1
+    assert len(session.query("select(orders, customer = 4)", pinned=True)) == 20
+    assert database.epochs.pins_taken == pins + 1
+
+
 def test_the_first_delete_from_products_builds_orders_product_on_the_writer_path():
     verdicts = {}
     for eager in (False, True):

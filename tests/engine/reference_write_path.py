@@ -17,7 +17,8 @@ here                           was
 =============================  ==========================================
 ``index_add`` / ``index_remove``  ``HashIndex.add`` / ``remove``
 ``index_build``                ``HashIndex.build``
-``row_added`` / ``row_removed``   ``IndexSet.row_added`` / ``row_removed``
+``row_added`` / ``row_removed``   ``IndexSet.row_added`` / ``row_removed``, plus
+                               the unread charge (``HashIndex.charge``)
 ``insert`` / ``delete``        ``Relation.insert`` / ``delete``
 ``insert_many`` / ``delete_many``  ``Relation.insert_many`` / ``delete_many``
 ``overlay_insert`` / ``overlay_delete``  ``OverlayRelation.insert`` / ``delete``
@@ -58,20 +59,42 @@ def index_build(index, rows):
     index.buckets = {}
     for row in rows:
         index_add(index, row)
+    index.unread = 0
     index.built = True
     return index
 
 
-def row_added(indexes, row):
+# The one rule added since: an index of a database's base relation that
+# files more rows unread than the relation holds goes back to declared.
+# Charged here row by row, by the kernel once per batch; the two agree
+# because within one batch the count only grows, and the rows held only
+# shrink (deletes) or grow in step with it (inserts).
+
+
+def _held(relation):
+    return len(relation._rows) if relation._observer is not None else None
+
+
+def _charge(index, held):
+    if held is not None:
+        index.unread += 1
+        if index.unread > held:
+            index.built = False
+            index.buckets = {}
+
+
+def row_added(indexes, row, held=None):
     for index in indexes._indexes.values():
         if index.built:
             index_add(index, row)
+            _charge(index, held)
 
 
-def row_removed(indexes, row):
+def row_removed(indexes, row, held=None):
     for index in indexes._indexes.values():
         if index.built:
             index_remove(index, row)
+            _charge(index, held)
 
 
 def migrate_indexes(old_relation, new_relation, plus=None, minus=None):
@@ -129,7 +152,7 @@ def insert(relation, row, _validated=False):
         if relation._aggregates is not None:
             _shift_aggregates(relation, row, 1)
         if count == 0 and relation._indexes is not None:
-            row_added(relation._indexes, row)
+            row_added(relation._indexes, row, _held(relation))
         return True
     if row in relation._rows:
         return False
@@ -138,7 +161,7 @@ def insert(relation, row, _validated=False):
     if relation._aggregates is not None:
         _shift_aggregates(relation, row, 1)
     if relation._indexes is not None:
-        row_added(relation._indexes, row)
+        row_added(relation._indexes, row, _held(relation))
     return True
 
 
@@ -154,7 +177,7 @@ def delete(relation, row):
     else:
         del relation._rows[row]
         if relation._indexes is not None:
-            row_removed(relation._indexes, row)
+            row_removed(relation._indexes, row, _held(relation))
     relation._batch = None
     if relation._aggregates is not None:
         _shift_aggregates(relation, row, -1)

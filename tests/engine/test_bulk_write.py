@@ -26,7 +26,10 @@ def database(rows, bag=False) -> Database:
     return db
 
 
-def buckets(index) -> dict:
+def buckets(index):
+    """The buckets of a built index; None for one back to declared."""
+    if index is None:
+        return None
     return {key: list(bucket) for key, bucket in index.buckets.items()}
 
 
@@ -109,7 +112,10 @@ def test_bag_mode_files_a_row_in_the_indexes_once():
         context.commit()
     relation = mine.database.relation("t")
     assert relation.multiplicity((1, 1)) == 5 and relation.multiplicity((5, 1)) == 2
-    assert buckets(relation.built_index((1,))) == {1: [(1, 1), (5, 1)]}
+    # Asked for by a plan, as a read does: the index has filed nothing
+    # unread when the delete below unfiles a row from its two.
+    assert buckets(relation.amortized_index((1,))) == {1: [(1, 1), (5, 1)]}
+    theirs.database.relation("t").amortized_index((1,))
     assert_same_state(mine, theirs)
     mine, theirs = TransactionContext(mine.database), reference.ReferenceContext(
         theirs.database
