@@ -490,9 +490,13 @@ class Database:
         """Create (and build) a hash index on a base relation.
 
         ``attributes`` is a sequence of attribute names or 1-based positions.
-        The index is maintained incrementally by inserts/deletes and migrated
-        across transaction commits; the physical plan layer uses it for
-        equality selections and as a pre-built side of hash semi/anti-joins.
+        The index starts built and is maintained incrementally by
+        inserts/deletes and migrated across transaction commits; the physical
+        plan layer uses it for equality selections and as a pre-built side of
+        hash semi/anti-joins.  Like any built index of a base relation it goes
+        back to declared once it has filed more rows unread than the relation
+        holds (:meth:`~repro.engine.indexes.HashIndex.charge`), and the next
+        plan that asks rebuilds it.
         """
         relation = self.relation(relation_name)
         positions = tuple(

@@ -366,7 +366,9 @@ class EpochManager:
         The value counts iff neither the stamp (a commit) nor the version
         (a :meth:`quiesce` fence) moved while it was computed.  Returns it,
         or None after :data:`READ_RETRY_LIMIT` lost attempts — the caller
-        then takes a pin; the write gate is never taken here.
+        then takes a pin.  The write gate is taken only by an index rebuild
+        inside an attempt: a ``compute`` whose index a commit sent back to
+        declared builds it through :meth:`build_index`.
         """
         for _attempt in range(READ_RETRY_LIMIT):
             stamp = self.read_begin()
