@@ -59,6 +59,7 @@ from repro.algebra.expressions import (
     _strip_side,
     _trace,
 )
+from repro.bounded import BoundedTable
 from repro.engine.overlay import _DeltaBuckets
 from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
@@ -123,37 +124,6 @@ def _distinct_keys(cards, name: str, attrs) -> Optional[float]:
     if not distinct:
         return None
     return float(distinct)
-
-
-class _SchemaLRU(dict):
-    """A small bounded mapping for per-schema compiled state.
-
-    Operator instances cache bound closures / derived schemas keyed by
-    their input schema.  Plans live for the process lifetime (the plan
-    cache holds them), while schemas churn — every generalized projection
-    mints a fresh output schema and every transaction can introduce
-    temporaries — so an unbounded dict grows monotonically.  Structural
-    schema hashing keeps the hit rate high; the LRU merely caps the tail.
-    """
-
-    __slots__ = ("maxsize",)
-
-    def __init__(self, maxsize: int = 32):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        if value is not default and len(self) > 1:
-            # Move-to-end so eviction drops the coldest schema.
-            del self[key]
-            self[key] = value
-        return value
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        if len(self) > self.maxsize:
-            del self[next(iter(self))]
 
 
 class PhysicalOperator:
@@ -237,7 +207,7 @@ class _CombinedSchemaCache:
 
     def __init__(self, suffix: str):
         self.suffix = suffix
-        self._cache: dict = _SchemaLRU()
+        self._cache = BoundedTable(32)
 
     def get(self, left_schema, right_schema) -> RelationSchema:
         key = (left_schema, right_schema)
@@ -246,7 +216,7 @@ class _CombinedSchemaCache:
             out = _combined_schema(
                 left_schema, right_schema, f"{left_schema.name}{self.suffix}"
             )
-            self._cache[key] = out
+            self._cache.file(key, out)
         return out
 
 
@@ -374,15 +344,15 @@ class _PredicateCache:
     def __init__(self, predicate: P.Predicate):
         self.predicate = predicate
         self.is_true = isinstance(predicate, P.TruePred)
-        self._compiled: dict = _SchemaLRU()
-        self._kernels: dict = _SchemaLRU()
+        self._compiled = BoundedTable(32)
+        self._kernels = BoundedTable(32)
 
     def bind(self, schema, right_schema=None):
         key = (schema, right_schema)
         fn = self._compiled.get(key)
         if fn is None:
             fn = P.compile_predicate(self.predicate, schema, right_schema)
-            self._compiled[key] = fn
+            self._compiled.file(key, fn)
         return fn
 
     def bind_kernel(self, schema):
@@ -390,7 +360,7 @@ class _PredicateCache:
         kernel = self._kernels.get(schema)
         if kernel is None:
             kernel = columnar.compile_predicate_kernel(self.predicate, schema)
-            self._kernels[schema] = kernel
+            self._kernels.file(schema, kernel)
         return kernel
 
 
@@ -568,7 +538,7 @@ class IndexSelectOp(PhysicalOperator):
         self._residual = _PredicateCache(residual)
         # The full predicate, for the no-index fallback.
         self._full = _PredicateCache(full_predicate)
-        self._positions: Dict[RelationSchema, tuple] = _SchemaLRU()
+        self._positions = BoundedTable(32)
 
     def _bind_positions(self, schema: RelationSchema) -> tuple:
         positions = self._positions.get(schema)
@@ -576,7 +546,7 @@ class IndexSelectOp(PhysicalOperator):
             positions = tuple(
                 schema.position_of(attr) - 1 for attr in self.attrs
             )
-            self._positions[schema] = positions
+            self._positions.file(schema, positions)
         return positions
 
     def execute(self, context) -> Relation:
@@ -630,7 +600,7 @@ class ProjectOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, items: tuple):
         self.child = child
         self.items = items
-        self._bound: Dict[RelationSchema, tuple] = _SchemaLRU()
+        self._bound = BoundedTable(32)
 
     def children(self) -> tuple:
         return (self.child,)
@@ -681,7 +651,7 @@ class ProjectOp(PhysicalOperator):
                     zip(*(kernel(rows) for kernel in kernels))
                 )
             bound = (out_schema, row_maker, key_columns)
-            self._bound[schema] = bound
+            self._bound.file(schema, bound)
         return bound
 
     def execute(self, context) -> Relation:
@@ -742,7 +712,7 @@ class RenameOp(PhysicalOperator):
         self.child = child
         self.name = name
         self.attributes = attributes
-        self._schemas: Dict[RelationSchema, RelationSchema] = _SchemaLRU()
+        self._schemas = BoundedTable(32)
 
     def children(self) -> tuple:
         return (self.child,)
@@ -767,7 +737,7 @@ class RenameOp(PhysicalOperator):
                         )
                     ],
                 )
-            self._schemas[schema] = out
+            self._schemas.file(schema, out)
         return out
 
     def execute(self, context) -> Relation:
@@ -1070,7 +1040,7 @@ class _HashKeyedOp(_BinaryOp):
         self.left_keys = _KeySide(left_keys, "left")
         self.right_keys = _KeySide(right_keys, "right")
         self._residual = _PredicateCache(residual)
-        self._bound: dict = _SchemaLRU()
+        self._bound = BoundedTable(32)
 
     def _bind(self, left_schema: RelationSchema, right_schema: RelationSchema):
         """``(left key fn, left key positions, right side as _hash_buckets
@@ -1081,11 +1051,12 @@ class _HashKeyedOp(_BinaryOp):
             residual = None
             if not self._residual.is_true:
                 residual = self._residual.bind(left_schema, right_schema)
-            bound = self._bound[key] = (
+            bound = (
                 *self.left_keys.bind(left_schema),
                 self.right_keys.bind(right_schema),
                 residual,
             )
+            self._bound.file(key, bound)
         return bound
 
 

@@ -16,13 +16,10 @@ produced by parsing or by the calculus-to-algebra translation of Section
 * :func:`evaluate` executes the compiled plan — the only evaluation path;
   the reference tree-walk interpreter (``Expression.evaluate``) is what
   the test suite compares it against;
-* :func:`estimate_expression` exposes the planner's static cardinality/work
-  estimates, which the parallel cost model consumes;
-* :func:`plan_estimate` upgrades those estimates with *runtime statistics*
-  captured from a live database (observed cardinalities and index
-  distinct-key counts, :mod:`repro.algebra.statistics`), caching the result
-  per expression and invalidating it when the observed cardinalities drift
-  past a threshold factor;
+* :func:`estimate_expression` exposes the planner's cardinality/work
+  estimates — static, or under a :class:`~repro.algebra.statistics.
+  RuntimeStatistics` snapshot of a live database (observed cardinalities
+  and index distinct-key counts) — which the parallel cost model consumes;
 * :func:`index_hints` reports which base-relation hash indexes would
   accelerate a plan (the integrity controller turns these into real indexes
   via :meth:`~repro.core.subsystem.IntegrityController.install_indexes`);
@@ -37,8 +34,6 @@ produced by parsing or by the calculus-to-algebra translation of Section
 from __future__ import annotations
 
 import dataclasses
-import threading
-import weakref
 from typing import Iterator, Optional
 
 from repro.algebra import expressions as E
@@ -46,19 +41,17 @@ from repro.algebra import physical as X
 from repro.algebra import predicates as P
 from repro.algebra.expressions import _split_equi_predicate
 from repro.algebra.optimizer import optimize_expression
+from repro.bounded import BoundedTable
 from repro.engine import naming
 from repro.engine.relation import Relation
 from repro.errors import EvaluationError
 
-# Structural plan cache: Expression -> PhysicalOperator.  Bounded FIFO —
+# Structural plan cache: Expression -> PhysicalOperator.  Bounded —
 # integrity programs and statement shapes are few; unbounded literal-heavy
 # workloads must not grow it without limit.
-_PLAN_CACHE: dict = {}
-_PLAN_CACHE_LIMIT = 1024
+_PLAN_CACHE = BoundedTable()
 _plan_cache_hits = 0
 _plan_cache_misses = 0
-# Serializes every filing into a bounded plan table (:func:`file_bounded`).
-_FILING = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +208,15 @@ def get_plan(expression: E.Expression) -> X.PhysicalOperator:
         return plan
     _plan_cache_misses += 1
     plan = compile_expression(expression)
-    file_bounded(_PLAN_CACHE, expression, plan, _PLAN_CACHE_LIMIT)
+    _PLAN_CACHE.file(expression, plan)
     return plan
 
 
-def file_bounded(table: dict, key, value, limit: int) -> None:
-    """File ``key`` in a plan table of at most ``limit`` entries, evicting
-    the oldest (FIFO) when it is full.
-
-    Audit threads file plans beside the session thread.  Finding the oldest
-    key, evicting it and filing the new one is one step under
-    :data:`_FILING`, so two filers never pop the same key, iterate a table
-    the other is changing, or both take the last slot.  Readers take no
-    lock: a dictionary probe is atomic.
-    """
-    with _FILING:
-        if len(table) >= limit:
-            del table[next(iter(table))]
-        table[key] = value
-
-
 def clear_plan_cache() -> None:
-    """Empty the process-wide caches and zero the counters.  A database's
+    """Empty the process-wide cache and zero the counters.  A database's
     own table (:func:`database_plan`) is the database's: it goes with it."""
     global _plan_cache_hits, _plan_cache_misses
     _PLAN_CACHE.clear()
-    _ESTIMATE_CACHE.clear()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
 
@@ -250,8 +226,6 @@ def plan_cache_info() -> dict:
         "size": len(_PLAN_CACHE),
         "hits": _plan_cache_hits,
         "misses": _plan_cache_misses,
-        "limit": _PLAN_CACHE_LIMIT,
-        "estimates": sum(len(per) for per in _ESTIMATE_CACHE.values()),
     }
 
 
@@ -715,27 +689,24 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
     return expression if pushed is optimized else pushed
 
 
-# Per-database plans live on the database (``Database.plans``, which the
-# engine never interprets): {Expression: (RuntimeStatistics snapshot | None,
-# PhysicalOperator)} — the plan of the expression with its chains reordered
-# under the snapshot and its selections pushed under the database's schema.
-# A ``None`` snapshot marks a chain-free expression: its entry never drifts,
-# and it is the whole cost of evaluating a stored check — one probe, on an
-# expression that hashes once.  A table is as old as its database: a fork or
-# an unpickled copy starts empty, and nothing outlives the database.  The
-# database's query-text table (``Database.query_texts``, filed by
-# ``Session.query``) keeps the same limit and eviction.
-_DATABASE_PLANS_LIMIT = 1024
+# Per-database plans live on the database (``Database.plans``, a
+# :class:`~repro.bounded.BoundedTable` the engine never interprets):
+# {Expression: (RuntimeStatistics snapshot | None, PhysicalOperator)} — the
+# plan of the expression with its chains reordered under the snapshot and
+# its selections pushed under the database's schema.  A ``None`` snapshot
+# marks a chain-free expression: its entry never drifts, and it is the whole
+# cost of evaluating a stored check — one probe, on an expression that
+# hashes once.  A table is as old as its database: a fork or an unpickled
+# copy starts empty, and nothing outlives the database.
 
 
-def database_plan(
-    expression: E.Expression, database, drift_threshold: Optional[float] = None
-) -> X.PhysicalOperator:
+def database_plan(expression: E.Expression, database) -> X.PhysicalOperator:
     """The plan of ``expression`` with chains reordered under the database's
     observed statistics and selections pushed below equi-joins under its
-    schema (:func:`push_selections`), cached per (database, expression) with
-    drift invalidation (the same pattern as :func:`plan_estimate`).  Both
-    rewrites run only when an entry is (re)computed.
+    schema (:func:`push_selections`), cached per (database, expression) and
+    recomputed once the statistics drift past
+    :data:`~repro.algebra.statistics.DRIFT_THRESHOLD`.  Both rewrites run
+    only when an entry is (re)computed.
 
     Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
     call it stands for; a cache-exempt shape is never filed, and is lowered
@@ -750,12 +721,10 @@ def database_plan(
     elif cached[0] is None:
         _plan_cache_hits += 1
         return cached[1]
-    from repro.algebra.statistics import DRIFT_THRESHOLD, RuntimeStatistics
+    from repro.algebra.statistics import RuntimeStatistics
 
-    if drift_threshold is None:
-        drift_threshold = DRIFT_THRESHOLD
     stats = RuntimeStatistics.capture(database)
-    if cached is not None and not cached[0].drifted(stats, drift_threshold):
+    if cached is not None and not cached[0].drifted(stats):
         _plan_cache_hits += 1
         return cached[1]
     rewritten, snapshot = expression, None
@@ -763,7 +732,7 @@ def database_plan(
         rewritten = reorder_chains(expression, stats, database.schema)
         snapshot = stats
     plan = get_plan(push_selections(rewritten, database.schema))
-    file_bounded(plans, expression, (snapshot, plan), _DATABASE_PLANS_LIMIT)
+    plans.file(expression, (snapshot, plan))
     return plan
 
 
@@ -919,44 +888,3 @@ def estimate_expression(
     absent names assume :data:`repro.algebra.physical.DEFAULT_CARDINALITY`.
     """
     return get_plan(expression).estimate(cardinalities)
-
-
-# Estimate cache, held weakly per Database instance (estimates computed
-# under one database's statistics must never answer for another):
-# Database -> {Expression: (RuntimeStatistics snapshot, PlanEstimate)}.
-# Entries are reused until the observed statistics drift past the
-# threshold factor, then recomputed under a fresh snapshot.
-_ESTIMATE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_ESTIMATE_CACHE_LIMIT = 1024
-
-
-def plan_estimate(
-    expression: E.Expression, database, drift_threshold: Optional[float] = None
-) -> X.PlanEstimate:
-    """Estimate ``expression`` under the database's *observed* statistics.
-
-    Captures a :class:`~repro.algebra.statistics.RuntimeStatistics` snapshot
-    (cardinalities + built-index distinct keys), and caches the resulting
-    estimate per (database, expression).  The cached estimate is served
-    until the observed statistics drift past ``drift_threshold`` (default
-    :data:`repro.algebra.statistics.DRIFT_THRESHOLD`), at which point it is
-    recomputed — the runtime-statistics feedback loop the fixed textbook
-    selectivities of PR 1 lacked.
-    """
-    from repro.algebra.statistics import DRIFT_THRESHOLD, RuntimeStatistics
-
-    if drift_threshold is None:
-        drift_threshold = DRIFT_THRESHOLD
-    stats = RuntimeStatistics.capture(database)
-    per_database = _ESTIMATE_CACHE.get(database)
-    if per_database is None:
-        per_database = {}
-        _ESTIMATE_CACHE[database] = per_database
-    cached = per_database.get(expression)
-    if cached is not None and not cached[0].drifted(stats, drift_threshold):
-        return cached[1]
-    estimate = get_plan(expression).estimate(stats)
-    if len(per_database) >= _ESTIMATE_CACHE_LIMIT:
-        per_database.pop(next(iter(per_database)))
-    per_database[expression] = (stats, estimate)
-    return estimate

@@ -21,16 +21,16 @@ delta-plan scans price from the observed |Δ| distribution instead of
 
 Snapshots are cheap (one ``len`` per relation, one per built index), so the
 planner re-captures them freely; :meth:`drifted` is the cache-invalidation
-predicate — an estimate computed under an old snapshot is reused until some
-observed cardinality drifts past a threshold factor.
+predicate — a per-database plan computed under an old snapshot is reused
+until some observed cardinality drifts past a threshold factor.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-#: Default drift factor: a cached estimate survives until some relation's
-#: cardinality grows or shrinks past this multiple of the captured value.
+#: Drift factor: a cached plan survives until some relation's cardinality
+#: grows or shrinks past this multiple of the captured value.
 DRIFT_THRESHOLD = 2.0
 
 #: Pseudo-count guarding the drift ratio against empty relations.
@@ -149,11 +149,9 @@ class RuntimeStatistics:
                 worst = ratio
         return worst
 
-    def drifted(
-        self, other: "RuntimeStatistics", threshold: float = DRIFT_THRESHOLD
-    ) -> bool:
-        """True when estimates computed under ``self`` are stale for ``other``."""
-        return self.drift(other) > threshold
+    def drifted(self, other: "RuntimeStatistics") -> bool:
+        """True when plans computed under ``self`` are stale for ``other``."""
+        return self.drift(other) > DRIFT_THRESHOLD
 
     def __repr__(self) -> str:
         return (

@@ -40,6 +40,7 @@ from __future__ import annotations
 import weakref
 from typing import List
 
+from repro.bounded import BoundedTable
 from repro.calculus import ast as C
 from repro.calculus.evaluation import evaluate_constraint
 from repro.errors import TranslationError
@@ -273,11 +274,10 @@ class CompiledConstraint:
 # The per-schema constraint cache
 # ---------------------------------------------------------------------------
 
-# DatabaseSchema (weak) -> {formula: CompiledConstraint}.  Formula keys are
-# frozen dataclasses, so structurally equal constraints share one compiled
-# artifact; the per-schema dict is bounded FIFO like the planner's cache.
+# DatabaseSchema (weak) -> BoundedTable {formula: CompiledConstraint}.
+# Formula keys are frozen dataclasses, so structurally equal constraints
+# share one compiled artifact.
 _COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_CACHE_LIMIT_PER_SCHEMA = 512
 _cache_hits = 0
 _cache_misses = 0
 
@@ -287,8 +287,7 @@ def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
     global _cache_hits, _cache_misses
     per_schema = _COMPILED.get(db)
     if per_schema is None:
-        per_schema = {}
-        _COMPILED[db] = per_schema
+        per_schema = _COMPILED.setdefault(db, BoundedTable())
     version = getattr(db, "version", 0)
     cached = per_schema.get(formula)
     if cached is not None and cached.schema_version == version:
@@ -296,9 +295,7 @@ def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
         return cached
     _cache_misses += 1
     compiled = CompiledConstraint(formula, _compile_node(formula, db), version)
-    if len(per_schema) >= _CACHE_LIMIT_PER_SCHEMA:
-        per_schema.pop(next(iter(per_schema)))
-    per_schema[formula] = compiled
+    per_schema.file(formula, compiled)
     return compiled
 
 
@@ -333,5 +330,4 @@ def constraint_cache_info() -> dict:
         "size": sum(len(per) for per in _COMPILED.values()),
         "hits": _cache_hits,
         "misses": _cache_misses,
-        "limit_per_schema": _CACHE_LIMIT_PER_SCHEMA,
     }

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algebra.programs import EMPTY_PROGRAM, Program, concat
+from repro.bounded import BoundedTable
 from repro.core.modification import ModificationStats, StaticSelector, mod_rounds
 from repro.core.triggers import TriggerSet, get_trig_px
 from repro.engine.schema import DatabaseSchema
@@ -109,11 +110,6 @@ def get_int_p(
     return IntegrityProgram(rule.name, rule.triggers, program, differentials)
 
 
-#: Trigger sets the modification memo keeps (FIFO): a schema of ``n``
-#: relations has ``4**n`` of them, a workload performs a handful.
-MODIFICATION_MEMO_LIMIT = 1024
-
-
 class IntegrityProgramStore:
     """The stored set of compiled integrity programs (Section 6.2)."""
 
@@ -121,7 +117,9 @@ class IntegrityProgramStore:
         self._programs: List[IntegrityProgram] = []
         self._by_name: Dict[str, IntegrityProgram] = {}
         # GetTrigPX(T↓) -> (appended statements | None, ModificationStats).
-        self._modifications: Dict[TriggerSet, Tuple[Optional[tuple], ModificationStats]] = {}
+        # A schema of ``n`` relations has ``4**n`` trigger sets; a workload
+        # performs a handful.
+        self._modifications = BoundedTable()
 
     def add(self, program: IntegrityProgram) -> IntegrityProgram:
         if program.name in self._by_name:
@@ -193,7 +191,5 @@ class IntegrityProgramStore:
             stats = ModificationStats()
             appended = mod_rounds(performed, StaticSelector(self), stats=stats)
             entry = (None if appended is None else appended.statements, stats)
-            if len(self._modifications) >= MODIFICATION_MEMO_LIMIT:
-                self._modifications.pop(next(iter(self._modifications)))
-            self._modifications[performed] = entry
+            self._modifications.file(performed, entry)
         return entry

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional
 
+from repro.bounded import BoundedTable
 from repro.engine.commitlog import CommitLog, delta_side
 from repro.engine.epochs import EpochManager, PinnedRelations
 from repro.engine.relation import Relation
@@ -116,18 +117,17 @@ class Database:
             relation._observer = self.epochs
         # Compiled plans of the expressions evaluated against this database,
         # filed and read by :mod:`repro.algebra.planner` — opaque here.  They
-        # live and die with this object: never pickled, never forked.
-        self.plans: dict = {}
+        # live and die with this object: a fork starts with its own, and a
+        # table pickles empty.
+        self.plans = BoundedTable()
         # The same for the step before a plan: query text -> its parsed
         # expression, filed by `Session.query`.  Syntax only (parsing reads
         # no schema), so no change of this database invalidates an entry.
-        self.query_texts: dict = {}
+        self.query_texts = BoundedTable()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["wal"] = None
-        state["plans"] = {}
-        state["query_texts"] = {}
         # Pins and seqlock state are process-local; a deserialized copy
         # starts with none, over the commit stream it carries.
         state["epochs"] = None

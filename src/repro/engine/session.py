@@ -42,7 +42,6 @@ class Session:
         self.manager = TransactionManager(database, modifier=modifier)
         self._parse_transaction = parse_transaction
         self._parse_expression = parse_expression
-        self._planner = planner
         self._database_plan = planner.database_plan
         self._relation_ref = RelationRef
 
@@ -190,8 +189,8 @@ class Session:
         charge`); the next read is then that one pinned read.
 
         A text is parsed once per database.  Its expression is filed in
-        ``database.query_texts`` (bounded and FIFO-evicted like
-        ``database.plans``, and like it never pickled or forked), and a
+        ``database.query_texts`` (a :class:`~repro.bounded.BoundedTable`
+        like ``database.plans``, and like it empty in a fork), and a
         repeated text hands that same object to the plan table, which then
         finds its plan by identity instead of comparing a fresh tree.  The
         table holds syntax only, so a text read before its relation exists
@@ -203,10 +202,7 @@ class Session:
         expression = texts.get(expression_text)
         if expression is None:
             expression = self._parse_expression(expression_text)
-            planner = self._planner
-            planner.file_bounded(
-                texts, expression_text, expression, planner._DATABASE_PLANS_LIMIT
-            )
+            texts.file(expression_text, expression)
         if pinned is None:
             pinned = isinstance(expression, self._relation_ref)
         plan = self._database_plan(expression, database)

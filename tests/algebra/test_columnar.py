@@ -1,4 +1,4 @@
-"""ColumnBatch conversion/packing, kernel semantics, batch guard, LRU caches."""
+"""ColumnBatch conversion/packing, kernel semantics, batch guard, bounded tables."""
 
 import pickle
 
@@ -7,7 +7,7 @@ import pytest
 from repro.algebra import columnar
 from repro.algebra import predicates as P
 from repro.algebra.columnar import ColumnBatch
-from repro.algebra.physical import _SchemaLRU
+from repro.bounded import BoundedTable
 from repro.engine import Relation, RelationSchema
 from repro.engine.schema import Attribute
 from repro.engine.types import ANY, INT, NULL
@@ -212,24 +212,26 @@ class TestKernels:
         assert fixed([(2, 1)]) == [False]
 
 
-class TestSchemaLRU:
-    def test_evicts_oldest_beyond_maxsize(self):
-        cache = _SchemaLRU(maxsize=2)
-        cache["a"] = 1
-        cache["b"] = 2
-        cache["c"] = 3
-        assert "a" not in cache
-        assert set(cache) == {"b", "c"}
-
-    def test_get_refreshes_recency(self):
-        cache = _SchemaLRU(maxsize=2)
-        cache["a"] = 1
-        cache["b"] = 2
-        assert cache.get("a") == 1
-        cache["c"] = 3
-        assert "b" not in cache and "a" in cache
+class TestBoundedTable:
+    def test_evicts_the_oldest_filed_when_full(self):
+        table = BoundedTable(2)
+        table.file("a", 1)
+        table.file("b", 2)
+        assert table.get("a") == 1  # a hit is a read: "a" stays the oldest
+        table.file("b", 3)  # refiling a key evicts nothing
+        assert table == {"a": 1, "b": 3}
+        table.file("c", 4)
+        assert list(table) == ["b", "c"]
 
     def test_get_default(self):
-        cache = _SchemaLRU(maxsize=2)
-        assert cache.get("missing") is None
-        assert cache.get("missing", 7) == 7
+        table = BoundedTable(2)
+        assert table.get("missing") is None
+        assert table.get("missing", 7) == 7
+
+    def test_pickles_empty(self):
+        table = BoundedTable(2)
+        table.file("a", lambda row: row)  # a closure: not picklable itself
+        copy = pickle.loads(pickle.dumps(table))
+        assert type(copy) is BoundedTable and copy == {} and copy.limit == 2
+        copy.file("b", 2)
+        assert copy == {"b": 2} and list(table) == ["a"]

@@ -11,6 +11,7 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext, evaluate_expression
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.types import INT
+from tests.support.modes import plan_operators
 
 
 @pytest.fixture
@@ -228,6 +229,50 @@ class TestPlanCache:
         planner.get_plan(E.RelationRef("fk"))
         planner.get_plan(E.Literal(((1, 2),)))
         assert planner.plan_cache_info()["size"] == 0
+
+    def test_executing_a_warmed_plan_writes_to_no_operator_table(self):
+        """A plan shared by every thread is only read by executing it.
+
+        Warmed under two input schemas, each operator's per-schema table
+        holds two entries; running the plan twice more under the first
+        leaves every table's keys, in order, as they were."""
+        expression = E.Project(
+            E.Select(
+                E.Join(
+                    E.RelationRef("fk"),
+                    E.RelationRef("pk"),
+                    P.And(
+                        P.Comparison("=", P.ColRef("ref", "left"), P.ColRef("key", "right")),
+                        P.Comparison("<", P.ColRef("id", "left"), P.ColRef("v", "right")),
+                    ),
+                ),
+                P.Comparison(">", P.ColRef("v"), P.Const(0)),
+            ),
+            (E.ProjectItem(P.ColRef("id")),),
+        )
+        plan = planner.compile_expression(expression)
+
+        def context(fk_columns):
+            fk = Relation(RelationSchema("fk", [(name, INT) for name in fk_columns]))
+            pk = Relation(RelationSchema("pk", [("key", INT), ("v", INT)]))
+            for k in range(4):
+                fk.insert((k, k))
+                pk.insert((k, k + 1))
+            return StandaloneContext({"fk": fk, "pk": pk})
+
+        first, second = context(("id", "ref")), context(("ref", "id"))
+        for ctx in (first, second):
+            plan.execute(ctx)
+        tables = []
+        for op in plan_operators(plan):
+            for value in vars(op).values():
+                slots = getattr(type(value), "__slots__", ())
+                owned = [value] + [getattr(value, name, None) for name in slots]
+                tables.extend(table for table in owned if isinstance(table, dict))
+        warmed = [list(table) for table in tables]
+        assert any(len(keys) == 2 for keys in warmed)
+        assert plan.execute(first) == plan.execute(first) == expression.evaluate(first)
+        assert [list(table) for table in tables] == warmed
 
 
 class TestEstimates:

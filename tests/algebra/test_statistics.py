@@ -86,42 +86,19 @@ def test_join_estimate_uses_distinct_keys():
 
 def test_index_creation_counts_as_drift():
     # An index appearing (or vanishing) changes what the estimator can
-    # know, not just how much data there is: the cache must invalidate.
+    # know, not just how much data there is: a per-database plan computed
+    # before it must be recomputed (``planner.database_plan``).
     database = _database()
+    before = RuntimeStatistics.capture(database)
+    database.create_index("r", ["a"])
+    after = RuntimeStatistics.capture(database)
+    assert before.drifted(after) and after.drifted(before)
     expression = E.Select(
         E.RelationRef("r"), P.Comparison("=", P.ColRef("a"), P.Const(3))
     )
-    before = planner.plan_estimate(expression, database)
-    database.create_index("r", ["a"])
-    after = planner.plan_estimate(expression, database)
-    assert after is not before
-    assert after.rows == pytest.approx(5.0)  # |r| / V(r, a)
-
-
-def test_estimate_cache_is_per_database():
-    expression = E.Select(
-        E.RelationRef("r"), P.Comparison(">", P.ColRef("b"), P.Const(1))
-    )
-    small = _database(n_r=100)
-    large = _database(n_r=160)  # within the drift threshold of `small`
-    first = planner.plan_estimate(expression, small)
-    second = planner.plan_estimate(expression, large)
-    assert second is not first
-    assert second.rows > first.rows
-
-
-def test_plan_estimate_cached_until_drift():
-    database = _database()
-    expression = E.Select(
-        E.RelationRef("r"), P.Comparison(">", P.ColRef("b"), P.Const(1))
-    )
-    first = planner.plan_estimate(expression, database)
-    second = planner.plan_estimate(expression, database)
-    assert first is second  # served from the estimate cache
-    database.load("r", [(0, i) for i in range(1000)])  # 11x growth
-    third = planner.plan_estimate(expression, database)
-    assert third is not first
-    assert third.rows > first.rows
+    assert planner.estimate_expression(expression, after).rows == pytest.approx(
+        5.0
+    )  # |r| / V(r, a)
 
 
 def _operator_state(plan) -> dict:
@@ -129,12 +106,12 @@ def _operator_state(plan) -> dict:
     return {id(op): dict(vars(op)) for op in plan_operators(plan)}
 
 
-def test_plan_estimate_never_writes_to_the_shared_plan():
+def test_estimating_never_writes_to_the_shared_plan():
     """Estimating is read-only on plans shared through the plan cache.
 
-    ``plan_estimate`` runs on whichever thread asks (audit scheduler
-    workers included) against the one plan object every executor shares.
-    Statistics drifting between two calls — a 3-row relation growing
+    An estimate runs on whichever thread asks (audit scheduler workers
+    included) against the one plan object every executor shares.
+    Statistics drifting between two estimates — a 3-row relation growing
     400-fold under a select/project chain — must leave that object, every
     operator's attributes, its ``explain()`` and its results as compiled.
     """
@@ -149,13 +126,17 @@ def test_plan_estimate_never_writes_to_the_shared_plan():
     assert explained.startswith("project[")
     view = DatabaseView(database)
 
-    first = planner.plan_estimate(expression, database)
+    first = planner.estimate_expression(
+        expression, RuntimeStatistics.capture(database)
+    )
     assert _operator_state(plan) == compiled_state
     assert plan.execute(view) == expression.evaluate(view)
 
     database.load("r", [(0, i) for i in range(10, 1210)])
-    second = planner.plan_estimate(expression, database)
-    assert second is not first and second.rows > first.rows  # it did drift
+    second = planner.estimate_expression(
+        expression, RuntimeStatistics.capture(database)
+    )
+    assert second.rows > first.rows  # it did drift
     assert planner.get_plan(expression) is plan
     assert planner.explain(expression) == explained
     assert _operator_state(plan) == compiled_state
@@ -163,19 +144,18 @@ def test_plan_estimate_never_writes_to_the_shared_plan():
     assert result == expression.evaluate(view) and len(result) == 1202
 
 
-def test_plan_estimate_prices_a_database_under_runtime_statistics():
+def test_estimate_prices_a_database_under_runtime_statistics():
     database = _database()
     expression = E.SemiJoin(
         E.RelationRef("r"),
         E.RelationRef("s"),
         P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
     )
-    estimate = planner.plan_estimate(expression, database)
-    assert estimate.work > 0
-    # The observed statistics price it, not the default cardinalities.
-    assert estimate == planner.estimate_expression(
+    estimate = planner.estimate_expression(
         expression, RuntimeStatistics.capture(database)
     )
+    assert estimate.work > 0
+    # The observed statistics price it, not the default cardinalities.
     assert estimate != planner.estimate_expression(expression, None)
 
 
@@ -216,8 +196,8 @@ def test_explicit_deltas_override_observed_sizes():
         P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
     )
     captured = RuntimeStatistics.capture(database)
-    observed = planner.plan_estimate(expr, database)
-    assert observed == planner.estimate_expression(expr, captured)
+    assert captured.get("r@plus") == 1.0
+    observed = planner.estimate_expression(expr, captured)
     explicit = planner.estimate_expression(
         expr,
         RuntimeStatistics(

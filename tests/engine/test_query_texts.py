@@ -5,7 +5,8 @@
 same expression object to the plan table (``Database.plans``), which then
 hits on identity.  The table holds syntax only, is bounded and FIFO-evicted
 like the plan table, and never files a text that fails to parse.  The
-eviction both tables share never raises under a concurrent filer.
+eviction every bounded memo shares (``repro.bounded.BoundedTable``) never
+raises under a concurrent filer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ import pytest
 
 from repro.algebra import expressions as E
 from repro.algebra import planner
+from repro.algebra import physical as X
 from repro.algebra import predicates as P
+from repro.algebra import statements as S
+from repro.calculus import ast as C
+from repro.calculus.planned import _COMPILED, compile_constraint
+from repro.core.programs import IntegrityProgramStore
 from repro.engine import Database, DatabaseSchema, RelationSchema, Session
 from repro.engine.types import INT
 from repro.errors import LexError, ParseError, UnknownRelationError
@@ -117,7 +123,7 @@ def test_the_table_holds_syntax_only(db):
 
 
 def test_the_table_is_bounded_and_evicts_the_oldest_text(db):
-    limit = planner._DATABASE_PLANS_LIMIT
+    limit = db.query_texts.limit
     session = Session(db)
     parsed = counting(session)
     texts = [f"select(r, b = {k})" for k in range(limit + 3)]
@@ -134,23 +140,64 @@ def test_the_table_is_bounded_and_evicts_the_oldest_text(db):
     assert texts[3] not in db.query_texts
 
 
-def test_two_threads_filing_into_a_full_plan_table_never_raise():
-    """Two threads file 20,000 distinct plans each into one database's
-    table under a short switch interval: no filing raises, and both tables
-    end within their limits.  An unlocked FIFO eviction pops a key the other
-    thread already popped (``KeyError``), iterates a table that changes size
-    under it, and overfills the table."""
+def plan_tables():
+    """The database's plan table and the process-wide one behind it."""
     database = Database(DatabaseSchema([RelationSchema("r", [("a", INT)])]))
+
+    def file(k: int) -> None:
+        predicate = P.Comparison("=", P.ColRef("a"), P.Const(k))
+        planner.database_plan(E.Select(E.RelationRef("r"), predicate), database)
+
+    return 20_000, file, lambda: [(database.plans, 1024), (planner._PLAN_CACHE, 1024)]
+
+
+def modification_memo():
+    """The ModT memo: one entry per trigger set ``store.modification`` sees."""
+    store = IntegrityProgramStore()
+
+    def file(k: int) -> None:
+        store.modification(frozenset({(S.INS, f"r{k}")}))
+
+    return 20_000, file, lambda: [(store._modifications, 1024)]
+
+
+def constraint_table():
+    """The calculus per-schema table of compiled constraints."""
+    schema = DatabaseSchema([RelationSchema("r", [("a", INT)])])
+
+    def file(k: int) -> None:
+        body = C.Compare(">", C.AttrSel("x", "a"), C.Const(k))
+        compile_constraint(C.forall_in("x", "r", body), schema)
+
+    return 2_000, file, lambda: [(_COMPILED[schema], 1024)]
+
+
+def operator_table():
+    """One operator's per-schema state: a rename's output schemas."""
+    rename = X.RenameOp(X.ScanOp("r"), "renamed", None)
+
+    def file(k: int) -> None:
+        rename._bind(RelationSchema(f"r{k}", [("a", INT)]))
+
+    return 20_000, file, lambda: [(rename._schemas, 32)]
+
+
+@pytest.mark.parametrize(
+    "table", [plan_tables, modification_memo, constraint_table, operator_table]
+)
+def test_two_threads_filing_into_a_full_plan_table_never_raise(table):
+    """Two threads file distinct keys into one bounded memo under a short
+    switch interval: no filing raises, and every table ends within its
+    limit.  An unlocked FIFO eviction pops a key the other thread already
+    popped (``KeyError``), iterates a table that changes size under it, and
+    overfills the table."""
+    count, file, tables = table()
     failures: list = []
 
     def filer(offset: int) -> None:
         try:
-            for k in range(20_000):
-                constant = P.Const(2 * k + offset)
-                expression = E.Select(
-                    E.RelationRef("r"), P.Comparison("=", P.ColRef("a"), constant)
-                )
-                planner.database_plan(expression, database)
+            for k in range(count):
+                file(2 * k + offset)
         except Exception as error:  # noqa: BLE001 - reported by the main thread
             failures.append(error)
 
@@ -166,5 +213,5 @@ def test_two_threads_filing_into_a_full_plan_table_never_raise():
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
-    assert len(database.plans) <= planner._DATABASE_PLANS_LIMIT
-    assert planner.plan_cache_info()["size"] <= planner._PLAN_CACHE_LIMIT
+    for filed, limit in tables():
+        assert len(filed) <= limit

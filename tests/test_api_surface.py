@@ -150,7 +150,7 @@ def test_a_column_batch_carries_no_deferred_merge_state():
         (planner.compile_expression, ["expression", "optimize"]),
         (planner.get_plan, ["expression"]),
         (planner.evaluate, ["expression", "context"]),
-        (planner.database_plan, ["expression", "database", "drift_threshold"]),
+        (planner.database_plan, ["expression", "database"]),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
