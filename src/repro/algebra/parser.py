@@ -38,6 +38,9 @@ Statements: ``NAME := rexpr``, ``insert(R, E|tuple|{tuples})``,
 
 from __future__ import annotations
 
+import re
+from functools import partial
+from operator import itemgetter
 from typing import Optional
 
 from repro.algebra import predicates as P
@@ -120,6 +123,12 @@ class _Parser:
         self.stream = stream = TokenStream(text)
         self.kinds = stream.kinds
         self.values = stream.values
+        # Where literal rows' values came from, for :class:`TransactionShape`:
+        # per cell, the index of the token placed verbatim, ``~index`` of a
+        # negated INT (``-5``), None for any other constant; and every
+        # literal built of such rows, with the number of its first cell.
+        self.cells: list = []
+        self.literals: list = []
 
     # -- the cursor -------------------------------------------------------------
 
@@ -267,13 +276,19 @@ class _Parser:
 
     def set_literal(self) -> E.Literal:
         self._op("{")
+        first = len(self.cells)
         rows = []
         if not self._accept_op("}"):
             rows.append(self.tuple_literal())
             while self._accept_op(","):
                 rows.append(self.tuple_literal())
             self._op("}")
-        return E.Literal(tuple(rows))
+        return self._literal(rows, first)
+
+    def _literal(self, rows: list, first: int) -> E.Literal:
+        literal = E.Literal(tuple(rows))
+        self.literals.append((literal, first))
+        return literal
 
     def tuple_literal(self) -> tuple:
         # The bulk of a small transaction's tokens are literal rows: the
@@ -283,15 +298,19 @@ class _Parser:
         kinds = self.kinds
         values = self.values
         index = stream.index
+        cells = self.cells
         row = []
         while True:
             if kinds[index] in _LITERAL_KINDS:
                 row.append(values[index])
+                cells.append(index)
                 index += 1
             else:
                 stream.index = index
                 row.append(self.constant())
-                index = stream.index
+                start, index = index, stream.index
+                negated = index == start + 2 and kinds[start + 1] == "INT"
+                cells.append(~(start + 1) if negated else None)
             if values[index] != "," or kinds[index] != "OP":
                 break
             index += 1
@@ -541,7 +560,8 @@ class _Parser:
     def insert_source(self) -> E.Expression:
         index = self.stream.index
         if self.values[index] == "(" and self.kinds[index] == "OP":
-            return E.Literal((self.tuple_literal(),))
+            first = len(self.cells)
+            return self._literal([self.tuple_literal()], first)
         return self.expression()
 
     # -- programs and transactions ------------------------------------------------------
@@ -572,7 +592,10 @@ class _Parser:
 
 def _parse(text: str, production):
     """Run one production of the grammar over the whole of ``text``."""
-    parser = _Parser(text)
+    return _run(_Parser(text), production)
+
+
+def _run(parser: _Parser, production):
     try:
         result = production(parser)
     except RecursionError:
@@ -613,3 +636,138 @@ def parse_program(text: str) -> Program:
 def parse_transaction(text: str) -> Transaction:
     """Parse a ``begin ... end`` transaction."""
     return _parse(text, _Parser.transaction)
+
+
+# -- transaction shapes ------------------------------------------------------------
+
+#: The runs a shape leaves open: ASCII digit runs and quoted strings without
+#: a backslash.  Splitting a text on them is one C-level pass (the lookahead
+#: lets the engine skip to a run's first character); the segments between
+#: the runs, whitespace and comments included, are its shape.
+_RUNS = re.compile(r"""(?=[0-9"'])([0-9]+|"[^"\\]*"|'[^'\\]*')""")
+
+
+def _negated(run: str) -> int:
+    return -int(run)
+
+
+def _quoted(run: str) -> str:
+    if run[0] not in "\"'":
+        raise ValueError(f"{run!r} is not a string literal")
+    return run[1:-1]
+
+
+_CONVERTERS = {"INT": int, "STRING": _quoted}
+
+
+class TransactionShape:
+    """A parsed transaction whose literal rows are slots for the next text
+    of its shape.
+
+    A text splits into runs (``_RUNS``) and the segments between them; the
+    segments are the key a shape is filed under.  A run is a *slot* when
+    the parse placed its token verbatim into a row of a literal that is a
+    statement's source (an INT, possibly negated, or a STRING).  Every other
+    run (digits in a name, a float's parts, a positional attribute, a
+    message, a comment) is *fixed*: a text binds only if its fixed runs are
+    this text's, character for character.  Such a text lexes token for
+    token as this one did, with only the slot tokens' values changed, so
+    its parse differs from this one only in those values: :meth:`bind`
+    converts them and rebuilds the spine that holds them (transaction,
+    program, statement, literal), sharing every other statement.
+    """
+
+    __slots__ = ("statements", "rebuilds", "fixed", "fixed_runs")
+
+    def __init__(self, transaction: Transaction, parser: _Parser, parts: list):
+        stream = parser.stream
+        run_at = {}
+        start = 0
+        for number, part in enumerate(parts):
+            if number % 2:
+                run_at[start] = number
+            start += len(part)
+
+        def slot(cell):
+            """``(part number, converter)`` of a cell's run, or None."""
+            if cell is None:
+                return None
+            token = stream.token(cell if cell >= 0 else ~cell)
+            number = run_at.get(token.position)
+            convert = _CONVERTERS.get(token.kind)
+            if number is None or convert is None or parts[number] != token.text:
+                return None
+            return number, convert if cell >= 0 else _negated
+
+        firsts = {id(literal): first for literal, first in parser.literals}
+        cells = parser.cells
+        self.statements = transaction.statements
+        self.rebuilds = []
+        slotted = set()
+        for position, statement in enumerate(self.statements):
+            if type(statement) not in (S.Insert, S.Delete):
+                continue
+            literal = statement.expr
+            first = firsts.get(id(literal))
+            if first is None:
+                continue
+            rows = []
+            for row in literal.rows:
+                slots = []
+                for column in range(len(row)):
+                    found = slot(cells[first + column])
+                    if found is not None:
+                        slots.append((column, *found))
+                        slotted.add(found[0])
+                first += len(row)
+                rows.append((row, tuple(slots)))
+            if any(slots for _, slots in rows):
+                make = partial(type(statement), statement.relation)
+                self.rebuilds.append((position, make, rows))
+        fixed = [n for n in range(1, len(parts), 2) if n not in slotted]
+        self.fixed = itemgetter(*fixed) if fixed else None
+        self.fixed_runs = self.fixed(parts) if fixed else None
+
+    def bind(self, parts: list) -> Optional[Transaction]:
+        """The transaction of the text split into ``parts`` (its key is this
+        shape's), or None when its fixed runs differ or a slot's run does
+        not convert (an integer too long, a string where an integer was)."""
+        if self.fixed is not None and self.fixed(parts) != self.fixed_runs:
+            return None
+        statements = list(self.statements)
+        for position, make, rows in self.rebuilds:
+            built = []
+            for row, slots in rows:
+                if slots:
+                    row = list(row)
+                    for column, number, convert in slots:
+                        try:
+                            row[column] = convert(parts[number])
+                        except ValueError:
+                            return None
+                    row = tuple(row)
+                built.append(row)
+            statements[position] = make(E.Literal(tuple(built)))
+        return bracket(Program(statements))
+
+
+def shaped_transaction(text: str, shapes) -> Transaction:
+    """Parse a ``begin ... end`` transaction, or bind it into the
+    :class:`TransactionShape` filed for its shape in ``shapes`` (a
+    :class:`~repro.bounded.BoundedTable`).
+
+    A text of a shape not yet filed is parsed in full, and its shape filed;
+    one that fails to parse files nothing.  A text that does not bind into
+    its filed shape is parsed in full too, so an error keeps the type,
+    message and position :func:`parse_transaction` gives it.
+    """
+    parts = _RUNS.split(text)
+    key = tuple(parts[0::2])
+    shape = shapes.get(key)
+    if shape is not None:
+        transaction = shape.bind(parts)
+        return transaction if transaction is not None else parse_transaction(text)
+    parser = _Parser(text)
+    transaction = _run(parser, _Parser.transaction)
+    shapes.file(key, TransactionShape(transaction, parser, parts))
+    return transaction

@@ -124,6 +124,10 @@ class Database:
         # expression, filed by `Session.query`.  Syntax only (parsing reads
         # no schema), so no change of this database invalidates an entry.
         self.query_texts = BoundedTable()
+        # And for transaction texts, filed by `Session.transaction`: the
+        # segments of a text between its digit and string runs -> the
+        # parsed transaction whose literal rows the runs fill.  Syntax only.
+        self.transaction_shapes = BoundedTable()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

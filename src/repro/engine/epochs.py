@@ -1253,11 +1253,14 @@ class SnapshotIndex(OverlayIndex):
     its probes are the base index's own answers.
     """
 
-    __slots__ = ()
+    __slots__ = ("overlay",)
 
     def __init__(self, base_index, overlay: SnapshotRelation):
         self.base_index = base_index
         self.overlay = overlay
+        self.base = overlay.base
+        self.plus = overlay.plus
+        self.minus = overlay.minus
         self.plus_index = self.minus_index = _NO_UNDO
 
     @property

@@ -403,8 +403,9 @@ class OverlayRelation(Relation):
 
 
 #: Membership by the (base, Δ⁺, Δ⁻) arithmetic itself, for the index
-#: corrections below.  A pinned snapshot's own ``in`` is a read bracket of
-#: its own; its index probes already run inside one.
+#: corrections below: it reads only ``base``, ``plus`` and ``minus``, which
+#: an :class:`OverlayIndex` holds.  A pinned snapshot's own ``in`` is a read
+#: bracket of its own; its index probes already run inside one.
 _present = OverlayRelation.__contains__
 
 
@@ -423,15 +424,21 @@ class OverlayIndex:
 
     Usage bookkeeping is forwarded to the base index's ledger: a probe
     against the overlay is evidence for keeping the base index.
+
+    The view holds what it reads, the overlay's three relations, and not
+    the overlay: the overlay keeps its views, so a view that pointed back
+    would make every indexed transaction garbage for the cyclic collector.
     """
 
-    __slots__ = ("base_index", "overlay", "plus_index", "minus_index")
+    __slots__ = ("base_index", "base", "plus", "minus", "plus_index", "minus_index")
 
     built = True
 
     def __init__(self, base_index, overlay: OverlayRelation):
         self.base_index = base_index
-        self.overlay = overlay
+        self.base = overlay.base
+        self.plus = overlay.plus
+        self.minus = overlay.minus
         self.plus_index = overlay.plus.index_on(base_index.positions)
         self.minus_index = overlay.minus.index_on(base_index.positions)
 
@@ -463,11 +470,10 @@ class OverlayIndex:
         """Distinct overlay rows with this key (records a base-ledger use)."""
         rows = self.base_index.lookup(key)
         if self.minus_index.buckets.get(key):
-            overlay = self.overlay
-            rows = tuple(row for row in rows if _present(overlay, row))
+            rows = tuple(row for row in rows if _present(self, row))
         plus_bucket = self.plus_index.buckets.get(key)
         if plus_bucket:
-            base_rows = self.overlay.base._rows
+            base_rows = self.base._rows
             rows += tuple(row for row in plus_bucket if row not in base_rows)
         return rows
 
@@ -518,9 +524,8 @@ class _DeltaBuckets:
         corrected: dict = {}
         if base_bucket:
             if minus_bucket:
-                overlay = index.overlay
                 for row in base_bucket:
-                    if _present(overlay, row):
+                    if _present(index, row):
                         corrected[row] = None
             else:
                 corrected.update(base_bucket)
@@ -580,7 +585,6 @@ class _DeltaBuckets:
         index = self._index
         base_buckets = index.base_index.buckets
         plus_buckets = index.plus_index.buckets
-        overlay = index.overlay
         keys = dict.fromkeys(base_buckets)
         for key, minus_bucket in index.minus_index.buckets.items():
             if key in plus_buckets:
@@ -592,7 +596,7 @@ class _DeltaBuckets:
             if (
                 base_bucket is not None
                 and len(minus_bucket) >= len(base_bucket)
-                and not any(_present(overlay, row) for row in base_bucket)
+                and not any(_present(index, row) for row in base_bucket)
             ):
                 keys.pop(key, None)
         for key in plus_buckets:

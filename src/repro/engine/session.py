@@ -34,13 +34,13 @@ class Session:
         # ~3 us on every query, a fifth of parsing it.
         from repro.algebra import planner
         from repro.algebra.expressions import RelationRef
-        from repro.algebra.parser import parse_expression, parse_transaction
+        from repro.algebra.parser import parse_expression, shaped_transaction
 
         self.database = database
         self.controller = controller
         modifier = controller.modify_transaction if controller is not None else None
         self.manager = TransactionManager(database, modifier=modifier)
-        self._parse_transaction = parse_transaction
+        self._shaped_transaction = shaped_transaction
         self._parse_expression = parse_expression
         self._database_plan = planner.database_plan
         self._relation_ref = RelationRef
@@ -48,17 +48,33 @@ class Session:
     # -- transactions -----------------------------------------------------------
 
     def transaction(self, source: Union[str, Transaction]) -> Transaction:
-        """Build a Transaction from ``begin ... end`` text (or pass through)."""
+        """Build a Transaction from ``begin ... end`` text (or pass through).
+
+        A text is parsed once per *shape*: what is left of it when its
+        digit runs and plain quoted strings are taken out.  The first text
+        of a shape is parsed in full and files a
+        :class:`~repro.algebra.parser.TransactionShape` in
+        ``database.transaction_shapes`` (a :class:`~repro.bounded.
+        BoundedTable` like ``database.query_texts``, and like it empty in a
+        fork).  A later text of that shape binds its literal rows' numbers
+        and strings into it: no lexing, no recursive descent, and a fresh
+        Transaction equal to what parsing the text gives.  Any other run
+        (digits in a name, a float, a message) must be the first text's,
+        or the text is parsed in full; so is one that does not convert (an
+        integer too long), and every parse error is the parser's own.  A
+        text that fails to parse is never filed.
+        """
         if isinstance(source, Transaction):
             return source
-        return self._parse_transaction(source)
+        return self._shaped_transaction(source, self.database.transaction_shapes)
 
     def execute(
         self,
         source: Union[str, Transaction],
         modify: bool = True,
     ) -> TransactionResult:
-        """Parse (if needed), modify, and run a transaction."""
+        """Parse (if needed; once per shape, see :meth:`transaction`),
+        modify, and run a transaction."""
         return self.manager.execute(self.transaction(source), modify=modify)
 
     # -- the audit pipeline (optimistic enforcement) ------------------------------

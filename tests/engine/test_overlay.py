@@ -235,3 +235,35 @@ class TestApplyDeltas:
         assert database.delta_stats.expected("r@plus") == 2.0
         assert database.delta_stats.expected("r@minus") == 1.0
         assert database.delta_stats.expected("s@plus") is None
+
+
+def test_an_indexed_transaction_leaves_nothing_for_the_cyclic_collector(tmp_path):
+    """An overlay keeps the index views it hands out; a view holds the
+    overlay's three relations, not the overlay, so a transaction whose
+    checks probe an overlaid index is freed by reference counting, whether
+    it commits or aborts (checked on the end-to-end ``full_check`` rules:
+    aggregate, transition and compensating)."""
+    import gc
+
+    from benchmarks.e2e import workloads as W
+
+    session = W.build_full_check(0, 1, 0, tmp_path).session
+    raised = W.transaction_text(["update(emp, id = 7, salary := salary + 100)"])
+    cut = W.transaction_text(["update(emp, id = 7, salary := salary - 100)"])
+    hired = W.transaction_text(['insert(emp, (9000, "emp_9000", 3, 2500, 4))'])
+    texts = (raised, cut, hired)
+    outcomes = [session.execute(text).committed for text in texts]
+    assert outcomes == [True, False, True]  # compiling the plans may make cycles
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for text in texts:
+            for _ in range(20):
+                session.execute(text)
+            gc.collect()
+            assert gc.garbage == [], text
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

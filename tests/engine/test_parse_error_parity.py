@@ -21,6 +21,7 @@ Regenerate (only when an error message changes on purpose) with
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from benchmarks.e2e import workloads as W
 from repro.algebra.parser import parse_expression, parse_transaction
 from repro.calculus.parser import parse_constraint
 from repro.core.rule_language import parse_rule
+from repro.engine import Database, DatabaseSchema, Session
 from repro.errors import ReproError
 from tests.engine.reference_lexer import tokenize as reference_tokenize
 
@@ -155,6 +157,42 @@ def test_every_entry_point_rejects_the_other_languages(name):
     assert {
         parser: outcome(parse, text) for parser, parse in PARSERS.items()
     } == golden
+
+
+def _swollen(text: str) -> list:
+    """``text`` with each digit run in turn grown past what ``int`` reads,
+    and swapped for a string (both keep its shape, neither binds)."""
+    runs = list(re.finditer(r"[0-9]+", text))
+    return [
+        text[: run.start()] + replacement + text[run.end() :]
+        for run in runs
+        for replacement in ("9" * 5000, f'"{run.group()}"')
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (parser, _) in TEXTS.items() if parser == "parse_transaction"]
+)
+def test_a_warmed_session_says_what_the_parser_says(name):
+    """``Session.transaction`` serves a text from its shape when one is
+    filed: on every mutant, with every shape the corpus files already in
+    the table, it says byte for byte what ``parse_transaction`` says."""
+    _, text = TEXTS[name]
+    corpus = [text, *_swollen(text)]
+    corpus += [mutant for texts in mutants(text).values() for mutant in texts]
+    session = Session(Database(DatabaseSchema([])))
+
+    def said(parse, text):
+        try:
+            return parse(text).statements
+        except ReproError as error:
+            return f"{type(error).__name__}: {error}"
+
+    for mutant in corpus:
+        said(session.transaction, mutant)
+    assert session.database.transaction_shapes  # warmed
+    for mutant in corpus:
+        assert said(session.transaction, mutant) == said(parse_transaction, mutant), mutant
 
 
 if __name__ == "__main__":

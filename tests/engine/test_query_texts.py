@@ -6,7 +6,7 @@ same expression object to the plan table (``Database.plans``), which then
 hits on identity.  The table holds syntax only, is bounded and FIFO-evicted
 like the plan table, and never files a text that fails to parse.  The
 eviction every bounded memo shares (``repro.bounded.BoundedTable``) never
-raises under a concurrent filer.
+raises under a concurrent filer, the transaction-shape table's included.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.algebra import planner
 from repro.algebra import physical as X
 from repro.algebra import predicates as P
 from repro.algebra import statements as S
+from repro.algebra.parser import shaped_transaction
 from repro.calculus import ast as C
 from repro.calculus.planned import _COMPILED, compile_constraint
 from repro.core.programs import IntegrityProgramStore
@@ -182,8 +183,21 @@ def operator_table():
     return 20_000, file, lambda: [(rename._schemas, 32)]
 
 
+def transaction_shapes():
+    """The database's transaction-shape table: one shape per relation name
+    (spelled in letters: digits in a name are a run, not a new shape)."""
+    database = Database(DatabaseSchema([]))
+
+    def file(k: int) -> None:
+        name = "r" + str(k).translate(str.maketrans("0123456789", "abcdefghij"))
+        shaped_transaction(f"begin insert({name}, (1)); end", database.transaction_shapes)
+
+    return 5_000, file, lambda: [(database.transaction_shapes, 1024)]
+
+
 @pytest.mark.parametrize(
-    "table", [plan_tables, modification_memo, constraint_table, operator_table]
+    "table",
+    [plan_tables, modification_memo, constraint_table, operator_table, transaction_shapes],
 )
 def test_two_threads_filing_into_a_full_plan_table_never_raise(table):
     """Two threads file distinct keys into one bounded memo under a short
