@@ -111,24 +111,22 @@ def _audit_worker(endpoint, payload: bytes) -> None:
     for message in endpoint:
         kind = message[0]
         if kind == "apply":
-            for sequence, encoded in endpoint.load(message[1]):
+            for sequence, encoded in decode(message[1]):
                 if sequence < replica_seq:
                     continue  # already covered by this replica's snapshot
                 database.apply_deltas(decode_differentials(encoded), record=False)
                 replica_seq = sequence + 1
         elif kind == "resync":
-            database = endpoint.load(message[1])
+            database = decode(message[1])
             replica_seq = database.commit_log.next_sequence
         elif kind == "task":
-            task_id, rule_name, descriptor = message[1:]
+            task_id, rule_name, blob = message[1:]
             started = time.perf_counter()
             try:
                 # Task deltas decode lazily: the audit's delta plans scan
                 # the differentials column-wise, so the row dicts only
                 # materialize if a row-at-a-time path actually needs them.
-                differentials = decode_differentials(
-                    endpoint.load(descriptor), lazy=True
-                )
+                differentials = decode_differentials(decode(blob), lazy=True)
                 violated, violations = run_rule_audit(
                     controller, database, rule_name, differentials
                 )
@@ -185,8 +183,9 @@ class ProcessAuditExecutor:
         #: Workers respawned after an unexpected death.
         self.restarts = 0
         self._reader_lock = threading.Lock()
-        # One coalesced drain submits the same differentials object once
-        # per rule: pickle it once, ship the blob n times.
+        # ``(differentials, blob)`` of the last task: one coalesced drain
+        # submits the same differentials object once per rule, so it is
+        # pickled once and the same blob is put n times.
         self._delta_cache: Optional[tuple] = None
         self._closed = False
         self._hold_wal()
@@ -259,19 +258,15 @@ class ProcessAuditExecutor:
         self._next_task_id += 1
         worker = self._next_worker
         self._next_worker = (self._next_worker + 1) % self.workers
-        transport = self._pool.transport
         differentials = task.differentials
         cache = self._delta_cache
         if cache is not None and cache[0] is differentials:
-            blob, descriptor = cache[1], transport.reship(cache[2])
+            blob = cache[1]
         else:
             blob = encode(encode_differentials(differentials))
-            descriptor = None
-        if descriptor is None:  # a new blob, or its segment already drained
-            descriptor = transport.ship(blob, readers=1)
-        self._delta_cache = (differentials, blob, descriptor)
+            self._delta_cache = (differentials, blob)
         self._pending[task_id] = (worker, task.rule_name, blob)
-        self._pool.put(worker, ("task", task_id, task.rule_name, descriptor))
+        self._pool.put(worker, ("task", task_id, task.rule_name, blob))
         outcome = functools.partial(
             AuditOutcome, task.rule_name, sequences, mode=mode,
             executor="process", rows=rows,
@@ -288,9 +283,9 @@ class ProcessAuditExecutor:
                     return self._done.pop(task_id)
                 self._receive()
 
-    def _receive(self, timeout: Optional[float] = None) -> None:
+    def _receive(self) -> None:
         """Store delivered verdicts, then mend deaths (reader lock held)."""
-        replies, died = self._pool.wait(timeout)
+        replies, died = self._pool.wait()
         for _, (task_id, *verdict) in replies:
             self._done[task_id] = tuple(verdict)
         for index in died:
@@ -320,13 +315,7 @@ class ProcessAuditExecutor:
                 continue
             self._retried.add(tid)
             _, rule_name, blob = self._pending[tid]
-            descriptor = self._pool.transport.ship(blob, readers=1)
-            self._pool.put(owner, ("task", tid, rule_name, descriptor))
-
-    def reap_acks(self) -> None:
-        """Settle pending shared-memory acks without blocking on results."""
-        with self._reader_lock:
-            self._receive(timeout=0)
+            self._pool.put(owner, ("task", tid, rule_name, blob))
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -12,43 +12,19 @@ shared-nothing workers.  :class:`WorkerPool` owns what that takes, once:
   process sentinel — no poll interval — and delivers a worker's replies
   before its death;
 * the wire: :func:`encode` / :func:`decode` are the only pickling of pool
-  traffic, and a blob of :data:`SHM_MIN_BYTES` or more travels in a
-  shared-memory segment, written once however many workers read it,
-  unlinked at its readers' last ack (settled inside :meth:`WorkerPool.wait`)
-  or at :meth:`WorkerPool.close`: no segment survives a drained pool.
-
-Workers share the coordinator's resource tracker (``fork`` inherits the one
-:meth:`WorkerPool.spawn` starts first, ``spawn`` is handed it).  Before
-Python 3.13 an attach registers the segment's name again — a no-op there —
-and must not unregister it: that would drop the coordinator's registration,
-so the tracker would report a ``KeyError`` at the unlink and no longer clean
-up after a killed coordinator.  From 3.13 workers attach untracked.
+  traffic.  A payload is pickled once and its bytes go down each
+  recipient's inbox, whatever their size.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import sys
-import threading
 import time
 from multiprocessing import connection
-from typing import Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised by presence, not absence
-    from multiprocessing import resource_tracker, shared_memory
-
-    SHM_AVAILABLE = True
-except ImportError:  # pragma: no cover - platforms without shm
-    resource_tracker = shared_memory = None
-    SHM_AVAILABLE = False
-
-#: Blobs at or above this many bytes ship via shared memory; smaller ones
-#: stay on the pipe (descriptor + attach overhead would dominate).
-SHM_MIN_BYTES = 1 << 16
+from typing import List, Optional, Tuple
 
 _STOP = "stop"
-_ACK = "shm"  # a worker's "done with this segment"; settled by the pool
 
 
 def default_start_method() -> str:
@@ -64,87 +40,6 @@ def decode(blob: bytes):
     return pickle.loads(blob)
 
 
-def load(descriptor) -> Tuple[bytes, Optional[str]]:
-    """Worker side: ``(blob, segment name to ack or None)``.  The attach
-    never takes the segment over (see the module docstring)."""
-    if descriptor[0] == "pipe":
-        return descriptor[1], None
-    _, name, size = descriptor
-    untracked = {"track": False} if sys.version_info >= (3, 13) else {}
-    segment = shared_memory.SharedMemory(name=name, **untracked)
-    try:
-        return bytes(segment.buf[:size]), name
-    finally:
-        segment.close()
-
-
-class ShmTransport:
-    """Coordinator-side blob shipping: on the pipe, or in a counted segment."""
-
-    def __init__(self):
-        self._segments: Dict[str, list] = {}  # name -> [segment, readers left]
-        self._lock = threading.Lock()
-        #: Total bytes that went through shared memory (for benchmarks).
-        self.bytes_shipped = 0
-
-    def ship(self, blob: bytes, readers: int):
-        """Wrap ``blob`` for ``readers`` recipients; returns a descriptor."""
-        if not SHM_AVAILABLE or len(blob) < SHM_MIN_BYTES or readers < 1:
-            return ("pipe", blob)
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=len(blob))
-        except OSError:  # /dev/shm full or missing: the pipe still works
-            return ("pipe", blob)
-        segment.buf[: len(blob)] = blob
-        with self._lock:
-            self._segments[segment.name] = [segment, readers]
-            self.bytes_shipped += len(blob)
-        return ("shm", segment.name, len(blob))
-
-    def reship(self, descriptor, readers: int = 1):
-        """Send a shipped descriptor to ``readers`` more recipients; None
-        when its segment has already drained (ship the blob again)."""
-        if descriptor[0] != "shm":
-            return descriptor
-        with self._lock:
-            entry = self._segments.get(descriptor[1])
-            if entry is None:
-                return None
-            entry[1] += readers
-        return descriptor
-
-    def ack(self, name: str) -> None:
-        """One reader finished with ``name``; unlink at zero."""
-        with self._lock:
-            entry = self._segments.get(name)
-            if entry is None:
-                return
-            entry[1] -= 1
-            if entry[1] > 0:
-                return
-            del self._segments[name]
-        self._destroy(entry[0])
-
-    def live_segments(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._segments)
-
-    def release_all(self) -> None:
-        """Force-unlink every outstanding segment (shutdown path)."""
-        with self._lock:
-            entries, self._segments = list(self._segments.values()), {}
-        for segment, _ in entries:
-            self._destroy(segment)
-
-    @staticmethod
-    def _destroy(segment) -> None:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlinked elsewhere
-            pass
-
-
 class Endpoint:
     """A worker's side of the pool: its inbox and its reply connection."""
 
@@ -154,13 +49,6 @@ class Endpoint:
     def __iter__(self):
         """The inbox's messages in order, up to the pool's stop."""
         return iter(self._inbox.get, (_STOP,))
-
-    def load(self, descriptor):
-        """Decode a shipped blob, acking its segment first."""
-        blob, name = load(descriptor)
-        if name is not None:
-            self.reply((_ACK, name))
-        return decode(blob)
 
     def reply(self, message: tuple) -> None:
         self._reply.send_bytes(encode(message))
@@ -182,7 +70,6 @@ class WorkerPool:
         self.start_method = start_method or default_start_method()
         self._context = multiprocessing.get_context(self.start_method)
         self._target, self._name = target, name
-        self.transport = ShmTransport()
         self.processes: List = [None] * size
         self._inboxes: List = [None] * size
         self._replies: List = [None] * size  # None once it reached EOF
@@ -194,8 +81,6 @@ class WorkerPool:
     def spawn(self, index: int, *args) -> None:
         """(Re)start worker ``index`` with a fresh inbox and reply connection."""
         self._retire(index)
-        if SHM_AVAILABLE and self.start_method == "fork":
-            resource_tracker.ensure_running()  # spawn hands it over itself
         inbox = self._context.Queue()
         reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
@@ -223,22 +108,23 @@ class WorkerPool:
             self._inboxes[index].put(message)
 
     def send(self, index: int, message: tuple, payload) -> int:
-        """Put ``message`` plus one shipped ``payload``; returns its bytes."""
+        """Put ``message`` plus ``payload``'s pickled bytes; returns their size."""
         blob = encode(payload)
-        self.put(index, message + (self.transport.ship(blob, readers=1),))
+        self.put(index, message + (blob,))
         return len(blob)
 
     def broadcast(self, message: tuple, payload=None) -> int:
         """Put ``message`` on every live inbox, plus a ``payload`` pickled
-        and shipped once for all of them; returns the payload's bytes."""
+        once for all of them; returns the payload bytes put: its size
+        times the live recipients (a dead worker is sent nothing)."""
         live = [i for i in range(len(self.processes)) if i not in self.dead]
         blob = b""
         if payload is not None:
             blob = encode(payload)
-            message += (self.transport.ship(blob, readers=len(live)),)
+            message += (blob,)
         for index in live:
             self._inboxes[index].put(message)
-        return len(blob)
+        return len(blob) * len(live)
 
     # -- workers → coordinator ---------------------------------------------------
 
@@ -276,17 +162,13 @@ class WorkerPool:
                 reader.close()
                 self._replies[index] = None
                 return
-            message = decode(blob)
-            if message[0] == _ACK:
-                self.transport.ack(message[1])
-            else:
-                replies.append((index, message))
+            replies.append((index, decode(blob)))
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Stop every worker (terminating stragglers) and unlink every
-        segment; idempotent.  Uncollected replies are dropped."""
+        """Stop every worker (terminating stragglers); idempotent.
+        Uncollected replies are dropped."""
         if self._closed:
             return
         self._closed = True
@@ -300,4 +182,3 @@ class WorkerPool:
                 process.terminate()
             process.join(timeout=1.0)
             self._retire(index)
-        self.transport.release_all()

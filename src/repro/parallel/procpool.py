@@ -6,11 +6,11 @@ nodes real as a client of the one :class:`~repro.core.workers.WorkerPool`.
 Each node's worker process owns its base fragments (installed once); per
 check only the *moved* operands cross process boundaries — the shipments
 ``tuples_shipped`` describes, with ``bytes_shipped`` their real pickle size
-(each payload pickled once, a broadcast's blob shared by every node) — and
-the compiled violation plan runs on every node at once, each sending its
-violating rows back on its own reply connection.  Relations above
-``columnar.WIRE_MIN_ROWS`` rows ship as
-:class:`~repro.algebra.columnar.ColumnBatch` columns.  A node the pool
+(each payload pickled once; a broadcast's blob goes down every live node's
+inbox and counts once per node it reached) — and the compiled violation
+plan runs on every node at once, each sending its violating rows back on
+its own reply connection.  Relations above ``columnar.WIRE_MIN_ROWS`` rows
+ship as :class:`~repro.algebra.columnar.ColumnBatch` columns.  A node the pool
 reports dead stays dead, and every later :meth:`~ProcessFragmentPool.execute`
 names it.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.algebra.columnar import decode_relation, encode_relation
-from repro.core.workers import WorkerPool
+from repro.core.workers import WorkerPool, decode
 from repro.engine.relation import Relation
 from repro.errors import FragmentationError
 
@@ -38,15 +38,13 @@ def _fragment_worker(endpoint) -> None:
             # Lazy decode: fragments stay columnar until an operator needs
             # rows — scans and re-ships start straight from the columns.
             relations = owned if kind == "install" else bound
-            relations[message[1]] = decode_relation(
-                endpoint.load(message[2]), lazy=True
-            )
+            relations[message[1]] = decode_relation(decode(message[2]), lazy=True)
         elif kind == "clear":
             bound.clear()
         elif kind == "execute":
             request_id = message[1]
             try:
-                plan = planner.get_plan(endpoint.load(message[2]))
+                plan = planner.get_plan(decode(message[2]))
                 result = plan.execute(_NodeContext({**owned, **bound}))
                 endpoint.reply((request_id, list(result.rows()), None))
             except Exception as error:  # ship the failure
@@ -107,9 +105,9 @@ class ProcessFragmentPool:
         return self._send_each("bind", name, fragments)
 
     def broadcast_bind(self, name: str, relation: Relation) -> int:
-        """Replicate one relation to every node (one blob, n shipments)."""
-        payload = encode_relation(relation)
-        return self._pool.broadcast(("bind", name), payload) * self.nodes
+        """Replicate one relation to every live node (one blob, one put per
+        node); returns the bytes put, so a dead node adds nothing."""
+        return self._pool.broadcast(("bind", name), encode_relation(relation))
 
     def clear_bindings(self) -> None:
         self._pool.broadcast(("clear",))

@@ -196,6 +196,63 @@ class TestWorkerRestart:
             pool.shutdown()
 
 
+class TestLargeDeltas:
+    """A Δ whose blob is over 64 KiB travels the same pipe as a small one."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_large_delta_audits_like_inline_and_a_killed_worker_retries_once(
+        self, db, controller, start_method
+    ):
+        import multiprocessing
+
+        from repro.algebra.columnar import encode_differentials
+        from repro.core.workers import encode
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        # Every third row dangles: ref 10 + i is no pk key.  Ids wide
+        # enough that the columnar Δ stays over 64 KiB.
+        rows = ", ".join(
+            f"({10**12 + 7919 * i}, {i % 10 if i % 3 else 10 + i})"
+            for i in range(9_000)
+        )
+        result = _commit(db, f"begin insert(fk, {{{rows}}}); end")
+        assert len(encode(encode_differentials(result.differentials))) > 64 << 10
+        tasks = controller.audit_tasks(db, result)
+        inline = {t.rule_name: t.run() for t in tasks}
+        assert inline["fk_ref"][0] is True and inline["fk_id"][0] is False
+
+        pool = ProcessAuditExecutor(
+            controller, db, workers=2, start_method=start_method
+        )
+        puts = []
+        real_put = pool._pool.put
+
+        def recording_put(index, message):
+            if message[0] == "task":
+                puts.append((message[1], message[3]))
+            return real_put(index, message)
+
+        pool._pool.put = recording_put
+        try:
+            pool.replicate(db.commit_log.since(0)[0])
+            _kill(pool, 0)  # round-robin hands it the first task
+            futures = [pool.submit(task, (0,)) for task in tasks]
+            outcomes = {o.rule: o for o in (f.result() for f in futures)}
+        finally:
+            pool.shutdown()
+        for rule, (violated, violations) in inline.items():
+            assert outcomes[rule].error is None
+            assert outcomes[rule].violated is violated
+            assert sorted(outcomes[rule].violations) == sorted(violations)
+        assert pool.restarts == 1
+        # Task 0 was stranded on the dead worker and put again once, as
+        # the same blob; task 1 went to the live worker once.  One drain's
+        # tasks share one pickled Δ.
+        assert [task_id for task_id, _ in puts] == [0, 1, 0]
+        assert len({id(blob) for _, blob in puts}) == 1
+
+
 class TestDurableLogIntegration:
     def test_drain_advances_audit_watermark(self, db, controller, tmp_path):
         db.attach_wal(WriteAheadLog(tmp_path))

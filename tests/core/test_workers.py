@@ -26,7 +26,8 @@ def _echo(endpoint):
     for message in endpoint:
         kind = message[0]
         if kind == "load":
-            endpoint.reply(("loaded", endpoint.load(message[1]).value))
+            value = workers.decode(message[1]).value
+            endpoint.reply(("loaded", value[:7], len(value)))
         elif kind == "big":
             endpoint.reply(("big", b"x" * message[1]))
         elif kind == "burst":  # n replies, then die without a stop
@@ -60,22 +61,22 @@ def _replies(pool, count):
     return collected
 
 
-@pytest.mark.parametrize("min_bytes", [1, 1 << 30])
-def test_a_broadcast_payload_is_pickled_once(start_method, monkeypatch, min_bytes):
-    monkeypatch.setattr(workers, "SHM_MIN_BYTES", min_bytes)
+@pytest.mark.parametrize(
+    "size", [7, (64 << 10) + 1, 4 << 20], ids=["tiny", "64KiB+1", "4MiB"]
+)
+def test_a_broadcast_payload_is_pickled_once(start_method, size):
     pool = WorkerPool(_echo, 3, start_method)
     try:
         Counted.pickled = 0
-        size = pool.broadcast(("load",), Counted("payload"))
+        payload = Counted("payload" + "x" * (size - 7))
+        put = pool.broadcast(("load",), payload)
         assert Counted.pickled == 1
         replies = _replies(pool, 3)
         assert sorted(index for index, _ in replies) == [0, 1, 2]
-        assert {message for _, message in replies} == {("loaded", "payload")}
+        assert {message for _, message in replies} == {("loaded", "payload", size)}
         assert Counted.pickled == 1  # inbox puts re-pickle no payload
-        # One segment for three readers, drained by their three acks.
-        in_shm = workers.SHM_AVAILABLE and min_bytes == 1
-        assert pool.transport.bytes_shipped == (size if in_shm else 0)
-        assert pool.transport.live_segments() == ()
+        # The one blob went down each of the three inboxes.
+        assert put == 3 * len(workers.encode(payload))
     finally:
         pool.close()
 

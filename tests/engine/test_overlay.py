@@ -267,3 +267,48 @@ def test_an_indexed_transaction_leaves_nothing_for_the_cyclic_collector(tmp_path
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+@pytest.mark.parametrize("path", ["sync", "async thread", "process drain"])
+def test_an_audited_commit_leaves_nothing_for_the_cyclic_collector(path):
+    """``Session.commit`` through the audit pipeline on the
+    ``read_write_mix`` star database, each commit a fresh insert: a sync
+    drain, an async drain on the thread executor, and an async drain on the
+    process executor (checked on the coordinator's side)."""
+    import gc
+
+    from benchmarks.e2e import workloads as W
+    from repro.engine import Session
+
+    model = W.StarModel(0)
+    database, controller = model.database, model.controller
+    executor = "process" if path == "process drain" else "thread"
+    controller.audit_scheduler(
+        database, workers=1, dispatch_overhead=0.0, executor=executor
+    )
+    session = Session(database, controller)
+
+    def commit():
+        rows = [model.row() for _ in range(3)]
+        text = W.transaction_text([f"insert(orders, {row})" for row in rows])
+        if path == "sync":
+            assert session.commit(text, audit="sync").audit
+            return
+        assert session.commit(text, audit="async").committed
+        outcomes = session.wait_for_audits()
+        assert outcomes and {o.executor for o in outcomes} == {executor}
+
+    commit()  # compiling the plans and starting the pool may make cycles
+    gc.collect()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for _ in range(20):
+            commit()
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+        session.close()

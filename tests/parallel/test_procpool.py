@@ -137,6 +137,19 @@ class TestByteAccounting:
         assert report.bytes_shipped > 0
         assert report.bytes_shipped % 4 == 0
 
+    def test_a_dead_node_is_not_counted_in_a_broadcast_bind(self, fragmented, pool):
+        from repro.algebra.columnar import encode_relation
+        from repro.core.workers import encode
+
+        victim = pool._pool.processes[2]
+        victim.kill()
+        victim.join(timeout=10.0)
+        assert pool._pool.wait() == ([], [2])
+        pk = fragmented.relation("pk").merged()
+        blob = encode(encode_relation(pk))
+        # Three live nodes got the blob; the dead one was sent nothing.
+        assert pool.broadcast_bind("pk_all", pk) == 3 * len(blob)
+
     def test_inline_enforcer_reports_zero_bytes(self, fragmented):
         report = ParallelEnforcer(fragmented).referential_check(
             "fk", "ref", "pk", "key", Strategy.BROADCAST
@@ -204,6 +217,37 @@ class TestPoolLifecycle:
             "fk", "ref", "pk", "key"
         )
         assert report.violations == 1
+
+
+class TestLargePayloads:
+    def test_a_broadcast_binding_over_64_kib_matches_the_single_node_plan(
+        self, schema
+    ):
+        from repro.algebra.evaluation import evaluate_expression
+        from repro.algebra.parser import parse_expression
+        from repro.engine.session import DatabaseView
+
+        database = Database(schema)
+        database.load("pk", [(k, f"key_{k:06d}") for k in range(0, 20_000, 2)])
+        database.load("fk", [(i, (7 * i) % 20_000) for i in range(4_000)])
+        fdb = FragmentedDatabase.from_database(
+            database,
+            {"fk": RoundRobinFragmentation(4), "pk": RoundRobinFragmentation(4)},
+            nodes=4,
+        )
+        single = evaluate_expression(
+            parse_expression("antijoin(fk, pk, left.ref = right.key)"),
+            DatabaseView(database),
+        )
+        with ProcessFragmentPool(nodes=4) as pool:
+            report = ParallelEnforcer(fdb, pool=pool).referential_check(
+                "fk", "ref", "pk", "key", Strategy.BROADCAST, max_sample=10_000
+            )
+        assert report.executor == "process"
+        # The merged pk relation went to all 4 nodes as one blob > 64 KiB.
+        assert report.bytes_shipped > 4 * (64 << 10)
+        assert report.violations == len(single) == 2_000
+        assert sorted(report.sample) == sorted(single.rows())
 
 
 class TestSpawnStartMethod:
@@ -294,8 +338,8 @@ class TestDeadWorker:
         pool = ProcessFragmentPool(nodes=2, start_method=start_method)
         try:
             pool.install("pk", fragments)
-            # One collected run settles the install's shared-memory acks,
-            # so the next bytes on node 0's connection are its reply.
+            # One collected run: the next bytes on node 0's connection
+            # are the reply to the run below.
             assert sum(map(len, pool.execute(E.RelationRef("pk")))) == 100_000
             pool._pool.broadcast(("execute", -1), E.RelationRef("pk"))
             assert pool._pool._replies[0].poll(60), "node 0 never replied"
