@@ -108,9 +108,12 @@ class WorkerPool:
             self._inboxes[index].put(message)
 
     def send(self, index: int, message: tuple, payload) -> int:
-        """Put ``message`` plus ``payload``'s pickled bytes; returns their size."""
+        """Put ``message`` plus ``payload``'s pickled bytes; returns the
+        bytes put: their size, or 0 to a dead worker (sent nothing)."""
+        if index in self.dead:
+            return 0
         blob = encode(payload)
-        self.put(index, message + (blob,))
+        self._inboxes[index].put(message + (blob,))
         return len(blob)
 
     def broadcast(self, message: tuple, payload=None) -> int:

@@ -76,7 +76,8 @@ class ProcessFragmentPool:
     # -- resident base fragments ------------------------------------------------
 
     def install(self, name: str, fragments: Sequence[Relation]) -> int:
-        """Make ``fragments[i]`` resident on node ``i``; returns bytes sent."""
+        """Make ``fragments[i]`` resident on node ``i``; returns bytes put
+        (a dead node is sent nothing)."""
         if len(fragments) != self.nodes:
             raise FragmentationError(
                 f"{len(fragments)} fragments for {self.nodes} nodes"
@@ -101,7 +102,8 @@ class ProcessFragmentPool:
     # -- per-check operand shipment ---------------------------------------------
 
     def bind_fragments(self, name: str, fragments: Sequence[Relation]) -> int:
-        """Ship ``fragments[i]`` to node ``i`` as a per-check binding."""
+        """Ship ``fragments[i]`` to node ``i`` as a per-check binding;
+        returns bytes put (a dead node is sent nothing)."""
         return self._send_each("bind", name, fragments)
 
     def broadcast_bind(self, name: str, relation: Relation) -> int:

@@ -253,6 +253,55 @@ class TestLargeDeltas:
         assert len({id(blob) for _, blob in puts}) == 1
 
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_full_replica_resync_over_64_kib_reaches_every_worker(
+        self, db, controller, start_method
+    ):
+        import multiprocessing
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        db.load("pk", [(k,) for k in range(10, 40_000)])
+        pool = ProcessAuditExecutor(
+            controller, db, workers=2, start_method=start_method
+        )
+        shipped = []
+        real_broadcast = pool._pool.broadcast
+
+        def recording_broadcast(message, payload=None):
+            put = real_broadcast(message, payload)
+            shipped.append((message[0], put))
+            return put
+
+        pool._pool.broadcast = recording_broadcast
+        try:
+            # Never replicated: only the resync (no log, so a full replica
+            # ship) can bring key 40000 to the workers.
+            _commit(db, "begin insert(pk, (40000)); end")
+            pool.resync(db)
+            [(kind, put)] = shipped
+            assert kind == "resync" and put > 2 * (64 << 10)
+            result = _commit(
+                db, "begin insert(fk, {(501, 40000), (502, 1000000)}); end"
+            )
+            pool.replicate(db.commit_log.since(0)[0])
+            tasks = controller.audit_tasks(db, result)
+            inline = {t.rule_name: t.run() for t in tasks}
+            violated, violations = inline["fk_ref"]
+            assert (violated, list(violations)) == (True, [(502, 1000000)])
+            # Each rule's task goes to both workers (round-robin).
+            futures = [pool.submit(task, (1,)) for task in tasks + tasks]
+            outcomes = [future.result() for future in futures]
+        finally:
+            pool.shutdown()
+        assert pool.restarts == 0
+        for outcome in outcomes:
+            violated, violations = inline[outcome.rule]
+            assert outcome.error is None
+            assert outcome.violated is violated
+            assert sorted(outcome.violations) == sorted(violations)
+
+
 class TestDurableLogIntegration:
     def test_drain_advances_audit_watermark(self, db, controller, tmp_path):
         db.attach_wal(WriteAheadLog(tmp_path))

@@ -2,6 +2,10 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,52 @@ def test_close_is_idempotent_and_joins_every_process(start_method):
     pool.close()
     assert [process.exitcode for process in pool.processes] == [0, 0]
     assert pool.wait() == ([], [])
+
+
+def test_a_send_to_a_dead_worker_puts_and_counts_nothing(pool):
+    Counted.pickled = 0
+    pool.processes[0].kill()
+    assert pool.wait() == ([], [0])
+    assert pool.send(0, ("load",), Counted("payload")) == 0
+    assert Counted.pickled == 0  # nothing pickled for nobody
+    put = pool.send(1, ("load",), Counted("payload"))
+    assert put == len(workers.encode(Counted("payload")))
+    [(index, message)] = _replies(pool, 1)
+    assert (index, message) == (1, ("loaded", "payload", 7))
+
+
+ROUND_TRIP = """
+    import sys
+
+    from repro.algebra import expressions as E
+    from repro.engine import RelationSchema
+    from repro.engine.relation import Relation
+    from repro.engine.types import INT
+    from repro.parallel import ProcessFragmentPool
+
+    fragments = [Relation(RelationSchema("r", [("a", INT)])) for _ in range(2)]
+    for a in range(100_000):
+        fragments[a % 2].insert((a,))
+    with ProcessFragmentPool(2, start_method=sys.argv[1]) as pool:
+        pool.install("r", fragments)
+        put = pool.broadcast_bind("s", fragments[0])
+        assert put > 2 * (64 << 10), put  # one blob over 64 KiB, per node
+        rows = pool.execute(E.RelationRef("s"))
+        assert list(map(len, rows)) == [50_000, 50_000]
+    print("ok")
+"""
+
+
+def test_a_round_trip_in_a_fresh_interpreter_leaves_stderr_empty(start_method):
+    # A whole pool lifetime with payloads over 64 KiB, in its own
+    # interpreter so interpreter exit runs too: no leaked-resource
+    # warnings, no tracker, no traceback from a worker.
+    source = str(Path(__file__).resolve().parents[2] / "src")
+    process = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(ROUND_TRIP), start_method],
+        env=dict(os.environ, PYTHONPATH=source),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "ok"
+    assert process.stderr == ""

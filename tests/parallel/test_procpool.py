@@ -150,6 +150,19 @@ class TestByteAccounting:
         # Three live nodes got the blob; the dead one was sent nothing.
         assert pool.broadcast_bind("pk_all", pk) == 3 * len(blob)
 
+    def test_a_dead_node_is_not_counted_in_a_per_node_bind(self, fragmented, pool):
+        from repro.algebra.columnar import encode_relation
+        from repro.core.workers import encode
+
+        victim = pool._pool.processes[1]
+        victim.kill()
+        victim.join(timeout=10.0)
+        assert pool._pool.wait() == ([], [1])
+        fragments = fragmented.relation("pk").fragments
+        sizes = [len(encode(encode_relation(f))) for f in fragments]
+        # Node 1 was sent nothing, so its fragment's bytes are not counted.
+        assert pool.bind_fragments("pk_moved", fragments) == sum(sizes) - sizes[1]
+
     def test_inline_enforcer_reports_zero_bytes(self, fragmented):
         report = ParallelEnforcer(fragmented).referential_check(
             "fk", "ref", "pk", "key", Strategy.BROADCAST
@@ -248,6 +261,34 @@ class TestLargePayloads:
         assert report.bytes_shipped > 4 * (64 << 10)
         assert report.violations == len(single) == 2_000
         assert sorted(report.sample) == sorted(single.rows())
+
+    @pytest.mark.parametrize("strategy", ["BROADCAST", "REPARTITION"])
+    def test_a_check_moving_operands_over_64_kib_matches_the_inline_enforcer(
+        self, schema, strategy
+    ):
+        strategy = Strategy[strategy]
+        database = Database(schema)
+        database.load("pk", [(k, f"key_{k:06d}") for k in range(0, 40_000, 2)])
+        # An odd ref has no pk key: every odd id dangles.
+        database.load("fk", [(i, (7 * i) % 40_000) for i in range(16_000)])
+        fdb = FragmentedDatabase.from_database(
+            database,
+            {"fk": RoundRobinFragmentation(4), "pk": RoundRobinFragmentation(4)},
+            nodes=4,
+        )
+        inline = ParallelEnforcer(fdb).referential_check(
+            "fk", "ref", "pk", "key", strategy, max_sample=10_000
+        )
+        with ProcessFragmentPool(nodes=4) as pool:
+            process = ParallelEnforcer(fdb, pool=pool).referential_check(
+                "fk", "ref", "pk", "key", strategy, max_sample=10_000
+            )
+        assert (inline.executor, process.executor) == ("inline", "process")
+        assert inline.bytes_shipped == 0
+        assert process.bytes_shipped > 4 * (64 << 10)
+        assert process.violations == inline.violations == 8_000
+        assert sorted(process.sample) == sorted(inline.sample)
+        assert _strip_timing(process) == _strip_timing(inline)
 
 
 class TestSpawnStartMethod:
