@@ -10,7 +10,7 @@ produced by parsing or by the calculus-to-algebra translation of Section
   index-accelerable shapes once, at plan time;
 * :func:`get_plan` adds a **structural plan cache**: expression nodes are
   frozen dataclasses with structural equality, so every occurrence of the
-  same expression (a static-mode integrity rule appended to thousands of
+  same expression (a compiled integrity rule appended to thousands of
   transactions, the selection an ``update`` statement re-creates on every
   execution) shares one compiled plan;
 * :func:`evaluate` executes the compiled plan — the only evaluation path;
@@ -804,7 +804,7 @@ def expression_leaves(expression: E.Expression) -> tuple:
 def precompile_program(program) -> int:
     """Warm the plan cache for every expression of a program.
 
-    Called at rule-definition time (static mode, §6.2) so constraint
+    Called at rule-definition time (§6.2) so constraint
     enforcement never pays lowering costs inside a transaction.  Returns
     the number of plans compiled or refreshed.
     """

@@ -42,6 +42,7 @@ from typing import List
 
 from repro.bounded import BoundedTable
 from repro.calculus import ast as C
+from repro.calculus.analysis import check_constraint
 from repro.calculus.evaluation import evaluate_constraint
 from repro.errors import TranslationError
 
@@ -283,7 +284,12 @@ _cache_misses = 0
 
 
 def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
-    """The cached compiled form of ``formula`` under schema ``db``."""
+    """The cached compiled form of ``formula`` under schema ``db``.
+
+    A formula is validated (closed, range-restricted) when it is compiled,
+    so an open one raises :class:`~repro.errors.AnalysisError` as the model
+    checker does; a cache hit was validated when it was filed.
+    """
     global _cache_hits, _cache_misses
     per_schema = _COMPILED.get(db)
     if per_schema is None:
@@ -294,6 +300,7 @@ def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
         _cache_hits += 1
         return cached
     _cache_misses += 1
+    check_constraint(formula)
     compiled = CompiledConstraint(formula, _compile_node(formula, db), version)
     per_schema.file(formula, compiled)
     return compiled

@@ -50,8 +50,8 @@ from typing import Callable, List, Optional, TextIO
 from repro import __version__
 from repro.algebra import planner
 from repro.algebra.pretty import render_transaction
-from repro.calculus.evaluation import evaluate_constraint
 from repro.calculus.parser import parse_constraint
+from repro.calculus.planned import evaluate_constraint_planned
 from repro.calculus.pretty import render_constraint
 from repro.core.subsystem import IntegrityController
 from repro.core.triggers import format_trigger_set
@@ -325,7 +325,7 @@ class Shell:
 
     def cmd_check(self, rest: str) -> None:
         formula = parse_constraint(rest)
-        verdict = evaluate_constraint(formula, DatabaseView(self.database))
+        verdict = evaluate_constraint_planned(formula, DatabaseView(self.database))
         self.write("satisfied" if verdict else "VIOLATED")
 
     def cmd_audit(self, rest: str) -> None:

@@ -20,20 +20,22 @@ Two selector back-ends implement ``TrigP``:
 * :class:`StaticSelector` — Alg 6.2: rules were compiled to integrity
   programs at definition time; ``SelPS``/``ConcatP`` just look them up.
 
-Memoised static mode.  ``ModP(P, J) = P ⊕ rounds(GetTrigPX(P), J)``: the
-recursion reads ``P`` only through the update types it performs
-(:func:`mod_rounds`), and with precompiled programs (Alg 6.2) each round is
-a function of a trigger set and the rule store alone.  So in static mode
-everything a modification appends is derived once per *trigger set* and
-kept by the store (:meth:`~repro.core.programs.IntegrityProgramStore.
-modification`; key = ``GetTrigPX(T↓)``, dropped when a program is added or
-removed), and :func:`mod_t_memoised` is one ``GetTrigPX``, one dictionary
-probe and one tuple concatenation — §6.2's "modification is just look-ups"
-taken to its end.  A cyclic store stores nothing and raises on every call.
+The memo.  ``ModP(P, J) = P ⊕ rounds(GetTrigPX(P), J)``: the recursion
+reads ``P`` only through the update types it performs (:func:`mod_rounds`),
+and with precompiled programs (Alg 6.2) each round is a function of a
+trigger set and the rule store alone.  So everything a modification
+appends is derived once per *trigger set* and kept by the store
+(:meth:`~repro.core.programs.IntegrityProgramStore.modification`; key =
+``GetTrigPX(T↓)``, dropped when a program is added or removed), and
+:func:`mod_t_memoised` is one ``GetTrigPX``, one dictionary probe and one
+tuple concatenation — §6.2's "modification is just look-ups" taken to its
+end.  It is the one path
+:meth:`~repro.core.subsystem.IntegrityController.modify_transaction`
+takes.  A cyclic store stores nothing and raises on every call.
 :func:`mod_t` / :func:`mod_p` with a selector stay the unmemoised
-algorithm (the reference the memo is tested against), and the dynamic
-selector — the paper's per-modification scheme, kept for comparison —
-never goes through the memo.
+algorithm: over a :class:`StaticSelector` the reference the memo is tested
+against, over a :class:`DynamicSelector` the paper's per-modification
+scheme, kept for comparison by the benchmarks and the parity suites.
 
 Both selectors return the appended pieces individually — ``(rule name,
 program, is it the rule's full-state program)`` — so the recursion can honour
@@ -98,17 +100,10 @@ class DynamicSelector:
     ``TrOptRS``: per-rule ``TransR(OptR(J))``, concatenated.
     """
 
-    def __init__(
-        self,
-        rules: Sequence,
-        db: DatabaseSchema,
-        optimize: bool = True,
-        allow_fallback: bool = True,
-    ):
+    def __init__(self, rules: Sequence, db: DatabaseSchema, optimize: bool = True):
         self.rules = list(rules)
         self.db = db
         self.optimize = optimize
-        self.allow_fallback = allow_fallback
 
     def select(self, performed: TriggerSet) -> List[Tuple[str, Program, bool]]:
         from repro.core.optimization import opt_r
@@ -118,9 +113,7 @@ class DynamicSelector:
         for rule in self.rules:
             if rule.triggers & performed:
                 candidate = opt_r(rule) if self.optimize else rule
-                program = trans_r(
-                    candidate, self.db, allow_fallback=self.allow_fallback
-                )
+                program = trans_r(candidate, self.db)
                 if self.optimize:
                     from repro.algebra.optimizer import optimize_program
 

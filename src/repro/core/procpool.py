@@ -9,8 +9,9 @@ replies, sentinel waits, the wire) and adds replication and retry:
 
 * **Replicated read-only plans** — each worker rebuilds the
   :class:`~repro.core.subsystem.IntegrityController` (rules, integrity
-  programs, precompiled plans) once, from a pickled :class:`ControllerSpec`;
-  per task only ``(rule name, frozen Δ)`` crosses the pipe.
+  programs, precompiled plans) from a pickled :class:`ControllerSpec` at
+  spawn, and again once the rules change; per task only ``(rule name,
+  frozen Δ)`` crosses the pipe.
 * **Shared-nothing database replicas** — each worker owns a full replica,
   shipped at pool creation and kept current by replaying the coordinator's
   :class:`~repro.engine.commitlog.CommitRecord` stream (O(|Δ|) per commit).
@@ -45,58 +46,45 @@ class ControllerSpec:
     """A picklable recipe for rebuilding an IntegrityController.
 
     The controller is not picklable (it weakly caches per-database
-    schedulers); the spec carries the schema, the rules and the options,
+    schedulers); the spec carries the schema, the rules and ``differential``,
     and re-adding the same rules in the same order re-derives the same
     integrity programs and precompiled plans in a worker.
     """
 
-    __slots__ = ("schema", "rules", "mode", "optimize", "differential",
-                 "allow_fallback")
+    __slots__ = ("schema", "rules", "differential")
 
     def __init__(self, controller):
         self.schema = controller.schema
         self.rules = list(controller.rules)
-        self.mode = controller.mode
-        self.optimize = controller.optimize
         self.differential = controller.differential
-        self.allow_fallback = controller.allow_fallback
 
     def build(self):
         from repro.core.subsystem import IntegrityController
 
-        controller = IntegrityController(
-            self.schema, mode=self.mode, optimize=self.optimize,
-            differential=self.differential, allow_fallback=self.allow_fallback,
-        )
+        controller = IntegrityController(self.schema, differential=self.differential)
         for rule in self.rules:
             controller.add_rule(rule)
         return controller
 
     def __repr__(self) -> str:
-        return f"ControllerSpec({len(self.rules)} rules, mode={self.mode})"
+        return f"ControllerSpec({len(self.rules)} rules)"
 
 
 def run_rule_audit(controller, database, rule_name, differentials):
     """Audit one rule against one delta on a (replica) database.
 
     The worker-side twin of
-    :meth:`~repro.core.subsystem.IntegrityController.audit_tasks`: the
-    disposition (skip / delta program / full check) is a pure function of
-    the rule store and the delta's performed triggers, so coordinator and
-    worker agree.  Returns ``(violated, violating_sample)``.
+    :meth:`~repro.core.subsystem.IntegrityController.audit_tasks`: both
+    build the task with the controller's one per-rule factory, so
+    coordinator and worker agree.  Returns ``(violated, violating_sample)``.
     """
-    from repro.core.scheduler import RuleAuditTask
-    from repro.core.subsystem import FULL_CHECK
     from repro.engine.session import DeltaView
 
-    rule = controller.rule(rule_name)
     performed = DeltaView(database, differentials).performed_triggers()
-    disposition = controller._rule_delta_disposition(rule, performed)
-    if disposition is None:
-        return False, ()
-    program = None if disposition is FULL_CHECK else disposition
-    task = RuleAuditTask(controller, rule, program, database, differentials)
-    return task.run()
+    task = controller._rule_audit_task(
+        controller.rule(rule_name), performed, database, differentials
+    )
+    return (False, ()) if task is None else task.run()
 
 
 def _audit_worker(endpoint, payload: bytes) -> None:
@@ -119,6 +107,8 @@ def _audit_worker(endpoint, payload: bytes) -> None:
         elif kind == "resync":
             database = decode(message[1])
             replica_seq = database.commit_log.next_sequence
+        elif kind == "spec":
+            controller = decode(message[1]).build()
         elif kind == "task":
             task_id, rule_name, blob = message[1:]
             started = time.perf_counter()
@@ -157,13 +147,16 @@ class ProcessAuditExecutor:
     construction; thereafter the coordinator streams commit records to
     every worker (:meth:`replicate`) and ``(rule, Δ)`` tasks to one worker
     each (:meth:`submit`, round-robin).  FIFO inbox ordering guarantees a
-    task observes exactly the replica state of its drain.
+    task observes exactly the replica state of its drain, and the rules of
+    its drain: a task shipped after the controller's rules changed travels
+    behind a fresh spec.
     """
 
     def __init__(self, controller, database, workers: int = 4,
                  start_method: Optional[str] = None):
         self.database = database
         self.workers = max(int(workers), 1)
+        self.controller = controller
         self._spec = ControllerSpec(controller)
         # Records with sequence >= this watermark have not yet been shipped
         # to the replicas (the initial snapshot covers everything before).
@@ -254,6 +247,12 @@ class ProcessAuditExecutor:
         """Dispatch one audit task to a worker; returns a future."""
         from repro.core.scheduler import AuditOutcome
 
+        if self._spec.rules != self.controller.rules:
+            # The rules changed since the workers' spec: every inbox gets
+            # the fresh one behind the tasks already shipped, which keep
+            # the rules they were drained under.
+            self._spec = ControllerSpec(self.controller)
+            self._pool.broadcast(("spec",), self._spec)
         task_id = self._next_task_id
         self._next_task_id += 1
         worker = self._next_worker

@@ -8,10 +8,11 @@ whether the program is non-triggering" — plus, here, the differential
 variants from :mod:`repro.core.optimization` keyed by elementary update
 type.
 
-:class:`IntegrityProgramStore` is the constraint-enforcement-time side:
-``SelPS`` selects the programs triggered by a user program and ``ConcatP``
-concatenates their actions (Alg 6.2).  The store keeps insertion order, so
-modification output is deterministic.
+:class:`IntegrityProgramStore` is the constraint-enforcement-time side of
+Alg 6.2: :class:`~repro.core.modification.StaticSelector` over it is
+``SelPS`` (the programs whose trigger set meets the performed update
+types) and ``ConcatP`` (their actions, concatenated).  The store keeps
+insertion order, so modification output is deterministic.
 
 Because Alg 6.2 selects by trigger set only, the whole ModP recursion over
 a store is a function of the starting trigger set ``GetTrigPX(T↓)`` and the
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.algebra.programs import EMPTY_PROGRAM, Program, concat
 from repro.bounded import BoundedTable
 from repro.core.modification import ModificationStats, StaticSelector, mod_rounds
-from repro.core.triggers import TriggerSet, get_trig_px
+from repro.core.triggers import TriggerSet
 from repro.engine.schema import DatabaseSchema
 
 
@@ -88,7 +89,6 @@ def get_int_p(
     db: DatabaseSchema,
     optimize: bool = True,
     differential: bool = False,
-    allow_fallback: bool = True,
 ) -> IntegrityProgram:
     """GetIntP (Alg 6.1): compile one rule into an integrity program.
 
@@ -99,7 +99,7 @@ def get_int_p(
     from repro.core.translation import trans_r
 
     optimized_rule = opt_r(rule) if optimize else rule
-    program = trans_r(optimized_rule, db, allow_fallback=allow_fallback)
+    program = trans_r(optimized_rule, db)
     if optimize:
         from repro.algebra.optimizer import optimize_program
 
@@ -145,35 +145,6 @@ class IntegrityProgramStore:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
-
-    # -- Alg 6.2 ----------------------------------------------------------------
-
-    def sel_ps(self, program: Program) -> List[IntegrityProgram]:
-        """SelPS: integrity programs whose trigger set meets GetTrigPX(P)."""
-        performed = get_trig_px(program)
-        if not performed:
-            return []
-        return [
-            integrity_program
-            for integrity_program in self._programs
-            if integrity_program.triggers & performed
-        ]
-
-    def trig_p(self, program: Program) -> Program:
-        """TrigP (Alg 6.2): ConcatP(SelPS(P, K)), differential-aware."""
-        performed = get_trig_px(program)
-        if not performed:
-            return EMPTY_PROGRAM
-        pieces: List[Program] = []
-        for integrity_program in self._programs:
-            matched = integrity_program.triggers & performed
-            if matched:
-                piece = integrity_program.action_for(matched)
-                if not piece.is_empty:
-                    pieces.append(piece)
-        if not pieces:
-            return EMPTY_PROGRAM
-        return concat(*pieces)
 
     def modification(
         self, performed: TriggerSet

@@ -2,11 +2,15 @@
 
 This is the component a DBMS architecture plugs in front of its transaction
 manager (the paper's §7: "the technique can easily be mapped to an abstract
-DBMS system architecture").  It owns the rule catalog, compiles rules to
-integrity programs at definition time (static mode, §6.2) or translates on
-demand (dynamic mode, Alg 5.1-5.3), validates triggering behaviour
-(§6.1), and exposes ``modify_transaction`` — the hook
-:class:`~repro.engine.transaction.TransactionManager` calls.
+DBMS system architecture").  It owns the rule catalog, compiles every rule
+to an integrity program once, at definition time (Alg 6.1-6.2), validates
+triggering behaviour (§6.1), and exposes ``modify_transaction`` — the hook
+:class:`~repro.engine.transaction.TransactionManager` calls, answered by
+one look-up in the program store's memo
+(:func:`~repro.core.modification.mod_t_memoised`).  The per-modification
+scheme of Alg 5.1-5.3 stays an algorithm, not a mode:
+:class:`~repro.core.modification.DynamicSelector` with
+:func:`~repro.core.modification.mod_t`.
 
 Typical use::
 
@@ -38,13 +42,7 @@ from repro.calculus import ast as C
 from repro.calculus.analysis import relation_names, variable_ranges
 from repro.calculus.parser import parse_constraint
 from repro.calculus.planned import compile_constraint
-from repro.core.modification import (
-    DynamicSelector,
-    ModificationStats,
-    StaticSelector,
-    mod_t,
-    mod_t_memoised,
-)
+from repro.core.modification import ModificationStats, mod_t_memoised
 from repro.core.programs import IntegrityProgramStore, get_int_p
 from repro.core.rule_language import parse_rule
 from repro.core.rules import ABORT_ACTION, IntegrityRule
@@ -62,8 +60,6 @@ from repro.errors import (
     UnknownAttributeError,
     UnknownRelationError,
 )
-
-MODES = ("static", "dynamic")
 
 # Statement types that are side-effect-free and therefore usable to *audit*
 # a database state by executing the stored integrity program directly:
@@ -109,21 +105,9 @@ class _AuditContext:
 class IntegrityController:
     """Rule catalog + transaction modification engine."""
 
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        mode: str = "static",
-        optimize: bool = True,
-        differential: bool = True,
-        allow_fallback: bool = True,
-    ):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+    def __init__(self, schema: DatabaseSchema, differential: bool = True):
         self.schema = schema
-        self.mode = mode
-        self.optimize = optimize
         self.differential = differential
-        self.allow_fallback = allow_fallback
         self.rules: List[IntegrityRule] = []
         self.store = IntegrityProgramStore()
         self.last_stats: Optional[ModificationStats] = None
@@ -146,18 +130,12 @@ class IntegrityController:
         self._check_action_schema(rule)
         self.rules.append(rule)
         integrity_program = self.store.add(
-            get_int_p(
-                rule,
-                self.schema,
-                optimize=self.optimize,
-                differential=self.differential,
-                allow_fallback=self.allow_fallback,
-            )
+            get_int_p(rule, self.schema, differential=self.differential)
         )
-        # Section 6.2 taken one layer further: static-mode rules compile
-        # not just to algebra programs but to physical plans, once, at
-        # definition time.  The structural plan cache makes this shared
-        # with every later enforcement of the same expressions.
+        # Section 6.2 taken one layer further: rules compile not just to
+        # algebra programs but to physical plans, once, at definition time.
+        # The structural plan cache makes this shared with every later
+        # enforcement of the same expressions.
         planner.precompile_program(integrity_program.program)
         for piece in (integrity_program.differentials or {}).values():
             planner.precompile_program(piece)
@@ -266,39 +244,12 @@ class IntegrityController:
 
     # -- the transaction modification hook --------------------------------------------
 
-    def _selector(self):
-        if self.mode == "static":
-            return StaticSelector(self.store)
-        return DynamicSelector(
-            self.rules,
-            self.schema,
-            optimize=self.optimize,
-            allow_fallback=self.allow_fallback,
-        )
-
     def modify_transaction(self, transaction: Transaction) -> Transaction:
-        """ModT (Alg 5.1) with the configured selector back-end.
-
-        Static mode goes through the store's per-trigger-set memo; dynamic
-        mode selects, optimizes and translates on every call.
-        """
-        if self.mode == "static":
-            modified, stats = mod_t_memoised(transaction, self.store)
-        else:
-            stats = ModificationStats()
-            modified = mod_t(transaction, self._selector(), stats=stats)
-        self.last_stats = stats
+        """ModT (Alg 5.1) over the compiled store (Alg 6.2), through the
+        store's per-trigger-set memo."""
+        modified, self.last_stats = mod_t_memoised(transaction, self.store)
         self.modifications += 1
         return modified
-
-    def modify_program(self, program: Program) -> Program:
-        """ModP on a bare program (useful for inspection and tests)."""
-        from repro.core.modification import mod_p
-
-        stats = ModificationStats()
-        result = mod_p(program, self._selector(), stats=stats)
-        self.last_stats = stats
-        return result
 
     # -- direct checking (the audit/baseline path) ---------------------------------------
 
@@ -460,21 +411,33 @@ class IntegrityController:
         worker pool may execute them in any order or concurrently.  Rules
         the delta provably cannot violate produce no task.
         """
-        from repro.core.scheduler import RuleAuditTask
-
         if hasattr(differentials, "differentials"):
             differentials = differentials.differentials
         performed = DeltaView(database, differentials).performed_triggers()
         if not performed:
             return []
-        tasks = []
-        for rule in self.rules:
-            disposition = self._rule_delta_disposition(rule, performed)
-            if disposition is None:
-                continue
-            program = None if disposition is FULL_CHECK else disposition
-            tasks.append(RuleAuditTask(self, rule, program, database, differentials))
-        return tasks
+        tasks = [
+            self._rule_audit_task(rule, performed, database, differentials)
+            for rule in self.rules
+        ]
+        return [task for task in tasks if task is not None]
+
+    def _rule_audit_task(self, rule, performed, database, differentials):
+        """The :class:`~repro.core.scheduler.RuleAuditTask` auditing
+        ``rule`` against a delta with ``performed`` triggers, or None when
+        the delta cannot have violated it.
+
+        The one disposition → task factory: :meth:`audit_tasks` calls it on
+        the coordinator and :func:`~repro.core.procpool.run_rule_audit` in a
+        process worker, so the two agree by construction.
+        """
+        from repro.core.scheduler import RuleAuditTask
+
+        disposition = self._rule_delta_disposition(rule, performed)
+        if disposition is None:
+            return None
+        program = None if disposition is FULL_CHECK else disposition
+        return RuleAuditTask(self, rule, program, database, differentials)
 
     def audit_scheduler(self, database: Database, **options):
         """The per-database :class:`~repro.core.scheduler.AuditScheduler`.
@@ -548,41 +511,6 @@ class IntegrityController:
             installed.append((name, attrs))
         return installed
 
-    def drop_unused(
-        self,
-        database: Database,
-        min_probes: int = 1,
-        min_keys: int = 0,
-    ) -> List[tuple]:
-        """Maintenance entry point: drop built indexes that saw no use.
-
-        The evidence is the per-use ledger every index keeps
-        (:class:`repro.engine.indexes.IndexUsage`): each consuming operator
-        execution records one use with the *exact* number of keys it probed
-        or served — bulk consumers no longer count as a single probe.  An
-        index with fewer than ``min_probes`` uses, or (when ``min_keys`` is
-        set) fewer than ``min_keys`` keys of total probe volume, since it
-        was built or last inspected is dropped — declaration and contents —
-        so the engine stops paying incremental maintenance for it on every
-        write.  Returns the dropped ``(relation, positions)`` pairs.
-        Surviving indexes' ledgers are reset, making repeated calls a
-        rolling usage window.
-        """
-        dropped = []
-        for name in database.relation_names:
-            indexes = database.relation(name).indexes
-            if indexes is None:
-                continue
-            for index in list(indexes):
-                if not index.built:
-                    continue
-                if index.usage.uses < min_probes or index.usage.keys < min_keys:
-                    indexes.drop(index.positions)
-                    dropped.append((name, index.positions))
-                else:
-                    index.usage.reset()
-        return dropped
-
     def is_correct_transaction(self, database: Database, transaction) -> bool:
         """Def 3.5: is ``transaction`` correct w.r.t. ``database`` and the
         registered rules?
@@ -609,7 +537,7 @@ class IntegrityController:
 
     def __repr__(self) -> str:
         return (
-            f"IntegrityController({len(self.rules)} rules, mode={self.mode}, "
+            f"IntegrityController({len(self.rules)} rules, "
             f"differential={self.differential})"
         )
 

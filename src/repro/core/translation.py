@@ -787,7 +787,7 @@ def _aggregate_term_scalar(
     raise TranslationError(f"unexpected term in aggregate condition: {term!r}")
 
 
-def trans_r(rule, db: DatabaseSchema, allow_fallback: bool = True) -> Program:
+def trans_r(rule, db: DatabaseSchema) -> Program:
     """Alg 5.5: translate an integrity rule into an algebra program.
 
     Aborting rules: translate the condition (``alarm`` form).  Compensating
@@ -795,7 +795,7 @@ def trans_r(rule, db: DatabaseSchema, allow_fallback: bool = True) -> Program:
     non-triggering flag.
     """
     if rule.is_aborting:
-        return trans_c(rule.condition, db, name=rule.name, allow_fallback=allow_fallback)
+        return trans_c(rule.condition, db, name=rule.name)
     return rule.action_program()
 
 

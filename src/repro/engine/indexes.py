@@ -82,17 +82,16 @@ from typing import Collection, Dict, Iterable, Iterator, KeysView, Optional, Tup
 
 
 class IndexUsage:
-    """Per-use evidence ledger for the index advisor.
+    """Per-use evidence ledger of one index.
 
     Every consuming operator execution records one *use* together with the
     exact number of keys it probed or served, broken down by kind
     (``"lookup"`` — an equality-selection bucket probe; ``"probe"`` — a
     semijoin/antijoin probing per distinct key; ``"build"`` — a join build
     side consuming the buckets wholesale; ``"project"`` — a projection onto
-    the indexed columns reading the distinct keys).  This replaces the old
-    single ``probes`` counter, which recorded bulk consumptions as one unit
-    and so systematically under-weighted exactly the uses that save the most
-    work.
+    the indexed columns reading the distinct keys).  It is observability
+    only: whether an index stays built is decided by
+    :attr:`HashIndex.unread`, not by its uses.
     """
 
     __slots__ = ("uses", "keys", "lookups", "_bulk")
@@ -158,15 +157,10 @@ class HashIndex:
         # key -> {row: None} (an ordered set of distinct rows)
         self.buckets: Dict[object, dict] = {}
         self.built = False
-        # Usage evidence for the advisor's drop-unused maintenance.
+        # Per-use evidence: what the plans that read this index asked of it.
         self.usage = IndexUsage()
         # Rows filed and unfiled since the last build or plan request.
         self.unread = 0
-
-    @property
-    def probes(self) -> int:
-        """Use events since the last ledger reset (advisor evidence)."""
-        return self.usage.uses
 
     # -- construction and maintenance ----------------------------------------
 

@@ -456,10 +456,6 @@ class OverlayIndex:
     def usage(self):
         return self.base_index.usage
 
-    @property
-    def probes(self) -> int:
-        return self.base_index.probes
-
     def key_of(self, row: tuple):
         return self.base_index.key_of(row)
 

@@ -159,3 +159,18 @@ def test_evaluate_constraint_planned_discovers_schema_from_resolver():
     assert evaluate_constraint_planned(formula, DatabaseView(database))
     database.load("r", [(5, 5)])
     assert not evaluate_constraint_planned(formula, DatabaseView(database))
+
+
+@pytest.mark.parametrize("rows_r", [(), [(1, 2)]], ids=["empty", "nonempty"])
+def test_open_formula_raises_the_model_checkers_typed_error(rows_r):
+    # ``y`` is free: both evaluators reject the formula before reading a
+    # row, whether ``r`` holds any.
+    from repro.errors import AnalysisError
+
+    view = DatabaseView(_database(rows_r=rows_r))
+    formula = parse_constraint("(forall x in r)(y.a >= 0)")
+    with pytest.raises(AnalysisError):
+        evaluate_constraint(formula, view)
+    with pytest.raises(AnalysisError):
+        evaluate_constraint_planned(formula, view)
+    assert constraint_cache_info()["size"] == 0  # nothing filed

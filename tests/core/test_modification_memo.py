@@ -1,6 +1,6 @@
-"""The static-mode ModT memo: sound, invalidated, and not shared.
+"""The ModT memo: sound, invalidated, and not shared.
 
-In static mode ``IntegrityController.modify_transaction`` serves the ModP
+``IntegrityController.modify_transaction`` serves the ModP
 rounds from ``IntegrityProgramStore.modification`` (key = ``GetTrigPX`` of
 the transaction).  The reference is the unmemoised algorithm:
 ``mod_t(transaction, StaticSelector(store), stats=...)``.
@@ -15,7 +15,12 @@ from repro.algebra import expressions as E
 from repro.algebra import statements as S
 from repro.algebra.parser import parse_transaction
 from repro.algebra.programs import Program, bracket
-from repro.core.modification import ModificationStats, StaticSelector, mod_t
+from repro.core.modification import (
+    DynamicSelector,
+    ModificationStats,
+    StaticSelector,
+    mod_t,
+)
 from repro.core.subsystem import IntegrityController
 from repro.engine import DatabaseSchema, RelationSchema
 from repro.engine.types import INT
@@ -172,7 +177,7 @@ def test_stats_copy_covers_every_field():
             assert getattr(clone, field.name) is not value
 
 
-def test_dynamic_mode_translates_on_every_call(monkeypatch):
+def test_dynamic_selector_translates_on_every_call(monkeypatch):
     from repro.core import translation
 
     calls = []
@@ -180,14 +185,15 @@ def test_dynamic_mode_translates_on_every_call(monkeypatch):
     monkeypatch.setattr(
         translation, "trans_r", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
-    controller = beer_controller(mode="dynamic")
+    controller = beer_controller()
+    selector = DynamicSelector(controller.rules, controller.schema)
     defined = len(calls)
     transaction = parse_transaction(
         'begin insert(beer, ("a", "lager", "heineken", 5.0)); end'
     )
-    first = controller.modify_transaction(transaction)
+    first = mod_t(transaction, selector)
     once = len(calls) - defined
-    second = controller.modify_transaction(transaction)
+    second = mod_t(transaction, selector)
     assert once > 0 and len(calls) - defined == 2 * once
     assert first.statements == second.statements
     assert not controller.store._modifications

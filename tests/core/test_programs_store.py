@@ -5,9 +5,10 @@ import pytest
 from repro.algebra.parser import parse_program
 from repro.algebra.programs import Program
 from repro.calculus.parser import parse_constraint
+from repro.core.modification import StaticSelector
 from repro.core.programs import IntegrityProgram, IntegrityProgramStore, get_int_p
 from repro.core.rules import IntegrityRule
-from repro.core.triggers import DEL, INS
+from repro.core.triggers import DEL, INS, get_trig_px
 
 
 @pytest.fixture
@@ -77,32 +78,57 @@ class TestStore:
         with pytest.raises(KeyError):
             store.add(get_int_p(domain_rule, rs_pair))
 
-    def test_sel_ps_matches_on_intersection(self, rs_pair, domain_rule, fk_rule):
+    def test_non_triggering_program_flag_stored(self, rs_pair):
+        program = Program(
+            parse_program("insert(r, (1, 2))").statements, non_triggering=True
+        )
+        compiled = IntegrityProgram("quiet", frozenset({(INS, "s")}), program)
+        assert compiled.non_triggering
+
+
+class TestStaticSelector:
+    """SelPS/ConcatP (Alg 6.2) over the store: ``StaticSelector.select``."""
+
+    @staticmethod
+    def select(store, text_or_program):
+        program = (
+            parse_program(text_or_program)
+            if isinstance(text_or_program, str)
+            else text_or_program
+        )
+        return StaticSelector(store).select(get_trig_px(program))
+
+    def test_matches_on_intersection(self, rs_pair, domain_rule, fk_rule):
         store = IntegrityProgramStore()
         store.add(get_int_p(domain_rule, rs_pair))
         store.add(get_int_p(fk_rule, rs_pair))
-        matched = store.sel_ps(parse_program("insert(r, (1, 2))"))
-        assert [program.name for program in matched] == ["dom", "fk"]
-        matched = store.sel_ps(parse_program("delete(s, (1, 2))"))
-        assert [program.name for program in matched] == ["fk"]
-        assert store.sel_ps(parse_program("delete(r, (1, 2))")) == []
+        matched = self.select(store, "insert(r, (1, 2))")
+        assert [name for name, _, _ in matched] == ["dom", "fk"]
+        matched = self.select(store, "delete(s, (1, 2))")
+        assert [name for name, _, _ in matched] == ["fk"]
+        assert self.select(store, "delete(r, (1, 2))") == []
 
-    def test_trig_p_concatenates_in_insertion_order(self, rs_pair, domain_rule, fk_rule):
+    def test_pieces_in_insertion_order(self, rs_pair, domain_rule, fk_rule):
         store = IntegrityProgramStore()
-        store.add(get_int_p(domain_rule, rs_pair))
         store.add(get_int_p(fk_rule, rs_pair))
-        combined = store.trig_p(parse_program("insert(r, (1, 2))"))
-        assert len(combined) == 2
+        store.add(get_int_p(domain_rule, rs_pair))
+        pieces = self.select(store, "insert(r, (1, 2))")
+        assert [name for name, _, _ in pieces] == ["fk", "dom"]
+        assert [program for _, program, _ in pieces] == [
+            store.get("fk").program,
+            store.get("dom").program,
+        ]
+        assert all(full_state for _, _, full_state in pieces)
 
-    def test_trig_p_empty_for_non_triggering_program(self, rs_pair, domain_rule):
+    def test_nothing_for_non_triggering_program(self, rs_pair, domain_rule):
         store = IntegrityProgramStore()
         store.add(get_int_p(domain_rule, rs_pair))
         quiet = Program(
             parse_program("insert(r, (1, 2))").statements, non_triggering=True
         )
-        assert store.trig_p(quiet).is_empty
+        assert self.select(store, quiet) == []
 
-    def test_trig_p_skips_vacuous_differentials(self, rs_pair):
+    def test_skips_vacuous_differentials(self, rs_pair):
         rule = IntegrityRule(
             parse_constraint("(forall x in r)(x.a > 0)"),
             triggers=[("INS", "r"), ("DEL", "r")],
@@ -111,11 +137,8 @@ class TestStore:
         store = IntegrityProgramStore()
         store.add(get_int_p(rule, rs_pair, differential=True))
         # A pure delete cannot violate the domain constraint: nothing added.
-        assert store.trig_p(parse_program("delete(r, (1, 2))")).is_empty
-
-    def test_non_triggering_program_flag_stored(self, rs_pair):
-        program = Program(
-            parse_program("insert(r, (1, 2))").statements, non_triggering=True
-        )
-        compiled = IntegrityProgram("quiet", frozenset({(INS, "s")}), program)
-        assert compiled.non_triggering
+        assert self.select(store, "delete(r, (1, 2))") == []
+        # An insert selects the differential variant, not the full program.
+        [(name, piece, full_state)] = self.select(store, "insert(r, (1, 2))")
+        assert name == "dom2" and not full_state
+        assert piece == store.get("dom2").differentials[(INS, "r")]

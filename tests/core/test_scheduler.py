@@ -389,6 +389,74 @@ class TestExecutors:
             for outcome in outcomes:
                 assert rates[outcome.rule] == pytest.approx(outcome.seconds / 2)
 
+    @staticmethod
+    def _process_scheduler(controller, db, start_method):
+        import multiprocessing
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        return AuditScheduler(
+            controller,
+            db,
+            workers=1,
+            dispatch_overhead=0.0,
+            executor="process",
+            start_method=start_method,
+        )
+
+    @staticmethod
+    def _verdicts(outcomes):
+        assert all(o.executor == "process" and not o.failed for o in outcomes)
+        return {o.rule: (o.violated, tuple(o.violations)) for o in outcomes}
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_workers_audit_a_rule_added_after_start(
+        self, db, controller, start_method
+    ):
+        with self._process_scheduler(controller, db, start_method) as scheduler:
+            scheduler.start()
+            controller.add_constraint("small", "(forall x)(x in fk => x.id < 1000)")
+            result = _commit(db, "begin insert(fk, (5000, 3)); end")
+            scheduler.drain(asynchronous=True)
+            outcomes = scheduler.wait()
+        inline = {
+            task.rule_name: task.run()
+            for task in controller.audit_tasks(db, result)
+        }
+        assert self._verdicts(outcomes) == inline
+        assert inline["small"] == (True, ((5000, 3),))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_workers_audit_a_redefined_rule_with_its_new_condition(
+        self, db, controller, start_method
+    ):
+        controller.add_constraint("cap", "(forall x)(x in fk => x.id < 100000)")
+        with self._process_scheduler(controller, db, start_method) as scheduler:
+            scheduler.start()
+            _commit(db, "begin insert(fk, (60, 3)); end")
+            scheduler.drain(asynchronous=True)  # in flight across the change
+            controller.remove_rule("cap")
+            controller.add_constraint("cap", "(forall x)(x in fk => x.id < 10)")
+            result = _commit(db, "begin insert(fk, (50, 3)); end")
+            scheduler.drain(asynchronous=True)
+            outcomes = scheduler.wait()
+        before = [o for o in outcomes if o.sequences == (0,)]
+        after = [o for o in outcomes if o.sequences == (1,)]
+        # The first drain's verdicts reach wait(), under the rules it ran
+        # with; the second's are the inline verdicts of the current rules.
+        assert self._verdicts(before) == {
+            "fk_ref": (False, ()),
+            "fk_id": (False, ()),
+            "cap": (False, ()),
+        }
+        inline = {
+            task.rule_name: task.run()
+            for task in controller.audit_tasks(db, result)
+        }
+        assert self._verdicts(after) == inline
+        assert inline["cap"][0] is True
+        assert controller.violated_constraints(db) == ["cap"]
+
     def test_poison_task_surfaces_from_process_worker(self, db, controller):
         # A rule name the worker's rebuilt controller doesn't know poisons
         # the task remotely; the failure must come back as an outcome, not

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.modification import DynamicSelector, StaticSelector, mod_p, mod_t
 from repro.core.subsystem import IntegrityController
 from repro.core.triggers import DEL, INS
 from repro.engine import Session
@@ -54,8 +55,11 @@ class TestRuleManagement:
             controller.rule("alc")
 
     def test_unknown_mode_rejected(self, schema):
-        with pytest.raises(ValueError):
-            IntegrityController(schema, mode="lazy")
+        # Modification has one path: no mode, the former two included, is
+        # an option any more.
+        for mode in ("lazy", "static", "dynamic"):
+            with pytest.raises(TypeError):
+                IntegrityController(schema, mode=mode)
 
 
 class TestSchemaValidation:
@@ -105,9 +109,8 @@ class TestSchemaValidation:
 
 
 class TestEnforcementModes:
-    @pytest.mark.parametrize("mode", ["static", "dynamic"])
-    def test_both_modes_enforce(self, db, schema, mode):
-        controller = IntegrityController(schema, mode=mode)
+    def test_modification_enforces(self, db, schema):
+        controller = IntegrityController(schema)
         controller.add_rule(BEER_RULE_DOMAIN)
         session = Session(db, controller)
         result = session.execute(
@@ -118,16 +121,18 @@ class TestEnforcementModes:
         assert controller.modifications == 1
 
     def test_static_and_dynamic_produce_same_transaction(self, schema):
+        # The controller's one path (the store's memo, Alg 6.2) and the
+        # paper's per-modification scheme (Alg 5.1-5.3) agree.
         from repro.algebra.parser import parse_transaction
 
-        static = IntegrityController(schema, mode="static", differential=False)
-        dynamic = IntegrityController(schema, mode="dynamic", differential=False)
-        for controller in (static, dynamic):
-            controller.add_rule(BEER_RULE_DOMAIN)
-            controller.add_rule(BEER_RULE_REFERENTIAL)
+        controller = IntegrityController(schema, differential=False)
+        controller.add_rule(BEER_RULE_DOMAIN)
+        controller.add_rule(BEER_RULE_REFERENTIAL)
         txn_text = 'begin insert(beer, ("b", "ale", "heineken", 4.0)); end'
-        static_result = static.modify_transaction(parse_transaction(txn_text))
-        dynamic_result = dynamic.modify_transaction(parse_transaction(txn_text))
+        static_result = controller.modify_transaction(parse_transaction(txn_text))
+        dynamic_result = mod_t(
+            parse_transaction(txn_text), DynamicSelector(controller.rules, schema)
+        )
         assert static_result.statements == dynamic_result.statements
 
     def test_modify_program_inspection(self, schema):
@@ -136,7 +141,7 @@ class TestEnforcementModes:
         controller = IntegrityController(schema)
         controller.add_rule(BEER_RULE_DOMAIN)
         program = parse_program('insert(beer, ("b", "ale", "h", 4.0))')
-        modified = controller.modify_program(program)
+        modified = mod_p(program, StaticSelector(controller.store))
         assert len(modified) == 2
 
 

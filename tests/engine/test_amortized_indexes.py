@@ -89,22 +89,6 @@ def test_overlay_probe_and_commit_keep_the_base_index_current():
     assert index.lookup(99) == ((99, 99),)
 
 
-def test_drop_unused_removes_cold_indexes():
-    from repro.core.subsystem import IntegrityController
-
-    database = Database(_schema())
-    database.load("r", [(i, 0) for i in range(20)])
-    database.create_index("r", ["a"])
-    database.create_index("r", ["b"])
-    controller = IntegrityController(database.schema)
-    # Probe only the index on a.
-    database.relation("r").built_index((0,)).lookup(3)
-    dropped = controller.drop_unused(database)
-    assert dropped == [("r", (1,))]
-    assert database.relation("r").built_index((0,)) is not None
-    assert database.relation("r").built_index((1,)) is None
-
-
 def test_install_indexes_declares_and_the_first_probing_plan_builds():
     from repro.core.subsystem import IntegrityController
     from repro.engine import Session

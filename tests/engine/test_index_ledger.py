@@ -1,11 +1,10 @@
-"""The precise per-use index ledger behind the drop-unused advisor."""
+"""The precise per-use index ledger every built index keeps."""
 
 import pytest
 
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.algebra.planner import get_plan
-from repro.core.subsystem import IntegrityController
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.indexes import HashIndex
 from repro.engine.session import DatabaseView
@@ -36,7 +35,6 @@ class TestLedger:
         assert index.usage.uses == 2
         assert index.usage.keys == 2
         assert index.usage.by_kind == {"lookup": 2}
-        assert index.probes == 2  # legacy alias: use events
 
     def test_bulk_touch_records_exact_key_volume(self):
         index = HashIndex((0,))
@@ -75,33 +73,6 @@ class TestAdvisorEvidence:
         # consumed wholesale at its distinct-key volume.
         assert fk_index.usage.by_kind == {"probe": 10}
         assert pk_index.usage.by_kind == {"build": 10}
-
-    def test_drop_unused_uses_ledger(self, db):
-        controller = IntegrityController(db.schema)
-        db.create_index("fk", ["ref"])
-        db.create_index("pk", ["key"])
-        # Only the pk index sees use.
-        expr = E.SemiJoin(
-            E.RelationRef("fk"),
-            E.RelationRef("pk"),
-            P.Comparison("=", P.ColRef("ref", "left"), P.ColRef("key", "right")),
-        )
-        db.relation("fk").indexes.drop((1,))
-        db.create_index("fk", ["id"])  # never probed
-        get_plan(expr).execute(DatabaseView(db))
-        dropped = controller.drop_unused(db)
-        assert ("fk", (0,)) in dropped
-        assert ("pk", (0,)) not in dropped
-        # Surviving ledgers reset: a second pass with no traffic drops pk.
-        assert controller.drop_unused(db) == [("pk", (0,))]
-
-    def test_min_keys_threshold(self, db):
-        controller = IntegrityController(db.schema)
-        db.create_index("pk", ["key"])
-        index = db.relation("pk").built_index((0,))
-        index.lookup(1)  # one use, one key
-        dropped = controller.drop_unused(db, min_probes=1, min_keys=5)
-        assert dropped == [("pk", (0,))]
 
 
 class TestProjectionEvidence:
@@ -154,10 +125,23 @@ class TestProjectionEvidence:
         get_plan(self.EXPR).execute(traced)
         assert traced.tracer.records == [("project", 50, 10), ("project", 10, 10)]
 
-    def test_drop_unused_keeps_an_index_only_projections_read(self, db):
-        controller = IntegrityController(db.schema)
+    def test_an_index_only_projections_read_stays_built(self, db):
+        # A projection read is a plan asking for the index, so it zeroes
+        # the unread count: under turnover the index projections read stays
+        # built while the one nothing reads goes back to declared.
+        from repro.engine import Relation
+
         db.create_index("fk", ["ref"])
         db.create_index("fk", ["id"])  # never read
-        get_plan(self.EXPR).execute(DatabaseView(db))
-        assert controller.drop_unused(db, min_probes=1, min_keys=10) == [("fk", (0,))]
-        assert db.relation("fk").built_index((1,)) is not None
+        fk = db.relation("fk")
+        schema = db.relation_schema("fk")
+        for step in range(4):  # 20 rows filed a commit against 50 held
+            gone = [(i, i % 10) for i in range(step * 10, step * 10 + 10)]
+            fresh = [(i, i % 10) for i in range(50 + step * 10, 60 + step * 10)]
+            db.apply_deltas(
+                {"fk": (Relation(schema, fresh), Relation(schema, gone))}
+            )
+            get_plan(self.EXPR).execute(DatabaseView(db))
+        assert fk.built_index((1,)) is not None
+        assert fk.built_index((0,)) is None
+        assert fk.indexes.get((0,)) is not None  # declared still

@@ -159,6 +159,40 @@ class TestChecksAndAudit:
         assert "satisfied" in output
         assert "VIOLATED" in output
 
+    def test_check_a_satisfied_formula(self):
+        script = BEER_SETUP + (
+            'load beer ("bock", "ale", "heineken", 6.5)\n'
+            "check (forall x in beer)(exists y in brewery)(x.brewery = y.name)\n"
+            "exit\n"
+        )
+        output = run_shell(script)
+        assert "satisfied" in output and "VIOLATED" not in output
+
+    def test_check_a_violated_formula(self):
+        script = BEER_SETUP + (
+            'load beer ("ghost", "ale", "phantom", 6.5)\n'
+            "check (forall x in beer)(exists y in brewery)(x.brewery = y.name)\n"
+            "exit\n"
+        )
+        output = run_shell(script)
+        assert "VIOLATED" in output and "satisfied" not in output
+
+    def test_check_an_open_formula_is_an_error(self):
+        output = run_shell(
+            BEER_SETUP + "check (forall x in beer)(y.alcohol >= 0)\nexit\n"
+        )
+        assert "error: integrity constraint must be closed" in output
+        assert "satisfied" not in output and "VIOLATED" not in output
+
+    def test_check_an_unknown_attribute_over_an_empty_relation_is_an_error(self):
+        # The planned evaluator compiles against the schema before reading
+        # a row, so an empty relation does not hide the typo.
+        output = run_shell(
+            BEER_SETUP + "check (forall x in beer)(x.nope >= 0)\nexit\n"
+        )
+        assert "error: unknown attribute 'nope'" in output
+        assert "satisfied" not in output
+
     def test_audit_clean(self):
         output = run_shell(BEER_SETUP + "audit\nexit\n")
         assert "all constraints satisfied" in output

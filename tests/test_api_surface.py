@@ -1,4 +1,5 @@
-"""The evaluation API has one backend and no process-global switches.
+"""The evaluation API has one backend and no process-global switches;
+the controller has one way to modify a transaction.
 
 Pins the deletion of ``engine=`` / ``set_default_engine`` /
 ``set_batch_policy`` / ``set_fusion_policy``: no public signature takes an
@@ -63,6 +64,31 @@ def test_no_engine_parameter(target):
 
 def test_controller_spec_ships_no_engine():
     assert "engine" not in ControllerSpec.__slots__
+
+
+def test_the_controller_modifies_one_way():
+    """No ``mode`` / ``optimize`` / ``allow_fallback``, no second selector
+    and no second index-retirement policy: ``differential`` is the one
+    option, on the controller and on the process workers' recipe."""
+    from repro.core.programs import IntegrityProgramStore
+    from repro.engine.indexes import HashIndex
+    from repro.engine.overlay import OverlayIndex
+
+    assert list(inspect.signature(IntegrityController).parameters) == [
+        "schema",
+        "differential",
+    ]
+    assert ControllerSpec.__slots__ == ("schema", "rules", "differential")
+    for owner, name in [
+        (IntegrityController, "modify_program"),
+        (IntegrityController, "drop_unused"),
+        (IntegrityController, "_selector"),
+        (IntegrityProgramStore, "sel_ps"),
+        (IntegrityProgramStore, "trig_p"),
+        (HashIndex, "probes"),
+        (OverlayIndex, "probes"),
+    ]:
+        assert not hasattr(owner, name), (owner.__name__, name)
 
 
 @pytest.mark.parametrize(
