@@ -66,21 +66,6 @@ def simplify_predicate(predicate: P.Predicate) -> P.Predicate:
     return predicate
 
 
-def _is_identity_projection(expr: E.Project, input_arity: int) -> bool:
-    """True when the projection re-emits all columns unchanged, unnamed."""
-    if len(expr.items) != input_arity:
-        return False
-    for position, item in enumerate(expr.items, start=1):
-        if item.name is not None:
-            return False
-        ref = item.expr
-        if not isinstance(ref, P.ColRef) or ref.side not in (None, "left"):
-            return False
-        if ref.attr != position:
-            return False
-    return True
-
-
 def optimize_expression(expr: E.Expression) -> E.Expression:
     """Apply the safe rewrites bottom-up; returns a new expression."""
     if isinstance(expr, E.Select):

@@ -222,15 +222,6 @@ def _is_aggregate_term(term: C.Term) -> bool:
     return isinstance(term, (C.AggTerm, C.CntTerm, C.MltTerm))
 
 
-def _tuple_eq_predicate(arity: int) -> P.Predicate:
-    """Whole-tuple equality as attribute-wise conjunction."""
-    comparisons = [
-        P.Comparison("=", P.ColRef(position, "left"), P.ColRef(position, "right"))
-        for position in range(1, arity + 1)
-    ]
-    return P.conjoin(*comparisons)
-
-
 def _atom_predicate(
     atom: C.Formula,
     sides: Dict[str, Optional[str]],

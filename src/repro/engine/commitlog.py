@@ -16,8 +16,8 @@ Invariants (:mod:`repro.engine.epochs` says how its readers lean on them):
   are versions ``fence + 1 … version`` at the end of the list; below it the
   list keeps what a drain may still ask for.
 * **Sequences** number the recorded commits and increase along the list;
-  unrecorded batches (restore undos, checkpoint-chain composition, replica
-  applies) carry None.  A replay or a chain may jump them, never rewind.
+  unrecorded batches (restore undos, replica applies) carry None.  A
+  replay may jump them, never rewind.
 * **One window**: the epoch manager trims a prefix (swapping the list, so
   an old reference is a superset) once no pin needs it and it is older
   than the newest ``epochs.retain`` versions; :meth:`CommitLog.since`
@@ -158,8 +158,8 @@ class CommitLog:
 
     def advance_to(self, sequence: int) -> None:
         """Move ``next_sequence`` forward to ``sequence`` (never backward),
-        past commits applied without their records (a composed checkpoint
-        chain, a replay past purged segments), so the numbering continues."""
+        past commits applied without their records (a record replayed
+        after a gap), so the numbering continues."""
         with self._lock:
             if sequence > self._next_sequence:
                 self._next_sequence = sequence

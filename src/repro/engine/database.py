@@ -331,8 +331,8 @@ class Database:
         The batch is filed once in :attr:`commit_log`.  A recorded batch is
         a commit: it takes the next sequence number, its delta sizes feed
         :attr:`delta_stats` (the planner's delta-scan pricing) and it goes
-        to the write-ahead log.  An unrecorded one (snapshot restore,
-        checkpoint composition, a replica's apply) is none of these.
+        to the write-ahead log.  An unrecorded one (snapshot restore, a
+        replica's apply) is none of these.
         """
         pre_time = self.logical_time
         committed = None
@@ -387,18 +387,15 @@ class Database:
             self.wal.close()
             self.wal = None
 
-    def checkpoint(self, delta: bool = False):
+    def checkpoint(self):
         """Write a durable checkpoint; returns its path.
 
-        A full checkpoint pickles an epoch-forked copy of this database
-        (:meth:`fork` — writers are never blocked by serialization); with
-        ``delta=True`` only the net changes since the newest checkpoint
-        are written (a ``.dckpt`` composing onto its parent at recovery).
+        The checkpoint pickles an epoch-forked copy of this database
+        (:meth:`fork` — writers are never blocked by serialization);
+        recovery loads it and replays only the log records after it.
         """
         if self.wal is None:
             raise WalError("no write-ahead log attached; call attach_wal first")
-        if delta:
-            return self.wal.write_delta_checkpoint(self)
         return self.wal.write_checkpoint(self)
 
     def replay_record(
@@ -413,7 +410,8 @@ class Database:
         One commit's :meth:`apply_deltas` that keeps the *original* sequence
         number and logical times (audit cursors, retention watermarks and
         the hash chain are keyed on them).  The sequence must not move
-        backwards; a gap (purged segments) is skipped.  Recovery replays
+        backwards; a gap is skipped here (:func:`~repro.engine.recovery.
+        recover` refuses one before it gets this far).  Recovery replays
         before it re-attaches the durable log, so nothing is logged twice.
         """
         log = self.commit_log

@@ -1,10 +1,8 @@
 """Crash recovery and point-in-time restore: replay the durable log.
 
 Recovery is deliberately boring: load the newest applicable checkpoint
-(composing delta-checkpoint chains back to their full ancestor when the
-anchor is incremental), then stream the surviving commit records through
-*the same*
-``apply_deltas`` path live commits use (via
+that unpickles, then stream the commit records after it through *the
+same* ``apply_deltas`` path live commits use (via
 :meth:`~repro.engine.database.Database.replay_record`, which preserves the
 original sequence numbers and logical times).  There is no separate redo
 interpreter to drift out of sync with the engine — the paper's "a
@@ -17,7 +15,13 @@ Failure semantics mirror :mod:`repro.engine.wal`:
   the prefix of history ending at the last whole committed record;
 * a broken hash chain or sealed-region corruption hard-fails with
   :class:`~repro.errors.WalCorruptionError` — never a silent partial
-  state.
+  state;
+* a checkpoint that fails to load is skipped for the next older one and
+  named in :attr:`RecoveryReport.skipped`;
+* a record missing between the anchor and the first surviving record (the
+  anchor is older than the purged segments) fails with
+  :class:`~repro.errors.WalError` naming the missing range — replay never
+  steps over a gap.
 
 ``upto`` gives point-in-time restore (``replay_to``): the state after
 commit ``upto`` and nothing later, which upgrades ``snapshot()/restore()``
@@ -35,7 +39,8 @@ from repro.errors import WalError
 
 
 class RecoveryReport:
-    """What one recovery pass did: anchor, replay extent, tail repair."""
+    """What one recovery pass did: anchor, replay extent, tail repair, and
+    the ``(file name, exception type name)`` of each checkpoint skipped."""
 
     __slots__ = (
         "directory",
@@ -46,6 +51,7 @@ class RecoveryReport:
         "torn_tail",
         "upto",
         "logical_time",
+        "skipped",
     )
 
     def __init__(
@@ -58,6 +64,7 @@ class RecoveryReport:
         torn_tail,
         upto: Optional[int],
         logical_time: int,
+        skipped,
     ):
         self.directory = directory
         self.checkpoint_sequence = checkpoint_sequence
@@ -67,6 +74,7 @@ class RecoveryReport:
         self.torn_tail = torn_tail
         self.upto = upto
         self.logical_time = logical_time
+        self.skipped = skipped
 
     def __repr__(self) -> str:
         span = (
@@ -75,10 +83,13 @@ class RecoveryReport:
             else "(nothing)"
         )
         torn = f", torn tail repaired at {self.torn_tail[0]}@{self.torn_tail[1]}" if self.torn_tail else ""
+        skipped = "".join(
+            f", skipped {name} ({error})" for name, error in self.skipped
+        )
         return (
             f"RecoveryReport(checkpoint=#{self.checkpoint_sequence}, "
             f"replayed {self.replayed} record(s) {span}, "
-            f"t={self.logical_time}{torn})"
+            f"t={self.logical_time}{torn}{skipped})"
         )
 
 
@@ -100,15 +111,18 @@ def recover(
     WriteAheadLog` (sync policy, rotation thresholds, the fault-injection
     ``opener``).  Opening the log performs tail repair; sealed-region
     corruption or a broken hash chain raises
-    :class:`~repro.errors.WalCorruptionError` before any state is built.
+    :class:`~repro.errors.WalCorruptionError` before any state is built,
+    and a record missing after the anchor raises
+    :class:`~repro.errors.WalError`.
     """
     wal = WriteAheadLog(directory, **wal_options)
     try:
-        anchor = wal.load_checkpoint_chain(before=upto)
+        anchor, skipped = wal.load_newest_checkpoint(before=upto)
         if anchor is None:
             raise WalError(
                 f"no usable checkpoint in {directory!s}"
                 + (f" at or before sequence #{upto}" if upto is not None else "")
+                + "".join(f"; skipped {name} ({error})" for name, error in skipped)
                 + " — was the log created by Database.attach_wal?"
             )
         checkpoint_sequence, database = anchor
@@ -116,6 +130,13 @@ def recover(
         first_sequence = None
         last_sequence = None
         for record in wal.scan(start_sequence=checkpoint_sequence, upto=upto):
+            expected = database.commit_log.next_sequence
+            if record.sequence != expected:
+                raise WalError(
+                    f"replay gap in {directory!s}: records "
+                    f"#{expected}..#{record.sequence - 1} after checkpoint "
+                    f"#{checkpoint_sequence} are missing"
+                )
             database.replay_record(
                 record.sequence,
                 record.pre_time,
@@ -135,6 +156,7 @@ def recover(
             wal.tail_repair,
             upto,
             database.logical_time,
+            skipped,
         )
         if attach and upto is None:
             database.attach_wal(wal, checkpoint=False)

@@ -41,6 +41,12 @@ Segments rotate on byte size or age; sealed segments are dropped only when
 every registered *consumer watermark* (audit scheduler, process-executor
 replicas) and the newest checkpoint have all passed them — scheduler-driven
 retention instead of blind truncation.
+
+A checkpoint (``checkpoint-<next_sequence>.ckpt``) is the one anchor
+format: a whole database, pickled from an epoch fork and written
+atomically.  Since a committed transaction *is* its net differential, the
+records after a checkpoint carry every change since it; nothing else is
+stored twice.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from zlib import crc32
 
 from repro.algebra.columnar import decode_differentials, encode_differentials
-from repro.engine.commitlog import coalesce_differentials
 from repro.errors import WalCorruptionError, WalError
 
 MAGIC = b"RWAL"
@@ -86,7 +91,6 @@ SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".wal"
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".ckpt"
-DELTA_CHECKPOINT_SUFFIX = ".dckpt"
 CONSUMERS_FILE = "consumers.json"
 
 
@@ -101,14 +105,6 @@ def _segment_base(path) -> int:
 
 def _checkpoint_name(next_sequence: int) -> str:
     return f"{CHECKPOINT_PREFIX}{next_sequence:016d}{CHECKPOINT_SUFFIX}"
-
-
-def _delta_checkpoint_name(next_sequence: int) -> str:
-    return f"{CHECKPOINT_PREFIX}{next_sequence:016d}{DELTA_CHECKPOINT_SUFFIX}"
-
-
-def _is_full_checkpoint(path) -> bool:
-    return path.name.endswith(CHECKPOINT_SUFFIX)
 
 
 def _default_opener(path, mode):
@@ -612,42 +608,6 @@ class WriteAheadLog:
         self._write_atomic(path, blob)
         return path
 
-    def write_delta_checkpoint(self, database) -> Path:
-        """Persist only the net changes since the newest checkpoint.
-
-        The delta checkpoint (``.dckpt``) holds the *coalesced* committed
-        differentials of every durable record at or after its parent
-        checkpoint's sequence, wire-encoded columnar — O(Δ-since-parent)
-        bytes instead of O(database).  Recovery composes the chain: load
-        the full ancestor, apply each delta checkpoint's differentials,
-        then replay the records after the newest link.  Falls back to a
-        full checkpoint when none exists yet; returns the parent's path
-        unchanged when nothing committed since.
-        """
-        self.sync()  # group-commit tail must be on disk before we scan it
-        parent = self.latest_checkpoint()
-        if parent is None:
-            return self.write_checkpoint(database)
-        base_sequence = parent[0]
-        records = list(self.scan(start_sequence=base_sequence, decode=True))
-        if not records:
-            return parent[1]
-        differentials = coalesce_differentials(
-            [record.differentials for record in records], database
-        )
-        # next_sequence derives from the records actually scanned (not the
-        # live commit log): unsynced or in-flight commits stay ahead of
-        # this checkpoint and will be replayed from the WAL at recovery.
-        payload = {
-            "base_sequence": base_sequence,
-            "next_sequence": records[-1].sequence + 1,
-            "logical_time": records[-1].post_time,
-            "differentials": encode_differentials(differentials),
-        }
-        path = self.directory / _delta_checkpoint_name(records[-1].sequence + 1)
-        self._write_atomic(path, pickle.dumps(payload, protocol=PICKLE_PROTOCOL))
-        return path
-
     def _write_atomic(self, path: Path, blob: bytes) -> None:
         temp = path.with_suffix(".tmp")
         with open(temp, "wb") as handle:
@@ -662,123 +622,60 @@ class WriteAheadLog:
     def checkpoints(self) -> List[Tuple[int, Path]]:
         """(next_sequence, path) of every checkpoint, oldest first.
 
-        Lists full (``.ckpt``) and delta (``.dckpt``) checkpoints alike;
-        distinguish by suffix.  A full and a delta at the same sequence
-        sort full-first.
+        Only ``checkpoint-<sequence>.ckpt`` names count: a stray ``.tmp``
+        left by a write cut short, or any other suffix, is ignored.
         """
         found = []
         for path in self.directory.iterdir():
             name = path.name
-            if not name.startswith(CHECKPOINT_PREFIX):
-                continue
-            if name.endswith(CHECKPOINT_SUFFIX):
+            if name.startswith(CHECKPOINT_PREFIX) and name.endswith(
+                CHECKPOINT_SUFFIX
+            ):
                 digits = name[len(CHECKPOINT_PREFIX) : -len(CHECKPOINT_SUFFIX)]
-            elif name.endswith(DELTA_CHECKPOINT_SUFFIX):
-                digits = name[
-                    len(CHECKPOINT_PREFIX) : -len(DELTA_CHECKPOINT_SUFFIX)
-                ]
-            else:
-                continue
-            try:
-                found.append((int(digits), path))
-            except ValueError:
-                continue
-        return sorted(found, key=lambda item: (item[0], item[1].name))
+                if digits.isdecimal():
+                    found.append((int(digits), path))
+        return sorted(found)
 
-    def latest_checkpoint(
-        self, before: Optional[int] = None
-    ) -> Optional[Tuple[int, Path]]:
-        """The newest checkpoint usable for replay up to ``before``.
+    def _usable_checkpoints(
+        self, before: Optional[int]
+    ) -> List[Tuple[int, Path]]:
+        """Checkpoints usable for replay up to ``before``, oldest first.
 
         A checkpoint at sequence ``s`` already contains commits < ``s``, so
         point-in-time recovery to sequence ``S`` needs ``s <= S + 1``.
         """
-        usable = [
+        return [
             (seq, path)
             for seq, path in self.checkpoints()
             if before is None or seq <= before + 1
         ]
+
+    def latest_checkpoint(
+        self, before: Optional[int] = None
+    ) -> Optional[Tuple[int, Path]]:
+        """The newest checkpoint usable for replay up to ``before``."""
+        usable = self._usable_checkpoints(before)
         return usable[-1] if usable else None
 
-    def load_checkpoint(self, path: Path):
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
+    def load_newest_checkpoint(self, before: Optional[int] = None):
+        """Load the newest usable checkpoint that unpickles.
 
-    def load_checkpoint_chain(self, before: Optional[int] = None):
-        """Load the newest usable checkpoint state, composing delta chains.
-
-        Walks anchors newest-first: a full checkpoint loads directly; a
-        delta checkpoint is resolved back through its ``base_sequence``
-        parents to a full ancestor, then composed by applying each link's
-        coalesced differentials in order.  A broken link (missing parent,
-        unreadable file, cyclic base) disqualifies that anchor and the
-        next-older one is tried, so a torn delta never masks an intact
-        full checkpoint behind it.
-
-        Returns ``(anchor_sequence, database)`` — replay resumes at
-        ``anchor_sequence`` — or ``None`` when no intact chain exists.
+        Walks the checkpoints newest-first; one that fails to load (torn
+        bytes, a foreign file) is skipped in favour of the next older one,
+        whose replay reaches the same state while the log still holds the
+        records after it.  Returns ``(anchor, skipped)``: ``anchor`` is
+        ``(sequence, database)`` — replay resumes at ``sequence`` — or
+        None when nothing loads; ``skipped`` lists ``(file name, exception
+        type name)`` for every checkpoint passed over, newest first.
         """
-        usable = [
-            (seq, path)
-            for seq, path in self.checkpoints()
-            if before is None or seq <= before + 1
-        ]
-        for seq, path in reversed(usable):
-            chain = self._resolve_chain(seq, path, usable)
-            if chain is None:
-                continue
-            database = self._compose_chain(chain)
-            if database is not None:
-                return seq, database
-        return None
-
-    def _resolve_chain(self, seq, path, usable):
-        """Full-ancestor-first list of ``(seq, path, payload)`` links, or None."""
-        by_seq: Dict[int, Dict[str, Path]] = {}
-        for link_seq, link_path in usable:
-            slot = by_seq.setdefault(link_seq, {})
-            slot["full" if _is_full_checkpoint(link_path) else "delta"] = link_path
-        chain = []
-        current_seq, current_path = seq, path
-        while True:
-            if _is_full_checkpoint(current_path):
-                chain.append((current_seq, current_path, None))
-                chain.reverse()
-                return chain
+        skipped: List[Tuple[str, str]] = []
+        for seq, path in reversed(self._usable_checkpoints(before)):
             try:
-                payload = self.load_checkpoint(current_path)
-                parent_seq = int(payload["base_sequence"])
-            except Exception:
-                return None
-            chain.append((current_seq, current_path, payload))
-            if parent_seq >= current_seq:  # malformed: chains walk backward
-                return None
-            slot = by_seq.get(parent_seq)
-            if not slot:
-                return None
-            # Prefer a full checkpoint at the parent sequence: it
-            # terminates the chain without further composition.
-            current_path = slot.get("full") or slot["delta"]
-            current_seq = parent_seq
-
-    def _compose_chain(self, chain):
-        base_seq, base_path, _ = chain[0]
-        try:
-            database = self.load_checkpoint(base_path)
-        except Exception:
-            return None
-        for _seq, _path, payload in chain[1:]:
-            try:
-                differentials = decode_differentials(payload["differentials"])
-                if differentials:
-                    database.apply_deltas(
-                        differentials, advance_time=False, record=False
-                    )
-                database.logical_time = payload["logical_time"]
-                database.commit_log.advance_to(payload["next_sequence"])
-            except Exception:
-                return None
-        return database
+                with open(path, "rb") as handle:
+                    return (seq, pickle.load(handle)), skipped
+            except Exception as error:
+                skipped.append((path.name, type(error).__name__))
+        return None, skipped
 
     # -- consumer watermarks and retention ------------------------------------------
 
@@ -839,23 +736,14 @@ class WriteAheadLog:
                     break
             # A superseded checkpoint stays useful for point-in-time
             # replay only while the segments following it survive; once
-            # its records are gone it anchors nothing — drop it.  Never
-            # drop the newest *full* checkpoint or anything after it:
-            # delta checkpoints written later chain back to it (bases are
-            # monotone in write order), so deleting it would orphan them.
+            # its records are gone it anchors nothing — drop it.  The
+            # newest checkpoint always stays.
             remaining = self.segments()
             oldest_base = (
                 _segment_base(remaining[0]) if remaining else limit
             )
-            links = self.checkpoints()
-            full_seqs = [
-                seq for seq, path in links if _is_full_checkpoint(path)
-            ]
-            newest_full = max(full_seqs) if full_seqs else None
-            for seq, path in links[:-1]:
-                if seq < oldest_base and (
-                    newest_full is None or seq < newest_full
-                ):
+            for seq, path in self.checkpoints()[:-1]:
+                if seq < oldest_base:
                     path.unlink()
             return removed
 

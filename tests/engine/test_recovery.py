@@ -149,36 +149,38 @@ class TestReplayTo:
         assert _state(restored)["emp"] == {}
 
 
-class TestDeltaChainRecovery:
-    def _chained_run(self, schema, tmp_path):
-        """full@0 -> delta -> delta -> two tail commits; returns live state."""
+class TestLateCheckpointRecovery:
+    def _late_checkpoint_run(self, schema, tmp_path):
+        """checkpoint@0 -> checkpoint@3 -> checkpoint@7 -> one tail commit;
+        returns the live state and the next sequence."""
         database = Database(schema)
         database.attach_wal(WriteAheadLog(tmp_path))
         session = Session(database)
         for i in range(3):
             assert session.execute(f"begin insert(emp, ({i}, 'a')); end").committed
-        database.checkpoint(delta=True)
+        database.checkpoint()
         for i in range(3, 6):
             assert session.execute(f"begin insert(emp, ({i}, 'b')); end").committed
         assert session.execute("begin delete(emp, (0, 'a')); end").committed
-        database.checkpoint(delta=True)
+        database.checkpoint()
         assert session.execute("begin insert(dept, ('tail')); end").committed
         live = _state(database)
         next_sequence = database.commit_log.next_sequence
         database.detach_wal()
         return live, next_sequence
 
-    def test_chain_recovery_equals_live_state(self, schema, tmp_path):
-        live, next_sequence = self._chained_run(schema, tmp_path)
+    def test_late_checkpoint_recovery_equals_live_state(self, schema, tmp_path):
+        live, next_sequence = self._late_checkpoint_run(schema, tmp_path)
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert recovered.commit_log.next_sequence == next_sequence
-        # The anchor is the newest delta link: only the tail replays.
+        # The anchor is the newest checkpoint: only the tail replays.
         assert report.checkpoint_sequence == 7
         assert report.replayed == 1
+        assert report.skipped == []
 
-    def test_recovered_chain_keeps_committing(self, schema, tmp_path):
-        self._chained_run(schema, tmp_path)
+    def test_recovered_from_late_checkpoint_keeps_committing(self, schema, tmp_path):
+        self._late_checkpoint_run(schema, tmp_path)
         recovered, _ = recover(tmp_path)
         session = Session(recovered)
         assert session.execute("begin insert(emp, (99, 'post')); end").committed
@@ -186,7 +188,7 @@ class TestDeltaChainRecovery:
         again, _ = recover(tmp_path, attach=False)
         assert (99, "post") in again.relation("emp")
 
-    def test_point_in_time_respects_chain_anchors(self, schema, tmp_path):
+    def test_point_in_time_respects_checkpoint_anchors(self, schema, tmp_path):
         database = Database(schema)
         database.attach_wal(WriteAheadLog(tmp_path))
         session = Session(database)
@@ -195,24 +197,42 @@ class TestDeltaChainRecovery:
             assert session.execute(f"begin insert(emp, ({i}, 'd')); end").committed
             states.append(_state(database))
             if i == 2:
-                database.checkpoint(delta=True)
+                database.checkpoint()
         database.detach_wal()
         for sequence, expected in enumerate(states):
             restored, _ = replay_to(tmp_path, sequence)
             assert _state(restored) == expected, f"sequence {sequence}"
 
-    def test_missing_full_ancestor_recovers_or_fails_loud(self, schema, tmp_path):
-        live, _ = self._chained_run(schema, tmp_path)
-        # Delete the full anchor the deltas chain back to; the WAL still
-        # holds every record, so recovery must either compose from some
-        # other intact anchor or fail loudly — never a silent wrong state.
-        for seq, path in WriteAheadLog(tmp_path).checkpoints():
-            if path.suffix == ".ckpt":
-                path.unlink()
+
+class TestReplayGap:
+    def test_replay_gap_fails_loud(self, schema, tmp_path):
+        """Replay never steps over a missing record, in full recovery and
+        in point-in-time restore alike.
+
+        Checkpoint #0, six commits, checkpoint #6, six more commits on
+        tiny segments: rotation purges the segments below #6 and, with
+        them, checkpoint #0.  Putting a saved copy of #0 back (a purge cut
+        short between unlinking segments and unlinking checkpoints) and
+        tearing #6 leaves recovery an anchor at #0 whose records #0..#5
+        are gone.
+        """
         from repro.errors import WalError
 
-        try:
-            recovered, _ = recover(tmp_path, attach=False)
-        except WalError:
-            return
-        assert _state(recovered) == live
+        database = Database(schema)
+        database.attach_wal(WriteAheadLog(tmp_path, segment_bytes=256))
+        first = database.wal.latest_checkpoint()[1]
+        saved = first.read_bytes()
+        session = Session(database)
+        for i in range(12):
+            if i == 6:
+                second = database.checkpoint()
+            assert session.execute(f"begin insert(emp, ({i}, 'a')); end").committed
+        database.detach_wal()
+        assert not first.exists()  # purged with the segments it anchored
+        assert next(WriteAheadLog(tmp_path).scan(decode=False)).sequence == 6
+        first.write_bytes(saved)
+        second.write_bytes(second.read_bytes()[: second.stat().st_size // 2])
+        with pytest.raises(WalError, match=r"#0\.\.#5 after checkpoint #0"):
+            recover(tmp_path, attach=False)
+        with pytest.raises(WalError, match=r"#0\.\.#5 after checkpoint #0"):
+            replay_to(tmp_path, 10)

@@ -117,6 +117,9 @@ class TestRotation:
         removed = wal.purge()
         assert removed  # checkpoint at #8 + consumer at #8: old segments go
         assert [r.sequence for r in wal.scan()] != []  # tail survives
+        # Checkpoint #0 lost its records with those segments; the newest
+        # checkpoint always stays.
+        assert [seq for seq, _ in wal.checkpoints()] == [8]
         db.detach_wal()
 
     def test_purge_without_checkpoint_keeps_everything(self, db, tmp_path):
@@ -280,117 +283,66 @@ class TestCheckpoints:
         with pytest.raises(WalError):
             Database.recover(tmp_path)
 
-
-class TestDeltaCheckpoints:
-    def test_first_delta_falls_back_to_full(self, db, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        db.wal = wal  # attach without the anchor checkpoint
-        _commit_n(db, 2)
-        path = wal.write_delta_checkpoint(db)
-        assert path.name.endswith(".ckpt")
-        db.detach_wal()
-
-    def test_delta_with_nothing_new_returns_parent(self, db, tmp_path):
-        db.attach_wal(WriteAheadLog(tmp_path))
-        _commit_n(db, 2)
-        first = db.wal.write_delta_checkpoint(db)
-        second = db.wal.write_delta_checkpoint(db)
-        assert second == first
-        db.detach_wal()
-
-    def test_delta_payload_is_coalesced(self, db, tmp_path):
-        db.attach_wal(WriteAheadLog(tmp_path))
-        session = Session(db)
-        assert session.execute("begin insert(r, (10, 0)); end").committed
-        assert session.execute(
-            "begin delete(r, (10, 0)); insert(r, (11, 0)); end"
-        ).committed
-        path = db.wal.write_delta_checkpoint(db)
-        assert path.name.endswith(".dckpt")
-        payload = db.wal.load_checkpoint(path)
-        assert payload["base_sequence"] == 0
-        assert payload["next_sequence"] == 2
-        from repro.algebra.columnar import decode_differentials
-
-        plus, minus = decode_differentials(payload["differentials"])["r"]
-        # (10,0) was inserted then deleted: it vanishes from the net delta.
-        assert plus.to_set() == {(11, 0)} and minus is None
-        db.detach_wal()
-
-    def test_checkpoints_lists_both_kinds(self, db, tmp_path):
-        db.attach_wal(WriteAheadLog(tmp_path))
-        _commit_n(db, 2)
-        db.wal.write_delta_checkpoint(db)
-        _commit_n(db, 2, start=50)
-        db.wal.write_checkpoint(db)
-        kinds = [path.suffix for _seq, path in db.wal.checkpoints()]
-        assert kinds == [".ckpt", ".dckpt", ".ckpt"]
-        db.detach_wal()
-
     def test_database_checkpoint_api(self, db, tmp_path):
         with pytest.raises(WalError):
             db.checkpoint()
         db.attach_wal(WriteAheadLog(tmp_path))
         _commit_n(db, 2)
-        assert db.checkpoint(delta=True).name.endswith(".dckpt")
-        _commit_n(db, 1, start=60)
-        assert db.checkpoint().name.endswith(".ckpt")
+        path = db.checkpoint()
+        assert path.name.endswith(".ckpt")
+        assert db.wal.latest_checkpoint() == (2, path)
         db.detach_wal()
 
-    def test_purge_never_orphans_delta_chains(self, db, tmp_path):
-        db.attach_wal(WriteAheadLog(tmp_path, segment_bytes=256))
-        _commit_n(db, 4)
-        db.wal.write_delta_checkpoint(db)  # chains to the attach anchor
-        _commit_n(db, 4, start=50)
-        db.wal.write_delta_checkpoint(db)
-        db.wal.purge()
-        remaining = db.wal.checkpoints()
-        full = [seq for seq, path in remaining if path.suffix == ".ckpt"]
-        # The full ancestor every surviving delta chains back to survives.
-        assert 0 in full
-        assert db.wal.load_checkpoint_chain() is not None
+    def test_checkpoints_listed_in_sequence_order(self, db, tmp_path):
+        db.attach_wal(WriteAheadLog(tmp_path))
+        _commit_n(db, 2)
+        db.checkpoint()
+        _commit_n(db, 9, start=50)
+        db.checkpoint()
+        # Other suffixes under the checkpoint prefix are not checkpoints.
+        (tmp_path / "checkpoint-0000000000000005.dckpt").write_bytes(b"x")
+        (tmp_path / "checkpoint-notanumber.ckpt").write_bytes(b"x")
+        listed = db.wal.checkpoints()
+        assert [seq for seq, _ in listed] == [0, 2, 11]
+        assert {path.suffix for _, path in listed} == {".ckpt"}
         db.detach_wal()
 
-    def test_chain_composes_to_latest_state(self, db, tmp_path):
+    def test_torn_newest_checkpoint_is_skipped_and_reported(self, db, tmp_path):
         db.attach_wal(WriteAheadLog(tmp_path))
         _commit_n(db, 3)
-        db.wal.write_delta_checkpoint(db)
+        db.checkpoint()
         _commit_n(db, 3, start=50)
-        db.wal.write_delta_checkpoint(db)
-        expected = db.relation("r").to_set()
-        anchor = db.wal.load_checkpoint_chain()
-        assert anchor is not None
-        sequence, recovered = anchor
-        assert sequence == db.commit_log.next_sequence
-        assert recovered.relation("r").to_set() == expected
-        assert recovered.commit_log.next_sequence == db.commit_log.next_sequence
-        db.detach_wal()
-
-    def test_broken_chain_falls_back_to_older_anchor(self, db, tmp_path):
-        db.attach_wal(WriteAheadLog(tmp_path))
-        _commit_n(db, 3)
-        middle = db.wal.write_checkpoint(db)
-        _commit_n(db, 3, start=50)
-        delta = db.wal.write_delta_checkpoint(db)
+        newest = db.checkpoint()
         expected = db.relation("r").to_set()
         db.detach_wal()
-        # Corrupt the delta link: its anchor is disqualified, but the full
-        # checkpoint behind it still anchors — records replay from there.
-        delta.write_bytes(b"garbage")
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
         wal = WriteAheadLog(tmp_path)
-        anchor = wal.load_checkpoint_chain()
-        assert anchor is not None and anchor[0] == 3
+        anchor, skipped = wal.load_newest_checkpoint()
+        assert anchor[0] == 3
+        assert [name for name, _error in skipped] == [newest.name]
         wal.close()
         from repro.engine.recovery import recover
 
         recovered, report = recover(tmp_path, attach=False)
         assert recovered.relation("r").to_set() == expected
         assert report.checkpoint_sequence == 3
+        assert [name for name, _error in report.skipped] == [newest.name]
+        assert f"skipped {newest.name}" in repr(report)
+
+    def test_unloadable_checkpoints_fail_loud_naming_each(self, db, tmp_path):
+        db.attach_wal(WriteAheadLog(tmp_path))
+        _commit_n(db, 2)
+        db.detach_wal()
+        for _seq, path in WriteAheadLog(tmp_path).checkpoints():
+            path.write_bytes(b"garbage")
+        with pytest.raises(WalError, match=r"skipped checkpoint-0+\.ckpt"):
+            Database.recover(tmp_path)
 
     def test_stray_tmp_files_are_ignored(self, db, tmp_path):
         db.attach_wal(WriteAheadLog(tmp_path))
         _commit_n(db, 2)
         (tmp_path / "checkpoint-0000000000000002.tmp").write_bytes(b"partial")
         assert [s for s, _ in db.wal.checkpoints()] == [0]
-        assert db.wal.load_checkpoint_chain() is not None
+        anchor, skipped = db.wal.load_newest_checkpoint()
+        assert anchor[0] == 0 and skipped == []
         db.detach_wal()

@@ -1,16 +1,14 @@
-"""Crashes in the checkpoint pipeline: torn links never lose commits.
+"""Crashes in the checkpoint pipeline: a torn checkpoint never loses commits.
 
 Checkpoints are written atomically (temp file + ``os.replace``), so a
-crash at any point of a base-then-delta checkpoint sequence leaves one of
-three artifacts: no new file, a stray ``.tmp``, or a whole link.  In every
-case the WAL still holds all committed records, so recovery must produce
-exactly the live pre-crash state — the checkpoint chain only changes
-*where replay starts*, never what it reaches.
+crash at any point of a second checkpoint leaves one of three artifacts:
+no new file, a stray ``.tmp``, or a whole checkpoint.  Bytes torn some
+other way (a copy cut short) make a checkpoint that does not load.  In
+every case the WAL still holds all committed records, so recovery must
+produce exactly the live pre-crash state — the checkpoint only changes
+*where replay starts*, never what it reaches — and a checkpoint it had to
+skip is named in the report.
 """
-
-import shutil
-
-import pytest
 
 from repro.engine import Database, DatabaseSchema, RelationSchema, Session
 from repro.engine.recovery import recover
@@ -27,82 +25,86 @@ def _state(database):
 
 
 def _run(directory):
-    """Full checkpoint, commits, delta checkpoint, one tail commit."""
+    """Checkpoint, commits, second checkpoint, one tail commit.
+
+    Returns the live state and the second checkpoint's path.
+    """
     database = Database(_schema())
     database.load("r", [(1, 1)])
     database.attach_wal(WriteAheadLog(directory, sync="commit"))
     session = Session(database)
     for i in range(3):
         assert session.execute(f"begin insert(r, ({10 + i}, 0)); end").committed
-    database.checkpoint()  # full at #3
+    database.checkpoint()  # at #3
     for i in range(3):
         assert session.execute(f"begin insert(r, ({20 + i}, 0)); end").committed
-    database.checkpoint(delta=True)  # delta at #6, base #3
+    second = database.checkpoint()  # at #6
     assert session.execute("begin insert(r, (30, 0)); end").committed
     live = _state(database)
     database.detach_wal()
-    return live
+    return live, second
 
 
 class TestCheckpointCrashes:
-    def test_crash_before_delta_checkpoint_lands(self, tmp_path):
-        """The delta never made it to disk: replay from the full anchor."""
-        live = _run(tmp_path)
-        for path in tmp_path.iterdir():
-            if path.suffix == ".dckpt":
-                path.unlink()
+    def test_crash_before_second_checkpoint_lands(self, tmp_path):
+        """The second checkpoint never made it to disk: replay from the first."""
+        live, second = _run(tmp_path)
+        second.unlink()
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert report.checkpoint_sequence == 3
+        assert report.replayed == 4
+        assert report.skipped == []
 
-    def test_crash_mid_delta_write_leaves_tmp(self, tmp_path):
+    def test_crash_mid_checkpoint_write_leaves_tmp(self, tmp_path):
         """A torn atomic write leaves only a ``.tmp`` — invisible to
-        recovery, which anchors at the whole delta's parent."""
-        live = _run(tmp_path)
-        for path in list(tmp_path.iterdir()):
-            if path.suffix == ".dckpt":
-                torn = path.read_bytes()[: max(4, path.stat().st_size // 2)]
-                path.with_suffix(".tmp").write_bytes(torn)
-                path.unlink()
+        recovery, which anchors at the checkpoint before it."""
+        live, second = _run(tmp_path)
+        torn = second.read_bytes()[: max(4, second.stat().st_size // 2)]
+        second.with_suffix(".tmp").write_bytes(torn)
+        second.unlink()
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert report.checkpoint_sequence == 3
+        assert report.skipped == []
 
-    def test_crash_after_delta_replays_tail_only(self, tmp_path):
-        """The whole chain survived: only the tail commit replays."""
-        live = _run(tmp_path)
+    def test_crash_after_checkpoint_replays_tail_only(self, tmp_path):
+        """The second checkpoint landed whole: only the tail commit replays."""
+        live, _second = _run(tmp_path)
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert report.checkpoint_sequence == 6
         assert report.replayed == 1
 
-    def test_torn_delta_bytes_fall_back_to_full_anchor(self, tmp_path):
-        """A half-written ``.dckpt`` (no atomic rename, e.g. copied by an
-        operator) is skipped loudly-silently: older anchors recover the
-        exact same state."""
-        live = _run(tmp_path)
-        for path in tmp_path.iterdir():
-            if path.suffix == ".dckpt":
-                path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    def test_torn_checkpoint_bytes_fall_back_and_are_reported(self, tmp_path):
+        """A half-written ``.ckpt`` (no atomic rename, e.g. copied by an
+        operator) is skipped and reported: the older checkpoint recovers
+        the exact same state."""
+        live, second = _run(tmp_path)
+        second.write_bytes(second.read_bytes()[: second.stat().st_size // 2])
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert report.checkpoint_sequence == 3
+        assert [name for name, _error in report.skipped] == [second.name]
+        assert f"skipped {second.name}" in repr(report)
 
-    def test_crash_between_repeated_delta_checkpoints(self, tmp_path):
-        """Chain full -> delta -> (torn delta): the intact prefix anchors."""
+    def test_crash_between_repeated_checkpoints(self, tmp_path):
+        """Checkpoints #1, #2, (torn) #3: the newest intact one anchors."""
         database = Database(_schema())
         database.attach_wal(WriteAheadLog(tmp_path, sync="commit"))
         session = Session(database)
         assert session.execute("begin insert(r, (1, 0)); end").committed
-        database.checkpoint()  # full at #1
+        database.checkpoint()  # at #1
         assert session.execute("begin insert(r, (2, 0)); end").committed
-        first_delta = database.checkpoint(delta=True)  # delta at #2
+        first = database.checkpoint()  # at #2
         assert session.execute("begin insert(r, (3, 0)); end").committed
-        second_delta = database.checkpoint(delta=True)  # delta at #3
+        second = database.checkpoint()  # at #3
         live = _state(database)
         database.detach_wal()
-        assert first_delta != second_delta
-        second_delta.write_bytes(second_delta.read_bytes()[:8])
+        assert first != second
+        second.write_bytes(second.read_bytes()[:8])
         recovered, report = recover(tmp_path, attach=False)
         assert _state(recovered) == live
         assert report.checkpoint_sequence == 2
+        assert report.replayed == 1
+        assert [name for name, _error in report.skipped] == [second.name]

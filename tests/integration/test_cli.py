@@ -302,6 +302,35 @@ class TestDurability:
         assert sealed.name in out
         assert "@ byte" in out
 
+    def test_recover_refuses_a_replay_gap(self, tmp_path, capsys):
+        """Checkpoint #6 torn, a stale copy of #0 put back after the purge
+        removed it with records #0..#5: recovery exits 1, naming the gap."""
+        from repro.cli import main
+        from repro.engine import Database, DatabaseSchema, RelationSchema, Session
+        from repro.engine.types import INT
+        from repro.engine.wal import WriteAheadLog
+
+        schema = DatabaseSchema(
+            [RelationSchema("r", [("a", INT), ("b", INT)])]
+        )
+        database = Database(schema)
+        database.attach_wal(WriteAheadLog(tmp_path, segment_bytes=256))
+        first = database.wal.latest_checkpoint()[1]
+        saved = first.read_bytes()
+        session = Session(database)
+        for i in range(12):
+            if i == 6:
+                second = database.checkpoint()
+            assert session.execute(f"begin insert(r, ({i}, {i})); end").committed
+        database.detach_wal()
+        assert not first.exists()
+        first.write_bytes(saved)
+        second.write_bytes(second.read_bytes()[: second.stat().st_size // 2])
+        assert main(["recover", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("recover: WalError: replay gap")
+        assert "after checkpoint #0" in err
+
 
 class TestErrors:
     def test_parse_error_reported_not_fatal(self):

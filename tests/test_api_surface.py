@@ -184,6 +184,18 @@ def test_planner_entry_points_grew_no_parameter(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters
 
 
+def test_one_checkpoint_format():
+    """A checkpoint is a whole database and takes no option: no delta
+    checkpoint to ask for, and one loader for recovery to anchor with."""
+    from repro.engine import wal
+
+    assert list(inspect.signature(Database.checkpoint).parameters) == ["self"]
+    assert list(
+        inspect.signature(wal.WriteAheadLog.load_newest_checkpoint).parameters
+    ) == ["self", "before"]
+    assert not hasattr(wal, "DELTA_CHECKPOINT_SUFFIX")
+
+
 def _schema() -> DatabaseSchema:
     return DatabaseSchema(
         [
