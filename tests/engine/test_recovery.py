@@ -188,6 +188,21 @@ class TestLateCheckpointRecovery:
         again, _ = recover(tmp_path, attach=False)
         assert (99, "post") in again.relation("emp")
 
+    def test_deleted_newest_checkpoint_falls_back_to_older_anchor(
+        self, schema, tmp_path
+    ):
+        live, next_sequence = self._late_checkpoint_run(schema, tmp_path)
+        newest = WriteAheadLog(tmp_path).checkpoints()[-1][1]
+        newest.unlink()
+        recovered, report = recover(tmp_path, attach=False)
+        assert _state(recovered) == live
+        assert recovered.commit_log.next_sequence == next_sequence
+        # A checkpoint that is gone is not a skipped one: the older anchor
+        # at #3 is simply the newest left, and the log after it replays.
+        assert report.checkpoint_sequence == 3
+        assert report.replayed == 5
+        assert report.skipped == []
+
     def test_point_in_time_respects_checkpoint_anchors(self, schema, tmp_path):
         database = Database(schema)
         database.attach_wal(WriteAheadLog(tmp_path))

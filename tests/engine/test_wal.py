@@ -122,6 +122,27 @@ class TestRotation:
         assert [seq for seq, _ in wal.checkpoints()] == [8]
         db.detach_wal()
 
+    def test_purge_keeps_superseded_checkpoint_while_its_records_survive(
+        self, db, tmp_path
+    ):
+        wal = WriteAheadLog(tmp_path, segment_bytes=256)
+        db.attach_wal(wal)
+        _commit_n(db, 3)
+        at_three = db.relation("r").to_set()
+        _commit_n(db, 5, start=50)
+        wal.register_consumer("lagging", 0)
+        wal.write_checkpoint(db)
+        assert wal.purge() == []
+        # Records #0..#7 all survive, so checkpoint #0 still anchors a
+        # point-in-time restore below the newest checkpoint.
+        assert [seq for seq, _ in wal.checkpoints()] == [0, 8]
+        db.detach_wal()
+        from repro.engine.recovery import replay_to
+
+        restored, report = replay_to(tmp_path, 2)
+        assert report.checkpoint_sequence == 0
+        assert restored.relation("r").to_set() == at_three
+
     def test_purge_without_checkpoint_keeps_everything(self, db, tmp_path):
         wal = WriteAheadLog(tmp_path, segment_bytes=256)
         db.attach_wal(wal, checkpoint=False)
@@ -291,6 +312,18 @@ class TestCheckpoints:
         path = db.checkpoint()
         assert path.name.endswith(".ckpt")
         assert db.wal.latest_checkpoint() == (2, path)
+        db.detach_wal()
+
+    def test_checkpoint_without_new_commits_rewrites_the_same_file(
+        self, db, tmp_path
+    ):
+        db.attach_wal(WriteAheadLog(tmp_path))
+        _commit_n(db, 2)
+        first = db.checkpoint()
+        again = db.checkpoint()
+        assert again == first
+        assert [seq for seq, _ in db.wal.checkpoints()] == [0, 2]
+        assert not list(tmp_path.glob("*.tmp"))
         db.detach_wal()
 
     def test_checkpoints_listed_in_sequence_order(self, db, tmp_path):
