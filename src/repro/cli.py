@@ -153,8 +153,6 @@ class Shell:
                     self.dispatch(line)
                 except ReproError as error:
                     self.write(f"error: {error}")
-                except Exception as error:  # pragma: no cover - safety net
-                    self.write(f"internal error: {error!r}")
         finally:
             # Deterministic teardown: never leak audit worker threads or
             # processes past the shell's lifetime.
@@ -376,7 +374,7 @@ class Shell:
         if not verdicts:
             self.write("  (none)")
         for outcome in verdicts:
-            span = ",".join(f"#{seq}" for seq in outcome.sequences) or "#?"
+            span = ",".join(f"#{seq}" for seq in outcome.sequences)
             if outcome.failed:
                 state = f"FAILED: {outcome.error}"
             elif outcome.violated:
@@ -384,12 +382,10 @@ class Shell:
                 state = f"VIOLATED ({sample})"
             else:
                 state = "ok"
-            where = (
-                outcome.mode
-                if outcome.executor is None
-                else f"{outcome.mode}/{outcome.executor}"
+            self.write(
+                f"  {span} {outcome.rule}: {state} "
+                f"[{outcome.mode}/{outcome.executor}]"
             )
-            self.write(f"  {span} {outcome.rule}: {state} [{where}]")
 
     def cmd_audit_log_verify(self, rest: str) -> None:
         """Verify the durable log's hash chain (attached or by directory)."""

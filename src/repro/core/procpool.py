@@ -22,9 +22,9 @@ replies, sentinel waits, the wire) and adds replication and retry:
   strings (poisoned :class:`~repro.core.scheduler.AuditOutcome`\\ s); a
   worker the pool reports dead — after every verdict it did send — is
   respawned from a fresh snapshot and its in-flight tasks re-shipped once
-  (a retry that dies too is an audit error); a commit-log truncation gap
-  resyncs the replicas from the write-ahead log when one is attached, else
-  by a full replica ship.
+  (a retry that dies too is an audit error).  The scheduler is a cursor
+  the commit stream keeps its commits for, so the replicas see every
+  commit as an ``apply`` record, in sequence.
 
 Under ``fork`` and ``spawn`` alike the worker payload is pickled and
 shipped, never inherited: one serialization path for both.
@@ -39,7 +39,6 @@ from typing import Dict, Optional
 
 from repro.algebra.columnar import decode_differentials, encode_differentials
 from repro.core.workers import WorkerPool, decode, encode
-from repro.errors import WalError
 
 
 class ControllerSpec:
@@ -104,9 +103,6 @@ def _audit_worker(endpoint, payload: bytes) -> None:
                     continue  # already covered by this replica's snapshot
                 database.apply_deltas(decode_differentials(encoded), record=False)
                 replica_seq = sequence + 1
-        elif kind == "resync":
-            database = decode(message[1])
-            replica_seq = database.commit_log.next_sequence
         elif kind == "spec":
             controller = decode(message[1]).build()
         elif kind == "task":
@@ -181,14 +177,6 @@ class ProcessAuditExecutor:
         # pickled once and the same blob is put n times.
         self._delta_cache: Optional[tuple] = None
         self._closed = False
-        self._hold_wal()
-
-    def _hold_wal(self) -> None:
-        """Hold the durable log from ``_replicated_through`` on — records no
-        replica has yet — so :meth:`resync` can replay instead of re-ship."""
-        wal = getattr(self.database, "wal", None)
-        if wal is not None:
-            wal.register_consumer("process-replicas", self._replicated_through)
 
     # -- replication -----------------------------------------------------------
 
@@ -200,46 +188,7 @@ class ProcessAuditExecutor:
         encoded = [(r.sequence, encode_differentials(r.differentials)) for r in fresh]
         self._pool.broadcast(("apply",), encoded)
         self._replicated_through = fresh[-1].sequence + 1
-        self._hold_wal()
         return len(fresh)
-
-    def resync(self, database) -> None:
-        """Catch every replica up after a commit-log truncation gap.
-
-        With a write-ahead log attached the missed records are still on
-        disk (the ``process-replicas`` retention hold keeps them there):
-        resync replays them from the log — O(|missed Δ|) per worker — and
-        only ships a full fresh replica when the log cannot serve the range:
-        no WAL, the hold was released, or the log failed with a
-        :class:`~repro.errors.WalError` or ``OSError``.
-        """
-        if not self._resync_from_log(database):
-            self._pool.broadcast(("resync",), database)
-            self._replicated_through = database.commit_log.next_sequence
-        self._hold_wal()
-
-    def _resync_from_log(self, database) -> bool:
-        """Replay the replicas' missed records from the durable log."""
-        wal = getattr(database, "wal", None)
-        if wal is None:
-            return False
-        start = self._replicated_through
-        end = database.commit_log.next_sequence
-        try:
-            wal.sync()  # make buffered appends visible to the scan below
-            records = wal.scan(start_sequence=start, upto=end - 1, decode=False)
-            missed = [(record.sequence, record.differentials) for record in records]
-        except (WalError, OSError):
-            return False
-        # The log must cover the gap exactly: every sequence in [start, end).
-        if len(missed) != end - start or (
-            missed and (missed[0][0] != start or missed[-1][0] != end - 1)
-        ):
-            return False
-        if missed:
-            self._pool.broadcast(("apply",), missed)
-        self._replicated_through = end
-        return True
 
     # -- task dispatch ---------------------------------------------------------
 
@@ -324,9 +273,6 @@ class ProcessAuditExecutor:
             return
         self._closed = True
         self._pool.close(wait)
-        wal = getattr(self.database, "wal", None)
-        if wal is not None:
-            wal.release_consumer("process-replicas")
 
     def __repr__(self) -> str:
         alive = sum(1 for p in self._pool.processes if p.is_alive())

@@ -43,10 +43,15 @@ priced under one dispatch run *inline* on the draining thread — a pool
 handoff costs more than a vacuous or tiny delta check — while the rest
 fan out, as does a rule with no history yet.  Worker exceptions are never
 dropped: a poisoned task surfaces as an :class:`AuditOutcome` with
-``error`` set, commit records trimmed from the commit stream before
-being drained surface as an explicit gap outcome, and an interrupt raised
-during an inline audit propagates after handing its batch, and the
-drain's later ones, back to the next drain.
+``error`` set, and an interrupt raised during an inline audit propagates
+after handing its batch, and the drain's later ones, back to the next
+drain.
+
+No commit goes unaudited: a scheduler is a *cursor* the commit stream
+keeps its commits for (:mod:`repro.engine.epochs`), and a commit that
+leaves it more than ``epochs.retain`` commits behind drains it on the
+committing thread (:meth:`AuditScheduler.catch_up`) — safe, since an
+audit is a side-effect-free check of (rule, Δ).
 
 Verdict merging is deterministic: outcomes are ordered by (first covered
 commit sequence, rule registration order), regardless of worker completion
@@ -174,10 +179,9 @@ class AuditOutcome:
     """The verdict of one audit task over one commit batch.
 
     ``mode`` records the audit semantics the task ran under (``"sync"``
-    strict per-commit, ``"async"`` batched/deferred, ``"gap"`` for a
-    commit-log truncation); ``executor`` records the dispatch arm that
-    physically ran it (``"inline"``, ``"thread"``, ``"process"``, or None
-    for synthetic outcomes like gaps).  ``rows`` is the task's
+    strict per-commit, ``"async"`` batched/deferred); ``executor`` records
+    the dispatch arm that physically ran it (``"inline"``, ``"thread"`` or
+    ``"process"``).  ``rows`` is the task's
     :attr:`RuleAuditTask.rows`: ``seconds`` over it is what the outcome
     settles into its rule's price.
     """
@@ -196,13 +200,13 @@ class AuditOutcome:
 
     def __init__(
         self,
-        rule: Optional[str],
+        rule: str,
         sequences: tuple,
         violated: Optional[bool],
         violations: tuple = (),
         error: Optional[str] = None,
         mode: str = "sync",
-        executor: Optional[str] = "inline",
+        executor: str = "inline",
         seconds: float = 0.0,
         rows: int = 0,
     ):
@@ -218,7 +222,7 @@ class AuditOutcome:
 
     @property
     def failed(self) -> bool:
-        """True when the audit itself failed (poison task / log gap)."""
+        """True when the audit itself failed (a poison task)."""
         return self.error is not None
 
     @property
@@ -230,8 +234,6 @@ class AuditOutcome:
             f"#{self.sequences[0]}"
             if len(self.sequences) == 1
             else f"#{self.sequences[0]}..{self.sequences[-1]}"
-            if self.sequences
-            else "#?"
         )
         if self.failed:
             state = f"FAILED: {self.error}"
@@ -239,8 +241,10 @@ class AuditOutcome:
             state = f"VIOLATED ({len(self.violations)} sample tuple(s))"
         else:
             state = "ok"
-        where = self.mode if self.executor is None else f"{self.mode}/{self.executor}"
-        return f"AuditOutcome({self.rule}, {span}, {state}, {where})"
+        return (
+            f"AuditOutcome({self.rule}, {span}, {state}, "
+            f"{self.mode}/{self.executor})"
+        )
 
 
 class AuditScheduler:
@@ -268,12 +272,10 @@ class AuditScheduler:
         self.dispatch_overhead = dispatch_overhead
         self.executor = executor
         self.start_method = start_method
-        log = database.commit_log
-        if start_sequence is None:
-            first = log.first_sequence
-            start_sequence = first if first is not None else log.next_sequence
-        self._cursor = start_sequence
         self._lock = threading.Lock()
+        # One drain at a time: the cursor moves past a batch only once its
+        # verdicts exist, so a cut batch stays in the stream for the next.
+        self._drain_lock = threading.Lock()
         self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._process_pool = None
         # Per-rule EWMA of measured audit seconds per Δ-row, settled by
@@ -287,6 +289,18 @@ class AuditScheduler:
         self.drains = 0
         self.fanned_out = 0
         self.ran_inline = 0
+        log = database.commit_log
+        with log._lock:  # no trim between the check and the hold
+            oldest = log.first_sequence
+            if start_sequence is None:
+                start_sequence = oldest
+            elif start_sequence < oldest:
+                raise ValueError(
+                    f"start_sequence #{start_sequence} is no longer retained: "
+                    f"the oldest retained commit is #{oldest}"
+                )
+            self._cursor = start_sequence
+            database.epochs.add_cursor(self)
 
     # -- introspection ---------------------------------------------------------
 
@@ -302,8 +316,7 @@ class AuditScheduler:
 
     def pending(self) -> int:
         """Commits recorded but not yet drained."""
-        records, lost = self.database.commit_log.since(self._cursor)
-        return len(records) + lost
+        return len(self.database.commit_log.since(self._cursor)[0])
 
     @property
     def audit_rates(self) -> Dict[str, float]:
@@ -329,54 +342,42 @@ class AuditScheduler:
         Either way every outcome also lands in :attr:`history`, in
         deterministic order.
         """
+        return self._drain(asynchronous, coalesce, fan_out=asynchronous)
+
+    def catch_up(self, upto: int) -> None:
+        """Audit every commit below ``upto`` on this thread (the committer
+        does, once this scheduler is ``epochs.retain`` behind); the
+        verdicts reach the next :meth:`wait`, like an async drain's."""
+        self._drain(asynchronous=True, coalesce=None, fan_out=False, upto=upto)
+
+    def _drain(
+        self,
+        asynchronous: bool,
+        coalesce: Optional[bool],
+        fan_out: bool,
+        upto: Optional[int] = None,
+    ) -> List[AuditOutcome]:
         if coalesce is None:
             coalesce = self.coalesce
-        with self._lock:
-            records, lost = self.database.commit_log.since(self._cursor)
+        completed: List[AuditOutcome] = []
+        with self._drain_lock:
+            records = self.database.commit_log.since(self._cursor)[0]
+            if upto is not None:
+                records = [r for r in records if r.sequence < upto]
+            self.drains += 1
+            if self._process_pool is not None and records:
+                # Keep worker replicas current *before* this drain's tasks
+                # are submitted: FIFO inboxes then guarantee each task
+                # observes exactly the drain-time state.
+                self._process_pool.replicate(records)
+            for batch in take_batches(records, coalesce):
+                # An interrupt cuts a batch before any of its verdicts
+                # lands; the cursor has not passed it, and audits have no
+                # side effects, so the next drain audits it and the rest.
+                completed.extend(self._drain_batch(batch, asynchronous, fan_out))
+                self._cursor = batch[-1].sequence + 1
             if records:
                 self._cursor = records[-1].sequence + 1
-            else:
-                self._cursor += lost
-            self.drains += 1
-        if self._process_pool is not None:
-            # Keep worker replicas current *before* this drain's tasks are
-            # submitted: FIFO inboxes then guarantee each task observes
-            # exactly the drain-time state.
-            if lost:
-                self._process_pool.resync(self.database)
-            elif records:
-                self._process_pool.replicate(records)
-        completed: List[AuditOutcome] = []
-        if lost:
-            gap = AuditOutcome(
-                None,
-                (),
-                None,
-                error=(
-                    f"{lost} commit(s) evicted from the commit stream before "
-                    f"being audited; raise epochs.retain or drain more often"
-                ),
-                mode="gap",
-                executor=None,
-            )
-            completed.append(gap)
-            if asynchronous:
-                # Async consumers collect through wait(): the gap must
-                # travel the same path or eviction becomes a silent drop.
-                with self._lock:
-                    self._outstanding.append(gap)
-            else:
-                self._record(gap)
-        for batch in take_batches(records, coalesce):
-            try:
-                completed.extend(self._drain_batch(batch, asynchronous))
-            except BaseException:
-                # Interrupted mid-batch: the batch kept no verdict, so hand
-                # it and the rest back; audits have no side effects, and
-                # the next drain re-audits them.
-                with self._lock:
-                    self._cursor = min(self._cursor, batch[0].sequence)
-                raise
         wal = getattr(self.database, "wal", None)
         if wal is not None:
             # Retention hold on the durable log: segments below the audit
@@ -384,7 +385,9 @@ class AuditScheduler:
             wal.advance_consumer(self._consumer_name, self._cursor)
         return completed
 
-    def _drain_batch(self, batch, asynchronous: bool) -> List[AuditOutcome]:
+    def _drain_batch(
+        self, batch, asynchronous: bool, fan_out: bool
+    ) -> List[AuditOutcome]:
         if len(batch) == 1:
             differentials = batch[0].differentials
         else:
@@ -396,18 +399,14 @@ class AuditScheduler:
         # Pin the batch's pre/post epochs so every in-process task audits
         # exactly the states its commits transitioned between, even while
         # the owning session keeps committing under the worker threads.
-        # None when the batch's entries are no longer retained (e.g. a
-        # scheduler attached long after the commits); tasks then fall back
-        # to the live-state audit.
-        span = None
-        epochs = getattr(self.database, "epochs", None)
-        if epochs is not None and sequences:
-            span = epochs.pin_span(sequences[0], sequences[-1])
+        # None when a quiesce fence (a bulk load) came after the batch's
+        # first commit; tasks then fall back to the live-state audit.
+        span = self.database.epochs.pin_span(sequences[0], sequences[-1])
         try:
             for task in tasks:
                 rows = task.rows
                 if (
-                    asynchronous
+                    fan_out
                     and self.executor != "inline"
                     and self._prefer_fanout(task.rule_name, rows)
                 ):

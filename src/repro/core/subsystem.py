@@ -445,8 +445,11 @@ class IntegrityController:
         Created on first use (draining the database's commit log from its
         oldest retained record) and cached weakly, so every session over
         the same database shares one scheduler, one cursor, and one worker
-        pool.  ``options`` are forwarded to the constructor on first
-        creation only.
+        pool.  The cursor holds every commit it has not drained in the
+        commit stream, and a commit that leaves it more than
+        ``database.epochs.retain`` commits behind drains it on the
+        committing thread, so no commit goes unaudited.  ``options`` are
+        forwarded to the constructor on first creation only.
         """
         scheduler = self._schedulers.get(database)
         if scheduler is None:

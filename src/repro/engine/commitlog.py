@@ -19,9 +19,11 @@ Invariants (:mod:`repro.engine.epochs` says how its readers lean on them):
   unrecorded batches (restore undos, replica applies) carry None.  A
   replay may jump them, never rewind.
 * **One window**: the epoch manager trims a prefix (swapping the list, so
-  an old reference is a superset) once no pin needs it and it is older
-  than the newest ``epochs.retain`` versions; :meth:`CommitLog.since`
-  reports the commits a drain lost to it.
+  an old reference is a superset) by its one retention rule — a record
+  stays while a pin, a cursor, or the ``retain`` window needs it (see
+  :mod:`repro.engine.epochs`) — so an audit scheduler, being a cursor,
+  loses no commit.  :meth:`CommitLog.since` still counts the commits a
+  reader that holds no cursor lost to the window.
 * **Who reads it**: audit drains read the recorded commits
   (:meth:`CommitLog.since`); pinned reads and ``pin_span`` read every
   record.  One re-entrant lock, shared with the epoch manager, covers
@@ -195,11 +197,13 @@ class CommitLog:
             return self._next_sequence
 
     @property
-    def first_sequence(self) -> Optional[int]:
-        """Sequence of the oldest retained commit (None when there is none)."""
+    def first_sequence(self) -> int:
+        """Sequence of the oldest retained commit; with none retained, of
+        the next commit."""
         with self._lock:
             return next(
-                (r.sequence for r in self._records if r.sequence is not None), None
+                (r.sequence for r in self._records if r.sequence is not None),
+                self._next_sequence,
             )
 
     def since(self, sequence: int) -> Tuple[List[CommitRecord], int]:

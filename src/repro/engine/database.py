@@ -357,8 +357,12 @@ class Database:
         # window so concurrent pinned readers never spin on disk I/O;
         # the durability ordering is unchanged (in-memory commit first,
         # WAL append after, exactly as before).
-        if record and self.wal is not None:
-            self.wal.append(committed)
+        if record:
+            if self.wal is not None:
+                self.wal.append(committed)
+            # Outside the window and the gate: an audit cursor ``retain``
+            # behind is drained here, which bounds the commits it holds.
+            self.epochs.admit(committed.sequence)
 
     # -- durability (write-ahead log) ---------------------------------------------
 

@@ -11,16 +11,19 @@ into multi-version concurrency control without ever copying a relation:
   files one record there, and the record's *version* is the state it
   produced.  Recorded commits also carry their sequence number — the
   commit sequence *is* the public epoch counter.  The manager keeps no
-  list of its own: it owns the seqlock, the pins and the trim floor.
+  list of its own: it owns the seqlock, the pins, the cursors and the
+  trim floor.
 * A reader :meth:`~EpochManager.pin`\\ s the current epoch.  Relations
   read through the pin (:class:`SnapshotRelation`) present the state *as of
   the pin*, reconstructed algebraically as ``live − suffixΔ⁺ + suffixΔ⁻``:
   an :class:`~repro.engine.overlay.OverlayRelation` whose base is the live
   relation and whose delta is the *inverse* of every commit after the pin.
   Keeping a snapshot is O(Δ-since-pin), never O(|R|).
-* One retention rule trims the stream: a record stays while a pin needs it
-  (refcounted) or while it is among the newest :attr:`EpochManager.retain`
-  versions, which serves late pins and audit drains alike;
+* One retention rule trims the stream: **a record stays while a pin, a
+  cursor, or the ``retain`` window needs it, and a cursor that falls
+  ``retain`` behind is drained by the committer** (:meth:`EpochManager.
+  admit`).  A cursor is an audit scheduler, held weakly beside the pins,
+  so no commit goes unaudited and ``retain`` bounds what a cursor holds.
   :attr:`EpochManager.reclaimed` counts reclamations for observability.
 
 Writer/reader coordination is a *seqlock*, not a mutex: the single writer
@@ -48,9 +51,9 @@ dict.  :meth:`EpochManager.quiesce` forces that detachment for every
 outstanding pin, which is how out-of-band bulk mutations
 (``Database.load`` / ``install``) keep old pins correct.  The fence moves
 the version and the stream's ``fence`` past every existing state, and
-drops no record: a commit the scheduler has not drained is still returned
-by ``CommitLog.since`` (it is audited against the live state, since no
-pin can bracket it any more).
+drops no record: a commit a cursor has not drained is still returned by
+``CommitLog.since`` (it is audited against the live state, since no pin
+can bracket it any more).
 
 Invariants the read path leans on (each is asserted by
 ``tests/properties/test_prop_epoch_offsets.py``,
@@ -148,8 +151,9 @@ from repro.engine.relation import (
 )
 from repro.errors import EpochUnavailableError, UnknownRelationError
 
-#: Versions of the commit stream kept when no pin needs older ones: the
-#: window for late pins and for audit drains that fall behind.
+#: Versions of the commit stream kept when no pin or cursor needs older
+#: ones: the window for late pins, and how far a cursor may fall behind
+#: before the committer drains it.
 DEFAULT_RETAIN = 256
 
 #: Optimistic seqlock attempts before a starving reader falls back to the
@@ -217,7 +221,7 @@ def _entries_after(records: List[CommitRecord], version: int) -> List[CommitReco
 
 class EpochManager:
     """Per-database epoch bookkeeping over the commit stream: the seqlock,
-    the pins and the trim floor."""
+    the pins, the cursors and the trim floor."""
 
     def __init__(self, database, retain: int = DEFAULT_RETAIN):
         self._database = database
@@ -239,6 +243,9 @@ class EpochManager:
         # retried ``READ_RETRY_LIMIT`` times.
         self._write_gate = threading.Lock()
         self._pins: Dict[int, int] = {}
+        # Audit schedulers, held weakly beside the pins: each keeps every
+        # commit from its ``cursor`` on.  A fork or a copy starts with none.
+        self._cursors: "weakref.WeakSet" = weakref.WeakSet()
         # The stream's one lock, re-entrant: EpochPin.__del__ may run from
         # the GC at any point, including while this thread already holds it.
         self._lock = self._log._lock
@@ -315,7 +322,8 @@ class EpochManager:
             self._write_gate.release()
 
     def _trim_locked(self) -> None:
-        """Drop records below every pin and the unpinned retention window.
+        """Drop records below every pin, every cursor and the retention
+        window.
 
         Readers may be iterating the list concurrently, so its reference
         is swapped (copy-on-trim) rather than mutated in place; a reader
@@ -328,16 +336,44 @@ class EpochManager:
             # allocation, re-entering under the RLock) may have emptied the
             # dict since the line above looked.
             floor = min(floor, min(self._pins, default=floor))
+        held = sys.maxsize  # the lowest cursor: commits from it on stay
+        if self._cursors:
+            held = min((c.cursor for c in self._cursors), default=held)
         records = log._records
         drop = 0
         for record in records:
-            if record.version <= floor:
-                drop += 1
-            else:
+            if record.version > floor or (
+                record.sequence is not None and record.sequence >= held
+            ):
                 break
+            drop += 1
         if drop:
             log._records = records[drop:]
             self.reclaimed += drop
+
+    # -- cursors ------------------------------------------------------------------
+
+    def add_cursor(self, cursor) -> None:
+        """Keep every commit from ``cursor.cursor`` on while ``cursor`` (an
+        audit scheduler, whose ``catch_up(upto)`` drains the commits below
+        ``upto``) lives."""
+        with self._lock:
+            self._cursors.add(cursor)
+
+    def admit(self, sequence: int) -> None:
+        """After commit ``sequence``, drain every cursor more than
+        :attr:`retain` commits behind up to that commit, on this thread.
+
+        The caller has left the seqlock window and the write gate, under
+        which an audit may build a declared index.  The commit itself is
+        left to its committer's own drain (``commit(audit="sync")``).
+        """
+        if not self._cursors:
+            return
+        behind = sequence + 1 - self.retain
+        for cursor in list(self._cursors):
+            if cursor.cursor < behind:
+                cursor.catch_up(sequence)
 
     # -- reader protocol --------------------------------------------------------
 

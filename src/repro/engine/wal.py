@@ -38,9 +38,9 @@ Sync policy trades durability for commit latency: ``"commit"`` fsyncs
 every append, ``"interval"`` group-commits (flush always, fsync at most
 every ``group_interval`` seconds), ``"none"`` leaves flushing to the OS.
 Segments rotate on byte size or age; sealed segments are dropped only when
-every registered *consumer watermark* (audit scheduler, process-executor
-replicas) and the newest checkpoint have all passed them — scheduler-driven
-retention instead of blind truncation.
+every registered *consumer watermark* (the audit scheduler's) and the newest
+checkpoint have all passed them — scheduler-driven retention instead of
+blind truncation.
 
 A checkpoint (``checkpoint-<next_sequence>.ckpt``) is the one anchor
 format: a whole database, pickled from an epoch fork and written
@@ -679,14 +679,9 @@ class WriteAheadLog:
 
     # -- consumer watermarks and retention ------------------------------------------
 
-    def register_consumer(self, name: str, sequence: int) -> None:
-        """Place a retention hold: keep records with sequence >= ``sequence``."""
-        with self._lock:
-            self._consumers[name] = int(sequence)
-            self._save_consumers()
-
     def advance_consumer(self, name: str, sequence: int) -> None:
-        """Move a consumer's drained-through cursor forward (monotonic)."""
+        """Place or move forward (monotonic) a consumer's retention hold:
+        keep records with sequence >= ``sequence``."""
         with self._lock:
             current = self._consumers.get(name, -1)
             if sequence > current:

@@ -247,35 +247,46 @@ class TestScheduler:
         with pytest.raises(SystemExit):
             _execute(exits, (0,), "sync", "inline")
 
-    def test_truncation_gap_reaches_async_wait(self, controller):
+    def test_commits_past_retain_reach_async_wait(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
         database.epochs.retain = 1
         scheduler = controller.audit_scheduler(database)
         _commit(database, "begin insert(fk, (1, 1)); end")
         _commit(database, "begin insert(fk, (2, 2)); end")
+        # The second commit caught the scheduler up through the first on
+        # the committing thread; its verdicts travel through wait() with
+        # the async drain's, in commit order.
         scheduler.drain(asynchronous=True)
         outcomes = scheduler.wait()
-        # Eviction must not become a silent drop on the async path: the
-        # gap outcome travels through wait() like every other verdict.
-        assert outcomes[0].failed and outcomes[0].mode == "gap"
-        assert outcomes[0].executor is None
-        assert {o.rule for o in outcomes[1:]} == set(RULES)
+        assert [(o.rule, o.sequences) for o in outcomes] == [
+            ("fk_ref", (0,)),
+            ("fk_id", (0,)),
+            ("fk_ref", (1,)),
+            ("fk_id", (1,)),
+        ]
+        assert not any(o.failed for o in outcomes)
         scheduler.close()
 
-    def test_truncation_gap_reported(self, controller):
+    def test_a_lagging_cursor_holds_its_commits(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
         database.epochs.retain = 1
         scheduler = controller.audit_scheduler(database)
         _commit(database, "begin insert(fk, (1, 1)); end")
         _commit(database, "begin insert(fk, (2, 2)); end")
+        # Caught up by the committer: #0's verdicts wait for wait(), and
+        # the sync drain audits #1; no commit is lost to the window.
         outcomes = scheduler.drain()
-        gap = outcomes[0]
-        assert gap.failed and gap.rule is None
-        assert "evicted" in gap.error
-        # The retained commit is still audited.
-        assert {o.rule for o in outcomes[1:]} == set(RULES)
+        assert [(o.rule, o.sequences) for o in outcomes] == [
+            ("fk_ref", (1,)),
+            ("fk_id", (1,)),
+        ]
+        assert [(o.rule, o.sequences) for o in scheduler.wait()] == [
+            ("fk_ref", (0,)),
+            ("fk_id", (0,)),
+        ]
+        assert not any(o.failed for o in scheduler.history)
 
     def test_scheduler_is_cached_per_database(self, db, controller):
         assert controller.audit_scheduler(db) is controller.audit_scheduler(db)
@@ -343,7 +354,7 @@ class TestExecutors:
                 ("fk_id", False),
             ]
 
-    def test_process_gap_triggers_replica_resync(self, controller):
+    def test_process_replicas_follow_a_lagging_cursor(self, controller):
         database = Database(schema())
         database.load("pk", [(k,) for k in range(10)])
         database.epochs.retain = 1
@@ -355,17 +366,29 @@ class TestExecutors:
             executor="process",
         ) as scheduler:
             scheduler.start()
-            # Two commits, capacity-1 log: the first is evicted before the
-            # drain, so replicas cannot replay it — they must resync.
+            shipped = []
+            broadcast = scheduler._process_pool._pool.broadcast
+
+            def recording_broadcast(message, payload=None):
+                if message[0] == "apply":
+                    shipped.append((message[0], [seq for seq, _ in payload]))
+                else:
+                    shipped.append((message[0], None))
+                return broadcast(message, payload)
+
+            scheduler._process_pool._pool.broadcast = recording_broadcast
+            # A retain-1 stream: the second commit catches the scheduler up
+            # through the first, which replicates it before the drain.
             _commit(database, "begin insert(pk, (55,)); end")
             _commit(database, "begin insert(fk, (1, 55)); end")
             scheduler.drain(asynchronous=True, coalesce=False)
             outcomes = scheduler.wait()
-            assert outcomes[0].mode == "gap" and outcomes[0].executor is None
-            # Audited on the resynced replica: (1, 55) finds target 55.
-            assert [(o.rule, o.violated) for o in outcomes[1:]] == [
-                ("fk_ref", False),
-                ("fk_id", False),
+            # The replicas saw every commit as an apply, in sequence, and
+            # audited (1, 55) against the replicated target 55.
+            assert shipped == [("apply", [0]), ("apply", [1])]
+            assert [(o.rule, o.violated, o.executor) for o in outcomes] == [
+                ("fk_ref", False, "process"),
+                ("fk_id", False, "process"),
             ]
 
     def test_process_outcomes_settle_rates(self, db, controller):

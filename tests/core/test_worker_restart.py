@@ -254,14 +254,15 @@ class TestLargeDeltas:
 
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_a_full_replica_resync_over_64_kib_reaches_every_worker(
+    def test_an_apply_broadcast_over_64_kib_reaches_every_worker(
         self, db, controller, start_method
     ):
         import multiprocessing
 
+        from repro.engine.relation import Relation
+
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} is not available on this platform")
-        db.load("pk", [(k,) for k in range(10, 40_000)])
         pool = ProcessAuditExecutor(
             controller, db, workers=2, start_method=start_method
         )
@@ -275,12 +276,14 @@ class TestLargeDeltas:
 
         pool._pool.broadcast = recording_broadcast
         try:
-            # Never replicated: only the resync (no log, so a full replica
-            # ship) can bring key 40000 to the workers.
-            _commit(db, "begin insert(pk, (40000)); end")
-            pool.resync(db)
+            # One ~40k-row commit: only its apply broadcast can bring keys
+            # 10..40000 to the workers.
+            keys = Relation(db.relation_schema("pk"))
+            keys.insert_counts({(k,): 1 for k in range(10, 40_001)})
+            db.apply_deltas({"pk": (keys, None)})
+            pool.replicate(db.commit_log.since(0)[0])
             [(kind, put)] = shipped
-            assert kind == "resync" and put > 2 * (64 << 10)
+            assert kind == "apply" and put > 2 * (64 << 10)
             result = _commit(
                 db, "begin insert(fk, {(501, 40000), (502, 1000000)}); end"
             )
@@ -314,85 +317,33 @@ class TestDurableLogIntegration:
         assert "audit-scheduler" not in db.wal.consumers
         db.detach_wal()
 
-    def test_gap_resyncs_replicas_from_log(self, db, controller, tmp_path, monkeypatch):
+    def test_a_process_scheduler_holds_no_replica_wal_entry(
+        self, db, controller, tmp_path
+    ):
         db.attach_wal(WriteAheadLog(tmp_path))
         db.epochs.retain = 2
-        used_log = {}
-        original = ProcessAuditExecutor._resync_from_log
-
-        def spy(self, database):
-            used_log["value"] = original(self, database)
-            return used_log["value"]
-
-        monkeypatch.setattr(ProcessAuditExecutor, "_resync_from_log", spy)
         scheduler = controller.audit_scheduler(
-            db, workers=2, dispatch_overhead=0.0, executor="process"
+            db, workers=2, dispatch_overhead=0.0, executor="process",
+            coalesce=False,
         )
         scheduler.start()
         try:
-            assert db.wal.consumers["process-replicas"] == 0
-            for i in range(4):  # overflow the bounded in-memory log
+            for i in range(4):  # past the retention window
                 _commit(db, f"begin insert(fk, (20{i}, {i})); end")
             _commit(db, "begin insert(fk, (300, 55)); end")  # dangling ref
-            scheduler.drain(asynchronous=True, coalesce=False)
-            outcomes = scheduler.wait()
-            # The gap is surfaced, the replicas caught up *from the log*,
-            # and the post-gap audits are correct against replica state.
-            assert outcomes[0].mode == "gap"
-            assert used_log["value"] is True
-            verdicts = {
-                (o.rule, o.sequences): o.violated
-                for o in outcomes
-                if o.rule is not None
-            }
+            scheduler.drain(asynchronous=True)
+            scheduler.wait()
+            # Every commit audited once, none failed, against replicas kept
+            # current by apply records alone: the durable log holds nothing
+            # for them, and the audit watermark still advances.
+            verdicts = {(o.rule, o.sequences): o.violated for o in scheduler.history}
+            assert sorted(verdicts) == sorted(
+                (rule, (seq,)) for rule in RULES for seq in range(5)
+            )
+            assert len(scheduler.history) == len(verdicts)
             assert verdicts[("fk_ref", (4,))] is True
-            assert all(o.error is None for o in outcomes[1:])
-            assert db.wal.consumers["process-replicas"] == 5
+            assert not any(o.failed for o in scheduler.history)
+            assert db.wal.consumers == {"audit-scheduler": 5}
         finally:
             scheduler.close()
-            db.detach_wal()
-
-    def test_only_log_failures_degrade_to_a_full_replica_ship(
-        self, db, controller, tmp_path, monkeypatch
-    ):
-        from repro.errors import WalCorruptionError
-
-        db.attach_wal(WriteAheadLog(tmp_path))
-        pool = ProcessAuditExecutor(controller, db, workers=1)
-        shipped = []
-        real_broadcast = pool._pool.broadcast
-
-        def recording_broadcast(message, payload=None):
-            shipped.append(message[0])
-            return real_broadcast(message, payload)
-
-        monkeypatch.setattr(pool._pool, "broadcast", recording_broadcast)
-        try:
-            _commit(db, "begin insert(fk, (100, 3)); end")
-
-            def buggy_scan(*args, **kwargs):
-                raise TypeError("a bug in the scan, not a log failure")
-
-            monkeypatch.setattr(db.wal, "scan", buggy_scan)
-            with pytest.raises(TypeError, match="a bug in the scan"):
-                pool.resync(db)
-            assert shipped == []  # surfaced, not read as "ship everything"
-
-            def corrupt_scan(*args, **kwargs):
-                raise WalCorruptionError("segment", 0, "short segment header")
-
-            monkeypatch.setattr(db.wal, "scan", corrupt_scan)
-            pool.resync(db)
-            assert shipped == ["resync"]
-            second = _commit(db, "begin insert(fk, (101, 55)); end")
-            pool.replicate(db.commit_log.since(0)[0])
-            [task] = [
-                t
-                for t in controller.audit_tasks(db, second)
-                if t.rule_name == "fk_ref"
-            ]
-            outcome = pool.submit(task, (1,)).result()
-            assert (outcome.error, outcome.violated) == (None, True)
-        finally:
-            pool.shutdown()
             db.detach_wal()

@@ -110,7 +110,7 @@ class TestRotation:
         wal = WriteAheadLog(tmp_path, segment_bytes=256)
         db.attach_wal(wal)
         _commit_n(db, 8)
-        wal.register_consumer("lagging", 0)
+        wal.advance_consumer("lagging", 0)
         wal.write_checkpoint(db)
         assert wal.purge() == []  # the lagging consumer pins everything
         wal.advance_consumer("lagging", 8)
@@ -130,7 +130,7 @@ class TestRotation:
         _commit_n(db, 3)
         at_three = db.relation("r").to_set()
         _commit_n(db, 5, start=50)
-        wal.register_consumer("lagging", 0)
+        wal.advance_consumer("lagging", 0)
         wal.write_checkpoint(db)
         assert wal.purge() == []
         # Records #0..#7 all survive, so checkpoint #0 still anchors a
@@ -152,7 +152,7 @@ class TestRotation:
 
     def test_consumer_watermarks_persist(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
-        wal.register_consumer("audit", 3)
+        wal.advance_consumer("audit", 3)
         wal.advance_consumer("audit", 5)
         wal.advance_consumer("audit", 4)  # monotonic: no rewind
         wal.close()

@@ -349,6 +349,28 @@ class TestErrors:
         output = run_shell("constraint c (forall x in ghost)(x.a > 0)\nexit\n")
         assert "error:" in output
 
+    def test_an_internal_bug_propagates_after_teardown(self, monkeypatch):
+        # A non-ReproError is a bug, not a user error: the shell tears down
+        # and re-raises it, so ``python -m repro < script`` exits non-zero.
+        def broken(shell, rest):
+            raise TypeError("a bug in show")
+
+        monkeypatch.setattr(Shell, "cmd_show", broken)
+        stdout = io.StringIO()
+        shell = Shell(
+            stdin=io.StringIO("show db\nquery pk\n"),
+            stdout=stdout,
+            interactive=False,
+        )
+        closed = []
+        monkeypatch.setattr(
+            shell.controller, "close_schedulers", lambda: closed.append(True)
+        )
+        with pytest.raises(TypeError, match="a bug in show"):
+            shell.run()
+        assert closed == [True]
+        assert "error" not in stdout.getvalue()
+
 
 class TestAuditPipeline:
     SETUP = (

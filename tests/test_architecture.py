@@ -1,0 +1,225 @@
+"""Architecture cases: what must not come back under ``src/``.
+
+Each case names a design decision and the ``grep`` calls that find a
+regression of it.  A call runs from the repository root exactly as written,
+its output lines are filtered by the case's exemption (a line prefix that
+may match), and any line left is a regression.  ``grep`` exits 1 when
+nothing matches; any other non-zero exit is a broken case and fails it too.
+"""
+
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FRONT = ["src/repro/algebra/parser.py", "src/repro/lex.py", "src/repro/engine/session.py"]
+
+#: (case, [(grep arguments, exempt line prefix or None, what a match means)]),
+#: each case under the decision it guards.
+CASES = [
+    # No operator path selector and no second operator protocol (one kernel
+    # per physical operator, run by execute).
+    (
+        "one-operator-protocol",
+        [
+            (
+                ["-rn", r"_batch_mode\|_fuse_mode\|BATCH_MIN_ROWS\|BATCH_ESTIMATE_ROWS", "src/"],
+                None,
+                "a row/batch/fused path selector is back in src/",
+            ),
+            (
+                ["-rn", r"produce_batch\|apply_batch\|FusedPipelineOp\|fuse_pipelines\|right_restrict\|_restricted_buckets", "src/"],
+                None,
+                "the fused-region layer (a second operator protocol beside "
+                "execute) is back in src/",
+            ),
+        ],
+    ),
+    # No module-global per-database plan table (a database's plans are the
+    # database's: Database.plans).
+    (
+        "no-global-plan-table",
+        [
+            (
+                ["-rnE", r"\b_DATABASE_PLANS\b", "src/"],
+                None,
+                "planner._DATABASE_PLANS (a module-global WeakKeyDictionary of "
+                "per-database plans) is back in src/",
+            ),
+        ],
+    ),
+    # One bounded table (every memo is a repro.bounded.BoundedTable; its
+    # file() is the only eviction and the only filing lock).
+    (
+        "one-bounded-table",
+        [
+            (
+                ["-rnE", "_SchemaLRU|file_bounded|_ESTIMATE_CACHE|plan_estimate|MODIFICATION_MEMO_LIMIT", "src/"],
+                None,
+                "a second bounded memo, or the estimate cache, is back in src/",
+            ),
+            (
+                ["-rnF", "next(iter(", "src/"],
+                "src/repro/bounded.py:",
+                "a FIFO eviction outside repro.bounded.BoundedTable.file",
+            ),
+        ],
+    ),
+    # No module-global text memo in the parser, the lexer or the session (a
+    # parsed query text is the database's: Database.query_texts).
+    (
+        "no-global-text-memo",
+        [
+            (
+                ["-nEi", r"^[A-Za-z_0-9]*(cache|memo|texts|parsed)[A-Za-z_0-9]*\s*(:[^=]*)?=", *FRONT],
+                None,
+                "a module-global text memo is in the parser, the lexer or the "
+                "session",
+            ),
+            (
+                ["-nwE", "lru_cache|cache", *FRONT],
+                None,
+                "functools.lru_cache/cache is in the parser, the lexer or the "
+                "session",
+            ),
+        ],
+    ),
+    # One worker pool (only core/workers.py creates processes, queues or
+    # pipes, and only it pickles pool traffic; no poll interval; one wire, no
+    # shared-memory transport).
+    (
+        "one-worker-pool",
+        [
+            (
+                ["-rnE", r"get_context\(|\.Process\(|\.Queue\(|Pipe\(", "src/"],
+                "src/repro/core/workers.py:",
+                "a process, queue or pipe is created outside core/workers.py",
+            ),
+            (
+                ["-rnE", "RESULT_POLL_SECONDS|_ATTACH_TRACKS", "src/"],
+                None,
+                "a liveness poll interval or the shm attach probe is back in src/",
+            ),
+            (
+                ["-nE", r"pickle\.", "src/repro/core/procpool.py", "src/repro/parallel/procpool.py"],
+                None,
+                "a pool client pickles its own traffic; use "
+                "core/workers.encode/decode",
+            ),
+            (
+                ["-rnE", "shared_memory|resource_tracker|SHM_MIN_BYTES|ShmTransport", "src/"],
+                None,
+                "a second pool transport is back in src/; pool payloads travel "
+                "as pickled bytes on the pipe",
+            ),
+        ],
+    ),
+    # repro.parallel is a leaf (the section 7 reproduction is imported by
+    # nothing else under src/; the audit scheduler prices by settled rates,
+    # not the cost model).
+    (
+        "parallel-is-a-leaf",
+        [
+            (
+                ["-rnE", r"^\s*(from|import) repro\.parallel", "src/repro/"],
+                "src/repro/parallel/",
+                "a module outside src/repro/parallel/ imports repro.parallel",
+            ),
+            (
+                ["-rnE", "predict_audit_time|pricing_program|cost_model=", "src/repro/core/"],
+                None,
+                "the audit scheduler is back on the cost model",
+            ),
+        ],
+    ),
+    # One commit stream (the commit log's records are the only list of applied
+    # deltas; epochs.retain is its one window).
+    (
+        "one-commit-stream",
+        [
+            (
+                ["-rnE", r"EpochEntry|append_at|DEFAULT_CAPACITY|truncate_through|CommitLog\(capacity", "src/"],
+                None,
+                "a second list of commit records, or a second window over it, "
+                "is back in src/",
+            ),
+        ],
+    ),
+    # An index is built by the first plan that asks for it (the advisor
+    # declares; no benefit threshold, no build hurdle).
+    (
+        "index-built-on-ask",
+        [
+            (
+                ["-rnE", "min_benefit|BUILD_AMORTIZE_HURDLE|forgone_work|deferred_cost", "src/"],
+                None,
+                "an estimate-driven index build threshold is back in src/",
+            ),
+        ],
+    ),
+    # One way to modify, one way to retire an index (no controller mode or
+    # second selector; the unread rule, not user thresholds, unbuilds an
+    # index).
+    (
+        "one-way-to-modify",
+        [
+            (
+                ["-rnE", r"\bMODES\b|def _selector|def sel_ps|def trig_p|def modify_program|def drop_unused|min_probes|min_keys", "src/"],
+                None,
+                "a controller mode, a second SelPS/ConcatP, or the drop-unused "
+                "policy is back in src/",
+            ),
+        ],
+    ),
+    # One checkpoint format (a whole database per checkpoint; the log after it
+    # carries every later change, so no delta checkpoint and no chain
+    # resolver).
+    (
+        "one-checkpoint-format",
+        [
+            (
+                ["-rnE", "dckpt|DELTA_CHECKPOINT|write_delta_checkpoint|load_checkpoint_chain|_compose_chain|_resolve_chain", "src/"],
+                None,
+                "a delta checkpoint or its chain resolver is back in src/",
+            ),
+        ],
+    ),
+    # No lost audits (a scheduler is a cursor the commit stream keeps its
+    # commits for, so there is no gap outcome and no replica resync).
+    (
+        "no-lost-audits",
+        [
+            (
+                ["-rnE", r'mode="gap"|def resync|_resync_from_log|_hold_wal|process-replicas|\("resync",\)', "src/"],
+                None,
+                "a gap outcome, a replica resync or its WAL hold is back in src/",
+            ),
+        ],
+    ),
+]
+
+
+def _matches(arguments, exempt):
+    done = subprocess.run(
+        ["grep", *arguments], cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode in (0, 1), done.stderr
+    lines = done.stdout.splitlines()
+    if exempt is not None:
+        lines = [line for line in lines if not line.startswith(exempt)]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "checks", [checks for _, checks in CASES], ids=[case for case, _ in CASES]
+)
+def test_architecture_case(checks):
+    found = {
+        meaning: lines
+        for arguments, exempt, meaning in checks
+        for lines in [_matches(arguments, exempt)]
+        if lines
+    }
+    assert not found, found
