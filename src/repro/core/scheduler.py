@@ -51,7 +51,8 @@ No commit goes unaudited: a scheduler is a *cursor* the commit stream
 keeps its commits for (:mod:`repro.engine.epochs`), and a commit that
 leaves it more than ``epochs.retain`` commits behind drains it on the
 committing thread (:meth:`AuditScheduler.catch_up`) — safe, since an
-audit is a side-effect-free check of (rule, Δ).
+audit is a side-effect-free check of (rule, Δ).  Those verdicts reach the
+caller's next synchronous drain or :meth:`~AuditScheduler.wait`.
 
 Verdict merging is deterministic: outcomes are ordered by (first covered
 commit sequence, rule registration order), regardless of worker completion
@@ -60,6 +61,7 @@ order — identical across all three executors.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -85,6 +87,9 @@ EXECUTORS = ("inline", "thread", "process")
 #: Smoothing for each rule's settled audit seconds per Δ-row, mirroring
 #: DELTA_EWMA_ALPHA on delta-size observations.
 AUDIT_EWMA_ALPHA = 0.5
+
+#: A scheduler's retention-hold name on the database's write-ahead log.
+WAL_CONSUMER = "audit-scheduler"
 
 
 class RuleAuditTask:
@@ -286,21 +291,12 @@ class AuditScheduler:
         # merging deterministic.
         self._outstanding: List[object] = []
         self.history: List[AuditOutcome] = []
-        self.drains = 0
         self.fanned_out = 0
         self.ran_inline = 0
-        log = database.commit_log
-        with log._lock:  # no trim between the check and the hold
-            oldest = log.first_sequence
-            if start_sequence is None:
-                start_sequence = oldest
-            elif start_sequence < oldest:
-                raise ValueError(
-                    f"start_sequence #{start_sequence} is no longer retained: "
-                    f"the oldest retained commit is #{oldest}"
-                )
-            self._cursor = start_sequence
-            database.epochs.add_cursor(self)
+        # Catch-up verdicts, already in history, for the next drain or wait.
+        self._caught_up: List[AuditOutcome] = []
+        self._cursor = 0  # holds every commit until placed
+        self._cursor = database.epochs.add_cursor(self, start_sequence)
 
     # -- introspection ---------------------------------------------------------
 
@@ -308,11 +304,6 @@ class AuditScheduler:
     def cursor(self) -> int:
         """Sequence number of the next commit this scheduler will audit."""
         return self._cursor
-
-    @property
-    def _consumer_name(self) -> str:
-        """Stable retention-hold name on the database's write-ahead log."""
-        return "audit-scheduler"
 
     def pending(self) -> int:
         """Commits recorded but not yet drained."""
@@ -334,37 +325,44 @@ class AuditScheduler:
         """Audit every commit recorded since the last drain.
 
         Synchronous drains (the default) run every task on the calling
-        thread and return the completed outcomes.  Asynchronous drains
-        submit tasks priced at one dispatch or more (or not yet priced) to
-        the configured executor's pool, run the cheaper ones inline, and
-        return immediately with the already-completed outcomes;
-        :meth:`wait` collects the rest.
-        Either way every outcome also lands in :attr:`history`, in
-        deterministic order.
+        thread and return the completed outcomes, after the verdicts the
+        committer's :meth:`catch_up` produced since the last collection.
+        Asynchronous drains submit tasks priced at one dispatch or more (or
+        not yet priced) to the configured executor's pool, run the cheaper
+        ones inline, and return immediately with the already-completed
+        outcomes; :meth:`wait` collects the rest, catch-up verdicts
+        included.  Either way every outcome also lands in :attr:`history`.
         """
-        return self._drain(asynchronous, coalesce, fan_out=asynchronous)
+        return self._drain(asynchronous, coalesce)
 
     def catch_up(self, upto: int) -> None:
         """Audit every commit below ``upto`` on this thread (the committer
-        does, once this scheduler is ``epochs.retain`` behind); the
-        verdicts reach the next :meth:`wait`, like an async drain's."""
-        self._drain(asynchronous=True, coalesce=None, fan_out=False, upto=upto)
+        does, once ``epochs.retain`` behind); the verdicts land in
+        :attr:`history` and reach the next sync drain or :meth:`wait`.  The
+        calling commit stands: an :class:`Exception` becomes a failed
+        verdict per rule for the commits left, which the cursor passes."""
+        try:
+            self._drain(True, None, upto=upto)
+        except Exception as raised:
+            error = f"{type(raised).__name__}: {raised}"
+            with self._drain_lock:
+                sequences = tuple(range(self._cursor, upto))
+                self._cursor = max(self._cursor, upto)
+                self._record([
+                    AuditOutcome(rule.name, sequences, None, error=error,
+                                 mode="async")
+                    for rule in self.controller.rules if sequences
+                ], hand_off=True)
 
-    def _drain(
-        self,
-        asynchronous: bool,
-        coalesce: Optional[bool],
-        fan_out: bool,
-        upto: Optional[int] = None,
-    ) -> List[AuditOutcome]:
+    def _drain(self, asynchronous, coalesce, upto=None) -> List[AuditOutcome]:
         if coalesce is None:
             coalesce = self.coalesce
+        catching_up = upto is not None
         completed: List[AuditOutcome] = []
         with self._drain_lock:
             records = self.database.commit_log.since(self._cursor)[0]
-            if upto is not None:
+            if catching_up:
                 records = [r for r in records if r.sequence < upto]
-            self.drains += 1
             if self._process_pool is not None and records:
                 # Keep worker replicas current *before* this drain's tasks
                 # are submitted: FIFO inboxes then guarantee each task
@@ -374,26 +372,32 @@ class AuditScheduler:
                 # An interrupt cuts a batch before any of its verdicts
                 # lands; the cursor has not passed it, and audits have no
                 # side effects, so the next drain audits it and the rest.
-                completed.extend(self._drain_batch(batch, asynchronous, fan_out))
+                completed.extend(self._drain_batch(batch, asynchronous, catching_up))
                 self._cursor = batch[-1].sequence + 1
-            if records:
+            if records:  # empty records form no batch: pass them too
                 self._cursor = records[-1].sequence + 1
-        wal = getattr(self.database, "wal", None)
-        if wal is not None:
+            if not asynchronous:
+                # Catch-ups hold this lock too, so theirs precede ours.
+                with self._lock:
+                    completed[:0] = self._caught_up
+                    self._caught_up = []
+        wal = self.database.wal
+        if wal is not None and not catching_up:
             # Retention hold on the durable log: segments below the audit
             # cursor are replayable without us, so the WAL may purge them.
-            wal.advance_consumer(self._consumer_name, self._cursor)
+            # A catch-up leaves it to the next drain: no disk write may
+            # fail the committing thread.
+            wal.advance_consumer(WAL_CONSUMER, self._cursor)
         return completed
 
-    def _drain_batch(
-        self, batch, asynchronous: bool, fan_out: bool
-    ) -> List[AuditOutcome]:
+    def _drain_batch(self, batch, asynchronous, catching_up) -> List[AuditOutcome]:
         if len(batch) == 1:
             differentials = batch[0].differentials
         else:
             differentials = coalesce_differentials(batch, self.database)
         sequences = batch_sequences(batch)
         tasks = self.controller.audit_tasks(self.database, differentials)
+        fan_out = asynchronous and not catching_up
         completed: List[AuditOutcome] = []
         slots: List[object] = []  # submission-ordered, for wait()
         # Pin the batch's pre/post epochs so every in-process task audits
@@ -438,26 +442,27 @@ class AuditScheduler:
                 span.release()  # the creator's reference; tasks hold their own
         # The batch's verdicts land together, after its last task: a batch
         # an interrupt cut short keeps none, so its re-audit duplicates none.
-        if asynchronous:
+        if fan_out:
             with self._lock:
                 self._outstanding.extend(slots)
         else:
-            for outcome in completed:
-                self._record(outcome)
+            self._record(completed, hand_off=catching_up)
         return completed
 
     def wait(self) -> List[AuditOutcome]:
         """Block until all submitted audits finish; return them in order.
 
         The returned list covers everything handed out by asynchronous
-        drains since the last :meth:`wait` (inline and pool outcomes
-        alike), ordered by submission — i.e. by (commit sequence, rule
-        registration order) — no matter which worker finished first; the
-        merged order is also what lands in :attr:`history`.
+        drains and catch-ups since the last collection (inline and pool
+        outcomes alike), ordered by (commit sequence, rule registration
+        order) no matter which worker finished first.  The pool outcomes
+        land in :attr:`history` in that order too.
         """
         with self._lock:
             slots = self._outstanding
             self._outstanding = []
+            caught = self._caught_up
+            self._caught_up = []
         outcomes: List[AuditOutcome] = []
         try:
             for slot in slots:
@@ -467,10 +472,11 @@ class AuditScheduler:
             # collected and what was not, in order, for the next wait().
             with self._lock:
                 self._outstanding[:0] = outcomes + slots[len(outcomes):]
+                self._caught_up[:0] = caught
             raise
-        for outcome in outcomes:
-            self._record(outcome)
-        return outcomes
+        self._record(outcomes)
+        # Both lists run in commit order: merge the catch-ups in.
+        return list(heapq.merge(caught, outcomes, key=lambda o: o.sequences[0]))
 
     def start(self) -> "AuditScheduler":
         """Eagerly create the configured executor's pool.
@@ -502,10 +508,9 @@ class AuditScheduler:
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
-        wal = getattr(self.database, "wal", None)
-        if wal is not None:
+        if self.database.wal is not None:
             # Drop the retention hold; a later drain re-registers it.
-            wal.release_consumer(self._consumer_name)
+            self.database.wal.release_consumer(WAL_CONSUMER)
 
     def __enter__(self) -> "AuditScheduler":
         return self
@@ -553,17 +558,21 @@ class AuditScheduler:
             rate = self._rates.get(rule)
         return rate is None or rate * rows >= self.dispatch_overhead
 
-    def _record(self, outcome: AuditOutcome) -> None:
-        """Keep the verdict; a successful rule audit settles its rate."""
+    def _record(self, outcomes: List[AuditOutcome], hand_off=False) -> None:
+        """Keep the verdicts, a catch-up's also for the next collection; a
+        successful rule audit settles its rate."""
         with self._lock:
-            self.history.append(outcome)
-            if outcome.failed:
-                return
-            rate = outcome.seconds / max(outcome.rows, 1)
-            previous = self._rates.get(outcome.rule)
-            if previous is not None:
-                rate = AUDIT_EWMA_ALPHA * rate + (1.0 - AUDIT_EWMA_ALPHA) * previous
-            self._rates[outcome.rule] = rate
+            self.history.extend(outcomes)
+            if hand_off:
+                self._caught_up.extend(outcomes)
+            for outcome in outcomes:
+                if outcome.failed:
+                    continue
+                rate = outcome.seconds / max(outcome.rows, 1)
+                previous = self._rates.get(outcome.rule)
+                if previous is not None:
+                    rate = AUDIT_EWMA_ALPHA * rate + (1.0 - AUDIT_EWMA_ALPHA) * previous
+                self._rates[outcome.rule] = rate
 
     def __repr__(self) -> str:
         return (

@@ -353,12 +353,22 @@ class EpochManager:
 
     # -- cursors ------------------------------------------------------------------
 
-    def add_cursor(self, cursor) -> None:
+    def add_cursor(self, cursor, start_sequence: Optional[int] = None) -> int:
         """Keep every commit from ``cursor.cursor`` on while ``cursor`` (an
         audit scheduler, whose ``catch_up(upto)`` drains the commits below
-        ``upto``) lives."""
-        with self._lock:
+        ``upto``) lives; returns where it starts: ``start_sequence``, or the
+        oldest retained commit.  A commit already trimmed is refused."""
+        with self._lock:  # no trim between the check and the hold
+            oldest = self._log.first_sequence
+            if start_sequence is None:
+                start_sequence = oldest
+            elif start_sequence < oldest:
+                raise ValueError(
+                    f"start_sequence #{start_sequence} is no longer retained: "
+                    f"the oldest retained commit is #{oldest}"
+                )
             self._cursors.add(cursor)
+            return start_sequence
 
     def admit(self, sequence: int) -> None:
         """After commit ``sequence``, drain every cursor more than
@@ -366,8 +376,8 @@ class EpochManager:
 
         The caller has left the seqlock window and the write gate, under
         which an audit may build a declared index.  The commit itself is
-        left to its committer's own drain (``commit(audit="sync")``).
-        """
+        left to its committer's own drain; a catch-up raises no
+        :class:`Exception` (it becomes a failed verdict) into it."""
         if not self._cursors:
             return
         behind = sequence + 1 - self.retain

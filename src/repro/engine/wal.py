@@ -145,10 +145,6 @@ class WalRecord:
         self.length = length
         self.chain_hash = chain_hash
 
-    def decoded_differentials(self) -> dict:
-        """The ``{base: (Δ⁺, Δ⁻)}`` map with columnar payloads decoded."""
-        return decode_differentials(self.differentials)
-
     def __repr__(self) -> str:
         return (
             f"WalRecord(#{self.sequence}, {self.segment}@{self.offset}, "

@@ -86,13 +86,13 @@ def _commit_all(database, controller, scheduler):
     return expected
 
 
-def _verdicts(scheduler):
+def _verdicts(outcomes):
     """``{sequence: {violated rule}}``, asserting one verdict per rule."""
-    seen = [(o.sequences, o.rule) for o in scheduler.history]
+    seen = [(o.sequences, o.rule) for o in outcomes]
     assert len(seen) == len(set(seen)), "a commit was audited twice"
-    assert not any(o.failed for o in scheduler.history)
+    assert not any(o.failed for o in outcomes)
     verdicts = {}
-    for outcome in scheduler.history:
+    for outcome in outcomes:
         [sequence] = outcome.sequences
         rules = verdicts.setdefault(sequence, {})
         rules[outcome.rule] = outcome.violated
@@ -121,8 +121,55 @@ def test_a_scheduler_far_behind_audits_every_commit_once(
         scheduler.drain()
         scheduler.drain(asynchronous=True)
         scheduler.wait()
-        assert _verdicts(scheduler) == expected
+        assert _verdicts(scheduler.history) == expected
     assert any(expected.values())  # the stream did violate some rule
+
+
+def test_drain_audits_returns_every_deferred_commit_past_retain(
+    database, controller
+):
+    # The committer's catch-ups audit most of these commits; the caller's
+    # one synchronous drain still gets every verdict, once.
+    controller.audit_scheduler(database, coalesce=False)
+    optimistic = Session(database, controller)
+    expected = {}
+    for text in DEFERRED:
+        result = optimistic.commit(text, audit="deferred")
+        assert result.committed
+        expected[database.commit_log.next_sequence - 1] = set(
+            controller.violated_constraints_incremental(database, result)
+        )
+    assert len(expected) > RETAIN
+    outcomes = optimistic.drain_audits()
+    assert _verdicts(outcomes) == expected
+    assert outcomes == optimistic.audit_scheduler().history
+    assert optimistic.wait_for_audits() == []
+
+
+def test_a_failing_catch_up_leaves_the_commit_committed(
+    database, controller, monkeypatch
+):
+    scheduler = AuditScheduler(controller, database, coalesce=False)
+    plain = Session(database)
+
+    def broken(*args, **kwargs):
+        raise TypeError("audit planner broke")
+
+    monkeypatch.setattr(controller, "audit_tasks", broken)
+    for text in EXECUTED:
+        assert plain.execute(text).committed
+        # The failed catch-up still moved the cursor: the stream is bounded.
+        assert database.commit_log.next_sequence - scheduler.cursor <= RETAIN
+    assert plain.manager.committed == len(EXECUTED)
+    monkeypatch.undo()
+    outcomes = scheduler.drain()
+    caught = scheduler.cursor - 1  # the drain audited only the last commit
+    failed = [o for o in outcomes if o.failed]
+    assert {o.error for o in failed} == {"TypeError: audit planner broke"}
+    assert sorted(s for o in failed for s in o.sequences) == sorted(
+        s for s in range(caught) for _ in RULES
+    )
+    assert {o.sequences for o in outcomes if not o.failed} == {(caught,)}
 
 
 def test_a_released_pin_trims_no_unaudited_commit(database, controller):
@@ -142,7 +189,7 @@ def test_a_released_pin_trims_no_unaudited_commit(database, controller):
     assert database.commit_log.first_sequence == scheduler.cursor
     assert scheduler.pending() == len(EXECUTED)
     scheduler.drain()
-    assert _verdicts(scheduler) == expected
+    assert _verdicts(scheduler.history) == expected
 
 
 def test_a_start_sequence_already_trimmed_is_refused(database, controller):
@@ -202,6 +249,6 @@ def test_a_committer_and_a_draining_thread_audit_every_commit_once(
     assert not thread.is_alive()
     scheduler.drain()
     scheduler.close()
-    assert _verdicts(scheduler) == {
+    assert _verdicts(scheduler.history) == {
         first + i: ({"fk_ref"} if i % 12 >= 10 else set()) for i in range(60)
     }

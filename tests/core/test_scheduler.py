@@ -275,17 +275,22 @@ class TestScheduler:
         scheduler = controller.audit_scheduler(database)
         _commit(database, "begin insert(fk, (1, 1)); end")
         _commit(database, "begin insert(fk, (2, 2)); end")
-        # Caught up by the committer: #0's verdicts wait for wait(), and
-        # the sync drain audits #1; no commit is lost to the window.
-        outcomes = scheduler.drain()
-        assert [(o.rule, o.sequences) for o in outcomes] == [
-            ("fk_ref", (1,)),
-            ("fk_id", (1,)),
-        ]
-        assert [(o.rule, o.sequences) for o in scheduler.wait()] == [
+        # Caught up by the committer: #0's verdicts are in history already,
+        # and the sync drain returns them before its own audit of #1; no
+        # commit is lost to the window, and none is handed out twice.
+        assert [(o.rule, o.sequences) for o in scheduler.history] == [
             ("fk_ref", (0,)),
             ("fk_id", (0,)),
         ]
+        outcomes = scheduler.drain()
+        assert [(o.rule, o.sequences) for o in outcomes] == [
+            ("fk_ref", (0,)),
+            ("fk_id", (0,)),
+            ("fk_ref", (1,)),
+            ("fk_id", (1,)),
+        ]
+        assert scheduler.wait() == []
+        assert scheduler.history == outcomes
         assert not any(o.failed for o in scheduler.history)
 
     def test_scheduler_is_cached_per_database(self, db, controller):
@@ -568,19 +573,19 @@ class TestSettledRates:
 
         scheduler = AuditScheduler(controller, db)
         for seconds, rows in ((4.0, 2), (3.0, 6)):
-            scheduler._record(
+            scheduler._record([
                 AuditOutcome(
                     "fk_ref", (0,), False, mode="async", executor="thread",
                     seconds=seconds, rows=rows,
                 )
-            )
+            ])
         # First outcome seeds the EWMA (4.0 / 2 rows); the second folds in
         # at alpha=0.5: 0.5 * 3.0/6 + 0.5 * 2.0.
         assert scheduler.audit_rates["fk_ref"] == pytest.approx(1.25)
         # A failed audit settles nothing.
-        scheduler._record(
+        scheduler._record([
             AuditOutcome("fk_ref", (1,), None, error="boom", seconds=9.0, rows=1)
-        )
+        ])
         assert scheduler.audit_rates["fk_ref"] == pytest.approx(1.25)
         # The price is the rate times the task's rows; the delta sizes a
         # caller passes are not consulted.

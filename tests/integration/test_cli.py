@@ -399,6 +399,28 @@ class TestAuditPipeline:
         assert "#0 fk_ref: ok" in output
         assert "#1 fk_ref: VIOLATED ((11, 99))" in output
 
+    def test_audit_log_lists_commits_caught_up_past_retain(self):
+        commits = "".join(
+            f"commit begin insert(fk, ({10 + i}, {99 if i % 2 else 1})); end\n"
+            for i in range(5)
+        )
+        stdout = io.StringIO()
+        shell = Shell(
+            stdin=io.StringIO(self.SETUP + commits + "audit-log\nexit\n"),
+            stdout=stdout,
+            interactive=False,
+            executor="inline",
+        )
+        shell.database.epochs.retain = 1
+        shell.run()
+        output = stdout.getvalue()
+        # Four commits were audited by the committer, the last by audit-log.
+        assert "auditing 1 pending commit(s)" in output
+        assert "audit verdicts (5 total)" in output
+        for i in range(5):
+            state = "VIOLATED" if i % 2 else "ok"
+            assert f"#{i} fk_ref: {state}" in output
+
     def test_audit_log_subcommand_entry_point(self, tmp_path, capsys):
         from repro.cli import main
 
