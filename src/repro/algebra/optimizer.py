@@ -11,10 +11,10 @@ rewrites used by ``TrOptRS``:
 * elimination of ``σ_true`` and identity projections;
 * pushing selections through union / intersection.
 
-These need nothing but the expression.  The rewrites that need a database
-schema or its statistics — reordering join/semijoin chains, pushing
-selections below equi-joins — live beside each other in
-:mod:`repro.algebra.planner` (``reorder_chains``, ``push_selections``).
+These need nothing but the expression.  The one rewrite that needs a
+database schema — pushing selections below equi-joins — lives in
+:mod:`repro.algebra.planner` (``push_selections``).  No rewrite reads the
+data: join and semijoin chains run in the order they are written.
 
 All rewrites preserve set semantics *and errors*: a rewrite that would
 change which rows a predicate is evaluated on (fusing a cascade, moving a

@@ -26,9 +26,9 @@ Every operator speaks one protocol, ``execute(context) -> Relation``, and
 has exactly one implementation: its whole-column kernel
 (:mod:`repro.algebra.columnar`) runs for every input size, and a plan runs
 by its root's ``execute`` calling its children's.  Nothing here rewrites a
-plan: what is worth restructuring (selections moved below a join, chains
-reordered) is restructured on the *expression*, in
-:mod:`repro.algebra.planner`, before it is lowered.  Result equivalence
+plan: what is worth restructuring (selections moved below a join) is
+restructured on the *expression*, in :mod:`repro.algebra.planner`, before
+it is lowered, and no plan's shape depends on the data.  Result equivalence
 with the reference interpreter is a hard contract — the property tests in
 ``tests/properties/test_prop_planner.py`` compare a plan with
 ``Expression.evaluate`` on random expressions and database states, in set
@@ -37,8 +37,9 @@ hash-join build side hashes *distinct* right rows), the physical operators
 mirror them faithfully.
 
 Every operator also carries a static cardinality/work estimate
-(:class:`PlanEstimate`) which the parallel cost model consumes in place of
-post-hoc operator traces.
+(:class:`PlanEstimate`) from a ``{name: cardinality}`` mapping and
+textbook selectivities.  The parallel cost model is its only reader: no
+plan is chosen by it.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import TypeMismatchError
 
-# Default cardinality assumed for relations absent from a statistics mapping.
+# Default cardinality assumed for relations absent from a cardinality mapping.
 DEFAULT_CARDINALITY = 1000.0
 # Default cardinality assumed for a transaction's net differential: deltas
 # are small by premise (that is the entire point of differential
 # enforcement), so delta scans price orders of magnitude under base scans
-# unless a statistics mapping supplies the actual |Δ|.
+# unless the cardinality mapping supplies the actual |Δ|.
 DEFAULT_DELTA_CARDINALITY = 16.0
 # Classic textbook selectivities for the static estimates.
 FILTER_SELECTIVITY = 1.0 / 3.0
@@ -109,21 +110,6 @@ def _card(cards, name: str) -> float:
     if cards is None:
         return DEFAULT_CARDINALITY
     return float(cards.get(name, DEFAULT_CARDINALITY))
-
-
-def _distinct_keys(cards, name: str, attrs) -> Optional[float]:
-    """Distinct-key count from a statistics snapshot, if it carries one.
-
-    ``cards`` may be a plain ``{name: cardinality}`` mapping (no distinct
-    information) or a :class:`repro.algebra.statistics.RuntimeStatistics`.
-    """
-    getter = getattr(cards, "distinct_keys", None)
-    if getter is None or attrs is None:
-        return None
-    distinct = getter(name, attrs)
-    if not distinct:
-        return None
-    return float(distinct)
 
 
 class PhysicalOperator:
@@ -406,11 +392,9 @@ class DeltaScanOp(PhysicalOperator):
     :class:`~repro.engine.transaction.TransactionContext`'s live deltas, a
     post-commit :class:`~repro.engine.session.DeltaView`, or an explicit
     standalone binding.  The estimate prices from |Δ| — the differential's
-    own cardinality when the statistics mapping carries it under the
-    auxiliary name (explicit per-transaction sizes, or the observed EWMA
-    |Δ| distribution a :class:`~repro.algebra.statistics.RuntimeStatistics`
-    snapshot exposes from committed transactions), else
-    :data:`DEFAULT_DELTA_CARDINALITY` — never from the base relation's |R|.
+    own cardinality when the mapping carries it under the auxiliary name,
+    else :data:`DEFAULT_DELTA_CARDINALITY` — never from the base relation's
+    |R|.
     This is what lets the cost model prefer delta plans over full plans
     without executing either.
     """
@@ -518,7 +502,8 @@ class IndexSelectOp(PhysicalOperator):
     lookup; otherwise the operator degrades to the plain filter path.  NULL
     constants never reach this operator (the planner keeps them in the
     residual: NULL compares unknown, but an index bucket would match it by
-    identity).
+    identity), and neither does a residual that can raise (a bucket would
+    test it on the bucket's rows only, the filter on every row).
     """
 
     op_name = "select"
@@ -568,13 +553,7 @@ class IndexSelectOp(PhysicalOperator):
         return result
 
     def estimate(self, cards=None) -> PlanEstimate:
-        rows = _card(cards, self.name)
-        distinct = _distinct_keys(cards, self.name, tuple(self.attrs))
-        if distinct is not None:
-            # The classic |R| / V(R, a) estimate from observed distinct keys.
-            out = max(1.0, rows / distinct)
-        else:
-            out = max(1.0, rows * EQUALITY_SELECTIVITY)
+        out = max(1.0, _card(cards, self.name) * EQUALITY_SELECTIVITY)
         return PlanEstimate(rows=out, probed=1.0, scanned=out)
 
     def describe(self) -> str:
@@ -682,16 +661,9 @@ class ProjectOp(PhysicalOperator):
 
     def estimate(self, cards=None) -> PlanEstimate:
         child = self.child.estimate(cards)
-        rows = child.rows
-        if isinstance(self.child, ScanOp):
-            # A snapshot carries V(R, attrs) exactly when the index on those
-            # columns is built — when the projection reads its keys.
-            distinct = _distinct_keys(cards, self.child.name, self.plain_attrs)
-            if distinct is not None:
-                rows = distinct
-        est = PlanEstimate(rows=rows)
+        est = PlanEstimate(rows=child.rows)
         est.absorb(child)
-        est.scanned += rows
+        est.scanned += child.rows
         return est
 
     def describe(self) -> str:
@@ -1169,22 +1141,8 @@ class HashJoinOp(_HashKeyedOp):
     def estimate(self, cards=None) -> PlanEstimate:
         left = self.left.estimate(cards)
         right = self.right.estimate(cards)
-        rows = max(left.rows, right.rows)
-        distinct = [
-            _distinct_keys(cards, side.name, keys.attrs)
-            for side, keys in (
-                (self.left, self.left_keys),
-                (self.right, self.right_keys),
-            )
-            if isinstance(side, ScanOp)
-        ]
-        distinct = [value for value in distinct if value is not None]
-        if distinct:
-            # |L ⋈ R| ≈ |L| · |R| / max(V(L, a), V(R, b)) from observed
-            # distinct-key counts (falls back to the containment-free
-            # max(|L|, |R|) guess without statistics).
-            rows = left.rows * right.rows / max(distinct)
-        est = PlanEstimate(rows=max(rows, 1.0))
+        # The textbook max(|L|, |R|) guess.
+        est = PlanEstimate(rows=max(left.rows, right.rows, 1.0))
         est.absorb(left)
         est.absorb(right)
         est.built += right.rows

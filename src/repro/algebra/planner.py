@@ -16,19 +16,19 @@ produced by parsing or by the calculus-to-algebra translation of Section
 * :func:`evaluate` executes the compiled plan — the only evaluation path;
   the reference tree-walk interpreter (``Expression.evaluate``) is what
   the test suite compares it against;
-* :func:`estimate_expression` exposes the planner's cardinality/work
-  estimates — static, or under a :class:`~repro.algebra.statistics.
-  RuntimeStatistics` snapshot of a live database (observed cardinalities
-  and index distinct-key counts) — which the parallel cost model consumes;
 * :func:`index_hints` reports which base-relation hash indexes would
   accelerate a plan (the integrity controller turns these into real indexes
   via :meth:`~repro.core.subsystem.IntegrityController.install_indexes`);
-* :func:`reorder_chains` / :func:`push_selections` /
-  :func:`database_plan` are the schema-aware logical rewrites — greedy
-  cost-based reordering of semijoin/antijoin and equi-join chains under
-  observed statistics, and selections moved below an equi-join onto the
-  input whose columns they read — which :func:`evaluate` applies
-  automatically when the evaluation context exposes a database.
+* :func:`push_selections` / :func:`database_plan` are the one schema-aware
+  logical rewrite — selections moved below an equi-join onto the input
+  whose columns they read — which :func:`evaluate` applies automatically
+  when the evaluation context exposes a database.
+
+A plan depends on the expression and the schema only, never on the data:
+chains run in the order they are written, and no cardinality or
+distinct-key count is read to choose a plan.  The per-operator estimates
+(:meth:`~repro.algebra.physical.PhysicalOperator.estimate`) are read by the
+parallel cost model alone.
 """
 
 from __future__ import annotations
@@ -133,7 +133,9 @@ def _lower(expr: E.Expression) -> X.PhysicalOperator:
         child = _lower(expr.input)
         if isinstance(child, X.ScanOp):
             attrs, values, residual = _const_equalities(expr.predicate)
-            if attrs:
+            # A bucket lookup tests the residual on the bucket's rows only:
+            # one that can raise must see every row, as the reference does.
+            if attrs and not P.can_raise(residual):
                 return X.IndexSelectOp(
                     child.name, attrs, values, residual, expr.predicate
                 )
@@ -230,50 +232,15 @@ def plan_cache_info() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Schema-aware logical rewrites: chain reordering, selection pushdown
+# Schema-aware logical rewrite: selection pushdown
 # ---------------------------------------------------------------------------
 #
-# The planner lowers expression trees as written; these rewrites need the
-# database schema (which input owns which column) and so run where a
-# database is in reach (:func:`database_plan`).  Reordering covers the two
-# chain shapes where order is a pure cost choice:
-#
-# * **semijoin/antijoin chains** ``(A ⋉ B₁) ⊳ B₂ ⋉ …`` — every op filters A,
-#   so any permutation is equivalent (set and bag mode, any predicates);
-#   the greedy order applies the cheapest right side first.
-# * **equi-join chains** ``((I₀ ⋈ I₁) ⋈ I₂) ⋈ …`` — reordered greedily by
-#   estimated intermediate cardinality, under conditions that make the
-#   rewrite exactly result-preserving: I₀ stays the first (probe) input so
-#   the pinned build-over-distinct-rows bag convention yields identical
-#   multiplicities, every predicate column reference is a name that is
-#   unique across all chain inputs (so re-splitting conjuncts across the
-#   new join order cannot capture the wrong column), only *connected*
-#   inputs are joined (never introduces products), and a final projection
-#   restores the original column order.
-#
-# Selection pushdown (:func:`push_selections`) then moves the conjuncts of a
-# selection over an equi-join below it, onto the one input they read.
-#
-# Anything that fails a precondition is left exactly as written.
-
-
-def _plan_rows(expr: E.Expression, statistics) -> float:
-    return get_plan(expr).estimate(statistics).rows
-
-
-def _has_chain(expr: E.Expression) -> bool:
-    """Structurally: is there any reorderable chain anywhere in the tree?"""
-    if isinstance(expr, (E.SemiJoin, E.AntiJoin)) and isinstance(
-        expr.left, (E.SemiJoin, E.AntiJoin)
-    ):
-        return True
-    if isinstance(expr, E.Join) and isinstance(expr.left, E.Join):
-        return True
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, E.Expression) and _has_chain(value):
-            return True
-    return False
+# The planner lowers expression trees as written; this rewrite needs the
+# database schema (which input owns which column) and so runs where a
+# database is in reach (:func:`database_plan`): :func:`push_selections`
+# moves the conjuncts of a selection over an equi-join below it, onto the
+# one input they read.  Anything that fails a precondition is left exactly
+# as written.
 
 
 def _visible_columns(expr: E.Expression, schema) -> Optional[tuple]:
@@ -342,18 +309,6 @@ def _conjuncts(predicate: P.Predicate) -> list:
     return parts
 
 
-def _named_refs(node) -> Optional[list]:
-    """All ColRefs in a predicate/scalar tree, or None when any is
-    positional or the tree contains an unrecognized node kind."""
-    nodes = P.nodes(node)
-    if nodes is None:
-        return None
-    refs = [item for item in nodes if isinstance(item, P.ColRef)]
-    if not all(isinstance(ref.attr, str) for ref in refs):
-        return None
-    return refs
-
-
 def _map_refs(node, rewrite):
     """``node`` with every ColRef replaced by ``rewrite(ref)``."""
     if isinstance(node, P.ColRef):
@@ -371,178 +326,6 @@ def _map_refs(node, rewrite):
     return node
 
 
-def _retag_sides(node, owner_of: dict, right_input: int):
-    """Rewrite every ColRef's side for a new join position: references to
-    ``right_input``'s columns become ``right``, everything else ``left``."""
-    return _map_refs(
-        node,
-        lambda ref: P.ColRef(
-            ref.attr, "right" if owner_of[ref.attr] == right_input else "left"
-        ),
-    )
-
-
-def _reorder_semi_chain(
-    expr: E.Expression, statistics, schema
-) -> E.Expression:
-    """Reorder a semijoin/antijoin chain cheapest-right-side-first."""
-    ops = []
-    node = expr
-    while isinstance(node, (E.SemiJoin, E.AntiJoin)):
-        ops.append((type(node), node.right, node.predicate))
-        node = node.left
-    ops.reverse()
-    base = _reorder(node, statistics, schema)
-    ops = [
-        (ctor, _reorder(right, statistics, schema), predicate)
-        for ctor, right, predicate in ops
-    ]
-    if len(ops) >= 2:
-        order = sorted(
-            range(len(ops)),
-            key=lambda i: (_plan_rows(ops[i][1], statistics), i),
-        )
-    else:
-        order = range(len(ops))
-    for i in order:
-        ctor, right, predicate = ops[i]
-        base = ctor(base, right, predicate)
-    return base
-
-
-def _reorder_join_chain(
-    expr: E.Join, statistics, schema
-) -> Optional[E.Expression]:
-    """Greedy reorder of a left-deep equi-join chain; None when any
-    precondition fails (caller falls back to per-child recursion)."""
-    inputs: list = []
-    predicates: list = []
-    node: E.Expression = expr
-    while isinstance(node, E.Join):
-        predicates.append(node.predicate)
-        inputs.append(node.right)
-        node = node.left
-    inputs.append(node)
-    inputs.reverse()
-    predicates.reverse()
-    if len(inputs) < 3 or schema is None:
-        return None
-    columns = [_visible_columns(item, schema) for item in inputs]
-    if any(cols is None for cols in columns):
-        return None
-    owner_of: dict = {}
-    for index, cols in enumerate(columns):
-        for name in cols:
-            if name in owner_of:
-                return None  # ambiguous name across inputs
-            owner_of[name] = index
-    # Decompose every join predicate into conjuncts tagged with the set of
-    # inputs they reference.
-    conjuncts: list = []  # (predicate, frozenset(input indexes))
-    for position, predicate in enumerate(predicates):
-        right_input = position + 1
-        for conjunct in _conjuncts(predicate):
-            refs = _named_refs(conjunct)
-            if refs is None:
-                return None
-            touched = set()
-            for ref in refs:
-                if ref.side == "right":
-                    owner = owner_of.get(ref.attr)
-                    if owner != right_input:
-                        return None
-                else:
-                    owner = owner_of.get(ref.attr)
-                    if owner is None or owner > position:
-                        return None
-                touched.add(owner)
-            conjuncts.append((conjunct, frozenset(touched)))
-    # Greedy order: I0 stays first (bag multiplicities follow the probe
-    # side); among connected candidates, minimize the estimated joined size
-    # (|L|·|R| / max V over the linking equality keys when a distinct-key
-    # count is observed, the containment max(|L|, |R|) guess otherwise).
-    def _joined_estimate(current: float, j: int, placed: set) -> float:
-        distinct = []
-        for conjunct, touched in conjuncts:
-            if j not in touched or not (touched - {j} <= placed | {j}):
-                continue
-            if not (
-                isinstance(conjunct, P.Comparison)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, P.ColRef)
-                and isinstance(conjunct.right, P.ColRef)
-            ):
-                continue
-            for ref in (conjunct.left, conjunct.right):
-                owner = owner_of[ref.attr]
-                if owner not in placed | {j}:
-                    continue
-                source = inputs[owner]
-                if isinstance(source, E.RelationRef):
-                    value = X._distinct_keys(
-                        statistics, source.name, (ref.attr,)
-                    )
-                    if value:
-                        distinct.append(value)
-        if distinct:
-            return max(current * rows[j] / max(distinct), 1.0)
-        return max(current, rows[j], 1.0)
-
-    rows = [_plan_rows(item, statistics) for item in inputs]
-    placed = {0}
-    order = [0]
-    current = rows[0]
-    remaining = set(range(1, len(inputs)))
-    while remaining:
-        best = None
-        for j in remaining:
-            linked = any(
-                j in touched and (touched - {j}) and (touched - {j}) <= placed
-                for _pred, touched in conjuncts
-            )
-            if not linked:
-                continue
-            estimate = _joined_estimate(current, j, placed)
-            if best is None or estimate < best[0] or (
-                estimate == best[0] and j < best[1]
-            ):
-                best = (estimate, j)
-        if best is None:
-            return None  # disconnected: would introduce a product
-        current, j = best
-        order.append(j)
-        placed.add(j)
-        remaining.discard(j)
-    reordered_inputs = [_reorder(item, statistics, schema) for item in inputs]
-    if order == list(range(len(inputs))):
-        # Identity order: rebuild the spine as written (children may have
-        # been rewritten), no projection needed.
-        node = reordered_inputs[0]
-        for position, predicate in enumerate(predicates):
-            node = E.Join(node, reordered_inputs[position + 1], predicate)
-        return node
-    used = [False] * len(conjuncts)
-    node = reordered_inputs[order[0]]
-    placed = {order[0]}
-    for j in order[1:]:
-        available = placed | {j}
-        parts = []
-        for index, (conjunct, touched) in enumerate(conjuncts):
-            if not used[index] and touched <= available:
-                parts.append(_retag_sides(conjunct, owner_of, j))
-                used[index] = True
-        node = E.Join(node, reordered_inputs[j], P.conjoin(*parts))
-        placed.add(j)
-    if not all(used):  # pragma: no cover — placement covers all by greed
-        return None
-    # Restore the original column order (names are globally unique, so the
-    # projection re-emits each source column under its own name).
-    items = tuple(
-        E.ProjectItem(P.ColRef(name)) for cols in columns for name in cols
-    )
-    return E.Project(node, items)
-
-
 def _rewrite_children(expr: E.Expression, rewrite) -> E.Expression:
     """``expr`` over ``rewrite(child)`` for each child expression — ``expr``
     itself when no child changed."""
@@ -556,35 +339,6 @@ def _rewrite_children(expr: E.Expression, rewrite) -> E.Expression:
     if changes:
         return dataclasses.replace(expr, **changes)
     return expr
-
-
-def _reorder(expr: E.Expression, statistics, schema) -> E.Expression:
-    if isinstance(expr, (E.SemiJoin, E.AntiJoin)):
-        return _reorder_semi_chain(expr, statistics, schema)
-    if isinstance(expr, E.Join) and isinstance(expr.left, E.Join):
-        out = _reorder_join_chain(expr, statistics, schema)
-        if out is not None:
-            return out
-    return _rewrite_children(
-        expr, lambda child: _reorder(child, statistics, schema)
-    )
-
-
-def reorder_chains(
-    expression: E.Expression, statistics, schema=None
-) -> E.Expression:
-    """Greedy cost-based reordering of join/semijoin chains.
-
-    ``statistics`` is anything :meth:`PhysicalOperator.estimate` accepts
-    (a ``{name: cardinality}`` mapping or a
-    :class:`~repro.algebra.statistics.RuntimeStatistics` snapshot, whose
-    distinct-key counts sharpen the pairwise join estimates); ``schema`` is
-    the :class:`~repro.engine.schema.DatabaseSchema` used to resolve
-    column ownership for join-chain rewrites (without it only
-    semijoin/antijoin chains — which need no schema — are reordered).
-    Always returns an expression that evaluates to the same relation.
-    """
-    return _reorder(expression, statistics, schema)
 
 
 def _column_position(ref: P.ColRef, columns: tuple) -> Optional[int]:
@@ -691,22 +445,19 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
 
 # Per-database plans live on the database (``Database.plans``, a
 # :class:`~repro.bounded.BoundedTable` the engine never interprets):
-# {Expression: (RuntimeStatistics snapshot | None, PhysicalOperator)} — the
-# plan of the expression with its chains reordered under the snapshot and
-# its selections pushed under the database's schema.  A ``None`` snapshot
-# marks a chain-free expression: its entry never drifts, and it is the whole
-# cost of evaluating a stored check — one probe, on an expression that
+# {Expression: PhysicalOperator} — the plan of the expression with its
+# selections pushed under the database's schema.  An entry depends on the
+# expression and the schema only, so it never goes stale: serving it is the
+# whole cost of evaluating a stored check — one probe, on an expression that
 # hashes once.  A table is as old as its database: a fork or an unpickled
 # copy starts empty, and nothing outlives the database.
 
 
 def database_plan(expression: E.Expression, database) -> X.PhysicalOperator:
-    """The plan of ``expression`` with chains reordered under the database's
-    observed statistics and selections pushed below equi-joins under its
-    schema (:func:`push_selections`), cached per (database, expression) and
-    recomputed once the statistics drift past
-    :data:`~repro.algebra.statistics.DRIFT_THRESHOLD`.  Both rewrites run
-    only when an entry is (re)computed.
+    """The plan of ``expression`` with selections pushed below equi-joins
+    under the database's schema (:func:`push_selections`), cached per
+    (database, expression).  The rewrite runs only on a miss, and reads
+    nothing of the database but its schema.
 
     Serving an entry counts as a plan-cache hit, like the :func:`get_plan`
     call it stands for; a cache-exempt shape is never filed, and is lowered
@@ -714,25 +465,14 @@ def database_plan(expression: E.Expression, database) -> X.PhysicalOperator:
     """
     global _plan_cache_hits
     plans = database.plans
-    cached = plans.get(expression)
-    if cached is None:
-        if _is_cache_exempt(expression):
-            return _lower(expression)
-    elif cached[0] is None:
+    plan = plans.get(expression)
+    if plan is not None:
         _plan_cache_hits += 1
-        return cached[1]
-    from repro.algebra.statistics import RuntimeStatistics
-
-    stats = RuntimeStatistics.capture(database)
-    if cached is not None and not cached[0].drifted(stats):
-        _plan_cache_hits += 1
-        return cached[1]
-    rewritten, snapshot = expression, None
-    if _has_chain(expression):
-        rewritten = reorder_chains(expression, stats, database.schema)
-        snapshot = stats
-    plan = get_plan(push_selections(rewritten, database.schema))
-    plans.file(expression, (snapshot, plan))
+        return plan
+    if _is_cache_exempt(expression):
+        return _lower(expression)
+    plan = get_plan(push_selections(expression, database.schema))
+    plans.file(expression, plan)
     return plan
 
 
@@ -745,8 +485,7 @@ def evaluate(expression: E.Expression, context) -> Relation:
     """Evaluate ``expression`` by executing its compiled plan.
 
     When the context exposes a database, the plan is :func:`database_plan`'s
-    — chains reordered under its observed statistics, selections pushed
-    below equi-joins under its schema (cached, drift-invalidated); without
+    — selections pushed below equi-joins under its schema (cached); without
     one the expression runs as written.
     """
     database = getattr(context, "database", None)
@@ -874,17 +613,3 @@ def _collect_hints(op: X.PhysicalOperator, hints: set) -> bool:
             hints.add((op.child.name, attrs))
     # Every child is walked, for its hints, whatever the others answered.
     return all([_collect_hints(child, hints) for child in children])
-
-
-def estimate_expression(
-    expression: E.Expression, cardinalities=None
-) -> X.PlanEstimate:
-    """The planner's static estimate for evaluating ``expression``.
-
-    ``cardinalities`` maps relation names to tuple counts (e.g. from
-    :meth:`repro.engine.database.Database.cardinalities`) or is a
-    :class:`~repro.algebra.statistics.RuntimeStatistics` snapshot, whose
-    distinct-key counts additionally sharpen equality/join selectivities;
-    absent names assume :data:`repro.algebra.physical.DEFAULT_CARDINALITY`.
-    """
-    return get_plan(expression).estimate(cardinalities)

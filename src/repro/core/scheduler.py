@@ -84,8 +84,7 @@ DEFAULT_WORKERS = 4
 #: The dispatch arms a scheduler can run audit tasks on.
 EXECUTORS = ("inline", "thread", "process")
 
-#: Smoothing for each rule's settled audit seconds per Δ-row, mirroring
-#: DELTA_EWMA_ALPHA on delta-size observations.
+#: Smoothing for each rule's settled audit seconds per Δ-row.
 AUDIT_EWMA_ALPHA = 0.5
 
 #: A scheduler's retention-hold name on the database's write-ahead log.

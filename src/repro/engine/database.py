@@ -8,7 +8,9 @@ untouched (atomicity, Section 2.2).
 
 The database object itself knows nothing about transactions in progress;
 temporary and auxiliary relations live in the
-:class:`~repro.engine.transaction.TransactionContext` layered on top.
+:class:`~repro.engine.transaction.TransactionContext` layered on top.  Nor
+does it keep statistics about its commits: the plans it caches
+(:attr:`Database.plans`) depend on the expression and the schema only.
 """
 
 from __future__ import annotations
@@ -46,49 +48,6 @@ class Transition:
         return f"Transition(t={self.pre_time} -> t={self.post_time})"
 
 
-#: EWMA weight of the newest observation in :class:`DeltaObservations`.
-DELTA_EWMA_ALPHA = 0.5
-
-
-class DeltaObservations:
-    """Observed net-differential sizes of committed transactions.
-
-    One exponentially-weighted moving average per auxiliary delta name
-    (``"R@plus"`` / ``"R@minus"``), updated on every commit that touches the
-    relation.  The planner's :class:`~repro.algebra.statistics.
-    RuntimeStatistics` exposes these so delta-plan scans are priced from the
-    *observed* |Δ| distribution instead of a fixed default — the write-path
-    counterpart of the cardinality feedback loop.
-    """
-
-    __slots__ = ("sizes", "commits")
-
-    def __init__(self):
-        self.sizes: dict = {}
-        self.commits = 0
-
-    def observe(self, relation: str, plus, minus) -> None:
-        """Record one committed transaction's net delta for ``relation``."""
-        for kind, side in (("plus", plus), ("minus", minus)):
-            size = float(len(side)) if side is not None else 0.0
-            key = f"{relation}@{kind}"
-            old = self.sizes.get(key)
-            if old is None:
-                self.sizes[key] = size
-            else:
-                self.sizes[key] = (
-                    DELTA_EWMA_ALPHA * size + (1.0 - DELTA_EWMA_ALPHA) * old
-                )
-        self.commits += 1
-
-    def expected(self, auxiliary_name: str) -> Optional[float]:
-        """The EWMA |Δ| of ``"R@plus"`` / ``"R@minus"``, or None."""
-        return self.sizes.get(auxiliary_name)
-
-    def __repr__(self) -> str:
-        return f"DeltaObservations({self.commits} commits, {self.sizes})"
-
-
 class Database:
     """A database state: relation instances plus a logical time."""
 
@@ -100,7 +59,6 @@ class Database:
             for relation_schema in schema
         }
         self.logical_time = 0
-        self.delta_stats = DeltaObservations()
         # The commit stream: every applied net delta in order, filed by
         # `apply_deltas`, drained by audit schedulers, read by pins.
         self.commit_log = CommitLog()
@@ -304,8 +262,6 @@ class Database:
                 copied._observer = clone.epochs
                 clone._relations[name] = copied
             clone.logical_time = snapshot.logical_time
-            clone.delta_stats.sizes = dict(self.delta_stats.sizes)
-            clone.delta_stats.commits = self.delta_stats.commits
             return clone
         finally:
             if own:
@@ -329,9 +285,8 @@ class Database:
         snapshot restore apply their deltas through this same method.
 
         The batch is filed once in :attr:`commit_log`.  A recorded batch is
-        a commit: it takes the next sequence number, its delta sizes feed
-        :attr:`delta_stats` (the planner's delta-scan pricing) and it goes
-        to the write-ahead log.  An unrecorded one (snapshot restore, a
+        a commit: it takes the next sequence number and it goes to the
+        write-ahead log.  An unrecorded one (snapshot restore, a
         replica's apply) is none of these.
         """
         pre_time = self.logical_time
@@ -344,8 +299,6 @@ class Database:
                     relation.delete_counts(minus._rows)
                 if plus:
                     relation.insert_counts(plus._rows)
-                if record:
-                    self.delta_stats.observe(name, plus, minus)
             if advance_time:
                 self.logical_time += 1
             committed = self.commit_log.append(
@@ -462,8 +415,7 @@ class Database:
         ``differentials`` optionally maps a replaced name to its net
         ``(plus, minus)`` relations; when given, hash indexes built on the
         replaced relation are migrated to its successor incrementally
-        (O(|delta|)) instead of being discarded, and the observed delta
-        sizes are recorded into :attr:`delta_stats`.
+        (O(|delta|)) instead of being discarded.
         """
         from repro.engine.indexes import migrate_indexes
 
@@ -479,7 +431,6 @@ class Database:
                 delta = differentials.get(name) if differentials else None
                 if delta is not None:
                     migrate_indexes(old, relation, plus=delta[0], minus=delta[1])
-                    self.delta_stats.observe(name, delta[0], delta[1])
                 else:
                     migrate_indexes(old, relation)
                 old._observer = None
@@ -515,7 +466,7 @@ class Database:
         indexes = self.relation(relation_name).indexes
         return indexes.specs() if indexes is not None else ()
 
-    # -- statistics ---------------------------------------------------------------
+    # -- sizes --------------------------------------------------------------------
 
     def cardinalities(self) -> dict:
         """name -> tuple count, for all base relations."""

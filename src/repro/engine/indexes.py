@@ -252,10 +252,6 @@ class HashIndex:
         """
         return self.buckets.keys()
 
-    @property
-    def distinct_keys(self) -> int:
-        return len(self.buckets)
-
     def __repr__(self) -> str:
         state = "built" if self.built else "declared"
         return (

@@ -480,10 +480,6 @@ class OverlayIndex:
         """The distinct keys of the corrected index, as a collection."""
         return self.buckets.keys()
 
-    @property
-    def distinct_keys(self) -> int:
-        return len(self.buckets)
-
     def __repr__(self) -> str:
         return (
             f"OverlayIndex(positions={self.positions}, "

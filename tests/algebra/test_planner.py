@@ -9,8 +9,12 @@ from repro.algebra import physical as X
 from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext, TracingContext, evaluate_expression
+from repro.algebra.parser import parse_expression
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
-from repro.engine.types import INT
+from repro.engine.schema import Attribute
+from repro.engine.session import DatabaseView
+from repro.engine.types import INT, NULL
+from repro.errors import EvaluationError
 from tests.support.modes import plan_operators
 
 
@@ -277,7 +281,7 @@ class TestPlanCache:
 
 class TestEstimates:
     def test_scan_uses_cardinalities(self):
-        est = planner.estimate_expression(REFERENTIAL, {"fk": 100_000, "pk": 1000})
+        est = planner.get_plan(REFERENTIAL).estimate({"fk": 100_000, "pk": 1000})
         assert est.built == 1000
         assert est.probed == 100_000
 
@@ -288,13 +292,13 @@ class TestEstimates:
         def seconds(cards, stats=NodeStats()):
             # What the parallel enforcer charges one node: the plan's
             # estimate over that node's fragments, at the model's rates.
-            est = planner.estimate_expression(REFERENTIAL, cards)
+            est = planner.get_plan(REFERENTIAL).estimate(cards)
             return MODERN_2026.weighted_node_time(
                 stats, scanned=est.scanned, built=est.built, probed=est.probed
             )
 
         cards = {"fk": 100_000, "pk": 1000}
-        est = planner.estimate_expression(REFERENTIAL, cards)
+        est = planner.get_plan(REFERENTIAL).estimate(cards)
         whole = seconds(cards)
         assert whole == pytest.approx(
             est.scanned * MODERN_2026.scan_per_tuple
@@ -318,9 +322,9 @@ class TestEstimates:
 
         cards = {"fk": 100_000, "pk": 1000}
         delta = delta_expression(REFERENTIAL, [("INS", "fk")])
-        full = planner.estimate_expression(REFERENTIAL, cards)
-        delta_estimate = planner.estimate_expression(
-            delta, {**cards, "fk@plus": 100}
+        full = planner.get_plan(REFERENTIAL).estimate(cards)
+        delta_estimate = planner.get_plan(delta).estimate(
+            {**cards, "fk@plus": 100}
         )
         # 100 probes against the same 1000-row build side vs 100k probes:
         # the choice is not close.
@@ -331,9 +335,47 @@ class TestEstimates:
         from repro.algebra.physical import DEFAULT_DELTA_CARDINALITY
 
         delta = delta_expression(REFERENTIAL, [("INS", "fk")])
-        est = planner.estimate_expression(delta, {"fk": 100_000, "pk": 1000})
+        est = planner.get_plan(delta).estimate({"fk": 100_000, "pk": 1000})
         assert est.probed == DEFAULT_DELTA_CARDINALITY
         assert est.built == 1000
+
+    def test_estimating_never_writes_to_the_shared_plan(self):
+        """Estimating is read-only on plans shared through the plan cache.
+
+        An estimate runs on whichever thread asks against the one plan
+        object every executor shares.  Cardinalities changing between two
+        estimates — a 3-row relation growing 400-fold under a
+        select/project chain — must leave that object, every operator's
+        attributes, its ``explain()`` and its results as compiled.
+        """
+        database = Database(
+            DatabaseSchema([RelationSchema("r", [("a", INT), ("b", INT)])])
+        )
+        database.load("r", [(i % 20, i) for i in range(3)])
+        expression = E.Project(
+            E.Select(
+                E.RelationRef("r"), P.Comparison(">", P.ColRef("b"), P.Const(0))
+            ),
+            (E.ProjectItem(P.ColRef("b")),),
+        )
+        plan = planner.get_plan(expression)
+        explained = planner.explain(expression)
+        compiled_state = _operator_state(plan)
+        assert explained.startswith("project[")
+        view = DatabaseView(database)
+
+        first = plan.estimate(database.cardinalities())
+        assert _operator_state(plan) == compiled_state
+        assert plan.execute(view) == expression.evaluate(view)
+
+        database.load("r", [(0, i) for i in range(10, 1210)])
+        second = plan.estimate(database.cardinalities())
+        assert second.rows > first.rows
+        assert planner.get_plan(expression) is plan
+        assert planner.explain(expression) == explained
+        assert _operator_state(plan) == compiled_state
+        result = plan.execute(view)
+        assert result == expression.evaluate(view) and len(result) == 1202
 
     def test_index_hints_cover_both_antijoin_sides(self):
         hints = planner.index_hints(REFERENTIAL)
@@ -435,12 +477,136 @@ class TestProjectionHints:
         )
         assert planner.index_hints(shrunk) == {("fk", ("ref",))}
 
-    def test_estimate_is_the_distinct_count_when_the_snapshot_has_one(self, db):
-        from repro.algebra.statistics import RuntimeStatistics
 
-        expr = _project(E.RelationRef("fk"), "ref")
-        before = planner.get_plan(expr).estimate(RuntimeStatistics.capture(db))
-        assert before.rows == 30 and before.scanned == 30
-        db.create_index("fk", ["ref"])
-        after = planner.get_plan(expr).estimate(RuntimeStatistics.capture(db))
-        assert after.rows == 12 and after.scanned == 12
+def _operator_state(plan) -> dict:
+    """``{id(op): its attribute dict}`` for every operator under ``plan``."""
+    return {id(op): dict(vars(op)) for op in plan_operators(plan)}
+
+
+def _outcome(evaluate) -> tuple:
+    """What an evaluation gives: its rows, or the type of its error."""
+    try:
+        return ("rows", evaluate().sorted_rows())
+    except EvaluationError as error:
+        return ("error", type(error))
+
+
+class TestIndexSelectResidual:
+    """A residual that can raise is tested on every row, index or not.
+
+    A bucket lookup would test it on the bucket's rows only, so whether
+    the query raised would depend on whether an index happened to be
+    built when it ran.
+    """
+
+    CASES = [
+        ("select(r, a = 1 and 6 / c > 1)", [(NULL, 0), (1, 2)]),
+        ("select(r, 6 / c > 1 and a = 1)", [(2, 0), (1, 2)]),
+        ("select(r, 6 / c > 1 and a = 1)", [(NULL, 0), (1, 2)]),
+    ]
+
+    @staticmethod
+    def _database(rows, index: str) -> Database:
+        database = Database(
+            DatabaseSchema(
+                [
+                    RelationSchema(
+                        "r",
+                        [Attribute("a", INT, nullable=True), Attribute("c", INT)],
+                    )
+                ]
+            )
+        )
+        database.load("r", rows)
+        relation = database.relation("r")
+        if index == "declared":
+            relation.declare_index((0,))
+        elif index == "built":
+            relation.index_on((0,))
+        return database
+
+    @pytest.mark.parametrize("index", ["none", "declared", "built"])
+    @pytest.mark.parametrize("text, rows", CASES)
+    def test_plan_matches_the_reference(self, text, rows, index):
+        expression = parse_expression(text)
+        reference_view = DatabaseView(self._database(rows, index))
+        reference = _outcome(lambda: expression.evaluate(reference_view))
+        assert reference[0] == "error"
+        view = DatabaseView(self._database(rows, index))
+        assert _outcome(lambda: planner.evaluate(expression, view)) == reference
+
+    def test_a_residual_that_can_raise_lowers_to_a_filter(self):
+        expression = parse_expression("select(r, a = 1 and 6 / c > 1)")
+        assert isinstance(planner.compile_expression(expression), X.FilterOp)
+        total = parse_expression("select(r, a = 1 and c > 1)")
+        assert isinstance(planner.compile_expression(total), X.IndexSelectOp)
+
+
+class TestPlansAsWritten:
+    """A plan depends on the expression and the schema, never the data."""
+
+    JOIN_CHAIN = E.Join(
+        E.Join(
+            E.RelationRef("r"),
+            E.RelationRef("s"),
+            P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
+        ),
+        E.RelationRef("t"),
+        P.Comparison("=", P.ColRef("b", "left"), P.ColRef("e", "right")),
+    )
+    SEMI_CHAIN = E.AntiJoin(
+        E.SemiJoin(
+            E.RelationRef("r"),
+            E.RelationRef("s"),
+            P.Comparison("=", P.ColRef("a", "left"), P.ColRef("c", "right")),
+        ),
+        E.RelationRef("t"),
+        P.Comparison("=", P.ColRef("b", "left"), P.ColRef("e", "right")),
+    )
+
+    @staticmethod
+    def _database(size: int) -> Database:
+        database = Database(
+            DatabaseSchema(
+                [
+                    RelationSchema("r", [("a", INT), ("b", INT)]),
+                    RelationSchema("s", [("c", INT), ("d", INT)]),
+                    RelationSchema("t", [("e", INT), ("f", INT)]),
+                ]
+            )
+        )
+        # Two large relations joined first, the small selective one last:
+        # the shape a cost-based reorder would rewrite.
+        database.load("r", [(i % 500, i) for i in range(size // 2)])
+        database.load("s", [(i % 500, i) for i in range(size)])
+        database.load("t", [(i, i) for i in range(size // 500)])
+        return database
+
+    @pytest.mark.parametrize("chain", ["join", "semi"])
+    def test_a_big_and_an_empty_database_share_one_plan(self, chain):
+        expression = self.JOIN_CHAIN if chain == "join" else self.SEMI_CHAIN
+        big = self._database(10_000)
+        empty = self._database(0)
+        assert len(empty.relation("s")) == 0
+        plan = planner.database_plan(expression, big)
+        assert planner.database_plan(expression, empty) is plan
+        assert plan is planner.get_plan(expression)
+        listing = plan.explain()
+        assert listing.index("scan(s)") < listing.index("scan(t)")
+        view = DatabaseView(big)
+        assert plan.execute(view) == expression.evaluate(view)
+
+    @pytest.mark.parametrize("chain", ["join", "semi"])
+    def test_a_miss_reads_no_relation_size(self, chain, monkeypatch):
+        expression = self.JOIN_CHAIN if chain == "join" else self.SEMI_CHAIN
+        database = self._database(1_000)
+        planner.clear_plan_cache()
+
+        def refuse(self):
+            raise AssertionError("planning read a relation's size")
+
+        monkeypatch.setattr(Relation, "__len__", refuse)
+        plan = planner.database_plan(expression, database)
+        monkeypatch.undo()
+        assert list(database.plans) == [expression]
+        assert database.plans[expression] is plan

@@ -241,8 +241,6 @@ def apply_deltas(database, differentials, advance_time=True, record=True):
                     insert(relation, row, _validated=True)
                     for _ in range(count - 1):
                         insert(relation, row, _validated=True)
-            if record:
-                database.delta_stats.observe(name, plus, minus)
         if advance_time:
             database.logical_time += 1
         committed = database.commit_log.append(

@@ -47,7 +47,7 @@ class TestHashIndex:
         assert index.lookup(1) == ((1, "b"),)
         index.remove((1, "b"))
         assert 1 not in index
-        assert index.distinct_keys == 0
+        assert len(index.keys()) == 0
 
     def test_build_publishes_the_buckets_whole(self):
         # A pinned reader may build a live index while other readers probe

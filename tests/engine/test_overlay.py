@@ -225,17 +225,6 @@ class TestApplyDeltas:
         assert relation.multiplicity((1, 1)) == 1
         assert relation.multiplicity((2, 2)) == 2
 
-    def test_delta_observations_record_commit_sizes(self):
-        database = Database(_schema())
-        database.load("r", [(i, 0) for i in range(5)])
-        context = TransactionContext(database)
-        context.insert_rows("r", [(10, 1), (11, 1)])
-        context.delete_rows("r", [(0, 0)])
-        context.commit()
-        assert database.delta_stats.expected("r@plus") == 2.0
-        assert database.delta_stats.expected("r@minus") == 1.0
-        assert database.delta_stats.expected("s@plus") is None
-
 
 def test_an_indexed_transaction_leaves_nothing_for_the_cyclic_collector(tmp_path):
     """An overlay keeps the index views it hands out; a view holds the

@@ -458,7 +458,10 @@ def test_a_lost_race_reruns_and_a_lost_budget_falls_back_to_one_pin(
 def test_an_error_under_a_held_stamp_is_raised_once_not_rerun(counted):
     database = star_database()
     session = Session(database)
-    text = "select(orders, customer = 2 and amount / (amount - 7) > 0)"
+    # Probe-only: the division is above the point selection.  (A division
+    # in the selection's own residual lowers to a full filter instead.)
+    text = "project(select(orders, customer = 2), [amount / (amount - 7) as r])"
+    assert database_plan(parse_expression(text), database).probes is not None
     tally = counted(database)
     pins = database.epochs.pins_taken
     with pytest.raises(EvaluationError, match="division by zero"):
@@ -471,7 +474,7 @@ def test_a_one_shot_read_leaves_nothing_for_the_cyclic_collector():
     session = Session(database)
     long_lived = database.epochs.pin()
     commit_orders(database, 50)
-    failing = "select(orders, customer = 2 and 1 / (amount - 7) > 0)"
+    failing = "project(select(orders, customer = 2), [1 / (amount - 7) as r])"
 
     def reads():
         session.query(POINT.format(MANY_ORDERS), pinned=True)

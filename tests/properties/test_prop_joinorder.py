@@ -1,12 +1,11 @@
-"""Property: cost-based chain reordering never changes results.
+"""Property: join and semijoin chains run as written, and match the reference.
 
 For random join and semijoin/antijoin chains over a three-relation schema,
-the expression :func:`repro.algebra.planner.reorder_chains` produces must
-evaluate to exactly the same relation (contents *and* column order) as the
-original, in set and bag mode, with and without hash indexes, under both
-backends.  The planned backend applies reordering automatically whenever
-the evaluation context exposes a database, so the plain planned-vs-naive
-comparison exercises the integrated path too.
+the plan a database serves (:func:`repro.algebra.planner.database_plan`)
+must evaluate to exactly the same relation (contents *and* column order)
+as the reference interpreter, in set and bag mode, with and without hash
+indexes — and it must be the plan of the chain in its written order,
+whatever the relations hold.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 from repro.algebra import expressions as E
 from repro.algebra import planner
 from repro.algebra import predicates as P
-from repro.algebra.statistics import RuntimeStatistics
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.session import DatabaseView
 from repro.engine.types import INT
@@ -31,8 +29,8 @@ _SETTINGS = settings(
 VALUES = st.integers(min_value=0, max_value=4)
 ROWS = st.lists(st.tuples(VALUES, VALUES), max_size=10)
 
-#: attribute names per relation — globally unique, as the join-chain
-#: rewrite requires (it bails out otherwise, which is also correct).
+#: attribute names per relation — globally unique, so chain predicates
+#: may name any column of any input.
 ATTRS = {"r": ("a", "b"), "s": ("c", "d"), "t": ("e", "f")}
 
 
@@ -104,26 +102,20 @@ def semi_chains(draw) -> E.Expression:
     return node
 
 
-def _assert_reorder_preserves(expression, database):
+def _assert_runs_as_written(expression, database):
     view = DatabaseView(database)
-    stats = RuntimeStatistics.capture(database)
-    reordered = planner.reorder_chains(
-        expression, stats, database.schema
+    plan = planner.database_plan(expression, database)
+    assert plan is planner.get_plan(
+        planner.push_selections(expression, database.schema)
     )
     baseline = expression.evaluate(view)
-    for candidate in (
-        reordered.evaluate(view),  # naive backend on the rewritten tree
-        planner.evaluate(expression, view),  # integrated
-        planner.get_plan(reordered).execute(view),
-    ):
-        assert candidate == baseline, (
-            f"reordering changed the result\n  original:  {expression}\n"
-            f"  reordered: {reordered}\n"
-            f"  baseline:  {baseline.sorted_rows()}\n"
-            f"  candidate: {candidate.sorted_rows()}"
-        )
-    # Column order is part of the contract (the restoring projection).
-    assert [a.name for a in reordered.evaluate(view).schema.attributes] == [
+    candidate = plan.execute(view)
+    assert candidate == baseline, (
+        f"the plan changed the result\n  expression: {expression}\n"
+        f"  baseline:  {baseline.sorted_rows()}\n"
+        f"  candidate: {candidate.sorted_rows()}"
+    )
+    assert [a.name for a in candidate.schema.attributes] == [
         a.name for a in baseline.schema.attributes
     ]
 
@@ -137,11 +129,11 @@ def _assert_reorder_preserves(expression, database):
     indexed=st.booleans(),
 )
 @_SETTINGS
-def test_join_chain_reordering_preserves_results(
+def test_join_chain_plans_match_the_reference(
     rows_r, rows_s, rows_t, chain, bag, indexed
 ):
     database = _database(rows_r, rows_s, rows_t, bag, indexed)
-    _assert_reorder_preserves(chain, database)
+    _assert_runs_as_written(chain, database)
 
 
 @given(
@@ -153,16 +145,16 @@ def test_join_chain_reordering_preserves_results(
     indexed=st.booleans(),
 )
 @_SETTINGS
-def test_semi_chain_reordering_preserves_results(
+def test_semi_chain_plans_match_the_reference(
     rows_r, rows_s, rows_t, chain, bag, indexed
 ):
     database = _database(rows_r, rows_s, rows_t, bag, indexed)
-    _assert_reorder_preserves(chain, database)
+    _assert_runs_as_written(chain, database)
 
 
-def test_reordering_prefers_the_small_build_side():
-    """Deterministic sanity check: a star chain joins the tiny relation
-    first, and the rewrite reports its decision through the plan shape."""
+def test_a_chain_runs_in_its_written_order():
+    """A star chain written large-first is planned large-first: the plan
+    is the expression's, however small the last relation is."""
     database = _database(
         [(i % 5, i % 3) for i in range(40)],
         [(i % 5, i % 7) for i in range(200)],
@@ -178,18 +170,13 @@ def test_reordering_prefers_the_small_build_side():
         E.RelationRef("t"),
         eq("b", "e"),
     )
-    stats = RuntimeStatistics.capture(database)
-    reordered = planner.reorder_chains(chain, stats, database.schema)
-    listing = planner.get_plan(reordered).explain()
-    # t (3 tuples) is joined before s (200 tuples).
-    assert listing.index("scan(t)") < listing.index("scan(s)")
+    listing = planner.database_plan(chain, database).explain()
+    assert listing.index("scan(s)") < listing.index("scan(t)")
     view = DatabaseView(database)
-    assert reordered.evaluate(view) == chain.evaluate(view)
+    assert planner.evaluate(chain, view) == chain.evaluate(view)
 
 
-def test_positional_predicates_disable_join_reordering_only():
-    """Positional column references make name-based re-splitting unsound
-    for join chains (the rewrite must bail) but are fine in semi chains."""
+def test_positional_chains_match_the_reference():
     database = _database([(1, 2)], [(1, 3)], [(2, 4)], False, False)
     join_chain = E.Join(
         E.Join(
@@ -200,11 +187,6 @@ def test_positional_predicates_disable_join_reordering_only():
         E.RelationRef("t"),
         P.Comparison("=", P.ColRef(2, "left"), P.ColRef(1, "right")),
     )
-    stats = RuntimeStatistics.capture(database)
-    assert (
-        planner.reorder_chains(join_chain, stats, database.schema)
-        == join_chain
-    )
     semi_chain = E.SemiJoin(
         E.SemiJoin(
             E.RelationRef("r"),
@@ -214,6 +196,5 @@ def test_positional_predicates_disable_join_reordering_only():
         E.RelationRef("t"),
         P.Comparison("=", P.ColRef(2, "left"), P.ColRef(1, "right")),
     )
-    view = DatabaseView(database)
-    reordered = planner.reorder_chains(semi_chain, stats, database.schema)
-    assert reordered.evaluate(view) == semi_chain.evaluate(view)
+    for chain in (join_chain, semi_chain):
+        _assert_runs_as_written(chain, database)

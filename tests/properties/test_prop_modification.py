@@ -214,14 +214,18 @@ def test_a_plan_table_starts_empty_in_a_fork_and_in_an_unpickled_copy():
     expression = parse_expression("semijoin(r, s, left.a = right.c)")
     plan = planner.database_plan(expression, db)
     assert list(db.plans) == [expression]
+    assert db.plans[expression] is plan
     text = "select(r, a = 1)"
     rows = Session(db).rows(text)
     parsed = db.query_texts[text]
     for other in (db.fork(), pickle.loads(pickle.dumps(db))):
         assert other.plans == {}
         assert other.query_texts == {}
-        assert planner.database_plan(expression, other) is plan  # chain-free
+        # A plan is the expression's and the schema's: the copy serves the
+        # same object from its own table.
+        assert planner.database_plan(expression, other) is plan
         assert list(other.plans) == [expression]
+        assert other.plans[expression] is plan
         assert Session(other).rows(text) == rows
         assert list(other.query_texts) == [text]
         assert other.query_texts[text] is not parsed  # parsed afresh

@@ -2,7 +2,7 @@
 
 Production has one execution path: ``planner.evaluate`` runs the cached
 plan — under a context that exposes a database, the plan of the expression
-after the schema-aware rewrites (chain reordering, selection pushdown) —
+after the schema-aware rewrite (selection pushdown) —
 and every operator runs its one whole-column kernel.  The oracle is
 ``Expression.evaluate``, the row-at-a-time tree walk.
 """

@@ -198,6 +198,26 @@ CASES = [
             ),
         ],
     ),
+    # Plans run as written (a plan depends on the expression and the schema,
+    # never on the data: no chain reordering, no runtime statistics, no
+    # per-commit delta sizes; only the parallel cost model reads estimates).
+    (
+        "plans-as-written",
+        [
+            (
+                ["-rnE", "reorder_chains|RuntimeStatistics|DeltaObservations|delta_stats|DRIFT_THRESHOLD|_distinct_keys|estimate_expression", "src/"],
+                None,
+                "cost-based reordering, runtime statistics or the delta-size "
+                "EWMA is back in src/",
+            ),
+            (
+                ["-rnF", "--exclude-dir=parallel", ".estimate(", "src/"],
+                "src/repro/algebra/physical.py:",
+                "a plan estimate is read outside algebra/physical.py and "
+                "repro.parallel",
+            ),
+        ],
+    ),
 ]
 
 
