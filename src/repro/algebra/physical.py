@@ -127,6 +127,14 @@ class PhysicalOperator:
     def execute(self, context) -> Relation:
         raise NotImplementedError
 
+    def execute_nonempty(self, context) -> Optional[Relation]:
+        """``execute(context)`` when the result has a row, else None: the
+        question an ``alarm`` asks of its expression (Def 5.1).  The
+        selection and the hash semi/antijoins answer it without building a
+        result relation when there is none."""
+        result = self.execute(context)
+        return result if len(result) else None
+
     def estimate(self, cards=None) -> PlanEstimate:
         raise NotImplementedError
 
@@ -350,14 +358,40 @@ class _PredicateCache:
         return kernel
 
 
-def _mask_select(source: Relation, pred: _PredicateCache) -> Relation:
-    """``σ[pred](source)`` through the predicate's mask kernel."""
+def _mask_rows(
+    source: Relation, pred: _PredicateCache, nonempty: bool = False
+) -> Optional[dict]:
+    """The ``{row: count}`` dict of ``σ[pred](source)``, through the
+    predicate's mask kernel.  With ``nonempty``, None in place of an empty
+    one: the whole mask is computed (every row's errors raise as they
+    would) and tested with ``any``, and no dict is built for it."""
     src_rows = source._rows
     mask = pred.bind_kernel(source.schema)(list(src_rows))
-    result = Relation(source.schema, bag=source.bag)
+    if nonempty and not any(mask):
+        return None
     # compress keeps truthy mask entries — exactly the ``is True`` rule of
     # three-valued logic (False and None both drop).
-    result._rows = dict(compress(src_rows.items(), mask))
+    return dict(compress(src_rows.items(), mask))
+
+
+def _mask_select(source: Relation, pred: _PredicateCache) -> Relation:
+    """``σ[pred](source)`` through the predicate's mask kernel."""
+    result = Relation(source.schema, bag=source.bag)
+    result._rows = _mask_rows(source, pred)
+    return result
+
+
+def _if_any(context, op: str, inputs: tuple, rows) -> Optional[Relation]:
+    """``rows`` (a ``{row: count}`` dict, or None for none) as a result
+    relation shaped like the first input — or None, with no relation
+    built, when there are none.  Traced either way."""
+    if not rows:
+        _trace_sizes(context, op, inputs, ())
+        return None
+    first = inputs[0]
+    result = Relation(first.schema, bag=first.bag)
+    result._rows = rows
+    _trace_sizes(context, op, inputs, result)
     return result
 
 
@@ -481,6 +515,11 @@ class FilterOp(PhysicalOperator):
         result = _mask_select(source, self._pred)
         _trace_sizes(context, "select", (source,), result)
         return result
+
+    def execute_nonempty(self, context) -> Optional[Relation]:
+        source = self.child.execute(context)
+        rows = _mask_rows(source, self._pred, nonempty=True)
+        return _if_any(context, "select", (source,), rows)
 
     def estimate(self, cards=None) -> PlanEstimate:
         child = self.child.estimate(cards)
@@ -1225,26 +1264,27 @@ class HashSemiJoinOp(_HashKeyedOp):
     op_name = "semijoin"
     keep_matching = True
 
-    def _probe_dict(self, left: Relation, right: Relation) -> dict:
+    def _probe_dict(
+        self, left: Relation, right: Relation, nonempty: bool = False
+    ) -> Optional[dict]:
         """The selected ``{row: count}`` dict: regime selection and every
         index interaction (builds, build touches, probe touches) happens
-        here."""
+        here.  With ``nonempty``, None in place of an empty one: each
+        regime's whole keep-mask is computed (every residual error raises
+        as it would) and tested with ``any``, and no dict is built for
+        it."""
         keep = self.keep_matching
         left_key, positions, right_bound, residual = self._bind(
             left.schema, right.schema
         )
+        src_rows = left._rows
         if residual is not None:
             buckets = _hash_buckets(right, right_bound, need_rows=True)
-            src_rows = left._rows
             if isinstance(buckets, _DeltaBuckets):
                 buckets = buckets.probe(set(map(left_key, src_rows)))
             get_bucket = buckets.get
-            return {
-                lrow: count
-                for (lrow, count), key in zip(
-                    src_rows.items(), map(left_key, src_rows)
-                )
-                if (
+            mask = [
+                (
                     not _key_has_null(key)
                     and any(
                         residual(lrow, rrow) is True
@@ -1252,37 +1292,44 @@ class HashSemiJoinOp(_HashKeyedOp):
                     )
                 )
                 is keep
-            }
-        right_keys = _hash_buckets(right, right_bound, need_rows=False)
-        # A declared left index is built here: without it the probe is one
-        # key computation + membership test per distinct left row.
-        left_index = None if positions is None else left.amortized_index(positions)
-        if left_index is not None:
-            # Distinct-key probing: one membership test per key, whole
-            # buckets emitted.  This is what makes repeated referential
-            # checks over a large indexed relation near-instant.
-            left_index.touch("probe")
-            left_buckets = left_index.buckets
-            if isinstance(right_keys, _DeltaBuckets):
-                right_keys = right_keys.probe(set(left_buckets))
-            return _present_counts(
-                left,
-                [
+                for lrow, key in zip(src_rows, map(left_key, src_rows))
+            ]
+        else:
+            right_keys = _hash_buckets(right, right_bound, need_rows=False)
+            # A declared left index is built here: without it the probe is
+            # one key computation + membership test per distinct left row.
+            left_index = (
+                None if positions is None else left.amortized_index(positions)
+            )
+            if left_index is not None:
+                # Distinct-key probing: one membership test per key, whole
+                # buckets emitted.  This is what makes repeated referential
+                # checks over a large indexed relation near-instant.
+                left_index.touch("probe")
+                left_buckets = left_index.buckets
+                if isinstance(right_keys, _DeltaBuckets):
+                    right_keys = right_keys.probe(set(left_buckets))
+                rows = [
                     row
                     for key, bucket in left_buckets.items()
                     if (key in right_keys) == keep
                     for row in bucket
-                ],
-            )
-        src_rows = left._rows
-        if isinstance(right_keys, _DeltaBuckets):
-            right_keys = right_keys.probe(set(map(left_key, src_rows)))
-        # Key extraction, membership, and the dict fill all run as chained
-        # C iterators (map/compress); NULL keys match by identity, like the
-        # reference interpreter's hash membership.
-        mask = map(right_keys.__contains__, map(left_key, src_rows))
-        if not keep:
-            mask = map(_not, mask)
+                ]
+                if nonempty and not rows:
+                    return None
+                return _present_counts(left, rows)
+            if isinstance(right_keys, _DeltaBuckets):
+                right_keys = right_keys.probe(set(map(left_key, src_rows)))
+            # Key extraction, membership, and the dict fill all run as
+            # chained C iterators (map/compress); NULL keys match by
+            # identity, like the reference interpreter's hash membership.
+            mask = map(right_keys.__contains__, map(left_key, src_rows))
+            if not keep:
+                mask = map(_not, mask)
+            if nonempty:
+                mask = list(mask)
+        if nonempty and not any(mask):
+            return None
         return dict(compress(src_rows.items(), mask))
 
     def execute(self, context) -> Relation:
@@ -1292,6 +1339,14 @@ class HashSemiJoinOp(_HashKeyedOp):
         result._rows = self._probe_dict(left, right)
         _trace_sizes(context, self.op_name, (left, right), result)
         return result
+
+    def execute_nonempty(self, context) -> Optional[Relation]:
+        # The regime selection and every index interaction are _probe_dict's,
+        # as for execute: an empty selection is only tested, never built.
+        left = self.left.execute(context)
+        right = self.right.execute(context)
+        rows = self._probe_dict(left, right, nonempty=True)
+        return _if_any(context, self.op_name, (left, right), rows)
 
     def estimate(self, cards=None) -> PlanEstimate:
         left = self.left.estimate(cards)

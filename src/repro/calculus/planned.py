@@ -78,9 +78,10 @@ class _PlanLeaf(_Node):
         self.expr = expr
 
     def satisfied(self, resolver) -> bool:
-        from repro.algebra import planner
+        from repro.algebra.planner import context_plan
 
-        return len(planner.evaluate(self.expr, resolver)) == 0
+        # Evaluated as the alarm it is: asked only whether it fires.
+        return context_plan(self.expr, resolver).execute_nonempty(resolver) is None
 
 
 class _NaiveLeaf(_Node):

@@ -34,7 +34,6 @@ import weakref
 from typing import Dict, List, Optional, Union
 
 from repro.algebra import planner
-from repro.algebra.evaluation import evaluate_expression
 from repro.algebra.parser import parse_program
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Assign
@@ -298,9 +297,10 @@ class IntegrityController:
     def _program_outcome(program: Program, view: DatabaseView) -> tuple:
         """Run an auditable program against a scratch context.
 
-        Returns ``(violated, violating_sample)``: alarm statements evaluate
-        their violation expression (collecting a deterministic sample of
-        the violating tuples), assignments bind scratch temporaries, and
+        Returns ``(violated, violating_sample)``: alarm statements are
+        evaluated as a transaction evaluates them (``Alarm.violations``,
+        collecting a deterministic sample of the violating tuples of the
+        one that fires), assignments bind scratch temporaries, and
         direct constraint checks contribute a verdict without tuples.  The
         first violating statement decides — the same short-circuit the
         abort-signal execution path takes.
@@ -308,9 +308,9 @@ class IntegrityController:
         context = _AuditContext(view)
         for statement in program:
             if isinstance(statement, Alarm):
-                result = evaluate_expression(statement.expr, context)
-                if len(result) > 0:
-                    return True, tuple(result.sorted_rows()[:AUDIT_SAMPLE])
+                rows = statement.violations(context)
+                if rows is not None:
+                    return True, tuple(rows.sorted_rows()[:AUDIT_SAMPLE])
             else:
                 try:
                     statement.execute(context)

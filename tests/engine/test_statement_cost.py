@@ -13,6 +13,9 @@ These tests pin that down in counts a slow machine cannot move
   name, however many statements read it;
 * ``insert(R, (…))`` / ``delete(R, (…))`` build no ``LiteralOp`` and no
   intermediate ``Relation``;
+* the checks ModT appends run as one pass that builds no ``Relation``
+  while they hold, and exactly one — the violating rows, for the reason
+  text — when one fires;
 * and the plan cache's hit/miss counters move exactly as they did before
   any of this: one hit per planned evaluation, literals and bare leaves
   exempt, no miss once warm.
@@ -199,26 +202,27 @@ class TestNameResolution:
         context.rollback()
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts ``LiteralOp`` and ``Relation`` constructions once armed."""
+    tally = {"LiteralOp": 0, "Relation": 0, "armed": False}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            if tally["armed"]:
+                tally[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    counting(physical.LiteralOp, "LiteralOp")
+    counting(Relation, "Relation")
+    return tally
+
+
 class TestLiteralIsData:
-    @pytest.fixture
-    def constructions(self, monkeypatch):
-        """Counts ``LiteralOp`` and ``Relation`` constructions once armed."""
-        tally = {"LiteralOp": 0, "Relation": 0, "armed": False}
-
-        def counting(cls, key):
-            init = cls.__init__
-
-            def __init__(self, *args, **kwargs):
-                if tally["armed"]:
-                    tally[key] += 1
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", __init__)
-
-        counting(physical.LiteralOp, "LiteralOp")
-        counting(Relation, "Relation")
-        return tally
-
     @pytest.mark.parametrize("bag", [False, True], ids=["set", "bag"])
     def test_a_literal_insert_or_delete_builds_nothing_around_its_rows(
         self, bag, constructions
@@ -272,3 +276,76 @@ class TestPlanCacheCounters:
         assert after["misses"] - before["misses"] == 0
         assert after["hits"] - before["hits"] == 2 + checks
         assert after["size"] == before["size"]
+
+
+class TestAlarmRun:
+    """The eight checks ModT appends to an insert into the benchmark star
+    schema's ``orders`` run as one pass: a passing pass builds no relation,
+    and a firing one builds one, the violating rows of the alarm that
+    fires, for the reason text.  Counted from the last user insert to the
+    commit or rollback, through ``Session.execute``."""
+
+    @pytest.fixture
+    def star8(self):
+        from benchmarks.e2e import workloads as W
+
+        database = Database(W.star_schema())
+        database.load("customers", [(c, f"customer_{c}") for c in range(20)])
+        database.load("products", [(p, f"product_{p}") for p in range(20)])
+        database.load("regions", [(r, f"zone_{r}") for r in range(5)])
+        database.load("banned", [(1_000 + c,) for c in range(5)])
+        database.load("discontinued", [(1_000 + p,) for p in range(5)])
+        database.load("orders", [(i, i % 20, i % 20, i % 5, i) for i in range(50)])
+        controller = IntegrityController(W.star_schema())
+        for name, condition in W.STAR_RULES.items():
+            controller.add_constraint(name, condition)
+        controller.install_indexes(database)
+        session = Session(database, controller)
+        assert session.execute(self.text([(50, 1, 1, 1, 1)])).committed
+        return session
+
+    @staticmethod
+    def text(rows) -> str:
+        inserts = "; ".join(f"insert(orders, {row})" for row in rows)
+        return f"begin {inserts}; end"
+
+    def run(self, session, rows, constructions, monkeypatch):
+        """The transaction's result, with the counter armed over its checks."""
+        for cls, name in (
+            (S.Insert, "execute"),
+            (TransactionContext, "commit"),
+            (TransactionContext, "rollback"),
+        ):
+            method = getattr(cls, name)
+            arms = cls is S.Insert
+
+            def wrapped(obj, *args, _method=method, _arms=arms):
+                constructions["armed"] = False
+                try:
+                    return _method(obj, *args)
+                finally:
+                    constructions["armed"] = _arms
+
+            monkeypatch.setattr(cls, name, wrapped)
+        return session.execute(self.text(rows))
+
+    def test_a_passing_run_builds_no_relation(self, star8, constructions, monkeypatch):
+        rows = [(60 + i, i, i, i, i) for i in range(3)]
+        result = self.run(star8, rows, constructions, monkeypatch)
+        assert result.committed
+        assert result.statements_executed == len(rows) + 8
+        assert constructions["Relation"] == 0
+
+    def test_a_firing_run_builds_the_violating_rows_once(
+        self, star8, constructions, monkeypatch
+    ):
+        # A negative amount breaks orders_amount, the sixth check: five
+        # pass before it fires.
+        rows = [(70, 1, 1, 1, 1), (71, 2, 2, 2, -5), (72, 3, 3, 3, 3)]
+        result = self.run(star8, rows, constructions, monkeypatch)
+        assert result.aborted
+        assert result.reason == (
+            "orders_amount (1 violating tuple(s), e.g. [(71, 2, 2, 2, -5)])"
+        )
+        assert result.statements_executed == len(rows) + 5
+        assert constructions["Relation"] == 1
