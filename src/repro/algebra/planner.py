@@ -444,18 +444,13 @@ def push_selections(expression: E.Expression, schema) -> E.Expression:
 
 
 # Per-database plans live on the database (``Database.plans``, a
-# :class:`~repro.bounded.BoundedTable` the engine never interprets).  Two
-# kinds of entry share it:
-# * {Expression: PhysicalOperator} — the plan of the expression with its
-#   selections pushed under the database's schema;
-# * {(Alarm, ...): (PhysicalOperator, ...)} — a run of consecutive alarm
-#   statements, as a transaction executes it in one step
-#   (:func:`alarm_run_plans`), to the plans of their expressions in order.
-# An entry depends on the statements, the expressions and the schema only,
-# so it never goes stale: serving it is the whole cost of finding the plans
-# of a stored check, or of all the checks ModT appended — one probe, on a
-# key that hashes once.  A table is as old as its database: a fork or an
-# unpickled copy starts empty, and nothing outlives the database.
+# :class:`~repro.bounded.BoundedTable` the engine never interprets):
+# {Expression: PhysicalOperator} — the plan of the expression with its
+# selections pushed under the database's schema.  An entry depends on the
+# expression and the schema only, so it never goes stale: serving it is the
+# whole cost of evaluating a stored check — one probe, on an expression that
+# hashes once.  A table is as old as its database: a fork or an unpickled
+# copy starts empty, and nothing outlives the database.
 
 
 def database_plan(expression: E.Expression, database) -> X.PhysicalOperator:
@@ -479,29 +474,6 @@ def database_plan(expression: E.Expression, database) -> X.PhysicalOperator:
     plan = get_plan(push_selections(expression, database.schema))
     plans.file(expression, plan)
     return plan
-
-
-def alarm_run_plans(alarms: tuple, database) -> tuple:
-    """The :func:`database_plan` of each alarm's expression, in order, for
-    a run of consecutive ``alarm`` statements: one probe of the database's
-    table, keyed by the run.
-
-    Serving the run counts one plan-cache hit per alarm, as serving each
-    plan would.  A miss finds each plan by :func:`database_plan` (its
-    hits and misses counted there) and files the run — unless an
-    expression is cache-exempt, which :func:`database_plan` lowers afresh
-    on every call and a filed run must not hold.
-    """
-    global _plan_cache_hits
-    plans = database.plans
-    bound = plans.get(alarms)
-    if bound is not None:
-        _plan_cache_hits += len(bound)
-        return bound
-    bound = tuple(database_plan(alarm.expr, database) for alarm in alarms)
-    if not any(_is_cache_exempt(alarm.expr) for alarm in alarms):
-        plans.file(alarms, bound)
-    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,6 @@ Every statement implements:
 
 ``execute(context)``
     run against a :class:`~repro.engine.transaction.TransactionContext`;
-``execute_run(statements, context)`` (a classmethod)
-    run consecutive statements of the class as one step, counting each that
-    completes in ``context.statements_executed`` — one at a time by
-    default, as one check pass for ``alarm`` (:meth:`Alarm.execute_run`);
 ``update_triggers()``
     the elementary update types it performs, as ``(kind, relation)`` pairs
     with kind in ``{"INS", "DEL"}`` — this is the paper's ``GetTrigS``
@@ -30,9 +26,8 @@ from typing import Optional, Tuple, Union as TypingUnion
 
 from repro.algebra import predicates as P
 from repro.algebra.expressions import Expression, Literal, Select, RelationRef
-from repro.algebra.planner import alarm_run_plans, context_plan, evaluate
+from repro.algebra.planner import context_plan, evaluate
 from repro.errors import TransactionAborted
-from repro.hashing import hash_once
 
 INS = "INS"
 DEL = "DEL"
@@ -45,13 +40,6 @@ class Statement:
 
     def execute(self, context) -> None:
         raise NotImplementedError
-
-    @classmethod
-    def execute_run(cls, statements: tuple, context) -> None:
-        """Execute consecutive statements of this class, in order."""
-        for statement in statements:
-            statement.execute(context)
-            context.statements_executed += 1
 
     def update_triggers(self) -> frozenset:
         """The paper's GetTrigS: elementary update types of this statement."""
@@ -164,7 +152,6 @@ class Update(Statement):
         return {self.relation}
 
 
-@hash_once
 @dataclass(frozen=True)
 class Alarm(Statement):
     """``alarm(E)`` — abort the transaction when E is non-empty (Def 5.1).
@@ -177,40 +164,23 @@ class Alarm(Statement):
     message: Optional[str] = None
 
     def execute(self, context) -> None:
-        rows = self.violations(context)
-        if rows is not None:
-            raise TransactionAborted(self.reason(rows))
-
-    @classmethod
-    def execute_run(cls, alarms: tuple, context) -> None:
-        """Consecutive alarms as one check pass: their plans found by one
-        probe of the database's table
-        (:func:`~repro.algebra.planner.alarm_run_plans`), each asked only
-        whether it fires.  The alarms run in order and the first that fires
-        or raises stops the run, so the outcome, the reason and the
-        statements counted are those of executing each in turn."""
-        plans = alarm_run_plans(alarms, context.database)
-        for alarm, plan in zip(alarms, plans):
-            rows = plan.execute_nonempty(context)
-            if rows is not None:
-                raise TransactionAborted(alarm.reason(rows))
-            context.statements_executed += 1
+        result = self.violations(context)
+        if result is not None:
+            reason = self.message or "integrity alarm"
+            sample = result.sorted_rows()[:3]
+            raise TransactionAborted(
+                f"{reason} ({len(result)} violating tuple(s), e.g. {sample})"
+            )
 
     def violations(self, context):
         """The violating rows as a relation, or None when there are none.
 
-        How an alarm is evaluated, alone, in a run or in an audit: its plan
+        How an alarm is evaluated, in a transaction or in an audit: its plan
         is asked only whether its result is empty
         (:meth:`~repro.algebra.physical.PhysicalOperator.execute_nonempty`),
         and the rows are built only when it is not.
         """
         return context_plan(self.expr, context).execute_nonempty(context)
-
-    def reason(self, rows) -> str:
-        """The abort reason for the violating ``rows``."""
-        message = self.message or "integrity alarm"
-        sample = rows.sorted_rows()[:3]
-        return f"{message} ({len(rows)} violating tuple(s), e.g. {sample})"
 
     def relations_read(self) -> set:
         return self.expr.relations()

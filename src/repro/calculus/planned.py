@@ -78,10 +78,9 @@ class _PlanLeaf(_Node):
         self.expr = expr
 
     def satisfied(self, resolver) -> bool:
-        from repro.algebra.planner import context_plan
+        from repro.algebra import planner
 
-        # Evaluated as the alarm it is: asked only whether it fires.
-        return context_plan(self.expr, resolver).execute_nonempty(resolver) is None
+        return len(planner.evaluate(self.expr, resolver)) == 0
 
 
 class _NaiveLeaf(_Node):

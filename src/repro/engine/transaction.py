@@ -33,7 +33,6 @@ source of truth for transaction-local state.
 from __future__ import annotations
 
 import enum
-from itertools import groupby
 from typing import Callable, Iterable, Optional
 
 from repro.engine import naming
@@ -58,10 +57,9 @@ class TransactionStatus(enum.Enum):
 class Transaction:
     """A bracketed extended relational algebra program (Def 2.5).
 
-    ``program`` is any object with a ``statements`` sequence of
-    :class:`~repro.algebra.statements.Statement` objects (they implement
-    ``execute(context)`` and the classmethod ``execute_run(statements,
-    context)``); a plain sequence of such statements is also accepted.
+    ``program`` is any object with a ``statements`` sequence whose items
+    implement ``execute(context)`` (see :mod:`repro.algebra.statements`); a
+    plain sequence of such statements is also accepted.
     """
 
     _counter = 0
@@ -337,21 +335,6 @@ class TransactionContext:
         return performed_triggers(self.net_differentials())
 
 
-def execute_statements(statements, context) -> None:
-    """Run a transaction's statements in order against ``context``; a
-    statement that aborts or fails raises, and the rest do not run.
-
-    Each maximal run of consecutive statements of one class is one step,
-    its class's ``execute_run``: a run of ``alarm`` statements — the checks
-    ModT appends, or a single alarm — is one check pass that asks each
-    alarm only whether it fires, and builds the violating rows of the one
-    that does; any other run executes statement by statement.
-    ``context.statements_executed`` counts the statements that completed.
-    """
-    for kind, run in groupby(statements, type):
-        kind.execute_run(tuple(run), context)
-
-
 class TransactionManager:
     """Executes transactions against a database with full atomicity.
 
@@ -381,12 +364,11 @@ class TransactionManager:
 
         When ``modify`` is true and a modifier hook is installed, the
         transaction is first passed through it (transaction modification).
-        The statements run by :func:`execute_statements`: the integrity
-        checks ModT appended, a run of ``alarm`` statements, execute as one
-        check pass with their plans found by one probe of the database's
-        plan table; the first alarm that fires aborts the transaction with
-        the same reason, and the same ``statements_executed``, as running
-        the alarms one at a time.
+        The statements run one at a time, in order.  An ``alarm`` — each
+        integrity check ModT appended — asks its plan only whether its
+        result is empty (``Alarm.violations``) and builds the violating
+        rows only when it fires, for the abort reason; the first alarm that
+        fires aborts the transaction and the rest do not run.
         """
         if self.modifier is not None and modify:
             transaction = self.modifier(transaction)
@@ -395,7 +377,9 @@ class TransactionManager:
         pre_time = self.database.logical_time
         self.executed += 1
         try:
-            execute_statements(transaction.statements, context)
+            for statement in transaction.statements:
+                statement.execute(context)
+                context.statements_executed += 1
         except TransactionAborted as abort:
             self.aborted += 1
             context.rollback()

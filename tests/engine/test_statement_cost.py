@@ -13,9 +13,8 @@ These tests pin that down in counts a slow machine cannot move
   name, however many statements read it;
 * ``insert(R, (…))`` / ``delete(R, (…))`` build no ``LiteralOp`` and no
   intermediate ``Relation``;
-* the checks ModT appends run as one pass that builds no ``Relation``
-  while they hold, and exactly one — the violating rows, for the reason
-  text — when one fires;
+* the checks ModT appends build no ``Relation`` while they hold, and
+  exactly one — the violating rows, for the reason text — when one fires;
 * and the plan cache's hit/miss counters move exactly as they did before
   any of this: one hit per planned evaluation, literals and bare leaves
   exempt, no miss once warm.
@@ -278,12 +277,12 @@ class TestPlanCacheCounters:
         assert after["size"] == before["size"]
 
 
-class TestAlarmRun:
+class TestAppendedAlarms:
     """The eight checks ModT appends to an insert into the benchmark star
-    schema's ``orders`` run as one pass: a passing pass builds no relation,
-    and a firing one builds one, the violating rows of the alarm that
-    fires, for the reason text.  Counted from the last user insert to the
-    commit or rollback, through ``Session.execute``."""
+    schema's ``orders`` are each asked only whether they fire: while they
+    hold they build no relation, and a firing one builds one, its
+    violating rows, for the reason text.  Counted from the last user
+    insert to the commit or rollback, through ``Session.execute``."""
 
     @pytest.fixture
     def star8(self):
@@ -329,14 +328,14 @@ class TestAlarmRun:
             monkeypatch.setattr(cls, name, wrapped)
         return session.execute(self.text(rows))
 
-    def test_a_passing_run_builds_no_relation(self, star8, constructions, monkeypatch):
+    def test_passing_checks_build_no_relation(self, star8, constructions, monkeypatch):
         rows = [(60 + i, i, i, i, i) for i in range(3)]
         result = self.run(star8, rows, constructions, monkeypatch)
         assert result.committed
         assert result.statements_executed == len(rows) + 8
         assert constructions["Relation"] == 0
 
-    def test_a_firing_run_builds_the_violating_rows_once(
+    def test_a_firing_check_builds_the_violating_rows_once(
         self, star8, constructions, monkeypatch
     ):
         # A negative amount breaks orders_amount, the sixth check: five

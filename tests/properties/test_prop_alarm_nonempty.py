@@ -1,21 +1,23 @@
-"""Property: a run of alarms checked in one pass is the statement loop.
+"""Property: an alarm asked only whether it fires is the alarm that
+built its violation relation.
 
-``execute_statements`` runs each maximal run of consecutive ``alarm``
-statements as one step: its plans come from one probe of the database's
-plan table and each alarm is asked only whether it fires.  The oracle is
-the statement-at-a-time loop it replaced (``tests/support/
-statement_loop.py``).  On random databases and transactions — set and bag
-mode, NULL keys, declared and built indexes, the right side of a check
+``Alarm.execute`` asks its plan only whether the result is empty
+(``execute_nonempty``) and builds the violating rows only when it fires.
+The oracle is the alarm it replaced, which built the whole relation
+(``tests/support/materialising_alarm.py``); both run through
+``TransactionManager.execute``.  On random databases and transactions —
+set and bag mode, NULL keys, declared and built indexes, the right side of a check
 written earlier in the same transaction, alarms that divide by zero or
 compare across types before and after one that fires, joins, aggregates
 and ``CheckConstraint`` statements between row-local checks, and alarms
-separated by updates — both give the same error (type and text), the same
-``statements_executed``, the same final state and the same index
+separated by updates — both give the same status, the same reason (an
+alarm's text, or the runtime error's), the same ``statements_executed``,
+the same escaping error, the same final state and the same index
 accounting: built or not, ``unread`` and the recorded uses.
 
 Each transaction runs twice on the same database, so the second run of
-every run of alarms is served from the plan table (the path a workload
-takes), and the first finds and files it.
+every alarm is served from the plan table (the path a workload takes),
+and the first finds and files its plan.
 """
 
 from __future__ import annotations
@@ -31,11 +33,14 @@ from repro.algebra import predicates as P
 from repro.algebra import statements as S
 from repro.core.translation import CheckConstraint
 from repro.engine import Database, DatabaseSchema, RelationSchema
-from repro.engine.transaction import TransactionContext, execute_statements
+from repro.engine.transaction import (
+    Transaction,
+    TransactionManager,
+    TransactionStatus,
+)
 from repro.engine.types import INT, NULL
-from repro.errors import EvaluationError, TransactionAborted
 
-from tests.support.statement_loop import execute_one_at_a_time
+from tests.support.materialising_alarm import as_before
 
 from . import strategies as strat
 
@@ -128,10 +133,10 @@ def _alarm(draw):
         # Not row-local: joins, set operations, aggregates, counts.
         expression = draw(strat.algebra_queries())
     elif kind == 4:
-        expression = _leaf(draw)  # cache-exempt: the run is never filed
+        expression = _leaf(draw)  # cache-exempt: planned afresh each time
     else:
         # A check that always holds (the second column is never negative),
-        # so a run reaches the alarms after it.
+        # so a transaction reaches the alarms after it.
         expression = E.Select(
             _leaf(draw), P.Comparison("<", P.ColRef(2), P.Const(0))
         )
@@ -187,22 +192,15 @@ def _database(scenario) -> Database:
     return database
 
 
-def _outcome(loop, statements, database) -> tuple:
-    """Run ``statements`` once through ``loop``, committing or rolling
-    back as the transaction manager does; what can be observed of it."""
-    context = TransactionContext(database)
-    error = None
+def _outcome(statements, database, modifier=None) -> tuple:
+    """Run ``statements`` once through ``TransactionManager.execute``, with
+    ``modifier`` as its hook; what can be observed of it."""
+    manager = TransactionManager(database, modifier)
     try:
-        loop(statements, context)
-    except TransactionAborted as abort:
-        error = (TransactionAborted, abort.reason)
-    except Exception as failure:
-        error = (type(failure), str(failure))
-    if error is None:
-        context.commit()
-    else:
-        context.rollback()
-    return error, context.statements_executed
+        result = manager.execute(Transaction(statements))
+    except Exception as failure:  # not a ReproError: it escapes the manager
+        return type(failure), str(failure)
+    return result.status, result.reason, result.statements_executed
 
 
 def _observed(database) -> dict:
@@ -229,13 +227,11 @@ def _observed(database) -> dict:
 
 @_SETTINGS
 @given(scenario=scenarios())
-def test_a_run_of_alarms_is_the_statement_loop(scenario):
+def test_an_alarm_asked_whether_it_fires_is_the_alarm_as_before(scenario):
     statements = scenario["statements"]
     mine, theirs = _database(scenario), _database(scenario)
     for _ in range(2):  # filed on the first run, served on the second
-        assert _outcome(execute_statements, statements, mine) == _outcome(
-            execute_one_at_a_time, statements, theirs
-        )
+        assert _outcome(statements, mine) == _outcome(statements, theirs, as_before)
         assert _observed(mine) == _observed(theirs)
 
 
@@ -270,7 +266,72 @@ def test_an_error_after_holding_alarms_counts_them(shape):
     }
     statements = scenario["statements"]
     mine, theirs = _database(scenario), _database(scenario)
-    expected = ((EvaluationError, "division by zero"), 2)
+    expected = (TransactionStatus.ABORTED, "runtime error: division by zero", 2)
     for _ in range(2):  # filed on the first run, served on the second
-        assert _outcome(execute_one_at_a_time, statements, theirs) == expected
-        assert _outcome(execute_statements, statements, mine) == expected
+        assert _outcome(statements, theirs, as_before) == expected
+        assert _outcome(statements, mine) == expected
+
+
+_EQUAL_KEYS = P.Comparison("=", P.ColRef(1, "left"), P.ColRef(1, "right"))
+_SMALLER = P.Comparison("<", P.ColRef(2, "left"), P.ColRef(2, "right"))
+
+
+def _lone_violator(shape: str, position: int):
+    """``(alarm expression, rows of s)``: of ``r``'s rows ``(k, 10 + k)``,
+    k = 0..3, exactly the one at ``position`` violates."""
+    r, s = E.RelationRef("r"), E.RelationRef("s")
+    others = [k for k in range(4) if k != position]
+    if shape == "filter":
+        # An arithmetic comparison: a mask kernel, not an index look-up.
+        offset = P.Arith("-", P.ColRef(2), P.Const(10))
+        return E.Select(r, P.Comparison("=", offset, P.Const(position))), []
+    if shape == "semijoin":
+        return E.SemiJoin(r, s, _EQUAL_KEYS), [(position, 0)]
+    if shape == "antijoin":
+        return E.AntiJoin(r, s, _EQUAL_KEYS), [(k, 0) for k in others]
+    residual = P.And(_EQUAL_KEYS, _SMALLER)
+    if shape == "residual semijoin":
+        return E.SemiJoin(r, s, residual), [
+            (k, 100 if k == position else 0) for k in range(4)
+        ]
+    return E.AntiJoin(r, s, residual), [
+        (k, 0 if k == position else 100) for k in range(4)
+    ]
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("regime", ["plain", "left index", "right index", "written"])
+@pytest.mark.parametrize(
+    "shape",
+    ["filter", "semijoin", "antijoin", "residual semijoin", "residual antijoin"],
+)
+def test_a_lone_violating_row_fires_wherever_it_sits(shape, regime, position):
+    """Each regime's emptiness test sees every row: an alarm with one
+    violating row fires, whichever row it is — with ``s`` plain, indexed,
+    or written earlier in the same transaction (``_DeltaBuckets``)."""
+    expression, s_rows = _lone_violator(shape, position)
+    written = regime == "written"
+    scenario = {
+        "bag": False,
+        "rows": {"r": [(k, 10 + k) for k in range(4)], "s": [] if written else s_rows},
+        "indexes": {
+            "plain": [],
+            "left index": [("r", (0,))],
+            "right index": [("s", (0,))],
+            "written": [("s", (0,))],
+        }[regime],
+        "built": True,
+        "statements": (
+            *([S.Insert("s", E.Literal(tuple(s_rows)))] if written and s_rows else []),
+            _HOLDS,
+            S.Alarm(expression, message="lone"),
+            _HOLDS,
+        ),
+    }
+    statements = scenario["statements"]
+    mine, theirs = _database(scenario), _database(scenario)
+    status, reason, executed = _outcome(statements, theirs, as_before)
+    assert status is TransactionStatus.ABORTED
+    assert reason.startswith("lone (1 violating tuple(s)")
+    assert _outcome(statements, mine) == (status, reason, executed)
+    assert _observed(mine) == _observed(theirs)
