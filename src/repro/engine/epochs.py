@@ -3,7 +3,8 @@
 Every committed transaction already *is* its net differential
 (:class:`~repro.engine.commitlog.CommitRecord`), and commits apply that
 differential to base relations in place.  This module turns that stream
-into multi-version concurrency control without ever copying a relation:
+into multi-version concurrency control without copying a relation to
+take or keep a snapshot:
 
 * The database carries one :class:`~repro.engine.commitlog.CommitLog`, the
   commit stream, and one :class:`EpochManager` over it.  Each mutation
@@ -31,29 +32,31 @@ Writer/reader coordination is a *seqlock*, not a mutex: the single writer
 and back to even after filing the record; readers snapshot the stamp,
 compute, and retry iff the stamp moved.  Commits therefore never wait on
 readers in the common path, and readers never block commits — the
-"lock-free" in lock-free async audits.  The one bounded exception: a
-reader that loses the validation race :data:`READ_RETRY_LIMIT` times
-(a large merge under a continuously-committing writer would otherwise
-starve) takes the writer's gate for a single reconstruction pass, and
-the one-off whole-relation materialization takes the gate directly —
-an O(n) compute loses the race whenever any commit lands during it, so
-optimism there is wasted work, while the gate is a single uncontended
-lock acquire when the writer is idle.
+"lock-free" in lock-free async audits.  Two bounded exceptions take the
+writer's gate for a single pass: a reader that loses the validation race
+:data:`READ_RETRY_LIMIT` times (a large merge under a hot writer would
+otherwise starve), and a materializing copy (below).
 Snapshot-internal synchronization (two audit threads catching up the same
 snapshot's undo delta) uses a snapshot-local lock that the writer never
 touches.
 
 A snapshot's first whole-relation read (a scan, ``_rows``, equality)
-materializes the merged state once and caches it permanently — the state
-at a pinned epoch is immutable — after which the snapshot is *detached*:
-reads stop consulting the live base entirely and answer from the frozen
-dict.  :meth:`EpochManager.quiesce` forces that detachment for every
-outstanding pin, which is how out-of-band bulk mutations
-(``Database.load`` / ``install``) keep old pins correct.  The fence moves
-the version and the stream's ``fence`` past every existing state, and
-drops no record: a commit a cursor has not drained is still returned by
-``CommitLog.since`` (it is audited against the live state, since no pin
-can bracket it any more).
+materializes the pinned state once, into a dict of its own, and caches
+it permanently — the state at a pinned epoch is immutable — after which
+reads stop consulting the live base and answer from the frozen dict.
+One rule makes that dict: **adopt a dead reader's dict rolled forward to
+the pin, or copy once under the write gate.**  Every materialized dict is
+filed for the next reader of its relation, so a reader re-pinning under
+a live writer pays one O(n) copy per relation and O(Δ) from then on; the
+live row dict is never shared.  The copy takes the gate outright: an
+O(n) compute loses the seqlock race whenever any commit lands during it,
+while the gate is a single uncontended acquire when the writer is idle.
+:meth:`EpochManager.quiesce` materializes every outstanding snapshot,
+which is how out-of-band bulk mutations (``Database.load`` / ``install``)
+keep old pins correct.  The fence moves the version and the stream's
+``fence`` past every existing state, and drops no record: a commit a
+cursor has not drained is still returned by ``CommitLog.since`` (it is
+audited against the live state, since no pin can bracket it any more).
 
 Invariants the read path leans on (each is asserted by
 ``tests/properties/test_prop_epoch_offsets.py``,
@@ -78,8 +81,8 @@ Invariants the read path leans on (each is asserted by
   stale reference is a superset; a record appended after the reader's
   stamp fails the stamp validation).  ``CommitLog.since`` (the drains),
   ``pin_span``, ``undo_differentials`` and ``_adopt_cached`` read it under
-  the lock; ``SnapshotRelation._sync_locked`` reads it inside a seqlock
-  bracket under the snapshot's own ``_sync_lock``.
+  the lock; ``SnapshotRelation._sync_locked`` reads it under the
+  snapshot's own ``_sync_lock`` (the records are immutable once filed).
 * **One bracket per operator.**  A physical operator enters the seqlock a
   constant number of times per execution, never once per row or per probe
   key: ``SnapshotIndex.lookup`` serves an equality selection,
@@ -235,12 +238,10 @@ class EpochManager:
         # Seqlock stamp: even = stable, odd = a mutation batch is in
         # flight.  Written only by the single commit thread.
         self._stamp = 0
-        # Starvation fallback: the writer holds this across its (short)
-        # critical section; a reader whose optimistic read keeps losing
-        # the seqlock race (large merge under a hot writer) takes it once
-        # to compute against a stable base.  Uncontended in the common
-        # path — commits only ever wait for a reader that has already
-        # retried ``READ_RETRY_LIMIT`` times.
+        # The writer holds this across its (short) critical section; a
+        # reader takes it for one pass against a stable base: a read that
+        # lost ``READ_RETRY_LIMIT`` seqlock races, a materializing copy
+        # that missed the recycling cache, or an index build.
         self._write_gate = threading.Lock()
         self._pins: Dict[int, int] = {}
         # Audit schedulers, held weakly beside the pins: each keeps every
@@ -259,18 +260,12 @@ class EpochManager:
         # invalidated by an out-of-band mutation: note_mutation() is then
         # O(1).  Cleared whenever one appears; restored by quiesce().
         self._quiescent = not self._log._records
-        # Zero-copy materializations: name -> weakrefs of snapshots whose
-        # ``_materialized`` IS the live row dict (undo was empty at merge
-        # time).  The writer's next mutation of that relation swaps the
-        # live relation onto a private copy, leaving the shared dict
-        # frozen for the sharers.  Mutated only under the write gate.
-        self._cow_shares: Dict[str, List["weakref.ref"]] = {}
-        # Materialization recycling: name -> (version, rows, owner refs).
-        # Once every owner of a *private* merged dict is unreachable, the
-        # next materialization adopts the dict and rolls it forward O(Δ)
-        # through the retained records instead of copying O(n) — in the
-        # steady state (a reader re-pinning under a live writer) neither
-        # side ever copies.  Guarded by ``_lock``.
+        # Materialization recycling: name -> (version, rows, owner ref),
+        # the last snapshot dict materialized at or above the fence.  Once
+        # its owner is unreachable, the next materialization adopts the
+        # dict and rolls it forward O(Δ) through the retained records
+        # instead of copying O(n): a reader re-pinning under a live writer
+        # copies once.  Guarded by ``_lock``.
         self._mat_cache: Dict[str, tuple] = {}
         self.reclaimed = 0
         self.pins_taken = 0
@@ -582,7 +577,7 @@ class EpochManager:
 
     # -- out-of-band mutation fence ---------------------------------------------
 
-    def note_mutation(self, relation=None) -> None:
+    def note_mutation(self) -> None:
         """A base relation is about to mutate — possibly out-of-band.
 
         Called by :class:`~repro.engine.relation.Relation` before every
@@ -593,49 +588,16 @@ class EpochManager:
         reconstruction, so the outstanding pins are materialized at their
         pinned state and detached *before* the mutation lands.  O(1) when
         nothing is pinned or retained.
-
-        Either way, if a snapshot shares ``relation``'s row dict zero-copy
-        (see :meth:`_register_share`) the live relation is moved onto a
-        private copy first — the sharers keep the old dict, frozen from
-        here on.  Ordered *after* the quiesce fence so snapshots that
-        materialize (and possibly share) during the fence are covered by
-        the same swap.
         """
         if not (self._stamp & 1 or self._quiescent):
             self.quiesce()
-        if relation is not None and self._cow_shares:
-            self._cow_swap(relation)
 
-    def _register_share(self, name: str, snapshot: "SnapshotRelation"):
-        """Record that ``snapshot._materialized`` is the live dict itself.
-
-        Safe from two contexts: under the write gate (serialized against
-        :meth:`_cow_swap` directly), or inside an optimistic seqlock
-        round — the GIL makes the append atomic, and the caller either
-        validates the stamp afterwards (so the registration
-        happened-before any later commit's swap check) or unregisters
-        the returned ref.  Returns the weakref for unregistration.
-        """
-        refs = self._cow_shares.setdefault(name, [])
-        if len(refs) >= 64:  # prune dead sharers from quiet pin loops
-            refs[:] = [ref for ref in refs if ref() is not None]
-        ref = weakref.ref(snapshot)
-        refs.append(ref)
-        return ref
-
-    def _unregister_share(self, name: str, ref) -> None:
-        refs = self._cow_shares.get(name)
-        if refs is not None:
-            try:
-                refs.remove(ref)
-            except ValueError:
-                pass  # already popped by a swap
-
-    def _adopt_cached(self, name: str, upto: int, snapshot) -> Optional[dict]:
-        """Recycle a dead owner's merged dict, rolled forward to ``upto``.
+    def _adopt_cached(self, name: str, upto: int) -> Optional[dict]:
+        """Recycle a dead owner's materialized dict, rolled forward to
+        ``upto``.
 
         Returns the adopted (now exclusively owned) row dict, or None
-        when no cached dict exists, an owner is still reachable, the
+        when no cached dict exists, its owner is still reachable, the
         cached state is newer than ``upto`` (states cannot be rewound),
         or the connecting records were reclaimed.  The roll-forward is
         pure private-dict + frozen-record arithmetic, so it needs no
@@ -645,12 +607,9 @@ class EpochManager:
             cached = self._mat_cache.pop(name, None)
             if cached is None:
                 return None
-            version, rows, owners = cached
-            if any(ref() is not None for ref in owners):
-                self._mat_cache[name] = cached  # still shared; retry later
-                return None
-            if version > upto:
-                self._mat_cache[name] = cached  # a newer reader may chain
+            version, rows, owner = cached
+            if owner() is not None or version > upto:
+                self._mat_cache[name] = cached  # still owned, or too new
                 return None
             newer = ()
             if version < upto:
@@ -673,36 +632,15 @@ class EpochManager:
             if plus is not None:
                 for row, count in plus._rows.items():
                     rows[row] = rows.get(row, 0) + count
-        with self._lock:
-            self._mat_cache[name] = (upto, rows, [weakref.ref(snapshot)])
         return rows
 
-    def _cow_swap(self, relation) -> None:
-        name = relation.schema.name
-        if name not in self._cow_shares:
-            return
-        if self._stamp & 1:
-            # Commit path: this thread already holds the write gate.
-            self._cow_swap_gated(relation, name)
-        else:
-            with self._write_gate:
-                self._cow_swap_gated(relation, name)
-
-    def _cow_swap_gated(self, relation, name: str) -> None:
-        refs = self._cow_shares.pop(name, ())
-        live = [ref for ref in refs if ref() is not None]
-        if not live:
-            return
-        old_rows = relation._rows
-        relation._cow_detach_rows()
-        if self._stamp & 1:
-            # Commit path: the abandoned dict is exactly the state at the
-            # current version — seed the recycling cache so the next
-            # materialization (once the sharers die) rolls it forward
-            # O(Δ) instead of copying.  Out-of-band mutations don't bump
-            # the version, so their abandoned dicts are not chainable.
-            with self._lock:
-                self._mat_cache[name] = (self._log.version, old_rows, live)
+    def _file_materialized(self, name: str, version: int, rows: dict, owner) -> None:
+        """Offer ``owner``'s dict, the state at ``version``, to the next
+        materialization of ``name`` once ``owner`` dies.  A state below
+        the fence is not filed: no pin may reach it any more."""
+        with self._lock:
+            if version >= self._log.fence:
+                self._mat_cache[name] = (version, rows, weakref.ref(owner))
 
     def quiesce(self) -> int:
         """Detach every outstanding pin before an unobserved bulk mutation.
@@ -733,7 +671,9 @@ class EpochManager:
             if relation is None:
                 continue
             try:
-                relation._detach()
+                # Materialize at the pinned state: the snapshot stops
+                # reading the live base.
+                relation._rows
             except EpochUnavailableError:
                 # A snapshot of a released pin whose records were already
                 # reclaimed: unreadable before the fence, unreadable after.
@@ -924,6 +864,18 @@ class PinnedRelations:
         return f"PinnedRelations({self._pin!r}, {len(self._names)} relation(s))"
 
 
+def _bracketed(name: str):
+    """A :class:`SnapshotRelation` read: ``OverlayRelation``'s method of
+    that name in a read bracket, ``Relation``'s once materialized."""
+    overlaid, frozen = getattr(OverlayRelation, name), getattr(Relation, name)
+
+    def read(self, *args):
+        return self._read(lambda: overlaid(self, *args), lambda: frozen(self, *args))
+
+    read.__name__ = name
+    return read
+
+
 class SnapshotRelation(OverlayRelation):
     """One base relation frozen at a pinned epoch, reconstructed O(Δ).
 
@@ -945,7 +897,6 @@ class SnapshotRelation(OverlayRelation):
         "_pin",
         "_name",
         "_synced",
-        "_detached",
         "_sync_lock",
         "__weakref__",
     )
@@ -958,7 +909,6 @@ class SnapshotRelation(OverlayRelation):
         self._pin = pin  # keeps the reconstruction window alive
         self._name = name
         self._synced = pin.version
-        self._detached = False
         # Serializes snapshot-internal catch-up between concurrent reader
         # threads; the writer never takes it.  RLock: reads nest (e.g. an
         # index probe membership-checks back through the relation).
@@ -995,27 +945,30 @@ class SnapshotRelation(OverlayRelation):
             delta = record.differentials.get(name)
             if delta is not None:
                 fold_inverse(self.plus, self.minus, delta)
-                self._materialized = None
         self._synced = newer[-1].version
 
-    def _read(self, compute: Callable):
-        """Run ``compute`` against a consistent pinned view (seqlock retry).
+    def _read(self, compute: Callable, frozen: Callable):
+        """Run ``compute`` against a consistent pinned view (seqlock retry),
+        or ``frozen`` once this snapshot is materialized.
 
         Optimistic first: snapshot the stamp, sync the undo delta,
         compute, and accept iff the stamp never moved.  A compute that
         keeps losing that race (a large merge under a hot writer would
         otherwise starve forever) falls back to holding the manager's
-        write gate for one pass — the only point where a reader can make
-        the writer wait, and it is bounded by a single reconstruction.
+        write gate for one pass, bounded by a single reconstruction.
+        ``frozen`` is chosen under ``_sync_lock``, where materialization
+        is set: a materialized snapshot's undo stops syncing, so
+        ``compute`` would read the live base through a stale undo.
+        Neither may materialize: a copy takes the gate the fallback holds.
         """
-        if self._materialized is not None or self._detached:
-            return compute()
+        if self._materialized is not None:
+            return frozen()
         manager = self._manager
         for _attempt in range(READ_RETRY_LIMIT):
             stamp = manager.read_begin()
             with self._sync_lock:
-                if self._materialized is not None or self._detached:
-                    return compute()
+                if self._materialized is not None:
+                    return frozen()
                 self._sync_locked()
                 try:
                     value = compute()
@@ -1032,8 +985,9 @@ class SnapshotRelation(OverlayRelation):
                 return value
         with manager._write_gate:  # stamp is even and frozen while held
             with self._sync_lock:
-                if self._materialized is None and not self._detached:
-                    self._sync_locked()
+                if self._materialized is not None:
+                    return frozen()
+                self._sync_locked()
                 return compute()
 
     @property
@@ -1045,135 +999,93 @@ class SnapshotRelation(OverlayRelation):
         return rows
 
     def _materialize(self) -> dict:
-        """Merge once under the seqlock, then freeze the result.
+        """The pinned state as a private dict, made once and frozen.
 
-        Same optimistic-then-gated shape as :meth:`_read`, with two
-        twists.  Only the O(1) zero-copy share path runs optimistically:
-        an O(n) copy-merge loses the validation race whenever any commit
-        lands during the copy, so with a non-empty undo the gate is the
-        faster path outright.  And a share registered during an
-        optimistic round whose validation then fails is unregistered
-        again — the writer may have mutated the adopted dict before
-        seeing the registration, so the round's result is discarded and
-        must not trigger a copy-on-write swap later.
+        One rule: adopt a dead reader's dict rolled forward to the pin
+        (:meth:`EpochManager._adopt_cached`), otherwise copy the merged
+        state once (:meth:`_copied_rows`).  Either way the dict is
+        filed for the next reader of this relation.
         """
         manager = self._manager
-        rows = None
-        for _attempt in range(READ_RETRY_LIMIT):
-            stamp = manager.read_begin()
-            with self._sync_lock:
-                if self._materialized is not None or self._detached:
-                    return self._merge_locked()[0]
-                self._sync_locked()
-                if self.plus._rows or self.minus._rows:
-                    break  # O(n) merge: optimism is doomed, go gated
-                value, share = self._merge_locked()  # recycle or share
-            if share is None:
-                # Recycled dict: private arithmetic, valid regardless of
-                # concurrent commits — no validation needed.
-                rows = value
-                break
-            if manager.read_validate(stamp):
-                rows = value
-                break
-            manager._unregister_share(self._name, share)
-        if rows is None:
-            with manager._write_gate:  # stamp frozen even while held
-                with self._sync_lock:
-                    if self._materialized is None and not self._detached:
-                        self._sync_locked()
-                    rows = self._merge_locked()[0]
+        version = self._pin.version
         with self._sync_lock:
-            if self._materialized is None:
-                self._materialized = rows
-            return self._materialized
+            if self._materialized is not None:
+                return self._materialized
+            self._sync_locked()  # an unreadable snapshot adopts nothing
+            rows = self._materialized = manager._adopt_cached(self._name, version)
+        if rows is None:
+            rows = self._copied_rows(freeze=True)
+        manager._file_materialized(self._name, version, rows, self)
+        return rows
 
-    def _merge_locked(self):
-        """``(merged rows, share ref or None)``; caller holds the seqlock
-        bracket (or the write gate) and ``_sync_lock``."""
-        if self._materialized is not None:
-            return self._materialized, None
-        # Empty undo: the pinned state IS the current live state.  Best
-        # case a dead predecessor's merged dict is recycled and rolled
-        # forward O(Δ); otherwise adopt the live dict zero-copy — the
-        # manager swaps the live relation onto a private copy before its
-        # next mutation (copy-on-write), so the adopted dict is frozen
-        # at this state.  Either way snapshotting a quiet relation never
-        # copies, and the one O(n) copy is paid by the writer only if
-        # and when it mutates a still-shared relation again.
-        if not self.plus._rows and not self.minus._rows:
-            rows = self._manager._adopt_cached(self._name, self._synced, self)
-            if rows is not None:
-                return rows, None
-            ref = self._manager._register_share(self._name, self)
-            return self.base._rows, ref
-        return self._merged_rows(), None
-
-    def _detach(self) -> None:
-        """Materialize at the pinned state and stop reading the live base."""
-        self._rows  # property access performs the one-off materialization
-        self._detached = True
+    def _copied_rows(self, freeze: bool = False) -> dict:
+        """The pinned state in a dict of the caller's own, or with
+        ``freeze`` as this snapshot's frozen dict.  A missing dict is
+        merged once under the write gate — taken before ``_sync_lock``, as
+        in :meth:`_read` — so no commit moves the base mid-copy.  A copy is
+        not a reader and files nothing for recycling: a checkpoint's fork
+        would otherwise copy twice and keep one copy."""
+        rows = self._materialized
+        if rows is None:
+            with self._manager._write_gate:  # stamp frozen even while held
+                with self._sync_lock:
+                    rows = self._materialized
+                    if rows is None:
+                        self._sync_locked()
+                        rows = self._merged_rows()
+                        if freeze:
+                            self._materialized = rows
+                        return rows
+        return rows if freeze else dict(rows)
 
     # -- read protocol ----------------------------------------------------------
     #
-    # Each override answers from the frozen dict once materialized and
-    # otherwise runs the inherited overlay arithmetic inside the seqlock
-    # retry loop.  Whole-relation consumers (__iter__, items, filtered,
-    # sorted_rows, equality) inherit from Relation and hit ``_rows``.
+    # Each override runs the inherited overlay arithmetic inside the
+    # seqlock retry loop, and answers from the frozen dict once the
+    # snapshot is materialized.  Whole-relation consumers (__iter__, items,
+    # filtered, sorted_rows, equality) inherit from Relation and hit
+    # ``_rows``.
 
-    def __len__(self) -> int:
-        if self._materialized is not None:
-            return Relation.__len__(self)
-        return self._read(lambda: OverlayRelation.__len__(self))
-
-    def __contains__(self, row) -> bool:
-        if self._materialized is not None:
-            return Relation.__contains__(self, row)
-        return self._read(lambda: OverlayRelation.__contains__(self, row))
-
-    def __bool__(self) -> bool:
-        if self._materialized is not None:
-            return Relation.__bool__(self)
-        return self._read(lambda: OverlayRelation.__bool__(self))
-
-    def multiplicity(self, row) -> int:
-        if self._materialized is not None:
-            return Relation.multiplicity(self, row)
-        return self._read(lambda: OverlayRelation.multiplicity(self, row))
+    __len__ = _bracketed("__len__")
+    __contains__ = _bracketed("__contains__")
+    __bool__ = _bracketed("__bool__")
+    multiplicity = _bracketed("multiplicity")
+    distinct_count = _bracketed("distinct_count")
 
     def multiplicities(self, rows) -> dict:
-        if self._materialized is not None:
-            return Relation.multiplicities(self, rows)
         rows = tuple(rows)  # a lost validation race walks them again
-        return self._read(lambda: OverlayRelation.multiplicities(self, rows))
-
-    def distinct_count(self) -> int:
-        if self._materialized is not None:
-            return Relation.distinct_count(self)
-        return self._read(lambda: OverlayRelation.distinct_count(self))
+        return self._read(
+            lambda: OverlayRelation.multiplicities(self, rows),
+            lambda: Relation.multiplicities(self, rows),
+        )
 
     def rows_and_counts(self):
-        if self._materialized is not None:
-            return Relation.rows_and_counts(self)
-        return self._read(lambda: OverlayRelation.rows_and_counts(self))
+        # Only an empty undo is answered inside the bracket (the live
+        # base's own rows); otherwise the rows are materialized after it.
+        def untouched():
+            if self.plus._rows or self.minus._rows:
+                return None
+            return self.base.rows_and_counts()
+
+        pair = self._read(untouched, lambda: None)
+        return Relation.rows_and_counts(self) if pair is None else pair
 
     def aggregate_state(self, kind: str, position: int) -> tuple:
-        if self._materialized is None and not self._detached:
-            # Carry the live base's memoised state back over the undo
-            # delta.  Only an existing memo is read, never built: a scan of
-            # the live rows from a reader thread would race the writer.
-            def carried():
-                memo = self.base._aggregates
-                state = memo.get((kind, position)) if memo else None
-                if state is None:
-                    return None
-                return shifted_aggregate_state(
-                    kind, position, state, self.plus._rows, self.minus._rows
-                )
+        # Carry the live base's memoised state back over the undo delta.
+        # Only an existing memo is read, never built: a scan of the live
+        # rows from a reader thread would race the writer.
+        def carried():
+            memo = self.base._aggregates
+            state = memo.get((kind, position)) if memo else None
+            if state is None:
+                return None
+            return shifted_aggregate_state(
+                kind, position, state, self.plus._rows, self.minus._rows
+            )
 
-            state = self._read(carried)
-            if state is not None:
-                return state
+        state = self._read(carried, lambda: None)
+        if state is not None:
+            return state
         return scan_aggregate_state(kind, self, position)  # the frozen rows
 
     # -- mutation: forbidden ----------------------------------------------------
@@ -1213,14 +1125,15 @@ class SnapshotRelation(OverlayRelation):
             self._indexes.declare(tuple(positions))
 
     def _local_index(self, positions):
+        rows = self._rows  # outside _sync_lock: a copy takes the gate first
         with self._sync_lock:
             if self._indexes is None:
                 self._indexes = IndexSet()
-            return self._indexes.ensure_built(tuple(positions), self._rows)
+            return self._indexes.ensure_built(tuple(positions), rows)
 
     def index_on(self, positions):
         positions = tuple(positions)
-        if self._materialized is None and not self._detached:
+        if self._materialized is None:
             index = self.base.built_index(positions)
             if index is not None:
                 return self._index_view(index)
@@ -1228,7 +1141,7 @@ class SnapshotRelation(OverlayRelation):
 
     def built_index(self, positions):
         positions = tuple(positions)
-        if self._materialized is None and not self._detached:
+        if self._materialized is None:
             index = self.base.built_index(positions)
             if index is None:
                 return None
@@ -1243,7 +1156,7 @@ class SnapshotRelation(OverlayRelation):
 
     def amortized_index(self, positions):
         positions = tuple(positions)
-        if self._materialized is not None or self._detached:
+        if self._materialized is not None:
             # Frozen rows: a local index, on what the live base declares
             # (built there or not) or this snapshot does.
             declared = self.base.indexes
@@ -1280,7 +1193,8 @@ class SnapshotRelation(OverlayRelation):
 _NO_UNDO = HashIndex(())
 
 #: What a :class:`SnapshotIndex` bracket returns when it finds the live
-#: index unbuilt: the answer then comes from the snapshot's frozen rows.
+#: index unbuilt, or the snapshot materialized: the answer then comes from
+#: the snapshot's frozen rows.
 _UNBUILT = object()
 
 
@@ -1336,20 +1250,16 @@ class SnapshotIndex(OverlayIndex):
         in one read bracket of the snapshot; ``frozen(local index)`` once
         the snapshot is materialized, or when a commit has unbuilt the
         live index (:meth:`HashIndex.charge`) since this view was made."""
-        rel = self.overlay
-        if rel._materialized is None and not rel._detached:
-            base_index = self.base_index
+        base_index = self.base_index
 
-            def bracketed():
-                if not base_index.built:
-                    return _UNBUILT
-                self._attach_undo()
-                return corrected()
+        def bracketed():
+            if not base_index.built:
+                return _UNBUILT
+            self._attach_undo()
+            return corrected()
 
-            value = rel._read(bracketed)
-            if value is not _UNBUILT:
-                return value
-        return frozen(self._local())
+        value = self.overlay._read(bracketed, lambda: _UNBUILT)
+        return frozen(self._local()) if value is _UNBUILT else value
 
     def lookup(self, key) -> tuple:
         return self._read(

@@ -394,12 +394,16 @@ class OverlayRelation(Relation):
         carry over, as do the base relation's index *declarations*.
         """
         clone = Relation(self.schema, bag=self.bag)
-        clone._rows = dict(self._rows)
+        clone._rows = self._copied_rows()
         indexes = self.base.indexes
         if indexes is not None and len(indexes):
             for positions in indexes.specs():
                 clone.declare_index(positions)
         return clone
+
+    def _copied_rows(self) -> dict:
+        """A fresh ``{row: count}`` dict for :meth:`copy`."""
+        return dict(self._rows)
 
 
 #: Membership by the (base, Δ⁺, Δ⁻) arithmetic itself, for the index

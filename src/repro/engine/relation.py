@@ -245,7 +245,7 @@ class Relation:
         set mode a duplicate insert is a no-op returning False).
         """
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         row = tuple(row) if _validated else self.schema.validate_tuple(tuple(row))
         rows = self._rows
         count = rows.get(row, 0)
@@ -265,7 +265,7 @@ class Relation:
         Returns True when the relation changed.
         """
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         row = tuple(row)
         rows = self._rows
         count = rows.get(row)
@@ -321,9 +321,7 @@ class Relation:
         occurrences added.
         """
         if self._observer is not None:
-            self._observer.note_mutation(self)
-        # Only now: the observer may have moved this relation onto a private
-        # copy of the row dict (a snapshot shares the old one).
+            self._observer.note_mutation()
         rows = self._rows
         fresh = absent_rows(rows, counts)
         if self.bag:
@@ -351,8 +349,8 @@ class Relation:
         and ignores the counts.  Returns the number of occurrences removed.
         """
         if self._observer is not None:
-            self._observer.note_mutation(self)
-        rows = self._rows  # after the notification, as in insert_counts
+            self._observer.note_mutation()
+        rows = self._rows
         if self.bag:
             removed = {}
             gone = []
@@ -383,7 +381,7 @@ class Relation:
 
     def clear(self) -> None:
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         self._rows.clear()
         self._batch = None
         self._aggregates = None
@@ -393,21 +391,12 @@ class Relation:
     def replace_contents(self, other: "Relation") -> None:
         """Overwrite this relation's rows with those of ``other``."""
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         self._rows = dict(other._rows)
         self._batch = None
         self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
-
-    def _cow_detach_rows(self) -> None:
-        """Swap in a private copy of the row dict, abandoning the old one.
-
-        Called by the epoch manager *before* a mutation lands while a
-        snapshot shares this relation's dict zero-copy: the sharer keeps
-        the (now frozen) old dict, this relation mutates the copy.
-        """
-        self._rows = dict(self._rows)
 
     # -- aggregates ------------------------------------------------------------
 
@@ -663,9 +652,6 @@ class ColumnarRelation(Relation):
             self._materialized = self._batch._merged_rows()
         self._batch = None
 
-    def _cow_detach_rows(self) -> None:
-        self._materialized = dict(self._rows)
-
     def __len__(self) -> int:
         batch = self._batch
         if batch is not None and self._materialized is None:
@@ -695,7 +681,7 @@ class ColumnarRelation(Relation):
 
     def clear(self) -> None:
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         self._materialized = {}
         self._batch = None
         self._aggregates = None
@@ -704,7 +690,7 @@ class ColumnarRelation(Relation):
 
     def replace_contents(self, other: "Relation") -> None:
         if self._observer is not None:
-            self._observer.note_mutation(self)
+            self._observer.note_mutation()
         self._materialized = dict(other._rows)
         self._batch = None
         self._aggregates = None

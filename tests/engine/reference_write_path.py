@@ -143,7 +143,7 @@ def _shift_aggregates(relation, row, occurrences):
 
 def insert(relation, row, _validated=False):
     if relation._observer is not None:
-        relation._observer.note_mutation(relation)
+        relation._observer.note_mutation()
     row = tuple(row) if _validated else relation.schema.validate_tuple(tuple(row))
     if relation.bag:
         count = relation._rows.get(row, 0)
@@ -167,7 +167,7 @@ def insert(relation, row, _validated=False):
 
 def delete(relation, row):
     if relation._observer is not None:
-        relation._observer.note_mutation(relation)
+        relation._observer.note_mutation()
     row = tuple(row)
     count = relation._rows.get(row)
     if count is None:

@@ -129,16 +129,15 @@ def test_bag_mode_files_a_row_in_the_indexes_once():
 
 
 @pytest.mark.parametrize("write", ["insert_many", "delete_many"])
-def test_a_kernel_writes_the_row_dict_it_has_after_notifying(write):
-    """A snapshot that shares the live row dict zero-copy is protected by a
-    copy-on-write swap inside ``note_mutation``: a kernel that fetched
-    ``_rows`` before notifying would write into the snapshot's dict."""
+def test_a_bulk_kernel_leaves_a_materialized_snapshot_unchanged(write):
+    """A materialized snapshot holds a dict of its own, never the live row
+    dict, so a bulk kernel writing the live relation leaves it as it was."""
     db = database([(i, i % 3) for i in range(50)])
     relation = db.relation("t")
     snapshot = db.snapshot()
     frozen = snapshot["t"]
     shared = frozen._rows
-    assert shared is relation._rows
+    assert shared is not relation._rows
     before = dict(shared)
     if write == "insert_many":
         assert relation.insert_many([(100, 1), (101, 2)]) == 2

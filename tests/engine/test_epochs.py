@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Session
 from repro.engine.epochs import DEFAULT_RETAIN, EpochManager, fold_inverse
+from repro.engine.overlay import OverlayRelation
 from repro.engine.types import INT
 from repro.errors import EpochUnavailableError
 
@@ -194,6 +195,128 @@ class TestReclamation:
         assert EpochManager(Database(rs_schema)).retain == DEFAULT_RETAIN
 
 
+class TestMaterialization:
+    def test_a_reader_one_commit_behind_copies_once(self, rdb, monkeypatch):
+        """A reader that pins, lets one commit land and then scans, ten
+        times over, copies the relation once: every later scan adopts the
+        dead previous snapshot's dict and rolls it forward one commit."""
+        copies = []
+        merged_rows = OverlayRelation._merged_rows
+
+        def counted(self):
+            copies.append(self.schema.name)
+            return merged_rows(self)
+
+        monkeypatch.setattr(OverlayRelation, "_merged_rows", counted)
+        for i in range(10):
+            pin = rdb.epochs.pin()
+            pinned = dict(rdb.relation("r")._rows)
+            previous = [(99 + i, i - 1)] if i else None
+            commit(rdb, "r", plus=[(100 + i, i)], minus=previous)
+            assert dict(pin.relation("r").items()) == pinned
+            pin.release()
+        assert copies == ["r"]
+
+    def test_a_fork_copies_a_pinned_relation_once_and_files_nothing(self, rdb):
+        """A checkpoint's fork is not a reader: each relation is merged
+        straight into the fork, the snapshot stays unmaterialized, and no
+        dict is left filed for recycling."""
+        snapshot = rdb.snapshot()
+        pinned = snapshot["r"]  # held: the fork copies this very view
+        commit(rdb, "r", plus=[(9, 9)])
+        fork = rdb.fork(snapshot)
+        assert sorted(fork.relation("r")) == [(1, 1), (2, 2), (3, 3)]
+        assert fork.relation("s") == rdb.relation("s")
+        assert fork.relation("s")._rows is not rdb.relation("s")._rows
+        assert pinned._materialized is None
+        assert rdb.epochs._mat_cache == {}
+        snapshot.release()
+
+
+def _interleave_at_first_check(target, interleave, monkeypatch):
+    """Run ``interleave`` once, right after this thread first finds
+    ``target`` unmaterialized, so the read it is starting carries on as
+    if another thread had materialized the snapshot under it."""
+    slot = OverlayRelation.__dict__["_materialized"]
+    reader = threading.get_ident()
+    pending = [interleave]
+
+    def get(relation):
+        value = slot.__get__(relation, type(relation))
+        if value is None and relation is target and pending:
+            if threading.get_ident() == reader:
+                pending.pop()()
+        return value
+
+    monkeypatch.setattr(
+        OverlayRelation, "_materialized", property(get, slot.__set__)
+    )
+
+
+class TestMaterializationRaces:
+    @pytest.mark.parametrize("other", ["materializes", "quiesces"])
+    @pytest.mark.parametrize("read", ["fork", "len", "in", "lookup"])
+    def test_a_read_racing_a_materialization_sees_the_pinned_state(
+        self, rdb, monkeypatch, read, other
+    ):
+        """One thread starts a read (or a checkpoint's fork) of a pinned
+        relation after a commit; another materializes that snapshot, or
+        quiesces the manager, and then one more commit lands.  The read
+        answers from the frozen rows: the undo stops syncing once the
+        snapshot materializes, so the live base corrected by it is not
+        the pinned state."""
+        rdb.create_index("r", ["a"])
+        snapshot = rdb.snapshot()
+        view = snapshot["r"]
+        commit(rdb, "r", plus=[(9, 9)])
+        index = view.index_on((0,))
+
+        def interleave():
+            if other == "materializes":
+                work = lambda: view._rows  # noqa: E731
+            else:
+                work = rdb.epochs.quiesce
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            commit(rdb, "r", plus=[(8, 8)])
+
+        _interleave_at_first_check(view, interleave, monkeypatch)
+        if read == "fork":
+            assert sorted(rdb.fork(snapshot).relation("r")) == [(1, 1), (2, 2), (3, 3)]
+        elif read == "len":
+            assert len(view) == 3
+        elif read == "in":
+            assert (8, 8) not in view
+        else:
+            assert index.lookup(8) == ()
+        assert sorted(view) == [(1, 1), (2, 2), (3, 3)]
+        assert sorted(rdb.relation("r")) == [(1, 1), (2, 2), (3, 3), (8, 8), (9, 9)]
+        snapshot.release()
+
+    def test_a_gated_read_of_a_changed_relation_materializes_outside_it(
+        self, rdb, monkeypatch
+    ):
+        """``rows_and_counts`` of a snapshot whose undo is not empty copies
+        the relation, and a copy takes the write gate: a read that lost
+        every optimistic round, and so holds the gate, must not copy
+        inside its bracket."""
+        monkeypatch.setattr("repro.engine.epochs.READ_RETRY_LIMIT", 0)
+        pin = rdb.epochs.pin()
+        view = pin.relation("r")
+        commit(rdb, "r", plus=[(9, 9)])
+        result = []
+        reader = threading.Thread(
+            target=lambda: result.append(view.rows_and_counts()), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the gated read deadlocked on its own copy"
+        rows, counts = result[0]
+        assert sorted(rows) == [(1, 1), (2, 2), (3, 3)] and counts is None
+        pin.release()
+
+
 class TestUndoDifferentials:
     def test_restore_is_o_delta(self, rdb):
         epochs = rdb.epochs
@@ -322,7 +445,7 @@ class TestSnapshotIndexes:
         assert len(index.buckets) == 3 and sorted(index.buckets) == [1, 2, 3]
         assert sorted(live.built_index((0,)).keys()) == [1, 3, 9]
         assert snap._materialized is None and snap._indexes is None
-        snap._detach()  # frozen rows: the local index's keys from here on
+        snap._rows  # materialize: the local index answers from here on
         assert sorted(snap.built_index((0,)).keys()) == [1, 2, 3]
         pin.release()
 

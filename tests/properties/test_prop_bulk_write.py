@@ -246,12 +246,10 @@ BULK = 500
 @pytest.mark.parametrize("bag", [False, True])
 def test_pinned_snapshots_read_their_own_state_across_bulk_commits(bag):
     """A 500-row insert commit and a 500-row delete commit, each under
-    three readers: one whose snapshot shares the live row dict zero-copy
-    (the kernel must move the relation onto a private copy before it
-    writes — each commit runs one kernel only, so either one reading
-    ``_rows`` before it notifies the epoch manager is caught), one pinned
-    but not yet materialized (it reconstructs from the retained delta),
-    and a plain late reader."""
+    three readers: one whose snapshot materialized before the commit (a
+    dict of its own, never the live one, so the kernel cannot write into
+    it), one pinned but not yet materialized (it reconstructs from the
+    retained delta), and a plain late reader."""
     initial = [(i, i % 7, i % 5 - 2, float(i % 3)) for i in range(2_000)]
     fresh = [(10_000 + i, i % 7, NULL, 0.5) for i in range(BULK)]
     for write in ("insert", "delete"):
@@ -265,8 +263,8 @@ def test_pinned_snapshots_read_their_own_state_across_bulk_commits(bag):
             before = dict(relation._rows)
             sharer = database.snapshot()
             shared = sharer["t"]  # held: the pin caches its views weakly
-            shared_rows = shared._rows  # materializes: zero-copy share
-            assert shared_rows is relation._rows
+            shared_rows = shared._rows  # materializes: a copy of its own
+            assert shared_rows is not relation._rows
             lazy = database.snapshot()
 
             context = context_type(database)

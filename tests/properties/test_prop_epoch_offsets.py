@@ -141,9 +141,7 @@ class Model:
 
     def readable(self, entry: Pinned, name: str) -> bool:
         snapshot = entry.held.get(name)
-        if snapshot is not None and (
-            snapshot._materialized is not None or snapshot._detached
-        ):
+        if snapshot is not None and snapshot._materialized is not None:
             return True  # frozen: needs no entries any more
         at = entry.synced[name] if snapshot is not None else entry.pin.version
         return at >= self.fence and at >= self.dropped_through
@@ -348,13 +346,29 @@ def _step(kind, plus_r=(), minus_r=(), flag=False, i=0, j=0) -> tuple:
     indexed=True,
     retain=1,
 )
+@example(  # a recycled dict never serves a pin whose records were reclaimed
+    rows_r=[],
+    rows_s=[],
+    steps=[
+        _step("commit", flag=True),
+        _step("pin", flag=True),
+        _step("release"),
+        _step("span"),  # materializes the pin's state, filed for reuse
+        _step("commit", plus_r=[(0, 0)]),
+        _step("commit", minus_r=[(0, 0)]),
+        _step("read"),
+    ],
+    bag=False,
+    indexed=False,
+    retain=1,
+)
 @example(  # a dead reader's merged rows are recycled and rolled forward
     rows_r=[(0, 0), (1, 1)],
     rows_s=[(0, 1)],
     steps=[
         _step("pin", flag=True),
-        _step("read", flag=True),  # materializes: shares the live rows
-        _step("commit", plus_r=[(2, 2)], flag=True),  # writer detaches, seeds the cache
+        _step("read", flag=True),  # materializes: one copy, filed for reuse
+        _step("commit", plus_r=[(2, 2)], flag=True),
         _step("release", j=1),  # the only owner dies
         _step("commit", plus_r=[(3, 3)], minus_r=[(0, 0)], flag=True),
         _step("commit", plus_r=[(4, 4)], flag=False),

@@ -218,6 +218,20 @@ CASES = [
             ),
         ],
     ),
+    # One way to materialize a pinned relation (adopt a dead reader's dict
+    # rolled forward, or copy once under the write gate): the live row dict
+    # is never shared, so no copy-on-write detach and no optimistic rounds.
+    (
+        "one-materialization",
+        [
+            (
+                ["-rnE", "_cow_shares|_register_share|_unregister_share|_cow_swap|_cow_detach_rows|_merge_locked|_detached", "src/"],
+                None,
+                "zero-copy sharing, copy-on-write detach or a second "
+                "materialization path is back in src/",
+            ),
+        ],
+    ),
 ]
 
 

@@ -155,6 +155,9 @@ class TestEpochPinFinalizer:
 
 
 class TestSnapshotReadRetry:
+    # The snapshots here are never materialized, so ``_read``'s ``frozen``
+    # alternative (``pytest.fail``) must not run.
+
     @staticmethod
     def _snapshot():
         database = Database(DatabaseSchema([R]))
@@ -172,7 +175,7 @@ class TestSnapshotReadRetry:
             raise error("compute bug")
 
         with pytest.raises(error, match="compute bug"):
-            snapshot._read(compute)
+            snapshot._read(compute, pytest.fail)
         assert len(calls) == 1
 
     def test_a_dict_mutated_mid_iteration_still_retries(self):
@@ -187,7 +190,7 @@ class TestSnapshotReadRetry:
                     live[key + 10] = None
             return "value"
 
-        assert snapshot._read(compute) == "value"
+        assert snapshot._read(compute, pytest.fail) == "value"
         assert len(calls) == 2
 
     def test_the_gated_pass_still_raises_what_keeps_failing(self):
@@ -199,7 +202,7 @@ class TestSnapshotReadRetry:
             raise RuntimeError("dictionary changed size during iteration")
 
         with pytest.raises(RuntimeError):
-            snapshot._read(compute)
+            snapshot._read(compute, pytest.fail)
         assert len(calls) == epochs.READ_RETRY_LIMIT + 1
 
 
