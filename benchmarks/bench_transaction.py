@@ -5,9 +5,10 @@ relation is O(k), not O(n).  This bench runs 10-tuple insert transactions
 through the real engine (overlay working set, in-place delta-application
 commit) against steady states of increasing size, next to a faithful
 re-implementation of the pre-overlay write path (full ``Relation.copy`` on
-first write, differential maintained beside the copy, wholesale
-``Database.install`` on commit — exactly what ``TransactionContext`` did
-before the overlay), and reports
+first write, differential maintained beside the copy — exactly what
+``TransactionContext`` did before the overlay — with the differential
+committed through ``apply_deltas``, the one write path of a base relation,
+where the old path installed the copy wholesale), and reports
 
 * commit latency vs relation size at fixed |Δ| (the overlay curve is flat,
   the eager curve grows linearly),
@@ -106,7 +107,8 @@ def _transaction():
 
 
 def _eager_transaction(database: Database) -> None:
-    """The pre-overlay write path, reproduced with surviving primitives."""
+    """The pre-overlay write path, reproduced with surviving primitives: an
+    O(n) working copy written row by row, its Δ committed in place."""
     relation = database.relation("fk")
     working = relation.copy()
     plus = Relation(relation.schema)
@@ -115,7 +117,7 @@ def _eager_transaction(database: Database) -> None:
         row = working.schema.validate_tuple((start + j, j))
         if working.insert(row, _validated=True):
             plus.insert(row, _validated=True)
-    database.install({"fk": working}, differentials={"fk": (plus, None)})
+    database.apply_deltas({"fk": (plus, None)}, record=False)
 
 
 def _bulk_write_path() -> tuple:

@@ -158,7 +158,7 @@ class Shell:
             # processes past the shell's lifetime.
             self.controller.close_schedulers()
             if self.database.wal is not None:
-                # DDL and bulk loads bypass the commit path; a fresh
+                # DDL and bulk loads write no log record; a fresh
                 # checkpoint makes them part of the next recovery too.
                 self.database.wal.write_checkpoint(self.database)
                 self.database.detach_wal()

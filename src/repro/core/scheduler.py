@@ -153,21 +153,13 @@ class RuleAuditTask:
     def run(self) -> Tuple[bool, tuple]:
         """Execute the audit; returns ``(violated, violating_sample)``."""
         from repro.engine.session import DeltaView
-        from repro.errors import EpochUnavailableError
 
-        try:
-            view = DeltaView(self.database, self.differentials, span=self.span)
-            if self.program is not None:
-                return self.controller._program_outcome(self.program, view)
-            return self.controller._is_violated(self.rule, view), ()
-        except EpochUnavailableError:
-            # The pinned window was quiesced away (an out-of-band bulk
-            # mutation mid-audit); fall back to the live-state audit the
-            # pre-MVCC pipeline always ran.
-            if self.span is None:
-                raise
-            self.release_span()
-            return self.run()
+        # A held span keeps every record it brackets, so its pinned states
+        # stay readable for the whole audit.
+        view = DeltaView(self.database, self.differentials, span=self.span)
+        if self.program is not None:
+            return self.controller._program_outcome(self.program, view)
+        return self.controller._is_violated(self.rule, view), ()
 
     def release_span(self) -> None:
         """Drop this task's retained reference on its epoch span, once."""
@@ -401,9 +393,10 @@ class AuditScheduler:
         slots: List[object] = []  # submission-ordered, for wait()
         # Pin the batch's pre/post epochs so every in-process task audits
         # exactly the states its commits transitioned between, even while
-        # the owning session keeps committing under the worker threads.
-        # None when a quiesce fence (a bulk load) came after the batch's
-        # first commit; tasks then fall back to the live-state audit.
+        # the owning session keeps committing or loading under the worker
+        # threads: the pins reconstruct through a load as through a
+        # commit.  None only when a record the span needs was trimmed (no
+        # cursor held it); tasks then audit the live state.
         span = self.database.epochs.pin_span(sequences[0], sequences[-1])
         try:
             for task in tasks:

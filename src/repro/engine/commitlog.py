@@ -11,12 +11,12 @@ frozen once the owning transaction commits.
 
 Invariants (:mod:`repro.engine.epochs` says how its readers lean on them):
 
-* **Versions** go up by one per record; a quiesce fence moves the version
-  and :attr:`CommitLog.fence` without one.  So the records above the fence
-  are versions ``fence + 1 … version`` at the end of the list; below it the
-  list keeps what a drain may still ask for.
+* **Versions** go up by one per record, and nothing else moves them: every
+  change to a base relation (a commit, a load, a restore) is one
+  ``apply_deltas`` batch and files one record.  So the retained records
+  are versions ``version - len + 1 … version``, contiguous.
 * **Sequences** number the recorded commits and increase along the list;
-  unrecorded batches (restore undos, replica applies) carry None.  A
+  unrecorded batches (loads, restore undos, replica applies) carry None.  A
   replay may jump them, never rewind.
 * **One window**: the epoch manager trims a prefix (swapping the list, so
   an old reference is a superset) by its one retention rule — a record
@@ -100,19 +100,24 @@ class CommitLog:
     def __init__(self):
         self._records: List[CommitRecord] = []
         self._next_sequence = 0
-        #: Version of the newest record or fence (0: nothing applied yet).
+        #: Version of the newest record (0: nothing applied yet).
         self.version = 0
-        #: Version of the newest quiesce fence: no state older than it can
-        #: be reconstructed from the records.
-        self.fence = 0
         self._lock = threading.RLock()
 
     # The lock is an implementation detail: copies (pickled checkpoints,
-    # deep-copied databases) carry the records, versions and fence, and get
-    # a fresh lock — so every record they carry can still be bracketed.
+    # process replicas, deep-copied databases) carry the records and
+    # versions, and get a fresh lock — so every commit they carry can still
+    # be bracketed.  A copy starts with no pin, so the unrecorded batches
+    # older than its first commit (a fixture's loads) bracket nothing for
+    # it: they stay behind instead of being copied beside their rows.
     def __getstate__(self) -> dict:
         with self._lock:
-            state = dict(self.__dict__, _records=list(self._records))
+            records = self._records
+            first = next(
+                (i for i, r in enumerate(records) if r.sequence is not None),
+                len(records),
+            )
+            state = dict(self.__dict__, _records=records[first:])
         del state["_lock"]
         return state
 
@@ -173,7 +178,6 @@ class CommitLog:
         log = CommitLog()
         with self._lock:
             log._records = [r for r in self._records if r.version <= version]
-            log.fence = min(self.fence, version)
         log.version = version
         log._next_sequence = epoch
         return log

@@ -15,12 +15,13 @@ does it keep statistics about its commits: the plans it caches
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.bounded import BoundedTable
 from repro.engine.commitlog import CommitLog, delta_side
 from repro.engine.epochs import EpochManager, PinnedRelations
-from repro.engine.relation import Relation
+from repro.engine.relation import Relation, absent_rows
 from repro.engine.schema import DatabaseSchema, RelationSchema
 from repro.errors import UnknownRelationError, WalError
 
@@ -68,8 +69,8 @@ class Database:
         # Epoch-based MVCC over the stream: pinned readers (snapshots,
         # audit spans, bare-name query results) see a stable state
         # reconstructed in O(Δ).  Base relations notify the manager before
-        # every mutation so writes that bypass the delta path cannot
-        # silently invalidate pinned state.
+        # every mutation, and a write outside `apply_deltas` raises there
+        # before it could invalidate pinned state.
         self.epochs = EpochManager(self)
         for relation in self._relations.values():
             relation._observer = self.epochs
@@ -129,24 +130,28 @@ class Database:
         """Bulk-load rows into a base relation outside any transaction.
 
         Intended for test fixtures and benchmarks; returns the number of rows
-        actually inserted.  Loading does not advance logical time.
+        actually inserted (set mode absorbs duplicates, in the batch as in
+        the relation).  Every row is validated before the first one lands.
 
-        The rows go in as one set through the relation's bulk kernel
-        (:meth:`~repro.engine.relation.Relation.insert_many`): all of them
-        are validated before the first one lands.
-
-        Loading bypasses the delta path, so pinned epochs cannot see
-        *through* it algebraically: outstanding snapshots are materialized
-        at their pinned state and detached first (:meth:`EpochManager.
-        quiesce`), then the bulk mutation runs inside the writer's seqlock
-        window.
+        A load is one :meth:`apply_deltas` batch whose Δ⁺ is the rows not
+        already present (in bag mode, every row's count), applied
+        unrecorded: no logical time, no sequence number, no write-ahead
+        record and no audit.  It is in the commit stream all the same, so a
+        pin taken before it reconstructs its own state through it as
+        through any commit.
         """
-        self.epochs.quiesce()
-        self.epochs.begin_write()
-        try:
-            return self.relation(name).insert_many(rows)
-        finally:
-            self.epochs.end_write()
+        relation = self.relation(name)
+        rows = relation.schema.validate_rows(rows)
+        if self.bag:
+            counts = dict(Counter(rows))
+        else:
+            counts = absent_rows(relation._rows, dict.fromkeys(rows, 1))
+        if not counts:
+            return 0
+        plus = Relation(relation.schema, bag=self.bag)
+        plus._rows = counts  # the batch's own dict: adopted, not copied
+        self.apply_deltas({name: (plus, None)}, advance_time=False, record=False)
+        return len(rows) if self.bag else len(counts)
 
     def add_relation(self, schema: RelationSchema, rows: Iterable[tuple] = ()) -> Relation:
         """Add a new base relation to a live database (DDL helper)."""
@@ -181,20 +186,20 @@ class Database:
     def restore(self, snapshot: Mapping) -> None:
         """Restore a snapshot by applying the diff as a frozen delta.
 
-        Unlike the pre-pipeline restore (and unlike :meth:`install`), the
-        live relation objects are never replaced: per relation the row-level
-        difference between the current state and the snapshot is computed
-        and applied in place through the same delete/insert path commits
-        use, so built hash indexes follow along incrementally and held
-        query results keep tracking the restored state.  Accepts either a
+        The live relation objects are never replaced: the difference
+        between the current state and the snapshot is applied in place as
+        one unrecorded :meth:`apply_deltas` batch, the path commits and
+        loads take, so built hash indexes follow along incrementally, held
+        query results keep tracking the restored state and pins taken
+        before the restore still read their own.  Accepts either a
         :class:`DatabaseSnapshot` (which also restores logical time) or a
         legacy ``{name: Relation}`` mapping.
 
         Epoch-pinned snapshots of *this* database restore in O(Δ): the
-        retained commit deltas since the pin are inverted and composed
-        (:meth:`EpochManager.undo_differentials`) instead of diffing every
-        relation row-by-row.  Foreign or unpinned mappings fall back to
-        the generic state diff.
+        retained batches since the pin (commits, loads and restores alike)
+        are inverted and composed (:meth:`EpochManager.undo_differentials`)
+        instead of diffing every relation row-by-row.  Foreign or unpinned
+        mappings fall back to the generic state diff.
         """
         pin = getattr(snapshot, "pin", None)
         if pin is not None and pin._manager is self.epochs:
@@ -237,15 +242,14 @@ class Database:
         """An independent plain :class:`Database` frozen at a pinned epoch.
 
         Copies each relation *at the pinned state* (the live database may
-        keep committing while the copy proceeds — the pin guarantees a
-        consistent cut), and carries over the commit stream **up to** the
-        pin, versions and fence included, so every commit the fork carries
-        can still be bracketed; ``next_sequence`` continues the original
-        numbering.  It carries the records the original held at the cut and
-        keeps them under its own window (the default ``retain``): a trim of
-        the original after the cut — such as the one that releasing a fork's
-        own head pin makes after a fence — does not reach the fork.  This
-        is what epoch-forked WAL checkpoints pickle: a
+        keep committing or loading while the copy proceeds — the pin
+        guarantees a consistent cut), and carries over the commit stream
+        **up to** the pin, versions included, so every commit the fork
+        carries can still be bracketed; ``next_sequence`` continues the
+        original numbering.  It carries the records the original held at
+        the cut and keeps them under its own window (the default
+        ``retain``): a trim of the original after the cut does not reach
+        the fork.  This is what epoch-forked WAL checkpoints pickle: a
         checkpointer can fork and serialize without stopping the writer.
         """
         own = snapshot is None
@@ -281,12 +285,14 @@ class Database:
         :meth:`~repro.engine.relation.Relation.delete_counts` call with Δ⁻,
         then one ``insert_counts`` call with Δ⁺ — so the work is O(|Δ|),
         never O(|R|), and built hash indexes follow along one pass per
-        index.  Recovery replay (:meth:`replay_record`), audit replicas and
-        snapshot restore apply their deltas through this same method.
+        index.  This is the one write path of a base relation: recovery
+        replay (:meth:`replay_record`), audit replicas, :meth:`load` and
+        snapshot restore apply their deltas through it too, and any other
+        write raises :class:`~repro.errors.OutOfBandMutationError`.
 
         The batch is filed once in :attr:`commit_log`.  A recorded batch is
         a commit: it takes the next sequence number and it goes to the
-        write-ahead log.  An unrecorded one (snapshot restore, a
+        write-ahead log.  An unrecorded one (a load, a snapshot restore, a
         replica's apply) is none of these.
         """
         pre_time = self.logical_time
@@ -330,8 +336,8 @@ class Database:
         replay is written immediately (``checkpoint=False`` skips it —
         recovery re-attaching the same log must not re-anchor).
 
-        Bulk :meth:`load` bypasses the commit path and therefore the log;
-        load fixtures *before* attaching, or call
+        A bulk :meth:`load` is an unrecorded batch and never reaches the
+        log; load fixtures *before* attaching, or call
         ``wal.write_checkpoint(database)`` afterwards.
         """
         self.wal = wal
@@ -397,50 +403,6 @@ class Database:
         database.last_recovery = report
         return database
 
-    def install(
-        self,
-        relations: Mapping,
-        advance_time: bool = True,
-        differentials: Optional[Mapping] = None,
-    ) -> None:
-        """Install whole replacement relation states (bulk state change).
-
-        The transaction commit path no longer goes through here — commits
-        apply their net delta in place via :meth:`apply_deltas`.  Install
-        survives for wholesale state replacement (fixtures, snapshot
-        restore, reference implementations): only the names present in
-        ``relations`` are replaced; logical time advances by one step
-        unless ``advance_time`` is false.
-
-        ``differentials`` optionally maps a replaced name to its net
-        ``(plus, minus)`` relations; when given, hash indexes built on the
-        replaced relation are migrated to its successor incrementally
-        (O(|delta|)) instead of being discarded.
-        """
-        from repro.engine.indexes import migrate_indexes
-
-        # Wholesale replacement is invisible to the delta stream, so
-        # outstanding pins are materialized-and-detached first.
-        self.epochs.quiesce()
-        self.epochs.begin_write()
-        try:
-            for name, relation in relations.items():
-                if name not in self._relations:
-                    raise UnknownRelationError(name)
-                old = self._relations[name]
-                delta = differentials.get(name) if differentials else None
-                if delta is not None:
-                    migrate_indexes(old, relation, plus=delta[0], minus=delta[1])
-                else:
-                    migrate_indexes(old, relation)
-                old._observer = None
-                relation._observer = self.epochs
-                self._relations[name] = relation
-            if advance_time:
-                self.logical_time += 1
-        finally:
-            self.epochs.end_write()
-
     # -- hash indexes ----------------------------------------------------------
 
     def create_index(self, relation_name: str, attributes) -> None:
@@ -448,7 +410,7 @@ class Database:
 
         ``attributes`` is a sequence of attribute names or 1-based positions.
         The index starts built and is maintained incrementally by
-        inserts/deletes and migrated across transaction commits; the physical
+        inserts/deletes, one batch per transaction commit; the physical
         plan layer uses it for equality selections and as a pre-built side of
         hash semi/anti-joins.  Like any built index of a base relation it goes
         back to declared once it has filed more rows unread than the relation

@@ -8,8 +8,8 @@ take or keep a snapshot:
 
 * The database carries one :class:`~repro.engine.commitlog.CommitLog`, the
   commit stream, and one :class:`EpochManager` over it.  Each mutation
-  batch (``apply_deltas`` — recorded commits and unrecorded restores alike)
-  files one record there, and the record's *version* is the state it
+  batch (``apply_deltas`` — recorded commits, unrecorded loads and restores
+  alike) files one record there, and the record's *version* is the state it
   produced.  Recorded commits also carry their sequence number — the
   commit sequence *is* the public epoch counter.  The manager keeps no
   list of its own: it owns the seqlock, the pins, the cursors and the
@@ -51,28 +51,28 @@ a live writer pays one O(n) copy per relation and O(Δ) from then on; the
 live row dict is never shared.  The copy takes the gate outright: an
 O(n) compute loses the seqlock race whenever any commit lands during it,
 while the gate is a single uncontended acquire when the writer is idle.
-:meth:`EpochManager.quiesce` materializes every outstanding snapshot,
-which is how out-of-band bulk mutations (``Database.load`` / ``install``)
-keep old pins correct.  The fence moves the version and the stream's
-``fence`` past every existing state, and drops no record: a commit a
-cursor has not drained is still returned by ``CommitLog.since`` (it is
-audited against the live state, since no pin can bracket it any more).
+
+There is no other way to change a base relation: a bulk load is an
+unrecorded batch of the stream like a restore, and a write that bypasses
+``apply_deltas`` raises :class:`~repro.errors.OutOfBandMutationError`
+(:meth:`EpochManager.note_mutation`) before any row changes.  So no pin
+ever has to be fenced off or detached, and a commit a cursor has not
+drained is audited against its own pinned states whatever was loaded
+since.
 
 Invariants the read path leans on (each is asserted by
 ``tests/properties/test_prop_epoch_offsets.py``,
 ``tests/engine/test_read_cost.py`` or, the last,
 ``tests/properties/test_prop_head_read.py``):
 
-* **Record versions are contiguous above the fence.**  A batch files
-  version ``n + 1`` after version ``n``, the list is trimmed only from the
-  front, and ``quiesce`` — the one version bump without a record — sets the
-  fence to its version.  Every state a pin may still reach is at or above
-  the fence, so the records newer than such a version ``v`` are the last
-  ``newest.version - v`` of the list (:func:`_entries_after`, an offset
-  from the end), and a snapshot that is already current learns so from the
-  last record alone.  Commit *sequences* are not contiguous (unrecorded
-  batches carry none), so :meth:`EpochManager.pin_span` walks back from
-  the newest record instead.
+* **Record versions are contiguous.**  A batch files version ``n + 1``
+  after version ``n``, nothing else moves the version, and the list is
+  trimmed only from the front.  So the records newer than a version ``v``
+  are the last ``newest.version - v`` of the list (:func:`_entries_after`,
+  an offset from the end), and a snapshot that is already current learns
+  so from the last record alone.  Commit *sequences* are not contiguous
+  (unrecorded batches carry none), so :meth:`EpochManager.pin_span` walks
+  back from the newest record instead.
 * **Who reads the list.**  The writer appends in place (the record first,
   then the version bump) and the trim swaps the reference, both under the
   stream's one lock — a reader thread releasing a pin trims too, and must
@@ -100,18 +100,15 @@ Invariants the read path leans on (each is asserted by
   Nothing a snapshot owns points back at it — index views are handles made
   per request, the pin's relation cache and the manager's registries are
   weak — so dropping the last reference releases the pin, and with it the
-  retained records, at once.  The only cycle is the deliberate one of a
-  quiesce-fenced pin (``EpochPin._fenced``).
+  retained records, at once.  There is no cycle.
 * **One-shot reads take no pin.**  A pin taken at the head and dropped
   when the call returns reconstructs a state that *is* the live state, so
   ``Session.query(text, pinned=True)`` runs a *probe-only* plan (every
   named relation reached solely by keyed probes of indexes that are built
   when the attempt looks — ``PhysicalOperator.probes``) on the live
   relations inside one bracket, :meth:`EpochManager.read_head`.  *What
-  validates:* the stamp, which every mutation batch moves (commits,
-  ``load``, ``install``), and the version, which :meth:`~EpochManager.
-  quiesce` moves — and an out-of-band mutation does fence, because the
-  attempt clears ``_quiescent`` exactly as :meth:`~EpochManager.pin` does.
+  validates:* the stamp alone, which every mutation batch moves (commits,
+  loads, restores), and nothing else changes a base relation.
   *What a lost attempt is:* nothing.  A bucket torn by the writer can make
   an operator return or raise anything, so the outcome is looked at only
   after validation: a lost attempt's value or exception is dropped, an
@@ -152,7 +149,7 @@ from repro.engine.relation import (
     scan_aggregate_state,
     shifted_aggregate_state,
 )
-from repro.errors import EpochUnavailableError, UnknownRelationError
+from repro.errors import EpochUnavailableError, OutOfBandMutationError
 
 #: Versions of the commit stream kept when no pin or cursor needs older
 #: ones: the window for late pins, and how far a cursor may fall behind
@@ -205,11 +202,11 @@ def _fold(counts: dict, grow: Relation, shrink: Relation) -> None:
 def _entries_after(records: List[CommitRecord], version: int) -> List[CommitRecord]:
     """The records newer than ``version``, by offset instead of by scan.
 
-    Versions are contiguous above the fence (see the module docs), so the
-    first newer record sits a computable distance from the end and a
-    caller that is already current pays for one comparison.  The caller
-    has established that ``version`` is at or above the fence and that the
-    list reaches back far enough: ``records[0].version <= version + 1``.
+    Versions are contiguous (see the module docs), so the first newer
+    record sits a computable distance from the end and a caller that is
+    already current pays for one comparison.  The caller has established
+    that the list reaches back far enough: ``records[0].version <=
+    version + 1``.
     The length is read before the last record, so an append racing a
     reader that holds no lock cannot shift the slice.
     """
@@ -228,11 +225,10 @@ class EpochManager:
 
     def __init__(self, database, retain: int = DEFAULT_RETAIN):
         self._database = database
-        # The commit stream: its records, its version (+1 per record) and
-        # its fence (versions below it cannot mint new snapshot relations:
-        # an out-of-band bulk mutation happened since).  The version is
-        # distinct from the public epoch (the commit sequence) because
-        # unrecorded batches move state without consuming a sequence.
+        # The commit stream: its records and its version (+1 per record).
+        # The version is distinct from the public epoch (the commit
+        # sequence) because unrecorded batches move state without
+        # consuming a sequence.
         self._log = database.commit_log
         self.retain = max(int(retain), 1)
         # Seqlock stamp: even = stable, odd = a mutation batch is in
@@ -250,18 +246,8 @@ class EpochManager:
         # The stream's one lock, re-entrant: EpochPin.__del__ may run from
         # the GC at any point, including while this thread already holds it.
         self._lock = self._log._lock
-        # Live snapshot relations and pins, detached/fenced by quiesce().
-        # Relations are tracked by identity (Relation is unhashable by
-        # design, and value-equal snapshots must not collapse), pins in a
-        # plain WeakSet.
-        self._issued: Dict[int, "weakref.ref"] = {}
-        self._issued_pins: "weakref.WeakSet" = weakref.WeakSet()
-        # True while no pin, snapshot view, or retained record could be
-        # invalidated by an out-of-band mutation: note_mutation() is then
-        # O(1).  Cleared whenever one appears; restored by quiesce().
-        self._quiescent = not self._log._records
         # Materialization recycling: name -> (version, rows, owner ref),
-        # the last snapshot dict materialized at or above the fence.  Once
+        # the last snapshot dict materialized.  Once
         # its owner is unreachable, the next materialization adopts the
         # dict and rolls it forward O(Δ) through the retained records
         # instead of copying O(n): a reader re-pinning under a live writer
@@ -309,8 +295,6 @@ class EpochManager:
         try:
             if record is not None:
                 with self._lock:
-                    if record.differentials:
-                        self._quiescent = False  # later direct mutations fence
                     self._trim_locked()
         finally:
             self._stamp += 1
@@ -404,31 +388,24 @@ class EpochManager:
         """``compute()`` over the *live* relations in one validated bracket
         (the module docs' *one-shot reads*).
 
-        The value counts iff neither the stamp (a commit) nor the version
-        (a :meth:`quiesce` fence) moved while it was computed.  Returns it,
-        or None after :data:`READ_RETRY_LIMIT` lost attempts — the caller
-        then takes a pin.  The write gate is taken only by an index rebuild
-        inside an attempt: a ``compute`` whose index a commit sent back to
-        declared builds it through :meth:`build_index`.
+        The value counts iff the stamp did not move while it was computed:
+        every batch moves it.  Returns it, or None after
+        :data:`READ_RETRY_LIMIT` lost attempts — the caller then takes a
+        pin.  The write gate is taken only by an index rebuild inside an
+        attempt: a ``compute`` whose index a commit sent back to declared
+        builds it through :meth:`build_index`.
         """
         for _attempt in range(READ_RETRY_LIMIT):
             stamp = self.read_begin()
-            # Like a pin, this read needs out-of-band mutations to fence;
-            # under the lock, so a quiesce() either moves the version read
-            # here or has already set the flag this clears.
-            log = self._log
-            with self._lock:
-                version = log.version
-                self._quiescent = False
             try:
                 value = compute()
             except Exception:
                 # Validate first, then decide: a torn state can raise
                 # anything, a stable one raised the caller's own error.
-                if self.read_validate(stamp) and log.version == version:
+                if self.read_validate(stamp):
                     raise
                 continue
-            if self.read_validate(stamp) and log.version == version:
+            if self.read_validate(stamp):
                 return value
         return None
 
@@ -445,14 +422,11 @@ class EpochManager:
 
     def _available_locked(self, version: int) -> bool:
         log = self._log
-        if version < log.fence:
-            return False
         if version >= log.version:
             return version == log.version
         records = log._records
-        # Versions above the fence are contiguous and trimmed only from the
-        # front, so one front check proves every record > ``version``
-        # survives.
+        # Versions are contiguous and trimmed only from the front, so one
+        # front check proves every record > ``version`` survives.
         return bool(records) and records[0].version <= version + 1
 
     def pin(self) -> "EpochPin":
@@ -471,10 +445,7 @@ class EpochManager:
                 self._pins[version] = self._pins.get(version, 0) + 1
                 if self._available_locked(version):
                     self.pins_taken += 1
-                    pin = EpochPin(self, version, epoch)
-                    self._issued_pins.add(pin)
-                    self._quiescent = False
-                    return pin
+                    return EpochPin(self, version, epoch)
                 # Raced with enough commits to lose the window; rare.
                 self._unpin_locked(version)
 
@@ -483,9 +454,8 @@ class EpochManager:
 
         ``pre`` is the state the first commit applied to; ``post`` is the
         state the last commit produced.  Returns None when that cannot be
-        reconstructed any more — a record was trimmed, or a quiesce fence
-        came after the first commit — letting callers fall back to
-        live-state audits.
+        reconstructed any more — a record was trimmed — letting callers
+        fall back to live-state audits.
         """
         with self._lock:
             pre_version = post_version = None
@@ -511,9 +481,6 @@ class EpochManager:
             self.pins_taken += 2
             pre = EpochPin(self, pre_version, first_sequence)
             post = EpochPin(self, post_version, last_sequence + 1)
-            self._issued_pins.add(pre)
-            self._issued_pins.add(post)
-            self._quiescent = False
         return EpochSpan(pre, post)
 
     def _unpin_locked(self, version: int) -> None:
@@ -536,12 +503,7 @@ class EpochManager:
         with self._lock:
             if not self._available_locked(pin.version):
                 raise EpochUnavailableError(pin.epoch)
-            relation = SnapshotRelation(self, pin, name, live)
-            issued, key = self._issued, id(relation)
-            issued[key] = weakref.ref(
-                relation, lambda _ref, issued=issued, key=key: issued.pop(key, None)
-            )
-        return relation
+        return SnapshotRelation(self, pin, name, live)
 
     def undo_differentials(self, version: int) -> Optional[dict]:
         """Net ``{base: (Δ⁺, Δ⁻)}`` reverting the live state to ``version``.
@@ -575,22 +537,20 @@ class EpochManager:
             if len(plus) or len(minus)
         }
 
-    # -- out-of-band mutation fence ---------------------------------------------
+    # -- the one write path -----------------------------------------------------
 
     def note_mutation(self) -> None:
-        """A base relation is about to mutate — possibly out-of-band.
+        """A base relation is about to mutate.
 
         Called by :class:`~repro.engine.relation.Relation` before every
-        row change on an observed relation.  Mutations inside the writer's
-        seqlock window are the commit delta path and return immediately;
-        anything else (direct ``relation.insert(...)`` bypassing
-        ``apply_deltas``, fixture code) silently invalidates the algebraic
-        reconstruction, so the outstanding pins are materialized at their
-        pinned state and detached *before* the mutation lands.  O(1) when
-        nothing is pinned or retained.
+        row change on a database's relation.  Inside the writer's seqlock
+        window the change is an ``apply_deltas`` batch, and the stream
+        records it; anything else (a direct ``relation.insert(...)``) would
+        move the live base under every pin without a record, so it raises
+        :class:`~repro.errors.OutOfBandMutationError` before it lands.
         """
-        if not (self._stamp & 1 or self._quiescent):
-            self.quiesce()
+        if not self._stamp & 1:
+            raise OutOfBandMutationError()
 
     def _adopt_cached(self, name: str, upto: int) -> Optional[dict]:
         """Recycle a dead owner's materialized dict, rolled forward to
@@ -636,57 +596,9 @@ class EpochManager:
 
     def _file_materialized(self, name: str, version: int, rows: dict, owner) -> None:
         """Offer ``owner``'s dict, the state at ``version``, to the next
-        materialization of ``name`` once ``owner`` dies.  A state below
-        the fence is not filed: no pin may reach it any more."""
+        materialization of ``name`` once ``owner`` dies."""
         with self._lock:
-            if version >= self._log.fence:
-                self._mat_cache[name] = (version, rows, weakref.ref(owner))
-
-    def quiesce(self) -> int:
-        """Detach every outstanding pin before an unobserved bulk mutation.
-
-        ``Database.load`` / ``install`` mutate or replace relations without
-        going through the delta path, so the algebraic reconstruction
-        breaks for any snapshot still reading through the live base.  Every
-        live pin's relations are materialized *now* (at their pinned state,
-        pre-mutation) and permanently detached; the stream is fenced so
-        stale pins cannot mint new snapshot relations.  The fence drops no
-        record: a drain still finds every commit it has not audited.
-        Returns the number of snapshot relations detached.
-        """
-        for pin in list(self._issued_pins):
-            if pin._released:
-                continue
-            for name in self._database.relation_names:
-                try:
-                    # The fence dict holds the snapshot strongly: once
-                    # detached it cannot be reconstructed from records, so
-                    # the pin itself must keep it alive.
-                    pin._fenced[name] = pin.relation(name)
-                except (EpochUnavailableError, UnknownRelationError):
-                    continue
-        detached = 0
-        for ref in list(self._issued.values()):
-            relation = ref()
-            if relation is None:
-                continue
-            try:
-                # Materialize at the pinned state: the snapshot stops
-                # reading the live base.
-                relation._rows
-            except EpochUnavailableError:
-                # A snapshot of a released pin whose records were already
-                # reclaimed: unreadable before the fence, unreadable after.
-                continue
-            detached += 1
-        log = self._log
-        with self._lock:
-            self._issued = {}
-            self._mat_cache = {}  # cached states predate the fence
-            log.version += 1
-            log.fence = log.version
-            self._quiescent = True
-        return detached
+            self._mat_cache[name] = (version, rows, weakref.ref(owner))
 
     def __repr__(self) -> str:
         return (
@@ -705,7 +617,6 @@ class EpochPin:
         "epoch",
         "_released",
         "_relations",
-        "_fenced",
         "__weakref__",
     )
 
@@ -726,17 +637,8 @@ class EpochPin:
         self._relations: "weakref.WeakValueDictionary" = (
             weakref.WeakValueDictionary()
         )
-        # Exception: snapshots materialized by the quiesce fence are held
-        # strongly — once detached they cannot be reconstructed from the
-        # commit stream, so the pin is their only anchor.  Fencing is the
-        # rare out-of-band path; the steady-state commit path never fills
-        # this dict, so the cycle it forms stays off the hot path.
-        self._fenced: Dict[str, "SnapshotRelation"] = {}
 
     def relation(self, name: str) -> "SnapshotRelation":
-        relation = self._fenced.get(name)
-        if relation is not None:
-            return relation
         relation = self._relations.get(name)
         if relation is None:
             relation = self._manager.snapshot_relation(name, self)
@@ -919,10 +821,6 @@ class SnapshotRelation(OverlayRelation):
     def _sync_locked(self) -> None:
         """Catch the undo delta up to the newest retained record."""
         log = self._manager._log
-        if self._pin.version < log.fence:
-            # A fence the detach missed (this snapshot was minted while it
-            # ran): the live base has moved out of band since the pin.
-            raise EpochUnavailableError(self._pin.epoch)
         # The version before the list: the writer files a record before it
         # bumps the version, so an empty list under a newer version means
         # the records are gone, never that one is on its way.
@@ -1166,8 +1064,8 @@ class SnapshotRelation(OverlayRelation):
                 return None
             return self._local_index(positions)
         # The live base's request: it builds a declared index under the
-        # write gate.  A fence detaching this snapshot meanwhile is read by
-        # the view, which then answers from the frozen rows.
+        # write gate.  A materialization meanwhile is read by the view,
+        # which then answers from the frozen rows.
         index = self.base.amortized_index(positions)
         return None if index is None else self._index_view(index)
 

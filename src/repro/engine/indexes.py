@@ -52,10 +52,9 @@ Design points:
   (:meth:`IndexSet.rows_added` / :meth:`IndexSet.rows_removed`); each built
   index then files them in one tight loop (:meth:`HashIndex.add_many` /
   :meth:`HashIndex.remove_many`) — O(|delta|), not O(|R|).  Building an
-  index is ``add_many`` over all rows, a single-row insert is ``add_many``
-  over one, and :func:`migrate_indexes` — the wholesale-replacement path
-  (:meth:`Database.install`) bulk state changes still use — replays its
-  differential through the same two calls.
+  index is ``add_many`` over all rows, and a single-row insert is
+  ``add_many`` over one.  A bulk load is a commit-stream batch like any
+  other, so its rows are filed through the same two calls.
 
 * **The probe surface.**  What a physical operator may ask of an index —
   of a :class:`HashIndex` and of the :class:`~repro.engine.overlay.
@@ -350,45 +349,3 @@ class IndexSet:
     def __repr__(self) -> str:
         return f"IndexSet({list(self._indexes)})"
 
-
-def migrate_indexes(
-    old_relation,
-    new_relation,
-    plus=None,
-    minus=None,
-) -> None:
-    """Move ``old_relation``'s indexes onto ``new_relation`` incrementally.
-
-    ``new_relation`` is assumed to be ``old ∪ plus − minus`` (the contract
-    of :meth:`Database.install` with differentials).  Built indexes are
-    replayed with the differential in O(|plus| + |minus|); when no
-    differential is supplied the built contents are dropped and only the
-    declarations survive (they rebuild lazily on next use).
-
-    Bag-mode subtlety: a row in ``minus`` may still be present in the new
-    relation (a duplicate occurrence was deleted); removal therefore checks
-    membership in the new relation, and additions are idempotent at the
-    distinct level by construction.
-    """
-    old_indexes = getattr(old_relation, "_indexes", None)
-    if old_indexes is None or old_relation is new_relation:
-        return
-    if new_relation._indexes is None:
-        new_relation._indexes = old_indexes
-    else:
-        # Merge: keep the destination's own declarations too.
-        for index in old_indexes:
-            existing = new_relation._indexes.get(index.positions)
-            if existing is None or not existing.built:
-                new_relation._indexes._indexes[index.positions] = index
-        old_indexes = new_relation._indexes
-    old_relation._indexes = None
-    if plus is None and minus is None:
-        old_indexes.invalidate()
-        return
-    if minus is not None:
-        old_indexes.rows_removed(
-            [row for row in minus.rows() if row not in new_relation]
-        )
-    if plus is not None:
-        old_indexes.rows_added(plus._rows)

@@ -148,8 +148,8 @@ class Relation:
         self._batch = None  # lazily a cached algebra.columnar.ColumnBatch
         # Mutation observer (the owning database's EpochManager on base
         # relations; None everywhere else): notified *before* every row
-        # change so out-of-band mutations — ones bypassing the commit
-        # delta path — cannot silently invalidate pinned epoch snapshots.
+        # change, it raises OutOfBandMutationError for a write that
+        # bypasses the commit delta path (Database.apply_deltas).
         self._observer = None
         # Memoised aggregate states, {(kind, position): (value, count)}, or
         # None; see aggregate_state().

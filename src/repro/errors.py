@@ -56,13 +56,30 @@ class EpochUnavailableError(ReproError):
 
     Raised when a reader asks for a fresh snapshot view of an epoch whose
     retained differentials were already garbage-collected — only possible
-    after the pin was released (or quiesced away by an out-of-band bulk
-    load).  Already-materialized snapshot relations are never affected.
+    after the pin was released.  Already-materialized snapshot relations
+    are never affected.
     """
 
     def __init__(self, epoch: int):
         super().__init__(f"epoch #{epoch} is no longer reconstructible")
         self.epoch = epoch
+
+
+class OutOfBandMutationError(ReproError):
+    """A database's base relation was written outside the commit stream.
+
+    Every change to a base relation is one ``Database.apply_deltas`` batch
+    (a commit, a ``load``, a ``restore``), which is what lets pinned
+    readers reconstruct their state.  A direct ``insert``/``delete``/
+    ``clear`` on ``database.relation(name)`` raises this before any row
+    changes.
+    """
+
+    def __init__(self):
+        super().__init__(
+            "a database's base relation changes only through the commit "
+            "stream: use load, apply_deltas or a transaction"
+        )
 
 
 class WalCorruptionError(WalError):

@@ -252,3 +252,39 @@ def test_a_committer_and_a_draining_thread_audit_every_commit_once(
     assert _verdicts(scheduler.history) == {
         first + i: ({"fk_ref"} if i % 12 >= 10 else set()) for i in range(60)
     }
+
+
+def test_a_deferred_drain_after_a_bulk_load_keeps_its_verdict(database, controller):
+    """A load between a deferred commit and its drain is a batch of the
+    stream like any commit, so the drain audits the state the commit
+    produced, not the live state the load made: ``pk`` gains the key only
+    after the commit that referenced it."""
+    optimistic = Session(database, controller)
+    result = optimistic.commit("begin insert(fk, (1, 77)); end", audit="deferred")
+    assert result.committed
+    sequence = database.commit_log.next_sequence - 1
+    inline = set(controller.violated_constraints_incremental(database, result))
+    assert inline == {"fk_ref"}
+    assert database.load("pk", [(77,)]) == 1
+    outcomes = optimistic.drain_audits()
+    assert _verdicts(outcomes) == {sequence: inline}
+
+
+def test_restore_of_a_snapshot_pinned_before_a_load_undoes_it_in_o_delta(
+    database, monkeypatch
+):
+    """The load is in the stream, so restoring a snapshot pinned before it
+    inverts the retained batches (``undo_differentials``) instead of
+    diffing every relation against the snapshot."""
+    before = {name: set(database.relation(name)) for name in ("fk", "pk")}
+    snapshot = database.snapshot()
+    assert Session(database).execute("begin insert(fk, (1, 2)); end").committed
+    assert database.load("pk", [(77,), (3,)]) == 1
+
+    def state_diff(*args):
+        raise AssertionError("restore diffed the states")
+
+    monkeypatch.setattr("repro.engine.database.delta_side", state_diff)
+    database.restore(snapshot)
+    assert {name: set(database.relation(name)) for name in ("fk", "pk")} == before
+    assert database.logical_time == snapshot.logical_time

@@ -8,9 +8,11 @@ commit (``EpochManager.pin_span``) or fell back to the live state — which
 a database does when it holds a commit record no version can bracket.
 
 The verdict must be the same on the live database, after recovery (by
-replaying the log, or from a checkpoint taken after both commits) and on a
-fork.
+replaying the log, or from a checkpoint taken after both commits), on a
+fork and on a pickled copy.
 """
+
+import pickle
 
 import pytest
 
@@ -87,3 +89,22 @@ def test_a_fork_brackets_commit_0(pinned):
     fork = database.fork(snapshot)
     assert fork.commit_log.next_sequence == 2
     assert first_commit_violates(fork) is True
+
+
+def test_a_copy_leaves_the_loads_before_its_first_commit_behind():
+    """A pickled copy (a checkpoint, a process replica) starts with no pin,
+    so the loads older than its first commit bracket nothing for it and are
+    not pickled beside their rows; a load between two commits is, and the
+    copy still brackets commit #0 across it."""
+    database = Database(schema())
+    database.load("pk", [(key,) for key in range(50)])
+    database.load("fk", [(key, key) for key in range(50)])
+    session = Session(database)
+    assert session.execute("begin insert(fk, (100, 55)); end").committed
+    assert database.load("pk", [(55,)]) == 1
+    assert session.execute("begin insert(pk, (56,)); end").committed
+    assert [r.sequence for r in database.commit_log._records] == [None, None, 0, None, 1]
+    copy = pickle.loads(pickle.dumps(database))
+    assert [r.sequence for r in copy.commit_log._records] == [0, None, 1]
+    assert copy.commit_log.version == database.commit_log.version
+    assert first_commit_violates(copy) is True

@@ -25,7 +25,6 @@ here                           was
 ``ReferenceContext``           ``TransactionContext.insert_rows`` /
                                ``delete_rows`` / ``commit``
 ``apply_deltas``               ``Database.apply_deltas``
-``migrate_indexes``            ``engine.indexes.migrate_indexes``
 =============================  ==========================================
 """
 
@@ -95,34 +94,6 @@ def row_removed(indexes, row, held=None):
         if index.built:
             index_remove(index, row)
             _charge(index, held)
-
-
-def migrate_indexes(old_relation, new_relation, plus=None, minus=None):
-    old_indexes = getattr(old_relation, "_indexes", None)
-    if old_indexes is None or old_relation is new_relation:
-        return
-    if new_relation._indexes is None:
-        new_relation._indexes = old_indexes
-    else:
-        for index in old_indexes:
-            existing = new_relation._indexes.get(index.positions)
-            if existing is None or not existing.built:
-                new_relation._indexes._indexes[index.positions] = index
-        old_indexes = new_relation._indexes
-    old_relation._indexes = None
-    if plus is None and minus is None:
-        old_indexes.invalidate()
-        return
-    for index in old_indexes:
-        if not index.built:
-            continue
-        if minus is not None:
-            for row in minus.rows():
-                if row not in new_relation:
-                    index_remove(index, row)
-        if plus is not None:
-            for row in plus.rows():
-                index_add(index, row)
 
 
 # -- relations -------------------------------------------------------------------

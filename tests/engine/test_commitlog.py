@@ -268,8 +268,9 @@ class TestSnapshotRestore:
         database = Database(schema, bag=True)
         database.load("r", [(1, 1), (1, 1), (2, 2)])
         snapshot = database.snapshot()
-        database.relation("r").insert((1, 1))
-        database.relation("r").delete((2, 2))
+        database.apply_deltas(
+            {"r": (_relation(schema, [(1, 1)], bag=True), _relation(schema, [(2, 2)], bag=True))}
+        )
         database.restore(snapshot)
         assert database.relation("r").multiplicity((1, 1)) == 2
         assert database.relation("r").multiplicity((2, 2)) == 1

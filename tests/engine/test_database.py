@@ -25,26 +25,25 @@ class TestDatabase:
 
     def test_snapshot_restore(self, db):
         snapshot = db.snapshot()
-        db.relation("beer").clear()
+        db.apply_deltas({"beer": (None, db.relation("beer").copy())})
         assert len(db.relation("beer")) == 0
         db.restore(snapshot)
         assert len(db.relation("beer")) == 3
 
     def test_snapshot_is_independent(self, db):
         snapshot = db.snapshot()
-        db.relation("beer").insert(("n", "ale", "heineken", 3.0))
+        db.load("beer", [("n", "ale", "heineken", 3.0)])
         assert len(snapshot["beer"]) == 3
 
-    def test_install_advances_time(self, db):
-        replacement = db.relation("beer").copy()
-        replacement.clear()
-        db.install({"beer": replacement})
+    def test_a_commit_advances_time(self, db):
+        db.apply_deltas({"beer": (None, db.relation("beer").copy())})
         assert db.logical_time == 1
         assert len(db.relation("beer")) == 0
 
-    def test_install_unknown_relation(self, db):
+    def test_a_commit_to_an_unknown_relation(self, db):
         with pytest.raises(UnknownRelationError):
-            db.install({"ghost": db.relation("beer").copy()})
+            db.apply_deltas({"ghost": (db.relation("beer").copy(), None)})
+        assert db.logical_time == 0
 
     def test_add_relation(self, db):
         new_schema = RelationSchema("stock", [("qty", INT)])
@@ -60,7 +59,7 @@ class TestDatabase:
 class TestTransition:
     def test_single_step(self, db):
         pre = db.snapshot()
-        db.install({"beer": db.relation("beer").copy()})
+        db.apply_deltas({})
         post = db.snapshot()
         transition = Transition(pre, post, 0, db.logical_time)
         assert transition.is_single_step

@@ -1,4 +1,4 @@
-"""Epoch-based MVCC: pins, O(Δ) snapshots, reclamation, quiesce fencing."""
+"""Epoch-based MVCC: pins, O(Δ) snapshots, reclamation, the one write path."""
 
 import pickle
 import threading
@@ -10,7 +10,7 @@ from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Ses
 from repro.engine.epochs import DEFAULT_RETAIN, EpochManager, fold_inverse
 from repro.engine.overlay import OverlayRelation
 from repro.engine.types import INT
-from repro.errors import EpochUnavailableError
+from repro.errors import EpochUnavailableError, OutOfBandMutationError
 
 
 @pytest.fixture
@@ -254,17 +254,16 @@ def _interleave_at_first_check(target, interleave, monkeypatch):
 
 
 class TestMaterializationRaces:
-    @pytest.mark.parametrize("other", ["materializes", "quiesces"])
+    @pytest.mark.parametrize("other", ["materializes"])
     @pytest.mark.parametrize("read", ["fork", "len", "in", "lookup"])
     def test_a_read_racing_a_materialization_sees_the_pinned_state(
         self, rdb, monkeypatch, read, other
     ):
         """One thread starts a read (or a checkpoint's fork) of a pinned
-        relation after a commit; another materializes that snapshot, or
-        quiesces the manager, and then one more commit lands.  The read
-        answers from the frozen rows: the undo stops syncing once the
-        snapshot materializes, so the live base corrected by it is not
-        the pinned state."""
+        relation after a commit; another materializes that snapshot, and
+        then one more commit lands.  The read answers from the frozen rows:
+        the undo stops syncing once the snapshot materializes, so the live
+        base corrected by it is not the pinned state."""
         rdb.create_index("r", ["a"])
         snapshot = rdb.snapshot()
         view = snapshot["r"]
@@ -272,11 +271,7 @@ class TestMaterializationRaces:
         index = view.index_on((0,))
 
         def interleave():
-            if other == "materializes":
-                work = lambda: view._rows  # noqa: E731
-            else:
-                work = rdb.epochs.quiesce
-            thread = threading.Thread(target=work)
+            thread = threading.Thread(target=lambda: view._rows)
             thread.start()
             thread.join()
             commit(rdb, "r", plus=[(8, 8)])
@@ -383,39 +378,27 @@ class TestEpochSpans:
         assert database.epochs.pin_span(first, first) is None
 
 
-class TestQuiesceFence:
-    def test_out_of_band_mutation_preserves_pinned_state(self, rdb):
+class TestOneWritePath:
+    def test_a_direct_write_raises(self, rdb):
+        # Every kind of direct write: tests/test_typed_failures.py.
         pin = rdb.epochs.pin()
-        # Direct mutation bypassing apply_deltas: the observer fence must
-        # materialize the pinned state before the row lands.
-        rdb.relation("r").insert((42, 42))
-        assert sorted(pin.relation("r")) == [(1, 1), (2, 2), (3, 3)]
-        assert (42, 42) in rdb.relation("r")
+        with pytest.raises(OutOfBandMutationError):
+            rdb.relation("r").insert((42, 42))
+        assert sorted(pin.relation("r")) == sorted(rdb.relation("r"))
         pin.release()
 
-    def test_load_fences_outstanding_pins(self, rdb):
+    def test_a_load_under_a_pin_materializes_nothing(self, rdb):
         pin = rdb.epochs.pin()
         snap = pin.relation("s")
-        rdb.load("s", [(7, 70), (8, 80)])
+        sequence = rdb.commit_log.next_sequence
+        assert rdb.load("s", [(1, 10), (7, 70), (8, 80)]) == 2
+        assert len(snap) == 1 and (7, 70) not in snap
+        assert snap._materialized is None  # read through the undo
         assert sorted(snap) == [(1, 10)]
         assert len(rdb.relation("s")) == 3
+        # Unrecorded: no sequence number, no logical time.
+        assert rdb.commit_log.next_sequence == sequence and rdb.logical_time == 0
         pin.release()
-
-    def test_restore_falls_back_after_fence(self, rdb):
-        snapshot = rdb.snapshot()
-        rdb.relation("r").clear()  # out-of-band: fences the epoch window
-        rdb.relation("r").insert((5, 5))
-        rdb.restore(snapshot)
-        assert sorted(rdb.relation("r")) == [(1, 1), (2, 2), (3, 3)]
-
-    def test_quiesce_is_amortized_constant(self, rdb):
-        epochs = rdb.epochs
-        rdb.relation("r").insert((50, 50))
-        fenced = epochs.version
-        # Repeated direct mutations while quiescent never re-fence.
-        for i in range(10):
-            rdb.relation("r").insert((60 + i, 60))
-        assert epochs.version == fenced
 
 
 class TestSnapshotIndexes:

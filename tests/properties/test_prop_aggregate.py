@@ -3,7 +3,7 @@
 Relations memoise SUM/AVG/MIN/MAX state and keep it current under
 ``insert``/``delete`` (the mutators ``apply_deltas`` goes through); an
 overlay carries its base's state over the transaction's delta, a pinned
-snapshot over its undo delta.  After any interleaving of direct writes,
+snapshot over its undo delta.  After any interleaving of loads, deletes,
 transactions (committed through ``apply_deltas`` or rolled back) and pins,
 every aggregate of every view must equal the scan it replaced — exactly,
 floats included, because only integer arithmetic is ever carried over.  Set
@@ -83,9 +83,11 @@ def test_aggregate_equals_recomputation(rows, ops, bag):
     _check(relation)  # memoises: everything below maintains or drops it
     for op in ops:
         if op[0] == "insert":
-            relation.insert_many(op[1])
+            database.load("t", op[1])
         elif op[0] == "delete":
-            relation.delete_many(op[1])
+            context = TransactionContext(database)
+            context.delete_rows("t", op[1])
+            context.commit()
         elif op[0] == "pin":
             pins.append((database.epochs.pin(), list(relation)))
         else:

@@ -33,6 +33,7 @@ from repro.engine import (
     INT,
     Database,
     DatabaseSchema,
+    Relation,
     RelationSchema,
 )
 from repro.engine.relation import scan_aggregate_state
@@ -100,7 +101,11 @@ def _kernel_load(database, rows):
 
 
 def _reference_load(database, rows):
-    reference.insert_many(database.relation("t"), rows)
+    """A load as the reference applies one: a batch of the rows, committed
+    unrecorded one row at a time."""
+    plus = Relation(database.relation_schema("t"), bag=database.bag)
+    reference.insert_many(plus, rows)
+    reference.apply_deltas(database, {"t": (plus, None)}, advance_time=False, record=False)
 
 
 def _buckets(index, shape=list) -> dict:
@@ -199,45 +204,6 @@ def test_bulk_write_path_matches_reference(rows, transactions, bag):
         what = f"after transaction {number} ({'commit' if commit else 'rollback'})"
         _assert_same_relation(mine.relation("t"), theirs.relation("t"), what)
         assert mine.logical_time == theirs.logical_time, what
-
-
-@_SETTINGS
-@given(
-    rows=st.lists(_ROW, max_size=10),
-    plus=st.lists(_ROW, max_size=6),
-    minus=st.lists(_ROW, max_size=6),
-    bag=st.booleans(),
-)
-def test_migrate_indexes_matches_reference(rows, plus, minus, bag):
-    """``Database.install`` with differentials: the indexes of the replaced
-    relation follow the delta onto its successor."""
-    from repro.engine.indexes import migrate_indexes
-
-    outcomes = []
-    for migrate, load in (
-        (migrate_indexes, _kernel_load),
-        (reference.migrate_indexes, _reference_load),
-    ):
-        database = _database(rows, bag, load)
-        old = database.relation("t")
-        context = TransactionContext(database)
-        context.delete_rows("t", minus)
-        context.insert_rows("t", plus)
-        new = context.working["t"].copy()
-        new._indexes = None  # a bare successor: the old relation's move over
-        overlay = context.working["t"]
-        migrate(old, new, plus=overlay.plus, minus=overlay.minus)
-        assert old._indexes is None
-        outcomes.append(
-            {index.positions: (index.built, _buckets(index)) for index in new._indexes}
-        )
-        for index in new._indexes:
-            if index.built:
-                rebuilt = type(index)(index.positions).build(new._rows)
-                assert {k: set(b) for k, b in index.buckets.items()} == {
-                    k: set(b) for k, b in rebuilt.buckets.items()
-                }
-    assert outcomes[0] == outcomes[1]
 
 
 BULK = 500

@@ -2,36 +2,37 @@
 interleaving — driven at the offset arithmetic of the commit stream.
 
 ``engine/epochs.py`` finds "the records newer than version v" by offset
-(record versions are contiguous above the fence) instead of by scanning.
-This suite runs random interleavings of recorded and unrecorded commits
-(empty ones included), pins taken at random points and read late,
-releases, ``quiesce`` fences, ``pin_span`` brackets, audit drains and forks
-against a small retention window, so the stream is trimmed, fenced and
-refilled constantly, and checks after every step that
+(record versions are contiguous) instead of by scanning.  This suite runs
+random interleavings of recorded and unrecorded commits (empty ones
+included), bulk loads (drawn rows, some already present) while pins are
+live, pins taken at random points and read late, releases, ``pin_span``
+brackets, audit drains and forks against a small retention window, so the
+stream is trimmed and refilled constantly, and checks after every step
+that
 
-* the stream holds exactly the versions the retention rule keeps, those
-  above the fence are contiguous, and the offset slice equals the full
-  scan;
+* the stream holds exactly the versions the retention rule keeps, they
+  are contiguous, and the offset slice equals the full scan;
+* a load adds exactly the rows ``insert_many`` would, as one unrecorded
+  batch: one version, no sequence number, no logical time;
 * every readable pin reads exactly the eager copies taken when it was
   pinned — ``len``, membership, multiplicities one by one and in bulk,
   index point probes and bulk bucket probes, planned point/join/semijoin
   queries, whole-relation reads, ``undo_differentials``;
 * a pin is unreadable (``EpochUnavailableError``) exactly when a model of
   the retention rules says its entries are gone: released and trimmed
-  past, or released before a fence — for freshly minted snapshots and for
-  snapshots held since before the trim alike;
+  past — for freshly minted snapshots and for snapshots held since before
+  the trim alike;
 * ``pin_span`` brackets exactly the states its two commits transitioned
-  between, with unrecorded records in between, and is ``None`` exactly
-  when an endpoint left no retained record or a fence came after it;
+  between, with unrecorded records (loads among them) in between, and is
+  ``None`` exactly when an endpoint left no retained record;
 * a drain from a scheduler's cursor gets every commit since, returned by
   ``CommitLog.since`` or counted in its ``lost`` exactly once, and can
-  bracket every non-empty one it gets that no fence came after — a fence
-  drops none it has not drained;
+  bracket every non-empty one it gets, whatever was loaded since;
 * a fork, at the head or at a held pin, and an unpickled copy pin and
   bracket the same states as the original.
 
-The model knows the retention *rules* (what a trim may drop, what a fence
-cuts), not the implementation's list handling.
+The model knows the retention *rules* (what a trim may drop), not the
+implementation's list handling.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ _ROWS = st.lists(st.tuples(S.VALUES, S.VALUES), max_size=3)
 # What a step does, weighted towards what ages a pin: commits between a pin
 # and its reads.  (Drawn as one die roll: ``one_of`` cannot weight.)
 _KINDS = (
-    ["commit"] * 7 + ["pin"] * 3 + ["read"] * 6 + ["release"] * 4 + ["span"] * 2 + ["quiesce"]
+    ["commit"] * 7 + ["pin"] * 3 + ["read"] * 6 + ["release"] * 4 + ["span"] * 2 + ["load"]
     + ["drain"] * 2 + ["fork"]
 )
 _STEPS = st.lists(
@@ -104,7 +105,6 @@ class Pinned:
         self.pin = pin
         self.copies = copies
         self.released = False
-        self.fenced = False
         # Snapshots kept alive since pin time (audit tasks hold theirs like
         # this); unheld pins mint a fresh snapshot per read.  Nothing else
         # may keep one alive: the pin's own cache is weak.
@@ -122,10 +122,6 @@ class Model:
         self.pins: list = []
         # Records at or below this version are gone (trimmed).
         self.dropped_through = self.manager.version
-        # No state below the newest fence can be reconstructed; a fence
-        # version has no record.
-        self.fence = self.manager.version
-        self.fences: set = set()
         self.commits: list = []  # recorded, by sequence: (sequence, version, pre, post)
         self.cursor = 0  # a scheduler's: the next commit it will audit
 
@@ -144,7 +140,7 @@ class Model:
         if snapshot is not None and snapshot._materialized is not None:
             return True  # frozen: needs no entries any more
         at = entry.synced[name] if snapshot is not None else entry.pin.version
-        return at >= self.fence and at >= self.dropped_through
+        return at >= self.dropped_through
 
     # -- invariants ---------------------------------------------------------------
 
@@ -152,14 +148,9 @@ class Model:
         manager = self.manager
         records = self.database.commit_log._records
         versions = [record.version for record in records]
-        kept = range(self.dropped_through + 1, manager.version + 1)
-        assert versions == [version for version in kept if version not in self.fences]
+        assert versions == list(range(self.dropped_through + 1, manager.version + 1))
         assert manager.retained() == len(versions)
-        reachable = max(self.fence, self.dropped_through)
-        assert [v for v in versions if v > self.fence] == list(
-            range(reachable + 1, manager.version + 1)
-        )
-        for version in range(reachable, manager.version + 1):
+        for version in range(self.dropped_through, manager.version + 1):
             assert _entries_after(records, version) == [
                 record for record in records if record.version > version
             ]
@@ -180,6 +171,21 @@ def _net_delta(database: Database, name: str, inserts, deletes):
         Relation(schema, plus, bag=database.bag) if plus else None,
         Relation(schema, minus, bag=database.bag) if minus else None,
     )
+
+
+def _load(database: Database, model: Model, name: str, rows) -> None:
+    """``load`` of ``rows`` into ``name``: what ``insert_many`` would add
+    lands as one unrecorded batch, or nothing does."""
+    manager, log = database.epochs, database.commit_log
+    expected = database.relation(name).copy()
+    added = expected.insert_many(rows)
+    before, sequence, time = manager.version, log.next_sequence, database.logical_time
+    assert database.load(name, rows) == added
+    assert database.relation(name) == expected
+    assert (log.next_sequence, database.logical_time) == (sequence, time)
+    assert manager.version == before + (1 if added else 0)
+    if added:
+        model.trim()
 
 
 def _assert_relation_reads(entry: Pinned, name: str, indexed: bool, full: bool) -> None:
@@ -267,10 +273,9 @@ def _drain(database: Database, model: Model) -> None:
         if record.is_empty:
             continue  # take_batches audits nothing for it
         span = manager.pin_span(record.sequence, record.sequence)
-        assert (span is not None) == (record.version > model.fence)
-        if span is not None:
-            _assert_brackets(span, commit)
-            model.trim()
+        assert span is not None
+        _assert_brackets(span, commit)
+        model.trim()
     model.cursor = log.next_sequence
 
 
@@ -278,10 +283,8 @@ def _fork(database: Database, model: Model, pickled: bool, i: int, j: int) -> No
     """A fork (at the head or at a held pin) or an unpickled copy pins and
     brackets what the original does, for every commit it carries.
 
-    It carries the records the original held at the cut.  A fork at the
-    head pins it and trims on the release, so after a fence the original may
-    drop a record the fork keeps: the fork's window is its own from the cut
-    on.  Such a record is below the fence, so neither side brackets it."""
+    It carries the records the original held at the cut, and keeps them
+    under its own window from the cut on."""
     held = [entry for entry in model.pins if not entry.released]
     at_cut = database.commit_log.since(0)[0]
     at = None
@@ -318,16 +321,34 @@ def _step(kind, plus_r=(), minus_r=(), flag=False, i=0, j=0) -> tuple:
     return (kind, (list(plus_r), list(minus_r), [], []), flag, i, j)
 
 
-@example(  # a fork after a fence carries the record its origin then trims
+@example(  # a fork after a load brackets the commit before it, as its origin does
     rows_r=[],
     rows_s=[],
-    steps=[_step("commit", flag=True), _step("quiesce"), _step("fork")],
+    steps=[_step("commit", flag=True), _step("load", plus_r=[(1, 1)]), _step("fork")],
     bag=False,
     indexed=False,
     retain=1,
 )
+@example(  # a pin reads through a load of new and present rows, held or not
+    rows_r=[(0, 0)],
+    rows_s=[(0, 1)],
+    steps=[
+        _step("pin", flag=True),
+        _step("pin"),
+        _step("load", plus_r=[(1, 1), (0, 0)], j=1),
+        _step("read", i=0, j=1, flag=True),
+        _step("read", i=1, j=1),
+        _step("commit", plus_r=[(2, 2)], flag=True),
+        _step("load", plus_r=[(2, 2), (3, 3)]),
+        _step("drain"),
+        _step("read", i=1, j=1, flag=True),
+    ],
+    bag=True,
+    indexed=True,
+    retain=1,
+)
 @example(  # a snapshot held across a release goes stale once the window moves on,
-    rows_r=[(0, 0)],  # stays stale through a fence, and never blocks the fence
+    rows_r=[(0, 0)],  # and stays stale through a load
     rows_s=[(0, 1)],
     steps=[
         _step("pin", flag=True),
@@ -336,7 +357,7 @@ def _step(kind, plus_r=(), minus_r=(), flag=False, i=0, j=0) -> tuple:
         _step("commit", plus_r=[(2, 2)], flag=True),
         _step("commit", minus_r=[(0, 0)], flag=True),
         _step("read"),
-        _step("quiesce"),
+        _step("load", plus_r=[(4, 4)]),
         _step("read"),
         _step("pin"),
         _step("commit", plus_r=[(3, 3)]),
@@ -412,12 +433,12 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
     rows_r, rows_s, steps, bag, indexed, retain
 ):
     database = Database(S.rs_schema(), bag=bag)
-    database.load("r", rows_r)
-    database.load("s", rows_s)
+    model = Model(database, retain)
+    _load(database, model, "r", rows_r)
+    _load(database, model, "s", rows_s)
     if indexed:
         database.create_index("r", ["a"])
         database.create_index("s", ["c"])
-    model = Model(database, retain)
     manager = database.epochs
     model.check_invariants()
 
@@ -461,9 +482,8 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
             else:
                 with pytest.raises(EpochUnavailableError):
                     _assert_query_reads(database, entry)
-            at = entry.pin.version
             _assert_undo_restores(
-                database, entry, at >= model.fence and at >= model.dropped_through
+                database, entry, entry.pin.version >= model.dropped_through
             )
         elif kind == "release" and model.pins:
             entry = model.pins[i % len(model.pins)]
@@ -472,7 +492,7 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
             again = entry.released
             entry.pin.release()
             entry.released = True
-            if j % 2 and not entry.fenced:
+            if j % 2:
                 # ... and its snapshots dropped, as a finished audit batch does.
                 entry.held, entry.synced = {}, {}
             if not again:  # a second release trims nothing
@@ -484,8 +504,7 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
                 first, last = last, first
             span = manager.pin_span(first[0], last[0])
             retained = all(
-                version > max(model.fence, model.dropped_through)
-                for version in (first[1], last[1])
+                version > model.dropped_through for version in (first[1], last[1])
             )
             assert (span is not None) == retained
             if span is not None:
@@ -495,19 +514,12 @@ def test_late_reads_through_pins_equal_eager_copies_at_any_offset(
                     assert span.post_relation(name) == last[3][name], name
                 span.release()
                 model.trim()
-        elif kind == "quiesce":
-            # Held snapshots that are still readable freeze at their state;
-            # live pins are fenced with frozen snapshots of every relation.
-            undrained = database.commit_log.since(model.cursor)
-            manager.quiesce()
-            model.fence = manager.version
-            model.fences.add(manager.version)
-            assert database.commit_log.since(model.cursor) == undrained
-            for entry in model.pins:
-                if not entry.released:
-                    entry.fenced = True  # the pin itself anchors these from now on
-                    entry.held = {name: entry.pin.relation(name) for name in NAMES}
-                    entry.synced = dict.fromkeys(NAMES, entry.pin.version)
+        elif kind == "load":
+            # Drawn rows and ``j % 3`` already present, under whatever pins
+            # are live: they read through it at their next read.
+            for name, drawn in (("r", plus_r), ("s", plus_s)):
+                present = list(database.relation(name).rows())[: j % 3]
+                _load(database, model, name, list(drawn) + present)
         elif kind == "drain":
             _drain(database, model)
         elif kind == "fork":

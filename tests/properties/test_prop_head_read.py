@@ -15,9 +15,9 @@ the two ran must never show in the answer:
 * each drawn text is read twice, so the second read is served from the
   database's query-text table (``Database.query_texts``) instead of
   parsed, and must give what the fresh parse gave;
-* **deterministic interleavings** — a commit, and separately a
-  ``quiesce()``-fencing out-of-band mutation, injected *from inside the
-  attempt* (behind the view's ``resolve`` or the index's ``lookup``): the
+* **deterministic interleavings** — a commit, and separately the same
+  changes as a bulk loader makes them (unrecorded batches: no commit, no
+  sequence number), injected *from inside the attempt* (behind the view's ``resolve`` or the index's ``lookup``): the
   answer is the reference's on one commit-boundary state, never a mixture,
   an exception only the torn state provokes never escapes, and no later
   commit changes a result already handed out;
@@ -236,11 +236,25 @@ def commit(database: Database, ops) -> None:
     assert Session(database).execute(f"begin {statements}end").committed
 
 
-def out_of_band(database: Database, ops) -> None:
-    """The same changes made directly on the live relations: no commit, no
-    stamp — only the ``quiesce()`` fence tells a reader."""
+def load(database: Database, ops) -> None:
+    """The same changes outside any transaction, as a bulk loader makes
+    them: the deletes as one unrecorded batch, then one ``Database.load``
+    per relation.  No commit and no sequence number: only the stamp tells
+    a reader."""
+    gone: dict = {}
     for name, kind, row in ops:
-        getattr(database.relation(name), kind)(row)
+        if kind == "delete":
+            gone.setdefault(name, []).append(row)
+    database.apply_deltas(
+        {
+            name: (None, Relation(database.relation_schema(name), rows, bag=database.bag))
+            for name, rows in gone.items()
+        },
+        advance_time=False,
+        record=False,
+    )
+    for name in ("r", "s"):
+        database.load(name, [row for base, kind, row in ops if base == name and kind == "insert"])
 
 
 @contextmanager
@@ -268,7 +282,7 @@ POINTS = st.sampled_from([(DatabaseView, "resolve"), (HashIndex, "lookup")])
 @_SETTINGS
 @given(
     ROWS, ROWS, st.booleans(), STATES, MOSTLY_PROBE_ONLY, KEYS, SMALL,
-    CHANGES, st.sampled_from([commit, out_of_band]), POINTS, st.integers(1, 3),
+    CHANGES, st.sampled_from([commit, load]), POINTS, st.integers(1, 3),
 )
 def test_a_write_landing_inside_the_attempt_never_shows_as_a_mixture(
     rows_r, rows_s, bag, states, shape, k, c, change, write, point, nth
@@ -304,7 +318,7 @@ JOINS = "join(select(r, a = 1), s, left.a = right.k)"
 COUNTS = "select(r, a = 1)"
 
 
-@pytest.mark.parametrize("write", [commit, out_of_band], ids=["commit", "out-of-band"])
+@pytest.mark.parametrize("write", [commit, load], ids=["commit", "load"])
 @pytest.mark.parametrize(
     "text, bag",
     [(RAISES, False), (RAISES, True), (JOINS, False), (JOINS, True), (COUNTS, True)],

@@ -81,7 +81,9 @@ class EagerContext(TransactionContext):
             base: (self._plus.get(base), self._minus.get(base))
             for base in self.working
         }
-        self.database.install(self.working, differentials=differentials)
+        self.database.apply_deltas(differentials)
+        for base, working in self.working.items():
+            assert self.database.relation(base) == working, base
 
 
 #: Rows no drawn statement can touch: keys outside the probed -1..6 domain,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.algebra import planner
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database
+from repro.engine.transaction import TransactionContext
 from repro.errors import ReproError
 
 from . import strategies as S
@@ -127,9 +128,10 @@ def test_planned_equals_naive_after_index_maintenance(
     database.create_index("r", ["a"])
     database.create_index("s", ["c"])
     for name, is_insert, row in deltas:
-        relation = database.relation(name)
         if is_insert:
-            relation.insert(row)
+            database.load(name, [row])
         else:
-            relation.delete(row)
+            context = TransactionContext(database)
+            context.delete_rows(name, [row])
+            context.commit()
     _assert_backends_agree(expression, database)

@@ -232,6 +232,26 @@ CASES = [
             ),
         ],
     ),
+    # One write path for base relations: every change is one apply_deltas
+    # batch (a bulk load too), so no pin is ever fenced off, no relation
+    # object is swapped in and no index migrates between relations.
+    (
+        "one-write-path",
+        [
+            (
+                ["-rnE", r"quiesce|_quiescent|_fenced|_issued_pins|migrate_indexes|\.fence\b", "src/"],
+                None,
+                "the quiesce fence or index migration is back in src/",
+            ),
+            (
+                # The process pool's ``install`` ships fragments to worker
+                # nodes; it replaces no relation of a database.
+                ["-rnE", r"def install\(", "src/"],
+                "src/repro/parallel/procpool.py:",
+                "a relation-replacing install (Database.install) is back in src/",
+            ),
+        ],
+    ),
 ]
 
 

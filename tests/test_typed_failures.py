@@ -16,6 +16,11 @@ And a pinned read's seqlock retry re-runs its computation only for the
 raises one is raised at its first occurrence, not re-executed
 ``READ_RETRY_LIMIT`` times first.
 
+And a direct write to a database's base relation — one that bypasses
+``Database.apply_deltas``, the one write path every pin reads through — is
+an ``OutOfBandMutationError`` raised before any row changes: the relation
+and what a live pin reads of it stay as they were.
+
 And a unary minus folds into *numeric* constants only: ``bool`` is an
 ``int`` to ``isinstance``, so ``-true`` used to become the integer ``-1``
 (and ``-false`` ``0``) in a literal row, a predicate and a constraint; it is
@@ -52,7 +57,9 @@ from repro.engine.session import DatabaseView
 from repro.engine.types import INT, STRING
 from repro.errors import (
     LexError,
+    OutOfBandMutationError,
     ParseError,
+    ReproError,
     TypeMismatchError,
     UnknownAttributeError,
 )
@@ -204,6 +211,40 @@ class TestSnapshotReadRetry:
         with pytest.raises(RuntimeError):
             snapshot._read(compute, pytest.fail)
         assert len(calls) == epochs.READ_RETRY_LIMIT + 1
+
+
+class TestOutOfBandMutation:
+    WRITES = {
+        "insert": lambda live: live.insert((3, 3)),
+        "delete": lambda live: live.delete((1, 1)),
+        "clear": lambda live: live.clear(),
+        "insert_many": lambda live: live.insert_many([(3, 3), (4, 4)]),
+        "delete_many": lambda live: live.delete_many([(1, 1)]),
+        "replace_contents": lambda live: live.replace_contents(live.copy()),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_a_direct_write_raises_and_changes_nothing(self, write):
+        database = Database(DatabaseSchema([R]))
+        database.load("r", [(1, 1), (2, 2)])
+        database.create_index("r", ["b"])
+        pin = database.epochs.pin()
+        snapshot = pin.relation("r")
+        live = database.relation("r")
+        version = database.epochs.version
+        with pytest.raises(OutOfBandMutationError) as raised:
+            self.WRITES[write](live)
+        assert isinstance(raised.value, ReproError)
+        assert sorted(live) == [(1, 1), (2, 2)]
+        assert live.built_index((1,)).lookup(1) == ((1, 1),)
+        assert sorted(snapshot) == [(1, 1), (2, 2)] and len(snapshot) == 2
+        assert database.epochs.version == version
+        # The same change through the write path lands, and the pin keeps
+        # reading its own state.
+        database.load("r", [(3, 3)])
+        assert sorted(pin.relation("r")) == [(1, 1), (2, 2)]
+        assert (3, 3) in live
+        pin.release()
 
 
 class TestNegatedBoolean:
