@@ -13,18 +13,17 @@ replies, sentinel waits, the wire) and adds replication and retry:
   spawn, and again once the rules change; per task only ``(rule name,
   frozen Δ)`` crosses the pipe.
 * **Shared-nothing database replicas** — each worker owns a full replica,
-  shipped at pool creation and kept current by replaying the coordinator's
-  :class:`~repro.engine.commitlog.CommitRecord` stream (O(|Δ|) per commit).
-  Inboxes are FIFO, so every task audits exactly the replica state of the
-  drain that produced it: *strict batched* verdicts even under concurrent
-  commits.
+  shipped at pool creation (the scheduler's cursor state) and brought
+  forward by replaying the coordinator's
+  :class:`~repro.engine.commitlog.CommitRecord` stream (O(|Δ|) per batch,
+  loads included) one audit batch at a time, just before its tasks.
+  Inboxes are FIFO, so every task audits exactly its batch's post-state:
+  *strict batched* verdicts even under concurrent commits.
 * **Nothing silently dropped** — worker exceptions come back as error
   strings (poisoned :class:`~repro.core.scheduler.AuditOutcome`\\ s); a
   worker the pool reports dead — after every verdict it did send — is
-  respawned from a fresh snapshot and its in-flight tasks re-shipped once
-  (a retry that dies too is an audit error).  The scheduler is a cursor
-  the commit stream keeps its commits for, so the replicas see every
-  commit as an ``apply`` record, in sequence.
+  respawned from the live database and its in-flight tasks re-shipped once
+  (a retry that dies too is an audit error).
 
 Under ``fork`` and ``spawn`` alike the worker payload is pickled and
 shipped, never inherited: one serialization path for both.
@@ -77,9 +76,9 @@ def run_rule_audit(controller, database, rule_name, differentials):
     build the task with the controller's one per-rule factory, so
     coordinator and worker agree.  Returns ``(violated, violating_sample)``.
     """
-    from repro.engine.session import DeltaView
+    from repro.engine.transaction import performed_triggers
 
-    performed = DeltaView(database, differentials).performed_triggers()
+    performed = performed_triggers(differentials)
     task = controller._rule_audit_task(
         controller.rule(rule_name), performed, database, differentials
     )
@@ -90,19 +89,19 @@ def _audit_worker(endpoint, payload: bytes) -> None:
     """Worker main loop: replicate, then audit what the coordinator sends."""
     spec, database = decode(payload)
     controller = spec.build()
-    # The replica's position in the commit stream.  Applies below it are
-    # skipped, which makes replication idempotent by sequence — a worker
-    # respawned from a *newer* snapshot can safely receive the same
-    # broadcast stream as its older siblings.
-    replica_seq = database.commit_log.next_sequence
+    # The replica's version in the commit stream (a copy keeps the
+    # original's versions).  Applies at or below it are skipped, which
+    # makes replication idempotent — a worker respawned from a *newer*
+    # state can safely receive the same broadcast stream as its siblings.
+    replica_version = database.commit_log.version
     for message in endpoint:
         kind = message[0]
         if kind == "apply":
-            for sequence, encoded in decode(message[1]):
-                if sequence < replica_seq:
+            for version, encoded in decode(message[1]):
+                if version <= replica_version:
                     continue  # already covered by this replica's snapshot
                 database.apply_deltas(decode_differentials(encoded), record=False)
-                replica_seq = sequence + 1
+                replica_version = version
         elif kind == "spec":
             controller = decode(message[1]).build()
         elif kind == "task":
@@ -139,27 +138,28 @@ class _ProcessFuture:
 class ProcessAuditExecutor:
     """A shared-nothing pool of audit worker processes.
 
-    Workers are shipped ``(ControllerSpec, database replica)`` once at
-    construction; thereafter the coordinator streams commit records to
-    every worker (:meth:`replicate`) and ``(rule, Δ)`` tasks to one worker
-    each (:meth:`submit`, round-robin).  FIFO inbox ordering guarantees a
-    task observes exactly the replica state of its drain, and the rules of
+    Workers are shipped ``(ControllerSpec, replica)`` once at construction
+    (``replica``: ``database`` unless given); thereafter the coordinator
+    streams commit records to every worker (:meth:`replicate`) and
+    ``(rule, Δ)`` tasks to one worker each (:meth:`submit`, round-robin).
+    FIFO inbox ordering guarantees a task observes exactly the records
+    replicated before it, and the rules of
     its drain: a task shipped after the controller's rules changed travels
     behind a fresh spec.
     """
 
     def __init__(self, controller, database, workers: int = 4,
-                 start_method: Optional[str] = None):
+                 start_method: Optional[str] = None, replica=None):
         self.database = database
         self.workers = max(int(workers), 1)
         self.controller = controller
         self._spec = ControllerSpec(controller)
-        # Records with sequence >= this watermark have not yet been shipped
-        # to the replicas (the initial snapshot covers everything before).
-        self._replicated_through = database.commit_log.next_sequence
+        replica = database if replica is None else replica
+        # The stream version the replicas hold.
+        self._replicated_through = replica.commit_log.version
         self._pool = WorkerPool(
             _audit_worker, self.workers, start_method,
-            name="repro-audit-proc", args=(encode((self._spec, database)),),
+            name="repro-audit-proc", args=(encode((self._spec, replica)),),
         )
         self.start_method = self._pool.start_method
         self._next_task_id = 0
@@ -180,15 +180,16 @@ class ProcessAuditExecutor:
 
     # -- replication -----------------------------------------------------------
 
-    def replicate(self, records) -> int:
-        """Ship not-yet-shipped commit records to every worker replica."""
-        fresh = [r for r in records if r.sequence >= self._replicated_through]
-        if not fresh:
-            return 0
-        encoded = [(r.sequence, encode_differentials(r.differentials)) for r in fresh]
-        self._pool.broadcast(("apply",), encoded)
-        self._replicated_through = fresh[-1].sequence + 1
-        return len(fresh)
+    def replicate(self, through: int) -> None:
+        """Ship every batch of the stream the replicas lack, up to version
+        ``through``: commits, loads and restores alike, in order."""
+        log = self.database.commit_log
+        fresh = log.between(self._replicated_through, through)
+        if fresh:
+            self._pool.broadcast(("apply",), [
+                (r.version, encode_differentials(r.differentials)) for r in fresh
+            ])
+            self._replicated_through = fresh[-1].version
 
     # -- task dispatch ---------------------------------------------------------
 
@@ -242,11 +243,11 @@ class ProcessAuditExecutor:
     def _worker_died(self, owner: int) -> None:
         """Respawn a dead worker and re-ship its in-flight tasks once.
 
-        The replacement starts from a fresh database snapshot —
+        The replacement starts from the *live* database —
         sequence-idempotent applies let it rejoin the broadcast stream
-        mid-flight (see :func:`_audit_worker`) — so a retried verdict may
-        observe a post-drain replica state (the thread arm's semantics).
-        A task whose retry dies too surfaces as an audit error.
+        mid-flight (see :func:`_audit_worker`) — so a retried task may
+        audit a state later than its batch's.  A task whose retry dies too
+        surfaces as an audit error.
         """
         stranded = sorted(
             tid

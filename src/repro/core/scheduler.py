@@ -29,9 +29,9 @@ strict on every arm: each drained batch pins its pre/post epochs
 resolve bare names and ``R@old`` against the exact states the batch's
 commits transitioned between even while the owner keeps committing under
 the worker threads (the MVCC layer reconstructs the pinned states in
-O(Δ); process workers observe exactly the drain-time replica state via
-their FIFO-replayed replicas).  Batched ``deferred``/``async`` drains may
-still *coalesce* consecutive commits into one audited delta; the audited
+O(Δ)); process workers audit replicas a drain brings to each batch's
+post-state just before its tasks ship.  Batched drains may still
+*coalesce* consecutive commits into one audited delta; the audited
 states remain the pinned batch boundaries.
 
 Scheduling policy: a simplified check costs in proportion to its |Δ|, so
@@ -73,6 +73,8 @@ from repro.engine.commitlog import (
     coalesce_differentials,
     take_batches,
 )
+from repro.engine.database import DatabaseSnapshot
+from repro.engine.session import DeltaView
 
 #: Estimated cost of handing one task to a pool worker (queue + wakeup).
 #: Audits priced cheaper than this run inline on the draining thread.
@@ -152,8 +154,6 @@ class RuleAuditTask:
 
     def run(self) -> Tuple[bool, tuple]:
         """Execute the audit; returns ``(violated, violating_sample)``."""
-        from repro.engine.session import DeltaView
-
         # A held span keeps every record it brackets, so its pinned states
         # stay readable for the whole audit.
         view = DeltaView(self.database, self.differentials, span=self.span)
@@ -354,11 +354,6 @@ class AuditScheduler:
             records = self.database.commit_log.since(self._cursor)[0]
             if catching_up:
                 records = [r for r in records if r.sequence < upto]
-            if self._process_pool is not None and records:
-                # Keep worker replicas current *before* this drain's tasks
-                # are submitted: FIFO inboxes then guarantee each task
-                # observes exactly the drain-time state.
-                self._process_pool.replicate(records)
             for batch in take_batches(records, coalesce):
                 # An interrupt cuts a batch before any of its verdicts
                 # lands; the cursor has not passed it, and audits have no
@@ -389,6 +384,11 @@ class AuditScheduler:
         sequences = batch_sequences(batch)
         tasks = self.controller.audit_tasks(self.database, differentials)
         fan_out = asynchronous and not catching_up
+        processes = self._process_pool
+        if processes is not None:
+            # The replicas reach this batch's post-state, no later one,
+            # before its tasks ship (FIFO inboxes).
+            processes.replicate(batch[-1].version)
         completed: List[AuditOutcome] = []
         slots: List[object] = []  # submission-ordered, for wait()
         # Pin the batch's pre/post epochs so every in-process task audits
@@ -408,10 +408,13 @@ class AuditScheduler:
                 ):
                     self.fanned_out += 1
                     if self.executor == "process":
-                        # Process workers rebuild the task against their
-                        # FIFO-replayed replica (already strictly at the
-                        # drain-time state); no span crosses the pipe.
-                        future = self._processes().submit(
+                        # Workers rebuild the task against their replica;
+                        # no span crosses the pipe.  A new pool starts at
+                        # the cursor's state: ship it the batch too.
+                        if processes is None:
+                            processes = self._processes()
+                            processes.replicate(batch[-1].version)
+                        future = processes.submit(
                             task, sequences, mode="async", rows=rows
                         )
                     else:
@@ -475,7 +478,8 @@ class AuditScheduler:
 
         Useful before timed regions: process-pool creation ships a full
         database replica and rebuilds every rule plan per worker, a cost
-        that belongs to setup, not to the first drain.
+        that belongs to setup, not to the first drain.  The replica is the
+        cursor's state, not the live one.
         """
         if self.executor == "thread":
             self._pool()
@@ -529,8 +533,23 @@ class AuditScheduler:
                 self.database,
                 workers=self.workers,
                 start_method=self.start_method,
+                replica=self._cursor_state(),
             )
         return self._process_pool
+
+    def _cursor_state(self):
+        """A fork at the state the cursor's commit applied to (the head
+        when none is pending), where a new process pool's replicas start."""
+        database = self.database
+        span = database.epochs.pin_span(self._cursor, self._cursor)
+        if span is None:
+            return database.fork()
+        try:
+            return database.fork(
+                DatabaseSnapshot(span.pre, database.relation_names)
+            )
+        finally:
+            span.release()
 
     def predicted_audit_seconds(
         self, task: RuleAuditTask, delta_sizes=None

@@ -45,15 +45,21 @@ from repro.core.modification import ModificationStats, mod_t_memoised
 from repro.core.programs import IntegrityProgramStore, get_int_p
 from repro.core.rule_language import parse_rule
 from repro.core.rules import ABORT_ACTION, IntegrityRule
+from repro.core.scheduler import AuditScheduler, RuleAuditTask
 from repro.core.translation import CheckConstraint
 from repro.core.triggering_graph import TriggeringGraph
 from repro.engine import naming
 from repro.engine.database import Database
 from repro.engine.schema import DatabaseSchema
-from repro.engine.session import DatabaseView, DeltaView
-from repro.engine.transaction import Transaction, TransactionManager
+from repro.engine.session import DatabaseView
+from repro.engine.transaction import (
+    Transaction,
+    TransactionContext,
+    performed_triggers,
+)
 from repro.errors import (
     AnalysisError,
+    ReproError,
     RuleError,
     TransactionAborted,
     UnknownAttributeError,
@@ -68,10 +74,6 @@ from repro.errors import (
 # fallbacks all qualify.
 AUDITABLE_STATEMENTS = (Alarm, Assign, CheckConstraint)
 
-# Disposition sentinel: the rule has no usable differential program for the
-# matched triggers — audit it with the full check instead.
-FULL_CHECK = object()
-
 #: Violating tuples retained as a sample by audit outcomes.
 AUDIT_SAMPLE = 3
 
@@ -79,15 +81,16 @@ AUDIT_SAMPLE = 3
 class _AuditContext:
     """Execution context for auditing a stored integrity program.
 
-    Resolves names against a read-only database view, gives ``Assign``
-    statements a scratch temporary namespace — so executing an auditable
-    program is exactly the constraint check its rule translation encodes,
-    at physical-plan speed, with zero effect on the database.
+    Resolves names through a view (a database or delta view, or a running
+    transaction's context) and gives ``Assign`` statements a scratch
+    temporary namespace — so executing an auditable program is exactly the
+    constraint check its rule translation encodes, at physical-plan speed,
+    with zero effect on what the view reads.
     """
 
     __slots__ = ("view", "database", "temps")
 
-    def __init__(self, view: DatabaseView):
+    def __init__(self, view):
         self.view = view
         self.database = view.database
         self.temps: Dict[str, object] = {}
@@ -294,8 +297,8 @@ class IntegrityController:
         return None
 
     @staticmethod
-    def _program_outcome(program: Program, view: DatabaseView) -> tuple:
-        """Run an auditable program against a scratch context.
+    def _program_outcome(program: Program, view) -> tuple:
+        """Run an auditable program against a scratch context over ``view``.
 
         Returns ``(violated, violating_sample)``: alarm statements are
         evaluated as a transaction evaluates them (``Alarm.violations``,
@@ -318,15 +321,12 @@ class IntegrityController:
                     return True, ()
         return False, ()
 
-    @classmethod
-    def _program_violated(cls, program: Program, view: DatabaseView) -> bool:
-        """Boolean form of :meth:`_program_outcome`."""
-        return cls._program_outcome(program, view)[0]
-
-    def _is_violated(self, rule: IntegrityRule, view: DatabaseView) -> bool:
+    def _is_violated(self, rule: IntegrityRule, view) -> bool:
+        """Does ``rule`` fail where ``view`` (a database or delta view, or a
+        running transaction's context) resolves names?"""
         program = self._audit_program(rule)
         if program is not None:
-            return self._program_violated(program, view)
+            return self._program_outcome(program, view)[0]
         compiled = compile_constraint(rule.condition, self.schema)
         return compiled.violated(view)
 
@@ -341,48 +341,49 @@ class IntegrityController:
         ``{base: (plus, minus)}`` mapping.  The premise is the paper's
         Def 3.5: the pre-transaction state satisfied every registered rule
         (e.g. it was itself audited, or all writes go through transaction
-        modification).  Under it:
+        modification).  It runs :meth:`audit_tasks` inline, so it and the
+        audit scheduler share one per-rule disposition: no task where the
+        verdict cannot have changed, the matched delta programs in O(|Δ|)
+        where they exist, the full check otherwise.  Returns the names of
+        rules the delta violated ([] for an empty delta).
+        """
+        return [
+            task.rule_name
+            for task in self.audit_tasks(database, differentials)
+            if task.run()[0]
+        ]
 
-        * rules whose triggers miss the performed update types are skipped
-          outright — their verdict cannot have changed;
-        * rules with stored differential variants run the matched triggers'
-          delta programs against a :class:`~repro.engine.session.DeltaView`,
-          touching O(|Δ|) state (vacuous variants cost nothing at all);
-        * everything else — compensating rules, non-incrementalizable
-          shapes — falls back to the full check, exactly as
-          :meth:`violated_constraints` would evaluate it.
+    def audit_tasks(self, database: Database, differentials) -> List:
+        """Independent per-rule audit units for a committed delta.
 
-        Returns the names of rules the delta violated.  With an empty delta
-        the audit is free and returns [].
+        One :class:`~repro.core.scheduler.RuleAuditTask` per rule the delta
+        can have affected, each side-effect-free and self-contained (it
+        builds its own :class:`~repro.engine.session.DeltaView` on ``run``),
+        so a worker pool may execute them in any order or concurrently, and
+        :meth:`violated_constraints_incremental` runs them inline.  Rules
+        the delta provably cannot violate produce no task.
         """
         if hasattr(differentials, "differentials"):
             differentials = differentials.differentials
-        view = DeltaView(database, differentials)
-        performed = view.performed_triggers()
+        performed = performed_triggers(differentials)
         if not performed:
             return []
-        violated = []
-        for rule in self.rules:
-            disposition = self._rule_delta_disposition(rule, performed)
-            if disposition is None:
-                continue  # unmatched or vacuous: the old verdict stands
-            if disposition is FULL_CHECK:
-                if self._is_violated(rule, view):
-                    violated.append(rule.name)
-            elif self._program_violated(disposition, view):
-                violated.append(rule.name)
-        return violated
+        tasks = [
+            self._rule_audit_task(rule, performed, database, differentials)
+            for rule in self.rules
+        ]
+        return [task for task in tasks if task is not None]
 
-    def _rule_delta_disposition(self, rule: IntegrityRule, performed):
-        """How to audit ``rule`` against a delta with ``performed`` triggers.
+    def _rule_audit_task(self, rule, performed, database, differentials):
+        """The :class:`~repro.core.scheduler.RuleAuditTask` auditing
+        ``rule`` against a delta with ``performed`` triggers: None when its
+        triggers miss them or the matched differential program is vacuous,
+        that program when it is auditable, else the full check (no
+        program; compensating rules, non-incrementalizable shapes).
 
-        Returns None when the rule needs no audit at all (its triggers miss
-        the performed update types, or the matched differential program is
-        vacuous), the matched auditable differential :class:`Program`
-        when one exists, or :data:`FULL_CHECK` when only the full-state
-        check is sound (compensating rules, non-incrementalizable shapes).
-        This is the per-rule selection logic both the inline incremental
-        audit and the fan-out scheduler share.
+        The one per-rule disposition: :meth:`audit_tasks` calls it on the
+        coordinator and :func:`~repro.core.procpool.run_rule_audit` in a
+        process worker, so the two agree by construction.
         """
         stored = self.store.get(rule.name) if rule.name in self.store else None
         triggers = stored.triggers if stored is not None else rule.triggers
@@ -394,49 +395,11 @@ class IntegrityController:
             program = stored.action_for(matched)
         if program is not None and program.is_empty:
             return None  # vacuous for these update types
-        if program is not None and all(
+        if program is not None and not all(
             isinstance(statement, AUDITABLE_STATEMENTS)
             for statement in program.statements
         ):
-            return program
-        return FULL_CHECK
-
-    def audit_tasks(self, database: Database, differentials) -> List:
-        """Independent per-rule audit units for a committed delta.
-
-        The fan-out form of :meth:`violated_constraints_incremental`: one
-        :class:`~repro.core.scheduler.RuleAuditTask` per rule the delta can
-        have affected, each side-effect-free and self-contained (it builds
-        its own :class:`~repro.engine.session.DeltaView` on ``run``), so a
-        worker pool may execute them in any order or concurrently.  Rules
-        the delta provably cannot violate produce no task.
-        """
-        if hasattr(differentials, "differentials"):
-            differentials = differentials.differentials
-        performed = DeltaView(database, differentials).performed_triggers()
-        if not performed:
-            return []
-        tasks = [
-            self._rule_audit_task(rule, performed, database, differentials)
-            for rule in self.rules
-        ]
-        return [task for task in tasks if task is not None]
-
-    def _rule_audit_task(self, rule, performed, database, differentials):
-        """The :class:`~repro.core.scheduler.RuleAuditTask` auditing
-        ``rule`` against a delta with ``performed`` triggers, or None when
-        the delta cannot have violated it.
-
-        The one disposition → task factory: :meth:`audit_tasks` calls it on
-        the coordinator and :func:`~repro.core.procpool.run_rule_audit` in a
-        process worker, so the two agree by construction.
-        """
-        from repro.core.scheduler import RuleAuditTask
-
-        disposition = self._rule_delta_disposition(rule, performed)
-        if disposition is None:
-            return None
-        program = None if disposition is FULL_CHECK else disposition
+            program = None
         return RuleAuditTask(self, rule, program, database, differentials)
 
     def audit_scheduler(self, database: Database, **options):
@@ -453,8 +416,6 @@ class IntegrityController:
         """
         scheduler = self._schedulers.get(database)
         if scheduler is None:
-            from repro.core.scheduler import AuditScheduler
-
             scheduler = AuditScheduler(self, database, **options)
             self._schedulers[database] = scheduler
         return scheduler
@@ -520,23 +481,29 @@ class IntegrityController:
 
         A transaction is correct when its committed execution violates no
         transition constraint and leaves a state violating no state
-        constraint.  Checked non-destructively: the transaction runs
-        *unmodified* against a snapshot, the post-state is audited, and the
-        original database is restored.  (Transaction modification makes
-        every transaction's execution correct; this predicate classifies
-        the transaction *itself*, as the paper's Def 3.5 does.)
+        constraint.  Its *unmodified* statements run in a
+        :class:`~repro.engine.transaction.TransactionContext` that is never
+        committed, where base names are the post-state overlays, ``R@old``
+        the untouched pre-state and ``R@plus`` / ``R@minus`` the net delta;
+        every rule is checked there, then the context is rolled back.  It
+        writes nothing, and holds the writer lock so no commit moves the
+        pre-state under it.  (It classifies the transaction *itself*; its
+        modified execution is correct by construction.)
         """
-        snapshot = database.snapshot()
-        pre_time = database.logical_time
-        try:
-            result = TransactionManager(database).execute(transaction)
-            if result.aborted:
-                # An abort is the identity transition: vacuously correct.
-                return True
-            return not self.violated_constraints(database)
-        finally:
-            database.restore(snapshot)
-            database.logical_time = pre_time
+        context = TransactionContext(database)
+        with database.writer_lock:
+            try:
+                try:
+                    for statement in transaction.statements:
+                        statement.execute(context)
+                except ReproError:
+                    # An abort is the identity transition: vacuously correct.
+                    return True
+                return not any(
+                    self._is_violated(rule, context) for rule in self.rules
+                )
+            finally:
+                context.rollback()
 
     def __repr__(self) -> str:
         return (

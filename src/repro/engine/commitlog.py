@@ -19,7 +19,8 @@ Invariants (:mod:`repro.engine.epochs` says how its readers lean on them):
   unrecorded batches (loads, restore undos, replica applies) carry None.  A
   replay may jump them, never rewind.
 * **One window**: the epoch manager trims a prefix (swapping the list, so
-  an old reference is a superset) by its one retention rule — a record
+  an old reference is a superset; in the same hold of the lock as the
+  append before it) by its one retention rule — a record
   stays while a pin, a cursor, or the ``retain`` window needs it (see
   :mod:`repro.engine.epochs`) — so an audit scheduler, being a cursor,
   loses no commit.  :meth:`CommitLog.since` still counts the commits a
@@ -39,9 +40,10 @@ O(|ΣΔ|) unit of work.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.relation import Relation
+from repro.errors import EpochUnavailableError
 
 
 class CommitRecord:
@@ -133,13 +135,17 @@ class CommitLog:
         pre_time: int,
         post_time: int,
         recorded: bool = True,
+        *,
+        trim: Callable[[], None],
     ) -> Optional[CommitRecord]:
         """File one applied batch (the writer, inside its seqlock window).
 
         Empty sides become None and untouched relations are dropped.  A
         commit takes the next sequence number and is filed even when empty,
         so the sequence mirrors the commit order; an unrecorded batch is
-        filed only if it changed something (else None is returned).
+        filed only if it changed something (else None is returned).  A filed
+        record is followed by ``trim`` (the epoch manager's window trim)
+        in the same hold of the lock.
         """
         normalized: Dict[str, tuple] = {}
         for base, (plus, minus) in dict(differentials or {}).items():
@@ -161,6 +167,7 @@ class CommitLog:
             )
             self._records.append(record)
             self.version = record.version  # after the record: see the docs
+            trim()
             return record
 
     def advance_to(self, sequence: int) -> None:
@@ -228,6 +235,17 @@ class CommitLog:
             found = [r for r in records[start:] if r.sequence is not None]
             expected = max(self._next_sequence - max(sequence, 0), 0)
         return found, expected - len(found)
+
+    def between(self, low: int, high: int) -> List[CommitRecord]:
+        """Every batch with ``low < version <= high``, oldest first: a slice,
+        since versions are contiguous.  Raises
+        :class:`~repro.errors.EpochUnavailableError` if one was trimmed."""
+        with self._lock:
+            records = self._records
+        first = records[0].version if records else self.version + 1
+        if first > low + 1 and high > low:
+            raise EpochUnavailableError(low)
+        return records[max(low + 1 - first, 0) : max(high + 1 - first, 0)]
 
     def tail(self, limit: int = 10) -> List[CommitRecord]:
         """The most recent ``limit`` commits, oldest first."""

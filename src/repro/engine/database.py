@@ -15,15 +15,21 @@ does it keep statistics about its commits: the plans it caches
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.bounded import BoundedTable
-from repro.engine.commitlog import CommitLog, delta_side
-from repro.engine.epochs import EpochManager, PinnedRelations
+from repro.engine.commitlog import CommitLog
+from repro.engine.epochs import EpochManager
 from repro.engine.relation import Relation, absent_rows
 from repro.engine.schema import DatabaseSchema, RelationSchema
-from repro.errors import UnknownRelationError, WalError
+from repro.errors import (
+    EpochUnavailableError,
+    ForeignSnapshotError,
+    UnknownRelationError,
+    WalError,
+)
 
 
 class Transition:
@@ -60,6 +66,9 @@ class Database:
             for relation_schema in schema
         }
         self.logical_time = 0
+        # One writer at a time (see repro.engine.epochs); readers never
+        # take it.
+        self.writer_lock = threading.RLock()
         # The commit stream: every applied net delta in order, filed by
         # `apply_deltas`, drained by audit schedulers, read by pins.
         self.commit_log = CommitLog()
@@ -91,6 +100,7 @@ class Database:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["wal"] = None
+        del state["writer_lock"]
         # Pins and seqlock state are process-local; a deserialized copy
         # starts with none, over the commit stream it carries.
         state["epochs"] = None
@@ -98,6 +108,7 @@ class Database:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.writer_lock = threading.RLock()
         self.epochs = EpochManager(self)
         for relation in self._relations.values():
             relation._observer = self.epochs
@@ -142,15 +153,16 @@ class Database:
         """
         relation = self.relation(name)
         rows = relation.schema.validate_rows(rows)
-        if self.bag:
-            counts = dict(Counter(rows))
-        else:
-            counts = absent_rows(relation._rows, dict.fromkeys(rows, 1))
-        if not counts:
-            return 0
-        plus = Relation(relation.schema, bag=self.bag)
-        plus._rows = counts  # the batch's own dict: adopted, not copied
-        self.apply_deltas({name: (plus, None)}, advance_time=False, record=False)
+        with self.writer_lock:  # no commit between the absence test and the apply
+            if self.bag:
+                counts = dict(Counter(rows))
+            else:
+                counts = absent_rows(relation._rows, dict.fromkeys(rows, 1))
+            if not counts:
+                return 0
+            plus = Relation(relation.schema, bag=self.bag)
+            plus._rows = counts  # the batch's own dict: adopted, not copied
+            self.apply_deltas({name: (plus, None)}, advance_time=False, record=False)
         return len(rows) if self.bag else len(counts)
 
     def add_relation(self, schema: RelationSchema, rows: Iterable[tuple] = ()) -> Relation:
@@ -176,66 +188,37 @@ class Database:
         drops the pin early; otherwise it is released when the snapshot is
         garbage-collected.
         """
-        pin = self.epochs.pin()
         return DatabaseSnapshot(
-            PinnedRelations(pin, self.relation_names),
-            self.logical_time,
-            pin=pin,
+            self.epochs.pin(), self.relation_names, self.logical_time
         )
 
-    def restore(self, snapshot: Mapping) -> None:
-        """Restore a snapshot by applying the diff as a frozen delta.
+    def restore(self, snapshot: "DatabaseSnapshot") -> None:
+        """Roll this database back to one of its own snapshots in O(Δ).
 
-        The live relation objects are never replaced: the difference
-        between the current state and the snapshot is applied in place as
-        one unrecorded :meth:`apply_deltas` batch, the path commits and
-        loads take, so built hash indexes follow along incrementally, held
-        query results keep tracking the restored state and pins taken
-        before the restore still read their own.  Accepts either a
-        :class:`DatabaseSnapshot` (which also restores logical time) or a
-        legacy ``{name: Relation}`` mapping.
+        The batches since the snapshot's pin (commits, loads and restores
+        alike) are inverted and composed
+        (:meth:`EpochManager.undo_differentials`) and applied in place as
+        one unrecorded :meth:`apply_deltas` batch: the live relations are
+        never replaced, built indexes follow along, and pins taken before
+        the restore still read their own.  Logical time goes back too.
 
-        Epoch-pinned snapshots of *this* database restore in O(Δ): the
-        retained batches since the pin (commits, loads and restores alike)
-        are inverted and composed (:meth:`EpochManager.undo_differentials`)
-        instead of diffing every relation row-by-row.  Foreign or unpinned
-        mappings fall back to the generic state diff.
+        Anything but a snapshot of *this* database (a plain mapping,
+        another database's snapshot) raises
+        :class:`~repro.errors.ForeignSnapshotError`; a snapshot whose
+        released pin's batches were reclaimed raises
+        :class:`~repro.errors.EpochUnavailableError`.
         """
         pin = getattr(snapshot, "pin", None)
-        if pin is not None and pin._manager is self.epochs:
-            undo = self.epochs.undo_differentials(pin.version)
-            if undo is not None:
-                if undo:
-                    self.apply_deltas(undo, advance_time=False, record=False)
-                if isinstance(snapshot, DatabaseSnapshot):
-                    self.logical_time = snapshot.logical_time
-                return
-        differentials: dict = {}
-        for name, frozen in snapshot.items():
-            current = self.relation(name)
-            current_rows = dict(current.items())
-            frozen_rows = dict(frozen.items())
-            if current_rows == frozen_rows:
-                continue
-            # Occurrences to add and to take away (set-mode sides store one
-            # occurrence per row whatever the count).
-            missing = {
-                row: count - current_rows.get(row, 0)
-                for row, count in frozen_rows.items()
-                if count > current_rows.get(row, 0)
-            }
-            surplus = {
-                row: count - frozen_rows.get(row, 0)
-                for row, count in current_rows.items()
-                if count > frozen_rows.get(row, 0)
-            }
-            differentials[name] = (
-                delta_side(current.schema, self.bag, missing),
-                delta_side(current.schema, self.bag, surplus),
+        if pin is None or pin._manager is not self.epochs:
+            raise ForeignSnapshotError(
+                f"{type(snapshot).__name__} is not a snapshot of this database"
             )
-        if differentials:
-            self.apply_deltas(differentials, advance_time=False, record=False)
-        if isinstance(snapshot, DatabaseSnapshot):
+        with self.writer_lock:  # no commit between the undo and its apply
+            undo = self.epochs.undo_differentials(pin.version)
+            if undo is None:
+                raise EpochUnavailableError(pin.epoch)
+            if undo:
+                self.apply_deltas(undo, advance_time=False, record=False)
             self.logical_time = snapshot.logical_time
 
     def fork(self, snapshot: Optional["DatabaseSnapshot"] = None) -> "Database":
@@ -258,9 +241,8 @@ class Database:
         try:
             pin = snapshot.pin
             clone = Database(self.schema, bag=self.bag)
-            if pin is not None:
-                clone.commit_log = self.commit_log.cut(pin.version, pin.epoch)
-                clone.epochs = EpochManager(clone)
+            clone.commit_log = self.commit_log.cut(pin.version, pin.epoch)
+            clone.epochs = EpochManager(clone)
             for name in self.relation_names:
                 copied = snapshot[name].copy()
                 copied._observer = clone.epochs
@@ -293,35 +275,39 @@ class Database:
         The batch is filed once in :attr:`commit_log`.  A recorded batch is
         a commit: it takes the next sequence number and it goes to the
         write-ahead log.  An unrecorded one (a load, a snapshot restore, a
-        replica's apply) is none of these.
+        replica's apply) is none of these.  The batch holds the writer lock
+        (re-entrantly inside a transaction, which took it first) and takes
+        the stream lock once, to file its record and trim the window.
         """
-        pre_time = self.logical_time
-        committed = None
-        self.epochs.begin_write()
-        try:
-            for name, (plus, minus) in differentials.items():
-                relation = self.relation(name)
-                if minus:  # neither None nor empty
-                    relation.delete_counts(minus._rows)
-                if plus:
-                    relation.insert_counts(plus._rows)
-            if advance_time:
-                self.logical_time += 1
-            committed = self.commit_log.append(
-                differentials, pre_time, self.logical_time, record
-            )
-        finally:
-            self.epochs.end_write(committed)
-        # Durable append (and its fsync) stays *outside* the seqlock
-        # window so concurrent pinned readers never spin on disk I/O;
-        # the durability ordering is unchanged (in-memory commit first,
-        # WAL append after, exactly as before).
-        if record:
-            if self.wal is not None:
-                self.wal.append(committed)
-            # Outside the window and the gate: an audit cursor ``retain``
-            # behind is drained here, which bounds the commits it holds.
-            self.epochs.admit(committed.sequence)
+        with self.writer_lock:
+            pre_time = self.logical_time
+            committed = None
+            self.epochs.begin_write()
+            try:
+                for name, (plus, minus) in differentials.items():
+                    relation = self.relation(name)
+                    if minus:  # neither None nor empty
+                        relation.delete_counts(minus._rows)
+                    if plus:
+                        relation.insert_counts(plus._rows)
+                if advance_time:
+                    self.logical_time += 1
+                committed = self.commit_log.append(
+                    differentials, pre_time, self.logical_time, record,
+                    trim=self.epochs._trim_locked,
+                )
+            finally:
+                self.epochs.end_write()
+            # Durable append (and its fsync) stays *outside* the seqlock
+            # window so concurrent pinned readers never spin on disk I/O;
+            # the durability ordering is unchanged (in-memory commit first,
+            # WAL append after, exactly as before).
+            if record:
+                if self.wal is not None:
+                    self.wal.append(committed)
+                # Outside the window and the gate: an audit cursor ``retain``
+                # behind is drained here, which bounds the commits it holds.
+                self.epochs.admit(committed.sequence)
 
     # -- durability (write-ahead log) ---------------------------------------------
 
@@ -443,68 +429,61 @@ class Database:
 
 
 class DatabaseSnapshot:
-    """A frozen database state, mapping-compatible.
+    """A frozen database state: an epoch pin, read as a lazy mapping.
 
     Produced by :meth:`Database.snapshot`; consumed by
-    :meth:`Database.restore`, which applies the difference between the live
-    state and this snapshot as an in-place frozen delta (the same
-    delete/insert path commits use) instead of wholesale relation
-    replacement.  Iteration and item access expose the frozen relation
-    views, so the snapshot also serves anywhere a ``{name: Relation}``
-    mapping did (e.g. :class:`Transition` states).
-
-    Epoch-pinned snapshots carry the :class:`~repro.engine.epochs.EpochPin`
-    keeping their reconstruction window alive; ``relations`` is then a lazy
-    :class:`~repro.engine.epochs.PinnedRelations` mapping of read-only
-    O(Δ) views.  Legacy eager ``{name: Relation}`` dicts (no pin) remain
-    fully supported.
+    :meth:`Database.restore` and :meth:`Database.fork`.  It always carries
+    the :class:`~repro.engine.epochs.EpochPin` keeping its reconstruction
+    window alive, and maps each relation name to that relation's read-only
+    O(Δ) view at the pin, minted on first access and cached on the pin —
+    so it serves anywhere a ``{name: Relation}`` mapping does (e.g.
+    :class:`Transition` states).
     """
 
-    __slots__ = ("relations", "logical_time", "pin")
+    __slots__ = ("pin", "names", "logical_time")
 
-    def __init__(self, relations, logical_time: int = 0, pin=None):
-        self.relations = relations
-        self.logical_time = logical_time
+    def __init__(self, pin, names: tuple, logical_time: int = 0):
         self.pin = pin
+        self.names = names
+        self.logical_time = logical_time
 
     @property
-    def epoch(self) -> Optional[int]:
-        """The pinned commit-log epoch, or None for eager snapshots."""
-        return self.pin.epoch if self.pin is not None else None
+    def epoch(self) -> int:
+        """The pinned commit-log epoch."""
+        return self.pin.epoch
 
     def release(self) -> None:
-        """Drop the epoch pin (idempotent; a no-op for eager snapshots).
+        """Drop the epoch pin (idempotent).
 
         Relations already read through the snapshot stay valid; fresh
-        reads of never-touched relations may fail once the pinned epoch's
-        deltas are reclaimed.
+        reads of never-touched relations, and a restore to it, may fail
+        once the pinned epoch's deltas are reclaimed.
         """
-        if self.pin is not None:
-            self.pin.release()
+        self.pin.release()
 
     def __getitem__(self, name: str) -> Relation:
-        return self.relations[name]
+        if name not in self.names:
+            raise KeyError(name)
+        return self.pin.relation(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.relations
+        return name in self.names
 
     def __iter__(self):
-        return iter(self.relations)
+        return iter(self.names)
 
     def __len__(self) -> int:
-        return len(self.relations)
+        return len(self.names)
 
-    def keys(self):
-        return self.relations.keys()
+    def keys(self) -> tuple:
+        return self.names
 
     def items(self):
-        return self.relations.items()
+        return ((name, self.pin.relation(name)) for name in self.names)
 
     def get(self, name: str, default=None):
-        return self.relations.get(name, default)
+        return self[name] if name in self.names else default
 
     def __repr__(self) -> str:
-        sizes = ", ".join(
-            f"{name}[{len(rel)}]" for name, rel in self.relations.items()
-        )
+        sizes = ", ".join(f"{name}[{len(rel)}]" for name, rel in self.items())
         return f"DatabaseSnapshot(t={self.logical_time}, {sizes})"

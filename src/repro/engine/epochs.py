@@ -27,8 +27,8 @@ take or keep a snapshot:
   so no commit goes unaudited and ``retain`` bounds what a cursor holds.
   :attr:`EpochManager.reclaimed` counts reclamations for observability.
 
-Writer/reader coordination is a *seqlock*, not a mutex: the single writer
-(the owning session's commit thread) bumps a stamp to odd before mutating
+Writer/reader coordination is a *seqlock*, not a mutex: the one writer
+(the holder of the writer lock, below) bumps a stamp to odd before mutating
 and back to even after filing the record; readers snapshot the stamp,
 compute, and retry iff the stamp moved.  Commits therefore never wait on
 readers in the common path, and readers never block commits — the
@@ -39,6 +39,12 @@ otherwise starve), and a materializing copy (below).
 Snapshot-internal synchronization (two audit threads catching up the same
 snapshot's undo delta) uses a snapshot-local lock that the writer never
 touches.
+
+One writer at a time: ``Database.writer_lock`` covers a transaction from
+modification through ``apply_deltas``; readers never take it.  Lock
+order: writer lock → a scheduler's drain lock (a commit drains a cursor
+``retain`` behind) → write gate → a snapshot's ``_sync_lock`` → stream
+lock (``CommitLog._lock``).
 
 A snapshot's first whole-relation read (a scan, ``_rows``, equality)
 materializes the pinned state once, into a dict of its own, and caches
@@ -232,7 +238,7 @@ class EpochManager:
         self._log = database.commit_log
         self.retain = max(int(retain), 1)
         # Seqlock stamp: even = stable, odd = a mutation batch is in
-        # flight.  Written only by the single commit thread.
+        # flight.  Written only by the holder of the writer lock.
         self._stamp = 0
         # The writer holds this across its (short) critical section; a
         # reader takes it for one pass against a stable base: a read that
@@ -276,29 +282,23 @@ class EpochManager:
         with self._lock:
             return tuple(sorted(self._pins))
 
-    # -- writer protocol (single-threaded: the owning commit thread) -----------
+    # -- writer protocol (one writer at a time: the writer lock's holder) ------
 
     def begin_write(self) -> None:
         """Enter the mutation critical section (stamp goes odd)."""
         self._write_gate.acquire()
         self._stamp += 1
 
-    def end_write(self, record: Optional[CommitRecord] = None) -> None:
-        """Leave the critical section; ``record`` is what the batch filed
-        in the commit stream (None: nothing).
+    def end_write(self) -> None:
+        """Leave the critical section (stamp goes even).
 
-        The stream appended the record under its lock, before the version
-        moved; here the window is trimmed under that lock too, since a
-        reader thread releasing its pin trims as well (copy-on-trim), and
-        a record appended to a list it is about to swap out would be lost.
+        The record is already filed and the window trimmed, in one hold
+        of the stream lock (``CommitLog.append`` runs :meth:`_trim_locked`):
+        a reader releasing its pin trims too, and must not swap out a list
+        a record is being appended to.
         """
-        try:
-            if record is not None:
-                with self._lock:
-                    self._trim_locked()
-        finally:
-            self._stamp += 1
-            self._write_gate.release()
+        self._stamp += 1
+        self._write_gate.release()
 
     def _trim_locked(self) -> None:
         """Drop records below every pin, every cursor and the retention
@@ -511,8 +511,8 @@ class EpochManager:
         The inverse of every retained record after ``version``, composed
         with signed cancellation — applying it through ``apply_deltas``
         restores the pinned state in O(Δ-since-pin).  Returns None when the
-        records are no longer retained (fall back to a state diff), ``{}``
-        when nothing changed.  Writer-thread only.
+        records are no longer retained (restore raises), ``{}``
+        when nothing changed.  Under the writer lock only.
         """
         with self._lock:
             if not self._available_locked(version):
@@ -718,52 +718,6 @@ class EpochSpan:
 
     def __repr__(self) -> str:
         return f"EpochSpan(#{self.pre.epoch} -> #{self.post.epoch})"
-
-
-class PinnedRelations:
-    """Lazy ``{name: SnapshotRelation}`` mapping over one pin.
-
-    Backs an epoch-pinned :class:`~repro.engine.database.DatabaseSnapshot`:
-    taking the snapshot creates *nothing* per relation; each relation's
-    O(Δ) snapshot view is minted on first access and cached on the pin.
-    """
-
-    __slots__ = ("_pin", "_names")
-
-    def __init__(self, pin: EpochPin, names: tuple):
-        self._pin = pin
-        self._names = names
-
-    def __getitem__(self, name: str) -> "SnapshotRelation":
-        if name not in self._names:
-            raise KeyError(name)
-        return self._pin.relation(name)
-
-    def get(self, name: str, default=None):
-        if name not in self._names:
-            return default
-        return self._pin.relation(name)
-
-    def __contains__(self, name) -> bool:
-        return name in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def keys(self) -> tuple:
-        return self._names
-
-    def values(self):
-        return (self._pin.relation(name) for name in self._names)
-
-    def items(self):
-        return ((name, self._pin.relation(name)) for name in self._names)
-
-    def __repr__(self) -> str:
-        return f"PinnedRelations({self._pin!r}, {len(self._names)} relation(s))"
 
 
 def _bracketed(name: str):

@@ -292,7 +292,8 @@ class DatabaseView:
 
 
 class DeltaView(DatabaseView):
-    """Name resolution for *incremental* audits over a committed state.
+    """Name resolution for *incremental* audits over a committed state: the
+    view every audit task runs over, inline or on any executor.
 
     The database holds the post-transaction state; ``differentials`` is the
     committed net delta ``{base: (plus, minus)}`` (either side may be None),
@@ -303,7 +304,8 @@ class DeltaView(DatabaseView):
     reach into pre-state subexpressions stay executable after commit.  (The
     reconstruction copies the current relation: with in-place delta
     application, the committed relation object *is* the pre-state object,
-    so the pre-state must be rebuilt rather than merely retained.)
+    so the pre-state must be rebuilt rather than merely retained.)  An
+    uncommitted transaction's own context resolves the same names.
 
     With an :class:`~repro.engine.epochs.EpochSpan` the view is *strict*:
     bare names resolve to the span's pinned post-state and ``R@old`` to

@@ -369,56 +369,54 @@ class TransactionManager:
         result is empty (``Alarm.violations``) and builds the violating
         rows only when it fires, for the abort reason; the first alarm that
         fires aborts the transaction and the rest do not run.
+
+        It holds the database's writer lock throughout: no other write
+        lands between its checks and its commit (write skew).
         """
-        if self.modifier is not None and modify:
-            transaction = self.modifier(transaction)
-        context = TransactionContext(self.database)
-        self._active = context
-        pre_time = self.database.logical_time
-        self.executed += 1
-        try:
-            for statement in transaction.statements:
-                statement.execute(context)
-                context.statements_executed += 1
-        except TransactionAborted as abort:
-            self.aborted += 1
-            context.rollback()
+        with self.database.writer_lock:
+            if self.modifier is not None and modify:
+                transaction = self.modifier(transaction)
+            context = TransactionContext(self.database)
+            self._active = context
+            pre_time = self.database.logical_time
+            self.executed += 1
+            try:
+                for statement in transaction.statements:
+                    statement.execute(context)
+                    context.statements_executed += 1
+            except ReproError as error:
+                # An abort, or a runtime error (division by zero, type
+                # mismatches, unknown relations), which aborts the transaction
+                # like a real DBMS would; the overlay working set guarantees
+                # the pre-state survives.
+                self.aborted += 1
+                context.rollback()
+                if isinstance(error, TransactionAborted):
+                    reason = error.reason
+                else:
+                    reason = f"runtime error: {error}"
+                return TransactionResult(
+                    TransactionStatus.ABORTED,
+                    transaction,
+                    reason=reason,
+                    statements_executed=context.statements_executed,
+                    pre_time=pre_time,
+                    post_time=pre_time,
+                )
+            finally:
+                self._active = None
+            context.commit()
+            self.committed += 1
             return TransactionResult(
-                TransactionStatus.ABORTED,
+                TransactionStatus.COMMITTED,
                 transaction,
-                reason=abort.reason,
                 statements_executed=context.statements_executed,
+                tuples_inserted=context.tuples_inserted,
+                tuples_deleted=context.tuples_deleted,
                 pre_time=pre_time,
-                post_time=pre_time,
+                post_time=self.database.logical_time,
+                differentials=context.net_differentials(),
             )
-        except ReproError as error:
-            # Runtime errors (division by zero, type mismatches, unknown
-            # relations) abort the transaction like a real DBMS would; the
-            # overlay working set guarantees the pre-state survives.
-            self.aborted += 1
-            context.rollback()
-            return TransactionResult(
-                TransactionStatus.ABORTED,
-                transaction,
-                reason=f"runtime error: {error}",
-                statements_executed=context.statements_executed,
-                pre_time=pre_time,
-                post_time=pre_time,
-            )
-        finally:
-            self._active = None
-        context.commit()
-        self.committed += 1
-        return TransactionResult(
-            TransactionStatus.COMMITTED,
-            transaction,
-            statements_executed=context.statements_executed,
-            tuples_inserted=context.tuples_inserted,
-            tuples_deleted=context.tuples_deleted,
-            pre_time=pre_time,
-            post_time=self.database.logical_time,
-            differentials=context.net_differentials(),
-        )
 
     @property
     def active_context(self) -> TransactionContext:

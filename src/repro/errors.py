@@ -65,6 +65,11 @@ class EpochUnavailableError(ReproError):
         self.epoch = epoch
 
 
+class ForeignSnapshotError(ReproError):
+    """``Database.restore`` was given something other than a snapshot of
+    that database: there is no batch to invert back to it."""
+
+
 class OutOfBandMutationError(ReproError):
     """A database's base relation was written outside the commit stream.
 

@@ -331,6 +331,68 @@ class TestExecutors:
             assert {o.executor for o in outcomes} == {executor}
             assert {o.mode for o in outcomes} == {"async"}
 
+    @pytest.mark.parametrize("started", [False, True], ids=["lazy", "started"])
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_each_batch_is_audited_at_its_own_state(
+        self, db, controller, executor, started
+    ):
+        """Three commits drained at once, one batch each: deleting a
+        referenced key violates ``fk_ref`` at its own state, though the
+        next commit re-inserts the key.  A process pool the drain creates,
+        or one started after the commits, starts at the cursor's state and
+        is shipped each batch just before the batch's tasks."""
+        with AuditScheduler(
+            controller,
+            db,
+            workers=2,
+            dispatch_overhead=0.0,
+            executor=executor,
+        ) as scheduler:
+            _commit(db, "begin insert(fk, (100, 3)); end")
+            _commit(db, "begin delete(pk, (3,)); end")
+            _commit(db, "begin insert(pk, (3,)); end")
+            if started:
+                scheduler.start()
+            scheduler.drain(asynchronous=True, coalesce=False)
+            outcomes = scheduler.wait()
+            assert [(o.rule, o.sequences, o.violated) for o in outcomes] == [
+                ("fk_ref", (0,), False),
+                ("fk_id", (0,), False),
+                ("fk_ref", (1,), True),
+            ]
+
+    @pytest.mark.parametrize("started", [False, True], ids=["lazy", "started"])
+    @pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+    def test_a_load_between_commits_reaches_the_later_audit(
+        self, db, controller, executor, started
+    ):
+        """Each batch is audited at its own post-state, a bulk load (an
+        unrecorded batch) included: the first commit with its own new key,
+        the second without the key loaded after it, the third with it."""
+        with AuditScheduler(
+            controller,
+            db,
+            workers=2,
+            dispatch_overhead=0.0,
+            executor=executor,
+        ) as scheduler:
+            if started:
+                scheduler.start()
+            _commit(db, "begin insert(pk, (66,)); insert(fk, (99, 66)); end")
+            _commit(db, "begin insert(fk, (100, 77)); end")
+            db.load("pk", [(77,)])
+            _commit(db, "begin insert(fk, (101, 77)); end")
+            scheduler.drain(asynchronous=True, coalesce=False)
+            outcomes = scheduler.wait()
+            assert [(o.rule, o.sequences, o.violated) for o in outcomes] == [
+                ("fk_ref", (0,), False),
+                ("fk_id", (0,), False),
+                ("fk_ref", (1,), True),
+                ("fk_id", (1,), False),
+                ("fk_ref", (2,), False),
+                ("fk_id", (2,), False),
+            ]
+
     def test_unknown_executor_rejected(self, db, controller):
         with pytest.raises(ValueError, match="unknown executor"):
             AuditScheduler(controller, db, executor="gpu")
@@ -376,7 +438,7 @@ class TestExecutors:
 
             def recording_broadcast(message, payload=None):
                 if message[0] == "apply":
-                    shipped.append((message[0], [seq for seq, _ in payload]))
+                    shipped.append((message[0], [v for v, _ in payload]))
                 else:
                     shipped.append((message[0], None))
                 return broadcast(message, payload)
@@ -388,9 +450,10 @@ class TestExecutors:
             _commit(database, "begin insert(fk, (1, 55)); end")
             scheduler.drain(asynchronous=True, coalesce=False)
             outcomes = scheduler.wait()
-            # The replicas saw every commit as an apply, in sequence, and
-            # audited (1, 55) against the replicated target 55.
-            assert shipped == [("apply", [0]), ("apply", [1])]
+            # The replicas saw every commit as an apply, in version order
+            # (the load before the pool is version 1), and audited (1, 55)
+            # against the replicated target 55.
+            assert shipped == [("apply", [2]), ("apply", [3])]
             assert [(o.rule, o.violated, o.executor) for o in outcomes] == [
                 ("fk_ref", False, "process"),
                 ("fk_id", False, "process"),

@@ -58,7 +58,7 @@ class TestWorkerRestart:
         pool = ProcessAuditExecutor(controller, db, workers=2)
         try:
             result = _commit(db, "begin insert(fk, (100, 55)); end")
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             _kill(pool, 0)  # round-robin will hand the next task to it
             [task] = [
                 t
@@ -85,7 +85,7 @@ class TestWorkerRestart:
                 pool._pool.processes[index].join(timeout=5.0)
 
             result = _commit(db, "begin insert(fk, (100, 3)); end")
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             _kill(pool, 0)
             # Every respawn dies immediately: the single retry is spent,
             # then the task must fail loudly instead of looping forever.
@@ -142,7 +142,7 @@ class TestWorkerRestart:
             controller, db, workers=2, start_method=start_method
         )
         try:
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             poisoned = pool.submit(Poison(), (0,))  # round-robin: worker 0
             assert pool._pool._replies[0].poll(60), "worker 0 never replied"
             os.kill(pool._pool.processes[0].pid, signal.SIGKILL)
@@ -174,16 +174,16 @@ class TestWorkerRestart:
         try:
             _kill(pool, 0)
             first = _commit(db, "begin insert(fk, (100, 3)); end")
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             outcome = pool.submit(
                 controller.audit_tasks(db, first)[0], (0,)
             ).result()
             assert outcome.error is None and pool.restarts == 1
             # The respawned worker was seeded *after* commit #0; the next
             # broadcast repeats nothing it already holds (idempotent by
-            # sequence), and later commits replicate normally.
+            # version), and later commits replicate normally.
             second = _commit(db, "begin insert(fk, (101, 5)); end")
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             [task] = [
                 t
                 for t in controller.audit_tasks(db, second)
@@ -235,7 +235,7 @@ class TestLargeDeltas:
 
         pool._pool.put = recording_put
         try:
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             _kill(pool, 0)  # round-robin hands it the first task
             futures = [pool.submit(task, (0,)) for task in tasks]
             outcomes = {o.rule: o for o in (f.result() for f in futures)}
@@ -281,13 +281,13 @@ class TestLargeDeltas:
             keys = Relation(db.relation_schema("pk"))
             keys.insert_counts({(k,): 1 for k in range(10, 40_001)})
             db.apply_deltas({"pk": (keys, None)})
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             [(kind, put)] = shipped
             assert kind == "apply" and put > 2 * (64 << 10)
             result = _commit(
                 db, "begin insert(fk, {(501, 40000), (502, 1000000)}); end"
             )
-            pool.replicate(db.commit_log.since(0)[0])
+            pool.replicate(db.commit_log.version)
             tasks = controller.audit_tasks(db, result)
             inline = {t.rule_name: t.run() for t in tasks}
             violated, violations = inline["fk_ref"]

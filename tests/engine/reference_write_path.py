@@ -215,10 +215,11 @@ def apply_deltas(database, differentials, advance_time=True, record=True):
         if advance_time:
             database.logical_time += 1
         committed = database.commit_log.append(
-            differentials, pre_time, database.logical_time, record
+            differentials, pre_time, database.logical_time, record,
+            trim=database.epochs._trim_locked,
         )
     finally:
-        database.epochs.end_write(committed)
+        database.epochs.end_write()
     if record and database.wal is not None:
         database.wal.append(committed)
 

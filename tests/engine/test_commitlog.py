@@ -8,6 +8,7 @@ from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Ses
 from repro.engine.commitlog import coalesce_differentials, take_batches
 from repro.engine.database import DatabaseSnapshot
 from repro.engine.types import INT
+from repro.errors import EpochUnavailableError, ForeignSnapshotError
 
 
 @pytest.fixture
@@ -127,6 +128,22 @@ class TestCommitLog:
         with pytest.raises(ValueError):
             db.replay_record(3, 3, 4, {"r": (_relation(schema, [(5, 5)]), None)})
         assert (5, 5) not in db.relation("r")
+
+    def test_between_slices_every_batch_or_raises_for_a_trimmed_one(self, db):
+        """Loads and commits alike, by version; a trimmed one is an error,
+        never a silent hole (what a process replica would apply)."""
+        db.epochs.retain = 1
+        session = Session(db)
+        _commit(session, "begin insert(r, (7, 7)); end")
+        db.load("r", [(8, 8)])
+        db.load("r", [(9, 9)])
+        version = db.commit_log.version
+        assert [r.version for r in db.commit_log.between(version - 1, version)] == [
+            version
+        ]
+        assert db.commit_log.between(version, version) == []
+        with pytest.raises(EpochUnavailableError):
+            db.commit_log.between(version - 3, version)
 
     def test_deepcopy_survives_lock(self, db):
         session = Session(db)
@@ -259,10 +276,26 @@ class TestSnapshotRestore:
         assert snapshot["r"].to_set() == {(1, 1), (2, 2), (3, 3)}
         assert dict(snapshot) == {"r": snapshot["r"]}
 
-    def test_legacy_mapping_restore(self, db, schema):
-        frozen = {"r": _relation(schema, [(9, 9)])}
-        db.restore(frozen)
-        assert db.relation("r").to_set() == {(9, 9)}
+    def test_restore_takes_only_its_own_retained_snapshot(self, db, schema):
+        """Restore inverts the batches since the pin, so there is nothing to
+        restore from a plain mapping, another database's snapshot, or a pin
+        whose batches were reclaimed: each raises a typed error, and the
+        state is left as it was."""
+        with pytest.raises(ForeignSnapshotError):
+            db.restore({"r": _relation(schema, [(9, 9)])})
+        other = Database(schema)
+        with pytest.raises(ForeignSnapshotError):
+            db.restore(other.snapshot())
+        snapshot = db.snapshot()
+        snapshot.release()
+        db.epochs.retain = 1
+        session = Session(db)
+        _commit(session, "begin insert(r, (7, 7)); end")
+        _commit(session, "begin insert(r, (8, 8)); end")
+        with pytest.raises(EpochUnavailableError):
+            db.restore(snapshot)
+        assert db.relation("r").to_set() == {(1, 1), (2, 2), (3, 3), (7, 7), (8, 8)}
+        assert db.logical_time == 2
 
     def test_restore_bag_multiplicities(self, schema):
         database = Database(schema, bag=True)

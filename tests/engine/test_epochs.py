@@ -448,9 +448,9 @@ class TestSnapshotIndexes:
 class TestDatabaseSnapshotIntegration:
     def test_snapshot_mapping_compatibility(self, rdb):
         snapshot = rdb.snapshot()
-        assert set(snapshot.relations.keys()) == {"r", "s"}
-        assert "r" in snapshot.relations and "ghost" not in snapshot.relations
-        assert len(snapshot.relations) == 2
+        assert set(snapshot.keys()) == {"r", "s"}
+        assert "r" in snapshot and "ghost" not in snapshot
+        assert len(snapshot) == 2
         assert sorted(snapshot["r"]) == [(1, 1), (2, 2), (3, 3)]
         assert snapshot.epoch == rdb.commit_log.next_sequence
 

@@ -2,9 +2,29 @@
 
 import pytest
 
-from repro.engine import Relation, Session
+from repro.core.subsystem import IntegrityController
+from repro.engine import Database, DatabaseSchema, Relation, RelationSchema, Session
 from repro.engine.session import DatabaseView
+from repro.engine.types import INT
+from repro.engine.wal import WriteAheadLog
 from repro.errors import UnknownRelationError
+from repro.workloads.employees import employees_controller, employees_database
+
+FK_SCHEMA = DatabaseSchema(
+    [
+        RelationSchema("fk", [("id", INT), ("ref", INT)]),
+        RelationSchema("pk", [("key", INT)]),
+    ]
+)
+FK_REF = "(forall x)(x in fk => (exists y)(y in pk and x.ref = y.key))"
+
+
+def _logged(directory) -> dict:
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestQueries:
@@ -104,3 +124,49 @@ class TestCorrectTransactionPredicate:
             'begin insert(beer, ("x", "ale", "heineken", 4.0)); abort; end'
         )
         assert controller.is_correct_transaction(db, txn)
+
+    def test_judging_writes_nothing_durable(self, tmp_path):
+        """The check is a function of the state and the update: on a
+        WAL-attached database it takes no sequence number, moves no
+        version and logs no byte, a drain then audits nothing, and
+        recovery returns the pre-state."""
+        controller = IntegrityController(FK_SCHEMA)
+        controller.add_constraint("fk_ref", FK_REF)
+        database = Database(FK_SCHEMA)
+        database.load("pk", [(0,), (1,), (2,)])
+        database.attach_wal(WriteAheadLog(tmp_path))
+        scheduler = controller.audit_scheduler(database)
+        sequence = database.commit_log.next_sequence
+        version = database.epochs.version
+        logged = _logged(tmp_path)
+        txn = Session(database).transaction("begin insert(fk, (9, 99)); end")
+        assert not controller.is_correct_transaction(database, txn)
+        assert database.commit_log.next_sequence == sequence
+        assert database.epochs.version == version
+        assert _logged(tmp_path) == logged
+        assert database.relation("fk").to_set() == set()
+        assert scheduler.drain() == []
+        scheduler.close()
+        database.detach_wal()
+        recovered = Database.recover(tmp_path)
+        try:
+            assert recovered.relation("fk").to_set() == set()
+            assert recovered.relation("pk").to_set() == {(0,), (1,), (2,)}
+        finally:
+            recovered.detach_wal()
+
+    def test_transition_rule_sees_the_pre_state(self):
+        """``emp@old`` is the state before the transaction, not the
+        post-state: a salary cut breaks ``emp_salary_monotone``, as
+        modified execution finds when it aborts the same transaction."""
+        database = employees_database()
+        controller = employees_controller()
+        text = "begin update(emp, id = 1, salary := salary - 500); end"
+        txn = Session(database).transaction(text)
+        assert not controller.is_correct_transaction(database, txn)
+        raise_ = Session(database).transaction(
+            "begin update(emp, id = 1, salary := salary + 500); end"
+        )
+        assert controller.is_correct_transaction(database, raise_)
+        result = Session(database, controller).execute(text)
+        assert result.aborted and "emp_salary_monotone" in result.reason

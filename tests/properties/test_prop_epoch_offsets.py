@@ -49,7 +49,7 @@ from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSnapshot, Relation
-from repro.engine.epochs import PinnedRelations, _entries_after
+from repro.engine.epochs import _entries_after
 from repro.engine.overlay import _DeltaBuckets
 from repro.engine.session import DatabaseView
 from repro.errors import EpochUnavailableError
@@ -292,7 +292,7 @@ def _fork(database: Database, model: Model, pickled: bool, i: int, j: int) -> No
         clone = pickle.loads(pickle.dumps(database))
     elif held and j % 2:
         at = held[i % len(held)]
-        cut = DatabaseSnapshot(PinnedRelations(at.pin, NAMES), pin=at.pin)
+        cut = DatabaseSnapshot(at.pin, NAMES)
         clone = database.fork(cut)
     else:
         clone = database.fork()

@@ -68,11 +68,25 @@ def test_views_stay_consistent_under_random_transactions(db, txn):
     assert manager.verify_view("r_keys")
 
 
-@given(db=strat.databases(), txn=strat.transactions())
+#: An aborting state rule and an aborting transition rule (every old key
+#: keeps a row at least as large); the identity transition is legal for the
+#: second on any state, so a consistent database is one the first holds on.
+PREDICATE_RULES = {
+    "cap": "(forall x in r)(x.a <= 4)",
+    "keep": "(forall o in r@old)(exists x in r)(x.a = o.a and x.b >= o.b)",
+}
+
+
+@given(
+    db=strat.databases(),
+    txn=strat.transactions(),
+    name=st.sampled_from(sorted(PREDICATE_RULES)),
+)
 @settings(max_examples=100, deadline=None)
-def test_correct_transaction_predicate_matches_outcome(db, txn):
+def test_correct_transaction_predicate_matches_outcome(db, txn, name):
     """Def 3.5 classification agrees with modified execution for aborting
-    state rules on consistent databases."""
+    state and transition rules on consistent databases: the predicate
+    judges ``R@old`` as the pre-state, as the appended checks do."""
     import copy
 
     from repro.calculus.parser import parse_constraint
@@ -80,10 +94,10 @@ def test_correct_transaction_predicate_matches_outcome(db, txn):
     from repro.engine.session import DatabaseView
     from repro.calculus.evaluation import evaluate_constraint
 
-    constraint = parse_constraint("(forall x in r)(x.a <= 4)")
+    constraint = parse_constraint(PREDICATE_RULES[name])
     assume(evaluate_constraint(constraint, DatabaseView(db)))
     controller = IntegrityController(db.schema)
-    controller.add_rule(IntegrityRule(constraint, name="cap"))
+    controller.add_rule(IntegrityRule(constraint, name=name))
 
     classified_correct = controller.is_correct_transaction(db, txn)
 
