@@ -17,7 +17,7 @@ This package provides:
 * :mod:`repro.algebra.planner` — compilation of expressions into cached
   physical query plans (the default evaluation backend);
 * :mod:`repro.algebra.physical` — the physical operator DAGs the planner
-  emits (hash joins, index-accelerated selections, estimates);
+  emits (hash joins, index-accelerated selections);
 * :mod:`repro.algebra.parser` — text forms for expressions, programs, and
   whole transactions;
 * :mod:`repro.algebra.optimizer` — algebraic rewrites;

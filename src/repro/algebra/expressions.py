@@ -8,9 +8,10 @@ multiset extension's ``MLT``).
 
 Nodes are frozen dataclasses (structural equality — the translation tests
 compare produced trees against expected ones) with an ``evaluate(context)``
-method.  A *context* is anything with ``resolve(name) -> Relation``; the
-optional attribute ``tracer`` receives per-operator tuple counts, which the
-parallel cost model consumes.
+method.  A *context* is anything with ``resolve(name) -> Relation``.
+``evaluate`` is the reference tree-walk interpreter: production evaluation
+runs the compiled plans of :mod:`repro.algebra.physical`, and the property
+suites hold the two to equal results.
 
 Performance notes: selections and joins compile their predicates to Python
 closures once per evaluation (:mod:`repro.algebra.predicates`), and
@@ -45,12 +46,6 @@ class Expression:
         found: set = set()
         _collect_relations(self, found)
         return found
-
-
-def _trace(context, op: str, tuples_in: int, tuples_out: int) -> None:
-    tracer = getattr(context, "tracer", None)
-    if tracer is not None:
-        tracer.record(op, tuples_in, tuples_out)
 
 
 def _fresh_schema(name: str, attributes) -> RelationSchema:
@@ -174,9 +169,7 @@ class Select(Expression):
     def evaluate(self, context) -> Relation:
         source = self.input.evaluate(context)
         test = P.compile_predicate(self.predicate, source.schema)
-        result = source.filtered(lambda row: test(row) is True)
-        _trace(context, "select", len(source), len(result))
-        return result
+        return source.filtered(lambda row: test(row) is True)
 
 
 @hash_once
@@ -212,7 +205,6 @@ class Project(Expression):
         result = Relation(out_schema, bag=source.bag)
         for row in source:
             result.insert(tuple(fn(row) for fn in compiled), _validated=True)
-        _trace(context, "project", len(source), len(result))
         return result
 
     @staticmethod
@@ -262,7 +254,6 @@ class Union(Expression):
         _check_compatible(left, right, "union")
         result = left.copy()
         result.insert_many(iter(right))
-        _trace(context, "union", len(left) + len(right), len(result))
         return result
 
 
@@ -280,13 +271,11 @@ class Difference(Expression):
             # ∅ − e = ∅: skip evaluating the subtrahend entirely (the Δ⁻
             # rewrites of projection/union subtract a post-state expression
             # that is O(|result|) to materialize).
-            _trace(context, "difference", 0, 0)
             return Relation(left.schema, bag=left.bag)
         right = self.right.evaluate(context)
         _check_compatible(left, right, "difference")
         result = left.copy()
         result.delete_many(iter(right))
-        _trace(context, "difference", len(left) + len(right), len(result))
         return result
 
 
@@ -302,9 +291,7 @@ class Intersection(Expression):
         left = self.left.evaluate(context)
         right = self.right.evaluate(context)
         _check_compatible(left, right, "intersection")
-        result = left.filtered(lambda row: row in right)
-        _trace(context, "intersection", len(left) + len(right), len(result))
-        return result
+        return left.filtered(lambda row: row in right)
 
 
 def _combined_schema(left: RelationSchema, right: RelationSchema, name: str) -> RelationSchema:
@@ -429,7 +416,6 @@ class Join(Expression):
                 for rrow in right:
                     if full_fn(lrow, rrow) is True:
                         result.insert(lrow + rrow, _validated=True)
-        _trace(context, "join", len(left) + len(right), len(result))
         return result
 
 
@@ -457,11 +443,8 @@ def _semi_anti_filter(self, context, keep_matching: bool, op_name: str) -> Relat
             return any(pred_fn(row, other) is True for other in right_rows)
 
     if keep_matching:
-        result = left.filtered(has_match)
-    else:
-        result = left.filtered(lambda row: not has_match(row))
-    _trace(context, op_name, len(left) + len(right), len(result))
-    return result
+        return left.filtered(has_match)
+    return left.filtered(lambda row: not has_match(row))
 
 
 @hash_once
@@ -512,7 +495,6 @@ class Product(Expression):
         for lrow in left:
             for rrow in right:
                 result.insert(lrow + rrow, _validated=True)
-        _trace(context, "product", len(left) + len(right), len(result))
         return result
 
 
@@ -585,9 +567,7 @@ class Aggregate(Expression):
             value = max(values)
         name = f"{self.func.lower()}_{source.schema.attributes[position].name}"
         schema = RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)])
-        result = Relation(schema, [(value,)], _validated=True)
-        _trace(context, "aggregate", len(source), 1)
-        return result
+        return Relation(schema, [(value,)], _validated=True)
 
 
 @hash_once
@@ -600,9 +580,7 @@ class Count(Expression):
     def evaluate(self, context) -> Relation:
         source = self.input.evaluate(context)
         schema = RelationSchema("count", [Attribute("cnt", INT)])
-        result = Relation(schema, [(len(source),)], _validated=True)
-        _trace(context, "count", len(source), 1)
-        return result
+        return Relation(schema, [(len(source),)], _validated=True)
 
 
 @hash_once
@@ -615,9 +593,7 @@ class Multiplicity(Expression):
     def evaluate(self, context) -> Relation:
         source = self.input.evaluate(context)
         schema = RelationSchema("multiplicity", [Attribute("mlt", INT)])
-        result = Relation(schema, [(source.distinct_count(),)], _validated=True)
-        _trace(context, "multiplicity", len(source), 1)
-        return result
+        return Relation(schema, [(source.distinct_count(),)], _validated=True)
 
 
 def _collect_relations(expr: Expression, found: set) -> None:

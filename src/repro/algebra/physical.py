@@ -36,16 +36,15 @@ and bag mode.  Where the reference interpreter has quirky corners (e.g. the
 hash-join build side hashes *distinct* right rows), the physical operators
 mirror them faithfully.
 
-Every operator also carries a static cardinality/work estimate
-(:class:`PlanEstimate`) from a ``{name: cardinality}`` mapping and
-textbook selectivities.  The parallel cost model is its only reader: no
-plan is chosen by it.
+An operator only executes.  What a plan is expected to cost (rows out,
+tuples scanned, built and probed) is worked out by one walk over the plan
+tree in :mod:`repro.parallel.cost_model`, the §7 package that prices it;
+no plan is chosen by it.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _Counter
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter as _itemgetter, not_ as _not
 from typing import Dict, Optional, Tuple
@@ -58,7 +57,6 @@ from repro.algebra.expressions import (
     _combined_schema,
     _fresh_schema,
     _strip_side,
-    _trace,
 )
 from repro.bounded import BoundedTable
 from repro.engine.overlay import _DeltaBuckets
@@ -66,51 +64,6 @@ from repro.engine.relation import Relation
 from repro.engine.schema import Attribute, RelationSchema
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import TypeMismatchError
-
-# Default cardinality assumed for relations absent from a cardinality mapping.
-DEFAULT_CARDINALITY = 1000.0
-# Default cardinality assumed for a transaction's net differential: deltas
-# are small by premise (that is the entire point of differential
-# enforcement), so delta scans price orders of magnitude under base scans
-# unless the cardinality mapping supplies the actual |Δ|.
-DEFAULT_DELTA_CARDINALITY = 16.0
-# Classic textbook selectivities for the static estimates.
-FILTER_SELECTIVITY = 1.0 / 3.0
-EQUALITY_SELECTIVITY = 0.01
-SEMI_SELECTIVITY = 0.5
-
-
-@dataclass
-class PlanEstimate:
-    """Static cardinality and work estimate of a (sub)plan.
-
-    ``scanned``/``built``/``probed`` are cumulative tuple counts over the
-    whole subtree.  The parallel layer prices them per node with
-    :meth:`repro.parallel.cost_model.CostModel.weighted_node_time`.
-    """
-
-    rows: float
-    scanned: float = 0.0
-    built: float = 0.0
-    probed: float = 0.0
-
-    @property
-    def work(self) -> float:
-        """Total tuple touches (scan + build + probe)."""
-        return self.scanned + self.built + self.probed
-
-    def absorb(self, child: "PlanEstimate") -> None:
-        """Accumulate a child subtree's work into this estimate."""
-        self.scanned += child.scanned
-        self.built += child.built
-        self.probed += child.probed
-
-
-def _card(cards, name: str) -> float:
-    if cards is None:
-        return DEFAULT_CARDINALITY
-    return float(cards.get(name, DEFAULT_CARDINALITY))
-
 
 class PhysicalOperator:
     """Base class of physical operators: ``execute(context) -> Relation``."""
@@ -134,9 +87,6 @@ class PhysicalOperator:
         result relation when there is none."""
         result = self.execute(context)
         return result if len(result) else None
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        raise NotImplementedError
 
     def children(self) -> tuple:
         return ()
@@ -212,19 +162,6 @@ class _CombinedSchemaCache:
             )
             self._cache.file(key, out)
         return out
-
-
-def _trace_sizes(context, op: str, inputs: tuple, output) -> None:
-    """:func:`_trace` with the sizes taken only when the context traces.
-
-    For the operators that read their inputs through an index: ``len`` of
-    a pinned snapshot is a seqlock bracket and of a transaction overlay
-    three more ``len`` calls, which an index probe must not pay just to
-    discard.
-    """
-    tracer = getattr(context, "tracer", None)
-    if tracer is not None:
-        tracer.record(op, sum(map(len, inputs)), len(output))
 
 
 def _present_counts(relation: Relation, rows) -> dict:
@@ -381,17 +318,14 @@ def _mask_select(source: Relation, pred: _PredicateCache) -> Relation:
     return result
 
 
-def _if_any(context, op: str, inputs: tuple, rows) -> Optional[Relation]:
+def _if_any(first: Relation, rows) -> Optional[Relation]:
     """``rows`` (a ``{row: count}`` dict, or None for none) as a result
-    relation shaped like the first input — or None, with no relation
-    built, when there are none.  Traced either way."""
+    relation shaped like ``first`` — or None, with no relation built, when
+    there are none."""
     if not rows:
-        _trace_sizes(context, op, inputs, ())
         return None
-    first = inputs[0]
     result = Relation(first.schema, bag=first.bag)
     result._rows = rows
-    _trace_sizes(context, op, inputs, result)
     return result
 
 
@@ -411,9 +345,6 @@ class ScanOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         return context.resolve(self.name)
 
-    def estimate(self, cards=None) -> PlanEstimate:
-        return PlanEstimate(rows=_card(cards, self.name))
-
     def describe(self) -> str:
         return f"scan({self.name})"
 
@@ -425,12 +356,9 @@ class DeltaScanOp(PhysicalOperator):
     whatever supplies the differentials at execution time: a running
     :class:`~repro.engine.transaction.TransactionContext`'s live deltas, a
     post-commit :class:`~repro.engine.session.DeltaView`, or an explicit
-    standalone binding.  The estimate prices from |Δ| — the differential's
-    own cardinality when the mapping carries it under the auxiliary name,
-    else :data:`DEFAULT_DELTA_CARDINALITY` — never from the base relation's
-    |R|.
-    This is what lets the cost model prefer delta plans over full plans
-    without executing either.
+    standalone binding.  The cost model prices it from |Δ|, never from the
+    base relation's |R|, which is what lets it prefer delta plans over full
+    plans without executing either.
     """
 
     op_name = "delta_scan"
@@ -442,11 +370,6 @@ class DeltaScanOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         return context.resolve(self.name)
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        if cards is not None and self.name in cards:
-            return PlanEstimate(rows=float(cards.get(self.name)))
-        return PlanEstimate(rows=DEFAULT_DELTA_CARDINALITY)
 
     def describe(self) -> str:
         return f"delta_scan({self.name})"
@@ -486,9 +409,6 @@ class LiteralOp(PhysicalOperator):
         result._rows = dict.fromkeys(self.rows, 1)
         return result
 
-    def estimate(self, cards=None) -> PlanEstimate:
-        return PlanEstimate(rows=float(len(self.rows)))
-
     def describe(self) -> str:
         return f"literal({len(self.rows)} rows)"
 
@@ -512,21 +432,12 @@ class FilterOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        result = _mask_select(source, self._pred)
-        _trace_sizes(context, "select", (source,), result)
-        return result
+        return _mask_select(source, self._pred)
 
     def execute_nonempty(self, context) -> Optional[Relation]:
         source = self.child.execute(context)
         rows = _mask_rows(source, self._pred, nonempty=True)
-        return _if_any(context, "select", (source,), rows)
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        child = self.child.estimate(cards)
-        est = PlanEstimate(rows=child.rows * FILTER_SELECTIVITY)
-        est.absorb(child)
-        est.scanned += child.rows
-        return est
+        return _if_any(source, rows)
 
     def describe(self) -> str:
         return f"select[{self._pred.predicate!r}]"
@@ -579,21 +490,14 @@ class IndexSelectOp(PhysicalOperator):
         # A declared index is built here: the fallback is a full scan.
         index = source.amortized_index(positions)
         if index is None:
-            result = _mask_select(source, self._full)
-            _trace_sizes(context, "select", (source,), result)
-            return result
+            return _mask_select(source, self._full)
         rows = index.lookup(self.key)
         if not self._residual.is_true:
             residual = self._residual.bind(source.schema)
             rows = [row for row in rows if residual(row) is True]
         result = Relation(source.schema, bag=source.bag)
         result._rows = _present_counts(source, rows)
-        _trace_sizes(context, "select", (source,), result)
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        out = max(1.0, _card(cards, self.name) * EQUALITY_SELECTIVITY)
-        return PlanEstimate(rows=out, probed=1.0, scanned=out)
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -679,8 +583,6 @@ class ProjectOp(PhysicalOperator):
         out_rows = _projected_keys(source, key_columns)
         if out_rows is not None:
             result._rows = dict.fromkeys(out_rows, 1)
-            # What was read is the keys: that is the traced input size.
-            _trace(context, "project", len(out_rows), len(out_rows))
             return result
         rows, counts = source.rows_and_counts()
         out_rows = row_maker(rows)
@@ -695,15 +597,7 @@ class ProjectOp(PhysicalOperator):
             for row, count in zip(out_rows, counts):
                 merged[row] = get(row, 0) + count
             result._rows = merged
-        _trace(context, "project", len(source), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        child = self.child.estimate(cards)
-        est = PlanEstimate(rows=child.rows)
-        est.absorb(child)
-        est.scanned += child.rows
-        return est
 
     def describe(self) -> str:
         return f"project[{len(self.items)} cols]"
@@ -755,9 +649,6 @@ class RenameOp(PhysicalOperator):
         source = self.child.execute(context)
         return source.with_schema(self._bind(source.schema))
 
-    def estimate(self, cards=None) -> PlanEstimate:
-        return self.child.estimate(cards)
-
     def describe(self) -> str:
         return f"rename({self.name})"
 
@@ -784,16 +675,7 @@ class AggregateOp(PhysicalOperator):
         value = source.aggregate(self.func, position)
         name = f"{self.func.lower()}_{source.schema.attributes[position].name}"
         schema = RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)])
-        result = Relation(schema, [(value,)], _validated=True)
-        _trace(context, "aggregate", len(source), 1)
-        return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        child = self.child.estimate(cards)
-        est = PlanEstimate(rows=1.0)
-        est.absorb(child)
-        est.scanned += child.rows
-        return est
+        return Relation(schema, [(value,)], _validated=True)
 
     def describe(self) -> str:
         return f"aggregate({self.func}, {self.attr})"
@@ -813,15 +695,7 @@ class CountOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         schema = RelationSchema("count", [Attribute("cnt", INT)])
-        result = Relation(schema, [(len(source),)], _validated=True)
-        _trace(context, "count", len(source), 1)
-        return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        child = self.child.estimate(cards)
-        est = PlanEstimate(rows=1.0)
-        est.absorb(child)
-        return est
+        return Relation(schema, [(len(source),)], _validated=True)
 
 
 class MultiplicityOp(PhysicalOperator):
@@ -838,15 +712,7 @@ class MultiplicityOp(PhysicalOperator):
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
         schema = RelationSchema("multiplicity", [Attribute("mlt", INT)])
-        result = Relation(schema, [(source.distinct_count(),)], _validated=True)
-        _trace(context, "multiplicity", len(source), 1)
-        return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        child = self.child.estimate(cards)
-        est = PlanEstimate(rows=1.0)
-        est.absorb(child)
-        return est
+        return Relation(schema, [(source.distinct_count(),)], _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -890,17 +756,7 @@ class UnionOp(_BinaryOp):
             # the reference interpreter, so type errors surface identically.
             result = left.copy()
             result.insert_many(iter(right))
-        _trace(context, "union", len(left) + len(right), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=left.rows + right.rows)
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows + right.rows
-        return est
 
 
 class DifferenceOp(_BinaryOp):
@@ -919,7 +775,6 @@ class DifferenceOp(_BinaryOp):
             # schema-compatibility check is skipped along with its
             # evaluation, so a malformed difference only raises once the
             # left side is non-empty.
-            _trace(context, "difference", 0, 0)
             return Relation(left.schema, bag=left.bag)
         right = self.right.execute(context)
         _check_compatible(left, right, "difference")
@@ -937,7 +792,6 @@ class DifferenceOp(_BinaryOp):
                 for row, count in left._rows.items()
                 if row not in right_rows
             }
-            _trace(context, "difference", len(left) + len(right), len(result))
             return result
         remaining = dict(left._rows)
         if result.bag:
@@ -954,17 +808,7 @@ class DifferenceOp(_BinaryOp):
             for row in right._rows:
                 remaining.pop(row, None)
         result._rows = remaining
-        _trace(context, "difference", len(left) + len(right), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=max(left.rows - right.rows, 1.0))
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows + right.rows
-        return est
 
 
 class IntersectOp(_BinaryOp):
@@ -983,17 +827,7 @@ class IntersectOp(_BinaryOp):
             for row, count in left._rows.items()
             if row in right_rows
         }
-        _trace(context, "intersection", len(left) + len(right), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=min(left.rows, right.rows) * SEMI_SELECTIVITY)
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows + right.rows
-        return est
 
 
 class ProductOp(_BinaryOp):
@@ -1016,17 +850,7 @@ class ProductOp(_BinaryOp):
         for lrow in left:
             for rrow in right:
                 insert(lrow + rrow, _validated=True)
-        _trace(context, "product", len(left) + len(right), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=left.rows * right.rows)
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows * right.rows
-        return est
 
 
 # ---------------------------------------------------------------------------
@@ -1174,19 +998,7 @@ class HashJoinOp(_HashKeyedOp):
             result._rows = dict.fromkeys(pairs, 1)
         else:
             result._rows = dict(zip(pairs, pair_counts))
-        _trace_sizes(context, "join", (left, right), result)
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        # The textbook max(|L|, |R|) guess.
-        est = PlanEstimate(rows=max(left.rows, right.rows, 1.0))
-        est.absorb(left)
-        est.absorb(right)
-        est.built += right.rows
-        est.probed += left.rows
-        return est
 
     def describe(self) -> str:
         return f"hash_join[{self.left_keys.attrs or self.left_keys.exprs}]"
@@ -1220,17 +1032,7 @@ class NestedLoopJoinOp(_BinaryOp):
             for rrow in right:
                 if test(lrow, rrow) is True:
                     insert(lrow + rrow, _validated=True)
-        _trace(context, "join", len(left) + len(right), len(result))
         return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=left.rows * right.rows * FILTER_SELECTIVITY)
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows * right.rows
-        return est
 
     def describe(self) -> str:
         return f"nl_join[{self._pred.predicate!r}]"
@@ -1337,7 +1139,6 @@ class HashSemiJoinOp(_HashKeyedOp):
         right = self.right.execute(context)
         result = Relation(left.schema, bag=left.bag)
         result._rows = self._probe_dict(left, right)
-        _trace_sizes(context, self.op_name, (left, right), result)
         return result
 
     def execute_nonempty(self, context) -> Optional[Relation]:
@@ -1346,17 +1147,7 @@ class HashSemiJoinOp(_HashKeyedOp):
         left = self.left.execute(context)
         right = self.right.execute(context)
         rows = self._probe_dict(left, right, nonempty=True)
-        return _if_any(context, self.op_name, (left, right), rows)
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=left.rows * SEMI_SELECTIVITY)
-        est.absorb(left)
-        est.absorb(right)
-        est.built += right.rows
-        est.probed += left.rows
-        return est
+        return _if_any(left, rows)
 
     def describe(self) -> str:
         keys = self.left_keys.attrs or self.left_keys.exprs
@@ -1396,20 +1187,8 @@ class NestedLoopSemiOp(_BinaryOp):
             return any(test(row, other) is True for other in right_rows)
 
         if self.keep_matching:
-            result = left.filtered(has_match)
-        else:
-            result = left.filtered(lambda row: not has_match(row))
-        _trace(context, self.op_name, len(left) + len(right), len(result))
-        return result
-
-    def estimate(self, cards=None) -> PlanEstimate:
-        left = self.left.estimate(cards)
-        right = self.right.estimate(cards)
-        est = PlanEstimate(rows=left.rows * SEMI_SELECTIVITY)
-        est.absorb(left)
-        est.absorb(right)
-        est.scanned += left.rows * right.rows
-        return est
+            return left.filtered(has_match)
+        return left.filtered(lambda row: not has_match(row))
 
     def describe(self) -> str:
         return f"nl_{self.op_name}[{self._pred.predicate!r}]"

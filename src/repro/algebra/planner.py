@@ -26,9 +26,9 @@ produced by parsing or by the calculus-to-algebra translation of Section
 
 A plan depends on the expression and the schema only, never on the data:
 chains run in the order they are written, and no cardinality or
-distinct-key count is read to choose a plan.  The per-operator estimates
-(:meth:`~repro.algebra.physical.PhysicalOperator.estimate`) are read by the
-parallel cost model alone.
+distinct-key count is read to choose a plan.  What a plan is expected to
+cost is the §7 package's question, answered by a walk over the plan tree
+in :mod:`repro.parallel.cost_model`.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def compile_expression(
     One operator per expression node, in the expression's own shape: a
     plan is never restructured after lowering (what is worth moving is
     moved on the expression, see :func:`database_plan`), and nothing about
-    how it executes depends on estimates or input sizes, so plans are
+    how it executes depends on cardinalities or input sizes, so plans are
     shared through the plan cache and executed concurrently as they are.
 
     The root carries :attr:`~repro.algebra.physical.PhysicalOperator.probes`
@@ -515,35 +515,6 @@ def statement_expressions(statement) -> Iterator[E.Expression]:
     expr = getattr(statement, "expr", None)
     if isinstance(expr, E.Expression):
         yield expr
-
-
-def expression_leaves(expression: E.Expression) -> tuple:
-    """The resolvable leaf operands of an expression, in tree order.
-
-    Yields every :class:`~repro.algebra.expressions.RelationRef` and
-    :class:`~repro.algebra.expressions.Delta` leaf (deduplicated by name).
-    This is what a fragment-aware executor binds per node: base names to
-    node fragments, delta names (``R@plus``/``R@minus``) to node-local
-    delta fragments — the per-fragment delta scans the compiled
-    :class:`~repro.algebra.physical.DeltaScanOp` resolves by name at
-    execution time.
-    """
-    leaves: list = []
-    seen: set = set()
-
-    def visit(expr: E.Expression) -> None:
-        if isinstance(expr, (E.RelationRef, E.Delta)):
-            if expr.name not in seen:
-                seen.add(expr.name)
-                leaves.append(expr)
-            return
-        for field in dataclasses.fields(expr):
-            value = getattr(expr, field.name)
-            if isinstance(value, E.Expression):
-                visit(value)
-
-    visit(expression)
-    return tuple(leaves)
 
 
 def precompile_program(program) -> int:

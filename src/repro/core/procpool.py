@@ -18,7 +18,9 @@ replies, sentinel waits, the wire) and adds replication and retry:
   :class:`~repro.engine.commitlog.CommitRecord` stream (O(|Δ|) per batch,
   loads included) one audit batch at a time, just before its tasks.
   Inboxes are FIFO, so every task audits exactly its batch's post-state:
-  *strict batched* verdicts even under concurrent commits.
+  *strict batched* verdicts even under concurrent commits.  The executor
+  pins the version its replicas hold, so however many batches come between
+  two drains, the stream keeps every one they lack.
 * **Nothing silently dropped** — worker exceptions come back as error
   strings (poisoned :class:`~repro.core.scheduler.AuditOutcome`\\ s); a
   worker the pool reports dead — after every verdict it did send — is
@@ -155,8 +157,10 @@ class ProcessAuditExecutor:
         self.controller = controller
         self._spec = ControllerSpec(controller)
         replica = database if replica is None else replica
-        # The stream version the replicas hold.
+        # The stream version the replicas hold, pinned so the trim keeps
+        # every batch after it until they have it (:meth:`replicate`).
         self._replicated_through = replica.commit_log.version
+        self._hold = database.epochs.pin_version(self._replicated_through)
         self._pool = WorkerPool(
             _audit_worker, self.workers, start_method,
             name="repro-audit-proc", args=(encode((self._spec, replica)),),
@@ -182,7 +186,8 @@ class ProcessAuditExecutor:
 
     def replicate(self, through: int) -> None:
         """Ship every batch of the stream the replicas lack, up to version
-        ``through``: commits, loads and restores alike, in order."""
+        ``through``: commits, loads and restores alike, in order; then move
+        the executor's pin up to the version they now hold."""
         log = self.database.commit_log
         fresh = log.between(self._replicated_through, through)
         if fresh:
@@ -190,6 +195,9 @@ class ProcessAuditExecutor:
                 (r.version, encode_differentials(r.differentials)) for r in fresh
             ])
             self._replicated_through = fresh[-1].version
+            held = self._hold
+            self._hold = self.database.epochs.pin_version(self._replicated_through)
+            held.release()
 
     # -- task dispatch ---------------------------------------------------------
 
@@ -273,6 +281,7 @@ class ProcessAuditExecutor:
         if self._closed:
             return
         self._closed = True
+        self._hold.release()
         self._pool.close(wait)
 
     def __repr__(self) -> str:

@@ -449,6 +449,23 @@ class EpochManager:
                 # Raced with enough commits to lose the window; rare.
                 self._unpin_locked(version)
 
+    def pin_version(self, version: int) -> "EpochPin":
+        """Pin the retained stream ``version`` (the current one or an older
+        one whose later records all survive), so every record after it
+        stays.  Raises :class:`~repro.errors.EpochUnavailableError` when one
+        was already trimmed."""
+        with self._lock:
+            if not self._available_locked(version):
+                raise EpochUnavailableError(version)
+            log = self._log
+            later = _entries_after(log._records, version)
+            epoch = log._next_sequence - sum(
+                record.sequence is not None for record in later
+            )
+            self._pins[version] = self._pins.get(version, 0) + 1
+            self.pins_taken += 1
+            return EpochPin(self, version, epoch)
+
     def pin_span(self, first_sequence: int, last_sequence: int):
         """Pins bracketing commits ``[first, last]``: an EpochSpan or None.
 

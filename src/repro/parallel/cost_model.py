@@ -25,14 +25,136 @@ gives ``scan ≈ 1.28 ms``, ``build + probe ≈ 4 ms`` per tuple — slow by
 hardware.  *Absolute* simulated times are therefore anchored to the paper;
 *relative* behaviour (scaling curves, strategy comparisons) comes from the
 measured counts alone.
+
+What a node's plan costs is :func:`estimate`: one walk over the compiled
+plan tree of :mod:`repro.algebra.physical`, pricing each operator from a
+``{name: cardinality}`` mapping (a node's fragment sizes) and textbook
+selectivities by the rule :data:`_RULES` holds for its class.  It returns
+the rows out and the scanned/built/probed split that
+:meth:`CostModel.weighted_node_time` converts into seconds.  The operators
+themselves only execute, and no plan is chosen by an estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
+from repro.algebra import physical as X
 from repro.parallel.nodes import NodeStats
+
+# Default cardinality assumed for relations absent from a cardinality mapping.
+DEFAULT_CARDINALITY = 1000.0
+# Default cardinality assumed for a transaction's net differential: deltas
+# are small by premise (that is the entire point of differential
+# enforcement), so delta scans price orders of magnitude under base scans
+# unless the cardinality mapping supplies the actual |Δ|.
+DEFAULT_DELTA_CARDINALITY = 16.0
+# Classic textbook selectivities.
+FILTER_SELECTIVITY = 1.0 / 3.0
+EQUALITY_SELECTIVITY = 0.01
+SEMI_SELECTIVITY = 0.5
+
+
+@dataclass
+class PlanEstimate:
+    """Static cardinality and work estimate of a (sub)plan.
+
+    ``scanned``/``built``/``probed`` are cumulative tuple counts over the
+    whole subtree, priced per node by :meth:`CostModel.weighted_node_time`.
+    """
+
+    rows: float
+    scanned: float = 0.0
+    built: float = 0.0
+    probed: float = 0.0
+
+    @property
+    def work(self) -> float:
+        """Total tuple touches (scan + build + probe)."""
+        return self.scanned + self.built + self.probed
+
+
+def _card(cards: Optional[Mapping], name: str) -> float:
+    if cards is None:
+        return DEFAULT_CARDINALITY
+    return float(cards.get(name, DEFAULT_CARDINALITY))
+
+
+def _delta_card(cards: Optional[Mapping], name: str) -> float:
+    # |Δ| under the auxiliary name, never the base relation's |R|.
+    if cards is not None and name in cards:
+        return float(cards[name])
+    return DEFAULT_DELTA_CARDINALITY
+
+
+def _index_select(op, cards):
+    out = max(1.0, _card(cards, op.name) * EQUALITY_SELECTIVITY)
+    return out, out, 0.0, 1.0
+
+
+#: Per operator class: ``rule(op, cards, *child_rows) -> (rows, scanned,
+#: built, probed)`` of the operator alone; :func:`estimate` adds its
+#: children's work.
+_RULES = {
+    X.ScanOp: lambda op, cards: (_card(cards, op.name), 0.0, 0.0, 0.0),
+    X.DeltaScanOp: lambda op, cards: (_delta_card(cards, op.name), 0.0, 0.0, 0.0),
+    X.LiteralOp: lambda op, cards: (float(len(op.rows)), 0.0, 0.0, 0.0),
+    X.IndexSelectOp: _index_select,
+    X.FilterOp: lambda op, cards, child: (child * FILTER_SELECTIVITY, child, 0.0, 0.0),
+    X.ProjectOp: lambda op, cards, child: (child, child, 0.0, 0.0),
+    X.RenameOp: lambda op, cards, child: (child, 0.0, 0.0, 0.0),
+    X.AggregateOp: lambda op, cards, child: (1.0, child, 0.0, 0.0),
+    X.CountOp: lambda op, cards, child: (1.0, 0.0, 0.0, 0.0),
+    X.MultiplicityOp: lambda op, cards, child: (1.0, 0.0, 0.0, 0.0),
+    X.UnionOp: lambda op, cards, left, right: (left + right, left + right, 0.0, 0.0),
+    X.DifferenceOp: lambda op, cards, left, right: (
+        max(left - right, 1.0), left + right, 0.0, 0.0
+    ),
+    X.IntersectOp: lambda op, cards, left, right: (
+        min(left, right) * SEMI_SELECTIVITY, left + right, 0.0, 0.0
+    ),
+    X.ProductOp: lambda op, cards, left, right: (
+        left * right, left * right, 0.0, 0.0
+    ),
+    # The textbook max(|L|, |R|) guess; build the right side, probe the left.
+    X.HashJoinOp: lambda op, cards, left, right: (
+        max(left, right, 1.0), 0.0, right, left
+    ),
+    X.NestedLoopJoinOp: lambda op, cards, left, right: (
+        left * right * FILTER_SELECTIVITY, left * right, 0.0, 0.0
+    ),
+    X.HashSemiJoinOp: lambda op, cards, left, right: (
+        left * SEMI_SELECTIVITY, 0.0, right, left
+    ),
+    X.NestedLoopSemiOp: lambda op, cards, left, right: (
+        left * SEMI_SELECTIVITY, left * right, 0.0, 0.0
+    ),
+}
+_RULES[X.HashAntiJoinOp] = _RULES[X.HashSemiJoinOp]
+_RULES[X.NestedLoopAntiOp] = _RULES[X.NestedLoopSemiOp]
+
+
+def estimate(plan: X.PhysicalOperator, cards: Optional[Mapping] = None) -> PlanEstimate:
+    """The static estimate of ``plan`` under ``cards`` (``{name:
+    cardinality}``; absent names price at :data:`DEFAULT_CARDINALITY`,
+    absent differentials at :data:`DEFAULT_DELTA_CARDINALITY`).
+
+    Reads the plan and writes nothing: plans are shared through the plan
+    cache, and an estimate may run beside their execution.
+    """
+    children = [estimate(child, cards) for child in plan.children()]
+    rule = _RULES[type(plan)]
+    rows, scanned, built, probed = rule(plan, cards, *(c.rows for c in children))
+    est = PlanEstimate(rows=rows)
+    for child in children:
+        est.scanned += child.scanned
+        est.built += child.built
+        est.probed += child.probed
+    est.scanned += scanned
+    est.built += built
+    est.probed += probed
+    return est
 
 
 @dataclass(frozen=True)

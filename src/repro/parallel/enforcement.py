@@ -21,18 +21,19 @@ Movement is decided **per operand, not per relation set**:
   :class:`EnforcementReport` keeps its LOCAL/BROADCAST/REPARTITION
   vocabulary.
 
-Every node's work is priced from the *plan estimate* under its local
-fragment cardinalities (scan/build/probe split), communication from the
-counted tuple movement, and the calibrated cost model converts both into
-simulated wall-clock time — real Python time is reported alongside, as
-before.
+Every node's work is priced by :func:`repro.parallel.cost_model.estimate`,
+one walk over the compiled plan under that node's fragment cardinalities
+(scan/build/probe split); communication is priced from the counted tuple
+movement, and the calibrated cost model converts both into simulated
+wall-clock time.  Real Python time is reported alongside.  The leaves the
+enforcer binds per node are the expression's own (:func:`_leaf_names`).
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
 from repro.algebra import expressions as E
@@ -40,7 +41,7 @@ from repro.algebra import planner
 from repro.algebra import predicates as P
 from repro.engine.relation import Relation
 from repro.errors import FragmentationError
-from repro.parallel.cost_model import CostModel, POOMA_1992
+from repro.parallel.cost_model import CostModel, POOMA_1992, estimate
 from repro.parallel.fragmentation import (
     FragmentationScheme,
     FragmentedRelation,
@@ -248,7 +249,7 @@ class ParallelEnforcer:
         per_node: Dict[str, List[Relation]] = {}
         schemes: Dict[str, Optional[FragmentationScheme]] = {}
 
-        order = [leaf.name for leaf in planner.expression_leaves(expression)]
+        order = _leaf_names(expression)
         # The carrier (outermost probe side) is placed first: joins hash
         # other operands to *its* fragmentation.
         if carrier in order:
@@ -291,7 +292,7 @@ class ParallelEnforcer:
                 name: float(len(fragments[node]))
                 for name, fragments in per_node.items()
             }
-            estimates.append(plan.estimate(cards))
+            estimates.append(estimate(plan, cards))
         elapsed = time.perf_counter() - started
 
         simulated = self.cost_model.startup + max(
@@ -523,6 +524,32 @@ def _classify(expression: E.Expression) -> str:
     raise FragmentationError(
         f"unsupported alarm shape for parallel enforcement: {expression!r}"
     )
+
+
+def _leaf_names(expression: E.Expression) -> List[str]:
+    """The names of the resolvable leaf operands, in tree order, once each.
+
+    Every :class:`~repro.algebra.expressions.RelationRef` and
+    :class:`~repro.algebra.expressions.Delta` leaf: what the enforcer binds
+    per node — base names to node fragments, delta names (``R@plus`` /
+    ``R@minus``) to node-local delta fragments, which the compiled
+    :class:`~repro.algebra.physical.DeltaScanOp` resolves by name at
+    execution time.
+    """
+    names: List[str] = []
+
+    def visit(expr: E.Expression) -> None:
+        if isinstance(expr, (E.RelationRef, E.Delta)):
+            if expr.name not in names:
+                names.append(expr.name)
+            return
+        for spec in fields(expr):
+            value = getattr(expr, spec.name)
+            if isinstance(value, E.Expression):
+                visit(value)
+
+    visit(expression)
+    return names
 
 
 def _carrier(expression: E.Expression) -> Optional[str]:

@@ -10,7 +10,7 @@ from repro.algebra.delta import (
     old_expression,
 )
 from repro.algebra.evaluation import StandaloneContext
-from repro.algebra.physical import DEFAULT_DELTA_CARDINALITY, DeltaScanOp
+from repro.algebra.physical import DeltaScanOp
 from repro.algebra.planner import get_plan
 from repro.engine import Relation, RelationSchema
 from repro.engine.types import INT
@@ -51,11 +51,6 @@ class TestDeltaNode:
         plan = get_plan(E.Select(E.Delta("r", "plus"), P.TRUE))
         # The optimizer strips σ_true, leaving the bare delta scan.
         assert isinstance(plan, DeltaScanOp)
-
-    def test_estimate_prices_from_delta_not_base(self):
-        op = DeltaScanOp("r", "plus")
-        assert op.estimate({"r": 100000.0}).rows == DEFAULT_DELTA_CARDINALITY
-        assert op.estimate({"r": 100000.0, "r@plus": 7.0}).rows == 7.0
 
 
 class TestTableEquivalents:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra import expressions as E
 from repro.algebra import predicates as P
-from repro.algebra.evaluation import StandaloneContext, TracingContext
+from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Relation, RelationSchema
 from repro.engine.types import INT, NULL, STRING
 from repro.errors import TypeMismatchError
@@ -207,15 +207,3 @@ class TestRenameAndLiteral:
             E.SemiJoin(E.RelationRef("b"), E.RelationRef("c@plus"), P.TRUE),
         )
         assert expr.relations() == {"a", "b", "c@plus"}
-
-
-class TestTracing:
-    def test_operator_trace_records(self, ctx):
-        tracing = TracingContext(ctx)
-        expr = E.Select(E.RelationRef("r"), P.TRUE)
-        expr.evaluate(tracing)
-        summary = tracing.tracer.by_operator()
-        assert "select" in summary
-        calls, tuples_in, tuples_out = summary["select"]
-        assert calls == 1 and tuples_in == 3 and tuples_out == 3
-        assert tracing.tracer.total_tuples_in == 3

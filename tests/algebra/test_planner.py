@@ -1,4 +1,4 @@
-"""The physical planner: lowering, caching, reference parity, estimates."""
+"""The physical planner: lowering, caching, reference parity, index hints."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.algebra import expressions as E
 from repro.algebra import physical as X
 from repro.algebra import planner
 from repro.algebra import predicates as P
-from repro.algebra.evaluation import StandaloneContext, TracingContext, evaluate_expression
+from repro.algebra.evaluation import StandaloneContext, evaluate_expression
 from repro.algebra.parser import parse_expression
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.schema import Attribute
@@ -142,14 +142,6 @@ class TestExecution:
         planned = planner.get_plan(REFERENTIAL).execute(ctx)
         assert {row[1] for row in planned} == {10, 11}
 
-    def test_planned_ops_trace_like_naive(self, ctx):
-        tracing = TracingContext(ctx)
-        evaluate_expression(REFERENTIAL, tracing)
-        summary = tracing.tracer.by_operator()
-        assert "antijoin" in summary
-        calls, tuples_in, tuples_out = summary["antijoin"]
-        assert calls == 1 and tuples_in == 40 and tuples_out == 4
-
 
 def _fk_pk(ctor=E.Join, op="="):
     return ctor(
@@ -203,14 +195,12 @@ class TestReferenceParity:
         if shape == "project_select_delta":
             assert result.sorted_rows() == [(5,), (9,)]
 
-    def test_a_chain_traces_every_operator_in_it(self, ctx):
-        tracing = TracingContext(ctx)
-        planner.get_plan(_SELECT_PROJECT_JOIN).execute(tracing)
-        assert [op for op, _in, _out in tracing.tracer.records] == [
-            "join",
-            "select",
-            "project",
-        ]
+    def test_a_chain_explains_every_operator_in_it(self):
+        lines = planner.explain(_SELECT_PROJECT_JOIN).splitlines()
+        operators = [line.strip().split("[")[0].split("(")[0] for line in lines]
+        assert operators == ["project", "select", "hash_join", "scan", "scan"]
+        # Each operator's inputs are listed one level under it.
+        assert [len(line) - len(line.lstrip()) for line in lines] == [0, 2, 4, 6, 6]
 
 
 class TestPlanCache:
@@ -279,104 +269,7 @@ class TestPlanCache:
         assert [list(table) for table in tables] == warmed
 
 
-class TestEstimates:
-    def test_scan_uses_cardinalities(self):
-        est = planner.get_plan(REFERENTIAL).estimate({"fk": 100_000, "pk": 1000})
-        assert est.built == 1000
-        assert est.probed == 100_000
-
-    def test_cost_model_prices_plan(self):
-        from repro.parallel.cost_model import MODERN_2026
-        from repro.parallel.nodes import NodeStats
-
-        def seconds(cards, stats=NodeStats()):
-            # What the parallel enforcer charges one node: the plan's
-            # estimate over that node's fragments, at the model's rates.
-            est = planner.get_plan(REFERENTIAL).estimate(cards)
-            return MODERN_2026.weighted_node_time(
-                stats, scanned=est.scanned, built=est.built, probed=est.probed
-            )
-
-        cards = {"fk": 100_000, "pk": 1000}
-        est = planner.get_plan(REFERENTIAL).estimate(cards)
-        whole = seconds(cards)
-        assert whole == pytest.approx(
-            est.scanned * MODERN_2026.scan_per_tuple
-            + est.built * MODERN_2026.build_per_tuple
-            + est.probed * MODERN_2026.probe_per_tuple
-        )
-        assert whole > 0
-        # One of 8 fragments must beat the whole on 1 node...
-        eighth = {"fk": 12_500, "pk": 125}
-        assert seconds(eighth) < whole
-        # ...and the tuples a node ships are charged on top of its work.
-        shipped = NodeStats(tuples_sent=125, messages_sent=1)
-        assert seconds(eighth, shipped) == pytest.approx(
-            seconds(eighth)
-            + 125 * MODERN_2026.transfer_per_tuple
-            + MODERN_2026.message_latency
-        )
-
-    def test_cost_model_prefers_delta_plan(self):
-        from repro.algebra.delta import delta_expression
-
-        cards = {"fk": 100_000, "pk": 1000}
-        delta = delta_expression(REFERENTIAL, [("INS", "fk")])
-        full = planner.get_plan(REFERENTIAL).estimate(cards)
-        delta_estimate = planner.get_plan(delta).estimate(
-            {**cards, "fk@plus": 100}
-        )
-        # 100 probes against the same 1000-row build side vs 100k probes:
-        # the choice is not close.
-        assert delta_estimate.work < full.work / 10
-
-    def test_delta_estimate_defaults_without_statistics(self):
-        from repro.algebra.delta import delta_expression
-        from repro.algebra.physical import DEFAULT_DELTA_CARDINALITY
-
-        delta = delta_expression(REFERENTIAL, [("INS", "fk")])
-        est = planner.get_plan(delta).estimate({"fk": 100_000, "pk": 1000})
-        assert est.probed == DEFAULT_DELTA_CARDINALITY
-        assert est.built == 1000
-
-    def test_estimating_never_writes_to_the_shared_plan(self):
-        """Estimating is read-only on plans shared through the plan cache.
-
-        An estimate runs on whichever thread asks against the one plan
-        object every executor shares.  Cardinalities changing between two
-        estimates — a 3-row relation growing 400-fold under a
-        select/project chain — must leave that object, every operator's
-        attributes, its ``explain()`` and its results as compiled.
-        """
-        database = Database(
-            DatabaseSchema([RelationSchema("r", [("a", INT), ("b", INT)])])
-        )
-        database.load("r", [(i % 20, i) for i in range(3)])
-        expression = E.Project(
-            E.Select(
-                E.RelationRef("r"), P.Comparison(">", P.ColRef("b"), P.Const(0))
-            ),
-            (E.ProjectItem(P.ColRef("b")),),
-        )
-        plan = planner.get_plan(expression)
-        explained = planner.explain(expression)
-        compiled_state = _operator_state(plan)
-        assert explained.startswith("project[")
-        view = DatabaseView(database)
-
-        first = plan.estimate(database.cardinalities())
-        assert _operator_state(plan) == compiled_state
-        assert plan.execute(view) == expression.evaluate(view)
-
-        database.load("r", [(0, i) for i in range(10, 1210)])
-        second = plan.estimate(database.cardinalities())
-        assert second.rows > first.rows
-        assert planner.get_plan(expression) is plan
-        assert planner.explain(expression) == explained
-        assert _operator_state(plan) == compiled_state
-        result = plan.execute(view)
-        assert result == expression.evaluate(view) and len(result) == 1202
-
+class TestIndexHints:
     def test_index_hints_cover_both_antijoin_sides(self):
         hints = planner.index_hints(REFERENTIAL)
         assert ("fk", ("ref",)) in hints
@@ -476,11 +369,6 @@ class TestProjectionHints:
             _project(E.RelationRef("fk"), "ref"), [("DEL", "fk")], E.DELTA_MINUS
         )
         assert planner.index_hints(shrunk) == {("fk", ("ref",))}
-
-
-def _operator_state(plan) -> dict:
-    """``{id(op): its attribute dict}`` for every operator under ``plan``."""
-    return {id(op): dict(vars(op)) for op in plan_operators(plan)}
 
 
 def _outcome(evaluate) -> tuple:

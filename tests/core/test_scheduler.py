@@ -459,6 +459,34 @@ class TestExecutors:
                 ("fk_id", False, "process"),
             ]
 
+    def test_process_replicas_survive_more_loads_than_retain(self, controller):
+        # Ten loads between two drains on a retain-2 stream: the executor's
+        # pin at its replicated version keeps every batch its replica lacks,
+        # so the second commit's drain ships them instead of raising
+        # EpochUnavailableError after the transaction has committed.
+        database = Database(schema())
+        database.load("pk", [(k,) for k in range(10)])
+        database.epochs.retain = 2
+        scheduler = controller.audit_scheduler(
+            database, executor="process", workers=1, dispatch_overhead=0.0
+        ).start()
+        try:
+            session = Session(database, controller)
+            first = session.commit("begin insert(fk, (1, 3)); end", audit="async")
+            assert first.committed
+            for key in range(100, 110):
+                database.load("pk", [(key,)])
+            # (2, 105) is clean only on a replica that applied the loads.
+            assert session.commit(
+                "begin insert(fk, (2, 105)); end", audit="async"
+            ).committed
+            outcomes = scheduler.wait()
+            assert [(o.violated, o.executor, o.error) for o in outcomes] == [
+                (False, "process", None)
+            ] * 4
+        finally:
+            scheduler.close()
+
     def test_process_outcomes_settle_rates(self, db, controller):
         # A worker's verdict comes back with the task's rows, so a process
         # audit settles its rule's rate like an inline one.

@@ -169,6 +169,26 @@ class TestReclamation:
         commit(database, "r", plus=[(99, 99)])
         assert database.epochs.retained() <= 3
 
+    def test_a_pinned_older_version_holds_back_reclamation(self, rs_schema):
+        database = Database(rs_schema)
+        database.epochs.retain = 2
+        commit(database, "r", plus=[(0, 0)])
+        database.load("s", [(5, 5)])  # a batch with no commit sequence
+        head = database.epochs.pin()
+        commit(database, "r", plus=[(1, 1)])
+        older = database.epochs.pin_version(head.version)
+        # The same version and epoch as a pin taken at it.
+        assert (older.version, older.epoch) == (head.version, head.epoch) == (2, 1)
+        head.release()
+        for i in range(10):
+            commit(database, "r", plus=[(i + 10, i)])
+        assert database.epochs.retained() == 11  # every record after it
+        assert sorted(older.relation("r")) == [(0, 0)]
+        older.release()
+        commit(database, "r", plus=[(99, 99)])
+        with pytest.raises(EpochUnavailableError):
+            database.epochs.pin_version(head.version)
+
     def test_fresh_read_after_reclamation_raises(self, rs_schema):
         database = Database(rs_schema)
         database.epochs.retain = 1

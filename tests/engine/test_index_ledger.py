@@ -116,14 +116,15 @@ class TestProjectionEvidence:
         assert (usage.uses, usage.keys, usage.by_kind) == (1, 10, {"project": 10})
         pin.release()
 
-    def test_a_traced_run_shows_the_keys_read_as_the_input_size(self, db):
-        from repro.algebra.evaluation import TracingContext
-
-        traced = TracingContext(DatabaseView(db))
-        get_plan(self.EXPR).execute(traced)  # no index yet: 50 rows in
+    def test_an_index_only_run_reads_the_keys_not_the_rows(self, db):
+        scanned = get_plan(self.EXPR).execute(DatabaseView(db))  # reads 50 rows
+        assert db.relation("fk").built_index((1,)) is None
         db.create_index("fk", ["ref"])
-        get_plan(self.EXPR).execute(traced)
-        assert traced.tracer.records == [("project", 50, 10), ("project", 10, 10)]
+        read = get_plan(self.EXPR).execute(DatabaseView(db))
+        usage = db.relation("fk").built_index((1,)).usage
+        # The same 10 rows, read as the index's 10 distinct keys.
+        assert read == scanned and len(read) == 10
+        assert (usage.uses, usage.keys, usage.by_kind) == (1, 10, {"project": 10})
 
     def test_an_index_only_projections_read_stays_built(self, db):
         # A projection read is a plan asking for the index, so it zeroes

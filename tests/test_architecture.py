@@ -200,7 +200,7 @@ CASES = [
     ),
     # Plans run as written (a plan depends on the expression and the schema,
     # never on the data: no chain reordering, no runtime statistics, no
-    # per-commit delta sizes; only the parallel cost model reads estimates).
+    # per-commit delta sizes).
     (
         "plans-as-written",
         [
@@ -210,11 +210,19 @@ CASES = [
                 "cost-based reordering, runtime statistics or the delta-size "
                 "EWMA is back in src/",
             ),
+        ],
+    ),
+    # A plan only executes: no per-operator tracer, and no estimate on the
+    # operators (what a plan costs is the one walk of
+    # repro.parallel.cost_model, the §7 package that prices it).
+    (
+        "plans-only-execute",
+        [
             (
-                ["-rnF", "--exclude-dir=parallel", ".estimate(", "src/"],
-                "src/repro/algebra/physical.py:",
-                "a plan estimate is read outside algebra/physical.py and "
-                "repro.parallel",
+                ["-rnE", "tracer|TracingContext|OperatorTrace|_trace|PlanEstimate|def estimate", "src/repro/algebra/"],
+                None,
+                "an operator tracer or a plan estimate is back in "
+                "src/repro/algebra/",
             ),
         ],
     ),
