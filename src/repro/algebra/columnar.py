@@ -1,10 +1,4 @@
-"""Columnar batches: whole-column kernels and a compact wire format.
-
-PRs 1-6 removed the asymptotic waste from enforcement (cached plans,
-O(|Δ|) delta audits, multi-core executors); what remains is the constant
-factor the ROADMAP names explicitly — the per-tuple Python loops in
-:mod:`repro.algebra.physical`.  This module attacks that constant from
-two sides:
+"""Whole-column kernels and the compact wire format for relations.
 
 * **Whole-column kernels.**  :func:`compile_predicate_kernel` and
   :func:`compile_scalar_kernel` compile the same predicate/scalar ASTs as
@@ -21,30 +15,36 @@ two sides:
   projection path, for every input size; the row closures remain for
   join residuals and as the reference interpreter's evaluator.
 
-* **A columnar wire format.**  :class:`ColumnBatch` stores a relation as
-  one Python object per attribute plus a multiplicity vector and a null
-  mask.  When pickled, integer and float columns pack into stdlib
-  :mod:`array` objects with the smallest fitting typecode, which beats
-  per-row tuple pickling by well over the 1.5x the benchmark gates (each
-  pickled row costs tuple framing plus memoization; a packed ``array``
-  costs its raw bytes).  :func:`encode_relation` /
-  :func:`decode_relation` switch to the columnar form above a row
-  threshold, and the process executors (:mod:`repro.core.procpool`,
-  :mod:`repro.parallel.procpool`) route every replica, Δ blob, and
-  fragment shipment through them.
+* **A columnar wire format.**  A :class:`ColumnBatch` is how a relation
+  of at least :data:`WIRE_MIN_ROWS` distinct rows is pickled: one column
+  per attribute plus a multiplicity vector, integer and float columns
+  packed into stdlib :mod:`array` objects with the smallest fitting
+  typecode.  That beats per-row tuple pickling by well over the 1.5x the
+  benchmark gates (each pickled row costs tuple framing plus
+  memoization; a packed ``array`` costs its raw bytes).  Unpickling
+  gives back a plain :class:`~repro.engine.relation.Relation`: the batch
+  exists only on the wire.  :func:`encode_differentials` /
+  :func:`decode_differentials` carry every Δ that leaves the process —
+  the process audit executor's task blobs and replica stream
+  (:mod:`repro.core.procpool`), the WAL's records
+  (:mod:`repro.engine.wal`) — and :func:`encode_relation` /
+  :func:`decode_relation` the fragment pool's installs and bindings
+  (:mod:`repro.parallel.procpool`).  A new audit worker's initial replica
+  is a pickled :class:`~repro.engine.database.Database`, so its rows
+  ship as row dicts, not through this codec.
 
-There is no path selection: every operator runs its kernel whatever the
-input size, and operators hand each other plain relations — a
-:class:`ColumnBatch` is what crosses a process boundary, not what crosses
-an operator boundary.  The parity suites pin plan ≡ ``Expression.evaluate``.
+Operators hand each other plain relations; a :class:`ColumnBatch` is
+what crosses a process boundary, not what crosses an operator boundary.
+The parity suites pin plan ≡ ``Expression.evaluate``.
 """
 
 from __future__ import annotations
 
 from array import array
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List
 
+from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
 from repro.engine.types import NULL
 from repro.errors import EvaluationError, TypeMismatchError
@@ -82,7 +82,7 @@ __all__ = [
 WIRE_MIN_ROWS = 512
 
 # ---------------------------------------------------------------------------
-# ColumnBatch: the decomposed-storage form of a Relation
+# ColumnBatch: the wire form of a Relation
 # ---------------------------------------------------------------------------
 
 #: Array typecodes by range, smallest first; unsigned variants interleave
@@ -153,172 +153,59 @@ def _unpack_column(packed: tuple) -> list:
 
 
 class ColumnBatch:
-    """A relation decomposed into per-attribute columns.
+    """The wire form of a relation: per-attribute columns, packed.
 
-    The batch holds the data in whichever form it was built from — a row
-    list (decomposing a relation) or a column tuple (the wire format
-    unpickles columns) — and converts lazily on first access of the other
-    view, so a batch that is only ever read back as rows never pays for
-    column extraction and a batch that only ships over a pipe never pays
-    for row reassembly.
+    Built around a relation; when pickled it decomposes the relation's
+    rows into one column per attribute plus a multiplicity vector
+    (``None`` when every multiplicity is 1) and packs each column (see
+    :func:`_pack_column`).  When unpickled it reassembles a plain
+    :class:`~repro.engine.relation.Relation` — same rows, multiplicities,
+    mode and *declared* index specs (built indexes rebuild on demand, as
+    on any copy) — which :meth:`to_relation` returns.
 
-    ``columns[j][i]`` is attribute ``j`` of row ``i``; ``counts`` is the
-    parallel multiplicity vector, or ``None`` when every multiplicity is
-    1.  Rows are distinct, with merged counts (the shape a Relation stores).
-    ``index_specs`` carries the relation's *declared* index positions so
-    a decoded relation rebuilds its indexes lazily, exactly like a
-    freshly copied one.
+    The pickled state is ``(schema, bag, packed_columns, packed_counts,
+    index_specs, distinct_rows)``: WAL records carry it, so it must not
+    change.
     """
 
-    __slots__ = (
-        "schema",
-        "bag",
-        "_columns",
-        "_rows",
-        "counts",
-        "index_specs",
-        "row_count",
-    )
+    __slots__ = ("_relation",)
 
-    def __init__(
-        self,
-        schema: RelationSchema,
-        bag: bool,
-        columns: Sequence[list],
-        counts: Optional[list],
-        index_specs: Tuple[tuple, ...] = (),
-        row_count: Optional[int] = None,
-    ):
-        self.schema = schema
-        self.bag = bag
-        self._columns = tuple(columns)
-        self._rows = None
-        self.counts = counts
-        self.index_specs = tuple(index_specs)
-        if row_count is None:
-            row_count = len(self._columns[0]) if self._columns else 0
-        self.row_count = row_count
-
-    # -- conversion --------------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        schema: RelationSchema,
-        bag: bool,
-        rows: list,
-        counts: Optional[list] = None,
-        index_specs: Tuple[tuple, ...] = (),
-    ) -> "ColumnBatch":
-        """Wrap an existing row list without extracting columns."""
-        batch = cls.__new__(cls)
-        batch.schema = schema
-        batch.bag = bag
-        batch._columns = None
-        batch._rows = rows
-        batch.counts = counts
-        batch.index_specs = tuple(index_specs)
-        batch.row_count = len(rows)
-        return batch
-
-    @classmethod
-    def from_relation(cls, relation) -> "ColumnBatch":
-        """Decompose a Relation or OverlayRelation (via its merged rows)."""
-        rows, counts = relation.rows_and_counts()
-        indexes = getattr(relation, "_indexes", None)
-        specs = tuple(indexes.specs()) if indexes is not None else ()
-        return cls.from_rows(
-            relation.schema,
-            relation.bag,
-            list(rows),
-            list(counts) if counts is not None else None,
-            specs,
-        )
-
-    @property
-    def columns(self) -> tuple:
-        """Per-attribute column lists (built lazily from rows)."""
-        if self._columns is None:
-            rows = self._rows
-            if rows:
-                self._columns = tuple(list(column) for column in zip(*rows))
-            else:
-                self._columns = tuple([] for _ in self.schema.attributes)
-        return self._columns
-
-    def rows_list(self) -> list:
-        """The batch's rows as tuples (built lazily from columns)."""
-        if self._rows is None:
-            self._rows = list(zip(*self._columns))
-        return self._rows
+    def __init__(self, relation):
+        self._relation = relation
 
     def to_relation(self):
-        """Reassemble a plain :class:`~repro.engine.relation.Relation`."""
-        from repro.engine.relation import Relation
-
-        relation = Relation(self.schema, bag=self.bag)
-        if self.row_count:
-            relation._rows = self._merged_rows()
-        for positions in self.index_specs:
-            relation.declare_index(positions)
-        return relation
-
-    def _merged_rows(self) -> dict:
-        """The batch contents as a ``{row: count}`` dict."""
-        rows = self.rows_list()
-        counts = self.counts
-        if not self.bag or counts is None:
-            return dict.fromkeys(rows, 1)
-        return dict(zip(rows, counts))
-
-    def column(self, position: int) -> list:
-        """The column at 0-based ``position``."""
-        return self.columns[position]
-
-    def __len__(self) -> int:
-        if self.counts is not None:
-            return sum(self.counts)
-        return self.row_count
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColumnBatch):
-            return NotImplemented
-        return self.to_relation() == other.to_relation()
-
-    def __repr__(self) -> str:
-        kind = "bag" if self.bag else "set"
-        return (
-            f"ColumnBatch({self.schema.name}, {kind}, "
-            f"{len(self.schema.attributes)} cols x {self.row_count} rows)"
-        )
-
-    # -- pickling ----------------------------------------------------------
+        """The relation this batch was built around or unpickled into."""
+        return self._relation
 
     def __getstate__(self):
-        counts = self.counts
-        packed_counts = None
-        if counts is not None:
-            packed_counts = _pack_column(counts)
+        relation = self._relation
+        rows, counts = relation.rows_and_counts()
+        if rows:
+            columns = [list(column) for column in zip(*rows)]
+        else:
+            columns = [[] for _ in relation.schema.attributes]
+        indexes = relation._indexes  # its own declarations, not an overlay's base's
         return (
-            self.schema,
-            self.bag,
-            tuple(_pack_column(column) for column in self.columns),
-            packed_counts,
-            self.index_specs,
-            self.row_count,
+            relation.schema,
+            relation.bag,
+            tuple(_pack_column(column) for column in columns),
+            _pack_column(counts) if counts is not None else None,
+            tuple(indexes.specs()) if indexes is not None else (),
+            len(rows),
         )
 
     def __setstate__(self, state):
         schema, bag, packed, packed_counts, specs, row_count = state
-        self.schema = schema
-        self.bag = bag
-        self._columns = tuple(_unpack_column(column) for column in packed)
-        self._rows = None
-        self.counts = (
-            _unpack_column(packed_counts) if packed_counts is not None else None
-        )
-        self.index_specs = specs
-        self.row_count = row_count
+        relation = Relation(schema, bag=bag)
+        if row_count:
+            rows = zip(*map(_unpack_column, packed))
+            if bag and packed_counts is not None:
+                relation._rows = dict(zip(rows, _unpack_column(packed_counts)))
+            else:
+                relation._rows = dict.fromkeys(rows, 1)
+        for positions in specs:
+            relation.declare_index(positions)
+        self._relation = relation
 
 
 # ---------------------------------------------------------------------------
@@ -326,55 +213,34 @@ class ColumnBatch:
 # ---------------------------------------------------------------------------
 
 
-def encode_relation(relation, min_rows: int = WIRE_MIN_ROWS):
-    """Columnar form when large enough to pay off, else the relation.
-
-    Goes through :meth:`Relation.column_batch` when available so a
-    read-mostly relation that already caches its columnar form (or is
-    columnar-backed outright) ships without re-decomposing.
-    """
-    if relation is None:
-        return None
-    if relation.distinct_count() >= min_rows:
-        column_batch = getattr(relation, "column_batch", None)
-        if column_batch is not None:
-            return column_batch()
-        return ColumnBatch.from_relation(relation)
+def encode_relation(relation):
+    """A :class:`ColumnBatch` around ``relation`` when it has at least
+    :data:`WIRE_MIN_ROWS` distinct rows, else the relation itself."""
+    if relation is not None and relation.distinct_count() >= WIRE_MIN_ROWS:
+        return ColumnBatch(relation)
     return relation
 
 
-def decode_relation(obj, lazy: bool = False):
-    """Inverse of :func:`encode_relation`.
-
-    With ``lazy=True`` a columnar payload decodes into a
-    :class:`~repro.engine.relation.ColumnarRelation` — scans read its
-    columns directly and the row dict only materializes if something
-    mutates or row-iterates it.
-    """
+def decode_relation(obj):
+    """Inverse of :func:`encode_relation`: the plain relation a batch
+    unpickled into, anything else as it is."""
     if isinstance(obj, ColumnBatch):
-        if lazy:
-            from repro.engine.relation import ColumnarRelation
-
-            return ColumnarRelation(obj)
         return obj.to_relation()
     return obj
 
 
-def encode_differentials(differentials, min_rows: int = WIRE_MIN_ROWS):
+def encode_differentials(differentials):
     """Encode a ``{name: (plus, minus)}`` delta map column-wise."""
     return {
-        name: (
-            encode_relation(plus, min_rows),
-            encode_relation(minus, min_rows),
-        )
+        name: (encode_relation(plus), encode_relation(minus))
         for name, (plus, minus) in differentials.items()
     }
 
 
-def decode_differentials(encoded, lazy: bool = False):
+def decode_differentials(encoded):
     """Inverse of :func:`encode_differentials`."""
     return {
-        name: (decode_relation(plus, lazy), decode_relation(minus, lazy))
+        name: (decode_relation(plus), decode_relation(minus))
         for name, (plus, minus) in encoded.items()
     }
 

@@ -110,10 +110,7 @@ def _audit_worker(endpoint, payload: bytes) -> None:
             task_id, rule_name, blob = message[1:]
             started = time.perf_counter()
             try:
-                # Task deltas decode lazily: the audit's delta plans scan
-                # the differentials column-wise, so the row dicts only
-                # materialize if a row-at-a-time path actually needs them.
-                differentials = decode_differentials(decode(blob), lazy=True)
+                differentials = decode_differentials(decode(blob))
                 violated, violations = run_rule_audit(
                     controller, database, rule_name, differentials
                 )

@@ -216,7 +216,7 @@ class Database:
         with self.writer_lock:  # no commit between the undo and its apply
             undo = self.epochs.undo_differentials(pin.version)
             if undo is None:
-                raise EpochUnavailableError(pin.epoch)
+                raise EpochUnavailableError(pin.version, pin.epoch)
             if undo:
                 self.apply_deltas(undo, advance_time=False, record=False)
             self.logical_time = snapshot.logical_time

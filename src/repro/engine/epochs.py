@@ -519,7 +519,7 @@ class EpochManager:
         live = self._database.relation(name)
         with self._lock:
             if not self._available_locked(pin.version):
-                raise EpochUnavailableError(pin.epoch)
+                raise EpochUnavailableError(pin.version, pin.epoch)
         return SnapshotRelation(self, pin, name, live)
 
     def undo_differentials(self, version: int) -> Optional[dict]:
@@ -801,10 +801,10 @@ class SnapshotRelation(OverlayRelation):
         if records and records[0].version > synced + 1:
             # The records between our pin and the retained window were
             # reclaimed — only possible once the pin is released.
-            raise EpochUnavailableError(self._pin.epoch)
+            raise EpochUnavailableError(self._pin.version, self._pin.epoch)
         if not records:
             if version > synced:
-                raise EpochUnavailableError(self._pin.epoch)
+                raise EpochUnavailableError(self._pin.version, self._pin.epoch)
             return
         newer = _entries_after(records, synced)
         if not newer:

@@ -86,7 +86,6 @@ class OverlayRelation(Relation):
         self.schema = base.schema
         self.bag = base.bag
         self._indexes = None
-        self._batch = None
         self._observer = None
         self._aggregates = None  # never filled: see aggregate_state()
         self.base = base
@@ -285,7 +284,6 @@ class OverlayRelation(Relation):
         if not added and not revived:
             return 0
         self._materialized = None
-        self._batch = None
         changed = 0
         if revived:
             changed += self.minus.delete_counts(revived)
@@ -323,7 +321,6 @@ class OverlayRelation(Relation):
         if not unmade and not removed:
             return 0
         self._materialized = None
-        self._batch = None
         changed = 0
         if unmade:
             changed += self.plus.delete_counts(unmade)
@@ -333,7 +330,6 @@ class OverlayRelation(Relation):
 
     def clear(self) -> None:
         self._materialized = None
-        self._batch = None
         self.plus.clear()
         self.minus.replace_contents(self.base)
         # Wholesale replacement invalidated the delta-side indexes backing

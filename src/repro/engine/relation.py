@@ -129,7 +129,6 @@ class Relation:
         "bag",
         "_rows",
         "_indexes",
-        "_batch",
         "_observer",
         "_aggregates",
     )
@@ -145,7 +144,6 @@ class Relation:
         self.bag = bag
         self._rows: dict = {}
         self._indexes = None  # lazily an engine.indexes.IndexSet
-        self._batch = None  # lazily a cached algebra.columnar.ColumnBatch
         # Mutation observer (the owning database's EpochManager on base
         # relations; None everywhere else): notified *before* every row
         # change, it raises OutOfBandMutationError for a write that
@@ -252,7 +250,6 @@ class Relation:
         if count and not self.bag:
             return False
         rows[row] = count + 1
-        self._batch = None
         if self._aggregates:
             self._carry_aggregates({row: 1}, {})
         if not count and self._indexes is not None:
@@ -277,7 +274,6 @@ class Relation:
             del rows[row]
             if self._indexes is not None:
                 self._indexes.rows_removed((row,), self._held())
-        self._batch = None
         if self._aggregates:
             self._carry_aggregates({}, {row: 1})
         return True
@@ -333,7 +329,6 @@ class Relation:
             rows.update(added)
         else:
             return 0
-        self._batch = None
         if self._aggregates:
             self._carry_aggregates(added, {})
         if fresh and self._indexes is not None:
@@ -372,7 +367,6 @@ class Relation:
             total = len(gone)
         if not total:
             return 0
-        self._batch = None
         if self._aggregates:
             self._carry_aggregates({}, removed if self.bag else dict.fromkeys(gone, 1))
         if gone and self._indexes is not None:
@@ -383,7 +377,6 @@ class Relation:
         if self._observer is not None:
             self._observer.note_mutation()
         self._rows.clear()
-        self._batch = None
         self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
@@ -393,7 +386,6 @@ class Relation:
         if self._observer is not None:
             self._observer.note_mutation()
         self._rows = dict(other._rows)
-        self._batch = None
         self._aggregates = None
         if self._indexes is not None:
             self._indexes.invalidate()
@@ -459,11 +451,6 @@ class Relation:
 
         if self._indexes is None:
             self._indexes = IndexSet()
-        positions = tuple(positions)
-        if self._indexes.get(positions) is None:
-            # A cached batch carries the declared specs; drop it so the
-            # next one ships the new declaration too.
-            self._invalidate_batch()
         self._indexes.declare(positions)
 
     def index_on(self, positions):
@@ -572,32 +559,13 @@ class Relation:
             return list(rows), None
         return list(rows), counts
 
-    def column_batch(self):
-        """This relation decomposed into per-attribute columns.
-
-        The batch is cached until the next mutation, so read-mostly
-        relations pay the decomposition once across scans and wire
-        encodes.
-        """
-        batch = self._batch
-        if batch is None:
-            from repro.algebra.columnar import ColumnBatch
-
-            batch = self._batch = ColumnBatch.from_relation(self)
-        return batch
-
-    def _invalidate_batch(self) -> None:
-        self._batch = None
-
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self):
-        # The cached batch duplicates the row data; never pickle it.  The
-        # mutation observer is process-local (it points at the owning
+        # The mutation observer is process-local (it points at the owning
         # database's epoch manager) and is re-attached on unpickle by
         # Database.__setstate__.
         state = object.__getstate__(self)
-        state[1].pop("_batch", None)
         state[1].pop("_observer", None)
         state[1].pop("_aggregates", None)
         return state
@@ -605,97 +573,5 @@ class Relation:
     def __setstate__(self, state):
         for key, value in state[1].items():
             setattr(self, key, value)
-        self._batch = None
         self._observer = None
         self._aggregates = None
-
-
-class ColumnarRelation(Relation):
-    """A relation backed by a :class:`ColumnBatch`, rows materialized lazily.
-
-    Decoded wire payloads (fragment installs, Δ task blobs) arrive as
-    column batches; wrapping them in a ``ColumnarRelation`` means a scan
-    or wire re-encode reads the columns directly and the ``{row: count}``
-    dict only ever materializes when something row-iterates, probes, or
-    mutates the relation.  After the first mutation the dict is
-    authoritative and the relation behaves exactly like a plain
-    :class:`Relation`.
-    """
-
-    __slots__ = ("_materialized",)
-
-    def __init__(self, batch):
-        self.schema = batch.schema
-        self.bag = batch.bag
-        self._indexes = None
-        self._materialized = None
-        self._batch = None
-        self._observer = None
-        self._aggregates = None
-        for positions in batch.index_specs:
-            self.declare_index(positions)
-        # Set last: declare_index invalidates the cached batch.
-        self._batch = batch
-
-    @property
-    def _rows(self) -> dict:
-        rows = self._materialized
-        if rows is None:
-            batch = self._batch
-            rows = batch._merged_rows() if batch is not None else {}
-            self._materialized = rows
-        return rows
-
-    def _invalidate_batch(self) -> None:
-        if self._materialized is None and self._batch is not None:
-            # The batch is still the backing store; materialize first.
-            self._materialized = self._batch._merged_rows()
-        self._batch = None
-
-    def __len__(self) -> int:
-        batch = self._batch
-        if batch is not None and self._materialized is None:
-            return len(batch)
-        return Relation.__len__(self)
-
-    def distinct_count(self) -> int:
-        batch = self._batch
-        if batch is not None and self._materialized is None:
-            return batch.row_count
-        return Relation.distinct_count(self)
-
-    def __bool__(self) -> bool:
-        batch = self._batch
-        if batch is not None and self._materialized is None:
-            return batch.row_count > 0
-        return Relation.__bool__(self)
-
-    def rows_and_counts(self):
-        batch = self._batch
-        if batch is not None and self._materialized is None:
-            counts = batch.counts
-            if self.bag and counts is not None:
-                return list(batch.rows_list()), list(counts)
-            return list(batch.rows_list()), None
-        return Relation.rows_and_counts(self)
-
-    def clear(self) -> None:
-        if self._observer is not None:
-            self._observer.note_mutation()
-        self._materialized = {}
-        self._batch = None
-        self._aggregates = None
-        if self._indexes is not None:
-            self._indexes.invalidate()
-
-    def replace_contents(self, other: "Relation") -> None:
-        if self._observer is not None:
-            self._observer.note_mutation()
-        self._materialized = dict(other._rows)
-        self._batch = None
-        self._aggregates = None
-        if self._indexes is not None:
-            self._indexes.invalidate()
-
-    def __reduce__(self):
-        return (ColumnarRelation, (self.column_batch(),))

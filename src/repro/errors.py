@@ -8,6 +8,8 @@ transaction outcomes, and integrity-subsystem errors.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -58,10 +60,20 @@ class EpochUnavailableError(ReproError):
     retained differentials were already garbage-collected — only possible
     after the pin was released.  Already-materialized snapshot relations
     are never affected.
+
+    ``version`` is the commit-stream version that can no longer be
+    reconstructed; ``epoch`` is its public epoch (commit sequence) when
+    the raiser knows it — from a pin — and None when it only has the
+    version.
     """
 
-    def __init__(self, epoch: int):
-        super().__init__(f"epoch #{epoch} is no longer reconstructible")
+    def __init__(self, version: int, epoch: Optional[int] = None):
+        if epoch is None:
+            what = f"stream version {version}"
+        else:
+            what = f"epoch #{epoch} (stream version {version})"
+        super().__init__(f"{what} is no longer reconstructible")
+        self.version = version
         self.epoch = epoch
 
 

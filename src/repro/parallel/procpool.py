@@ -9,10 +9,12 @@ check only the *moved* operands cross process boundaries — the shipments
 (each payload pickled once; a broadcast's blob goes down every live node's
 inbox and counts once per node it reached) — and the compiled violation
 plan runs on every node at once, each sending its violating rows back on
-its own reply connection.  Relations above ``columnar.WIRE_MIN_ROWS`` rows
-ship as :class:`~repro.algebra.columnar.ColumnBatch` columns.  A node the pool
-reports dead stays dead, and every later :meth:`~ProcessFragmentPool.execute`
-names it.
+its own reply connection.  A relation of at least ``columnar.WIRE_MIN_ROWS``
+distinct rows ships as packed columns (a
+:class:`~repro.algebra.columnar.ColumnBatch`) and a node unpickles it into a
+plain relation, so its operators read rows as they do anywhere else.  A
+node the pool reports dead stays dead, and every later
+:meth:`~ProcessFragmentPool.execute` names it.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ def _fragment_worker(endpoint) -> None:
     for message in endpoint:
         kind = message[0]
         if kind in ("install", "bind"):
-            # Lazy decode: fragments stay columnar until an operator needs
-            # rows — scans and re-ships start straight from the columns.
             relations = owned if kind == "install" else bound
-            relations[message[1]] = decode_relation(decode(message[2]), lazy=True)
+            relations[message[1]] = decode_relation(decode(message[2]))
         elif kind == "clear":
             bound.clear()
         elif kind == "execute":

@@ -9,6 +9,7 @@ from repro.algebra import predicates as P
 from repro.algebra.columnar import ColumnBatch
 from repro.bounded import BoundedTable
 from repro.engine import Relation, RelationSchema
+from repro.engine.overlay import OverlayRelation
 from repro.engine.schema import Attribute
 from repro.engine.types import ANY, INT, NULL
 from repro.errors import EvaluationError
@@ -31,45 +32,49 @@ def relation(rows, bag: bool = False, nullable: bool = False) -> Relation:
     return built
 
 
+def revive(batch: ColumnBatch) -> Relation:
+    """What the far end of a pipe gets back from ``batch``."""
+    blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
+    return pickle.loads(blob).to_relation()
+
+
 class TestConversion:
     def test_set_round_trip(self):
         source = relation([(1, 2), (3, 4), (5, 6)])
-        batch = ColumnBatch.from_relation(source)
-        assert batch.row_count == 3
-        assert batch.counts is None
-        assert batch.column(0) == [1, 3, 5]
-        assert batch.to_relation() == source
+        batch = ColumnBatch(source)
+        _, _, columns, counts, _, row_count = batch.__getstate__()
+        assert row_count == 3
+        assert counts is None
+        assert columnar._unpack_column(columns[0]) == [1, 3, 5]
+        assert revive(batch) == source
 
     def test_bag_round_trip_keeps_multiplicities(self):
         source = relation([(1, 2), (1, 2), (3, 4)], bag=True)
-        batch = ColumnBatch.from_relation(source)
-        assert batch.counts == [2, 1]
-        assert len(batch) == 3
-        revived = batch.to_relation()
+        batch = ColumnBatch(source)
+        assert columnar._unpack_column(batch.__getstate__()[3]) == [2, 1]
+        revived = revive(batch)
         assert revived == source
+        assert len(revived) == 3
         assert revived.multiplicity((1, 2)) == 2
 
     def test_bag_with_unit_counts_drops_vector(self):
         source = relation([(1, 2), (3, 4)], bag=True)
-        assert ColumnBatch.from_relation(source).counts is None
+        assert ColumnBatch(source).__getstate__()[3] is None
 
     def test_empty_relation(self):
         source = relation([])
-        batch = ColumnBatch.from_relation(source)
-        assert batch.row_count == 0
-        assert len(batch.columns) == 2
-        assert batch.to_relation() == source
+        batch = ColumnBatch(source)
+        _, _, columns, _, _, row_count = batch.__getstate__()
+        assert row_count == 0
+        assert len(columns) == 2
+        assert revive(batch) == source
 
     def test_declared_indexes_survive(self):
         source = relation([(1, 2), (3, 4)])
         source.declare_index((0,))
         source.declare_index((1,))
-        revived = ColumnBatch.from_relation(source).to_relation()
+        revived = revive(ColumnBatch(source))
         assert set(revived.indexes.specs()) == {(0,), (1,)}
-
-    def test_relation_column_batch_helper(self):
-        source = relation([(7, 8)])
-        assert source.column_batch().to_relation() == source
 
 
 class TestPacking:
@@ -113,7 +118,7 @@ class TestPacking:
         source = relation([(i, i * 2) for i in range(5000)])
         row_blob = pickle.dumps(source, protocol=pickle.HIGHEST_PROTOCOL)
         batch_blob = pickle.dumps(
-            ColumnBatch.from_relation(source), protocol=pickle.HIGHEST_PROTOCOL
+            ColumnBatch(source), protocol=pickle.HIGHEST_PROTOCOL
         )
         assert len(batch_blob) * 1.5 < len(row_blob)
         assert pickle.loads(batch_blob).to_relation() == source
@@ -131,18 +136,41 @@ class TestWireHelpers:
         assert isinstance(encoded, ColumnBatch)
         assert columnar.decode_relation(encoded) == source
 
-    def test_min_rows_override(self):
-        source = relation([(1, 2), (3, 4)])
-        assert isinstance(
-            columnar.encode_relation(source, min_rows=1), ColumnBatch
+    def test_a_decoded_relation_is_plain_and_writable(self):
+        source = relation([(i, i % 7) for i in range(columnar.WIRE_MIN_ROWS)])
+        source.declare_index((1,))
+        revived = columnar.decode_relation(
+            pickle.loads(pickle.dumps(columnar.encode_relation(source)))
         )
+        assert type(revived) is Relation
+        assert revived.built_index((1,)) is None  # declared, built on ask
+        assert len(revived.index_on((1,)).lookup((3,))) == len(
+            source.index_on((1,)).lookup((3,))
+        )
+        assert revived.insert((-1, -1))
+        assert len(revived) == len(source) + 1
+
+    def test_an_overlay_ships_as_its_merged_rows(self):
+        base = relation([(i, i) for i in range(columnar.WIRE_MIN_ROWS)])
+        overlay = OverlayRelation(base, Relation(base.schema), Relation(base.schema))
+        overlay.insert((-1, -1))
+        overlay.delete((0, 0))
+        revived = revive(columnar.encode_relation(overlay))
+        assert type(revived) is Relation
+        assert revived == Relation(base.schema, overlay.rows())
+
+    def test_a_batch_packs_its_relation_when_pickled(self):
+        source = relation([(i, i) for i in range(columnar.WIRE_MIN_ROWS)])
+        batch = columnar.encode_relation(source)
+        assert batch.to_relation() is source  # nothing decomposed yet
+        assert batch.__getstate__()[5] == columnar.WIRE_MIN_ROWS
 
     def test_differentials_round_trip_with_none(self):
-        plus = relation([(i, i) for i in range(10)])
-        encoded = columnar.encode_differentials({"t": (plus, None)}, min_rows=4)
+        plus = relation([(i, i) for i in range(columnar.WIRE_MIN_ROWS)])
+        encoded = columnar.encode_differentials({"t": (plus, None)})
         assert isinstance(encoded["t"][0], ColumnBatch)
         assert encoded["t"][1] is None
-        decoded = columnar.decode_differentials(encoded)
+        decoded = columnar.decode_differentials(pickle.loads(pickle.dumps(encoded)))
         assert decoded["t"] == (plus, None)
 
 

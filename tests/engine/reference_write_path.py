@@ -119,7 +119,6 @@ def insert(relation, row, _validated=False):
     if relation.bag:
         count = relation._rows.get(row, 0)
         relation._rows[row] = count + 1
-        relation._batch = None
         if relation._aggregates is not None:
             _shift_aggregates(relation, row, 1)
         if count == 0 and relation._indexes is not None:
@@ -128,7 +127,6 @@ def insert(relation, row, _validated=False):
     if row in relation._rows:
         return False
     relation._rows[row] = 1
-    relation._batch = None
     if relation._aggregates is not None:
         _shift_aggregates(relation, row, 1)
     if relation._indexes is not None:
@@ -149,7 +147,6 @@ def delete(relation, row):
         del relation._rows[row]
         if relation._indexes is not None:
             row_removed(relation._indexes, row, _held(relation))
-    relation._batch = None
     if relation._aggregates is not None:
         _shift_aggregates(relation, row, -1)
     return True
@@ -175,7 +172,6 @@ def overlay_insert(overlay, row, _validated=False):
         if count is not None and overlay.minus._rows.get(row, 0) < count:
             return False
     overlay._materialized = None
-    overlay._batch = None
     if not delete(overlay.minus, row):
         insert(overlay.plus, row, _validated=True)
     return True
@@ -186,7 +182,6 @@ def overlay_delete(overlay, row):
     if row not in overlay:
         return False
     overlay._materialized = None
-    overlay._batch = None
     if not delete(overlay.plus, row):
         insert(overlay.minus, row, _validated=True)
     return True

@@ -189,6 +189,27 @@ class TestReclamation:
         with pytest.raises(EpochUnavailableError):
             database.epochs.pin_version(head.version)
 
+    def test_a_trimmed_version_is_reported_as_a_version(self, rs_schema):
+        # Stream version 1 is the state after the first load and before any
+        # commit: public epoch #0.  Only the version is known where it is
+        # found trimmed, so nothing may call it an epoch.
+        database = Database(rs_schema)
+        database.epochs.retain = 2
+        database.load("s", [(5, 5)])
+        for i in range(3):
+            commit(database, "r", plus=[(i, i)])
+        for i in range(4):
+            database.load("s", [(i + 10, i)])
+        version = database.commit_log.version
+        for trimmed in (
+            lambda: database.commit_log.between(1, version),
+            lambda: database.epochs.pin_version(1),
+        ):
+            with pytest.raises(EpochUnavailableError) as raised:
+                trimmed()
+            assert (raised.value.version, raised.value.epoch) == (1, None)
+            assert str(raised.value) == "stream version 1 is no longer reconstructible"
+
     def test_fresh_read_after_reclamation_raises(self, rs_schema):
         database = Database(rs_schema)
         database.epochs.retain = 1
@@ -196,8 +217,10 @@ class TestReclamation:
         pin.release()
         for i in range(5):
             commit(database, "r", plus=[(i, i)])
-        with pytest.raises(EpochUnavailableError):
+        with pytest.raises(EpochUnavailableError) as raised:
             pin.relation("r").sorted_rows()
+        assert (raised.value.version, raised.value.epoch) == (pin.version, pin.epoch)
+        assert f"epoch #{pin.epoch} " in str(raised.value)
 
     def test_materialized_snapshot_outlives_reclamation(self, rs_schema):
         database = Database(rs_schema)

@@ -39,7 +39,7 @@ from repro.engine.transaction import TransactionContext
 from repro.engine.types import INT, STRING
 
 #: Python-level calls one stored check may make, by plan shape.
-CHECK_CALLS = {"antijoin": 26, "semijoin": 26, "select": 18}
+CHECK_CALLS = {"antijoin": 22, "semijoin": 22, "select": 16}
 
 RULES = {
     "orders_customer": "(forall x)(x in orders => "

@@ -10,10 +10,9 @@ over plain and overlay inputs, and over NULL-bearing columns.  When one
 raises, both must raise.  Each evaluation starts from a freshly loaded
 database.
 
-Also: :class:`~repro.algebra.columnar.ColumnBatch` and columnar-backed
-relations (:class:`~repro.engine.relation.ColumnarRelation`) must
-survive a pickle round-trip (the wire format of both process
-executors), including across fork- and spawn-started child processes.
+Also: a :class:`~repro.algebra.columnar.ColumnBatch` (the wire format
+of both process executors) must survive a pickle round-trip, including
+across fork- and spawn-started child processes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.algebra import predicates as P
 from repro.algebra.evaluation import StandaloneContext
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
 from repro.engine.overlay import OverlayRelation
-from repro.engine.relation import ColumnarRelation
 from repro.engine.schema import Attribute
 from repro.engine.session import DatabaseView
 from repro.engine.types import ANY, INT, NULL
@@ -297,34 +295,6 @@ def test_plans_equal_reference_on_chains(expression, rows_r, rows_s, bag, indexe
     _assert_agree_with_and_without_a_database(expression, make_database)
 
 
-@given(
-    expression=chain_queries(),
-    rows_r=S.ROWS_R,
-    rows_s=S.ROWS_S,
-    bag=st.booleans(),
-)
-@_SETTINGS
-def test_plans_equal_reference_over_columnar_relations(expression, rows_r, rows_s, bag):
-    """Same property when the inputs are columnar-backed relations.
-
-    This is the state process workers see after a lazy wire decode: the
-    rows materialize from the shipped columns on first use.
-    """
-
-    def make_context():
-        database = _database(rows_r, rows_s, bag)
-        return StandaloneContext(
-            {
-                name: ColumnarRelation(
-                    columnar.ColumnBatch.from_relation(database.relation(name))
-                )
-                for name in ("r", "s")
-            }
-        )
-
-    _assert_evaluations_agree(expression, make_context)
-
-
 # -- wire-format round-trips ---------------------------------------------------
 
 MIXED_VALUES = st.one_of(
@@ -357,7 +327,7 @@ def _mixed_relation(rows, counts, bag: bool) -> Relation:
 def test_column_batch_pickle_round_trip(rows, counts, bag):
     relation = _mixed_relation(rows, counts, bag)
     relation.declare_index((0,))
-    batch = columnar.ColumnBatch.from_relation(relation)
+    batch = columnar.ColumnBatch(relation)
     revived = pickle.loads(pickle.dumps(batch)).to_relation()
     assert revived == relation
     assert len(revived) == len(relation)
@@ -367,29 +337,6 @@ def test_column_batch_pickle_round_trip(rows, counts, bag):
         tuple(map(type, row)) for row in revived.rows()
     } == {tuple(map(type, row)) for row in relation.rows()}
     assert tuple(revived.indexes.specs()) == ((0,),)
-
-
-@given(
-    rows=st.lists(st.tuples(MIXED_VALUES, MIXED_VALUES), max_size=10, unique=True),
-    counts=st.lists(st.integers(min_value=1, max_value=3), min_size=10, max_size=10),
-    bag=st.booleans(),
-)
-@_SETTINGS
-def test_columnar_relation_pickle_round_trip(rows, counts, bag):
-    """Columnar-backed relations re-ship as columns and stay lazy."""
-    relation = _mixed_relation(rows, counts, bag)
-    relation.declare_index((1,))
-    backed = ColumnarRelation(columnar.ColumnBatch.from_relation(relation))
-    revived = pickle.loads(pickle.dumps(backed))
-    assert isinstance(revived, ColumnarRelation)
-    # Equality materializes the row dict; check the lazy surfaces first.
-    assert len(revived) == len(relation)
-    assert revived.distinct_count() == relation.distinct_count()
-    assert revived == relation
-    assert tuple(revived.indexes.specs()) == ((1,),)
-    # Mutation after revival behaves like a plain relation.
-    revived.insert((0, "fresh"))
-    assert revived.multiplicity((0, "fresh")) == relation.multiplicity((0, "fresh")) + 1
 
 
 def _echo_batch(blob, queue):
@@ -405,7 +352,7 @@ def test_column_batch_pickle_across_start_methods(start_method):
     relation = _mixed_relation(
         [(1, "x"), (2.5, NULL), (True, -300), (1 << 50, 0)], [2, 1, 3, 1], True
     )
-    batch = columnar.ColumnBatch.from_relation(relation)
+    batch = columnar.ColumnBatch(relation)
     context = multiprocessing.get_context(start_method)
     queue = context.Queue()
     worker = context.Process(
@@ -417,37 +364,3 @@ def test_column_batch_pickle_across_start_methods(start_method):
     finally:
         worker.join(timeout=10)
     assert echoed.to_relation() == relation
-
-
-def _echo_relation(blob, queue):
-    relation = pickle.loads(blob)
-    # Touch the lazy surfaces, then re-ship: the worker-side round trip
-    # the process executors perform on every fragment install.
-    queue.put((len(relation), pickle.dumps(relation)))
-
-
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_columnar_relation_pickle_across_start_methods(start_method):
-    """Columnar-backed relations survive both process start methods."""
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} unavailable on this platform")
-    relation = _mixed_relation(
-        [(1, "x"), (2.5, NULL), (True, -300), (1 << 50, 0)], [2, 1, 3, 1], True
-    )
-    relation.declare_index((0,))
-    backed = ColumnarRelation(columnar.ColumnBatch.from_relation(relation))
-    context = multiprocessing.get_context(start_method)
-    queue = context.Queue()
-    worker = context.Process(
-        target=_echo_relation, args=(pickle.dumps(backed), queue)
-    )
-    worker.start()
-    try:
-        cardinality, blob = queue.get(timeout=30)
-    finally:
-        worker.join(timeout=10)
-    assert cardinality == len(relation)
-    echoed = pickle.loads(blob)
-    assert isinstance(echoed, ColumnarRelation)
-    assert echoed == relation
-    assert tuple(echoed.indexes.specs()) == ((0,),)

@@ -14,7 +14,7 @@ Also pins the deletion of the row/batch/fused path selectors: no
 parameter grown on the planner entry points to bring a choice back — and
 of the second operator protocol: ``execute`` is the only way an operator
 runs, a plan has the shape of its expression, and a ``ColumnBatch`` is
-always in the shape a relation stores.
+only a relation's wire form.
 """
 
 from __future__ import annotations
@@ -165,9 +165,11 @@ def test_a_plan_has_the_shape_of_its_expression():
 
 
 def test_a_column_batch_carries_no_deferred_merge_state():
-    assert "normalized" not in columnar.ColumnBatch.__slots__
-    assert not hasattr(columnar.ColumnBatch, "_normalized")
-    assert "normalized" not in inspect.signature(columnar.ColumnBatch.from_rows).parameters
+    # A batch holds the relation it is built around or unpickled into and
+    # nothing else: no cached columns, no second row form to merge.
+    assert columnar.ColumnBatch.__slots__ == ("_relation",)
+    assert list(inspect.signature(columnar.ColumnBatch).parameters) == ["relation"]
+    assert not hasattr(columnar.ColumnBatch, "from_rows")
 
 
 @pytest.mark.parametrize(

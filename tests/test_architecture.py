@@ -260,6 +260,22 @@ CASES = [
             ),
         ],
     ),
+    # One in-memory form of a relation: a ColumnBatch exists only on the
+    # wire (built when pickled, a plain Relation again when unpickled), so
+    # no columnar-backed relation, no cached batch on a relation and no
+    # lazy decode or per-call wire threshold.
+    (
+        "one-relation-form",
+        [
+            (
+                ["-rnE", r'ColumnarRelation|column_batch|_invalidate_batch|\._batch\b|"_batch"|lazy=|min_rows', "src/"],
+                None,
+                "a second in-memory form of a relation (a columnar-backed "
+                "relation, a cached batch, a lazy decode or a wire threshold "
+                "parameter) is back in src/",
+            ),
+        ],
+    ),
 ]
 
 
