@@ -144,9 +144,10 @@ class TestWireHelpers:
         )
         assert type(revived) is Relation
         assert revived.built_index((1,)) is None  # declared, built on ask
-        assert len(revived.index_on((1,)).lookup((3,))) == len(
-            source.index_on((1,)).lookup((3,))
+        assert sorted(revived.index_on((1,)).lookup(3)) == sorted(
+            source.index_on((1,)).lookup(3)
         )
+        assert revived.index_on((1,)).lookup(3)
         assert revived.insert((-1, -1))
         assert len(revived) == len(source) + 1
 
@@ -172,6 +173,58 @@ class TestWireHelpers:
         assert encoded["t"][1] is None
         decoded = columnar.decode_differentials(pickle.loads(pickle.dumps(encoded)))
         assert decoded["t"] == (plus, None)
+
+
+class TestDecodedRelation:
+    """What a worker does with a relation it got from the wire."""
+
+    def test_bag_counts_survive(self):
+        source = relation([(1, 10), (1, 10), (2, 20)], bag=True)
+        decoded = revive(ColumnBatch(source))
+        assert len(decoded) == 3
+        assert decoded.distinct_count() == 2
+        rows, counts = decoded.rows_and_counts()
+        assert dict(zip(rows, counts)) == {(1, 10): 2, (2, 20): 1}
+        assert decoded == source
+
+    def test_empty_batch_decodes_to_an_empty_writable_relation(self):
+        decoded = revive(ColumnBatch(relation([])))
+        assert len(decoded) == 0
+        assert not decoded
+        assert list(decoded.rows()) == []
+        assert decoded.insert((1, 10))
+        assert list(decoded.rows()) == [(1, 10)]
+
+    def test_delete_keeps_declared_indexes_current(self):
+        source = relation([(1, 10), (2, 20), (3, 20)])
+        source.declare_index((1,))
+        decoded = revive(ColumnBatch(source))
+        assert decoded.delete((2, 20)) is True
+        assert decoded.index_on((1,)).lookup(20) == ((3, 20),)
+        assert sorted(decoded.rows()) == [(1, 10), (3, 20)]
+        assert (2, 20) in source  # the sender's relation is untouched
+
+    def test_clear_and_replace_contents(self):
+        decoded = revive(ColumnBatch(relation([(1, 10), (2, 20)])))
+        decoded.clear()
+        assert len(decoded) == 0
+        again = revive(ColumnBatch(relation([(1, 10), (2, 20)])))
+        again.replace_contents(relation([(9, 90)]))
+        assert sorted(again.rows()) == [(9, 90)]
+
+    def test_declaring_a_new_index_does_not_lose_rows(self):
+        decoded = revive(ColumnBatch(relation([(1, 10), (2, 20), (3, 30)])))
+        decoded.declare_index((0,))
+        assert len(decoded) == 3
+        assert sorted(decoded.rows()) == [(1, 10), (2, 20), (3, 30)]
+        assert decoded.index_on((0,)).lookup(2) == ((2, 20),)
+
+    def test_mutated_relation_reencodes_current_rows(self):
+        decoded = revive(ColumnBatch(relation([(1, 10), (2, 20)])))
+        decoded.insert((4, 40))
+        reshipped = revive(ColumnBatch(decoded))
+        assert reshipped == decoded
+        assert (4, 40) in reshipped
 
 
 class TestKernels:

@@ -10,9 +10,11 @@ over plain and overlay inputs, and over NULL-bearing columns.  When one
 raises, both must raise.  Each evaluation starts from a freshly loaded
 database.
 
-Also: a :class:`~repro.algebra.columnar.ColumnBatch` (the wire format
-of both process executors) must survive a pickle round-trip, including
-across fork- and spawn-started child processes.
+Also: the same holds over inputs decoded from the wire, and a
+:class:`~repro.algebra.columnar.ColumnBatch` (the wire format of both
+process executors) and the plain relation it decodes to must survive a
+pickle round-trip, including across fork- and spawn-started child
+processes.
 """
 
 from __future__ import annotations
@@ -295,6 +297,35 @@ def test_plans_equal_reference_on_chains(expression, rows_r, rows_s, bag, indexe
     _assert_agree_with_and_without_a_database(expression, make_database)
 
 
+@given(
+    expression=chain_queries(),
+    rows_r=S.ROWS_R,
+    rows_s=S.ROWS_S,
+    bag=st.booleans(),
+)
+@_SETTINGS
+def test_plans_equal_reference_over_decoded_relations(expression, rows_r, rows_s, bag):
+    """Same property when the inputs came through the wire codec.
+
+    This is the state a process worker sees: each relation was packed
+    into a ColumnBatch, pickled, and unpickled back into a plain relation.
+    """
+
+    def make_context():
+        database = _database(rows_r, rows_s, bag)
+        return StandaloneContext(
+            {
+                name: pickle.loads(
+                    pickle.dumps(columnar.ColumnBatch(database.relation(name)))
+                ).to_relation()
+                for name in ("r", "s")
+            }
+        )
+
+    _assert_evaluations_agree(expression, make_context)
+
+
+
 # -- wire-format round-trips ---------------------------------------------------
 
 MIXED_VALUES = st.one_of(
@@ -364,3 +395,65 @@ def test_column_batch_pickle_across_start_methods(start_method):
     finally:
         worker.join(timeout=10)
     assert echoed.to_relation() == relation
+
+
+@given(
+    rows=st.lists(st.tuples(MIXED_VALUES, MIXED_VALUES), max_size=10, unique=True),
+    counts=st.lists(st.integers(min_value=1, max_value=3), min_size=10, max_size=10),
+    bag=st.booleans(),
+)
+@_SETTINGS
+def test_a_decoded_relation_pickle_round_trip(rows, counts, bag):
+    """A decoded relation re-ships, as rows or as columns, unchanged."""
+    relation = _mixed_relation(rows, counts, bag)
+    relation.declare_index((1,))
+    decoded = pickle.loads(pickle.dumps(columnar.ColumnBatch(relation))).to_relation()
+    for revived in (
+        pickle.loads(pickle.dumps(decoded)),
+        pickle.loads(pickle.dumps(columnar.ColumnBatch(decoded))).to_relation(),
+    ):
+        assert type(revived) is Relation
+        assert len(revived) == len(relation)
+        assert revived.distinct_count() == relation.distinct_count()
+        assert revived == relation
+        assert tuple(revived.indexes.specs()) == ((1,),)
+        # Mutation after revival behaves like a plain relation.
+        revived.insert((0, "fresh"))
+        assert (
+            revived.multiplicity((0, "fresh"))
+            == relation.multiplicity((0, "fresh")) + 1
+        )
+
+
+def _reship_decoded(blob, queue):
+    relation = pickle.loads(blob).to_relation()
+    # Read the decoded relation, then re-ship it through the codec: the
+    # worker-side round trip of a fragment install and its result.
+    queue.put((len(relation), pickle.dumps(columnar.ColumnBatch(relation))))
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_a_decoded_relation_reships_across_start_methods(start_method):
+    """A relation decoded in a child process ships back intact."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} unavailable on this platform")
+    relation = _mixed_relation(
+        [(1, "x"), (2.5, NULL), (True, -300), (1 << 50, 0)], [2, 1, 3, 1], True
+    )
+    relation.declare_index((0,))
+    context = multiprocessing.get_context(start_method)
+    queue = context.Queue()
+    worker = context.Process(
+        target=_reship_decoded,
+        args=(pickle.dumps(columnar.ColumnBatch(relation)), queue),
+    )
+    worker.start()
+    try:
+        cardinality, blob = queue.get(timeout=30)
+    finally:
+        worker.join(timeout=10)
+    assert cardinality == len(relation)
+    echoed = pickle.loads(blob).to_relation()
+    assert type(echoed) is Relation
+    assert echoed == relation
+    assert tuple(echoed.indexes.specs()) == ((0,),)
