@@ -40,7 +40,7 @@ illegal ("every salary strictly rises") violates the premise, exactly as
 a state rule the pre-state already violates does.
 
 Rules (⊳ = antijoin, ⋉ = semijoin; ``old(e)`` rewrites every base ``R`` to
-``R@old`` but is the identity on subtrees the transaction did not touch)::
+``R@old``)::
 
     Δ⁺R          = R@plus                    Δ⁻R          = R@minus
     Δ⁺σ_p(e)     = σ_p(Δ⁺e)                  Δ⁻σ_p(e)     = σ_p(Δ⁻e)
@@ -56,8 +56,13 @@ Rules (⊳ = antijoin, ⋉ = semijoin; ``old(e)`` rewrites every base ``R`` to
 (Products follow the join rules with a true predicate; renames commute with
 both deltas.)  Each rule is *linear*: every union term carries exactly one
 leaf delta, so restricting the active leaf deltas to a single trigger
-specification ``U(R)`` yields that trigger's differential program, and the
-union over a transaction's matched triggers recovers the full delta.
+specification ``U(R)`` yields that trigger's differential program.  Every
+other factor is a post-state ``e`` or a pre-state ``old(e)``, whatever the
+trigger: a per-trigger program reads every other relation's pre-state, even
+one only another trigger changed, so the union of a transaction's matched
+pieces is the whole transaction's delta.  (Deleting both links of a witness
+chain ``a ⊳ (b ⋉ c)`` is seen by neither piece if each reads the other link
+live, already emptied.)
 
 **Vacuity is emptiness propagation.**  The transform represents a provably
 empty subexpression as ``None`` and simplifies on the way up (``σ_p(∅) = ∅``,
@@ -82,7 +87,8 @@ algebraically.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import replace
+from typing import FrozenSet, Optional
 
 from repro.algebra import expressions as E
 from repro.algebra.statements import DEL, INS
@@ -124,15 +130,14 @@ def delta_expression(
     return _delta(expr, kind, active)
 
 
-def old_expression(expr: E.Expression, triggers) -> E.Expression:
+def old_expression(expr: E.Expression) -> E.Expression:
     """``expr`` evaluated in the pre-transaction state.
 
-    Base relations an active trigger touches become ``R@old``; untouched
-    subtrees are returned as-is (their pre- and post-state values coincide),
-    which keeps delta plans bound to live, index-carrying relations wherever
-    possible.
+    Every base relation becomes ``R@old``, whichever trigger a program is
+    specialized for; inside a transaction ``R@old`` is the live,
+    index-carrying base relation, so the rewrite costs a plan no index.
     """
-    return _old(expr, frozenset(triggers))
+    return _old(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +153,9 @@ def _union(left: Optional[E.Expression], right: Optional[E.Expression]):
     return E.Union(left, right)
 
 
-def _affected_relations(active: FrozenSet[Tuple[str, str]]) -> frozenset:
-    return frozenset(relation for _, relation in active)
-
-
 def _is_affected(expr: E.Expression, active: FrozenSet[tuple]) -> bool:
-    return bool(expr.relations() & _affected_relations(active))
+    relations = expr.relations()
+    return any(relation in relations for _, relation in active)
 
 
 def _check_differential_free(expr: E.Expression) -> None:
@@ -251,12 +253,12 @@ def _delta_difference(expr: E.Difference, sign, active):
     shrunk = (
         None
         if minus_left is None
-        else E.Difference(minus_left, _old(expr.right, active))
+        else E.Difference(minus_left, _old(expr.right))
     )
     blocked = (
         None
         if plus_right is None
-        else E.Intersection(_old(expr.left, active), plus_right)
+        else E.Intersection(_old(expr.left), plus_right)
     )
     return _union(shrunk, blocked)
 
@@ -274,10 +276,10 @@ def _delta_intersection(expr: E.Intersection, sign, active):
     return _union(
         None
         if left_term is None
-        else E.Intersection(left_term, _old(expr.right, active)),
+        else E.Intersection(left_term, _old(expr.right)),
         None
         if right_term is None
-        else E.Intersection(_old(expr.left, active), right_term),
+        else E.Intersection(_old(expr.left), right_term),
     )
 
 
@@ -298,10 +300,10 @@ def _delta_join(expr, sign, active):
     return _union(
         None
         if left_term is None
-        else _join_like(expr, left_term, _old(expr.right, active)),
+        else _join_like(expr, left_term, _old(expr.right)),
         None
         if right_term is None
-        else _join_like(expr, _old(expr.left, active), right_term),
+        else _join_like(expr, _old(expr.left), right_term),
     )
 
 
@@ -322,7 +324,7 @@ def _delta_semijoin(expr: E.SemiJoin, sign, active):
     first = (
         None
         if minus_left is None
-        else E.SemiJoin(minus_left, _old(expr.right, active), pred)
+        else E.SemiJoin(minus_left, _old(expr.right), pred)
     )
     # Rows whose witnesses were deleted — but only those with no surviving
     # witness (the trailing antijoin keeps Δ⁻ disjoint from the new value).
@@ -330,7 +332,7 @@ def _delta_semijoin(expr: E.SemiJoin, sign, active):
         None
         if minus_right is None
         else E.AntiJoin(
-            E.SemiJoin(_old(expr.left, active), minus_right, pred),
+            E.SemiJoin(_old(expr.left), minus_right, pred),
             expr.right,
             pred,
         )
@@ -362,14 +364,14 @@ def _delta_antijoin(expr: E.AntiJoin, sign, active):
     first = (
         None
         if minus_left is None
-        else E.AntiJoin(minus_left, _old(expr.right, active), pred)
+        else E.AntiJoin(minus_left, _old(expr.right), pred)
     )
     second = (
         None
         if plus_right is None
         else E.AntiJoin(
-            E.SemiJoin(_old(expr.left, active), plus_right, pred),
-            _old(expr.right, active),
+            E.SemiJoin(_old(expr.left), plus_right, pred),
+            _old(expr.right),
             pred,
         )
     )
@@ -381,33 +383,22 @@ def _delta_antijoin(expr: E.AntiJoin, sign, active):
 # ---------------------------------------------------------------------------
 
 
-def _old(expr: E.Expression, active: FrozenSet[tuple]) -> E.Expression:
-    if not _is_affected(expr, active):
+def _old(expr: E.Expression) -> E.Expression:
+    # ``R@old`` leaves and relation-free subtrees are their own pre-state.
+    if all(naming.is_auxiliary(name) for name in expr.relations()):
         return expr
     if isinstance(expr, E.RelationRef):
         return E.RelationRef(naming.old_name(expr.name))
-    if isinstance(expr, E.Select):
-        return E.Select(_old(expr.input, active), expr.predicate)
-    if isinstance(expr, E.Project):
-        return E.Project(_old(expr.input, active), expr.items)
-    if isinstance(expr, E.Rename):
-        return E.Rename(_old(expr.input, active), expr.name, expr.attributes)
-    if isinstance(expr, E.Aggregate):
-        return E.Aggregate(_old(expr.input, active), expr.func, expr.attr)
-    if isinstance(expr, E.Count):
-        return E.Count(_old(expr.input, active))
-    if isinstance(expr, E.Multiplicity):
-        return E.Multiplicity(_old(expr.input, active))
-    if isinstance(expr, E.Product):
-        return E.Product(_old(expr.left, active), _old(expr.right, active))
-    if isinstance(expr, (E.Union, E.Difference, E.Intersection)):
-        ctor = type(expr)
-        return ctor(_old(expr.left, active), _old(expr.right, active))
-    if isinstance(expr, (E.Join, E.SemiJoin, E.AntiJoin)):
-        ctor = type(expr)
-        return ctor(
-            _old(expr.left, active), _old(expr.right, active), expr.predicate
-        )
+    if isinstance(expr, _UNARY):
+        return replace(expr, input=_old(expr.input))
+    if isinstance(expr, _BINARY):
+        return replace(expr, left=_old(expr.left), right=_old(expr.right))
     raise NotIncrementalizable(
         f"cannot rewrite {type(expr).__name__} to its pre-state form"
     )
+
+
+_UNARY = (E.Select, E.Project, E.Rename, E.Aggregate, E.Count, E.Multiplicity)
+_BINARY = (
+    E.Union, E.Difference, E.Intersection, E.Join, E.SemiJoin, E.AntiJoin, E.Product
+)

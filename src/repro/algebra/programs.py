@@ -43,10 +43,16 @@ class Program:
     def concat(self, other: "Program") -> "Program":
         """The paper's ``⊕`` operator.
 
-        The result is non-triggering only when both operands are (an exempt
-        suffix inside a mixed program is handled at trigger-derivation time
-        by the rule store, which keeps per-rule programs separate).
+        A program without statements is its identity, whatever its flag.
+        Otherwise the result is non-triggering only when both operands are
+        (an exempt suffix inside a mixed program is handled at
+        trigger-derivation time by the rule store, which keeps per-rule
+        programs separate).
         """
+        if not other.statements:
+            return self
+        if not self.statements:
+            return other
         return Program(
             self.statements + other.statements,
             non_triggering=self.non_triggering and other.non_triggering,

@@ -105,11 +105,15 @@ class DynamicSelector:
         self.db = db
         self.optimize = optimize
 
-    def select(self, performed: TriggerSet) -> List[Tuple[str, Program, bool]]:
+    def select(
+        self, performed: TriggerSet, deferred: bool = False
+    ) -> List[Tuple[str, Program, bool]]:
         from repro.core.optimization import opt_r
         from repro.core.translation import trans_r
 
         pieces: List[Tuple[str, Program, bool]] = []
+        if deferred:
+            return pieces  # rules are never deferred
         for rule in self.rules:
             if rule.triggers & performed:
                 candidate = opt_r(rule) if self.optimize else rule
@@ -128,9 +132,15 @@ class StaticSelector:
     def __init__(self, store):
         self.store = store
 
-    def select(self, performed: TriggerSet) -> List[Tuple[str, Program, bool]]:
+    def select(
+        self, performed: TriggerSet, deferred: bool = False
+    ) -> List[Tuple[str, Program, bool]]:
+        """The pieces the stored programs append for ``performed``: those of
+        the rules, or with ``deferred`` those of the deferred programs."""
         pieces: List[Tuple[str, Program, bool]] = []
         for integrity_program in self.store:
+            if integrity_program.deferred != deferred:
+                continue
             matched = integrity_program.triggers & performed
             if matched:
                 piece = integrity_program.action_for(matched)
@@ -154,9 +164,13 @@ def mod_rounds(
     """The rounds of ModP (Alg 5.1) for a program performing ``performed``.
 
     Returns the concatenation of everything the rounds append, or None
-    when no rule triggers (the fixpoint is the program itself).
+    when nothing triggers (the fixpoint is the program itself).  The
+    deferred programs (view maintenance) follow the fixpoint, for every
+    update type performed anywhere: a view's pieces read the net delta
+    against a view still in its pre-state, so they follow the last write.
     """
-    result: Optional[Program] = None
+    appended: List[Program] = []
+    performed_anywhere = performed
     rounds = 0
     while performed:
         pieces = selector.select(performed)
@@ -170,36 +184,41 @@ def mod_rounds(
                 f"{max_rounds} rounds; rules still triggering: {names} "
                 f"(cyclic triggering graph? see TriggeringGraph.validate)"
             )
-        appended = concat(*[piece for _, piece, _ in pieces])
-        result = appended if result is None else result.concat(appended)
         if stats is not None:
-            from repro.core.translation import CheckConstraint
-
             stats.rounds = rounds
-            stats.rules_selected += len(pieces)
-            stats.statements_appended += len(appended)
-            stats.selected_rule_names.extend(name for name, _, _ in pieces)
-            for name, piece, full_state in pieces:
-                if full_state and name not in stats.full_state_rule_names:
-                    stats.full_state_rule_names.append(name)
-                fallbacks = [
-                    statement
-                    for statement in piece
-                    if isinstance(statement, CheckConstraint)
-                ]
-                if fallbacks:
-                    stats.fallback_statements += len(fallbacks)
-                    stats.naive_fallback_statements += sum(
-                        1 for statement in fallbacks if statement.naive_residue
-                    )
-                    if name not in stats.fallback_rule_names:
-                        stats.fallback_rule_names.append(name)
+        _append(pieces, appended, stats)
         # The next round reacts to the updates of the appended pieces only,
         # respecting each piece's own non-triggering flag.
         performed = frozenset().union(
             *[get_trig_px(piece) for _, piece, _ in pieces]
         )
-    return result
+        performed_anywhere |= performed
+    _append(selector.select(performed_anywhere, deferred=True), appended, stats)
+    return concat(*appended) if appended else None
+
+
+def _append(pieces, appended: List[Program], stats) -> None:
+    appended.extend(piece for _, piece, _ in pieces)
+    if stats is None:
+        return
+    from repro.core.translation import CheckConstraint
+
+    stats.rules_selected += len(pieces)
+    stats.selected_rule_names.extend(name for name, _, _ in pieces)
+    for name, piece, full_state in pieces:
+        stats.statements_appended += len(piece)
+        if full_state and name not in stats.full_state_rule_names:
+            stats.full_state_rule_names.append(name)
+        fallbacks = [
+            statement for statement in piece if isinstance(statement, CheckConstraint)
+        ]
+        if fallbacks:
+            stats.fallback_statements += len(fallbacks)
+            stats.naive_fallback_statements += sum(
+                1 for statement in fallbacks if statement.naive_residue
+            )
+            if name not in stats.fallback_rule_names:
+                stats.fallback_rule_names.append(name)
 
 
 def mod_p(

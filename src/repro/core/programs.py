@@ -36,9 +36,15 @@ from repro.engine.schema import DatabaseSchema
 
 
 class IntegrityProgram:
-    """An integrity program ``(t, p)`` (Def 6.3) with differential variants."""
+    """An integrity program ``(t, p)`` (Def 6.3) with differential variants.
 
-    __slots__ = ("name", "triggers", "program", "non_triggering", "differentials")
+    A *deferred* one (view maintenance; non-triggering) is appended once,
+    after ModP's fixpoint (:func:`~repro.core.modification.mod_rounds`).
+    """
+
+    __slots__ = (
+        "name", "triggers", "program", "non_triggering", "differentials", "deferred"
+    )
 
     def __init__(
         self,
@@ -46,12 +52,16 @@ class IntegrityProgram:
         triggers: TriggerSet,
         program: Program,
         differentials: Optional[Dict[tuple, Program]] = None,
+        deferred: bool = False,
     ):
+        if deferred and not program.non_triggering:
+            raise ValueError(f"deferred program {name!r} must be non-triggering")
         self.name = name
         self.triggers = frozenset(triggers)
         self.program = program
         self.non_triggering = program.non_triggering
         self.differentials = differentials
+        self.deferred = deferred
 
     def action_for(self, matched: Iterable) -> Program:
         """The program to append given the matched trigger specs.

@@ -27,7 +27,7 @@ from repro.engine.epochs import (
     SnapshotRelation,
 )
 from repro.engine.commitlog import CommitLog, CommitRecord
-from repro.engine.database import Database, DatabaseSnapshot, Transition
+from repro.engine.database import Database, DatabaseSnapshot
 from repro.engine.transaction import (
     Transaction,
     TransactionManager,
@@ -67,6 +67,5 @@ __all__ = [
     "TransactionManager",
     "TransactionResult",
     "TransactionStatus",
-    "Transition",
     "value_in_domain",
 ]

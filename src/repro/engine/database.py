@@ -32,29 +32,6 @@ from repro.errors import (
 )
 
 
-class Transition:
-    """An ordered pair of database states ``(D^t1, D^t2)`` (Def 2.3).
-
-    Used by the direct transition-constraint checker and by tests; the
-    states are snapshots (name -> Relation copies).
-    """
-
-    __slots__ = ("pre", "post", "pre_time", "post_time")
-
-    def __init__(self, pre: Mapping, post: Mapping, pre_time: int, post_time: int):
-        self.pre = dict(pre)
-        self.post = dict(post)
-        self.pre_time = pre_time
-        self.post_time = post_time
-
-    @property
-    def is_single_step(self) -> bool:
-        return self.post_time == self.pre_time + 1
-
-    def __repr__(self) -> str:
-        return f"Transition(t={self.pre_time} -> t={self.post_time})"
-
-
 class Database:
     """A database state: relation instances plus a logical time."""
 
@@ -436,8 +413,7 @@ class DatabaseSnapshot:
     the :class:`~repro.engine.epochs.EpochPin` keeping its reconstruction
     window alive, and maps each relation name to that relation's read-only
     O(Δ) view at the pin, minted on first access and cached on the pin —
-    so it serves anywhere a ``{name: Relation}`` mapping does (e.g.
-    :class:`Transition` states).
+    so it serves anywhere a ``{name: Relation}`` mapping does.
     """
 
     __slots__ = ("pin", "names", "logical_time")

@@ -36,8 +36,8 @@ Corruption policy — the load-bearing distinction:
 
 Sync policy trades durability for commit latency: ``"commit"`` fsyncs
 every append, ``"interval"`` group-commits (flush always, fsync at most
-every ``group_interval`` seconds), ``"none"`` leaves flushing to the OS.
-Segments rotate on byte size or age; sealed segments are dropped only when
+every ``GROUP_INTERVAL`` seconds), ``"none"`` leaves flushing to the OS.
+Segments rotate on byte size; sealed segments are dropped only when
 every registered *consumer watermark* (the audit scheduler's) and the newest
 checkpoint have all passed them — scheduler-driven retention instead of
 blind truncation.
@@ -81,7 +81,7 @@ RECORD_HEADER_SIZE = _RECORD_STRUCT.size
 #: Rotate the active segment past this many bytes.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: Group-commit fsync interval (seconds) under ``sync="interval"``.
-DEFAULT_GROUP_INTERVAL = 0.05
+GROUP_INTERVAL = 0.05
 
 SYNC_POLICIES = ("commit", "interval", "none")
 
@@ -204,9 +204,7 @@ class WriteAheadLog:
         self,
         directory,
         sync: str = "commit",
-        group_interval: float = DEFAULT_GROUP_INTERVAL,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        segment_age: Optional[float] = None,
         opener: Optional[Callable] = None,
     ):
         if sync not in SYNC_POLICIES:
@@ -216,14 +214,11 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sync_policy = sync
-        self.group_interval = float(group_interval)
         self.segment_bytes = int(segment_bytes)
-        self.segment_age = segment_age
         self._opener = opener or _default_opener
         self._lock = threading.RLock()
         self._file = None
         self._active_path: Optional[Path] = None
-        self._segment_opened_at = 0.0
         self._segment_size = 0
         self._chain_hash = CHAIN_ROOT
         self._last_fsync = 0.0
@@ -299,7 +294,6 @@ class WriteAheadLog:
             self.next_sequence = base
             self.durable_through = base - 1
         self._segment_size = valid_end
-        self._segment_opened_at = time.monotonic()
 
     def _truncate_file(self, path: Path, size: int) -> None:
         with self._opener(path, "r+b") as handle:
@@ -328,7 +322,7 @@ class WriteAheadLog:
             if self._file is None and self._active_path is not None:
                 self._file = self._opener(self._active_path, "r+b")
                 self._file.seek(0, io.SEEK_END)
-            if self._file is None or self._should_rotate():
+            if self._file is None or self._segment_size >= self.segment_bytes:
                 self._rotate(record.sequence)
             blob = self._chain_hash + body
             frame = _RECORD_STRUCT.pack(len(blob), crc32(blob)) + blob
@@ -339,15 +333,6 @@ class WriteAheadLog:
             self.next_sequence = record.sequence + 1
             self._apply_sync_policy(record.sequence)
             return offset
-
-    def _should_rotate(self) -> bool:
-        if self._segment_size >= self.segment_bytes:
-            return True
-        if self.segment_age is not None and (
-            time.monotonic() - self._segment_opened_at >= self.segment_age
-        ):
-            return True
-        return False
 
     def _rotate(self, base_sequence: int) -> None:
         """Seal the active segment and start a new one, chained to it."""
@@ -366,7 +351,6 @@ class WriteAheadLog:
         self._file = handle
         self._active_path = path
         self._segment_size = HEADER_SIZE
-        self._segment_opened_at = time.monotonic()
         self.purge()
 
     def _apply_sync_policy(self, sequence: int) -> None:
@@ -376,7 +360,7 @@ class WriteAheadLog:
         elif self.sync_policy == "interval":
             self._file.flush()
             now = time.monotonic()
-            if now - self._last_fsync >= self.group_interval:
+            if now - self._last_fsync >= GROUP_INTERVAL:
                 self._fsync()
                 self.durable_through = sequence
 

@@ -6,23 +6,28 @@ trigger set ``{INS(Ri), DEL(Ri) | i}``, so ``ModT`` appends it to every
 transaction that updates a base relation of the view.  The program is
 declared **non-triggering** (Def 6.2): refreshing a view must not trigger
 integrity rules or other views' maintenance recursively — the paper's
-cycle-suppression device doing double duty.
+cycle-suppression device doing double duty.  It is also *deferred*: ModP
+appends it after its fixpoint, once a compensating action can no longer
+write a base relation.
 
-Two maintenance modes:
-
-* ``recompute`` — evaluate the defining expression and replace the stored
-  contents (always applicable);
-* ``differential`` — for selection-shaped views ``σ_p(R)``, apply
-  ``insert(V, σ_p(R@plus)); delete(V, σ_p(R@minus))`` — the transaction-
-  modification analogue of incremental view maintenance.
+The pieces are the integrity checks' own delta derivation
+(:func:`repro.algebra.delta.delta_expression`): per trigger ``t``,
+``delete(V, Δ⁻ₜE); insert(V, Δ⁺ₜE)``, filed as the program's differentials
+so a transaction appends only the pieces of the triggers it performs.  The
+sandwich bounds (``Δ⁻E`` covers every lost row and no surviving one,
+``Δ⁺E`` every new row and nothing outside ``E``) make the refresh exact.
+An aggregate over a changed input (no delta rule) and any view over a
+bag-mode database (the bounds ignore multiplicities) keep the *recompute*
+program instead; :attr:`MaterializedView.mode` reports which a view got.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.algebra import expressions as E
 from repro.algebra import statements as S
+from repro.algebra.delta import NotIncrementalizable, delta_expression
 from repro.algebra.evaluation import evaluate_expression
 from repro.algebra.parser import parse_expression
 from repro.algebra.programs import Program
@@ -37,7 +42,11 @@ from repro.errors import RuleError, UnknownRelationError
 
 
 class MaterializedView:
-    """A stored view plus its maintenance metadata."""
+    """A stored view plus its maintenance metadata.
+
+    ``mode`` reports how the view is maintained: ``"differential"`` (the
+    per-trigger delta pieces) or ``"recompute"``.
+    """
 
     def __init__(
         self,
@@ -67,16 +76,9 @@ class ViewManager:
         self.views: Dict[str, MaterializedView] = {}
 
     def define_view(
-        self,
-        name: str,
-        expression: Union[str, E.Expression],
-        mode: str = "auto",
+        self, name: str, expression: Union[str, E.Expression]
     ) -> MaterializedView:
-        """Create, populate, and register a materialized view.
-
-        ``mode``: ``"differential"`` (selection views only), ``"recompute"``,
-        or ``"auto"`` (differential when the shape allows).
-        """
+        """Create, populate, and register a materialized view."""
         if isinstance(expression, str):
             expression = parse_expression(expression)
         if name in self.database:
@@ -88,7 +90,8 @@ class ViewManager:
             if relation not in self.database:
                 raise UnknownRelationError(relation, f"view {name!r}")
 
-        # Materialize the initial contents and derive the stored schema.
+        # Materialize the initial contents (with their multiplicities) and
+        # derive the stored schema.
         initial = evaluate_expression(expression, DatabaseView(self.database))
         stored_schema = RelationSchema(
             name,
@@ -97,19 +100,27 @@ class ViewManager:
                 for attribute in initial.schema.attributes
             ],
         )
-        self.database.add_relation(stored_schema, initial.rows())
+        self.database.add_relation(stored_schema, iter(initial))
 
-        chosen = self._choose_mode(expression, mode)
-        program = self._maintenance_program(name, expression, chosen)
         triggers = frozenset(
             (kind, relation)
             for relation in base_relations
             for kind in (INS, DEL)
         )
+        pieces = None
+        if not self.database.bag:  # the delta rules are set bounds
+            pieces = _delta_pieces(name, expression, triggers)
         self.controller.store.add(
-            IntegrityProgram(f"view::{name}", triggers, program)
+            IntegrityProgram(
+                f"view::{name}",
+                triggers,
+                _recompute_program(name, expression),
+                pieces,
+                deferred=True,
+            )
         )
-        view = MaterializedView(name, expression, chosen, base_relations)
+        mode = "recompute" if pieces is None else "differential"
+        view = MaterializedView(name, expression, mode, base_relations)
         self.views[name] = view
         return view
 
@@ -119,53 +130,42 @@ class ViewManager:
         # The stored relation stays in the schema (DDL removal is out of
         # scope for the engine); its maintenance stops here.
 
-    # -- maintenance program construction ----------------------------------------
-
-    @staticmethod
-    def _choose_mode(expression: E.Expression, mode: str) -> str:
-        differential_capable = isinstance(expression, E.Select) and isinstance(
-            expression.input, E.RelationRef
-        )
-        if mode == "auto":
-            return "differential" if differential_capable else "recompute"
-        if mode == "differential" and not differential_capable:
-            raise RuleError(
-                "differential maintenance supports selection views "
-                "select(R, p) only; use mode='recompute'"
-            )
-        if mode not in ("differential", "recompute"):
-            raise RuleError(f"unknown view maintenance mode {mode!r}")
-        return mode
-
-    @staticmethod
-    def _maintenance_program(
-        name: str, expression: E.Expression, mode: str
-    ) -> Program:
-        if mode == "differential":
-            base = expression.input.name
-            predicate = expression.predicate
-            statements = [
-                S.Insert(
-                    name,
-                    E.Select(E.RelationRef(naming.plus_name(base)), predicate),
-                ),
-                S.Delete(
-                    name,
-                    E.Select(E.RelationRef(naming.minus_name(base)), predicate),
-                ),
-            ]
-        else:
-            temp = f"__view_{name}"
-            statements = [
-                S.Assign(temp, expression),
-                S.Delete(name, E.RelationRef(name)),
-                S.Insert(name, E.RelationRef(temp)),
-            ]
-        return Program(statements, non_triggering=True)
-
     def verify_view(self, name: str) -> bool:
-        """Audit: stored contents equal the recomputed expression."""
+        """Audit: stored contents (multiplicities included) equal the
+        recomputed expression."""
         view = self.views[name]
         current = evaluate_expression(view.expression, DatabaseView(self.database))
-        stored = self.database.relation(name)
-        return stored.to_set() == current.to_set()
+        return self.database.relation(name) == current
+
+
+def _delta_pieces(
+    name: str, expression: E.Expression, triggers
+) -> Optional[Dict[tuple, Program]]:
+    """``{t: delete(V, Δ⁻ₜE); insert(V, Δ⁺ₜE)}``, or None when ``E`` has no
+    delta rule.  A trigger that cannot change ``E`` gets an empty piece."""
+    pieces: Dict[tuple, Program] = {}
+    try:
+        for trigger in triggers:
+            statements = []
+            lost = delta_expression(expression, [trigger], kind=E.DELTA_MINUS)
+            if lost is not None:
+                statements.append(S.Delete(name, lost))
+            gained = delta_expression(expression, [trigger], kind=E.DELTA_PLUS)
+            if gained is not None:
+                statements.append(S.Insert(name, gained))
+            pieces[trigger] = Program(statements, non_triggering=True)
+    except NotIncrementalizable:
+        return None
+    return pieces
+
+
+def _recompute_program(name: str, expression: E.Expression) -> Program:
+    temp = f"__view_{name}"
+    return Program(
+        [
+            S.Assign(temp, expression),
+            S.Delete(name, E.RelationRef(name)),
+            S.Insert(name, E.RelationRef(temp)),
+        ],
+        non_triggering=True,
+    )

@@ -177,11 +177,16 @@ class TestBeyondTheTable:
         expr = E.SemiJoin(R, S, LINK)
         minus = delta_expression(expr, [DEL_S], kind="minus")
         assert minus == E.AntiJoin(
-            E.SemiJoin(R, E.Delta("s", "minus"), LINK), S, LINK
+            E.SemiJoin(E.RelationRef("r@old"), E.Delta("s", "minus"), LINK),
+            S,
+            LINK,
         )
         minus_left = delta_expression(expr, [DEL_R], kind="minus")
-        # The untouched right side stays live (old == new for it).
-        assert minus_left == E.SemiJoin(E.Delta("r", "minus"), S, LINK)
+        # The side this trigger does not touch is read in its pre-state too:
+        # another trigger of the same transaction may have changed it.
+        assert minus_left == E.SemiJoin(
+            E.Delta("r", "minus"), E.RelationRef("s@old"), LINK
+        )
 
 
 class TestHonestFailure:
@@ -260,15 +265,42 @@ class TestTransitionConstraints:
 
     def test_old_expression_keeps_pre_state_leaves(self):
         expr = E.SemiJoin(R, self.OLD, LINK)
-        assert old_expression(expr, [INS_R]) == E.SemiJoin(self.OLD, self.OLD, LINK)
+        assert old_expression(expr) == E.SemiJoin(self.OLD, self.OLD, LINK)
 
 
 class TestOldExpression:
     def test_touched_relations_become_old(self):
+        # Untouched ones too: another trigger may have changed them.
         expr = E.SemiJoin(R, S, LINK)
-        rewritten = old_expression(expr, [INS_R])
-        assert rewritten == E.SemiJoin(E.RelationRef("r@old"), S, LINK)
+        assert old_expression(expr) == E.SemiJoin(
+            E.RelationRef("r@old"), E.RelationRef("s@old"), LINK
+        )
 
-    def test_untouched_expression_is_identity(self):
-        expr = E.SemiJoin(R, S, LINK)
-        assert old_expression(expr, [("INS", "t")]) is expr
+    def test_pre_state_and_relation_free_expressions_are_identity(self):
+        pre_state = E.SemiJoin(E.RelationRef("r@old"), E.Literal(((1, 2),)), LINK)
+        assert old_expression(pre_state) is pre_state
+        literal = E.Literal(((1, 2),))
+        assert old_expression(literal) is literal
+
+    def test_witness_chain_pieces_read_each_others_pre_state(self):
+        # a ⊳ (b ⋉ c): a transaction deleting both links of a chain must
+        # see the chain from each piece, so neither reads the other's
+        # post-state.
+        a, b, c = E.RelationRef("a"), E.RelationRef("b"), E.RelationRef("c")
+        link = P.Comparison("=", P.ColRef(2, "left"), P.ColRef(1, "right"))
+        witnessed = E.SemiJoin(b, c, link)
+        chain = E.AntiJoin(a, witnessed, LINK)
+
+        def unwitnessed(lost):
+            return E.AntiJoin(E.SemiJoin(a, lost, LINK), witnessed, LINK)
+
+        assert delta_expression(chain, [("DEL", "b")]) == unwitnessed(
+            E.SemiJoin(E.Delta("b", "minus"), E.RelationRef("c@old"), link)
+        )
+        assert delta_expression(chain, [("DEL", "c")]) == unwitnessed(
+            E.AntiJoin(
+                E.SemiJoin(E.RelationRef("b@old"), E.Delta("c", "minus"), link),
+                c,
+                link,
+            )
+        )

@@ -66,6 +66,12 @@ class TestNonTriggering:
         assert (quiet + quiet).non_triggering
         assert not (quiet + loud).non_triggering
 
+    def test_empty_program_is_identity_for_the_flag(self):
+        quiet = Program([ins("a")], non_triggering=True)
+        assert (EMPTY_PROGRAM + quiet).non_triggering
+        assert (quiet + EMPTY_PROGRAM).non_triggering
+        assert concat(quiet).update_triggers() == frozenset()
+
 
 class TestBracketing:
     def test_bracket_then_debracket(self):

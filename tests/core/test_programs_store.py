@@ -86,6 +86,50 @@ class TestStore:
         assert compiled.non_triggering
 
 
+class TestDeferredPrograms:
+    """View maintenance is appended once, after ModP's fixpoint."""
+
+    @staticmethod
+    def _store(rs_pair):
+        store = IntegrityProgramStore()
+        quiet = Program(
+            parse_program("insert(s, (9, 9))").statements, non_triggering=True
+        )
+        store.add(
+            IntegrityProgram("view", {(INS, "r"), (DEL, "r")}, quiet, deferred=True)
+        )
+        compensate = IntegrityRule(
+            parse_constraint("(forall x in r)(x.a > 0)"),
+            action=parse_program("t := select(r, a <= 0); delete(r, t)"),
+            name="fix",
+        )
+        store.add(get_int_p(compensate, rs_pair))
+        return store
+
+    def test_appended_after_the_rounds_for_every_update(self, rs_pair):
+        store = self._store(rs_pair)
+        assert StaticSelector(store).select({(INS, "r")}) == [
+            ("fix", store.get("fix").program, True)
+        ]
+        statements, stats = store.modification(frozenset({(INS, "r")}))
+        # The compensation (round 1) deletes from r; the view follows it,
+        # selected once for INS(r) and DEL(r) together.
+        assert statements == store.get("fix").program.statements + (
+            store.get("view").program.statements
+        )
+        assert stats.rounds == 1
+        assert stats.selected_rule_names == ["fix", "view"]
+
+    def test_must_be_non_triggering(self):
+        with pytest.raises(ValueError):
+            IntegrityProgram(
+                "loud",
+                {(INS, "r")},
+                parse_program("insert(s, (1, 2))"),
+                deferred=True,
+            )
+
+
 class TestStaticSelector:
     """SelPS/ConcatP (Alg 6.2) over the store: ``StaticSelector.select``."""
 

@@ -145,6 +145,55 @@ class TestEnforcementModes:
         assert len(modified) == 2
 
 
+class TestWitnessChain:
+    """A rule whose witness is a chain of two relations, with a transaction
+    that deletes both links.  Each link's delta program must read the other
+    link's pre-state, or neither sees the chain that held before."""
+
+    RULE = (
+        "(forall p)(p in a => (exists q)(q in b and q.x = p.x and "
+        "(exists r)(r in c and r.y = q.y)))"
+    )
+    TXN = "begin delete(b, (1, 10)); delete(c, (10)); end"
+
+    @staticmethod
+    def _setup(differential=True):
+        from repro.calculus.parser import parse_constraint
+        from repro.core.rules import IntegrityRule
+        from repro.engine import Database, DatabaseSchema, RelationSchema
+        from repro.engine.types import INT
+
+        schema = DatabaseSchema(
+            [
+                RelationSchema("a", [("x", INT)]),
+                RelationSchema("b", [("x", INT), ("y", INT)]),
+                RelationSchema("c", [("y", INT)]),
+            ]
+        )
+        database = Database(schema)
+        database.load("a", [(1,)])
+        database.load("b", [(1, 10)])
+        database.load("c", [(10,)])
+        controller = IntegrityController(schema, differential=differential)
+        controller.add_rule(
+            IntegrityRule(parse_constraint(TestWitnessChain.RULE), name="chain")
+        )
+        return database, controller
+
+    @pytest.mark.parametrize("differential", [True, False])
+    def test_deleting_both_links_aborts(self, differential):
+        database, controller = self._setup(differential)
+        result = Session(database, controller).execute(self.TXN)
+        assert result.aborted
+        assert controller.violated_constraints(database) == []
+
+    def test_sync_audit_reports_the_violation(self):
+        database, controller = self._setup()
+        result = Session(database, controller).commit(self.TXN, audit="sync")
+        assert [(o.rule, o.violated) for o in result.audit] == [("chain", True)]
+        assert controller.violated_constraints(database) == ["chain"]
+
+
 class TestDirectChecking:
     def test_violated_constraints_empty_on_consistent_db(self, db, schema):
         controller = IntegrityController(schema)

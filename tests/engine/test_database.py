@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
-from repro.engine.database import Transition
 from repro.engine.types import INT
 from repro.engine import naming
 from repro.errors import UnknownRelationError
@@ -54,20 +53,6 @@ class TestDatabase:
     def test_load_returns_inserted_count(self, db):
         inserted = db.load("beer", [("pils", "lager", "heineken", 5.0), ("n", "ale", "heineken", 3.0)])
         assert inserted == 1  # the first row already existed
-
-
-class TestTransition:
-    def test_single_step(self, db):
-        pre = db.snapshot()
-        db.apply_deltas({})
-        post = db.snapshot()
-        transition = Transition(pre, post, 0, db.logical_time)
-        assert transition.is_single_step
-        assert "t=0 -> t=1" in repr(transition)
-
-    def test_multi_step(self, db):
-        transition = Transition(db.snapshot(), db.snapshot(), 0, 5)
-        assert not transition.is_single_step
 
 
 class TestAuxiliaryNaming:

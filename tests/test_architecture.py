@@ -276,6 +276,20 @@ CASES = [
             ),
         ],
     ),
+    # One Δ derivation for checks and views (a view stores the per-trigger
+    # pieces of repro.algebra.delta; it builds no delta expression itself
+    # and no caller picks its maintenance mode).
+    (
+        "one-delta-derivation",
+        [
+            (
+                ["-rnE", "plus_name|minus_name|_choose_mode", "src/repro/views/"],
+                None,
+                "a view builds its own delta expression or takes a "
+                "maintenance mode again",
+            ),
+        ],
+    ),
 ]
 
 
