@@ -16,9 +16,10 @@ Submodules:
 * :mod:`repro.calculus.evaluation` — the direct evaluator: the ground-truth
   integrity checker kept as the *test oracle* and the evaluator of last
   resort for untranslatable residue;
-* :mod:`repro.calculus.planned` — the plan-backed evaluator: compiles any
-  range-restricted sentence through TransC/CalcToAlg into cached physical
-  plans — the single runtime evaluation path;
+* :mod:`repro.calculus.planned` — compiles any range-restricted sentence
+  through TransC/CalcToAlg into its check program (one ``alarm`` per CNF
+  clause, run by cached physical plans) — the single runtime evaluation
+  path;
 * :mod:`repro.calculus.pretty` — rendering back to CL text.
 """
 
@@ -49,7 +50,6 @@ from repro.calculus.analysis import (
 )
 from repro.calculus.evaluation import evaluate_constraint
 from repro.calculus.planned import (
-    CompiledConstraint,
     compile_constraint,
     evaluate_constraint_planned,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "Not",
     "Or",
     "TupleEq",
-    "CompiledConstraint",
     "check_closed",
     "check_safety",
     "compile_constraint",

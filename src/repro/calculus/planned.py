@@ -1,33 +1,34 @@
-"""Plan-backed evaluation of CL constraints: one runtime engine for all.
+"""A CL sentence compiles to its check program: alarms, and residue checks.
 
 :mod:`repro.calculus.evaluation` is the semantic ground truth — a
-row-at-a-time model checker.  After PR 1 it was still the *runtime* engine
-for every constraint outside the pure-alarm shape: compensating-action
-rules, translation fallbacks, and post-hoc audits all paid model-checking
-prices.  This module retires that slow path: any range-restricted CL
-sentence is compiled **once per schema** through the paper's own pipeline —
-``TransC``/``CalcToAlg`` (Algs 5.5-5.6) into algebra, then
-:mod:`repro.algebra.planner` into cached physical plans — and evaluated by
-executing those plans against whatever resolver is at hand (a
+row-at-a-time model checker.  Every runtime check goes through the paper's
+own pipeline instead: ``TransC``/``CalcToAlg`` (Algs 5.5-5.6, Table 1) turn
+a condition into ``alarm`` statements, which run by their cached physical
+plans against whatever resolver is at hand (a
 :class:`~repro.engine.session.DatabaseView`, a transaction context, ...).
+:func:`compile_constraint` returns that *check program*, once per schema:
 
-Formulas the monolithic translator rejects are *decomposed* before giving
-up: the compiler normalizes the top-level boolean structure (De Morgan,
-implication expansion, quantifier negation pushing) and recursively
-compiles the closed subformulas, so e.g. a conjunction of two universals —
-untranslatable as a whole — becomes two physical plans combined with a
-short-circuiting boolean ``and``.  Only the genuinely untranslatable
-residue falls back to the model checker, and the compiled artifact reports
-that via :attr:`CompiledConstraint.fully_planned`.
+1. a condition the one-piece translator accepts is one ``alarm``;
+2. otherwise the formula is normalized (negation pushed down, implication
+   expanded, existentials miniscoped) into CNF clauses over closed leaves,
+   each leaf a subformula the one-piece translator accepts or genuine
+   residue;
+3. a clause whose disjuncts ``V₁ … V_k`` all translate becomes
+   ``alarm(V₁ ⋉ (V₂ ⋉ (… ⋉ V_k)))`` (every semijoin over ``true``), which
+   is non-empty exactly when every disjunct is violated;
+4. a clause holding residue becomes one
+   :class:`~repro.core.translation.CheckConstraint`, evaluated by the model
+   checker.
 
-Verdict semantics match the translated algebra: *satisfied unless
-definitely violated* (an ``alarm``-form plan fires exactly on definite
-violations).  Boolean recombination of leaf verdicts preserves that
-top-level verdict: collapsing Kleene *unknown* to *satisfied* at the leaves
-commutes with ``and``/``or`` (both are monotone, and negations are pushed
-into the leaves before compilation).  The NULL-laden corners where alarm
-form and model checker can diverge are the same ones PR 1 documented; the
-property suite pins agreement on NULL-free databases.
+Verdict semantics match the translated algebra: *satisfied unless definitely
+violated*.  A leaf's alarm fires exactly on a definitely false leaf, and
+Kleene ``and``/``or`` distribute, so the clauses are definitely false
+exactly when the formula is.  A clause's alarm evaluates every disjunct
+(its semijoins are plans, not a short-circuiting ``or``), so an error in a
+disjunct surfaces even when another disjunct holds.  Because every clause
+held before a correct transaction (Def 3.5), each alarm incrementalizes on
+its own (:func:`repro.core.optimization.differential_programs`), the
+disjunctive clauses included.
 
 The per-schema cache is keyed on formula structure (formulas are frozen
 dataclasses) and held weakly per :class:`~repro.engine.schema.
@@ -38,257 +39,122 @@ after ``add_relation``-style changes.
 from __future__ import annotations
 
 import weakref
-from typing import List
+from typing import List, Optional, Tuple
 
+from repro.algebra import expressions as E
+from repro.algebra import predicates as P
+from repro.algebra.programs import Program
 from repro.bounded import BoundedTable
 from repro.calculus import ast as C
 from repro.calculus.analysis import check_constraint
 from repro.calculus.evaluation import evaluate_constraint
-from repro.errors import TranslationError
+from repro.errors import TransactionAborted, TranslationError
 
-# ---------------------------------------------------------------------------
-# Compiled node tree
-# ---------------------------------------------------------------------------
-
-
-class _Node:
-    """A compiled verdict node: ``satisfied(resolver) -> bool``."""
-
-    __slots__ = ()
-    fully_planned = True
-
-    def satisfied(self, resolver) -> bool:
-        raise NotImplementedError
-
-    def leaves(self):
-        yield self
+#: A closed leaf of the normalized formula and its alarm expression (None
+#: for untranslatable residue).
+_Leaf = Tuple[C.Formula, Optional[E.Expression]]
 
 
-class _PlanLeaf(_Node):
-    """A translatable subformula, evaluated by its compiled physical plan.
-
-    ``expr`` is the alarm argument TransC produced: non-empty exactly when
-    the subformula is definitely violated.
-    """
-
-    __slots__ = ("formula", "expr")
-
-    def __init__(self, formula: C.Formula, expr):
-        self.formula = formula
-        self.expr = expr
-
-    def satisfied(self, resolver) -> bool:
-        from repro.algebra import planner
-
-        return len(planner.evaluate(self.expr, resolver)) == 0
-
-
-class _NaiveLeaf(_Node):
-    """Untranslatable residue: the model checker remains the evaluator."""
-
-    __slots__ = ("formula",)
-    fully_planned = False
-
-    def __init__(self, formula: C.Formula):
-        self.formula = formula
-
-    def satisfied(self, resolver) -> bool:
-        return evaluate_constraint(self.formula, resolver, validate=False)
-
-
-class _BoolNode(_Node):
-    __slots__ = ("children",)
-
-    def __init__(self, children: List[_Node]):
-        self.children = children
-
-    @property
-    def fully_planned(self) -> bool:
-        return all(child.fully_planned for child in self.children)
-
-    def leaves(self):
-        for child in self.children:
-            yield from child.leaves()
-
-
-class _AndNode(_BoolNode):
-    def satisfied(self, resolver) -> bool:
-        return all(child.satisfied(resolver) for child in self.children)
-
-
-class _OrNode(_BoolNode):
-    def satisfied(self, resolver) -> bool:
-        return any(child.satisfied(resolver) for child in self.children)
-
-
-# ---------------------------------------------------------------------------
-# Compilation
-# ---------------------------------------------------------------------------
-
-
-def _compile_node(formula: C.Formula, db) -> _Node:
-    """Compile one closed subformula (see module docs for the strategy)."""
-    from repro.algebra.statements import Alarm
+def _one_piece(formula: C.Formula, db) -> Optional[E.Expression]:
+    """The alarm expression of the one-piece translation, or None."""
     from repro.core.translation import _trans_c_statement
 
     try:
-        statement = _trans_c_statement(formula, db, None)
+        return _trans_c_statement(formula, db).expr
     except TranslationError:
-        statement = None
-    if isinstance(statement, Alarm):
-        return _PlanLeaf(formula, statement.expr)
-    # The whole formula is outside the monolithic translator's fragment:
-    # normalize the top-level boolean structure and compile the pieces.
-    # Subformulas of a closed connective are themselves closed, so each
-    # recursion stays a well-formed constraint.
+        return None
+
+
+def _clauses(formula: C.Formula, db) -> List[List[_Leaf]]:
+    """``formula`` as CNF clauses over closed leaves.
+
+    Subformulas of a closed connective are themselves closed, so each
+    recursion stays a well-formed constraint.  Negation pushing, implication
+    expansion, distribution and miniscoping are exact in Kleene logic.
+    """
+    expr = _one_piece(formula, db)
+    if expr is not None:
+        return [[(formula, expr)]]
     if isinstance(formula, C.And):
-        return _AndNode(
-            [_compile_node(formula.left, db), _compile_node(formula.right, db)]
-        )
+        return _clauses(formula.left, db) + _clauses(formula.right, db)
     if isinstance(formula, C.Or):
-        return _OrNode(
-            [_compile_node(formula.left, db), _compile_node(formula.right, db)]
-        )
+        right = _clauses(formula.right, db)
+        return [
+            left + other for left in _clauses(formula.left, db) for other in right
+        ]
     if isinstance(formula, C.Implies):
-        return _compile_node(C.Or(C.Not(formula.left), formula.right), db)
+        return _clauses(C.Or(C.Not(formula.left), formula.right), db)
     if isinstance(formula, C.Not):
         operand = formula.operand
-        # Push the negation one level (exact in Kleene logic), then retry.
+        pushed = None
         if isinstance(operand, C.Not):
-            return _compile_node(operand.operand, db)
-        if isinstance(operand, C.And):
-            return _compile_node(
-                C.Or(C.Not(operand.left), C.Not(operand.right)), db
-            )
-        if isinstance(operand, C.Or):
-            return _compile_node(
-                C.And(C.Not(operand.left), C.Not(operand.right)), db
-            )
-        if isinstance(operand, C.Implies):
-            return _compile_node(
-                C.And(operand.left, C.Not(operand.right)), db
-            )
-        if isinstance(operand, C.Forall):
-            return _compile_node(
-                C.Exists(operand.var, C.Not(operand.body)), db
-            )
-        if isinstance(operand, C.Exists):
-            return _compile_node(
-                C.Forall(operand.var, C.Not(operand.body)), db
-            )
+            pushed = operand.operand
+        elif isinstance(operand, C.And):
+            pushed = C.Or(C.Not(operand.left), C.Not(operand.right))
+        elif isinstance(operand, C.Or):
+            pushed = C.And(C.Not(operand.left), C.Not(operand.right))
+        elif isinstance(operand, C.Implies):
+            pushed = C.And(operand.left, C.Not(operand.right))
+        elif isinstance(operand, C.Forall):
+            pushed = C.Exists(operand.var, C.Not(operand.body))
+        elif isinstance(operand, C.Exists):
+            pushed = C.Forall(operand.var, C.Not(operand.body))
+        if pushed is not None:
+            return _clauses(pushed, db)
     if isinstance(formula, (C.Exists, C.Forall)):
-        # Last chance before the model checker: miniscope the normalized
-        # formula.  Pulling bound-variable-free conjuncts out of
-        # existentials (∃x(A ∧ B(x)) ⇒ A ∧ ∃x B(x)) can expose top-level
-        # boolean structure the decomposition above then splits into
-        # independently-plannable pieces — e.g. an existential whose body
-        # carries a closed quantified conjunct.  NNF and miniscoping are
-        # exact in Kleene semantics, so leaf verdicts recombine unchanged.
+        # Miniscoping can expose top-level boolean structure: pulling
+        # bound-variable-free conjuncts out of an existential
+        # (∃x(A ∧ B(x)) ⇒ A ∧ ∃x B(x)) splits it into pieces that translate.
         from repro.core.translation import miniscope, nnf
 
         try:
             normalized = miniscope(nnf(formula))
         except TranslationError:
             normalized = None
-        if normalized is not None and normalized != formula and isinstance(
-            normalized, (C.And, C.Or)
-        ):
-            return _compile_node(normalized, db)
-    return _NaiveLeaf(formula)
+        if normalized != formula and isinstance(normalized, (C.And, C.Or)):
+            return _clauses(normalized, db)
+    return [[(formula, None)]]
 
 
-class CompiledConstraint:
-    """A CL sentence compiled for plan-backed evaluation."""
+def _check_program(formula: C.Formula, db) -> Program:
+    """One statement per CNF clause (see the module docs)."""
+    from repro.algebra.statements import Alarm
+    from repro.core.translation import CheckConstraint
 
-    __slots__ = ("formula", "root", "schema_version")
-
-    def __init__(self, formula: C.Formula, root: _Node, schema_version: int):
-        self.formula = formula
-        self.root = root
-        self.schema_version = schema_version
-
-    @property
-    def fully_planned(self) -> bool:
-        """True when no subformula needs the naive model checker."""
-        return self.root.fully_planned
-
-    def plan_count(self) -> int:
-        return sum(
-            1 for leaf in self.root.leaves() if isinstance(leaf, _PlanLeaf)
-        )
-
-    def plan_expressions(self):
-        """The algebra expressions behind the plan leaves (for cost
-        estimation and index advice on fallback constraints)."""
-        for leaf in self.root.leaves():
-            if isinstance(leaf, _PlanLeaf):
-                yield leaf.expr
-
-    def conjunctive_plan_expressions(self):
-        """The plan-leaf alarm expressions, when the decomposition is a pure
-        conjunction of planned leaves — else None.
-
-        This is the shape differential specialization can incrementalize
-        per-leaf: pre-state correctness of the whole formula distributes
-        over ``and`` (every conjunct held before the transaction), so each
-        leaf's violation expression satisfies the Def 3.5 premise on its
-        own.  Disjunctions do not distribute that way, and naive residue
-        has no plan to rewrite, so both return None.
-        """
-        expressions: List = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _PlanLeaf):
-                expressions.append(node.expr)
-            elif isinstance(node, _AndNode):
-                stack.extend(node.children)
-            else:
-                return None
-        expressions.reverse()
-        return expressions
-
-    def residue(self) -> List[C.Formula]:
-        """The untranslatable subformulas still evaluated naively."""
-        return [
-            leaf.formula
-            for leaf in self.root.leaves()
-            if isinstance(leaf, _NaiveLeaf)
-        ]
-
-    def satisfied(self, resolver) -> bool:
-        """The *satisfied unless definitely violated* verdict."""
-        return self.root.satisfied(resolver)
-
-    def violated(self, resolver) -> bool:
-        return not self.root.satisfied(resolver)
-
-    def __repr__(self) -> str:
-        kind = "fully planned" if self.fully_planned else "partial"
-        return (
-            f"CompiledConstraint({self.plan_count()} plans, "
-            f"{len(self.residue())} naive, {kind})"
-        )
+    statements = []
+    for clause in _clauses(formula, db):
+        if any(expr is None for _, expr in clause):
+            disjunction = clause[0][0]
+            for leaf, _ in clause[1:]:
+                disjunction = C.Or(disjunction, leaf)
+            statements.append(CheckConstraint(disjunction))
+            continue
+        violated = clause[-1][1]
+        for _, expr in reversed(clause[:-1]):
+            violated = E.SemiJoin(expr, violated, P.TRUE)
+        statements.append(Alarm(violated))
+    return Program(statements)
 
 
 # ---------------------------------------------------------------------------
 # The per-schema constraint cache
 # ---------------------------------------------------------------------------
 
-# DatabaseSchema (weak) -> BoundedTable {formula: CompiledConstraint}.
+# DatabaseSchema (weak) -> BoundedTable {formula: (DDL version, Program)}.
 # Formula keys are frozen dataclasses, so structurally equal constraints
-# share one compiled artifact.
+# share one check program.
 _COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _cache_hits = 0
 _cache_misses = 0
 
 
-def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
-    """The cached compiled form of ``formula`` under schema ``db``.
+def compile_constraint(formula: C.Formula, db) -> Program:
+    """The cached check program of ``formula`` under schema ``db``.
 
-    A formula is validated (closed, range-restricted) when it is compiled,
-    so an open one raises :class:`~repro.errors.AnalysisError` as the model
-    checker does; a cache hit was validated when it was filed.
+    Its statements carry no message.  A formula is validated (closed,
+    range-restricted) when it is compiled, so an open one raises
+    :class:`~repro.errors.AnalysisError` as the model checker does; a cache
+    hit was validated when it was filed.
     """
     global _cache_hits, _cache_misses
     per_schema = _COMPILED.get(db)
@@ -296,21 +162,21 @@ def compile_constraint(formula: C.Formula, db) -> CompiledConstraint:
         per_schema = _COMPILED.setdefault(db, BoundedTable())
     version = getattr(db, "version", 0)
     cached = per_schema.get(formula)
-    if cached is not None and cached.schema_version == version:
+    if cached is not None and cached[0] == version:
         _cache_hits += 1
-        return cached
+        return cached[1]
     _cache_misses += 1
     check_constraint(formula)
-    compiled = CompiledConstraint(formula, _compile_node(formula, db), version)
-    per_schema.file(formula, compiled)
-    return compiled
+    program = _check_program(formula, db)
+    per_schema.file(formula, (version, program))
+    return program
 
 
 def evaluate_constraint_planned(
     formula: C.Formula, resolver, db=None
 ) -> bool:
     """Plan-backed counterpart of :func:`~repro.calculus.evaluation.
-    evaluate_constraint` (same verdict convention).
+    evaluate_constraint` (same verdict convention): run the check program.
 
     ``db`` is the :class:`~repro.engine.schema.DatabaseSchema` to compile
     against; when omitted it is discovered from the resolver's ``database``
@@ -321,7 +187,12 @@ def evaluate_constraint_planned(
         db = getattr(getattr(resolver, "database", None), "schema", None)
     if db is None:
         return evaluate_constraint(formula, resolver, validate=False)
-    return compile_constraint(formula, db).satisfied(resolver)
+    try:
+        for statement in compile_constraint(formula, db):
+            statement.execute(resolver)
+    except TransactionAborted:
+        return False
+    return True
 
 
 def clear_constraint_cache() -> None:

@@ -50,7 +50,7 @@ validating the graph up front — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.algebra.programs import Program, bracket, concat, debracket
@@ -64,33 +64,38 @@ DEFAULT_MAX_ROUNDS = 64
 
 @dataclass
 class ModificationStats:
-    """Observability of one ModT run (consumed by benches and tests)."""
+    """Observability of one ModT run (consumed by benches and tests).
+
+    The name fields are tuples.  A record the program store files in its
+    memo is :meth:`freeze`-d, so every caller handed it reads the same
+    numbers and none can change them.
+    """
 
     rounds: int = 0
     rules_selected: int = 0
     statements_appended: int = 0
-    selected_rule_names: List[str] = field(default_factory=list)
-    # Translation-fallback visibility: appended CheckConstraint statements,
-    # and the subset whose formula has genuinely untranslatable residue —
-    # i.e. will partially evaluate through the naive model checker
-    # (see repro.calculus.planned).
+    selected_rule_names: Tuple[str, ...] = ()
+    # Appended residue checks (CheckConstraint statements, evaluated by the
+    # model checker; see repro.calculus.planned) and the rules they check.
     fallback_statements: int = 0
-    naive_fallback_statements: int = 0
-    fallback_rule_names: List[str] = field(default_factory=list)
+    fallback_rule_names: Tuple[str, ...] = ()
     # Rules whose stored full-state program was appended as is, there being
     # no differential variant of it (compensating actions, aggregates,
     # everything under ``differential=False``): the enforcement work that
     # can scale with |R| instead of |Δ|.
-    full_state_rule_names: List[str] = field(default_factory=list)
+    full_state_rule_names: Tuple[str, ...] = ()
 
-    def copy(self) -> "ModificationStats":
-        """An equal, independent object (the list fields are copied)."""
-        return ModificationStats(
-            **{
-                name: list(value) if isinstance(value, list) else value
-                for name, value in vars(self).items()
-            }
-        )
+    def freeze(self) -> "ModificationStats":
+        """Make this record read-only; returns it."""
+        object.__setattr__(self, "_frozen", True)
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_frozen" in self.__dict__:
+            raise FrozenInstanceError(
+                f"cannot assign to field {name!r} of a filed ModificationStats"
+            )
+        object.__setattr__(self, name, value)
 
 
 class DynamicSelector:
@@ -204,21 +209,18 @@ def _append(pieces, appended: List[Program], stats) -> None:
     from repro.core.translation import CheckConstraint
 
     stats.rules_selected += len(pieces)
-    stats.selected_rule_names.extend(name for name, _, _ in pieces)
+    stats.selected_rule_names += tuple(name for name, _, _ in pieces)
     for name, piece, full_state in pieces:
         stats.statements_appended += len(piece)
         if full_state and name not in stats.full_state_rule_names:
-            stats.full_state_rule_names.append(name)
-        fallbacks = [
-            statement for statement in piece if isinstance(statement, CheckConstraint)
-        ]
+            stats.full_state_rule_names += (name,)
+        fallbacks = sum(
+            1 for statement in piece if isinstance(statement, CheckConstraint)
+        )
         if fallbacks:
-            stats.fallback_statements += len(fallbacks)
-            stats.naive_fallback_statements += sum(
-                1 for statement in fallbacks if statement.naive_residue
-            )
+            stats.fallback_statements += fallbacks
             if name not in stats.fallback_rule_names:
-                stats.fallback_rule_names.append(name)
+                stats.fallback_rule_names += (name,)
 
 
 def mod_p(
@@ -254,12 +256,12 @@ def mod_t_memoised(
     """ModT over a program store (Alg 6.2) through the store's memo.
 
     The same transaction and statistics as ``mod_t(transaction,
-    StaticSelector(store), stats=...)``; the statistics are the caller's
-    own copy.
+    StaticSelector(store), stats=...)``; the statistics are the memo's
+    read-only record.
     """
     body = debracket(transaction)
     appended, stats = store.modification(get_trig_px(body))
     if appended is not None:
         modified = Program(body.statements + appended)
         transaction = bracket(modified, name=f"{transaction.name}+ic")
-    return transaction, stats.copy()
+    return transaction, stats

@@ -49,22 +49,20 @@ names them per modified transaction.
 A vacuous trigger yields an *empty* program: the store simply has nothing to
 append for that update type, which is itself a measurable saving (bench E6).
 
-Beyond the single-``alarm`` programs ``trans_c`` produces, translation
-*fallbacks* (:class:`~repro.core.translation.CheckConstraint`) are
-specialized too whenever their compiled form decomposes into a pure
-conjunction of planned subformulas: pre-state correctness distributes over
-``∧`` (every conjunct held before the transaction), so each conjunct's alarm
-expression incrementalizes independently.  It does **not** distribute over
-``∨`` — a disjunctive constraint may have held via a branch the transaction
-just falsified — so disjunctive decompositions conservatively keep the full
-check.
+A condition outside the one-piece translator's fragment compiles to one
+``alarm`` per CNF clause (:mod:`repro.calculus.planned`).  Pre-state
+correctness distributes over ``∧`` (every clause held before the
+transaction), so each clause's alarm incrementalizes on its own, the
+disjunctive clauses included: a clause's alarm is non-empty exactly when
+all its disjuncts are violated, which is one relational expression.  Only a
+clause holding untranslatable residue (a
+:class:`~repro.core.translation.CheckConstraint`) keeps the full check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.algebra import expressions as E
 from repro.algebra.delta import NotIncrementalizable, delta_expression
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm
@@ -175,7 +173,7 @@ def opt_r(rule):
 
 
 def differential_programs(
-    rule, translated: Program, db=None
+    rule, translated: Program
 ) -> Optional[Dict[tuple, Program]]:
     """Per-trigger differential variants of a translated aborting program.
 
@@ -185,69 +183,39 @@ def differential_programs(
     full-state program for all triggers.
 
     Each per-trigger program alarms on the general delta rewrite
-    (:func:`repro.algebra.delta.delta_expression`) of the translated
+    (:func:`repro.algebra.delta.delta_expression`) of every translated
     violation expression with exactly that trigger's leaf delta active.  By
     linearity of the delta rules, the union of the matched triggers'
     programs covers the transaction's full delta, and under the
     pre-state-correctness premise (Def 3.5) a non-empty delta is exactly a
     violation of the post-state check.
 
-    Two program shapes are specialized: single-``alarm`` programs (the
-    output of ``trans_c`` for aborting rules), and — when ``db`` provides
-    the schema — single-:class:`~repro.core.translation.CheckConstraint`
-    fallbacks whose compiled form is a pure conjunction of planned
-    subformulas (see the module docs for why conjunctions are the sound
-    boundary).  Violation expressions may read pre-state leaves ``R@old``
-    (transition constraints).  Compensating actions are left untouched, as
-    the paper leaves their analysis out of scope.
+    Programs made of ``alarm`` statements only (the output of ``trans_c``,
+    one per CNF clause of the condition) are specialized.  Violation
+    expressions may read pre-state leaves ``R@old`` (transition
+    constraints).  Residue checks and compensating actions are left
+    untouched, as the paper leaves their analysis out of scope.
     """
-    checks = _alarm_checks(translated, db)
-    if checks is None:
+    statements = translated.statements
+    if not statements or not all(isinstance(s, Alarm) for s in statements):
         return None
     specialized: Dict[tuple, Program] = {}
     for trigger in rule.triggers:
-        statements = []
+        variants = []
         try:
-            for expr, message in checks:
-                variant = delta_expression(expr, frozenset([trigger]))
+            for alarm in statements:
+                variant = delta_expression(alarm.expr, frozenset([trigger]))
                 if variant is not None:
-                    statements.append(Alarm(variant, message=message))
+                    variants.append(Alarm(variant, message=alarm.message))
         except NotIncrementalizable:
             return None
-        specialized[trigger] = Program(statements)
+        specialized[trigger] = Program(variants)
     return specialized
 
 
-def _alarm_checks(
-    translated: Program, db
-) -> Optional[List[Tuple[E.Expression, Optional[str]]]]:
-    """The ``(violation_expr, message)`` checks a translated program makes.
-
-    None when the program is not a recognized check shape (multi-statement
-    programs, compensating actions, fallbacks with disjunctive or naive
-    residue).
-    """
-    if len(translated.statements) != 1:
-        return None
-    statement = translated.statements[0]
-    if isinstance(statement, Alarm):
-        return [(statement.expr, statement.message)]
-    from repro.core.translation import CheckConstraint
-
-    if db is not None and isinstance(statement, CheckConstraint):
-        from repro.calculus.planned import compile_constraint
-
-        compiled = compile_constraint(statement.formula, db)
-        exprs = compiled.conjunctive_plan_expressions()
-        if exprs is None:
-            return None
-        return [(expr, statement.message) for expr in exprs]
-    return None
-
-
-def vacuous_triggers(rule, translated: Program, db=None) -> List[tuple]:
+def vacuous_triggers(rule, translated: Program) -> List[tuple]:
     """Triggers for which the rule's check is provably unnecessary."""
-    programs = differential_programs(rule, translated, db)
+    programs = differential_programs(rule, translated)
     if programs is None:
         return []
     return [trigger for trigger, program in programs.items() if program.is_empty]

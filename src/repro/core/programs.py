@@ -116,7 +116,7 @@ def get_int_p(
         program = optimize_program(program)
     differentials = None
     if differential and rule.is_aborting:
-        differentials = differential_programs(optimized_rule, program, db)
+        differentials = differential_programs(optimized_rule, program)
     return IntegrityProgram(rule.name, rule.triggers, program, differentials)
 
 
@@ -163,14 +163,17 @@ class IntegrityProgramStore:
 
         ``(statements, stats)`` of :func:`~repro.core.modification.
         mod_rounds` over this store, memoised per trigger set; statements
-        is None when nothing triggers.  Both belong to the memo: callers
-        copy the statistics before handing them out.  A store whose rounds
-        do not terminate raises and memoises nothing.
+        is None when nothing triggers.  Both belong to the memo; the
+        statistics are frozen when filed, so callers hand them out as is.
+        A store whose rounds do not terminate raises and memoises nothing.
         """
         entry = self._modifications.get(performed)
         if entry is None:
             stats = ModificationStats()
             appended = mod_rounds(performed, StaticSelector(self), stats=stats)
-            entry = (None if appended is None else appended.statements, stats)
+            entry = (
+                None if appended is None else appended.statements,
+                stats.freeze(),
+            )
             self._modifications.file(performed, entry)
         return entry

@@ -157,9 +157,10 @@ class RuleAuditTask:
         # A held span keeps every record it brackets, so its pinned states
         # stay readable for the whole audit.
         view = DeltaView(self.database, self.differentials, span=self.span)
-        if self.program is not None:
-            return self.controller._program_outcome(self.program, view)
-        return self.controller._is_violated(self.rule, view), ()
+        program = self.program
+        if program is None:
+            program = self.controller._audit_program(self.rule)
+        return self.controller._program_outcome(program, view)
 
     def release_span(self) -> None:
         """Drop this task's retained reference on its epoch span, once."""

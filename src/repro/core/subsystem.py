@@ -70,8 +70,8 @@ from repro.errors import (
 # a database state by executing the stored integrity program directly:
 # temporaries, alarms, and direct constraint checks — but no base-relation
 # updates.  This is the program-shape analysis behind the planned audit
-# path: pure-alarm programs, ``Assign``+``Alarm`` programs, and translation
-# fallbacks all qualify.
+# path: alarm programs, ``Assign``+``Alarm`` programs, and residue checks
+# all qualify.
 AUDITABLE_STATEMENTS = (Alarm, Assign, CheckConstraint)
 
 #: Violating tuples retained as a sample by audit outcomes.
@@ -189,11 +189,21 @@ class IntegrityController:
     # -- validation ---------------------------------------------------------------
 
     def _check_condition_schema(self, condition: C.Formula) -> None:
-        """Relations exist; attribute references resolve (names, arity)."""
+        """Relations exist and are no materialized views; attribute
+        references resolve (names, arity).
+
+        A view is refreshed after ModP's fixpoint (its maintenance program
+        is deferred), so a check over it would read the view's stale
+        contents: a condition reading one is refused.
+        """
         for relation in relation_names(condition):
             base = naming.base_of(relation)
             if base not in self.schema:
                 raise UnknownRelationError(base, "integrity constraint")
+            if f"view::{base}" in self.store:
+                raise RuleError(
+                    f"a condition may not read the materialized view {base!r}"
+                )
         ranges = variable_ranges(condition)
         schemas: Dict[str, list] = {
             var: [self.schema.relation(naming.base_of(rel)) for rel in sorted(rels)]
@@ -264,37 +274,36 @@ class IntegrityController:
 
         *Every* rule is audited through compiled physical plans — which
         exploit any hash indexes on the database.  Aborting rules whose
-        stored integrity program is side-effect-free (pure alarms,
-        ``Assign``+``Alarm`` shapes, translation fallbacks) execute that
-        program directly against an audit context; everything else
-        (compensating-action rules above all) compiles its *condition*
-        through the plan-backed calculus evaluator.  Only genuinely
-        untranslatable residue reaches the naive model checker, which
+        stored integrity program is side-effect-free (alarms,
+        ``Assign``+``Alarm`` shapes, residue checks) execute that program
+        directly against an audit context; everything else
+        (compensating-action rules above all) executes its *condition*'s
+        check program the same way.  Only genuinely untranslatable residue
+        reaches the naive model checker, which
         otherwise survives purely as the test oracle
         (:func:`repro.calculus.evaluation.violated_rules`).
         """
         view = DatabaseView(database)
         return [rule.name for rule in self.rules if self._is_violated(rule, view)]
 
-    def _audit_program(self, rule: IntegrityRule) -> Optional[Program]:
-        """The stored program of ``rule`` if executing it *is* an audit.
+    def _audit_program(self, rule: IntegrityRule) -> Program:
+        """The program whose execution audits ``rule``.
 
-        Program-shape analysis: aborting rules translate to programs whose
-        statements merely compute and test (never update), so running them
-        against a read-only context yields the rule's verdict.  Returns
-        None for compensating rules (their program is a repair action, not
-        a check) and for any non-auditable statement shape.
+        Program-shape analysis: an aborting rule's stored program merely
+        computes and tests (never updates), so running it against a
+        read-only context yields the rule's verdict.  Any other rule
+        (compensating rules above all: their program is a repair action,
+        not a check) audits by its condition's check program
+        (:func:`~repro.calculus.planned.compile_constraint`).
         """
-        if not rule.is_aborting or rule.name not in self.store:
-            return None
-        program = self.store.get(rule.name).program
-        statements = program.statements
-        if statements and all(
-            isinstance(statement, AUDITABLE_STATEMENTS)
-            for statement in statements
-        ):
-            return program
-        return None
+        if rule.is_aborting and rule.name in self.store:
+            program = self.store.get(rule.name).program
+            if program.statements and all(
+                isinstance(statement, AUDITABLE_STATEMENTS)
+                for statement in program.statements
+            ):
+                return program
+        return compile_constraint(rule.condition, self.schema)
 
     @staticmethod
     def _program_outcome(program: Program, view) -> tuple:
@@ -324,11 +333,7 @@ class IntegrityController:
     def _is_violated(self, rule: IntegrityRule, view) -> bool:
         """Does ``rule`` fail where ``view`` (a database or delta view, or a
         running transaction's context) resolves names?"""
-        program = self._audit_program(rule)
-        if program is not None:
-            return self._program_outcome(program, view)[0]
-        compiled = compile_constraint(rule.condition, self.schema)
-        return compiled.violated(view)
+        return self._program_outcome(self._audit_program(rule), view)[0]
 
     def violated_constraints_incremental(
         self, database: Database, differentials
@@ -453,17 +458,7 @@ class IntegrityController:
             pieces.extend((integrity_program.differentials or {}).values())
             for piece in pieces:
                 for statement in piece:
-                    expressions = list(planner.statement_expressions(statement))
-                    if not expressions and isinstance(statement, CheckConstraint):
-                        # Fallback statements evaluate through compiled
-                        # sub-plans (repro.calculus.planned); those plans'
-                        # hints are just as real as an alarm's.
-                        expressions = list(
-                            compile_constraint(
-                                statement.formula, self.schema
-                            ).plan_expressions()
-                        )
-                    for expression in expressions:
+                    for expression in planner.statement_expressions(statement):
                         hints.update(planner.index_hints(expression))
         installed = []
         for name, attrs in sorted(hints, key=repr):

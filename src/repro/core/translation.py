@@ -22,11 +22,10 @@ body is a conjunction of membership anchors, local atoms, (negated)
 existential subformulas — producing selections, semijoins, antijoins, set
 differences and intersections — and aggregate comparisons (producing
 semijoins against single-row aggregate relations).  Formulas outside the
-fragment fall back to a :class:`CheckConstraint` statement (an honest
-engineering fallback, flagged so callers can forbid it); even that
-fallback decomposes the formula via :mod:`repro.calculus.planned` and
-evaluates the translatable subformulas through compiled plans, so the
-direct evaluator only ever sees the genuinely untranslatable residue.
+fragment are split into CNF clauses by :mod:`repro.calculus.planned`, one
+``alarm`` per clause; only a clause holding genuinely untranslatable residue
+falls back to a :class:`CheckConstraint` statement (an honest engineering
+fallback, which callers can forbid), evaluated by the model checker.
 
 The produced forms coincide with the paper's Table 1 on all seven construct
 families; ``table1_form`` additionally emits the *verbatim* table shapes
@@ -35,7 +34,7 @@ families; ``table1_form`` additionally emits the *verbatim* table shapes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.algebra import expressions as E
@@ -602,25 +601,17 @@ def _apply_exists(
 
 @dataclass(frozen=True)
 class CheckConstraint(Statement):
-    """Fallback statement: evaluate a CL constraint directly in-transaction.
+    """Residue statement: evaluate a CL constraint by the model checker.
 
-    Used only when a condition falls outside the *monolithic* translatable
-    fragment (the paper's translation algorithm is also partial: "a complete
-    translation algorithm is not presented here").  Aborts like ``alarm`` on
-    violation.
-
-    Execution is not naive, though: the formula is handed to
-    :mod:`repro.calculus.planned`, which decomposes the boolean structure
-    and runs every translatable subformula through its compiled physical
-    plan — the model checker evaluates only the genuinely untranslatable
-    residue.  ``naive_residue`` records (at translation time) whether such
-    residue exists; transaction modification surfaces it in
-    :class:`~repro.core.modification.ModificationStats`.
+    A condition compiles to alarms (:mod:`repro.calculus.planned`); a CNF
+    clause of it holding a subformula outside the translatable fragment
+    (the paper's translation algorithm is also partial: "a complete
+    translation algorithm is not presented here") becomes this statement
+    instead.  It aborts like ``alarm`` on violation.
     """
 
     formula: C.Formula
     message: Optional[str] = None
-    naive_residue: bool = True
 
     def execute(self, context) -> None:
         from repro.errors import TransactionAborted
@@ -629,14 +620,9 @@ class CheckConstraint(Statement):
             raise TransactionAborted(self.message or "constraint check failed")
 
     def holds(self, context) -> bool:
-        """Evaluate the formula through its compiled plans.
+        from repro.calculus.evaluation import evaluate_constraint
 
-        A context with no database schema in reach (nothing to compile
-        against) gets the model checker.
-        """
-        from repro.calculus.planned import evaluate_constraint_planned
-
-        return evaluate_constraint_planned(self.formula, context)
+        return evaluate_constraint(self.formula, context, validate=False)
 
     def relations_read(self) -> set:
         from repro.calculus.analysis import relation_names
@@ -650,37 +636,40 @@ def trans_c(
     name: Optional[str] = None,
     allow_fallback: bool = True,
 ) -> Program:
-    """Alg 5.6: translate a condition into an aborting algebra program."""
-    try:
-        statement = _trans_c_statement(condition, db, name)
-    except TranslationError:
-        if not allow_fallback:
-            raise
-        from repro.calculus.planned import compile_constraint
+    """Alg 5.6: translate a condition into an aborting algebra program.
 
-        compiled = compile_constraint(condition, db)
-        statement = CheckConstraint(
-            condition, message=name, naive_residue=not compiled.fully_planned
+    The program is the condition's check program
+    (:func:`~repro.calculus.planned.compile_constraint`) with every
+    statement labelled ``name``.  Without ``allow_fallback`` a condition
+    with untranslatable residue raises instead.
+    """
+    from repro.calculus.planned import compile_constraint
+
+    statements = compile_constraint(condition, db).statements
+    if not allow_fallback and any(
+        isinstance(statement, CheckConstraint) for statement in statements
+    ):
+        raise TranslationError(
+            f"condition has untranslatable residue: {condition!r}"
         )
-    return Program([statement])
+    return Program(replace(statement, message=name) for statement in statements)
 
 
-def _trans_c_statement(
-    condition: C.Formula, db: DatabaseSchema, name: Optional[str]
-) -> Statement:
+def _trans_c_statement(condition: C.Formula, db: DatabaseSchema) -> Alarm:
+    """The one-piece translation (Alg 5.6) of a whole condition."""
     if isinstance(condition, C.Forall):
         violations = calc_to_alg(condition.var, nnf(condition, False).body, db)
-        return Alarm(violations, message=name)
+        return Alarm(violations)
     if isinstance(condition, C.Exists):
         witnesses = calc_to_alg(condition.var, nnf(condition, True).body, db)
         guard = E.Select(
             E.Count(witnesses), P.Comparison("=", P.ColRef(1), P.Const(0))
         )
-        return Alarm(guard, message=name)
+        return Alarm(guard)
     # Quantifier-free (aggregate) constraints: Table 1 rows 6-7 generalized.
     negated = nnf(condition, False)
     violation_expr = _aggregate_condition_expr(negated, db)
-    return Alarm(violation_expr, message=name)
+    return Alarm(violation_expr)
 
 
 def _aggregate_condition_expr(
@@ -808,7 +797,7 @@ def table1_form(condition: C.Formula, db: DatabaseSchema) -> Optional[Statement]
     if row4 is not None:
         return row4
     try:
-        return _trans_c_statement(condition, db, None)
+        return _trans_c_statement(condition, db)
     except TranslationError:
         return None
 

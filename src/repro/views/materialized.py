@@ -8,7 +8,10 @@ declared **non-triggering** (Def 6.2): refreshing a view must not trigger
 integrity rules or other views' maintenance recursively — the paper's
 cycle-suppression device doing double duty.  It is also *deferred*: ModP
 appends it after its fixpoint, once a compensating action can no longer
-write a base relation.
+write a base relation.  Both make a view readable by queries only: a view
+over a view would never be refreshed, and a rule's condition over a view
+would check its stale contents, so ``define_view`` and
+:meth:`~repro.core.subsystem.IntegrityController.add_rule` refuse them.
 
 The pieces are the integrity checks' own delta derivation
 (:func:`repro.algebra.delta.delta_expression`): per trigger ``t``,
@@ -89,6 +92,13 @@ class ViewManager:
                 raise RuleError("view definitions reference base relations only")
             if relation not in self.database:
                 raise UnknownRelationError(relation, f"view {name!r}")
+            if f"view::{relation}" in self.controller.store:
+                # Maintenance programs are non-triggering: nothing would
+                # refresh a view over a view.
+                raise RuleError(
+                    f"view {name!r} may not read the materialized view "
+                    f"{relation!r}"
+                )
 
         # Materialize the initial contents (with their multiplicities) and
         # derive the stored schema.

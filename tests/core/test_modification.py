@@ -60,7 +60,7 @@ class TestFixpoint:
         assert len(modified) == 2
         assert isinstance(modified.statements[1], Alarm)
         assert stats.rounds == 1
-        assert stats.selected_rule_names == ["ra"]
+        assert stats.selected_rule_names == ("ra",)
 
     def test_read_only_transaction_unmodified(self, abc_schema):
         rule = IntegrityRule(parse_constraint("(forall x in a)(x.x > 0)"), name="ra")
@@ -100,7 +100,7 @@ class TestCascades:
         # Round 1 appends ab's repair (insert into b); round 2 appends bc's
         # repair (insert into c); round 3 finds nothing new.
         assert stats.rounds == 2
-        assert stats.selected_rule_names == ["ab", "bc"]
+        assert stats.selected_rule_names == ("ab", "bc")
         assert len(modified) == 3
 
     def test_rule_reselected_across_rounds(self, abc_schema):
@@ -113,7 +113,7 @@ class TestCascades:
         program = parse_program("insert(a, (1,))")
         stats = ModificationStats()
         modified = mod_p(program, selector, stats=stats)
-        assert stats.selected_rule_names == ["ab", "bc", "cc"]
+        assert stats.selected_rule_names == ("ab", "bc", "cc")
         assert len(modified) == 4
 
 

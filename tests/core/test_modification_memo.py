@@ -115,7 +115,7 @@ class TestInvalidation:
         transaction = parse_transaction(INSERT_R)
         after = rs_controller.modify_transaction(transaction)
         assert len(after) == len(before) + 1
-        assert rs_controller.last_stats.selected_rule_names == ["r_positive", "r_small"]
+        assert rs_controller.last_stats.selected_rule_names == ("r_positive", "r_small")
         assert_same_as_fresh_mod_t(rs_controller, transaction)
 
     def test_remove_rule(self, rs_controller):
@@ -146,35 +146,30 @@ class TestInvalidation:
         assert not store._modifications
 
 
-def test_last_stats_is_the_callers_own_copy(rs_controller):
+def test_last_stats_is_the_memos_read_only_record(rs_controller):
     transaction = parse_transaction(INSERT_R)
     rs_controller.modify_transaction(transaction)
     first = rs_controller.last_stats
     pristine = dataclasses.asdict(first)
-    first.rounds = 99
-    first.rules_selected = -1
-    first.selected_rule_names.append("tampered")
-    first.full_state_rule_names.clear()
-    rs_controller.modify_transaction(transaction)
-    second = rs_controller.last_stats
-    assert second is not first
-    assert dataclasses.asdict(second) == pristine
-    assert second.selected_rule_names is not first.selected_rule_names
-
-
-def test_stats_copy_covers_every_field():
-    stats = ModificationStats(
-        **{
-            field.name: ["x"] if field.default_factory is list else 7
-            for field in dataclasses.fields(ModificationStats)
-        }
-    )
-    clone = stats.copy()
-    assert clone == stats and clone is not stats
     for field in dataclasses.fields(ModificationStats):
-        value = getattr(stats, field.name)
-        if isinstance(value, list):
-            assert getattr(clone, field.name) is not value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, field.name, getattr(first, field.name))
+    with pytest.raises(AttributeError):
+        first.selected_rule_names.append("tampered")
+    rs_controller.modify_transaction(transaction)
+    assert rs_controller.last_stats is first
+    assert dataclasses.asdict(first) == pristine
+
+
+def test_a_fresh_record_stays_writable():
+    # mod_t fills the caller's record; only the memo's records are frozen.
+    stats = ModificationStats()
+    stats.rounds = 2
+    stats.selected_rule_names += ("r",)
+    assert stats == ModificationStats(rounds=2, selected_rule_names=("r",))
+    assert stats.freeze() is stats
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats.rounds = 3
 
 
 def test_dynamic_selector_translates_on_every_call(monkeypatch):

@@ -146,3 +146,43 @@ class TestUnsupportedShapes:
         assert (
             differential_programs(rule, parse_program("abort; abort")) is None
         )
+
+
+class TestBooleanCombinations:
+    """A condition outside the one-piece fragment compiles to one alarm per
+    CNF clause, and each alarm gets its own per-trigger Δ-programs."""
+
+    DOMAIN = "(forall x in r)(x.a > 0)"
+    REFERENTIAL = "(forall x in r)((exists y in s)(x.a = y.c))"
+
+    def test_conjunction_specializes_each_clause(self, rs_pair):
+        rule = IntegrityRule(
+            parse_constraint(f"{self.DOMAIN} and {self.REFERENTIAL}"), name="both"
+        )
+        program = trans_r(rule, rs_pair)
+        assert [statement.message for statement in program] == ["both", "both"]
+        variants = differential_programs(rule, program)
+        assert len(variants[(INS, "r")]) == 2  # both clauses read r@plus
+        assert len(variants[(DEL, "s")]) == 1  # only the referential one
+
+    def test_disjunction_specializes_its_clause(self, rs_pair):
+        rule = IntegrityRule(
+            parse_constraint(f"{self.DOMAIN} or {self.REFERENTIAL}"), name="either"
+        )
+        program = trans_r(rule, rs_pair)
+        assert len(program) == 1 and isinstance(program.statements[0], Alarm)
+        variants = differential_programs(rule, program)
+        assert variants is not None
+        for trigger in [(INS, "r"), (DEL, "s")]:
+            (alarm,) = variants[trigger].statements
+            assert alarm.message == "either"
+
+    def test_residue_keeps_the_full_check(self, rs_pair):
+        residue = (
+            "(forall x in r)(not (exists y in s)"
+            "(x.a = y.c and (exists z in s)(z.c = x.a and z.d = y.d)))"
+        )
+        rule = IntegrityRule(
+            parse_constraint(f"{self.DOMAIN} and {residue}"), name="mixed"
+        )
+        assert differential_programs(rule, trans_r(rule, rs_pair)) is None

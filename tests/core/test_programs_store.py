@@ -118,7 +118,7 @@ class TestDeferredPrograms:
             store.get("view").program.statements
         )
         assert stats.rounds == 1
-        assert stats.selected_rule_names == ["fix", "view"]
+        assert stats.selected_rule_names == ("fix", "view")
 
     def test_must_be_non_triggering(self):
         with pytest.raises(ValueError):

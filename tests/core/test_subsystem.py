@@ -208,6 +208,20 @@ class TestDirectChecking:
         db.load("beer", [("rogue", "ale", "nowhere", -2.0)])
         assert controller.violated_constraints(db) == ["R1", "R2"]
 
+    def test_a_compensating_rules_full_audit_carries_a_sample(self, db, schema):
+        # R2 repairs by inserting breweries: its audit runs the check
+        # program of its condition, whose alarm yields the violating rows.
+        from repro.workloads.beer import beer_controller
+
+        session = Session(db, beer_controller())
+        result = session.commit(
+            'begin insert(beer, ("x", "ale", "nowhere", 5.0)); end', audit="sync"
+        )
+        outcomes = {outcome.rule: outcome for outcome in result.audit}
+        assert outcomes["R2"].violated
+        assert outcomes["R2"].violations == (("x", "ale", "nowhere", 5.0),)
+        assert not outcomes["R1"].violated
+
     def test_validate_rules_returns_graph(self, schema):
         controller = IntegrityController(schema)
         controller.add_rule(BEER_RULE_DOMAIN)

@@ -136,6 +136,26 @@ def constraints():
     )
 
 
+@st.composite
+def boolean_combinations(draw, parts=None) -> C.Formula:
+    """not/and/or/=> combinations of Table 1 family constraints.
+
+    Top-level connectives are exactly what the one-piece translator
+    rejects, so these compile to one alarm per CNF clause.
+    """
+    parts = constraints() if parts is None else parts
+    first = draw(parts)
+    shape = draw(st.integers(min_value=0, max_value=3))
+    if shape == 0:
+        return C.Not(first)
+    second = draw(parts)
+    if shape == 1:
+        return C.And(first, second)
+    if shape == 2:
+        return C.Or(first, second)
+    return C.Implies(first, second)
+
+
 def abortable_constraints():
     """Families whose SUM/AVG/MIN/MAX over empty inputs never go unknown."""
     return st.one_of(
@@ -316,3 +336,10 @@ def transactions(draw):
                 )
             )
     return bracket(Program(statements))
+
+
+def denial_constraints():
+    """The families whose checks have a Δ rule (no counting, no aggregate)."""
+    return st.one_of(
+        domain_constraints(), referential_constraints(), exclusion_constraints()
+    )

@@ -2,7 +2,7 @@
 
 The unified evaluation stack routes every constraint form through compiled
 physical plans — single translatable sentences, boolean combinations that
-only the decomposing compiler handles, compensating-action rule audits, and
+compile to one alarm per CNF clause, compensating-action rule audits, and
 ``Assign``+``Alarm`` integrity-program shapes.  On every generated database
 (set and bag mode, with and without hash indexes) the verdict must equal
 the naive model checker's, which survives precisely as this oracle.
@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from repro.algebra import expressions as E
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm, Assign
-from repro.calculus import ast as C
 from repro.calculus.evaluation import evaluate_constraint, violated_rules
-from repro.calculus.planned import compile_constraint
+from repro.calculus.planned import compile_constraint, evaluate_constraint_planned
 from repro.core.programs import IntegrityProgram
 from repro.core.subsystem import IntegrityController
 from repro.engine import Database
@@ -45,27 +44,8 @@ def _database(rows_r, rows_s, bag: bool, indexed: bool) -> Database:
     return database
 
 
-@st.composite
-def boolean_combinations(draw) -> C.Formula:
-    """not/and/or/=> combinations of Table 1 family constraints.
-
-    Top-level connectives are exactly what the monolithic translator
-    rejects, driving the decomposing compiler and its residue handling.
-    """
-    first = draw(S.constraints())
-    shape = draw(st.integers(min_value=0, max_value=3))
-    if shape == 0:
-        return C.Not(first)
-    second = draw(S.constraints())
-    if shape == 1:
-        return C.And(first, second)
-    if shape == 2:
-        return C.Or(first, second)
-    return C.Implies(first, second)
-
-
 @given(
-    formula=st.one_of(S.constraints(), boolean_combinations()),
+    formula=st.one_of(S.constraints(), S.boolean_combinations()),
     rows_r=S.ROWS_R,
     rows_s=S.ROWS_S,
     bag=st.booleans(),
@@ -77,14 +57,14 @@ def test_planned_constraint_verdict_matches_oracle(
 ):
     database = _database(rows_r, rows_s, bag, indexed)
     view = DatabaseView(database)
-    compiled = compile_constraint(formula, database.schema)
-    assert compiled.satisfied(view) == evaluate_constraint(
+    program = compile_constraint(formula, database.schema)
+    assert evaluate_constraint_planned(formula, view) == evaluate_constraint(
         formula, view, validate=False
-    ), f"verdict divergence on {formula!r} ({compiled!r})"
+    ), f"verdict divergence on {formula!r} ({list(program)!r})"
 
 
 @given(
-    condition=S.abortable_constraints(),
+    condition=st.one_of(S.abortable_constraints(), S.boolean_combinations()),
     rows_r=S.ROWS_R,
     rows_s=S.ROWS_S,
     bag=st.booleans(),

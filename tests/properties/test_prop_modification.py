@@ -10,9 +10,11 @@ optimization.
 
 import pickle
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.parser import parse_transaction
+from repro.calculus.parser import parse_constraint
 from repro.core.modification import ModificationStats, StaticSelector, mod_t
 from repro.core.programs import IntegrityProgramStore, get_int_p
 from repro.core.rules import IntegrityRule
@@ -100,15 +102,37 @@ def test_modified_execution_equals_check_after_execute(db, constraint, txn):
     assert verdict_modified == verdict_baseline
 
 
+def _example_database(rows_r, rows_s) -> Database:
+    database = Database(strat.rs_schema())
+    database.load("r", rows_r)
+    database.load("s", rows_s)
+    return database
+
+
 @given(
     db=strat.databases(),
-    constraint=strat.abortable_constraints(),
+    constraint=st.one_of(
+        strat.abortable_constraints(),
+        strat.boolean_combinations(),
+        strat.boolean_combinations(strat.denial_constraints()),
+    ),
     txn=strat.transactions(),
+)
+# Two clauses, and the insert violates only the second one's Δ-check.
+@example(
+    db=_example_database([(1, 1)], [(1, 0)]),
+    constraint=parse_constraint(
+        "(forall x in r)(x.a >= 0) and "
+        "(forall x in r)((exists y in s)(x.a = y.c))"
+    ),
+    txn=parse_transaction("begin insert(r, (2, 2)); end"),
 )
 @settings(max_examples=200, deadline=None)
 def test_differential_and_full_enforcement_agree(db, constraint, txn):
     """Soundness of §5.2.1: differential checks give the same verdict as
-    full-state checks, given a consistent pre-state (Def 3.5)."""
+    full-state checks, given a consistent pre-state (Def 3.5).  Boolean
+    combinations compile to one alarm per CNF clause, each with its own
+    per-trigger Δ-programs."""
     constraints = [constraint]
     assume(consistent(db, constraints))
 

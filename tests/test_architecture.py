@@ -290,6 +290,20 @@ CASES = [
             ),
         ],
     ),
+    # One check form: a condition compiles to alarms, one per CNF clause,
+    # and only untranslatable residue is a CheckConstraint (no verdict tree
+    # evaluated beside the alarms).
+    (
+        "one-check-form",
+        [
+            (
+                ["-rnE", "_AndNode|_OrNode|_PlanLeaf|_NaiveLeaf|CompiledConstraint|conjunctive_plan_expressions|naive_residue", "src/repro/"],
+                None,
+                "the verdict-tree evaluator (or a per-statement residue flag) "
+                "is back in src/",
+            ),
+        ],
+    ),
 ]
 
 

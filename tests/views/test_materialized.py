@@ -241,3 +241,54 @@ class TestCompensation:
         assert db.relation("joined").to_set() == frozenset()
         assert manager.verify_view("big")
         assert manager.verify_view("joined")
+
+
+class TestReadsOfAView:
+    """A view is refreshed after ModP's fixpoint, by a non-triggering
+    program, so nothing else may read one: neither a rule's condition (it
+    would check the view's stale contents) nor another view (nothing would
+    refresh it)."""
+
+    @pytest.fixture
+    def r_with_view(self):
+        from repro.core.subsystem import IntegrityController
+        from repro.engine import Database, DatabaseSchema, RelationSchema
+        from repro.engine.types import INT
+
+        schema = DatabaseSchema([RelationSchema("r", [("a", INT), ("b", INT)])])
+        db = Database(schema)
+        db.load("r", [(1, 1)])
+        controller = IntegrityController(schema)
+        manager = ViewManager(db, controller)
+        manager.define_view("v", "select(r, a >= 1)")
+        return db, controller, manager
+
+    def test_a_constraint_over_a_view_is_refused(self, r_with_view):
+        db, controller, _ = r_with_view
+        with pytest.raises(RuleError, match="'v'"):
+            controller.add_constraint("v_small", "(forall x in v)(x.a < 9)")
+        assert controller.rules == []
+        assert Session(db, controller).execute(
+            "begin insert(r, (10, 10)); end"
+        ).committed
+
+    def test_a_rule_reading_a_view_is_refused(self, r_with_view):
+        _, controller, _ = r_with_view
+        with pytest.raises(RuleError, match="'v'"):
+            controller.add_rule(
+                "RULE cap WHEN INS(r) IF NOT (forall x in r)((exists y in v)"
+                "(x.a = y.a)) THEN delete(r, select(r, a > 4))"
+            )
+
+    def test_a_view_over_a_view_is_refused(self, r_with_view):
+        db, controller, manager = r_with_view
+        with pytest.raises(RuleError, match="'v'"):
+            manager.define_view("w", "select(v, a >= 2)")
+        assert "w" not in db
+        assert "view::w" not in controller.store
+
+    def test_a_dropped_view_is_a_plain_relation(self, r_with_view):
+        _, controller, manager = r_with_view
+        manager.drop_view("v")
+        controller.add_constraint("v_small", "(forall x in v)(x.a < 9)")
+        manager.define_view("w", "select(v, a >= 2)")

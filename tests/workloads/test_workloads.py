@@ -75,16 +75,16 @@ class TestEmployeesWorkload:
         # The transition rule runs on emp@plus; what is left is the
         # compensating action (never specialised) and the aggregate (no
         # delta rule: the relation's maintained sum makes it cheap instead).
-        assert stats.full_state_rule_names == ["emp_payroll_cap", "emp_dept_repair"]
+        assert stats.full_state_rule_names == ("emp_payroll_cap", "emp_dept_repair")
 
         full = employees_controller(differential=False)
         Session(employees_database(), full).execute(raise_)
-        assert full.last_stats.full_state_rule_names == [
+        assert full.last_stats.full_state_rule_names == (
             "emp_dept_fk",
             "emp_salary_domain",
             "emp_salary_monotone",
             "emp_payroll_cap",
-        ]
+        )
 
 
 class TestSection7Workload:
