@@ -80,9 +80,10 @@ class ModificationStats:
     fallback_statements: int = 0
     fallback_rule_names: Tuple[str, ...] = ()
     # Rules whose stored full-state program was appended as is, there being
-    # no differential variant of it (compensating actions, aggregates,
-    # everything under ``differential=False``): the enforcement work that
-    # can scale with |R| instead of |Δ|.
+    # no differential variant of it (aggregates, compensating actions that
+    # read no violation expression of their condition, everything under
+    # ``differential=False``): the enforcement work that can scale with |R|
+    # instead of |Δ|.
     full_state_rule_names: Tuple[str, ...] = ()
 
     def freeze(self) -> "ModificationStats":

@@ -10,7 +10,9 @@ leaves OptC's internals open, listing the applicable technique families:
   Valduriez [18]; Bernstein et al. [5]; Grefen & Apers [7]) — here
   :func:`differential_programs`, which specializes a *translated* rule
   program per elementary update type so that enforcement touches only the
-  tuples the transaction actually changed (``R@plus`` / ``R@minus``);
+  tuples the transaction actually changed (``R@plus`` / ``R@minus``), and
+  :func:`differential_repair`, which makes a compensating action read
+  them too;
 * semantic manipulation (Qian & Wiederhold [16]) — out of scope, as in the
   paper.
 
@@ -37,12 +39,25 @@ set come out vacuous.  A transition rule the identity transition violates
 the pre-state already breaks; ``differential=False`` keeps the full-state
 programs for those.
 
+**Compensating actions** (:func:`differential_repair`).  ``IF NOT C THEN
+action`` owes the action only when ``C`` fails, and under the premise ``C``
+fails only through one of its per-trigger Δ-checks.  An action that reads
+the violations ``V`` of one of ``C``'s alarms — the paper's R2,
+``diff(π_brewery(beer), π_name(brewery))``, is ``π_brewery(beer ⊳ brewery)``
+— reads ``∪_{t∈matched} Δ⁺ₜV`` instead: ``V`` is empty before the
+transaction, so the union *is* ``V`` (the sandwich bounds of
+:mod:`repro.algebra.delta`), at O(|Δ|) instead of O(|R|).  The action is
+appended once however many triggers match, and not at all for a trigger
+whose every Δ-check is vacuous.  An orphan older than the rule breaks the
+premise exactly as it breaks an aborting rule's Δ-checks: the Δ-read never
+sees it, ``differential=False`` repairs it on the next trigger.
+
 What stays on the full-state program: aggregates over a changed input (the
 algebra has no rule for them — the *physical* layer makes them cheap
 instead, by answering from a sum/extremum the relation maintains, see
-:meth:`repro.engine.relation.Relation.aggregate`) and compensating actions
-(guarding an action by a delta check of its condition changes behaviour for
-actions that are not self-selecting, so it is not done).
+:meth:`repro.engine.relation.Relation.aggregate`), and a compensating
+action whose condition has such an aggregate or a residue clause, or which
+reads no violation expression of its condition.
 :attr:`~repro.core.modification.ModificationStats.full_state_rule_names`
 names them per modified transaction.
 
@@ -61,12 +76,17 @@ clause holding untranslatable residue (a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import fields, replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.algebra import expressions as E
+from repro.algebra import predicates as P
 from repro.algebra.delta import NotIncrementalizable, delta_expression
 from repro.algebra.programs import Program
 from repro.algebra.statements import Alarm
 from repro.calculus import ast as C
+from repro.engine.schema import DatabaseSchema
+from repro.errors import UnknownAttributeError
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +192,40 @@ def opt_r(rule):
 # ---------------------------------------------------------------------------
 
 
+def _alarm_deltas(rule, translated: Program) -> Optional[Dict[tuple, tuple]]:
+    """Per trigger of ``rule``, the Δ⁺ of every alarm of ``translated``, in
+    order (None where that trigger leaves it provably empty); None unless
+    ``translated`` is alarms only and every alarm incrementalizes."""
+    alarms = translated.statements
+    if not alarms or not all(isinstance(alarm, Alarm) for alarm in alarms):
+        return None
+    try:
+        return {
+            trigger: tuple(
+                delta_expression(alarm.expr, frozenset([trigger]))
+                for alarm in alarms
+            )
+            for trigger in rule.triggers
+        }
+    except NotIncrementalizable:
+        return None
+
+
+def _delta_programs(translated: Program, deltas) -> Dict[tuple, Program]:
+    return {
+        trigger: Program(
+            Alarm(variant, message=alarm.message)
+            for alarm, variant in zip(translated.statements, variants)
+            if variant is not None
+        )
+        for trigger, variants in deltas.items()
+    }
+
+
 def differential_programs(
     rule, translated: Program
 ) -> Optional[Dict[tuple, Program]]:
-    """Per-trigger differential variants of a translated aborting program.
+    """Per-trigger differential variants of a translated check program.
 
     Returns ``{trigger_spec: program}`` covering *every* trigger of the rule
     (vacuous triggers map to an empty program), or None when the translated
@@ -193,24 +243,12 @@ def differential_programs(
     Programs made of ``alarm`` statements only (the output of ``trans_c``,
     one per CNF clause of the condition) are specialized.  Violation
     expressions may read pre-state leaves ``R@old`` (transition
-    constraints).  Residue checks and compensating actions are left
-    untouched, as the paper leaves their analysis out of scope.
+    constraints).  Residue checks are left untouched.  A compensating
+    rule's condition specializes the same way, for its
+    :func:`differential_repair`.
     """
-    statements = translated.statements
-    if not statements or not all(isinstance(s, Alarm) for s in statements):
-        return None
-    specialized: Dict[tuple, Program] = {}
-    for trigger in rule.triggers:
-        variants = []
-        try:
-            for alarm in statements:
-                variant = delta_expression(alarm.expr, frozenset([trigger]))
-                if variant is not None:
-                    variants.append(Alarm(variant, message=alarm.message))
-        except NotIncrementalizable:
-            return None
-        specialized[trigger] = Program(variants)
-    return specialized
+    deltas = _alarm_deltas(rule, translated)
+    return None if deltas is None else _delta_programs(translated, deltas)
 
 
 def vacuous_triggers(rule, translated: Program) -> List[tuple]:
@@ -219,3 +257,234 @@ def vacuous_triggers(rule, translated: Program) -> List[tuple]:
     if programs is None:
         return []
     return [trigger for trigger, program in programs.items() if program.is_empty]
+
+
+# ---------------------------------------------------------------------------
+# Differential compensation: the action reads Δ⁺ of its condition's violations
+# ---------------------------------------------------------------------------
+
+
+class DeltaRead:
+    """A compensating action whose reads of its condition's violations are
+    rewritten per matched trigger set.
+
+    ``action`` reads every recognised violation expression ``V`` literally
+    (as ``V`` or ``π(V)``); ``deltas[V][t]`` is ``Δ⁺ₜV``, None when trigger
+    ``t`` leaves ``V`` provably empty.  Under Def 3.5 ``V`` is empty before
+    the transaction, so ``∪_{t∈matched} Δ⁺ₜV = V`` as a set at any point of
+    it, and the action computes the rows it computes on the full state.
+    """
+
+    __slots__ = ("action", "deltas")
+
+    def __init__(self, action: Program, deltas: Dict[E.Expression, Dict]):
+        self.action = action
+        self.deltas = deltas
+
+    def action_for(self, matched: Iterable) -> Program:
+        """The action reading, for every recognised ``V``, the union of the
+        matched triggers' ``Δ⁺ₜV``.  A ``V`` every matched trigger leaves
+        empty keeps its full-state read (another clause of the condition
+        triggered the action)."""
+        substitutions: Dict[E.Expression, E.Expression] = {}
+        for violations, per_trigger in self.deltas.items():
+            union: Optional[E.Expression] = None
+            for trigger in sorted(matched):
+                piece = per_trigger[trigger]
+                if piece is not None:
+                    union = piece if union is None else E.Union(union, piece)
+            if union is not None:
+                substitutions[violations] = union
+        return Program(
+            (
+                _rewrite_statement(statement, substitutions.get)
+                for statement in self.action
+            ),
+            non_triggering=self.action.non_triggering,
+        )
+
+
+def differential_repair(
+    rule, action: Program, check: Program, db: DatabaseSchema
+) -> Optional[Tuple[Dict[tuple, Program], DeltaRead]]:
+    """The Δ-checks of a compensating rule and its action's :class:`DeltaRead`.
+
+    ``check`` is the translated condition (``trans_c``).  An expression the
+    action reads that normalises to one of its alarm expressions ``V``, or
+    to ``π_items(V)``, is a *recognised read*; the normalisation is one
+    rewrite, ``diff(π_a R, π_b S)`` over plain columns to
+    ``π_a(R ⊳[a = b] S)``, the antijoin form ``calc_to_alg`` emits for
+    ``∀r∈R ∃s∈S r.a = s.b``.  Returns None — the rule keeps its full-state
+    program — when the check does not incrementalize (an aggregate, a
+    residue clause) or the action has no recognised read.
+    """
+    deltas = _alarm_deltas(rule, check)
+    if deltas is None:
+        return None
+    positions = {}
+    for position, alarm in enumerate(check.statements):
+        key = _antijoin_key(alarm.expr, db)
+        if key is not None:
+            positions.setdefault(key, position)
+    read: Dict[E.Expression, Dict[tuple, Optional[E.Expression]]] = {}
+
+    def recognise(expr: E.Expression) -> Optional[E.Expression]:
+        found = _read_key(expr, db)
+        if found is None or found[0] not in positions:
+            return None
+        position = positions[found[0]]
+        violations = check.statements[position].expr
+        read[violations] = {
+            trigger: variants[position] for trigger, variants in deltas.items()
+        }
+        items = found[1]
+        return violations if items is None else E.Project(violations, items)
+
+    template = Program(
+        (_rewrite_statement(statement, recognise) for statement in action),
+        non_triggering=action.non_triggering,
+    )
+    if not read:
+        return None
+    return _delta_programs(check, deltas), DeltaRead(template, read)
+
+
+def _rewrite_statement(statement, visit):
+    expr = getattr(statement, "expr", None)
+    if not isinstance(expr, E.Expression):
+        return statement
+    rewritten = _rewrite(expr, visit)
+    return statement if rewritten is expr else replace(statement, expr=rewritten)
+
+
+def _rewrite(expr: E.Expression, visit) -> E.Expression:
+    """``expr`` with every outermost node ``visit`` maps replaced."""
+    mapped = visit(expr)
+    if mapped is not None:
+        return mapped
+    changed = {}
+    for field in fields(expr):
+        child = getattr(expr, field.name)
+        if isinstance(child, E.Expression):
+            rewritten = _rewrite(child, visit)
+            if rewritten is not child:
+                changed[field.name] = rewritten
+    return replace(expr, **changed) if changed else expr
+
+
+def _base_schema(expr: E.Expression, db: DatabaseSchema):
+    """The schema of a base relation under selections, else None."""
+    while isinstance(expr, E.Select):
+        expr = expr.input
+    if isinstance(expr, E.RelationRef) and expr.name in db:
+        return db.relation(expr.name)
+    return None
+
+
+def _column(item, schema):
+    """The attribute a plain-column projection item reads, else None."""
+    ref = item.expr
+    if not isinstance(ref, P.ColRef) or ref.side not in (None, "left"):
+        return None
+    try:
+        return schema.attribute_at(ref.attr)
+    except UnknownAttributeError:
+        return None
+
+
+def _antijoin_key(expr: E.Expression, db: DatabaseSchema):
+    """``(R, S, {(a, b) …})`` for ``σ…(R ⊳[a = b ∧ …] S)`` over base
+    relations (the selections, which read R's columns, pushed into R), else
+    None."""
+    selections = []
+    while isinstance(expr, E.Select):
+        selections.append(expr.predicate)
+        expr = expr.input
+    if not isinstance(expr, E.AntiJoin):
+        return None
+    left_schema = _base_schema(expr.left, db)
+    right_schema = _base_schema(expr.right, db)
+    if left_schema is None or right_schema is None:
+        return None
+    pairs = set()
+    pending = [expr.predicate]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, P.And):
+            pending += [node.left, node.right]
+            continue
+        if not (
+            isinstance(node, P.Comparison)
+            and node.op == "="
+            and isinstance(node.left, P.ColRef)
+            and isinstance(node.right, P.ColRef)
+            and {node.left.side, node.right.side} == {"left", "right"}
+        ):
+            return None
+        left, right = (
+            (node.left, node.right)
+            if node.left.side == "left"
+            else (node.right, node.left)
+        )
+        try:
+            pairs.add(
+                (
+                    left_schema.attribute_at(left.attr).name,
+                    right_schema.attribute_at(right.attr).name,
+                )
+            )
+        except UnknownAttributeError:
+            return None
+    left = expr.left
+    for predicate in reversed(selections):
+        left = E.Select(left, predicate)
+    return left, expr.right, frozenset(pairs)
+
+
+def _antijoin_form(expr: E.Expression, db: DatabaseSchema) -> E.Expression:
+    """``diff(π_a R, π_b S)`` over plain columns as ``π_a(R ⊳[a = b ∧ …]
+    S)``; any other ``expr`` as it is.
+
+    Both drop an ``r.a`` some ``s.b`` equals, so they are one set where
+    the two equalities agree: the difference matches NULL to NULL and
+    compares values of any type, where ``=`` is three-valued and typed.
+    Each pair therefore needs one side that cannot hold NULL, and equal
+    domains.
+    """
+    if not isinstance(expr, E.Difference):
+        return expr
+    left, right = expr.left, expr.right
+    if not (isinstance(left, E.Project) and isinstance(right, E.Project)):
+        return expr
+    left_schema = _base_schema(left.input, db)
+    right_schema = _base_schema(right.input, db)
+    if left_schema is None or right_schema is None:
+        return expr
+    if len(left.items) != len(right.items):
+        return expr
+    equalities = []
+    for left_item, right_item in zip(left.items, right.items):
+        a = _column(left_item, left_schema)
+        b = _column(right_item, right_schema)
+        if a is None or b is None or a.domain != b.domain:
+            return expr
+        if a.nullable and b.nullable:
+            return expr
+        equalities.append(
+            P.Comparison("=", P.ColRef(a.name, "left"), P.ColRef(b.name, "right"))
+        )
+    return E.Project(
+        E.AntiJoin(left.input, right.input, P.conjoin(*equalities)), left.items
+    )
+
+
+def _read_key(expr: E.Expression, db: DatabaseSchema):
+    """``(antijoin key, projection items or None)`` of an expression that
+    normalises to ``V`` or ``π_items(V)`` for an equi-antijoin ``V``, else
+    None."""
+    expr = _antijoin_form(expr, db)
+    items = None
+    if isinstance(expr, E.Project):
+        expr, items = expr.input, expr.items
+    key = _antijoin_key(expr, db)
+    return None if key is None else (key, items)

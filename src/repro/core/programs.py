@@ -38,12 +38,22 @@ from repro.engine.schema import DatabaseSchema
 class IntegrityProgram:
     """An integrity program ``(t, p)`` (Def 6.3) with differential variants.
 
-    A *deferred* one (view maintenance; non-triggering) is appended once,
+    ``differentials`` maps each trigger to the condition's Δ-checks for it.
+    For an aborting rule they are what is appended; a compensating rule has
+    them only with a ``repair`` (:class:`~repro.core.optimization.DeltaRead`),
+    its action reading those checks' Δ⁺ instead of the full state.  A
+    *deferred* one (view maintenance; non-triggering) is appended once,
     after ModP's fixpoint (:func:`~repro.core.modification.mod_rounds`).
     """
 
     __slots__ = (
-        "name", "triggers", "program", "non_triggering", "differentials", "deferred"
+        "name",
+        "triggers",
+        "program",
+        "non_triggering",
+        "differentials",
+        "repair",
+        "deferred",
     )
 
     def __init__(
@@ -53,6 +63,7 @@ class IntegrityProgram:
         program: Program,
         differentials: Optional[Dict[tuple, Program]] = None,
         deferred: bool = False,
+        repair=None,
     ):
         if deferred and not program.non_triggering:
             raise ValueError(f"deferred program {name!r} must be non-triggering")
@@ -61,28 +72,43 @@ class IntegrityProgram:
         self.program = program
         self.non_triggering = program.non_triggering
         self.differentials = differentials
+        self.repair = repair
         self.deferred = deferred
 
-    def action_for(self, matched: Iterable) -> Program:
-        """The program to append given the matched trigger specs.
-
-        Without differential variants this is the full program (the paper's
-        ``action(K)``).  With variants, the union of the matched triggers'
-        specialized programs is used — deduplicated, and skipping vacuous
-        entries — which is the differential-test optimization of §5.2.1.
-        """
+    def differentials_for(self, matched: Iterable) -> Optional[Program]:
+        """The union of the matched triggers' differential variants (a
+        rule's Δ-checks, a view's maintenance pieces) — deduplicated, and
+        skipping vacuous entries, which is the differential-test
+        optimization of §5.2.1 — or None without variants (or for a
+        trigger they do not cover)."""
         if self.differentials is None:
-            return self.program
+            return None
         pieces: List[Program] = []
         for trigger in sorted(matched):
             piece = self.differentials.get(trigger)
             if piece is None:
-                return self.program  # unexpected trigger: be conservative
+                return None
             if not piece.is_empty and piece not in pieces:
                 pieces.append(piece)
         if not pieces:
             return EMPTY_PROGRAM
         return concat(*pieces)
+
+    def action_for(self, matched: Iterable) -> Program:
+        """The program to append given the matched trigger specs.
+
+        Without differential variants this is the full program (the paper's
+        ``action(K)``).  With them, an aborting rule appends its matched
+        Δ-checks, and a compensating rule its action reading their Δ⁺ —
+        once, however many triggers matched — or nothing when every matched
+        check is vacuous.
+        """
+        checks = self.differentials_for(matched)
+        if checks is None:
+            return self.program
+        if self.repair is None or checks.is_empty:
+            return checks
+        return self.repair.action_for(matched)
 
     def __repr__(self) -> str:
         from repro.core.triggers import format_trigger_set
@@ -103,21 +129,35 @@ def get_int_p(
     """GetIntP (Alg 6.1): compile one rule into an integrity program.
 
     ``GetIntP(J) = (triggers(J), TransR(OptR(J)))`` — with the differential
-    specialization bolted on when requested.
+    specialization bolted on when requested: an aborting rule's per-trigger
+    Δ-checks, or a compensating rule's
+    :func:`~repro.core.optimization.differential_repair`.
     """
-    from repro.core.optimization import differential_programs, opt_r
-    from repro.core.translation import trans_r
+    from repro.algebra.optimizer import optimize_program
+    from repro.core.optimization import (
+        differential_programs,
+        differential_repair,
+        opt_r,
+    )
+    from repro.core.translation import trans_c, trans_r
 
     optimized_rule = opt_r(rule) if optimize else rule
     program = trans_r(optimized_rule, db)
     if optimize:
-        from repro.algebra.optimizer import optimize_program
-
         program = optimize_program(program)
-    differentials = None
+    differentials = repair = None
     if differential and rule.is_aborting:
         differentials = differential_programs(optimized_rule, program)
-    return IntegrityProgram(rule.name, rule.triggers, program, differentials)
+    elif differential:
+        check = trans_c(optimized_rule.condition, db, name=rule.name)
+        if optimize:
+            check = optimize_program(check)
+        found = differential_repair(optimized_rule, program, check, db)
+        if found is not None:
+            differentials, repair = found
+    return IntegrityProgram(
+        rule.name, rule.triggers, program, differentials, repair=repair
+    )
 
 
 class IntegrityProgramStore:

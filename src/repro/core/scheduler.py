@@ -96,8 +96,9 @@ WAL_CONSUMER = "audit-scheduler"
 class RuleAuditTask:
     """One independent, side-effect-free audit unit: a rule and a delta.
 
-    ``program`` is the rule's matched differential program, or None for the
-    full-check fallback (compensating rules, non-incrementalizable shapes).
+    ``program`` is the rule's matched Δ-checks, or None for the full-check
+    fallback (non-incrementalizable shapes, compensating rules whose action
+    keeps its full-state read).
     Each :meth:`run` builds a fresh
     :class:`~repro.engine.session.DeltaView`, so concurrent tasks share no
     mutable state beyond the (frozen) differentials and the base relations.

@@ -382,9 +382,10 @@ class IntegrityController:
     def _rule_audit_task(self, rule, performed, database, differentials):
         """The :class:`~repro.core.scheduler.RuleAuditTask` auditing
         ``rule`` against a delta with ``performed`` triggers: None when its
-        triggers miss them or the matched differential program is vacuous,
-        that program when it is auditable, else the full check (no
-        program; compensating rules, non-incrementalizable shapes).
+        triggers miss them or every matched Δ-check is vacuous, the matched
+        Δ-checks where the rule has them (an aborting rule's appended
+        program, a compensating rule's condition checks), else the full
+        check (no program; non-incrementalizable shapes).
 
         The one per-rule disposition: :meth:`audit_tasks` calls it on the
         coordinator and :func:`~repro.core.procpool.run_rule_audit` in a
@@ -395,16 +396,9 @@ class IntegrityController:
         matched = triggers & performed
         if not matched:
             return None
-        program = None
-        if stored is not None and stored.differentials is not None:
-            program = stored.action_for(matched)
+        program = stored.differentials_for(matched) if stored is not None else None
         if program is not None and program.is_empty:
             return None  # vacuous for these update types
-        if program is not None and not all(
-            isinstance(statement, AUDITABLE_STATEMENTS)
-            for statement in program.statements
-        ):
-            program = None
         return RuleAuditTask(self, rule, program, database, differentials)
 
     def audit_scheduler(self, database: Database, **options):

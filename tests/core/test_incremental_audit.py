@@ -100,6 +100,46 @@ class TestIncrementalAudit:
             "fk_ref_comp"
         ]
 
+    def test_a_repair_rule_audits_by_its_conditions_delta_checks(self):
+        # Beer R2's action reads its condition's Δ⁺, so its audit runs the
+        # same per-trigger alarms: the orphan insert's sample is the full
+        # check's, and a trigger whose check is vacuous makes no task.
+        from repro.engine.session import DatabaseView
+        from repro.workloads.beer import (
+            BEER_RULE_REFERENTIAL,
+            beer_database,
+            beer_schema,
+        )
+
+        controller = IntegrityController(beer_schema())
+        controller.add_rule(
+            BEER_RULE_REFERENTIAL.replace(
+                "WHEN INS(beer), DEL(brewery)",
+                "WHEN INS(beer), DEL(brewery), INS(brewery)",
+            )
+        )
+        rule = controller.rule("R2")
+        db = beer_database()
+        orphan = _run_unmodified(
+            db, 'begin insert(beer, ("x", "ale", "nowhere", 5.0)); end'
+        )
+        (task,) = controller.audit_tasks(db, orphan)
+        assert task.kind == "delta"
+        full = controller._program_outcome(
+            controller._audit_program(rule), DatabaseView(db)
+        )
+        assert task.run() == full == (True, (("x", "ale", "nowhere", 5.0),))
+        db = beer_database()
+        present = _run_unmodified(
+            db, 'begin insert(beer, ("y", "ale", "brewery_1", 5.0)); end'
+        )
+        (task,) = controller.audit_tasks(db, present)
+        assert task.kind == "delta" and task.run() == (False, ())
+        brewery = _run_unmodified(
+            db, 'begin insert(brewery, ("new", "x", "y")); end'
+        )
+        assert controller.audit_tasks(db, brewery) == []
+
     def test_conjunctive_fallback_rule_incrementalizes(self, schema, db):
         # A top-level conjunction translates to a CheckConstraint fallback;
         # its compiled form decomposes into two planned conjuncts, which the

@@ -280,13 +280,18 @@ class TestPlannedEnforcement:
         assert beer.built_index((2,)) is not None
 
     def test_install_indexes_covers_a_repair_that_projects_foreign_keys(self):
-        """The paper's R2 repair is a difference of two projections: both
-        read an index's distinct keys, so both are hinted — and priced by
-        the relation they would otherwise scan."""
+        """The paper's R2 repair is a difference of two projections.  On the
+        full state both read an index's distinct keys, so both are hinted —
+        and priced by the relation they would otherwise scan.  Under
+        ``differential=True`` the hire reads the Δ⁺ of the condition's
+        violations, ``π(emp@plus ⊳ dept)``: no projection reads keys, and
+        ``emp(dept_id)`` (the Δ-read of ``DEL(dept)``) stays declared."""
         from repro.workloads.employees import employees_database, employees_schema
 
-        def controller_and_database():
-            controller = IntegrityController(employees_schema())
+        def controller_and_database(differential):
+            controller = IntegrityController(
+                employees_schema(), differential=differential
+            )
             controller.add_rule(
                 """
                 RULE emp_dept_repair
@@ -298,26 +303,34 @@ class TestPlannedEnforcement:
             )
             return controller, employees_database(employees=50, departments=5)
 
-        controller, database = controller_and_database()
-        assert controller.install_indexes(database) == [
-            ("dept", ("id",)),
-            ("emp", ("dept_id",)),
-        ]
-        emp, dept = database.relation("emp"), database.relation("dept")
-        assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
-        session = Session(database, controller)
-        # A commit the repair does not check (an insert into dept) files
-        # into no index: both are only declared.
-        assert session.execute('begin insert(dept, (41, "d", "c")); end').committed
-        assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
-        assert emp.indexes.get((2,)).buckets == {} == dept.indexes.get((0,)).buckets
-        hired = session.execute('begin insert(emp, (900, "new", 42, 3000, 2)); end')
-        assert hired.committed
-        assert (42, "unassigned") in {row[:2] for row in dept}
-        # The repair's two projections built both indexes, then read their
-        # keys; the hire's own department is a key of the overlay it read.
-        assert emp.built_index((2,)).usage.by_kind == {"project": 6}
-        assert dept.built_index((0,)).usage.by_kind == {"project": 6}
+        for differential in (False, True):
+            controller, database = controller_and_database(differential)
+            assert controller.install_indexes(database) == [
+                ("dept", ("id",)),
+                ("emp", ("dept_id",)),
+            ]
+            emp, dept = database.relation("emp"), database.relation("dept")
+            assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
+            session = Session(database, controller)
+            # A commit the repair does not check (an insert into dept) files
+            # into no index: both are only declared.
+            assert session.execute('begin insert(dept, (41, "d", "c")); end').committed
+            assert emp.built_index((2,)) is None and dept.built_index((0,)) is None
+            assert emp.indexes.get((2,)).buckets == {} == dept.indexes.get((0,)).buckets
+            hired = session.execute('begin insert(emp, (900, "new", 42, 3000, 2)); end')
+            assert hired.committed
+            assert (42, "unassigned") in {row[:2] for row in dept}
+            if differential:
+                # The Δ-read probed the hire against dept's index (built
+                # for it) and read no projection's keys.
+                assert emp.built_index((2,)) is None
+                assert dept.built_index((0,)).usage.by_kind == {"build": 6}
+            else:
+                # The repair's two projections built both indexes, then
+                # read their keys; the hire's own department is a key of
+                # the overlay it read.
+                assert emp.built_index((2,)).usage.by_kind == {"project": 6}
+                assert dept.built_index((0,)).usage.by_kind == {"project": 6}
 
     def test_install_indexes_maps_pre_state_hints_to_the_base(self):
         from repro.engine import Database, DatabaseSchema, RelationSchema
@@ -350,3 +363,152 @@ class TestPlannedEnforcement:
         # The pre-state build side was the base's index, built by that check.
         assert database.relation("emp").built_index((0,)) is not None
         assert session.execute("begin insert(emp, (5, 2, 51)); end").aborted
+
+
+class TestDifferentialRepair:
+    """A compensating action whose read is its condition's violations reads
+    their Δ⁺ under ``differential=True``: R2's ``diff(π_brewery(beer),
+    π_name(brewery))`` becomes ``π_brewery(beer@plus ⊳ brewery)`` on an
+    insert into beer."""
+
+    REPAIR = """
+    RULE emp_dept_repair
+    IF NOT (forall e)(e in emp => (exists d)(d in dept and e.dept_id = d.id))
+    THEN missing := diff(project(emp, [dept_id]), project(dept, [id]));
+         insert(dept, project(missing, [dept_id as id, "x" as name, null as city]))
+    """
+
+    @classmethod
+    def _run(cls, database, text, differential):
+        from repro.workloads.employees import employees_schema
+
+        controller = IntegrityController(
+            employees_schema(), differential=differential
+        )
+        controller.add_rule(cls.REPAIR)
+        result = Session(database, controller).execute(text)
+        return result, controller
+
+    def test_several_matched_triggers_run_the_action_once(self):
+        from repro.algebra.statements import Assign
+        from repro.workloads.employees import employees_database
+
+        # An orphan hire and the deletion of a department still referenced.
+        text = (
+            'begin insert(emp, (900, "new", 42, 3000, 2)); '
+            'delete(dept, {(1, "dept_1", "city_1")}); end'
+        )
+        states = []
+        for differential in (True, False):
+            database = employees_database(employees=50, departments=5)
+            assert any(row[2] == 1 for row in database.relation("emp"))
+            result, controller = self._run(database, text, differential)
+            assert result.committed
+            modified = controller.modify_transaction(
+                Session(database).transaction(text)
+            )
+            assigns = [s for s in modified.statements if isinstance(s, Assign)]
+            assert len(assigns) == 1
+            reads = assigns[0].expr.relations()
+            assert ("emp@plus" in reads and "dept@minus" in reads) == differential
+            states.append(
+                {name: database.relation(name).to_set() for name in ("emp", "dept")}
+            )
+            departments = {row[:2] for row in database.relation("dept")}
+            assert {(42, "x"), (1, "x")} <= departments
+        assert states[0] == states[1]
+
+    def test_a_violation_older_than_the_rule_is_repaired_only_on_the_full_state(
+        self,
+    ):
+        # Def 3.5, the premise aborting rules' Δ-checks share: the state a
+        # transaction starts from satisfies the rule.  An orphan loaded
+        # before the rule existed breaks it, so the Δ-read never sees it.
+        from repro.workloads.employees import employees_database
+
+        hire = 'begin insert(emp, (900, "new", 0, 3000, 2)); end'
+        repaired = {}
+        for differential in (True, False):
+            database = employees_database(employees=50, departments=5)
+            database.load("emp", [(901, "orphan", 77, 3000, 2)])
+            result, _ = self._run(database, hire, differential)
+            assert result.committed
+            repaired[differential] = 77 in {row[0] for row in database.relation("dept")}
+        assert repaired == {True: False, False: True}
+
+    def test_a_bag_database_repairs_no_key_that_is_present(self):
+        # The bag difference counts: re-inserting a beer whose brewery is
+        # present left π(beer) one ``newco`` ahead of π(brewery), and the
+        # full-state read added a third ``newco`` row where the condition
+        # holds.  The Δ-read finds no violation; differential=False keeps
+        # the bag difference.
+        from repro.engine import Database
+        from repro.workloads.beer import beer_controller, beer_schema
+
+        counts = {}
+        for differential in (True, False):
+            database = Database(beer_schema(), bag=True)
+            database.load("brewery", [("heineken", "amsterdam", "nl")])
+            session = Session(database, beer_controller(differential=differential))
+            assert session.execute(
+                'begin insert(beer, ("a", "ale", "newco", 5.0)); '
+                'insert(beer, ("b", "ale", "newco", 5.0)); end'
+            ).committed
+            newco = lambda: [
+                row[0] for row in database.relation("brewery").sorted_rows()
+            ].count("newco")
+            assert newco() == 2
+            assert session.execute(
+                'begin insert(beer, ("a", "ale", "newco", 5.0)); end'
+            ).committed
+            counts[differential] = newco()
+        assert counts == {True: 2, False: 3}
+
+    def test_a_vacuous_trigger_appends_nothing(self):
+        # DEL(beer) cannot violate R2: its Δ-check is vacuous, so the
+        # action is not appended; on the full state it still runs.
+        from repro.algebra.parser import parse_transaction
+        from repro.workloads.beer import BEER_RULE_REFERENTIAL, beer_schema
+
+        transaction = parse_transaction(
+            'begin delete(beer, {("a", "b", "c", 1.0)}); end'
+        )
+        appended = {}
+        for differential in (True, False):
+            controller = IntegrityController(
+                beer_schema(), differential=differential
+            )
+            controller.add_rule(
+                BEER_RULE_REFERENTIAL.replace("DEL(brewery)", "DEL(brewery), DEL(beer)")
+            )
+            modified = controller.modify_transaction(transaction)
+            appended[differential] = len(modified.statements) - 1
+        assert appended == {True: 0, False: 2}
+
+    def test_what_keeps_the_full_state_action(self):
+        from repro.workloads.employees import employees_schema
+
+        def stored(condition, action, differential=True):
+            controller = IntegrityController(
+                employees_schema(), differential=differential
+            )
+            controller.add_constraint("repair", condition, response=action)
+            return controller.store.get("repair")
+
+        fk = "(forall e in emp)(exists d in dept)(e.dept_id = d.id)"
+        repair = (
+            "missing := diff(project(emp, [dept_id]), project(dept, [id])); "
+            'insert(dept, project(missing, [dept_id as id, "x" as name, null as city]))'
+        )
+        assert stored(fk, repair).repair is not None
+        # differential=False, an aggregate clause, a read that is not the
+        # condition's violations (another column pair), a bare action.
+        for condition, action, differential in (
+            (fk, repair, False),
+            (f"{fk} and CNT(emp) <= 1000", repair, True),
+            (fk, repair.replace("[dept_id]", "[grade]"), True),
+            (fk, "delete(emp, select(emp, salary < 0))", True),
+        ):
+            program = stored(condition, action, differential)
+            assert program.repair is None and program.differentials is None
+            assert program.action_for(program.triggers) is program.program

@@ -348,3 +348,37 @@ class TestAppendedAlarms:
         )
         assert result.statements_executed == len(rows) + 5
         assert constructions["Relation"] == 1
+
+
+class TestRepairReadsDelta:
+    """R2's repair reads the Δ⁺ of its condition's violations, so a one-row
+    insert into ``beer`` costs the same calls at 1,000 and 16,000 beers,
+    and no projection reads an index's keys."""
+
+    @staticmethod
+    def calls(beers: int) -> int:
+        from repro.workloads.beer import beer_controller, beer_database
+
+        # Plans compiled against this database's own schema objects (see
+        # the ``star`` fixture).
+        planner.clear_plan_cache()
+        database = beer_database(beers=beers, breweries=8)
+        controller = beer_controller(database.schema)
+        installed = controller.install_indexes(database)
+        assert installed == [("beer", ("brewery",)), ("brewery", ("name",))]
+        session = Session(database, controller)
+        insert = 'begin insert(beer, ("{}", "ale", "brewery_3", 5.0)); end'
+        assert session.execute(insert.format("warm")).committed
+        results = []
+        python_calls, _ = profiled(
+            lambda: results.append(session.execute(insert.format("hire")))
+        )
+        assert results[0].committed
+        for name, attrs in installed:
+            relation = database.relation(name)
+            positions = [relation.schema.position_of(attr) - 1 for attr in attrs]
+            assert "project" not in relation.indexes.get(positions).usage.by_kind
+        return len(python_calls)
+
+    def test_a_one_row_insert_costs_the_same_calls_at_any_size(self):
+        assert self.calls(1_000) == self.calls(16_000)

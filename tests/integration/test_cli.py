@@ -95,12 +95,15 @@ class TestTransactions:
         assert "rules: R1" in output
 
     def test_explain_names_the_indexes_a_full_state_rule_has_declares_and_lacks(self):
+        # R2's repair with an aggregate clause in its condition: the
+        # aggregate has no Δ-check, so the action keeps its full-state read.
         stdout = io.StringIO()
         shell = Shell(stdin=io.StringIO(), stdout=stdout, interactive=False)
         explain = 'explain begin insert(beer, ("new", "ale", "ghost", 5.0)); end'
         for line in BEER_SETUP.splitlines() + [
-            "rule RULE R2 IF NOT (forall x in beer)(exists y in brewery)"
-            "(x.brewery = y.name) THEN temp := diff(project(beer, [brewery]), "
+            "rule RULE R2 IF NOT ((forall x in beer)(exists y in brewery)"
+            "(x.brewery = y.name) and CNT(beer) <= 1000) "
+            "THEN temp := diff(project(beer, [brewery]), "
             "project(brewery, [name])); insert(brewery, project(temp, "
             "[brewery as name, null, null]))",
             explain,
@@ -141,11 +144,15 @@ class TestTransactions:
             "[brewery as name, null, null]))\n"
             'begin insert(beer, ("new", "ale", "ghost", 5.0)); end\n'
             "query brewery\n"
+            'explain begin insert(beer, ("old", "ale", "ghost", 5.0)); end\n'
             "exit\n"
         )
         output = run_shell(script)
         assert "registered R2 (compensating)" in output
         assert "('ghost', NULL, NULL)" in output
+        # The repair reads the Δ⁺ of its condition's violations.
+        assert "temp := project(antijoin(beer@plus, brewery" in output
+        assert "checked on the full state" not in output
 
 
 class TestChecksAndAudit:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.calculus import ast as C
 from repro.engine import Database, DatabaseSchema, Relation, RelationSchema
-from repro.engine.types import INT
+from repro.engine.types import INT, NULL
 
 VALUES = st.integers(min_value=0, max_value=5)
 ROWS_R = st.lists(st.tuples(VALUES, VALUES), max_size=8)
@@ -306,8 +306,9 @@ def algebra_queries(draw):
 # -- transactions --------------------------------------------------------------
 
 @st.composite
-def transactions(draw):
-    """A random multi-update transaction over the r/s schema."""
+def transactions(draw, row=st.tuples(VALUES, VALUES)):
+    """A random multi-update transaction over the r/s schema, inserting
+    and deleting ``row``-drawn tuples."""
     from repro.algebra import expressions as E
     from repro.algebra import predicates as P
     from repro.algebra import statements as S
@@ -319,10 +320,10 @@ def transactions(draw):
         relation = draw(st.sampled_from(["r", "s"]))
         kind = draw(st.integers(min_value=0, max_value=2))
         if kind == 0:
-            rows = draw(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=3))
+            rows = draw(st.lists(row, min_size=1, max_size=3))
             statements.append(S.Insert(relation, E.Literal(tuple(rows))))
         elif kind == 1:
-            rows = draw(st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=3))
+            rows = draw(st.lists(row, min_size=1, max_size=3))
             statements.append(S.Delete(relation, E.Literal(tuple(rows))))
         else:
             position = draw(st.integers(min_value=1, max_value=2))
@@ -343,3 +344,134 @@ def denial_constraints():
     return st.one_of(
         domain_constraints(), referential_constraints(), exclusion_constraints()
     )
+
+
+# -- compensating rules of the paper's R2 shape ----------------------------------
+
+#: The second column of each relation may hold NULL.
+NULLABLE = st.one_of(VALUES, st.just(NULL))
+NULLABLE_ROW = st.tuples(VALUES, NULLABLE)
+
+
+def nullable_rs_schema() -> DatabaseSchema:
+    return DatabaseSchema(
+        [
+            RelationSchema("r", [("a", INT), ("b", INT, True)]),
+            RelationSchema("s", [("c", INT), ("d", INT, True)]),
+        ]
+    )
+
+
+@st.composite
+def repair_cases(draw):
+    """``(database, rule, transaction, recognised)``: a set-mode database
+    over :func:`nullable_rs_schema` satisfying an R2-shaped compensating
+    rule, a transaction, and whether the action's read is its condition's
+    violations.
+
+    The rule is ``IF NOT ∀x∈r ∃y∈s (x.A₁ = y.B₁ ∧ …) THEN temp := READ;
+    insert(s, π(temp))``, the insert filling the columns other than the
+    ``B``s with 0.  ``READ`` is ``diff(π_A r, π_B s)`` (recognised unless
+    a pair is ``(b, d)``, both nullable), the violations ``π_A(r ⊳ s)`` as
+    written, or ``diff(π_A r, π_B σ(s))``, which reads something else.
+    """
+    from repro.algebra import expressions as E
+    from repro.algebra import predicates as P
+    from repro.algebra import statements as S
+    from repro.algebra.programs import Program
+    from repro.core.rules import IntegrityRule
+
+    pairs = draw(
+        st.sampled_from(
+            [
+                (("a", "c"),),
+                (("a", "d"),),
+                (("b", "c"),),
+                (("b", "d"),),
+                (("a", "c"), ("b", "d")),
+                (("a", "d"), ("b", "c")),
+            ]
+        )
+    )
+    condition = C.forall_in(
+        "x",
+        "r",
+        C.exists_in(
+            "y",
+            "s",
+            _conjoin(
+                C.Compare("=", C.AttrSel("x", a), C.AttrSel("y", b))
+                for a, b in pairs
+            ),
+        ),
+    )
+    r_items = tuple(E.ProjectItem(P.ColRef(a)) for a, _ in pairs)
+    s_items = tuple(E.ProjectItem(P.ColRef(b)) for _, b in pairs)
+    read = draw(st.sampled_from(["diff", "antijoin", "other"]))
+    if read == "diff":
+        expression = E.Difference(
+            E.Project(E.RelationRef("r"), r_items),
+            E.Project(E.RelationRef("s"), s_items),
+        )
+    elif read == "antijoin":
+        predicate = P.conjoin(
+            *(
+                P.Comparison("=", P.ColRef(a, "left"), P.ColRef(b, "right"))
+                for a, b in pairs
+            )
+        )
+        expression = E.Project(
+            E.AntiJoin(E.RelationRef("r"), E.RelationRef("s"), predicate), r_items
+        )
+    else:
+        expression = E.Difference(
+            E.Project(E.RelationRef("r"), r_items),
+            E.Project(
+                E.Select(
+                    E.RelationRef("s"),
+                    P.Comparison(">=", P.ColRef("c"), P.Const(draw(VALUES))),
+                ),
+                s_items,
+            ),
+        )
+    targets = {b: position for position, (_, b) in enumerate(pairs, start=1)}
+    fill = tuple(
+        E.ProjectItem(P.ColRef(targets[column]) if column in targets else P.Const(0))
+        for column in ("c", "d")
+    )
+    action = Program(
+        [
+            S.Assign("temp", expression),
+            S.Insert("s", E.Project(E.RelationRef("temp"), fill)),
+        ]
+    )
+    rule = IntegrityRule(condition, action=action, name="repair")
+
+    # Every r row copies the paired columns of an s row holding no NULL
+    # there, so the condition holds before the transaction.
+    database = Database(nullable_rs_schema())
+    s_rows = draw(st.lists(NULLABLE_ROW, max_size=6))
+    database.load("s", s_rows)
+    position = {"a": 0, "b": 1, "c": 0, "d": 1}
+    witnesses = [
+        row for row in s_rows if all(row[position[b]] is not NULL for _, b in pairs)
+    ]
+    r_rows = []
+    if witnesses:
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            row = list(draw(NULLABLE_ROW))
+            witness = draw(st.sampled_from(witnesses))
+            for a, b in pairs:
+                row[position[a]] = witness[position[b]]
+            r_rows.append(tuple(row))
+    database.load("r", r_rows)
+    recognised = read == "antijoin" or (read == "diff" and ("b", "d") not in pairs)
+    return database, rule, draw(transactions(row=NULLABLE_ROW)), recognised
+
+
+def _conjoin(parts) -> C.Formula:
+    parts = list(parts)
+    result = parts[0]
+    for part in parts[1:]:
+        result = C.And(result, part)
+    return result

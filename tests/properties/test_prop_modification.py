@@ -109,46 +109,69 @@ def _example_database(rows_r, rows_s) -> Database:
     return database
 
 
-@given(
-    db=strat.databases(),
-    constraint=st.one_of(
-        strat.abortable_constraints(),
-        strat.boolean_combinations(),
-        strat.boolean_combinations(strat.denial_constraints()),
-    ),
-    txn=strat.transactions(),
-)
+@st.composite
+def _aborting_cases(draw):
+    constraint = draw(
+        st.one_of(
+            strat.abortable_constraints(),
+            strat.boolean_combinations(),
+            strat.boolean_combinations(strat.denial_constraints()),
+        )
+    )
+    rule = IntegrityRule(constraint, name="rule_0")
+    return draw(strat.databases()), rule, draw(strat.transactions()), None
+
+
+@given(case=st.one_of(_aborting_cases(), strat.repair_cases()))
 # Two clauses, and the insert violates only the second one's Δ-check.
 @example(
-    db=_example_database([(1, 1)], [(1, 0)]),
-    constraint=parse_constraint(
-        "(forall x in r)(x.a >= 0) and "
-        "(forall x in r)((exists y in s)(x.a = y.c))"
-    ),
-    txn=parse_transaction("begin insert(r, (2, 2)); end"),
+    case=(
+        _example_database([(1, 1)], [(1, 0)]),
+        IntegrityRule(
+            parse_constraint(
+                "(forall x in r)(x.a >= 0) and "
+                "(forall x in r)((exists y in s)(x.a = y.c))"
+            ),
+            name="rule_0",
+        ),
+        parse_transaction("begin insert(r, (2, 2)); end"),
+        None,
+    )
 )
-@settings(max_examples=200, deadline=None)
-def test_differential_and_full_enforcement_agree(db, constraint, txn):
+@settings(max_examples=300, deadline=None)
+def test_differential_and_full_enforcement_agree(case):
     """Soundness of §5.2.1: differential checks give the same verdict as
     full-state checks, given a consistent pre-state (Def 3.5).  Boolean
     combinations compile to one alarm per CNF clause, each with its own
-    per-trigger Δ-programs."""
-    constraints = [constraint]
-    assume(consistent(db, constraints))
-
+    per-trigger Δ-programs.  An R2-shaped compensating rule's action reads
+    the Δ⁺ of its condition's violations where its read is them
+    (``recognised``), keeps its full-state read otherwise, and reaches the
+    same final state either way."""
     import copy
 
-    db_full = copy.deepcopy(db)
-    db_diff = copy.deepcopy(db)
-    full = Session(db_full, build_controller(db_full, constraints, differential=False))
-    diff = Session(db_diff, build_controller(db_diff, constraints, differential=True))
+    from repro.core.subsystem import IntegrityController
 
-    verdict_full = full.execute(txn).committed
-    verdict_diff = diff.execute(txn).committed
-    assert verdict_full == verdict_diff
-    if verdict_full:
-        for name in db_full.relation_names:
-            assert db_full.relation(name).to_set() == db_diff.relation(name).to_set()
+    db, rule, txn, recognised = case
+    assume(consistent(db, [rule.condition]))
+    outcomes = []
+    for differential in (False, True):
+        database = copy.deepcopy(db)
+        controller = IntegrityController(database.schema, differential=differential)
+        controller.add_rule(rule)
+        if recognised is not None and differential:
+            assert (controller.store.get(rule.name).repair is not None) == recognised
+        committed = Session(database, controller).execute(txn).committed
+        outcomes.append(
+            (
+                committed,
+                committed
+                and {
+                    name: database.relation(name).to_set()
+                    for name in database.relation_names
+                },
+            )
+        )
+    assert outcomes[0] == outcomes[1]
 
 
 @given(db=strat.databases(), constraint=strat.abortable_constraints())

@@ -72,18 +72,20 @@ class TestEmployeesWorkload:
             "emp_payroll_cap",
             "emp_dept_repair",
         }
-        # The transition rule runs on emp@plus; what is left is the
-        # compensating action (never specialised) and the aggregate (no
-        # delta rule: the relation's maintained sum makes it cheap instead).
-        assert stats.full_state_rule_names == ("emp_payroll_cap", "emp_dept_repair")
+        # The transition rule runs on emp@plus and the repair reads
+        # π(emp@plus ⊳ dept); what is left is the aggregate (no delta rule:
+        # the relation's maintained sum makes it cheap instead).
+        assert stats.full_state_rule_names == ("emp_payroll_cap",)
 
         full = employees_controller(differential=False)
+        full.add_rule(self.REPAIR)
         Session(employees_database(), full).execute(raise_)
         assert full.last_stats.full_state_rule_names == (
             "emp_dept_fk",
             "emp_salary_domain",
             "emp_salary_monotone",
             "emp_payroll_cap",
+            "emp_dept_repair",
         )
 
 
