@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks import report
 from repro.algebra.parser import parse_transaction
+from repro.algebra.statements import Guard
 from repro.engine import Session
 from repro.workloads.beer import (
     EXAMPLE_51_TRANSACTION,
@@ -27,7 +28,11 @@ def test_modification_only(benchmark):
     controller = beer_controller()
     transaction = parse_transaction(EXAMPLE_51_TRANSACTION)
     modified = benchmark(lambda: controller.modify_transaction(transaction))
-    assert len(modified.statements) == 4
+    # The insert, R1's domain alarm, and R2's two-statement repair inside
+    # the guard of its Δ-check.
+    assert len(modified.statements) == 3
+    guard = modified.statements[-1]
+    assert isinstance(guard, Guard) and len(guard.body) == 2
 
 
 @pytest.mark.benchmark(group="example51")

@@ -3,7 +3,8 @@
 The extended relational algebra extends the standard algebra with statements
 for the operational specification of actions against a database: assignment,
 insert, delete, and update statements, plus the ``alarm`` statement the paper
-adds for aborting integrity programs (Def 5.1).
+adds for aborting integrity programs (Def 5.1); a ``guard`` block runs a
+compensating action only where its Δ-checks find a violation.
 
 This package provides:
 
@@ -59,6 +60,7 @@ from repro.algebra.statements import (
     Alarm,
     Assign,
     Delete,
+    Guard,
     Insert,
     Update,
 )
@@ -101,6 +103,7 @@ __all__ = [
     "Difference",
     "EMPTY_PROGRAM",
     "FalsePred",
+    "Guard",
     "Insert",
     "Intersection",
     "IsNull",

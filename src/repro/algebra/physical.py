@@ -228,7 +228,9 @@ def _projected_keys(source: Relation, positions: Optional[tuple]):
     return list(map(_itemgetter(*map(index.positions.index, positions)), keys))
 
 
-def _hash_buckets(relation: Relation, bound_keys: tuple, need_rows: bool):
+def _hash_buckets(
+    relation: Relation, bound_keys: tuple, need_rows: bool, probes: int
+):
     """The build side of a hash join/semijoin: key -> distinct rows.
 
     Reuses a pre-built persistent index when the key columns carry one; a
@@ -236,6 +238,9 @@ def _hash_buckets(relation: Relation, bound_keys: tuple, need_rows: bool):
     pass this function would otherwise do ephemerally, and it persists);
     otherwise one hashing pass over the distinct rows.  With
     ``need_rows=False`` a bare key set is enough (semijoin membership).
+    An index use is recorded as a ``"build"`` use of ``probes`` keys: the
+    bucket look-ups the probe side will make, one per distinct row or
+    index key it holds — not the index's size.
 
     The index of a transaction overlay or a pinned snapshot hands out a
     ``_DeltaBuckets`` view that corrects each bucket as it is asked for —
@@ -247,7 +252,7 @@ def _hash_buckets(relation: Relation, bound_keys: tuple, need_rows: bool):
     if positions is not None:
         index = relation.amortized_index(positions)
         if index is not None:
-            index.touch("build")
+            index.touch("build", probes)
             return index.buckets
     if not need_rows:
         return {key_fn(row) for row in relation.rows()}
@@ -662,23 +667,39 @@ class AggregateOp(PhysicalOperator):
         self.child = child
         self.func = func
         self.attr = attr
+        self._bound = BoundedTable(32)
 
     def children(self) -> tuple:
         return (self.child,)
 
+    def _bind(self, schema: RelationSchema) -> tuple:
+        """``(0-based position of the attribute, output schema)``."""
+        bound = self._bound.get(schema)
+        if bound is None:
+            position = schema.position_of(self.attr) - 1
+            name = f"{self.func.lower()}_{schema.attributes[position].name}"
+            bound = (
+                position,
+                RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)]),
+            )
+            self._bound.file(schema, bound)
+        return bound
+
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        position = source.schema.position_of(self.attr) - 1
+        position, schema = self._bind(source.schema)
         # The relation answers: from a state it maintains under its own
         # mutations (and an overlay from its base's state ⊕ Δ) when it
         # can, from its rows otherwise.
         value = source.aggregate(self.func, position)
-        name = f"{self.func.lower()}_{source.schema.attributes[position].name}"
-        schema = RelationSchema("aggregate", [Attribute(name, ANY, nullable=True)])
         return Relation(schema, [(value,)], _validated=True)
 
     def describe(self) -> str:
         return f"aggregate({self.func}, {self.attr})"
+
+
+_COUNT_SCHEMA = RelationSchema("count", [Attribute("cnt", INT)])
+_MULTIPLICITY_SCHEMA = RelationSchema("multiplicity", [Attribute("mlt", INT)])
 
 
 class CountOp(PhysicalOperator):
@@ -694,8 +715,7 @@ class CountOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        schema = RelationSchema("count", [Attribute("cnt", INT)])
-        return Relation(schema, [(len(source),)], _validated=True)
+        return Relation(_COUNT_SCHEMA, [(len(source),)], _validated=True)
 
 
 class MultiplicityOp(PhysicalOperator):
@@ -711,8 +731,9 @@ class MultiplicityOp(PhysicalOperator):
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        schema = RelationSchema("multiplicity", [Attribute("mlt", INT)])
-        return Relation(schema, [(source.distinct_count(),)], _validated=True)
+        return Relation(
+            _MULTIPLICITY_SCHEMA, [(source.distinct_count(),)], _validated=True
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +953,10 @@ class HashJoinOp(_HashKeyedOp):
         left_key, positions, right_bound, residual = self._bind(
             left.schema, right.schema
         )
-        buckets = _hash_buckets(right, right_bound, need_rows=True)
         lrows, lcounts = left.rows_and_counts()
+        buckets = _hash_buckets(
+            right, right_bound, need_rows=True, probes=len(lrows)
+        )
         if isinstance(buckets, _DeltaBuckets):
             buckets = buckets.probe(set(map(left_key, lrows)))
         get_bucket = buckets.get
@@ -1081,7 +1104,9 @@ class HashSemiJoinOp(_HashKeyedOp):
         )
         src_rows = left._rows
         if residual is not None:
-            buckets = _hash_buckets(right, right_bound, need_rows=True)
+            buckets = _hash_buckets(
+                right, right_bound, need_rows=True, probes=len(src_rows)
+            )
             if isinstance(buckets, _DeltaBuckets):
                 buckets = buckets.probe(set(map(left_key, src_rows)))
             get_bucket = buckets.get
@@ -1097,18 +1122,25 @@ class HashSemiJoinOp(_HashKeyedOp):
                 for lrow, key in zip(src_rows, map(left_key, src_rows))
             ]
         else:
-            right_keys = _hash_buckets(right, right_bound, need_rows=False)
             # A declared left index is built here: without it the probe is
             # one key computation + membership test per distinct left row.
             left_index = (
                 None if positions is None else left.amortized_index(positions)
             )
-            if left_index is not None:
+            if left_index is None:
+                right_keys = _hash_buckets(
+                    right, right_bound, need_rows=False, probes=len(src_rows)
+                )
+            else:
                 # Distinct-key probing: one membership test per key, whole
                 # buckets emitted.  This is what makes repeated referential
                 # checks over a large indexed relation near-instant.
-                left_index.touch("probe")
                 left_buckets = left_index.buckets
+                probes = len(left_buckets)
+                left_index.touch("probe", probes)
+                right_keys = _hash_buckets(
+                    right, right_bound, need_rows=False, probes=probes
+                )
                 if isinstance(right_keys, _DeltaBuckets):
                     right_keys = right_keys.probe(set(left_buckets))
                 rows = [

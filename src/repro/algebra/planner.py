@@ -511,9 +511,20 @@ def explain(expression: E.Expression) -> str:
 
 
 def statement_expressions(statement) -> Iterator[E.Expression]:
-    """The relation-valued expressions a statement will evaluate."""
+    """The relation-valued expressions a statement will evaluate, as it
+    evaluates them: an assignment's value renamed to its temporary, and a
+    guard's checks followed by its body's expressions."""
+    from repro.algebra import statements as S
+
+    if isinstance(statement, S.Guard):
+        yield from statement.checks
+        for inner in statement.body:
+            yield from statement_expressions(inner)
+        return
     expr = getattr(statement, "expr", None)
-    if isinstance(expr, E.Expression):
+    if isinstance(statement, S.Assign):
+        yield E.Rename(expr, statement.name)
+    elif isinstance(expr, E.Expression):
         yield expr
 
 

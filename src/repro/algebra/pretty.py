@@ -5,7 +5,9 @@ Two styles are provided:
 * :func:`render_expression` / :func:`render_statement` /
   :func:`render_program` produce the parseable functional notation of
   :mod:`repro.algebra.parser` (round-trip property: parsing the rendering
-  yields a structurally equal AST);
+  yields a structurally equal AST) — for every statement a user writes;
+  the two only transaction modification emits, a repair's guard and a
+  residue check, render in the same style but do not parse;
 * :func:`render_mathy` produces the paper's blackboard notation
   (``σ``, ``π``, ``⋈``, ``⋉``, ``⊳``, ``−``, ``∪``) used when regenerating
   Table 1 for side-by-side comparison with the paper.
@@ -167,7 +169,24 @@ def render_statement(statement: S.Statement) -> str:
         if statement.message:
             return f"abort {_render_value(statement.message)}"
         return "abort"
+    if isinstance(statement, S.Guard):
+        return _render_guard(statement, render_expression, render_statement)
+    from repro.core.translation import CheckConstraint
+
+    if isinstance(statement, CheckConstraint):
+        from repro.calculus.pretty import render_constraint
+
+        arguments = [render_constraint(statement.formula)]
+        if statement.message:
+            arguments.append(_render_value(statement.message))
+        return f"check({', '.join(arguments)})"
     raise TypeError(f"cannot render statement {statement!r}")
+
+
+def _render_guard(guard: S.Guard, expression, statement) -> str:
+    checks = ", ".join(map(expression, guard.checks))
+    body = "; ".join(map(statement, guard.body))
+    return f"guard({checks}) {{ {body} }}"
 
 
 def render_program(program: Program, indent: str = "") -> str:
@@ -285,4 +304,6 @@ def render_mathy_statement(statement: S.Statement) -> str:
         return f"delete({statement.relation}, {render_mathy(statement.expr)})"
     if isinstance(statement, S.Abort):
         return "abort"
+    if isinstance(statement, S.Guard):
+        return _render_guard(statement, render_mathy, render_mathy_statement)
     return render_statement(statement)

@@ -1,11 +1,19 @@
 """Statements of the extended relational algebra (paper Def 2.4, Def 5.1).
 
 Statements are what makes the algebra *extended*: they specify actions
-against the database rather than values.  The statement set is exactly the
+against the database rather than values.  The statement set is the
 paper's: assignment, insert, delete, update — plus the ``alarm`` statement
 (Def 5.1) that aborts the enclosing transaction when its argument is
 non-empty, and the unconditional ``abort`` used by aborting violation
 response actions ("THEN abort" in RL).
+
+One statement is added: the ``guard``, which runs a block only when one of
+its expressions is non-empty.  It is how a compensating rule ``IF NOT C THEN
+action`` is enforced under the differential scheme: under Def 3.5, C can
+fail after a transaction only if one of the rule's matched Δ-checks is
+non-empty, so the action is guarded by them and a transaction that
+leaves C holding pays for the checks alone
+(:meth:`~repro.core.programs.IntegrityProgram.action_for`).
 
 Every statement implements:
 
@@ -184,6 +192,39 @@ class Alarm(Statement):
 
     def relations_read(self) -> set:
         return self.expr.relations()
+
+
+@dataclass(frozen=True)
+class Guard(Statement):
+    """``guard(E1, ..., Ek) { S1; ...; Sn }`` — run the body when some Ei is
+    non-empty.
+
+    Each check's plan is asked only whether its result is empty
+    (:meth:`~repro.algebra.physical.PhysicalOperator.execute_nonempty`, as
+    an alarm is), in order, and the first non-empty one runs the body.  Its
+    update types are the body's: the block *may* perform them.
+    """
+
+    checks: Tuple[Expression, ...]
+    body: Tuple[Statement, ...]
+
+    def execute(self, context) -> None:
+        for check in self.checks:
+            if context_plan(check, context).execute_nonempty(context) is not None:
+                for statement in self.body:
+                    statement.execute(context)
+                return
+
+    def update_triggers(self) -> frozenset:
+        return statement_update_triggers(self.body)
+
+    def relations_read(self) -> set:
+        read: set = set()
+        for check in self.checks:
+            read |= check.relations()
+        for statement in self.body:
+            read |= statement.relations_read()
+        return read
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algebra.programs import EMPTY_PROGRAM, Program, concat
+from repro.algebra.statements import Guard
 from repro.bounded import BoundedTable
 from repro.core.modification import ModificationStats, StaticSelector, mod_rounds
 from repro.core.triggers import TriggerSet
@@ -41,7 +42,8 @@ class IntegrityProgram:
     ``differentials`` maps each trigger to the condition's Δ-checks for it.
     For an aborting rule they are what is appended; a compensating rule has
     them only with a ``repair`` (:class:`~repro.core.optimization.DeltaRead`),
-    its action reading those checks' Δ⁺ instead of the full state.  A
+    its action reading those checks' Δ⁺ instead of the full state, and
+    guarded by them (:class:`~repro.algebra.statements.Guard`).  A
     *deferred* one (view maintenance; non-triggering) is appended once,
     after ModP's fixpoint (:func:`~repro.core.modification.mod_rounds`).
     """
@@ -100,15 +102,33 @@ class IntegrityProgram:
         Without differential variants this is the full program (the paper's
         ``action(K)``).  With them, an aborting rule appends its matched
         Δ-checks, and a compensating rule its action reading their Δ⁺ —
-        once, however many triggers matched — or nothing when every matched
-        check is vacuous.
+        once, however many triggers matched, guarded by those checks — or
+        nothing when every matched check is vacuous.  The rule reads ``IF
+        NOT C THEN action``, and under Def 3.5 C fails only where a matched
+        Δ-check is non-empty, so the action runs exactly where it is owed.
         """
         checks = self.differentials_for(matched)
         if checks is None:
             return self.program
         if self.repair is None or checks.is_empty:
             return checks
-        return self.repair.action_for(matched)
+        action = self.repair.action_for(matched)
+        guard = Guard(
+            tuple(dict.fromkeys(alarm.expr for alarm in checks)),
+            action.statements,
+        )
+        return Program((guard,), non_triggering=action.non_triggering)
+
+    def stored_pieces(self) -> Iterator[Program]:
+        """Every program this one stores or appends for a single trigger:
+        the full program, each trigger's differential variant and, for a
+        repair, each trigger's guarded action — what definition time
+        compiles plans and advises indexes for."""
+        yield self.program
+        yield from (self.differentials or {}).values()
+        if self.repair is not None:
+            for trigger in self.triggers:
+                yield self.action_for((trigger,))
 
     def __repr__(self) -> str:
         from repro.core.triggers import format_trigger_set

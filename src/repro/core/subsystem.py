@@ -137,9 +137,9 @@ class IntegrityController:
         # Section 6.2 taken one layer further: rules compile not just to
         # algebra programs but to physical plans, once, at definition time.
         # The structural plan cache makes this shared with every later
-        # enforcement of the same expressions.
-        planner.precompile_program(integrity_program.program)
-        for piece in (integrity_program.differentials or {}).values():
+        # enforcement of the same expressions — a guarded repair's body too,
+        # though it runs only in the transactions that violate its condition.
+        for piece in integrity_program.stored_pieces():
             planner.precompile_program(piece)
         return rule
 
@@ -434,8 +434,8 @@ class IntegrityController:
         """Declare the hash indexes the compiled plans would probe.
 
         Walks every stored integrity program (full and differential
-        variants), collects the planner's index hints, and *declares* the
-        corresponding hash indexes on ``database``.  Returns the
+        variants, guarded repairs), collects the planner's index hints, and
+        *declares* the corresponding hash indexes on ``database``.  Returns the
         ``(relation, attrs)`` pairs declared.  Nothing is built here: a
         declared index costs a commit nothing, and the first plan that
         would otherwise pass over the whole relation builds it (see
@@ -448,9 +448,7 @@ class IntegrityController:
         """
         hints: set = set()
         for integrity_program in self.store:
-            pieces = [integrity_program.program]
-            pieces.extend((integrity_program.differentials or {}).values())
-            for piece in pieces:
+            for piece in integrity_program.stored_pieces():
                 for statement in piece:
                     for expression in planner.statement_expressions(statement):
                         hints.update(planner.index_hints(expression))

@@ -1135,7 +1135,7 @@ class SnapshotIndex(OverlayIndex):
             lambda: OverlayIndex.lookup(self, key), lambda local: local.lookup(key)
         )
 
-    def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
+    def touch(self, kind: str, keys: int) -> None:
         # Usage evidence still flows to the base ledger (plain counter
         # bumps; a lost racing increment is harmless).
         try:

@@ -86,9 +86,10 @@ class IndexUsage:
     Every consuming operator execution records one *use* together with the
     exact number of keys it probed or served, broken down by kind
     (``"lookup"`` — an equality-selection bucket probe; ``"probe"`` — a
-    semijoin/antijoin probing per distinct key; ``"build"`` — a join build
-    side consuming the buckets wholesale; ``"project"`` — a projection onto
-    the indexed columns reading the distinct keys).  It is observability
+    semijoin/antijoin probing per distinct key; ``"build"`` — a join or
+    semijoin build side, one key per bucket look-up its probe side makes;
+    ``"project"`` — a projection onto the indexed columns reading the
+    distinct keys).  It is observability
     only: whether an index stays built is decided by
     :attr:`HashIndex.unread`, not by its uses.
     """
@@ -232,14 +233,10 @@ class HashIndex:
         bucket = self.buckets.get(key)
         return tuple(bucket) if bucket else ()
 
-    def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
-        """Record a bulk use (an operator consuming ``buckets`` wholesale).
-
-        ``keys`` is the exact number of keys the consumer probed or served;
-        it defaults to the full distinct-key count, which is what wholesale
-        consumption amounts to.
-        """
-        self.usage.record(kind, len(self.buckets) if keys is None else keys)
+    def touch(self, kind: str, keys: int) -> None:
+        """Record a bulk use: an operator reading ``buckets`` directly,
+        ``keys`` the exact number of keys it probed or served."""
+        self.usage.record(kind, keys)
 
     def keys(self) -> KeysView:
         """The distinct keys, as a sized, set-like collection in bucket order.

@@ -473,7 +473,7 @@ class OverlayIndex:
             rows += tuple(row for row in plus_bucket if row not in base_rows)
         return rows
 
-    def touch(self, kind: str = "bulk", keys: Optional[int] = None) -> None:
+    def touch(self, kind: str, keys: int) -> None:
         self.base_index.touch(kind, keys)
 
     def keys(self):

@@ -83,6 +83,46 @@ class TestRoundTrips:
         assert render_transaction(parse_transaction("begin end")) == "begin\nend"
 
 
+def _statement_classes(cls) -> set:
+    """The program's subclasses of ``cls`` (test doubles left out)."""
+    found = set()
+    for subclass in cls.__subclasses__():
+        if subclass.__module__.startswith("repro."):
+            found.add(subclass)
+        found |= _statement_classes(subclass)
+    return found
+
+
+class TestEveryStatementRenders:
+    """Each statement class renders both ways — a modified transaction holds
+    any of them, and ``explain`` prints it.  A class without a sample here
+    fails the test until one is added."""
+
+    def test_both_renderers_render_every_statement_class(self):
+        from repro.algebra.statements import Guard, Statement
+        from repro.calculus.parser import parse_constraint
+        from repro.core.translation import CheckConstraint
+
+        parsed = [parse_statement(text) for text in STATEMENTS]
+        guard = Guard(
+            (parse_expression("select(r, a < 0)"), parse_expression("s")),
+            (parse_statement("t := project(r, [a])"), parse_statement("abort")),
+        )
+        residue = CheckConstraint(parse_constraint("(forall x in r)(x.a > 0)"), "rule")
+        samples = parsed + [guard, residue]
+        assert {type(sample) for sample in samples} == _statement_classes(Statement)
+        for statement in samples:
+            assert render_statement(statement)
+            assert render_mathy_statement(statement)
+        assert render_statement(guard) == (
+            "guard(select(r, a < 0), s) { t := project(r, [a]); abort }"
+        )
+        assert render_mathy_statement(guard) == (
+            "guard(σ[a<0](r), s) { t := π[a](r); abort }"
+        )
+        assert render_statement(residue) == 'check((forall x in r)(x.a > 0), "rule")'
+
+
 class TestMathyNotation:
     def test_select_uses_sigma(self):
         expr = parse_expression("select(beer, alcohol < 0)")

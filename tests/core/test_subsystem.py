@@ -321,10 +321,11 @@ class TestPlannedEnforcement:
             assert hired.committed
             assert (42, "unassigned") in {row[:2] for row in dept}
             if differential:
-                # The Δ-read probed the hire against dept's index (built
-                # for it) and read no projection's keys.
+                # The guard's Δ-check, then the body's Δ-read, probed the
+                # one hire against dept's index (built for it): one key
+                # each.  No projection read keys.
                 assert emp.built_index((2,)) is None
-                assert dept.built_index((0,)).usage.by_kind == {"build": 6}
+                assert dept.built_index((0,)).usage.by_kind == {"build": 2}
             else:
                 # The repair's two projections built both indexes, then
                 # read their keys; the hire's own department is a key of
@@ -390,7 +391,7 @@ class TestDifferentialRepair:
         return result, controller
 
     def test_several_matched_triggers_run_the_action_once(self):
-        from repro.algebra.statements import Assign
+        from repro.algebra.statements import Assign, Guard
         from repro.workloads.employees import employees_database
 
         # An orphan hire and the deletion of a department still referenced.
@@ -407,16 +408,53 @@ class TestDifferentialRepair:
             modified = controller.modify_transaction(
                 Session(database).transaction(text)
             )
-            assigns = [s for s in modified.statements if isinstance(s, Assign)]
+            guards = [s for s in modified.statements if isinstance(s, Guard)]
+            assert len(guards) == int(differential)
+            statements = guards[0].body if differential else modified.statements
+            assigns = [s for s in statements if isinstance(s, Assign)]
             assert len(assigns) == 1
             reads = assigns[0].expr.relations()
             assert ("emp@plus" in reads and "dept@minus" in reads) == differential
+            if differential:
+                # Guarded by both matched triggers' Δ-checks.
+                checked = set().union(*(c.relations() for c in guards[0].checks))
+                assert {"emp@plus", "dept@minus"} <= checked
             states.append(
                 {name: database.relation(name).to_set() for name in ("emp", "dept")}
             )
             departments = {row[:2] for row in database.relation("dept")}
             assert {(42, "x"), (1, "x")} <= departments
         assert states[0] == states[1]
+
+    @pytest.mark.parametrize(
+        "department, runs", [(2, 0), (42, 1)], ids=["existing", "orphan"]
+    )
+    def test_the_action_runs_only_when_a_delta_check_fires(
+        self, monkeypatch, department, runs
+    ):
+        # A hire into an existing department leaves the condition holding:
+        # the guard's Δ-check is empty, so no body statement executes and
+        # no dept overlay is opened.  An orphan hire runs the body once.
+        from repro.algebra.statements import Assign
+        from repro.workloads.employees import employees_database
+
+        executed = []
+        original = Assign.execute
+        monkeypatch.setattr(
+            Assign,
+            "execute",
+            lambda statement, context: (
+                executed.append(statement),
+                original(statement, context),
+            ),
+        )
+        database = employees_database(employees=50, departments=5)
+        text = f'begin insert(emp, (900, "new", {department}, 3000, 2)); end'
+        result, _ = self._run(database, text, differential=True)
+        assert result.committed
+        assert len(executed) == runs
+        assert ("dept" in result.differentials) == bool(runs)
+        assert department in {row[0] for row in database.relation("dept")}
 
     def test_a_violation_older_than_the_rule_is_repaired_only_on_the_full_state(
         self,

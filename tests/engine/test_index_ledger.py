@@ -39,7 +39,7 @@ class TestLedger:
     def test_bulk_touch_records_exact_key_volume(self):
         index = HashIndex((0,))
         index.build([(k, 0) for k in range(7)])
-        index.touch("build")
+        index.touch("build", keys=7)
         assert index.usage.uses == 1
         assert index.usage.keys == 7
         index.touch("probe", keys=3)
@@ -69,10 +69,28 @@ class TestAdvisorEvidence:
         get_plan(expr).execute(view)
         fk_index = db.relation("fk").built_index((1,))
         pk_index = db.relation("pk").built_index((0,))
-        # The probe side probed per distinct fk.ref key; the build side was
-        # consumed wholesale at its distinct-key volume.
+        # The probe side probed per distinct fk.ref key, and the build side
+        # was asked for one bucket per such key.
         assert fk_index.usage.by_kind == {"probe": 10}
         assert pk_index.usage.by_kind == {"build": 10}
+
+    def test_build_side_records_the_probe_sides_rows_not_its_own_keys(self, db):
+        # One left row asks the build side for one bucket, however many
+        # keys the build side's index holds.
+        db.load("pk", [(k,) for k in range(10, 100)])
+        db.create_index("pk", ["key"])
+        expr = E.AntiJoin(
+            E.Select(
+                E.RelationRef("fk"),
+                P.Comparison("=", P.ColRef("id"), P.Const(7)),
+            ),
+            E.RelationRef("pk"),
+            P.Comparison("=", P.ColRef("ref", "left"), P.ColRef("key", "right")),
+        )
+        assert len(get_plan(expr).execute(DatabaseView(db))) == 0
+        pk_index = db.relation("pk").built_index((0,))
+        assert len(pk_index.buckets) == 100
+        assert pk_index.usage.by_kind == {"build": 1}
 
 
 class TestProjectionEvidence:

@@ -194,7 +194,7 @@ class TestOverlayIndex:
         index = overlay.built_index((0,))
         before = database.relation("r").built_index((0,)).usage.uses
         index.lookup(3)
-        index.touch("probe")
+        index.touch("probe", 1)
         assert database.relation("r").built_index((0,)).usage.uses == before + 2
 
 

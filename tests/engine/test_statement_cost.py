@@ -382,3 +382,25 @@ class TestRepairReadsDelta:
 
     def test_a_one_row_insert_costs_the_same_calls_at_any_size(self):
         assert self.calls(1_000) == self.calls(16_000)
+
+    def test_a_consistent_insert_runs_no_projection(self, monkeypatch):
+        # The action is guarded by its Δ-check: an insert whose brewery
+        # exists leaves the check empty, so neither of the action's two
+        # projections runs.  A beer of a missing brewery runs both.
+        from repro.workloads.beer import beer_controller, beer_database
+
+        database = beer_database(beers=100, breweries=8)
+        session = Session(database, beer_controller(database.schema))
+        projections = []
+        execute = physical.ProjectOp.execute
+        monkeypatch.setattr(
+            physical.ProjectOp,
+            "execute",
+            lambda op, context: projections.append(op) or execute(op, context),
+        )
+        insert = 'begin insert(beer, ("{}", "ale", "{}", 5.0)); end'
+        assert session.execute(insert.format("kept", "brewery_3")).committed
+        assert projections == []
+        assert session.execute(insert.format("orphan", "ghost")).committed
+        assert len(projections) == 2
+        assert ("ghost",) in {row[:1] for row in database.relation("brewery")}

@@ -150,8 +150,12 @@ class TestTransactions:
         output = run_shell(script)
         assert "registered R2 (compensating)" in output
         assert "('ghost', NULL, NULL)" in output
-        # The repair reads the Δ⁺ of its condition's violations.
-        assert "temp := project(antijoin(beer@plus, brewery" in output
+        # The repair reads the Δ⁺ of its condition's violations, guarded by
+        # the Δ-check of the same violations.
+        assert (
+            "guard(antijoin(beer@plus, brewery, left.brewery = right.name)) "
+            "{ temp := project(antijoin(beer@plus, brewery" in output
+        )
         assert "checked on the full state" not in output
 
 

@@ -121,3 +121,5 @@ class TestExecution:
         )
         # The differential domain check touches only the inserted tuples.
         assert "alarm(select(beer@plus, alcohol < 0)" in rendered
+        # R2's repair runs under a guard of its matched Δ-checks.
+        assert "guard(antijoin(beer@plus, brewery" in rendered

@@ -362,6 +362,11 @@ def nullable_rs_schema() -> DatabaseSchema:
     )
 
 
+#: The row an action that also writes unconditionally inserts into ``s``,
+#: outside :data:`VALUES` so that nothing else writes it.
+UNCONDITIONAL_ROW = (100, 0)
+
+
 @st.composite
 def repair_cases(draw):
     """``(database, rule, transaction, recognised)``: a set-mode database
@@ -374,6 +379,8 @@ def repair_cases(draw):
     ``B``s with 0.  ``READ`` is ``diff(π_A r, π_B s)`` (recognised unless
     a pair is ``(b, d)``, both nullable), the violations ``π_A(r ⊳ s)`` as
     written, or ``diff(π_A r, π_B σ(s))``, which reads something else.
+    Half the actions end with ``insert(s, UNCONDITIONAL_ROW)``: a write
+    that is not a no-op where the condition holds.
     """
     from repro.algebra import expressions as E
     from repro.algebra import predicates as P
@@ -439,12 +446,13 @@ def repair_cases(draw):
         E.ProjectItem(P.ColRef(targets[column]) if column in targets else P.Const(0))
         for column in ("c", "d")
     )
-    action = Program(
-        [
-            S.Assign("temp", expression),
-            S.Insert("s", E.Project(E.RelationRef("temp"), fill)),
-        ]
-    )
+    statements = [
+        S.Assign("temp", expression),
+        S.Insert("s", E.Project(E.RelationRef("temp"), fill)),
+    ]
+    if draw(st.booleans()):
+        statements.append(S.Insert("s", E.Literal((UNCONDITIONAL_ROW,))))
+    action = Program(statements)
     rule = IntegrityRule(condition, action=action, name="repair")
 
     # Every r row copies the paired columns of an s row holding no NULL

@@ -104,3 +104,52 @@ def test_aggregate_equals_recomputation(rows, ops, bag):
             _check(pin.relation("t"), pinned_rows)
     for pin, _ in pins:
         pin.release()
+
+
+@given(
+    first=ROWS,
+    second=ROWS,
+    func=st.sampled_from(FUNCS),
+    names=st.lists(
+        st.sampled_from(["k", "v", "p", "q"]), min_size=2, max_size=2, unique=True
+    ),
+    bag=st.booleans(),
+)
+@_SETTINGS
+def test_one_plan_over_two_schemas_answers_for_each(first, second, func, names, bag):
+    """An aggregate's, a count's and a multiplicity's plan outputs one
+    schema per input schema: the same plan, run over two relations named
+    ``x`` with different attribute names, answers for each — the value of
+    its rows, under an attribute named after its own second column."""
+    from repro.algebra import expressions as E
+    from repro.algebra.planner import get_plan
+    from repro.engine.session import DatabaseView
+
+    expressions = (
+        E.Aggregate(E.RelationRef("x"), func, 2),
+        E.Count(E.RelationRef("x")),
+        E.Multiplicity(E.RelationRef("x")),
+    )
+    plans = [get_plan(expression) for expression in expressions]
+    for rows, attrs in ((first, ("k", "v")), (second, tuple(names))):
+        database = Database(
+            DatabaseSchema(
+                [RelationSchema("x", [(attrs[0], INT), (attrs[1], FLOAT, True)])]
+            ),
+            bag=bag,
+        )
+        database.load("x", rows)
+        relation = database.relation("x")
+        view = DatabaseView(database)
+        for _ in range(2):
+            aggregate, count, multiplicity = (
+                plan.execute(view) for plan in plans
+            )
+            assert aggregate.schema.attribute_names == (
+                f"{func.lower()}_{attrs[1]}",
+            )
+            assert list(aggregate) == [(_scan(func, list(relation), 1),)]
+            assert count.schema.attribute_names == ("cnt",)
+            assert list(count) == [(len(relation),)]
+            assert multiplicity.schema.attribute_names == ("mlt",)
+            assert list(multiplicity) == [(relation.distinct_count(),)]

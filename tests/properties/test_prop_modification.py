@@ -146,9 +146,16 @@ def test_differential_and_full_enforcement_agree(case):
     per-trigger Δ-programs.  An R2-shaped compensating rule's action reads
     the Δ⁺ of its condition's violations where its read is them
     (``recognised``), keeps its full-state read otherwise, and reaches the
-    same final state either way."""
+    same final state either way.
+
+    A recognised action runs guarded by its matched Δ-checks, so one that
+    also writes unconditionally is skipped exactly when none fires: when
+    the transaction itself leaves the condition's check program (the
+    alarms the Δ-checks derive from) empty.  The full-state action runs on
+    every matched trigger."""
     import copy
 
+    from repro.calculus.planned import evaluate_constraint_planned
     from repro.core.subsystem import IntegrityController
 
     db, rule, txn, recognised = case
@@ -171,7 +178,36 @@ def test_differential_and_full_enforcement_agree(case):
                 },
             )
         )
-    assert outcomes[0] == outcomes[1]
+    unconditional = strat.UNCONDITIONAL_ROW
+    if not (recognised and unconditional in _literal_rows(rule.action_program())):
+        assert outcomes[0] == outcomes[1]
+        return
+    raw = copy.deepcopy(db)
+    committed = Session(raw).execute(txn).committed
+    fired = committed and not evaluate_constraint_planned(
+        rule.condition, DatabaseView(raw)
+    )
+    if fired:
+        # (The repair may abort, inserting a NULL into ``s.c``.)
+        assert outcomes[0] == outcomes[1]
+        assert not outcomes[1][0] or unconditional in outcomes[1][1]["s"]
+    else:
+        assert outcomes[1] == (
+            committed,
+            committed
+            and {name: raw.relation(name).to_set() for name in raw.relation_names},
+        )
+
+
+def _literal_rows(program) -> set:
+    from repro.algebra import expressions as E
+
+    return {
+        row
+        for statement in program
+        if isinstance(getattr(statement, "expr", None), E.Literal)
+        for row in statement.expr.rows
+    }
 
 
 @given(db=strat.databases(), constraint=strat.abortable_constraints())

@@ -89,3 +89,33 @@ def test_double_negation_invariance(constraint):
     assert generate_triggers(C.Not(C.Not(constraint))) == generate_triggers(
         constraint
     )
+
+
+@given(
+    db=strat.databases(),
+    checks=st.lists(st.sampled_from(["r", "s", "r@plus"]), min_size=1, max_size=2),
+    body=st.lists(single_update_statements(), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_guard_performs_its_bodys_update_types_or_nothing(db, checks, body):
+    """A guard may perform exactly its body's update types (GetTrigS), so
+    ModP selects for a guarded action what it selects for the action.  Run,
+    it performs the body when one check is non-empty, and nothing else."""
+    import copy
+
+    guard = S.Guard(tuple(E.RelationRef(name) for name in checks), tuple(body))
+    assert guard.update_triggers() == S.statement_update_triggers(body)
+    assert guard.relations_read() >= set(checks)
+
+    fires = any(name != "r@plus" and len(db.relation(name)) for name in checks)
+    expected = copy.deepcopy(db)
+    if fires:
+        assert Session(expected).execute(bracket(Program(body))).committed
+    result = Session(db).execute(bracket(Program([guard])))
+    assert result.committed
+    for name in ("r", "s"):
+        assert db.relation(name).to_set() == expected.relation(name).to_set()
+    written = {name for name, (plus, minus) in result.differentials.items()}
+    assert written <= {relation for _, relation in guard.update_triggers()}
+    if not fires:
+        assert not written
