@@ -30,10 +30,10 @@ single writer keeps committing.  Three dimensions:
   vs unpinned, informational.  What is left over 1.0x is the bracket and
   the built-index check.
 * **Pinned projection onto the indexed column** — ``project(big, [b])``
-  (997 keys of 101k rows) through a fresh pin under the same long-lived
-  pin, vs unpinned; informational.  Both read the index's distinct keys;
-  the pinned one corrects them by the undo delta in one seqlock bracket
-  instead of materializing the snapshot.
+  (997 rows out of 101k) through a fresh pin under the same long-lived
+  pin, vs unpinned; informational.  A projection reads rows, whatever
+  indexes its source carries, so both sides scan 101k rows; a fresh pin's
+  undo is empty, and it reads the live rows inside one seqlock bracket.
 
 Numbers are emitted as ``benchmarks/bench_mvcc.json`` for the CI gate
 (``python -m benchmarks.report --strict``) and build artifact.
@@ -310,7 +310,7 @@ def test_epoch_snapshots_and_pinned_readers(benchmark):
     )
     report.record(
         EXPERIMENT,
-        f"pinned index-only projection ({results['projection_rows']} keys, "
+        f"pinned projection ({results['projection_rows']} rows, "
         f"{results['point_retained']} entries retained) vs live",
         f"{payload['projection_read']['ratio']:.2f}x "
         f"({results['pinned_projection_seconds'] * 1e6:.0f} vs "

@@ -27,13 +27,6 @@ against 100k rows under three built hash indexes, inserts and deletes
 alternating so the state stays put.  Both sides share one database and are
 timed in interleaved rounds, the ratio taken between the two minima (floor
 1.5x; what is left on the kernel side is the index bucket work itself).
-
-A third gated pair prices the index-only projection against the scan
-kernel: ``project(R, [key])`` over 100k rows with 1k distinct keys, on the
-base relation and inside a transaction holding a 10-row delta (where the
-scan side first materializes the overlay).  The scan side is the same plan
-over an unindexed twin relation; interleaved rounds, ratio of the minima,
-floor 10x each (the answer is 1k keys instead of 100k rows).
 """
 
 from __future__ import annotations
@@ -47,8 +40,6 @@ import pytest
 
 from benchmarks import report
 from repro.algebra import expressions as E
-from repro.algebra import planner
-from repro.algebra import predicates as P
 from repro.algebra import statements as S
 from repro.algebra.programs import Program, bracket
 from repro.engine import (
@@ -58,7 +49,6 @@ from repro.engine import (
     RelationSchema,
     TransactionManager,
 )
-from repro.engine.session import DatabaseView
 from repro.engine.transaction import TransactionContext
 from repro.engine.types import INT
 from tests.engine.reference_write_path import ReferenceContext
@@ -76,13 +66,6 @@ BULK_TRANSACTIONS = 20  # per round and side: 10 inserts, 10 deletes
 BULK_SPEEDUP_FLOOR = 1.5
 BULK_VARIANT = (
     f"bulk kernel vs per-row replay, {BULK_ROWS} rows, 3 indexes@{GATED_SIZE}"
-)
-PROJECTION_KEYS = 1_000
-PROJECTION_ROUNDS = 5
-PROJECTION_SCANS = 3  # scan-side executions per round; the index side runs 10x
-PROJECTION_FLOOR = 10.0
-PROJECTION_VARIANT = (
-    "index-only vs scan projection, 1k keys, {source}" + f"@{GATED_SIZE}"
 )
 JSON_PATH = Path(__file__).resolve().parent / "bench_transaction.json"
 
@@ -159,58 +142,6 @@ def _bulk_write_path() -> tuple:
     return tuple(best)
 
 
-def _projection_paths() -> dict:
-    """Seconds per ``project(R, [key])``, ``{source: (scan, index-only)}``.
-
-    ``keyed`` carries a built index on ``key``; ``twin`` holds the same rows
-    without one, so the same plan shape runs the scan kernel over it.
-    """
-    attributes = [("id", INT), ("key", INT)]
-    database = Database(
-        DatabaseSchema(
-            [RelationSchema("keyed", attributes), RelationSchema("twin", attributes)]
-        )
-    )
-    for name in ("keyed", "twin"):
-        database.load(name, [(i, i % PROJECTION_KEYS) for i in range(GATED_SIZE)])
-    database.create_index("keyed", ["key"])
-    plans = {
-        name: planner.get_plan(
-            E.Project(E.RelationRef(name), (E.ProjectItem(P.ColRef("key")),))
-        )
-        for name in ("twin", "keyed")
-    }
-    fresh = itertools.count(GATED_SIZE, DELTA_SIZE)
-
-    def on_base(name: str) -> int:
-        return len(plans[name].execute(DatabaseView(database)))
-
-    def on_overlay(name: str) -> int:
-        # A new transaction each time: the overlay caches its merged rows.
-        context = TransactionContext(database)
-        start = next(fresh)
-        context.insert_rows(
-            name, [(start + j, PROJECTION_KEYS + j) for j in range(DELTA_SIZE // 2)]
-        )
-        context.delete_rows(
-            name, [(j, j % PROJECTION_KEYS) for j in range(DELTA_SIZE // 2)]
-        )
-        return len(plans[name].execute(context)) - DELTA_SIZE // 2
-
-    best = {}
-    for _ in range(PROJECTION_ROUNDS):
-        for source, run in (("base", on_base), ("10-row-delta overlay", on_overlay)):
-            for side, name in enumerate(("twin", "keyed")):
-                rounds = PROJECTION_SCANS * (10 if side else 1)
-                started = time.perf_counter()
-                for _ in range(rounds):
-                    assert run(name) == PROJECTION_KEYS
-                seconds = (time.perf_counter() - started) / rounds
-                pair = best.setdefault(source, [float("inf"), float("inf")])
-                pair[side] = min(pair[side], seconds)
-    return {source: tuple(pair) for source, pair in best.items()}
-
-
 def _per_txn(fn, rounds: int) -> float:
     started = time.perf_counter()
     for _ in range(rounds):
@@ -280,13 +211,11 @@ def test_transaction_write_path_speedup(benchmark):
             lambda: manager.execute(aborting), OVERLAY_ROUNDS
         )
         results["bulk"] = _bulk_write_path()
-        results["projection"] = _projection_paths()
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     abort_seconds = results.pop("abort")
     per_row, bulk = results.pop("bulk")
-    projections = results.pop("projection")
     payload = {
         "experiment": EXPERIMENT,
         "delta_size": DELTA_SIZE,
@@ -340,28 +269,7 @@ def test_transaction_write_path_speedup(benchmark):
         f"{per_row / bulk:.2f}x",
         f"{1.0 / bulk:,.0f}",
     )
-    for source, (scan, keys) in projections.items():
-        payload["variants"][PROJECTION_VARIANT.format(source=source)] = {
-            "scan_seconds": scan,
-            "index_only_seconds": keys,
-            "speedup": scan / keys,
-            "floor": PROJECTION_FLOOR,
-        }
-        report.record(
-            EXPERIMENT,
-            f"project onto {PROJECTION_KEYS:,} keys, {source}: scan vs index-only",
-            f"{GATED_SIZE:,}",
-            f"{scan * 1000:.3f}",
-            f"{keys * 1000:.4f}",
-            f"{scan / keys:.0f}x",
-            f"{1.0 / keys:,.0f}",
-        )
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    for source, (scan, keys) in projections.items():
-        assert scan / keys >= PROJECTION_FLOOR, (
-            f"index-only projection only {scan / keys:.1f}x the scan kernel on "
-            f"the {source} at n={GATED_SIZE}, below the {PROJECTION_FLOOR}x floor"
-        )
     assert min(gated) >= SPEEDUP_FLOOR, (
         f"transaction write-path speedup {min(gated):.1f}x at n={GATED_SIZE} "
         f"below the {SPEEDUP_FLOOR}x floor"

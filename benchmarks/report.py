@@ -227,8 +227,8 @@ def _artifact_rows(name: str, data: dict) -> List[list]:
         rows.append(
             [
                 name,
-                f"pinned index-only projection vs live "
-                f"({projection.get('rows')} keys)",
+                f"pinned projection vs live "
+                f"({projection.get('rows')} rows)",
                 projection.get("ratio"),
                 None,
             ]

@@ -22,7 +22,7 @@ rather than by nested loops.  This is what makes the Section 7 workload
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union as TypingUnion
 
 from repro.algebra import predicates as P
@@ -46,6 +46,19 @@ class Expression:
         found: set = set()
         _collect_relations(self, found)
         return found
+
+
+def rewrite_children(expr: Expression, rewrite) -> Expression:
+    """``expr`` over ``rewrite(child)`` for each child expression — ``expr``
+    itself when no child changed."""
+    changes = {}
+    for entry in fields(expr):
+        value = getattr(expr, entry.name)
+        if isinstance(value, Expression):
+            replacement = rewrite(value)
+            if replacement is not value:
+                changes[entry.name] = replacement
+    return replace(expr, **changes) if changes else expr
 
 
 def _fresh_schema(name: str, attributes) -> RelationSchema:

@@ -15,11 +15,7 @@ operators
   join/semijoin/antijoin reuses a pre-built index instead of re-hashing, and
   a semijoin/antijoin whose *probe* side is indexed is evaluated per
   **distinct key** rather than per row (the referential-integrity fast
-  path), and a set-mode projection onto exactly the columns of a built
-  index reads that index's **distinct keys** and never the rows
-  (:func:`_projected_keys` — on base relations, transaction overlays and
-  pinned snapshots alike, decided when the plan runs, from what its source
-  resolved to);
+  path);
 * execute set operations directly on the underlying row-count dictionaries.
 
 Every operator speaks one protocol, ``execute(context) -> Relation``, and
@@ -175,57 +171,6 @@ def _present_counts(relation: Relation, rows) -> dict:
     if not relation.bag:
         return dict.fromkeys(rows, 1)
     return relation.multiplicities(rows)
-
-
-def _key_index(source: Relation, positions: tuple):
-    """The index of ``source`` on exactly the columns ``positions``, in any
-    column order, or None — built on the spot if it is only declared: the
-    build is the pass over ``source`` the scan would make instead."""
-    index = source.amortized_index(positions)
-    if index is None and len(positions) > 1:
-        indexes = source.indexes
-        if indexes is not None:
-            wanted = sorted(positions)
-            for spec in indexes.specs():
-                if sorted(spec) == wanted:
-                    index = source.amortized_index(spec)
-                    if index is not None:
-                        break
-    return index
-
-
-def _projected_keys(source: Relation, positions: Optional[tuple]):
-    """The rows of ``π[positions](source)`` as a list, read off an index's
-    distinct keys — or None when the scan kernel has to run.
-
-    ``positions`` are the distinct 0-based columns of a plain-column
-    projection (None for any other item list).  In set mode the projection
-    *is* the key collection of an index on those columns (built here if it
-    is only declared, see :func:`_key_index`): O(distinct keys),
-    and on an overlay or a pinned snapshot O(keys + |Δ|) without
-    materializing it.  A bag needs the multiplicities, which only the rows
-    carry.  The read leaves one :class:`~repro.engine.indexes.IndexUsage`
-    entry: a ``"project"`` use of exactly the keys read.
-
-    The rows are the caller's own (a fresh list of fresh or immutable
-    tuples); nothing in them aliases the index.  Keys that compare equal
-    (``1``/``1.0``/``True``, ``0.0``/``-0.0``) are one key, here as in the
-    scan kernel's ``dict.fromkeys`` — which spelling stands for the class
-    is the bucket's first row's here and the relation's first row's there.
-    """
-    if positions is None or source.bag:
-        return None
-    index = _key_index(source, positions)
-    if index is None:
-        return None
-    keys = index.keys()
-    index.touch("project", len(keys))
-    if len(positions) == 1:
-        # zip with a single iterable wraps each bare key in a 1-tuple.
-        return list(zip(keys))
-    if index.positions == positions:
-        return list(keys)
-    return list(map(_itemgetter(*map(index.positions.index, positions)), keys))
 
 
 def _hash_buckets(
@@ -512,15 +457,8 @@ class IndexSelectOp(PhysicalOperator):
 
 
 class ProjectOp(PhysicalOperator):
-    """Generalized projection with per-schema compiled output columns.
-
-    One kernel over the source's rows — except that a set-mode projection
-    whose items are distinct plain columns carrying a built or declared
-    index (in any column order) reads that index's distinct keys instead
-    (:func:`_projected_keys`).  Which of the two runs is decided per
-    execution from the relation the child produced, exactly like
-    :class:`IndexSelectOp`'s bucket lookup: nothing is written on the plan.
-    """
+    """Generalized projection with per-schema compiled output columns: one
+    kernel over the source's rows."""
 
     op_name = "project"
 
@@ -532,35 +470,19 @@ class ProjectOp(PhysicalOperator):
     def children(self) -> tuple:
         return (self.child,)
 
-    @property
-    def plain_attrs(self) -> Optional[tuple]:
-        """The attribute identifiers when every item is a plain column and
-        no column is named twice (the index-only shape), else None."""
-        attrs = tuple(
-            item.expr.attr
-            for item in self.items
-            if isinstance(item.expr, P.ColRef) and item.expr.side in (None, "left")
-        )
-        if len(attrs) != len(self.items) or len(set(attrs)) != len(attrs):
-            return None
-        return attrs
-
     def _bind(self, schema: RelationSchema) -> tuple:
-        """``(output schema, row kernel, index-only columns or None)``."""
+        """``(output schema, row kernel)``."""
         bound = self._bound.get(schema)
         if bound is None:
             attributes = [
                 Project._output_attribute(item, schema) for item in self.items
             ]
             out_schema = _fresh_schema(f"{schema.name}_proj", attributes)
-            key_columns = None
             if all(isinstance(item.expr, P.ColRef) for item in self.items):
                 positions = tuple(
                     P._resolve_position(item.expr, schema, None)[1]
                     for item in self.items
                 )
-                if len(set(positions)) == len(positions):
-                    key_columns = positions
                 if len(positions) == 1:
                     getter = _itemgetter(positions[0])
                     # zip with a single iterable wraps each value in a
@@ -577,18 +499,14 @@ class ProjectOp(PhysicalOperator):
                 row_maker = lambda rows: list(
                     zip(*(kernel(rows) for kernel in kernels))
                 )
-            bound = (out_schema, row_maker, key_columns)
+            bound = (out_schema, row_maker)
             self._bound.file(schema, bound)
         return bound
 
     def execute(self, context) -> Relation:
         source = self.child.execute(context)
-        out_schema, row_maker, key_columns = self._bind(source.schema)
+        out_schema, row_maker = self._bind(source.schema)
         result = Relation(out_schema, bag=source.bag)
-        out_rows = _projected_keys(source, key_columns)
-        if out_rows is not None:
-            result._rows = dict.fromkeys(out_rows, 1)
-            return result
         rows, counts = source.rows_and_counts()
         out_rows = row_maker(rows)
         if counts is None:

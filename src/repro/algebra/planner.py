@@ -33,7 +33,6 @@ in :mod:`repro.parallel.cost_model`.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator, Optional
 
 from repro.algebra import expressions as E
@@ -326,21 +325,6 @@ def _map_refs(node, rewrite):
     return node
 
 
-def _rewrite_children(expr: E.Expression, rewrite) -> E.Expression:
-    """``expr`` over ``rewrite(child)`` for each child expression — ``expr``
-    itself when no child changed."""
-    changes = {}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        if isinstance(value, E.Expression):
-            replacement = rewrite(value)
-            if replacement is not value:
-                changes[field.name] = replacement
-    if changes:
-        return dataclasses.replace(expr, **changes)
-    return expr
-
-
 def _column_position(ref: P.ColRef, columns: tuple) -> Optional[int]:
     """The 0-based position among ``columns`` a reference in a selection
     over them reads; None when it does not resolve there."""
@@ -410,7 +394,7 @@ def _push(expr: E.Expression, schema) -> E.Expression:
         expr = _push_below_join(expr, schema)
     # Top-down: a selection just placed on a join input is pushed on from
     # there when that input is itself a join.
-    return _rewrite_children(expr, lambda child: _push(child, schema))
+    return E.rewrite_children(expr, lambda child: _push(child, schema))
 
 
 def push_selections(expression: E.Expression, schema) -> E.Expression:
@@ -547,10 +531,8 @@ def index_hints(expression: E.Expression) -> set:
     """(relation, attrs) pairs whose hash indexes would speed this plan up.
 
     Reported for the probe and build sides of hash semi/antijoins, the
-    build side of hash joins, equality selections, and projections onto
-    distinct plain columns (answered from the index's distinct keys) —
-    whenever that side is a direct scan of a named relation and the keys
-    are plain columns.
+    build side of hash joins and equality selections — whenever that side
+    is a direct scan of a named relation and the keys are plain columns.
     Auxiliary differentials (``R@plus``/``R@minus``) are skipped: they are
     rebuilt per transaction, so a persistent index can never exist.  A hint
     on the pre-state ``R@old`` is a hint on ``R``: inside a transaction
@@ -574,8 +556,8 @@ def _collect_hints(op: X.PhysicalOperator, hints: set) -> bool:
     a hinted index — an equality selection's lookup, or the build side of a
     hash join/semijoin/antijoin, whose buckets are only ever asked for the
     probe side's keys.  A scan reached any other way reads the whole
-    relation (a semijoin's probe side and an index-only projection the
-    whole index), so it makes the subtree, hints and all, not probe-only.
+    relation (a semijoin's probe side the whole index), so it makes the
+    subtree, hints and all, not probe-only.
     """
     if isinstance(op, X.ScanOp):
         return False
@@ -595,9 +577,5 @@ def _collect_hints(op: X.PhysicalOperator, hints: set) -> bool:
             children = (op.left,)
     elif isinstance(op, X.IndexSelectOp):
         hints.add((op.name, tuple(op.attrs)))
-    elif isinstance(op, X.ProjectOp):
-        attrs = op.plain_attrs
-        if isinstance(op.child, X.ScanOp) and attrs:
-            hints.add((op.child.name, attrs))
     # Every child is walked, for its hints, whatever the others answered.
     return all([_collect_hints(child, hints) for child in children])

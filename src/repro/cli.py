@@ -285,19 +285,24 @@ class Shell:
                 self._explain_indexes(name)
 
     def _explain_indexes(self, rule_name: str) -> None:
-        """Which indexes a full-state rule's plans would read, and which of
-        them the database has built or declared — what the rule costs
-        beyond |Δ|.  A declared index is built by the first plan that
-        probes it; only a missing one leaves the plan to scan.
+        """Which indexes a full-state rule's plans would read, which of them
+        the database has built or declared, and which relations the rule
+        scans — what it costs beyond |Δ|.  A declared index is built by the
+        first plan that probes it; a relation read with no index hint, or
+        whose hinted index is missing, is scanned.
 
         Static: the planner's hints for the stored program against
         ``Relation.indexes``; nothing is executed.
         """
         hints: set = set()
+        read: set = set()
         for statement in self.controller.store.get(rule_name).program:
+            read |= statement.relations_read()
             for expression in planner.statement_expressions(statement):
                 hints |= planner.index_hints(expression)
-        states, scanned = [], []
+        hinted = {relation for relation, _attrs in hints}
+        scanned = {name for name in read - hinted if name in self.database}
+        states = []
         for relation, attrs in sorted(hints, key=repr):
             if relation not in self.database:
                 continue  # a temporary of the program
@@ -306,14 +311,16 @@ class Shell:
             index = target.indexes.get(positions) if target.indexes else None
             if index is None:
                 state = "missing"
-                if relation not in scanned:
-                    scanned.append(relation)
+                scanned.add(relation)
             else:
                 state = "built" if index.built else "declared"
             states.append(f"{relation}({', '.join(map(str, attrs))}) {state}")
-        if states:
-            scans = f" -> scans {', '.join(scanned)}" if scanned else ""
-            self.write(f"--   {rule_name}: {', '.join(states)}{scans}")
+        line = ", ".join(states)
+        if scanned:
+            scans = f"scans {', '.join(sorted(scanned))}"
+            line = f"{line} -> {scans}" if line else scans
+        if line:
+            self.write(f"--   {rule_name}: {line}")
 
     def cmd_query(self, rest: str) -> None:
         rows = self.session.rows(rest)

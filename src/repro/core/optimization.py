@@ -76,7 +76,7 @@ clause holding untranslatable residue (a
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algebra import expressions as E
@@ -105,8 +105,6 @@ def opt_c(condition: C.Formula) -> C.Formula:
         inner = opt_c(condition.operand)
         if isinstance(inner, C.Not):
             return inner.operand
-        if isinstance(inner, C.Const):
-            pass
         return C.Not(inner)
     if isinstance(condition, C.And):
         left = opt_c(condition.left)
@@ -136,9 +134,6 @@ def opt_c(condition: C.Formula) -> C.Formula:
         return C.Forall(condition.var, opt_c(condition.body))
     if isinstance(condition, C.Exists):
         return C.Exists(condition.var, opt_c(condition.body))
-    if isinstance(condition, C.Compare):
-        folded = _fold_comparison(condition)
-        return folded if folded is not None else condition
     return condition
 
 
@@ -149,12 +144,6 @@ def _is_const(node: C.Formula, value: bool) -> bool:
         and isinstance(node.right, C.Const)
         and _compare_consts(node) is value
     )
-
-
-def _fold_comparison(node: C.Compare) -> Optional[C.Formula]:
-    if isinstance(node.left, C.Const) and isinstance(node.right, C.Const):
-        return node  # kept as-is; _is_const reads its truth value
-    return None
 
 
 def _compare_consts(node: C.Compare) -> Optional[bool]:
@@ -362,14 +351,7 @@ def _rewrite(expr: E.Expression, visit) -> E.Expression:
     mapped = visit(expr)
     if mapped is not None:
         return mapped
-    changed = {}
-    for field in fields(expr):
-        child = getattr(expr, field.name)
-        if isinstance(child, E.Expression):
-            rewritten = _rewrite(child, visit)
-            if rewritten is not child:
-                changed[field.name] = rewritten
-    return replace(expr, **changed) if changed else expr
+    return E.rewrite_children(expr, lambda child: _rewrite(child, visit))
 
 
 def _base_schema(expr: E.Expression, db: DatabaseSchema):

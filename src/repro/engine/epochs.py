@@ -95,11 +95,6 @@ Invariants the read path leans on (each is asserted by
   ``_SnapshotBuckets.probe`` a join's or semijoin's whole key set and
   ``SnapshotRelation.multiplicities`` a bag-mode batch of counts, each in
   one :meth:`SnapshotRelation._read`.
-* **Key views: one bracket, detached result.**  ``_SnapshotBuckets.keys``
-  — the distinct keys an index-only projection reads — corrects the live
-  index's keys by the undo delta inside one bracket and hands out a fresh
-  collection: O(keys + undo), no materialization, no local index, and
-  nothing a later commit can change under the consumer.
 * **Ownership runs one way.**  Query result → (nothing); index view
   (:class:`SnapshotIndex`, and the ``_SnapshotBuckets`` minted from it) →
   :class:`SnapshotRelation` → :class:`EpochPin` → :class:`EpochManager`.
@@ -1154,11 +1149,11 @@ class _SnapshotBuckets(_DeltaBuckets):
     Probes run the inherited correction under the seqlock retry — one
     bracket per :meth:`probe`, however many keys it carries — and always
     return buckets detached from the live index (a handed-out dict must
-    stay stable while later commits land).  The distinct keys alone
-    (:meth:`keys`, and so ``iter`` and ``len``) are one bracket too.
-    Wholesale iteration with the rows (``items``: join build sides)
-    materializes the snapshot and serves the local index's buckets — the
-    consumer was about to pay O(|R|) anyway.
+    stay stable while later commits land).  Their count (``len``) is one
+    bracket too.  Wholesale iteration (``items``, and so ``iter``: join
+    build sides, distinct-key semijoin probing) materializes the snapshot
+    and serves the local index's buckets — the consumer was about to pay
+    O(|R|) anyway.
     """
 
     __slots__ = ()
@@ -1181,17 +1176,11 @@ class _SnapshotBuckets(_DeltaBuckets):
     def get(self, key, default=None):
         return self.probe((key,)).get(key, default)
 
-    def keys(self):
-        """The distinct keys at the pinned epoch: one bracket, and a
-        collection of the caller's own (never a view of the live index)."""
-        return self._index._read(
-            lambda: self._corrected_keys().keys(),
-            lambda local: local.buckets.keys(),  # frozen with the rows
-        )
-
     def items(self):
         local = self._index._local()  # materializes the snapshot
         return iter(local.buckets.items())
 
     def __len__(self) -> int:
-        return len(self.keys())
+        return self._index._read(
+            lambda: _DeltaBuckets.__len__(self), lambda local: len(local.buckets)
+        )

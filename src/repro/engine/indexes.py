@@ -21,9 +21,9 @@ Design points:
   declared index costs a commit nothing: only built indexes are filed
   into.  The first plan that asks for it (``Relation.amortized_index``)
   builds it — an equality selection, either side of a semijoin, the build
-  side of a hash join, an index-only projection: each would otherwise pay
-  a pass over the relation, and the build *is* that pass — and from then
-  on the relation maintains it incrementally on every insert and delete.
+  side of a hash join: each would otherwise pay a pass over the relation,
+  and the build *is* that pass — and from then on the relation maintains
+  it incrementally on every insert and delete.
   Write transactions ask through :class:`~repro.engine.overlay.
   OverlayIndex` views and pinned reads through :class:`~repro.engine.
   epochs.SnapshotIndex` views; both build the *base* index, so it keeps
@@ -60,14 +60,11 @@ Design points:
   of a :class:`HashIndex` and of the :class:`~repro.engine.overlay.
   OverlayIndex` / :class:`~repro.engine.epochs.SnapshotIndex` views that
   stand in for it inside a transaction or under a pin — is: one bucket
-  (``lookup``), the buckets of a key set or all of them (``buckets``:
-  ``get`` / ``probe`` / ``items``), and **the distinct keys as a
-  collection** (:meth:`HashIndex.keys`).  The key collection *is* the
-  answer to a set-mode projection onto the indexed columns, so
-  ``project(emp, [dept_id])`` reads ~100 keys instead of 5,000 rows.  Every
-  use lands in the :class:`IndexUsage` ledger of the *base* index,
-  whichever view served it (``lookup`` records itself; an operator that
-  consumes buckets or keys in bulk says so with ``touch``).
+  (``lookup``), and the buckets of a key set or all of them (``buckets``:
+  ``get`` / ``probe`` / ``items``, and their count).  A projection reads
+  rows, never an index.  Every use lands in the :class:`IndexUsage` ledger
+  of the *base* index, whichever view served it (``lookup`` records itself;
+  an operator that consumes buckets in bulk says so with ``touch``).
 
 Single-attribute keys (by far the common case: foreign keys, key lookups)
 are stored unwrapped (``row[i]`` instead of ``(row[i],)``), which roughly
@@ -77,7 +74,7 @@ halves probe cost under CPython.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Collection, Dict, Iterable, Iterator, KeysView, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Optional, Tuple
 
 
 class IndexUsage:
@@ -87,10 +84,8 @@ class IndexUsage:
     exact number of keys it probed or served, broken down by kind
     (``"lookup"`` — an equality-selection bucket probe; ``"probe"`` — a
     semijoin/antijoin probing per distinct key; ``"build"`` — a join or
-    semijoin build side, one key per bucket look-up its probe side makes;
-    ``"project"`` — a projection onto the indexed columns reading the
-    distinct keys).  It is observability
-    only: whether an index stays built is decided by
+    semijoin build side, one key per bucket look-up its probe side makes).
+    It is observability only: whether an index stays built is decided by
     :attr:`HashIndex.unread`, not by its uses.
     """
 
@@ -237,16 +232,6 @@ class HashIndex:
         """Record a bulk use: an operator reading ``buckets`` directly,
         ``keys`` the exact number of keys it probed or served."""
         self.usage.record(kind, keys)
-
-    def keys(self) -> KeysView:
-        """The distinct keys, as a sized, set-like collection in bucket order.
-
-        A live view: a consumer that keeps the keys copies them
-        (``dict.fromkeys``) before the relation changes again.  Keys that
-        compare equal are one key, spelled the way the row that created
-        the bucket spelled it (``1``, ``1.0`` and ``True`` share a bucket).
-        """
-        return self.buckets.keys()
 
     def __repr__(self) -> str:
         state = "built" if self.built else "declared"

@@ -45,11 +45,7 @@ Index probes against an overlay keep the physical plan layer's index wins
 without the old copy-and-reheat dance: :class:`OverlayIndex` answers from
 the base relation's built index corrected by the delta — base bucket minus
 the Δ⁻ hits, plus the Δ⁺ hits from small delta-side indexes that the
-differential relations maintain themselves, batch by batch.  The distinct
-keys come the same way (:meth:`_DeltaBuckets.keys`): the base index's keys,
-corrected only for the keys the delta touches — which is what lets a
-projection onto indexed columns run inside a transaction without
-materializing the overlay.
+differential relations maintain themselves, batch by batch.
 
 ``OverlayRelation`` subclasses :class:`~repro.engine.relation.Relation` so
 that every consumer of the read protocol (both evaluation backends, the
@@ -413,7 +409,7 @@ class OverlayIndex:
     """A built base-relation index corrected by the transaction's delta.
 
     Presents the probe surface of :class:`~repro.engine.indexes.HashIndex`
-    (``lookup``, ``buckets``, ``keys``, ``touch``, ``key_of``, ``positions``,
+    (``lookup``, ``buckets``, ``touch``, ``key_of``, ``positions``,
     ``built``): probes answer from the base relation's built index, with Δ⁻
     hits subtracted (membership-checked against the overlay, so bag-mode
     partial deletes keep the row) and Δ⁺ hits added from small delta-side
@@ -476,10 +472,6 @@ class OverlayIndex:
     def touch(self, kind: str, keys: int) -> None:
         self.base_index.touch(kind, keys)
 
-    def keys(self):
-        """The distinct keys of the corrected index, as a collection."""
-        return self.buckets.keys()
-
     def __repr__(self) -> str:
         return (
             f"OverlayIndex(positions={self.positions}, "
@@ -495,9 +487,9 @@ class _DeltaBuckets:
     not touch, O(|bucket|) for touched ones) and wholesale ``items()``
     iteration (distinct-key semijoin probing, join build sides) that yields
     the base index's own bucket dicts for untouched keys and freshly
-    corrected dicts only for the few keys the delta affects, and the
-    distinct keys alone (``keys()``: index-only projections).  Base buckets
-    are never mutated.
+    corrected dicts only for the few keys the delta affects, and their
+    count (``len``) by the same arithmetic.  Base buckets are never
+    mutated.
     """
 
     __slots__ = ("_index",)
@@ -552,51 +544,8 @@ class _DeltaBuckets:
     def __contains__(self, key) -> bool:
         return self.get(key) is not None
 
-    def keys(self):
-        """The distinct keys, as a sized, set-like collection.
-
-        The base index's live keys view while the delta is empty,
-        otherwise a fresh one (:meth:`_corrected_keys`); like a plain
-        dict's ``keys()``, so consumers treat all three index flavours
-        alike.  Never materializes the overlay.
-        """
-        index = self._index
-        if index.plus_index.buckets or index.minus_index.buckets:
-            return self._corrected_keys().keys()
-        return index.base_index.buckets.keys()
-
-    def _corrected_keys(self) -> dict:
-        """A fresh ``{key: None}`` dict of the keys that have rows.
-
-        One C-speed copy of the base index's keys, corrected for the keys
-        the delta touches: O(K + |Δ|), plus the rows of a bucket only when
-        Δ⁻ names as many rows as it holds.  A key goes only when Δ⁻ emptied
-        its bucket and Δ⁺ put nothing back; every Δ⁺ row is present, so a
-        Δ⁺ key always stays or appears.
-        """
-        index = self._index
-        base_buckets = index.base_index.buckets
-        plus_buckets = index.plus_index.buckets
-        keys = dict.fromkeys(base_buckets)
-        for key, minus_bucket in index.minus_index.buckets.items():
-            if key in plus_buckets:
-                continue
-            base_bucket = base_buckets.get(key)
-            # Δ⁻ rows are base rows: fewer of them than the bucket holds
-            # leave a row for sure; as many may all be gone (a bag's are
-            # only when every occurrence was deleted).
-            if (
-                base_bucket is not None
-                and len(minus_bucket) >= len(base_bucket)
-                and not any(_present(index, row) for row in base_bucket)
-            ):
-                keys.pop(key, None)
-        for key in plus_buckets:
-            keys[key] = None
-        return keys
-
     def __iter__(self) -> Iterator:
-        return iter(self.keys())
+        return (key for key, _bucket in self.items())
 
     def items(self):
         index = self._index

@@ -458,21 +458,30 @@ class TestSnapshotIndexes:
         assert sorted(index.lookup(2)) == [(2, 2)]  # deletion undone
         pin.release()
 
-    def test_keys_at_the_pin_are_detached_and_build_nothing(self, rdb):
+    def test_the_bucket_count_at_the_pin_is_one_bracket_and_builds_nothing(
+        self, rdb, monkeypatch
+    ):
         live = rdb.relation("r")
         live.index_on((0,))
         pin = rdb.epochs.pin()
         snap = pin.relation("r")
         index = snap.built_index((0,))
-        fresh = index.keys()  # empty undo: still a copy, never the live view
-        commit(rdb, "r", plus=[(9, 9)], minus=[(2, 2)])
-        assert list(fresh) == [1, 2, 3]
-        assert sorted(index.keys()) == [1, 2, 3]  # 9 hidden, 2 re-added
-        assert len(index.buckets) == 3 and sorted(index.buckets) == [1, 2, 3]
-        assert sorted(live.built_index((0,)).keys()) == [1, 3, 9]
+        assert len(index.buckets) == 3  # empty undo: the live count
+        commit(rdb, "r", plus=[(8, 8), (9, 9)], minus=[(2, 2)])
+        assert len(live.built_index((0,)).buckets) == 4  # 1, 3, 8, 9
+        brackets = []
+        read_begin = rdb.epochs.read_begin
+        monkeypatch.setattr(
+            rdb.epochs, "read_begin", lambda: brackets.append(1) or read_begin()
+        )
+        assert len(index.buckets) == 3  # 8 and 9 hidden, 2 re-added
+        assert len(brackets) == 1, "one bracket"
         assert snap._materialized is None and snap._indexes is None
-        snap._rows  # materialize: the local index answers from here on
-        assert sorted(snap.built_index((0,)).keys()) == [1, 2, 3]
+        # Iterating the buckets reads the rows: the snapshot materializes
+        # and its local index answers from here on.
+        assert sorted(index.buckets) == [1, 2, 3]
+        assert snap._materialized is not None
+        assert len(index.buckets) == 3
         pin.release()
 
     def test_deleted_row_still_probed_at_pin(self, rdb):

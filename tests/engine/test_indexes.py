@@ -47,7 +47,7 @@ class TestHashIndex:
         assert index.lookup(1) == ((1, "b"),)
         index.remove((1, "b"))
         assert 1 not in index
-        assert len(index.keys()) == 0
+        assert index.buckets == {}
 
     def test_build_publishes_the_buckets_whole(self):
         # A pinned reader may build a live index while other readers probe
@@ -66,15 +66,6 @@ class TestHashIndex:
         assert seen == [(False, True, {})] * 3
         assert index.built and index.buckets is not old and old == {}
         assert sorted(index.lookup(10)) == [(1, 10), (2, 10)]
-
-    def test_keys_is_the_live_sized_collection_of_distinct_keys(self):
-        index = HashIndex((1,))
-        index.build([(1, 10), (2, 10), (3, 20)])
-        keys = index.keys()
-        assert len(keys) == 2 and 10 in keys and list(keys) == [10, 20]
-        index.add((4, 30))
-        assert list(keys) == [10, 20, 30]  # a view: copy it to keep it
-        assert index.usage.uses == 0  # reading the keys records nothing by itself
 
 
 class TestRelationIndexes:

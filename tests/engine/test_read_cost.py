@@ -9,8 +9,6 @@ slow machine cannot move:
 * it enters the seqlock a constant number of times per operator — the same
   for a 1-row and a 200-row result;
 * a pin ``k`` commits behind folds exactly the ``k`` newer entries, once;
-* a pinned projection onto indexed columns is one bracket over the index's
-  keys: no materialization, no local index, whatever is retained;
 * a dropped query result releases its pin by reference count, with the
   cyclic collector switched off.
 
@@ -211,44 +209,6 @@ def test_a_pin_k_commits_behind_folds_k_entries_once(counted):
     pin.release()
 
 
-PROJECTION = "project(orders, [customer])"
-
-
-def test_a_pinned_index_only_projection_is_one_bracket_and_builds_nothing(counted):
-    database = star_database()
-    session = Session(database)
-    long_lived = database.epochs.pin()
-    commit_orders(database, 2_000)
-    session.query(PROJECTION, pinned=True)  # compile outside the count
-    tally = counted(database)
-    result = []
-    fresh = cost_of(tally, lambda: result.append(session.query(PROJECTION, pinned=True)))
-    assert sorted(result[0].rows()) == [(ONE_ORDER,), (MANY_ORDERS,), (WRITTEN,)]
-    assert fresh["brackets"] <= 2  # the pin's own and the key view's
-    assert fresh["folds"] == 0 and fresh["visited"] <= 4 * fresh["brackets"]
-
-    # The long-lived pin is 2,000 commits behind: it folds each once, in the
-    # one bracket, and answers without the customer that came later.
-    view = DatabaseView(database, pin=long_lived)
-    orders = long_lived.relation("orders")
-    expression = parse_expression(PROJECTION)
-    behind = cost_of(tally, lambda: result.append(evaluate_expression(expression, view)))
-    assert sorted(result[1].rows()) == [(ONE_ORDER,), (MANY_ORDERS,)]
-    assert behind["brackets"] == 1 and behind["folds"] == 2_000
-    again = cost_of(tally, lambda: result.append(evaluate_expression(expression, view)))
-    assert result[2] == result[1]
-    assert again["brackets"] == 1 and again["folds"] == 0
-    assert orders._materialized is None and orders._indexes is None
-
-    # The result is detached: a later commit changes neither it nor what
-    # the pin reads next.
-    commit_orders(database, 1, first_id=50_000)
-    assert sorted(result[1].rows()) == [(ONE_ORDER,), (MANY_ORDERS,)]
-    assert evaluate_expression(expression, view) == result[1]
-    assert orders._materialized is None
-    long_lived.release()
-
-
 def test_dropped_results_release_their_pins_by_reference_count():
     database = star_database()
     database.epochs.retain = epochs_module.DEFAULT_RETAIN
@@ -339,6 +299,7 @@ def index_states(database: Database) -> dict:
 
 
 SCAN = "select(orders, amount > 100)"
+PROJECTION = "project(orders, [customer])"
 BARE = "orders"
 DECLARED_JOIN = "join(select(orders, customer = 1), customers, left.customer = right.name)"
 
@@ -346,7 +307,7 @@ DECLARED_JOIN = "join(select(orders, customer = 1), customers, left.customer = r
 @pytest.mark.parametrize(
     "text, rows",
     [(SCAN, 99), (PROJECTION, 2), (BARE, 1 + MANY)],
-    ids=["scan", "index-only projection", "bare name"],
+    ids=["scan", "projection", "bare name"],
 )
 def test_every_other_plan_still_takes_exactly_one_pin_and_builds_nothing(
     text, rows, constructed

@@ -130,7 +130,7 @@ def test_a_snapshot_view_made_before_it_went_back_reads_the_pinned_state():
     for key in range(KEYS):
         assert sorted(view.lookup(key)) == pinned[key]
     assert {key: sorted(rows) for key, rows in view.buckets.probe(range(KEYS)).items()} == pinned
-    assert sorted(view.keys()) == list(range(KEYS))
+    assert len(view.buckets) == KEYS
     assert r.built_index((0,)) is None  # answered from the pin's frozen rows
     pin.release()
 

@@ -95,45 +95,65 @@ class TestTransactions:
         assert "rules: R1" in output
 
     def test_explain_names_the_indexes_a_full_state_rule_has_declares_and_lacks(self):
-        # R2's repair with an aggregate clause in its condition: the
-        # aggregate has no Δ-check, so the action keeps its full-state read.
+        # Two repairs with an aggregate clause in their condition: the
+        # aggregate has no Δ-check, so each action keeps its full-state
+        # read.  R2's two projections read rows and hint no index; R3's
+        # antijoin probes beer(brewery) and builds on brewery(name).
         stdout = io.StringIO()
         shell = Shell(stdin=io.StringIO(), stdout=stdout, interactive=False)
         explain = 'explain begin insert(beer, ("new", "ale", "ghost", 5.0)); end'
-        for line in BEER_SETUP.splitlines() + [
-            "rule RULE R2 IF NOT ((forall x in beer)(exists y in brewery)"
+        condition = (
+            "IF NOT ((forall x in beer)(exists y in brewery)"
             "(x.brewery = y.name) and CNT(beer) <= 1000) "
-            "THEN temp := diff(project(beer, [brewery]), "
+        )
+        for line in BEER_SETUP.splitlines() + [
+            "rule RULE R2 " + condition
+            + "THEN temp := diff(project(beer, [brewery]), "
             "project(brewery, [name])); insert(brewery, project(temp, "
             "[brewery as name, null, null]))",
+            "rule RULE R3 " + condition
+            + "THEN insert(brewery, project(antijoin(beer, brewery, "
+            "left.brewery = right.name), [brewery as name, null, null]))",
             explain,
         ]:
             shell.dispatch(line)
-        assert "-- checked on the full state, not the delta: R2" in stdout.getvalue()
+
+        def explained() -> list:
+            lines = stdout.getvalue().splitlines()
+            return lines[-2:]
+
         assert (
-            "--   R2: beer(brewery) missing, brewery(name) missing "
-            "-> scans beer, brewery"
-        ) in stdout.getvalue()
+            "-- checked on the full state, not the delta: R2, R3"
+            in stdout.getvalue()
+        )
+        assert explained() == [
+            "--   R2: scans beer, brewery",
+            "--   R3: beer(brewery) missing, brewery(name) missing "
+            "-> scans beer, brewery",
+        ]
         shell.database.create_index("beer", ["brewery"])
         uses = shell.database.relation("beer").built_index((2,)).usage.uses
         shell.dispatch(explain)
-        assert (
-            "--   R2: beer(brewery) built, brewery(name) missing -> scans brewery"
-        ) in stdout.getvalue()
+        assert explained() == [
+            "--   R2: scans beer, brewery",  # a projection reads rows
+            "--   R3: beer(brewery) built, brewery(name) missing -> scans brewery",
+        ]
         shell.controller.install_indexes(shell.database)
         shell.dispatch(explain)
-        assert stdout.getvalue().endswith(
-            "--   R2: beer(brewery) built, brewery(name) declared\n"
-        )
+        assert explained() == [
+            "--   R2: scans beer, brewery",
+            "--   R3: beer(brewery) built, brewery(name) declared",
+        ]
         # Static: explaining executed nothing.
         assert shell.database.relation("beer").built_index((2,)).usage.uses == uses
         assert len(shell.database.relation("beer")) == 0
-        # The first transaction the rule checks builds what it probes.
+        # The first transaction the rules check builds what R3 probes.
         shell.dispatch(explain.removeprefix("explain "))
         shell.dispatch(explain)
-        assert stdout.getvalue().endswith(
-            "--   R2: beer(brewery) built, brewery(name) built\n"
-        )
+        assert explained() == [
+            "--   R2: scans beer, brewery",
+            "--   R3: beer(brewery) built, brewery(name) built",
+        ]
         shell.controller.close_schedulers()
 
     def test_compensating_rule_via_shell(self):

@@ -304,6 +304,25 @@ CASES = [
             ),
         ],
     ),
+    # One projection kernel: a projection reads rows (ProjectOp's row
+    # kernel), never an index's distinct keys, so no index, overlay or
+    # snapshot view hands out a keys view for one.
+    (
+        "one-projection-kernel",
+        [
+            (
+                ["-rnE", r'_projected_keys|_key_index|_corrected_keys|plain_attrs|touch\("project"', "src/repro/"],
+                None,
+                "the index-only projection (a second projection kernel) is "
+                "back in src/",
+            ),
+            (
+                ["-nE", r"def keys\(", "src/repro/engine/indexes.py", "src/repro/engine/overlay.py", "src/repro/engine/epochs.py"],
+                None,
+                "an index, overlay or snapshot keys view is back",
+            ),
+        ],
+    ),
 ]
 
 
