@@ -27,9 +27,8 @@
   :func:`decode_differentials` carry every Δ that leaves the process —
   the process audit executor's task blobs and replica stream
   (:mod:`repro.core.procpool`), the WAL's records
-  (:mod:`repro.engine.wal`) — and :func:`encode_relation` /
-  :func:`decode_relation` the fragment pool's installs and bindings
-  (:mod:`repro.parallel.procpool`).  A new audit worker's initial replica
+  (:mod:`repro.engine.wal`) — one :func:`encode_relation` /
+  :func:`decode_relation` per side of each Δ.  A new audit worker's initial replica
   is a pickled :class:`~repro.engine.database.Database`, so its rows
   ship as row dicts, not through this codec.
 

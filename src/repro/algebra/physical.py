@@ -993,7 +993,10 @@ class HashSemiJoinOp(_HashKeyedOp):
     Execution regimes, fastest applicable wins:
 
     1. no residual, both sides indexed on the key columns — probe per
-       *distinct key* of the left index and emit whole buckets;
+       *distinct key* of the left index and emit whole buckets.  The left
+       rows are never read, so a transaction overlay's merged rows are not
+       materialized for it; a pinned snapshot's are, because iterating
+       its buckets wholesale serves the snapshot's local index by design;
     2. no residual — probe per distinct left row against the right key set
        (pre-built index or one ephemeral hash pass);
     3. residual predicate — hash-partition by the equality keys and test
@@ -1020,6 +1023,34 @@ class HashSemiJoinOp(_HashKeyedOp):
         left_key, positions, right_bound, residual = self._bind(
             left.schema, right.schema
         )
+        # The regime is chosen before any left row is read (regime 1 reads
+        # none); a declared left index is built here.
+        left_index = (
+            None
+            if residual is not None or positions is None
+            else left.amortized_index(positions)
+        )
+        if left_index is not None:
+            # Distinct-key probing: one membership test per key, whole
+            # buckets emitted.  This is what makes repeated referential
+            # checks over a large indexed relation near-instant.
+            left_buckets = left_index.buckets
+            probes = len(left_buckets)
+            left_index.touch("probe", probes)
+            right_keys = _hash_buckets(
+                right, right_bound, need_rows=False, probes=probes
+            )
+            if isinstance(right_keys, _DeltaBuckets):
+                right_keys = right_keys.probe(set(left_buckets))
+            rows = [
+                row
+                for key, bucket in left_buckets.items()
+                if (key in right_keys) == keep
+                for row in bucket
+            ]
+            if nonempty and not rows:
+                return None
+            return _present_counts(left, rows)
         src_rows = left._rows
         if residual is not None:
             buckets = _hash_buckets(
@@ -1040,36 +1071,11 @@ class HashSemiJoinOp(_HashKeyedOp):
                 for lrow, key in zip(src_rows, map(left_key, src_rows))
             ]
         else:
-            # A declared left index is built here: without it the probe is
-            # one key computation + membership test per distinct left row.
-            left_index = (
-                None if positions is None else left.amortized_index(positions)
+            # Without a left index the probe is one key computation +
+            # membership test per distinct left row.
+            right_keys = _hash_buckets(
+                right, right_bound, need_rows=False, probes=len(src_rows)
             )
-            if left_index is None:
-                right_keys = _hash_buckets(
-                    right, right_bound, need_rows=False, probes=len(src_rows)
-                )
-            else:
-                # Distinct-key probing: one membership test per key, whole
-                # buckets emitted.  This is what makes repeated referential
-                # checks over a large indexed relation near-instant.
-                left_buckets = left_index.buckets
-                probes = len(left_buckets)
-                left_index.touch("probe", probes)
-                right_keys = _hash_buckets(
-                    right, right_bound, need_rows=False, probes=probes
-                )
-                if isinstance(right_keys, _DeltaBuckets):
-                    right_keys = right_keys.probe(set(left_buckets))
-                rows = [
-                    row
-                    for key, bucket in left_buckets.items()
-                    if (key in right_keys) == keep
-                    for row in bucket
-                ]
-                if nonempty and not rows:
-                    return None
-                return _present_counts(left, rows)
             if isinstance(right_keys, _DeltaBuckets):
                 right_keys = right_keys.probe(set(map(left_key, src_rows)))
             # Key extraction, membership, and the dict fill all run as

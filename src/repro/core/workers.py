@@ -1,8 +1,8 @@
 """One pool of worker processes: the only place ``src/`` starts any.
 
-Both process clients — the audit executor (:mod:`repro.core.procpool`) and
-the fragment pool (:mod:`repro.parallel.procpool`) — ship work to
-shared-nothing workers.  :class:`WorkerPool` owns what that takes, once:
+Its one client is the audit executor (:mod:`repro.core.procpool`), which
+ships ``(rule, Δ)`` tasks to shared-nothing workers.  :class:`WorkerPool`
+owns what that takes:
 
 * processes: one start method, spawn and respawn, stop / join / terminate;
 * one FIFO inbox per worker, whose put never blocks the coordinator;
@@ -12,8 +12,8 @@ shared-nothing workers.  :class:`WorkerPool` owns what that takes, once:
   process sentinel — no poll interval — and delivers a worker's replies
   before its death;
 * the wire: :func:`encode` / :func:`decode` are the only pickling of pool
-  traffic.  A payload is pickled once and its bytes go down each
-  recipient's inbox, whatever their size.
+  traffic.  A broadcast payload is pickled once and its bytes go down each
+  live inbox, whatever their size.
 """
 
 from __future__ import annotations
@@ -107,27 +107,13 @@ class WorkerPool:
         if index not in self.dead:
             self._inboxes[index].put(message)
 
-    def send(self, index: int, message: tuple, payload) -> int:
-        """Put ``message`` plus ``payload``'s pickled bytes; returns the
-        bytes put: their size, or 0 to a dead worker (sent nothing)."""
-        if index in self.dead:
-            return 0
-        blob = encode(payload)
-        self._inboxes[index].put(message + (blob,))
-        return len(blob)
-
-    def broadcast(self, message: tuple, payload=None) -> int:
+    def broadcast(self, message: tuple, payload=None) -> None:
         """Put ``message`` on every live inbox, plus a ``payload`` pickled
-        once for all of them; returns the payload bytes put: its size
-        times the live recipients (a dead worker is sent nothing)."""
-        live = [i for i in range(len(self.processes)) if i not in self.dead]
-        blob = b""
+        once for all of them (a dead worker is sent nothing)."""
         if payload is not None:
-            blob = encode(payload)
-            message += (blob,)
-        for index in live:
-            self._inboxes[index].put(message)
-        return len(blob) * len(live)
+            message += (encode(payload),)
+        for index in range(len(self.processes)):
+            self.put(index, message)
 
     # -- workers → coordinator ---------------------------------------------------
 

@@ -9,11 +9,13 @@ POOMA; this package substitutes a **simulated multi-node system**:
 * relations are horizontally fragmented (hash / range / round-robin) over
   ``n`` simulated nodes (:mod:`repro.parallel.fragmentation`);
 * the fragmented enforcement algorithms *actually run* on the fragments,
-  producing real per-node operator traces (tuples processed, tuples
-  shipped, messages) (:mod:`repro.parallel.enforcement`);
+  one simulated node after another in this process, counting the tuples
+  and messages each node ships and receives
+  (:mod:`repro.parallel.enforcement`);
 * an analytic cost model calibrated against Section 7's two published
-  measurements turns those traces into simulated wall-clock times
-  (:mod:`repro.parallel.cost_model`).
+  measurements prices each node's compiled plan under its fragment sizes,
+  adds its counted traffic, and so turns a run into simulated wall-clock
+  time (:mod:`repro.parallel.cost_model`).
 
 This preserves exactly what the paper's evaluation demonstrates: the
 *shape* of parallel enforcement cost — local checks scale near-linearly
@@ -36,7 +38,6 @@ from repro.parallel.enforcement import (
     Strategy,
 )
 from repro.parallel.bridge import ParallelRuleEnforcer
-from repro.parallel.procpool import ProcessFragmentPool
 
 __all__ = [
     "CostModel",
@@ -48,7 +49,6 @@ __all__ = [
     "POOMA_1992",
     "ParallelEnforcer",
     "ParallelRuleEnforcer",
-    "ProcessFragmentPool",
     "RangeFragmentation",
     "RoundRobinFragmentation",
     "Strategy",

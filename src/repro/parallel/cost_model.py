@@ -38,7 +38,7 @@ themselves only execute, and no plan is chosen by an estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.algebra import physical as X
 from repro.parallel.nodes import NodeStats
@@ -167,23 +167,6 @@ class CostModel:
     transfer_per_tuple: float
     message_latency: float
     startup: float = 0.0
-
-    def node_time(self, stats: NodeStats) -> float:
-        """CPU + communication time of one node."""
-        cpu = stats.tuples_processed * self.scan_per_tuple
-        comm = (
-            (stats.tuples_sent + stats.tuples_received) * self.transfer_per_tuple
-            + stats.messages_sent * self.message_latency
-        )
-        return cpu + comm
-
-    def parallel_time(self, per_node: Dict[int, NodeStats]) -> float:
-        """Makespan: slowest node bounds the enforcement step."""
-        if not per_node:
-            return self.startup
-        return self.startup + max(
-            self.node_time(stats) for stats in per_node.values()
-        )
 
     def weighted_node_time(
         self,

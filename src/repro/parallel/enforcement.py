@@ -27,6 +27,10 @@ one walk over the compiled plan under that node's fragment cardinalities
 movement, and the calibrated cost model converts both into simulated
 wall-clock time.  Real Python time is reported alongside.  The leaves the
 enforcer binds per node are the expression's own (:func:`_leaf_names`).
+
+There is one executor: the simulated nodes run one after another in this
+process, each over its own bindings, so a placement moves references and
+counts the tuples it would ship.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class EnforcementReport:
     tuples_shipped: int = 0
     #: Movement decision per operand name (the per-delta strategy choice).
     placements: Dict[str, Strategy] = field(default_factory=dict)
-    #: "inline" (simulated nodes in-process) or "process" (fragment pool).
-    executor: str = "inline"
-    #: Measured pickle bytes actually moved between processes this run
-    #: (0 under the inline executor, which moves references).
-    bytes_shipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -125,26 +124,9 @@ class ParallelEnforcer:
         self,
         database: FragmentedDatabase,
         cost_model: CostModel = POOMA_1992,
-        pool=None,
     ):
-        """``pool`` may be a
-        :class:`~repro.parallel.procpool.ProcessFragmentPool` with one
-        worker process per node; the enforcer then installs the database's
-        fragments as worker-owned state and every placement decision
-        becomes a real inter-process shipment (serialized operand batches
-        over pipes) instead of a same-process simulation.  Placement
-        logic, per-node stats, and simulated pricing are identical either
-        way."""
         self.database = database
         self.cost_model = cost_model
-        self.pool = pool
-        if pool is not None:
-            if pool.nodes != database.nodes:
-                raise FragmentationError(
-                    f"pool has {pool.nodes} workers but the database has "
-                    f"{database.nodes} nodes"
-                )
-            pool.ensure_database(database)
 
     # -- the classic check entry points (now thin expression builders) ---------
 
@@ -269,23 +251,11 @@ class ParallelEnforcer:
 
         plan = planner.get_plan(expression)
         violations: List[tuple] = []
-        bytes_shipped = 0
-        if self.pool is not None:
-            # Real shared-nothing execution: ship only the moved operands,
-            # then run the compiled plan on every worker concurrently.
-            bytes_shipped = self._ship_moved(order, per_node, placements, bindings)
-            try:
-                for rows in self.pool.execute(expression):
-                    violations.extend(rows)
-            finally:
-                self.pool.clear_bindings()
-        else:
-            for node in range(nodes):
-                context = _NodeContext(
-                    {name: fragments[node] for name, fragments in per_node.items()}
-                )
-                result = plan.execute(context)
-                violations.extend(result.rows())
+        for node in range(nodes):
+            context = _NodeContext(
+                {name: fragments[node] for name, fragments in per_node.items()}
+            )
+            violations.extend(plan.execute(context).rows())
         estimates = []
         for node in range(nodes):
             cards = {
@@ -318,34 +288,7 @@ class ParallelEnforcer:
             per_node=stats,
             tuples_shipped=shipped,
             placements=placements,
-            executor="inline" if self.pool is None else "process",
-            bytes_shipped=bytes_shipped,
         )
-
-    def _ship_moved(self, order, per_node, placements, bindings) -> int:
-        """Ship each moved operand to the pool's workers; returns bytes.
-
-        LOCAL-placed base relations are already resident at their owning
-        worker (installed when the enforcer adopted the pool) and move
-        nothing; everything else — repartitioned carriers, shipped deltas,
-        broadcast operands, explicit bindings — crosses as pickled blobs.
-        """
-        shipped = 0
-        for name in order:
-            fragments = per_node[name]
-            if placements[name] is Strategy.LOCAL and name not in bindings:
-                if name in self.database:
-                    if name not in self.pool.installed:
-                        # A base fragmented after pool adoption becomes
-                        # resident now (residency, not per-check movement).
-                        self.pool.install(name, fragments)
-                    continue
-            first = fragments[0]
-            if all(fragment is first for fragment in fragments):
-                shipped += self.pool.broadcast_bind(name, first)
-            else:
-                shipped += self.pool.bind_fragments(name, fragments)
-        return shipped
 
     # -- operand resolution and placement ----------------------------------------
 

@@ -9,8 +9,8 @@ that the cost model converts into simulated wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable
 
 from repro.engine.database import Database
 from repro.engine.relation import Relation
@@ -21,18 +21,12 @@ from repro.parallel.fragmentation import FragmentationScheme, FragmentedRelation
 
 @dataclass
 class NodeStats:
-    """Per-node work counters for one enforcement run."""
+    """Per-node traffic counters for one enforcement run (the work a node
+    does is priced from its plan, :func:`~repro.parallel.cost_model.estimate`)."""
 
-    tuples_processed: int = 0
     tuples_sent: int = 0
     tuples_received: int = 0
     messages_sent: int = 0
-
-    def merge(self, other: "NodeStats") -> None:
-        self.tuples_processed += other.tuples_processed
-        self.tuples_sent += other.tuples_sent
-        self.tuples_received += other.tuples_received
-        self.messages_sent += other.messages_sent
 
 
 class FragmentedDatabase:
@@ -86,13 +80,6 @@ class FragmentedDatabase:
             return self._relations[name]
         except KeyError:
             raise UnknownRelationError(name, "fragmented database") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations
-
-    @property
-    def relation_names(self) -> tuple:
-        return tuple(self._relations)
 
     # -- data movement primitives (counted, then executed) --------------------------
 

@@ -14,8 +14,8 @@ Worked examples beside the random property in
   over an ``emp`` whose ``dept_id`` index is built, full-state and
   differential;
 * the distinct-key semijoin/antijoin, the one reader left of an overlay's
-  whole buckets, still gives the reference's rows, mid-transaction and
-  through a pin.
+  whole buckets, still gives the reference's rows, mid-transaction (without
+  materializing the overlay's merged rows) and through a pin.
 """
 
 from __future__ import annotations
@@ -230,6 +230,27 @@ def test_the_distinct_key_semijoin_reads_an_overlays_buckets(kind):
     assert dict(result.items()) == dict(expression.evaluate(context).items())
     # Regime 1 ran: one probe per distinct key of the corrected left index.
     assert database.relation("r").built_index((0,)).usage.by_kind == {"probe": 6}
+    context.rollback()
+
+
+@pytest.mark.parametrize("kind", ["semijoin", "antijoin"])
+def test_the_distinct_key_semijoin_leaves_an_overlay_unmaterialized(kind):
+    database = _join_database()
+    database.create_index("r", ["b"])
+    context = TransactionContext(database)
+    _join_change(context)
+    overlay = context.resolve("r")
+    node = E.SemiJoin if kind == "semijoin" else E.AntiJoin
+    expression = node(
+        E.RelationRef("r"),
+        E.RelationRef("s"),
+        P.Comparison("=", P.ColRef("b", "left"), P.ColRef("k", "right")),
+    )
+    assert overlay._materialized is None
+    result = planner.evaluate(expression, context)
+    # Regime 1 read the corrected r(b) buckets, never the merged rows.
+    assert overlay._materialized is None
+    assert dict(result.items()) == dict(expression.evaluate(context).items())
     context.rollback()
 
 

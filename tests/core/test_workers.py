@@ -1,4 +1,4 @@
-"""The one worker pool both process clients use: wire, waits, lifecycle."""
+"""The one worker pool (its client: the audit executor): wire, waits, lifecycle."""
 
 import multiprocessing
 import os
@@ -73,14 +73,13 @@ def test_a_broadcast_payload_is_pickled_once(start_method, size):
     try:
         Counted.pickled = 0
         payload = Counted("payload" + "x" * (size - 7))
-        put = pool.broadcast(("load",), payload)
+        pool.broadcast(("load",), payload)
         assert Counted.pickled == 1
         replies = _replies(pool, 3)
+        # The one blob went down each of the three inboxes.
         assert sorted(index for index, _ in replies) == [0, 1, 2]
         assert {message for _, message in replies} == {("loaded", "payload", size)}
         assert Counted.pickled == 1  # inbox puts re-pickle no payload
-        # The one blob went down each of the three inboxes.
-        assert put == 3 * len(workers.encode(payload))
     finally:
         pool.close()
 
@@ -142,14 +141,16 @@ def test_close_is_idempotent_and_joins_every_process(start_method):
     assert pool.wait() == ([], [])
 
 
-def test_a_send_to_a_dead_worker_puts_and_counts_nothing(pool):
-    Counted.pickled = 0
+def test_a_put_to_a_dead_worker_puts_nothing(pool, monkeypatch):
     pool.processes[0].kill()
     assert pool.wait() == ([], [0])
-    assert pool.send(0, ("load",), Counted("payload")) == 0
-    assert Counted.pickled == 0  # nothing pickled for nobody
-    put = pool.send(1, ("load",), Counted("payload"))
-    assert put == len(workers.encode(Counted("payload")))
+    put = []
+    monkeypatch.setattr(pool._inboxes[0], "put", put.append)
+    pool.put(0, ("load", workers.encode(Counted("payload"))))
+    Counted.pickled = 0
+    pool.broadcast(("load",), Counted("payload"))
+    assert put == []  # neither the put nor the broadcast reached worker 0
+    assert Counted.pickled == 1  # one blob, for the live worker
     [(index, message)] = _replies(pool, 1)
     assert (index, message) == (1, ("loaded", "payload", 7))
 
@@ -157,21 +158,45 @@ def test_a_send_to_a_dead_worker_puts_and_counts_nothing(pool):
 ROUND_TRIP = """
     import sys
 
-    from repro.algebra import expressions as E
-    from repro.engine import RelationSchema
-    from repro.engine.relation import Relation
+    from repro.algebra.columnar import encode_differentials
+    from repro.core.procpool import ProcessAuditExecutor
+    from repro.core.workers import encode
+    from repro.core.subsystem import IntegrityController
+    from repro.engine import Database, DatabaseSchema, RelationSchema, Session
     from repro.engine.types import INT
-    from repro.parallel import ProcessFragmentPool
 
-    fragments = [Relation(RelationSchema("r", [("a", INT)])) for _ in range(2)]
-    for a in range(100_000):
-        fragments[a % 2].insert((a,))
-    with ProcessFragmentPool(2, start_method=sys.argv[1]) as pool:
-        pool.install("r", fragments)
-        put = pool.broadcast_bind("s", fragments[0])
-        assert put > 2 * (64 << 10), put  # one blob over 64 KiB, per node
-        rows = pool.execute(E.RelationRef("s"))
-        assert list(map(len, rows)) == [50_000, 50_000]
+    schema = DatabaseSchema([
+        RelationSchema("fk", [("id", INT), ("ref", INT)]),
+        RelationSchema("pk", [("key", INT)]),
+    ])
+    controller = IntegrityController(schema)
+    controller.add_constraint(
+        "fk_ref", "(forall x)(x in fk => (exists y)(y in pk and x.ref = y.key))"
+    )
+    database = Database(schema)
+    database.load("pk", [(k,) for k in range(0, 40_000, 2)])
+    executor = ProcessAuditExecutor(
+        controller, database, workers=2, start_method=sys.argv[1]
+    )
+    try:
+        # A replica, an apply broadcast and a task Δ, each over 64 KiB.
+        database.load("pk", [(k,) for k in range(40_000, 80_000, 2)])
+        executor.replicate(database.commit_log.version)
+        rows = ", ".join(f"({10**12 + i}, {i})" for i in range(9_000))
+        result = Session(database).execute(f"begin insert(fk, {{{rows}}}); end")
+        assert result.committed
+        assert len(encode(encode_differentials(result.differentials))) > 64 << 10
+        executor.replicate(database.commit_log.version)
+        [task] = controller.audit_tasks(database, result)
+        futures = [executor.submit(task, (0,)) for _ in range(2)]
+        outcomes = [future.result() for future in futures]
+    finally:
+        executor.shutdown()
+    violated, sample = task.run()  # inline: every odd ref dangles
+    assert violated and sample
+    for outcome in outcomes:  # one per worker
+        assert (outcome.error, outcome.violated) == (None, True), outcome
+        assert outcome.violations == sample
     print("ok")
 """
 

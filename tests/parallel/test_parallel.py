@@ -8,7 +8,6 @@ from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT, STRING
 from repro.errors import FragmentationError
 from repro.parallel import (
-    CostModel,
     FragmentedDatabase,
     FragmentedRelation,
     HashFragmentation,
@@ -125,24 +124,6 @@ class TestFragmentedDatabase:
 
 
 class TestCostModel:
-    def test_node_time_components(self):
-        model = CostModel(
-            scan_per_tuple=1.0,
-            build_per_tuple=2.0,
-            probe_per_tuple=3.0,
-            transfer_per_tuple=0.5,
-            message_latency=10.0,
-        )
-        stats = NodeStats(tuples_processed=4, tuples_sent=2, messages_sent=1)
-        assert model.node_time(stats) == 4 * 1.0 + 2 * 0.5 + 10.0
-
-    def test_parallel_time_is_makespan(self):
-        model = POOMA_1992
-        slow = NodeStats(tuples_processed=1000)
-        fast = NodeStats(tuples_processed=10)
-        makespan = model.parallel_time({0: slow, 1: fast})
-        assert makespan == model.startup + model.node_time(slow)
-
     def test_poma_calibration_anchors(self):
         """The defaults land on Section 7's two published bounds."""
         # Domain check: scan 5000 tuples over 8 nodes -> < 1 second.
@@ -158,8 +139,10 @@ class TestCostModel:
         assert referential > domain
 
     def test_modern_model_much_faster(self):
-        stats = NodeStats(tuples_processed=100000)
-        assert MODERN_2026.node_time(stats) < POOMA_1992.node_time(stats) / 1000
+        def seconds(model):
+            return model.weighted_node_time(NodeStats(), scanned=100000)
+
+        assert seconds(MODERN_2026) < seconds(POOMA_1992) / 1000
 
 
 class TestEnforcer:

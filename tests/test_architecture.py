@@ -103,7 +103,7 @@ CASES = [
                 "a liveness poll interval or the shm attach probe is back in src/",
             ),
             (
-                ["-nE", r"pickle\.", "src/repro/core/procpool.py", "src/repro/parallel/procpool.py"],
+                ["-nE", r"pickle\.", "src/repro/core/procpool.py"],
                 None,
                 "a pool client pickles its own traffic; use "
                 "core/workers.encode/decode",
@@ -113,6 +113,26 @@ CASES = [
                 None,
                 "a second pool transport is back in src/; pool payloads travel "
                 "as pickled bytes on the pipe",
+            ),
+        ],
+    ),
+    # One process client (the §7 enforcer runs its simulated nodes in this
+    # process; the worker pool's one client is the audit executor, so the
+    # pool has no per-worker payload send).
+    (
+        "one-process-client",
+        [
+            (
+                ["-rnE", "ProcessFragmentPool|_fragment_worker|_ship_moved|bytes_shipped|bytes_installed", "src/repro/"],
+                None,
+                "the fragment process pool (a second WorkerPool client) is "
+                "back in src/",
+            ),
+            (
+                ["-nE", r"def send\(", "src/repro/core/workers.py"],
+                None,
+                "WorkerPool.send (the fragment pool's per-worker payload put) "
+                "is back",
             ),
         ],
     ),
@@ -252,10 +272,8 @@ CASES = [
                 "the quiesce fence or index migration is back in src/",
             ),
             (
-                # The process pool's ``install`` ships fragments to worker
-                # nodes; it replaces no relation of a database.
                 ["-rnE", r"def install\(", "src/"],
-                "src/repro/parallel/procpool.py:",
+                None,
                 "a relation-replacing install (Database.install) is back in src/",
             ),
         ],
