@@ -305,6 +305,60 @@ class TestLargeDeltas:
             assert sorted(outcome.violations) == sorted(violations)
 
 
+class TestExecutorLifecycle:
+    """The pool's one client: a poisoned task, a second shutdown."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_worker_audits_after_a_poison_task(
+        self, db, controller, start_method
+    ):
+        result = _commit(db, "begin insert(fk, (100, 55)); end")
+
+        class Poison:
+            rule_name = "no_such_rule"
+            differentials = result.differentials
+
+        [task] = [
+            t for t in controller.audit_tasks(db, result) if t.rule_name == "fk_ref"
+        ]
+        pool = ProcessAuditExecutor(
+            controller, db, workers=1, start_method=start_method
+        )
+        try:
+            pool.replicate(db.commit_log.version)
+            poisoned = pool.submit(Poison(), (0,))
+            audited = pool.submit(task, (0,))  # the same, only, worker
+            assert poisoned.result().error.startswith("RuleError")
+            outcome = audited.result()
+            assert (outcome.error, outcome.violated) == (None, True)
+            assert outcome.violations == ((100, 55),)
+            assert pool.restarts == 0
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_shutdown_is_idempotent_and_releases_the_pin(
+        self, db, controller, start_method
+    ):
+        before = db.epochs.pinned_versions()
+        pool = ProcessAuditExecutor(
+            controller, db, workers=2, start_method=start_method
+        )
+        assert len(db.epochs.pinned_versions()) == len(before) + 1
+        pool.shutdown()
+        pool.shutdown()
+        assert db.epochs.pinned_versions() == before
+        assert [p.exitcode for p in pool._pool.processes] == [0, 0]
+
+    def test_a_pool_of_no_workers_runs_one(self, db, controller):
+        pool = ProcessAuditExecutor(controller, db, workers=0)
+        try:
+            assert pool.workers == len(pool._pool.processes) == 1
+            assert pool._pool.processes[0].is_alive()
+        finally:
+            pool.shutdown()
+
+
 class TestDurableLogIntegration:
     def test_drain_advances_audit_watermark(self, db, controller, tmp_path):
         db.attach_wal(WriteAheadLog(tmp_path))

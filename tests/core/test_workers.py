@@ -141,6 +141,19 @@ def test_close_is_idempotent_and_joins_every_process(start_method):
     assert pool.wait() == ([], [])
 
 
+def test_close_after_a_death_stops_the_survivors(start_method):
+    pool = WorkerPool(_echo, 3, start_method)
+    pool.processes[1].kill()
+    pool.processes[1].join(timeout=10.0)
+    # The death is not yet collected: close must find it, stop the two
+    # live workers, and return.
+    pool.close()
+    assert pool.dead == {0, 1, 2}
+    assert [pool.processes[i].exitcode for i in (0, 2)] == [0, 0]
+    assert pool.processes[1].exitcode != 0
+    assert pool.wait() == ([], [])
+
+
 def test_a_put_to_a_dead_worker_puts_nothing(pool, monkeypatch):
     pool.processes[0].kill()
     assert pool.wait() == ([], [0])

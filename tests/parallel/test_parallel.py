@@ -3,10 +3,11 @@ enforcement strategies."""
 
 import pytest
 
+from repro.algebra import expressions as E
 from repro.algebra import predicates as P
 from repro.engine import Database, DatabaseSchema, RelationSchema
 from repro.engine.types import INT, STRING
-from repro.errors import FragmentationError
+from repro.errors import FragmentationError, UnknownRelationError
 from repro.parallel import (
     FragmentedDatabase,
     FragmentedRelation,
@@ -233,3 +234,229 @@ class TestEnforcer:
         clean = enforcer.domain_check("fk", P.Comparison("<", P.ColRef("ref"), P.Const(0)))
         assert clean.ok and clean.violations == 0
 
+
+
+# ---------------------------------------------------------------------------
+# The one executor against a single-node reference
+# ---------------------------------------------------------------------------
+
+
+def _dangling(database):
+    """fk rows whose ref has no pk key: the referential violations."""
+    keys = {row[0] for row in database.relation("pk").rows()}
+    return sorted(row for row in database.relation("fk").rows() if row[1] not in keys)
+
+
+def _matched(database):
+    """fk rows whose ref has a pk key: the exclusion violations."""
+    keys = {row[0] for row in database.relation("pk").rows()}
+    return sorted(row for row in database.relation("fk").rows() if row[1] in keys)
+
+
+def _incompatible(database):
+    return FragmentedDatabase.from_database(
+        database,
+        {
+            "fk": RoundRobinFragmentation(4),
+            "pk": HashFragmentation("key", 4),
+        },
+        nodes=4,
+    )
+
+
+def _verdict(report):
+    return report.violations, sorted(report.sample)
+
+
+ALL = [Strategy.AUTO, Strategy.LOCAL, Strategy.BROADCAST, Strategy.REPARTITION]
+MOVING = [Strategy.AUTO, Strategy.BROADCAST, Strategy.REPARTITION]
+
+
+class TestSingleNodeReference:
+    """Each simulated node runs the single-node plan over its own
+    fragments; the union of their answers is the single-node answer."""
+
+    @pytest.mark.parametrize("strategy", ALL)
+    def test_referential_matches_the_single_node_answer(
+        self, database, fragmented, strategy
+    ):
+        report = ParallelEnforcer(fragmented).referential_check(
+            "fk", "ref", "pk", "key", strategy, max_sample=100
+        )
+        expected = _dangling(database)
+        assert _verdict(report) == (len(expected), expected)
+
+    @pytest.mark.parametrize("strategy", MOVING)
+    def test_referential_on_incompatible_schemes_matches_the_single_node_answer(
+        self, database, strategy
+    ):
+        report = ParallelEnforcer(_incompatible(database)).referential_check(
+            "fk", "ref", "pk", "key", strategy, max_sample=100
+        )
+        expected = _dangling(database)
+        assert _verdict(report) == (len(expected), expected)
+        if strategy is Strategy.AUTO:
+            assert report.strategy is Strategy.REPARTITION
+
+    @pytest.mark.parametrize("strategy", ALL)
+    def test_exclusion_matches_the_single_node_answer(
+        self, database, fragmented, strategy
+    ):
+        report = ParallelEnforcer(fragmented).exclusion_check(
+            "fk", "ref", "pk", "key", strategy, max_sample=100
+        )
+        expected = _matched(database)
+        assert _verdict(report) == (len(expected), expected)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            HashFragmentation("ref", 4),
+            RoundRobinFragmentation(4),
+            RangeFragmentation("ref", [3, 6, 9]),
+        ],
+        ids=["hash", "round_robin", "range"],
+    )
+    def test_domain_matches_the_single_node_answer(self, database, scheme):
+        fdb = FragmentedDatabase.from_database(database, {"fk": scheme}, nodes=4)
+        report = ParallelEnforcer(fdb).domain_check(
+            "fk", P.Comparison(">", P.ColRef("ref"), P.Const(5)), max_sample=100
+        )
+        expected = sorted(row for row in database.relation("fk").rows() if row[1] > 5)
+        assert _verdict(report) == (len(expected), expected)
+        assert report.strategy is Strategy.LOCAL and report.tuples_shipped == 0
+
+    @pytest.mark.parametrize("strategy", [Strategy.BROADCAST, Strategy.REPARTITION])
+    def test_a_check_over_thousands_of_rows_matches_the_single_node_answer(
+        self, schema, strategy
+    ):
+        database = Database(schema)
+        database.load("pk", [(k, f"key_{k:06d}") for k in range(0, 40_000, 2)])
+        # An odd ref has no pk key: every odd id dangles.
+        database.load("fk", [(i, (7 * i) % 40_000) for i in range(16_000)])
+        fdb = FragmentedDatabase.from_database(
+            database,
+            {"fk": RoundRobinFragmentation(4), "pk": RoundRobinFragmentation(4)},
+            nodes=4,
+        )
+        report = ParallelEnforcer(fdb).referential_check(
+            "fk", "ref", "pk", "key", strategy, max_sample=10_000
+        )
+        expected = _dangling(database)
+        assert len(expected) == 8_000
+        assert _verdict(report) == (8_000, expected)
+
+
+class TestShipment:
+    """``tuples_shipped`` and the per-node counters price what moves."""
+
+    def test_a_local_check_moves_nothing(self, fragmented):
+        report = ParallelEnforcer(fragmented).referential_check(
+            "fk", "ref", "pk", "key", Strategy.LOCAL
+        )
+        assert report.tuples_shipped == 0
+        assert all(stats == NodeStats() for stats in report.per_node.values())
+        assert report.placements == {"fk": Strategy.LOCAL, "pk": Strategy.LOCAL}
+
+    def test_a_local_check_after_a_broadcast_moves_nothing(self, fragmented):
+        # The enforcer keeps no placement from one check to the next.
+        enforcer = ParallelEnforcer(fragmented)
+        enforcer.referential_check("fk", "ref", "pk", "key", Strategy.BROADCAST)
+        report = enforcer.referential_check(
+            "fk", "ref", "pk", "key", Strategy.LOCAL
+        )
+        assert report.violations == 1
+        assert report.tuples_shipped == 0
+
+    def test_a_broadcast_sends_each_fragment_to_every_other_node(self, fragmented):
+        report = ParallelEnforcer(fragmented).referential_check(
+            "fk", "ref", "pk", "key", Strategy.BROADCAST
+        )
+        pk = fragmented.relation("pk")
+        for node, stats in report.per_node.items():
+            local = len(pk.fragment(node))
+            assert stats.tuples_sent == local * 3
+            assert stats.tuples_received == 10 - local
+        assert report.placements == {"fk": Strategy.LOCAL, "pk": Strategy.BROADCAST}
+
+    def test_a_repartition_ships_each_moved_tuple_once(self, database):
+        fdb = _incompatible(database)
+        fk = fdb.relation("fk")
+        target = HashFragmentation("ref", 4)
+        moved = sum(
+            1
+            for node in range(4)
+            for row in fk.fragment(node).rows()
+            if target.fragment_of(row, fk.schema) != node
+        )
+        report = ParallelEnforcer(fdb).referential_check(
+            "fk", "ref", "pk", "key", Strategy.AUTO
+        )
+        assert report.placements == {
+            "fk": Strategy.REPARTITION, "pk": Strategy.LOCAL,
+        }
+        assert moved > 0
+        assert report.tuples_shipped == moved
+        assert sum(s.tuples_received for s in report.per_node.values()) == moved
+
+
+class TestRejections:
+    def test_an_operand_over_another_node_count_is_rejected(self, database, fragmented):
+        fk = FragmentedRelation(
+            database.schema.relation("fk"), HashFragmentation("ref", 2)
+        )
+        fk.load(database.relation("fk").rows())
+        with pytest.raises(FragmentationError, match="over 2 nodes"):
+            ParallelEnforcer(fragmented).referential_check(fk, "ref", "pk", "key")
+
+    def test_zero_nodes_rejected(self, schema):
+        with pytest.raises(FragmentationError, match="node count"):
+            FragmentedDatabase(schema, nodes=0)
+
+    def test_an_unfragmented_relation_is_named(self, schema, database):
+        fdb = FragmentedDatabase.from_database(
+            database, {"fk": HashFragmentation("ref", 4)}, nodes=4
+        )
+        with pytest.raises(UnknownRelationError, match="pk"):
+            ParallelEnforcer(fdb).referential_check("fk", "ref", "pk", "key")
+
+    def test_a_non_equality_join_is_rejected(self, fragmented):
+        expression = E.AntiJoin(
+            E.RelationRef("fk"),
+            E.RelationRef("pk"),
+            P.Comparison("<", P.ColRef("ref", "left"), P.ColRef("key", "right")),
+        )
+        with pytest.raises(FragmentationError, match="single attribute equality"):
+            ParallelEnforcer(fragmented).enforce_expression(expression)
+
+    def test_the_enforcer_is_reusable_after_a_rejected_check(self, database):
+        enforcer = ParallelEnforcer(_incompatible(database))
+        with pytest.raises(FragmentationError):
+            enforcer.referential_check("fk", "ref", "pk", "key", Strategy.LOCAL)
+        report = enforcer.referential_check("fk", "ref", "pk", "key")
+        assert report.violations == 1 and report.sample == [(100, 77)]
+
+
+class TestDeterminism:
+    """Simulated seconds are priced from counts, never from the clock, so a
+    repeated check reports them digit for digit (the §7 tables rely on it)."""
+
+    @pytest.mark.parametrize("check", ["domain", "referential", "exclusion"])
+    def test_a_repeated_check_reports_the_same_simulated_time(self, database, check):
+        enforcer = ParallelEnforcer(_incompatible(database))
+
+        def run():
+            if check == "domain":
+                return enforcer.domain_check(
+                    "fk", P.Comparison(">", P.ColRef("ref"), P.Const(5))
+                )
+            if check == "referential":
+                return enforcer.referential_check("fk", "ref", "pk", "key")
+            return enforcer.exclusion_check("fk", "ref", "pk", "key")
+
+        first, second = run(), run()
+        assert first.check == second.check == check
+        assert first.simulated_seconds == second.simulated_seconds > 0
+        assert (first.tuples_shipped, first.placements, first.per_node) == (
+            second.tuples_shipped, second.placements, second.per_node,
+        )
